@@ -3,7 +3,7 @@
 
 use crate::conn::OutBuf;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
 use tcpfo_tcp::types::{ListenerId, SocketId};
 
@@ -13,7 +13,7 @@ pub struct EchoServer {
     /// Designate accepted connections for failover (§7 method 1).
     failover: bool,
     listener: Option<ListenerId>,
-    conns: HashMap<SocketId, OutBuf>,
+    conns: BTreeMap<SocketId, OutBuf>,
     /// Total bytes echoed (observability).
     pub echoed: u64,
     /// Connections served to completion.
@@ -27,7 +27,7 @@ impl EchoServer {
             port,
             failover: false,
             listener: None,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             echoed: 0,
             completed: 0,
         }

@@ -17,7 +17,7 @@
 
 use crate::conn::{pattern, pattern_byte, LineBuf, OutBuf};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tcpfo_net::time::SimTime;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
 use tcpfo_tcp::socket::TcpState;
@@ -73,7 +73,7 @@ struct CtrlConn {
 /// The FTP server application (replicate it on P and S).
 pub struct FtpServer {
     listener: Option<ListenerId>,
-    conns: HashMap<SocketId, CtrlConn>,
+    conns: BTreeMap<SocketId, CtrlConn>,
     /// Completed transfers.
     pub transfers: u64,
     /// Bytes moved in either direction.
@@ -85,7 +85,7 @@ impl FtpServer {
     pub fn new() -> Self {
         FtpServer {
             listener: None,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             transfers: 0,
             bytes_moved: 0,
         }

@@ -13,8 +13,8 @@
 //!
 //! Everything is derived from [`ManyFlowConfig::seed`] with a SplitMix
 //! generator: same config, same bytes, always. That property is what
-//! lets `bench_pr4` assert byte-identical bridge output across shard
-//! counts.
+//! lets `tests/shard_determinism.rs` assert byte-identical bridge
+//! output across shard counts.
 
 use bytes::Bytes;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FlowKey};

@@ -18,7 +18,7 @@
 
 use crate::conn::{LineBuf, OutBuf};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use tcpfo_tcp::app::{SocketApi, SocketApp};
 use tcpfo_tcp::socket::TcpState;
 use tcpfo_tcp::types::{ListenerId, SocketAddr, SocketId};
@@ -95,7 +95,7 @@ pub struct StoreServer {
     port: u16,
     failover: bool,
     listener: Option<ListenerId>,
-    conns: HashMap<SocketId, StoreConn>,
+    conns: BTreeMap<SocketId, StoreConn>,
     /// Commands processed.
     pub commands: u64,
 }
@@ -107,7 +107,7 @@ impl StoreServer {
             port,
             failover: false,
             listener: None,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             commands: 0,
         }
     }

@@ -9,7 +9,7 @@
 
 use crate::conn::{pattern, LineBuf, OutBuf};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
 use tcpfo_tcp::socket::TcpState;
 use tcpfo_tcp::types::{ListenerId, SocketId};
@@ -19,7 +19,7 @@ pub struct SinkServer {
     port: u16,
     failover: bool,
     listener: Option<ListenerId>,
-    conns: HashMap<SocketId, u64>,
+    conns: BTreeMap<SocketId, u64>,
     /// Per-poll read budget; `usize::MAX` = drain eagerly. A small
     /// budget makes this replica a *slow consumer*, shrinking its
     /// advertised window — §3.2's min-window rule then throttles the
@@ -36,7 +36,7 @@ impl SinkServer {
             port,
             failover: false,
             listener: None,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             read_budget: usize::MAX,
             received: 0,
         }
@@ -105,7 +105,7 @@ pub struct SourceServer {
     port: u16,
     failover: bool,
     listener: Option<ListenerId>,
-    conns: HashMap<SocketId, SourceConn>,
+    conns: BTreeMap<SocketId, SourceConn>,
     /// Total bytes served.
     pub served: u64,
     /// Requests handled.
@@ -119,7 +119,7 @@ impl SourceServer {
             port,
             failover: false,
             listener: None,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             served: 0,
             requests: 0,
         }

@@ -77,3 +77,119 @@ proptest! {
         prop_assert_eq!(whole, pieces);
     }
 }
+
+// ---------------------------------------------------------------------
+// The simulation itself repeats: same scene, same process, same events
+// ---------------------------------------------------------------------
+
+mod repeat {
+    use tcpfo_apps::chain_ops;
+    use tcpfo_apps::driver::RequestReplyClient;
+    use tcpfo_apps::stream::SourceServer;
+    use tcpfo_core::chain_testbed::{ChainConfig, ChainTestbed};
+    use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
+    use tcpfo_net::sim::{NodeId, Simulator};
+    use tcpfo_net::time::{SimDuration, SimTime};
+    use tcpfo_tcp::host::Host;
+    use tcpfo_tcp::types::SocketAddr;
+
+    const DOWNLOADS: usize = 8;
+    const BYTES: u64 = 400_000;
+
+    /// What one run of a scene must reproduce exactly.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Outcome {
+        events: u64,
+        done_at: Vec<Option<SimTime>>,
+    }
+
+    fn start_downloads(sim: &mut Simulator, client: NodeId) {
+        sim.with::<Host, _>(client, |h, _| {
+            for _ in 0..DOWNLOADS {
+                h.add_app(Box::new(RequestReplyClient::new(
+                    SocketAddr::new(addrs::A_P, 80),
+                    format!("SEND {BYTES}\n").into_bytes(),
+                    BYTES,
+                )));
+            }
+        });
+    }
+
+    fn outcome(sim: &mut Simulator, client: NodeId) -> Outcome {
+        let done_at = sim.with::<Host, _>(client, |h, _| {
+            (0..DOWNLOADS)
+                .map(|i| {
+                    let c = h.app_mut::<RequestReplyClient>(i);
+                    assert_eq!(c.mismatches, 0, "download {i} corrupted");
+                    c.t_done
+                })
+                .collect::<Vec<_>>()
+        });
+        assert!(done_at.iter().all(Option::is_some), "{done_at:?}");
+        Outcome {
+            events: sim.events_processed(),
+            done_at,
+        }
+    }
+
+    /// §5 on the pair: the primary dies while all eight downloads are
+    /// in flight.
+    fn pair_scene() -> Outcome {
+        let mut tb = Testbed::new(TestbedConfig {
+            seed: 21,
+            ..TestbedConfig::default()
+        });
+        for node in [tb.primary, tb.secondary.unwrap()] {
+            tb.sim.with::<Host, _>(node, |h, _| {
+                h.add_app(Box::new(SourceServer::new(80)));
+            });
+        }
+        let client = tb.client;
+        start_downloads(&mut tb.sim, client);
+        tb.run_for(SimDuration::from_millis(150));
+        tb.kill_primary();
+        tb.run_for(SimDuration::from_secs(20));
+        outcome(&mut tb.sim, client)
+    }
+
+    /// Three-replica chain: the head dies, B1 promotes, and the tail's
+    /// eight live flows are handed to a fresh standby — in the order
+    /// `SourceServer::conn_progress` lists them.
+    fn chain_scene() -> Outcome {
+        let mut tb = ChainTestbed::new(ChainConfig {
+            replicas: 3,
+            seed: 22,
+            ..ChainConfig::default()
+        });
+        tb.install_servers(|| SourceServer::new(80));
+        let client = tb.client;
+        start_downloads(&mut tb.sim, client);
+        tb.run_for(SimDuration::from_millis(150));
+        tb.kill_replica(0);
+        tb.run_for(SimDuration::from_millis(300));
+        chain_ops::reprovision_tail(&mut tb);
+        assert!(
+            tb.run_until_restored(SimDuration::from_millis(1), SimDuration::from_secs(30)),
+            "catch-up never drained"
+        );
+        tb.run_for(SimDuration::from_secs(20));
+        outcome(&mut tb.sim, client)
+    }
+
+    /// Every `HashMap` in a process hashes with its own keys, so two
+    /// runs of one scene here iterate any such map in two different
+    /// orders: the applications must not let that reach the wire.
+    #[test]
+    fn concurrent_downloads_repeat_exactly_through_a_pair_failover() {
+        let first = pair_scene();
+        assert_eq!(pair_scene(), first);
+        assert_eq!(pair_scene(), first);
+    }
+
+    #[test]
+    fn concurrent_downloads_repeat_exactly_through_a_chain_reprovision() {
+        let first = chain_scene();
+        assert_eq!(chain_scene(), first);
+        assert_eq!(chain_scene(), first);
+    }
+}

@@ -2,9 +2,10 @@
 //!
 //! Runs the same short failover upload with the auditor detached and
 //! attached; the two distributions bound the per-run cost of the
-//! online checks (shadow streams, rule ledger, trace/pcap rings). The
-//! `bench_pr3` binary gates the ratio at ≤ 10%; this bench gives the
-//! full distributions for EXPERIMENTS.md E10.
+//! online checks (shadow streams, rule ledger, trace/pcap rings) where
+//! the simulator dominates. The cost on the bare datapath is
+//! `telemetry.cost_pct.audit` in `BENCHMARK.json`; this bench gives the
+//! full-path distributions for EXPERIMENTS.md E10.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tcpfo_apps::driver::BulkSendClient;

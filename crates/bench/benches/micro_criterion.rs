@@ -4,14 +4,13 @@
 //!   fast path the paper's bridge relies on;
 //! * full segment encode vs prebuilt header-template emission — the
 //!   PR-2 zero-copy release path;
-//! * copying (legacy) vs rope output-queue insert/match throughput;
+//! * rope output-queue insert/match throughput;
 //! * `HashMap` vs dense-table simulator port lookup;
 //! * simulator event throughput.
 
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use tcpfo_bench::legacy_queue::LegacyByteQueue;
 use tcpfo_core::queues::ByteQueue;
 use tcpfo_wire::checksum::{checksum, raw_sum, ChecksumDelta};
 use tcpfo_wire::ipv4::Ipv4Addr;
@@ -92,26 +91,8 @@ fn bench_segment_release(c: &mut Criterion) {
 
 fn bench_queues(c: &mut Criterion) {
     let mut group = c.benchmark_group("output_queue");
-    let payload = vec![42u8; 1460];
-    let shared = bytes::Bytes::from(payload.clone());
+    let shared = bytes::Bytes::from(vec![42u8; 1460]);
     group.throughput(Throughput::Bytes(1460 * 64));
-    group.bench_function("legacy_insert_take_64_segments", |bench| {
-        bench.iter(|| {
-            let mut q = LegacyByteQueue::new();
-            let mut seq = 1000u32;
-            for _ in 0..64 {
-                q.insert(seq, &payload, 1000);
-                seq = seq.wrapping_add(1460);
-            }
-            let mut head = 1000u32;
-            while q.contiguous_from(head) > 0 {
-                let n = q.contiguous_from(head).min(1460);
-                let taken = q.take(head, n);
-                std::hint::black_box(&taken);
-                head = head.wrapping_add(n as u32);
-            }
-        })
-    });
     group.bench_function("rope_insert_take_64_segments", |bench| {
         bench.iter(|| {
             let mut q = ByteQueue::new();

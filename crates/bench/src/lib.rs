@@ -22,11 +22,6 @@ use tcpfo_net::link::LinkParams;
 use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
-use tcpfo_telemetry::MttrBreakdown;
-
-pub mod legacy_queue;
-pub mod loadgen;
-pub mod trajectory;
 
 /// Send-side copy cost in nanoseconds per byte (the `send()` syscall
 /// copying into the socket buffer on a 566 MHz P-III, ~400 MB/s). The
@@ -141,15 +136,7 @@ pub fn measure_conn_setup(mode: Mode, n: u32, seed: u64) -> DurationStats {
 /// One Fig. 3 measurement: the application-level send time (buffer
 /// semantics, §9) and the fully-acknowledged time for one message.
 pub fn measure_send_time(mode: Mode, bytes: u64, seed: u64) -> (SimDuration, SimDuration) {
-    measure_send_time_cfg(paper_testbed(mode, seed), bytes)
-}
-
-/// [`measure_send_time`] against an explicit testbed configuration —
-/// lets callers toggle knobs the mode presets don't (e.g.
-/// `cfg.audit = Some(true)` to measure the invariant auditor's
-/// overhead).
-pub fn measure_send_time_cfg(cfg: TestbedConfig, bytes: u64) -> (SimDuration, SimDuration) {
-    let mut tb = Testbed::new(cfg);
+    let mut tb = Testbed::new(paper_testbed(mode, seed));
     install_servers(&mut tb, || SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(
@@ -178,12 +165,7 @@ pub fn measure_send_time_cfg(cfg: TestbedConfig, bytes: u64) -> (SimDuration, Si
 
 /// One Fig. 4 measurement: request → last reply byte.
 pub fn measure_request_reply(mode: Mode, reply_bytes: u64, seed: u64) -> SimDuration {
-    measure_request_reply_cfg(paper_testbed(mode, seed), reply_bytes)
-}
-
-/// [`measure_request_reply`] against an explicit testbed configuration.
-pub fn measure_request_reply_cfg(cfg: TestbedConfig, reply_bytes: u64) -> SimDuration {
-    let mut tb = Testbed::new(cfg);
+    let mut tb = Testbed::new(paper_testbed(mode, seed));
     install_servers(&mut tb, || SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
@@ -212,23 +194,13 @@ pub fn measure_request_reply_cfg(cfg: TestbedConfig, reply_bytes: u64) -> SimDur
 /// Fig. 5 send rate: client streams `bytes` to the server; KB/s until
 /// fully acknowledged.
 pub fn measure_send_rate(mode: Mode, bytes: u64, seed: u64) -> f64 {
-    measure_send_rate_cfg(paper_testbed(mode, seed), bytes)
-}
-
-/// [`measure_send_rate`] against an explicit testbed configuration.
-pub fn measure_send_rate_cfg(cfg: TestbedConfig, bytes: u64) -> f64 {
-    let (_buffered, acked) = measure_send_time_cfg(cfg, bytes);
+    let (_buffered, acked) = measure_send_time(mode, bytes, seed);
     bytes as f64 / 1000.0 / acked.as_secs_f64()
 }
 
 /// Fig. 5 receive rate: client downloads `bytes`; KB/s to last byte.
 pub fn measure_recv_rate(mode: Mode, bytes: u64, seed: u64) -> f64 {
-    measure_recv_rate_cfg(paper_testbed(mode, seed), bytes)
-}
-
-/// [`measure_recv_rate`] against an explicit testbed configuration.
-pub fn measure_recv_rate_cfg(cfg: TestbedConfig, bytes: u64) -> f64 {
-    let d = measure_request_reply_cfg(cfg, bytes);
+    let d = measure_request_reply(mode, bytes, seed);
     bytes as f64 / 1000.0 / d.as_secs_f64()
 }
 
@@ -288,10 +260,6 @@ pub struct FailoverTiming {
     pub client_stall: SimDuration,
     /// Whether the transfer completed intact.
     pub completed: bool,
-    /// The §5 takeover decomposition from the failover timeline —
-    /// `None` when a phase never fired (e.g. no client-visible byte
-    /// from S).
-    pub mttr: Option<MttrBreakdown>,
 }
 
 /// Kills the primary mid-download and measures detection latency and
@@ -355,7 +323,6 @@ pub fn measure_failover_timing(timeout: SimDuration, seed: u64) -> FailoverTimin
         detection: detected.duration_since(killed_at),
         client_stall: max_gap,
         completed,
-        mttr: tb.telemetry.timeline.mttr(),
     }
 }
 
@@ -432,20 +399,6 @@ pub fn export_run_telemetry(tb: &mut Testbed, label: &str) {
         Ok(()) => eprintln!("telemetry written to {}", path.display()),
         Err(e) => eprintln!("telemetry export to {} failed: {e}", path.display()),
     }
-}
-
-/// Pulls a frozen figure out of a bench JSON document without a JSON
-/// parser: finds `"section"`, then the first `"key"` after it, and
-/// parses the number that follows. The `BENCH_PR*.json` files are
-/// generated with a fixed layout, so this is robust for gate checks
-/// and keeps the harness dependency-free.
-pub fn json_figure(json: &str, section: &str, key: &str) -> Option<f64> {
-    let sec = json.find(&format!("\"{section}\""))?;
-    let tail = &json[sec..];
-    let k = tail.find(&format!("\"{key}\""))?;
-    let tail = &tail[k + key.len() + 3..];
-    let end = tail.find([',', '}'])?;
-    tail[..end].trim().parse().ok()
 }
 
 // ---------------------------------------------------------------------

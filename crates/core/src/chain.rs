@@ -50,7 +50,7 @@
 //! [`crate::reprovision`].
 
 use crate::designation::{ConnKey, FailoverConfig};
-use crate::detector::{DetectorConfig, HB_RING, HEARTBEAT_V1_LEN};
+use crate::detector::{advance_expected_seq, DetectorConfig, HB_RING};
 use crate::flow::{FlowState, FlowTableConfig, ShardStats};
 use crate::primary::{ConnRow, PrimaryBridge, PrimaryMode};
 use crate::reprovision::FlowHandoff;
@@ -66,7 +66,8 @@ use tcpfo_telemetry::{
     InvariantAuditor, LatencyObservatory, SpanTrack, StageLatency, Telemetry,
 };
 use tcpfo_wire::checksum::ChecksumDelta;
-use tcpfo_wire::ipv4::{Ipv4Addr, PROTO_HEARTBEAT};
+use tcpfo_wire::heartbeat::{Heartbeat, PROTO_HEARTBEAT};
+use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{SegmentPatcher, OPT_KIND_ORIG_DEST, TCP_HEADER_LEN};
 
 /// Counters for the chain-specific plumbing.
@@ -1077,16 +1078,20 @@ impl HostController for ChainController {
                 if i == self.my_index || !self.alive[i] {
                     continue;
                 }
-                let mut payload = Vec::with_capacity(HEARTBEAT_V1_LEN);
-                payload.extend_from_slice(b"HB");
-                payload.extend_from_slice(&seq.to_le_bytes());
                 let (echo_seq, hold_ns) = match self.trackers[i].echo {
                     Some((pseq, rx_at)) => (pseq, now.duration_since(rx_at).as_nanos()),
-                    None => (u64::MAX, 0),
+                    None => (Heartbeat::NO_ECHO, 0),
                 };
-                payload.extend_from_slice(&echo_seq.to_le_bytes());
-                payload.extend_from_slice(&hold_ns.to_le_bytes());
-                services.send_raw(PROTO_HEARTBEAT, self.chain[i], Bytes::from(payload));
+                let beat = Heartbeat {
+                    seq,
+                    echo_seq,
+                    hold_ns,
+                };
+                services.send_raw(
+                    PROTO_HEARTBEAT,
+                    self.chain[i],
+                    Bytes::copy_from_slice(&beat.encode()),
+                );
                 self.heartbeats_sent += 1;
             }
             // One instant per fan-out round, not per peer: the trace
@@ -1207,34 +1212,22 @@ impl HostController for ChainController {
         self.heartbeats_received += 1;
         // v1 payload: seq + RTT echo. Legacy (short) payloads are
         // liveness-only.
-        if payload.len() >= HEARTBEAT_V1_LEN && &payload[..2] == b"HB" {
-            let word = |at: usize| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&payload[at..at + 8]);
-                u64::from_le_bytes(b)
-            };
-            let seq = word(2);
-            let echo_seq = word(10);
-            let hold_ns = word(18);
+        if let Some(beat) = Heartbeat::decode(payload) {
             let tr = &mut self.trackers[i];
-            match tr.expected_seq {
-                Some(expected) if seq >= expected => {
-                    let lost = seq - expected;
-                    tr.monitor.replica.observe_loss(lost, lost + 1);
-                    tr.expected_seq = Some(seq + 1);
-                }
-                Some(_) => {} // reordered duplicate, not new loss
-                None => tr.expected_seq = Some(seq + 1),
+            if let Some(lost) = advance_expected_seq(&mut tr.expected_seq, beat.seq) {
+                tr.monitor
+                    .replica
+                    .observe_loss(lost, lost.saturating_add(1));
             }
-            tr.echo = Some((seq, now));
-            if echo_seq != u64::MAX {
-                let (ring_seq, sent_at) = self.hb_ring[(echo_seq % HB_RING as u64) as usize];
-                if ring_seq == echo_seq {
+            tr.echo = Some((beat.seq, now));
+            if beat.echo_seq != Heartbeat::NO_ECHO {
+                let (ring_seq, sent_at) = self.hb_ring[(beat.echo_seq % HB_RING as u64) as usize];
+                if ring_seq == beat.echo_seq {
                     let rtt = now
                         .duration_since(sent_at)
                         .as_nanos()
-                        .saturating_sub(hold_ns);
-                    self.trackers[i].monitor.replica.on_heartbeat_rtt(rtt);
+                        .saturating_sub(beat.hold_ns);
+                    tr.monitor.replica.on_heartbeat_rtt(rtt);
                     // Round trips we observe are also evidence about
                     // our own links — the self-score's RTT axis.
                     self.self_monitor.replica.on_heartbeat_rtt(rtt);
@@ -1601,6 +1594,52 @@ mod tests {
                     * u64::from(FORCED_PROMOTION_GRACE + 1),
             );
         assert_eq!(c.promotion_gate(later), Some(true), "forced past grace");
+    }
+
+    #[test]
+    fn forged_max_seq_heartbeat_neither_panics_nor_stops_liveness() {
+        use crate::chain_testbed::{ChainConfig, ChainTestbed};
+        use tcpfo_net::time::SimDuration;
+        use tcpfo_tcp::host::Host;
+
+        let mut tb = ChainTestbed::new(ChainConfig {
+            replicas: 3,
+            ..ChainConfig::default()
+        });
+        tb.run_for(SimDuration::from_millis(50));
+        let b1 = tb.replicas[1];
+        let before = tb.sim.with::<Host, _>(b1, |h, _| {
+            h.controller_mut::<ChainController>().heartbeats_received
+        });
+        // Forged with the head's source address, delivered to B1.
+        let forged = Heartbeat {
+            seq: u64::MAX,
+            echo_seq: u64::MAX - 1,
+            hold_ns: u64::MAX,
+        };
+        crate::detector::deliver_heartbeat(
+            &mut tb.sim,
+            b1,
+            tcpfo_wire::mac::MacAddr::from_index(3),
+            tb.replica_addrs[0],
+            tb.replica_addrs[1],
+            &forged.encode(),
+        );
+        let received = |tb: &mut ChainTestbed| {
+            tb.sim.with::<Host, _>(b1, |h, _| {
+                h.controller_mut::<ChainController>().heartbeats_received
+            })
+        };
+        assert_eq!(received(&mut tb), before + 1, "forged beat not processed");
+        // Two peers keep beating every 10 ms: at least two more rounds.
+        tb.run_for(SimDuration::from_millis(30));
+        assert!(
+            received(&mut tb) >= before + 1 + 4,
+            "later beats not counted"
+        );
+        tb.sim.with::<Host, _>(b1, |h, _| {
+            assert!(h.controller_mut::<ChainController>().peer_alive(0));
+        });
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::designation::FailoverConfig;
 use crate::detector::DetectorConfig;
 use crate::reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
 use crate::secondary::SecondaryBridge;
-use crate::testbed::{addrs, macs};
+use crate::testbed::{addrs, attach_secondary_observatories, macs};
 use tcpfo_net::hub::Hub;
 use tcpfo_net::link::LinkParams;
 use tcpfo_net::router::{Interface, Router};
@@ -40,11 +40,9 @@ use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::config::TcpConfig;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig};
 use tcpfo_tcp::types::SocketId;
-use tcpfo_telemetry::audit::env_audit_enabled;
-use tcpfo_telemetry::health::env_health_enabled;
-use tcpfo_telemetry::latency::env_latency_enabled;
 use tcpfo_telemetry::{
-    AuditConfig, FailoverPhase, HealthObservatory, InvariantAuditor, LatencyObservatory, Telemetry,
+    AuditConfig, FailoverPhase, HealthObservatory, InvariantAuditor, LatencyObservatory,
+    ObserverSwitches, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
@@ -107,6 +105,29 @@ impl Default for ChainConfig {
 /// How many standby replicas the hub reserves ports for.
 const STANDBY_PORTS: usize = 2;
 
+fn attach_chain_observatories(
+    observers: ObserverSwitches,
+    bridge: &mut ChainBridge,
+    telemetry: &Telemetry,
+) {
+    if observers.audit {
+        bridge.set_audit(Some(Box::new(
+            InvariantAuditor::new(AuditConfig::from_env("chain")).with_hub(telemetry),
+        )));
+    }
+    if observers.latency {
+        bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
+    }
+    if observers.health {
+        bridge.set_health(Some(Box::new(HealthObservatory::new())));
+    }
+    if observers.span_trace {
+        bridge.set_trace(Some(Box::new(
+            tcpfo_telemetry::SpanSampler::with_default_period(telemetry.trace.clone()),
+        )));
+    }
+}
+
 /// The assembled chain testbed.
 pub struct ChainTestbed {
     /// The simulator.
@@ -136,10 +157,9 @@ pub struct ChainTestbed {
     catchup_link: Option<usize>,
     /// Next free port on the shared-segment hub.
     next_hub_port: usize,
-    audit_on: bool,
-    latency_on: bool,
-    health_on: bool,
-    span_trace_on: bool,
+    /// Which observers every replica gets, resolved once from
+    /// `config` and the environment when the testbed was built.
+    observers: ObserverSwitches,
 }
 
 impl ChainTestbed {
@@ -152,12 +172,12 @@ impl ChainTestbed {
     pub fn new(config: ChainConfig) -> Self {
         assert!((2..=200).contains(&config.replicas));
         let n = config.replicas;
-        let audit_on = config.audit.unwrap_or_else(env_audit_enabled);
-        let latency_on = config.latency.unwrap_or_else(env_latency_enabled);
-        let health_on = config.health.unwrap_or_else(env_health_enabled);
-        let span_trace_on = config
-            .span_trace
-            .unwrap_or_else(tcpfo_telemetry::span::env_trace_enabled);
+        let observers = ObserverSwitches::resolve(
+            config.audit,
+            config.latency,
+            config.health,
+            config.span_trace,
+        );
         let replica_addrs: Vec<Ipv4Addr> = (0..n)
             .map(|i| Ipv4Addr::new(10, 0, 0, 2 + i as u8))
             .collect();
@@ -211,10 +231,7 @@ impl ChainTestbed {
             tracker: ReprovisionTracker::new(),
             catchup_link: None,
             next_hub_port: 1,
-            audit_on,
-            latency_on,
-            health_on,
-            span_trace_on,
+            observers,
         };
 
         // Replicas, head first.
@@ -228,15 +245,17 @@ impl ChainTestbed {
     }
 
     /// Spawns replica `i` (address already in `replica_addrs`): bridge
-    /// by position (tail = [`SecondaryBridge`], everything else =
+    /// by position (tail = [`SecondaryBridge`] diverting to the nearest
+    /// living replica toward the head, everything else =
     /// [`ChainBridge`]), observatories per the knobs, a fresh telemetry
-    /// hub, and a [`ChainController`] over the full chain. Wires the
-    /// host to the next free hub port.
+    /// hub, and a [`ChainController`] over the full chain that already
+    /// knows which members are dead. Wires the host to the next free
+    /// hub port. Founders and reprovisioned standbys are built alike.
     fn spawn_replica(&mut self, i: usize, mac: MacAddr) -> NodeId {
         let vip = addrs::A_P;
         let n = self.replica_addrs.len();
         let telemetry = Telemetry::from_env();
-        if self.span_trace_on {
+        if self.observers.span_trace {
             telemetry
                 .trace
                 .attach(tcpfo_telemetry::span::env_trace_capacity());
@@ -262,9 +281,9 @@ impl ChainTestbed {
             // The tail is a plain secondary, diverting to its
             // neighbour toward the head.
             let mut tail = SecondaryBridge::new(vip, self.replica_addrs[i], fo);
-            tail.set_upstream(self.replica_addrs[i - 1]);
+            tail.set_upstream(self.replica_addrs[self.last_living_before(i)]);
             tail.set_telemetry(&telemetry);
-            self.attach_secondary_observatories(&mut tail, &telemetry);
+            attach_secondary_observatories(self.observers, &mut tail, &telemetry, "chain-tail");
             host.set_filter(Box::new(tail));
         } else {
             let upstream = if i == 0 {
@@ -280,12 +299,17 @@ impl ChainTestbed {
                 fo,
             );
             bridge.set_telemetry(&telemetry);
-            self.attach_chain_observatories(&mut bridge, &telemetry);
+            attach_chain_observatories(self.observers, &mut bridge, &telemetry);
             host.set_filter(Box::new(bridge));
         }
         let mut controller =
             ChainController::new(self.replica_addrs.clone(), i, self.config.detector);
         controller.set_telemetry(&telemetry);
+        for (j, &dead) in self.dead.iter().enumerate() {
+            if dead {
+                controller.set_peer_dead(self.replica_addrs[j]);
+            }
+        }
         host.set_controller(Box::new(controller));
         for &p in &self.config.failover_ports {
             host.stack_mut().add_failover_port(p);
@@ -299,39 +323,6 @@ impl ChainTestbed {
         self.next_hub_port += 1;
         self.hubs.push(telemetry);
         id
-    }
-
-    fn attach_chain_observatories(&self, bridge: &mut ChainBridge, telemetry: &Telemetry) {
-        if self.audit_on {
-            bridge.set_audit(Some(Box::new(
-                InvariantAuditor::new(AuditConfig::from_env("chain")).with_hub(telemetry),
-            )));
-        }
-        if self.latency_on {
-            bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-        }
-        if self.health_on {
-            bridge.set_health(Some(Box::new(HealthObservatory::new())));
-        }
-        if self.span_trace_on {
-            bridge.set_trace(Some(Box::new(
-                tcpfo_telemetry::SpanSampler::with_default_period(telemetry.trace.clone()),
-            )));
-        }
-    }
-
-    fn attach_secondary_observatories(&self, bridge: &mut SecondaryBridge, telemetry: &Telemetry) {
-        if self.audit_on {
-            bridge.set_audit(Some(Box::new(
-                InvariantAuditor::new(AuditConfig::from_env("chain-tail")).with_hub(telemetry),
-            )));
-        }
-        if self.latency_on {
-            bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-        }
-        if self.health_on {
-            bridge.set_health(Some(Box::new(HealthObservatory::new())));
-        }
     }
 
     fn prime_arp_caches(&mut self) {
@@ -473,61 +464,13 @@ impl ChainTestbed {
         let mac = MacAddr::from_index(2 + k as u32);
         let now = self.sim.now().as_nanos();
         self.tracker.begin(addr, now);
-        let tail = self.tail_index();
         self.replica_addrs.push(addr);
         self.dead.push(false);
-
-        // The standby mirrors a founding tail: secondary bridge
+        // The standby mirrors a founding tail: a secondary bridge
         // diverting to the current tail (which will convert to a
         // middle as part of the handoff).
-        let telemetry = Telemetry::from_env();
-        if self.span_trace_on {
-            telemetry
-                .trace
-                .attach(tcpfo_telemetry::span::env_trace_capacity());
-        }
-        self.tracker.attach_timeline(telemetry.redundancy.clone());
-        self.tracker.attach_tracer(telemetry.trace.clone());
-        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-        let mut hc = HostConfig::new(&format!("replica{k}"), mac, addr)
-            .with_gateway(addrs::GW_SERVER)
-            .with_tcp(
-                self.config
-                    .tcp
-                    .clone()
-                    .with_isn_seed(self.config.seed ^ ((k as u64 + 2) << 32)),
-            );
-        hc.cpu = self.config.cpu;
-        hc.tick = self.config.tick;
-        hc.promiscuous = true;
-        let mut host = Host::new(hc);
-        host.set_telemetry(&telemetry);
-        let mut bridge = SecondaryBridge::new(addrs::A_P, addr, fo);
-        bridge.set_upstream(self.replica_addrs[tail]);
-        bridge.set_telemetry(&telemetry);
-        self.attach_secondary_observatories(&mut bridge, &telemetry);
-        host.set_filter(Box::new(bridge));
-        let mut controller =
-            ChainController::new(self.replica_addrs.clone(), k, self.config.detector);
-        controller.set_telemetry(&telemetry);
-        for (i, &dead) in self.dead.iter().enumerate() {
-            if dead {
-                controller.set_peer_dead(self.replica_addrs[i]);
-            }
-        }
-        host.set_controller(Box::new(controller));
-        for &p in &self.config.failover_ports {
-            host.stack_mut().add_failover_port(p);
-        }
-        let id = spawn_host(&mut self.sim, host);
-        self.sim.connect(
-            (self.hub, self.next_hub_port),
-            (id, 0),
-            LinkParams::attachment(),
-        );
-        self.next_hub_port += 1;
+        let id = self.spawn_replica(k, mac);
         self.replicas.push(id);
-        self.hubs.push(telemetry);
 
         // ARP, both directions, plus the router for good measure.
         let addrs_copy = self.replica_addrs.clone();
@@ -593,7 +536,7 @@ impl ChainTestbed {
     /// buffers its own stream until the standby's diverted stream
     /// matches it. Ends the handoff phase on the tracker.
     pub fn convert_tail_to_middle(&mut self, standby: usize, handoffs: &[FlowHandoff]) {
-        let tail = self.tail_index0_before(standby);
+        let tail = self.last_living_before(standby);
         let node = self.replicas[tail];
         let vip = addrs::A_P;
         let own = self.replica_addrs[tail];
@@ -603,10 +546,7 @@ impl ChainTestbed {
         let now = self.sim.now().as_nanos();
         let flows = handoffs.len();
         let handoffs = handoffs.to_vec();
-        let audit_on = self.audit_on;
-        let latency_on = self.latency_on;
-        let health_on = self.health_on;
-        let span_trace_on = self.span_trace_on;
+        let observers = self.observers;
         self.sim.with::<Host, _>(node, move |h, _| {
             let upstream = h
                 .filter_mut()
@@ -616,22 +556,7 @@ impl ChainTestbed {
                 .upstream();
             let mut bridge = ChainBridge::new(vip, own, Some(upstream), downstream, fo);
             bridge.set_telemetry(&telemetry);
-            if audit_on {
-                bridge.set_audit(Some(Box::new(
-                    InvariantAuditor::new(AuditConfig::from_env("chain")).with_hub(&telemetry),
-                )));
-            }
-            if latency_on {
-                bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-            }
-            if health_on {
-                bridge.set_health(Some(Box::new(HealthObservatory::new())));
-            }
-            if span_trace_on {
-                bridge.set_trace(Some(Box::new(
-                    tcpfo_telemetry::SpanSampler::with_default_period(telemetry.trace.clone()),
-                )));
-            }
+            attach_chain_observatories(observers, &mut bridge, &telemetry);
             for ho in &handoffs {
                 bridge.adopt_flow(ho, now);
             }
@@ -642,13 +567,14 @@ impl ChainTestbed {
         self.tracker.handoff_done(flows, backlog, now);
     }
 
-    /// The tail index *excluding* the standby already appended by
-    /// [`ChainTestbed::spawn_standby`].
-    fn tail_index0_before(&self, standby: usize) -> usize {
-        (0..standby)
+    /// The last living replica before index `i`: a tail's upstream
+    /// neighbour, and the tail itself as seen from a standby appended
+    /// after it.
+    fn last_living_before(&self, i: usize) -> usize {
+        (0..i)
             .rev()
-            .find(|&i| !self.dead[i])
-            .expect("a living replica above the standby")
+            .find(|&j| !self.dead[j])
+            .expect("a living replica toward the head")
     }
 
     /// Unmatched replication backlog on the converted link: the lag

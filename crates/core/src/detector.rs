@@ -21,17 +21,29 @@ use std::any::Any;
 use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_tcp::host::{HostController, HostServices};
 use tcpfo_telemetry::{Counter, FailoverPhase, HealthMonitor, SpanTrack, Telemetry};
-use tcpfo_wire::ipv4::{Ipv4Addr, PROTO_HEARTBEAT};
+use tcpfo_wire::heartbeat::{Heartbeat, PROTO_HEARTBEAT};
+use tcpfo_wire::ipv4::Ipv4Addr;
 
-/// Wire size of a v1 heartbeat: `"HB"` + sender seq (u64 LE) + echoed
-/// peer seq (u64 LE, `u64::MAX` = nothing to echo) + echo hold time in
-/// nanoseconds (u64 LE). Shorter payloads are legacy liveness-only
-/// heartbeats and still count for the binary detector.
-pub const HEARTBEAT_V1_LEN: usize = 26;
+pub use tcpfo_wire::heartbeat::HEARTBEAT_V1_LEN;
 
 /// Entries in the sent-heartbeat ring used to match RTT echoes; echoes
 /// older than this many intervals are dropped rather than mis-timed.
 pub(crate) const HB_RING: usize = 8;
+
+/// Moves the next-expected peer heartbeat sequence number past `seq`
+/// and returns how many beats were lost before it: `None` for the
+/// first beat and for a reordered (old) `seq`, which is not new loss.
+/// `seq` is outside input (anyone on the segment can forge the peer's
+/// source address), so the update saturates instead of wrapping.
+pub(crate) fn advance_expected_seq(expected: &mut Option<u64>, seq: u64) -> Option<u64> {
+    let lost = match *expected {
+        Some(e) if seq < e => return None,
+        Some(e) => Some(seq - e),
+        None => None,
+    };
+    *expected = Some(seq.saturating_add(1));
+    lost
+}
 
 /// Which replica this controller runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,18 +351,22 @@ impl HostController for ReplicaController {
         let last = *self.last_heard.get_or_insert(now);
         if now >= self.next_send {
             let seq = self.heartbeats_sent;
-            let mut payload = Vec::with_capacity(HEARTBEAT_V1_LEN);
-            payload.extend_from_slice(b"HB");
-            payload.extend_from_slice(&seq.to_le_bytes());
             // Echo the latest peer seq plus how long we held it, so
             // the peer's RTT sample excludes our heartbeat interval.
             let (echo_seq, hold_ns) = match self.peer_echo {
                 Some((pseq, rx_at)) => (pseq, now.duration_since(rx_at).as_nanos()),
-                None => (u64::MAX, 0),
+                None => (Heartbeat::NO_ECHO, 0),
             };
-            payload.extend_from_slice(&echo_seq.to_le_bytes());
-            payload.extend_from_slice(&hold_ns.to_le_bytes());
-            services.send_raw(PROTO_HEARTBEAT, self.peer_ip, Bytes::from(payload));
+            let beat = Heartbeat {
+                seq,
+                echo_seq,
+                hold_ns,
+            };
+            services.send_raw(
+                PROTO_HEARTBEAT,
+                self.peer_ip,
+                Bytes::copy_from_slice(&beat.encode()),
+            );
             self.hb_ring[(seq % HB_RING as u64) as usize] = (seq, now);
             self.heartbeats_sent += 1;
             self.next_send = now + self.config.interval;
@@ -454,37 +470,23 @@ impl HostController for ReplicaController {
             self.traced_misses = 0;
             // v1 payload: seq + RTT echo. Legacy (short) payloads are
             // liveness-only; either way the beat counted above.
-            if payload.len() >= HEARTBEAT_V1_LEN && &payload[..2] == b"HB" {
-                let word = |at: usize| {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&payload[at..at + 8]);
-                    u64::from_le_bytes(b)
-                };
-                let seq = word(2);
-                let echo_seq = word(10);
-                let hold_ns = word(18);
+            if let Some(beat) = Heartbeat::decode(payload) {
                 // Gap in the peer's seq stream = lost heartbeats on
-                // the ingress path. Reordered (old) seqs are not
-                // re-counted as loss.
-                if let Some(expected) = self.peer_expected_seq {
-                    if seq >= expected {
-                        let lost = seq - expected;
-                        if let Some(mon) = self.health.as_deref_mut() {
-                            mon.replica.observe_loss(lost, lost + 1);
-                        }
-                        self.peer_expected_seq = Some(seq + 1);
+                // the ingress path.
+                if let Some(lost) = advance_expected_seq(&mut self.peer_expected_seq, beat.seq) {
+                    if let Some(mon) = self.health.as_deref_mut() {
+                        mon.replica.observe_loss(lost, lost.saturating_add(1));
                     }
-                } else {
-                    self.peer_expected_seq = Some(seq + 1);
                 }
-                self.peer_echo = Some((seq, now));
-                if echo_seq != u64::MAX {
-                    let (ring_seq, sent_at) = self.hb_ring[(echo_seq % HB_RING as u64) as usize];
-                    if ring_seq == echo_seq {
+                self.peer_echo = Some((beat.seq, now));
+                if beat.echo_seq != Heartbeat::NO_ECHO {
+                    let (ring_seq, sent_at) =
+                        self.hb_ring[(beat.echo_seq % HB_RING as u64) as usize];
+                    if ring_seq == beat.echo_seq {
                         let rtt = now
                             .duration_since(sent_at)
                             .as_nanos()
-                            .saturating_sub(hold_ns);
+                            .saturating_sub(beat.hold_ns);
                         if let Some(mon) = self.health.as_deref_mut() {
                             mon.replica.on_heartbeat_rtt(rtt);
                         }
@@ -527,6 +529,31 @@ impl std::fmt::Debug for ReplicaController {
             .field("peer_failed_at", &self.peer_failed_at)
             .finish()
     }
+}
+
+/// Hands `node`'s NIC (MAC `mac`) a heartbeat datagram from `src` to
+/// `dst` carrying `payload`, as any host on the segment could send it.
+#[cfg(test)]
+pub(crate) fn deliver_heartbeat(
+    sim: &mut tcpfo_net::sim::Simulator,
+    node: tcpfo_net::sim::NodeId,
+    mac: tcpfo_wire::mac::MacAddr,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    payload: &[u8],
+) {
+    use tcpfo_net::sim::Device;
+    use tcpfo_wire::eth::{EtherType, EthernetFrame};
+    let pkt = tcpfo_wire::ipv4::Ipv4Packet::new(
+        src,
+        dst,
+        PROTO_HEARTBEAT,
+        Bytes::copy_from_slice(payload),
+    );
+    let frame = EthernetFrame::new(mac, mac, EtherType::Ipv4, pkt.encode());
+    sim.with::<tcpfo_tcp::host::Host, _>(node, |h, ctx| {
+        h.handle_frame(0, frame.encode(), ctx);
+    });
 }
 
 #[cfg(test)]
@@ -679,13 +706,16 @@ mod tests {
         assert_eq!(c.misses_since(last, last), 0);
     }
 
+    /// A heartbeat forged with the primary's source address, handed
+    /// to the secondary's NIC.
+    fn deliver_forged_heartbeat(tb: &mut Testbed, payload: &[u8]) {
+        let s = tb.secondary.unwrap();
+        let mac = crate::testbed::macs::SECONDARY;
+        deliver_heartbeat(&mut tb.sim, s, mac, addrs::A_P, addrs::A_S, payload);
+    }
+
     #[test]
     fn late_heartbeat_after_takeover_commit_is_not_liveness() {
-        use bytes::Bytes;
-        use tcpfo_net::sim::Device;
-        use tcpfo_wire::eth::{EtherType, EthernetFrame};
-        use tcpfo_wire::ipv4::Ipv4Packet;
-
         let mut tb = Testbed::new(TestbedConfig {
             detector: DetectorConfig::default(),
             health: Some(true),
@@ -702,23 +732,8 @@ mod tests {
         assert!(failed_at.is_some(), "takeover did not commit");
         // A stray heartbeat from the dead primary's address arrives
         // after the commit (e.g. a frame that sat in a queue, or the
-        // old host rebooting mid-ARP). Deliver it straight to the
-        // secondary's NIC.
-        tb.sim.with::<Host, _>(s, |h, ctx| {
-            let pkt = Ipv4Packet::new(
-                addrs::A_P,
-                addrs::A_S,
-                PROTO_HEARTBEAT,
-                Bytes::from_static(b"HB"),
-            );
-            let frame = EthernetFrame::new(
-                crate::testbed::macs::SECONDARY,
-                crate::testbed::macs::PRIMARY,
-                EtherType::Ipv4,
-                pkt.encode(),
-            );
-            h.handle_frame(0, frame.encode(), ctx);
-        });
+        // old host rebooting mid-ARP).
+        deliver_forged_heartbeat(&mut tb, b"HB");
         tb.run_for(SimDuration::from_millis(20));
         tb.sim.with::<Host, _>(s, |h, _| {
             let c = h.controller_mut::<ReplicaController>();
@@ -734,6 +749,54 @@ mod tests {
             let mon = c.health_monitor().expect("health attached");
             assert_eq!(mon.replica.late_heartbeats, 1);
         });
+    }
+
+    #[test]
+    fn forged_max_seq_heartbeat_neither_panics_nor_stops_liveness() {
+        let mut tb = Testbed::new(TestbedConfig {
+            health: Some(true),
+            ..TestbedConfig::default()
+        });
+        tb.run_for(SimDuration::from_millis(50));
+        let s = tb.secondary.unwrap();
+        let before = tb.sim.with::<Host, _>(s, |h, _| {
+            h.controller_mut::<ReplicaController>().heartbeats_received
+        });
+        // An off-path sender needs only the primary's address to put
+        // any sequence number in front of the detector.
+        let forged = Heartbeat {
+            seq: u64::MAX,
+            echo_seq: u64::MAX - 1,
+            hold_ns: u64::MAX,
+        };
+        deliver_forged_heartbeat(&mut tb, &forged.encode());
+        let received = |tb: &mut Testbed| {
+            tb.sim.with::<Host, _>(s, |h, _| {
+                h.controller_mut::<ReplicaController>().heartbeats_received
+            })
+        };
+        assert_eq!(received(&mut tb), before + 1, "forged beat not processed");
+        // The real primary keeps beating: at least two more intervals.
+        tb.run_for(SimDuration::from_millis(30));
+        assert!(
+            received(&mut tb) >= before + 1 + 2,
+            "later beats not counted"
+        );
+        assert!(tb.failover_detected_at(s).is_none(), "detector fired");
+    }
+
+    #[test]
+    fn expected_seq_saturates_at_the_top_of_the_space() {
+        let mut expected = None;
+        assert_eq!(advance_expected_seq(&mut expected, 4), None, "first beat");
+        assert_eq!(advance_expected_seq(&mut expected, 7), Some(2), "5, 6 lost");
+        assert_eq!(advance_expected_seq(&mut expected, 6), None, "reordered");
+        assert_eq!(
+            advance_expected_seq(&mut expected, u64::MAX),
+            Some(u64::MAX - 8)
+        );
+        assert_eq!(expected, Some(u64::MAX));
+        assert_eq!(advance_expected_seq(&mut expected, u64::MAX), Some(0));
     }
 
     #[test]

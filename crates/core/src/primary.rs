@@ -511,11 +511,6 @@ impl PrimaryBridge {
         self.trace = trace;
     }
 
-    /// The attached span sampler, if any.
-    pub fn trace_sampler(&self) -> Option<&SpanSampler> {
-        self.trace.as_deref()
-    }
-
     /// Span context of the most recent sampled hot-path batch: the
     /// exemplar link between tail latency samples and the trace.
     pub fn trace_context(&self) -> Option<SpanContext> {

@@ -79,8 +79,8 @@ pub enum ReprovisionPhase {
 }
 
 /// Bookkeeping for one reprovisioning round, mirrored onto the
-/// telemetry hubs' [`RedundancyTimeline`]s so BENCH_PR9 can gate
-/// time-to-restored-redundancy next to client-visible MTTR.
+/// telemetry hubs' [`RedundancyTimeline`]s so time to restored
+/// redundancy is reported next to the client-visible stall.
 #[derive(Debug)]
 pub struct ReprovisionTracker {
     phase: ReprovisionPhase,
@@ -255,8 +255,8 @@ impl ReprovisionTracker {
         Some(self.restored_ns?.saturating_sub(self.handoff_ns?))
     }
 
-    /// Reprovision start → lag drained: the time-to-restored-redundancy
-    /// BENCH_PR9 gates.
+    /// Reprovision start → lag drained: the time to restored
+    /// redundancy.
     pub fn total_ns(&self) -> Option<u64> {
         Some(self.restored_ns?.saturating_sub(self.started_ns?))
     }

@@ -28,13 +28,11 @@ use tcpfo_net::time::SimDuration;
 use tcpfo_net::trace::{to_pcapng, TraceKind};
 use tcpfo_tcp::config::TcpConfig;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig};
-use tcpfo_telemetry::audit::{env_audit_enabled, env_capacity};
-use tcpfo_telemetry::health::env_health_enabled;
-use tcpfo_telemetry::latency::env_latency_enabled;
-use tcpfo_telemetry::span::{env_trace_capacity, env_trace_enabled};
+use tcpfo_telemetry::audit::env_capacity;
+use tcpfo_telemetry::span::env_trace_capacity;
 use tcpfo_telemetry::{
     AuditConfig, FailoverPhase, HealthConfig, HealthMonitor, HealthObservatory, InvariantAuditor,
-    LatencyObservatory, MetricsSnapshot, Telemetry,
+    LatencyObservatory, MetricsSnapshot, ObserverSwitches, Telemetry,
 };
 
 /// Well-known testbed addresses.
@@ -228,6 +226,103 @@ pub(crate) fn health_config(detector: &DetectorConfig) -> HealthConfig {
     }
 }
 
+/// Host configuration for a node on the server segment; `seed_off`
+/// separates the per-host ISN streams derived from the testbed seed.
+fn server_host_config(
+    config: &TestbedConfig,
+    label: &str,
+    mac: tcpfo_wire::mac::MacAddr,
+    ip: tcpfo_wire::ipv4::Ipv4Addr,
+    seed_off: u64,
+) -> HostConfig {
+    let tcp = config
+        .tcp
+        .clone()
+        .with_isn_seed(config.seed ^ (seed_off << 32));
+    let mut h = HostConfig::new(label, mac, ip)
+        .with_gateway(addrs::GW_SERVER)
+        .with_tcp(tcp);
+    h.cpu = config.cpu;
+    h.tick = config.tick;
+    h
+}
+
+/// The fault detector for `role`, with the advisory health monitor
+/// when the health switch is on.
+fn replica_controller(
+    role: Role,
+    config: &TestbedConfig,
+    telemetry: &Telemetry,
+    observers: ObserverSwitches,
+) -> ReplicaController {
+    let peer = match role {
+        Role::Primary => addrs::A_S,
+        Role::Secondary => addrs::A_P,
+    };
+    let mut controller =
+        ReplicaController::new(role, peer, addrs::A_P, addrs::A_S, config.detector);
+    controller.set_telemetry(telemetry);
+    if observers.health {
+        controller.set_health_monitor(Some(Box::new(HealthMonitor::new(health_config(
+            &config.detector,
+        )))));
+    }
+    controller
+}
+
+/// Attaches to a secondary bridge the observers that are switched on
+/// (a secondary carries no span sampler), for both testbeds.
+pub(crate) fn attach_secondary_observatories(
+    observers: ObserverSwitches,
+    bridge: &mut SecondaryBridge,
+    telemetry: &Telemetry,
+    audit_label: &str,
+) {
+    if observers.audit {
+        bridge.set_audit(Some(Box::new(
+            InvariantAuditor::new(AuditConfig::from_env(audit_label)).with_hub(telemetry),
+        )));
+    }
+    if observers.latency {
+        bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
+    }
+    if observers.health {
+        bridge.set_health(Some(Box::new(HealthObservatory::new())));
+    }
+}
+
+/// A secondary host with an empty bridge: the one `Testbed::new`
+/// starts with and the one `revive_secondary` boots in its place.
+fn secondary_host(
+    config: &TestbedConfig,
+    telemetry: &Telemetry,
+    observers: ObserverSwitches,
+    audit_label: &str,
+) -> Host {
+    let mut cfg = server_host_config(config, "secondary", macs::SECONDARY, addrs::A_S, 3);
+    cfg.promiscuous = true;
+    let mut host = Host::new(cfg);
+    host.set_telemetry(telemetry);
+    let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
+    let mut bridge = SecondaryBridge::new(addrs::A_P, addrs::A_S, fo);
+    if let Some(fc) = flow_config_override(config) {
+        bridge.set_flow_config(fc);
+    }
+    bridge.set_telemetry(telemetry);
+    attach_secondary_observatories(observers, &mut bridge, telemetry, audit_label);
+    host.set_filter(Box::new(bridge));
+    host.set_controller(Box::new(replica_controller(
+        Role::Secondary,
+        config,
+        telemetry,
+        observers,
+    )));
+    for &p in &config.failover_ports {
+        host.stack_mut().add_failover_port(p);
+    }
+    host
+}
+
 /// The assembled testbed.
 pub struct Testbed {
     /// The simulator; drive it with `run_for` / `run_until`.
@@ -249,6 +344,9 @@ pub struct Testbed {
     /// The telemetry hub shared by the simulator, every host stack, the
     /// bridges and the fault detectors.
     pub telemetry: Telemetry,
+    /// Which observers are attached, resolved once from `config` and
+    /// the environment when the testbed was built.
+    observers: ObserverSwitches,
 }
 
 impl Testbed {
@@ -258,11 +356,13 @@ impl Testbed {
             Some(cap) => Telemetry::with_journal_capacity(cap),
             None => Telemetry::from_env(),
         };
-        let audit_on = config.audit.unwrap_or_else(env_audit_enabled);
-        let latency_on = config.latency.unwrap_or_else(env_latency_enabled);
-        let health_on = config.health.unwrap_or_else(env_health_enabled);
-        let span_trace_on = config.span_trace.unwrap_or_else(env_trace_enabled);
-        if span_trace_on {
+        let observers = ObserverSwitches::resolve(
+            config.audit,
+            config.latency,
+            config.health,
+            config.span_trace,
+        );
+        if observers.span_trace {
             telemetry.trace.attach(env_trace_capacity());
         }
         let mut sim = Simulator::new(config.seed);
@@ -294,25 +394,10 @@ impl Testbed {
             config.router_delay,
         )));
 
-        let mk_tcp = |seed_off: u64| {
-            config
-                .tcp
-                .clone()
-                .with_isn_seed(config.seed ^ (seed_off << 32))
-        };
-        let mk_host = |label: &str, mac, ip, tcp: TcpConfig| {
-            let mut h = HostConfig::new(label, mac, ip)
-                .with_gateway(addrs::GW_SERVER)
-                .with_tcp(tcp);
-            h.cpu = config.cpu;
-            h.tick = config.tick;
-            h
-        };
-
         // Client.
         let mut client_cfg = HostConfig::new("client", macs::CLIENT, addrs::A_C)
             .with_gateway(addrs::GW_CLIENT)
-            .with_tcp(mk_tcp(1));
+            .with_tcp(config.tcp.clone().with_isn_seed(config.seed ^ (1 << 32)));
         client_cfg.cpu = config.client_cpu;
         client_cfg.tick = config.tick;
         let mut client_host = Host::new(client_cfg);
@@ -320,7 +405,13 @@ impl Testbed {
         let client = spawn_host(&mut sim, client_host);
 
         // Primary.
-        let mut primary_host = Host::new(mk_host("primary", macs::PRIMARY, addrs::A_P, mk_tcp(2)));
+        let mut primary_host = Host::new(server_host_config(
+            &config,
+            "primary",
+            macs::PRIMARY,
+            addrs::A_P,
+            2,
+        ));
         primary_host.set_telemetry(&telemetry);
         if config.replicated {
             let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
@@ -329,36 +420,24 @@ impl Testbed {
                 bridge.set_flow_config(fc);
             }
             bridge.set_telemetry(&telemetry);
-            if audit_on {
+            if observers.audit {
                 bridge.set_audit(Some(Box::new(
                     InvariantAuditor::new(AuditConfig::from_env("primary")).with_hub(&telemetry),
                 )));
             }
-            if latency_on {
+            if observers.latency {
                 bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
             }
-            if health_on {
+            if observers.health {
                 bridge.set_health(Some(Box::new(HealthObservatory::new())));
             }
-            if span_trace_on {
+            if observers.span_trace {
                 bridge.set_trace(Some(Box::new(
                     tcpfo_telemetry::SpanSampler::with_default_period(telemetry.trace.clone()),
                 )));
             }
             primary_host.set_filter(Box::new(bridge));
-            let mut controller = ReplicaController::new(
-                Role::Primary,
-                addrs::A_S,
-                addrs::A_P,
-                addrs::A_S,
-                config.detector,
-            );
-            controller.set_telemetry(&telemetry);
-            if health_on {
-                controller.set_health_monitor(Some(Box::new(HealthMonitor::new(health_config(
-                    &config.detector,
-                )))));
-            }
+            let controller = replica_controller(Role::Primary, &config, &telemetry, observers);
             primary_host.set_controller(Box::new(controller));
             for &p in &config.failover_ports {
                 primary_host.stack_mut().add_failover_port(p);
@@ -367,54 +446,20 @@ impl Testbed {
         let primary = spawn_host(&mut sim, primary_host);
 
         // Secondary.
-        let secondary = if config.replicated {
-            let mut cfg = mk_host("secondary", macs::SECONDARY, addrs::A_S, mk_tcp(3));
-            cfg.promiscuous = true;
-            let mut host = Host::new(cfg);
-            host.set_telemetry(&telemetry);
-            let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
-            let mut bridge = SecondaryBridge::new(addrs::A_P, addrs::A_S, fo);
-            if let Some(fc) = flow_config_override(&config) {
-                bridge.set_flow_config(fc);
-            }
-            bridge.set_telemetry(&telemetry);
-            if audit_on {
-                bridge.set_audit(Some(Box::new(
-                    InvariantAuditor::new(AuditConfig::from_env("secondary")).with_hub(&telemetry),
-                )));
-            }
-            if latency_on {
-                bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-            }
-            if health_on {
-                bridge.set_health(Some(Box::new(HealthObservatory::new())));
-            }
-            host.set_filter(Box::new(bridge));
-            let mut controller = ReplicaController::new(
-                Role::Secondary,
-                addrs::A_P,
-                addrs::A_P,
-                addrs::A_S,
-                config.detector,
-            );
-            controller.set_telemetry(&telemetry);
-            if health_on {
-                controller.set_health_monitor(Some(Box::new(HealthMonitor::new(health_config(
-                    &config.detector,
-                )))));
-            }
-            host.set_controller(Box::new(controller));
-            for &p in &config.failover_ports {
-                host.stack_mut().add_failover_port(p);
-            }
-            Some(spawn_host(&mut sim, host))
-        } else {
-            None
-        };
+        let secondary = config.replicated.then(|| {
+            let host = secondary_host(&config, &telemetry, observers, "secondary");
+            spawn_host(&mut sim, host)
+        });
 
         // Back-end.
         let backend = if config.with_backend {
-            let mut host = Host::new(mk_host("backend", macs::BACKEND, addrs::A_T, mk_tcp(4)));
+            let mut host = Host::new(server_host_config(
+                &config,
+                "backend",
+                macs::BACKEND,
+                addrs::A_T,
+                4,
+            ));
             host.set_telemetry(&telemetry);
             Some(spawn_host(&mut sim, host))
         } else {
@@ -465,6 +510,7 @@ impl Testbed {
             segment,
             config,
             telemetry,
+            observers,
         };
         tb.prime_arp_caches();
         tb
@@ -545,52 +591,12 @@ impl Testbed {
     /// reinstalled by the caller.
     pub fn revive_secondary(&mut self) {
         let s = self.secondary.expect("replicated testbed");
-        let mut cfg = HostConfig::new("secondary", macs::SECONDARY, addrs::A_S)
-            .with_gateway(addrs::GW_SERVER)
-            .with_tcp(
-                self.config
-                    .tcp
-                    .clone()
-                    .with_isn_seed(self.config.seed ^ (3 << 32)),
-            );
-        cfg.cpu = self.config.cpu;
-        cfg.tick = self.config.tick;
-        cfg.promiscuous = true;
-        let mut host = Host::new(cfg);
-        host.set_telemetry(&self.telemetry);
-        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-        let mut bridge = SecondaryBridge::new(addrs::A_P, addrs::A_S, fo);
-        bridge.set_telemetry(&self.telemetry);
-        if self.config.audit.unwrap_or_else(env_audit_enabled) {
-            bridge.set_audit(Some(Box::new(
-                InvariantAuditor::new(AuditConfig::from_env("secondary-revived"))
-                    .with_hub(&self.telemetry),
-            )));
-        }
-        if self.config.latency.unwrap_or_else(env_latency_enabled) {
-            bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-        }
-        if self.config.health.unwrap_or_else(env_health_enabled) {
-            bridge.set_health(Some(Box::new(HealthObservatory::new())));
-        }
-        host.set_filter(Box::new(bridge));
-        let mut controller = ReplicaController::new(
-            Role::Secondary,
-            addrs::A_P,
-            addrs::A_P,
-            addrs::A_S,
-            self.config.detector,
+        let host = secondary_host(
+            &self.config,
+            &self.telemetry,
+            self.observers,
+            "secondary-revived",
         );
-        controller.set_telemetry(&self.telemetry);
-        if self.config.health.unwrap_or_else(env_health_enabled) {
-            controller.set_health_monitor(Some(Box::new(HealthMonitor::new(health_config(
-                &self.config.detector,
-            )))));
-        }
-        host.set_controller(Box::new(controller));
-        for &p in &self.config.failover_ports {
-            host.stack_mut().add_failover_port(p);
-        }
         self.sim.replace_device(s, Box::new(host));
         self.sim
             .schedule_timer(s, SimDuration::ZERO, tcpfo_tcp::host::TOKEN_TICK);
@@ -716,39 +722,6 @@ impl Testbed {
                 .downcast_mut::<SecondaryBridge>()?
                 .audit()?;
             Some(f(aud))
-        })
-    }
-
-    /// Runs `f` against the primary bridge's attached latency
-    /// observatory, if any.
-    pub fn with_primary_latency<R>(
-        &mut self,
-        f: impl FnOnce(&LatencyObservatory) -> R,
-    ) -> Option<R> {
-        self.sim.with::<Host, _>(self.primary, move |h, _| {
-            let obs = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()?
-                .latency()?;
-            Some(f(obs))
-        })
-    }
-
-    /// Runs `f` against the secondary bridge's attached latency
-    /// observatory, if any.
-    pub fn with_secondary_latency<R>(
-        &mut self,
-        f: impl FnOnce(&LatencyObservatory) -> R,
-    ) -> Option<R> {
-        let s = self.secondary?;
-        self.sim.with::<Host, _>(s, move |h, _| {
-            let obs = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<SecondaryBridge>()?
-                .latency()?;
-            Some(f(obs))
         })
     }
 

@@ -56,8 +56,10 @@ impl fmt::Display for FourTuple {
     }
 }
 
-/// Handle to a connection socket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Handle to a connection socket. Ordered, so applications can keep
+/// their connections in a `BTreeMap` and serve them in the same order
+/// on every run (the simulation must be reproducible).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SocketId(pub usize);
 
 /// Handle to a listening socket.

@@ -308,11 +308,15 @@ impl ReplicaHealth {
     /// Folds in an ingress loss observation: `losses` loss-ish events
     /// (retransmissions forwarded + drops) out of `total` segments
     /// since the last observation.
+    ///
+    /// Both counts can derive from a heartbeat sequence gap, which is
+    /// outside input: the ratio is taken in 128 bits so no gap
+    /// overflows.
     pub fn observe_loss(&mut self, losses: u64, total: u64) {
-        let ppm = (losses.min(total) * 1_000_000)
-            .checked_div(total)
+        let ppm = (u128::from(losses.min(total)) * 1_000_000)
+            .checked_div(u128::from(total))
             .unwrap_or(0);
-        self.loss.observe(ppm);
+        self.loss.observe(ppm as u64);
     }
 
     /// Updates the backlog pressure signals from the bridge.

@@ -74,6 +74,44 @@ pub use underload::{
     LagTracker, ShardSample, UnderLoadHistogram, UnderLoadRecorder, WindowedHistogram,
 };
 
+/// Which observers a testbed attaches to its bridges and detectors.
+///
+/// Each switch is an explicit `Some(_)` from the testbed's
+/// configuration or, for `None`, the `TCPFO_AUDIT` / `TCPFO_LATENCY` /
+/// `TCPFO_HEALTH` / `TCPFO_TRACE` environment knob. A testbed resolves
+/// them once when it is built and reuses the result for every host it
+/// spawns later (a revived secondary, a reprovisioned standby), so one
+/// run never mixes two readings of the environment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ObserverSwitches {
+    /// The online invariant auditor.
+    pub audit: bool,
+    /// The per-stage latency observatory.
+    pub latency: bool,
+    /// The replica health observatory and the advisory health monitors.
+    pub health: bool,
+    /// The failover span tracer and the hot-path batch sampler.
+    pub span_trace: bool,
+}
+
+impl ObserverSwitches {
+    /// Resolves each switch: the explicit value if given, else its
+    /// environment knob.
+    pub fn resolve(
+        audit: Option<bool>,
+        latency: Option<bool>,
+        health: Option<bool>,
+        span_trace: Option<bool>,
+    ) -> Self {
+        ObserverSwitches {
+            audit: audit.unwrap_or_else(audit::env_audit_enabled),
+            latency: latency.unwrap_or_else(latency::env_latency_enabled),
+            health: health.unwrap_or_else(health::env_health_enabled),
+            span_trace: span_trace.unwrap_or_else(span::env_trace_enabled),
+        }
+    }
+}
+
 /// Formats sim-nanoseconds with the same unit scaling the simulator's
 /// `SimTime` display uses.
 pub fn fmt_nanos(ns: u64) -> String {

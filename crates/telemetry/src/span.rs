@@ -1074,16 +1074,6 @@ impl SpanSampler {
         SpanSampler::new(tracer, DEFAULT_SAMPLE_PERIOD)
     }
 
-    /// The tracer this sampler records into.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Batches observed (sampled or not).
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
     /// Batches that produced a span.
     pub fn sampled(&self) -> u64 {
         self.sampled

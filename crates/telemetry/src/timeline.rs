@@ -371,8 +371,8 @@ impl RedundancyTimeline {
 
 /// Phase-to-phase deltas (sim nanoseconds) of a complete
 /// [`RedundancyTimeline`]: how long reprovisioning spent spawning the
-/// standby versus catching it up, and the time-to-restored-redundancy
-/// total BENCH_PR9 gates alongside client-visible MTTR.
+/// standby versus catching it up, and their sum, the time to restored
+/// redundancy (`sim.restored_ms` in the benchmark's `failover` workload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RedundancyBreakdown {
     /// Reprovision start → per-flow handoff complete.

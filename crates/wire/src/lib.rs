@@ -19,6 +19,7 @@
 //! * [`arp`] — ARP requests/replies (including gratuitous ARP, used by
 //!   the paper's IP-takeover step)
 //! * [`ipv4`] — IPv4 headers/packets
+//! * [`heartbeat`] — the fault detector's heartbeat payload
 //! * [`tcp`] — TCP segments with options, including the experimental
 //!   *original destination* option the secondary bridge appends (§3.1)
 //! * [`checksum`] — RFC 1071 ones-complement sums and RFC 1624
@@ -49,6 +50,7 @@ pub mod arp;
 pub mod checksum;
 pub mod error;
 pub mod eth;
+pub mod heartbeat;
 pub mod ipv4;
 pub mod mac;
 pub mod pcapng;

@@ -985,12 +985,17 @@ impl SegmentPatcher {
 
     fn remove_option_bytes(&mut self, offset: usize, len: usize) {
         assert_eq!(len % 4, 0);
-        assert_eq!(offset % 2, 0, "options start at even offsets here");
-        // Subtract the removed words from the checksum.
-        let mut chunks = self.bytes[offset..offset + len].chunks_exact(2);
-        for chunk in &mut chunks {
-            self.delta
-                .replace_u16(u16::from_be_bytes([chunk[0], chunk[1]]), 0);
+        // Subtract the removed bytes from the checksum. The option
+        // area is outside input: behind a NOP the option sits at an odd
+        // offset, where each byte has the other weight in its 16-bit
+        // word. The bytes after it move by a multiple of 4 either way.
+        for chunk in self.bytes[offset..offset + len].chunks_exact(2) {
+            let word = if offset.is_multiple_of(2) {
+                u16::from_be_bytes([chunk[0], chunk[1]])
+            } else {
+                u16::from_le_bytes([chunk[0], chunk[1]])
+            };
+            self.delta.replace_u16(word, 0);
         }
         let total = self.bytes.len();
         self.bytes.copy_within(offset + len..total, offset);

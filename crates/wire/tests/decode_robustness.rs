@@ -4,8 +4,41 @@
 use proptest::prelude::*;
 use tcpfo_wire::arp::ArpPacket;
 use tcpfo_wire::eth::EthernetFrame;
-use tcpfo_wire::ipv4::Ipv4Packet;
-use tcpfo_wire::tcp::{decode_options, TcpSegment, TcpView};
+use tcpfo_wire::heartbeat::{Heartbeat, HEARTBEAT_V1_LEN};
+use tcpfo_wire::ipv4::{pseudo_header_sum, Ipv4Addr, Ipv4Packet, PROTO_TCP};
+use tcpfo_wire::tcp::{
+    decode_options, peek_orig_dest, verify_segment_checksum, SegmentPatcher, TcpSegment, TcpView,
+    OPT_KIND_ORIG_DEST, TCP_HEADER_LEN,
+};
+
+/// A checksummed segment whose option area is exactly `options`
+/// (zero-padded to a 4-byte boundary, at most 40 bytes), followed by
+/// `payload` — the shape a diverted segment has on arrival at the
+/// primary, with the option bytes under the sender's control.
+fn segment_with_raw_options(
+    options: &[u8],
+    payload: &[u8],
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+) -> Vec<u8> {
+    let mut bytes = TcpSegment::builder(80, 4242)
+        .seq(7)
+        .ack(9)
+        .build()
+        .encode(src, dst)
+        .to_vec();
+    let mut opts = options[..options.len().min(40)].to_vec();
+    opts.resize(opts.len().div_ceil(4) * 4, 0);
+    bytes[12] = (((TCP_HEADER_LEN + opts.len()) / 4) as u8) << 4;
+    bytes.extend_from_slice(&opts);
+    bytes.extend_from_slice(payload);
+    bytes[16..18].fill(0);
+    let mut ck = pseudo_header_sum(src, dst, PROTO_TCP, bytes.len());
+    ck.add_bytes(&bytes);
+    let ck = ck.finish();
+    bytes[16..18].copy_from_slice(&ck.to_be_bytes());
+    bytes
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -19,6 +52,82 @@ proptest! {
         let _ = TcpSegment::decode(&bytes);
         let _ = TcpView::new(&bytes);
         let _ = decode_options(&bytes);
+        let _ = peek_orig_dest(&bytes);
+        let _ = Heartbeat::decode(&bytes);
+    }
+
+    /// `Heartbeat::decode` accepts exactly the payloads that start
+    /// with an encoded v1 heartbeat, and returns its fields unchanged
+    /// whatever follows — every `u64` value included.
+    #[test]
+    fn heartbeat_decode_is_total_and_round_trips(
+        seq in any::<u64>(),
+        echo_seq in any::<u64>(),
+        hold_ns in any::<u64>(),
+        trailing in proptest::collection::vec(any::<u8>(), 0..8),
+        cut in 0usize..HEARTBEAT_V1_LEN,
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let hb = Heartbeat { seq, echo_seq, hold_ns };
+        let mut bytes = hb.encode().to_vec();
+        prop_assert_eq!(Heartbeat::decode(&bytes[..cut]), None);
+        bytes.extend_from_slice(&trailing);
+        prop_assert_eq!(Heartbeat::decode(&bytes), Some(hb));
+        if let Some(got) = Heartbeat::decode(&noise) {
+            prop_assert_eq!(&got.encode()[..], &noise[..HEARTBEAT_V1_LEN]);
+        }
+    }
+
+    /// Arbitrary option bytes — truncated orig-dest options, wrong
+    /// length bytes, an option kind in the header's last byte — never
+    /// panic the peek or the in-place strip, the two agree on what
+    /// they found, and a strip keeps the checksum valid.
+    #[test]
+    fn orig_dest_peek_and_strip_survive_arbitrary_options(
+        options in proptest::collection::vec(any::<u8>(), 0..41),
+        payload in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let src = Ipv4Addr::new(10, 0, 0, 3);
+        let dst = Ipv4Addr::new(10, 0, 0, 2);
+        let bytes = segment_with_raw_options(&options, &payload, src, dst);
+        prop_assert!(verify_segment_checksum(src, dst, &bytes));
+        let peeked = peek_orig_dest(&bytes);
+        let mut p = SegmentPatcher::new(bytes.clone(), src, dst);
+        let stripped = p.strip_orig_dest_option();
+        prop_assert_eq!(peeked, stripped);
+        let (out, ..) = p.finish();
+        prop_assert!(verify_segment_checksum(src, dst, &out));
+        prop_assert_eq!(out.len(), bytes.len() - if stripped.is_some() { 8 } else { 0 });
+        prop_assert!(out.ends_with(&payload));
+    }
+
+    /// The same with a well-formed orig-dest option planted at every
+    /// offset of the option area, the header's very end included, and
+    /// cut short there.
+    #[test]
+    fn orig_dest_option_at_any_offset(
+        lead in 0usize..40,
+        keep in 1usize..9,
+        filler in prop_oneof![Just(1u8), Just(0u8), any::<u8>()],
+        port in any::<u16>(),
+    ) {
+        let src = Ipv4Addr::new(10, 0, 0, 3);
+        let dst = Ipv4Addr::new(10, 0, 0, 2);
+        let mut options = vec![filler; lead];
+        let mut opt = vec![OPT_KIND_ORIG_DEST, 8, 192, 168, 0, 9];
+        opt.extend_from_slice(&port.to_be_bytes());
+        options.extend_from_slice(&opt[..keep]);
+        let bytes = segment_with_raw_options(&options, b"reply", src, dst);
+        let peeked = peek_orig_dest(&bytes);
+        let mut p = SegmentPatcher::new(bytes.clone(), src, dst);
+        prop_assert_eq!(peeked, p.strip_orig_dest_option());
+        let (out, ..) = p.finish();
+        prop_assert!(verify_segment_checksum(src, dst, &out));
+        // NOP padding in front of a complete option is the one layout
+        // that must be found, at odd offsets too.
+        if filler == 1 && keep == 8 && lead + 8 <= 40 {
+            prop_assert_eq!(peeked, Some((Ipv4Addr::new(192, 168, 0, 9), port)));
+        }
     }
 
     /// Truncating a valid encoded stack at any point never panics.
@@ -28,7 +137,6 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         use tcpfo_wire::eth::EtherType;
-        use tcpfo_wire::ipv4::{Ipv4Addr, PROTO_TCP};
         use tcpfo_wire::mac::MacAddr;
         let src = Ipv4Addr::new(1, 2, 3, 4);
         let dst = Ipv4Addr::new(5, 6, 7, 8);
@@ -62,7 +170,6 @@ proptest! {
         flip_byte in 0usize..20,
         flip_bit in 0u8..8,
     ) {
-        use tcpfo_wire::ipv4::{Ipv4Addr, PROTO_TCP};
         let pkt = Ipv4Packet::new(
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(10, 0, 0, 2),

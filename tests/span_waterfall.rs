@@ -1,0 +1,235 @@
+//! A traced failover explains itself: with span tracing armed, the
+//! synthetic §5 waterfall sums *exactly* to the timeline's MTTR, every
+//! event on the flight path (heartbeat misses, the decision, the VIP
+//! takeover, the first client byte — and on a chain the reprovisioning
+//! and catch-up) is in the exported record set, and the Chrome-trace
+//! export is well-formed JSON. Ring ordering and loss accounting are
+//! property-tested in `crates/telemetry/tests/span_props.rs`.
+
+use tcp_failover::apps::chain_ops;
+use tcp_failover::apps::driver::RequestReplyClient;
+use tcp_failover::apps::stream::SourceServer;
+use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
+use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
+use tcp_failover::net::time::SimDuration;
+use tcp_failover::tcp::host::Host;
+use tcp_failover::tcp::types::SocketAddr;
+use tcp_failover::telemetry::{
+    chrome_trace_json, waterfall_records, SpanKind, SpanRecord, Telemetry,
+};
+
+const TOTAL: u64 = 4_000_000;
+
+fn download_client() -> RequestReplyClient {
+    RequestReplyClient::new(
+        SocketAddr::new(addrs::A_P, 80),
+        format!("SEND {TOTAL}\n").into_bytes(),
+        TOTAL,
+    )
+}
+
+/// The checks shared by the pair and the chain, over the live ring plus
+/// the synthetic waterfall of `hub`: the five phase spans are contiguous
+/// from the failure instant and sum to the MTTR, every name in
+/// `must_see` is present, and the export parses.
+fn assert_waterfall(hub: &Telemetry, must_see: &[&str]) {
+    let mttr = hub.timeline.mttr().expect("complete §5 timeline");
+    assert_eq!(mttr.deltas().iter().sum::<u64>(), mttr.total_ns);
+
+    let waterfall = waterfall_records(&hub.timeline, &hub.redundancy);
+    let root = waterfall
+        .iter()
+        .find(|r| r.name == "failover")
+        .expect("failover root span");
+    assert_eq!(root.dur_ns, mttr.total_ns, "root span is the MTTR");
+    let phases: Vec<&SpanRecord> = waterfall.iter().filter(|r| r.parent == root.id).collect();
+    assert_eq!(phases.len(), 5, "five §5 phases under the root");
+    let mut cursor = root.start_ns;
+    for p in &phases {
+        assert_eq!(p.kind, SpanKind::Span);
+        assert_eq!(p.start_ns, cursor, "phase {} is not contiguous", p.name);
+        cursor += p.dur_ns;
+    }
+    assert_eq!(
+        cursor - root.start_ns,
+        mttr.total_ns,
+        "phase durations do not sum to the timeline MTTR"
+    );
+
+    let live = hub.trace.records();
+    assert!(!live.is_empty(), "armed ring recorded nothing");
+    assert_eq!(hub.trace.dropped(), 0, "ring overflowed in a smoke run");
+    let mut all = live;
+    all.extend_from_slice(&waterfall);
+    for name in must_see {
+        assert!(
+            all.iter().any(|r| r.name == *name),
+            "no `{name}` record on the flight path"
+        );
+    }
+    let chrome = chrome_trace_json(&all);
+    assert!(chrome.contains("\"traceEvents\""));
+    assert!(is_json(&chrome), "chrome trace is not JSON:\n{chrome}");
+}
+
+#[test]
+fn pair_failover_waterfall_sums_to_the_mttr() {
+    let mut tb = Testbed::new(TestbedConfig {
+        seed: 0xFA,
+        span_trace: Some(true),
+        ..TestbedConfig::default()
+    });
+    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
+        tb.sim.with::<Host, _>(node, |h, _| {
+            h.add_app(Box::new(SourceServer::new(80)));
+        });
+    }
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        h.add_app(Box::new(download_client()));
+    });
+    tb.run_for(SimDuration::from_millis(200));
+    tb.kill_primary();
+    tb.run_for(SimDuration::from_secs(20));
+    let done = tb.sim.with::<Host, _>(tb.client, |h, _| {
+        let c = h.app_mut::<RequestReplyClient>(0);
+        c.is_done() && c.mismatches == 0
+    });
+    tb.expect(done, "download did not survive the failover");
+    assert_waterfall(
+        &tb.telemetry,
+        &[
+            "hb.miss",
+            "detection",
+            "failover_procedure",
+            "takeover.vip_arp",
+            "first_client_byte",
+        ],
+    );
+}
+
+#[test]
+fn chain_failover_waterfall_covers_reprovisioning() {
+    let mut tb = ChainTestbed::new(ChainConfig {
+        replicas: 3,
+        seed: 0xFA,
+        health: Some(true),
+        span_trace: Some(true),
+        ..ChainConfig::default()
+    });
+    tb.install_servers(|| SourceServer::new(80));
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        h.add_app(Box::new(download_client()));
+    });
+    tb.run_for(SimDuration::from_millis(200));
+    tb.kill_replica(0);
+    tb.run_for(SimDuration::from_millis(300));
+    chain_ops::reprovision_tail(&mut tb);
+    assert!(
+        tb.run_until_restored(SimDuration::from_millis(10), SimDuration::from_secs(30)),
+        "catch-up never drained"
+    );
+    tb.run_for(SimDuration::from_secs(20));
+    let done = tb.sim.with::<Host, _>(tb.client, |h, _| {
+        let c = h.app_mut::<RequestReplyClient>(0);
+        c.is_done() && c.mismatches == 0
+    });
+    assert!(done, "download did not survive takeover + reprovisioning");
+
+    // The promoting replica (B1) carries the complete §5 timeline and
+    // the control-plane spans of the takeover it performed.
+    assert_waterfall(
+        &tb.hubs[1],
+        &[
+            "hb.miss",
+            "chain.promote.decision",
+            "chain.promotion",
+            "chain.vip_takeover",
+            "chain.promoted",
+            "first_client_byte",
+            "reprovision.handoff",
+            "reprovision.catchup",
+            "redundancy_restore",
+        ],
+    );
+}
+
+/// Consumes one JSON value from the front of `b` and returns the rest;
+/// `None` where the grammar breaks. (The workspace has no JSON
+/// dependency and the exporters write by hand, so a stray comma or an
+/// unescaped quote is the failure this catches.)
+fn json_value(b: &[u8]) -> Option<&[u8]> {
+    let b = b.trim_ascii_start();
+    let close = match *b.first()? {
+        b'{' => b'}',
+        b'[' => b']',
+        b'"' => return json_string(b),
+        b'-' | b'0'..=b'9' | b't' | b'f' | b'n' => {
+            let n = b
+                .iter()
+                .take_while(|c| matches!(c, b'-' | b'+' | b'.' | b'0'..=b'9' | b'a'..=b'z' | b'E'))
+                .count();
+            let token = std::str::from_utf8(&b[..n]).ok()?;
+            let ok = matches!(token, "true" | "false" | "null")
+                || (!token.contains(|c: char| c.is_ascii_lowercase() && c != 'e')
+                    && token.parse::<f64>().is_ok());
+            return ok.then_some(&b[n..]);
+        }
+        _ => return None,
+    };
+    let mut rest = b[1..].trim_ascii_start();
+    if *rest.first()? == close {
+        return Some(&rest[1..]);
+    }
+    loop {
+        if close == b'}' {
+            rest = json_string(rest.trim_ascii_start())?
+                .trim_ascii_start()
+                .strip_prefix(b":")?;
+        }
+        rest = json_value(rest)?.trim_ascii_start();
+        match *rest.first()? {
+            c if c == close => return Some(&rest[1..]),
+            b',' => rest = &rest[1..],
+            _ => return None,
+        }
+    }
+}
+
+fn json_string(b: &[u8]) -> Option<&[u8]> {
+    let mut rest = b.strip_prefix(b"\"")?;
+    loop {
+        match *rest.first()? {
+            b'"' => return Some(&rest[1..]),
+            b'\\' => rest = rest.get(2..)?,
+            c if c < 0x20 => return None,
+            _ => rest = &rest[1..],
+        }
+    }
+}
+
+fn is_json(doc: &str) -> bool {
+    json_value(doc.as_bytes()).is_some_and(|rest| rest.trim_ascii().is_empty())
+}
+
+#[test]
+fn json_check_accepts_json_and_rejects_near_misses() {
+    for ok in [
+        "{}",
+        "[]",
+        " {\"a\":[1,-2.5e3,\"x\\n\",true,null],\"b\":{}} ",
+    ] {
+        assert!(is_json(ok), "{ok}");
+    }
+    for bad in [
+        "",
+        "{\"a\":1,}",
+        "[1 2]",
+        "{\"a\" 1}",
+        "\"x",
+        "{}x",
+        "[\"\t\"]",
+        "[nan]",
+    ] {
+        assert!(!is_json(bad), "{bad}");
+    }
+}
