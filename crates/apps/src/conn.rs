@@ -7,9 +7,123 @@
 //! helpers here make that property easy to uphold: [`LineBuf`]
 //! reassembles requests independent of segment boundaries, and
 //! [`OutBuf`] guarantees no reply byte is dropped on a partial send.
+//! [`Conns`] is the one accept → serve → release loop every server
+//! runs, serving only the connections that have something to do.
 
+use std::collections::BTreeMap;
 use tcpfo_tcp::app::SocketApi;
-use tcpfo_tcp::types::SocketId;
+use tcpfo_tcp::socket::TcpState;
+use tcpfo_tcp::types::{ListenerId, SocketId};
+
+/// A server's listener and its accepted connections, each with the
+/// server's per-connection state `S`.
+///
+/// [`Conns::poll`] costs O(connections with work), not O(open): it
+/// serves the connections the stack reports an event for (the readiness
+/// contract of [`tcpfo_tcp::app`]), those accepted in this poll, and
+/// those whose last service said it left work a new segment is not
+/// needed for — in ascending [`SocketId`] order, because `send` emits
+/// at once and the order of service is the order on the wire.
+pub struct Conns<S> {
+    port: u16,
+    failover: bool,
+    listener: Option<ListenerId>,
+    conns: BTreeMap<SocketId, S>,
+    /// Connections to serve in the next poll whatever the stack reports.
+    carry: Vec<SocketId>,
+    /// Scratch: the connections served in the current poll.
+    ready: Vec<SocketId>,
+}
+
+impl<S> Conns<S> {
+    /// A server on `port`.
+    pub fn new(port: u16) -> Self {
+        Conns {
+            port,
+            failover: false,
+            listener: None,
+            conns: BTreeMap::new(),
+            // Allocated with the server, not mid-transfer (as the
+            // stack's own lists are, and for the same reason).
+            carry: Vec::with_capacity(64),
+            ready: Vec::with_capacity(64),
+        }
+    }
+
+    /// Designates accepted connections as failover connections via the
+    /// socket option (§7 method 1).
+    pub fn with_failover_option(mut self) -> Self {
+        self.failover = true;
+        self
+    }
+
+    /// The listening port.
+    pub fn port(&self) -> u16 {
+        self.port
+    }
+
+    /// Every open connection with its state, in `SocketId` order.
+    pub fn iter(&self) -> impl Iterator<Item = (SocketId, &S)> {
+        self.conns.iter().map(|(&c, st)| (c, st))
+    }
+
+    /// Takes over a connection that was not accepted here (a socket
+    /// rebuilt by `TcpStack::adopt`); it is served in the next poll.
+    pub fn adopt(&mut self, c: SocketId, state: S) {
+        self.conns.insert(c, state);
+        self.carry.push(c);
+    }
+
+    /// One poll: listens (first call), accepts, and calls `serve` on
+    /// every connection with work. `serve` returns whether it left work
+    /// it could continue without a new segment (unread bytes after a
+    /// bounded read, staged output the send buffer would still take);
+    /// such a connection is served again in the next poll. Connections
+    /// found `Closed` afterwards are released; returns how many.
+    pub fn poll(
+        &mut self,
+        api: &mut SocketApi<'_>,
+        mut accept: impl FnMut(&mut SocketApi<'_>, SocketId) -> S,
+        mut serve: impl FnMut(&mut SocketApi<'_>, SocketId, &mut S) -> bool,
+    ) -> u64 {
+        if self.listener.is_none() {
+            self.listener = api.listen(self.port, self.failover).ok();
+        }
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.append(&mut self.carry);
+        if let Some(l) = self.listener {
+            api.take_ready(l, &mut ready);
+            while let Some(c) = api.accept(l) {
+                self.conns.insert(c, accept(api, c));
+                ready.push(c);
+            }
+        }
+        ready.sort_unstable();
+        ready.dedup();
+        let mut finished = Vec::new();
+        for &c in &ready {
+            // Not ours: still in the backlog, or released earlier.
+            let Some(state) = self.conns.get_mut(&c) else {
+                continue;
+            };
+            let again = serve(api, c, state);
+            if api.state(c).is_none_or(|s| s == TcpState::Closed) {
+                self.conns.remove(&c);
+                finished.push(c);
+            } else if again {
+                self.carry.push(c);
+            }
+        }
+        // Released only now, so that a slot freed here is not reused by
+        // a socket another connection's service opened in this poll.
+        for &c in &finished {
+            api.release(c);
+        }
+        ready.clear();
+        self.ready = ready;
+        finished.len() as u64
+    }
+}
 
 /// Buffers outbound bytes across partial sends.
 #[derive(Debug, Default, Clone)]
@@ -40,6 +154,12 @@ impl OutBuf {
     /// Whether everything queued has been handed to TCP.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
+    }
+
+    /// Whether a flush now would move bytes: something is staged and
+    /// the send buffer has room (so no ACK is needed to continue).
+    pub fn can_flush(&self, api: &SocketApi<'_>, conn: SocketId) -> bool {
+        !self.pending.is_empty() && api.send_space(conn) > 0
     }
 
     /// Bytes still waiting for send-buffer space.
@@ -77,6 +197,11 @@ impl LineBuf {
         Some(String::from_utf8_lossy(&line).into_owned())
     }
 
+    /// Whether a complete line is waiting.
+    pub fn has_line(&self) -> bool {
+        self.buf.contains(&b'\n')
+    }
+
     /// Bytes buffered but not yet forming a line.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -103,6 +228,14 @@ pub fn pattern(start: u64, len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::echo::EchoServer;
+    use crate::stream::SinkServer;
+    use crate::testutil::{Duplex, CLIENT_IP, SERVER_IP};
+    use tcpfo_net::time::SimTime;
+    use tcpfo_tcp::app::SocketApp;
+    use tcpfo_tcp::config::TcpConfig;
+    use tcpfo_tcp::stack::TcpStack;
+    use tcpfo_tcp::types::SocketAddr;
 
     #[test]
     fn linebuf_reassembles_across_chunks() {
@@ -129,5 +262,76 @@ mod tests {
         assert!(ob.is_empty());
         ob.push(b"abc");
         assert_eq!(ob.len(), 3);
+    }
+
+    /// A server stack roomy enough to hold a whole burst unread (and a
+    /// whole echo unsent), with `total` bytes delivered to `server`'s
+    /// one connection while the application is not looking. From here
+    /// on the peer is silent: the caller delivers nothing more.
+    fn burst_then_silence(server: &mut dyn SocketApp, port: u16, total: usize) -> Duplex {
+        let cfg = TcpConfig {
+            delayed_ack: None,
+            nagle: false,
+            ..TcpConfig::default()
+        };
+        let roomy = TcpConfig {
+            send_buffer: 256 * 1024,
+            recv_buffer: 256 * 1024,
+            ..cfg.clone()
+        };
+        let mut net = Duplex {
+            a: TcpStack::new(cfg.with_isn_seed(11)),
+            b: TcpStack::new(roomy.with_isn_seed(22)),
+            now: SimTime::ZERO,
+        };
+        let poll = |net: &mut Duplex, server: &mut dyn SocketApp| {
+            server.poll(&mut SocketApi::new(&mut net.b, net.now, SERVER_IP));
+        };
+        let shuttle = |net: &mut Duplex| loop {
+            let (from_a, from_b) = (net.a.take_outbox(), net.b.take_outbox());
+            if from_a.is_empty() && from_b.is_empty() {
+                break;
+            }
+            from_a.iter().for_each(|s| net.b.on_segment(s, net.now));
+            from_b.iter().for_each(|s| net.a.on_segment(s, net.now));
+        };
+        poll(&mut net, server); // listens
+        let to = SocketAddr::new(SERVER_IP, port);
+        let c = net.a.connect(CLIENT_IP, to, false, net.now).unwrap();
+        shuttle(&mut net);
+        poll(&mut net, server); // accepts, finds nothing to read
+        let data = pattern(0, total);
+        let mut sent = 0;
+        while sent < total || net.a.socket(c).unwrap().unacked() > 0 {
+            sent += net.a.send(c, &data[sent..], net.now).unwrap();
+            shuttle(&mut net);
+        }
+        net
+    }
+
+    #[test]
+    fn echo_drains_a_burst_beyond_its_bounded_read_unprompted() {
+        const TOTAL: usize = 150_000;
+        let mut server = EchoServer::new(7);
+        let mut net = burst_then_silence(&mut server, 7, TOTAL);
+        assert_eq!(server.echoed, 0);
+        // One 64 KB read per poll, so three polls — with no segment
+        // arriving in between to wake the connection.
+        for _ in 0..3 {
+            server.poll(&mut SocketApi::new(&mut net.b, net.now, SERVER_IP));
+        }
+        assert_eq!(server.echoed, TOTAL as u64);
+    }
+
+    #[test]
+    fn budgeted_sink_drains_what_it_left_unread_unprompted() {
+        const TOTAL: usize = 50_000;
+        let mut server = SinkServer::new(9).with_read_budget(1_000);
+        let mut net = burst_then_silence(&mut server, 9, TOTAL);
+        assert_eq!(server.received, 0);
+        for polls in 1..=TOTAL / 1_000 {
+            server.poll(&mut SocketApi::new(&mut net.b, net.now, SERVER_IP));
+            assert_eq!(server.received, 1_000 * polls as u64);
+        }
     }
 }

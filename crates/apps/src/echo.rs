@@ -1,19 +1,13 @@
 //! A multi-connection echo server — the simplest deterministic
 //! replicated service: output stream ≡ input stream.
 
-use crate::conn::OutBuf;
+use crate::conn::{Conns, OutBuf};
 use std::any::Any;
-use std::collections::BTreeMap;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
-use tcpfo_tcp::types::{ListenerId, SocketId};
 
 /// Echo server accepting any number of connections on one port.
 pub struct EchoServer {
-    port: u16,
-    /// Designate accepted connections for failover (§7 method 1).
-    failover: bool,
-    listener: Option<ListenerId>,
-    conns: BTreeMap<SocketId, OutBuf>,
+    conns: Conns<OutBuf>,
     /// Total bytes echoed (observability).
     pub echoed: u64,
     /// Connections served to completion.
@@ -24,10 +18,7 @@ impl EchoServer {
     /// Creates an echo server on `port`.
     pub fn new(port: u16) -> Self {
         EchoServer {
-            port,
-            failover: false,
-            listener: None,
-            conns: BTreeMap::new(),
+            conns: Conns::new(port),
             echoed: 0,
             completed: 0,
         }
@@ -36,50 +27,37 @@ impl EchoServer {
     /// Designates accepted connections as failover connections via the
     /// socket option (§7 method 1).
     pub fn with_failover_option(mut self) -> Self {
-        self.failover = true;
+        self.conns = self.conns.with_failover_option();
         self
     }
 }
 
 impl SocketApp for EchoServer {
     fn poll(&mut self, api: &mut SocketApi<'_>) {
-        if self.listener.is_none() {
-            self.listener = api.listen(self.port, self.failover).ok();
-        }
-        if let Some(l) = self.listener {
-            while let Some(c) = api.accept(l) {
-                self.conns.insert(c, OutBuf::new());
-            }
-        }
-        let mut finished = Vec::new();
-        for (&c, out) in self.conns.iter_mut() {
-            out.flush(api, c);
-            if out.is_empty() {
-                let data = api.recv(c, 64 * 1024).unwrap_or_default();
-                if !data.is_empty() {
-                    self.echoed += data.len() as u64;
-                    out.push(&data);
-                    out.flush(api, c);
+        self.completed += self.conns.poll(
+            api,
+            |_, _| OutBuf::new(),
+            |api, c, out| {
+                out.flush(api, c);
+                if out.is_empty() {
+                    let data = api.recv(c, 64 * 1024).unwrap_or_default();
+                    if !data.is_empty() {
+                        self.echoed += data.len() as u64;
+                        out.push(&data);
+                        out.flush(api, c);
+                    }
                 }
-            }
-            if api.peer_closed(c) && out.is_empty() {
-                let _ = api.close(c);
-                if api.state(c).is_none()
-                    || api.state(c) == Some(tcpfo_tcp::socket::TcpState::Closed)
-                {
-                    finished.push(c);
+                if api.peer_closed(c) && out.is_empty() {
+                    let _ = api.close(c);
                 }
-            }
-            if api.state(c).is_none() || api.state(c) == Some(tcpfo_tcp::socket::TcpState::Closed) {
-                finished.push(c);
-            }
-        }
-        for c in finished {
-            if self.conns.remove(&c).is_some() {
-                self.completed += 1;
-                api.release(c);
-            }
-        }
+                // Bytes beyond the bounded read wait for the next poll.
+                if out.is_empty() {
+                    api.recv_available(c) > 0
+                } else {
+                    out.can_flush(api, c)
+                }
+            },
+        );
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -91,7 +69,7 @@ impl SocketApp for EchoServer {
 mod tests {
     use super::*;
     use crate::testutil::Duplex;
-    use tcpfo_tcp::types::SocketAddr;
+    use tcpfo_tcp::types::{SocketAddr, SocketId};
     use tcpfo_wire::ipv4::Ipv4Addr;
 
     /// Minimal scripted echo client used only for this module's tests.

@@ -15,9 +15,8 @@
 //! Command subset: `USER`, `PASS`, `PORT <port>`, `RETR <bytes>`,
 //! `STOR <bytes>`, `QUIT`.
 
-use crate::conn::{pattern, pattern_byte, LineBuf, OutBuf};
+use crate::conn::{pattern, pattern_byte, Conns, LineBuf, OutBuf};
 use std::any::Any;
-use std::collections::BTreeMap;
 use tcpfo_net::time::SimTime;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
 use tcpfo_tcp::socket::TcpState;
@@ -72,8 +71,7 @@ struct CtrlConn {
 
 /// The FTP server application (replicate it on P and S).
 pub struct FtpServer {
-    listener: Option<ListenerId>,
-    conns: BTreeMap<SocketId, CtrlConn>,
+    conns: Conns<CtrlConn>,
     /// Completed transfers.
     pub transfers: u64,
     /// Bytes moved in either direction.
@@ -84,8 +82,7 @@ impl FtpServer {
     /// Creates the server (listens on port 21 once polled).
     pub fn new() -> Self {
         FtpServer {
-            listener: None,
-            conns: BTreeMap::new(),
+            conns: Conns::new(FTP_CTRL_PORT),
             transfers: 0,
             bytes_moved: 0,
         }
@@ -256,11 +253,9 @@ impl Default for FtpServer {
 
 impl SocketApp for FtpServer {
     fn poll(&mut self, api: &mut SocketApi<'_>) {
-        if self.listener.is_none() {
-            self.listener = api.listen(FTP_CTRL_PORT, false).ok();
-        }
-        if let Some(l) = self.listener {
-            while let Some(c) = api.accept(l) {
+        self.conns.poll(
+            api,
+            |api, c| {
                 let peer_ip = api
                     .socket(c)
                     .map(|s| s.tuple.remote.ip)
@@ -274,35 +269,28 @@ impl SocketApp for FtpServer {
                     quitting: false,
                 };
                 conn.out.push(b"220 tcpfo ftp ready\r\n");
-                self.conns.insert(c, conn);
-            }
-        }
-        let mut finished = Vec::new();
-        for (&c, conn) in self.conns.iter_mut() {
-            let data = api.recv(c, usize::MAX).unwrap_or_default();
-            conn.lines.push(&data);
-            while let Some(line) = conn.lines.pop_line() {
-                Self::handle_command(conn, &line, api);
-            }
-            if let Some(bytes) = Self::drive_transfer(conn, api) {
-                self.transfers += 1;
-                self.bytes_moved += bytes;
-            }
-            conn.out.flush(api, c);
-            if (conn.quitting || api.peer_closed(c))
-                && conn.out.is_empty()
-                && matches!(conn.transfer, Transfer::Idle)
-            {
-                let _ = api.close(c);
-            }
-            if api.state(c).is_none_or(|s| s == TcpState::Closed) {
-                finished.push(c);
-            }
-        }
-        for c in finished {
-            self.conns.remove(&c);
-            api.release(c);
-        }
+                conn
+            },
+            |api, c, conn| {
+                let data = api.recv(c, usize::MAX).unwrap_or_default();
+                conn.lines.push(&data);
+                while let Some(line) = conn.lines.pop_line() {
+                    Self::handle_command(conn, &line, api);
+                }
+                if let Some(bytes) = Self::drive_transfer(conn, api) {
+                    self.transfers += 1;
+                    self.bytes_moved += bytes;
+                }
+                conn.out.flush(api, c);
+                let idle = matches!(conn.transfer, Transfer::Idle);
+                if (conn.quitting || api.peer_closed(c)) && conn.out.is_empty() && idle {
+                    let _ = api.close(c);
+                }
+                // The data connection is one we opened: nothing reports
+                // its events, so a transfer is driven on every poll.
+                !idle || conn.out.can_flush(api, c)
+            },
+        );
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

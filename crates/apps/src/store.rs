@@ -16,12 +16,11 @@
 //! reply stream is a pure function of the request stream (the exact
 //! property active replication needs).
 
-use crate::conn::{LineBuf, OutBuf};
+use crate::conn::{Conns, LineBuf, OutBuf};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
-use tcpfo_tcp::socket::TcpState;
-use tcpfo_tcp::types::{ListenerId, SocketAddr, SocketId};
+use tcpfo_tcp::types::{SocketAddr, SocketId};
 
 /// Deterministic price for an item name.
 pub fn price_of(item: &str) -> u64 {
@@ -83,6 +82,7 @@ pub struct StoreConnState {
     pub next_order: u64,
 }
 
+#[derive(Default)]
 struct StoreConn {
     lines: LineBuf,
     out: OutBuf,
@@ -92,10 +92,7 @@ struct StoreConn {
 
 /// The store server.
 pub struct StoreServer {
-    port: u16,
-    failover: bool,
-    listener: Option<ListenerId>,
-    conns: BTreeMap<SocketId, StoreConn>,
+    conns: Conns<StoreConn>,
     /// Commands processed.
     pub commands: u64,
 }
@@ -104,63 +101,41 @@ impl StoreServer {
     /// Creates a store on `port`.
     pub fn new(port: u16) -> Self {
         StoreServer {
-            port,
-            failover: false,
-            listener: None,
-            conns: BTreeMap::new(),
+            conns: Conns::new(port),
             commands: 0,
         }
     }
 
     /// Use the §7 socket-option designation for accepted connections.
     pub fn with_failover_option(mut self) -> Self {
-        self.failover = true;
+        self.conns = self.conns.with_failover_option();
         self
     }
 }
 
 impl SocketApp for StoreServer {
     fn poll(&mut self, api: &mut SocketApi<'_>) {
-        if self.listener.is_none() {
-            self.listener = api.listen(self.port, self.failover).ok();
-        }
-        if let Some(l) = self.listener {
-            while let Some(c) = api.accept(l) {
-                self.conns.insert(
-                    c,
-                    StoreConn {
-                        lines: LineBuf::new(),
-                        out: OutBuf::new(),
-                        state: StoreConnState::default(),
-                        quitting: false,
-                    },
-                );
-            }
-        }
-        let mut finished = Vec::new();
-        for (&c, conn) in self.conns.iter_mut() {
-            let data = api.recv(c, usize::MAX).unwrap_or_default();
-            conn.lines.push(&data);
-            while let Some(line) = conn.lines.pop_line() {
-                self.commands += 1;
-                let reply = respond(&mut conn.state, &line);
-                conn.out.push(reply.as_bytes());
-                if line.trim() == "QUIT" {
-                    conn.quitting = true;
+        self.conns.poll(
+            api,
+            |_, _| StoreConn::default(),
+            |api, c, conn| {
+                let data = api.recv(c, usize::MAX).unwrap_or_default();
+                conn.lines.push(&data);
+                while let Some(line) = conn.lines.pop_line() {
+                    self.commands += 1;
+                    let reply = respond(&mut conn.state, &line);
+                    conn.out.push(reply.as_bytes());
+                    if line.trim() == "QUIT" {
+                        conn.quitting = true;
+                    }
                 }
-            }
-            conn.out.flush(api, c);
-            if (conn.quitting || api.peer_closed(c)) && conn.out.is_empty() {
-                let _ = api.close(c);
-            }
-            if api.state(c).is_none_or(|s| s == TcpState::Closed) {
-                finished.push(c);
-            }
-        }
-        for c in finished {
-            self.conns.remove(&c);
-            api.release(c);
-        }
+                conn.out.flush(api, c);
+                if (conn.quitting || api.peer_closed(c)) && conn.out.is_empty() {
+                    let _ = api.close(c);
+                }
+                conn.out.can_flush(api, c)
+            },
+        );
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

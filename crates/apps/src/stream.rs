@@ -7,19 +7,14 @@
 //!   the Fig. 5 receive rate). Deterministic on the byte stream, so it
 //!   replicates actively.
 
-use crate::conn::{pattern, LineBuf, OutBuf};
+use crate::conn::{pattern, Conns, LineBuf, OutBuf};
 use std::any::Any;
-use std::collections::BTreeMap;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
-use tcpfo_tcp::socket::TcpState;
-use tcpfo_tcp::types::{ListenerId, SocketId};
+use tcpfo_tcp::types::SocketId;
 
 /// Counts and discards incoming bytes.
 pub struct SinkServer {
-    port: u16,
-    failover: bool,
-    listener: Option<ListenerId>,
-    conns: BTreeMap<SocketId, u64>,
+    conns: Conns<()>,
     /// Per-poll read budget; `usize::MAX` = drain eagerly. A small
     /// budget makes this replica a *slow consumer*, shrinking its
     /// advertised window — §3.2's min-window rule then throttles the
@@ -33,10 +28,7 @@ impl SinkServer {
     /// Creates a sink on `port`.
     pub fn new(port: u16) -> Self {
         SinkServer {
-            port,
-            failover: false,
-            listener: None,
-            conns: BTreeMap::new(),
+            conns: Conns::new(port),
             read_budget: usize::MAX,
             received: 0,
         }
@@ -51,37 +43,26 @@ impl SinkServer {
 
     /// Use the §7 socket-option designation for accepted connections.
     pub fn with_failover_option(mut self) -> Self {
-        self.failover = true;
+        self.conns = self.conns.with_failover_option();
         self
     }
 }
 
 impl SocketApp for SinkServer {
     fn poll(&mut self, api: &mut SocketApi<'_>) {
-        if self.listener.is_none() {
-            self.listener = api.listen(self.port, self.failover).ok();
-        }
-        if let Some(l) = self.listener {
-            while let Some(c) = api.accept(l) {
-                self.conns.insert(c, 0);
-            }
-        }
-        let mut finished = Vec::new();
-        for (&c, count) in self.conns.iter_mut() {
-            let data = api.recv(c, self.read_budget).unwrap_or_default();
-            *count += data.len() as u64;
-            self.received += data.len() as u64;
-            if api.peer_closed(c) {
-                let _ = api.close(c);
-            }
-            if api.state(c).is_none_or(|s| s == TcpState::Closed) {
-                finished.push(c);
-            }
-        }
-        for c in finished {
-            self.conns.remove(&c);
-            api.release(c);
-        }
+        self.conns.poll(
+            api,
+            |_, _| (),
+            |api, c, ()| {
+                let data = api.recv(c, self.read_budget).unwrap_or_default();
+                self.received += data.len() as u64;
+                if api.peer_closed(c) {
+                    let _ = api.close(c);
+                }
+                // A budgeted read leaves the rest for the next poll.
+                api.recv_available(c) > 0
+            },
+        );
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -102,38 +83,36 @@ struct SourceConn {
 
 /// Replies to `SEND <n>` requests with `n` pattern bytes.
 pub struct SourceServer {
-    port: u16,
-    failover: bool,
-    listener: Option<ListenerId>,
-    conns: BTreeMap<SocketId, SourceConn>,
+    conns: Conns<SourceConn>,
     /// Total bytes served.
     pub served: u64,
     /// Requests handled.
     pub requests: u64,
+    /// Times a connection was looked at: proportional to the
+    /// connections with traffic, not to the connections open.
+    pub services: u64,
 }
 
 impl SourceServer {
     /// Creates a source on `port`.
     pub fn new(port: u16) -> Self {
         SourceServer {
-            port,
-            failover: false,
-            listener: None,
-            conns: BTreeMap::new(),
+            conns: Conns::new(port),
             served: 0,
             requests: 0,
+            services: 0,
         }
     }
 
     /// Use the §7 socket-option designation for accepted connections.
     pub fn with_failover_option(mut self) -> Self {
-        self.failover = true;
+        self.conns = self.conns.with_failover_option();
         self
     }
 
     /// The port this source listens on.
     pub fn port(&self) -> u16 {
-        self.port
+        self.conns.port()
     }
 
     /// Snapshot of every live connection's response progress:
@@ -144,7 +123,7 @@ impl SourceServer {
     pub fn conn_progress(&self) -> Vec<(SocketId, u64, u64)> {
         self.conns
             .iter()
-            .map(|(&c, st)| {
+            .map(|(c, st)| {
                 let staged = st.out.len() as u64;
                 (c, st.offset - staged, st.remaining + staged)
             })
@@ -157,7 +136,7 @@ impl SourceServer {
     /// owed. Served bytes below the offset were counted by the replica
     /// this flow was handed off from.
     pub fn adopt_conn(&mut self, c: SocketId, offset: u64, remaining: u64) {
-        self.conns.insert(
+        self.conns.adopt(
             c,
             SourceConn {
                 remaining,
@@ -170,56 +149,52 @@ impl SourceServer {
 
 impl SocketApp for SourceServer {
     fn poll(&mut self, api: &mut SocketApi<'_>) {
-        if self.listener.is_none() {
-            self.listener = api.listen(self.port, self.failover).ok();
-        }
-        if let Some(l) = self.listener {
-            while let Some(c) = api.accept(l) {
-                self.conns.insert(c, SourceConn::default());
-            }
-        }
-        let mut finished = Vec::new();
-        for (&c, st) in self.conns.iter_mut() {
-            let data = api.recv(c, usize::MAX).unwrap_or_default();
-            st.lines.push(&data);
-            while st.remaining == 0 {
-                let Some(line) = st.lines.pop_line() else {
-                    break;
-                };
-                if let Some(n) = line
-                    .strip_prefix("SEND ")
-                    .and_then(|v| v.parse::<u64>().ok())
-                {
-                    st.remaining = n;
-                    st.offset = 0;
-                    self.requests += 1;
+        self.conns.poll(
+            api,
+            |_, _| SourceConn::default(),
+            |api, c, st| {
+                self.services += 1;
+                let data = api.recv(c, usize::MAX).unwrap_or_default();
+                st.lines.push(&data);
+                while st.remaining == 0 {
+                    let Some(line) = st.lines.pop_line() else {
+                        break;
+                    };
+                    if let Some(n) = line
+                        .strip_prefix("SEND ")
+                        .and_then(|v| v.parse::<u64>().ok())
+                    {
+                        st.remaining = n;
+                        st.offset = 0;
+                        self.requests += 1;
+                    }
                 }
-            }
-            // Drip the response: refill the out-buffer in bounded slabs.
-            st.out.flush(api, c);
-            while st.remaining > 0 && st.out.len() < 32 * 1024 {
-                let chunk = st.remaining.min(16 * 1024) as usize;
-                st.out.push(&pattern(st.offset, chunk));
-                st.offset += chunk as u64;
-                st.remaining -= chunk as u64;
-                self.served += chunk as u64;
+                // Drip the response: refill the out-buffer in bounded slabs.
                 st.out.flush(api, c);
-                if api.send_space(c) == 0 {
-                    break;
+                while st.remaining > 0 && st.out.len() < 32 * 1024 {
+                    let chunk = st.remaining.min(16 * 1024) as usize;
+                    st.out.push(&pattern(st.offset, chunk));
+                    st.offset += chunk as u64;
+                    st.remaining -= chunk as u64;
+                    self.served += chunk as u64;
+                    st.out.flush(api, c);
+                    if api.send_space(c) == 0 {
+                        break;
+                    }
                 }
-            }
-            st.out.flush(api, c);
-            if api.peer_closed(c) && st.remaining == 0 && st.out.is_empty() {
-                let _ = api.close(c);
-            }
-            if api.state(c).is_none_or(|s| s == TcpState::Closed) {
-                finished.push(c);
-            }
-        }
-        for c in finished {
-            self.conns.remove(&c);
-            api.release(c);
-        }
+                st.out.flush(api, c);
+                if api.peer_closed(c) && st.remaining == 0 && st.out.is_empty() {
+                    let _ = api.close(c);
+                }
+                // The next request is parsed a poll after the previous
+                // reply was staged; everything else waits for an ACK.
+                if st.remaining == 0 {
+                    st.lines.has_line() || st.out.can_flush(api, c)
+                } else {
+                    api.send_space(c) > 0
+                }
+            },
+        );
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

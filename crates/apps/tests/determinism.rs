@@ -176,6 +176,64 @@ mod repeat {
         outcome(&mut tb.sim, client)
     }
 
+    /// Idle residents and short connections side by side, no failure:
+    /// what reaches the wire first is decided by the order the stacks'
+    /// timer index and the servers' ready lists are served in, so that
+    /// order must be a function of the scene and of nothing else.
+    fn residents_and_churn_scene() -> Outcome {
+        const RESIDENTS: usize = 64;
+        const ROUNDS: usize = 25;
+        const PER_ROUND: usize = 4;
+        let mut tb = Testbed::new(TestbedConfig {
+            seed: 23,
+            ..TestbedConfig::default()
+        });
+        for node in [tb.primary, tb.secondary.unwrap()] {
+            tb.sim.with::<Host, _>(node, |h, _| {
+                h.add_app(Box::new(SourceServer::new(80)));
+            });
+        }
+        let client = tb.client;
+        let server = SocketAddr::new(addrs::A_P, 80);
+        // Nothing to ask and nothing expected: connects and stays idle.
+        tb.sim.with::<Host, _>(client, |h, _| {
+            for _ in 0..RESIDENTS {
+                h.add_app(Box::new(RequestReplyClient::new(server, Vec::new(), 0)));
+            }
+        });
+        tb.run_for(SimDuration::from_millis(200));
+        for _ in 0..ROUNDS {
+            tb.sim.with::<Host, _>(client, |h, _| {
+                for _ in 0..PER_ROUND {
+                    h.add_app(Box::new(RequestReplyClient::new(
+                        server,
+                        b"SEND 2000\n".to_vec(),
+                        2000,
+                    )));
+                }
+            });
+            tb.run_for(SimDuration::from_millis(10));
+        }
+        tb.run_for(SimDuration::from_secs(2));
+        let done_at = tb.sim.with::<Host, _>(client, |h, _| {
+            (0..RESIDENTS + ROUNDS * PER_ROUND)
+                .map(|i| {
+                    let c = h.app_mut::<RequestReplyClient>(i);
+                    assert_eq!(c.mismatches, 0, "connection {i} corrupted");
+                    assert!(c.t_established.is_some(), "connection {i} never opened");
+                    c.t_done
+                })
+                .collect::<Vec<_>>()
+        });
+        let (residents, churn) = done_at.split_at(RESIDENTS);
+        assert!(residents.iter().all(Option::is_none));
+        assert!(churn.iter().all(Option::is_some), "{churn:?}");
+        Outcome {
+            events: tb.sim.events_processed(),
+            done_at,
+        }
+    }
+
     /// Every `HashMap` in a process hashes with its own keys, so two
     /// runs of one scene here iterate any such map in two different
     /// orders: the applications must not let that reach the wire.
@@ -191,5 +249,12 @@ mod repeat {
         let first = chain_scene();
         assert_eq!(chain_scene(), first);
         assert_eq!(chain_scene(), first);
+    }
+
+    #[test]
+    fn churn_beside_idle_residents_repeats_exactly() {
+        let first = residents_and_churn_scene();
+        assert_eq!(residents_and_churn_scene(), first);
+        assert_eq!(residents_and_churn_scene(), first);
     }
 }

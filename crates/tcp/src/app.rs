@@ -8,6 +8,38 @@
 //! requirement for active replication; a poll-style API makes that easy
 //! to honour — there are no callbacks whose ordering could diverge
 //! between the primary and the secondary.
+//!
+//! # Readiness
+//!
+//! A server with thousands of open connections must not look at each of
+//! them on every poll. For *accepted* connections the stack therefore
+//! keeps, per listener, the set that had a stack event since the owner
+//! last asked, and [`SocketApi::take_ready`] hands it over:
+//!
+//! * **What wakes a connection:** a segment demultiplexed to it (data,
+//!   an ACK that frees send-buffer space, FIN, RST) and a timer of its
+//!   own that fired (which is how TIME-WAIT expiry and a retransmission
+//!   give-up, both ending in `Closed`, reach the owner so it releases
+//!   the handle). A socket made by [`TcpStack::adopt`] belongs to the
+//!   listener on its local port and wakes like any other.
+//! * **Per owner:** wake-ups are keyed by the accepting listener, as
+//!   [`SocketApi::accept`] is, so two servers on one host cannot drain
+//!   each other's.
+//! * **Level-triggered, by the application's half:** the stack reports
+//!   events, not conditions. An owner that leaves work it could do
+//!   without a new segment — unread bytes after a bounded read, staged
+//!   output the send buffer would still take — keeps that connection on
+//!   its own list for the next poll. A newly accepted connection is
+//!   served in the poll that accepts it.
+//! * **Order:** the owner serves what it gathered in ascending
+//!   [`SocketId`] order. `send` emits at once, so the order of service
+//!   is the order of replies on the wire, and it must be the order the
+//!   serve-everything loop had.
+//!
+//! Skipping a connection that is not ready is sound because serving it
+//! would have been a no-op: nothing it could read, push or observe has
+//! changed. `connect()`-side sockets have no listener and keep the pull
+//! API: their application asks about each one it holds.
 
 use crate::socket::{Socket, TcpState};
 use crate::stack::{StackError, TcpStack};
@@ -55,6 +87,13 @@ impl<'a> SocketApi<'a> {
     /// Accepts a pending connection, if any completed the handshake.
     pub fn accept(&mut self, listener: ListenerId) -> Option<SocketId> {
         self.stack.accept(listener)
+    }
+
+    /// Appends to `out` the connections of `listener` that had a stack
+    /// event since the last call, in no particular order (see the
+    /// module documentation for the readiness contract).
+    pub fn take_ready(&mut self, listener: ListenerId, out: &mut Vec<SocketId>) {
+        self.stack.take_ready(listener, out)
     }
 
     /// Starts an active open. `failover` is the §7 socket-option

@@ -29,6 +29,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use tcpfo_net::sim::{Ctx, Device, NodeId, Simulator, TimerToken};
 use tcpfo_net::time::{SimDuration, SimTime};
+use tcpfo_telemetry::registry::{bucket_index, HISTOGRAM_BUCKETS};
 use tcpfo_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use tcpfo_wire::arp::{ArpOp, ArpPacket};
 use tcpfo_wire::eth::{EtherType, EthernetFrame};
@@ -415,26 +416,36 @@ impl Host {
         });
     }
 
-    fn publish_telemetry(&mut self, now: SimTime) {
+    /// One `cwnd` sample per established socket and the sum of their
+    /// send windows, read off the stack's running view: the cost is per
+    /// distinct window value, not per open socket.
+    fn publish_telemetry(&self, now: SimTime) {
         let Some(t) = &self.telemetry else { return };
-        let now_ns = now.as_nanos();
         t.retransmits.set_at_least(self.stack.total_retransmits());
         t.rto_expiries.set_at_least(self.stack.total_rto_expiries());
         t.checksum_drops.set_at_least(self.stack.checksum_drops);
         t.rst_sent.set_at_least(self.stack.rst_sent);
-        let mut wnd_sum = 0u64;
-        let mut any = false;
-        for id in self.stack.socket_ids() {
-            if let Some(sock) = self.stack.socket(id) {
-                if sock.is_established() {
-                    any = true;
-                    wnd_sum += u64::from(sock.snd_wnd());
-                    t.cwnd.record(u64::from(sock.cwnd()));
-                }
+        let (wnd_sum, cwnds) = self.stack.established_windows();
+        let mut buckets = [(0usize, 0u64); HISTOGRAM_BUCKETS];
+        let (mut used, mut count, mut sum) = (0, 0u64, 0u64);
+        let (mut min, mut max) = (u64::MAX, 0u64);
+        for (cwnd, sockets) in cwnds {
+            let (v, n) = (u64::from(cwnd), u64::from(sockets));
+            // Ascending values: a bucket's samples are adjacent.
+            let b = bucket_index(v);
+            if used == 0 || buckets[used - 1].0 != b {
+                buckets[used] = (b, 0);
+                used += 1;
             }
+            buckets[used - 1].1 += n;
+            count += n;
+            sum += v * n;
+            min = min.min(v);
+            max = v;
         }
-        if any {
-            t.snd_wnd.set_at(wnd_sum, now_ns);
+        if count > 0 {
+            t.cwnd.absorb(&buckets[..used], count, sum, min, max);
+            t.snd_wnd.set_at(wnd_sum, now.as_nanos());
         }
     }
 

@@ -429,8 +429,7 @@ impl Socket {
 
     /// Aborts the connection; [`Socket::output`] will emit an RST.
     pub fn abort(&mut self) {
-        self.error = Some(SocketError::Aborted);
-        self.state = TcpState::Closed;
+        self.enter_closed(SocketError::Aborted);
     }
 
     // ---------------------------------------------------------------
@@ -718,18 +717,18 @@ impl Socket {
     }
 
     fn enter_closed(&mut self, err: SocketError) {
-        self.state = TcpState::Closed;
         self.error = Some(err);
-        self.rtx_deadline = None;
-        self.persist_deadline = None;
-        self.delack_deadline = None;
+        self.enter_closed_clean();
     }
 
+    /// A closed socket holds no timers: `next_deadline()` is `None`, so
+    /// the stack's deadline index never visits it again.
     fn enter_closed_clean(&mut self) {
         self.state = TcpState::Closed;
         self.rtx_deadline = None;
         self.persist_deadline = None;
         self.delack_deadline = None;
+        self.timewait_deadline = None;
     }
 
     // ---------------------------------------------------------------
@@ -1478,5 +1477,57 @@ mod tests {
         let mut acks = Vec::new();
         server.output(now, &cfg, &mut acks);
         assert_eq!(acks.len(), 1, "second full segment forces an ack");
+    }
+
+    #[test]
+    fn closed_sockets_hold_no_timers() {
+        let now = SimTime::ZERO;
+        // Clean close through TIME-WAIT expiry.
+        let (mut client, mut server, cfg) = established();
+        client.close();
+        pump(&mut client, &mut server, now, &cfg);
+        server.close();
+        pump(&mut client, &mut server, now, &cfg);
+        assert_eq!(server.state, TcpState::Closed, "LAST-ACK acknowledged");
+        assert_eq!(server.next_deadline(), None);
+        assert_eq!(client.state, TcpState::TimeWait);
+        let expiry = client.next_deadline().expect("2MSL armed");
+        client.on_tick(expiry, &cfg);
+        assert_eq!(client.state, TcpState::Closed);
+        assert_eq!(client.next_deadline(), None);
+        // Reset by the peer with data (and so the rtx timer) in flight.
+        let (mut client, mut server, cfg) = established();
+        server.send(b"unacknowledged");
+        server.output(now, &cfg, &mut Vec::new());
+        assert!(server.next_deadline().is_some());
+        client.abort();
+        let mut rst = Vec::new();
+        client.output(now, &cfg, &mut rst);
+        server.on_segment(&rst[0], now, &cfg);
+        assert_eq!(server.error, Some(SocketError::Reset));
+        assert_eq!(server.next_deadline(), None);
+        // Retransmissions exhausted.
+        let (ta, _) = tuples();
+        let mut lonely = Socket::client(ta, 42, &cfg);
+        lonely.output(now, &cfg, &mut Vec::new());
+        while let Some(deadline) = lonely.next_deadline() {
+            lonely.on_tick(deadline, &cfg);
+            lonely.output(deadline, &cfg, &mut Vec::new());
+        }
+        assert_eq!(lonely.error, Some(SocketError::TimedOut));
+    }
+
+    #[test]
+    fn tick_after_abort_changes_no_counter() {
+        let (mut client, _server, cfg) = established();
+        let now = SimTime::ZERO;
+        client.send(b"never acknowledged");
+        client.output(now, &cfg, &mut Vec::new());
+        let rtx = client.next_deadline().expect("rtx armed");
+        client.abort();
+        assert_eq!(client.next_deadline(), None);
+        client.on_tick(rtx + SimDuration::from_secs(60), &cfg);
+        assert_eq!((client.retransmits, client.rto_expiries), (0, 0));
+        assert_eq!(client.error, Some(SocketError::Aborted));
     }
 }

@@ -5,12 +5,17 @@
 //! [`TcpStack::on_segment`] and leave through [`TcpStack::take_outbox`];
 //! the [`crate::host::Host`] device moves them through the
 //! [`crate::filter::SegmentFilter`] and the IP layer.
+//!
+//! An idle connection costs nothing per event: [`TcpStack::on_tick`]
+//! visits only sockets that are due, and [`TcpStack::take_ready`] hands
+//! an application only the accepted sockets that had an event.
 
 use crate::config::TcpConfig;
 use crate::filter::{AddressedSegment, FailoverRule};
 use crate::socket::{Socket, TcpState};
 use crate::types::{FourTuple, ListenerId, SocketAddr, SocketId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use tcpfo_net::time::SimTime;
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{verify_segment_checksum, TcpFlags, TcpSegment};
@@ -38,12 +43,67 @@ impl std::fmt::Display for StackError {
 
 impl std::error::Error for StackError {}
 
+/// Initial capacity of the stack's small long-lived lists. Allocated
+/// with the stack, not at first use: a tiny allocation that lives as
+/// long as the host, made between the large transient buffers of a
+/// transfer, fragments the heap (DESIGN §18).
+const SCRATCH_CAPACITY: usize = 64;
+
 /// A passive-open endpoint with its accept backlog.
 #[derive(Debug)]
 struct Listener {
-    port: u16,
     backlog: VecDeque<SocketId>,
     failover: bool,
+    /// Accepted sockets with an event their owner has not taken yet.
+    ready: Vec<SocketId>,
+}
+
+/// A live socket and what the stack tracks about it between events.
+struct Slot {
+    sock: Socket,
+    /// The listener this connection arrived on; `None` for
+    /// `connect()`-side sockets, which applications poll themselves.
+    owner: Option<ListenerId>,
+    /// Already on the owner's ready list.
+    ready: bool,
+    /// Earliest deadline this socket has a live entry for in
+    /// [`TcpStack::timers`]; never later than its `next_deadline()`.
+    armed: Option<SimTime>,
+    /// `(snd_wnd, cwnd)` as counted in [`Windows`]; `Some` while
+    /// established.
+    window: Option<(u32, u32)>,
+}
+
+/// What one tick's window telemetry samples, kept current as sockets
+/// change so that reading it never walks the socket table.
+#[derive(Default)]
+struct Windows {
+    /// Sum of the peer-advertised windows of established sockets.
+    snd_wnd_sum: u64,
+    /// Their congestion windows: value → how many sockets hold it.
+    cwnd: BTreeMap<u32, u32>,
+}
+
+impl Windows {
+    /// What `sock` contributes: `(snd_wnd, cwnd)` while established.
+    fn sample(sock: &Socket) -> Option<(u32, u32)> {
+        sock.is_established().then(|| (sock.snd_wnd(), sock.cwnd()))
+    }
+
+    fn replace(&mut self, old: Option<(u32, u32)>, new: Option<(u32, u32)>) {
+        if let Some((wnd, cwnd)) = old {
+            self.snd_wnd_sum -= u64::from(wnd);
+            let n = self.cwnd.get_mut(&cwnd).expect("counted when added");
+            *n -= 1;
+            if *n == 0 {
+                self.cwnd.remove(&cwnd);
+            }
+        }
+        if let Some((wnd, cwnd)) = new {
+            self.snd_wnd_sum += u64::from(wnd);
+            *self.cwnd.entry(cwnd).or_insert(0) += 1;
+        }
+    }
 }
 
 /// Deterministic ISN: a hash of the stack seed and the 4-tuple, so a
@@ -94,9 +154,24 @@ fn initial_sequence(seed: u64, tuple: &FourTuple) -> u32 {
 /// ```
 pub struct TcpStack {
     cfg: TcpConfig,
-    sockets: Vec<Option<Socket>>,
+    sockets: Vec<Option<Slot>>,
+    /// Vacated slots; a new socket takes the lowest, because `SocketId`
+    /// order decides which of two replies reaches the wire first.
+    free: BinaryHeap<Reverse<usize>>,
     demux: HashMap<FourTuple, usize>,
-    listeners: Vec<Option<Listener>>,
+    listeners: Vec<Listener>,
+    listener_by_port: HashMap<u16, ListenerId>,
+    /// The deadline index: `(deadline, slot)`, earliest first. Lazy: an
+    /// entry is added only when a socket's deadline moves *earlier*
+    /// than its [`Slot::armed`] one and re-validated when it comes due,
+    /// so the per-ACK restart of the retransmission timer never touches
+    /// the heap.
+    timers: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// Scratch: the slots due in the current tick.
+    due: Vec<usize>,
+    /// Scratch: the segments of one `Socket::output` call.
+    segs: Vec<TcpSegment>,
+    windows: Windows,
     next_ephemeral: u16,
     outbox: Vec<AddressedSegment>,
     /// Ports designated for failover by configuration (§7 method 2).
@@ -111,11 +186,12 @@ pub struct TcpStack {
     pub checksum_drops: u64,
     /// Segments that matched no socket and were answered with RST.
     pub rst_sent: u64,
-    /// Retransmits carried by sockets that have since been reaped, so
-    /// [`TcpStack::total_retransmits`] never goes backwards.
-    retired_retransmits: u64,
-    /// RTO expiries carried by reaped sockets.
-    retired_rto_expiries: u64,
+    /// Sockets [`TcpStack::on_tick`] has visited because a timer was due.
+    pub timer_visits: u64,
+    /// Segments retransmitted by every socket this stack ever held.
+    retransmits: u64,
+    /// Retransmission-timer expiries, likewise.
+    rto_expiries: u64,
 }
 
 impl TcpStack {
@@ -125,16 +201,23 @@ impl TcpStack {
         TcpStack {
             cfg,
             sockets: Vec::new(),
+            free: BinaryHeap::with_capacity(SCRATCH_CAPACITY),
             demux: HashMap::new(),
             listeners: Vec::new(),
+            listener_by_port: HashMap::new(),
+            timers: BinaryHeap::with_capacity(SCRATCH_CAPACITY),
+            due: Vec::with_capacity(SCRATCH_CAPACITY),
+            segs: Vec::with_capacity(SCRATCH_CAPACITY),
+            windows: Windows::default(),
             next_ephemeral,
             outbox: Vec::new(),
             failover_ports: HashSet::new(),
             pending_designations: Vec::new(),
             checksum_drops: 0,
             rst_sent: 0,
-            retired_retransmits: 0,
-            retired_rto_expiries: 0,
+            timer_visits: 0,
+            retransmits: 0,
+            rto_expiries: 0,
         }
     }
 
@@ -165,7 +248,7 @@ impl TcpStack {
     ///
     /// [`StackError::AddrInUse`] if the port is already listening.
     pub fn listen(&mut self, port: u16, failover: bool) -> Result<ListenerId, StackError> {
-        if self.listeners.iter().flatten().any(|l| l.port == port) {
+        if self.listener_by_port.contains_key(&port) {
             return Err(StackError::AddrInUse);
         }
         if failover {
@@ -176,26 +259,46 @@ impl TcpStack {
             self.pending_designations.push(FailoverRule::Port(port));
             self.failover_ports.insert(port);
         }
-        self.listeners.push(Some(Listener {
-            port,
+        let id = ListenerId(self.listeners.len());
+        self.listeners.push(Listener {
             backlog: VecDeque::new(),
             failover,
-        }));
-        Ok(ListenerId(self.listeners.len() - 1))
+            ready: Vec::with_capacity(SCRATCH_CAPACITY),
+        });
+        self.listener_by_port.insert(port, id);
+        Ok(id)
     }
 
     /// Dequeues an established connection from a listener's backlog.
     pub fn accept(&mut self, listener: ListenerId) -> Option<SocketId> {
-        let l = self.listeners.get_mut(listener.0)?.as_mut()?;
+        let l = self.listeners.get_mut(listener.0)?;
         // Only hand out connections that completed the handshake.
         let pos = l.backlog.iter().position(|sid| {
             self.sockets
                 .get(sid.0)
                 .and_then(|s| s.as_ref())
-                .map(|s| s.is_established())
-                .unwrap_or(false)
+                .is_some_and(|s| s.sock.is_established())
         })?;
         l.backlog.remove(pos)
+    }
+
+    /// Appends to `out` every connection of `listener` that had a stack
+    /// event (a segment demultiplexed to it, a timer that fired) since
+    /// the last call, in no particular order. [`crate::app`] has the
+    /// contract.
+    pub fn take_ready(&mut self, listener: ListenerId, out: &mut Vec<SocketId>) {
+        let Some(l) = self.listeners.get_mut(listener.0) else {
+            return;
+        };
+        for id in l.ready.drain(..) {
+            // The slot may have been released, and reused, since.
+            if let Some(slot) = self.sockets[id.0].as_mut() {
+                if slot.owner == Some(listener) {
+                    slot.ready = false;
+                    out.push(id);
+                }
+            }
+        }
     }
 
     /// Initiates an active open from `local_ip` to `remote`.
@@ -252,7 +355,7 @@ impl TcpStack {
         if designated {
             self.pending_designations.push(FailoverRule::Tuple(tuple));
         }
-        let id = self.insert_socket(sock);
+        let id = self.insert_socket(sock, None);
         self.run_output(id, now);
         Ok(id)
     }
@@ -261,7 +364,8 @@ impl TcpStack {
     /// chain catch-up): the socket is synthesised `Established` at the
     /// snapshot's sequence positions — no handshake, no SYN on the
     /// wire — and designated for failover so the local bridge diverts
-    /// everything it produces.
+    /// everything it produces. It belongs to the listener on its local
+    /// port, as if accepted there.
     ///
     /// # Errors
     ///
@@ -281,23 +385,22 @@ impl TcpStack {
         }
         let sock = Socket::adopted(tuple, snd_nxt, rcv_nxt, peer_mss, peer_wnd, &self.cfg);
         self.pending_designations.push(FailoverRule::Tuple(tuple));
-        Ok(self.insert_socket(sock))
+        let owner = self.listener_by_port.get(&local.port).copied();
+        Ok(self.insert_socket(sock, owner))
     }
 
     /// Writes bytes; returns how many were accepted into the send
     /// buffer (the paper's §9 send-call semantics).
     pub fn send(&mut self, id: SocketId, data: &[u8], now: SimTime) -> Result<usize, StackError> {
-        let sock = self.socket_mut(id)?;
-        let n = sock.send(data);
+        let n = self.socket_mut(id)?.send(data);
         self.run_output(id, now);
         Ok(n)
     }
 
     /// Reads up to `max` bytes of in-order data.
     pub fn recv(&mut self, id: SocketId, max: usize, now: SimTime) -> Result<Vec<u8>, StackError> {
-        let cfg = self.cfg.clone();
-        let sock = self.socket_mut(id)?;
-        let data = sock.recv(max, &cfg);
+        let slot = self.sockets.get_mut(id.0).and_then(|s| s.as_mut());
+        let data = slot.ok_or(StackError::BadSocket)?.sock.recv(max, &self.cfg);
         self.run_output(id, now); // may emit a window update
         Ok(data)
     }
@@ -332,13 +435,14 @@ impl TcpStack {
 
     /// Immutable access to a socket (state queries).
     pub fn socket(&self, id: SocketId) -> Option<&Socket> {
-        self.sockets.get(id.0).and_then(|s| s.as_ref())
+        self.sockets.get(id.0)?.as_ref().map(|s| &s.sock)
     }
 
     fn socket_mut(&mut self, id: SocketId) -> Result<&mut Socket, StackError> {
         self.sockets
             .get_mut(id.0)
             .and_then(|s| s.as_mut())
+            .map(|s| &mut s.sock)
             .ok_or(StackError::BadSocket)
     }
 
@@ -373,31 +477,27 @@ impl TcpStack {
         );
         if let Some(&idx) = self.demux.get(&tuple) {
             let id = SocketId(idx);
-            if let Some(sock) = self.sockets[idx].as_mut() {
-                sock.on_segment(&parsed, now, &self.cfg);
+            if let Some(slot) = self.sockets[idx].as_mut() {
+                slot.sock.on_segment(&parsed, now, &self.cfg);
                 self.run_output(id, now);
                 self.maybe_undemux(id);
+                self.mark_ready(id);
             }
             return;
         }
         // New connection?
         if parsed.flags.contains(TcpFlags::SYN) && !parsed.flags.contains(TcpFlags::ACK) {
-            let listener_info = self
-                .listeners
-                .iter()
-                .enumerate()
-                .find(|(_, l)| l.as_ref().is_some_and(|l| l.port == parsed.dst_port))
-                .map(|(i, l)| (i, l.as_ref().unwrap().failover));
-            if let Some((lidx, l_failover)) = listener_info {
+            if let Some(&listener) = self.listener_by_port.get(&parsed.dst_port) {
                 let iss = initial_sequence(self.cfg.isn_seed, &tuple);
                 let mut sock = Socket::server(tuple, iss, &parsed, &self.cfg);
-                let designated = l_failover || self.failover_ports.contains(&parsed.dst_port);
+                let designated = self.listeners[listener.0].failover
+                    || self.failover_ports.contains(&parsed.dst_port);
                 sock.failover = designated;
                 if designated {
                     self.pending_designations.push(FailoverRule::Tuple(tuple));
                 }
-                let id = self.insert_socket(sock);
-                self.listeners[lidx].as_mut().unwrap().backlog.push_back(id);
+                let id = self.insert_socket(sock, Some(listener));
+                self.listeners[listener.0].backlog.push_back(id);
                 self.run_output(id, now);
                 return;
             }
@@ -418,18 +518,67 @@ impl TcpStack {
         }
     }
 
-    /// Fires due timers on every socket.
+    /// Fires the timers that are due at `now`, visiting only the sockets
+    /// that own one, in ascending `SocketId` order.
+    ///
+    /// Deadlines are not rounded: a timer fires in the first tick whose
+    /// `now` has reached it, exactly as when every socket was asked on
+    /// every tick. A socket that is not due owes the network nothing —
+    /// `Socket::output` is a fixed point after every mutation — which is
+    /// why it can be skipped.
     pub fn on_tick(&mut self, now: SimTime) {
-        for idx in 0..self.sockets.len() {
-            if self.sockets[idx].is_some() {
-                let id = SocketId(idx);
-                if let Some(sock) = self.sockets[idx].as_mut() {
-                    sock.on_tick(now, &self.cfg);
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(&Reverse((deadline, idx))) = self.timers.peek() {
+            if deadline > now {
+                break;
+            }
+            self.timers.pop();
+            let Some(slot) = self.sockets[idx].as_mut() else {
+                continue; // released since
+            };
+            if slot.armed != Some(deadline) {
+                continue; // superseded by an earlier entry, or the slot was reused
+            }
+            slot.armed = None;
+            match slot.sock.next_deadline() {
+                Some(d) if d <= now => due.push(idx),
+                // The deadline moved later after this entry was made.
+                Some(d) => {
+                    slot.armed = Some(d);
+                    self.timers.push(Reverse((d, idx)));
                 }
-                self.run_output(id, now);
-                self.maybe_undemux(id);
+                None => {}
             }
         }
+        due.sort_unstable();
+        if cfg!(debug_assertions) {
+            for (idx, slot) in self.sockets.iter().enumerate() {
+                let deadline = slot.as_ref().and_then(|s| s.sock.next_deadline());
+                debug_assert!(
+                    deadline.is_none_or(|d| d > now) || due.binary_search(&idx).is_ok(),
+                    "socket {idx} is due at {deadline:?} but the timer index missed it at {now:?}"
+                );
+            }
+        }
+        for &idx in &due {
+            let Some(slot) = self.sockets[idx].as_mut() else {
+                continue;
+            };
+            self.timer_visits += 1;
+            let sock = &mut slot.sock;
+            let before = (sock.retransmits, sock.rto_expiries);
+            sock.on_tick(now, &self.cfg);
+            self.retransmits += sock.retransmits - before.0;
+            self.rto_expiries += sock.rto_expiries - before.1;
+            let id = SocketId(idx);
+            self.run_output(id, now);
+            self.maybe_undemux(id);
+            // TIME-WAIT expiry and RTO give-up end in `Closed`: the
+            // owner must hear of it to release the handle.
+            self.mark_ready(id);
+        }
+        due.clear();
+        self.due = due;
     }
 
     /// Takes every segment the stack wants transmitted.
@@ -454,8 +603,8 @@ impl TcpStack {
         let mut updates = Vec::new();
         for (tuple, &idx) in &self.demux {
             if tuple.local.ip == old {
-                if let Some(sock) = self.sockets[idx].as_ref() {
-                    if sock.failover {
+                if let Some(slot) = self.sockets[idx].as_ref() {
+                    if slot.sock.failover {
                         updates.push((*tuple, idx));
                     }
                 }
@@ -465,8 +614,8 @@ impl TcpStack {
             self.demux.remove(&old_tuple);
             let mut new_tuple = old_tuple;
             new_tuple.local.ip = new;
-            if let Some(sock) = self.sockets[idx].as_mut() {
-                sock.tuple = new_tuple;
+            if let Some(slot) = self.sockets[idx].as_mut() {
+                slot.sock.tuple = new_tuple;
             }
             self.demux.insert(new_tuple, idx);
             rebound += 1;
@@ -478,77 +627,106 @@ impl TcpStack {
     // Internals
     // ---------------------------------------------------------------
 
-    fn insert_socket(&mut self, sock: Socket) -> SocketId {
-        let tuple = sock.tuple;
-        let idx = self
-            .sockets
-            .iter()
-            .position(|s| s.is_none())
-            .unwrap_or_else(|| {
-                self.sockets.push(None);
-                self.sockets.len() - 1
-            });
-        self.sockets[idx] = Some(sock);
-        self.demux.insert(tuple, idx);
+    fn insert_socket(&mut self, sock: Socket, owner: Option<ListenerId>) -> SocketId {
+        let idx = self.free.pop().map_or(self.sockets.len(), |Reverse(i)| i);
+        if idx == self.sockets.len() {
+            self.sockets.push(None);
+        }
+        self.demux.insert(sock.tuple, idx);
+        // An adopted socket is born established.
+        let window = Windows::sample(&sock);
+        self.windows.replace(None, window);
+        self.sockets[idx] = Some(Slot {
+            sock,
+            owner,
+            ready: false,
+            armed: None,
+            window,
+        });
         SocketId(idx)
     }
 
     /// Runs the socket's output routine and encodes results into the
-    /// outbox.
+    /// outbox. Every mutation of a socket ends here, so this is also
+    /// where the stack's views of it are brought up to date: the
+    /// retransmit total, the deadline index and the window telemetry.
     fn run_output(&mut self, id: SocketId, now: SimTime) {
-        let Some(sock) = self.sockets.get_mut(id.0).and_then(|s| s.as_mut()) else {
+        let Some(slot) = self.sockets.get_mut(id.0).and_then(|s| s.as_mut()) else {
             return;
         };
-        let mut segs = Vec::new();
-        sock.output(now, &self.cfg, &mut segs);
+        let sock = &mut slot.sock;
+        let before = sock.retransmits;
+        sock.output(now, &self.cfg, &mut self.segs);
+        self.retransmits += sock.retransmits - before;
         let (src, dst) = (sock.tuple.local.ip, sock.tuple.remote.ip);
-        for seg in segs {
+        for seg in self.segs.drain(..) {
             let bytes = seg.encode(src, dst);
             self.outbox.push(AddressedSegment::new(src, dst, bytes));
+        }
+        if let Some(deadline) = sock.next_deadline() {
+            if slot.armed.is_none_or(|armed| deadline < armed) {
+                slot.armed = Some(deadline);
+                self.timers.push(Reverse((deadline, id.0)));
+            }
+        }
+        let window = Windows::sample(sock);
+        if window != slot.window {
+            self.windows.replace(slot.window, window);
+            slot.window = window;
+        }
+    }
+
+    /// Queues an accepted socket for its listener's owner.
+    fn mark_ready(&mut self, id: SocketId) {
+        let Some(slot) = self.sockets[id.0].as_mut() else {
+            return;
+        };
+        let Some(owner) = slot.owner else {
+            return;
+        };
+        if !slot.ready {
+            slot.ready = true;
+            self.listeners[owner.0].ready.push(id);
         }
     }
 
     /// Removes the demux entry once a socket is fully closed so the
     /// tuple can be reused; the socket object stays until released.
     fn maybe_undemux(&mut self, id: SocketId) {
-        if let Some(sock) = self.sockets.get(id.0).and_then(|s| s.as_ref()) {
+        if let Some(sock) = self.socket(id) {
             if sock.state == TcpState::Closed {
-                self.demux.remove(&sock.tuple);
+                let tuple = sock.tuple;
+                self.demux.remove(&tuple);
             }
         }
     }
 
     fn reap(&mut self, id: SocketId) {
-        if let Some(Some(sock)) = self.sockets.get(id.0) {
-            self.retired_retransmits += sock.retransmits;
-            self.retired_rto_expiries += sock.rto_expiries;
-            self.demux.remove(&sock.tuple);
-            self.sockets[id.0] = None;
+        if let Some(slot) = self.sockets.get_mut(id.0).and_then(|s| s.take()) {
+            self.demux.remove(&slot.sock.tuple);
+            self.windows.replace(slot.window, None);
+            self.free.push(Reverse(id.0));
         }
     }
 
     /// Segments retransmitted across all sockets, including ones that
     /// have since been released (monotone over the stack's lifetime).
     pub fn total_retransmits(&self) -> u64 {
-        self.retired_retransmits
-            + self
-                .sockets
-                .iter()
-                .flatten()
-                .map(|s| s.retransmits)
-                .sum::<u64>()
+        self.retransmits
     }
 
     /// Retransmission-timer expiries across all sockets, including
     /// released ones (monotone over the stack's lifetime).
     pub fn total_rto_expiries(&self) -> u64 {
-        self.retired_rto_expiries
-            + self
-                .sockets
-                .iter()
-                .flatten()
-                .map(|s| s.rto_expiries)
-                .sum::<u64>()
+        self.rto_expiries
+    }
+
+    /// What one tick of window telemetry samples: the sum of the
+    /// peer-advertised windows of all established sockets, and their
+    /// congestion windows as ascending `(cwnd, sockets)` pairs.
+    pub fn established_windows(&self) -> (u64, impl Iterator<Item = (u32, u32)> + '_) {
+        let w = &self.windows;
+        (w.snd_wnd_sum, w.cwnd.iter().map(|(&v, &n)| (v, n)))
     }
 
     fn alloc_ephemeral(
@@ -600,7 +778,7 @@ impl std::fmt::Debug for TcpStack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpStack")
             .field("sockets", &self.sockets.iter().flatten().count())
-            .field("listeners", &self.listeners.iter().flatten().count())
+            .field("listeners", &self.listeners.len())
             .field("outbox", &self.outbox.len())
             .finish()
     }
@@ -833,6 +1011,87 @@ mod tests {
         let sock = server.socket(ss).unwrap();
         assert_eq!(sock.state, TcpState::Closed);
         assert_eq!(sock.error, Some(SocketError::Reset));
+    }
+
+    #[test]
+    fn new_sockets_take_the_lowest_free_slot() {
+        let now = SimTime::ZERO;
+        let mut s = TcpStack::new(cfg(1));
+        let to = |port| SocketAddr::new(B_IP, port);
+        let ids: Vec<_> = (0..5)
+            .map(|p| s.connect(A, to(80 + p), false, now).unwrap())
+            .collect();
+        // Freed high slot first: the next socket still goes lowest.
+        s.release(ids[3], now);
+        s.release(ids[1], now);
+        assert_eq!(s.connect(A, to(90), false, now), Ok(SocketId(1)));
+        assert_eq!(s.connect(A, to(91), false, now), Ok(SocketId(3)));
+        assert_eq!(s.connect(A, to(92), false, now), Ok(SocketId(5)));
+    }
+
+    #[test]
+    fn tick_visits_only_due_sockets_in_id_order() {
+        let mut now = SimTime::ZERO;
+        let mut s = TcpStack::new(cfg(1));
+        let step = tcpfo_net::time::SimDuration::from_millis(100);
+        // Three SYNs sent 100 ms apart: three retransmission deadlines.
+        let ids: Vec<_> = (0..3)
+            .map(|p| {
+                let id = s.connect(A, SocketAddr::new(B_IP, 80 + p), false, now);
+                now += step;
+                id.unwrap()
+            })
+            .collect();
+        s.take_outbox();
+        let rto = s.config().rto_initial;
+        s.on_tick(SimTime::ZERO + (rto - step));
+        assert_eq!(s.timer_visits, 0, "nothing is due yet");
+        s.on_tick(SimTime::ZERO + rto + step);
+        assert_eq!(s.timer_visits, 2, "the third SYN is younger");
+        let ports: Vec<_> = s.peek_outbox().iter().map(|o| o.2.dst_port).collect();
+        assert_eq!(ports, [80, 81], "retransmitted in SocketId order");
+        assert_eq!(s.total_retransmits(), 2);
+        assert_eq!(s.total_rto_expiries(), 2);
+        // A released socket takes its timers with it.
+        s.release(ids[2], now);
+        s.on_tick(SimTime::ZERO + rto + step + step);
+        assert_eq!(s.timer_visits, 2);
+    }
+
+    #[test]
+    fn ready_lists_are_per_listener() {
+        let now = SimTime::ZERO;
+        let mut server = TcpStack::new(cfg(7));
+        let l80 = server.listen(80, false).unwrap();
+        let l81 = server.listen(81, false).unwrap();
+        let mut client = TcpStack::new(cfg(3));
+        let c80 = client
+            .connect(A, SocketAddr::new(B_IP, 80), false, now)
+            .unwrap();
+        let c81 = client
+            .connect(A, SocketAddr::new(B_IP, 81), false, now)
+            .unwrap();
+        exchange(&mut client, &mut server, now);
+        let s80 = server.accept(l80).unwrap();
+        let s81 = server.accept(l81).unwrap();
+        let ready = |server: &mut TcpStack, l| {
+            let mut out = Vec::new();
+            server.take_ready(l, &mut out);
+            out
+        };
+        // The handshake's last ACK woke each; taking one listener's
+        // wake-ups leaves the other's alone.
+        assert_eq!(ready(&mut server, l80), [s80]);
+        assert_eq!(ready(&mut server, l80), []);
+        client.send(c81, b"x", now).unwrap();
+        exchange(&mut client, &mut server, now);
+        assert_eq!(ready(&mut server, l80), []);
+        assert_eq!(ready(&mut server, l81), [s81], "queued once, not twice");
+        // connect()-side sockets have no owner and wake nobody.
+        server.send(s80, b"y", now).unwrap();
+        exchange(&mut client, &mut server, now);
+        assert_eq!(client.recv(c80, 10, now).unwrap(), b"y");
+        assert_eq!(ready(&mut server, l80), [s80], "the client's ACK");
     }
 
     #[test]

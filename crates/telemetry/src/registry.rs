@@ -146,7 +146,7 @@ struct HistogramInner {
 }
 
 /// Bucket index for a value: 0 for 0, else `64 - leading_zeros(v)`.
-fn bucket_index(v: u64) -> usize {
+pub fn bucket_index(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
