@@ -646,9 +646,9 @@ fn health(args: &[String]) -> i32 {
         let snap = tb.metrics_snapshot();
         println!("\n{}", snap.to_prometheus());
         let secondary = tb.secondary.expect("replicated testbed");
-        if let Some(alerts) = tb.with_health_monitor(secondary, |m| {
-            m.alerts_prometheus("core.detector.secondary")
-        }) {
+        if let Some(alerts) =
+            tb.with_health_monitor(secondary, |m| m.alerts_prometheus("core.control.r1.peer0"))
+        {
             print!("{alerts}");
         }
     }
@@ -813,7 +813,7 @@ fn chain(args: &[String]) -> i32 {
             tb.sim.with::<Host, _>(node, |h, _| {
                 let f = h.filter_mut().as_any_mut();
                 if let Some(b) = f.downcast_mut::<ChainBridge>() {
-                    b.sync_telemetry(now);
+                    b.inner_mut().sync_telemetry(now);
                 } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
                     b.sync_telemetry(now);
                 }
@@ -932,7 +932,7 @@ fn render_chain_frame(
             continue;
         }
         for e in hub.journal.tail(16) {
-            if e.scope.contains("chain") {
+            if e.scope.starts_with("core.control") || e.scope == "chain_testbed" {
                 events.push((e.at_ns, i, e.kind.clone(), e.fields.clone()));
             }
         }

@@ -34,25 +34,26 @@
 //!   pass-through) while continuing to divert upstream: one link
 //!   shorter, same protocol.
 //!
-//! # The PR9 control plane
+//! # The control plane
 //!
-//! [`ChainController`] replaces the seed-era binary heartbeat with the
-//! PR8 health machinery: every peer gets a [`HealthMonitor`] fed from
-//! v1 heartbeats (RTT echo, seq gaps → loss) and silence-derived miss
-//! counts. Promotion is a small state machine with
-//! *audit-log-before-act* ordering — the decision is journaled and
-//! recorded on the invariant auditor **before** the topology mutates —
-//! and an *abort-if-standby-unhealthy* veto: a successor whose own
-//! composite score is below threshold refuses the VIP (journaled as an
-//! alert) until either its score recovers or a forced-promotion grace
-//! elapses (a chain with no head at all is worse than a shaky head).
-//! After any takeover the chain can be re-provisioned — see
-//! [`crate::reprovision`].
+//! [`ChainController`] is the fault detector and the §5/§6 procedures
+//! at every depth — the paper's two-node system is the chain of length
+//! two. Every peer gets a [`HealthMonitor`] fed from v1 heartbeats (RTT
+//! echo, seq gaps → loss) and silence-derived miss counts; silence past
+//! the detector timeout declares it dead. Promotion is a small state
+//! machine with *audit-log-before-act* ordering — the decision is
+//! journaled and recorded on the invariant auditor **before** the
+//! topology mutates — and an *abort-if-standby-unhealthy* veto: a
+//! successor whose own composite score is below threshold refuses the
+//! VIP (journaled as an alert) until either its score recovers or a
+//! forced-promotion grace elapses (a chain with no head at all is worse
+//! than a shaky head). After any takeover the chain can be
+//! re-provisioned — see [`crate::reprovision`].
 
-use crate::designation::{ConnKey, FailoverConfig};
-use crate::detector::{advance_expected_seq, DetectorConfig, HB_RING};
-use crate::flow::{FlowState, FlowTableConfig, ShardStats};
-use crate::primary::{ConnRow, PrimaryBridge, PrimaryMode};
+use crate::designation::FailoverConfig;
+use crate::detector::{advance_expected_seq, health_config, DetectorConfig, HB_RING};
+use crate::flow::FlowTableConfig;
+use crate::primary::{PrimaryBridge, PrimaryMode};
 use crate::reprovision::FlowHandoff;
 use crate::secondary::SecondaryBridge;
 use bytes::{Bytes, BytesMut};
@@ -63,7 +64,7 @@ use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FailoverRule, FilterOutput, 
 use tcpfo_tcp::host::{HostController, HostServices};
 use tcpfo_telemetry::{
     Counter, FailoverPhase, HealthConfig, HealthMonitor, HealthObservatory, HealthScore,
-    InvariantAuditor, LatencyObservatory, SpanTrack, StageLatency, Telemetry,
+    InvariantAuditor, Scope, SpanTrack, StageLatency, Telemetry,
 };
 use tcpfo_wire::checksum::ChecksumDelta;
 use tcpfo_wire::heartbeat::{Heartbeat, PROTO_HEARTBEAT};
@@ -177,44 +178,11 @@ impl ChainBridge {
         &mut self.inner
     }
 
-    // -----------------------------------------------------------------
-    // Observatory attach points (all delegate to the merge bridge, so a
-    // chain link is inspectable exactly like a pair bridge)
-    // -----------------------------------------------------------------
-
-    /// Attaches (or detaches) the online invariant auditor on the
-    /// inner merge bridge.
-    pub fn set_audit(&mut self, audit: Option<Box<InvariantAuditor>>) {
-        self.inner.set_audit(audit);
-    }
-
-    /// The attached auditor, if any.
-    pub fn audit(&self) -> Option<&InvariantAuditor> {
-        self.inner.audit()
-    }
-
-    /// Mutable access to the attached auditor.
-    pub fn audit_mut(&mut self) -> Option<&mut InvariantAuditor> {
-        self.inner.audit_mut()
-    }
-
-    /// Attaches (or detaches) the latency observatory.
-    pub fn set_latency(&mut self, latency: Option<Box<LatencyObservatory>>) {
-        self.inner.set_latency(latency);
-    }
-
-    /// The attached latency observatory, if any.
-    pub fn latency(&self) -> Option<&LatencyObservatory> {
-        self.inner.latency()
-    }
-
-    /// Mutable access to the attached latency observatory.
-    pub fn latency_mut(&mut self) -> Option<&mut LatencyObservatory> {
-        self.inner.latency_mut()
-    }
-
     /// Attaches (or detaches) the health observatory (replication-lag
-    /// ledger).
+    /// ledger) on the merge bridge. Every other observer and every
+    /// flow-table reading goes through [`ChainBridge::inner`] /
+    /// [`ChainBridge::inner_mut`]; this pair stays because the
+    /// zero-alloc proof drives a bare link through it.
     pub fn set_health(&mut self, health: Option<Box<HealthObservatory>>) {
         self.inner.set_health(health);
     }
@@ -222,21 +190,6 @@ impl ChainBridge {
     /// The attached health observatory, if any.
     pub fn health(&self) -> Option<&HealthObservatory> {
         self.inner.health()
-    }
-
-    /// Mutable access to the attached health observatory.
-    pub fn health_mut(&mut self) -> Option<&mut HealthObservatory> {
-        self.inner.health_mut()
-    }
-
-    /// Attaches (or detaches) the hot-path span sampler.
-    pub fn set_trace(&mut self, trace: Option<Box<tcpfo_telemetry::SpanSampler>>) {
-        self.inner.set_trace(trace);
-    }
-
-    /// Span context of the most recent sampled hot-path batch.
-    pub fn trace_context(&self) -> Option<tcpfo_telemetry::SpanContext> {
-        self.inner.trace_context()
     }
 
     /// Connects the telemetry hub: the inner bridge publishes its
@@ -247,58 +200,9 @@ impl ChainBridge {
         self.inner.set_telemetry(telemetry);
     }
 
-    /// Publishes bridge state to the attached hub (host-tick path).
-    pub fn sync_telemetry(&mut self, now_nanos: u64) {
-        self.inner.sync_telemetry(now_nanos);
-    }
-
-    // -----------------------------------------------------------------
-    // Flow-table surface (PR4), delegated
-    // -----------------------------------------------------------------
-
     /// Replaces the flow-table configuration, migrating live flows.
     pub fn set_flow_config(&mut self, config: FlowTableConfig) {
         self.inner.set_flow_config(config);
-    }
-
-    /// Live (queue-bearing) connections.
-    pub fn conn_count(&self) -> usize {
-        self.inner.conn_count()
-    }
-
-    /// All tracked flows (live + tombstones).
-    pub fn flow_count(&self) -> usize {
-        self.inner.flow_count()
-    }
-
-    /// Aggregate flow-table statistics.
-    pub fn flow_stats(&self) -> ShardStats {
-        self.inner.flow_stats()
-    }
-
-    /// Per-shard flow-table statistics.
-    pub fn flow_shard_stats(&self) -> Vec<ShardStats> {
-        self.inner.flow_shard_stats()
-    }
-
-    /// Total flow-table capacity.
-    pub fn flow_capacity(&self) -> usize {
-        self.inner.flow_capacity()
-    }
-
-    /// Number of flow-table shards.
-    pub fn flow_shard_count(&self) -> usize {
-        self.inner.flow_shard_count()
-    }
-
-    /// Lifecycle state of one flow, if tracked.
-    pub fn flow_state(&self, key: &ConnKey) -> Option<FlowState> {
-        self.inner.flow_state(key)
-    }
-
-    /// Snapshot of per-connection merge state (dashboards, tests).
-    pub fn connection_rows(&self) -> Vec<ConnRow> {
-        self.inner.connection_rows()
     }
 
     // -----------------------------------------------------------------
@@ -578,12 +482,29 @@ impl PeerTracker {
     }
 }
 
-/// Registry handles for one chain controller, under `core.chain`.
-struct ChainInstruments {
+/// Registry scope, journal scope and span lane of the controller at
+/// each chain position. The position is in the name because the pair
+/// testbed shares one hub between P and S; span lanes are `&'static
+/// str`, hence a table — positions past it share its last entry (deep
+/// chains give every replica its own hub).
+const SCOPES: [&str; 4] = [
+    "core.control.r0",
+    "core.control.r1",
+    "core.control.r2",
+    "core.control.rN",
+];
+
+/// Registry handles for one controller, under its [`SCOPES`] entry.
+struct Instruments {
     hub: Telemetry,
     scope: &'static str,
+    /// Where each peer's scored view is published
+    /// (`<scope>.peer<i>.health.*`), parallel to the chain.
+    peers: Vec<Scope>,
     heartbeats_sent: Counter,
     heartbeats_received: Counter,
+    late_heartbeats: Counter,
+    rejoins: Counter,
     promotions: Counter,
     vetoes: Counter,
 }
@@ -593,15 +514,58 @@ struct ChainInstruments {
 /// successor eventually takes the VIP anyway (journaled as forced).
 const FORCED_PROMOTION_GRACE: u32 = 3;
 
-/// Fault detection and healing for one replica of a daisy chain.
+/// The §3 merge engine this host runs, if it runs one: a raw
+/// [`PrimaryBridge`] (the pair's head) or the one inside a
+/// [`ChainBridge`].
+fn merge_bridge(filter: &mut dyn SegmentFilter) -> Option<&mut PrimaryBridge> {
+    let any = filter.as_any_mut();
+    if any.is::<ChainBridge>() {
+        any.downcast_mut::<ChainBridge>().map(|cb| &mut cb.inner)
+    } else {
+        any.downcast_mut::<PrimaryBridge>()
+    }
+}
+
+/// The invariant auditor of a bridge that can take the VIP — a
+/// [`ChainBridge`] link or a [`SecondaryBridge`] tail — when attached.
+fn promoting_auditor(filter: &mut dyn SegmentFilter) -> Option<&mut InvariantAuditor> {
+    let any = filter.as_any_mut();
+    if any.is::<ChainBridge>() {
+        any.downcast_mut::<ChainBridge>()?.inner.audit_mut()
+    } else {
+        any.downcast_mut::<SecondaryBridge>()?.audit_mut()
+    }
+}
+
+/// Fault detection and the §5/§6 procedures for one replica — the one
+/// control plane at every replication depth. The paper's P/S pair is
+/// the chain `[a_p, a_s]`: P is the head, S is the tail.
 ///
-/// Every replica heartbeats every other with the v1 payload (seq + RTT
-/// echo); each peer is scored by a [`HealthMonitor`] and declared dead
-/// when silence exceeds the detector timeout — by which point its
+/// Every replica heartbeats every living peer with the v1 payload (seq
+/// and RTT echo); each peer is scored by a [`HealthMonitor`] and declared
+/// dead when silence exceeds the detector timeout — by which point its
 /// composite score has bottomed out (the liveness axis scales the
-/// total, and `miss_limit = timeout / interval`). Like the paper's
-/// two-node system, one failure is handled at a time; concurrent
-/// failures heal sequentially as they are detected.
+/// total, and `miss_limit = timeout / interval`). What the survivor
+/// then does follows from the bridge it runs and from who is left:
+///
+/// * **nobody alive above me** and my bridge can take the VIP → §5:
+///   the promotion gate (own score against the threshold), the intent
+///   journaled and noted on the auditor *before* anything changes, then
+///   stop client-bound egress, leave promiscuous mode, disable both
+///   address translations (a [`SecondaryBridge`] tail) or stop
+///   diverting (a [`ChainBridge`] link), take over the VIP (gratuitous
+///   ARP + re-keying the failover TCBs), resume as the head;
+/// * **nobody alive below me** and I run a merge engine → §6: flush the
+///   primary output queues, stop delaying output — but keep
+///   subtracting `Δseq` forever;
+/// * otherwise re-target the neighbours around the gap.
+///
+/// A beat from a peer already declared dead is *late* — counted,
+/// journaled, never liveness — except at the VIP owner in §6 mode
+/// hearing from a replica below it: that is a rebooted backup, and it
+/// is reintegrated. Like the paper's two-node system, one failure is
+/// handled at a time; concurrent failures heal sequentially as they
+/// are detected.
 pub struct ChainController {
     /// Replica addresses, head first. `chain[0]` owns the VIP at start.
     chain: Vec<Ipv4Addr>,
@@ -627,15 +591,23 @@ pub struct ChainController {
     state: TakeoverState,
     /// When the first veto of the pending promotion happened.
     vetoed_since: Option<SimTime>,
-    /// Re-run reconfigure on the next tick (vetoed promotion retry).
+    /// Re-run reconfigure on the next tick (vetoed promotion retry,
+    /// reintegrated peer).
     pending_reconfigure: bool,
-    telemetry: Option<ChainInstruments>,
+    telemetry: Option<Instruments>,
+    /// When this replica last declared a peer dead, if it ever did.
+    pub detected_at: Option<SimTime>,
     /// When this replica promoted itself to head, if it did.
     pub promoted_at: Option<SimTime>,
     /// Heartbeats sent.
     pub heartbeats_sent: u64,
     /// Heartbeats received.
     pub heartbeats_received: u64,
+    /// Heartbeats from a peer already declared dead (counted and
+    /// journaled, never trusted for liveness).
+    pub late_heartbeats: u64,
+    /// Times a declared-dead peer came back and was reintegrated.
+    pub rejoins: u64,
     /// Times a promotion was vetoed on self-health.
     pub promotions_vetoed: u64,
 }
@@ -651,7 +623,7 @@ impl ChainController {
         assert!(chain.len() >= 2, "a chain needs at least two replicas");
         assert!(my_index < chain.len());
         let n = chain.len();
-        let health_cfg = crate::testbed::health_config(&config);
+        let health_cfg = health_config(&config);
         ChainController {
             chain,
             my_index,
@@ -670,9 +642,12 @@ impl ChainController {
             vetoed_since: None,
             pending_reconfigure: false,
             telemetry: None,
+            detected_at: None,
             promoted_at: None,
             heartbeats_sent: 0,
             heartbeats_received: 0,
+            late_heartbeats: 0,
+            rejoins: 0,
             promotions_vetoed: 0,
         }
     }
@@ -693,9 +668,16 @@ impl ChainController {
         self.self_monitor.score()
     }
 
+    /// The advisory monitor scoring peer `i` (RTT/jitter, misses, loss
+    /// gaps, alert journal), if `i` is a peer. It publishes alongside —
+    /// never instead of — the binary §2 timeout decision.
+    pub fn peer_monitor(&self, i: usize) -> Option<&HealthMonitor> {
+        (i < self.trackers.len() && i != self.my_index).then(|| &*self.trackers[i].monitor)
+    }
+
     /// The health score of peer `i`, if tracked.
     pub fn peer_score(&self, i: usize) -> Option<HealthScore> {
-        (i < self.trackers.len() && i != self.my_index).then(|| self.trackers[i].monitor.score())
+        self.peer_monitor(i).map(HealthMonitor::score)
     }
 
     /// Whether peer `i` is currently considered alive.
@@ -710,7 +692,7 @@ impl ChainController {
 
     /// Overrides the promotion veto threshold (composite score below
     /// which this replica refuses the VIP). Default: the health
-    /// config's `crit_enter` band.
+    /// config's `crit_enter` band; 0 is the paper's unconditional §5.
     pub fn set_promote_threshold(&mut self, threshold: u64) {
         self.promote_threshold = threshold;
     }
@@ -719,6 +701,9 @@ impl ChainController {
     /// chain's tail end: it is tracked, heartbeated and scored like
     /// any founding member.
     pub fn append_replica(&mut self, addr: Ipv4Addr) {
+        if let Some(t) = &mut self.telemetry {
+            t.peers.push(peer_scope(&t.hub, t.scope, self.chain.len()));
+        }
         self.chain.push(addr);
         self.alive.push(true);
         self.last_heard.push(None);
@@ -735,16 +720,24 @@ impl ChainController {
         }
     }
 
-    /// Connects the controller to a telemetry hub: heartbeat and
-    /// promotion counters under `core.chain`, journal entries for
-    /// every liveness/promotion event, and §5 timeline marks.
+    /// Connects the controller to a telemetry hub: heartbeat, rejoin
+    /// and promotion counters and every peer's scored view under
+    /// `core.control.r<position>`, journal entries for every
+    /// liveness/promotion event, §5 timeline marks and control-plane
+    /// span instants (the vocabulary is one table in DESIGN.md).
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        let scope = telemetry.registry.scope("core.chain");
-        self.telemetry = Some(ChainInstruments {
+        let name = SCOPES[self.my_index.min(SCOPES.len() - 1)];
+        let scope = telemetry.registry.scope(name);
+        self.telemetry = Some(Instruments {
             hub: telemetry.clone(),
-            scope: "core.chain",
+            scope: name,
+            peers: (0..self.chain.len())
+                .map(|i| peer_scope(telemetry, name, i))
+                .collect(),
             heartbeats_sent: scope.counter("heartbeats_sent"),
             heartbeats_received: scope.counter("heartbeats_received"),
+            late_heartbeats: scope.counter("late_heartbeats"),
+            rejoins: scope.counter("rejoins"),
             promotions: scope.counter("promotions"),
             vetoes: scope.counter("promotions_vetoed"),
         });
@@ -762,7 +755,7 @@ impl ChainController {
         }
     }
 
-    /// Point event on the `core.chain` control-plane span lane. One
+    /// Point event on this replica's control-plane span lane. One
     /// relaxed atomic load when the tracer is detached.
     fn trace_instant(
         &self,
@@ -775,6 +768,38 @@ impl ChainController {
                 .trace
                 .instant_args(SpanTrack::Control, t.scope, name, now.as_nanos(), args);
         }
+    }
+
+    /// One control-plane event: a journal entry (`fields`) and a span
+    /// instant (`args`) under the same name.
+    fn event(
+        &self,
+        name: &'static str,
+        now: SimTime,
+        fields: &[(&str, String)],
+        args: [Option<(&'static str, u64)>; 2],
+    ) {
+        self.journal(now, name, fields);
+        self.trace_instant(name, now, args);
+    }
+
+    /// One §5 step: its timeline phase and its event.
+    fn takeover_step(&self, phase: FailoverPhase, name: &'static str, now: SimTime) {
+        self.mark(phase, now);
+        self.event(name, now, &[], [None, None]);
+    }
+
+    /// What `now - last` of silence means: the whole heartbeat
+    /// intervals missed (the advisory count fed to the peer's monitor)
+    /// and whether the §2 boundary is crossed. Silence *strictly
+    /// longer* than the timeout declares the peer dead: at exactly
+    /// `timeout = miss_limit × interval` the score has bottomed out
+    /// while the binary decision still waits one nanosecond.
+    pub(crate) fn silence(&self, last: SimTime, now: SimTime) -> (u32, bool) {
+        let silence = now.duration_since(last);
+        let interval = self.config.interval.as_nanos().max(1);
+        let misses = (silence.as_nanos() / interval).min(u64::from(u32::MAX)) as u32;
+        (misses, silence > self.config.timeout)
     }
 
     fn nearest_alive_up(&self) -> Option<usize> {
@@ -790,24 +815,17 @@ impl ChainController {
     /// low); `None` vetoes it for now.
     fn promotion_gate(&mut self, now: SimTime) -> Option<bool> {
         let score = self.self_monitor.score().total;
+        let fields = [
+            ("score", score.to_string()),
+            ("threshold", self.promote_threshold.to_string()),
+        ];
+        let args = [
+            Some(("score", score)),
+            Some(("threshold", self.promote_threshold)),
+        ];
         if score >= self.promote_threshold {
             if self.vetoed_since.take().is_some() {
-                self.journal(
-                    now,
-                    "chain.promotion_veto_cleared",
-                    &[
-                        ("score", score.to_string()),
-                        ("threshold", self.promote_threshold.to_string()),
-                    ],
-                );
-                self.trace_instant(
-                    "chain.veto_cleared",
-                    now,
-                    [
-                        Some(("score", score)),
-                        Some(("threshold", self.promote_threshold)),
-                    ],
-                );
+                self.event("promotion_veto_cleared", now, &fields, args);
             }
             return Some(false);
         }
@@ -817,24 +835,10 @@ impl ChainController {
             self.config.timeout.as_nanos() * u64::from(FORCED_PROMOTION_GRACE),
         );
         if now.duration_since(since) >= grace {
-            self.journal(
-                now,
-                "chain.promotion_forced",
-                &[
-                    ("score", score.to_string()),
-                    ("threshold", self.promote_threshold.to_string()),
-                ],
-            );
-            self.trace_instant(
-                "chain.promotion_forced",
-                now,
-                [Some(("score", score)), None],
-            );
+            self.event("promotion_forced", now, &fields, args);
             return Some(true);
         }
-        if self.state != TakeoverState::Vetoed {
-            self.state = TakeoverState::Vetoed;
-        }
+        self.state = TakeoverState::Vetoed;
         // Count veto *episodes*, not retry ticks: the vetoed promotion
         // is re-evaluated every tick until recovery or forced grace,
         // and per-tick counting would flood the journal.
@@ -843,22 +847,7 @@ impl ChainController {
             if let Some(t) = &self.telemetry {
                 t.vetoes.inc();
             }
-            self.journal(
-                now,
-                "chain.promotion_vetoed",
-                &[
-                    ("score", score.to_string()),
-                    ("threshold", self.promote_threshold.to_string()),
-                ],
-            );
-            self.trace_instant(
-                "chain.promotion_vetoed",
-                now,
-                [
-                    Some(("score", score)),
-                    Some(("threshold", self.promote_threshold)),
-                ],
-            );
+            self.event("promotion_vetoed", now, &fields, args);
         }
         None
     }
@@ -873,52 +862,43 @@ impl ChainController {
 
         // Promotion pre-check: would the topology change make us head?
         // Only the two bridge types that can actually take the VIP may
-        // answer yes — anything else would journal a `chain.promote`
-        // decision that no commit ever follows.
+        // answer yes — anything else would journal a `promote` decision
+        // that no commit ever follows.
+        let filter = services.filter.as_any_mut();
         let wants_promotion = up.is_none()
             && self.promoted_at.is_none()
-            && match services.filter.as_any_mut().downcast_mut::<ChainBridge>() {
-                Some(cb) => !cb.is_head(),
-                // tail: §5 takeover of the last survivor
-                None => services
-                    .filter
-                    .as_any_mut()
-                    .downcast_mut::<SecondaryBridge>()
-                    .is_some(),
-            };
+            // a tail (§5 takeover of the last survivor) or a link that
+            // is not the head yet
+            && (filter.is::<SecondaryBridge>()
+                || (filter.downcast_mut::<ChainBridge>()).is_some_and(|cb| !cb.is_head()));
         let mut promo_span = None;
         let promote = if wants_promotion {
             match self.promotion_gate(now) {
                 Some(forced) => {
-                    // Audit-log-before-act: the decision reaches the
-                    // journal before any topology mutation below.
-                    self.journal(
-                        now,
-                        "chain.promote",
-                        &[
-                            ("vip", vip.to_string()),
-                            ("score", self.self_monitor.score().total.to_string()),
-                            ("forced", forced.to_string()),
-                        ],
-                    );
                     // The promotion span brackets decision → VIP commit;
                     // the takeover-step instants below nest under it.
                     promo_span = self.telemetry.as_ref().and_then(|t| {
-                        t.hub.trace.begin(
-                            SpanTrack::Control,
-                            t.scope,
-                            "chain.promotion",
-                            now.as_nanos(),
-                        )
+                        t.hub
+                            .trace
+                            .begin(SpanTrack::Control, t.scope, "promotion", now_nanos)
                     });
-                    self.trace_instant(
-                        "chain.promote.decision",
+                    // Audit-log-before-act: the decision reaches the
+                    // journal and the auditor before any topology
+                    // mutation below.
+                    let score = self.self_monitor.score().total;
+                    self.event(
+                        "promote",
                         now,
-                        [
-                            Some(("score", self.self_monitor.score().total)),
-                            Some(("forced", u64::from(forced))),
+                        &[
+                            ("vip", vip.to_string()),
+                            ("score", score.to_string()),
+                            ("forced", forced.to_string()),
                         ],
+                        [Some(("score", score)), Some(("forced", u64::from(forced)))],
                     );
+                    if let Some(aud) = promoting_auditor(services.filter) {
+                        aud.note_promotion_decision(now_nanos);
+                    }
                     true
                 }
                 None => {
@@ -935,50 +915,58 @@ impl ChainController {
         let mut flush: Option<FilterOutput> = None;
         let mut take_vip = false;
         let mut rebind_own = false;
-        if let Some(chain_bridge) = services.filter.as_any_mut().downcast_mut::<ChainBridge>() {
+        let filter = services.filter.as_any_mut();
+        if let Some(link) = filter.downcast_mut::<ChainBridge>() {
             match down {
-                Some(d) if d != chain_bridge.downstream => chain_bridge.set_downstream(d),
-                None if chain_bridge.inner.mode() == PrimaryMode::Normal => {
-                    flush = Some(chain_bridge.downstream_failed(now));
+                Some(d) if d != link.downstream => link.set_downstream(d),
+                None if link.inner.mode() == PrimaryMode::Normal => {
+                    flush = Some(link.downstream_failed(now));
                 }
                 _ => {}
             }
             match up {
-                Some(u) if chain_bridge.upstream != Some(u) && !chain_bridge.is_head() => {
-                    chain_bridge.set_upstream(u);
-                }
+                Some(u) if link.upstream != Some(u) && !link.is_head() => link.set_upstream(u),
                 None if promote => {
                     // A middle link has no egress to hold and no
-                    // ingress translation to disable — both phases are
+                    // ingress translation to disable — both steps are
                     // degenerate and stamped at the decision.
-                    self.mark(FailoverPhase::EgressHold, now);
-                    self.mark(FailoverPhase::TranslationOff, now);
-                    if let Some(aud) = chain_bridge.audit_mut() {
-                        aud.note_promotion_decision(now_nanos);
-                    }
-                    chain_bridge.promote_to_head();
+                    self.takeover_step(FailoverPhase::EgressHold, "takeover.egress_hold", now);
+                    self.takeover_step(
+                        FailoverPhase::TranslationOff,
+                        "takeover.translation_off",
+                        now,
+                    );
+                    link.promote_to_head();
                     take_vip = true;
                 }
                 _ => {}
             }
-        } else if let Some(tail) = services
-            .filter
-            .as_any_mut()
-            .downcast_mut::<SecondaryBridge>()
-        {
-            match up {
-                Some(u) if tail.upstream() != u => {
-                    tail.set_upstream(u);
+        } else if let Some(head) = filter.downcast_mut::<PrimaryBridge>() {
+            // A bare merge bridge is a head for life (the pair's P):
+            // only what is below it can change.
+            match down {
+                Some(d) => head.set_downstream(d),
+                None if head.mode() == PrimaryMode::Normal => {
+                    flush = Some(head.secondary_failed(now_nanos));
                 }
+                None => {}
+            }
+        } else if let Some(tail) = filter.downcast_mut::<SecondaryBridge>() {
+            match up {
+                Some(u) if tail.upstream() != u => tail.set_upstream(u),
                 None if promote => {
                     // Last replica standing: the classic §5 takeover.
-                    if let Some(aud) = tail.audit_mut() {
-                        aud.note_promotion_decision(now_nanos);
-                    }
-                    self.mark(FailoverPhase::EgressHold, now);
+                    // Step 1: stop sending client-addressed segments.
+                    self.takeover_step(FailoverPhase::EgressHold, "takeover.egress_hold", now);
                     tail.prepare_takeover();
+                    // Steps 3–4: disable both address translations
+                    // (step 2, leaving promiscuous mode, is host-side).
                     tail.complete_takeover();
-                    self.mark(FailoverPhase::TranslationOff, now);
+                    self.takeover_step(
+                        FailoverPhase::TranslationOff,
+                        "takeover.translation_off",
+                        now,
+                    );
                     take_vip = true;
                     rebind_own = true;
                 }
@@ -988,10 +976,17 @@ impl ChainController {
 
         // Phase 2: host-side effects, with the filter borrow released.
         if let Some(out) = flush {
+            // §6: the link below is gone. The flushed queues go to the
+            // client (or one hop up); from here on output is no longer
+            // delayed, only Δseq-adjusted.
+            self.event("downstream_failed", now, &[], [None, None]);
             services.dispatch(out);
         }
         if take_vip {
             if rebind_own {
+                // Step 2, then the stack half of step 5: re-keying the
+                // failover TCBs from our own address to the VIP (see
+                // DESIGN.md §2 for why this is needed).
                 services.net.promiscuous = false;
                 let own = self.chain[self.my_index];
                 services.stack.rebind_local_ip(own, vip);
@@ -1000,11 +995,15 @@ impl ChainController {
                 services.net.local_ips.push(vip);
             }
             services.net.gratuitous_arp(vip, services.ctx);
+            // "After the change of IP address is completed, the bridge
+            // resumes sending TCP segments" — retransmission timers on
+            // the re-keyed sockets take it from here.
             self.mark(FailoverPhase::ArpTakeover, now);
-            self.trace_instant(
-                "chain.vip_takeover",
+            self.event(
+                "takeover.arp",
                 now,
-                [Some(("vip", u32::from_be_bytes(vip.octets()) as u64)), None],
+                &[("vip", vip.to_string())],
+                [Some(("vip", u64::from(u32::from(vip)))), None],
             );
             self.promoted_at = Some(now);
             self.state = TakeoverState::Promoted;
@@ -1014,24 +1013,13 @@ impl ChainController {
             }
             // Commit record: checked against the decision stamp by the
             // auditor's promotion-order rule.
-            self.journal(now, "chain.promoted", &[("vip", vip.to_string())]);
-            if let Some(cb) = services.filter.as_any_mut().downcast_mut::<ChainBridge>() {
-                if let Some(aud) = cb.audit_mut() {
-                    aud.note_promotion_committed(now_nanos);
-                }
-            } else if let Some(tail) = services
-                .filter
-                .as_any_mut()
-                .downcast_mut::<SecondaryBridge>()
-            {
-                if let Some(aud) = tail.audit_mut() {
-                    aud.note_promotion_committed(now_nanos);
-                }
+            self.event("promoted", now, &[("vip", vip.to_string())], [None, None]);
+            if let Some(aud) = promoting_auditor(services.filter) {
+                aud.note_promotion_committed(now_nanos);
             }
-            self.trace_instant("chain.promoted", now, [None, None]);
         }
         if let (Some(t), Some(span)) = (&self.telemetry, promo_span) {
-            t.hub.trace.end(&span, now.as_nanos());
+            t.hub.trace.end(&span, now_nanos);
         }
     }
 
@@ -1039,12 +1027,13 @@ impl ChainController {
     /// backlog (the lag ledger, when the health observatory is
     /// attached) and flow-table occupancy.
     fn observe_self(&mut self, services: &mut HostServices<'_, '_>) {
-        self.self_monitor.replica.set_misses(0);
-        if let Some(cb) = services.filter.as_any_mut().downcast_mut::<ChainBridge>() {
-            if let Some(obs) = cb.health() {
-                let cap = cb.flow_capacity().max(1) as u64;
-                let occupancy_ppm = cb.flow_stats().occupancy * 1_000_000 / cap;
-                self.self_monitor.replica.observe_backlog(
+        let replica = &mut self.self_monitor.replica;
+        replica.set_misses(0);
+        if let Some(merge) = merge_bridge(services.filter) {
+            if let Some(obs) = merge.health() {
+                let cap = merge.flow_capacity().max(1) as u64;
+                let occupancy_ppm = merge.flow_stats().occupancy * 1_000_000 / cap;
+                replica.observe_backlog(
                     obs.lag.unmatched_bytes(),
                     obs.lag.unmatched_segments(),
                     occupancy_ppm,
@@ -1056,14 +1045,49 @@ impl ChainController {
             .downcast_mut::<SecondaryBridge>()
         {
             if let Some(obs) = tail.health() {
-                self.self_monitor.replica.observe_backlog(
-                    obs.lag.unmatched_bytes(),
-                    obs.lag.unmatched_segments(),
-                    0,
-                );
+                replica.observe_backlog(obs.lag.unmatched_bytes(), obs.lag.unmatched_segments(), 0);
             }
         }
     }
+
+    /// Partial reintegration (an extension; the paper leaves
+    /// reintegration out of scope). A beat from dead peer `i` is a
+    /// rebooted backup — not a stray — exactly when nobody above us is
+    /// alive (we answer the client), `i` sits below us, and our merge
+    /// engine is in §6 mode: the bridge replicates *new* connections
+    /// again (those degraded by §6 finish on their pass-through
+    /// tombstones), the peer is alive and heartbeated again, and the
+    /// next tick re-targets the bridge at it. Anywhere else the dead
+    /// peer's duties have a new owner (after §5 its very address is
+    /// ours) and recovery goes through reprovisioning. Returns whether
+    /// the peer was reintegrated.
+    fn reintegrate(&mut self, i: usize, services: &mut HostServices<'_, '_>) -> bool {
+        if i < self.my_index || self.nearest_alive_up().is_some() {
+            return false;
+        }
+        match merge_bridge(services.filter) {
+            Some(merge) if merge.mode() == PrimaryMode::SecondaryFailed => merge.reintegrate(),
+            _ => return false,
+        }
+        self.alive[i] = true;
+        self.pending_reconfigure = true;
+        // A rebooted peer numbers its beats from zero again.
+        self.trackers[i].expected_seq = None;
+        self.trackers[i].echo = None;
+        self.rejoins += 1;
+        self.event(
+            "reintegration",
+            services.now,
+            &[("peer", self.chain[i].to_string())],
+            [Some(("peer", i as u64)), None],
+        );
+        true
+    }
+}
+
+/// The registry scope peer `i`'s scored view is published under.
+fn peer_scope(hub: &Telemetry, scope: &str, i: usize) -> Scope {
+    hub.registry.scope(scope).scope(&format!("peer{i}"))
 }
 
 impl HostController for ChainController {
@@ -1074,10 +1098,15 @@ impl HostController for ChainController {
             let seq = self.send_seq;
             self.send_seq += 1;
             self.hb_ring[(seq % HB_RING as u64) as usize] = (seq, now);
+            // Living peers only: a beat to a peer declared dead would
+            // occupy the shared segment for nobody — after §5 its
+            // address is our own.
             for i in 0..self.chain.len() {
                 if i == self.my_index || !self.alive[i] {
                     continue;
                 }
+                // Echo the latest peer seq plus how long we held it, so
+                // the peer's RTT sample excludes our heartbeat interval.
                 let (echo_seq, hold_ns) = match self.trackers[i].echo {
                     Some((pseq, rx_at)) => (pseq, now.duration_since(rx_at).as_nanos()),
                     None => (Heartbeat::NO_ECHO, 0),
@@ -1102,21 +1131,25 @@ impl HostController for ChainController {
         if let Some(t) = &self.telemetry {
             t.heartbeats_sent.set_at_least(self.heartbeats_sent);
             t.heartbeats_received.set_at_least(self.heartbeats_received);
+            t.late_heartbeats.set_at_least(self.late_heartbeats);
+            t.rejoins.set_at_least(self.rejoins);
         }
 
         // Score every live peer: misses from silence, then one monitor
-        // tick; silence past the timeout declares death (the §2
-        // boundary the pair detector uses, at which point the score's
-        // liveness axis has already bottomed out).
-        let interval = self.config.interval.as_nanos().max(1);
+        // tick — before the binary check, so a Warn/Critical alert on a
+        // degrading peer is journaled no later than (in practice
+        // strictly before) the timeout decision, which alone declares
+        // death.
         let mut changed = false;
         for i in 0..self.chain.len() {
             if i == self.my_index || !self.alive[i] {
                 continue;
             }
+            // The first tick establishes the grace period.
             let last = *self.last_heard[i].get_or_insert(now);
-            let silence = now.duration_since(last).as_nanos();
-            let misses = (silence / interval).min(u32::MAX as u64) as u32;
+            let (misses, expired) = self.silence(last, now);
+            // One `hb.miss` instant per whole silent interval, not per
+            // tick.
             if misses > self.traced_misses[i] {
                 self.trace_instant(
                     "hb.miss",
@@ -1132,10 +1165,13 @@ impl HostController for ChainController {
             tr.monitor.replica.set_misses(misses);
             let transition = tr.monitor.tick(now_ns);
             let score = tr.monitor.score().total;
+            if let Some(t) = &self.telemetry {
+                tr.monitor.publish(&t.peers[i], now_ns);
+            }
             if let Some((from, to)) = transition {
                 self.journal(
                     now,
-                    "chain.health_alert",
+                    "health.alert",
                     &[
                         ("peer", self.chain[i].to_string()),
                         ("from", from.name().to_string()),
@@ -1145,30 +1181,27 @@ impl HostController for ChainController {
                 );
                 self.trace_instant(
                     match to {
-                        tcpfo_telemetry::AlertState::Ok => "chain.health.ok",
-                        tcpfo_telemetry::AlertState::Warn => "chain.health.warn",
-                        tcpfo_telemetry::AlertState::Critical => "chain.health.critical",
+                        tcpfo_telemetry::AlertState::Ok => "health.alert.ok",
+                        tcpfo_telemetry::AlertState::Warn => "health.alert.warn",
+                        tcpfo_telemetry::AlertState::Critical => "health.alert.critical",
                     },
                     now,
                     [Some(("peer", i as u64)), Some(("score", score))],
                 );
             }
-            if silence > self.config.timeout.as_nanos() {
+            if expired {
                 self.alive[i] = false;
                 changed = true;
+                self.detected_at = Some(now);
                 self.mark(FailoverPhase::Detection, now);
-                self.journal(
+                self.event(
+                    "peer_dead",
                     now,
-                    "chain.peer_dead",
                     &[
                         ("peer", self.chain[i].to_string()),
                         ("score", score.to_string()),
                         ("misses", misses.to_string()),
                     ],
-                );
-                self.trace_instant(
-                    "chain.peer_dead",
-                    now,
                     [
                         Some(("peer", i as u64)),
                         Some(("misses", u64::from(misses))),
@@ -1196,24 +1229,41 @@ impl HostController for ChainController {
         if proto != PROTO_HEARTBEAT {
             return;
         }
-        let Some(i) = self.chain.iter().position(|&a| a == src) else {
+        // A beat claiming our own address says nothing about any peer:
+        // every host on the segment can forge one.
+        let Some(i) = self
+            .chain
+            .iter()
+            .position(|&a| a == src)
+            .filter(|&i| i != self.my_index)
+        else {
             return;
         };
         let now = services.now;
-        self.last_heard[i] = Some(now);
-        self.traced_misses[i] = 0;
-        if !self.alive[i] {
-            // A beat from a peer we already declared dead: count it as
-            // late, never trust it for liveness (its successor may own
-            // its duties by now; recovery goes through reprovisioning).
+        if !self.alive[i] && !self.reintegrate(i, services) {
+            // Late: e.g. a frame that sat in a queue, or the old host
+            // rebooting after its successor took over. Trusting it
+            // would reset the miss count and let the score "recover"
+            // for a replica that has been replaced.
+            self.late_heartbeats += 1;
             self.trackers[i].monitor.replica.on_late_heartbeat();
+            self.event(
+                "late_heartbeat",
+                now,
+                &[("peer", src.to_string())],
+                [Some(("peer", i as u64)), None],
+            );
             return;
         }
         self.heartbeats_received += 1;
+        self.last_heard[i] = Some(now);
+        self.traced_misses[i] = 0;
         // v1 payload: seq + RTT echo. Legacy (short) payloads are
         // liveness-only.
         if let Some(beat) = Heartbeat::decode(payload) {
             let tr = &mut self.trackers[i];
+            // A gap in the peer's seq stream is heartbeats lost on the
+            // way here.
             if let Some(lost) = advance_expected_seq(&mut tr.expected_seq, beat.seq) {
                 tr.monitor
                     .replica
@@ -1594,52 +1644,6 @@ mod tests {
                     * u64::from(FORCED_PROMOTION_GRACE + 1),
             );
         assert_eq!(c.promotion_gate(later), Some(true), "forced past grace");
-    }
-
-    #[test]
-    fn forged_max_seq_heartbeat_neither_panics_nor_stops_liveness() {
-        use crate::chain_testbed::{ChainConfig, ChainTestbed};
-        use tcpfo_net::time::SimDuration;
-        use tcpfo_tcp::host::Host;
-
-        let mut tb = ChainTestbed::new(ChainConfig {
-            replicas: 3,
-            ..ChainConfig::default()
-        });
-        tb.run_for(SimDuration::from_millis(50));
-        let b1 = tb.replicas[1];
-        let before = tb.sim.with::<Host, _>(b1, |h, _| {
-            h.controller_mut::<ChainController>().heartbeats_received
-        });
-        // Forged with the head's source address, delivered to B1.
-        let forged = Heartbeat {
-            seq: u64::MAX,
-            echo_seq: u64::MAX - 1,
-            hold_ns: u64::MAX,
-        };
-        crate::detector::deliver_heartbeat(
-            &mut tb.sim,
-            b1,
-            tcpfo_wire::mac::MacAddr::from_index(3),
-            tb.replica_addrs[0],
-            tb.replica_addrs[1],
-            &forged.encode(),
-        );
-        let received = |tb: &mut ChainTestbed| {
-            tb.sim.with::<Host, _>(b1, |h, _| {
-                h.controller_mut::<ChainController>().heartbeats_received
-            })
-        };
-        assert_eq!(received(&mut tb), before + 1, "forged beat not processed");
-        // Two peers keep beating every 10 ms: at least two more rounds.
-        tb.run_for(SimDuration::from_millis(30));
-        assert!(
-            received(&mut tb) >= before + 1 + 4,
-            "later beats not counted"
-        );
-        tb.sim.with::<Host, _>(b1, |h, _| {
-            assert!(h.controller_mut::<ChainController>().peer_alive(0));
-        });
     }
 
     #[test]

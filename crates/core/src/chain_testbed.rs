@@ -31,19 +31,19 @@ use crate::designation::FailoverConfig;
 use crate::detector::DetectorConfig;
 use crate::reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
 use crate::secondary::SecondaryBridge;
-use crate::testbed::{addrs, attach_secondary_observatories, macs};
+use crate::testbed::{
+    addrs, equip_merge_bridge, prime_router_arp, prime_server_arp, replica_host, replica_mac,
+    spawn_router_and_client, tail_bridge, TestbedConfig,
+};
 use tcpfo_net::hub::Hub;
 use tcpfo_net::link::LinkParams;
-use tcpfo_net::router::{Interface, Router};
 use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::config::TcpConfig;
-use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig};
+use tcpfo_tcp::filter::SegmentFilter;
+use tcpfo_tcp::host::{spawn_host, CpuModel, Host};
 use tcpfo_tcp::types::SocketId;
-use tcpfo_telemetry::{
-    AuditConfig, FailoverPhase, HealthObservatory, InvariantAuditor, LatencyObservatory,
-    ObserverSwitches, Telemetry,
-};
+use tcpfo_telemetry::{FailoverPhase, ObserverSwitches, Telemetry};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
 
@@ -105,26 +105,26 @@ impl Default for ChainConfig {
 /// How many standby replicas the hub reserves ports for.
 const STANDBY_PORTS: usize = 2;
 
-fn attach_chain_observatories(
-    observers: ObserverSwitches,
-    bridge: &mut ChainBridge,
-    telemetry: &Telemetry,
-) {
-    if observers.audit {
-        bridge.set_audit(Some(Box::new(
-            InvariantAuditor::new(AuditConfig::from_env("chain")).with_hub(telemetry),
-        )));
-    }
-    if observers.latency {
-        bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-    }
-    if observers.health {
-        bridge.set_health(Some(Box::new(HealthObservatory::new())));
-    }
-    if observers.span_trace {
-        bridge.set_trace(Some(Box::new(
-            tcpfo_telemetry::SpanSampler::with_default_period(telemetry.trace.clone()),
-        )));
+impl ChainConfig {
+    /// The parameters a chain shares with the pair testbed, in the
+    /// form the shared builders take (a 2003-class client is 0.6× the
+    /// servers' CPU cost there too).
+    fn base(&self) -> TestbedConfig {
+        TestbedConfig {
+            seed: self.seed,
+            failover_ports: self.failover_ports.clone(),
+            detector: self.detector,
+            client_link: self.client_link,
+            cpu: self.cpu,
+            client_cpu: self.cpu.scaled(0.6),
+            tcp: self.tcp.clone(),
+            tick: self.tick,
+            audit: self.audit,
+            latency: self.latency,
+            health: self.health,
+            span_trace: self.span_trace,
+            ..TestbedConfig::default()
+        }
     }
 }
 
@@ -149,6 +149,8 @@ pub struct ChainTestbed {
     pub hub: NodeId,
     /// Built-from configuration.
     pub config: ChainConfig,
+    /// `config` as the builders shared with the pair testbed take it.
+    base: TestbedConfig,
     /// Reprovisioning bookkeeping (stamps every hub's redundancy
     /// timeline).
     pub tracker: ReprovisionTracker,
@@ -181,8 +183,7 @@ impl ChainTestbed {
         let replica_addrs: Vec<Ipv4Addr> = (0..n)
             .map(|i| Ipv4Addr::new(10, 0, 0, 2 + i as u8))
             .collect();
-        let replica_macs: Vec<MacAddr> =
-            (0..n).map(|i| MacAddr::from_index(2 + i as u32)).collect();
+        let base = config.base();
 
         let mut sim = Simulator::new(config.seed);
         // One port per replica + the router uplink + headroom for
@@ -192,42 +193,20 @@ impl ChainTestbed {
             n + 1 + STANDBY_PORTS,
             100_000_000,
         )));
-        let router = sim.add_device(Box::new(Router::new(
-            "router",
-            vec![
-                Interface {
-                    mac: macs::ROUTER_CLIENT,
-                    ip: addrs::GW_CLIENT,
-                    prefix_len: 24,
-                },
-                Interface {
-                    mac: macs::ROUTER_SERVER,
-                    ip: addrs::GW_SERVER,
-                    prefix_len: 24,
-                },
-            ],
-            SimDuration::from_micros(15),
-        )));
-        // Client.
-        let mut client_cfg = HostConfig::new("client", macs::CLIENT, addrs::A_C)
-            .with_gateway(addrs::GW_CLIENT)
-            .with_tcp(config.tcp.clone().with_isn_seed(config.seed ^ (1 << 32)));
-        client_cfg.cpu = config.cpu.scaled(0.6);
-        client_cfg.tick = config.tick;
-        let client = spawn_host(&mut sim, Host::new(client_cfg));
-        sim.connect((router, 0), (client, 0), config.client_link);
+        let (router, client) = spawn_router_and_client(&mut sim, &base, None);
         sim.connect((hub, 0), (router, 1), LinkParams::attachment());
 
         let mut tb = ChainTestbed {
             sim,
             client,
             replicas: Vec::new(),
-            replica_addrs: replica_addrs.clone(),
+            replica_addrs,
             hubs: Vec::new(),
             dead: vec![false; n],
             router,
             hub,
             config,
+            base,
             tracker: ReprovisionTracker::new(),
             catchup_link: None,
             next_hub_port: 1,
@@ -235,13 +214,23 @@ impl ChainTestbed {
         };
 
         // Replicas, head first.
-        for (i, mac) in replica_macs.iter().enumerate().take(n) {
-            let node = tb.spawn_replica(i, *mac);
+        for i in 0..n {
+            let node = tb.spawn_replica(i);
             tb.replicas.push(node);
         }
         tb.sim.set_telemetry(tb.hubs[0].clone());
-        tb.prime_arp_caches();
+        let known = tb.replica_arp_entries();
+        prime_server_arp(&mut tb.sim, &tb.replicas, &known);
+        prime_router_arp(&mut tb.sim, router, &known);
         tb
+    }
+
+    /// Address and NIC of every replica, head first.
+    fn replica_arp_entries(&self) -> Vec<(Ipv4Addr, MacAddr)> {
+        (self.replica_addrs.iter().copied())
+            .enumerate()
+            .map(|(i, a)| (a, replica_mac(i)))
+            .collect()
     }
 
     /// Spawns replica `i` (address already in `replica_addrs`): bridge
@@ -251,9 +240,8 @@ impl ChainTestbed {
     /// hub, and a [`ChainController`] over the full chain that already
     /// knows which members are dead. Wires the host to the next free
     /// hub port. Founders and reprovisioned standbys are built alike.
-    fn spawn_replica(&mut self, i: usize, mac: MacAddr) -> NodeId {
-        let vip = addrs::A_P;
-        let n = self.replica_addrs.len();
+    fn spawn_replica(&mut self, i: usize) -> NodeId {
+        let own = self.replica_addrs[i];
         let telemetry = Telemetry::from_env();
         if self.observers.span_trace {
             telemetry
@@ -262,57 +250,35 @@ impl ChainTestbed {
         }
         self.tracker.attach_timeline(telemetry.redundancy.clone());
         self.tracker.attach_tracer(telemetry.trace.clone());
-        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-        let mut hc = HostConfig::new(&format!("replica{i}"), mac, self.replica_addrs[i])
-            .with_gateway(addrs::GW_SERVER)
-            .with_tcp(
-                self.config
-                    .tcp
-                    .clone()
-                    .with_isn_seed(self.config.seed ^ ((i as u64 + 2) << 32)),
-            );
-        hc.cpu = self.config.cpu;
-        hc.tick = self.config.tick;
-        // Everyone except the head must snoop.
-        hc.promiscuous = i != 0;
-        let mut host = Host::new(hc);
-        host.set_telemetry(&telemetry);
-        if i == n - 1 {
+        let filter: Box<dyn SegmentFilter> = if i == self.replica_addrs.len() - 1 {
             // The tail is a plain secondary, diverting to its
             // neighbour toward the head.
-            let mut tail = SecondaryBridge::new(vip, self.replica_addrs[i], fo);
-            tail.set_upstream(self.replica_addrs[self.last_living_before(i)]);
-            tail.set_telemetry(&telemetry);
-            attach_secondary_observatories(self.observers, &mut tail, &telemetry, "chain-tail");
-            host.set_filter(Box::new(tail));
-        } else {
-            let upstream = if i == 0 {
-                None
-            } else {
-                Some(self.replica_addrs[i - 1])
-            };
-            let mut bridge = ChainBridge::new(
-                vip,
-                self.replica_addrs[i],
+            let upstream = self.replica_addrs[self.last_living_before(i)];
+            Box::new(tail_bridge(
+                own,
                 upstream,
-                self.replica_addrs[i + 1],
-                fo,
-            );
-            bridge.set_telemetry(&telemetry);
-            attach_chain_observatories(self.observers, &mut bridge, &telemetry);
-            host.set_filter(Box::new(bridge));
-        }
-        let mut controller =
-            ChainController::new(self.replica_addrs.clone(), i, self.config.detector);
-        controller.set_telemetry(&telemetry);
+                &self.base,
+                self.observers,
+                &telemetry,
+                "chain-tail",
+            ))
+        } else {
+            let upstream = (i != 0).then(|| self.replica_addrs[i - 1]);
+            Box::new(self.chain_link(own, upstream, self.replica_addrs[i + 1], &telemetry))
+        };
+        let mut host = replica_host(
+            &self.base,
+            &telemetry,
+            &format!("replica{i}"),
+            &self.replica_addrs,
+            i,
+            filter,
+        );
+        let controller = host.controller_mut::<ChainController>();
         for (j, &dead) in self.dead.iter().enumerate() {
             if dead {
                 controller.set_peer_dead(self.replica_addrs[j]);
             }
-        }
-        host.set_controller(Box::new(controller));
-        for &p in &self.config.failover_ports {
-            host.stack_mut().add_failover_port(p);
         }
         let id = spawn_host(&mut self.sim, host);
         self.sim.connect(
@@ -325,29 +291,26 @@ impl ChainTestbed {
         id
     }
 
-    fn prime_arp_caches(&mut self) {
-        use addrs::*;
-        let addrs_copy = self.replica_addrs.clone();
-        self.sim.with::<Host, _>(self.client, |h, _| {
-            h.net_mut().prime_arp(GW_CLIENT, macs::ROUTER_CLIENT);
-        });
-        self.sim.with::<Router, _>(self.router, |r, _| {
-            r.prime_arp(A_C, 0, macs::CLIENT);
-            for (i, &a) in addrs_copy.iter().enumerate() {
-                r.prime_arp(a, 1, MacAddr::from_index(2 + i as u32));
-            }
-        });
-        for (i, &node) in self.replicas.clone().iter().enumerate() {
-            let addrs_copy = self.replica_addrs.clone();
-            self.sim.with::<Host, _>(node, |h, _| {
-                h.net_mut().prime_arp(GW_SERVER, macs::ROUTER_SERVER);
-                for (j, &a) in addrs_copy.iter().enumerate() {
-                    if j != i {
-                        h.net_mut().prime_arp(a, MacAddr::from_index(2 + j as u32));
-                    }
-                }
-            });
-        }
+    /// A head or middle link publishing into `telemetry`, with the
+    /// observers that are switched on attached to its merge engine.
+    fn chain_link(
+        &self,
+        own: Ipv4Addr,
+        upstream: Option<Ipv4Addr>,
+        downstream: Ipv4Addr,
+        telemetry: &Telemetry,
+    ) -> ChainBridge {
+        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
+        let mut bridge = ChainBridge::new(addrs::A_P, own, upstream, downstream, fo);
+        bridge.set_telemetry(telemetry);
+        equip_merge_bridge(
+            bridge.inner_mut(),
+            &self.base,
+            self.observers,
+            telemetry,
+            "chain",
+        );
+        bridge
     }
 
     /// Kills replica `i` (0 = head) fail-stop, stamping the §5 failure
@@ -461,7 +424,6 @@ impl ChainTestbed {
             "no hub port left for another standby"
         );
         let addr = Ipv4Addr::new(10, 0, 0, 2 + k as u8);
-        let mac = MacAddr::from_index(2 + k as u32);
         let now = self.sim.now().as_nanos();
         self.tracker.begin(addr, now);
         self.replica_addrs.push(addr);
@@ -469,34 +431,24 @@ impl ChainTestbed {
         // The standby mirrors a founding tail: a secondary bridge
         // diverting to the current tail (which will convert to a
         // middle as part of the handoff).
-        let id = self.spawn_replica(k, mac);
+        let id = self.spawn_replica(k);
         self.replicas.push(id);
 
-        // ARP, both directions, plus the router for good measure.
-        let addrs_copy = self.replica_addrs.clone();
-        self.sim.with::<Host, _>(id, move |h, _| {
-            h.net_mut().prime_arp(addrs::GW_SERVER, macs::ROUTER_SERVER);
-            for (j, &a) in addrs_copy.iter().enumerate() {
-                if j != k {
-                    h.net_mut().prime_arp(a, MacAddr::from_index(2 + j as u32));
-                }
-            }
-        });
-        for (i, &node) in self.replicas.clone().iter().enumerate() {
-            if i == k || self.dead[i] {
-                continue;
-            }
-            self.sim.with::<Host, _>(node, |h, _| {
-                h.net_mut().prime_arp(addr, mac);
-            });
-            // The survivors learn about the new chain member.
+        // ARP, both directions, plus the router for good measure; the
+        // survivors' controllers learn about the new chain member.
+        let known = self.replica_arp_entries();
+        prime_server_arp(&mut self.sim, &[id], &known);
+        let survivors: Vec<NodeId> = (0..k)
+            .filter(|&i| !self.dead[i])
+            .map(|i| self.replicas[i])
+            .collect();
+        prime_server_arp(&mut self.sim, &survivors, &known[k..]);
+        prime_router_arp(&mut self.sim, self.router, &known[k..]);
+        for node in survivors {
             self.sim.with::<Host, _>(node, |h, _| {
                 h.controller_mut::<ChainController>().append_replica(addr);
             });
         }
-        self.sim.with::<Router, _>(self.router, |r, _| {
-            r.prime_arp(addr, 1, mac);
-        });
         k
     }
 
@@ -538,30 +490,23 @@ impl ChainTestbed {
     pub fn convert_tail_to_middle(&mut self, standby: usize, handoffs: &[FlowHandoff]) {
         let tail = self.last_living_before(standby);
         let node = self.replicas[tail];
-        let vip = addrs::A_P;
         let own = self.replica_addrs[tail];
         let downstream = self.replica_addrs[standby];
-        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-        let telemetry = self.hubs[tail].clone();
         let now = self.sim.now().as_nanos();
         let flows = handoffs.len();
-        let handoffs = handoffs.to_vec();
-        let observers = self.observers;
-        self.sim.with::<Host, _>(node, move |h, _| {
-            let upstream = h
-                .filter_mut()
+        let upstream = self.sim.with::<Host, _>(node, |h, _| {
+            h.filter_mut()
                 .as_any_mut()
                 .downcast_mut::<SecondaryBridge>()
                 .expect("converting tail runs a SecondaryBridge")
-                .upstream();
-            let mut bridge = ChainBridge::new(vip, own, Some(upstream), downstream, fo);
-            bridge.set_telemetry(&telemetry);
-            attach_chain_observatories(observers, &mut bridge, &telemetry);
-            for ho in &handoffs {
-                bridge.adopt_flow(ho, now);
-            }
-            h.set_filter(Box::new(bridge));
+                .upstream()
         });
+        let mut bridge = self.chain_link(own, Some(upstream), downstream, &self.hubs[tail]);
+        for ho in handoffs {
+            bridge.adopt_flow(ho, now);
+        }
+        self.sim
+            .with::<Host, _>(node, move |h, _| h.set_filter(Box::new(bridge)));
         self.catchup_link = Some(tail);
         let backlog = self.catchup_lag();
         self.tracker.handoff_done(flows, backlog, now);
@@ -592,7 +537,10 @@ impl ChainTestbed {
             };
             match b.health() {
                 Some(obs) => obs.lag.unmatched_bytes(),
-                None => b.connection_rows().iter().map(|r| r.pq_bytes as u64).sum(),
+                None => {
+                    let rows = b.inner().connection_rows();
+                    rows.iter().map(|r| r.pq_bytes as u64).sum()
+                }
             }
         })
     }
@@ -610,7 +558,7 @@ impl ChainTestbed {
             total += self.sim.with::<Host, _>(node, |h, _| {
                 let f = h.filter_mut().as_any_mut();
                 if let Some(b) = f.downcast_mut::<ChainBridge>() {
-                    b.audit().map_or(0, |a| a.ledger().total_violations())
+                    (b.inner().audit()).map_or(0, |a| a.ledger().total_violations())
                 } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
                     b.audit().map_or(0, |a| a.ledger().total_violations())
                 } else {

@@ -21,8 +21,11 @@
 //! * [`flow`] — the sharded flow table both bridges store per-flow
 //!   state in: explicit lifecycle, capacity limits, LRU eviction,
 //!   timer-driven GC, per-shard stats.
-//! * [`detector`] — heartbeat fault detector and the §5/§6 failover
-//!   procedures (IP takeover via gratuitous ARP + TCB re-keying).
+//! * [`detector`] — the heartbeat fault detector's parameters.
+//! * [`chain`] — the one control plane ([`ChainController`]: heartbeats,
+//!   the §5 takeover — gratuitous ARP + TCB re-keying — and the §6
+//!   degradation; the pair is the chain `[a_p, a_s]`) and the
+//!   [`ChainBridge`] links of deeper daisy chains.
 //! * [`testbed`] — the paper's Figure-1 topology (client, router,
 //!   shared segment, P, S, optional back-end T) as a one-call builder,
 //!   including the standard-TCP baseline and the switch ablation.
@@ -54,7 +57,7 @@ pub mod testbed;
 pub use chain::{ChainBridge, ChainController, ChainStats, TakeoverState};
 pub use chain_testbed::{ChainConfig, ChainTestbed};
 pub use designation::{ConnKey, FailoverConfig};
-pub use detector::{DetectorConfig, ReplicaController, Role};
+pub use detector::DetectorConfig;
 pub use flow::{FlowKey, FlowState, FlowTable, FlowTableConfig};
 pub use primary::{ConnRow, PrimaryBridge, PrimaryMode, PrimaryStats};
 pub use reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};

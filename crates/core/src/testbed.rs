@@ -13,8 +13,9 @@
 //! **failover** configuration, the switched-segment ablation, and the
 //! WAN variant for the FTP experiment (Fig. 6).
 
+use crate::chain::ChainController;
 use crate::designation::FailoverConfig;
-use crate::detector::{DetectorConfig, ReplicaController, Role};
+use crate::detector::DetectorConfig;
 use crate::flow::FlowTableConfig;
 use crate::primary::PrimaryBridge;
 use crate::secondary::SecondaryBridge;
@@ -27,13 +28,16 @@ use tcpfo_net::switch::Switch;
 use tcpfo_net::time::SimDuration;
 use tcpfo_net::trace::{to_pcapng, TraceKind};
 use tcpfo_tcp::config::TcpConfig;
+use tcpfo_tcp::filter::SegmentFilter;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig};
 use tcpfo_telemetry::audit::env_capacity;
 use tcpfo_telemetry::span::env_trace_capacity;
 use tcpfo_telemetry::{
-    AuditConfig, FailoverPhase, HealthConfig, HealthMonitor, HealthObservatory, InvariantAuditor,
+    AuditConfig, FailoverPhase, HealthMonitor, HealthObservatory, InvariantAuditor,
     LatencyObservatory, MetricsSnapshot, ObserverSwitches, Telemetry,
 };
+use tcpfo_wire::ipv4::Ipv4Addr;
+use tcpfo_wire::mac::MacAddr;
 
 /// Well-known testbed addresses.
 pub mod addrs {
@@ -134,9 +138,10 @@ pub struct TestbedConfig {
     /// `None` follows the `TCPFO_LATENCY` environment knob; `Some(_)`
     /// overrides it.
     pub latency: Option<bool>,
-    /// Attach the replica health observatory to both bridges and an
-    /// advisory health monitor to both fault detectors. `None` follows
-    /// the `TCPFO_HEALTH` environment knob; `Some(_)` overrides it.
+    /// Attach the replica health observatory (replication-lag ledger)
+    /// to both bridges; the controllers' advisory per-peer monitors are
+    /// always on. `None` follows the `TCPFO_HEALTH` environment knob;
+    /// `Some(_)` overrides it.
     pub health: Option<bool>,
     /// Arm the failover span tracer (PR10): attach the hub's span ring
     /// and a hot-path batch sampler on the primary bridge. `None`
@@ -214,16 +219,14 @@ fn flow_config_override(config: &TestbedConfig) -> Option<FlowTableConfig> {
     ))
 }
 
-/// The health-monitor tunables the testbed derives from its detector:
-/// the advisory miss limit is exactly the number of heartbeat
-/// intervals in the binary timeout, so the score bottoms out at the
-/// instant the §2 decision is about to fire.
-pub(crate) fn health_config(detector: &DetectorConfig) -> HealthConfig {
-    let interval = detector.interval.as_nanos().max(1);
-    HealthConfig {
-        miss_limit: (detector.timeout.as_nanos() / interval).max(1) as u32,
-        ..HealthConfig::default()
-    }
+// ---------------------------------------------------------------------
+// The pieces both testbeds are built from (a pair is a chain of two)
+// ---------------------------------------------------------------------
+
+/// NIC address of the replica at chain position `index` (P and S are
+/// positions 0 and 1).
+pub(crate) fn replica_mac(index: usize) -> MacAddr {
+    MacAddr::from_index(2 + index as u32)
 }
 
 /// Host configuration for a node on the server segment; `seed_off`
@@ -231,8 +234,8 @@ pub(crate) fn health_config(detector: &DetectorConfig) -> HealthConfig {
 fn server_host_config(
     config: &TestbedConfig,
     label: &str,
-    mac: tcpfo_wire::mac::MacAddr,
-    ip: tcpfo_wire::ipv4::Ipv4Addr,
+    mac: MacAddr,
+    ip: Ipv4Addr,
     seed_off: u64,
 ) -> HostConfig {
     let tcp = config
@@ -247,79 +250,199 @@ fn server_host_config(
     h
 }
 
-/// The fault detector for `role`, with the advisory health monitor
-/// when the health switch is on.
-fn replica_controller(
-    role: Role,
+/// The router and the client host, linked and with each other's
+/// addresses in their ARP caches. Returns `(router, client)`.
+pub(crate) fn spawn_router_and_client(
+    sim: &mut Simulator,
     config: &TestbedConfig,
-    telemetry: &Telemetry,
-    observers: ObserverSwitches,
-) -> ReplicaController {
-    let peer = match role {
-        Role::Primary => addrs::A_S,
-        Role::Secondary => addrs::A_P,
-    };
-    let mut controller =
-        ReplicaController::new(role, peer, addrs::A_P, addrs::A_S, config.detector);
-    controller.set_telemetry(telemetry);
-    if observers.health {
-        controller.set_health_monitor(Some(Box::new(HealthMonitor::new(health_config(
-            &config.detector,
-        )))));
+    client_hub: Option<&Telemetry>,
+) -> (NodeId, NodeId) {
+    let mut router = Router::new(
+        "router",
+        vec![
+            Interface {
+                mac: macs::ROUTER_CLIENT,
+                ip: addrs::GW_CLIENT,
+                prefix_len: 24,
+            },
+            Interface {
+                mac: macs::ROUTER_SERVER,
+                ip: addrs::GW_SERVER,
+                prefix_len: 24,
+            },
+        ],
+        config.router_delay,
+    );
+    router.prime_arp(addrs::A_C, 0, macs::CLIENT);
+    let router = sim.add_device(Box::new(router));
+    let mut client_cfg = HostConfig::new("client", macs::CLIENT, addrs::A_C)
+        .with_gateway(addrs::GW_CLIENT)
+        .with_tcp(config.tcp.clone().with_isn_seed(config.seed ^ (1 << 32)));
+    client_cfg.cpu = config.client_cpu;
+    client_cfg.tick = config.tick;
+    let mut client = Host::new(client_cfg);
+    if let Some(hub) = client_hub {
+        client.set_telemetry(hub);
     }
-    controller
+    client
+        .net_mut()
+        .prime_arp(addrs::GW_CLIENT, macs::ROUTER_CLIENT);
+    let client = spawn_host(sim, client);
+    sim.connect((router, 0), (client, 0), config.client_link);
+    (router, client)
 }
 
-/// Attaches to a secondary bridge the observers that are switched on
-/// (a secondary carries no span sampler), for both testbeds.
-pub(crate) fn attach_secondary_observatories(
+/// Pre-populates ARP caches on the server segment ("we made sure that
+/// the MAC addresses of all nodes were present in the ARP caches",
+/// §9): every host of `nodes` learns the gateway and every entry of
+/// `known` but its own.
+pub(crate) fn prime_server_arp(
+    sim: &mut Simulator,
+    nodes: &[NodeId],
+    known: &[(Ipv4Addr, MacAddr)],
+) {
+    for &node in nodes {
+        sim.with::<Host, _>(node, |h, _| {
+            let own = h.ip();
+            h.net_mut().prime_arp(addrs::GW_SERVER, macs::ROUTER_SERVER);
+            for &(ip, mac) in known.iter().filter(|(ip, _)| *ip != own) {
+                h.net_mut().prime_arp(ip, mac);
+            }
+        });
+    }
+}
+
+/// Teaches the router's server-side interface the entries of `known`.
+/// Not for addresses that may have moved: a takeover's gratuitous ARP
+/// is what the router must keep believing.
+pub(crate) fn prime_router_arp(sim: &mut Simulator, router: NodeId, known: &[(Ipv4Addr, MacAddr)]) {
+    sim.with::<Router, _>(router, |r, _| {
+        for &(ip, mac) in known {
+            r.prime_arp(ip, 1, mac);
+        }
+    });
+}
+
+/// Attaches the auditor, latency and health observers that are switched
+/// on — the three every bridge type carries, under the same setter
+/// names.
+macro_rules! attach_observers {
+    ($bridge:expr, $on:expr, $telemetry:expr, $audit_label:expr) => {{
+        $bridge.set_audit($on.audit.then(|| {
+            let config = AuditConfig::from_env($audit_label);
+            Box::new(InvariantAuditor::new(config).with_hub($telemetry))
+        }));
+        $bridge.set_latency($on.latency.then(|| Box::new(LatencyObservatory::new())));
+        $bridge.set_health($on.health.then(|| Box::new(HealthObservatory::new())));
+    }};
+}
+
+/// Gives a merge bridge (the pair's P, or the engine inside a chain
+/// link) the flow-table override and the observers that are switched
+/// on.
+pub(crate) fn equip_merge_bridge(
+    bridge: &mut PrimaryBridge,
+    config: &TestbedConfig,
     observers: ObserverSwitches,
-    bridge: &mut SecondaryBridge,
     telemetry: &Telemetry,
     audit_label: &str,
 ) {
-    if observers.audit {
-        bridge.set_audit(Some(Box::new(
-            InvariantAuditor::new(AuditConfig::from_env(audit_label)).with_hub(telemetry),
-        )));
+    if let Some(fc) = flow_config_override(config) {
+        bridge.set_flow_config(fc);
     }
-    if observers.latency {
-        bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-    }
-    if observers.health {
-        bridge.set_health(Some(Box::new(HealthObservatory::new())));
-    }
+    attach_observers!(bridge, observers, telemetry, audit_label);
+    bridge.set_trace(observers.span_trace.then(|| {
+        Box::new(tcpfo_telemetry::SpanSampler::with_default_period(
+            telemetry.trace.clone(),
+        ))
+    }));
 }
 
-/// A secondary host with an empty bridge: the one `Testbed::new`
-/// starts with and the one `revive_secondary` boots in its place.
-fn secondary_host(
+/// A tail bridge diverting to `upstream`, equipped like
+/// [`equip_merge_bridge`] (a tail carries no span sampler).
+pub(crate) fn tail_bridge(
+    own: Ipv4Addr,
+    upstream: Ipv4Addr,
     config: &TestbedConfig,
-    telemetry: &Telemetry,
     observers: ObserverSwitches,
+    telemetry: &Telemetry,
     audit_label: &str,
-) -> Host {
-    let mut cfg = server_host_config(config, "secondary", macs::SECONDARY, addrs::A_S, 3);
-    cfg.promiscuous = true;
-    let mut host = Host::new(cfg);
-    host.set_telemetry(telemetry);
+) -> SecondaryBridge {
     let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
-    let mut bridge = SecondaryBridge::new(addrs::A_P, addrs::A_S, fo);
+    let mut bridge = SecondaryBridge::new(addrs::A_P, own, fo);
+    bridge.set_upstream(upstream);
     if let Some(fc) = flow_config_override(config) {
         bridge.set_flow_config(fc);
     }
     bridge.set_telemetry(telemetry);
-    attach_secondary_observatories(observers, &mut bridge, telemetry, audit_label);
-    host.set_filter(Box::new(bridge));
-    host.set_controller(Box::new(replica_controller(
-        Role::Secondary,
+    attach_observers!(bridge, observers, telemetry, audit_label);
+    bridge
+}
+
+/// The host of the replica at position `index` of `chain`: `filter` as
+/// its bridge, a [`ChainController`] over the chain, the failover ports
+/// registered. Everyone but the head snoops.
+pub(crate) fn replica_host(
+    config: &TestbedConfig,
+    telemetry: &Telemetry,
+    label: &str,
+    chain: &[Ipv4Addr],
+    index: usize,
+    filter: Box<dyn SegmentFilter>,
+) -> Host {
+    let mut cfg = server_host_config(
         config,
-        telemetry,
-        observers,
-    )));
+        label,
+        replica_mac(index),
+        chain[index],
+        index as u64 + 2,
+    );
+    cfg.promiscuous = index != 0;
+    let mut host = Host::new(cfg);
+    host.set_telemetry(telemetry);
+    host.set_filter(filter);
+    let mut controller = ChainController::new(chain.to_vec(), index, config.detector);
+    controller.set_telemetry(telemetry);
+    host.set_controller(Box::new(controller));
     for &p in &config.failover_ports {
         host.stack_mut().add_failover_port(p);
     }
+    host
+}
+
+/// Replica `index` of the pair `[a_p, a_s]` with an empty bridge — P
+/// (0) runs a bare merge bridge, S (1) a tail: the hosts `Testbed::new`
+/// starts with and the one `revive_secondary` boots in S's place.
+fn pair_replica(
+    config: &TestbedConfig,
+    telemetry: &Telemetry,
+    observers: ObserverSwitches,
+    index: usize,
+    audit_label: &str,
+) -> Host {
+    let filter: Box<dyn SegmentFilter> = if index == 0 {
+        let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
+        let mut bridge = PrimaryBridge::new(addrs::A_P, addrs::A_S, fo);
+        bridge.set_telemetry(telemetry);
+        equip_merge_bridge(&mut bridge, config, observers, telemetry, audit_label);
+        Box::new(bridge)
+    } else {
+        Box::new(tail_bridge(
+            addrs::A_S,
+            addrs::A_P,
+            config,
+            observers,
+            telemetry,
+            audit_label,
+        ))
+    };
+    let label = ["primary", "secondary"][index];
+    let chain = [addrs::A_P, addrs::A_S];
+    let mut host = replica_host(config, telemetry, label, &chain, index, filter);
+    // The paper's §5 is unconditional: a pair whose only successor
+    // vetoes itself is a service with no head.
+    host.controller_mut::<ChainController>()
+        .set_promote_threshold(0);
     host
 }
 
@@ -377,101 +500,36 @@ impl Testbed {
             SegmentKind::Hub => sim.add_device(Box::new(Hub::new("segment", ports, 100_000_000))),
             SegmentKind::Switch => sim.add_device(Box::new(Switch::new("segment", ports))),
         };
-        let router = sim.add_device(Box::new(Router::new(
-            "router",
-            vec![
-                Interface {
-                    mac: macs::ROUTER_CLIENT,
-                    ip: addrs::GW_CLIENT,
-                    prefix_len: 24,
-                },
-                Interface {
-                    mac: macs::ROUTER_SERVER,
-                    ip: addrs::GW_SERVER,
-                    prefix_len: 24,
-                },
-            ],
-            config.router_delay,
-        )));
+        let (router, client) = spawn_router_and_client(&mut sim, &config, Some(&telemetry));
 
-        // Client.
-        let mut client_cfg = HostConfig::new("client", macs::CLIENT, addrs::A_C)
-            .with_gateway(addrs::GW_CLIENT)
-            .with_tcp(config.tcp.clone().with_isn_seed(config.seed ^ (1 << 32)));
-        client_cfg.cpu = config.client_cpu;
-        client_cfg.tick = config.tick;
-        let mut client_host = Host::new(client_cfg);
-        client_host.set_telemetry(&telemetry);
-        let client = spawn_host(&mut sim, client_host);
-
-        // Primary.
-        let mut primary_host = Host::new(server_host_config(
-            &config,
-            "primary",
-            macs::PRIMARY,
-            addrs::A_P,
-            2,
-        ));
-        primary_host.set_telemetry(&telemetry);
-        if config.replicated {
-            let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
-            let mut bridge = PrimaryBridge::new(addrs::A_P, addrs::A_S, fo);
-            if let Some(fc) = flow_config_override(&config) {
-                bridge.set_flow_config(fc);
-            }
-            bridge.set_telemetry(&telemetry);
-            if observers.audit {
-                bridge.set_audit(Some(Box::new(
-                    InvariantAuditor::new(AuditConfig::from_env("primary")).with_hub(&telemetry),
-                )));
-            }
-            if observers.latency {
-                bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-            }
-            if observers.health {
-                bridge.set_health(Some(Box::new(HealthObservatory::new())));
-            }
-            if observers.span_trace {
-                bridge.set_trace(Some(Box::new(
-                    tcpfo_telemetry::SpanSampler::with_default_period(telemetry.trace.clone()),
-                )));
-            }
-            primary_host.set_filter(Box::new(bridge));
-            let controller = replica_controller(Role::Primary, &config, &telemetry, observers);
-            primary_host.set_controller(Box::new(controller));
-            for &p in &config.failover_ports {
-                primary_host.stack_mut().add_failover_port(p);
-            }
-        }
-        let primary = spawn_host(&mut sim, primary_host);
-
-        // Secondary.
+        // Servers: P and S (the chain `[a_p, a_s]`), or one plain host.
+        let plain_server = |label, mac, ip, seed_off| {
+            let mut host = Host::new(server_host_config(&config, label, mac, ip, seed_off));
+            host.set_telemetry(&telemetry);
+            host
+        };
+        let primary = spawn_host(
+            &mut sim,
+            if config.replicated {
+                pair_replica(&config, &telemetry, observers, 0, "primary")
+            } else {
+                plain_server("primary", macs::PRIMARY, addrs::A_P, 2)
+            },
+        );
         let secondary = config.replicated.then(|| {
-            let host = secondary_host(&config, &telemetry, observers, "secondary");
+            let host = pair_replica(&config, &telemetry, observers, 1, "secondary");
             spawn_host(&mut sim, host)
         });
-
-        // Back-end.
-        let backend = if config.with_backend {
-            let mut host = Host::new(server_host_config(
-                &config,
-                "backend",
-                macs::BACKEND,
-                addrs::A_T,
-                4,
-            ));
-            host.set_telemetry(&telemetry);
-            Some(spawn_host(&mut sim, host))
-        } else {
-            None
-        };
+        let backend = config.with_backend.then(|| {
+            let host = plain_server("backend", macs::BACKEND, addrs::A_T, 4);
+            spawn_host(&mut sim, host)
+        });
 
         // Wiring.
         let attach = match config.segment {
             SegmentKind::Hub => LinkParams::attachment().with_loss(config.attachment_loss),
             SegmentKind::Switch => LinkParams::fast_ethernet().with_loss(config.attachment_loss),
         };
-        sim.connect((router, 0), (client, 0), config.client_link);
         // Per-direction loss overrides model the §4 cases: the first
         // LinkParams governs frames transmitted by the *segment* side.
         let with_extra =
@@ -512,51 +570,26 @@ impl Testbed {
             telemetry,
             observers,
         };
-        tb.prime_arp_caches();
+        let servers: Vec<NodeId> = [Some(primary), secondary, backend]
+            .into_iter()
+            .flatten()
+            .collect();
+        let known = tb.server_addresses();
+        prime_server_arp(&mut tb.sim, &servers, &known);
+        prime_router_arp(&mut tb.sim, router, &known);
         tb
     }
 
-    /// Pre-populates every ARP cache ("we made sure that the MAC
-    /// addresses of all nodes were present in the ARP caches", §9).
-    fn prime_arp_caches(&mut self) {
-        use addrs::*;
-        use macs::*;
-        let secondary = self.secondary;
-        let backend = self.backend;
-        self.sim.with::<Host, _>(self.client, |h, _| {
-            h.net_mut().prime_arp(GW_CLIENT, ROUTER_CLIENT);
-        });
-        self.sim.with::<Router, _>(self.router, |r, _| {
-            r.prime_arp(A_C, 0, CLIENT);
-            r.prime_arp(A_P, 1, PRIMARY);
-            if secondary.is_some() {
-                r.prime_arp(A_S, 1, SECONDARY);
-            }
-            if backend.is_some() {
-                r.prime_arp(A_T, 1, BACKEND);
-            }
-        });
-        self.sim.with::<Host, _>(self.primary, |h, _| {
-            h.net_mut().prime_arp(GW_SERVER, ROUTER_SERVER);
-            h.net_mut().prime_arp(A_S, SECONDARY);
-            h.net_mut().prime_arp(A_T, BACKEND);
-        });
-        if let Some(s) = secondary {
-            self.sim.with::<Host, _>(s, |h, _| {
-                h.net_mut().prime_arp(GW_SERVER, ROUTER_SERVER);
-                h.net_mut().prime_arp(A_P, PRIMARY);
-                h.net_mut().prime_arp(A_T, BACKEND);
-            });
-        }
-        if let Some(t) = backend {
-            self.sim.with::<Host, _>(t, |h, _| {
-                h.net_mut().prime_arp(GW_SERVER, ROUTER_SERVER);
-                h.net_mut().prime_arp(A_P, PRIMARY);
-                if secondary.is_some() {
-                    h.net_mut().prime_arp(A_S, SECONDARY);
-                }
-            });
-        }
+    /// Address and NIC of every server-segment host this testbed has.
+    fn server_addresses(&self) -> Vec<(Ipv4Addr, MacAddr)> {
+        [
+            Some((addrs::A_P, macs::PRIMARY)),
+            self.secondary.map(|_| (addrs::A_S, macs::SECONDARY)),
+            self.backend.map(|_| (addrs::A_T, macs::BACKEND)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Kills the primary host (fail-stop). The secondary's fault
@@ -591,19 +624,18 @@ impl Testbed {
     /// reinstalled by the caller.
     pub fn revive_secondary(&mut self) {
         let s = self.secondary.expect("replicated testbed");
-        let host = secondary_host(
+        let host = pair_replica(
             &self.config,
             &self.telemetry,
             self.observers,
+            1,
             "secondary-revived",
         );
         self.sim.replace_device(s, Box::new(host));
         self.sim
             .schedule_timer(s, SimDuration::ZERO, tcpfo_tcp::host::TOKEN_TICK);
-        self.sim.with::<Host, _>(s, |h, _| {
-            h.net_mut().prime_arp(addrs::GW_SERVER, macs::ROUTER_SERVER);
-            h.net_mut().prime_arp(addrs::A_P, macs::PRIMARY);
-        });
+        let known = self.server_addresses();
+        prime_server_arp(&mut self.sim, &[s], &known);
     }
 
     /// Runs the simulation for `d`.
@@ -639,7 +671,7 @@ impl Testbed {
     /// When the surviving replica detected the peer failure, if it has.
     pub fn failover_detected_at(&mut self, node: NodeId) -> Option<tcpfo_net::time::SimTime> {
         self.sim.with::<Host, _>(node, |h, _| {
-            h.controller_mut::<ReplicaController>().peer_failed_at
+            h.controller_mut::<ChainController>().detected_at
         })
     }
 
@@ -752,15 +784,16 @@ impl Testbed {
         })
     }
 
-    /// Runs `f` against the health monitor attached to `node`'s fault
-    /// detector, if any.
+    /// Runs `f` against the health monitor `node`'s fault detector
+    /// scores its peer with (P's view of S, or S's view of P).
     pub fn with_health_monitor<R>(
         &mut self,
         node: NodeId,
         f: impl FnOnce(&HealthMonitor) -> R,
     ) -> Option<R> {
+        let peer = usize::from(node == self.primary);
         self.sim.with::<Host, _>(node, move |h, _| {
-            let mon = h.controller_mut::<ReplicaController>().health_monitor()?;
+            let mon = h.controller_mut::<ChainController>().peer_monitor(peer)?;
             Some(f(mon))
         })
     }

@@ -24,10 +24,10 @@
 //!   sim time by default) over the "replica is healthy" SLO, feeding a
 //!   hysteretic [`AlertMachine`] (`Ok → Warn → Critical`) whose
 //!   transitions land in a bounded [`AlertJournal`].
-//! * [`HealthMonitor`] — the detector-side composite the
-//!   `ReplicaController` drives: publishes the score *alongside* the
-//!   binary heartbeat decision, making the eventual policy swap a
-//!   one-line change.
+//! * [`HealthMonitor`] — the detector-side composite the control plane
+//!   (`tcpfo_core::ChainController`) keeps per peer: publishes the
+//!   score *alongside* the binary heartbeat decision, making the
+//!   eventual policy swap a one-line change.
 //!
 //! Everything here is sim-time (`u64` nanoseconds); nothing reads a
 //! wall clock, so attached runs stay deterministic. All hot-path state
@@ -956,9 +956,9 @@ struct HealthGauges {
 }
 
 /// The detector-side composite: per-replica estimators, SLO burn-rate
-/// windows, the alert machine and its journal. The `ReplicaController`
-/// owns one behind `Option<Box<...>>` and publishes its score
-/// *alongside* the binary heartbeat decision.
+/// windows, the alert machine and its journal. The control plane
+/// (`tcpfo_core::ChainController`) owns one per peer and publishes its
+/// score *alongside* the binary heartbeat decision.
 #[derive(Debug)]
 pub struct HealthMonitor {
     /// Scoring/alerting tunables.
@@ -1389,10 +1389,10 @@ mod tests {
         let mut m = HealthMonitor::new(HealthConfig::default());
         m.replica.on_heartbeat_rtt(2_000_000);
         m.tick(1_000_000);
-        m.publish(&reg.scope("core.detector.primary"), 1_000_000);
+        m.publish(&reg.scope("core.control.r0.peer1"), 1_000_000);
         let snap = reg.snapshot(1_000_000);
         assert_eq!(
-            snap.gauge("core.detector.primary.health.score")
+            snap.gauge("core.control.r0.peer1.health.score")
                 .map(|g| g.value),
             Some(98) // rtt axis 90 at 2 ms / 20 ms ceiling, rest 100
         );

@@ -88,7 +88,8 @@ pub struct ObserverSwitches {
     pub audit: bool,
     /// The per-stage latency observatory.
     pub latency: bool,
-    /// The replica health observatory and the advisory health monitors.
+    /// The replica health observatory (replication-lag ledger) on every
+    /// bridge.
     pub health: bool,
     /// The failover span tracer and the hot-path batch sampler.
     pub span_trace: bool,

@@ -6,11 +6,14 @@
 use tcp_failover::apps::driver::{BulkSendClient, RequestReplyClient};
 use tcp_failover::apps::store::{StoreClient, StoreServer};
 use tcp_failover::apps::stream::{SinkServer, SourceServer};
-use tcp_failover::core::detector::ReplicaController;
-use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
+use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
+use tcp_failover::core::testbed::{addrs, macs, Testbed, TestbedConfig};
+use tcp_failover::core::{ChainController, DetectorConfig};
 use tcp_failover::net::time::SimDuration;
+use tcp_failover::net::trace::TraceKind;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
+use tcp_failover::telemetry::{FailoverPhase, Telemetry};
 
 fn server_addr(port: u16) -> SocketAddr {
     SocketAddr::new(addrs::A_P, port)
@@ -252,9 +255,134 @@ fn detection_latency_tracks_timeout() {
     );
     // The controller counted heartbeats both ways before the failure.
     tb.sim.with::<Host, _>(s, |h, _| {
-        let c = h.controller_mut::<ReplicaController>();
+        let c = h.controller_mut::<ChainController>();
         assert!(c.heartbeats_sent > 0);
         assert!(c.heartbeats_received > 0);
-        assert!(c.failover_done_at.is_some());
+        assert!(c.promoted_at.is_some());
     });
+}
+
+/// After declaring the primary dead the survivor stops heartbeating
+/// it. (After §5 a beat "to the peer" is a datagram to `a_p` — the
+/// survivor's own address now — resolved through the stale ARP entry
+/// to the dead primary's NIC: one frame on the shared segment every
+/// interval, for nobody.)
+#[test]
+fn survivor_stops_heartbeating_the_dead_primary() {
+    let mut tb = Testbed::new(TestbedConfig::default());
+    tb.run_for(SimDuration::from_millis(50));
+    tb.kill_primary();
+    tb.run_for(SimDuration::from_millis(300));
+    let s = tb.secondary.unwrap();
+    let sent = |tb: &mut Testbed| {
+        tb.sim.with::<Host, _>(s, |h, _| {
+            let c = h.controller_mut::<ChainController>();
+            assert!(c.promoted_at.is_some(), "takeover did not commit");
+            c.heartbeats_sent
+        })
+    };
+    let before = sent(&mut tb);
+    tb.sim.set_trace_enabled(true);
+    tb.run_for(SimDuration::from_millis(500));
+    assert_eq!(sent(&mut tb), before, "still heartbeating a dead peer");
+    let to_dead_nic = tb
+        .sim
+        .trace_tail(usize::MAX)
+        .iter()
+        .filter(|e| e.node == s && matches!(e.kind, TraceKind::Tx { .. }))
+        .filter_map(|e| e.frame.as_ref())
+        .filter(|f| f[..6] == macs::PRIMARY.0)
+        .count();
+    assert_eq!(to_dead_nic, 0, "frames addressed to the dead primary's NIC");
+}
+
+/// A pair is a chain of length two. Same seed, same 1 MB download,
+/// head killed at the same instant, promotion threshold 0 in both: the
+/// §5 phases are stamped in the same order within one tick, detection
+/// meets the same bound, and the client's stream is byte-exact.
+#[test]
+fn pair_and_chain_of_two_fail_over_alike() {
+    const TOTAL: u64 = 1_000_000;
+    let kill_after = SimDuration::from_millis(60);
+    let download = || {
+        RequestReplyClient::new(
+            server_addr(80),
+            format!("SEND {TOTAL}\n").into_bytes(),
+            TOTAL,
+        )
+    };
+    let received = |h: &mut Host| h.app_mut::<RequestReplyClient>(0).received_len();
+    // What the promoted successor's hub and the client must show.
+    let check = |name: &str, hub: &Telemetry, client: &mut Host, detector: DetectorConfig| {
+        let c = client.app_mut::<RequestReplyClient>(0);
+        assert!(c.is_done(), "{name}: stalled at {} bytes", c.received_len());
+        assert_eq!(c.mismatches, 0, "{name}: client stream corrupted");
+        let at = |p| {
+            let t = hub.timeline.at(p);
+            t.unwrap_or_else(|| panic!("{name}: no {p:?} mark"))
+        };
+        let steps = [
+            at(FailoverPhase::Detection),
+            at(FailoverPhase::EgressHold),
+            at(FailoverPhase::TranslationOff),
+            at(FailoverPhase::ArpTakeover),
+        ];
+        assert!(steps.is_sorted(), "{name}: §5 out of order: {steps:?}");
+        assert!(
+            steps[3] - steps[0] < SimDuration::from_millis(1).as_nanos(),
+            "{name}: takeover spread over more than one tick: {steps:?}"
+        );
+        let lat = steps[0] - at(FailoverPhase::Failure);
+        let (timeout, interval) = (detector.timeout.as_nanos(), detector.interval.as_nanos());
+        assert!(
+            lat + interval >= timeout,
+            "{name}: detected early, {lat} ns"
+        );
+        assert!(
+            lat <= timeout + interval + SimDuration::from_millis(20).as_nanos(),
+            "{name}: detected late, {lat} ns"
+        );
+    };
+
+    let mut pair = Testbed::new(TestbedConfig::default());
+    replicate!(&mut pair, SourceServer::new(80));
+    pair.sim.with::<Host, _>(pair.client, |h, _| {
+        h.add_app(Box::new(download()));
+    });
+    pair.run_for(kill_after);
+    let got = pair.sim.with::<Host, _>(pair.client, |h, _| received(h));
+    assert!(0 < got && got < TOTAL, "pair: kill must hit mid-transfer");
+    pair.kill_primary();
+    pair.run_for(SimDuration::from_secs(20));
+    let (hub, detector) = (pair.telemetry.clone(), pair.config.detector);
+    pair.sim
+        .with::<Host, _>(pair.client, |h, _| check("pair", &hub, h, detector));
+
+    let mut chain = ChainTestbed::new(ChainConfig {
+        replicas: 2,
+        ..ChainConfig::default()
+    });
+    assert_eq!(chain.config.seed, pair.config.seed);
+    chain.install_servers(|| SourceServer::new(80));
+    for &node in &chain.replicas.clone() {
+        chain.sim.with::<Host, _>(node, |h, _| {
+            h.controller_mut::<ChainController>()
+                .set_promote_threshold(0);
+        });
+    }
+    chain.sim.with::<Host, _>(chain.client, |h, _| {
+        h.add_app(Box::new(download()));
+    });
+    chain.run_for(kill_after);
+    let got = chain.sim.with::<Host, _>(chain.client, |h, _| received(h));
+    assert!(
+        0 < got && got < TOTAL,
+        "chain of 2: kill must hit mid-transfer"
+    );
+    chain.kill_replica(0);
+    chain.run_for(SimDuration::from_secs(20));
+    let (hub, detector) = (chain.hubs[1].clone(), chain.config.detector);
+    chain
+        .sim
+        .with::<Host, _>(chain.client, |h, _| check("chain of 2", &hub, h, detector));
 }

@@ -7,9 +7,8 @@
 
 use tcp_failover::apps::driver::RequestReplyClient;
 use tcp_failover::apps::stream::SourceServer;
-use tcp_failover::core::detector::ReplicaController;
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::{PrimaryBridge, PrimaryMode};
+use tcp_failover::core::{ChainController, PrimaryBridge, PrimaryMode};
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
@@ -72,7 +71,7 @@ fn secondary_rejoins_and_new_connections_replicate() {
     tb.run_for(SimDuration::from_millis(200));
     assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal, "reintegrated");
     tb.sim.with::<Host, _>(tb.primary, |h, _| {
-        assert_eq!(h.controller_mut::<ReplicaController>().rejoins, 1);
+        assert_eq!(h.controller_mut::<ChainController>().rejoins, 1);
     });
 
     // Connection C is born after reintegration: replicated again.

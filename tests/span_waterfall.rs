@@ -72,6 +72,18 @@ fn assert_waterfall(hub: &Telemetry, must_see: &[&str]) {
     assert!(is_json(&chrome), "chrome trace is not JSON:\n{chrome}");
 }
 
+/// What a head failure leaves on the successor's flight path, in the
+/// control plane's one vocabulary — the same at every depth.
+const TAKEOVER: [&str; 7] = [
+    "hb.miss",
+    "peer_dead",
+    "promote",
+    "promotion",
+    "takeover.arp",
+    "promoted",
+    "first_client_byte",
+];
+
 #[test]
 fn pair_failover_waterfall_sums_to_the_mttr() {
     let mut tb = Testbed::new(TestbedConfig {
@@ -95,16 +107,7 @@ fn pair_failover_waterfall_sums_to_the_mttr() {
         c.is_done() && c.mismatches == 0
     });
     tb.expect(done, "download did not survive the failover");
-    assert_waterfall(
-        &tb.telemetry,
-        &[
-            "hb.miss",
-            "detection",
-            "failover_procedure",
-            "takeover.vip_arp",
-            "first_client_byte",
-        ],
-    );
+    assert_waterfall(&tb.telemetry, &TAKEOVER);
 }
 
 #[test]
@@ -137,20 +140,13 @@ fn chain_failover_waterfall_covers_reprovisioning() {
 
     // The promoting replica (B1) carries the complete §5 timeline and
     // the control-plane spans of the takeover it performed.
-    assert_waterfall(
-        &tb.hubs[1],
-        &[
-            "hb.miss",
-            "chain.promote.decision",
-            "chain.promotion",
-            "chain.vip_takeover",
-            "chain.promoted",
-            "first_client_byte",
-            "reprovision.handoff",
-            "reprovision.catchup",
-            "redundancy_restore",
-        ],
-    );
+    let mut must_see = TAKEOVER.to_vec();
+    must_see.extend([
+        "reprovision.handoff",
+        "reprovision.catchup",
+        "redundancy_restore",
+    ]);
+    assert_waterfall(&tb.hubs[1], &must_see);
 }
 
 /// Consumes one JSON value from the front of `b` and returns the rest;

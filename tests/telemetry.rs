@@ -275,7 +275,7 @@ fn failover_timeline_is_complete_and_monotone() {
         "core.primary.merged_bytes",
         "core.primary.pq_depth",
         "core.secondary.egress_diverted",
-        "core.detector.secondary.heartbeats_sent",
+        "core.control.r1.heartbeats_sent",
         "net.n", // per-link scopes
         "tcp.client.",
         "\"timeline\"",
@@ -334,5 +334,5 @@ fn degradation_journals_without_takeover_phases() {
         events.iter().any(|e| e.kind == "degraded"),
         "journal missing degradation: {events:?}"
     );
-    assert!(events.iter().any(|e| e.kind == "secondary_failed"));
+    assert!(events.iter().any(|e| e.kind == "downstream_failed"));
 }
