@@ -1167,13 +1167,13 @@ fn bundle(dir: &str) -> i32 {
 
 /// One-line Ethernet/IPv4/TCP summary of a captured frame.
 fn tcp_line(frame: &[u8]) -> String {
-    let Ok(eth) = EthernetFrame::decode(&bytes::Bytes::copy_from_slice(frame)) else {
+    let Ok(eth) = EthernetFrame::decode(frame) else {
         return "non-ethernet".into();
     };
     if eth.ethertype != EtherType::Ipv4 {
         return format!("{:?}", eth.ethertype);
     }
-    let Ok(ip) = Ipv4Packet::decode(&eth.payload) else {
+    let Ok(ip) = Ipv4Packet::decode_shared(&eth.payload) else {
         return "bad ipv4".into();
     };
     match TcpView::new(&ip.payload) {

@@ -216,13 +216,60 @@ impl LineBuf {
 /// Deterministic filler byte for position `i` of a generated payload
 /// (used by the stream source, FTP file bodies, and verified by the
 /// receiving drivers).
-pub fn pattern_byte(i: u64) -> u8 {
+pub const fn pattern_byte(i: u64) -> u8 {
     ((i.wrapping_mul(31)).wrapping_add(7) % 251) as u8
 }
 
-/// Generates `len` pattern bytes starting at stream offset `start`.
+/// While `31·i + 7` fits a `u64` the byte at `i` depends on `i mod 251`
+/// only.
+const PATTERN_PERIOD: usize = 251;
+
+/// First position whose `31·i + 7` wraps; from there on the sequence is
+/// no longer periodic.
+const PATTERN_WRAPS_AT: u64 = (u64::MAX - 7) / 31 + 1;
+
+/// Two periods, so the run from any phase to the table's end is at
+/// least one period long.
+static PATTERN_TABLE: [u8; 2 * PATTERN_PERIOD] = {
+    let mut table = [0u8; 2 * PATTERN_PERIOD];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = pattern_byte(i as u64);
+        i += 1;
+    }
+    table
+};
+
+/// Generates `len` pattern bytes starting at stream offset `start`:
+/// `pattern_byte(start)`, `pattern_byte(start + 1)`, … copied a run at a
+/// time out of the period table.
 pub fn pattern(start: u64, len: usize) -> Vec<u8> {
-    (0..len as u64).map(|i| pattern_byte(start + i)).collect()
+    let periodic = start
+        .checked_add(len as u64)
+        .is_some_and(|end| end <= PATTERN_WRAPS_AT);
+    if !periodic {
+        return (0..len as u64)
+            .map(|i| pattern_byte(start.wrapping_add(i)))
+            .collect();
+    }
+    let mut out = Vec::with_capacity(len);
+    let mut phase = (start % PATTERN_PERIOD as u64) as usize;
+    while out.len() < len {
+        let run = (len - out.len()).min(PATTERN_TABLE.len() - phase);
+        out.extend_from_slice(&PATTERN_TABLE[phase..phase + run]);
+        phase = (phase + run) % PATTERN_PERIOD;
+    }
+    out
+}
+
+/// Number of positions at which `data`, received at stream offset
+/// `start`, differs from the pattern.
+pub fn pattern_mismatches(start: u64, data: &[u8]) -> u64 {
+    let want = pattern(start, data.len());
+    data.iter()
+        .zip(&want)
+        .filter(|(got, want)| got != want)
+        .count() as u64
 }
 
 #[cfg(test)]
@@ -254,6 +301,71 @@ mod tests {
         assert_eq!(pattern(0, 16), pattern(0, 16));
         assert_eq!(pattern(5, 11), pattern(0, 16)[5..]);
         assert!(pattern(0, 300).iter().all(|&b| b < 251));
+    }
+
+    fn by_definition(start: u64, len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| pattern_byte(start.wrapping_add(i)))
+            .collect()
+    }
+
+    #[test]
+    fn pattern_equals_its_per_byte_definition_at_the_edges() {
+        assert_eq!(pattern(0, 0), b"");
+        assert_eq!(pattern(u64::MAX, 0), b"");
+        // Every phase, runs shorter and longer than the two-period table.
+        for start in 0..2 * PATTERN_PERIOD as u64 {
+            for len in [1, 250, 251, 252, 502, 503, 1460] {
+                assert_eq!(
+                    pattern(start, len),
+                    by_definition(start, len),
+                    "{start}+{len}"
+                );
+            }
+        }
+        // Around the position where 31·i + 7 first wraps a u64, and at
+        // the end of the offset space.
+        for back in 0..600u64 {
+            let start = PATTERN_WRAPS_AT - 300 + back;
+            assert_eq!(pattern(start, 300), by_definition(start, 300), "{start}");
+        }
+        for start in [
+            u64::MAX / 31 - 1,
+            u64::MAX / 31,
+            u64::MAX / 31 + 1,
+            u64::MAX - 5,
+        ] {
+            assert_eq!(pattern(start, 64), by_definition(start, 64), "{start}");
+        }
+        assert_ne!(
+            pattern_byte(PATTERN_WRAPS_AT),
+            PATTERN_TABLE[(PATTERN_WRAPS_AT % 251) as usize],
+            "the fallback is needed: the wrapped sequence leaves the period"
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_pattern_equals_its_per_byte_definition(
+            start in proptest::prelude::any::<u64>(),
+            len in 0usize..2000,
+        ) {
+            proptest::prop_assert_eq!(pattern(start, len), by_definition(start, len));
+            // Small offsets are the ones every run uses.
+            let near = start % 1_000_000;
+            proptest::prop_assert_eq!(pattern(near, len), by_definition(near, len));
+        }
+    }
+
+    #[test]
+    fn pattern_mismatches_counts_differing_positions() {
+        let mut data = pattern(1000, 600);
+        assert_eq!(pattern_mismatches(1000, &data), 0);
+        assert_eq!(pattern_mismatches(1001, &data), 600, "31 is a unit mod 251");
+        data[0] ^= 1;
+        data[599] ^= 0x80;
+        assert_eq!(pattern_mismatches(1000, &data), 2);
+        assert_eq!(pattern_mismatches(7, b""), 0);
     }
 
     #[test]

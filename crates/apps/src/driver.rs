@@ -4,7 +4,7 @@
 //! the timestamps the paper's figures are computed from. All times are
 //! simulated time taken from [`SocketApi::now`].
 
-use crate::conn::{pattern, pattern_byte};
+use crate::conn::{pattern, pattern_mismatches};
 use std::any::Any;
 use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_tcp::app::{SocketApi, SocketApp};
@@ -200,11 +200,7 @@ impl SocketApp for RequestReplyClient {
         let data = api.recv(c, usize::MAX).unwrap_or_default();
         if !data.is_empty() {
             if self.verify {
-                for (i, &b) in data.iter().enumerate() {
-                    if b != pattern_byte(self.received + i as u64) {
-                        self.mismatches += 1;
-                    }
-                }
+                self.mismatches += pattern_mismatches(self.received, &data);
             }
             if self.stored.len() < self.store_limit {
                 let room = self.store_limit - self.stored.len();

@@ -15,7 +15,7 @@
 //! Command subset: `USER`, `PASS`, `PORT <port>`, `RETR <bytes>`,
 //! `STOR <bytes>`, `QUIT`.
 
-use crate::conn::{pattern, pattern_byte, Conns, LineBuf, OutBuf};
+use crate::conn::{pattern, pattern_mismatches, Conns, LineBuf, OutBuf};
 use std::any::Any;
 use tcpfo_net::time::SimTime;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
@@ -462,11 +462,7 @@ impl FtpClient {
         match self.script[self.op_index] {
             FtpOp::Get(expected) => {
                 let got = api.recv(d, usize::MAX).unwrap_or_default();
-                for (i, &b) in got.iter().enumerate() {
-                    if b != pattern_byte(self.got_bytes + i as u64) {
-                        self.mismatches += 1;
-                    }
-                }
+                self.mismatches += pattern_mismatches(self.got_bytes, &got);
                 self.got_bytes += got.len() as u64;
                 // The client's stopwatch stops at the last data byte;
                 // the close handshake is protocol bookkeeping.

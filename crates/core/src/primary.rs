@@ -43,7 +43,7 @@ use tcpfo_tcp::seq::{seq_gt, seq_le, seq_min};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::{
     Counter, FlowClass, Gauge, HealthObservatory, HostClock, InvariantAuditor, LatencyObservatory,
-    SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
+    Scope, SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{
@@ -164,6 +164,9 @@ struct ShardGaugeSet {
 /// merge functions deliberately do not take a clock).
 struct PrimaryInstruments {
     hub: Telemetry,
+    /// The `core.primary` scope the observers publish under, built once
+    /// here so the host tick never formats a name.
+    scope: Scope,
     merged_segments: Counter,
     merged_bytes: Counter,
     empty_acks: Counter,
@@ -606,6 +609,7 @@ impl PrimaryBridge {
             sq_depth: scope.gauge("sq_depth"),
             shard_gauges: Vec::new(),
             now_ns: 0,
+            scope,
         });
     }
 
@@ -675,16 +679,17 @@ impl PrimaryBridge {
             }
         }
         if let Some(obs) = latency.as_deref_mut() {
-            obs.publish(&t.hub.registry.scope("core.primary"), now_nanos);
+            obs.publish(&t.scope, now_nanos);
         }
         if let Some(obs) = health.as_deref_mut() {
-            obs.publish(&t.hub.registry.scope("core.primary"), now_nanos);
+            obs.publish(&t.scope, now_nanos);
             // Every audit flight-recorder bundle captures replica
-            // health at fault time: keep the auditor's stored health
-            // snapshot current (off the per-packet path — this runs on
-            // the host tick).
+            // health at fault time: keep the auditor's copy of the lag
+            // ledger current. A store, not a rendering — this runs on
+            // every host tick and the JSON is read only after a
+            // violation.
             if let Some(aud) = audit.as_deref_mut() {
-                aud.set_health_snapshot(obs.to_json());
+                aud.set_health_snapshot(&obs.lag);
             }
         }
     }

@@ -81,11 +81,6 @@ impl TakenBytes {
             .chain(self.rest.iter().map(|b| b.as_ref()))
     }
 
-    /// The chained bytes in order.
-    pub fn iter_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.parts().flat_map(|s| s.iter().copied())
-    }
-
     /// The single backing slice, when the chain has exactly one part.
     pub fn as_contiguous(&self) -> Option<&Bytes> {
         if self.rest.is_empty() {
@@ -130,9 +125,33 @@ impl TakenBytes {
     }
 }
 
+/// Whether two sequences of parts spell the same bytes, wherever each
+/// is cut: walks both a common run at a time with slice equality.
+fn parts_eq<'a>(
+    mut a: impl Iterator<Item = &'a [u8]>,
+    mut b: impl Iterator<Item = &'a [u8]>,
+) -> bool {
+    let (mut x, mut y) = (a.next(), b.next());
+    loop {
+        match (x, y) {
+            (Some(p), Some(q)) => {
+                let n = p.len().min(q.len());
+                if p[..n] != q[..n] {
+                    return false;
+                }
+                x = if n < p.len() { Some(&p[n..]) } else { a.next() };
+                y = if n < q.len() { Some(&q[n..]) } else { b.next() };
+            }
+            (None, None) => return true,
+            // One side ran out first: the lengths differ.
+            _ => return false,
+        }
+    }
+}
+
 impl PartialEq for TakenBytes {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter_bytes().eq(other.iter_bytes())
+        self.len == other.len && parts_eq(self.parts(), other.parts())
     }
 }
 
@@ -140,7 +159,7 @@ impl Eq for TakenBytes {}
 
 impl PartialEq<[u8]> for TakenBytes {
     fn eq(&self, other: &[u8]) -> bool {
-        self.len == other.len() && self.iter_bytes().eq(other.iter().copied())
+        self.len == other.len() && parts_eq(self.parts(), std::iter::once(other))
     }
 }
 
@@ -551,6 +570,45 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
+    /// The chain `take` hands out when `bytes` arrived cut at `cuts`.
+    fn taken(bytes: &[u8], cuts: &[usize]) -> TakenBytes {
+        let mut q = ByteQueue::new();
+        let mut from = 0;
+        for &to in cuts.iter().chain([&bytes.len()]) {
+            q.insert(from as u32, bytes[from..to].to_vec(), 0);
+            from = to;
+        }
+        q.take(0, bytes.len())
+    }
+
+    #[test]
+    fn taken_bytes_compare_by_content_not_by_cut() {
+        let bytes: Vec<u8> = (0..100).collect();
+        let whole = taken(&bytes, &[]);
+        let three = taken(&bytes, &[1, 60]);
+        let four = taken(&bytes, &[33, 34, 99]);
+        assert_eq!(three.parts().count(), 3);
+        for (a, b) in [(&whole, &three), (&three, &four), (&four, &whole)] {
+            assert_eq!(a, b);
+            assert_eq!(b, a);
+            assert_eq!(*a, bytes[..]);
+        }
+        // One flipped byte: first, last, and on either side of a cut.
+        for flip in [0, 32, 33, 34, 59, 60, 99] {
+            let mut other = bytes.clone();
+            other[flip] ^= 0x40;
+            assert_ne!(taken(&other, &[1, 60]), four, "byte {flip}");
+            assert_ne!(four, taken(&other, &[]), "byte {flip}");
+            assert_ne!(four, other[..], "byte {flip}");
+        }
+        // One byte shorter or longer, the common prefix equal.
+        assert_ne!(taken(&bytes[..99], &[33, 34]), four);
+        assert_ne!(four, taken(&bytes[..99], &[33, 34]));
+        assert_ne!(four, bytes[..99]);
+        assert_eq!(TakenBytes::empty(), TakenBytes::empty());
+        assert_ne!(TakenBytes::empty(), taken(&bytes[..1], &[]));
+    }
+
     /// A naive reference model: one cell per sequence number.
     struct Model {
         base: u32,
@@ -634,7 +692,7 @@ mod tests {
                 // Release whatever became contiguous.
                 let n = q.contiguous_from(floor);
                 if n > 0 {
-                    released.extend(q.take(floor, n).iter_bytes());
+                    released.extend(q.take(floor, n).to_vec());
                     floor = floor.wrapping_add(n as u32);
                 }
             }
@@ -645,13 +703,42 @@ mod tests {
                 q.insert(base.wrapping_add(off as u32), stream[off..end].to_vec(), floor);
                 let n = q.contiguous_from(floor);
                 if n > 0 {
-                    released.extend(q.take(floor, n).iter_bytes());
+                    released.extend(q.take(floor, n).to_vec());
                     floor = floor.wrapping_add(n as u32);
                 }
                 off = end;
             }
             prop_assert_eq!(q.mismatched_bytes, 0);
             prop_assert_eq!(released, stream);
+        }
+
+        /// Chain equality is `to_vec()` equality, whatever the cuts.
+        #[test]
+        fn prop_taken_bytes_eq_is_to_vec_eq(
+            bytes in proptest::collection::vec(any::<u8>(), 1..200),
+            cuts_a in proptest::collection::vec(1usize..200, 0..6),
+            cuts_b in proptest::collection::vec(1usize..200, 0..6),
+            flip in proptest::option::of(0usize..200),
+            shorter in any::<bool>(),
+        ) {
+            let cuts = |mut c: Vec<usize>, len: usize| {
+                c.retain(|&x| x < len);
+                c.sort_unstable();
+                c.dedup();
+                c
+            };
+            let mut other = bytes.clone();
+            if let Some(i) = flip {
+                other[i % bytes.len()] ^= 1;
+            }
+            if shorter && other.len() > 1 {
+                other.pop();
+            }
+            let a = taken(&bytes, &cuts(cuts_a, bytes.len()));
+            let b = taken(&other, &cuts(cuts_b, other.len()));
+            prop_assert_eq!(a == b, a.to_vec() == b.to_vec());
+            prop_assert_eq!(b == a, a.to_vec() == b.to_vec());
+            prop_assert_eq!(a == other[..], a.to_vec() == other);
         }
 
         /// The rope agrees with a naive cell-per-byte reference model

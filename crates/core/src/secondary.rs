@@ -32,7 +32,7 @@ use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::audit::{SecondaryPhase, TakeoverStep};
 use tcpfo_telemetry::{
     Counter, FailoverPhase, Gauge, HealthObservatory, HostClock, InvariantAuditor,
-    LatencyObservatory, Stage, Telemetry,
+    LatencyObservatory, Scope, Stage, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{SegmentPatcher, TcpFlags, TcpView};
@@ -88,6 +88,9 @@ struct ShardGaugeSet {
 /// `core.secondary` scope, plus the shared hub for timeline marks.
 struct SecondaryInstruments {
     hub: Telemetry,
+    /// The `core.secondary` scope the observers publish under, built
+    /// once here so the host tick never formats a name.
+    scope: Scope,
     ingress_translated: Counter,
     egress_diverted: Counter,
     held_dropped: Counter,
@@ -310,6 +313,7 @@ impl SecondaryBridge {
             flows_reaped: scope.counter("flows_reaped"),
             flow_occupancy: scope.gauge("flow_occupancy"),
             shard_gauges: Vec::new(),
+            scope,
         });
     }
 
@@ -360,12 +364,12 @@ impl SecondaryBridge {
             }
         }
         if let Some(obs) = latency.as_deref_mut() {
-            obs.publish(&t.hub.registry.scope("core.secondary"), now_nanos);
+            obs.publish(&t.scope, now_nanos);
         }
         if let Some(obs) = health.as_deref_mut() {
-            obs.publish(&t.hub.registry.scope("core.secondary"), now_nanos);
+            obs.publish(&t.scope, now_nanos);
             if let Some(aud) = audit.as_deref_mut() {
-                aud.set_health_snapshot(obs.to_json());
+                aud.set_health_snapshot(&obs.lag);
             }
         }
     }

@@ -465,3 +465,57 @@ fn span_sampler_batch_cycle_does_not_allocate() {
         "sampler batch cycle allocated {delta} times in 64 batches"
     );
 }
+
+// ---------------------------------------------------------------------
+// The host tick. `on_tick` runs once per simulated millisecond on every
+// bridge whether or not a segment moved, so with a hub and every
+// observer attached it may copy and store but never format a name,
+// render a snapshot or build a scope: an idle tick leaves the allocator
+// alone.
+// ---------------------------------------------------------------------
+
+use tcpfo_core::SecondaryBridge;
+use tcpfo_telemetry::{AuditConfig, InvariantAuditor, LatencyObservatory, Telemetry};
+
+const TICK_NS: u64 = 1_000_000;
+
+fn idle_ticks(bridge: &mut dyn SegmentFilter) -> u64 {
+    // The first tick creates the per-shard and per-observer gauges.
+    bridge.on_tick(TICK_NS);
+    let base = allocs();
+    for i in 2..1_002 {
+        bridge.on_tick(i * TICK_NS);
+    }
+    allocs() - base
+}
+
+#[test]
+fn idle_tick_with_every_observer_attached_does_not_allocate() {
+    let hub = Telemetry::new();
+    let auditor = |label| Box::new(InvariantAuditor::new(AuditConfig::new(label)).with_hub(&hub));
+
+    let mut primary = established();
+    primary.set_telemetry(&hub);
+    primary.set_audit(Some(auditor("tick-p")));
+    primary.set_latency(Some(Box::new(LatencyObservatory::new())));
+    primary.set_health(Some(Box::new(HealthObservatory::new())));
+    primary.set_trace(Some(Box::new(SpanSampler::with_default_period(
+        Tracer::attached(64),
+    ))));
+    let delta = idle_ticks(&mut primary);
+    assert_eq!(
+        delta, 0,
+        "primary allocated {delta} times in 1000 idle ticks"
+    );
+
+    let mut secondary = SecondaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
+    secondary.set_telemetry(&hub);
+    secondary.set_audit(Some(auditor("tick-s")));
+    secondary.set_latency(Some(Box::new(LatencyObservatory::new())));
+    secondary.set_health(Some(Box::new(HealthObservatory::new())));
+    let delta = idle_ticks(&mut secondary);
+    assert_eq!(
+        delta, 0,
+        "secondary allocated {delta} times in 1000 idle ticks"
+    );
+}

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use tcpfo_telemetry::{Counter, Gauge, Telemetry};
 
 /// Default bound on retained trace entries (drop-oldest beyond this).
@@ -164,8 +164,9 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Cached per-`(node, port)` instrument handles so the transmit hot
-/// path does one `HashMap` lookup instead of a registry name lookup.
+/// Cached per-`(node, port)` instrument handles, created on a port's
+/// first transmit, so the transmit hot path never looks a name up in
+/// the registry.
 struct LinkInstruments {
     drops_loss: Counter,
     drops_queue_full: Counter,
@@ -189,7 +190,9 @@ struct SimCore {
     trace_dropped: u64,
     events_processed: u64,
     telemetry: Option<Telemetry>,
-    link_instruments: HashMap<(NodeId, usize), LinkInstruments>,
+    /// Dense like `port_table` (`link_instruments[node][port]`), grown
+    /// on demand: unwired ports count their drops too.
+    link_instruments: Vec<Vec<Option<LinkInstruments>>>,
 }
 
 impl SimCore {
@@ -216,19 +219,22 @@ impl SimCore {
 
     fn link_instruments(&mut self, node: NodeId, port: usize) -> Option<&LinkInstruments> {
         let telemetry = self.telemetry.as_ref()?;
-        Some(
-            self.link_instruments
-                .entry((node, port))
-                .or_insert_with(|| {
-                    let scope = telemetry.registry.scope(&format!("net.n{node}.p{port}"));
-                    LinkInstruments {
-                        drops_loss: scope.counter("drops.loss"),
-                        drops_queue_full: scope.counter("drops.queue_full"),
-                        drops_no_wire: scope.counter("drops.no_wire"),
-                        queue_delay_ns: scope.gauge("queue_delay_ns"),
-                    }
-                }),
-        )
+        if self.link_instruments.len() <= node {
+            self.link_instruments.resize_with(node + 1, Vec::new);
+        }
+        let row = &mut self.link_instruments[node];
+        if row.len() <= port {
+            row.resize_with(port + 1, || None);
+        }
+        Some(row[port].get_or_insert_with(|| {
+            let scope = telemetry.registry.scope(&format!("net.n{node}.p{port}"));
+            LinkInstruments {
+                drops_loss: scope.counter("drops.loss"),
+                drops_queue_full: scope.counter("drops.queue_full"),
+                drops_no_wire: scope.counter("drops.no_wire"),
+                queue_delay_ns: scope.gauge("queue_delay_ns"),
+            }
+        }))
     }
 
     fn wire_end(&self, node: NodeId, port: usize) -> Option<WireEnd> {
@@ -256,11 +262,9 @@ impl SimCore {
             self.trace(now, node, TraceKind::DropQueueFull { port }, Some(&frame));
             return;
         }
-        if self.telemetry.is_some() {
-            if let Some(i) = self.link_instruments(node, port) {
-                i.queue_delay_ns
-                    .set_at(queue_delay.as_nanos(), now.as_nanos());
-            }
+        if let Some(i) = self.link_instruments(node, port) {
+            i.queue_delay_ns
+                .set_at(queue_delay.as_nanos(), now.as_nanos());
         }
         let w = &mut self.wires[wire];
         let ser = params.serialization(frame.len());
@@ -329,7 +333,7 @@ impl Simulator {
                 trace_dropped: 0,
                 events_processed: 0,
                 telemetry: None,
-                link_instruments: HashMap::new(),
+                link_instruments: Vec::new(),
             },
             nodes: Vec::new(),
         }

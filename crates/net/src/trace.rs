@@ -60,10 +60,10 @@ impl TraceEntry {
         let Some(frame) = &self.frame else {
             return head;
         };
-        match EthernetFrame::decode(frame) {
+        match EthernetFrame::decode_shared(frame) {
             Ok(eth) => {
                 let detail = match eth.ethertype {
-                    EtherType::Ipv4 => match Ipv4Packet::decode(&eth.payload) {
+                    EtherType::Ipv4 => match Ipv4Packet::decode_shared(&eth.payload) {
                         Ok(ip) => {
                             let tcp = TcpView::new(&ip.payload)
                                 .map(|v| {
@@ -121,11 +121,11 @@ pub fn to_pcapng(entries: &[TraceEntry], filter: impl Fn(&TraceEntry) -> bool) -
 /// The original-destination option of the TCP segment inside `frame`,
 /// if the frame is Ethernet/IPv4/TCP and the option is present.
 fn orig_dest_of(frame: &Bytes) -> Option<(tcpfo_wire::ipv4::Ipv4Addr, u16)> {
-    let eth = EthernetFrame::decode(frame).ok()?;
+    let eth = EthernetFrame::decode_shared(frame).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    let ip = Ipv4Packet::decode(&eth.payload).ok()?;
+    let ip = Ipv4Packet::decode_shared(&eth.payload).ok()?;
     tcpfo_wire::tcp::peek_orig_dest(&ip.payload)
 }
 

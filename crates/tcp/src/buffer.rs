@@ -10,6 +10,22 @@
 use crate::seq::{seq_diff, seq_le, seq_lt};
 use std::collections::VecDeque;
 
+/// Copies `len` bytes starting `off` bytes into `ring`: at most two
+/// slice copies, since the ring's storage wraps at most once.
+fn copy_range(ring: &VecDeque<u8>, off: usize, len: usize) -> Vec<u8> {
+    let (front, back) = ring.as_slices();
+    let mut out = Vec::with_capacity(len);
+    if off < front.len() {
+        let n = len.min(front.len() - off);
+        out.extend_from_slice(&front[off..off + n]);
+        out.extend_from_slice(&back[..len - n]);
+    } else {
+        let off = off - front.len();
+        out.extend_from_slice(&back[off..off + len]);
+    }
+    out
+}
+
 /// Ring of bytes awaiting acknowledgment, addressed by sequence number.
 #[derive(Debug, Clone)]
 pub struct SendBuffer {
@@ -73,7 +89,7 @@ impl SendBuffer {
         assert!(off >= 0, "slice before SND.UNA");
         let off = off as usize;
         assert!(off + len <= self.data.len(), "slice past buffered data");
-        self.data.iter().skip(off).take(len).copied().collect()
+        copy_range(&self.data, off, len)
     }
 
     /// Discards bytes acknowledged up to (not including) `ack`.
@@ -235,7 +251,9 @@ impl RecvBuffer {
     /// Reads up to `max` in-order bytes for the application.
     pub fn read(&mut self, max: usize) -> Vec<u8> {
         let n = max.min(self.ready.len());
-        self.ready.drain(..n).collect()
+        let out = copy_range(&self.ready, 0, n);
+        self.ready.drain(..n);
+        out
     }
 }
 
@@ -287,6 +305,39 @@ mod tests {
             assert_eq!(b.ack_to(1), 4);
             assert_eq!(b.base(), 1);
             assert_eq!(b.slice(1, 2), b"ef");
+        }
+
+        /// A full 64-byte ring whose storage has wrapped: stream bytes
+        /// 40..104, the first 24 before the seam and 40 after it.
+        fn wrapped() -> SendBuffer {
+            let stream: Vec<u8> = (0..104).collect();
+            let mut b = SendBuffer::new(0, 64);
+            assert_eq!(b.write(&stream[..64]), 64);
+            assert_eq!(b.ack_to(40), 40);
+            assert_eq!(b.write(&stream[64..]), 40);
+            let (front, back) = b.data.as_slices();
+            assert_eq!((front.len(), back.len()), (24, 40), "ring must wrap");
+            b
+        }
+
+        #[test]
+        fn slice_inside_the_first_half() {
+            assert_eq!(wrapped().slice(45, 10), (45..55).collect::<Vec<u8>>());
+            assert_eq!(wrapped().slice(40, 24), (40..64).collect::<Vec<u8>>());
+        }
+
+        #[test]
+        fn slice_inside_the_second_half() {
+            assert_eq!(wrapped().slice(64, 40), (64..104).collect::<Vec<u8>>());
+            assert_eq!(wrapped().slice(70, 5), (70..75).collect::<Vec<u8>>());
+            assert_eq!(wrapped().slice(104, 0), b"");
+        }
+
+        #[test]
+        fn slice_across_the_seam() {
+            assert_eq!(wrapped().slice(60, 10), (60..70).collect::<Vec<u8>>());
+            assert_eq!(wrapped().slice(40, 64), (40..104).collect::<Vec<u8>>());
+            assert_eq!(wrapped().slice(63, 2), [63, 64]);
         }
 
         #[test]
@@ -375,6 +426,21 @@ mod tests {
         }
 
         #[test]
+        fn read_across_the_seam() {
+            let stream: Vec<u8> = (0..104).collect();
+            let mut b = RecvBuffer::new(0, 64);
+            assert!(b.insert(0, &stream[..64]));
+            assert_eq!(b.read(40), &stream[..40]);
+            assert!(b.insert(64, &stream[64..]));
+            let (front, back) = b.ready.as_slices();
+            assert_eq!((front.len(), back.len()), (24, 40), "ring must wrap");
+            assert_eq!(b.read(10), &stream[40..50], "inside the first half");
+            assert_eq!(b.read(20), &stream[50..70], "across the seam");
+            assert_eq!(b.read(usize::MAX), &stream[70..], "inside the second half");
+            assert_eq!(b.available(), 0);
+        }
+
+        #[test]
         fn multiple_holes_fill_in_any_order() {
             let mut b = RecvBuffer::new(0, 128);
             b.insert(10, b"cc");
@@ -422,6 +488,76 @@ mod tests {
                 }
                 prop_assert_eq!(b.next_seq(), start.wrapping_add(len as u32));
                 prop_assert_eq!(b.read(usize::MAX), stream);
+            }
+
+            /// A 64-byte send ring under interleaved `write` / `ack_to`
+            /// / `slice`, long enough that its storage wraps many
+            /// times, always agrees with a plain `Vec` of the
+            /// unacknowledged bytes.
+            #[test]
+            fn prop_send_ring_matches_shadow(
+                base in any::<u32>(),
+                ops in proptest::collection::vec((0u8..3, 0usize..64, 0usize..65), 200..400),
+            ) {
+                let mut b = SendBuffer::new(base, 64);
+                let mut shadow: Vec<u8> = Vec::new();
+                let (mut written, mut acked) = (0usize, 0usize);
+                for (kind, x, y) in ops {
+                    match kind {
+                        0 => {
+                            let data: Vec<u8> =
+                                (written..written + x + 1).map(|i| (i % 251) as u8).collect();
+                            let n = b.write(&data);
+                            prop_assert_eq!(n, data.len().min(64 - shadow.len()));
+                            shadow.extend_from_slice(&data[..n]);
+                            written += n;
+                        }
+                        1 => {
+                            let n = x % (shadow.len() + 1);
+                            let ack = b.base().wrapping_add(n as u32);
+                            prop_assert_eq!(b.ack_to(ack), n);
+                            shadow.drain(..n);
+                            acked += n;
+                        }
+                        _ => {
+                            let off = x % (shadow.len() + 1);
+                            let len = y % (shadow.len() - off + 1);
+                            let seq = b.base().wrapping_add(off as u32);
+                            prop_assert_eq!(&b.slice(seq, len)[..], &shadow[off..off + len]);
+                        }
+                    }
+                    prop_assert_eq!(b.len(), shadow.len());
+                    prop_assert_eq!(b.base(), base.wrapping_add(acked as u32));
+                }
+                prop_assert_eq!(b.slice(b.base(), shadow.len()), shadow);
+            }
+
+            /// The same for the receive ring under in-order `insert`
+            /// and bounded `read`.
+            #[test]
+            fn prop_recv_ring_matches_shadow(
+                start in any::<u32>(),
+                ops in proptest::collection::vec((0u8..2, 0usize..64), 200..400),
+            ) {
+                let mut b = RecvBuffer::new(start, 64);
+                let mut shadow: Vec<u8> = Vec::new();
+                let mut received = 0usize;
+                for (kind, x) in ops {
+                    if kind == 0 {
+                        let data: Vec<u8> =
+                            (received..received + x + 1).map(|i| (i % 251) as u8).collect();
+                        let take = data.len().min(64 - shadow.len());
+                        b.insert(start.wrapping_add(received as u32), &data);
+                        shadow.extend_from_slice(&data[..take]);
+                        received += take;
+                    } else {
+                        let n = x.min(shadow.len());
+                        prop_assert_eq!(b.read(x), shadow.drain(..n).collect::<Vec<u8>>());
+                    }
+                    prop_assert_eq!(b.available(), shadow.len());
+                    prop_assert_eq!(b.next_seq(), start.wrapping_add(received as u32));
+                }
+                prop_assert_eq!(b.read(usize::MAX), shadow);
             }
 
             /// SendBuffer: ack_to never over-releases and slice returns

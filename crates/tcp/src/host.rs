@@ -648,7 +648,7 @@ impl Device for Host {
     }
 
     fn handle_frame(&mut self, _port: usize, frame: Bytes, ctx: &mut Ctx<'_>) {
-        let Ok(eth) = EthernetFrame::decode(&frame) else {
+        let Ok(eth) = EthernetFrame::decode_shared(&frame) else {
             return;
         };
         let for_us = eth.dst == self.net.mac || eth.dst.is_broadcast();
@@ -665,18 +665,18 @@ impl Device for Host {
                 }
             }
             EtherType::Ipv4 => {
-                let Ok(pkt) = Ipv4Packet::decode(&eth.payload) else {
+                let Ok(pkt) = Ipv4Packet::decode_shared(&eth.payload) else {
                     return;
                 };
                 self.net.charge_rx(pkt.payload.len(), ctx);
                 if pkt.protocol == PROTO_TCP {
                     // A received frame is a datapath entry point (for a
                     // bridge host this is the client-ingress stamp).
-                    let mut seg = AddressedSegment::new(pkt.src, pkt.dst, pkt.payload.clone());
+                    let mut seg = AddressedSegment::new(pkt.src, pkt.dst, pkt.payload);
                     seg.ensure_trace();
                     self.filter_inbound(seg, ctx);
                 } else if self.net.is_local(pkt.dst) {
-                    self.run_controller_raw(pkt.protocol, pkt.src, &pkt.payload.clone(), ctx);
+                    self.run_controller_raw(pkt.protocol, pkt.src, &pkt.payload, ctx);
                 }
             }
             EtherType::Other(_) => {}

@@ -467,7 +467,7 @@ impl TcpStack {
             self.checksum_drops += 1;
             return;
         }
-        let Ok(parsed) = TcpSegment::decode(&seg.bytes) else {
+        let Ok(parsed) = TcpSegment::decode_shared(&seg.bytes) else {
             self.checksum_drops += 1;
             return;
         };

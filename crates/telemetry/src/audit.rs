@@ -33,6 +33,7 @@ use tcpfo_wire::mac::MacAddr;
 use tcpfo_wire::pcapng::PcapngWriter;
 use tcpfo_wire::tcp::{verify_segment_checksum, TcpFlags, TcpSegment, TcpView};
 
+use crate::health::ReplicationLag;
 use crate::{fmt_nanos, FailoverPhase, Telemetry};
 
 // ---------------------------------------------------------------------
@@ -910,12 +911,11 @@ pub struct InvariantAuditor {
     /// controller journals the promotion decision, cleared when the
     /// commit is checked against it.
     promotion_decided_at: Option<u64>,
-    /// Latest replica health / replication-lag JSON snapshot, pushed
-    /// by the bridge's telemetry sync when the health observatory is
-    /// also attached; lands in flight-recorder bundles as
-    /// `health.json` so every invariant violation captures replica
-    /// health at fault time.
-    health_snapshot: Option<String>,
+    /// Latest replication-lag ledger, stored by the bridge's telemetry
+    /// sync when the health observatory is also attached; rendered into
+    /// flight-recorder bundles as `health.json` so every invariant
+    /// violation captures replica health at fault time.
+    health_snapshot: Option<ReplicationLag>,
 }
 
 impl fmt::Debug for InvariantAuditor {
@@ -955,11 +955,12 @@ impl InvariantAuditor {
         }
     }
 
-    /// Stores the latest replica health / replication-lag snapshot for
-    /// inclusion in flight-recorder bundles. Called from the bridge's
-    /// host-tick telemetry sync, never from the per-packet path.
-    pub fn set_health_snapshot(&mut self, json: String) {
-        self.health_snapshot = Some(json);
+    /// Stores the latest replication-lag ledger for inclusion in
+    /// flight-recorder bundles. Called from the bridge's host-tick
+    /// telemetry sync, so it is a plain copy: the JSON is rendered by
+    /// [`InvariantAuditor::write_bundle`], if a bundle is ever written.
+    pub fn set_health_snapshot(&mut self, lag: &ReplicationLag) {
+        self.health_snapshot = Some(*lag);
     }
 
     /// Connects the telemetry hub so violations reach the journal and
@@ -1207,8 +1208,8 @@ impl InvariantAuditor {
                 )?;
             }
         }
-        if let Some(health) = &self.health_snapshot {
-            std::fs::write(dir.join("health.json"), health)?;
+        if let Some(lag) = &self.health_snapshot {
+            std::fs::write(dir.join("health.json"), lag.to_json())?;
         }
         Ok(dir)
     }
@@ -1418,7 +1419,7 @@ impl InvariantAuditor {
         if flags.contains(TcpFlags::SYN) {
             // Learn the replica ISN and handshake parameters. MSS needs
             // the options, so take the full decode (cold path).
-            let mss = TcpSegment::decode(bytes).ok().and_then(|s| s.mss());
+            let mss = TcpSegment::decode_shared(bytes).ok().and_then(|s| s.mss());
             let conn = self.conns.entry(key).or_default();
             if is_primary {
                 conn.p_isn = Some(view.seq());
@@ -1593,7 +1594,7 @@ impl InvariantAuditor {
             format!("conn {key}: merged SYN win={win}, expected min(win_P, win_S)={exp_win}")
         });
         let conn = &self.conns[&key];
-        let mss = TcpSegment::decode(bytes).ok().and_then(|s| s.mss());
+        let mss = TcpSegment::decode_shared(bytes).ok().and_then(|s| s.mss());
         let exp_mss = conn.mss_p.unwrap_or(536).min(conn.mss_s.unwrap_or(536));
         self.check(Rule::MssMin, mss == Some(exp_mss), trace, || {
             format!("conn {key}: merged SYN advertises MSS {mss:?}, expected min(MSS_P, MSS_S)={exp_mss}")

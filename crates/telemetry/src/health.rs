@@ -858,6 +858,24 @@ impl ReplicationLag {
     pub fn head_wait_hist(&self, class: FlowClass) -> &LogHistogram<HEALTH_BUCKETS> {
         &self.hist_head_wait[class.index()]
     }
+
+    /// JSON snapshot of the lag state. Renders six histograms: for
+    /// bundles and exports, never for the host tick.
+    pub fn to_json(&self) -> String {
+        let mut o = JsonObject::new();
+        o.u64("unmatched_bytes", self.unmatched_bytes())
+            .u64("unmatched_segments", self.unmatched_segments())
+            .u64("peak_bytes", self.peak_bytes())
+            .u64("releases", self.releases());
+        for class in FlowClass::ALL {
+            let mut c = JsonObject::new();
+            c.raw("bytes", self.bytes_hist(class).to_json())
+                .raw("segments", self.segments_hist(class).to_json())
+                .raw("head_wait_ns", self.head_wait_hist(class).to_json());
+            o.raw(class.name(), c.render());
+        }
+        o.render()
+    }
 }
 
 /// Registry handles for one bridge's published lag metrics.
@@ -915,21 +933,9 @@ impl HealthObservatory {
         }
     }
 
-    /// JSON snapshot of the lag state.
+    /// JSON snapshot of the lag state ([`ReplicationLag::to_json`]).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.u64("unmatched_bytes", self.lag.unmatched_bytes())
-            .u64("unmatched_segments", self.lag.unmatched_segments())
-            .u64("peak_bytes", self.lag.peak_bytes())
-            .u64("releases", self.lag.releases());
-        for class in FlowClass::ALL {
-            let mut c = JsonObject::new();
-            c.raw("bytes", self.lag.bytes_hist(class).to_json())
-                .raw("segments", self.lag.segments_hist(class).to_json())
-                .raw("head_wait_ns", self.lag.head_wait_hist(class).to_json());
-            o.raw(class.name(), c.render());
-        }
-        o.render()
+        self.lag.to_json()
     }
 }
 

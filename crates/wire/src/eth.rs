@@ -2,7 +2,7 @@
 
 use crate::error::WireError;
 use crate::mac::MacAddr;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Length of destination + source + ethertype.
 pub const ETH_HEADER_LEN: usize = 14;
@@ -75,40 +75,54 @@ impl EthernetFrame {
 
     /// Encodes the frame (with minimum-size zero padding).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_slice(&self.dst.octets());
-        buf.put_slice(&self.src.octets());
-        buf.put_u16(self.ethertype.value());
-        buf.put_slice(&self.payload);
-        while buf.len() < ETH_HEADER_LEN + 46 {
-            buf.put_u8(0);
-        }
-        buf.freeze()
+        let mut header = [0u8; ETH_HEADER_LEN];
+        header[0..6].copy_from_slice(&self.dst.octets());
+        header[6..12].copy_from_slice(&self.src.octets());
+        header[12..14].copy_from_slice(&self.ethertype.value().to_be_bytes());
+        let total = self.wire_len();
+        let mut buf = Vec::with_capacity(total);
+        buf.extend_from_slice(&header);
+        buf.extend_from_slice(&self.payload);
+        buf.resize(total, 0);
+        Bytes::from(buf)
     }
 
-    /// Decodes a frame.
+    /// Decodes a frame, copying `bytes` first; for callers that do not
+    /// hold the frame as [`Bytes`] (tests, capture tooling).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`EthernetFrame::decode_shared`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        Self::decode_shared(&Bytes::copy_from_slice(bytes))
+    }
+
+    /// Decodes a frame whose bytes are already refcounted: the payload
+    /// is a slice of `bytes`, so a device that drops the frame after
+    /// looking at the destination address has copied nothing.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Truncated`] if the buffer is shorter than
     /// the Ethernet header.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < ETH_HEADER_LEN {
+    pub fn decode_shared(bytes: &Bytes) -> Result<Self, WireError> {
+        let b: &[u8] = bytes;
+        if b.len() < ETH_HEADER_LEN {
             return Err(WireError::Truncated {
                 layer: "ethernet",
                 needed: ETH_HEADER_LEN,
-                available: bytes.len(),
+                available: b.len(),
             });
         }
         let mut dst = [0u8; 6];
-        dst.copy_from_slice(&bytes[0..6]);
+        dst.copy_from_slice(&b[0..6]);
         let mut src = [0u8; 6];
-        src.copy_from_slice(&bytes[6..12]);
+        src.copy_from_slice(&b[6..12]);
         Ok(EthernetFrame {
             dst: MacAddr(dst),
             src: MacAddr(src),
-            ethertype: u16::from_be_bytes([bytes[12], bytes[13]]).into(),
-            payload: Bytes::copy_from_slice(&bytes[ETH_HEADER_LEN..]),
+            ethertype: u16::from_be_bytes([b[12], b[13]]).into(),
+            payload: bytes.slice(ETH_HEADER_LEN..),
         })
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::checksum::{checksum, Checksum};
 use crate::error::WireError;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 pub use std::net::Ipv4Addr;
 
@@ -81,40 +81,52 @@ impl Ipv4Packet {
     pub fn encode(&self) -> Bytes {
         let total = self.wire_len();
         debug_assert!(total <= u16::MAX as usize, "datagram too large");
-        let mut buf = BytesMut::with_capacity(total);
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(0); // DSCP/ECN
-        buf.put_u16(total as u16);
-        buf.put_u16(self.identification);
-        buf.put_u16(0x4000); // flags: don't fragment
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.protocol);
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(&self.src.octets());
-        buf.put_slice(&self.dst.octets());
-        let ck = checksum(&buf[..IPV4_HEADER_LEN]);
-        buf[10..12].copy_from_slice(&ck.to_be_bytes());
-        buf.put_slice(&self.payload);
-        buf.freeze()
+        let mut header = [0u8; IPV4_HEADER_LEN];
+        header[0] = 0x45; // version 4, IHL 5; DSCP/ECN stay 0
+        header[2..4].copy_from_slice(&(total as u16).to_be_bytes());
+        header[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        header[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // flags: don't fragment
+        header[8] = self.ttl;
+        header[9] = self.protocol;
+        header[12..16].copy_from_slice(&self.src.octets());
+        header[16..20].copy_from_slice(&self.dst.octets());
+        let ck = checksum(&header);
+        header[10..12].copy_from_slice(&ck.to_be_bytes());
+        let mut buf = Vec::with_capacity(total);
+        buf.extend_from_slice(&header);
+        buf.extend_from_slice(&self.payload);
+        Bytes::from(buf)
     }
 
-    /// Decodes a datagram, validating version, lengths and the header
-    /// checksum.
+    /// Decodes a datagram, copying `bytes` first; for callers that do
+    /// not hold the datagram as [`Bytes`] (tests, capture tooling).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Ipv4Packet::decode_shared`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        Self::decode_shared(&Bytes::copy_from_slice(bytes))
+    }
+
+    /// Decodes a datagram whose bytes are already refcounted,
+    /// validating version, lengths and the header checksum. The payload
+    /// is a slice of `bytes` cut at the header's total length.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] if the buffer is truncated, the version or
     /// IHL is unsupported, the total length is inconsistent, or the
     /// header checksum does not verify.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < IPV4_HEADER_LEN {
+    pub fn decode_shared(bytes: &Bytes) -> Result<Self, WireError> {
+        let b: &[u8] = bytes;
+        if b.len() < IPV4_HEADER_LEN {
             return Err(WireError::Truncated {
                 layer: "ipv4",
                 needed: IPV4_HEADER_LEN,
-                available: bytes.len(),
+                available: b.len(),
             });
         }
-        let version = bytes[0] >> 4;
+        let version = b[0] >> 4;
         if version != 4 {
             return Err(WireError::BadField {
                 layer: "ipv4",
@@ -122,7 +134,7 @@ impl Ipv4Packet {
                 value: u32::from(version),
             });
         }
-        let ihl = usize::from(bytes[0] & 0x0f) * 4;
+        let ihl = usize::from(b[0] & 0x0f) * 4;
         if ihl != IPV4_HEADER_LEN {
             return Err(WireError::BadField {
                 layer: "ipv4",
@@ -130,27 +142,27 @@ impl Ipv4Packet {
                 value: (ihl / 4) as u32,
             });
         }
-        let total = usize::from(u16::from_be_bytes([bytes[2], bytes[3]]));
-        if total < IPV4_HEADER_LEN || total > bytes.len() {
+        let total = usize::from(u16::from_be_bytes([b[2], b[3]]));
+        if total < IPV4_HEADER_LEN || total > b.len() {
             return Err(WireError::BadLength {
                 layer: "ipv4",
                 what: "total_length outside datagram bounds",
             });
         }
-        if checksum(&bytes[..IPV4_HEADER_LEN]) != 0 {
+        if checksum(&b[..IPV4_HEADER_LEN]) != 0 {
             return Err(WireError::BadField {
                 layer: "ipv4",
                 field: "header_checksum",
-                value: u32::from(u16::from_be_bytes([bytes[10], bytes[11]])),
+                value: u32::from(u16::from_be_bytes([b[10], b[11]])),
             });
         }
         Ok(Ipv4Packet {
-            src: Ipv4Addr::new(bytes[12], bytes[13], bytes[14], bytes[15]),
-            dst: Ipv4Addr::new(bytes[16], bytes[17], bytes[18], bytes[19]),
-            protocol: bytes[9],
-            ttl: bytes[8],
-            identification: u16::from_be_bytes([bytes[4], bytes[5]]),
-            payload: Bytes::copy_from_slice(&bytes[IPV4_HEADER_LEN..total]),
+            src: Ipv4Addr::new(b[12], b[13], b[14], b[15]),
+            dst: Ipv4Addr::new(b[16], b[17], b[18], b[19]),
+            protocol: b[9],
+            ttl: b[8],
+            identification: u16::from_be_bytes([b[4], b[5]]),
+            payload: bytes.slice(IPV4_HEADER_LEN..total),
         })
     }
 }

@@ -129,40 +129,36 @@ impl TcpOption {
         }
     }
 
-    fn encode_into(&self, buf: &mut BytesMut) {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             TcpOption::Mss(mss) => {
-                buf.put_u8(2);
-                buf.put_u8(4);
-                buf.put_u16(*mss);
+                buf.extend_from_slice(&[2, 4]);
+                buf.extend_from_slice(&mss.to_be_bytes());
             }
             TcpOption::OrigDest { addr, port } => {
-                buf.put_u8(OPT_KIND_ORIG_DEST);
-                buf.put_u8(8);
-                buf.put_slice(&addr.octets());
-                buf.put_u16(*port);
+                buf.extend_from_slice(&[OPT_KIND_ORIG_DEST, 8]);
+                buf.extend_from_slice(&addr.octets());
+                buf.extend_from_slice(&port.to_be_bytes());
             }
             TcpOption::Unknown(kind, data) => {
-                buf.put_u8(*kind);
-                buf.put_u8((2 + data.len()) as u8);
-                buf.put_slice(data);
+                buf.extend_from_slice(&[*kind, (2 + data.len()) as u8]);
+                buf.extend_from_slice(data);
             }
         }
     }
 }
 
-/// Encodes `options` into the padded option block of a TCP header.
+/// Encodes `options` into the padded option block of a TCP header. An
+/// empty list yields an empty `Vec`, which owns no allocation.
 pub fn encode_options(options: &[TcpOption]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     for opt in options {
         opt.encode_into(&mut buf);
     }
     // Pad to a 4-byte boundary with NOPs (kind 1) — unlike end-of-list
     // padding, this keeps the block parseable if options are appended.
-    while !buf.len().is_multiple_of(4) {
-        buf.put_u8(1);
-    }
-    buf.to_vec()
+    buf.resize(buf.len().next_multiple_of(4), 1);
+    buf
 }
 
 /// Decodes the option block of a TCP header.
@@ -286,84 +282,63 @@ impl TcpSegment {
         let header_len = TCP_HEADER_LEN + opts.len();
         debug_assert!(header_len <= 60, "tcp options too long");
         let total = header_len + self.payload.len();
-        let mut buf = BytesMut::with_capacity(total);
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u32(self.seq);
-        buf.put_u32(self.ack);
-        buf.put_u8(((header_len / 4) as u8) << 4);
-        buf.put_u8(self.flags.0);
-        buf.put_u16(self.window);
-        buf.put_u16(0); // checksum placeholder
-        buf.put_u16(0); // urgent pointer
-        buf.put_slice(&opts);
-        buf.put_slice(&self.payload);
+        // Checksum and urgent pointer (bytes 16..20) stay zero while
+        // the sum is taken.
+        let mut header = [0u8; TCP_HEADER_LEN];
+        header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        header[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        header[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        header[12] = ((header_len / 4) as u8) << 4;
+        header[13] = self.flags.0;
+        header[14..16].copy_from_slice(&self.window.to_be_bytes());
+        // Header and option block have even lengths, so the three
+        // parts sum as one stream.
         let mut ck = pseudo_header_sum(src, dst, PROTO_TCP, total);
-        ck.add_bytes(&buf);
-        let sum = ck.finish();
-        buf[16..18].copy_from_slice(&sum.to_be_bytes());
-        buf.freeze()
+        ck.add_bytes(&header);
+        ck.add_bytes(&opts);
+        ck.add_bytes(&self.payload);
+        header[16..18].copy_from_slice(&ck.finish().to_be_bytes());
+        let mut buf = Vec::with_capacity(total);
+        buf.extend_from_slice(&header);
+        buf.extend_from_slice(&opts);
+        buf.extend_from_slice(&self.payload);
+        Bytes::from(buf)
     }
 
-    /// Decodes a segment. The checksum is *not* verified here (the IP
-    /// addresses are needed for that) — call [`TcpSegment::verify_checksum`].
+    /// Decodes a segment, copying `bytes` first; for callers that do
+    /// not hold the segment as [`Bytes`] (tests, capture tooling). The
+    /// checksum is *not* verified — see [`TcpSegment::decode_shared`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`TcpSegment::decode_shared`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        Self::decode_shared(&Bytes::copy_from_slice(bytes))
+    }
+
+    /// Decodes a segment whose bytes are already refcounted, slicing
+    /// the payload out of the shared buffer instead of copying it, so
+    /// queued payload bytes stay shared all the way from the wire to
+    /// the bridge's output queue. The checksum is *not* verified here
+    /// (the IP addresses are needed for that) — call
+    /// [`verify_segment_checksum`] or [`TcpSegment::verify_checksum`].
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] for truncated buffers, a data offset
     /// smaller than 5 or past the end of the buffer, or malformed
     /// options.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < TCP_HEADER_LEN {
-            return Err(WireError::Truncated {
-                layer: "tcp",
-                needed: TCP_HEADER_LEN,
-                available: bytes.len(),
-            });
-        }
-        let data_offset = usize::from(bytes[12] >> 4) * 4;
-        if data_offset < TCP_HEADER_LEN {
-            return Err(WireError::BadField {
-                layer: "tcp",
-                field: "data_offset",
-                value: (data_offset / 4) as u32,
-            });
-        }
-        if data_offset > bytes.len() {
-            return Err(WireError::BadLength {
-                layer: "tcp",
-                what: "data offset past end of segment",
-            });
-        }
-        Ok(TcpSegment {
-            src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
-            dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
-            seq: u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-            ack: u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
-            flags: TcpFlags(bytes[13] & 0x3f),
-            window: u16::from_be_bytes([bytes[14], bytes[15]]),
-            options: decode_options(&bytes[TCP_HEADER_LEN..data_offset])?,
-            payload: Bytes::copy_from_slice(&bytes[data_offset..]),
-        })
-    }
-
-    /// Decodes a segment whose bytes are already refcounted, slicing
-    /// the payload out of the shared buffer instead of copying it. The
-    /// bridges use this on their per-segment path so queued payload
-    /// bytes stay shared all the way from the wire to the output queue.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TcpSegment::decode`].
     pub fn decode_shared(bytes: &Bytes) -> Result<Self, WireError> {
-        if bytes.len() < TCP_HEADER_LEN {
+        let b: &[u8] = bytes;
+        if b.len() < TCP_HEADER_LEN {
             return Err(WireError::Truncated {
                 layer: "tcp",
                 needed: TCP_HEADER_LEN,
-                available: bytes.len(),
+                available: b.len(),
             });
         }
-        let data_offset = usize::from(bytes[12] >> 4) * 4;
+        let data_offset = usize::from(b[12] >> 4) * 4;
         if data_offset < TCP_HEADER_LEN {
             return Err(WireError::BadField {
                 layer: "tcp",
@@ -371,24 +346,24 @@ impl TcpSegment {
                 value: (data_offset / 4) as u32,
             });
         }
-        if data_offset > bytes.len() {
+        if data_offset > b.len() {
             return Err(WireError::BadLength {
                 layer: "tcp",
                 what: "data offset past end of segment",
             });
         }
         Ok(TcpSegment {
-            src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
-            dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
-            seq: u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-            ack: u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
-            flags: TcpFlags(bytes[13] & 0x3f),
-            window: u16::from_be_bytes([bytes[14], bytes[15]]),
-            options: decode_options(&bytes[TCP_HEADER_LEN..data_offset])?,
+            src_port: u16::from_be_bytes([b[0], b[1]]),
+            dst_port: u16::from_be_bytes([b[2], b[3]]),
+            seq: u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
+            ack: u32::from_be_bytes([b[8], b[9], b[10], b[11]]),
+            flags: TcpFlags(b[13] & 0x3f),
+            window: u16::from_be_bytes([b[14], b[15]]),
+            options: decode_options(&b[TCP_HEADER_LEN..data_offset])?,
             // Empty payloads get a detached empty `Bytes` so pure ACKs
             // never pin the arriving buffer's refcount (the inbound hot
             // path wants to take the buffer over in place).
-            payload: if data_offset < bytes.len() {
+            payload: if data_offset < b.len() {
                 bytes.slice(data_offset..)
             } else {
                 Bytes::new()

@@ -40,8 +40,85 @@ fn segment_with_raw_options(
     bytes
 }
 
+/// Whether `inner` lies inside `outer`'s allocation.
+fn within(outer: &[u8], inner: &[u8]) -> bool {
+    let (o, i) = (outer.as_ptr_range(), inner.as_ptr_range());
+    o.start <= i.start && i.end <= o.end
+}
+
+/// `decode` (which copies) and `decode_shared` (which slices) agree on
+/// `input` at one layer — the same fields or the same error — and a
+/// non-empty shared payload is a slice of `input`, not a copy. Hands
+/// the shared payload back for the next layer down.
+macro_rules! assert_layers_agree {
+    ($ty:ty, $input:expr) => {{
+        let input: &bytes::Bytes = $input;
+        let copied = <$ty>::decode(input);
+        let shared = <$ty>::decode_shared(input);
+        assert_eq!(copied, shared);
+        shared.ok().map(|d| d.payload).inspect(|p| {
+            assert!(p.is_empty() || within(input, p), "payload was copied");
+        })
+    }};
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The copying and the slicing entry points are one parser: on
+    /// arbitrary bytes every layer gives the same answer through both.
+    #[test]
+    fn decode_and_decode_shared_agree_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let input = bytes::Bytes::from(bytes);
+        assert_layers_agree!(EthernetFrame, &input);
+        assert_layers_agree!(Ipv4Packet, &input);
+        assert_layers_agree!(TcpSegment, &input);
+    }
+
+    /// The same down a well-formed Ethernet/IPv4/TCP stack — cut short
+    /// anywhere, one byte flipped anywhere — so the accepting branches
+    /// are compared too, each layer fed the layer above's shared
+    /// payload exactly as `Host::handle_frame` feeds it.
+    #[test]
+    fn decode_and_decode_shared_agree_down_the_stack(
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        with_options in any::<bool>(),
+        cut in proptest::option::of(0usize..140),
+        flip in proptest::option::of((0usize..140, 0u8..8)),
+    ) {
+        use tcpfo_wire::eth::EtherType;
+        use tcpfo_wire::mac::MacAddr;
+        let src = Ipv4Addr::new(1, 2, 3, 4);
+        let dst = Ipv4Addr::new(5, 6, 7, 8);
+        let mut seg = TcpSegment::builder(80, 81).seq(1).ack(2);
+        if with_options {
+            seg = seg.mss(1460).orig_dest(src, 4242);
+        }
+        let seg = seg.payload(bytes::Bytes::from(payload)).build();
+        let ip = Ipv4Packet::new(src, dst, PROTO_TCP, seg.encode(src, dst));
+        let mut frame = EthernetFrame::new(
+            MacAddr::from_index(1),
+            MacAddr::from_index(2),
+            EtherType::Ipv4,
+            ip.encode(),
+        )
+        .encode()
+        .to_vec();
+        if let Some((at, bit)) = flip {
+            let at = at % frame.len();
+            frame[at] ^= 1 << bit;
+        }
+        frame.truncate(cut.unwrap_or(usize::MAX));
+        let frame = bytes::Bytes::from(frame);
+        let data = assert_layers_agree!(EthernetFrame, &frame)
+            .and_then(|datagram| assert_layers_agree!(Ipv4Packet, &datagram))
+            .and_then(|segment| assert_layers_agree!(TcpSegment, &segment));
+        if flip.is_none() && cut.is_none() {
+            prop_assert_eq!(data, Some(seg.payload));
+        }
+    }
 
     /// Arbitrary bytes never panic any decoder.
     #[test]

@@ -9,7 +9,10 @@
 //! armed to panic; (d) a §5 failover run is sequenced by the secondary
 //! auditor's takeover-ordering checks.
 
+mod common;
+
 use bytes::Bytes;
+use common::is_json;
 use tcp_failover::apps::driver::{BulkSendClient, RequestReplyClient};
 use tcp_failover::apps::stream::{SinkServer, SourceServer};
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
@@ -18,7 +21,7 @@ use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::filter::{AddressedSegment, FilterOutput, SegmentFilter};
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
-use tcp_failover::telemetry::{AuditConfig, InvariantAuditor, Rule};
+use tcp_failover::telemetry::{AuditConfig, HealthObservatory, InvariantAuditor, Rule, Telemetry};
 use tcp_failover::wire::ipv4::Ipv4Addr;
 use tcp_failover::wire::pcapng::read_packets;
 use tcp_failover::wire::tcp::{SegmentPatcher, TcpFlags, TcpSegment};
@@ -281,6 +284,50 @@ fn broken_bridge_trips_auditor_and_dumps_bundle() {
     let pcap = std::fs::read(bundle.join("capture.pcapng")).expect("capture.pcapng");
     let pkts = read_packets(&pcap).expect("bundle capture parses");
     assert!(!pkts.is_empty(), "capture must hold the recent segments");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The bundle's `health.json` is the replication-lag ledger as it stood
+/// at the last host tick before the violation — stored on the tick as a
+/// plain copy, rendered only here, when a bundle is written.
+#[test]
+fn bundle_health_json_is_the_ledger_at_the_last_tick() {
+    let dir = std::env::temp_dir().join(format!("tcpfo-audit-health-{}", std::process::id()));
+    let audit = InvariantAuditor::new(
+        AuditConfig::new("health")
+            .panic_on_violation(false)
+            .bundle_dir(&dir),
+    );
+    let mut b = established(audit);
+    b.set_telemetry(&Telemetry::new());
+    b.set_health(Some(Box::new(HealthObservatory::new())));
+    let ledger = |b: &PrimaryBridge| b.health().expect("observatory attached").to_json();
+
+    // A matched release, so the ledger has something to say; then the
+    // tick that copies it to the auditor.
+    b.on_outbound(p_seg(0, b"resp", ISS_C + 1), MS);
+    let out = b.on_inbound(s_seg(0, b"resp", ISS_C + 1), 2 * MS);
+    assert_eq!(out.to_wire.len(), 1, "matched data released");
+    b.on_tick(3 * MS);
+    let at_tick = ledger(&b);
+    assert_eq!(b.health().expect("attached").lag.releases(), 1);
+
+    // The ledger moves on after the tick; the bundle must not see it.
+    b.on_outbound(p_seg(4, b"more", ISS_C + 1), 4 * MS);
+    b.on_inbound(s_seg(4, b"more", ISS_C + 1), 5 * MS);
+    assert_ne!(ledger(&b), at_tick, "a second release moved the ledger");
+
+    // The violation, forced as in the test above.
+    b.unsafe_ack_without_min = true;
+    b.on_inbound(client_data(0, b"hi"), 6 * MS);
+    b.on_outbound(p_seg(8, b"", ISS_C + 3), 7 * MS);
+    let aud = b.audit().expect("auditor still attached");
+    assert!(aud.ledger().stat(Rule::AckMin).violations >= 1);
+
+    let bundle = aud.bundle_path().expect("bundle written on violation");
+    let health = std::fs::read_to_string(bundle.join("health.json")).expect("health.json");
+    assert!(is_json(&health), "{health}");
+    assert_eq!(health, at_tick);
     std::fs::remove_dir_all(&dir).ok();
 }
 
