@@ -373,14 +373,16 @@ impl ChainBridge {
         delta.replace_u32(u32::from(seg.dst), u32::from(up));
         let new_ck = delta.apply(u16::from_be_bytes([bytes[16], bytes[17]]));
 
+        // The grown header is composed on the stack and appended once
+        // (every append to a `BytesMut` first proves it unshared).
+        let mut header = [0u8; 60];
+        header[..header_len].copy_from_slice(&bytes[..header_len]);
+        header[12..14].copy_from_slice(&new_word.to_be_bytes());
+        header[16..18].copy_from_slice(&new_ck.to_be_bytes());
+        header[header_len..header_len + 8].copy_from_slice(&opt);
         let buf = &mut self.divert_buf;
         buf.reserve(len + 8);
-        buf.extend_from_slice(&bytes[..12]);
-        buf.extend_from_slice(&new_word.to_be_bytes());
-        buf.extend_from_slice(&bytes[14..16]);
-        buf.extend_from_slice(&new_ck.to_be_bytes());
-        buf.extend_from_slice(&bytes[18..header_len]);
-        buf.extend_from_slice(&opt);
+        buf.extend_from_slice(&header[..header_len + 8]);
         buf.extend_from_slice(&bytes[header_len..]);
         let diverted = buf.split().freeze();
 

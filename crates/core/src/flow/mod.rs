@@ -25,5 +25,5 @@ pub mod lifecycle;
 pub mod table;
 
 pub use lifecycle::FlowState;
-pub use table::{Evicted, FlowTable, FlowTableConfig, GcPolicy, Shard, ShardStats};
+pub use table::{Evicted, FlowTable, FlowTableConfig, GcPolicy, Shard, ShardStats, SlotId};
 pub use tcpfo_tcp::filter::FlowKey;

@@ -14,6 +14,12 @@
 //! every shard count. Shards share nothing: packet batches can fan out
 //! across shards on scoped threads.
 //!
+//! A per-segment caller resolves its flow **once**: [`Shard::find`] is
+//! the only keyed probe, and everything after it — state, data, touch,
+//! lifecycle change, replacement, removal — takes the [`SlotId`] it
+//! returned and hashes nothing. The keyed [`FlowTable`] methods are
+//! `find` + the slot form, so there is one implementation of each.
+//!
 //! Memory is bounded: each shard holds at most `capacity / shards`
 //! flows. Inserting into a full shard evicts the least-recently-used
 //! entry ([`Evicted`] is handed back to the caller, which owns the
@@ -25,7 +31,7 @@
 //! one of two intrusive **expiry lists**, one per TTL class: TimeWait
 //! residue (`timewait_ttl`) and live/idle flows (`idle_ttl`).
 //! §6-degraded flows are on no list — GC-exempt, though still subject
-//! to LRU eviction. Each `insert` / `get_mut` / class-changing
+//! to LRU eviction. Each `insert` / `replace` / `touch` / class-changing
 //! `set_state` moves the slot to the *back* of its class list with
 //! `last_activity = now`; because sim time is monotone, every class
 //! list is therefore ordered by non-decreasing deadline
@@ -37,6 +43,7 @@
 //! budget pressure they are delayed but never lost.
 
 use super::lifecycle::FlowState;
+use std::cell::Cell;
 use std::collections::HashMap;
 use tcpfo_tcp::filter::FlowKey;
 
@@ -172,13 +179,15 @@ impl FlowTableConfig {
 pub struct ShardStats {
     /// Flows currently resident.
     pub occupancy: u64,
-    /// Flows ever inserted.
+    /// Flows ever inserted (an entry replaced or mutated in its slot
+    /// is not a new flow).
     pub inserted: u64,
     /// Flows evicted by LRU under capacity pressure.
     pub evicted: u64,
     /// Flows reaped by GC (TTL expiry).
     pub reaped: u64,
-    /// Key lookups served (hits and misses).
+    /// Keyed probes of the hash index ([`Shard::find`], hits and
+    /// misses, whoever asked).
     pub lookups: u64,
 }
 
@@ -204,15 +213,21 @@ pub struct Evicted<T> {
     pub data: T,
 }
 
+/// A resolved flow: the slab slot [`Shard::find`] (or [`Shard::insert`])
+/// found its entry in. Valid on that shard until the next `insert`,
+/// `remove`, GC or drain there — in the bridges, for the one segment
+/// that resolved it; a `SlotId` is passed down a call chain, never
+/// stored. A stale one panics or names another flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotId(u32);
+
 /// One slab slot.
 #[derive(Debug)]
 struct Slot<T> {
     key: FlowKey,
     state: FlowState,
-    /// Last touch (insert / mutable lookup / explicit touch), sim ns.
+    /// Last touch (insert / replace / touch / class change), sim ns.
     last_activity: u64,
-    /// When the current state was entered, sim ns.
-    state_since: u64,
     /// Intrusive LRU links (slot indices; [`NONE`] terminates).
     prev: u32,
     next: u32,
@@ -253,8 +268,9 @@ pub struct Shard<T> {
     /// One FIFO expiry list per TTL class.
     exp: [ExpList; EXP_CLASSES],
     capacity: usize,
-    /// Statistics (readable by telemetry exporters).
-    pub stats: ShardStats,
+    stats: ShardStats,
+    /// [`ShardStats::lookups`], counted behind `&self`.
+    lookups: Cell<u64>,
 }
 
 impl<T> Shard<T> {
@@ -276,6 +292,15 @@ impl<T> Shard<T> {
             exp: [ExpList::default(); EXP_CLASSES],
             capacity,
             stats: ShardStats::default(),
+            lookups: Cell::new(0),
+        }
+    }
+
+    /// Statistics (readable by telemetry exporters).
+    pub fn stats(&self) -> ShardStats {
+        ShardStats {
+            lookups: self.lookups.get(),
+            ..self.stats
         }
     }
 
@@ -294,62 +319,60 @@ impl<T> Shard<T> {
         self.capacity
     }
 
-    /// Whether the key is resident (does not touch the LRU).
-    pub fn contains(&self, key: &FlowKey) -> bool {
-        self.index.contains_key(key)
+    /// Resolves `key` to its slot: the one keyed probe (one hash) a
+    /// segment pays. Does not touch the LRU.
+    pub fn find(&self, key: &FlowKey) -> Option<SlotId> {
+        self.lookups.set(self.lookups.get() + 1);
+        self.index.get(key).map(|&i| SlotId(i))
     }
 
-    /// The flow's state, if resident (does not touch the LRU).
-    pub fn state(&self, key: &FlowKey) -> Option<FlowState> {
-        let &slot = self.index.get(key)?;
-        Some(self.slot(slot).state)
+    /// The flow's state (does not touch the LRU).
+    pub fn state(&self, slot: SlotId) -> FlowState {
+        self.slot(slot.0).state
     }
 
     /// Shared access without touching the LRU (diagnostics, designation
     /// checks).
-    pub fn peek(&self, key: &FlowKey) -> Option<&T> {
-        let &slot = self.index.get(key)?;
-        Some(&self.slot(slot).data)
+    pub fn get(&self, slot: SlotId) -> &T {
+        &self.slot(slot.0).data
     }
 
-    /// Mutable access; touches the LRU, stamps `last_activity` and
-    /// re-queues the slot at the back of its expiry list (its deadline
-    /// just moved out).
-    pub fn get_mut(&mut self, key: &FlowKey, now: u64) -> Option<&mut T> {
-        self.stats.lookups += 1;
-        let slot = *self.index.get(key)?;
-        self.unlink(slot);
-        self.link_front(slot);
-        if let Some(class) = exp_class(self.slot(slot).state) {
-            self.exp_unlink(slot, class);
-            self.exp_push_back(slot, class);
+    /// Mutable access that is not activity: for a caller that already
+    /// [`Shard::touch`]ed the slot for the segment in hand.
+    pub fn get_mut(&mut self, slot: SlotId) -> &mut T {
+        &mut self.slot_mut(slot.0).data
+    }
+
+    /// Mutable access as activity: LRU front, `last_activity = now`,
+    /// and the slot re-queued at the back of its expiry list (its
+    /// deadline just moved out).
+    pub fn touch(&mut self, slot: SlotId, now: u64) -> &mut T {
+        let i = slot.0;
+        self.unlink(i);
+        self.link_front(i);
+        if let Some(class) = exp_class(self.slot(i).state) {
+            self.exp_unlink(i, class);
+            self.exp_push_back(i, class);
         }
-        let s = self.slot_mut(slot);
+        let s = self.slot_mut(i);
         s.last_activity = now;
-        Some(&mut s.data)
+        &mut s.data
     }
 
-    /// Marks the flow used without returning data.
-    pub fn touch(&mut self, key: &FlowKey, now: u64) {
-        let _ = self.get_mut(key, now);
-    }
-
-    /// Moves the flow to `state`, stamping `state_since`. No-op when
-    /// the key is absent; debug-asserts the transition is legal. A
-    /// transition that changes the TTL class counts as activity: the
-    /// slot re-enters its new expiry list at the back with
-    /// `last_activity = now`, which keeps every list deadline-ordered.
-    pub fn set_state(&mut self, key: &FlowKey, state: FlowState, now: u64) {
-        let Some(&slot) = self.index.get(key) else {
-            return;
-        };
-        let old = self.slot(slot).state;
+    /// Moves the flow to `state`; debug-asserts the transition is
+    /// legal. A transition that changes the TTL class counts as
+    /// activity: the slot re-enters its new expiry list at the back
+    /// with `last_activity = now`, which keeps every list
+    /// deadline-ordered.
+    pub fn set_state(&mut self, slot: SlotId, state: FlowState, now: u64) {
+        let i = slot.0;
+        let old = self.slot(i).state;
         debug_assert!(
             old == state || old.can_transition(state),
             "illegal flow transition {} -> {} for {}",
             old,
             state,
-            key
+            self.slot(i).key
         );
         if old == state {
             return;
@@ -357,46 +380,55 @@ impl<T> Shard<T> {
         let (old_class, new_class) = (exp_class(old), exp_class(state));
         if old_class != new_class {
             if let Some(c) = old_class {
-                self.exp_unlink(slot, c);
+                self.exp_unlink(i, c);
             }
             if let Some(c) = new_class {
-                self.exp_push_back(slot, c);
+                self.exp_push_back(i, c);
             }
         }
-        let s = self.slot_mut(slot);
+        let s = self.slot_mut(i);
         s.state = state;
-        s.state_since = now;
         if old_class != new_class {
             s.last_activity = now;
         }
     }
 
-    /// Inserts (or replaces) a flow. At capacity, the least-recently-
-    /// used entry is evicted first and returned — the caller owns the
-    /// eviction policy (e.g. resetting the evicted flow's client).
+    /// Puts a fresh entry in an occupied slot — new state machine, same
+    /// key, same slot — and returns the data it held. Counts as
+    /// activity; the lifecycle is not consulted (tuple reuse, §6/§8
+    /// residue taking a connection's place).
+    pub fn replace(&mut self, slot: SlotId, state: FlowState, data: T, now: u64) -> T {
+        let i = slot.0;
+        if let Some(c) = exp_class(self.slot(i).state) {
+            self.exp_unlink(i, c);
+        }
+        let s = self.slot_mut(i);
+        s.state = state;
+        s.last_activity = now;
+        let old = std::mem::replace(&mut s.data, data);
+        self.unlink(i);
+        self.link_front(i);
+        if let Some(c) = exp_class(state) {
+            self.exp_push_back(i, c);
+        }
+        old
+    }
+
+    /// Inserts a flow and returns the slot it landed in; over a
+    /// resident key this is [`Shard::replace`]. At capacity, the
+    /// least-recently-used entry is evicted first and returned — the
+    /// caller owns the eviction policy (e.g. resetting the evicted
+    /// flow's client).
     pub fn insert(
         &mut self,
         key: FlowKey,
         state: FlowState,
         data: T,
         now: u64,
-    ) -> Option<Evicted<T>> {
-        if let Some(&slot) = self.index.get(&key) {
-            // Replace in place: fresh state machine, same slot.
-            if let Some(c) = exp_class(self.slot(slot).state) {
-                self.exp_unlink(slot, c);
-            }
-            let s = self.slot_mut(slot);
-            s.state = state;
-            s.last_activity = now;
-            s.state_since = now;
-            s.data = data;
-            self.unlink(slot);
-            self.link_front(slot);
-            if let Some(c) = exp_class(state) {
-                self.exp_push_back(slot, c);
-            }
-            return None;
+    ) -> (SlotId, Option<Evicted<T>>) {
+        if let Some(slot) = self.find(&key) {
+            self.replace(slot, state, data, now);
+            return (slot, None);
         }
         let evicted = if self.index.len() >= self.capacity {
             let victim = self.tail;
@@ -406,33 +438,23 @@ impl<T> Shard<T> {
         } else {
             None
         };
+        let fresh = Some(Slot {
+            key,
+            state,
+            last_activity: now,
+            prev: NONE,
+            next: NONE,
+            exp_prev: NONE,
+            exp_next: NONE,
+            data,
+        });
         let slot = match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = Some(Slot {
-                    key,
-                    state,
-                    last_activity: now,
-                    state_since: now,
-                    prev: NONE,
-                    next: NONE,
-                    exp_prev: NONE,
-                    exp_next: NONE,
-                    data,
-                });
+                self.slots[i as usize] = fresh;
                 i
             }
             None => {
-                self.slots.push(Some(Slot {
-                    key,
-                    state,
-                    last_activity: now,
-                    state_since: now,
-                    prev: NONE,
-                    next: NONE,
-                    exp_prev: NONE,
-                    exp_next: NONE,
-                    data,
-                }));
+                self.slots.push(fresh);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -443,14 +465,13 @@ impl<T> Shard<T> {
         }
         self.stats.inserted += 1;
         self.stats.occupancy = self.index.len() as u64;
-        evicted
+        (SlotId(slot), evicted)
     }
 
     /// Removes a flow, returning its state and data.
-    pub fn remove(&mut self, key: &FlowKey) -> Option<(FlowState, T)> {
-        let slot = self.index.get(key).copied()?;
-        let ev = self.remove_slot(slot)?;
-        Some((ev.state, ev.data))
+    pub fn remove(&mut self, slot: SlotId) -> (FlowState, T) {
+        let ev = self.remove_slot(slot.0).expect("live slot");
+        (ev.state, ev.data)
     }
 
     /// Reaps every flow whose TTL (per `policy`) has expired, invoking
@@ -691,24 +712,28 @@ impl<T> FlowTable<T> {
         self.shards.iter().all(Shard::is_empty)
     }
 
-    /// Whether the key is resident anywhere.
+    /// Whether the key is resident anywhere (does not touch the LRU).
     pub fn contains(&self, key: &FlowKey) -> bool {
-        self.shards[self.shard_of(key)].contains(key)
+        self.shards[self.shard_of(key)].find(key).is_some()
     }
 
-    /// See [`Shard::peek`].
+    /// [`Shard::get`] by key.
     pub fn peek(&self, key: &FlowKey) -> Option<&T> {
-        self.shards[self.shard_of(key)].peek(key)
+        let shard = &self.shards[self.shard_of(key)];
+        shard.find(key).map(|slot| shard.get(slot))
     }
 
-    /// See [`Shard::state`].
+    /// [`Shard::state`] by key.
     pub fn state(&self, key: &FlowKey) -> Option<FlowState> {
-        self.shards[self.shard_of(key)].state(key)
+        let shard = &self.shards[self.shard_of(key)];
+        shard.find(key).map(|slot| shard.state(slot))
     }
 
-    /// See [`Shard::get_mut`].
+    /// [`Shard::touch`] by key.
     pub fn get_mut(&mut self, key: &FlowKey, now: u64) -> Option<&mut T> {
-        self.for_key_mut(key).get_mut(key, now)
+        let shard = self.for_key_mut(key);
+        let slot = shard.find(key)?;
+        Some(shard.touch(slot, now))
     }
 
     /// See [`Shard::insert`].
@@ -719,17 +744,22 @@ impl<T> FlowTable<T> {
         data: T,
         now: u64,
     ) -> Option<Evicted<T>> {
-        self.for_key_mut(&key).insert(key, state, data, now)
+        self.for_key_mut(&key).insert(key, state, data, now).1
     }
 
-    /// See [`Shard::remove`].
+    /// [`Shard::remove`] by key.
     pub fn remove(&mut self, key: &FlowKey) -> Option<(FlowState, T)> {
-        self.for_key_mut(key).remove(key)
+        let shard = self.for_key_mut(key);
+        let slot = shard.find(key)?;
+        Some(shard.remove(slot))
     }
 
-    /// See [`Shard::set_state`].
+    /// [`Shard::set_state`] by key; no-op when the key is absent.
     pub fn set_state(&mut self, key: &FlowKey, state: FlowState, now: u64) {
-        self.for_key_mut(key).set_state(key, state, now);
+        let shard = self.for_key_mut(key);
+        if let Some(slot) = shard.find(key) {
+            shard.set_state(slot, state, now);
+        }
     }
 
     /// Drains every expired flow (unbounded budget), in shard order.
@@ -783,7 +813,7 @@ impl<T> FlowTable<T> {
     pub fn stats_total(&self) -> ShardStats {
         let mut total = ShardStats::default();
         for s in &self.shards {
-            total.merge(&s.stats);
+            total.merge(&s.stats());
         }
         total
     }

@@ -32,9 +32,9 @@
 //! deterministic input-order merge.
 
 use crate::designation::{ConnKey, FailoverConfig};
-use crate::flow::{Evicted, FlowState, FlowTable, FlowTableConfig, Shard, ShardStats};
+use crate::flow::{Evicted, FlowState, FlowTable, FlowTableConfig, Shard, ShardStats, SlotId};
 use crate::queues::{ByteQueue, TakenBytes};
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{
     AddressedSegment, BatchDir, FailoverRule, FilterOutput, SegmentFilter, TraceId,
@@ -189,6 +189,15 @@ struct PrimaryInstruments {
     now_ns: u64,
 }
 
+impl PrimaryInstruments {
+    /// Appends an event to the journal.
+    fn record(&self, now_ns: u64, kind: &str, fields: &[(&str, String)]) {
+        self.hub
+            .journal
+            .record(now_ns, "core.primary", kind, fields);
+    }
+}
+
 /// Per-connection bridge state.
 #[derive(Debug)]
 struct Conn {
@@ -280,6 +289,25 @@ impl Conn {
 
     fn min_win(&self) -> u16 {
         self.win_p.min(self.win_s)
+    }
+
+    /// The acknowledgment to stamp on client-facing segments:
+    /// `min(ack_P, ack_S)` — or, under the ablation flag, the unsafe
+    /// primary-only acknowledgment.
+    fn client_ack(&self, unsafe_ack: bool) -> Option<u32> {
+        if unsafe_ack {
+            self.ack_p.or(self.ack_s)
+        } else {
+            self.min_ack()
+        }
+    }
+
+    /// Records the acknowledgment a client-facing segment carries.
+    fn note_ack_sent(&mut self, ack: u32) {
+        self.last_ack_sent = Some(match self.last_ack_sent {
+            Some(l) if seq_gt(l, ack) => l,
+            _ => ack,
+        });
     }
 }
 
@@ -669,7 +697,7 @@ impl PrimaryBridge {
         for (i, g) in t.shard_gauges.iter().enumerate() {
             if i < flows.shard_count() {
                 let shard = flows.shard(i);
-                let s = shard.stats;
+                let s = shard.stats();
                 g.occupancy.set_at(s.occupancy, now_nanos);
                 g.inserted.set_at(s.inserted, now_nanos);
                 g.evicted.set_at(s.evicted, now_nanos);
@@ -708,7 +736,7 @@ impl PrimaryBridge {
     /// the segment currently being filtered.
     fn journal(&self, kind: &str, fields: &[(&str, String)]) {
         if let Some(t) = &self.telemetry {
-            t.hub.journal.record(t.now_ns, "core.primary", kind, fields);
+            t.record(t.now_ns, kind, fields);
         }
     }
 
@@ -759,7 +787,7 @@ impl PrimaryBridge {
     /// the sequential datapath).
     pub fn flow_shard_stats(&self) -> Vec<ShardStats> {
         (0..self.flows.shard_count())
-            .map(|i| self.flows.shard(i).stats)
+            .map(|i| self.flows.shard(i).stats())
             .collect()
     }
 
@@ -802,7 +830,11 @@ impl PrimaryBridge {
         let mut out = FilterOutput::empty();
         self.mode = PrimaryMode::SecondaryFailed;
         for key in live {
-            let Some((_, PrimaryFlow::Live(mut conn))) = self.flows.remove(&key) else {
+            let shard = self.flows.for_key_mut(&key);
+            let Some(slot) = shard.find(&key) else {
+                continue;
+            };
+            let PrimaryFlow::Live(conn) = shard.get_mut(slot) else {
                 continue;
             };
             // The flow leaves replicated operation here: whatever the
@@ -820,6 +852,7 @@ impl PrimaryBridge {
                     out.to_wire
                         .push(AddressedSegment::new(self.a_p, conn.client.ip, bytes));
                 }
+                shard.remove(slot);
                 continue;
             };
             // Step 1: remove all payload data from the primary output
@@ -861,18 +894,14 @@ impl PrimaryBridge {
                     self.stats.fins_sent += 1;
                 }
             }
-            // Steps 2–3: replace the queue state with the degraded
-            // pass-through tombstone that keeps subtracting Δseq
-            // forever (degraded tombstones are GC-exempt).
-            self.flows.insert(
-                key,
-                FlowState::Degraded,
-                PrimaryFlow::Tomb(Tombstone {
-                    delta,
-                    degraded: true,
-                }),
-                now_nanos,
-            );
+            // Steps 2–3: the degraded pass-through tombstone that keeps
+            // subtracting Δseq forever (degraded tombstones are
+            // GC-exempt) takes the connection's slot.
+            let tomb = PrimaryFlow::Tomb(Tombstone {
+                delta,
+                degraded: true,
+            });
+            shard.replace(slot, FlowState::Degraded, tomb, now_nanos);
         }
         self.sync_telemetry(now_nanos);
         out
@@ -942,26 +971,30 @@ impl PrimaryBridge {
     // Shard routing and the batch entry point
     // ---------------------------------------------------------------
 
-    /// Shard an outbound (our TCP layer → wire) segment belongs to.
-    /// Unparseable segments route to shard 0; they pass through
-    /// untouched, so the choice only needs to be deterministic.
-    fn route_outbound(&self, seg: &AddressedSegment) -> usize {
-        ConnKey::of_egress(seg).map_or(0, |k| self.flows.shard_of(&k))
-    }
-
-    /// Shard an inbound (wire → our TCP layer) segment belongs to.
-    /// Diverted secondary output is keyed by the original destination
-    /// carried in its option, exactly as the datapath will key it.
-    fn route_inbound(&self, seg: &AddressedSegment) -> usize {
-        if seg.src == self.a_s && seg.dst == self.divert_dst {
-            if let (Some((orig_ip, orig_port)), Some((src_port, _))) =
-                (peek_orig_dest(&seg.bytes), peek_ports(&seg.bytes))
-            {
-                let key = ConnKey::new(src_port, SocketAddr::new(orig_ip, orig_port));
-                return self.flows.shard_of(&key);
+    /// Reads a segment's flow off its raw bytes — once: the shard index
+    /// comes from the same key the engine then resolves. Diverted
+    /// secondary output is keyed by the original destination carried in
+    /// its option. Unparseable segments route to shard 0; they pass
+    /// through untouched, so the choice only needs to be deterministic.
+    fn route(&self, dir: BatchDir, seg: &AddressedSegment) -> (usize, Route) {
+        let route = match dir {
+            BatchDir::Outbound => Route::Outbound(ConnKey::of_egress(seg)),
+            BatchDir::Inbound => {
+                let orig = if seg.src == self.a_s && seg.dst == self.divert_dst {
+                    peek_orig_dest(&seg.bytes).zip(peek_ports(&seg.bytes))
+                } else {
+                    None
+                };
+                match orig {
+                    Some(((ip, port), (src_port, _))) => {
+                        Route::Diverted(ConnKey::new(src_port, SocketAddr::new(ip, port)))
+                    }
+                    None => Route::Peer(ConnKey::of_ingress(seg)),
+                }
             }
-        }
-        ConnKey::of_ingress(seg).map_or(0, |k| self.flows.shard_of(&k))
+        };
+        let shard = route.key().map_or(0, |k| self.flows.shard_of(&k));
+        (shard, route)
     }
 
     /// Builds a per-shard engine borrowing this bridge's state. The
@@ -971,7 +1004,6 @@ impl PrimaryBridge {
         let PrimaryBridge {
             a_p,
             a_s,
-            divert_dst,
             mode,
             unsafe_ack_without_min,
             config,
@@ -984,37 +1016,37 @@ impl PrimaryBridge {
             ..
         } = self;
         Engine {
-            a_p: *a_p,
             a_s: *a_s,
-            divert_dst: *divert_dst,
             mode: *mode,
             unsafe_ack: *unsafe_ack_without_min,
             now: now_nanos,
-            trace,
             config: &*config,
             shard: &mut flows.shards_mut()[shard],
-            stats,
-            emit_buf,
+            emit: Emitter {
+                a_p: *a_p,
+                trace,
+                stats,
+                buf: emit_buf,
+                lat: latency.as_deref_mut().map(LatencyObservatory::stages_mut),
+            },
             instruments: telemetry.as_ref(),
-            lat: latency.as_deref_mut().map(LatencyObservatory::stages_mut),
             health: health.as_deref_mut(),
         }
     }
 
-    /// The outbound datapath. The [`SegmentFilter::on_outbound_into`]
-    /// implementation wraps this with the (optional) audit observation.
-    fn outbound_inner(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
+    /// The datapath for one segment in either direction. The
+    /// [`SegmentFilter`] implementation wraps this with the (optional)
+    /// audit observation.
+    fn filter_inner(
+        &mut self,
+        dir: BatchDir,
+        seg: AddressedSegment,
+        now_nanos: u64,
+        out: &mut FilterOutput,
+    ) {
         self.stamp_now(now_nanos);
-        let si = self.route_outbound(&seg);
-        self.engine(si, seg.trace, now_nanos).outbound(seg, out);
-    }
-
-    /// The inbound datapath. The [`SegmentFilter::on_inbound_into`]
-    /// implementation wraps this with the (optional) audit observation.
-    fn inbound_inner(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
-        self.stamp_now(now_nanos);
-        let si = self.route_inbound(&seg);
-        self.engine(si, seg.trace, now_nanos).inbound(seg, out);
+        let (si, route) = self.route(dir, &seg);
+        self.engine(si, seg.trace, now_nanos).run(route, seg, out);
     }
 
     /// Filters a whole batch, fanning items across flow-table shards on
@@ -1075,14 +1107,11 @@ impl PrimaryBridge {
             }
             return outs;
         }
-        let items: Vec<(usize, (BatchDir, AddressedSegment))> = batch
+        let items: Vec<(usize, (Route, AddressedSegment))> = batch
             .into_iter()
             .map(|(dir, seg)| {
-                let si = match dir {
-                    BatchDir::Outbound => self.route_outbound(&seg),
-                    BatchDir::Inbound => self.route_inbound(&seg),
-                };
-                (si, (dir, seg))
+                let (si, route) = self.route(dir, &seg);
+                (si, (route, seg))
             })
             .collect();
         let policy = self.flows.config().gc;
@@ -1092,7 +1121,6 @@ impl PrimaryBridge {
         let PrimaryBridge {
             a_p,
             a_s,
-            divert_dst,
             mode,
             unsafe_ack_without_min,
             config,
@@ -1100,8 +1128,7 @@ impl PrimaryBridge {
             shard_emit,
             ..
         } = self;
-        let (a_p, a_s, divert_dst, mode, unsafe_ack) =
-            (*a_p, *a_s, *divert_dst, *mode, *unsafe_ack_without_min);
+        let (a_p, a_s, mode, unsafe_ack) = (*a_p, *a_s, *mode, *unsafe_ack_without_min);
         let config: &FailoverConfig = config;
         let lat_on = self.latency.is_some();
         // Run-to-completion lanes: each shard is paired with its
@@ -1131,30 +1158,26 @@ impl PrimaryBridge {
                 inputs
                     .into_iter()
                     .enumerate()
-                    .map(|(i, (dir, seg))| {
+                    .map(|(i, (route, seg))| {
                         let mut out = FilterOutput::empty();
-                        {
-                            let mut eng = Engine {
+                        Engine {
+                            a_s,
+                            mode,
+                            unsafe_ack,
+                            now: now_nanos,
+                            config,
+                            shard: &mut *lane.shard,
+                            emit: Emitter {
                                 a_p,
-                                a_s,
-                                divert_dst,
-                                mode,
-                                unsafe_ack,
-                                now: now_nanos,
                                 trace: seg.trace,
-                                config,
-                                shard: &mut *lane.shard,
                                 stats: &mut stats,
-                                emit_buf: &mut *lane.emit,
-                                instruments: None,
+                                buf: &mut *lane.emit,
                                 lat: lat.as_mut(),
-                                health: None,
-                            };
-                            match dir {
-                                BatchDir::Outbound => eng.outbound(seg, &mut out),
-                                BatchDir::Inbound => eng.inbound(seg, &mut out),
-                            }
+                            },
+                            instruments: None,
+                            health: None,
                         }
+                        .run(route, seg, &mut out);
                         let s = if i + 1 == n {
                             Some((stats.clone(), lat))
                         } else {
@@ -1258,52 +1281,47 @@ struct Lane<'a> {
     emit: &'a mut BytesMut,
 }
 
-/// The per-flow datapath, bound to one flow-table shard.
-///
-/// Scalars are copied out of the bridge and the mutable pieces are held
-/// as *separate* references, so the borrow checker can see that a flow
-/// borrowed out of `shard` never aliases `stats` or `emit_buf`. That is
-/// what lets [`PrimaryBridge::process_batch`] run one engine per shard
-/// on scoped threads: an engine only ever touches its own shard plus
-/// thread-local stats and scratch.
-struct Engine<'a> {
+/// The flow a segment belongs to, read off its raw bytes by
+/// [`PrimaryBridge::route`] before anything is decoded. `None`: too
+/// short to carry a TCP header (such a segment passes through).
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// Our TCP layer's output, keyed by its destination.
+    Outbound(Option<ConnKey>),
+    /// The downstream replica's diverted output, keyed by the original
+    /// destination its option carries.
+    Diverted(ConnKey),
+    /// Anything else off the wire, keyed by its source.
+    Peer(Option<ConnKey>),
+}
+
+impl Route {
+    fn key(self) -> Option<ConnKey> {
+        match self {
+            Route::Outbound(k) | Route::Peer(k) => k,
+            Route::Diverted(k) => Some(k),
+        }
+    }
+}
+
+/// What emitting a segment needs and nothing that borrows the flow
+/// table: the egress scratch, the counters, the stage clock, our
+/// address and the trace id. Kept apart from [`Engine::shard`] so a
+/// `&mut Conn` borrowed from the shard lives across an emit.
+struct Emitter<'a> {
     a_p: Ipv4Addr,
-    a_s: Ipv4Addr,
-    divert_dst: Ipv4Addr,
-    mode: PrimaryMode,
-    unsafe_ack: bool,
-    /// Sim time of the segment being filtered.
-    now: u64,
     /// Causal trace of the segment being filtered.
     trace: TraceId,
-    config: &'a FailoverConfig,
-    shard: &'a mut Shard<PrimaryFlow>,
     stats: &'a mut PrimaryStats,
-    emit_buf: &'a mut BytesMut,
-    /// `None` on parallel workers — journal events only flow on the
-    /// sequential path, where cross-flow order is meaningful.
-    instruments: Option<&'a PrimaryInstruments>,
+    /// Recycled egress scratch (see [`PrimaryBridge::emit_buf`]).
+    buf: &'a mut BytesMut,
     /// Per-stage latency histograms (the observatory's, or a worker's
     /// private copy). `None` — the default — keeps every stage site to
     /// one branch with no clock read.
     lat: Option<&'a mut StageLatency>,
-    /// Replication-lag ledger (the health observatory's). `None` — the
-    /// default, and always on parallel workers (attachment forces the
-    /// sequential path) — keeps every accounting site to one branch.
-    health: Option<&'a mut HealthObservatory>,
 }
 
-impl Engine<'_> {
-    fn journal_on(&self) -> bool {
-        self.instruments.is_some()
-    }
-
-    fn journal(&self, kind: &str, fields: &[(&str, String)]) {
-        if let Some(t) = self.instruments {
-            t.hub.journal.record(self.now, "core.primary", kind, fields);
-        }
-    }
-
+impl Emitter<'_> {
     /// Host-time stamp opening a stage measurement; 0 (and no clock
     /// read) when the observatory is detached.
     #[inline]
@@ -1315,7 +1333,7 @@ impl Engine<'_> {
         }
     }
 
-    /// Closes a stage measurement opened by [`Engine::lat_start`].
+    /// Closes a stage measurement opened by [`Emitter::lat_start`].
     #[inline]
     fn lat_end(&mut self, stage: Stage, t0: u64) {
         if let Some(l) = self.lat.as_deref_mut() {
@@ -1323,68 +1341,206 @@ impl Engine<'_> {
         }
     }
 
+    /// Cold-path emitter for segments that need options (merged SYNs):
+    /// full encode.
+    fn encoded(&mut self, conn: &mut Conn, seg: TcpSegment, out: &mut FilterOutput) {
+        if seg.flags.contains(TcpFlags::ACK) {
+            conn.note_ack_sent(seg.ack);
+        }
+        let bytes = seg.encode(self.a_p, conn.client.ip);
+        out.to_wire
+            .push(AddressedSegment::new(self.a_p, conn.client.ip, bytes).traced(self.trace));
+    }
+
+    /// Hot-path emitter: patches the connection's prebuilt header
+    /// template into the recycled scratch buffer. No allocation, no
+    /// full checksum pass (callers supply the payload's cached sum when
+    /// they have one).
+    #[allow(clippy::too_many_arguments)]
+    fn hot<'p>(
+        &mut self,
+        conn: &mut Conn,
+        seq: u32,
+        ack: Option<u32>,
+        mut flags: TcpFlags,
+        window: u16,
+        parts: impl Iterator<Item = &'p [u8]> + Clone,
+        payload_len: usize,
+        payload_sum: Option<u32>,
+        out: &mut FilterOutput,
+    ) {
+        let ack_val = match ack {
+            Some(a) => {
+                flags |= TcpFlags::ACK;
+                conn.note_ack_sent(a);
+                a
+            }
+            None => 0,
+        };
+        let t0 = self.lat_start();
+        let bytes = conn.tmpl.emit_parts(
+            self.buf,
+            seq,
+            ack_val,
+            flags,
+            window,
+            parts,
+            payload_len,
+            payload_sum,
+        );
+        out.to_wire
+            .push(AddressedSegment::new(self.a_p, conn.client.ip, bytes).traced(self.trace));
+        self.lat_end(Stage::EgressEmit, t0);
+    }
+
+    /// [`Emitter::hot`] for a rope release: the payload is the
+    /// [`TakenBytes`] chain straight out of the output queues,
+    /// checksummed from its cached sum.
+    #[allow(clippy::too_many_arguments)]
+    fn release(
+        &mut self,
+        conn: &mut Conn,
+        seq: u32,
+        ack: Option<u32>,
+        flags: TcpFlags,
+        window: u16,
+        payload: &TakenBytes,
+        out: &mut FilterOutput,
+    ) {
+        self.hot(
+            conn,
+            seq,
+            ack,
+            flags,
+            window,
+            payload.parts(),
+            payload.len(),
+            Some(payload.sum()),
+            out,
+        );
+    }
+
+    /// [`Emitter::hot`] for an empty segment (bare ACKs, merged FINs,
+    /// translated RSTs).
+    fn empty(
+        &mut self,
+        conn: &mut Conn,
+        seq: u32,
+        ack: Option<u32>,
+        flags: TcpFlags,
+        window: u16,
+        out: &mut FilterOutput,
+    ) {
+        self.hot(
+            conn,
+            seq,
+            ack,
+            flags,
+            window,
+            std::iter::empty(),
+            0,
+            Some(0),
+            out,
+        );
+    }
+}
+
+/// The per-flow datapath, bound to one flow-table shard.
+///
+/// Scalars are copied out of the bridge and the mutable pieces are held
+/// as *separate* references, so the borrow checker can see that a flow
+/// borrowed out of `shard` never aliases the [`Emitter`]. That is what
+/// lets a connection be mutated where it sits in the table, and what
+/// lets [`PrimaryBridge::process_batch`] run one engine per shard on
+/// scoped threads: an engine only ever touches its own shard plus
+/// thread-local stats and scratch.
+///
+/// A segment's flow is resolved **once**, by [`Engine::find`] on entry;
+/// every later step takes the [`SlotId`], never the key.
+struct Engine<'a> {
+    a_s: Ipv4Addr,
+    mode: PrimaryMode,
+    unsafe_ack: bool,
+    /// Sim time of the segment being filtered.
+    now: u64,
+    config: &'a FailoverConfig,
+    shard: &'a mut Shard<PrimaryFlow>,
+    emit: Emitter<'a>,
+    /// `None` on parallel workers — journal events only flow on the
+    /// sequential path, where cross-flow order is meaningful.
+    instruments: Option<&'a PrimaryInstruments>,
+    /// Replication-lag ledger (the health observatory's). `None` — the
+    /// default, and always on parallel workers (attachment forces the
+    /// sequential path) — keeps every accounting site to one branch.
+    health: Option<&'a mut HealthObservatory>,
+}
+
+impl Engine<'_> {
     // ---------------------------------------------------------------
     // Flow-table access
     // ---------------------------------------------------------------
 
-    /// The tombstone for `key`, if its entry is residue.
-    fn tomb(&self, key: &ConnKey) -> Option<Tombstone> {
-        match self.shard.peek(key) {
-            Some(PrimaryFlow::Tomb(t)) => Some(*t),
+    /// Resolves the segment's flow: the one keyed probe it pays.
+    fn find(&mut self, key: &ConnKey) -> Option<SlotId> {
+        let t0 = self.emit.lat_start();
+        let slot = self.shard.find(key);
+        self.emit.lat_end(Stage::FlowLookup, t0);
+        slot
+    }
+
+    /// `slot` if it holds a live (queue-carrying) connection.
+    fn live(&self, slot: Option<SlotId>) -> Option<SlotId> {
+        slot.filter(|&s| self.shard.state(s).is_live())
+    }
+
+    /// The `Δseq` of a §6-degraded entry, if that is what `slot` holds.
+    fn degraded_delta(&self, slot: Option<SlotId>) -> Option<u32> {
+        match self.shard.get(slot?) {
+            PrimaryFlow::Tomb(t) if t.degraded => Some(t.delta),
             _ => None,
         }
     }
 
-    /// Whether `key` is a live (queue-carrying) connection, without a
-    /// latency sample (for callers already inside a measured span).
-    fn is_live_raw(&self, key: &ConnKey) -> bool {
-        self.shard.state(key).is_some_and(FlowState::is_live)
-    }
-
-    /// Whether `key` is a live (queue-carrying) connection.
-    fn is_live(&mut self, key: &ConnKey) -> bool {
-        let t0 = self.lat_start();
-        let live = self.is_live_raw(key);
-        self.lat_end(Stage::FlowLookup, t0);
-        live
-    }
-
-    /// Detaches a live connection for owned mutation; pair with
-    /// [`Engine::put_live`].
-    fn take_live(&mut self, key: &ConnKey) -> Option<Box<Conn>> {
-        let t0 = self.lat_start();
-        let taken = if self.is_live_raw(key) {
-            match self.shard.remove(key) {
-                Some((_, PrimaryFlow::Live(c))) => Some(c),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        self.lat_end(Stage::FlowLookup, t0);
-        taken
-    }
-
-    /// Reattaches a live connection, deriving its lifecycle state from
-    /// its merge progress. Routes any capacity eviction to
-    /// [`Engine::on_evicted`].
-    fn put_live(&mut self, key: ConnKey, conn: Box<Conn>, out: &mut FilterOutput) {
-        let st = state_of(&conn);
-        if let Some(ev) = self
+    /// Opens connection state for `key`: in the slot the tuple's residue
+    /// occupies (a fresh SYN supersedes a tombstone — tuple reuse across
+    /// a failover epoch), else in a new one, routing any capacity
+    /// eviction to [`Engine::on_evicted`].
+    fn open(&mut self, key: ConnKey, slot: Option<SlotId>, out: &mut FilterOutput) -> SlotId {
+        let conn = Box::new(Conn::new(self.emit.a_p, key.peer, key.server_port));
+        let flow = PrimaryFlow::Live(conn);
+        if let Some(slot) = slot {
+            self.shard
+                .replace(slot, FlowState::Establishing, flow, self.now);
+            return slot;
+        }
+        let (slot, evicted) = self
             .shard
-            .insert(key, st, PrimaryFlow::Live(conn), self.now)
-        {
+            .insert(key, FlowState::Establishing, flow, self.now);
+        if let Some(ev) = evicted {
+            self.on_evicted(ev, out);
+        }
+        slot
+    }
+
+    /// Opens a connection born degraded: local-only for its whole
+    /// lifetime (Δseq = 0 pass-through), even if a secondary
+    /// reintegrates later.
+    fn open_degraded(&mut self, key: ConnKey, out: &mut FilterOutput) {
+        let tomb = PrimaryFlow::Tomb(Tombstone {
+            delta: 0,
+            degraded: true,
+        });
+        let (_, evicted) = self.shard.insert(key, FlowState::Degraded, tomb, self.now);
+        if let Some(ev) = evicted {
             self.on_evicted(ev, out);
         }
     }
 
-    /// Inserts residue (a §6 or §8 tombstone).
-    fn put_tomb(&mut self, key: ConnKey, st: FlowState, tomb: Tombstone, out: &mut FilterOutput) {
-        if let Some(ev) = self
-            .shard
-            .insert(key, st, PrimaryFlow::Tomb(tomb), self.now)
-        {
-            self.on_evicted(ev, out);
+    /// Brings a connection's lifecycle state up to its merge progress.
+    fn settle(&mut self, slot: SlotId) {
+        if let PrimaryFlow::Live(conn) = self.shard.get(slot) {
+            let st = state_of(conn);
+            self.shard.set_state(slot, st, self.now);
         }
     }
 
@@ -1393,9 +1549,10 @@ impl Engine<'_> {
     /// vanish — its client would retransmit into a black hole forever —
     /// so it is reset with an RST in the client-facing sequence space.
     fn on_evicted(&mut self, ev: Evicted<PrimaryFlow>, out: &mut FilterOutput) {
-        self.stats.evicted_flows += 1;
-        if self.journal_on() {
-            self.journal(
+        self.emit.stats.evicted_flows += 1;
+        if let Some(t) = self.instruments {
+            t.record(
+                self.now,
                 "flow_evicted",
                 &[
                     ("flow", ev.key.to_string()),
@@ -1412,137 +1569,49 @@ impl Engine<'_> {
                     .seq(conn.send_next)
                     .flags(TcpFlags::RST)
                     .build();
-                let bytes = seg.encode(self.a_p, conn.client.ip);
+                let a_p = self.emit.a_p;
+                let bytes = seg.encode(a_p, conn.client.ip);
                 out.to_wire.push(
-                    AddressedSegment::new(self.a_p, conn.client.ip, bytes).traced(self.trace),
+                    AddressedSegment::new(a_p, conn.client.ip, bytes).traced(self.emit.trace),
                 );
-                self.stats.evicted_rsts += 1;
+                self.emit.stats.evicted_rsts += 1;
             }
         }
     }
 
-    // ---------------------------------------------------------------
-    // Emission helpers
-    // ---------------------------------------------------------------
-
-    /// The acknowledgment to stamp on client-facing segments:
-    /// `min(ack_P, ack_S)` — or, under the ablation flag, the unsafe
-    /// primary-only acknowledgment.
-    fn client_ack(&self, conn: &Conn) -> Option<u32> {
-        if self.unsafe_ack {
-            conn.ack_p.or(conn.ack_s)
-        } else {
-            conn.min_ack()
-        }
-    }
-
-    /// Cold-path emitter for segments that need options (merged SYNs):
-    /// full encode.
-    fn emit_to_client(&mut self, conn: &mut Conn, seg: TcpSegment, out: &mut FilterOutput) {
-        if seg.flags.contains(TcpFlags::ACK) {
-            conn.last_ack_sent = Some(match conn.last_ack_sent {
-                Some(l) if seq_gt(l, seg.ack) => l,
-                _ => seg.ack,
-            });
-        }
-        let bytes = seg.encode(self.a_p, conn.client.ip);
+    /// ACKs a FIN retransmitted into a §8 tombstone on the sender's
+    /// behalf: from `src` back to `dst`, whose segment `fin` was.
+    fn ack_late_fin(
+        &mut self,
+        (src, src_port): (Ipv4Addr, u16),
+        (dst, dst_port): (Ipv4Addr, u16),
+        fin: &TcpSegment,
+        out: &mut FilterOutput,
+    ) {
+        let ack_seg = TcpSegment::builder(src_port, dst_port)
+            .seq(fin.ack)
+            .ack(fin.seq.wrapping_add(fin.seq_len()))
+            .window(fin.window)
+            .build();
+        let bytes = ack_seg.encode(src, dst);
         out.to_wire
-            .push(AddressedSegment::new(self.a_p, conn.client.ip, bytes).traced(self.trace));
+            .push(AddressedSegment::new(src, dst, bytes).traced(self.emit.trace));
+        self.emit.stats.late_fin_acks += 1;
     }
 
-    /// Hot-path emitter: patches the connection's prebuilt header
-    /// template into the recycled scratch buffer. No allocation, no
-    /// full checksum pass (callers supply the payload's cached sum when
-    /// they have one).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_hot<'p>(
+    /// Rewrites one 32-bit header field of `raw` in place (RFC 1624
+    /// checksum fixup) and returns the patched segment.
+    fn patch(
         &mut self,
-        conn: &mut Conn,
-        seq: u32,
-        ack: Option<u32>,
-        mut flags: TcpFlags,
-        window: u16,
-        parts: impl Iterator<Item = &'p [u8]> + Clone,
-        payload_len: usize,
-        payload_sum: Option<u32>,
-        out: &mut FilterOutput,
-    ) {
-        let ack_val = match ack {
-            Some(a) => {
-                flags |= TcpFlags::ACK;
-                conn.last_ack_sent = Some(match conn.last_ack_sent {
-                    Some(l) if seq_gt(l, a) => l,
-                    _ => a,
-                });
-                a
-            }
-            None => 0,
-        };
-        let t0 = self.lat_start();
-        let bytes = conn.tmpl.emit_parts(
-            self.emit_buf,
-            seq,
-            ack_val,
-            flags,
-            window,
-            parts,
-            payload_len,
-            payload_sum,
-        );
-        out.to_wire
-            .push(AddressedSegment::new(self.a_p, conn.client.ip, bytes).traced(self.trace));
-        self.lat_end(Stage::EgressEmit, t0);
-    }
-
-    /// [`Engine::emit_hot`] for a rope release: the payload is the
-    /// [`TakenBytes`] chain straight out of the output queues,
-    /// checksummed from its cached sum.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_release(
-        &mut self,
-        conn: &mut Conn,
-        seq: u32,
-        ack: Option<u32>,
-        flags: TcpFlags,
-        window: u16,
-        payload: &TakenBytes,
-        out: &mut FilterOutput,
-    ) {
-        self.emit_hot(
-            conn,
-            seq,
-            ack,
-            flags,
-            window,
-            payload.parts(),
-            payload.len(),
-            Some(payload.sum()),
-            out,
-        );
-    }
-
-    /// [`Engine::emit_hot`] for an empty segment (bare ACKs, merged
-    /// FINs, translated RSTs).
-    fn emit_empty(
-        &mut self,
-        conn: &mut Conn,
-        seq: u32,
-        ack: Option<u32>,
-        flags: TcpFlags,
-        window: u16,
-        out: &mut FilterOutput,
-    ) {
-        self.emit_hot(
-            conn,
-            seq,
-            ack,
-            flags,
-            window,
-            std::iter::empty(),
-            0,
-            Some(0),
-            out,
-        );
+        raw: AddressedSegment,
+        set: impl FnOnce(&mut SegmentPatcher),
+    ) -> AddressedSegment {
+        let t0 = self.emit.lat_start();
+        let mut patcher = SegmentPatcher::new(raw.bytes, raw.src, raw.dst);
+        set(&mut patcher);
+        let (bytes, src, dst) = patcher.finish();
+        self.emit.lat_end(Stage::ChecksumFixup, t0);
+        AddressedSegment::new(src, dst, bytes).traced(self.emit.trace)
     }
 
     // ---------------------------------------------------------------
@@ -1551,12 +1620,12 @@ impl Engine<'_> {
 
     /// Releases everything both replicas agree on (§3.4 Figure 2), then
     /// the merged FIN, then a bare ACK if the minimum advanced.
-    fn try_merge(&mut self, key: ConnKey, out: &mut FilterOutput) {
-        let Some(mut conn) = self.take_live(&key) else {
+    fn try_merge(&mut self, slot: SlotId, out: &mut FilterOutput) {
+        let PrimaryFlow::Live(conn) = self.shard.get_mut(slot) else {
             return;
         };
         loop {
-            let qm0 = self.lat_start();
+            let qm0 = self.emit.lat_start();
             let avail = conn
                 .pq
                 .contiguous_from(conn.send_next)
@@ -1567,9 +1636,9 @@ impl Engine<'_> {
                 let from_s = conn.sq.take(conn.send_next, n);
                 let from_p = conn.pq.take(conn.send_next, n);
                 if from_p != from_s {
-                    self.stats.mismatched_bytes += n as u64;
+                    self.emit.stats.mismatched_bytes += n as u64;
                 }
-                self.lat_end(Stage::QueueMatch, qm0);
+                self.emit.lat_end(Stage::QueueMatch, qm0);
                 // Replication-lag sampling at the match point: how far
                 // behind the witness was when this release became
                 // possible, and how long the head byte sat waiting.
@@ -1591,34 +1660,36 @@ impl Engine<'_> {
                         self.now
                     };
                 }
-                let Some(ack) = self.client_ack(&conn) else {
-                    self.stats.drops += 1;
+                let Some(ack) = conn.client_ack(self.unsafe_ack) else {
+                    self.emit.stats.drops += 1;
                     break;
                 };
                 let seq = conn.send_next;
                 conn.send_next = conn.send_next.wrapping_add(n as u32);
                 conn.released_bytes += n as u64;
-                self.stats.merged_segments += 1;
-                self.stats.merged_bytes += n as u64;
+                self.emit.stats.merged_segments += 1;
+                self.emit.stats.merged_bytes += n as u64;
                 let win = conn.min_win();
-                self.emit_release(&mut conn, seq, Some(ack), TcpFlags::PSH, win, &from_s, out);
+                self.emit
+                    .release(conn, seq, Some(ack), TcpFlags::PSH, win, &from_s, out);
                 continue;
             }
             // No matched payload: the release decision itself is still
             // a queue-match sample.
-            self.lat_end(Stage::QueueMatch, qm0);
+            self.emit.lat_end(Stage::QueueMatch, qm0);
             // FIN merge: both replicas have closed at this position.
             if !conn.fin_sent
                 && conn.p_fin == Some(conn.send_next)
                 && conn.s_fin == Some(conn.send_next)
             {
-                if let Some(ack) = self.client_ack(&conn) {
+                if let Some(ack) = conn.client_ack(self.unsafe_ack) {
                     let seq = conn.send_next;
                     conn.fin_sent = true;
                     conn.send_next = conn.send_next.wrapping_add(1);
-                    self.stats.fins_sent += 1;
+                    self.emit.stats.fins_sent += 1;
                     let win = conn.min_win();
-                    self.emit_empty(&mut conn, seq, Some(ack), TcpFlags::FIN, win, out);
+                    self.emit
+                        .empty(conn, seq, Some(ack), TcpFlags::FIN, win, out);
                     continue;
                 }
             }
@@ -1626,27 +1697,28 @@ impl Engine<'_> {
         }
         // §3.4: prevent the delayed-ACK deadlock — if min(ack) advanced
         // beyond the last ack we sent, emit a bare ACK segment.
-        if let Some(m) = self.client_ack(&conn) {
+        if let Some(m) = conn.client_ack(self.unsafe_ack) {
             let advanced = match conn.last_ack_sent {
                 Some(l) => seq_gt(m, l),
                 None => true,
             };
             if advanced {
-                self.stats.empty_acks += 1;
-                if self.journal_on() {
-                    self.journal("empty_ack", &[("ack", m.to_string())]);
+                self.emit.stats.empty_acks += 1;
+                if let Some(t) = self.instruments {
+                    t.record(self.now, "empty_ack", &[("ack", m.to_string())]);
                 }
                 let (seq, win) = (conn.send_next, conn.min_win());
-                self.emit_empty(&mut conn, seq, Some(m), TcpFlags::EMPTY, win, out);
+                self.emit
+                    .empty(conn, seq, Some(m), TcpFlags::EMPTY, win, out);
             }
         }
-        self.put_live(key, conn, out);
+        self.settle(slot);
     }
 
     /// Builds the merged SYN / SYN+ACK once both replicas' SYNs are
     /// held (§7.1, §7.2).
-    fn try_merge_syn(&mut self, key: ConnKey, out: &mut FilterOutput) {
-        let Some(PrimaryFlow::Live(conn)) = self.shard.get_mut(&key, self.now) else {
+    fn try_merge_syn(&mut self, slot: SlotId, out: &mut FilterOutput) {
+        let PrimaryFlow::Live(conn) = self.shard.get_mut(slot) else {
             return;
         };
         let (Some(p), Some(s)) = (&conn.p_syn, &conn.s_syn) else {
@@ -1670,9 +1742,9 @@ impl Engine<'_> {
             conn.ack_s = Some(s.ack);
         }
         let seg = b.build();
-        let mut conn = self.take_live(&key).expect("conn present");
-        if self.journal_on() {
-            self.journal(
+        if let Some(t) = self.instruments {
+            t.record(
+                self.now,
                 "sync",
                 &[
                     ("client", format!("{}:{}", conn.client.ip, conn.client.port)),
@@ -1680,14 +1752,14 @@ impl Engine<'_> {
                 ],
             );
         }
-        self.emit_to_client(&mut conn, seg, out);
-        self.put_live(key, conn, out);
+        self.emit.encoded(conn, seg, out);
+        self.settle(slot);
     }
 
     /// Rebuilds and immediately re-sends the merged handshake segment
     /// (a replica retransmitted its SYN after the merge).
-    fn resend_merged_syn(&mut self, key: ConnKey, out: &mut FilterOutput) {
-        let Some(PrimaryFlow::Live(conn)) = self.shard.get_mut(&key, self.now) else {
+    fn resend_merged_syn(&mut self, slot: SlotId, out: &mut FilterOutput) {
+        let PrimaryFlow::Live(conn) = self.shard.get_mut(slot) else {
             return;
         };
         let (Some(p), Some(s)) = (&conn.p_syn, &conn.s_syn) else {
@@ -1703,45 +1775,39 @@ impl Engine<'_> {
             b = b.ack(p.ack);
         }
         let seg = b.build();
-        self.stats.retransmissions_forwarded += 1;
-        if self.journal_on() {
-            self.journal("retransmission", &[("kind", "syn".to_string())]);
+        self.emit.stats.retransmissions_forwarded += 1;
+        if let Some(t) = self.instruments {
+            t.record(self.now, "retransmission", &[("kind", "syn".to_string())]);
         }
-        let mut conn = self.take_live(&key).expect("conn present");
-        self.emit_to_client(&mut conn, seg, out);
-        self.put_live(key, conn, out);
+        self.emit.encoded(conn, seg, out);
+        self.settle(slot);
     }
 
-    /// Handles a data/FIN/ACK segment from either replica.
+    /// Handles a data/FIN/ACK segment from either replica; `slot` is
+    /// whatever the table holds for `key`.
     fn on_replica_segment(
         &mut self,
         key: ConnKey,
+        slot: Option<SlotId>,
         replica: Replica,
         seg: &TcpSegment,
         out: &mut FilterOutput,
     ) {
-        if !self.is_live(&key) {
+        let Some(slot) = self.live(slot) else {
             // §8: a FIN from the secondary after state deletion is
-            // ACKed directly back to the secondary.
-            if replica == Replica::Secondary
-                && seg.flags.contains(TcpFlags::FIN)
-                && self.shard.contains(&key)
+            // ACKed directly back to the secondary. Anything else —
+            // our TCP layer retransmitting into a dead connection
+            // included — is dropped (the tombstone answers the peer).
+            if replica == Replica::Secondary && seg.flags.contains(TcpFlags::FIN) && slot.is_some()
             {
-                let ack_seg = TcpSegment::builder(key.peer.port, key.server_port)
-                    .seq(seg.ack)
-                    .ack(seg.seq.wrapping_add(seg.seq_len()))
-                    .window(seg.window)
-                    .build();
-                let bytes = ack_seg.encode(key.peer.ip, self.a_s);
-                out.to_wire
-                    .push(AddressedSegment::new(key.peer.ip, self.a_s, bytes).traced(self.trace));
-                self.stats.late_fin_acks += 1;
-                return;
+                let to = (self.a_s, key.server_port);
+                self.ack_late_fin((key.peer.ip, key.peer.port), to, seg, out);
+            } else {
+                self.emit.stats.drops += 1;
             }
-            self.stats.drops += 1;
             return;
-        }
-        let Some(PrimaryFlow::Live(conn)) = self.shard.get_mut(&key, self.now) else {
+        };
+        let PrimaryFlow::Live(conn) = self.shard.touch(slot, self.now) else {
             unreachable!("live lifecycle state implies a live flow entry");
         };
         // Handshake segments.
@@ -1758,9 +1824,9 @@ impl Engine<'_> {
                 }
             }
             if already_merged {
-                self.resend_merged_syn(key, out);
+                self.resend_merged_syn(slot, out);
             } else {
-                self.try_merge_syn(key, out);
+                self.try_merge_syn(slot, out);
             }
             return;
         }
@@ -1782,7 +1848,7 @@ impl Engine<'_> {
         }
         let Some(delta) = conn.delta else {
             // Data before the handshake merged: cannot normalise.
-            self.stats.drops += 1;
+            self.emit.stats.drops += 1;
             return;
         };
         // Normalise into client (secondary) sequence space.
@@ -1802,12 +1868,14 @@ impl Engine<'_> {
         }
         // RST: forward with translated sequence number and drop state.
         if seg.flags.contains(TcpFlags::RST) {
-            let mut conn = self.take_live(&key).expect("conn present");
+            let (_, PrimaryFlow::Live(mut conn)) = self.shard.remove(slot) else {
+                unreachable!("live lifecycle state implies a live flow entry");
+            };
             if let Some(h) = self.health.as_deref_mut() {
                 h.lag.drop_flow(conn.pq.len(), conn.mss);
             }
-            self.emit_empty(&mut conn, seq, None, TcpFlags::RST, 0, out);
-            self.stats.conns_closed += 1;
+            self.emit.empty(&mut conn, seq, None, TcpFlags::RST, 0, out);
+            self.emit.stats.conns_closed += 1;
             return;
         }
         let fin_end = if has_fin { end.wrapping_add(1) } else { end };
@@ -1816,13 +1884,8 @@ impl Engine<'_> {
             // §4: the bridge receives only a single copy of a
             // retransmission; do not enqueue, send immediately with the
             // current minimum ack/window.
-            let ack_choice = if self.unsafe_ack {
-                conn.ack_p.or(conn.ack_s)
-            } else {
-                conn.min_ack()
-            };
-            let Some(ack) = ack_choice else {
-                self.stats.drops += 1;
+            let Some(ack) = conn.client_ack(self.unsafe_ack) else {
+                self.emit.stats.drops += 1;
                 return;
             };
             let mut flags = TcpFlags::EMPTY;
@@ -1832,9 +1895,10 @@ impl Engine<'_> {
             if has_fin {
                 flags |= TcpFlags::FIN;
             }
-            self.stats.retransmissions_forwarded += 1;
-            if self.journal_on() {
-                self.journal(
+            self.emit.stats.retransmissions_forwarded += 1;
+            if let Some(t) = self.instruments {
+                t.record(
+                    self.now,
                     "retransmission",
                     &[
                         ("seq", seq.to_string()),
@@ -1842,10 +1906,9 @@ impl Engine<'_> {
                     ],
                 );
             }
-            let mut conn = self.take_live(&key).expect("conn present");
             let win = conn.min_win();
-            self.emit_hot(
-                &mut conn,
+            self.emit.hot(
+                conn,
                 seq,
                 Some(ack),
                 flags,
@@ -1855,7 +1918,7 @@ impl Engine<'_> {
                 None,
                 out,
             );
-            self.put_live(key, conn, out);
+            self.settle(slot);
             return;
         }
         if !seg.payload.is_empty() {
@@ -1881,7 +1944,7 @@ impl Engine<'_> {
         }
         let pure_ack = seg.payload.is_empty() && !has_fin && seg.flags.contains(TcpFlags::ACK);
         let emitted_before = out.to_wire.len();
-        self.try_merge(key, out);
+        self.try_merge(slot, out);
         // Duplicate-ACK forwarding: a pure ACK that does not advance
         // min(ack_P, ack_S) is a replica *re-ACK* — the degenerate case
         // of §4's "recognises that k is a retransmission … sends k
@@ -1890,36 +1953,36 @@ impl Engine<'_> {
         // retransmit, and the client retries forever. It also carries
         // window updates and feeds the client's fast retransmit.
         if pure_ack && out.to_wire.len() == emitted_before {
-            if let Some(PrimaryFlow::Live(conn)) = self.shard.peek(&key) {
-                if let Some(m) = self.client_ack(conn) {
+            if let PrimaryFlow::Live(conn) = self.shard.get_mut(slot) {
+                if let Some(m) = conn.client_ack(self.unsafe_ack) {
                     // Only a *repeated* ack from one replica counts as
                     // a re-ACK; the other replica merely catching up to
                     // the minimum is normal duplex flow and forwarding
                     // it would double the merged ACK cadence.
                     if conn.last_ack_sent == Some(m) && conn.last_was_replica_dup {
-                        self.stats.empty_acks += 1;
-                        if self.journal_on() {
-                            self.journal(
+                        self.emit.stats.empty_acks += 1;
+                        if let Some(t) = self.instruments {
+                            t.record(
+                                self.now,
                                 "empty_ack",
                                 &[("ack", m.to_string()), ("kind", "re_ack".to_string())],
                             );
                         }
-                        let mut conn = self.take_live(&key).expect("conn present");
                         let (seq, win) = (conn.send_next, conn.min_win());
-                        self.emit_empty(&mut conn, seq, Some(m), TcpFlags::EMPTY, win, out);
-                        self.put_live(key, conn, out);
+                        self.emit
+                            .empty(conn, seq, Some(m), TcpFlags::EMPTY, win, out);
                     }
                 }
             }
         }
-        self.maybe_teardown(key);
+        self.maybe_teardown(slot);
     }
 
     /// §8: once both directions are closed and acknowledged, delete the
     /// connection state, leaving a TimeWait tombstone for late
     /// retransmissions (reaped by the flow GC after its TTL).
-    fn maybe_teardown(&mut self, key: ConnKey) {
-        let Some(PrimaryFlow::Live(conn)) = self.shard.peek(&key) else {
+    fn maybe_teardown(&mut self, slot: SlotId) {
+        let PrimaryFlow::Live(conn) = self.shard.get(slot) else {
             return;
         };
         let (pq_len, mss) = (conn.pq.len(), conn.mss);
@@ -1937,27 +2000,25 @@ impl Engine<'_> {
             _ => false,
         };
         if server_side_done && client_side_done {
-            // The TimeWait tombstone silently replaces the live entry;
-            // any residual unmatched bytes leave the lag ledger with it
+            // The TimeWait tombstone takes the live entry's slot; any
+            // residual unmatched bytes leave the lag ledger with it
             // (a fully acknowledged teardown normally has none).
             if let Some(h) = self.health.as_deref_mut() {
                 h.lag.drop_flow(pq_len, mss);
             }
-            self.shard.insert(
-                key,
-                FlowState::TimeWait,
-                PrimaryFlow::Tomb(Tombstone {
-                    delta,
-                    degraded: false,
-                }),
-                self.now,
-            );
-            self.stats.conns_closed += 1;
+            let tomb = PrimaryFlow::Tomb(Tombstone {
+                delta,
+                degraded: false,
+            });
+            self.shard
+                .replace(slot, FlowState::TimeWait, tomb, self.now);
+            self.emit.stats.conns_closed += 1;
         }
     }
 
     /// Handles an ingress segment from the unreplicated peer (the
-    /// client C, or back-end T for server-initiated connections).
+    /// client C, or back-end T for server-initiated connections);
+    /// `slot` is whatever the table holds for `key`.
     ///
     /// Takes `parsed` by value so its payload slice (which shares
     /// `raw.bytes`' storage) can be dropped before the ack-translate
@@ -1967,83 +2028,50 @@ impl Engine<'_> {
         &mut self,
         parsed: TcpSegment,
         raw: AddressedSegment,
+        key: ConnKey,
+        slot: Option<SlotId>,
         out: &mut FilterOutput,
     ) {
-        let key = ConnKey::new(parsed.dst_port, SocketAddr::new(raw.src, parsed.src_port));
+        let live = self.live(slot);
         // New client-initiated connection?
         if parsed.flags.contains(TcpFlags::SYN) && !parsed.flags.contains(TcpFlags::ACK) {
             match self.mode {
-                PrimaryMode::Normal => {
-                    // A fresh SYN supersedes any tombstone for the
-                    // tuple (tuple reuse across a failover epoch); the
-                    // insert replaces residue in place.
-                    if !self.is_live(&key) {
-                        let conn = Box::new(Conn::new(self.a_p, key.peer, key.server_port));
-                        self.put_live(key, conn, out);
-                    }
+                PrimaryMode::Normal if live.is_none() => {
+                    self.open(key, slot, out);
                 }
-                PrimaryMode::SecondaryFailed => {
-                    // Born degraded: this connection is local-only for
-                    // its whole lifetime (Δseq = 0 pass-through), even
-                    // if a secondary reintegrates later.
-                    if !self.shard.contains(&key) {
-                        self.put_tomb(
-                            key,
-                            FlowState::Degraded,
-                            Tombstone {
-                                delta: 0,
-                                degraded: true,
-                            },
-                            out,
-                        );
-                    }
-                }
+                PrimaryMode::SecondaryFailed if slot.is_none() => self.open_degraded(key, out),
+                _ => {}
             }
             out.to_tcp.push(raw);
             return;
         }
-        if !self.is_live(&key) {
-            // §6-degraded live connection: translate the ack and pass
-            // everything to our TCP layer, forever.
-            if let Some(t) = self.tomb(&key) {
-                if t.degraded {
-                    if parsed.flags.contains(TcpFlags::ACK) {
-                        let new_ack = parsed.ack.wrapping_add(t.delta);
-                        drop(parsed);
-                        let t0 = self.lat_start();
-                        let mut patcher = SegmentPatcher::new(raw.bytes, raw.src, raw.dst);
-                        patcher.set_ack(new_ack);
-                        let (bytes, src, dst) = patcher.finish();
-                        self.lat_end(Stage::ChecksumFixup, t0);
-                        self.stats.acks_translated += 1;
-                        out.to_tcp
-                            .push(AddressedSegment::new(src, dst, bytes).traced(self.trace));
-                    } else {
-                        out.to_tcp.push(raw);
-                    }
-                    return;
+        let Some(slot) = live else {
+            if let Some(delta) = self.degraded_delta(slot) {
+                // §6-degraded live connection: translate the ack and
+                // pass everything to our TCP layer, forever.
+                if parsed.flags.contains(TcpFlags::ACK) {
+                    let new_ack = parsed.ack.wrapping_add(delta);
+                    drop(parsed);
+                    let patched = self.patch(raw, |p| p.set_ack(new_ack));
+                    self.emit.stats.acks_translated += 1;
+                    out.to_tcp.push(patched);
+                } else {
+                    out.to_tcp.push(raw);
                 }
+            } else if parsed.flags.contains(TcpFlags::FIN) && slot.is_some() {
+                // §8: the client retransmits its FIN after we deleted
+                // the connection: ACK it ourselves.
+                let from = (self.emit.a_p, key.server_port);
+                self.ack_late_fin(from, (key.peer.ip, key.peer.port), &parsed, out);
+            } else {
+                // Unknown connection (e.g. created before the bridge,
+                // or non-failover traffic that matched a port): pass
+                // through.
+                out.to_tcp.push(raw);
             }
-            // §8: the client retransmits its FIN after we deleted the
-            // connection: ACK it ourselves.
-            if parsed.flags.contains(TcpFlags::FIN) && self.shard.contains(&key) {
-                let ack_seg = TcpSegment::builder(key.server_port, key.peer.port)
-                    .seq(parsed.ack)
-                    .ack(parsed.seq.wrapping_add(parsed.seq_len()))
-                    .window(parsed.window)
-                    .build();
-                let bytes = ack_seg.encode(self.a_p, key.peer.ip);
-                out.to_wire
-                    .push(AddressedSegment::new(self.a_p, key.peer.ip, bytes).traced(self.trace));
-                self.stats.late_fin_acks += 1;
-                return;
-            }
-            // Unknown connection (e.g. created before the bridge, or
-            // non-failover traffic that matched a port): pass through.
-            out.to_tcp.push(raw);
             return;
-        }
-        let Some(PrimaryFlow::Live(conn)) = self.shard.get_mut(&key, self.now) else {
+        };
+        let PrimaryFlow::Live(conn) = self.shard.touch(slot, self.now) else {
             unreachable!("live lifecycle state implies a live flow entry");
         };
         // Track teardown progress (in S/client-facing space).
@@ -2057,51 +2085,59 @@ impl Engine<'_> {
             conn.client_fin = Some(parsed.seq.wrapping_add(parsed.payload.len() as u32));
         }
         let delta_opt = conn.delta;
-        let new_state = state_of(conn);
-        self.shard.set_state(&key, new_state, self.now);
+        self.settle(slot);
         // Translate the acknowledgment into the primary's space.
         if parsed.flags.contains(TcpFlags::ACK) {
             if let Some(delta) = delta_opt {
                 let new_ack = parsed.ack.wrapping_add(delta);
                 drop(parsed);
-                let t0 = self.lat_start();
-                let mut patcher = SegmentPatcher::new(raw.bytes, raw.src, raw.dst);
-                patcher.set_ack(new_ack);
-                let (bytes, src, dst) = patcher.finish();
-                self.lat_end(Stage::ChecksumFixup, t0);
-                self.stats.acks_translated += 1;
-                out.to_tcp
-                    .push(AddressedSegment::new(src, dst, bytes).traced(self.trace));
+                let patched = self.patch(raw, |p| p.set_ack(new_ack));
+                self.emit.stats.acks_translated += 1;
+                out.to_tcp.push(patched);
             } else {
                 // An ACK cannot precede the merged SYN in a correct
                 // run; drop rather than corrupt the primary's TCB.
-                self.stats.drops += 1;
+                self.emit.stats.drops += 1;
             }
         } else {
             out.to_tcp.push(raw);
         }
-        self.maybe_teardown(key);
+        self.maybe_teardown(slot);
     }
 
     // ---------------------------------------------------------------
     // Direction entry points
     // ---------------------------------------------------------------
 
+    /// One segment through the datapath, as [`PrimaryBridge::route`]
+    /// classified it.
+    fn run(&mut self, route: Route, seg: AddressedSegment, out: &mut FilterOutput) {
+        match route {
+            Route::Outbound(key) => self.outbound(seg, key, out),
+            Route::Diverted(key) => self.diverted(seg, key, out),
+            Route::Peer(key) => self.peer(seg, key, out),
+        }
+    }
+
+    /// Decodes a segment under the ingress-parse stage clock.
+    fn decode(&mut self, bytes: &Bytes) -> Option<TcpSegment> {
+        let t0 = self.emit.lat_start();
+        let parsed = TcpSegment::decode_shared(bytes);
+        self.emit.lat_end(Stage::IngressParse, t0);
+        parsed.ok()
+    }
+
     /// The outbound datapath body (our TCP layer → wire).
-    fn outbound(&mut self, seg: AddressedSegment, out: &mut FilterOutput) {
-        let ip0 = self.lat_start();
-        let parsed = TcpSegment::decode_shared(&seg.bytes);
-        self.lat_end(Stage::IngressParse, ip0);
-        let Ok(parsed) = parsed else {
+    fn outbound(&mut self, seg: AddressedSegment, key: Option<ConnKey>, out: &mut FilterOutput) {
+        let (Some(parsed), Some(key)) = (self.decode(&seg.bytes), key) else {
             out.to_wire.push(seg);
             return;
         };
-        // Outbound segments from the primary's TCP layer to some peer.
-        let key = ConnKey::new(parsed.src_port, SocketAddr::new(seg.dst, parsed.dst_port));
-        let designated = self
-            .config
-            .matches(parsed.src_port, seg.dst, parsed.dst_port)
-            || self.shard.contains(&key);
+        let slot = self.find(&key);
+        let designated = slot.is_some()
+            || self
+                .config
+                .matches(parsed.src_port, seg.dst, parsed.dst_port);
         if !designated || seg.dst == self.a_s {
             out.to_wire.push(seg);
             return;
@@ -2109,37 +2145,22 @@ impl Engine<'_> {
         // §6-degraded connections pass through immediately with Δseq
         // subtracted and ack/window untouched — in *any* mode (they
         // stay degraded even after a secondary reintegrates).
-        if let Some(t) = self.tomb(&key) {
-            if t.degraded {
-                let new_seq = parsed.seq.wrapping_sub(t.delta);
-                drop(parsed);
-                let t0 = self.lat_start();
-                let mut p = SegmentPatcher::new(seg.bytes, seg.src, seg.dst);
-                p.set_seq(new_seq);
-                let (bytes, src, dst) = p.finish();
-                self.lat_end(Stage::ChecksumFixup, t0);
-                out.to_wire
-                    .push(AddressedSegment::new(src, dst, bytes).traced(self.trace));
-                return;
-            }
+        if let Some(delta) = self.degraded_delta(slot) {
+            let new_seq = parsed.seq.wrapping_sub(delta);
+            drop(parsed);
+            let patched = self.patch(seg, |p| p.set_seq(new_seq));
+            out.to_wire.push(patched);
+            return;
         }
         match self.mode {
             PrimaryMode::SecondaryFailed => {
                 // Server-initiated opens while degraded are local-only
-                // for their lifetime, like client opens (see above).
+                // for their lifetime, like client opens.
                 if parsed.flags.contains(TcpFlags::SYN)
                     && !parsed.flags.contains(TcpFlags::ACK)
-                    && !self.shard.contains(&key)
+                    && slot.is_none()
                 {
-                    self.put_tomb(
-                        key,
-                        FlowState::Degraded,
-                        Tombstone {
-                            delta: 0,
-                            degraded: true,
-                        },
-                        out,
-                    );
+                    self.open_degraded(key, out);
                 }
                 out.to_wire.push(seg);
             }
@@ -2149,75 +2170,55 @@ impl Engine<'_> {
                 // before the designation was registered (§7 method 1),
                 // a bare SYN starts a server-initiated connection
                 // (§7.2).
-                if parsed.flags.contains(TcpFlags::SYN) && !self.is_live(&key) {
-                    let conn = Box::new(Conn::new(self.a_p, key.peer, key.server_port));
-                    self.put_live(key, conn, out);
+                let mut slot = slot;
+                if parsed.flags.contains(TcpFlags::SYN) && self.live(slot).is_none() {
+                    slot = Some(self.open(key, slot, out));
                 }
-                if !self.is_live(&key) {
-                    // Designated but unknown (e.g. tombstoned): the
-                    // TCP layer is retransmitting into a dead
-                    // connection; drop (the §8 tombstone path answers
-                    // the peer directly).
-                    self.stats.drops += 1;
-                    return;
-                }
-                self.on_replica_segment(key, Replica::Primary, &parsed, out);
+                self.on_replica_segment(key, slot, Replica::Primary, &parsed, out);
             }
         }
     }
 
-    /// The inbound datapath body (wire → our TCP layer).
-    fn inbound(&mut self, seg: AddressedSegment, out: &mut FilterOutput) {
-        // Diverted secondary segment? (carries the orig-dest option —
-        // probed on the raw bytes, so the buffer stays uniquely owned
-        // for the in-place strip below.)
-        if seg.src == self.a_s && seg.dst == self.divert_dst {
-            if let Some((orig_ip, orig_port)) = peek_orig_dest(&seg.bytes) {
-                if self.mode == PrimaryMode::SecondaryFailed {
-                    return; // §6 step 2
-                }
-                // Strip the option before processing so payload
-                // matching sees the canonical segment.
-                let t0 = self.lat_start();
-                let mut patcher = SegmentPatcher::new(seg.bytes, seg.src, seg.dst);
-                patcher.strip_orig_dest_option();
-                let (bytes, ..) = patcher.finish();
-                self.lat_end(Stage::ChecksumFixup, t0);
-                let ip0 = self.lat_start();
-                let canonical = TcpSegment::decode_shared(&bytes);
-                self.lat_end(Stage::IngressParse, ip0);
-                let Ok(canonical) = canonical else {
-                    self.stats.drops += 1;
-                    return;
-                };
-                let key = ConnKey::new(canonical.src_port, SocketAddr::new(orig_ip, orig_port));
-                // A SYN from the secondary may precede any primary
-                // activity (a server-initiated open where S ran first,
-                // or a SYN+ACK racing the primary's own): open state.
-                if canonical.flags.contains(TcpFlags::SYN) && !self.is_live(&key) {
-                    let conn = Box::new(Conn::new(self.a_p, key.peer, key.server_port));
-                    self.put_live(key, conn, out);
-                }
-                self.on_replica_segment(key, Replica::Secondary, &canonical, out);
-                return;
-            }
+    /// Diverted secondary output (the buffer stays uniquely owned up to
+    /// here — the router only peeked — so the strip is in place).
+    fn diverted(&mut self, seg: AddressedSegment, key: ConnKey, out: &mut FilterOutput) {
+        if self.mode == PrimaryMode::SecondaryFailed {
+            return; // §6 step 2
         }
-        let ip0 = self.lat_start();
-        let parsed = TcpSegment::decode_shared(&seg.bytes);
-        self.lat_end(Stage::IngressParse, ip0);
-        let Ok(parsed) = parsed else {
+        // Strip the option before processing so payload matching sees
+        // the canonical segment.
+        let stripped = self.patch(seg, |p| {
+            p.strip_orig_dest_option();
+        });
+        let Some(canonical) = self.decode(&stripped.bytes) else {
+            self.emit.stats.drops += 1;
+            return;
+        };
+        let mut slot = self.find(&key);
+        // A SYN from the secondary may precede any primary activity (a
+        // server-initiated open where S ran first, or a SYN+ACK racing
+        // the primary's own): open state.
+        if canonical.flags.contains(TcpFlags::SYN) && self.live(slot).is_none() {
+            slot = Some(self.open(key, slot, out));
+        }
+        self.on_replica_segment(key, slot, Replica::Secondary, &canonical, out);
+    }
+
+    /// Any other segment off the wire (wire → our TCP layer).
+    fn peer(&mut self, seg: AddressedSegment, key: Option<ConnKey>, out: &mut FilterOutput) {
+        let (Some(parsed), Some(key)) = (self.decode(&seg.bytes), key) else {
             out.to_tcp.push(seg);
             return;
         };
         // A segment from an unreplicated peer addressed to us?
-        if seg.dst == self.a_p {
-            let key = ConnKey::new(parsed.dst_port, SocketAddr::new(seg.src, parsed.src_port));
-            let designated = self
-                .config
-                .matches(parsed.dst_port, seg.src, parsed.src_port)
-                || self.shard.contains(&key);
+        if seg.dst == self.emit.a_p {
+            let slot = self.find(&key);
+            let designated = slot.is_some()
+                || self
+                    .config
+                    .matches(parsed.dst_port, seg.src, parsed.src_port);
             if designated {
-                self.on_client_segment(parsed, seg, out);
+                self.on_client_segment(parsed, seg, key, slot, out);
                 return;
             }
         }
@@ -2228,14 +2229,14 @@ impl Engine<'_> {
 impl SegmentFilter for PrimaryBridge {
     fn on_outbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
         if self.audit.is_none() {
-            self.outbound_inner(seg, now_nanos, out);
+            self.filter_inner(BatchDir::Outbound, seg, now_nanos, out);
             return;
         }
         let mut aud = self.audit.take().expect("audit attached");
         aud.begin_event(now_nanos);
         self.audit_outbound_observe(&mut aud, &seg);
         let (w0, t0) = (out.to_wire.len(), out.to_tcp.len());
-        self.outbound_inner(seg, now_nanos, out);
+        self.filter_inner(BatchDir::Outbound, seg, now_nanos, out);
         self.audit_scan(&mut aud, out, w0, t0);
         aud.end_event(now_nanos);
         self.audit = Some(aud);
@@ -2243,14 +2244,14 @@ impl SegmentFilter for PrimaryBridge {
 
     fn on_inbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
         if self.audit.is_none() {
-            self.inbound_inner(seg, now_nanos, out);
+            self.filter_inner(BatchDir::Inbound, seg, now_nanos, out);
             return;
         }
         let mut aud = self.audit.take().expect("audit attached");
         aud.begin_event(now_nanos);
         self.audit_inbound_observe(&mut aud, &seg);
         let (w0, t0) = (out.to_wire.len(), out.to_tcp.len());
-        self.inbound_inner(seg, now_nanos, out);
+        self.filter_inner(BatchDir::Inbound, seg, now_nanos, out);
         self.audit_scan(&mut aud, out, w0, t0);
         aud.end_event(now_nanos);
         self.audit = Some(aud);
@@ -2425,6 +2426,21 @@ mod tests {
         assert_eq!(&seg.payload[..], b"hello world");
         assert_eq!(b.stats.merged_bytes, 11);
         assert_eq!(b.stats.mismatched_bytes, 0);
+    }
+
+    #[test]
+    fn inserted_counts_flows_not_merges() {
+        // A merge mutates the connection where it sits: the shard's
+        // `inserted` gauge is the number of flows opened, however many
+        // segments each carried.
+        let mut b = established();
+        for i in 0..100u32 {
+            let _ = b.on_outbound(p_data(i * 4, b"data", ISS_C + 1), 0);
+            let out = b.on_inbound(s_data(i * 4, b"data", ISS_C + 1), 0);
+            assert_eq!(out.to_wire.len(), 1, "round {i} released");
+        }
+        assert_eq!(b.stats.merged_segments, 100);
+        assert_eq!(b.flow_stats().inserted, 1);
     }
 
     #[test]

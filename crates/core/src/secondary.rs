@@ -26,7 +26,7 @@
 //! TCP server".
 
 use crate::designation::{ConnKey, FailoverConfig};
-use crate::flow::{FlowState, FlowTable, FlowTableConfig, ShardStats};
+use crate::flow::{FlowState, FlowTable, FlowTableConfig, ShardStats, SlotId};
 use tcpfo_tcp::filter::{AddressedSegment, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::audit::{SecondaryPhase, TakeoverStep};
@@ -354,7 +354,7 @@ impl SecondaryBridge {
         for (i, g) in t.shard_gauges.iter().enumerate() {
             if i < flows.shard_count() {
                 let shard = flows.shard(i);
-                let s = shard.stats;
+                let s = shard.stats();
                 g.occupancy.set_at(s.occupancy, now_nanos);
                 g.inserted.set_at(s.inserted, now_nanos);
                 g.evicted.set_at(s.evicted, now_nanos);
@@ -453,6 +453,16 @@ impl SecondaryBridge {
         self.config.matches(server_port, peer.ip, peer.port)
     }
 
+    /// Resolves a witness entry — its shard and slot — under the
+    /// flow-lookup stage clock: the one keyed probe a segment pays.
+    fn find(&mut self, key: &ConnKey) -> Option<(usize, SlotId)> {
+        let si = self.flows.shard_of(key);
+        let t0 = self.lat_start();
+        let slot = self.flows.shard(si).find(key);
+        self.lat_end(Stage::FlowLookup, t0);
+        Some((si, slot?))
+    }
+
     /// The egress datapath. The [`SegmentFilter::on_outbound_into`]
     /// implementation wraps this with the (optional) audit observation.
     fn outbound_inner(&mut self, seg: AddressedSegment, now: u64, out: &mut FilterOutput) {
@@ -512,19 +522,17 @@ impl SecondaryBridge {
         // closed moves the entry into TimeWait for the GC to reap.
         if view.flags().contains(TcpFlags::FIN) {
             let key = ConnKey::new(view.src_port(), peer);
-            let fl0 = self.lat_start();
-            let st = self.flows.get_mut(&key, now).map(|flow| {
+            if let Some((si, slot)) = self.find(&key) {
+                let shard = &mut self.flows.shards_mut()[si];
+                let flow = shard.touch(slot, now);
                 flow.server_fin = true;
-                if flow.client_fin {
+                let st = if flow.client_fin {
                     FlowState::TimeWait
                 } else {
                     FlowState::Closing
-                }
-            });
-            if let Some(st) = st {
-                self.flows.set_state(&key, st, now);
+                };
+                shard.set_state(slot, st, now);
             }
-            self.lat_end(Stage::FlowLookup, fl0);
         }
         // Divert to the primary, recording the original destination.
         let orig = seg.dst;
@@ -592,33 +600,27 @@ impl SecondaryBridge {
                 self.stats.evicted_flows += 1;
             }
         } else {
-            let fin = view.flags().contains(TcpFlags::FIN);
-            let fl0 = self.lat_start();
-            let fins = self.flows.get_mut(&key, now).map(|flow| {
-                if fin {
-                    flow.client_fin = true;
-                }
-                (flow.client_fin, flow.server_fin)
-            });
-            self.lat_end(Stage::FlowLookup, fl0);
-            let Some((cf, sf)) = fins else {
+            let Some((si, slot)) = self.find(&key) else {
                 // Unwitnessed designated flow: a replica that did not
                 // see establishment cannot replicate it — drop, never
                 // deliver (the stack would RST the live connection).
                 self.stats.unwitnessed_dropped += 1;
                 return;
             };
-            let st = match (cf, sf) {
+            let shard = &mut self.flows.shards_mut()[si];
+            let flow = shard.touch(slot, now);
+            if view.flags().contains(TcpFlags::FIN) {
+                flow.client_fin = true;
+            }
+            let st = match (flow.client_fin, flow.server_fin) {
                 (true, true) => FlowState::TimeWait,
                 (true, false) | (false, true) => FlowState::Closing,
                 (false, false) => FlowState::Replicated,
             };
             // Never regress a Closing/TimeWait entry back to
             // Replicated on a late plain data segment.
-            if st != FlowState::Replicated
-                || self.flows.state(&key) == Some(FlowState::Establishing)
-            {
-                self.flows.set_state(&key, st, now);
+            if st != FlowState::Replicated || shard.state(slot) == FlowState::Establishing {
+                shard.set_state(slot, st, now);
             }
         }
         let trace = seg.trace;

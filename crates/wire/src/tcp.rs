@@ -685,16 +685,19 @@ impl HeaderTemplate {
                 }
             }
         }
-        let sum = ck.finish();
+        let mut header = [0u8; TCP_HEADER_LEN];
+        header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        header[4..8].copy_from_slice(&seq.to_be_bytes());
+        header[8..12].copy_from_slice(&ack.to_be_bytes());
+        header[12..14].copy_from_slice(&offset_flags.to_be_bytes());
+        header[14..16].copy_from_slice(&window.to_be_bytes());
+        header[16..18].copy_from_slice(&ck.finish().to_be_bytes());
+        // Bytes 18..20, the urgent pointer, stay zero. One append for
+        // the header, one per payload part: every append to a
+        // `BytesMut` first proves the storage unshared.
         buf.reserve(total);
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u32(seq);
-        buf.put_u32(ack);
-        buf.put_u16(offset_flags);
-        buf.put_u16(window);
-        buf.put_u16(sum);
-        buf.put_u16(0); // urgent pointer
+        buf.put_slice(&header);
         let mut written = 0usize;
         for p in parts {
             buf.put_slice(p);
@@ -835,20 +838,17 @@ impl SegmentPatcher {
     }
 
     fn replace_u16_at(&mut self, offset: usize, new: u16) {
-        let old = u16::from_be_bytes([self.bytes[offset], self.bytes[offset + 1]]);
-        self.delta.replace_u16(old, new);
-        self.bytes[offset..offset + 2].copy_from_slice(&new.to_be_bytes());
+        let field = &mut self.bytes[offset..offset + 2];
+        self.delta
+            .replace_u16(u16::from_be_bytes([field[0], field[1]]), new);
+        field.copy_from_slice(&new.to_be_bytes());
     }
 
     fn replace_u32_at(&mut self, offset: usize, new: u32) {
-        let old = u32::from_be_bytes([
-            self.bytes[offset],
-            self.bytes[offset + 1],
-            self.bytes[offset + 2],
-            self.bytes[offset + 3],
-        ]);
+        let field = &mut self.bytes[offset..offset + 4];
+        let old = u32::from_be_bytes([field[0], field[1], field[2], field[3]]);
         self.delta.replace_u32(old, new);
-        self.bytes[offset..offset + 4].copy_from_slice(&new.to_be_bytes());
+        field.copy_from_slice(&new.to_be_bytes());
     }
 
     /// Rewrites the source port.
@@ -895,11 +895,9 @@ impl SegmentPatcher {
     /// the payload and updating data offset, pseudo-header length and
     /// checksum incrementally.
     pub fn push_orig_dest_option(&mut self, addr: Ipv4Addr, port: u16) {
-        let mut opt = Vec::with_capacity(8);
-        opt.push(OPT_KIND_ORIG_DEST);
-        opt.push(8);
-        opt.extend_from_slice(&addr.octets());
-        opt.extend_from_slice(&port.to_be_bytes());
+        let mut opt = [OPT_KIND_ORIG_DEST, 8, 0, 0, 0, 0, 0, 0];
+        opt[2..6].copy_from_slice(&addr.octets());
+        opt[6..8].copy_from_slice(&port.to_be_bytes());
         self.insert_option_bytes(&opt);
     }
 
@@ -951,20 +949,21 @@ impl SegmentPatcher {
         // the incremental sum stays valid.
         let old_len = self.bytes.len();
         self.bytes.extend_from_slice(opt); // grow, content fixed below
-        self.bytes
-            .copy_within(header_len..old_len, header_len + opt.len());
-        self.bytes[header_len..header_len + opt.len()].copy_from_slice(opt);
+        let bytes: &mut [u8] = &mut self.bytes;
+        bytes.copy_within(header_len..old_len, header_len + opt.len());
+        bytes[header_len..header_len + opt.len()].copy_from_slice(opt);
         self.delta.append_bytes(opt);
-        self.bump_data_offset(opt.len(), true);
+        bump_data_offset(bytes, &mut self.delta, old_len);
     }
 
     fn remove_option_bytes(&mut self, offset: usize, len: usize) {
         assert_eq!(len % 4, 0);
+        let bytes: &mut [u8] = &mut self.bytes;
         // Subtract the removed bytes from the checksum. The option
         // area is outside input: behind a NOP the option sits at an odd
         // offset, where each byte has the other weight in its 16-bit
         // word. The bytes after it move by a multiple of 4 either way.
-        for chunk in self.bytes[offset..offset + len].chunks_exact(2) {
+        for chunk in bytes[offset..offset + len].chunks_exact(2) {
             let word = if offset.is_multiple_of(2) {
                 u16::from_be_bytes([chunk[0], chunk[1]])
             } else {
@@ -972,36 +971,10 @@ impl SegmentPatcher {
             };
             self.delta.replace_u16(word, 0);
         }
-        let total = self.bytes.len();
-        self.bytes.copy_within(offset + len..total, offset);
+        let total = bytes.len();
+        bytes.copy_within(offset + len..total, offset);
+        bump_data_offset(&mut bytes[..total - len], &mut self.delta, total);
         self.bytes.truncate(total - len);
-        self.bump_data_offset(len, false);
-    }
-
-    /// Adjusts the data-offset nibble and the pseudo-header length after
-    /// growing (`grow == true`) or shrinking the header by `delta_bytes`.
-    fn bump_data_offset(&mut self, delta_bytes: usize, grow: bool) {
-        // `self.bytes` already reflects the splice in both directions.
-        let new_total = self.bytes.len() as u16;
-        let delta_words = delta_bytes / 4;
-        // Patch the offset/flags 16-bit word.
-        let old_word = u16::from_be_bytes([self.bytes[12], self.bytes[13]]);
-        let old_offset_words = usize::from(self.bytes[12] >> 4);
-        let new_offset_words = if grow {
-            old_offset_words + delta_words
-        } else {
-            old_offset_words - delta_words
-        };
-        let new_word = ((new_offset_words as u16) << 12) | (old_word & 0x0fff);
-        self.delta.replace_u16(old_word, new_word);
-        self.bytes[12..14].copy_from_slice(&new_word.to_be_bytes());
-        // Patch the pseudo-header TCP length.
-        let old_total = if grow {
-            new_total - delta_bytes as u16
-        } else {
-            new_total + delta_bytes as u16
-        };
-        self.delta.replace_u16(old_total, new_total);
     }
 
     /// Writes the patched checksum and returns the segment bytes plus
@@ -1013,6 +986,22 @@ impl SegmentPatcher {
         self.bytes[16..18].copy_from_slice(&new.to_be_bytes());
         (self.bytes.freeze(), self.src, self.dst)
     }
+}
+
+/// Adjusts the data-offset nibble and the pseudo-header length after an
+/// option splice changed the segment from `old_total` bytes to the
+/// length of `bytes` (which already reflects the splice).
+fn bump_data_offset(bytes: &mut [u8], delta: &mut ChecksumDelta, old_total: usize) {
+    let new_total = bytes.len();
+    // Patch the offset/flags 16-bit word.
+    let old_word = u16::from_be_bytes([bytes[12], bytes[13]]);
+    let old_offset_words = usize::from(bytes[12] >> 4);
+    let new_offset_words = (old_offset_words * 4 + new_total - old_total) / 4;
+    let new_word = ((new_offset_words as u16) << 12) | (old_word & 0x0fff);
+    delta.replace_u16(old_word, new_word);
+    bytes[12..14].copy_from_slice(&new_word.to_be_bytes());
+    // Patch the pseudo-header TCP length.
+    delta.replace_u16(old_total as u16, new_total as u16);
 }
 
 #[cfg(test)]

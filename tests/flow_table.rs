@@ -2,6 +2,7 @@
 //! LRU eviction order, capacity limits, GC TTLs, shard placement
 //! stability and stat accounting — through the public API only.
 
+use proptest::prelude::*;
 use tcp_failover::core::flow::{FlowState, FlowTable, FlowTableConfig, GcPolicy};
 use tcp_failover::core::FlowKey;
 use tcp_failover::tcp::types::SocketAddr;
@@ -159,4 +160,168 @@ fn stats_count_lookups_and_inserts() {
     assert_eq!(s.inserted, 1);
     assert_eq!(s.occupancy, 1);
     assert!(s.lookups >= 2, "hits and misses both count: {s:?}");
+}
+
+// ---------------------------------------------------------------------
+// Slot API ≡ detach + re-insert
+// ---------------------------------------------------------------------
+
+/// One table entry as `iter()` and the eviction/GC reports show it.
+type Entry = (FlowKey, FlowState, u32);
+
+/// The bridges' vocabulary over a table, spoken two ways: through the
+/// slot API (resolve once, mutate in place) and through keyed `remove`
+/// then `insert` (detach the entry, put it back), which is what the
+/// primary's engine did before it mutated flows where they sit.
+struct Driver {
+    table: FlowTable<u32>,
+    in_place: bool,
+}
+
+impl Driver {
+    fn new(shards: usize, in_place: bool) -> Self {
+        let mut cfg = FlowTableConfig::new(shards, 8);
+        cfg.gc = GcPolicy {
+            timewait_ttl: 50,
+            idle_ttl: 200,
+            ..GcPolicy::default()
+        };
+        Driver {
+            table: FlowTable::new(cfg),
+            in_place,
+        }
+    }
+
+    /// A SYN: a fresh entry, over whatever the tuple left behind.
+    /// Returns the capacity-eviction victim, if any.
+    fn open(&mut self, k: FlowKey, data: u32, now: u64) -> Option<Entry> {
+        let st = FlowState::Establishing;
+        let evicted = if self.in_place {
+            let shard = self.table.for_key_mut(&k);
+            match shard.find(&k) {
+                Some(slot) => {
+                    shard.replace(slot, st, data, now);
+                    None
+                }
+                None => shard.insert(k, st, data, now).1,
+            }
+        } else {
+            self.table.insert(k, st, data, now)
+        };
+        evicted.map(|ev| (ev.key, ev.state, ev.data))
+    }
+
+    /// A segment on a resident flow: activity, new data, and the state
+    /// its progress implies (`to`; `None` keeps the current one).
+    fn segment(&mut self, k: FlowKey, data: u32, to: Option<FlowState>, now: u64) {
+        if self.in_place {
+            let shard = self.table.for_key_mut(&k);
+            let Some(slot) = shard.find(&k) else { return };
+            *shard.touch(slot, now) = data;
+            let st = to.unwrap_or(shard.state(slot));
+            shard.set_state(slot, st, now);
+        } else if let Some((st, _)) = self.table.remove(&k) {
+            let evicted = self.table.insert(k, to.unwrap_or(st), data, now);
+            assert!(evicted.is_none(), "the detached entry's room is free");
+        }
+    }
+
+    /// Residue takes the connection's place (§8 teardown, §6).
+    fn supersede(&mut self, k: FlowKey, st: FlowState, data: u32, now: u64) {
+        if self.in_place {
+            let shard = self.table.for_key_mut(&k);
+            if let Some(slot) = shard.find(&k) {
+                shard.replace(slot, st, data, now);
+            }
+        } else if self.table.remove(&k).is_some() {
+            self.table.insert(k, st, data, now);
+        }
+    }
+
+    /// A replica RST: the entry goes.
+    fn reset(&mut self, k: FlowKey) -> Option<(FlowState, u32)> {
+        if self.in_place {
+            let shard = self.table.for_key_mut(&k);
+            shard.find(&k).map(|slot| shard.remove(slot))
+        } else {
+            self.table.remove(&k)
+        }
+    }
+
+    fn gc(&mut self, now: u64) -> Vec<Entry> {
+        let mut reaped = Vec::new();
+        self.table
+            .gc(now, &mut |ev| reaped.push((ev.key, ev.state, ev.data)));
+        reaped
+    }
+
+    fn entries(&self) -> Vec<Entry> {
+        self.table.iter().map(|(k, st, &d)| (k, st, d)).collect()
+    }
+}
+
+proptest! {
+    /// One random op sequence — opens past a capacity of 8, segments
+    /// with and without lifecycle progress, residue taking a slot,
+    /// resets, GC at an advancing clock — leaves a table driven through
+    /// the slot API and one driven through keyed detach + re-insert
+    /// indistinguishable: same `iter()` order (so same slot indices),
+    /// same eviction victims (same LRU order), same GC reap order (same
+    /// expiry-list order and `last_activity`).
+    #[test]
+    fn prop_slot_api_equals_detach_and_reinsert(
+        ops in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            1..200,
+        ),
+        shards in prop_oneof![Just(1usize), Just(2usize)],
+    ) {
+        let mut slot = Driver::new(shards, true);
+        let mut keyed = Driver::new(shards, false);
+        let mut now = 0u64;
+        for (i, &(sel, ki, pick, dt)) in ops.iter().enumerate() {
+            now += u64::from(dt % 40);
+            let k = key(u32::from(ki) % 12);
+            let data = i as u32;
+            // Lifecycle progress is chosen from what the entry's state
+            // allows (`set_state` asserts legality; `insert` does not).
+            let next = slot.table.state(&k).and_then(|st| {
+                use FlowState::*;
+                let legal: Vec<FlowState> = [Replicated, Closing, Degraded, TimeWait]
+                    .into_iter()
+                    .filter(|&to| to != st && st.can_transition(to))
+                    .collect();
+                (!legal.is_empty()).then(|| legal[usize::from(pick) % legal.len()])
+            });
+            match sel % 8 {
+                0 | 1 => prop_assert_eq!(slot.open(k, data, now), keyed.open(k, data, now)),
+                2 | 3 => {
+                    slot.segment(k, data, None, now);
+                    keyed.segment(k, data, None, now);
+                }
+                4 => {
+                    slot.segment(k, data, next, now);
+                    keyed.segment(k, data, next, now);
+                }
+                5 => {
+                    let st = if pick % 2 == 0 { FlowState::TimeWait } else { FlowState::Degraded };
+                    slot.supersede(k, st, data, now);
+                    keyed.supersede(k, st, data, now);
+                }
+                6 => prop_assert_eq!(slot.reset(k), keyed.reset(k)),
+                _ => prop_assert_eq!(slot.gc(now), keyed.gc(now), "reap order at {}", now),
+            }
+            prop_assert_eq!(slot.entries(), keyed.entries(), "after op {}", i);
+        }
+        // Drain: first everything GC may take, in its order, then the
+        // GC-exempt rest by eviction, in LRU order.
+        let end = now + 1_000;
+        prop_assert_eq!(slot.gc(end), keyed.gc(end));
+        for n in 0..16 {
+            let k = key(100 + n);
+            prop_assert_eq!(slot.open(k, n, end), keyed.open(k, n, end));
+        }
+        let (a, b) = (slot.table.stats_total(), keyed.table.stats_total());
+        prop_assert_eq!((a.occupancy, a.evicted, a.reaped), (b.occupancy, b.evicted, b.reaped));
+    }
 }
