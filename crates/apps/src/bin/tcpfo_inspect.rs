@@ -7,8 +7,6 @@
 //! tcpfo-inspect prometheus         same run, Prometheus exposition only
 //! tcpfo-inspect watch [--failover] [--frames N] [--plain]
 //!                                  live one-screen refresher over the run
-//! tcpfo-inspect underload [--flows N] [--mice N] [--frames N] [--plain] [--prom]
-//!                                  open-loop load run, live lag/occupancy/corrected-tail view
 //! tcpfo-inspect health [--frames N] [--plain] [--prom]
 //!                                  staged-degradation run, live health/lag/alert dashboard
 //! tcpfo-inspect chain [--replicas N] [--frames N] [--plain] [--prom]
@@ -27,23 +25,16 @@
 
 use tcpfo_apps::chain_ops;
 use tcpfo_apps::driver::RequestReplyClient;
-use tcpfo_apps::manyflow::{FlowScript, ManyFlowConfig, ManyFlowNet, Step};
 use tcpfo_apps::stream::SourceServer;
-use tcpfo_core::flow::FlowTableConfig;
 use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
 use tcpfo_core::{
-    ChainBridge, ChainConfig, ChainController, ChainTestbed, FailoverConfig, PrimaryBridge,
-    SecondaryBridge, TakeoverState,
+    ChainBridge, ChainConfig, ChainController, ChainTestbed, PrimaryBridge, SecondaryBridge,
+    TakeoverState,
 };
 use tcpfo_net::time::SimDuration;
-use tcpfo_net::{OpenLoopInjector, ShardExecutor};
-use tcpfo_tcp::filter::SegmentFilter;
 use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::table::render_snapshot;
-use tcpfo_telemetry::{
-    HostClock, LatencyObservatory, Registry, ShardSample, Stage, UnderLoadRecorder,
-};
 use tcpfo_wire::eth::{EtherType, EthernetFrame};
 use tcpfo_wire::ipv4::Ipv4Packet;
 use tcpfo_wire::pcapng::read_packets;
@@ -52,10 +43,9 @@ use tcpfo_wire::tcp::TcpView;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("run") => run(args.iter().any(|a| a == "--failover"), false),
+        Some("run") => run(switch(&args, "--failover"), false),
         Some("prometheus") => run(false, true),
         Some("watch") => watch(&args[1..]),
-        Some("underload") => underload(&args[1..]),
         Some("health") => health(&args[1..]),
         Some("chain") => chain(&args[1..]),
         Some("trace") => trace(&args[1..]),
@@ -75,8 +65,6 @@ fn usage() -> i32 {
          tcpfo-inspect prometheus         same run, Prometheus exposition only\n  \
          tcpfo-inspect watch [--failover] [--frames N] [--plain]\n                                   \
          live one-screen refresher over the run\n  \
-         tcpfo-inspect underload [--flows N] [--mice N] [--frames N] [--plain] [--prom]\n                                   \
-         open-loop load run, live lag/occupancy/corrected-tail view\n  \
          tcpfo-inspect health [--frames N] [--plain] [--prom]\n                                   \
          staged-degradation run, live health/lag/alert dashboard\n  \
          tcpfo-inspect chain [--replicas N] [--frames N] [--plain] [--prom]\n                                   \
@@ -92,23 +80,14 @@ fn usage() -> i32 {
 /// mid-way) and prints the operator tables — or, with `prom_only`, just
 /// the Prometheus text exposition.
 fn run(failover: bool, prom_only: bool) -> i32 {
-    let mut tb = Testbed::new(TestbedConfig {
-        audit: Some(true),
-        latency: Some(true),
-        ..TestbedConfig::default()
-    });
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
-    tb.sim.with::<Host, _>(tb.client, |h, _| {
-        h.add_app(Box::new(RequestReplyClient::new(
-            SocketAddr::new(addrs::A_P, 80),
-            b"SEND 2000000\n".to_vec(),
-            2_000_000,
-        )));
-    });
+    let mut tb = pair_scene(
+        TestbedConfig {
+            audit: Some(true),
+            latency: Some(true),
+            ..TestbedConfig::default()
+        },
+        2_000_000,
+    );
     tb.run_for(SimDuration::from_millis(120));
     // Snapshot the primary's connection table mid-transfer, while the
     // bridge still holds live per-connection state.
@@ -127,7 +106,7 @@ fn run(failover: bool, prom_only: bool) -> i32 {
     let snap = tb.metrics_snapshot();
     if prom_only {
         print!("{}", snap.to_prometheus());
-        return exit_code(&mut tb);
+        return exit_code(tb.audit_violations());
     }
 
     println!("=== connections (primary bridge, mid-transfer) ===");
@@ -164,7 +143,42 @@ fn run(failover: bool, prom_only: bool) -> i32 {
 
     println!("=== metrics ===");
     println!("{}", render_snapshot(&snap));
-    exit_code(&mut tb)
+    exit_code(tb.audit_violations())
+}
+
+/// The scene `run`, `prometheus`, `watch` and `health` drive: the pair
+/// testbed built from `cfg`, a `SourceServer` on port 80 of both
+/// replicas, and a client downloading `bytes` from the service address.
+fn pair_scene(cfg: TestbedConfig, bytes: u64) -> Testbed {
+    let mut tb = Testbed::new(cfg);
+    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
+        tb.sim.with::<Host, _>(node, |h, _| {
+            h.add_app(Box::new(SourceServer::new(80)));
+        });
+    }
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        h.add_app(Box::new(RequestReplyClient::new(
+            SocketAddr::new(addrs::A_P, 80),
+            format!("SEND {bytes}\n").into_bytes(),
+            bytes,
+        )));
+    });
+    tb
+}
+
+/// The value of `--name N` in `args`, or `default` when absent or
+/// unparsable.
+fn flag(args: &[String], name: &str, default: usize) -> usize {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Whether the bare switch `--name` is present in `args`.
+fn switch(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
 }
 
 /// Live one-screen refresher: drives the canned transfer in fixed
@@ -174,33 +188,18 @@ fn run(failover: bool, prom_only: bool) -> i32 {
 /// primary halfway through; `--plain` suppresses the ANSI
 /// clear-screen so the frames stack (useful for logs and CI).
 fn watch(args: &[String]) -> i32 {
-    let failover = args.iter().any(|a| a == "--failover");
-    let plain = args.iter().any(|a| a == "--plain");
-    let frames: usize = args
-        .iter()
-        .position(|a| a == "--frames")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
-    let frames = frames.max(1);
+    let failover = switch(args, "--failover");
+    let plain = switch(args, "--plain");
+    let frames = flag(args, "--frames", 16).max(1);
 
-    let mut tb = Testbed::new(TestbedConfig {
-        audit: Some(true),
-        latency: Some(true),
-        ..TestbedConfig::default()
-    });
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
-    tb.sim.with::<Host, _>(tb.client, |h, _| {
-        h.add_app(Box::new(RequestReplyClient::new(
-            SocketAddr::new(addrs::A_P, 80),
-            b"SEND 4000000\n".to_vec(),
-            4_000_000,
-        )));
-    });
+    let mut tb = pair_scene(
+        TestbedConfig {
+            audit: Some(true),
+            latency: Some(true),
+            ..TestbedConfig::default()
+        },
+        4_000_000,
+    );
 
     let slice = SimDuration::from_millis(250);
     for frame in 0..frames {
@@ -224,7 +223,7 @@ fn watch(args: &[String]) -> i32 {
             tb.sim.now(),
         );
     }
-    exit_code(&mut tb)
+    exit_code(tb.audit_violations())
 }
 
 /// One dashboard frame: latency quantiles, shard gauges, counters, and
@@ -323,249 +322,6 @@ fn render_watch_frame(
     print!("{timeline}");
 }
 
-/// Open-loop load view: schedules a mice/elephants flow mix at fixed
-/// intended times, injects it through a sharded `PrimaryBridge`, and
-/// redraws a compact under-load dashboard — injection lag, backlog,
-/// occupancy, and coordinated-omission-corrected tails — as the run
-/// progresses. `--flows` sets the resident (held-open) flow count,
-/// `--mice` the churned full-lifecycle flows, `--frames` the number of
-/// dashboard redraws; `--plain` stacks frames instead of clearing the
-/// screen and `--prom` appends the Prometheus exposition at the end.
-fn underload(args: &[String]) -> i32 {
-    let plain = args.iter().any(|a| a == "--plain");
-    let prom = args.iter().any(|a| a == "--prom");
-    let flag = |name: &str, default: usize| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
-    let residents = flag("--flows", 20_000).max(1);
-    let mice = flag("--mice", 4_000);
-    let frames = flag("--frames", 8).max(1);
-
-    // The run is paced so the whole schedule spans ~0.5 s per frame:
-    // flows arrive Poisson-like via jittered spacing from the scripted
-    // seed, steps of one flow 20 µs apart.
-    let span_ns: u64 = frames as u64 * 500_000_000;
-    let net = ManyFlowNet::default();
-    let ecfg = ManyFlowConfig {
-        flows: residents,
-        offset: 0,
-        rounds: 1,
-        payload: 64,
-        close: false,
-        seed: 0xF6,
-    };
-    let mcfg = ManyFlowConfig {
-        flows: mice,
-        offset: residents,
-        rounds: 1,
-        payload: 64,
-        close: true,
-        seed: 0xF6,
-    };
-    let mut schedule: Vec<(u64, (u32, u32))> = Vec::new();
-    let mut push_flows = |cfg: &ManyFlowConfig, base: u32| {
-        if cfg.flows == 0 {
-            return;
-        }
-        let len = FlowScript::new(cfg, net, 0).len();
-        let gap = span_ns / cfg.flows as u64;
-        for f in 0..cfg.flows {
-            // Deterministic jitter stands in for an arrival process so
-            // the view does not depend on the bench crate.
-            let jitter = (f as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % gap.max(1);
-            let t0 = f as u64 * gap + jitter;
-            for k in 0..len {
-                schedule.push((t0 + k as u64 * 20_000, (base + f as u32, k as u32)));
-            }
-        }
-    };
-    push_flows(&ecfg, 0);
-    push_flows(&mcfg, residents as u32);
-    let scheduled = schedule.len();
-
-    let mut bridge = PrimaryBridge::new(net.a_p, net.a_s, FailoverConfig::from_ports([80]));
-    let capacity = (residents + mice).next_power_of_two() * 2;
-    bridge.set_flow_config(FlowTableConfig::new(16, capacity));
-    bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-    let exec = ShardExecutor::new(1);
-    let mut inj = OpenLoopInjector::new(schedule, 64);
-    let mut rec = UnderLoadRecorder::new(250_000_000, 8, capacity as u64);
-
-    let mut stages_before = *bridge.latency().expect("observatory").stages();
-    let mut sim_now = 0u64;
-    let mut injected = 0u64;
-    let mut batches = 0usize;
-    let mut frame = 0usize;
-    let mut due: Vec<(u64, (u32, u32))> = Vec::new();
-    let t0 = HostClock::now_ns();
-    while inj.remaining() > 0 {
-        let now = HostClock::now_ns().saturating_sub(t0);
-        due.clear();
-        due.extend_from_slice(inj.take_due(now));
-        if due.is_empty() {
-            if let Some(next) = inj.next_intended() {
-                let wait = next.saturating_sub(now);
-                if wait > 1_000 {
-                    std::thread::sleep(std::time::Duration::from_nanos(wait.min(100_000)));
-                }
-            }
-        } else {
-            let mut batch: Vec<Step> = Vec::with_capacity(due.len());
-            let mut batch_lag = 0u64;
-            for &(intended, (flow, k)) in due.iter() {
-                batch_lag = batch_lag.max(now.saturating_sub(intended));
-                let flow = flow as usize;
-                let script = if flow < residents {
-                    FlowScript::new(&ecfg, net, flow)
-                } else {
-                    FlowScript::new(&mcfg, net, flow - residents)
-                };
-                batch.push(script.step_at(k as usize));
-            }
-            bridge.process_batch(batch, sim_now, &exec);
-            sim_now += 1_000_000;
-            let done = HostClock::now_ns().saturating_sub(t0);
-            for &(intended, _) in due.iter() {
-                rec.record_segment(intended, now, done);
-            }
-            injected += due.len() as u64;
-            let stages_after = *bridge.latency().expect("observatory").stages();
-            rec.absorb_stage_window(&stages_before, &stages_after, batch_lag);
-            stages_before = stages_after;
-            rec.set_backlog(inj.backlog(done));
-            batches += 1;
-            if batches.is_multiple_of(32) {
-                let shards: Vec<ShardSample> = bridge
-                    .flow_shard_stats()
-                    .iter()
-                    .map(|s| ShardSample {
-                        occupancy: s.occupancy,
-                        evicted: s.evicted,
-                    })
-                    .collect();
-                rec.sample_shards(&shards);
-            }
-            if batches.is_multiple_of(512) {
-                let g0 = HostClock::now_ns();
-                bridge.on_tick(sim_now);
-                rec.record_gc_pause(HostClock::now_ns().saturating_sub(g0));
-            }
-        }
-        // Redraw on frame boundaries of the *intended* timeline so the
-        // cadence stays fixed even when the injector lags.
-        let now = HostClock::now_ns().saturating_sub(t0);
-        while frame < frames && (now >= (frame as u64 + 1) * span_ns / frames as u64) {
-            frame += 1;
-            if !plain {
-                print!("\x1b[2J\x1b[H");
-            }
-            render_underload_frame(&rec, &bridge, frame, frames, injected, scheduled, now);
-        }
-    }
-    let end = HostClock::now_ns().saturating_sub(t0);
-    rec.set_backlog(0);
-    if !plain {
-        print!("\x1b[2J\x1b[H");
-    }
-    render_underload_frame(&rec, &bridge, frames, frames, injected, scheduled, end);
-    println!(
-        "\ndone: {injected}/{scheduled} segments in {:.2}s, {} live flows",
-        end as f64 / 1e9,
-        bridge.conn_count()
-    );
-    if prom {
-        let registry = Registry::new();
-        rec.publish(&registry.scope("inspect"), end);
-        println!("\n{}", registry.snapshot(end).to_prometheus());
-    }
-    0
-}
-
-/// One under-load dashboard frame.
-fn render_underload_frame(
-    rec: &UnderLoadRecorder,
-    bridge: &PrimaryBridge,
-    frame: usize,
-    frames: usize,
-    injected: u64,
-    scheduled: usize,
-    now_ns: u64,
-) {
-    println!(
-        "tcpfo-inspect underload — frame {frame}/{frames} — t = {} ms — {injected}/{scheduled} injected",
-        now_ns / 1_000_000
-    );
-
-    let lag = rec.lag();
-    println!("\n── injection lag (intended → actual, ns) ──");
-    println!(
-        "p50 {:>10}  p99 {:>10}  max {:>10}  backlog {:>7}  backlog peak {:>7}",
-        lag.histogram().p50(),
-        lag.histogram().p99(),
-        lag.histogram().max(),
-        lag.backlog(),
-        lag.max_backlog(),
-    );
-
-    let gc = rec.gc_pause();
-    println!("\n── gc pause (per tick, ns) ──");
-    println!(
-        "p50 {:>10}  p99 {:>10}  max {:>10}  ticks {:>9}",
-        gc.p50(),
-        gc.p99(),
-        gc.max(),
-        gc.count(),
-    );
-
-    println!("\n── end-to-end latency (ns) ──");
-    let win = rec.windowed_quantile(now_ns, 0.99);
-    let win999 = rec.windowed_quantile(now_ns, 0.999);
-    println!(
-        "naive     p99 {:>12}  p999 {:>12}   (closed-loop view)",
-        rec.naive().p99(),
-        rec.naive().p999()
-    );
-    println!(
-        "corrected p99 {:>12}  p999 {:>12}   (CO-corrected, whole run)",
-        rec.corrected().p99(),
-        rec.corrected().p999()
-    );
-    println!(
-        "window    p99 {:>12}  p999 {:>12}   (CO-corrected, sliding)",
-        win.fmt_ns(),
-        win999.fmt_ns()
-    );
-
-    println!("\n── per-stage corrected p999 (ns) ──");
-    for s in Stage::ALL {
-        let service = rec.stages_service().stage(s);
-        let corrected = rec.stage_corrected(s);
-        println!(
-            "{:<16} service {:>10}  corrected {:>12}  ({} samples)",
-            s.name(),
-            service.quantile_report(0.999).fmt_ns(),
-            corrected.quantile_report(0.999).fmt_ns(),
-            corrected.count(),
-        );
-    }
-
-    let stats = bridge.flow_stats();
-    println!("\n── flow table ──");
-    println!(
-        "occupancy {:>9} (peak {:>9} / cap {:>9})  inserted {:>9}  evicted {:>6}  reaped {:>7}",
-        stats.occupancy,
-        rec.occupancy_peak(),
-        rec.capacity(),
-        stats.inserted,
-        stats.evicted,
-        stats.reaped,
-    );
-}
-
 /// Staged-degradation health dashboard: drives a replicated transfer
 /// with the health observatory attached, progressively degrades the
 /// primary's links (latency, jitter, loss), then fail-stops it — and
@@ -577,33 +333,18 @@ fn render_underload_frame(
 /// appends the Prometheus exposition (registry + labelled alert
 /// series) at the end.
 fn health(args: &[String]) -> i32 {
-    let plain = args.iter().any(|a| a == "--plain");
-    let prom = args.iter().any(|a| a == "--prom");
-    let frames: usize = args
-        .iter()
-        .position(|a| a == "--frames")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12);
-    let frames = frames.max(4);
+    let plain = switch(args, "--plain");
+    let prom = switch(args, "--prom");
+    let frames = flag(args, "--frames", 12).max(4);
 
-    let mut tb = Testbed::new(TestbedConfig {
-        health: Some(true),
-        latency: Some(true),
-        ..TestbedConfig::default()
-    });
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
-    tb.sim.with::<Host, _>(tb.client, |h, _| {
-        h.add_app(Box::new(RequestReplyClient::new(
-            SocketAddr::new(addrs::A_P, 80),
-            b"SEND 4000000\n".to_vec(),
-            4_000_000,
-        )));
-    });
+    let mut tb = pair_scene(
+        TestbedConfig {
+            health: Some(true),
+            latency: Some(true),
+            ..TestbedConfig::default()
+        },
+        4_000_000,
+    );
 
     // Degradation script over the frame timeline: healthy for the
     // first quarter, then three escalating stages, then the kill at
@@ -652,7 +393,7 @@ fn health(args: &[String]) -> i32 {
             print!("{alerts}");
         }
     }
-    exit_code(&mut tb)
+    exit_code(tb.audit_violations())
 }
 
 /// One health-dashboard frame: the secondary's scored view of the
@@ -755,17 +496,10 @@ fn render_health_frame(
 /// recent chain journal (promotions, vetoes, kills, adoption). `--prom`
 /// appends each replica's Prometheus exposition at the end.
 fn chain(args: &[String]) -> i32 {
-    let plain = args.iter().any(|a| a == "--plain");
-    let prom = args.iter().any(|a| a == "--prom");
-    let flag = |name: &str, default: usize| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
-    let replicas = flag("--replicas", 3).clamp(2, 8);
-    let frames = flag("--frames", 8).max(4);
+    let plain = switch(args, "--plain");
+    let prom = switch(args, "--prom");
+    let replicas = flag(args, "--replicas", 3).clamp(2, 8);
+    let frames = flag(args, "--frames", 8).max(4);
 
     let mut tb = ChainTestbed::new(ChainConfig {
         replicas,
@@ -823,13 +557,7 @@ fn chain(args: &[String]) -> i32 {
         }
     }
 
-    let violations = tb.audit_violations();
-    if violations > 0 {
-        eprintln!("tcpfo-inspect: {violations} invariant violation(s) recorded");
-        1
-    } else {
-        0
-    }
+    exit_code(tb.audit_violations())
 }
 
 /// One chain-dashboard frame: topology + per-link control-plane state,
@@ -867,32 +595,22 @@ fn render_chain_frame(
         }
         let (role, lag) = tb.sim.with::<Host, _>(node, |h, _| {
             let f = h.filter_mut().as_any_mut();
-            if let Some(b) = f.downcast_mut::<ChainBridge>() {
+            let (role, observers) = if let Some(b) = f.downcast_mut::<ChainBridge>() {
                 let role = if b.is_head() { "head" } else { "middle" };
-                (
-                    role,
-                    b.health().map(|o| {
-                        (
-                            o.lag.unmatched_bytes(),
-                            o.lag.releases(),
-                            o.lag.peak_bytes(),
-                        )
-                    }),
-                )
+                (role, b.observers())
             } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
-                (
-                    "tail",
-                    b.health().map(|o| {
-                        (
-                            o.lag.unmatched_bytes(),
-                            o.lag.releases(),
-                            o.lag.peak_bytes(),
-                        )
-                    }),
-                )
+                ("tail", b.observers())
             } else {
-                ("?", None)
-            }
+                return ("?", None);
+            };
+            let lag = observers.health.as_deref().map(|o| {
+                (
+                    o.lag.unmatched_bytes(),
+                    o.lag.releases(),
+                    o.lag.peak_bytes(),
+                )
+            });
+            (role, lag)
         });
         let (state, score, promoted) = tb.sim.with::<Host, _>(node, |h, _| {
             let c = h.controller_mut::<ChainController>();
@@ -958,13 +676,7 @@ fn render_chain_frame(
 /// control-plane spans the takeover recorded — and exports the merged
 /// Chrome trace-event JSON for Perfetto / `chrome://tracing`.
 fn trace(args: &[String]) -> i32 {
-    let replicas = args
-        .iter()
-        .position(|a| a == "--replicas")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-        .clamp(2, 8);
+    let replicas = flag(args, "--replicas", 3).clamp(2, 8);
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -1082,17 +794,11 @@ fn trace(args: &[String]) -> i32 {
         }
     }
 
-    let violations = tb.audit_violations();
-    if violations > 0 {
-        eprintln!("tcpfo-inspect: {violations} invariant violation(s) recorded");
-        1
-    } else {
-        0
-    }
+    exit_code(tb.audit_violations())
 }
 
-fn exit_code(tb: &mut Testbed) -> i32 {
-    let violations = tb.audit_violations();
+/// Exit status of a run whose auditors recorded `violations`.
+fn exit_code(violations: u64) -> i32 {
     if violations > 0 {
         eprintln!("tcpfo-inspect: {violations} invariant violation(s) recorded");
         1

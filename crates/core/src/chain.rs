@@ -53,6 +53,7 @@
 use crate::designation::FailoverConfig;
 use crate::detector::{advance_expected_seq, health_config, DetectorConfig, HB_RING};
 use crate::flow::FlowTableConfig;
+use crate::observers::Observers;
 use crate::primary::{PrimaryBridge, PrimaryMode};
 use crate::reprovision::FlowHandoff;
 use crate::secondary::SecondaryBridge;
@@ -63,8 +64,8 @@ use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::host::{HostController, HostServices};
 use tcpfo_telemetry::{
-    Counter, FailoverPhase, HealthConfig, HealthMonitor, HealthObservatory, HealthScore,
-    InvariantAuditor, Scope, SpanTrack, StageLatency, Telemetry,
+    Counter, FailoverPhase, HealthConfig, HealthMonitor, HealthScore, Scope, SpanTrack,
+    StageLatency, Telemetry,
 };
 use tcpfo_wire::checksum::ChecksumDelta;
 use tcpfo_wire::heartbeat::{Heartbeat, PROTO_HEARTBEAT};
@@ -88,11 +89,9 @@ pub struct ChainStats {
 
 /// The bridge run by the head and every middle link of a daisy chain.
 ///
-/// Since PR9 this is a thin, allocation-free routing shell over the
-/// PR4/PR8-era [`PrimaryBridge`]: per-connection state lives in the
-/// sharded `FlowTable`, and the auditor / latency / health
-/// observatories attach through the same `Option<Box<...>>` points —
-/// one branch when detached.
+/// A thin, allocation-free routing shell over a [`PrimaryBridge`]:
+/// per-connection state lives in its sharded `FlowTable`, and what
+/// watches this link is that bridge's [`Observers`].
 ///
 /// # Example
 ///
@@ -178,18 +177,14 @@ impl ChainBridge {
         &mut self.inner
     }
 
-    /// Attaches (or detaches) the health observatory (replication-lag
-    /// ledger) on the merge bridge. Every other observer and every
-    /// flow-table reading goes through [`ChainBridge::inner`] /
-    /// [`ChainBridge::inner_mut`]; this pair stays because the
-    /// zero-alloc proof drives a bare link through it.
-    pub fn set_health(&mut self, health: Option<Box<HealthObservatory>>) {
-        self.inner.set_health(health);
+    /// Everything that watches this link (the merge machinery's).
+    pub fn observers(&self) -> &Observers {
+        self.inner.observers()
     }
 
-    /// The attached health observatory, if any.
-    pub fn health(&self) -> Option<&HealthObservatory> {
-        self.inner.health()
+    /// Mutable access to the observers.
+    pub fn observers_mut(&mut self) -> &mut Observers {
+        self.inner.observers_mut()
     }
 
     /// Connects the telemetry hub: the inner bridge publishes its
@@ -528,14 +523,15 @@ fn merge_bridge(filter: &mut dyn SegmentFilter) -> Option<&mut PrimaryBridge> {
     }
 }
 
-/// The invariant auditor of a bridge that can take the VIP — a
-/// [`ChainBridge`] link or a [`SecondaryBridge`] tail — when attached.
-fn promoting_auditor(filter: &mut dyn SegmentFilter) -> Option<&mut InvariantAuditor> {
+/// What watches the bridge this host runs, whatever its role.
+pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observers> {
     let any = filter.as_any_mut();
     if any.is::<ChainBridge>() {
-        any.downcast_mut::<ChainBridge>()?.inner.audit_mut()
+        any.downcast_mut().map(ChainBridge::observers_mut)
+    } else if any.is::<PrimaryBridge>() {
+        any.downcast_mut().map(PrimaryBridge::observers_mut)
     } else {
-        any.downcast_mut::<SecondaryBridge>()?.audit_mut()
+        any.downcast_mut().map(SecondaryBridge::observers_mut)
     }
 }
 
@@ -898,7 +894,9 @@ impl ChainController {
                         ],
                         [Some(("score", score)), Some(("forced", u64::from(forced)))],
                     );
-                    if let Some(aud) = promoting_auditor(services.filter) {
+                    if let Some(aud) =
+                        observers_of(services.filter).and_then(|o| o.audit.as_deref_mut())
+                    {
                         aud.note_promotion_decision(now_nanos);
                     }
                     true
@@ -1016,7 +1014,7 @@ impl ChainController {
             // Commit record: checked against the decision stamp by the
             // auditor's promotion-order rule.
             self.event("promoted", now, &[("vip", vip.to_string())], [None, None]);
-            if let Some(aud) = promoting_auditor(services.filter) {
+            if let Some(aud) = observers_of(services.filter).and_then(|o| o.audit.as_deref_mut()) {
                 aud.note_promotion_committed(now_nanos);
             }
         }
@@ -1031,25 +1029,16 @@ impl ChainController {
     fn observe_self(&mut self, services: &mut HostServices<'_, '_>) {
         let replica = &mut self.self_monitor.replica;
         replica.set_misses(0);
-        if let Some(merge) = merge_bridge(services.filter) {
-            if let Some(obs) = merge.health() {
-                let cap = merge.flow_capacity().max(1) as u64;
-                let occupancy_ppm = merge.flow_stats().occupancy * 1_000_000 / cap;
-                replica.observe_backlog(
-                    obs.lag.unmatched_bytes(),
-                    obs.lag.unmatched_segments(),
-                    occupancy_ppm,
-                );
-            }
-        } else if let Some(tail) = services
-            .filter
-            .as_any_mut()
-            .downcast_mut::<SecondaryBridge>()
-        {
-            if let Some(obs) = tail.health() {
-                replica.observe_backlog(obs.lag.unmatched_bytes(), obs.lag.unmatched_segments(), 0);
-            }
-        }
+        let Some(obs) = observers_of(services.filter).and_then(|o| o.health.as_deref()) else {
+            return;
+        };
+        let (bytes, segments) = (obs.lag.unmatched_bytes(), obs.lag.unmatched_segments());
+        // A tail has no merge engine, and its witness table says
+        // nothing about backlog.
+        let occupancy_ppm = merge_bridge(services.filter).map_or(0, |merge| {
+            merge.flow_stats().occupancy * 1_000_000 / merge.flow_capacity().max(1) as u64
+        });
+        replica.observe_backlog(bytes, segments, occupancy_ppm);
     }
 
     /// Partial reintegration (an extension; the paper leaves
@@ -1068,7 +1057,9 @@ impl ChainController {
             return false;
         }
         match merge_bridge(services.filter) {
-            Some(merge) if merge.mode() == PrimaryMode::SecondaryFailed => merge.reintegrate(),
+            Some(merge) if merge.mode() == PrimaryMode::SecondaryFailed => {
+                merge.reintegrate(services.now.as_nanos());
+            }
             _ => return false,
         }
         self.alive[i] = true;

@@ -10,11 +10,10 @@
 //! Since PR9 the testbed carries the chain's full observability and
 //! reprovisioning surface:
 //!
-//! * every replica gets its **own** telemetry hub (controllers publish
-//!   under `core.chain`, so sharing a registry would collide), with
-//!   the auditor / latency / health observatories attached per the
-//!   `TCPFO_AUDIT` / `TCPFO_LATENCY` / `TCPFO_HEALTH` knobs (or the
-//!   explicit [`ChainConfig`] overrides);
+//! * every replica gets its **own** telemetry hub (the bridges publish
+//!   under role names, so sharing a registry would collide), with the
+//!   observers the [`ChainConfig`] switches — resolved once, when the
+//!   testbed is built — turn on;
 //! * [`ChainTestbed::kill_replica`] stamps the §5 failure reference
 //!   point on every hub's timeline;
 //! * the reprovisioning primitives ([`ChainTestbed::spawn_standby`],
@@ -26,14 +25,14 @@
 //!   (resuming the deterministic stream) lives with the apps
 //!   (`tcpfo_apps::chain_ops`), which composes these primitives.
 
-use crate::chain::{ChainBridge, ChainController};
+use crate::chain::{observers_of, ChainBridge, ChainController};
 use crate::designation::FailoverConfig;
 use crate::detector::DetectorConfig;
 use crate::reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
 use crate::secondary::SecondaryBridge;
 use crate::testbed::{
-    addrs, equip_merge_bridge, prime_router_arp, prime_server_arp, replica_host, replica_mac,
-    spawn_router_and_client, tail_bridge, TestbedConfig,
+    addrs, equip_merge_bridge, new_hub, prime_router_arp, prime_server_arp, replica_host,
+    replica_mac, spawn_router_and_client, tail_bridge, with_bridge, TestbedConfig,
 };
 use tcpfo_net::hub::Hub;
 use tcpfo_net::link::LinkParams;
@@ -67,19 +66,19 @@ pub struct ChainConfig {
     pub tcp: TcpConfig,
     /// Host stack tick.
     pub tick: SimDuration,
-    /// Attach the invariant auditor to every bridge. `None` follows
-    /// the `TCPFO_AUDIT` environment knob; `Some(_)` overrides it.
+    /// Attach the invariant auditor to every bridge. The four switches
+    /// follow the pair testbed's rule: `Some(_)` always wins, `None`
+    /// follows the environment (`TCPFO_AUDIT` here), read once.
     pub audit: Option<bool>,
-    /// Attach the per-stage latency observatory to every bridge.
-    /// `None` follows the `TCPFO_LATENCY` knob; `Some(_)` overrides it.
+    /// Attach the per-stage latency observatory to every bridge
+    /// (`None`: `TCPFO_LATENCY`).
     pub latency: Option<bool>,
     /// Attach the health observatory (replication-lag ledger) to every
-    /// bridge. `None` follows the `TCPFO_HEALTH` knob; `Some(_)`
-    /// overrides it.
+    /// bridge (`None`: `TCPFO_HEALTH`).
     pub health: Option<bool>,
-    /// Arm the failover span tracer (PR10) on every replica hub and a
-    /// hot-path batch sampler on every non-tail bridge. `None` follows
-    /// the `TCPFO_TRACE` knob; `Some(_)` overrides it.
+    /// Arm the failover span tracer on every replica hub and a
+    /// hot-path batch sampler on every non-tail bridge (`None`:
+    /// `TCPFO_TRACE`).
     pub span_trace: Option<bool>,
 }
 
@@ -242,12 +241,7 @@ impl ChainTestbed {
     /// hub port. Founders and reprovisioned standbys are built alike.
     fn spawn_replica(&mut self, i: usize) -> NodeId {
         let own = self.replica_addrs[i];
-        let telemetry = Telemetry::from_env();
-        if self.observers.span_trace {
-            telemetry
-                .trace
-                .attach(tcpfo_telemetry::span::env_trace_capacity());
-        }
+        let telemetry = new_hub(&self.base, self.observers);
         self.tracker.attach_timeline(telemetry.redundancy.clone());
         self.tracker.attach_tracer(telemetry.trace.clone());
         let filter: Box<dyn SegmentFilter> = if i == self.replica_addrs.len() - 1 {
@@ -494,13 +488,8 @@ impl ChainTestbed {
         let downstream = self.replica_addrs[standby];
         let now = self.sim.now().as_nanos();
         let flows = handoffs.len();
-        let upstream = self.sim.with::<Host, _>(node, |h, _| {
-            h.filter_mut()
-                .as_any_mut()
-                .downcast_mut::<SecondaryBridge>()
-                .expect("converting tail runs a SecondaryBridge")
-                .upstream()
-        });
+        let upstream = with_bridge(&mut self.sim, node, |b: &mut SecondaryBridge| b.upstream())
+            .expect("converting tail runs a SecondaryBridge");
         let mut bridge = self.chain_link(own, Some(upstream), downstream, &self.hubs[tail]);
         for ho in handoffs {
             bridge.adopt_flow(ho, now);
@@ -531,11 +520,8 @@ impl ChainTestbed {
             return 0;
         };
         let node = self.replicas[link];
-        self.sim.with::<Host, _>(node, |h, _| {
-            let Some(b) = h.filter_mut().as_any_mut().downcast_mut::<ChainBridge>() else {
-                return 0;
-            };
-            match b.health() {
+        with_bridge(&mut self.sim, node, |b: &mut ChainBridge| {
+            match b.observers().health.as_deref() {
                 Some(obs) => obs.lag.unmatched_bytes(),
                 None => {
                     let rows = b.inner().connection_rows();
@@ -543,6 +529,7 @@ impl ChainTestbed {
                 }
             }
         })
+        .unwrap_or(0)
     }
 
     /// Sum of invariant-auditor rule firings across every living
@@ -556,14 +543,8 @@ impl ChainTestbed {
                 continue;
             }
             total += self.sim.with::<Host, _>(node, |h, _| {
-                let f = h.filter_mut().as_any_mut();
-                if let Some(b) = f.downcast_mut::<ChainBridge>() {
-                    (b.inner().audit()).map_or(0, |a| a.ledger().total_violations())
-                } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
-                    b.audit().map_or(0, |a| a.ledger().total_violations())
-                } else {
-                    0
-                }
+                let audit = observers_of(h.filter_mut()).and_then(|o| o.audit.as_deref());
+                audit.map_or(0, |a| a.ledger().total_violations())
             });
         }
         total

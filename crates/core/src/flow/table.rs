@@ -150,28 +150,6 @@ impl FlowTableConfig {
             gc: GcPolicy::default(),
         }
     }
-
-    /// Reads `TCPFO_FLOW_SHARDS` and `TCPFO_FLOW_CAP` from the
-    /// environment, falling back to the defaults (1 shard, 65 536
-    /// flows) when unset or unparsable. GC budgets come from
-    /// `TCPFO_GC_TICK_BUDGET` / `TCPFO_GC_BATCH_BUDGET` the same way.
-    pub fn from_env() -> Self {
-        let parse = |name: &str, default: usize| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(default)
-        };
-        let mut config = FlowTableConfig::new(
-            parse("TCPFO_FLOW_SHARDS", 1),
-            parse("TCPFO_FLOW_CAP", 65_536),
-        );
-        config.gc.max_reaps_per_tick = parse("TCPFO_GC_TICK_BUDGET", config.gc.max_reaps_per_tick);
-        config.gc.max_reaps_per_batch =
-            parse("TCPFO_GC_BATCH_BUDGET", config.gc.max_reaps_per_batch);
-        config
-    }
 }
 
 /// Per-shard statistics (backpressure counters included).

@@ -21,6 +21,9 @@
 //! * [`flow`] — the sharded flow table both bridges store per-flow
 //!   state in: explicit lifecycle, capacity limits, LRU eviction,
 //!   timer-driven GC, per-shard stats.
+//! * [`observers`] — the observer seam: the one [`Observers`] value a
+//!   bridge of any role holds, and the bridge's observable moments as
+//!   methods on it.
 //! * [`detector`] — the heartbeat fault detector's parameters.
 //! * [`chain`] — the one control plane ([`ChainController`]: heartbeats,
 //!   the §5 takeover — gratuitous ARP + TCB re-keying — and the §6
@@ -48,6 +51,7 @@ pub mod chain_testbed;
 pub mod designation;
 pub mod detector;
 pub mod flow;
+pub mod observers;
 pub mod primary;
 pub mod queues;
 pub mod reprovision;
@@ -59,6 +63,7 @@ pub use chain_testbed::{ChainConfig, ChainTestbed};
 pub use designation::{ConnKey, FailoverConfig};
 pub use detector::DetectorConfig;
 pub use flow::{FlowKey, FlowState, FlowTable, FlowTableConfig};
+pub use observers::Observers;
 pub use primary::{ConnRow, PrimaryBridge, PrimaryMode, PrimaryStats};
 pub use reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
 pub use secondary::{SecondaryBridge, SecondaryMode, SecondaryStats};

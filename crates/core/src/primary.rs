@@ -32,7 +32,10 @@
 //! deterministic input-order merge.
 
 use crate::designation::{ConnKey, FailoverConfig};
-use crate::flow::{Evicted, FlowState, FlowTable, FlowTableConfig, Shard, ShardStats, SlotId};
+use crate::flow::{
+    Evicted, FlowGauges, FlowState, FlowTable, FlowTableConfig, Shard, ShardStats, SlotId,
+};
+use crate::observers::{Lag, Observers, StageClock};
 use crate::queues::{ByteQueue, TakenBytes};
 use bytes::{Bytes, BytesMut};
 use tcpfo_net::ShardExecutor;
@@ -42,8 +45,8 @@ use tcpfo_tcp::filter::{
 use tcpfo_tcp::seq::{seq_gt, seq_le, seq_min};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::{
-    Counter, FlowClass, Gauge, HealthObservatory, HostClock, InvariantAuditor, LatencyObservatory,
-    Scope, SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
+    Counter, FlowClass, Gauge, HealthObservatory, InvariantAuditor, LatencyObservatory, Scope,
+    SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{
@@ -146,17 +149,6 @@ impl PrimaryStats {
     }
 }
 
-/// Per-shard gauge handles (occupancy, inserts, LRU evictions, GC
-/// reaps, lookups, LRU chain depth).
-struct ShardGaugeSet {
-    occupancy: Gauge,
-    inserted: Gauge,
-    evicted: Gauge,
-    reaped: Gauge,
-    lookups: Gauge,
-    lru_depth: Gauge,
-}
-
 /// Registry handles mirroring [`PrimaryStats`] plus output-queue depth
 /// gauges, all under the `core.primary` scope. `now_ns` caches the sim
 /// time of the segment currently being filtered so journal events
@@ -182,10 +174,8 @@ struct PrimaryInstruments {
     flows_reaped: Counter,
     pq_depth: Gauge,
     sq_depth: Gauge,
-    /// Per-shard flow-table gauges under `core.primary.flow`, created
-    /// on demand (the shard count can change via
-    /// [`PrimaryBridge::set_flow_config`]).
-    shard_gauges: Vec<ShardGaugeSet>,
+    /// Per-shard flow-table gauges under `core.primary.flow`.
+    flow_gauges: FlowGauges,
     now_ns: u64,
 }
 
@@ -377,25 +367,8 @@ pub struct PrimaryBridge {
     /// persist across batches instead of being reallocated per batch.
     /// Lazily grown to the shard count; reset on `set_flow_config`.
     shard_emit: Vec<BytesMut>,
-    /// Online invariant auditor (attached via [`PrimaryBridge::set_audit`]).
-    /// Detached — the default — costs one branch per filtered segment.
-    audit: Option<Box<InvariantAuditor>>,
-    /// Per-stage latency observatory (attached via
-    /// [`PrimaryBridge::set_latency`]). Detached — the default — costs
-    /// one branch per stage site; the hot path never reads the host
-    /// clock.
-    latency: Option<Box<LatencyObservatory>>,
-    /// Replica health & replication-lag observatory (attached via
-    /// [`PrimaryBridge::set_health`]). Detached — the default — costs
-    /// one branch per queue mutation. Attached, it maintains the exact
-    /// unmatched-bytes/segments ledger incrementally (O(1) per
-    /// mutation, no table sweeps) in flat, alloc-free state.
-    health: Option<Box<HealthObservatory>>,
-    /// Hot-path span sampler (attached via [`PrimaryBridge::set_trace`]).
-    /// Detached — the default — costs one branch per batch; attached
-    /// with the tracer detached, one counter bump and one relaxed
-    /// atomic load per batch.
-    trace: Option<Box<SpanSampler>>,
+    /// Everything that watches this bridge (DESIGN § Observer seam).
+    observers: Observers,
     /// Last time the flow-table GC swept.
     last_gc: u64,
 }
@@ -427,10 +400,9 @@ pub struct ConnRow {
 }
 
 impl PrimaryBridge {
-    /// Creates a bridge for primary `a_p` paired with secondary `a_s`.
-    /// The flow table is sized from the environment
-    /// (`TCPFO_FLOW_SHARDS`, `TCPFO_FLOW_CAP`); override with
-    /// [`PrimaryBridge::set_flow_config`].
+    /// Creates a bridge for primary `a_p` paired with secondary `a_s`,
+    /// with the default flow table (1 shard, 65 536 flows); resize it
+    /// with [`PrimaryBridge::set_flow_config`].
     pub fn new(a_p: Ipv4Addr, a_s: Ipv4Addr, config: FailoverConfig) -> Self {
         PrimaryBridge {
             a_p,
@@ -438,16 +410,13 @@ impl PrimaryBridge {
             divert_dst: a_p,
             config,
             mode: PrimaryMode::Normal,
-            flows: FlowTable::new(FlowTableConfig::from_env()),
+            flows: FlowTable::new(FlowTableConfig::default()),
             unsafe_ack_without_min: false,
             stats: PrimaryStats::default(),
             telemetry: None,
             emit_buf: BytesMut::with_capacity(2048),
             shard_emit: Vec::new(),
-            audit: None,
-            latency: None,
-            health: None,
-            trace: None,
+            observers: Observers::default(),
             last_gc: 0,
         }
     }
@@ -464,10 +433,8 @@ impl PrimaryBridge {
                 if let Some(ev) = shard.take_slot(i) {
                     if let Some(dropped) = table.insert(ev.key, ev.state, ev.data, 0) {
                         self.stats.evicted_flows += 1;
-                        if let (Some(h), PrimaryFlow::Live(conn)) =
-                            (self.health.as_deref_mut(), &dropped.data)
-                        {
-                            h.lag.drop_flow(conn.pq.len(), conn.mss);
+                        if let PrimaryFlow::Live(conn) = &dropped.data {
+                            self.observers.lag().flow_left(conn.pq.len(), conn.mss);
                         }
                     }
                 }
@@ -477,85 +444,47 @@ impl PrimaryBridge {
         self.shard_emit.clear();
     }
 
-    /// Attaches (or detaches) the online invariant auditor. When
-    /// detached — the default — the only cost is one `Option` branch
-    /// per filtered segment, preserving the zero-allocation steady
-    /// state (`tests/zero_alloc.rs`).
+    /// Everything that watches this bridge.
+    pub fn observers(&self) -> &Observers {
+        &self.observers
+    }
+
+    /// Mutable access to the observers: attach, detach or read one
+    /// through its field.
+    pub fn observers_mut(&mut self) -> &mut Observers {
+        &mut self.observers
+    }
+
+    // The four setters below are stores into [`Observers`], kept under
+    // these names because the standing benchmark builds its bridges
+    // with them (`benchmark/README.md` § What the benchmark calls).
+
+    /// Attaches (or detaches) the online invariant auditor.
     pub fn set_audit(&mut self, audit: Option<Box<InvariantAuditor>>) {
-        self.audit = audit;
+        self.observers.audit = audit;
     }
 
-    /// The attached invariant auditor, if any.
-    pub fn audit(&self) -> Option<&InvariantAuditor> {
-        self.audit.as_deref()
-    }
-
-    /// Mutable access to the attached invariant auditor.
-    pub fn audit_mut(&mut self) -> Option<&mut InvariantAuditor> {
-        self.audit.as_deref_mut()
-    }
-
-    /// Attaches (or detaches) the per-stage latency observatory. When
-    /// detached — the default — each stage site costs one `Option`
-    /// branch and the host clock is never read, preserving both the
-    /// zero-allocation steady state (`tests/zero_alloc.rs`) and
-    /// deterministic replay.
+    /// Attaches (or detaches) the per-stage latency observatory.
     pub fn set_latency(&mut self, latency: Option<Box<LatencyObservatory>>) {
-        self.latency = latency;
-    }
-
-    /// The attached latency observatory, if any.
-    pub fn latency(&self) -> Option<&LatencyObservatory> {
-        self.latency.as_deref()
-    }
-
-    /// Mutable access to the attached latency observatory.
-    pub fn latency_mut(&mut self) -> Option<&mut LatencyObservatory> {
-        self.latency.as_deref_mut()
+        self.observers.latency = latency;
     }
 
     /// Attaches (or detaches) the replica health & replication-lag
-    /// observatory. When detached — the default — each accounting site
-    /// costs one `Option` branch, preserving the zero-allocation
-    /// steady state (`tests/zero_alloc.rs`, which also proves the
-    /// *attached* hot path allocation-free: all observatory state is
-    /// flat). Attaching mid-run seeds the lag ledger from the current
-    /// queues so the gauge stays exact.
+    /// observatory. Attaching mid-run seeds the lag ledger from the
+    /// current queues so the gauge stays exact.
     pub fn set_health(&mut self, health: Option<Box<HealthObservatory>>) {
-        self.health = health;
-        if let Some(h) = self.health.as_deref_mut() {
-            for (_, _, f) in self.flows.iter() {
-                if let PrimaryFlow::Live(c) = f {
-                    h.lag.update(0, c.pq.len(), c.mss);
-                }
+        self.observers.health = health;
+        let mut lag = self.observers.lag();
+        for (_, _, f) in self.flows.iter() {
+            if let PrimaryFlow::Live(c) = f {
+                lag.queue_changed(0, c.pq.len(), c.mss);
             }
         }
     }
 
-    /// Attaches (or detaches) the hot-path span sampler. When detached
-    /// — the default — the cost is one `Option` branch per batch. A
-    /// sampled batch records a `batch` span (with per-stage children
-    /// when the latency observatory is also attached) into the
-    /// tracer's pre-allocated ring; the sampler's last span context is
-    /// what the under-load recorder stamps onto tail exemplars.
+    /// Attaches (or detaches) the hot-path span sampler.
     pub fn set_trace(&mut self, trace: Option<Box<SpanSampler>>) {
-        self.trace = trace;
-    }
-
-    /// Span context of the most recent sampled hot-path batch: the
-    /// exemplar link between tail latency samples and the trace.
-    pub fn trace_context(&self) -> Option<SpanContext> {
-        self.trace.as_deref().and_then(|s| s.last_ctx())
-    }
-
-    /// The attached health observatory, if any.
-    pub fn health(&self) -> Option<&HealthObservatory> {
-        self.health.as_deref()
-    }
-
-    /// Mutable access to the attached health observatory.
-    pub fn health_mut(&mut self) -> Option<&mut HealthObservatory> {
-        self.health.as_deref_mut()
+        self.observers.trace = trace;
     }
 
     /// Diagnostic rows for every tracked connection, in no particular
@@ -605,9 +534,8 @@ impl PrimaryBridge {
             .insert(key, st, PrimaryFlow::Live(conn), now_nanos)
         {
             self.stats.evicted_flows += 1;
-            if let (Some(hobs), PrimaryFlow::Live(c)) = (self.health.as_deref_mut(), &dropped.data)
-            {
-                hobs.lag.drop_flow(c.pq.len(), c.mss);
+            if let PrimaryFlow::Live(c) = &dropped.data {
+                self.observers.lag().flow_left(c.pq.len(), c.mss);
             }
         }
     }
@@ -635,7 +563,7 @@ impl PrimaryBridge {
             flows_reaped: scope.counter("flows_reaped"),
             pq_depth: scope.gauge("pq_depth"),
             sq_depth: scope.gauge("sq_depth"),
-            shard_gauges: Vec::new(),
+            flow_gauges: FlowGauges::default(),
             now_ns: 0,
             scope,
         });
@@ -651,9 +579,7 @@ impl PrimaryBridge {
             flows,
             stats,
             telemetry,
-            latency,
-            health,
-            audit,
+            observers,
             ..
         } = self;
         let Some(t) = telemetry else {
@@ -682,44 +608,8 @@ impl PrimaryBridge {
         t.flows_reaped.set_at_least(stats.flows_reaped);
         t.pq_depth.set_at(pq, now_nanos);
         t.sq_depth.set_at(sq, now_nanos);
-        while t.shard_gauges.len() < flows.shard_count() {
-            let i = t.shard_gauges.len();
-            let scope = t.hub.registry.scope("core.primary.flow");
-            t.shard_gauges.push(ShardGaugeSet {
-                occupancy: scope.gauge(&format!("shard{i}.occupancy")),
-                inserted: scope.gauge(&format!("shard{i}.inserted")),
-                evicted: scope.gauge(&format!("shard{i}.evicted")),
-                reaped: scope.gauge(&format!("shard{i}.reaps")),
-                lookups: scope.gauge(&format!("shard{i}.lookups")),
-                lru_depth: scope.gauge(&format!("shard{i}.lru_depth")),
-            });
-        }
-        for (i, g) in t.shard_gauges.iter().enumerate() {
-            if i < flows.shard_count() {
-                let shard = flows.shard(i);
-                let s = shard.stats();
-                g.occupancy.set_at(s.occupancy, now_nanos);
-                g.inserted.set_at(s.inserted, now_nanos);
-                g.evicted.set_at(s.evicted, now_nanos);
-                g.reaped.set_at(s.reaped, now_nanos);
-                g.lookups.set_at(s.lookups, now_nanos);
-                g.lru_depth.set_at(shard.len() as u64, now_nanos);
-            }
-        }
-        if let Some(obs) = latency.as_deref_mut() {
-            obs.publish(&t.scope, now_nanos);
-        }
-        if let Some(obs) = health.as_deref_mut() {
-            obs.publish(&t.scope, now_nanos);
-            // Every audit flight-recorder bundle captures replica
-            // health at fault time: keep the auditor's copy of the lag
-            // ledger current. A store, not a rendering — this runs on
-            // every host tick and the JSON is read only after a
-            // violation.
-            if let Some(aud) = audit.as_deref_mut() {
-                aud.set_health_snapshot(&obs.lag);
-            }
-        }
+        t.flow_gauges.publish(&t.scope, flows, now_nanos);
+        observers.publish(&t.scope, now_nanos);
     }
 
     /// Stamps the sim time of the segment currently being filtered, so
@@ -781,16 +671,6 @@ impl PrimaryBridge {
         self.flows.config().capacity
     }
 
-    /// Per-shard flow-table statistics in shard-index order. The
-    /// under-load harness samples this mid-run for occupancy/eviction
-    /// gauges without attaching journal telemetry (which would force
-    /// the sequential datapath).
-    pub fn flow_shard_stats(&self) -> Vec<ShardStats> {
-        (0..self.flows.shard_count())
-            .map(|i| self.flows.shard(i).stats())
-            .collect()
-    }
-
     /// The lifecycle state of one flow, if resident (live or tombstone).
     pub fn flow_state(&self, key: &ConnKey) -> Option<FlowState> {
         self.flows.state(key)
@@ -817,9 +697,8 @@ impl PrimaryBridge {
     /// run-to-run nondeterminism in the bridge).
     pub fn secondary_failed(&mut self, now_nanos: u64) -> FilterOutput {
         self.sync_telemetry(now_nanos);
-        if let Some(a) = &mut self.audit {
-            a.note_degraded(now_nanos);
-        }
+        self.observers
+            .mode_changed(PrimaryMode::SecondaryFailed, now_nanos);
         let live: Vec<ConnKey> = self
             .flows
             .iter()
@@ -840,9 +719,7 @@ impl PrimaryBridge {
             // The flow leaves replicated operation here: whatever the
             // secondary never matched stops being replication lag
             // (it is flushed straight to the client below).
-            if let Some(h) = self.health.as_deref_mut() {
-                h.lag.drop_flow(conn.pq.len(), conn.mss);
-            }
+            self.observers.lag().flow_left(conn.pq.len(), conn.mss);
             let Some(delta) = conn.delta else {
                 // Handshake never completed against the secondary:
                 // release the held SYN unmodified; the connection
@@ -913,12 +790,10 @@ impl PrimaryBridge {
     /// Connections degraded by §6 stay on their Δ-adjusted
     /// pass-through tombstones for their remaining lifetime — the
     /// restarted secondary never saw their establishment.
-    pub fn reintegrate(&mut self) {
+    pub fn reintegrate(&mut self, now_nanos: u64) {
         self.mode = PrimaryMode::Normal;
-        let now = self.telemetry.as_ref().map_or(0, |t| t.now_ns);
-        if let Some(a) = &mut self.audit {
-            a.note_reintegrated(now);
-        }
+        self.stamp_now(now_nanos);
+        self.observers.mode_changed(PrimaryMode::Normal, now_nanos);
         self.journal("reintegrated", &[]);
     }
 
@@ -935,11 +810,13 @@ impl PrimaryBridge {
         }
         self.last_gc = now_nanos;
         let budget = self.flows.config().gc.max_reaps_per_tick;
-        let PrimaryBridge { flows, health, .. } = self;
-        let mut health = health.as_deref_mut();
+        let PrimaryBridge {
+            flows, observers, ..
+        } = self;
+        let mut lag = observers.lag();
         flows.gc_budgeted(now_nanos, budget, &mut |ev| {
-            if let (Some(h), PrimaryFlow::Live(conn)) = (health.as_mut(), &ev.data) {
-                h.lag.drop_flow(conn.pq.len(), conn.mss);
+            if let PrimaryFlow::Live(conn) = &ev.data {
+                lag.flow_left(conn.pq.len(), conn.mss);
             }
         });
         self.stats.flows_reaped = self.flows.stats_total().reaped;
@@ -955,12 +832,14 @@ impl PrimaryBridge {
         if policy.max_reaps_per_batch == 0 {
             return;
         }
-        let PrimaryBridge { flows, health, .. } = self;
-        let mut health = health.as_deref_mut();
+        let PrimaryBridge {
+            flows, observers, ..
+        } = self;
+        let mut lag = observers.lag();
         for shard in flows.shards_mut() {
             shard.gc_budgeted(now_nanos, &policy, policy.max_reaps_per_batch, &mut |ev| {
-                if let (Some(h), PrimaryFlow::Live(conn)) = (health.as_mut(), &ev.data) {
-                    h.lag.drop_flow(conn.pq.len(), conn.mss);
+                if let PrimaryFlow::Live(conn) = &ev.data {
+                    lag.flow_left(conn.pq.len(), conn.mss);
                 }
             });
         }
@@ -1011,10 +890,10 @@ impl PrimaryBridge {
             stats,
             emit_buf,
             telemetry,
-            latency,
-            health,
+            observers,
             ..
         } = self;
+        let (clock, lag) = observers.datapath();
         Engine {
             a_s: *a_s,
             mode: *mode,
@@ -1027,10 +906,10 @@ impl PrimaryBridge {
                 trace,
                 stats,
                 buf: emit_buf,
-                lat: latency.as_deref_mut().map(LatencyObservatory::stages_mut),
+                clock,
             },
             instruments: telemetry.as_ref(),
-            health: health.as_deref_mut(),
+            lag,
         }
     }
 
@@ -1056,9 +935,9 @@ impl PrimaryBridge {
     /// the batch one segment at a time, at any thread or shard count
     /// (`tests/shard_determinism.rs` proves it).
     ///
-    /// Falls back to the sequential path when the auditor or telemetry
-    /// is attached (both observe cross-flow order) or the executor is
-    /// inline. Both paths finish every batch with the same per-shard
+    /// Falls back to the sequential path when telemetry or an
+    /// order-sensitive observer is attached (they observe cross-flow
+    /// order) or the executor is inline. Both paths finish every batch with the same per-shard
     /// incremental GC drain ([`PrimaryBridge::gc_batch`]), so flow-table
     /// state stays identical between them.
     pub fn process_batch(
@@ -1067,25 +946,11 @@ impl PrimaryBridge {
         now_nanos: u64,
         exec: &ShardExecutor,
     ) -> Vec<FilterOutput> {
-        // The health observatory joins the sequential-fallback set:
-        // its lag ledger is a single cross-shard accumulator, and the
-        // bench profile runs single-threaded, so parallel workers never
-        // need (and never get) a health reference.
-        if self.audit.is_some()
-            || self.telemetry.is_some()
-            || self.health.is_some()
-            || self.trace.is_some()
-            || exec.threads() <= 1
-        {
-            // Hot-path span sampling brackets the whole batch; the
-            // stage snapshot is a stack copy taken only on sampled
-            // batches, so unsampled batches stay branch-only.
-            let sampling = self.trace.as_deref_mut().is_some_and(|s| s.start_batch());
-            let before = if sampling {
-                self.latency.as_deref().map(|l| *l.stages())
-            } else {
-                None
-            };
+        // The lag ledger is a single cross-shard accumulator, so the
+        // health observatory is order-sensitive too: parallel workers
+        // never need (and never get) a ledger.
+        if self.observers.order_sensitive() || self.telemetry.is_some() || exec.threads() <= 1 {
+            let sample = self.observers.batch_start();
             let segments = batch.len() as u64;
             let outs: Vec<FilterOutput> = batch
                 .into_iter()
@@ -1099,12 +964,7 @@ impl PrimaryBridge {
                 })
                 .collect();
             self.gc_batch(now_nanos);
-            if sampling {
-                let after = self.latency.as_deref().map(|l| *l.stages());
-                if let Some(s) = self.trace.as_deref_mut() {
-                    s.finish_batch(segments, before.as_ref(), after.as_ref());
-                }
-            }
+            self.observers.batch_end(&sample, segments);
             return outs;
         }
         let items: Vec<(usize, (Route, AddressedSegment))> = batch
@@ -1130,7 +990,7 @@ impl PrimaryBridge {
         } = self;
         let (a_p, a_s, mode, unsafe_ack) = (*a_p, *a_s, *mode, *unsafe_ack_without_min);
         let config: &FailoverConfig = config;
-        let lat_on = self.latency.is_some();
+        let lat_on = self.observers.latency.is_some();
         // Run-to-completion lanes: each shard is paired with its
         // persistent egress buffer and handed to exactly one worker
         // thread, which processes the shard's whole input slice and
@@ -1172,10 +1032,10 @@ impl PrimaryBridge {
                                 trace: seg.trace,
                                 stats: &mut stats,
                                 buf: &mut *lane.emit,
-                                lat: lat.as_mut(),
+                                clock: StageClock(lat.as_mut()),
                             },
                             instruments: None,
-                            health: None,
+                            lag: Lag(None),
                         }
                         .run(route, seg, &mut out);
                         let s = if i + 1 == n {
@@ -1201,7 +1061,7 @@ impl PrimaryBridge {
         for (out, s) in results {
             if let Some((s, l)) = s {
                 self.stats.add(&s);
-                if let (Some(obs), Some(l)) = (self.latency.as_deref_mut(), l.as_ref()) {
+                if let (Some(obs), Some(l)) = (self.observers.latency.as_deref_mut(), l.as_ref()) {
                     obs.merge_stages(l);
                 }
             }
@@ -1254,19 +1114,24 @@ impl PrimaryBridge {
         aud.note_client_ingress(seg.src, seg.dst, &seg.bytes, seg.trace, designated);
     }
 
-    /// Post-step audit scan of everything the inner datapath appended
-    /// to `out`: client-bound wire segments are releases, segments back
-    /// toward the secondary are noted, deliver-ups are checked for the
-    /// `+Δseq` ack translation.
-    fn audit_scan(&self, aud: &mut InvariantAuditor, out: &FilterOutput, w0: usize, t0: usize) {
-        for s in &out.to_wire[w0..] {
+    /// Post-step audit scan of everything the inner datapath appended:
+    /// client-bound wire segments are releases, segments back toward
+    /// the secondary are noted, deliver-ups are checked for the `+Δseq`
+    /// ack translation.
+    fn audit_scan(
+        &self,
+        aud: &mut InvariantAuditor,
+        to_wire: &[AddressedSegment],
+        to_tcp: &[AddressedSegment],
+    ) {
+        for s in to_wire {
             if s.dst == self.a_s {
                 aud.note_other_egress(s.src, s.dst, &s.bytes, s.trace);
             } else {
                 aud.check_release(s.src, s.dst, &s.bytes, s.trace);
             }
         }
-        for s in &out.to_tcp[t0..] {
+        for s in to_tcp {
             aud.check_deliver_up(s.src, s.dst, &s.bytes, s.trace);
         }
     }
@@ -1315,32 +1180,12 @@ struct Emitter<'a> {
     stats: &'a mut PrimaryStats,
     /// Recycled egress scratch (see [`PrimaryBridge::emit_buf`]).
     buf: &'a mut BytesMut,
-    /// Per-stage latency histograms (the observatory's, or a worker's
-    /// private copy). `None` — the default — keeps every stage site to
-    /// one branch with no clock read.
-    lat: Option<&'a mut StageLatency>,
+    /// Stage clock over the observatory's histograms, or over a
+    /// worker's private copy.
+    clock: StageClock<'a>,
 }
 
 impl Emitter<'_> {
-    /// Host-time stamp opening a stage measurement; 0 (and no clock
-    /// read) when the observatory is detached.
-    #[inline]
-    fn lat_start(&self) -> u64 {
-        if self.lat.is_some() {
-            HostClock::now_ns()
-        } else {
-            0
-        }
-    }
-
-    /// Closes a stage measurement opened by [`Emitter::lat_start`].
-    #[inline]
-    fn lat_end(&mut self, stage: Stage, t0: u64) {
-        if let Some(l) = self.lat.as_deref_mut() {
-            l.record(stage, HostClock::now_ns().saturating_sub(t0));
-        }
-    }
-
     /// Cold-path emitter for segments that need options (merged SYNs):
     /// full encode.
     fn encoded(&mut self, conn: &mut Conn, seg: TcpSegment, out: &mut FilterOutput) {
@@ -1377,7 +1222,7 @@ impl Emitter<'_> {
             }
             None => 0,
         };
-        let t0 = self.lat_start();
+        let t0 = self.clock.start();
         let bytes = conn.tmpl.emit_parts(
             self.buf,
             seq,
@@ -1390,7 +1235,7 @@ impl Emitter<'_> {
         );
         out.to_wire
             .push(AddressedSegment::new(self.a_p, conn.client.ip, bytes).traced(self.trace));
-        self.lat_end(Stage::EgressEmit, t0);
+        self.clock.end(Stage::EgressEmit, t0);
     }
 
     /// [`Emitter::hot`] for a rope release: the payload is the
@@ -1469,10 +1314,9 @@ struct Engine<'a> {
     /// `None` on parallel workers — journal events only flow on the
     /// sequential path, where cross-flow order is meaningful.
     instruments: Option<&'a PrimaryInstruments>,
-    /// Replication-lag ledger (the health observatory's). `None` — the
-    /// default, and always on parallel workers (attachment forces the
-    /// sequential path) — keeps every accounting site to one branch.
-    health: Option<&'a mut HealthObservatory>,
+    /// Replication-lag ledger (the health observatory's; never on a
+    /// parallel worker).
+    lag: Lag<'a>,
 }
 
 impl Engine<'_> {
@@ -1482,9 +1326,9 @@ impl Engine<'_> {
 
     /// Resolves the segment's flow: the one keyed probe it pays.
     fn find(&mut self, key: &ConnKey) -> Option<SlotId> {
-        let t0 = self.emit.lat_start();
+        let t0 = self.emit.clock.start();
         let slot = self.shard.find(key);
-        self.emit.lat_end(Stage::FlowLookup, t0);
+        self.emit.clock.end(Stage::FlowLookup, t0);
         slot
     }
 
@@ -1561,9 +1405,7 @@ impl Engine<'_> {
             );
         }
         if let PrimaryFlow::Live(conn) = ev.data {
-            if let Some(h) = self.health.as_deref_mut() {
-                h.lag.drop_flow(conn.pq.len(), conn.mss);
-            }
+            self.lag.flow_left(conn.pq.len(), conn.mss);
             if conn.delta.is_some() {
                 let seg = TcpSegment::builder(conn.server_port, conn.client.port)
                     .seq(conn.send_next)
@@ -1606,11 +1448,11 @@ impl Engine<'_> {
         raw: AddressedSegment,
         set: impl FnOnce(&mut SegmentPatcher),
     ) -> AddressedSegment {
-        let t0 = self.emit.lat_start();
+        let t0 = self.emit.clock.start();
         let mut patcher = SegmentPatcher::new(raw.bytes, raw.src, raw.dst);
         set(&mut patcher);
         let (bytes, src, dst) = patcher.finish();
-        self.emit.lat_end(Stage::ChecksumFixup, t0);
+        self.emit.clock.end(Stage::ChecksumFixup, t0);
         AddressedSegment::new(src, dst, bytes).traced(self.emit.trace)
     }
 
@@ -1625,7 +1467,7 @@ impl Engine<'_> {
             return;
         };
         loop {
-            let qm0 = self.emit.lat_start();
+            let qm0 = self.emit.clock.start();
             let avail = conn
                 .pq
                 .contiguous_from(conn.send_next)
@@ -1638,22 +1480,21 @@ impl Engine<'_> {
                 if from_p != from_s {
                     self.emit.stats.mismatched_bytes += n as u64;
                 }
-                self.emit.lat_end(Stage::QueueMatch, qm0);
+                self.emit.clock.end(Stage::QueueMatch, qm0);
                 // Replication-lag sampling at the match point: how far
                 // behind the witness was when this release became
                 // possible, and how long the head byte sat waiting.
                 // The ledger update runs before the ack check below so
                 // the gauge stays exact even on the drop path.
-                if let Some(h) = self.health.as_deref_mut() {
+                if self.lag.attached() {
                     let class = FlowClass::of_released(conn.released_bytes);
                     let head_wait = if conn.pq_head_since == u64::MAX {
                         0
                     } else {
                         self.now.saturating_sub(conn.pq_head_since)
                     };
-                    h.lag
-                        .record_release(class, pq_before as u64, conn.mss, head_wait);
-                    h.lag.update(pq_before, conn.pq.len(), conn.mss);
+                    self.lag
+                        .released(class, (pq_before, conn.pq.len()), conn.mss, head_wait);
                     conn.pq_head_since = if conn.pq.is_empty() {
                         u64::MAX
                     } else {
@@ -1676,7 +1517,7 @@ impl Engine<'_> {
             }
             // No matched payload: the release decision itself is still
             // a queue-match sample.
-            self.emit.lat_end(Stage::QueueMatch, qm0);
+            self.emit.clock.end(Stage::QueueMatch, qm0);
             // FIN merge: both replicas have closed at this position.
             if !conn.fin_sent
                 && conn.p_fin == Some(conn.send_next)
@@ -1871,9 +1712,7 @@ impl Engine<'_> {
             let (_, PrimaryFlow::Live(mut conn)) = self.shard.remove(slot) else {
                 unreachable!("live lifecycle state implies a live flow entry");
             };
-            if let Some(h) = self.health.as_deref_mut() {
-                h.lag.drop_flow(conn.pq.len(), conn.mss);
-            }
+            self.lag.flow_left(conn.pq.len(), conn.mss);
             self.emit.empty(&mut conn, seq, None, TcpFlags::RST, 0, out);
             self.emit.stats.conns_closed += 1;
             return;
@@ -1931,12 +1770,12 @@ impl Engine<'_> {
                     // empty→non-empty edge.
                     let before = conn.pq.len();
                     conn.pq.insert(seq, seg.payload.clone(), send_next);
-                    if let Some(h) = self.health.as_deref_mut() {
+                    if self.lag.attached() {
                         let after = conn.pq.len();
                         if before == 0 && after > 0 {
                             conn.pq_head_since = self.now;
                         }
-                        h.lag.update(before, after, conn.mss);
+                        self.lag.queue_changed(before, after, conn.mss);
                     }
                 }
                 Replica::Secondary => conn.sq.insert(seq, seg.payload.clone(), send_next),
@@ -2003,9 +1842,7 @@ impl Engine<'_> {
             // The TimeWait tombstone takes the live entry's slot; any
             // residual unmatched bytes leave the lag ledger with it
             // (a fully acknowledged teardown normally has none).
-            if let Some(h) = self.health.as_deref_mut() {
-                h.lag.drop_flow(pq_len, mss);
-            }
+            self.lag.flow_left(pq_len, mss);
             let tomb = PrimaryFlow::Tomb(Tombstone {
                 delta,
                 degraded: false,
@@ -2121,9 +1958,9 @@ impl Engine<'_> {
 
     /// Decodes a segment under the ingress-parse stage clock.
     fn decode(&mut self, bytes: &Bytes) -> Option<TcpSegment> {
-        let t0 = self.emit.lat_start();
+        let t0 = self.emit.clock.start();
         let parsed = TcpSegment::decode_shared(bytes);
-        self.emit.lat_end(Stage::IngressParse, t0);
+        self.emit.clock.end(Stage::IngressParse, t0);
         parsed.ok()
     }
 
@@ -2228,33 +2065,29 @@ impl Engine<'_> {
 
 impl SegmentFilter for PrimaryBridge {
     fn on_outbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
-        if self.audit.is_none() {
-            self.filter_inner(BatchDir::Outbound, seg, now_nanos, out);
-            return;
-        }
-        let mut aud = self.audit.take().expect("audit attached");
-        aud.begin_event(now_nanos);
-        self.audit_outbound_observe(&mut aud, &seg);
-        let (w0, t0) = (out.to_wire.len(), out.to_tcp.len());
-        self.filter_inner(BatchDir::Outbound, seg, now_nanos, out);
-        self.audit_scan(&mut aud, out, w0, t0);
-        aud.end_event(now_nanos);
-        self.audit = Some(aud);
+        Observers::audited(
+            self,
+            Self::observers_mut,
+            seg,
+            now_nanos,
+            out,
+            Self::audit_outbound_observe,
+            |b, seg, now, out| b.filter_inner(BatchDir::Outbound, seg, now, out),
+            Self::audit_scan,
+        );
     }
 
     fn on_inbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
-        if self.audit.is_none() {
-            self.filter_inner(BatchDir::Inbound, seg, now_nanos, out);
-            return;
-        }
-        let mut aud = self.audit.take().expect("audit attached");
-        aud.begin_event(now_nanos);
-        self.audit_inbound_observe(&mut aud, &seg);
-        let (w0, t0) = (out.to_wire.len(), out.to_tcp.len());
-        self.filter_inner(BatchDir::Inbound, seg, now_nanos, out);
-        self.audit_scan(&mut aud, out, w0, t0);
-        aud.end_event(now_nanos);
-        self.audit = Some(aud);
+        Observers::audited(
+            self,
+            Self::observers_mut,
+            seg,
+            now_nanos,
+            out,
+            Self::audit_inbound_observe,
+            |b, seg, now, out| b.filter_inner(BatchDir::Inbound, seg, now, out),
+            Self::audit_scan,
+        );
     }
 
     fn on_tick(&mut self, now_nanos: u64) {
@@ -2270,11 +2103,11 @@ impl SegmentFilter for PrimaryBridge {
     }
 
     fn latency_stages(&self) -> Option<&StageLatency> {
-        self.latency.as_deref().map(LatencyObservatory::stages)
+        self.observers.stages()
     }
 
     fn trace_context(&self) -> Option<SpanContext> {
-        PrimaryBridge::trace_context(self)
+        self.observers.trace_context()
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

@@ -26,13 +26,13 @@
 //! TCP server".
 
 use crate::designation::{ConnKey, FailoverConfig};
-use crate::flow::{FlowState, FlowTable, FlowTableConfig, ShardStats, SlotId};
+use crate::flow::{FlowGauges, FlowState, FlowTable, FlowTableConfig, ShardStats, SlotId};
+use crate::observers::Observers;
 use tcpfo_tcp::filter::{AddressedSegment, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::audit::{SecondaryPhase, TakeoverStep};
 use tcpfo_telemetry::{
-    Counter, FailoverPhase, Gauge, HealthObservatory, HostClock, InvariantAuditor,
-    LatencyObservatory, Scope, Stage, Telemetry,
+    Counter, FailoverPhase, Gauge, HealthObservatory, InvariantAuditor, Scope, Stage, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{SegmentPatcher, TcpFlags, TcpView};
@@ -73,17 +73,6 @@ pub struct SecondaryStats {
     pub unwitnessed_dropped: u64,
 }
 
-/// Per-shard witness-table gauge handles (occupancy, inserts, LRU
-/// evictions, GC reaps, lookups, LRU chain depth).
-struct ShardGaugeSet {
-    occupancy: Gauge,
-    inserted: Gauge,
-    evicted: Gauge,
-    reaped: Gauge,
-    lookups: Gauge,
-    lru_depth: Gauge,
-}
-
 /// Registry handles mirroring [`SecondaryStats`] under the
 /// `core.secondary` scope, plus the shared hub for timeline marks.
 struct SecondaryInstruments {
@@ -97,10 +86,8 @@ struct SecondaryInstruments {
     evicted_flows: Counter,
     flows_reaped: Counter,
     flow_occupancy: Gauge,
-    /// Per-shard witness-table gauges under `core.secondary.flow`,
-    /// created on demand (the shard count can change via
-    /// [`SecondaryBridge::set_flow_config`]).
-    shard_gauges: Vec<ShardGaugeSet>,
+    /// Per-shard witness-table gauges under `core.secondary.flow`.
+    flow_gauges: FlowGauges,
 }
 
 /// Operating state of the secondary bridge.
@@ -150,21 +137,11 @@ pub struct SecondaryBridge {
     /// Statistics.
     pub stats: SecondaryStats,
     telemetry: Option<SecondaryInstruments>,
-    /// Online invariant auditor (attached via
-    /// [`SecondaryBridge::set_audit`]).
-    audit: Option<Box<InvariantAuditor>>,
-    /// Per-stage latency observatory (attached via
-    /// [`SecondaryBridge::set_latency`]). Detached — the default —
-    /// costs one branch per stage site; the hot path never reads the
-    /// host clock.
-    latency: Option<Box<LatencyObservatory>>,
-    /// Replica health observatory (attached via
-    /// [`SecondaryBridge::set_health`]). The secondary holds no output
-    /// queues — replication lag is accounted on the primary side — but
-    /// the attach gives this bridge the same health publish path
-    /// (witness occupancy and takeover-hold signals) and audit
-    /// snapshot hook.
-    health: Option<Box<HealthObservatory>>,
+    /// Everything that watches this bridge (DESIGN § Observer seam).
+    /// The secondary holds no output queues — replication lag is
+    /// accounted on the primary side — so its health observatory only
+    /// publishes, and it has no batch entry for a span sampler.
+    observers: Observers,
     /// Sim time of the most recent filtered segment or tick, so the
     /// clock-less takeover calls can stamp auditor events.
     last_now: u64,
@@ -173,10 +150,9 @@ pub struct SecondaryBridge {
 }
 
 impl SecondaryBridge {
-    /// Creates a bridge for secondary `a_s` shadowing primary `a_p`.
-    /// The witness flow table is sized from the environment
-    /// (`TCPFO_FLOW_SHARDS`, `TCPFO_FLOW_CAP`); override with
-    /// [`SecondaryBridge::set_flow_config`].
+    /// Creates a bridge for secondary `a_s` shadowing primary `a_p`,
+    /// with the default witness table (1 shard, 65 536 flows); resize
+    /// it with [`SecondaryBridge::set_flow_config`].
     pub fn new(a_p: Ipv4Addr, a_s: Ipv4Addr, config: FailoverConfig) -> Self {
         SecondaryBridge {
             a_p,
@@ -184,12 +160,10 @@ impl SecondaryBridge {
             upstream: a_p,
             config,
             mode: SecondaryMode::Active,
-            flows: FlowTable::new(FlowTableConfig::from_env()),
+            flows: FlowTable::new(FlowTableConfig::default()),
             stats: SecondaryStats::default(),
             telemetry: None,
-            audit: None,
-            latency: None,
-            health: None,
+            observers: Observers::default(),
             last_now: 0,
             last_gc: 0,
         }
@@ -229,73 +203,29 @@ impl SecondaryBridge {
         self.flows.shard_count()
     }
 
-    /// Attaches (or detaches) the online invariant auditor. Detached —
-    /// the default — costs one branch per filtered segment.
+    /// Everything that watches this bridge.
+    pub fn observers(&self) -> &Observers {
+        &self.observers
+    }
+
+    /// Mutable access to the observers: attach, detach or read one
+    /// through its field.
+    pub fn observers_mut(&mut self) -> &mut Observers {
+        &mut self.observers
+    }
+
+    // The two setters below are stores into [`Observers`], kept under
+    // these names because the standing benchmark builds its bridges
+    // with them (`benchmark/README.md` § What the benchmark calls).
+
+    /// Attaches (or detaches) the online invariant auditor.
     pub fn set_audit(&mut self, audit: Option<Box<InvariantAuditor>>) {
-        self.audit = audit;
+        self.observers.audit = audit;
     }
 
-    /// The attached invariant auditor, if any.
-    pub fn audit(&self) -> Option<&InvariantAuditor> {
-        self.audit.as_deref()
-    }
-
-    /// Mutable access to the attached invariant auditor.
-    pub fn audit_mut(&mut self) -> Option<&mut InvariantAuditor> {
-        self.audit.as_deref_mut()
-    }
-
-    /// Attaches (or detaches) the per-stage latency observatory. When
-    /// detached — the default — each stage site costs one `Option`
-    /// branch and the host clock is never read.
-    pub fn set_latency(&mut self, latency: Option<Box<LatencyObservatory>>) {
-        self.latency = latency;
-    }
-
-    /// The attached latency observatory, if any.
-    pub fn latency(&self) -> Option<&LatencyObservatory> {
-        self.latency.as_deref()
-    }
-
-    /// Mutable access to the attached latency observatory.
-    pub fn latency_mut(&mut self) -> Option<&mut LatencyObservatory> {
-        self.latency.as_deref_mut()
-    }
-
-    /// Attaches (or detaches) the replica health observatory. Detached
-    /// — the default — costs one branch on the telemetry sync path.
+    /// Attaches (or detaches) the replica health observatory.
     pub fn set_health(&mut self, health: Option<Box<HealthObservatory>>) {
-        self.health = health;
-    }
-
-    /// The attached health observatory, if any.
-    pub fn health(&self) -> Option<&HealthObservatory> {
-        self.health.as_deref()
-    }
-
-    /// Mutable access to the attached health observatory.
-    pub fn health_mut(&mut self) -> Option<&mut HealthObservatory> {
-        self.health.as_deref_mut()
-    }
-
-    /// Host-time stamp opening a stage measurement; 0 (and no clock
-    /// read) when the observatory is detached.
-    #[inline]
-    fn lat_start(&self) -> u64 {
-        if self.latency.is_some() {
-            HostClock::now_ns()
-        } else {
-            0
-        }
-    }
-
-    /// Closes a stage measurement opened by
-    /// [`SecondaryBridge::lat_start`].
-    #[inline]
-    fn lat_end(&mut self, stage: Stage, t0: u64) {
-        if let Some(l) = self.latency.as_deref_mut() {
-            l.record(stage, HostClock::now_ns().saturating_sub(t0));
-        }
+        self.observers.health = health;
     }
 
     /// Connects the bridge to a telemetry hub: mirrors
@@ -312,7 +242,7 @@ impl SecondaryBridge {
             evicted_flows: scope.counter("evicted_flows"),
             flows_reaped: scope.counter("flows_reaped"),
             flow_occupancy: scope.gauge("flow_occupancy"),
-            shard_gauges: Vec::new(),
+            flow_gauges: FlowGauges::default(),
             scope,
         });
     }
@@ -325,9 +255,7 @@ impl SecondaryBridge {
             flows,
             stats,
             telemetry,
-            latency,
-            health,
-            audit,
+            observers,
             ..
         } = self;
         let Some(t) = telemetry else {
@@ -339,39 +267,8 @@ impl SecondaryBridge {
         t.evicted_flows.set_at_least(stats.evicted_flows);
         t.flows_reaped.set_at_least(stats.flows_reaped);
         t.flow_occupancy.set_at(flows.len() as u64, now_nanos);
-        while t.shard_gauges.len() < flows.shard_count() {
-            let i = t.shard_gauges.len();
-            let scope = t.hub.registry.scope("core.secondary.flow");
-            t.shard_gauges.push(ShardGaugeSet {
-                occupancy: scope.gauge(&format!("shard{i}.occupancy")),
-                inserted: scope.gauge(&format!("shard{i}.inserted")),
-                evicted: scope.gauge(&format!("shard{i}.evicted")),
-                reaped: scope.gauge(&format!("shard{i}.reaps")),
-                lookups: scope.gauge(&format!("shard{i}.lookups")),
-                lru_depth: scope.gauge(&format!("shard{i}.lru_depth")),
-            });
-        }
-        for (i, g) in t.shard_gauges.iter().enumerate() {
-            if i < flows.shard_count() {
-                let shard = flows.shard(i);
-                let s = shard.stats();
-                g.occupancy.set_at(s.occupancy, now_nanos);
-                g.inserted.set_at(s.inserted, now_nanos);
-                g.evicted.set_at(s.evicted, now_nanos);
-                g.reaped.set_at(s.reaped, now_nanos);
-                g.lookups.set_at(s.lookups, now_nanos);
-                g.lru_depth.set_at(shard.len() as u64, now_nanos);
-            }
-        }
-        if let Some(obs) = latency.as_deref_mut() {
-            obs.publish(&t.scope, now_nanos);
-        }
-        if let Some(obs) = health.as_deref_mut() {
-            obs.publish(&t.scope, now_nanos);
-            if let Some(aud) = audit.as_deref_mut() {
-                aud.set_health_snapshot(&obs.lag);
-            }
-        }
+        t.flow_gauges.publish(&t.scope, flows, now_nanos);
+        observers.publish(&t.scope, now_nanos);
     }
 
     /// Current mode.
@@ -412,10 +309,8 @@ impl SecondaryBridge {
     /// the paper observes for the window `T`.
     pub fn prepare_takeover(&mut self) {
         self.mode = SecondaryMode::Holding;
-        let now = self.last_now;
-        if let Some(a) = &mut self.audit {
-            a.note_takeover_step(TakeoverStep::EgressHold, now);
-        }
+        self.observers
+            .takeover_step(TakeoverStep::EgressHold, self.last_now);
     }
 
     /// §5 steps 3–4: disable both address translations. Called once the
@@ -423,10 +318,8 @@ impl SecondaryBridge {
     /// on the bridge is a no-op.
     pub fn complete_takeover(&mut self) {
         self.mode = SecondaryMode::Disabled;
-        let now = self.last_now;
-        if let Some(a) = &mut self.audit {
-            a.note_takeover_step(TakeoverStep::TranslationOff, now);
-        }
+        self.observers
+            .takeover_step(TakeoverStep::TranslationOff, self.last_now);
     }
 
     /// Timer-driven witness GC: reaps TimeWait entries after their TTL
@@ -457,9 +350,9 @@ impl SecondaryBridge {
     /// flow-lookup stage clock: the one keyed probe a segment pays.
     fn find(&mut self, key: &ConnKey) -> Option<(usize, SlotId)> {
         let si = self.flows.shard_of(key);
-        let t0 = self.lat_start();
+        let t0 = self.observers.clock().start();
         let slot = self.flows.shard(si).find(key);
-        self.lat_end(Stage::FlowLookup, t0);
+        self.observers.clock().end(Stage::FlowLookup, t0);
         Some((si, slot?))
     }
 
@@ -500,9 +393,9 @@ impl SecondaryBridge {
             out.to_wire.push(seg);
             return;
         }
-        let ip0 = self.lat_start();
+        let ip0 = self.observers.clock().start();
         let view = TcpView::new(&seg.bytes);
-        self.lat_end(Stage::IngressParse, ip0);
+        self.observers.clock().end(Stage::IngressParse, ip0);
         let Ok(view) = view else {
             out.to_wire.push(seg);
             return;
@@ -538,12 +431,12 @@ impl SecondaryBridge {
         let orig = seg.dst;
         let orig_port = view.dst_port();
         let trace = seg.trace;
-        let cf0 = self.lat_start();
+        let cf0 = self.observers.clock().start();
         let mut patcher = SegmentPatcher::new(seg.bytes, seg.src, seg.dst);
         patcher.push_orig_dest_option(orig, orig_port);
         patcher.set_pseudo_dst(self.upstream);
         let (bytes, src, dst) = patcher.finish();
-        self.lat_end(Stage::ChecksumFixup, cf0);
+        self.observers.clock().end(Stage::ChecksumFixup, cf0);
         self.stats.egress_diverted += 1;
         out.to_wire
             .push(AddressedSegment::new(src, dst, bytes).traced(trace));
@@ -567,9 +460,9 @@ impl SecondaryBridge {
             out.to_tcp.push(seg);
             return;
         }
-        let ip0 = self.lat_start();
+        let ip0 = self.observers.clock().start();
         let view = TcpView::new(&seg.bytes);
-        self.lat_end(Stage::IngressParse, ip0);
+        self.observers.clock().end(Stage::IngressParse, ip0);
         let Ok(view) = view else {
             out.to_tcp.push(seg);
             return;
@@ -590,12 +483,12 @@ impl SecondaryBridge {
         if view.flags().contains(TcpFlags::SYN) {
             // A SYN opens (or, for tuple reuse, resets) the witness
             // entry — the insert replaces any residue in place.
-            let fl0 = self.lat_start();
+            let fl0 = self.observers.clock().start();
             let evicted = self
                 .flows
                 .insert(key, FlowState::Establishing, SeenFlow::default(), now)
                 .is_some();
-            self.lat_end(Stage::FlowLookup, fl0);
+            self.observers.clock().end(Stage::FlowLookup, fl0);
             if evicted {
                 self.stats.evicted_flows += 1;
             }
@@ -624,11 +517,11 @@ impl SecondaryBridge {
             }
         }
         let trace = seg.trace;
-        let cf0 = self.lat_start();
+        let cf0 = self.observers.clock().start();
         let mut patcher = SegmentPatcher::new(seg.bytes, seg.src, seg.dst);
         patcher.set_pseudo_dst(self.a_s);
         let (bytes, src, dst) = patcher.finish();
-        self.lat_end(Stage::ChecksumFixup, cf0);
+        self.observers.clock().end(Stage::ChecksumFixup, cf0);
         self.stats.ingress_translated += 1;
         out.to_tcp
             .push(AddressedSegment::new(src, dst, bytes).traced(trace));
@@ -650,29 +543,21 @@ impl SecondaryBridge {
         );
     }
 
-    /// The bridge mode expressed in the auditor's vocabulary.
-    fn audit_phase(&self) -> SecondaryPhase {
-        match self.mode {
+    /// Post-step audit scan of egress: everything put on the wire is
+    /// checked against the bridge mode (which no segment changes), in
+    /// the auditor's vocabulary.
+    fn audit_egress_scan(
+        &self,
+        aud: &mut InvariantAuditor,
+        to_wire: &[AddressedSegment],
+        _to_tcp: &[AddressedSegment],
+    ) {
+        let phase = match self.mode {
             SecondaryMode::Active => SecondaryPhase::Active,
             SecondaryMode::Holding => SecondaryPhase::Holding,
             SecondaryMode::Disabled => SecondaryPhase::Disabled,
-        }
-    }
-}
-
-impl SegmentFilter for SecondaryBridge {
-    fn on_outbound_into(&mut self, seg: AddressedSegment, now: u64, out: &mut FilterOutput) {
-        self.last_now = now;
-        if self.audit.is_none() {
-            self.outbound_inner(seg, now, out);
-            return;
-        }
-        let mut aud = self.audit.take().expect("audit attached");
-        aud.begin_event(now);
-        let phase = self.audit_phase();
-        let w0 = out.to_wire.len();
-        self.outbound_inner(seg, now, out);
-        for s in &out.to_wire[w0..] {
+        };
+        for s in to_wire {
             aud.check_secondary_egress(
                 phase,
                 self.a_p,
@@ -684,26 +569,40 @@ impl SegmentFilter for SecondaryBridge {
                 s.trace,
             );
         }
-        aud.end_event(now);
-        self.audit = Some(aud);
+    }
+}
+
+impl SegmentFilter for SecondaryBridge {
+    fn on_outbound_into(&mut self, seg: AddressedSegment, now: u64, out: &mut FilterOutput) {
+        self.last_now = now;
+        Observers::audited(
+            self,
+            Self::observers_mut,
+            seg,
+            now,
+            out,
+            |_, _, _| {},
+            Self::outbound_inner,
+            Self::audit_egress_scan,
+        );
     }
 
     fn on_inbound_into(&mut self, seg: AddressedSegment, now: u64, out: &mut FilterOutput) {
         self.last_now = now;
-        if self.audit.is_none() {
-            self.inbound_inner(seg, now, out);
-            return;
-        }
-        let mut aud = self.audit.take().expect("audit attached");
-        aud.begin_event(now);
-        self.audit_inbound_observe(&mut aud, &seg);
-        let t0 = out.to_tcp.len();
-        self.inbound_inner(seg, now, out);
-        for s in &out.to_tcp[t0..] {
-            aud.check_secondary_deliver_up(self.a_s, s.src, s.dst, &s.bytes, s.trace);
-        }
-        aud.end_event(now);
-        self.audit = Some(aud);
+        Observers::audited(
+            self,
+            Self::observers_mut,
+            seg,
+            now,
+            out,
+            Self::audit_inbound_observe,
+            Self::inbound_inner,
+            |b, aud, _, to_tcp| {
+                for s in to_tcp {
+                    aud.check_secondary_deliver_up(b.a_s, s.src, s.dst, &s.bytes, s.trace);
+                }
+            },
+        );
     }
 
     fn on_tick(&mut self, now_nanos: u64) {
@@ -722,7 +621,7 @@ impl SegmentFilter for SecondaryBridge {
     }
 
     fn latency_stages(&self) -> Option<&tcpfo_telemetry::StageLatency> {
-        self.latency.as_deref().map(LatencyObservatory::stages)
+        self.observers.stages()
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

@@ -17,6 +17,7 @@ use crate::chain::ChainController;
 use crate::designation::FailoverConfig;
 use crate::detector::DetectorConfig;
 use crate::flow::FlowTableConfig;
+use crate::observers::Observers;
 use crate::primary::PrimaryBridge;
 use crate::secondary::SecondaryBridge;
 use tcpfo_net::hub::Hub;
@@ -30,11 +31,11 @@ use tcpfo_net::trace::{to_pcapng, TraceKind};
 use tcpfo_tcp::config::TcpConfig;
 use tcpfo_tcp::filter::SegmentFilter;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig};
-use tcpfo_telemetry::audit::env_capacity;
-use tcpfo_telemetry::span::env_trace_capacity;
+use tcpfo_telemetry::journal::DEFAULT_CAPACITY as DEFAULT_JOURNAL_CAPACITY;
+use tcpfo_telemetry::span::DEFAULT_SPAN_CAPACITY;
 use tcpfo_telemetry::{
-    AuditConfig, FailoverPhase, HealthMonitor, HealthObservatory, InvariantAuditor,
-    LatencyObservatory, MetricsSnapshot, ObserverSwitches, Telemetry,
+    FailoverPhase, HealthMonitor, HealthObservatory, InvariantAuditor, MetricsSnapshot,
+    ObserverSwitches, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
@@ -130,36 +131,31 @@ pub struct TestbedConfig {
     /// "the primary server's segment is lost on its way to the
     /// client").
     pub loss_to_router: f64,
-    /// Attach the online invariant auditor to both bridges. `None`
-    /// follows the `TCPFO_AUDIT` environment knob; `Some(_)` overrides
-    /// it.
+    /// Attach the online invariant auditor to both bridges. This and
+    /// the three switches below follow one rule: `Some(_)` always wins;
+    /// `None` follows the environment (`TCPFO_AUDIT` here), which
+    /// [`ObserverSwitches::resolve`] reads once per testbed.
     pub audit: Option<bool>,
-    /// Attach the per-stage latency observatory to both bridges.
-    /// `None` follows the `TCPFO_LATENCY` environment knob; `Some(_)`
-    /// overrides it.
+    /// Attach the per-stage latency observatory to both bridges
+    /// (`None`: `TCPFO_LATENCY`).
     pub latency: Option<bool>,
     /// Attach the replica health observatory (replication-lag ledger)
     /// to both bridges; the controllers' advisory per-peer monitors are
-    /// always on. `None` follows the `TCPFO_HEALTH` environment knob;
-    /// `Some(_)` overrides it.
+    /// always on (`None`: `TCPFO_HEALTH`).
     pub health: Option<bool>,
-    /// Arm the failover span tracer (PR10): attach the hub's span ring
-    /// and a hot-path batch sampler on the primary bridge. `None`
-    /// follows the `TCPFO_TRACE` environment knob; `Some(true)`
-    /// overrides it on. (Distinct from [`TestbedConfig::trace_capacity`],
-    /// which sizes the *packet* trace ring.)
+    /// Arm the failover span tracer: attach the hub's span ring and a
+    /// hot-path batch sampler on the primary bridge (`None`:
+    /// `TCPFO_TRACE`). Distinct from [`TestbedConfig::trace_capacity`],
+    /// which sizes the *packet* trace ring.
     pub span_trace: Option<bool>,
-    /// Event-journal ring capacity. `None` follows `TCPFO_JOURNAL_CAP`
-    /// (default [`tcpfo_telemetry::journal::DEFAULT_CAPACITY`]).
+    /// Event-journal ring capacity (`None`:
+    /// [`tcpfo_telemetry::journal::DEFAULT_CAPACITY`]).
     pub journal_capacity: Option<usize>,
-    /// Packet-trace ring capacity. `None` follows `TCPFO_TRACE_CAP`
-    /// (default [`DEFAULT_TRACE_CAPACITY`]).
+    /// Packet-trace ring capacity (`None`: [`DEFAULT_TRACE_CAPACITY`]).
     pub trace_capacity: Option<usize>,
-    /// Flow-table shard count for both bridges. `None` follows the
-    /// `TCPFO_FLOW_SHARDS` environment knob (default 1).
+    /// Flow-table shard count for both bridges (`None`: 1).
     pub flow_shards: Option<usize>,
-    /// Total flow-table capacity for both bridges. `None` follows the
-    /// `TCPFO_FLOW_CAP` environment knob (default 65 536).
+    /// Total flow-table capacity for both bridges (`None`: 65 536).
     pub flow_cap: Option<usize>,
 }
 
@@ -207,12 +203,12 @@ impl TestbedConfig {
 }
 
 /// The flow-table config the testbed's bridges should use, when either
-/// knob overrides the environment defaults.
+/// field overrides the defaults.
 fn flow_config_override(config: &TestbedConfig) -> Option<FlowTableConfig> {
     if config.flow_shards.is_none() && config.flow_cap.is_none() {
         return None;
     }
-    let base = FlowTableConfig::from_env();
+    let base = FlowTableConfig::default();
     Some(FlowTableConfig::new(
         config.flow_shards.unwrap_or(base.shards),
         config.flow_cap.unwrap_or(base.capacity),
@@ -323,18 +319,28 @@ pub(crate) fn prime_router_arp(sim: &mut Simulator, router: NodeId, known: &[(Ip
     });
 }
 
-/// Attaches the auditor, latency and health observers that are switched
-/// on — the three every bridge type carries, under the same setter
-/// names.
-macro_rules! attach_observers {
-    ($bridge:expr, $on:expr, $telemetry:expr, $audit_label:expr) => {{
-        $bridge.set_audit($on.audit.then(|| {
-            let config = AuditConfig::from_env($audit_label);
-            Box::new(InvariantAuditor::new(config).with_hub($telemetry))
-        }));
-        $bridge.set_latency($on.latency.then(|| Box::new(LatencyObservatory::new())));
-        $bridge.set_health($on.health.then(|| Box::new(HealthObservatory::new())));
-    }};
+/// Runs `f` on the bridge of type `B` that host `node` runs; `None`
+/// when it runs another kind of filter.
+pub(crate) fn with_bridge<B: 'static, R>(
+    sim: &mut Simulator,
+    node: NodeId,
+    f: impl FnOnce(&mut B) -> R,
+) -> Option<R> {
+    sim.with::<Host, _>(node, |h, _| {
+        h.filter_mut().as_any_mut().downcast_mut::<B>().map(f)
+    })
+}
+
+/// A telemetry hub as every testbed builds one: the journal sized by
+/// `config`, the span ring armed iff the resolved switches say so —
+/// nothing here looks at the environment.
+pub(crate) fn new_hub(config: &TestbedConfig, observers: ObserverSwitches) -> Telemetry {
+    let capacity = config.journal_capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY);
+    let hub = Telemetry::with_journal_capacity(capacity);
+    if observers.span_trace {
+        hub.trace.attach(DEFAULT_SPAN_CAPACITY);
+    }
+    hub
 }
 
 /// Gives a merge bridge (the pair's P, or the engine inside a chain
@@ -350,16 +356,12 @@ pub(crate) fn equip_merge_bridge(
     if let Some(fc) = flow_config_override(config) {
         bridge.set_flow_config(fc);
     }
-    attach_observers!(bridge, observers, telemetry, audit_label);
-    bridge.set_trace(observers.span_trace.then(|| {
-        Box::new(tcpfo_telemetry::SpanSampler::with_default_period(
-            telemetry.trace.clone(),
-        ))
-    }));
+    *bridge.observers_mut() = Observers::attach(observers, telemetry, audit_label);
 }
 
 /// A tail bridge diverting to `upstream`, equipped like
-/// [`equip_merge_bridge`] (a tail carries no span sampler).
+/// [`equip_merge_bridge`] — minus the span sampler: a tail has no
+/// batch entry to sample.
 pub(crate) fn tail_bridge(
     own: Ipv4Addr,
     upstream: Ipv4Addr,
@@ -375,7 +377,11 @@ pub(crate) fn tail_bridge(
         bridge.set_flow_config(fc);
     }
     bridge.set_telemetry(telemetry);
-    attach_observers!(bridge, observers, telemetry, audit_label);
+    let observers = ObserverSwitches {
+        span_trace: false,
+        ..observers
+    };
+    *bridge.observers_mut() = Observers::attach(observers, telemetry, audit_label);
     bridge
 }
 
@@ -475,26 +481,16 @@ pub struct Testbed {
 impl Testbed {
     /// Builds the testbed.
     pub fn new(config: TestbedConfig) -> Self {
-        let telemetry = match config.journal_capacity {
-            Some(cap) => Telemetry::with_journal_capacity(cap),
-            None => Telemetry::from_env(),
-        };
         let observers = ObserverSwitches::resolve(
             config.audit,
             config.latency,
             config.health,
             config.span_trace,
         );
-        if observers.span_trace {
-            telemetry.trace.attach(env_trace_capacity());
-        }
+        let telemetry = new_hub(&config, observers);
         let mut sim = Simulator::new(config.seed);
         sim.set_telemetry(telemetry.clone());
-        sim.set_trace_capacity(
-            config
-                .trace_capacity
-                .unwrap_or_else(|| env_capacity("TCPFO_TRACE_CAP", DEFAULT_TRACE_CAPACITY)),
-        );
+        sim.set_trace_capacity(config.trace_capacity.unwrap_or(DEFAULT_TRACE_CAPACITY));
         let ports = if config.with_backend { 4 } else { 3 };
         let segment: NodeId = match config.segment {
             SegmentKind::Hub => sim.add_device(Box::new(Hub::new("segment", ports, 100_000_000))),
@@ -645,27 +641,17 @@ impl Testbed {
 
     /// Snapshot of the primary bridge statistics.
     pub fn primary_stats(&mut self) -> crate::primary::PrimaryStats {
-        self.sim.with::<Host, _>(self.primary, |h, _| {
-            h.filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()
-                .expect("primary bridge installed")
-                .stats
-                .clone()
+        with_bridge(&mut self.sim, self.primary, |b: &mut PrimaryBridge| {
+            b.stats.clone()
         })
+        .expect("primary bridge installed")
     }
 
     /// Snapshot of the secondary bridge statistics.
     pub fn secondary_stats(&mut self) -> crate::secondary::SecondaryStats {
         let s = self.secondary.expect("replicated testbed");
-        self.sim.with::<Host, _>(s, |h, _| {
-            h.filter_mut()
-                .as_any_mut()
-                .downcast_mut::<SecondaryBridge>()
-                .expect("secondary bridge installed")
-                .stats
-                .clone()
-        })
+        with_bridge(&mut self.sim, s, |b: &mut SecondaryBridge| b.stats.clone())
+            .expect("secondary bridge installed")
     }
 
     /// When the surviving replica detected the peer failure, if it has.
@@ -680,20 +666,12 @@ impl Testbed {
     /// one (bridges otherwise publish lazily, on their next segment).
     fn sync_bridge_telemetry(&mut self) {
         let now = self.sim.now().as_nanos();
-        self.sim.with::<Host, _>(self.primary, |h, _| {
-            if let Some(b) = h.filter_mut().as_any_mut().downcast_mut::<PrimaryBridge>() {
-                b.sync_telemetry(now);
-            }
+        with_bridge(&mut self.sim, self.primary, |b: &mut PrimaryBridge| {
+            b.sync_telemetry(now);
         });
         if let Some(s) = self.secondary {
-            self.sim.with::<Host, _>(s, |h, _| {
-                if let Some(b) = h
-                    .filter_mut()
-                    .as_any_mut()
-                    .downcast_mut::<SecondaryBridge>()
-                {
-                    b.sync_telemetry(now);
-                }
+            with_bridge(&mut self.sim, s, |b: &mut SecondaryBridge| {
+                b.sync_telemetry(now);
             });
         }
     }
@@ -733,28 +711,15 @@ impl Testbed {
 
     /// Runs `f` against the primary bridge's attached auditor, if any.
     pub fn with_primary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
-        self.sim.with::<Host, _>(self.primary, move |h, _| {
-            let aud = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()?
-                .audit()?;
-            Some(f(aud))
-        })
+        self.with_primary_bridge(|b| b.observers().audit.as_deref().map(f))?
     }
 
     /// Runs `f` against the secondary bridge's attached auditor, if
     /// any.
     pub fn with_secondary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
-        let s = self.secondary?;
-        self.sim.with::<Host, _>(s, move |h, _| {
-            let aud = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<SecondaryBridge>()?
-                .audit()?;
-            Some(f(aud))
-        })
+        with_bridge(&mut self.sim, self.secondary?, |b: &mut SecondaryBridge| {
+            b.observers().audit.as_deref().map(f)
+        })?
     }
 
     /// Runs `f` against the primary bridge itself — for checks that
@@ -762,26 +727,13 @@ impl Testbed {
     /// the replication-lag ledger with an oracle walk over
     /// [`PrimaryBridge::connection_rows`]).
     pub fn with_primary_bridge<R>(&mut self, f: impl FnOnce(&PrimaryBridge) -> R) -> Option<R> {
-        self.sim.with::<Host, _>(self.primary, move |h, _| {
-            let bridge = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()?;
-            Some(f(bridge))
-        })
+        with_bridge(&mut self.sim, self.primary, |b: &mut PrimaryBridge| f(b))
     }
 
     /// Runs `f` against the primary bridge's attached health
     /// observatory (the replication-lag ledger), if any.
     pub fn with_primary_health<R>(&mut self, f: impl FnOnce(&HealthObservatory) -> R) -> Option<R> {
-        self.sim.with::<Host, _>(self.primary, move |h, _| {
-            let obs = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()?
-                .health()?;
-            Some(f(obs))
-        })
+        self.with_primary_bridge(|b| b.observers().health.as_deref().map(f))?
     }
 
     /// Runs `f` against the health monitor `node`'s fault detector

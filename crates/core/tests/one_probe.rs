@@ -11,7 +11,7 @@
 //! own pre-step probes are its cost, not the datapath's).
 
 use tcpfo_core::flow::FlowTableConfig;
-use tcpfo_core::{FailoverConfig, PrimaryBridge, SecondaryBridge};
+use tcpfo_core::{FailoverConfig, Observers, PrimaryBridge, SecondaryBridge};
 use tcpfo_tcp::filter::{AddressedSegment, SegmentFilter};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{SegmentPatcher, TcpFlags, TcpSegment, TcpSegmentBuilder};
@@ -51,10 +51,7 @@ fn client(flags: TcpFlags) -> TcpSegmentBuilder {
 fn established() -> PrimaryBridge {
     let mut b = PrimaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
     b.set_flow_config(FlowTableConfig::new(4, 1024));
-    b.set_audit(None);
-    b.set_latency(None);
-    b.set_health(None);
-    b.set_trace(None);
+    *b.observers_mut() = Observers::default();
     let syn = |iss: u32, mss: u16| server(iss).flags(TcpFlags::SYN).mss(mss).window(50_000);
     let _ = b.on_inbound(raw(A_C, A_P, client(TcpFlags::SYN).mss(1460).build()), 0);
     let _ = b.on_outbound(raw(A_P, A_C, syn(ISS_P, 1460).build()), 0);
@@ -101,9 +98,7 @@ fn each_steady_state_segment_probes_the_index_once() {
 fn the_secondary_resolves_a_client_segment_once() {
     let mut s = SecondaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
     s.set_flow_config(FlowTableConfig::new(4, 1024));
-    s.set_audit(None);
-    s.set_latency(None);
-    s.set_health(None);
+    *s.observers_mut() = Observers::default();
     let _ = s.on_inbound(raw(A_C, A_P, client(TcpFlags::SYN).build()), 0);
     // Plain data, then the FIN that moves the witness entry's state:
     // each is the lookup, the flags update and the lifecycle change on

@@ -204,7 +204,7 @@ fn steady_state_release_path_with_health_attached_does_not_allocate() {
     let mut bridge = established();
     bridge.set_health(Some(Box::new(HealthObservatory::new())));
     let delta = measure_rounds(&mut bridge);
-    let obs = bridge.health().expect("attached");
+    let obs = bridge.observers().health.as_deref().expect("attached");
     assert!(
         obs.lag.releases() >= (WARMUP + MEASURED) as u64,
         "lag ledger saw every release"
@@ -369,9 +369,11 @@ fn chain_middle_release_path_does_not_allocate() {
 #[test]
 fn chain_middle_release_path_with_health_attached_does_not_allocate() {
     let mut bridge = established_middle();
-    bridge.set_health(Some(Box::new(HealthObservatory::new())));
+    bridge
+        .inner_mut()
+        .set_health(Some(Box::new(HealthObservatory::new())));
     let delta = measure_chain_rounds(&mut bridge);
-    let obs = bridge.health().expect("attached");
+    let obs = bridge.observers().health.as_deref().expect("attached");
     assert!(
         obs.lag.releases() >= (WARMUP + MEASURED) as u64,
         "lag ledger saw every release"
@@ -511,7 +513,7 @@ fn idle_tick_with_every_observer_attached_does_not_allocate() {
     let mut secondary = SecondaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
     secondary.set_telemetry(&hub);
     secondary.set_audit(Some(auditor("tick-s")));
-    secondary.set_latency(Some(Box::new(LatencyObservatory::new())));
+    secondary.observers_mut().latency = Some(Box::new(LatencyObservatory::new()));
     secondary.set_health(Some(Box::new(HealthObservatory::new())));
     let delta = idle_ticks(&mut secondary);
     assert_eq!(

@@ -23,9 +23,6 @@
 //! * [`exec`] — scatter–gather [`exec::ShardExecutor`] for sharded
 //!   datapaths: scoped-thread fan-out with a deterministic
 //!   input-order merge, so parallel runs stay byte-identical.
-//! * [`inject`] — open-loop, schedule-driven injection: a time-sorted
-//!   schedule hands out *due* batches so offered load never silently
-//!   adapts to a slow datapath (the coordinated-omission contract).
 //!
 //! Determinism: single-threaded, seeded RNG, ties in the event heap
 //! break by insertion order. Running the same scenario twice produces
@@ -49,7 +46,6 @@
 
 pub mod exec;
 pub mod hub;
-pub mod inject;
 pub mod link;
 pub mod router;
 pub mod sim;
@@ -58,7 +54,6 @@ pub mod time;
 pub mod trace;
 
 pub use exec::ShardExecutor;
-pub use inject::OpenLoopInjector;
 pub use link::LinkParams;
 pub use sim::{Ctx, Device, NodeId, Simulator, TimerToken};
 pub use time::{SimDuration, SimTime};

@@ -312,9 +312,8 @@ pub trait SegmentFilter {
 
     /// The span context of the filter's most recent sampled hot-path
     /// batch, when a span sampler is attached and has sampled one.
-    /// `None` — the default — for filters without one. Load drivers
-    /// stamp this onto tail-latency samples so top-bucket histogram
-    /// entries carry exemplar links into the failover trace.
+    /// `None` — the default — for filters without one. A load driver
+    /// can stamp it onto its own samples to link them to the trace.
     fn trace_context(&self) -> Option<SpanContext> {
         None
     }

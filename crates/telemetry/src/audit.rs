@@ -119,37 +119,24 @@ impl fmt::Debug for TraceId {
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Reads a `usize` capacity knob from the environment, falling back to
-/// `default` when unset or unparsable.
-pub fn env_capacity(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// Whether `TCPFO_AUDIT` asks for auditor attachment.
-pub fn env_audit_enabled() -> bool {
-    std::env::var("TCPFO_AUDIT").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Tuning knobs for one [`InvariantAuditor`].
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
     /// Label used in reports, journal scopes and bundle names
     /// (e.g. `"primary"`).
     pub label: String,
-    /// Capacity of the causal trace ring (`TCPFO_AUDIT_RING_CAP`).
+    /// Capacity of the causal trace ring (default 1024).
     pub ring_capacity: usize,
     /// Capacity of the recent-segment ring the pcapng slice is built
-    /// from (`TCPFO_AUDIT_PCAP_CAP`).
+    /// from (default 256).
     pub pcap_capacity: usize,
     /// Verify one in `checksum_sample` released checksums by full
-    /// recomputation (`TCPFO_AUDIT_SAMPLE`; RFC 1624 incremental
+    /// recomputation (default 16, `0` = off; RFC 1624 incremental
     /// updates must agree with the ground truth).
     pub checksum_sample: u64,
-    /// Directory flight-recorder bundles are written under
-    /// (`TCPFO_AUDIT_BUNDLE_DIR`).
+    /// Directory flight-recorder bundles are written under (default
+    /// `target/audit-bundles`; `TCPFO_AUDIT_BUNDLE_DIR` through
+    /// [`AuditConfig::from_env`]).
     pub bundle_dir: PathBuf,
     /// Panic as soon as a rule is violated (after the bundle is
     /// written). Tests that *expect* violations turn this off.
@@ -169,12 +156,12 @@ impl AuditConfig {
         }
     }
 
-    /// Defaults, then the `TCPFO_AUDIT_*` environment overrides.
+    /// Defaults, with the bundle directory taken from
+    /// `TCPFO_AUDIT_BUNDLE_DIR` when that is set — a deployment path,
+    /// and the only thing about an auditor the environment decides.
+    /// Capacities and the sampling rate are the fields above.
     pub fn from_env(label: &str) -> Self {
         let mut c = AuditConfig::new(label);
-        c.ring_capacity = env_capacity("TCPFO_AUDIT_RING_CAP", c.ring_capacity);
-        c.pcap_capacity = env_capacity("TCPFO_AUDIT_PCAP_CAP", c.pcap_capacity);
-        c.checksum_sample = env_capacity("TCPFO_AUDIT_SAMPLE", c.checksum_sample as usize) as u64;
         if let Some(dir) = std::env::var_os("TCPFO_AUDIT_BUNDLE_DIR") {
             c.bundle_dir = PathBuf::from(dir);
         }
@@ -2120,11 +2107,6 @@ mod tests {
             assert!(!r.id().is_empty());
             assert!(!r.paper_ref().is_empty());
         }
-    }
-
-    #[test]
-    fn env_capacity_parses() {
-        assert_eq!(env_capacity("TCPFO_DEFINITELY_UNSET_KNOB", 42), 42);
     }
 
     #[test]

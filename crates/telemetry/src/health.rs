@@ -438,9 +438,8 @@ impl WindowCounts {
 }
 
 /// A sliding window of good/bad counts over [`SLO_SLOTS`] slots of
-/// `slot_ns` sim time each, following the `WindowedHistogram` rotation
-/// idiom: silent periods don't burn slots, and `sliding` merges every
-/// slot still inside the horizon.
+/// `slot_ns` sim time each: silent periods don't burn slots, and
+/// `sliding` merges every slot still inside the horizon.
 #[derive(Debug, Clone, Copy)]
 pub struct BurnWindow {
     slot_ns: u64,
@@ -1159,7 +1158,6 @@ impl HealthMonitor {
             "tcpfo_health_alert_state",
             &[("scope", scope)],
             &self.machine.state().as_u64().to_string(),
-            None,
         );
         prom_family(
             &mut out,
@@ -1177,7 +1175,6 @@ impl HealthMonitor {
                 "tcpfo_health_alert_transitions_total",
                 &[("scope", scope), ("to", to)],
                 &n.to_string(),
-                None,
             );
         }
         prom_family(
@@ -1191,17 +1188,9 @@ impl HealthMonitor {
             "tcpfo_health_alert_journal_dropped",
             &[("scope", scope)],
             &self.journal.dropped.to_string(),
-            None,
         );
         out
     }
-}
-
-/// Whether the `TCPFO_HEALTH` environment knob asks for the health
-/// observatory to be attached (any non-empty value other than `0`),
-/// mirroring [`crate::latency::env_latency_enabled`].
-pub fn env_health_enabled() -> bool {
-    std::env::var("TCPFO_HEALTH").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 #[cfg(test)]

@@ -135,9 +135,7 @@ impl<const N: usize> LogHistogram<N> {
         self.record_n(v, 1);
     }
 
-    /// Records `n` observations of the same value in one step — the
-    /// bulk form the under-load recorder uses to re-base whole bucket
-    /// populations onto an intended-time axis.
+    /// Records `n` observations of the same value in one step.
     #[inline]
     pub fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
@@ -239,7 +237,7 @@ impl<const N: usize> LogHistogram<N> {
     /// rank lands in the open top bucket, the log2 bracketing
     /// guarantee is gone — the only honest statement is "the true
     /// quantile is ≥ the bucket floor". [`Quantile::saturated`] flags
-    /// exactly that, so under-load tail reports can say "≥ 274s"
+    /// exactly that, so tail reports can say "≥ 274s"
     /// instead of silently presenting the clamped value as resolved.
     pub fn quantile_report(&self, q: f64) -> Quantile {
         if self.count == 0 {
@@ -471,13 +469,6 @@ impl StageLatency {
         }
         out
     }
-}
-
-/// Whether the `TCPFO_LATENCY` environment knob asks for the latency
-/// observatory to be attached (any non-empty value other than `0`),
-/// mirroring [`crate::audit::env_audit_enabled`].
-pub fn env_latency_enabled() -> bool {
-    std::env::var("TCPFO_LATENCY").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 static HOST_ANCHOR: OnceLock<Instant> = OnceLock::new();

@@ -44,13 +44,12 @@ pub mod registry;
 pub mod span;
 pub mod table;
 pub mod timeline;
-pub mod underload;
 
 pub use audit::{AuditConfig, InvariantAuditor, Rule, RuleLedger, TraceId, Violation};
 pub use health::{
-    env_health_enabled, AlertEvent, AlertJournal, AlertMachine, AlertState, BurnWindow, Ewma,
-    FlowClass, HealthConfig, HealthMonitor, HealthObservatory, HealthScore, ReplicaHealth,
-    ReplicationLag, SloMonitor, WindowCounts,
+    AlertEvent, AlertJournal, AlertMachine, AlertState, BurnWindow, Ewma, FlowClass, HealthConfig,
+    HealthMonitor, HealthObservatory, HealthScore, ReplicaHealth, ReplicationLag, SloMonitor,
+    WindowCounts,
 };
 pub use journal::{Event, Journal};
 pub use latency::{
@@ -62,26 +61,25 @@ pub use registry::{
     Histogram, HistogramSnapshot, MetricsSnapshot, Registry, Scope,
 };
 pub use span::{
-    chrome_trace_json, env_trace_enabled, waterfall_records, ActiveSpan, Exemplar,
-    ExemplarHistogram, SpanContext, SpanId, SpanKind, SpanRecord, SpanSampler, SpanTrack,
-    TailExemplars, Tracer,
+    chrome_trace_json, waterfall_records, ActiveSpan, SpanContext, SpanId, SpanKind, SpanRecord,
+    SpanSampler, SpanTrack, Tracer,
 };
 pub use timeline::{
     FailoverPhase, FailoverTimeline, MttrBreakdown, RedundancyBreakdown, RedundancyPhase,
     RedundancyTimeline,
 };
-pub use underload::{
-    LagTracker, ShardSample, UnderLoadHistogram, UnderLoadRecorder, WindowedHistogram,
-};
 
-/// Which observers a testbed attaches to its bridges and detectors.
+/// Which observers a testbed attaches to its bridges and hubs.
 ///
 /// Each switch is an explicit `Some(_)` from the testbed's
 /// configuration or, for `None`, the `TCPFO_AUDIT` / `TCPFO_LATENCY` /
-/// `TCPFO_HEALTH` / `TCPFO_TRACE` environment knob. A testbed resolves
-/// them once when it is built and reuses the result for every host it
-/// spawns later (a revived secondary, a reprovisioned standby), so one
-/// run never mixes two readings of the environment.
+/// `TCPFO_HEALTH` / `TCPFO_TRACE` environment variable (set, non-empty
+/// and not `0` means on). `Some(_)` always wins, and
+/// [`ObserverSwitches::resolve`] is the only code that reads those four
+/// variables: a testbed calls it once when it is built and reuses the
+/// result for every bridge and hub it creates later (a revived
+/// secondary, a reprovisioned standby), so one run never mixes two
+/// readings of the environment and "off" means nothing is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObserverSwitches {
     /// The online invariant auditor.
@@ -97,7 +95,7 @@ pub struct ObserverSwitches {
 
 impl ObserverSwitches {
     /// Resolves each switch: the explicit value if given, else its
-    /// environment knob.
+    /// environment variable.
     pub fn resolve(
         audit: Option<bool>,
         latency: Option<bool>,
@@ -105,12 +103,18 @@ impl ObserverSwitches {
         span_trace: Option<bool>,
     ) -> Self {
         ObserverSwitches {
-            audit: audit.unwrap_or_else(audit::env_audit_enabled),
-            latency: latency.unwrap_or_else(latency::env_latency_enabled),
-            health: health.unwrap_or_else(health::env_health_enabled),
-            span_trace: span_trace.unwrap_or_else(span::env_trace_enabled),
+            audit: audit.unwrap_or_else(|| env_flag("TCPFO_AUDIT")),
+            latency: latency.unwrap_or_else(|| env_flag("TCPFO_LATENCY")),
+            health: health.unwrap_or_else(|| env_flag("TCPFO_HEALTH")),
+            span_trace: span_trace.unwrap_or_else(|| env_flag("TCPFO_TRACE")),
         }
     }
+}
+
+/// Whether the environment variable `name` is set to something other
+/// than the empty string or `0`.
+fn env_flag(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Formats sim-nanoseconds with the same unit scaling the simulator's
@@ -152,20 +156,6 @@ impl Telemetry {
     /// Creates an empty telemetry hub.
     pub fn new() -> Self {
         Telemetry::default()
-    }
-
-    /// A hub whose journal capacity honours the `TCPFO_JOURNAL_CAP`
-    /// environment knob (default [`journal::DEFAULT_CAPACITY`]) and
-    /// whose span tracer honours `TCPFO_TRACE` / `TCPFO_TRACE_CAP`.
-    pub fn from_env() -> Self {
-        let t = Telemetry::with_journal_capacity(audit::env_capacity(
-            "TCPFO_JOURNAL_CAP",
-            journal::DEFAULT_CAPACITY,
-        ));
-        if span::env_trace_enabled() {
-            t.trace.attach(span::env_trace_capacity());
-        }
-        t
     }
 
     /// A hub with an explicit journal ring capacity.

@@ -308,9 +308,9 @@ pub fn escape_help_text(v: &str) -> String {
 }
 
 /// Appends a `# HELP`/`# TYPE` family header for one metric family —
-/// the one exposition-format assembly point shared by the registry,
-/// the health monitor's labelled alert series, and the exemplar
-/// histograms, so the escaping rules live in exactly one place.
+/// the one exposition-format assembly point shared by the registry and
+/// the health monitor's labelled alert series, so the escaping rules
+/// live in exactly one place.
 pub fn prom_family(out: &mut String, name: &str, help: &str, kind: &str) {
     out.push_str(&format!(
         "# HELP {name} {}\n# TYPE {name} {kind}\n",
@@ -319,16 +319,8 @@ pub fn prom_family(out: &mut String, name: &str, help: &str, kind: &str) {
 }
 
 /// Appends one sample line `name{labels} value`, escaping every label
-/// value. `exemplar` is an OpenMetrics exemplar suffix (see
-/// [`crate::span::Exemplar::prometheus_suffix`]) appended after the
 /// value.
-pub fn prom_sample(
-    out: &mut String,
-    name: &str,
-    labels: &[(&str, &str)],
-    value: &str,
-    exemplar: Option<&str>,
-) {
+pub fn prom_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: &str) {
     out.push_str(name);
     if !labels.is_empty() {
         out.push('{');
@@ -342,9 +334,6 @@ pub fn prom_sample(
     }
     out.push(' ');
     out.push_str(value);
-    if let Some(ex) = exemplar {
-        out.push_str(ex);
-    }
     out.push('\n');
 }
 
@@ -565,8 +554,8 @@ impl MetricsSnapshot {
     /// histograms expose cumulative `_bucket{le=...}` series plus
     /// `_sum`/`_count`. Every family carries `# HELP` (the original
     /// dotted instrument name, escaped) and `# TYPE` lines, and label
-    /// values go through [`escape_label_value`], so under-load scrapes
-    /// parse under a spec-strict client.
+    /// values go through [`escape_label_value`], so scrapes parse under
+    /// a spec-strict client.
     pub fn to_prometheus(&self) -> String {
         fn sanitize(name: &str) -> String {
             let mut out = String::with_capacity(name.len() + 6);
@@ -580,15 +569,15 @@ impl MetricsSnapshot {
         for (name, value) in &self.counters {
             let n = sanitize(name);
             prom_family(&mut out, &n, name, "counter");
-            prom_sample(&mut out, &n, &[], &value.to_string(), None);
+            prom_sample(&mut out, &n, &[], &value.to_string());
         }
         for (name, g) in &self.gauges {
             let n = sanitize(name);
             prom_family(&mut out, &n, name, "gauge");
-            prom_sample(&mut out, &n, &[], &g.value.to_string(), None);
+            prom_sample(&mut out, &n, &[], &g.value.to_string());
             let hw = format!("{n}_high_water");
             prom_family(&mut out, &hw, &format!("{name} (high-water mark)"), "gauge");
-            prom_sample(&mut out, &hw, &[], &g.high_water.to_string(), None);
+            prom_sample(&mut out, &hw, &[], &g.high_water.to_string());
         }
         for (name, h) in &self.histograms {
             let n = sanitize(name);
@@ -607,16 +596,9 @@ impl MetricsSnapshot {
                     &bucket,
                     &[("le", &le.to_string())],
                     &cumulative.to_string(),
-                    None,
                 );
             }
-            prom_sample(
-                &mut out,
-                &bucket,
-                &[("le", "+Inf")],
-                &h.count.to_string(),
-                None,
-            );
+            prom_sample(&mut out, &bucket, &[("le", "+Inf")], &h.count.to_string());
             out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum, h.count));
             for (suffix, q) in [("p50", 0.5), ("p99", 0.99), ("p999", 0.999)] {
                 let qn = format!("{n}_{suffix}");
@@ -626,7 +608,7 @@ impl MetricsSnapshot {
                     &format!("{name} ({suffix} estimate)"),
                     "gauge",
                 );
-                prom_sample(&mut out, &qn, &[], &h.quantile(q).to_string(), None);
+                prom_sample(&mut out, &qn, &[], &h.quantile(q).to_string());
             }
         }
         out

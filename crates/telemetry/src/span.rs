@@ -22,11 +22,6 @@
 //!   run can never grow without bound, and saturation is visible, not
 //!   silent. Because parents begin before their children, retained
 //!   spans always keep parent-before-child order.
-//! * [`TailExemplars`] / [`ExemplarHistogram`] — the bridge between
-//!   histograms and traces: when a recorded duration lands in a
-//!   configured top bucket (at or above the live p99.9 bucket for
-//!   [`ExemplarHistogram`]), the active [`SpanContext`] is captured as
-//!   an exemplar, so every tail sample points at a concrete trace.
 //! * [`chrome_trace_json`] — export as Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` / Perfetto), with the control
 //!   plane and the datapath as separate processes because they run on
@@ -58,23 +53,11 @@ use std::sync::{Arc, Mutex};
 
 use crate::audit::TraceId;
 use crate::json::{array, JsonObject};
-use crate::latency::{LogHistogram, Stage, StageLatency};
+use crate::latency::{Stage, StageLatency};
 use crate::timeline::{FailoverTimeline, RedundancyTimeline};
 
 /// Default span ring capacity (records).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
-
-/// Whether the `TCPFO_TRACE` environment knob asks for span tracing to
-/// be attached (any non-empty value other than `0`), mirroring
-/// [`crate::audit::env_audit_enabled`].
-pub fn env_trace_enabled() -> bool {
-    std::env::var("TCPFO_TRACE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The span ring capacity: `TCPFO_TRACE_CAP` or the default.
-pub fn env_trace_capacity() -> usize {
-    crate::audit::env_capacity("TCPFO_TRACE_CAP", DEFAULT_SPAN_CAPACITY).max(1)
-}
 
 /// A process-unique span identifier. `0` is reserved for "no span".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -254,13 +237,13 @@ impl SpanRecord {
 /// hands out and [`Tracer::end`] consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActiveSpan {
-    /// The span's context (pass to children and exemplars).
+    /// The span's context (pass to children).
     pub ctx: SpanContext,
     parent: SpanId,
 }
 
 impl ActiveSpan {
-    /// The context to hand to children / exemplar capture.
+    /// The context to hand to children.
     pub fn ctx(&self) -> SpanContext {
         self.ctx
     }
@@ -276,7 +259,7 @@ struct RingState {
     /// `end` calls whose begin record had already been evicted: the
     /// duration is lost but the loss is counted.
     lost_ends: u64,
-    /// The innermost live span (exemplar capture reads this).
+    /// The innermost live span.
     current: Option<SpanContext>,
 }
 
@@ -318,16 +301,6 @@ impl Tracer {
         let t = Tracer::new();
         t.attach(capacity);
         t
-    }
-
-    /// A tracer honouring the `TCPFO_TRACE` / `TCPFO_TRACE_CAP`
-    /// environment knobs: attached iff `TCPFO_TRACE` is set.
-    pub fn from_env() -> Self {
-        if env_trace_enabled() {
-            Tracer::attached(env_trace_capacity())
-        } else {
-            Tracer::new()
-        }
     }
 
     /// Arms the ring (idempotent; an existing ring is kept). The ring
@@ -532,8 +505,8 @@ impl Tracer {
         );
     }
 
-    /// The innermost live span context, for exemplar capture and for
-    /// threading into children recorded elsewhere. `None` when
+    /// The innermost live span context, for threading into children
+    /// recorded elsewhere. `None` when
     /// detached or when no span is live.
     pub fn current(&self) -> Option<SpanContext> {
         if !self.is_attached() {
@@ -793,245 +766,6 @@ pub fn waterfall_records(
     out
 }
 
-// ---------------------------------------------------------------------
-// Tail exemplars
-// ---------------------------------------------------------------------
-
-/// Exemplar slots kept per histogram: the top slot aggregates every
-/// bucket at or above `floor + EXEMPLAR_SLOTS - 1`.
-pub const EXEMPLAR_SLOTS: usize = 8;
-
-/// One captured exemplar: the value, when it was recorded, and the
-/// span context that was active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Exemplar {
-    /// The recorded value (nanoseconds).
-    pub value: u64,
-    /// When it was recorded (the recorder's timebase).
-    pub at_ns: u64,
-    /// The active span context at record time.
-    pub ctx: SpanContext,
-}
-
-impl Exemplar {
-    /// OpenMetrics exemplar suffix for a Prometheus sample line:
-    /// `# {trace_id="...",span_id="..."} <value> <ts seconds>`.
-    pub fn prometheus_suffix(&self) -> String {
-        format!(
-            " # {{trace_id=\"{}\",span_id=\"{}\"}} {} {}.{:09}",
-            self.ctx.trace,
-            self.ctx.span,
-            self.value,
-            self.at_ns / 1_000_000_000,
-            self.at_ns % 1_000_000_000,
-        )
-    }
-}
-
-/// Latest-wins exemplar capture over the tail buckets of a log2
-/// histogram: an offered value whose bucket is at or above the
-/// configured floor bucket is stored (bucket-keyed, newest wins), so
-/// every tail bucket with traffic points at a concrete span. Fixed
-/// slots, `Copy`, zero-alloc — safe to embed in hot-path recorders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TailExemplars {
-    floor_bucket: usize,
-    slots: [Option<Exemplar>; EXEMPLAR_SLOTS],
-    captured: u64,
-}
-
-impl Default for TailExemplars {
-    fn default() -> Self {
-        TailExemplars::new(0)
-    }
-}
-
-impl TailExemplars {
-    /// An empty set capturing buckets at or above `floor_bucket`.
-    pub const fn new(floor_bucket: usize) -> Self {
-        TailExemplars {
-            floor_bucket,
-            slots: [None; EXEMPLAR_SLOTS],
-            captured: 0,
-        }
-    }
-
-    /// The current floor bucket.
-    pub fn floor_bucket(&self) -> usize {
-        self.floor_bucket
-    }
-
-    /// Moves the capture floor (slots are bucket-keyed relative to the
-    /// floor, so existing captures shift meaning; callers that re-base
-    /// the floor per record — the [`ExemplarHistogram`] — only ever
-    /// *raise* it, which demotes old captures toward the top slot).
-    pub fn set_floor_bucket(&mut self, floor_bucket: usize) {
-        if floor_bucket > self.floor_bucket {
-            // Shift captures down so they stay keyed to the same
-            // absolute buckets where possible; out-of-range captures
-            // fall off the bottom (they are no longer tail).
-            let shift = floor_bucket - self.floor_bucket;
-            let mut slots = [None; EXEMPLAR_SLOTS];
-            for (i, e) in self.slots.iter().enumerate() {
-                if let Some(e) = e {
-                    if i >= shift {
-                        let j = (i - shift).min(EXEMPLAR_SLOTS - 1);
-                        slots[j] = Some(*e);
-                    }
-                }
-            }
-            self.slots = slots;
-        }
-        self.floor_bucket = floor_bucket;
-    }
-
-    /// Offers a recorded value: captured iff its `bucket` is at or
-    /// above the floor. Returns whether it was captured.
-    pub fn offer(&mut self, bucket: usize, value: u64, at_ns: u64, ctx: SpanContext) -> bool {
-        if bucket < self.floor_bucket {
-            return false;
-        }
-        let slot = (bucket - self.floor_bucket).min(EXEMPLAR_SLOTS - 1);
-        self.slots[slot] = Some(Exemplar { value, at_ns, ctx });
-        self.captured += 1;
-        true
-    }
-
-    /// The exemplar for `bucket` (absolute histogram bucket index), if
-    /// one was captured.
-    pub fn for_bucket(&self, bucket: usize) -> Option<Exemplar> {
-        if bucket < self.floor_bucket {
-            return None;
-        }
-        self.slots[(bucket - self.floor_bucket).min(EXEMPLAR_SLOTS - 1)]
-    }
-
-    /// The captured exemplars, lowest slot first.
-    pub fn iter(&self) -> impl Iterator<Item = Exemplar> + '_ {
-        self.slots.iter().flatten().copied()
-    }
-
-    /// The newest exemplar in the highest occupied slot.
-    pub fn top(&self) -> Option<Exemplar> {
-        self.slots.iter().rev().flatten().next().copied()
-    }
-
-    /// Total offers accepted (not the number of occupied slots).
-    pub fn captured(&self) -> u64 {
-        self.captured
-    }
-
-    /// Renders the occupied slots as a JSON array.
-    pub fn to_json(&self) -> String {
-        let slots: Vec<String> = self
-            .iter()
-            .map(|e| {
-                let mut obj = JsonObject::new();
-                obj.u64("value", e.value)
-                    .u64("at_ns", e.at_ns)
-                    .u64("trace", e.ctx.trace.0)
-                    .u64("span", e.ctx.span.0);
-                obj.render()
-            })
-            .collect();
-        array(&slots)
-    }
-}
-
-/// A [`LogHistogram`] with tail-exemplar capture wired in: recording
-/// with a live span context captures the context whenever the value
-/// lands in a *top* bucket — at or above the bucket holding the
-/// histogram's own live p99.9 — so every tail sample points at a
-/// concrete trace. The floor tracks the distribution as it grows:
-/// it re-bases to the p99.9 bucket on every contextful record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExemplarHistogram<const N: usize> {
-    hist: LogHistogram<N>,
-    exemplars: TailExemplars,
-}
-
-impl<const N: usize> Default for ExemplarHistogram<N> {
-    fn default() -> Self {
-        ExemplarHistogram::new()
-    }
-}
-
-impl<const N: usize> ExemplarHistogram<N> {
-    /// An empty exemplar histogram.
-    pub const fn new() -> Self {
-        ExemplarHistogram {
-            hist: LogHistogram::new(),
-            exemplars: TailExemplars::new(0),
-        }
-    }
-
-    /// Records `v`; with a context, captures an exemplar when `v`
-    /// lands at or above the live p99.9 bucket.
-    pub fn record_ctx(&mut self, v: u64, at_ns: u64, ctx: Option<SpanContext>) {
-        self.hist.record(v);
-        let Some(ctx) = ctx else {
-            return;
-        };
-        self.exemplars
-            .set_floor_bucket(LogHistogram::<N>::bucket_of(self.hist.quantile(0.999)));
-        self.exemplars
-            .offer(LogHistogram::<N>::bucket_of(v), v, at_ns, ctx);
-    }
-
-    /// Records without a span context (no exemplar capture).
-    pub fn record(&mut self, v: u64) {
-        self.record_ctx(v, 0, None);
-    }
-
-    /// The underlying histogram.
-    pub fn hist(&self) -> &LogHistogram<N> {
-        &self.hist
-    }
-
-    /// The captured tail exemplars.
-    pub fn exemplars(&self) -> &TailExemplars {
-        &self.exemplars
-    }
-
-    /// Prometheus exposition of this histogram as one family:
-    /// cumulative `_bucket` series (exemplar-annotated where a tail
-    /// capture exists), `_sum` and `_count`. `name` must already be a
-    /// valid metric name.
-    pub fn to_prometheus(&self, name: &str, help: &str) -> String {
-        let mut out = String::new();
-        crate::registry::prom_family(&mut out, name, help, "histogram");
-        let mut cumulative = 0u64;
-        for (i, &c) in self.hist.buckets().iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            cumulative += c;
-            let le = LogHistogram::<N>::bucket_high(i).to_string();
-            let exemplar = self.exemplars.for_bucket(i).map(|e| e.prometheus_suffix());
-            crate::registry::prom_sample(
-                &mut out,
-                &format!("{name}_bucket"),
-                &[("le", &le)],
-                &cumulative.to_string(),
-                exemplar.as_deref(),
-            );
-        }
-        crate::registry::prom_sample(
-            &mut out,
-            &format!("{name}_bucket"),
-            &[("le", "+Inf")],
-            &self.hist.count().to_string(),
-            None,
-        );
-        out.push_str(&format!(
-            "{name}_sum {}\n{name}_count {}\n",
-            self.hist.sum(),
-            self.hist.count()
-        ));
-        out
-    }
-}
-
 /// Default batches between sampled hot-path batch spans.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 64;
 
@@ -1051,8 +785,8 @@ pub struct SpanSampler {
     sampled: u64,
     /// Host-clock start of the in-flight sampled batch.
     open_at: Option<u64>,
-    /// Context of the most recent sampled batch span: the exemplar
-    /// link between the corrected-e2e histogram and the trace.
+    /// Context of the most recent sampled batch span, for a caller
+    /// that wants to link its own measurement to the trace.
     last_ctx: Option<SpanContext>,
 }
 
@@ -1160,13 +894,6 @@ impl SpanSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ctx(trace: u64, span: u64) -> SpanContext {
-        SpanContext {
-            trace: TraceId(trace),
-            span: SpanId(span),
-        }
-    }
 
     #[test]
     fn detached_tracer_is_dormant() {
@@ -1289,79 +1016,5 @@ mod tests {
         assert_eq!(rroot.name, "redundancy_restore");
         assert_eq!(rroot.dur_ns, 120);
         assert_eq!(recs[7].dur_ns + recs[8].dur_ns, rroot.dur_ns);
-    }
-
-    #[test]
-    fn tail_exemplars_capture_at_or_above_floor() {
-        let mut ex = TailExemplars::new(10);
-        assert!(!ex.offer(9, 100, 1, ctx(1, 2)), "below floor ignored");
-        assert!(ex.offer(10, 200, 2, ctx(1, 3)));
-        assert!(
-            ex.offer(10 + EXEMPLAR_SLOTS, 900, 3, ctx(1, 4)),
-            "overflow clamps to top slot"
-        );
-        assert_eq!(ex.captured(), 2);
-        assert_eq!(ex.for_bucket(10).unwrap().value, 200);
-        assert_eq!(ex.top().unwrap().value, 900);
-        assert!(ex.for_bucket(9).is_none());
-        let json = ex.to_json();
-        assert!(json.contains("\"span\": 3"), "{json}");
-    }
-
-    #[test]
-    fn raising_floor_rekeys_slots() {
-        let mut ex = TailExemplars::new(4);
-        ex.offer(6, 50, 1, ctx(1, 1));
-        ex.set_floor_bucket(6);
-        assert_eq!(
-            ex.for_bucket(6).unwrap().value,
-            50,
-            "capture follows its bucket"
-        );
-        ex.set_floor_bucket(20);
-        assert!(
-            ex.iter().next().is_none(),
-            "all captures fell below the new tail"
-        );
-    }
-
-    #[test]
-    fn exemplar_histogram_top_bucket_always_captures_when_attached() {
-        let mut h: ExemplarHistogram<48> = ExemplarHistogram::new();
-        for i in 0..1000u64 {
-            h.record_ctx(100 + (i % 7), 0, Some(ctx(9, i + 1)));
-        }
-        // A tail value lands at/above the p99.9 bucket: must capture.
-        h.record_ctx(1 << 20, 42, Some(ctx(9, 5000)));
-        let b = LogHistogram::<48>::bucket_of(1 << 20);
-        let e = h.exemplars().for_bucket(b).expect("tail sample captured");
-        assert_eq!(e.ctx.span, SpanId(5000));
-        assert_eq!(e.value, 1 << 20);
-        // Without a context nothing is captured, but the histogram
-        // still counts.
-        let mut d: ExemplarHistogram<48> = ExemplarHistogram::new();
-        d.record(1 << 20);
-        assert_eq!(d.hist().count(), 1);
-        assert_eq!(d.exemplars().captured(), 0);
-    }
-
-    #[test]
-    fn exemplar_prometheus_annotates_tail_buckets() {
-        let mut h: ExemplarHistogram<48> = ExemplarHistogram::new();
-        for _ in 0..100 {
-            h.record(10);
-        }
-        h.record_ctx(1 << 22, 1_500_000_000, Some(ctx(7, 77)));
-        let text = h.to_prometheus("tcpfo_test_corrected_ns", "corrected e2e latency");
-        assert!(
-            text.contains("# TYPE tcpfo_test_corrected_ns histogram"),
-            "{text}"
-        );
-        assert!(
-            text.contains("# {trace_id=\"t7\",span_id=\"s77\"} 4194304 1.500000000"),
-            "{text}"
-        );
-        assert!(text.contains("tcpfo_test_corrected_ns_count 101"), "{text}");
-        assert!(text.contains("le=\"+Inf\"} 101"), "{text}");
     }
 }

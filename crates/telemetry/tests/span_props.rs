@@ -1,17 +1,13 @@
-//! Property tests for the PR10 span ring and tail-exemplar capture:
-//! under *any* randomized begin/end/instant interleaving against a
-//! small ring, drop-oldest eviction must (a) never reorder a retained
-//! child before its retained parent, (b) account for every evicted
-//! record and every orphaned `end` exactly — verified against an
-//! independent model ring — and (c) the [`ExemplarHistogram`] must
-//! capture an exemplar for every new-maximum (top-bucket) sample that
-//! carries a span context, and never capture without one.
+//! Property tests for the span ring: under *any* randomized
+//! begin/end/instant interleaving against a small ring, drop-oldest
+//! eviction must (a) never reorder a retained child before its
+//! retained parent and (b) account for every evicted record and every
+//! orphaned `end` exactly — verified against an independent model
+//! ring.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tcpfo_telemetry::{
-    ActiveSpan, ExemplarHistogram, LogHistogram, SpanContext, SpanId, SpanTrack, TraceId, Tracer,
-};
+use tcpfo_telemetry::{ActiveSpan, SpanTrack, Tracer};
 
 /// One randomized tracer operation (decoded from a raw byte so the
 /// strategy stays shrinkable).
@@ -177,47 +173,5 @@ proptest! {
         let modelled: Vec<u64> =
             r.model_ring.iter().copied().filter(|&id| id != 0).collect();
         prop_assert_eq!(real, modelled, "retained window matches the model ring");
-    }
-
-    /// A sample that lands in the histogram's top bucket (any new
-    /// maximum qualifies: the capture floor re-bases to the p99.9
-    /// bucket, which can never exceed the maximum's bucket) always
-    /// captures an exemplar when a span context is attached — and a
-    /// context-free record never captures.
-    #[test]
-    fn top_bucket_sample_always_captures_exemplar_when_attached(
-        base in vec(1u64..1 << 30, 1..200),
-        extra in 0u64..1 << 30,
-        trace in 1u64..u64::MAX,
-        span in 1u64..u64::MAX,
-    ) {
-        let ctx = SpanContext { trace: TraceId(trace), span: SpanId(span) };
-        let mut with_ctx: ExemplarHistogram<48> = ExemplarHistogram::new();
-        let mut without_ctx: ExemplarHistogram<48> = ExemplarHistogram::new();
-        for (i, &v) in base.iter().enumerate() {
-            with_ctx.record_ctx(v, i as u64, Some(ctx));
-            without_ctx.record_ctx(v, i as u64, None);
-        }
-        // A new maximum: at or above everything recorded so far.
-        let tail = base.iter().copied().max().unwrap_or(1).saturating_add(extra);
-        let before = with_ctx.exemplars().captured();
-        with_ctx.record_ctx(tail, 99, Some(ctx));
-        let bucket = LogHistogram::<48>::bucket_of(tail);
-        let e = with_ctx
-            .exemplars()
-            .for_bucket(bucket)
-            .expect("top-bucket sample must capture an exemplar");
-        prop_assert_eq!(e.value, tail);
-        prop_assert_eq!(e.at_ns, 99);
-        prop_assert_eq!(e.ctx, ctx, "exemplar links the active span context");
-        prop_assert_eq!(
-            with_ctx.exemplars().captured(), before + 1,
-            "exactly one capture per top-bucket record",
-        );
-        without_ctx.record_ctx(tail, 99, None);
-        prop_assert_eq!(
-            without_ctx.exemplars().captured(), 0,
-            "no context, no capture",
-        );
     }
 }

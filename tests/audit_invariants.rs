@@ -249,7 +249,11 @@ fn broken_bridge_trips_auditor_and_dumps_bundle() {
         "broken bridge released the unsafe primary-only ack"
     );
 
-    let aud = b.audit().expect("auditor still attached");
+    let aud = b
+        .observers()
+        .audit
+        .as_deref()
+        .expect("auditor still attached");
     assert!(
         aud.ledger().stat(Rule::AckMin).violations >= 1,
         "ack_min must have fired:\n{}",
@@ -301,7 +305,13 @@ fn bundle_health_json_is_the_ledger_at_the_last_tick() {
     let mut b = established(audit);
     b.set_telemetry(&Telemetry::new());
     b.set_health(Some(Box::new(HealthObservatory::new())));
-    let ledger = |b: &PrimaryBridge| b.health().expect("observatory attached").to_json();
+    let ledger = |b: &PrimaryBridge| {
+        b.observers()
+            .health
+            .as_deref()
+            .expect("observatory attached")
+            .to_json()
+    };
 
     // A matched release, so the ledger has something to say; then the
     // tick that copies it to the auditor.
@@ -310,7 +320,15 @@ fn bundle_health_json_is_the_ledger_at_the_last_tick() {
     assert_eq!(out.to_wire.len(), 1, "matched data released");
     b.on_tick(3 * MS);
     let at_tick = ledger(&b);
-    assert_eq!(b.health().expect("attached").lag.releases(), 1);
+    assert_eq!(
+        b.observers()
+            .health
+            .as_deref()
+            .expect("attached")
+            .lag
+            .releases(),
+        1
+    );
 
     // The ledger moves on after the tick; the bundle must not see it.
     b.on_outbound(p_seg(4, b"more", ISS_C + 1), 4 * MS);
@@ -321,7 +339,11 @@ fn bundle_health_json_is_the_ledger_at_the_last_tick() {
     b.unsafe_ack_without_min = true;
     b.on_inbound(client_data(0, b"hi"), 6 * MS);
     b.on_outbound(p_seg(8, b"", ISS_C + 3), 7 * MS);
-    let aud = b.audit().expect("auditor still attached");
+    let aud = b
+        .observers()
+        .audit
+        .as_deref()
+        .expect("auditor still attached");
     assert!(aud.ledger().stat(Rule::AckMin).violations >= 1);
 
     let bundle = aud.bundle_path().expect("bundle written on violation");
@@ -379,7 +401,7 @@ fn bare_ack_synthesised_before_retransmission_timer_under_audit() {
     assert!(bare.flags.contains(TcpFlags::ACK));
     assert_eq!(bare.ack, ISS_C + 4, "acknowledges the client bytes");
 
-    let aud = b.audit().expect("auditor attached");
+    let aud = b.observers().audit.as_deref().expect("auditor attached");
     assert!(
         aud.ledger().stat(Rule::BareAck).checks >= 1,
         "§3.4 rule must have been evaluated:\n{}",

@@ -510,7 +510,7 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
         f6.peer_syn(),
         f6.p_synack(),
     ]);
-    let held = r.bridge.health().map_or([0; 2], |h| {
+    let held = r.bridge.observers().health.as_deref().map_or([0; 2], |h| {
         [h.lag.unmatched_bytes(), h.lag.unmatched_segments()]
     });
     r.now += 1_000_000;
@@ -548,7 +548,7 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
     );
 
     // Reintegration: new connections replicate again.
-    r.bridge.reintegrate();
+    r.bridge.reintegrate(r.now);
     let f8 = Flow::client(&mut rng, 6008);
     r.establish(&f8, true);
 
@@ -574,7 +574,7 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
         s.evicted_rsts,
         s.flows_reaped,
     ];
-    let lag = r.bridge.health().map_or([0; 4], |h| {
+    let lag = r.bridge.observers().health.as_deref().map_or([0; 4], |h| {
         [held[0], held[1], h.lag.unmatched_bytes(), h.lag.releases()]
     });
     let t = r.bridge.flow_stats();

@@ -7,7 +7,8 @@
 
 use tcp_failover::core::{FailoverConfig, PrimaryBridge, SecondaryBridge};
 use tcp_failover::tcp::filter::{AddressedSegment, SegmentFilter};
-use tcp_failover::telemetry::audit::{env_audit_enabled, AuditConfig, InvariantAuditor};
+use tcp_failover::telemetry::audit::{AuditConfig, InvariantAuditor};
+use tcp_failover::telemetry::ObserverSwitches;
 use tcp_failover::wire::ipv4::Ipv4Addr;
 use tcp_failover::wire::tcp::{SegmentPatcher, TcpFlags, TcpSegment};
 
@@ -148,7 +149,7 @@ fn primary_tombstones_do_not_accumulate_under_churn() {
     let mut b = PrimaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
     // The CI soak runs this under `TCPFO_AUDIT=1`: the online auditor
     // rides along the whole churn, checking every segment.
-    if env_audit_enabled() {
+    if ObserverSwitches::resolve(None, None, None, None).audit {
         b.set_audit(Some(Box::new(InvariantAuditor::new(
             AuditConfig::from_env("primary"),
         ))));
@@ -180,7 +181,7 @@ fn primary_tombstones_do_not_accumulate_under_churn() {
     b.on_tick(end);
     assert_eq!(b.flow_count(), 0, "table drains once churn stops");
     assert_eq!(b.stats.flows_reaped, u64::from(CYCLES));
-    if let Some(audit) = b.audit() {
+    if let Some(audit) = b.observers().audit.as_deref() {
         assert!(audit.ledger().total_checks() > 0, "auditor saw the churn");
         assert!(
             audit.violations().is_empty(),

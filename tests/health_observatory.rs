@@ -50,7 +50,8 @@ fn lag_ledger_equals_queue_walk_at_a_held_backlog() {
 
     let (ledger, oracle, releases) = tb
         .with_primary_bridge(|bridge| {
-            let lag = &bridge.health().expect("health attached").lag;
+            let health = bridge.observers().health.as_deref();
+            let lag = &health.expect("health attached").lag;
             let mut oracle = (0u64, 0u64);
             for row in bridge.connection_rows() {
                 let bytes = row.pq_bytes as u64;

@@ -153,3 +153,32 @@ fn degraded_epoch_connection_unaffected_by_rejoin() {
         assert_eq!(h.app_mut::<SourceServer>(0).served, 0);
     });
 }
+
+#[test]
+fn bridge_and_controller_journal_the_rejoin_at_one_instant() {
+    // No connection is open, so the degraded bridge filters nothing
+    // between the kill and the rejoin: the mode change has to carry
+    // the controller's clock, not the time of the last segment.
+    let mut tb = Testbed::new(TestbedConfig::default());
+    tb.run_for(SimDuration::from_millis(50));
+    tb.kill_secondary();
+    tb.run_for(SimDuration::from_millis(300));
+    assert_eq!(primary_mode(&mut tb), PrimaryMode::SecondaryFailed);
+    tb.revive_secondary();
+    tb.run_for(SimDuration::from_millis(200));
+    assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal);
+
+    let at = |scope: &str, kind: &str| {
+        let events = tb.telemetry.journal.events();
+        let mut hits = events.iter().filter(|e| e.scope == scope && e.kind == kind);
+        let at_ns = hits.next().map(|e| e.at_ns);
+        assert!(hits.next().is_none(), "{scope} {kind} journaled twice");
+        at_ns.unwrap_or_else(|| panic!("{scope} {kind} not journaled"))
+    };
+    let cause = at("core.control.r0", "reintegration");
+    let effect = at("core.primary", "reintegrated");
+    assert_eq!(
+        effect, cause,
+        "the bridge stamped its mode change with a stale clock"
+    );
+}
