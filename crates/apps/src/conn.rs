@@ -129,6 +129,9 @@ impl<S> Conns<S> {
 #[derive(Debug, Default, Clone)]
 pub struct OutBuf {
     pending: Vec<u8>,
+    /// Read cursor: `pending[..head]` is already TCP's. A flush moves
+    /// the cursor, not the backlog behind it.
+    head: usize,
 }
 
 impl OutBuf {
@@ -139,32 +142,45 @@ impl OutBuf {
 
     /// Queues reply bytes.
     pub fn push(&mut self, data: &[u8]) {
+        // The consumed front is reclaimed when the alternative is a
+        // larger allocation: the buffer stays as small as if every flush
+        // had compacted, and moves its backlog once per fill, not once
+        // per flush.
+        if self.head > 0 && self.pending.len() + data.len() > self.pending.capacity() {
+            self.pending.drain(..self.head);
+            self.head = 0;
+        }
         self.pending.extend_from_slice(data);
     }
 
-    /// Pushes as much pending data as the socket accepts.
+    /// Pushes as much pending data as the socket accepts, in one `send`
+    /// (each `send` runs TCP's output routine, so how a flush is split
+    /// into calls shows on the wire).
     pub fn flush(&mut self, api: &mut SocketApi<'_>, conn: SocketId) {
-        if self.pending.is_empty() {
+        if self.is_empty() {
             return;
         }
-        let n = api.send(conn, &self.pending).unwrap_or(0);
-        self.pending.drain(..n);
+        self.head += api.send(conn, &self.pending[self.head..]).unwrap_or(0);
+        if self.is_empty() {
+            self.pending.clear();
+            self.head = 0;
+        }
     }
 
     /// Whether everything queued has been handed to TCP.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.len() == 0
     }
 
     /// Whether a flush now would move bytes: something is staged and
     /// the send buffer has room (so no ACK is needed to continue).
     pub fn can_flush(&self, api: &SocketApi<'_>, conn: SocketId) -> bool {
-        !self.pending.is_empty() && api.send_space(conn) > 0
+        !self.is_empty() && api.send_space(conn) > 0
     }
 
     /// Bytes still waiting for send-buffer space.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending.len() - self.head
     }
 }
 
@@ -368,12 +384,76 @@ mod tests {
         assert_eq!(pattern_mismatches(7, b""), 0);
     }
 
+    /// Moves segments between the two stacks until both fall silent.
+    fn shuttle(net: &mut Duplex) {
+        loop {
+            let (from_a, from_b) = (net.a.take_outbox(), net.b.take_outbox());
+            if from_a.is_empty() && from_b.is_empty() {
+                break;
+            }
+            from_a.iter().for_each(|s| net.b.on_segment(s, net.now));
+            from_b.iter().for_each(|s| net.a.on_segment(s, net.now));
+        }
+    }
+
     #[test]
     fn outbuf_tracks_pending() {
         let mut ob = OutBuf::new();
         assert!(ob.is_empty());
         ob.push(b"abc");
         assert_eq!(ob.len(), 3);
+    }
+
+    #[test]
+    fn outbuf_hands_over_every_byte_once_across_partial_sends() {
+        const TOTAL: usize = 300_000;
+        const SLAB: usize = 16 * 1024;
+        // A send buffer smaller than a slab: every flush is partial.
+        let cfg = TcpConfig {
+            delayed_ack: None,
+            nagle: false,
+            send_buffer: 10_000,
+            ..TcpConfig::default()
+        };
+        let mut net = Duplex {
+            a: TcpStack::new(cfg.clone().with_isn_seed(11)),
+            b: TcpStack::new(cfg.with_isn_seed(22)),
+            now: SimTime::ZERO,
+        };
+        let l = net.b.listen(7, false).unwrap();
+        let to = SocketAddr::new(SERVER_IP, 7);
+        let c = net.a.connect(CLIENT_IP, to, false, net.now).unwrap();
+        shuttle(&mut net);
+        let s = net.b.accept(l).unwrap();
+
+        let mut ob = OutBuf::new();
+        assert!(ob.is_empty());
+        ob.push(b"");
+        ob.flush(&mut SocketApi::new(&mut net.a, net.now, CLIENT_IP), c);
+        let (mut staged, mut got) = (0, Vec::new());
+        while got.len() < TOTAL {
+            // Staged the way `SourceServer` does it.
+            while staged < TOTAL && ob.len() < 2 * SLAB {
+                let n = SLAB.min(TOTAL - staged);
+                ob.push(&pattern(staged as u64, n));
+                staged += n;
+            }
+            let before = ob.len();
+            ob.flush(&mut SocketApi::new(&mut net.a, net.now, CLIENT_IP), c);
+            assert!(ob.len() < before && before - ob.len() <= 10_000);
+            // No larger than if every flush had compacted: what is
+            // staged, rounded up by `Vec`'s doubling.
+            assert!(
+                ob.pending.capacity() <= 4 * SLAB,
+                "consumed bytes are reclaimed"
+            );
+            shuttle(&mut net);
+            got.extend(net.b.recv(s, usize::MAX, net.now).unwrap());
+            shuttle(&mut net);
+        }
+        assert!(ob.is_empty());
+        assert_eq!(got.len(), TOTAL);
+        assert_eq!(pattern_mismatches(0, &got), 0);
     }
 
     /// A server stack roomy enough to hold a whole burst unread (and a
@@ -398,14 +478,6 @@ mod tests {
         };
         let poll = |net: &mut Duplex, server: &mut dyn SocketApp| {
             server.poll(&mut SocketApi::new(&mut net.b, net.now, SERVER_IP));
-        };
-        let shuttle = |net: &mut Duplex| loop {
-            let (from_a, from_b) = (net.a.take_outbox(), net.b.take_outbox());
-            if from_a.is_empty() && from_b.is_empty() {
-                break;
-            }
-            from_a.iter().for_each(|s| net.b.on_segment(s, net.now));
-            from_b.iter().for_each(|s| net.a.on_segment(s, net.now));
         };
         poll(&mut net, server); // listens
         let to = SocketAddr::new(SERVER_IP, port);

@@ -40,15 +40,20 @@
 //! at every depth — the paper's two-node system is the chain of length
 //! two. Every peer gets a [`HealthMonitor`] fed from v1 heartbeats (RTT
 //! echo, seq gaps → loss) and silence-derived miss counts; silence past
-//! the detector timeout declares it dead. Promotion is a small state
+//! the detector timeout declares it dead (a peer never heard from gets
+//! three timeouts: a replica joining a loaded chain hears its first
+//! beats late). Promotion is a small state
 //! machine with *audit-log-before-act* ordering — the decision is
 //! journaled and recorded on the invariant auditor **before** the
 //! topology mutates — and an *abort-if-standby-unhealthy* veto: a
 //! successor whose own composite score is below threshold refuses the
 //! VIP (journaled as an alert) until either its score recovers or a
 //! forced-promotion grace elapses (a chain with no head at all is worse
-//! than a shaky head). After any takeover the chain can be
-//! re-provisioned — see [`crate::reprovision`].
+//! than a shaky head). The commit ends by expiring the retransmission
+//! timers of the failover sockets: what they have in flight went to the
+//! dead replica, and the client should not wait out an RTO to learn it.
+//! After any takeover the chain can be re-provisioned — see
+//! [`crate::reprovision`].
 
 use crate::designation::FailoverConfig;
 use crate::detector::{advance_expected_seq, health_config, DetectorConfig, HB_RING};
@@ -59,7 +64,7 @@ use crate::reprovision::FlowHandoff;
 use crate::secondary::SecondaryBridge;
 use bytes::{Bytes, BytesMut};
 use std::any::Any;
-use tcpfo_net::time::SimTime;
+use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::host::{HostController, HostServices};
@@ -506,9 +511,13 @@ struct Instruments {
     vetoes: Counter,
 }
 
-/// Multiples of the detector timeout a vetoed promotion waits before
-/// it is forced: a headless chain serves nobody, so an unhealthy
-/// successor eventually takes the VIP anyway (journaled as forced).
+/// Multiples of the detector timeout the controller waits where one
+/// timeout proves too little. A vetoed promotion is forced after it: a
+/// headless chain serves nobody, so an unhealthy successor eventually
+/// takes the VIP anyway (journaled as forced). And a peer this
+/// controller has never heard from is declared dead only after it: the
+/// silence of a peer whose first beat is still queued behind its bulk
+/// data is the joiner's youth, not the peer's death.
 const FORCED_PROMOTION_GRACE: u32 = 3;
 
 /// The §3 merge engine this host runs, if it runs one: a raw
@@ -543,7 +552,8 @@ pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observ
 /// and RTT echo); each peer is scored by a [`HealthMonitor`] and declared
 /// dead when silence exceeds the detector timeout — by which point its
 /// composite score has bottomed out (the liveness axis scales the
-/// total, and `miss_limit = timeout / interval`). What the survivor
+/// total, and `miss_limit = timeout / interval`). A peer not heard from
+/// even once is given [`FORCED_PROMOTION_GRACE`] timeouts. What the survivor
 /// then does follows from the bridge it runs and from who is left:
 ///
 /// * **nobody alive above me** and my bridge can take the VIP → §5:
@@ -552,7 +562,8 @@ pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observ
 ///   stop client-bound egress, leave promiscuous mode, disable both
 ///   address translations (a [`SecondaryBridge`] tail) or stop
 ///   diverting (a [`ChainBridge`] link), take over the VIP (gratuitous
-///   ARP + re-keying the failover TCBs), resume as the head;
+///   ARP + re-keying the failover TCBs), retransmit what those TCBs
+///   have in flight, resume as the head;
 /// * **nobody alive below me** and I run a merge engine → §6: flush the
 ///   primary output queues, stop delaying output — but keep
 ///   subtracting `Δseq` forever;
@@ -800,6 +811,13 @@ impl ChainController {
         (misses, silence > self.config.timeout)
     }
 
+    /// [`FORCED_PROMOTION_GRACE`] detector timeouts.
+    fn grace(&self) -> SimDuration {
+        self.config
+            .timeout
+            .saturating_mul(u64::from(FORCED_PROMOTION_GRACE))
+    }
+
     fn nearest_alive_up(&self) -> Option<usize> {
         (0..self.my_index).rev().find(|&i| self.alive[i])
     }
@@ -829,10 +847,7 @@ impl ChainController {
         }
         let new_episode = self.vetoed_since.is_none();
         let since = *self.vetoed_since.get_or_insert(now);
-        let grace = tcpfo_net::time::SimDuration::from_nanos(
-            self.config.timeout.as_nanos() * u64::from(FORCED_PROMOTION_GRACE),
-        );
-        if now.duration_since(since) >= grace {
+        if now.duration_since(since) >= self.grace() {
             self.event("promotion_forced", now, &fields, args);
             return Some(true);
         }
@@ -995,15 +1010,31 @@ impl ChainController {
                 services.net.local_ips.push(vip);
             }
             services.net.gratuitous_arp(vip, services.ctx);
-            // "After the change of IP address is completed, the bridge
-            // resumes sending TCP segments" — retransmission timers on
-            // the re-keyed sockets take it from here.
             self.mark(FailoverPhase::ArpTakeover, now);
             self.event(
                 "takeover.arp",
                 now,
                 &[("vip", vip.to_string())],
                 [Some(("vip", u64::from(u32::from(vip)))), None],
+            );
+            // "After the change of IP address is completed, the bridge
+            // resumes sending TCP segments" — and what the failover
+            // sockets have in flight was diverted to the replica just
+            // declared dead. TCP would find that out one backed-off RTO
+            // later; the controller knows it now, so the timers expire
+            // now and the next stack tick retransmits. What still
+            // stands ahead of those segments is this host's transmit
+            // backlog, recorded beside the count.
+            let flows = services.stack.expire_failover_retransmission_timers(now) as u64;
+            let backlog_ns = services.net.transmit_backlog(now).as_nanos();
+            self.event(
+                "takeover.retransmit",
+                now,
+                &[
+                    ("flows", flows.to_string()),
+                    ("backlog_ns", backlog_ns.to_string()),
+                ],
+                [Some(("flows", flows)), Some(("backlog_ns", backlog_ns))],
             );
             self.promoted_at = Some(now);
             self.state = TakeoverState::Promoted;
@@ -1138,9 +1169,18 @@ impl HostController for ChainController {
             if i == self.my_index || !self.alive[i] {
                 continue;
             }
-            // The first tick establishes the grace period.
+            // The first tick starts the silence clock. Silence past the
+            // timeout is a verdict on a peer that has been heard. One
+            // that never has gets the grace: a replica joining a loaded
+            // chain starts this clock at its own first tick, the
+            // survivors' first beats reach it a timeout or more later
+            // (they queue behind bulk data in the senders' transmit
+            // path), and a joiner that called them dead would take the
+            // VIP from under the head it was provisioned to back up.
             let last = *self.last_heard[i].get_or_insert(now);
-            let (misses, expired) = self.silence(last, now);
+            let (misses, silent) = self.silence(last, now);
+            let heard = self.trackers[i].monitor.replica.heartbeats > 0;
+            let expired = silent && (heard || now.duration_since(last) > self.grace());
             // One `hb.miss` instant per whole silent interval, not per
             // tick.
             if misses > self.traced_misses[i] {
@@ -1637,6 +1677,65 @@ mod tests {
                     * u64::from(FORCED_PROMOTION_GRACE + 1),
             );
         assert_eq!(c.promotion_gate(later), Some(true), "forced past grace");
+    }
+
+    #[test]
+    fn silence_is_a_verdict_only_on_a_peer_that_has_been_heard() {
+        use crate::chain_testbed::{ChainConfig, ChainTestbed};
+        use tcpfo_tcp::host::Host;
+
+        fn controller<R>(
+            tb: &mut ChainTestbed,
+            i: usize,
+            f: impl FnOnce(&mut ChainController) -> R,
+        ) -> R {
+            let node = tb.replicas[i];
+            (tb.sim).with::<Host, _>(node, |h, _| f(h.controller_mut::<ChainController>()))
+        }
+
+        let detector = DetectorConfig::default();
+        let ms = SimDuration::from_millis;
+        let mut tb = ChainTestbed::new(ChainConfig {
+            detector,
+            ..ChainConfig::default()
+        });
+        // The head dies before its first beat: nobody ever hears it.
+        tb.kill_replica(0);
+        tb.run_for(detector.timeout + ms(10));
+        controller(&mut tb, 1, |c| {
+            assert!(
+                c.peer_alive(0),
+                "one timeout is no verdict on a never-heard peer"
+            );
+            assert!(c.peer_alive(2) && c.detected_at.is_none());
+        });
+        let grace = controller(&mut tb, 1, |c| c.grace());
+        tb.run_for(grace - detector.timeout);
+        controller(&mut tb, 1, |c| {
+            assert!(!c.peer_alive(0), "the grace is");
+            // The clock started at replica 1's first tick, at zero.
+            assert_eq!(c.detected_at, Some(SimTime::ZERO + grace + ms(1)));
+            assert_eq!(c.promoted_at, c.detected_at);
+        });
+
+        // A peer that has been heard gets one timeout, as before.
+        let killed = tb.sim.now();
+        tb.kill_replica(2);
+        tb.run_for(detector.timeout + detector.interval + ms(2));
+        controller(&mut tb, 1, |c| {
+            assert!(!c.peer_alive(2));
+            let latency = c.detected_at.unwrap().duration_since(killed);
+            assert!(latency <= detector.timeout + detector.interval + ms(1));
+        });
+
+        // A joiner told who is dead neither waits for them nor revives
+        // them, and has nothing to detect.
+        let standby = tb.spawn_standby();
+        tb.run_for(grace + grace);
+        controller(&mut tb, standby, |c| {
+            assert!(!c.peer_alive(0) && !c.peer_alive(2) && c.peer_alive(1));
+            assert!(c.detected_at.is_none() && c.promoted_at.is_none());
+        });
     }
 
     #[test]

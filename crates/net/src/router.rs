@@ -124,10 +124,9 @@ impl Router {
         packet: &Ipv4Packet,
         ctx: &mut Ctx<'_>,
     ) {
-        let iface = &self.interfaces[iface_idx];
-        let frame = EthernetFrame::new(dst_mac, iface.mac, EtherType::Ipv4, packet.encode());
+        let frame = packet.encode_framed(dst_mac, self.interfaces[iface_idx].mac);
         self.forwarded += 1;
-        ctx.transmit_delayed(iface_idx, frame.encode(), self.forwarding_delay);
+        ctx.transmit_delayed(iface_idx, frame, self.forwarding_delay);
     }
 
     fn forward(&mut self, mut packet: Ipv4Packet, ctx: &mut Ctx<'_>) {

@@ -245,7 +245,6 @@ impl HostNet {
     }
 
     fn emit_ip(&mut self, dst_mac: MacAddr, pkt: &Ipv4Packet, ctx: &mut Ctx<'_>) {
-        let frame = EthernetFrame::new(dst_mac, self.mac, EtherType::Ipv4, pkt.encode());
         let base = self.cpu.tx_fixed
             + SimDuration::from_nanos(pkt.payload.len() as u64 * self.cpu.tx_per_byte_ns);
         let cost = self.jittered(base, ctx);
@@ -253,7 +252,7 @@ impl HostNet {
         self.cpu_free_at = start;
         let delay = start.duration_since(ctx.now());
         self.frames_sent += 1;
-        ctx.transmit_delayed(0, frame.encode(), delay);
+        ctx.transmit_delayed(0, pkt.encode_framed(dst_mac, self.mac), delay);
     }
 
     fn jittered(&self, base: SimDuration, ctx: &mut Ctx<'_>) -> SimDuration {
@@ -273,6 +272,12 @@ impl HostNet {
             + SimDuration::from_nanos(payload_len as u64 * self.cpu.rx_per_byte_ns);
         let cost = self.jittered(base, ctx);
         self.cpu_free_at = self.cpu_free_at.max(ctx.now()) + cost;
+    }
+
+    /// How long a datagram handed to [`HostNet::send_ip`] at `now` waits
+    /// for the modelled CPU to work off what is already queued.
+    pub fn transmit_backlog(&self, now: SimTime) -> SimDuration {
+        self.cpu_free_at.max(now).duration_since(now)
     }
 
     /// Broadcasts a gratuitous ARP for `ip` (IP takeover, §5 step 5).

@@ -763,6 +763,19 @@ impl Socket {
         }
     }
 
+    /// Makes an armed retransmission timer due at `now`; returns whether
+    /// one was armed. The next [`Socket::on_tick`] then takes the
+    /// ordinary expiry path. For a caller that knows what the timer is
+    /// waiting to find out: that whatever is in flight went to a peer
+    /// that no longer exists (§5 takeover).
+    pub(crate) fn expire_retransmission_timer(&mut self, now: SimTime) -> bool {
+        let armed = self.rtx_deadline.is_some();
+        if armed {
+            self.rtx_deadline = Some(now);
+        }
+        armed
+    }
+
     fn on_retransmission_timeout(&mut self, now: SimTime, cfg: &TcpConfig) {
         // A peer that *closed* its window is alive (it keeps ACKing
         // our probes); persist-style retries never give up (RFC 1122).

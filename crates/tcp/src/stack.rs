@@ -623,6 +623,32 @@ impl TcpStack {
         rebound
     }
 
+    /// Makes the retransmission timer due at `now` on every *failover*
+    /// socket that has one armed, and returns how many that was.
+    ///
+    /// The other thing only the control plane knows at an IP takeover
+    /// (§5): everything these sockets have in flight was diverted to a
+    /// replica that is dead, so the acknowledgment the timer waits for
+    /// cannot come. The next [`TcpStack::on_tick`] runs the ordinary
+    /// expiry — go-back-N from `snd_una`, back-off, window collapse —
+    /// instead of one backed-off RTO later. A socket with nothing in
+    /// flight has no timer armed and is left alone.
+    pub fn expire_failover_retransmission_timers(&mut self, now: SimTime) -> usize {
+        let mut expired = 0;
+        for (idx, slot) in self.sockets.iter_mut().enumerate() {
+            let Some(slot) = slot else { continue };
+            if !slot.sock.failover || !slot.sock.expire_retransmission_timer(now) {
+                continue;
+            }
+            if slot.armed.is_none_or(|armed| now < armed) {
+                slot.armed = Some(now);
+                self.timers.push(Reverse((now, idx)));
+            }
+            expired += 1;
+        }
+        expired
+    }
+
     // ---------------------------------------------------------------
     // Internals
     // ---------------------------------------------------------------
@@ -795,6 +821,7 @@ mod tests {
     use super::*;
     use crate::socket::SocketError;
     use bytes::Bytes as B;
+    use tcpfo_net::time::SimDuration;
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -999,6 +1026,64 @@ mod tests {
             .collect();
         assert_eq!(moved_tuples.len(), 1);
         assert_eq!(moved_tuples[0].local.port, 80);
+    }
+
+    #[test]
+    fn expiring_failover_timers_fires_only_armed_failover_sockets() {
+        let now = SimTime::ZERO;
+        let mut server = TcpStack::new(cfg(7));
+        let l80 = server.listen(80, true).unwrap(); // failover
+        let l81 = server.listen(81, false).unwrap(); // plain
+        let mut client = TcpStack::new(cfg(3));
+        for port in [80, 80, 81] {
+            let to = SocketAddr::new(B_IP, port);
+            client.connect(A, to, false, now).unwrap();
+        }
+        exchange(&mut client, &mut server, now);
+        let busy = server.accept(l80).unwrap();
+        let idle = server.accept(l80).unwrap();
+        let plain = server.accept(l81).unwrap();
+        // Data in flight on one failover socket and on the plain one;
+        // the other failover socket has nothing outstanding.
+        server.send(busy, b"replicated", now).unwrap();
+        server.send(plain, b"not replicated", now).unwrap();
+        server.take_outbox(); // lost: diverted to a peer that is gone
+        let deadline = |s: &TcpStack, id| s.socket(id).unwrap().next_deadline();
+        let rtx_at = deadline(&server, busy).expect("data in flight arms the timer");
+        let rto = rtx_at.duration_since(now);
+        assert_eq!(deadline(&server, plain), Some(rtx_at));
+        assert_eq!(deadline(&server, idle), None);
+
+        let later = now + SimDuration::from_millis(30);
+        assert!(later < rtx_at);
+        assert_eq!(server.expire_failover_retransmission_timers(later), 1);
+        assert_eq!(deadline(&server, busy), Some(later));
+        assert_eq!(deadline(&server, idle), None, "nothing in flight, no timer");
+        assert_eq!(
+            deadline(&server, plain),
+            Some(rtx_at),
+            "not a failover socket"
+        );
+
+        // The next tick takes the ordinary expiry path for that one
+        // socket (and the debug assertion on the timer index holds).
+        let tick = later + SimDuration::from_millis(1);
+        server.on_tick(tick);
+        assert_eq!(server.timer_visits, 1);
+        assert_eq!(server.total_rto_expiries(), 1);
+        let out = server.peek_outbox();
+        assert_eq!(out.len(), 1);
+        assert_eq!(&out[0].2.payload[..], b"replicated");
+        assert_eq!(deadline(&server, busy), Some(tick + rto), "re-armed");
+        // The plain socket's timer runs its course.
+        server.take_outbox();
+        server.on_tick(rtx_at);
+        assert_eq!(server.total_rto_expiries(), 2);
+        assert_eq!(&server.peek_outbox()[0].2.payload[..], b"not replicated");
+        // With nothing armed there is nothing to expire.
+        let mut quiet = TcpStack::new(cfg(9));
+        assert_eq!(quiet.expire_failover_retransmission_timers(tick), 0);
+        quiet.on_tick(tick);
     }
 
     #[test]

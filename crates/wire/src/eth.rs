@@ -39,6 +39,25 @@ impl From<u16> for EtherType {
     }
 }
 
+/// The smallest frame payload: 64-byte frames minus the header and the
+/// 4-byte FCS we do not model. Shorter payloads are zero-padded to it.
+const MIN_PAYLOAD_LEN: usize = 46;
+
+/// On-wire length of a frame carrying `payload_len` bytes, minimum-frame
+/// padding included.
+pub(crate) fn frame_len(payload_len: usize) -> usize {
+    ETH_HEADER_LEN + payload_len.max(MIN_PAYLOAD_LEN)
+}
+
+/// The 14 header bytes: destination, source, EtherType.
+pub(crate) fn header(dst: MacAddr, src: MacAddr, ethertype: EtherType) -> [u8; ETH_HEADER_LEN] {
+    let mut header = [0u8; ETH_HEADER_LEN];
+    header[0..6].copy_from_slice(&dst.octets());
+    header[6..12].copy_from_slice(&src.octets());
+    header[12..14].copy_from_slice(&ethertype.value().to_be_bytes());
+    header
+}
+
 /// An Ethernet II frame.
 ///
 /// The frame check sequence is not modelled; link-level corruption is
@@ -70,18 +89,14 @@ impl EthernetFrame {
     /// On-wire length, including minimum-frame padding (64-byte frames
     /// minus the 4-byte FCS we do not model, i.e. payload padded to 46).
     pub fn wire_len(&self) -> usize {
-        ETH_HEADER_LEN + self.payload.len().max(46)
+        frame_len(self.payload.len())
     }
 
     /// Encodes the frame (with minimum-size zero padding).
     pub fn encode(&self) -> Bytes {
-        let mut header = [0u8; ETH_HEADER_LEN];
-        header[0..6].copy_from_slice(&self.dst.octets());
-        header[6..12].copy_from_slice(&self.src.octets());
-        header[12..14].copy_from_slice(&self.ethertype.value().to_be_bytes());
         let total = self.wire_len();
         let mut buf = Vec::with_capacity(total);
-        buf.extend_from_slice(&header);
+        buf.extend_from_slice(&header(self.dst, self.src, self.ethertype));
         buf.extend_from_slice(&self.payload);
         buf.resize(total, 0);
         Bytes::from(buf)

@@ -6,6 +6,8 @@
 
 use crate::checksum::{checksum, Checksum};
 use crate::error::WireError;
+use crate::eth::{self, EtherType, ETH_HEADER_LEN};
+use crate::mac::MacAddr;
 use bytes::Bytes;
 
 pub use std::net::Ipv4Addr;
@@ -77,8 +79,8 @@ impl Ipv4Packet {
         IPV4_HEADER_LEN + self.payload.len()
     }
 
-    /// Encodes the datagram, computing the header checksum.
-    pub fn encode(&self) -> Bytes {
+    /// The 20 header bytes, checksum computed.
+    fn header(&self) -> [u8; IPV4_HEADER_LEN] {
         let total = self.wire_len();
         debug_assert!(total <= u16::MAX as usize, "datagram too large");
         let mut header = [0u8; IPV4_HEADER_LEN];
@@ -92,9 +94,31 @@ impl Ipv4Packet {
         header[16..20].copy_from_slice(&self.dst.octets());
         let ck = checksum(&header);
         header[10..12].copy_from_slice(&ck.to_be_bytes());
+        header
+    }
+
+    /// Encodes the datagram, computing the header checksum.
+    pub fn encode(&self) -> Bytes {
+        let mut buf = Vec::with_capacity(self.wire_len());
+        buf.extend_from_slice(&self.header());
+        buf.extend_from_slice(&self.payload);
+        Bytes::from(buf)
+    }
+
+    /// Encodes the datagram inside its Ethernet II frame, as one buffer
+    /// written once: byte for byte
+    /// `EthernetFrame::new(dst, src, EtherType::Ipv4, self.encode()).encode()`
+    /// (the layered encoders copy the payload twice, into two buffers).
+    /// What a device transmitting a datagram calls.
+    pub fn encode_framed(&self, dst: MacAddr, src: MacAddr) -> Bytes {
+        let mut header = [0u8; ETH_HEADER_LEN + IPV4_HEADER_LEN];
+        header[..ETH_HEADER_LEN].copy_from_slice(&eth::header(dst, src, EtherType::Ipv4));
+        header[ETH_HEADER_LEN..].copy_from_slice(&self.header());
+        let total = eth::frame_len(self.wire_len());
         let mut buf = Vec::with_capacity(total);
         buf.extend_from_slice(&header);
         buf.extend_from_slice(&self.payload);
+        buf.resize(total, 0);
         Bytes::from(buf)
     }
 

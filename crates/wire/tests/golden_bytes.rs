@@ -3,7 +3,9 @@
 //! `net.events`, every `client.lat_*`) depend on every one of them, so
 //! an encoder rewrite that moves a single byte — an option padded with
 //! zeros instead of NOPs, a checksum one position off, a short frame
-//! not padded to 60 B — fails here first.
+//! not padded to 60 B — fails here first. The fused encoder devices
+//! transmit with (`Ipv4Packet::encode_framed`) is held to the layered
+//! two byte for byte.
 
 use bytes::Bytes;
 use tcpfo_wire::eth::{EtherType, EthernetFrame};
@@ -145,4 +147,29 @@ fn ethernet_encode_matches_golden_bytes() {
     for ((name, frame), want) in frames.iter().zip(FRAME_HEX) {
         assert_eq!(hex(&frame.encode()), want, "{name}");
     }
+}
+
+#[test]
+fn fused_frame_equals_the_layered_encoders() {
+    let (dst, src) = (MacAddr::from_index(1), MacAddr::from_index(2));
+    // The golden datagram (43 B: padded), the padding boundary on both
+    // sides, an empty payload and a full MSS segment's worth.
+    let mut datagrams = vec![datagram()];
+    for len in [0usize, 25, 26, 27, 1480] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+        let mut pkt = Ipv4Packet::new(DST, SRC, 253, Bytes::from(payload));
+        pkt.ttl = 1;
+        datagrams.push(pkt);
+    }
+    for pkt in datagrams {
+        let layered = EthernetFrame::new(dst, src, EtherType::Ipv4, pkt.encode()).encode();
+        let fused = pkt.encode_framed(dst, src);
+        assert_eq!(
+            hex(&fused),
+            hex(&layered),
+            "{} B payload",
+            pkt.payload.len()
+        );
+    }
+    assert_eq!(hex(&datagram().encode_framed(dst, src)), FRAME_HEX[0]);
 }

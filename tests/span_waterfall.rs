@@ -77,15 +77,28 @@ fn assert_waterfall(hub: &Telemetry, must_see: &[&str]) {
 
 /// What a head failure leaves on the successor's flight path, in the
 /// control plane's one vocabulary — the same at every depth.
-const TAKEOVER: [&str; 7] = [
+const TAKEOVER: [&str; 8] = [
     "hb.miss",
     "peer_dead",
     "promote",
     "promotion",
     "takeover.arp",
+    "takeover.retransmit",
     "promoted",
     "first_client_byte",
 ];
+
+/// The retransmit step sits under the `promotion` span at the instant of
+/// the ARP, and (the download being mid-stream) kicked the one flow.
+fn assert_kicked(hub: &Telemetry) {
+    let records = hub.trace.records();
+    let named = |name: &str| records.iter().find(|r| r.name == name).unwrap();
+    let (kick, arp) = (named("takeover.retransmit"), named("takeover.arp"));
+    assert_eq!(kick.parent, named("promotion").id);
+    assert_eq!(kick.start_ns, arp.start_ns);
+    assert_eq!(kick.args[0], Some(("flows", 1)));
+    assert!(matches!(kick.args[1], Some(("backlog_ns", _))));
+}
 
 #[test]
 fn pair_failover_waterfall_sums_to_the_mttr() {
@@ -111,6 +124,7 @@ fn pair_failover_waterfall_sums_to_the_mttr() {
     });
     tb.expect(done, "download did not survive the failover");
     assert_waterfall(&tb.telemetry, &TAKEOVER);
+    assert_kicked(&tb.telemetry);
 }
 
 #[test]
@@ -150,6 +164,7 @@ fn chain_failover_waterfall_covers_reprovisioning() {
         "redundancy_restore",
     ]);
     assert_waterfall(&tb.hubs[1], &must_see);
+    assert_kicked(&tb.hubs[1]);
 }
 
 #[test]
