@@ -1009,6 +1009,23 @@ impl ChainController {
             if !services.net.local_ips.contains(&vip) {
                 services.net.local_ips.push(vip);
             }
+            // First clear the road: frames still queued for the peers held
+            // dead would leave ahead of the ARP and every retransmission.
+            let (mut frames, mut freed) = (0, 0);
+            for i in (0..self.chain.len()).filter(|&i| !self.alive[i]) {
+                let (n, time) = (services.net).withdraw_frames_to(self.chain[i], services.ctx);
+                frames += n;
+                freed += time.as_nanos();
+            }
+            self.event(
+                "takeover.withdraw",
+                now,
+                &[
+                    ("frames", frames.to_string()),
+                    ("freed_ns", freed.to_string()),
+                ],
+                [Some(("frames", frames)), Some(("freed_ns", freed))],
+            );
             services.net.gratuitous_arp(vip, services.ctx);
             self.mark(FailoverPhase::ArpTakeover, now);
             self.event(
@@ -1022,7 +1039,7 @@ impl ChainController {
             // sockets have in flight was diverted to the replica just
             // declared dead. TCP would find that out one backed-off RTO
             // later; the controller knows it now, so the timers expire
-            // now and the next stack tick retransmits. What still
+            // now and the retransmissions follow the ARP. What still
             // stands ahead of those segments is this host's transmit
             // backlog, recorded beside the count.
             let flows = services.stack.expire_failover_retransmission_timers(now) as u64;

@@ -52,8 +52,11 @@ pub trait Device: Any {
 #[derive(Debug)]
 enum Event {
     Frame {
-        node: NodeId,
-        port: usize,
+        /// Destination, half a word each: `leaves` costs no word.
+        node: u32,
+        port: u32,
+        /// Hand-off plus the transmit delay; recallable until then.
+        leaves: SimTime,
         frame: Bytes,
     },
     Timer {
@@ -150,6 +153,21 @@ impl<'a> Ctx<'a> {
         self.core.transmit(self.node, port, frame, delay);
     }
 
+    /// Takes back the frames this device handed to `port` with a delay
+    /// that has not run out (they have not left it) and that `discard`
+    /// picks, and moves the others up into the time freed: same order,
+    /// each keeping its service time (the gap to the frame before it),
+    /// none earlier than now; the wire is free when the last has crossed.
+    /// Returns the frames taken back and how much earlier the queue ends.
+    /// A frame handed over without delay has left: nothing passes it.
+    pub fn recall(
+        &mut self,
+        port: usize,
+        discard: impl FnMut(&Bytes) -> bool,
+    ) -> (u64, SimDuration) {
+        self.core.recall(self.node, port, discard)
+    }
+
     /// Records a custom trace entry for this device.
     pub fn trace_note(&mut self, note: String) {
         let now = self.core.now;
@@ -171,6 +189,7 @@ struct LinkInstruments {
     drops_loss: Counter,
     drops_queue_full: Counter,
     drops_no_wire: Counter,
+    drops_withdrawn: Counter,
     queue_delay_ns: Gauge,
 }
 
@@ -232,6 +251,7 @@ impl SimCore {
                 drops_loss: scope.counter("drops.loss"),
                 drops_queue_full: scope.counter("drops.queue_full"),
                 drops_no_wire: scope.counter("drops.no_wire"),
+                drops_withdrawn: scope.counter("drops.withdrawn"),
                 queue_delay_ns: scope.gauge("queue_delay_ns"),
             }
         }))
@@ -287,11 +307,72 @@ impl SimCore {
         self.push(
             arrival,
             Event::Frame {
-                node: peer_node,
-                port: peer_port,
+                node: peer_node as u32,
+                port: peer_port as u32,
+                leaves: now,
                 frame,
             },
         );
+    }
+
+    /// [`Ctx::recall`]. A wire's far end hears from this port only, so an
+    /// event needs no field for its source; no fault-free run gets here.
+    fn recall(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        mut discard: impl FnMut(&Bytes) -> bool,
+    ) -> (u64, SimDuration) {
+        let Some(WireEnd { wire, side }) = self.wire_end(node, port) else {
+            return (0, SimDuration::ZERO);
+        };
+        let now = self.now;
+        let to = self.wires[wire].ends[1 - side];
+        let params = self.wires[wire].params[side];
+        // Arrival of the last frame that has left and is still crossing.
+        let mut wire_free = SimTime::ZERO;
+        let (mut queued, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.heap)
+            .into_vec()
+            .into_iter()
+            .partition(|Reverse(s)| match s.event {
+                Event::Frame {
+                    node, port, leaves, ..
+                } if (node as usize, port as usize) == to => {
+                    if leaves <= now {
+                        wire_free = wire_free.max(s.at);
+                    }
+                    leaves > now
+                }
+                _ => false,
+            });
+        self.heap = rest.into();
+        // Hand-off order is the order on the wire.
+        queued.sort_unstable_by_key(|Reverse(s)| s.seq);
+        let (mut free_at, mut was_free_at, mut discarded) = (now, now, 0);
+        for Reverse(mut s) in queued {
+            let Event::Frame { leaves, frame, .. } = &mut s.event else {
+                unreachable!("only frames are queued");
+            };
+            let service = (*leaves).max(was_free_at) - was_free_at;
+            was_free_at += service;
+            if discard(frame) {
+                discarded += 1;
+                if let Some(i) = self.link_instruments(node, port) {
+                    i.drops_withdrawn.inc_at(now.as_nanos());
+                }
+                self.trace(now, node, TraceKind::Withdrawn { port }, Some(frame));
+                continue;
+            }
+            free_at += service;
+            // Up by what was freed ahead of it, and not past the frame
+            // ahead of it on the wire.
+            let moved = was_free_at - free_at;
+            s.at = (s.at - moved).max(wire_free + params.serialization(frame.len()));
+            (*leaves, wire_free) = (*leaves - moved, s.at);
+            self.heap.push(Reverse(s));
+        }
+        self.wires[wire].busy_until[side] = wire_free - params.propagation;
+        (discarded, was_free_at - free_at)
     }
 }
 
@@ -375,6 +456,8 @@ impl Simulator {
             a.0 < self.nodes.len() && b.0 < self.nodes.len(),
             "node id out of range"
         );
+        let widest = a.1 | b.1 | self.nodes.len();
+        assert!(u32::try_from(widest).is_ok(), "node or port over 32 bits");
         assert!(
             self.core.wire_end(a.0, a.1).is_none(),
             "port {a:?} already wired"
@@ -427,9 +510,13 @@ impl Simulator {
     }
 
     /// Marks a node fail-stop dead: pending and future events for it
-    /// are discarded, it never transmits again.
+    /// are discarded, it never transmits again — what it had handed
+    /// over and has not left it yet goes with it.
     pub fn kill(&mut self, node: NodeId) {
         self.core.dead[node] = true;
+        for port in 0..self.core.port_table[node].len() {
+            self.core.recall(node, port, |_| true);
+        }
     }
 
     /// Replaces a (possibly dead) node's device with a fresh one,
@@ -490,8 +577,9 @@ impl Simulator {
         debug_assert!(scheduled.at >= self.core.now, "time went backwards");
         self.core.now = scheduled.at;
         self.core.events_processed += 1;
-        let node = match &scheduled.event {
-            Event::Frame { node, .. } | Event::Timer { node, .. } => *node,
+        let node = match scheduled.event {
+            Event::Frame { node, .. } => node as NodeId,
+            Event::Timer { node, .. } => node,
         };
         if self.core.dead[node] {
             return true;
@@ -503,6 +591,7 @@ impl Simulator {
         };
         match scheduled.event {
             Event::Frame { port, frame, .. } => {
+                let port = port as usize;
                 ctx.core
                     .trace(scheduled.at, node, TraceKind::Rx { port }, Some(&frame));
                 device.handle_frame(port, frame, &mut ctx);
@@ -785,6 +874,138 @@ mod tests {
         sim.with::<Echo, _>(b, |e, _| assert!(e.seen.is_empty()));
         assert!(sim.is_dead(b));
         assert!(!sim.is_dead(a));
+    }
+
+    /// Records when each frame arrived and its first byte.
+    #[derive(Default)]
+    struct Log(Vec<(u64, u8)>);
+
+    impl Device for Log {
+        fn label(&self) -> &str {
+            "log"
+        }
+        fn handle_frame(&mut self, _port: usize, frame: Bytes, ctx: &mut Ctx<'_>) {
+            self.0.push((ctx.now().as_micros(), frame[0]));
+        }
+        fn handle_timer(&mut self, _: TimerToken, _: &mut Ctx<'_>) {}
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// `a` (an `Echo` nobody answers) wired to a `Log`; the wire takes
+    /// `prop_us` to cross and serialises at one byte per microsecond if
+    /// asked to.
+    fn sender_and_log(prop_us: u64, serialising: bool) -> (Simulator, NodeId, NodeId) {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_device(Box::new(Echo::new("a")));
+        let b = sim.add_device(Box::new(Log::default()));
+        let params = LinkParams {
+            bandwidth_bps: serialising.then_some(8_000_000),
+            propagation: SimDuration::from_micros(prop_us),
+            loss: 0.0,
+            max_queue: SimDuration::from_secs(1),
+            jitter: SimDuration::ZERO,
+        };
+        sim.connect((a, 0), (b, 0), params);
+        (sim, a, b)
+    }
+
+    /// Hands over one frame per `(tag, len, delay_us)`.
+    fn hand_over(ctx: &mut Ctx<'_>, frames: &[(u8, usize, u64)]) {
+        for &(tag, len, delay_us) in frames {
+            let delay = SimDuration::from_micros(delay_us);
+            ctx.transmit_delayed(0, Bytes::from(vec![tag; len]), delay);
+        }
+    }
+
+    /// The leave instant costs the event heap nothing: a `Scheduled` is
+    /// the seven words it was (a word more read +3 % on `bulk_stream`'s
+    /// and `conn_churn`'s host time, nine pairs of ten).
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_event_in_flight_is_seven_words() {
+        assert_eq!(std::mem::size_of::<Scheduled>(), 56);
+    }
+
+    #[test]
+    fn killed_node_transmits_only_what_had_left_it() {
+        let run = || {
+            let (mut sim, a, b) = sender_and_log(10, false);
+            // Leave at 0, 5 and 50 µs; the kill falls at 7 µs.
+            sim.with::<Echo, _>(a, |_, ctx| {
+                hand_over(ctx, &[(0, 1, 0), (1, 1, 5), (2, 1, 50)])
+            });
+            sim.run_until(SimTime::from_nanos(7_000));
+            sim.kill(a);
+            assert!(sim.run_until_idle(100));
+            let seen = sim.with::<Log, _>(b, |log, _| log.0.clone());
+            (seen, sim.events_processed())
+        };
+        let (seen, events) = run();
+        assert_eq!(seen, [(10, 0), (15, 1)], "on the wire at the kill, or not");
+        assert_eq!(run().1, events);
+    }
+
+    #[test]
+    fn recall_moves_the_survivors_up_and_frees_the_wire() {
+        let (mut sim, a, b) = sender_and_log(1, false);
+        let telemetry = Telemetry::new();
+        sim.set_telemetry(telemetry.clone());
+        sim.set_trace_enabled(true);
+        // One frame every 10 µs; at 5 µs the odd ones are taken back.
+        let queue: Vec<_> = (0..5).map(|i| (i, 1, 10 * (u64::from(i) + 1))).collect();
+        sim.with::<Echo, _>(a, |_, ctx| hand_over(ctx, &queue));
+        sim.run_until(SimTime::from_nanos(5_000));
+        sim.with::<Echo, _>(a, |_, ctx| {
+            let (frames, freed) = ctx.recall(0, |f| f[0] % 2 == 1);
+            assert_eq!((frames, freed), (2, SimDuration::from_micros(20)));
+            // Handed over now, it waits for the wire behind the last
+            // survivor and no longer.
+            hand_over(ctx, &[(9, 1, 0)]);
+        });
+        sim.run_until(SimTime::from_nanos(35_000));
+        // Frame 0 had 5 µs of its service left; 2 and 4 keep their 10.
+        let seen = sim.with::<Log, _>(b, |log, _| std::mem::take(&mut log.0));
+        assert_eq!(seen, [(11, 0), (21, 2), (31, 4), (31, 9)]);
+
+        // Everything taken back: the next frame leaves now, not behind
+        // the hole.
+        sim.with::<Echo, _>(a, |_, ctx| {
+            hand_over(ctx, &[(5, 1, 10), (6, 1, 20), (7, 1, 30)]);
+            let (frames, freed) = ctx.recall(0, |_| true);
+            assert_eq!((frames, freed), (3, SimDuration::from_micros(30)));
+            hand_over(ctx, &[(9, 1, 0)]);
+        });
+        assert!(sim.run_until_idle(100));
+        sim.with::<Log, _>(b, |log, _| assert_eq!(log.0, [(36, 9)]));
+
+        let snap = telemetry.registry.snapshot(sim.now().as_nanos());
+        assert_eq!(snap.counter("net.n0.p0.drops.withdrawn"), Some(5));
+        let withdrawn = |e: &&TraceEntry| e.kind == TraceKind::Withdrawn { port: 0 };
+        assert_eq!(sim.take_trace().iter().filter(withdrawn).count(), 5);
+    }
+
+    #[test]
+    fn recalled_survivor_does_not_pass_the_frame_ahead_of_it() {
+        // 100 bytes hold the wire from 10 to 110 µs; three 10-byte frames
+        // queue behind them, 50 µs of service each, and a fourth after
+        // those. With the three gone the fourth is ready at 60 µs and
+        // still crosses after the 100 bytes.
+        let (mut sim, a, b) = sender_and_log(0, true);
+        sim.with::<Echo, _>(a, |_, ctx| {
+            let small = |tag, delay_us| (tag, 10, delay_us);
+            let queue = [small(1, 60), small(2, 110), small(3, 160), small(4, 210)];
+            hand_over(ctx, &[(0, 100, 10)]);
+            hand_over(ctx, &queue);
+            let (frames, freed) = ctx.recall(0, |f| (1..=3).contains(&f[0]));
+            assert_eq!((frames, freed), (3, SimDuration::from_micros(150)));
+            hand_over(ctx, &[(9, 10, 0)]);
+        });
+        assert!(sim.run_until_idle(100));
+        sim.with::<Log, _>(b, |log, _| {
+            assert_eq!(log.0, [(110, 0), (120, 4), (130, 9)])
+        });
     }
 
     #[test]

@@ -135,6 +135,13 @@ impl AddAssign<SimDuration> for SimTime {
     }
 }
 
+impl Sub<SimDuration> for SimTime {
+    type Output = SimTime;
+    fn sub(self, rhs: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_sub(rhs.0))
+    }
+}
+
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     fn sub(self, rhs: SimTime) -> SimDuration {

@@ -36,6 +36,12 @@ pub enum TraceKind {
         /// Egress port.
         port: usize,
     },
+    /// Frame taken back before it left the device: its `Tx` entry,
+    /// stamped ahead at hand-off, did not happen.
+    Withdrawn {
+        /// Egress port.
+        port: usize,
+    },
     /// Free-form device annotation.
     Note(String),
 }
@@ -187,12 +193,22 @@ mod tests {
                 kind: TraceKind::Rx { port: 3 },
                 frame: Some(frame.clone()),
             },
+            TraceEntry {
+                at: SimTime::from_nanos(13),
+                node: 1,
+                kind: TraceKind::Withdrawn { port: 0 },
+                frame: Some(frame.clone()),
+            },
         ];
         let file = to_pcapng(&entries, |_| true);
         let back = tcpfo_wire::pcapng::read_packets(&file).expect("well-formed");
-        assert_eq!(back.len(), 2, "frameless entries are skipped");
+        assert_eq!(back.len(), 3, "frameless entries are skipped");
         assert_eq!(back[0].ts_ns, 5);
         assert_eq!(back[1].ts_ns, 12);
+        assert!(entries[3].summary().contains("Withdrawn"), "labelled");
+        // The testbeds' captures ask for `Tx` or `Rx` records only.
+        let tx_only = to_pcapng(&entries, |e| matches!(e.kind, TraceKind::Tx { .. }));
+        assert_eq!(tcpfo_wire::pcapng::read_packets(&tx_only).unwrap().len(), 1);
         let rx_only = to_pcapng(&entries, |e| matches!(e.kind, TraceKind::Rx { .. }));
         assert_eq!(tcpfo_wire::pcapng::read_packets(&rx_only).unwrap().len(), 1);
     }

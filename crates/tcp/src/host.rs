@@ -280,6 +280,20 @@ impl HostNet {
         self.cpu_free_at.max(now).duration_since(now)
     }
 
+    /// Takes back every frame for `ip`'s link address that the modelled
+    /// CPU has not released yet and gives the CPU their slots: what stays
+    /// queued leaves that much sooner. Returns frames and time freed. For
+    /// a caller that knows nobody listens there any more (§5: a dead peer).
+    pub fn withdraw_frames_to(&mut self, ip: Ipv4Addr, ctx: &mut Ctx<'_>) -> (u64, SimDuration) {
+        let Some(mac) = self.arp_cache.get(&ip) else {
+            return (0, SimDuration::ZERO);
+        };
+        let (frames, freed) = ctx.recall(0, |frame| frame.starts_with(&mac.0));
+        self.cpu_free_at = self.cpu_free_at - freed;
+        self.frames_sent -= frames;
+        (frames, freed)
+    }
+
     /// Broadcasts a gratuitous ARP for `ip` (IP takeover, §5 step 5).
     pub fn gratuitous_arp(&mut self, ip: Ipv4Addr, ctx: &mut Ctx<'_>) {
         let g = ArpPacket::gratuitous(self.mac, ip);
@@ -955,6 +969,38 @@ mod tests {
                 "server states: {states:?}"
             );
         });
+    }
+
+    /// Five datagrams queued behind the modelled CPU, three of them for
+    /// a peer that is gone: taking those back leaves exactly the two
+    /// slots the others need, and only those two cross the segment.
+    #[test]
+    fn withdrawn_frames_give_the_cpu_their_slots_back() {
+        let ip = |i| Ipv4Addr::new(10, 0, 0, i);
+        let mut sim = Simulator::new(11);
+        let hub = sim.add_device(Box::new(tcpfo_net::hub::Hub::new("hub", 3, 100_000_000)));
+        for i in 1..=3u8 {
+            let cfg = HostConfig::new("h", MacAddr::from_index(i.into()), ip(i));
+            let host = spawn_host(&mut sim, Host::new(cfg));
+            sim.connect((hub, (i - 1).into()), (host, 0), LinkParams::attachment());
+        }
+        sim.with::<Host, _>(hub + 1, |h, ctx| {
+            let (net, now) = (h.net_mut(), ctx.now());
+            for i in [2, 3, 2, 3, 2] {
+                net.prime_arp(ip(i), MacAddr::from_index(i.into()));
+                let datagram = Ipv4Packet::new(ip(1), ip(i), 253, Bytes::from(vec![0; 1000]));
+                net.send_ip(datagram, ctx);
+            }
+            let slot = SimDuration::from_nanos(net.transmit_backlog(now).as_nanos() / 5);
+            assert!(slot > SimDuration::ZERO);
+            let (frames, freed) = net.withdraw_frames_to(ip(2), ctx);
+            assert_eq!((frames, freed), (3, slot.saturating_mul(3)));
+            assert_eq!(net.transmit_backlog(now), slot.saturating_mul(2));
+            assert_eq!(net.frames_sent, 2);
+            assert_eq!(net.withdraw_frames_to(ip(9), ctx).0, 0, "no such neighbour");
+        });
+        sim.run_for(SimDuration::from_millis(1));
+        sim.with::<tcpfo_net::hub::Hub, _>(hub, |h, _| assert_eq!(h.forwarded(), 2));
     }
 
     #[test]

@@ -629,10 +629,12 @@ impl TcpStack {
     /// The other thing only the control plane knows at an IP takeover
     /// (§5): everything these sockets have in flight was diverted to a
     /// replica that is dead, so the acknowledgment the timer waits for
-    /// cannot come. The next [`TcpStack::on_tick`] runs the ordinary
-    /// expiry — go-back-N from `snd_una`, back-off, window collapse —
-    /// instead of one backed-off RTO later. A socket with nothing in
-    /// flight has no timer armed and is left alone.
+    /// cannot come. [`TcpStack::on_tick`] runs the ordinary expiry —
+    /// go-back-N from `snd_una`, back-off, window collapse — here and
+    /// now, not one backed-off RTO later and not at the next tick: an ACK
+    /// of older data landing before it restarts the timer and undoes the
+    /// kick. A socket with nothing in flight has no timer armed and is
+    /// left alone.
     pub fn expire_failover_retransmission_timers(&mut self, now: SimTime) -> usize {
         let mut expired = 0;
         for (idx, slot) in self.sockets.iter_mut().enumerate() {
@@ -646,6 +648,7 @@ impl TcpStack {
             }
             expired += 1;
         }
+        self.on_tick(now);
         expired
     }
 
@@ -1057,7 +1060,6 @@ mod tests {
         let later = now + SimDuration::from_millis(30);
         assert!(later < rtx_at);
         assert_eq!(server.expire_failover_retransmission_timers(later), 1);
-        assert_eq!(deadline(&server, busy), Some(later));
         assert_eq!(deadline(&server, idle), None, "nothing in flight, no timer");
         assert_eq!(
             deadline(&server, plain),
@@ -1065,16 +1067,17 @@ mod tests {
             "not a failover socket"
         );
 
-        // The next tick takes the ordinary expiry path for that one
-        // socket (and the debug assertion on the timer index holds).
-        let tick = later + SimDuration::from_millis(1);
-        server.on_tick(tick);
+        // The kick itself took the ordinary expiry path for that one
+        // socket (and the debug assertion on the timer index held).
         assert_eq!(server.timer_visits, 1);
         assert_eq!(server.total_rto_expiries(), 1);
         let out = server.peek_outbox();
         assert_eq!(out.len(), 1);
         assert_eq!(&out[0].2.payload[..], b"replicated");
-        assert_eq!(deadline(&server, busy), Some(tick + rto), "re-armed");
+        assert_eq!(deadline(&server, busy), Some(later + rto), "re-armed");
+        let tick = later + SimDuration::from_millis(1);
+        server.on_tick(tick);
+        assert_eq!(server.timer_visits, 1, "nothing left for the next tick");
         // The plain socket's timer runs its course.
         server.take_outbox();
         server.on_tick(rtx_at);
@@ -1084,6 +1087,46 @@ mod tests {
         let mut quiet = TcpStack::new(cfg(9));
         assert_eq!(quiet.expire_failover_retransmission_timers(tick), 0);
         quiet.on_tick(tick);
+    }
+
+    /// The client's delayed ACK for the last segment it got before the
+    /// kill lands some 40 ms after it — on the commit. An ACK that
+    /// advances `snd_una` restarts the retransmission timer, so a kick
+    /// that only marked the timer due and waited for the next tick was
+    /// undone by it: a full backed-off RTO before the lost segment went
+    /// out again.
+    #[test]
+    fn kick_retransmits_before_a_late_ack_can_restart_the_timer() {
+        let now = SimTime::ZERO;
+        let mut server = TcpStack::new(cfg(7));
+        let listener = server.listen(80, true).unwrap();
+        let mut client = TcpStack::new(cfg(3));
+        let to = SocketAddr::new(B_IP, 80);
+        client.connect(A, to, false, now).unwrap();
+        exchange(&mut client, &mut server, now);
+        let ss = server.accept(listener).unwrap();
+        // "heard" reaches the client, whose ACK is still on its way;
+        // "diverted" went to the peer that is gone.
+        server.send(ss, b"heard", now).unwrap();
+        for seg in server.take_outbox() {
+            client.on_segment(&seg, now);
+        }
+        let late_ack = client.take_outbox();
+        assert_eq!(late_ack.len(), 1);
+        server.send(ss, b"diverted", now).unwrap();
+        server.take_outbox();
+
+        let kick = now + SimDuration::from_millis(45);
+        assert_eq!(server.expire_failover_retransmission_timers(kick), 1);
+        server.on_segment(&late_ack[0], kick + SimDuration::from_micros(64));
+        server.on_tick(kick + SimDuration::from_millis(1));
+        let resent: Vec<u8> = (server.peek_outbox().iter())
+            .flat_map(|(_, _, seg)| seg.payload.to_vec())
+            .collect();
+        assert!(
+            resent.ends_with(b"diverted"),
+            "the lost segment waits for a whole RTO: resent {resent:?}"
+        );
     }
 
     #[test]

@@ -77,27 +77,38 @@ fn assert_waterfall(hub: &Telemetry, must_see: &[&str]) {
 
 /// What a head failure leaves on the successor's flight path, in the
 /// control plane's one vocabulary — the same at every depth.
-const TAKEOVER: [&str; 8] = [
+const TAKEOVER: [&str; 9] = [
     "hb.miss",
     "peer_dead",
     "promote",
     "promotion",
+    "takeover.withdraw",
     "takeover.arp",
     "takeover.retransmit",
     "promoted",
     "first_client_byte",
 ];
 
-/// The retransmit step sits under the `promotion` span at the instant of
-/// the ARP, and (the download being mid-stream) kicked the one flow.
+/// The recall and the retransmit step sit under the `promotion` span at
+/// the instant of the ARP, one before it and one after; the download
+/// being mid-stream, the one flow was kicked, with nothing queued ahead
+/// of its retransmission (one flow's window is long gone from the
+/// successor's queue by the time the detector fires — the loaded scenes
+/// of `tests/failover.rs` are where the recall finds frames).
 fn assert_kicked(hub: &Telemetry) {
     let records = hub.trace.records();
-    let named = |name: &str| records.iter().find(|r| r.name == name).unwrap();
-    let (kick, arp) = (named("takeover.retransmit"), named("takeover.arp"));
-    assert_eq!(kick.parent, named("promotion").id);
-    assert_eq!(kick.start_ns, arp.start_ns);
+    let at = |name: &str| records.iter().position(|r| r.name == name).unwrap();
+    let steps = ["takeover.withdraw", "takeover.arp", "takeover.retransmit"].map(at);
+    assert!(steps.is_sorted(), "recall, then the ARP, then the kick");
+    let [recall, arp, kick] = steps.map(|i| &records[i]);
+    let promotion = &records[at("promotion")];
+    for step in [recall, kick] {
+        assert_eq!(step.parent, promotion.id);
+        assert_eq!(step.start_ns, arp.start_ns);
+    }
+    assert_eq!(recall.args, [Some(("frames", 0)), Some(("freed_ns", 0))]);
     assert_eq!(kick.args[0], Some(("flows", 1)));
-    assert!(matches!(kick.args[1], Some(("backlog_ns", _))));
+    assert_eq!(kick.args[1], Some(("backlog_ns", 0)));
 }
 
 #[test]
