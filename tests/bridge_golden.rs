@@ -11,7 +11,8 @@
 
 use bytes::Bytes;
 use tcp_failover::core::flow::FlowTableConfig;
-use tcp_failover::core::{FailoverConfig, PrimaryBridge, PrimaryMode};
+use tcp_failover::core::{ChainBridge, FailoverConfig, PrimaryBridge, PrimaryMode};
+use tcp_failover::net::time::{SimDuration, SimTime};
 use tcp_failover::net::ShardExecutor;
 use tcp_failover::tcp::filter::{AddressedSegment, BatchDir, FilterOutput};
 use tcp_failover::telemetry::{HealthObservatory, LatencyObservatory};
@@ -22,6 +23,9 @@ const A_C: Ipv4Addr = Ipv4Addr::new(192, 168, 0, 9);
 const A_T: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
 const A_P: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const A_S: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+/// A middle link's own address (`A_P` is then the VIP its upstream, the
+/// head, owns; `A_S` its downstream).
+const A_L: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 5);
 const SEED: u64 = 0x60_1DE2;
 
 const GOLDEN_DIGEST: u64 = 0x01c1_7c48_a82f_9e7a;
@@ -32,6 +36,16 @@ const GOLDEN_STATS: [u64; 13] = [39, 17_999, 4, 3, 29, 2, 64, 3, 3, 3, 3, 1, 1];
 const GOLDEN_LAG: [u64; 4] = [2733, 3, 0, 36];
 /// Flow-table occupancy / evictions / reaps.
 const GOLDEN_TABLE: [u64; 3] = [4, 3, 1];
+/// The same script through a middle link (own address `A_L`, diverting
+/// up to the head at `A_P`), captured from the `ChainBridge` wrapper
+/// before the merge engine learned its chain role.
+const GOLDEN_MIDDLE_DIGEST: u64 = 0x9d3e_3bdd_5dd3_3c53;
+/// Through that link after `promote_to_head`.
+const GOLDEN_PROMOTED_DIGEST: u64 = 0xacfa_e234_50b7_2bb4;
+/// Diverted upstream / ingress rewrites / divert fallbacks, middle and
+/// promoted.
+const GOLDEN_MIDDLE_CHAIN: [u64; 3] = [63, 38, 0];
+const GOLDEN_PROMOTED_CHAIN: [u64; 3] = [0, 38, 0];
 
 struct SplitMix64(u64);
 
@@ -79,6 +93,9 @@ impl Digest {
 /// where each party's stream stands.
 #[derive(Clone, Copy)]
 struct Flow {
+    /// The address the bridge's own TCP layer sends from and the
+    /// downstream diverts to: `A_P` on a head that owns the VIP.
+    own: Ipv4Addr,
     peer: Ipv4Addr,
     peer_port: u16,
     server_port: u16,
@@ -94,8 +111,9 @@ struct Flow {
 type Step = (BatchDir, AddressedSegment);
 
 impl Flow {
-    fn client(rng: &mut SplitMix64, port: u16) -> Flow {
+    fn client(rng: &mut SplitMix64, own: Ipv4Addr, port: u16) -> Flow {
         Flow {
+            own,
             peer: A_C,
             peer_port: port,
             server_port: 80,
@@ -108,20 +126,20 @@ impl Flow {
     }
 
     fn sent_by_primary(&self, seg: TcpSegment) -> Step {
-        let bytes = seg.encode(A_P, self.peer);
+        let bytes = seg.encode(self.own, self.peer);
         (
             BatchDir::Outbound,
-            AddressedSegment::new(A_P, self.peer, bytes),
+            AddressedSegment::new(self.own, self.peer, bytes),
         )
     }
 
     /// As the secondary bridge diverts it: orig-dest option appended,
-    /// pseudo-header destination rewritten to the primary.
+    /// pseudo-header destination rewritten to the bridge's host.
     fn sent_by_secondary(&self, seg: TcpSegment) -> Step {
         let bytes = seg.encode(A_S, self.peer);
         let mut p = SegmentPatcher::new(bytes, A_S, self.peer);
         p.push_orig_dest_option(self.peer, self.peer_port);
-        p.set_pseudo_dst(A_P);
+        p.set_pseudo_dst(self.own);
         let (bytes, src, dst) = p.finish();
         (BatchDir::Inbound, AddressedSegment::new(src, dst, bytes))
     }
@@ -239,21 +257,67 @@ fn pattern(flow: u32, off: u32, len: usize) -> Bytes {
     Bytes::from(v)
 }
 
-struct Run {
-    bridge: PrimaryBridge,
+/// What the script drives: the merge bridge itself, or the chain
+/// wrapper around one.
+trait Scripted {
+    fn merge(&mut self) -> &mut PrimaryBridge;
+    fn batch(&mut self, batch: Vec<Step>, now: u64, exec: &ShardExecutor) -> Vec<FilterOutput>;
+    /// §6; the returned output is routed as every other output is.
+    fn downstream_failed(&mut self, now: u64) -> FilterOutput;
+    /// Diverted upstream / ingress rewrites / divert fallbacks.
+    fn chain_counters(&self) -> [u64; 3];
+}
+
+impl Scripted for PrimaryBridge {
+    fn merge(&mut self) -> &mut PrimaryBridge {
+        self
+    }
+    fn batch(&mut self, batch: Vec<Step>, now: u64, exec: &ShardExecutor) -> Vec<FilterOutput> {
+        self.process_batch(batch, now, exec)
+    }
+    fn downstream_failed(&mut self, now: u64) -> FilterOutput {
+        self.secondary_failed(now)
+    }
+    fn chain_counters(&self) -> [u64; 3] {
+        [0; 3]
+    }
+}
+
+impl Scripted for ChainBridge {
+    fn merge(&mut self) -> &mut PrimaryBridge {
+        self.inner_mut()
+    }
+    fn batch(&mut self, batch: Vec<Step>, now: u64, exec: &ShardExecutor) -> Vec<FilterOutput> {
+        self.process_batch(batch, now, exec)
+    }
+    fn downstream_failed(&mut self, now: u64) -> FilterOutput {
+        ChainBridge::downstream_failed(self, SimTime::ZERO + SimDuration::from_nanos(now))
+    }
+    fn chain_counters(&self) -> [u64; 3] {
+        let s = &self.stats;
+        [s.diverted_upstream, s.ingress_rewrites, s.divert_fallbacks]
+    }
+}
+
+fn config() -> FailoverConfig {
+    FailoverConfig::from_ports([80, 20])
+}
+
+struct Run<B> {
+    bridge: B,
     exec: ShardExecutor,
     rng: SplitMix64,
     now: u64,
     digest: Digest,
 }
 
-impl Run {
-    fn new(observed: bool) -> Run {
-        let mut bridge = PrimaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80, 20]));
-        bridge.set_flow_config(FlowTableConfig::new(1, 4));
+impl<B: Scripted> Run<B> {
+    fn new(mut bridge: B, observed: bool) -> Run<B> {
+        bridge.merge().set_flow_config(FlowTableConfig::new(1, 4));
         if observed {
-            bridge.set_health(Some(Box::new(HealthObservatory::new())));
-            bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
+            let merge = bridge.merge();
+            merge.set_health(Some(Box::new(HealthObservatory::new())));
+            merge.set_latency(Some(Box::new(LatencyObservatory::new())));
         }
         Run {
             bridge,
@@ -268,7 +332,7 @@ impl Run {
     /// many segments came out.
     fn feed(&mut self, batch: Vec<Step>) -> usize {
         self.now += 1_000_000;
-        let outs = self.bridge.process_batch(batch, self.now, &self.exec);
+        let outs = self.bridge.batch(batch, self.now, &self.exec);
         outs.iter().for_each(|o| self.digest.output(o));
         outs.iter().map(|o| o.to_wire.len() + o.to_tcp.len()).sum()
     }
@@ -318,7 +382,7 @@ impl Run {
 
     /// §8: both replicas close, the peer closes, both acknowledge.
     fn close(&mut self, f: &mut Flow) {
-        let closed = self.bridge.stats.conns_closed;
+        let closed = self.bridge.merge().stats.conns_closed;
         self.feed(vec![
             f.p_bare(0, TcpFlags::FIN),
             f.s_bare(0, TcpFlags::FIN),
@@ -329,7 +393,11 @@ impl Run {
             f.p_bare(1, TcpFlags::EMPTY),
             f.s_bare(1, TcpFlags::EMPTY),
         ]);
-        assert_eq!(self.bridge.stats.conns_closed, closed + 1, "§8 teardown");
+        assert_eq!(
+            self.bridge.merge().stats.conns_closed,
+            closed + 1,
+            "§8 teardown"
+        );
     }
 
     fn next_len(&mut self) -> u32 {
@@ -337,11 +405,18 @@ impl Run {
     }
 }
 
-/// Runs the script; returns (digest, stats, lag ledger, table stats).
-fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
-    let mut r = Run::new(observed);
+/// Runs the script through `bridge`, whose host sends from `own`;
+/// returns (digest, stats, lag ledger, table stats, chain counters).
+fn script<B: Scripted>(
+    bridge: B,
+    own: Ipv4Addr,
+    observed: bool,
+) -> (u64, [u64; 13], [u64; 4], [u64; 3], [u64; 3]) {
+    let mut r = Run::new(bridge, observed);
     let mut rng = SplitMix64(SEED ^ 0xF10E);
-    let mut flows: Vec<Flow> = (0..4).map(|i| Flow::client(&mut rng, 6000 + i)).collect();
+    let mut flows: Vec<Flow> = (0..4)
+        .map(|i| Flow::client(&mut rng, own, 6000 + i))
+        .collect();
 
     // Handshakes: S's SYN+ACK ahead of P's on one flow, a SYN+ACK
     // retransmitted after the merge on another.
@@ -374,27 +449,27 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
             s.1.bytes = Bytes::from(raw);
             r.feed(vec![f.p_data(f.sent, 64), s]);
             f.sent += 64;
-            assert_eq!(r.bridge.stats.mismatched_bytes, 64);
+            assert_eq!(r.bridge.merge().stats.mismatched_bytes, 64);
         }
     }
 
     // §4: both replicas retransmit bytes already released.
     let f = flows[0];
     assert_eq!(r.feed(vec![f.p_data(0, 200), f.s_data(100, 300)]), 2);
-    assert_eq!(r.bridge.stats.retransmissions_forwarded, 3);
+    assert_eq!(r.bridge.merge().stats.retransmissions_forwarded, 3);
 
     // Replica re-ACK: the peer sends data, both replicas acknowledge
     // it, then S repeats its acknowledgment.
     let f = &mut flows[1];
     r.feed(vec![f.peer_seg(f.sent, false, 700, TcpFlags::PSH)]);
-    let acks = r.bridge.stats.empty_acks;
+    let acks = r.bridge.merge().stats.empty_acks;
     let emitted = r.feed(vec![
         f.p_bare(0, TcpFlags::EMPTY),
         f.s_bare(0, TcpFlags::EMPTY),
         f.s_bare(0, TcpFlags::EMPTY),
     ]);
     assert_eq!(emitted, 2, "min(ack) advance, then the forwarded re-ACK");
-    assert_eq!(r.bridge.stats.empty_acks, acks + 2);
+    assert_eq!(r.bridge.merge().stats.empty_acks, acks + 2);
 
     // LRU eviction at capacity 4: flow 0 is the least recently used
     // once the others are touched; a fifth connection resets it.
@@ -405,28 +480,28 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
         })
         .collect();
     r.feed(touches);
-    flows.push(Flow::client(&mut rng, 6004));
+    flows.push(Flow::client(&mut rng, own, 6004));
     let f4 = flows[4];
     assert_eq!(r.feed(vec![f4.peer_syn()]), 2, "SYN up, RST to the evicted");
-    assert_eq!(r.bridge.stats.evicted_rsts, 1);
+    assert_eq!(r.bridge.merge().stats.evicted_rsts, 1);
     // The evicted flow's replica output now finds no state, and data
     // ahead of the merged handshake cannot be normalised.
-    let drops = r.bridge.stats.drops;
+    let drops = r.bridge.merge().stats.drops;
     r.feed(vec![
         flows[0].p_data(flows[0].sent, 10),
         f4.p_synack(),
         f4.p_data(0, 10),
     ]);
-    assert_eq!(r.bridge.stats.drops, drops + 2);
+    assert_eq!(r.bridge.merge().stats.drops, drops + 2);
     r.feed(vec![
         f4.s_synack(),
         flows[4].peer_seg(0, false, 0, TcpFlags::EMPTY),
     ]);
 
     // Replica RST: forwarded in client sequence space, state dropped.
-    let live = r.bridge.conn_count();
+    let live = r.bridge.merge().conn_count();
     assert_eq!(r.feed(vec![flows[1].p_bare(0, TcpFlags::RST)]), 1);
-    assert_eq!(r.bridge.conn_count(), live - 1);
+    assert_eq!(r.bridge.merge().conn_count(), live - 1);
 
     // §8 teardown, then late FINs from both sides and late data.
     let mut f2 = flows[2];
@@ -444,10 +519,10 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
         f2.p_data(0, 50),
     ]);
     assert_eq!(late, 2, "each late FIN is ACKed from the tombstone");
-    assert_eq!(r.bridge.stats.late_fin_acks, 2);
+    assert_eq!(r.bridge.merge().stats.late_fin_acks, 2);
 
     // Tuple reuse: a fresh SYN supersedes the tombstone in place.
-    flows[2] = Flow::client(&mut rng, 6002);
+    flows[2] = Flow::client(&mut rng, own, 6002);
     r.establish(&flows[2], false);
     let mut f2 = flows[2];
     r.feed(vec![f2.peer_seg(0, false, 0, TcpFlags::EMPTY)]);
@@ -461,10 +536,11 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
     r.now += 61_000_000_000;
     let sent = flows[4].sent;
     r.feed(vec![flows[4].peer_seg(sent, false, 0, TcpFlags::EMPTY)]);
-    assert_eq!(r.bridge.stats.flows_reaped, 1);
+    assert_eq!(r.bridge.merge().stats.flows_reaped, 1);
 
     // §7.2: both replicas open toward a back-end, S's SYN first.
     let mut ft = Flow {
+        own,
         peer: A_T,
         peer_port: 7000,
         server_port: 20,
@@ -501,7 +577,7 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
 
     // §6 mid-stream: P ahead of S on two flows, a handshake only P has
     // answered on a third; then the secondary dies.
-    let f6 = Flow::client(&mut rng, 6006);
+    let f6 = Flow::client(&mut rng, own, 6006);
     r.feed(vec![
         flows[2].p_data(flows[2].sent, 1500),
         flows[2].p_data(flows[2].sent + 1500, 900),
@@ -510,13 +586,19 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
         f6.peer_syn(),
         f6.p_synack(),
     ]);
-    let held = r.bridge.observers().health.as_deref().map_or([0; 2], |h| {
-        [h.lag.unmatched_bytes(), h.lag.unmatched_segments()]
-    });
+    let held = r
+        .bridge
+        .merge()
+        .observers()
+        .health
+        .as_deref()
+        .map_or([0; 2], |h| {
+            [h.lag.unmatched_bytes(), h.lag.unmatched_segments()]
+        });
     r.now += 1_000_000;
-    let flush = r.bridge.secondary_failed(r.now);
+    let flush = r.bridge.downstream_failed(r.now);
     r.digest.output(&flush);
-    assert_eq!(r.bridge.mode(), PrimaryMode::SecondaryFailed);
+    assert_eq!(r.bridge.merge().mode(), PrimaryMode::SecondaryFailed);
     assert_eq!(
         flush.to_wire.len(),
         5,
@@ -526,9 +608,9 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
     // Degraded pass-through both ways, the dead secondary ignored, and
     // connections born degraded on either side (the second insert finds
     // the table full and evicts its least recently used residue).
-    let f7 = Flow::client(&mut rng, 6007);
+    let f7 = Flow::client(&mut rng, own, 6007);
     let sent = flows[2].sent;
-    let evicted = r.bridge.stats.evicted_flows;
+    let evicted = r.bridge.merge().stats.evicted_flows;
     r.feed(vec![
         flows[2].p_data(sent, 40),
         flows[2].peer_seg(sent + 40, false, 0, TcpFlags::EMPTY),
@@ -541,24 +623,25 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
                 .build(),
         ),
     ]);
-    assert_eq!(r.bridge.stats.evicted_flows, evicted + 1);
+    assert_eq!(r.bridge.merge().stats.evicted_flows, evicted + 1);
     assert_eq!(
-        r.bridge.stats.evicted_rsts, 1,
+        r.bridge.merge().stats.evicted_rsts,
+        1,
         "residue is evicted silently"
     );
 
     // Reintegration: new connections replicate again.
-    r.bridge.reintegrate(r.now);
-    let f8 = Flow::client(&mut rng, 6008);
+    r.bridge.merge().reintegrate(r.now);
+    let f8 = Flow::client(&mut rng, own, 6008);
     r.establish(&f8, true);
 
-    for row in r.bridge.connection_rows() {
+    for row in r.bridge.merge().connection_rows() {
         r.digest.eat(&row.client.port.to_be_bytes());
         r.digest.eat(&row.send_next.to_be_bytes());
         r.digest.eat(&(row.pq_bytes as u32).to_be_bytes());
         r.digest.eat(&(row.sq_bytes as u32).to_be_bytes());
     }
-    let s = &r.bridge.stats;
+    let s = r.bridge.merge().stats.clone();
     let stats = [
         s.merged_segments,
         s.merged_bytes,
@@ -574,16 +657,27 @@ fn script(observed: bool) -> (u64, [u64; 13], [u64; 4], [u64; 3]) {
         s.evicted_rsts,
         s.flows_reaped,
     ];
-    let lag = r.bridge.observers().health.as_deref().map_or([0; 4], |h| {
-        [held[0], held[1], h.lag.unmatched_bytes(), h.lag.releases()]
-    });
-    let t = r.bridge.flow_stats();
-    (r.digest.0, stats, lag, [t.occupancy, t.evicted, t.reaped])
+    let lag = r
+        .bridge
+        .merge()
+        .observers()
+        .health
+        .as_deref()
+        .map_or([0; 4], |h| {
+            [held[0], held[1], h.lag.unmatched_bytes(), h.lag.releases()]
+        });
+    let t = r.bridge.merge().flow_stats();
+    let table = [t.occupancy, t.evicted, t.reaped];
+    (r.digest.0, stats, lag, table, r.bridge.chain_counters())
+}
+
+fn pair_head() -> PrimaryBridge {
+    PrimaryBridge::new(A_P, A_S, config())
 }
 
 #[test]
 fn scripted_run_matches_parent_capture() {
-    let (digest, stats, _, table) = script(false);
+    let (digest, stats, _, table, _) = script(pair_head(), A_P, false);
     assert_eq!(stats, GOLDEN_STATS);
     assert_eq!(table, GOLDEN_TABLE);
     assert_eq!(digest, GOLDEN_DIGEST, "an output byte moved");
@@ -591,9 +685,55 @@ fn scripted_run_matches_parent_capture() {
 
 #[test]
 fn observers_do_not_move_it_and_the_lag_ledger_matches() {
-    let (digest, stats, lag, table) = script(true);
+    let (digest, stats, lag, table, _) = script(pair_head(), A_P, true);
     assert_eq!(stats, GOLDEN_STATS);
     assert_eq!(table, GOLDEN_TABLE);
     assert_eq!(digest, GOLDEN_DIGEST);
     assert_eq!(lag, GOLDEN_LAG);
+}
+
+// ---------------------------------------------------------------------
+// The same script through a chain link. The merge engine sees the same
+// streams (so the counters, the table and the lag ledger are the
+// pair's); what differs is where its output is addressed.
+// ---------------------------------------------------------------------
+
+/// A middle link at `A_L`: merges against `A_S` below it, diverts up
+/// to the head, which owns the VIP `A_P`.
+fn middle() -> ChainBridge {
+    ChainBridge::new(A_P, A_L, Some(A_P), A_S, config())
+}
+
+#[test]
+fn a_head_built_as_a_link_is_the_pair_head() {
+    let head = ChainBridge::new(A_P, A_P, None, A_S, config());
+    assert!(head.is_head());
+    let (digest, stats, _, table, chain) = script(head, A_P, false);
+    assert_eq!(stats, GOLDEN_STATS);
+    assert_eq!(table, GOLDEN_TABLE);
+    assert_eq!(chain, [0; 3], "a head that owns the VIP routes nothing");
+    assert_eq!(digest, GOLDEN_DIGEST);
+}
+
+#[test]
+fn middle_link_matches_parent_capture() {
+    let (digest, stats, lag, table, chain) = script(middle(), A_L, true);
+    assert_eq!(stats, GOLDEN_STATS);
+    assert_eq!(table, GOLDEN_TABLE);
+    assert_eq!(lag, GOLDEN_LAG);
+    assert_eq!(chain, GOLDEN_MIDDLE_CHAIN);
+    assert_eq!(digest, GOLDEN_MIDDLE_DIGEST, "an output byte moved");
+}
+
+#[test]
+fn promoted_link_matches_parent_capture() {
+    let mut link = middle();
+    link.promote_to_head();
+    assert!(link.is_head());
+    let (digest, stats, lag, table, chain) = script(link, A_L, true);
+    assert_eq!(stats, GOLDEN_STATS);
+    assert_eq!(table, GOLDEN_TABLE);
+    assert_eq!(lag, GOLDEN_LAG);
+    assert_eq!(chain, GOLDEN_PROMOTED_CHAIN);
+    assert_eq!(digest, GOLDEN_PROMOTED_DIGEST, "an output byte moved");
 }
