@@ -28,8 +28,7 @@ use tcpfo_apps::driver::RequestReplyClient;
 use tcpfo_apps::stream::SourceServer;
 use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
 use tcpfo_core::{
-    ChainBridge, ChainConfig, ChainController, ChainTestbed, PrimaryBridge, SecondaryBridge,
-    TakeoverState,
+    ChainConfig, ChainController, ChainTestbed, PrimaryBridge, SecondaryBridge, TakeoverState,
 };
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
@@ -546,8 +545,8 @@ fn chain(args: &[String]) -> i32 {
             }
             tb.sim.with::<Host, _>(node, |h, _| {
                 let f = h.filter_mut().as_any_mut();
-                if let Some(b) = f.downcast_mut::<ChainBridge>() {
-                    b.inner_mut().sync_telemetry(now);
+                if let Some(b) = f.downcast_mut::<PrimaryBridge>() {
+                    b.sync_telemetry(now);
                 } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
                     b.sync_telemetry(now);
                 }
@@ -595,7 +594,7 @@ fn render_chain_frame(
         }
         let (role, lag) = tb.sim.with::<Host, _>(node, |h, _| {
             let f = h.filter_mut().as_any_mut();
-            let (role, observers) = if let Some(b) = f.downcast_mut::<ChainBridge>() {
+            let (role, observers) = if let Some(b) = f.downcast_mut::<PrimaryBridge>() {
                 let role = if b.is_head() { "head" } else { "middle" };
                 (role, b.observers())
             } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {

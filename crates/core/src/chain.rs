@@ -7,13 +7,15 @@
 //!
 //! * the **tail** is exactly a [`SecondaryBridge`] diverting to its
 //!   upstream neighbour;
-//! * every **middle** link runs a [`ChainBridge`]: the primary-bridge
-//!   merge of its own TCP output against the stream diverted from
-//!   below, with the *merged* result diverted one hop up (carrying the
-//!   original destination option), plus the secondary-style ingress
-//!   rewrite of client datagrams to its own address;
-//! * the **head** is the same [`ChainBridge`] with no upstream — its
-//!   merged output goes to the client.
+//! * every other **link** is a [`PrimaryBridge`] with a role
+//!   ([`PrimaryBridge::link`]): the §3 merge of its own TCP output
+//!   against the stream diverted from below. A **middle** link diverts
+//!   the *merged* result one hop up (carrying the original destination
+//!   option) and, secondary-style, re-addresses client datagrams to its
+//!   own address; the **head** has no upstream — its merged output goes
+//!   to the client. Only segments of failover connections are routed
+//!   this way: a link's other traffic passes through untouched, as it
+//!   does through the pair's two bridges.
 //!
 //! The client-facing sequence space is the **tail's** space: each link
 //! normalises its own ISN against the merged stream from below, so the
@@ -60,9 +62,8 @@ use crate::detector::{advance_expected_seq, health_config, DetectorConfig, HB_RI
 use crate::flow::FlowTableConfig;
 use crate::observers::Observers;
 use crate::primary::{PrimaryBridge, PrimaryMode};
-use crate::reprovision::FlowHandoff;
 use crate::secondary::SecondaryBridge;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use std::any::Any;
 use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_net::ShardExecutor;
@@ -72,83 +73,24 @@ use tcpfo_telemetry::{
     Counter, FailoverPhase, HealthConfig, HealthMonitor, HealthScore, Scope, SpanTrack,
     StageLatency, Telemetry,
 };
-use tcpfo_wire::checksum::ChecksumDelta;
 use tcpfo_wire::heartbeat::{Heartbeat, PROTO_HEARTBEAT};
 use tcpfo_wire::ipv4::Ipv4Addr;
-use tcpfo_wire::tcp::{SegmentPatcher, OPT_KIND_ORIG_DEST, TCP_HEADER_LEN};
 
-/// Counters for the chain-specific plumbing.
-#[derive(Debug, Default, Clone)]
-pub struct ChainStats {
-    /// Merged segments diverted one hop up instead of to the client.
-    pub diverted_upstream: u64,
-    /// Client datagrams rewritten `vip → own` for the local stack.
-    pub ingress_rewrites: u64,
-    /// Segments that could not carry the orig-dest option (no header
-    /// room) and were forwarded undiverted. Zero in practice — the
-    /// merge bridge never emits more than 12 option bytes.
-    pub divert_fallbacks: u64,
-    /// Flows adopted from a reprovisioning handoff.
-    pub adopted_flows: u64,
-}
-
-/// The bridge run by the head and every middle link of a daisy chain.
-///
-/// A thin, allocation-free routing shell over a [`PrimaryBridge`]:
-/// per-connection state lives in its sharded `FlowTable`, and what
-/// watches this link is that bridge's [`Observers`].
-///
-/// # Example
+/// [`PrimaryBridge::link`] under the name a link had as a type of its
+/// own; `as_any_mut` hands out the bridge it holds. Pinned, like the
+/// four observer setters, by `benchmark/README.md` § What the benchmark
+/// calls; nothing else uses it and ROADMAP direction 2 deletes it.
 ///
 /// ```
 /// use tcpfo_core::{ChainBridge, FailoverConfig};
-/// use tcpfo_wire::ipv4::Ipv4Addr;
-///
-/// let vip = Ipv4Addr::new(10, 0, 0, 2);
-/// let own = Ipv4Addr::new(10, 0, 0, 3);
-/// let tail = Ipv4Addr::new(10, 0, 0, 4);
-/// // A middle link: merges its own output with the tail's diverted
-/// // stream and forwards the result to the head (the VIP owner).
-/// let mut link = ChainBridge::new(vip, own, Some(vip), tail, FailoverConfig::from_ports([80]));
-/// assert!(!link.is_head());
-/// // When the head dies, this link promotes and emits to the client.
-/// link.promote_to_head();
-/// assert!(link.is_head());
+/// let [vip, own, tail] = [2, 3, 4].map(|h| tcpfo_wire::ipv4::Ipv4Addr::new(10, 0, 0, h));
+/// let _middle = ChainBridge::new(vip, own, Some(vip), tail, FailoverConfig::from_ports([80]));
 /// ```
-pub struct ChainBridge {
-    /// The service address the client connects to.
-    vip: Ipv4Addr,
-    /// This replica's own address.
-    own: Ipv4Addr,
-    /// Next replica toward the head; `None` on the head itself.
-    upstream: Option<Ipv4Addr>,
-    /// Current downstream replica (our stream source).
-    downstream: Ipv4Addr,
-    /// The §3 merge machinery, configured to receive diverted segments
-    /// at `own` and to stamp client-facing output with the VIP.
-    inner: PrimaryBridge,
-    /// Chain-specific counters.
-    pub stats: ChainStats,
-    /// Recycled staging area for the inner bridge's output, so the
-    /// per-segment path never constructs a fresh `FilterOutput`.
-    scratch: FilterOutput,
-    /// Recycled buffer for diverted segments (the option insertion
-    /// grows the segment by 8 bytes, which would force the shared
-    /// `BytesMut` behind a [`SegmentPatcher`] to reallocate).
-    divert_buf: BytesMut,
-    /// Telemetry hub, for the first-client-byte timeline mark after a
-    /// promotion.
-    hub: Option<Telemetry>,
-    /// Set on promotion: the next client-bound payload release marks
-    /// [`FailoverPhase::FirstClientByte`].
-    watch_first_byte: bool,
-}
+#[derive(Debug)]
+pub struct ChainBridge(PrimaryBridge);
 
+#[allow(missing_docs)] // each is the `PrimaryBridge` method of its name
 impl ChainBridge {
-    /// Creates the bridge for one link.
-    ///
-    /// `upstream == None` makes this the head. `downstream` is the
-    /// neighbour whose diverted stream we merge against.
     pub fn new(
         vip: Ipv4Addr,
         own: Ipv4Addr,
@@ -156,294 +98,42 @@ impl ChainBridge {
         downstream: Ipv4Addr,
         config: FailoverConfig,
     ) -> Self {
-        let mut inner = PrimaryBridge::new(vip, downstream, config);
-        inner.set_divert_dst(own);
-        ChainBridge {
-            vip,
-            own,
-            upstream,
-            downstream,
-            inner,
-            stats: ChainStats::default(),
-            scratch: FilterOutput::empty(),
-            divert_buf: BytesMut::with_capacity(2048),
-            hub: None,
-            watch_first_byte: false,
-        }
+        ChainBridge(PrimaryBridge::link(vip, own, upstream, downstream, config))
     }
-
-    /// The merge machinery (stats, mode).
-    pub fn inner(&self) -> &PrimaryBridge {
-        &self.inner
-    }
-
-    /// Mutable access to the merge machinery.
-    pub fn inner_mut(&mut self) -> &mut PrimaryBridge {
-        &mut self.inner
-    }
-
-    /// Everything that watches this link (the merge machinery's).
-    pub fn observers(&self) -> &Observers {
-        self.inner.observers()
-    }
-
-    /// Mutable access to the observers.
-    pub fn observers_mut(&mut self) -> &mut Observers {
-        self.inner.observers_mut()
-    }
-
-    /// Connects the telemetry hub: the inner bridge publishes its
-    /// gauges, and this link stamps the first-client-byte mark after a
-    /// promotion.
-    pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.hub = Some(telemetry.clone());
-        self.inner.set_telemetry(telemetry);
-    }
-
-    /// Replaces the flow-table configuration, migrating live flows.
     pub fn set_flow_config(&mut self, config: FlowTableConfig) {
-        self.inner.set_flow_config(config);
+        self.0.set_flow_config(config);
     }
-
-    // -----------------------------------------------------------------
-    // Topology
-    // -----------------------------------------------------------------
-
-    /// Whether this link is currently the head.
-    pub fn is_head(&self) -> bool {
-        self.upstream.is_none()
-    }
-
-    /// Head promotion: stop diverting; merged output now goes straight
-    /// to the client (the controller performs the IP takeover). The
-    /// next client-bound payload release stamps the §5 timeline's
-    /// first-client-byte phase.
-    pub fn promote_to_head(&mut self) {
-        self.upstream = None;
-        self.watch_first_byte = true;
-    }
-
-    /// Re-targets the upstream neighbour (healing after a middle dies).
-    pub fn set_upstream(&mut self, upstream: Ipv4Addr) {
-        self.upstream = Some(upstream);
-    }
-
-    /// Re-targets the downstream stream source (healing after a middle
-    /// below us dies; `Δseq` and queues remain valid).
-    pub fn set_downstream(&mut self, downstream: Ipv4Addr) {
-        self.downstream = downstream;
-        self.inner.set_downstream(downstream);
-    }
-
-    /// §6 at this link: the downstream (and everything below it) is
-    /// gone. Flush and degrade to Δ-adjusted pass-through; the returned
-    /// output must be dispatched.
-    pub fn downstream_failed(&mut self, now: SimTime) -> FilterOutput {
-        let now_nanos = now.as_nanos();
-        let mut inner_out = self.inner.secondary_failed(now_nanos);
-        let mut out = FilterOutput::empty();
-        self.adapt_into(&mut inner_out, now_nanos, &mut out);
-        out
-    }
-
-    /// Adopts a reprovisioning flow handoff into the merge bridge: the
-    /// flow enters `Replicated` at the handoff's Δseq and cursor, its
-    /// primary output queue empty — subsequent local output buffers
-    /// until the new tail's diverted stream matches it (catch-up).
-    pub fn adopt_flow(&mut self, handoff: &FlowHandoff, now_nanos: u64) {
-        self.inner.adopt_flow(handoff, now_nanos);
-        self.stats.adopted_flows += 1;
-    }
-
-    /// Batch entry point (open-loop load): the inner bridge fans the
-    /// batch across its shards, then each output is routed through the
-    /// chain adaptation exactly like the per-segment path.
     pub fn process_batch(
         &mut self,
         batch: Vec<(BatchDir, AddressedSegment)>,
         now_nanos: u64,
         exec: &ShardExecutor,
     ) -> Vec<FilterOutput> {
-        let outs = self.inner.process_batch(batch, now_nanos, exec);
-        outs.into_iter()
-            .map(|mut o| {
-                let mut adapted = FilterOutput::empty();
-                self.adapt_into(&mut o, now_nanos, &mut adapted);
-                adapted
-            })
-            .collect()
+        self.0.process_batch(batch, now_nanos, exec)
     }
-
-    // -----------------------------------------------------------------
-    // The chain adaptation (hot path)
-    // -----------------------------------------------------------------
-
-    /// Routes the inner bridge's output through the chain: client-
-    /// facing emissions are diverted upstream (unless we are the
-    /// head); local deliveries are rewritten to our own address.
-    /// Drains `from` in place — no allocation on the steady-state
-    /// path.
-    fn adapt_into(&mut self, from: &mut FilterOutput, now_nanos: u64, out: &mut FilterOutput) {
-        for seg in from.to_wire.drain(..) {
-            let divert = match self.upstream {
-                Some(up) if seg.dst != self.downstream => Some(up),
-                _ => None,
-            };
-            match divert {
-                Some(up) => self.divert_up(seg, up, out),
-                None => {
-                    if self.watch_first_byte
-                        && seg.dst != self.downstream
-                        && payload_len(&seg.bytes) > 0
-                    {
-                        self.watch_first_byte = false;
-                        if let Some(hub) = &self.hub {
-                            hub.timeline.mark(FailoverPhase::FirstClientByte, now_nanos);
-                        }
-                    }
-                    out.to_wire.push(seg);
-                }
-            }
-        }
-        for seg in from.to_tcp.drain(..) {
-            if seg.dst == self.vip && self.own != self.vip {
-                let mut p = SegmentPatcher::new(seg.bytes, seg.src, seg.dst);
-                p.set_pseudo_dst(self.own);
-                let (bytes, src, dst) = p.finish();
-                self.stats.ingress_rewrites += 1;
-                out.to_tcp.push(AddressedSegment::new(src, dst, bytes));
-            } else {
-                out.to_tcp.push(seg);
-            }
-        }
-    }
-
-    /// Diverts one merged segment to the upstream neighbour: append
-    /// the orig-dest option, patch data offset / pseudo length /
-    /// addresses with RFC 1624 deltas, and assemble into the recycled
-    /// divert buffer. A [`SegmentPatcher`] would reallocate here — the
-    /// option grows the segment past the exact-capacity buffer the
-    /// merge bridge emitted — so the splice is done by hand.
-    fn divert_up(&mut self, seg: AddressedSegment, up: Ipv4Addr, out: &mut FilterOutput) {
-        let bytes: &[u8] = &seg.bytes;
-        let len = bytes.len();
-        if len < TCP_HEADER_LEN {
-            out.to_wire.push(seg);
-            return;
-        }
-        let header_len = usize::from(bytes[12] >> 4) * 4;
-        if header_len < TCP_HEADER_LEN || header_len > len || header_len + 8 > 60 {
-            self.stats.divert_fallbacks += 1;
-            out.to_wire.push(seg);
-            return;
-        }
-
-        // The 8-byte orig-dest option: kind, len, client IP, client port.
-        let d = seg.dst.octets();
-        let opt = [
-            OPT_KIND_ORIG_DEST,
-            8,
-            d[0],
-            d[1],
-            d[2],
-            d[3],
-            bytes[2], // dst port, already big-endian on the wire
-            bytes[3],
-        ];
-
-        let mut delta = ChecksumDelta::new();
-        // New words: the option itself (inserted at header_len, an even
-        // offset, so parity of everything after it is preserved).
-        delta.append_bytes(&opt);
-        // Data offset grows by two words.
-        let old_word = u16::from_be_bytes([bytes[12], bytes[13]]);
-        let new_word = ((u16::from(bytes[12] >> 4) + 2) << 12) | (old_word & 0x0fff);
-        delta.replace_u16(old_word, new_word);
-        // Pseudo-header TCP length grows by the option.
-        delta.replace_u16(len as u16, (len + 8) as u16);
-        // Pseudo-header addresses: destination becomes the upstream
-        // replica; a VIP-stamped source is rewritten to our own address
-        // (the head re-stamps the VIP on final release).
-        let src = if seg.src == self.vip {
-            delta.replace_u32(u32::from(self.vip), u32::from(self.own));
-            self.own
-        } else {
-            seg.src
-        };
-        delta.replace_u32(u32::from(seg.dst), u32::from(up));
-        let new_ck = delta.apply(u16::from_be_bytes([bytes[16], bytes[17]]));
-
-        // The grown header is composed on the stack and appended once
-        // (every append to a `BytesMut` first proves it unshared).
-        let mut header = [0u8; 60];
-        header[..header_len].copy_from_slice(&bytes[..header_len]);
-        header[12..14].copy_from_slice(&new_word.to_be_bytes());
-        header[16..18].copy_from_slice(&new_ck.to_be_bytes());
-        header[header_len..header_len + 8].copy_from_slice(&opt);
-        let buf = &mut self.divert_buf;
-        buf.reserve(len + 8);
-        buf.extend_from_slice(&header[..header_len + 8]);
-        buf.extend_from_slice(&bytes[header_len..]);
-        let diverted = buf.split().freeze();
-
-        self.stats.diverted_upstream += 1;
-        out.to_wire.push(AddressedSegment::new(src, up, diverted));
-    }
-}
-
-/// TCP payload length of raw segment bytes (0 when malformed).
-fn payload_len(bytes: &[u8]) -> usize {
-    if bytes.len() < TCP_HEADER_LEN {
-        return 0;
-    }
-    let header_len = usize::from(bytes[12] >> 4) * 4;
-    bytes.len().saturating_sub(header_len.max(TCP_HEADER_LEN))
 }
 
 impl SegmentFilter for ChainBridge {
     fn on_outbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.inner.on_outbound_into(seg, now_nanos, &mut scratch);
-        self.adapt_into(&mut scratch, now_nanos, out);
-        self.scratch = scratch; // keep the capacity for the next call
+        self.0.on_outbound_into(seg, now_nanos, out);
     }
-
     fn on_inbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.inner.on_inbound_into(seg, now_nanos, &mut scratch);
-        self.adapt_into(&mut scratch, now_nanos, out);
-        self.scratch = scratch;
+        self.0.on_inbound_into(seg, now_nanos, out);
     }
-
     fn on_tick(&mut self, now_nanos: u64) {
-        self.inner.on_tick(now_nanos);
+        self.0.on_tick(now_nanos);
     }
-
     fn designate(&mut self, rule: FailoverRule) {
-        self.inner.designate(rule);
+        self.0.designate(rule);
     }
-
     fn latency_stages(&self) -> Option<&StageLatency> {
-        self.inner.latency_stages()
+        self.0.latency_stages()
     }
-
     fn trace_context(&self) -> Option<tcpfo_telemetry::SpanContext> {
-        self.inner.trace_context()
+        self.0.trace_context()
     }
-
     fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl std::fmt::Debug for ChainBridge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChainBridge")
-            .field("vip", &self.vip)
-            .field("own", &self.own)
-            .field("upstream", &self.upstream)
-            .field("downstream", &self.downstream)
-            .finish()
+        &mut self.0
     }
 }
 
@@ -520,24 +210,16 @@ struct Instruments {
 /// data is the joiner's youth, not the peer's death.
 const FORCED_PROMOTION_GRACE: u32 = 3;
 
-/// The §3 merge engine this host runs, if it runs one: a raw
-/// [`PrimaryBridge`] (the pair's head) or the one inside a
-/// [`ChainBridge`].
+/// The §3 merge engine this host runs, if it runs one: the head and
+/// every middle link do, a tail does not.
 fn merge_bridge(filter: &mut dyn SegmentFilter) -> Option<&mut PrimaryBridge> {
-    let any = filter.as_any_mut();
-    if any.is::<ChainBridge>() {
-        any.downcast_mut::<ChainBridge>().map(|cb| &mut cb.inner)
-    } else {
-        any.downcast_mut::<PrimaryBridge>()
-    }
+    filter.as_any_mut().downcast_mut::<PrimaryBridge>()
 }
 
 /// What watches the bridge this host runs, whatever its role.
 pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observers> {
     let any = filter.as_any_mut();
-    if any.is::<ChainBridge>() {
-        any.downcast_mut().map(ChainBridge::observers_mut)
-    } else if any.is::<PrimaryBridge>() {
+    if any.is::<PrimaryBridge>() {
         any.downcast_mut().map(PrimaryBridge::observers_mut)
     } else {
         any.downcast_mut().map(SecondaryBridge::observers_mut)
@@ -561,7 +243,7 @@ pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observ
 ///   journaled and noted on the auditor *before* anything changes, then
 ///   stop client-bound egress, leave promiscuous mode, disable both
 ///   address translations (a [`SecondaryBridge`] tail) or stop
-///   diverting (a [`ChainBridge`] link), take over the VIP (gratuitous
+///   diverting (a [`PrimaryBridge`] link), take over the VIP (gratuitous
 ///   ARP + re-keying the failover TCBs), retransmit what those TCBs
 ///   have in flight, resume as the head;
 /// * **nobody alive below me** and I run a merge engine → §6: flush the
@@ -692,11 +374,6 @@ impl ChainController {
     /// Whether peer `i` is currently considered alive.
     pub fn peer_alive(&self, i: usize) -> bool {
         self.alive.get(i).copied().unwrap_or(false)
-    }
-
-    /// Number of replicas this controller knows about.
-    pub fn chain_len(&self) -> usize {
-        self.chain.len()
     }
 
     /// Overrides the promotion veto threshold (composite score below
@@ -874,16 +551,15 @@ impl ChainController {
         let now_nanos = now.as_nanos();
 
         // Promotion pre-check: would the topology change make us head?
-        // Only the two bridge types that can actually take the VIP may
-        // answer yes — anything else would journal a `promote` decision
-        // that no commit ever follows.
-        let filter = services.filter.as_any_mut();
+        // Only the two roles that can actually take the VIP may answer
+        // yes — anything else would journal a `promote` decision that
+        // no commit ever follows.
         let wants_promotion = up.is_none()
             && self.promoted_at.is_none()
             // a tail (§5 takeover of the last survivor) or a link that
             // is not the head yet
-            && (filter.is::<SecondaryBridge>()
-                || (filter.downcast_mut::<ChainBridge>()).is_some_and(|cb| !cb.is_head()));
+            && (services.filter.as_any_mut().is::<SecondaryBridge>()
+                || merge_bridge(services.filter).is_some_and(|link| !link.is_head()));
         let mut promo_span = None;
         let promote = if wants_promotion {
             match self.promotion_gate(now) {
@@ -930,17 +606,19 @@ impl ChainController {
         let mut flush: Option<FilterOutput> = None;
         let mut take_vip = false;
         let mut rebind_own = false;
-        let filter = services.filter.as_any_mut();
-        if let Some(link) = filter.downcast_mut::<ChainBridge>() {
+        if let Some(link) = merge_bridge(services.filter) {
+            // Merge role. Below: re-target around a gap, or §6 when
+            // nothing is left there.
             match down {
-                Some(d) if d != link.downstream => link.set_downstream(d),
-                None if link.inner.mode() == PrimaryMode::Normal => {
-                    flush = Some(link.downstream_failed(now));
+                Some(d) => link.set_downstream(d),
+                None if link.mode() == PrimaryMode::Normal => {
+                    flush = Some(link.secondary_failed(now_nanos));
                 }
-                _ => {}
+                None => {}
             }
+            // Above: a head stays a head (the pair's P is one for life).
             match up {
-                Some(u) if link.upstream != Some(u) && !link.is_head() => link.set_upstream(u),
+                Some(u) if !link.is_head() => link.set_upstream(u),
                 None if promote => {
                     // A middle link has no egress to hold and no
                     // ingress translation to disable — both steps are
@@ -956,17 +634,8 @@ impl ChainController {
                 }
                 _ => {}
             }
-        } else if let Some(head) = filter.downcast_mut::<PrimaryBridge>() {
-            // A bare merge bridge is a head for life (the pair's P):
-            // only what is below it can change.
-            match down {
-                Some(d) => head.set_downstream(d),
-                None if head.mode() == PrimaryMode::Normal => {
-                    flush = Some(head.secondary_failed(now_nanos));
-                }
-                None => {}
-            }
-        } else if let Some(tail) = filter.downcast_mut::<SecondaryBridge>() {
+        } else if let Some(tail) = (services.filter.as_any_mut()).downcast_mut::<SecondaryBridge>()
+        {
             match up {
                 Some(u) if tail.upstream() != u => tail.set_upstream(u),
                 None if promote => {
@@ -1357,7 +1026,7 @@ impl std::fmt::Debug for ChainController {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use tcpfo_wire::tcp::{verify_segment_checksum, TcpFlags, TcpSegment};
+    use tcpfo_wire::tcp::{verify_segment_checksum, SegmentPatcher, TcpFlags, TcpSegment};
 
     const A_C: Ipv4Addr = Ipv4Addr::new(192, 168, 0, 9);
     const VIP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2); // head's address
@@ -1378,8 +1047,8 @@ mod tests {
         AddressedSegment::new(src, dst, bytes)
     }
 
-    fn middle() -> ChainBridge {
-        ChainBridge::new(VIP, B1, Some(VIP), B2, FailoverConfig::from_ports([80]))
+    fn middle() -> PrimaryBridge {
+        PrimaryBridge::link(VIP, B1, Some(VIP), B2, FailoverConfig::from_ports([80]))
     }
 
     #[test]
@@ -1587,25 +1256,33 @@ mod tests {
     }
 
     #[test]
-    fn head_configuration_is_transparent_wrapper() {
-        // A ChainBridge with own == vip and no upstream behaves exactly
-        // like the plain PrimaryBridge (used for the chain's head).
-        let mut b = ChainBridge::new(VIP, VIP, None, B1, FailoverConfig::from_ports([80]));
-        let syn = raw(
-            A_C,
-            VIP,
-            TcpSegment::builder(5555, 80)
-                .seq(100)
-                .flags(TcpFlags::SYN)
-                .mss(1460)
-                .window(60000)
-                .build(),
-        );
-        let out = b.on_inbound(syn, 0);
-        assert_eq!(out.to_tcp.len(), 1);
-        assert_eq!(out.to_tcp[0].dst, VIP, "no rewrite at the head");
-        assert!(b.is_head());
+    fn a_link_leaves_its_hosts_other_traffic_alone() {
+        // The host's own client connection to a database: no failover
+        // port, no tracked flow. Not the chain's to divert.
+        let mut b = middle();
+        let db = Ipv4Addr::new(10, 0, 1, 9);
+        let syn = TcpSegment::builder(40_000, 5432)
+            .seq(1)
+            .flags(TcpFlags::SYN)
+            .build();
+        let out = b.on_outbound(raw(B1, db, syn.clone()), 0);
+        assert_eq!(out.to_wire, vec![raw(B1, db, syn)], "byte for byte");
+        assert_eq!(b.stats.diverted_upstream, 0);
+    }
+
+    #[test]
+    fn a_link_leaves_the_vips_other_traffic_alone() {
+        // A client's segment for a VIP port that is not a failover port
+        // belongs to whoever owns the VIP, not to this link's stack.
+        let mut b = middle();
+        let ssh = TcpSegment::builder(5555, 22)
+            .seq(100)
+            .flags(TcpFlags::SYN)
+            .build();
+        let out = b.on_inbound(raw(A_C, VIP, ssh.clone()), 0);
+        assert_eq!(out.to_tcp, vec![raw(A_C, VIP, ssh)], "still the VIP's");
         assert_eq!(b.stats.ingress_rewrites, 0);
+        assert_eq!(b.flow_count(), 0);
     }
 
     #[test]
@@ -1641,13 +1318,11 @@ mod tests {
             p.set_pseudo_dst(VIP);
             let (want_bytes, want_src, want_dst) = p.finish();
 
-            // Manual path, via a bridge whose vip/own/upstream match.
+            // Manual path: a link in §6 mode passes its TCP layer's
+            // segments through as they are, then routes them.
             let mut b = middle();
-            let mut from = FilterOutput::empty();
-            from.to_wire
-                .push(AddressedSegment::new(VIP, A_C, seg.encode(VIP, A_C)));
-            let mut out = FilterOutput::empty();
-            b.adapt_into(&mut from, 0, &mut out);
+            let _ = b.secondary_failed(0);
+            let out = b.on_outbound(AddressedSegment::new(VIP, A_C, seg.encode(VIP, A_C)), 0);
             assert_eq!(out.to_wire.len(), 1);
             let got = &out.to_wire[0];
             assert_eq!(got.src, want_src);
@@ -1655,16 +1330,6 @@ mod tests {
             assert_eq!(&got.bytes[..], &want_bytes[..], "byte-identical splice");
             assert!(verify_segment_checksum(got.src, got.dst, &got.bytes));
         }
-    }
-
-    #[test]
-    fn downstream_failed_takes_sim_time() {
-        // Satellite fix: the §6 entry point speaks SimTime like the
-        // rest of core, and flushes through the chain adaptation.
-        let mut b = middle();
-        let out = b.downstream_failed(SimTime::ZERO + tcpfo_net::time::SimDuration::from_millis(5));
-        assert!(out.to_wire.is_empty());
-        assert_eq!(b.inner().mode(), PrimaryMode::SecondaryFailed);
     }
 
     #[test]
@@ -1759,9 +1424,7 @@ mod tests {
     fn append_replica_and_set_peer_dead() {
         let b3 = Ipv4Addr::new(10, 0, 0, 5);
         let mut c = ChainController::new(vec![VIP, B1, B2], 2, DetectorConfig::default());
-        assert_eq!(c.chain_len(), 3);
         c.append_replica(b3);
-        assert_eq!(c.chain_len(), 4);
         assert!(c.peer_alive(3));
         assert!(c.peer_score(3).is_some());
         c.set_peer_dead(VIP);

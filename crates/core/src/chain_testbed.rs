@@ -3,7 +3,7 @@
 //!
 //! ```text
 //!   client ── router ── hub ── head (VIP) ── B1 ── … ── tail
-//!                        │        │ChainBridge│Chain│  │Secondary│
+//!                        │        │  Primary  │Prim.│  │Secondary│
 //!                        └── all replicas snoop promiscuously ──┘
 //! ```
 //!
@@ -25,14 +25,14 @@
 //!   (resuming the deterministic stream) lives with the apps
 //!   (`tcpfo_apps::chain_ops`), which composes these primitives.
 
-use crate::chain::{observers_of, ChainBridge, ChainController};
-use crate::designation::FailoverConfig;
+use crate::chain::{observers_of, ChainController};
 use crate::detector::DetectorConfig;
+use crate::primary::PrimaryBridge;
 use crate::reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
 use crate::secondary::SecondaryBridge;
 use crate::testbed::{
-    addrs, equip_merge_bridge, new_hub, prime_router_arp, prime_server_arp, replica_host,
-    replica_mac, spawn_router_and_client, tail_bridge, with_bridge, TestbedConfig,
+    link_bridge, new_hub, prime_router_arp, prime_server_arp, replica_host, replica_mac,
+    spawn_router_and_client, tail_bridge, with_bridge, TestbedConfig,
 };
 use tcpfo_net::hub::Hub;
 use tcpfo_net::link::LinkParams;
@@ -234,8 +234,8 @@ impl ChainTestbed {
 
     /// Spawns replica `i` (address already in `replica_addrs`): bridge
     /// by position (tail = [`SecondaryBridge`] diverting to the nearest
-    /// living replica toward the head, everything else =
-    /// [`ChainBridge`]), observatories per the knobs, a fresh telemetry
+    /// living replica toward the head, everything else = a
+    /// [`PrimaryBridge`] link), observatories per the knobs, a fresh telemetry
     /// hub, and a [`ChainController`] over the full chain that already
     /// knows which members are dead. Wires the host to the next free
     /// hub port. Founders and reprovisioned standbys are built alike.
@@ -258,7 +258,11 @@ impl ChainTestbed {
             ))
         } else {
             let upstream = (i != 0).then(|| self.replica_addrs[i - 1]);
-            Box::new(self.chain_link(own, upstream, self.replica_addrs[i + 1], &telemetry))
+            let downstream = self.replica_addrs[i + 1];
+            let (base, on) = (&self.base, self.observers);
+            Box::new(link_bridge(
+                own, upstream, downstream, base, on, &telemetry, "chain",
+            ))
         };
         let mut host = replica_host(
             &self.base,
@@ -283,28 +287,6 @@ impl ChainTestbed {
         self.next_hub_port += 1;
         self.hubs.push(telemetry);
         id
-    }
-
-    /// A head or middle link publishing into `telemetry`, with the
-    /// observers that are switched on attached to its merge engine.
-    fn chain_link(
-        &self,
-        own: Ipv4Addr,
-        upstream: Option<Ipv4Addr>,
-        downstream: Ipv4Addr,
-        telemetry: &Telemetry,
-    ) -> ChainBridge {
-        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-        let mut bridge = ChainBridge::new(addrs::A_P, own, upstream, downstream, fo);
-        bridge.set_telemetry(telemetry);
-        equip_merge_bridge(
-            bridge.inner_mut(),
-            &self.base,
-            self.observers,
-            telemetry,
-            "chain",
-        );
-        bridge
     }
 
     /// Kills replica `i` (0 = head) fail-stop, stamping the §5 failure
@@ -490,7 +472,8 @@ impl ChainTestbed {
         let flows = handoffs.len();
         let upstream = with_bridge(&mut self.sim, node, |b: &mut SecondaryBridge| b.upstream())
             .expect("converting tail runs a SecondaryBridge");
-        let mut bridge = self.chain_link(own, Some(upstream), downstream, &self.hubs[tail]);
+        let (base, on, hub) = (&self.base, self.observers, &self.hubs[tail]);
+        let mut bridge = link_bridge(own, Some(upstream), downstream, base, on, hub, "chain");
         for ho in handoffs {
             bridge.adopt_flow(ho, now);
         }
@@ -520,11 +503,11 @@ impl ChainTestbed {
             return 0;
         };
         let node = self.replicas[link];
-        with_bridge(&mut self.sim, node, |b: &mut ChainBridge| {
+        with_bridge(&mut self.sim, node, |b: &mut PrimaryBridge| {
             match b.observers().health.as_deref() {
                 Some(obs) => obs.lag.unmatched_bytes(),
                 None => {
-                    let rows = b.inner().connection_rows();
+                    let rows = b.connection_rows();
                     rows.iter().map(|r| r.pq_bytes as u64).sum()
                 }
             }

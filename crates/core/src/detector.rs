@@ -69,7 +69,7 @@ mod tests {
     //! depth two and three.
 
     use super::*;
-    use crate::chain::{ChainBridge, ChainController};
+    use crate::chain::ChainController;
     use crate::chain_testbed::{ChainConfig, ChainTestbed};
     use crate::primary::{PrimaryBridge, PrimaryMode};
     use crate::testbed::{addrs, replica_mac, Testbed, TestbedConfig};
@@ -242,10 +242,7 @@ mod tests {
             rig.run_for(SimDuration::from_millis(300));
             let mode = rig.host(tail - 1, |h| {
                 let f = h.filter_mut().as_any_mut();
-                match f.downcast_mut::<ChainBridge>() {
-                    Some(link) => link.inner().mode(),
-                    None => f.downcast_mut::<PrimaryBridge>().unwrap().mode(),
-                }
+                f.downcast_mut::<PrimaryBridge>().unwrap().mode()
             });
             assert_eq!(mode, PrimaryMode::SecondaryFailed, "{name}: §6");
             let promoted = rig.controller(tail - 1, |c| c.promoted_at);

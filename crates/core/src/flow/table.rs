@@ -100,16 +100,6 @@ impl Default for GcPolicy {
 }
 
 impl GcPolicy {
-    /// The TTL applying to a state; `None` means exempt (Degraded
-    /// flows live until evicted — they are still carrying traffic).
-    pub fn ttl_for(&self, state: FlowState) -> Option<u64> {
-        match state {
-            FlowState::TimeWait => Some(self.timewait_ttl),
-            FlowState::Degraded => None,
-            _ => Some(self.idle_ttl),
-        }
-    }
-
     /// The TTL for an expiry class.
     fn class_ttl(&self, class: usize) -> u64 {
         match class {

@@ -12,7 +12,9 @@
 //! * [`primary`] — the primary bridge: output-queue matching, `Δseq`
 //!   synchronisation, `min(ack)`/`min(win)` merging, the §3.4
 //!   empty-ACK rule, §4 retransmission recognition, §8 termination,
-//!   §6 secondary-failure degradation.
+//!   §6 secondary-failure degradation — and, as a role it carries, its
+//!   place in a daisy chain: a head or middle link is a
+//!   [`PrimaryBridge`] built by [`PrimaryBridge::link`].
 //! * [`secondary`] — the secondary bridge: promiscuous ingress
 //!   `a_p → a_s` rewriting and egress `a_c → a_p` diversion with the
 //!   original-destination option (incremental checksums throughout).
@@ -27,8 +29,8 @@
 //! * [`detector`] — the heartbeat fault detector's parameters.
 //! * [`chain`] — the one control plane ([`ChainController`]: heartbeats,
 //!   the §5 takeover — gratuitous ARP + TCB re-keying — and the §6
-//!   degradation; the pair is the chain `[a_p, a_s]`) and the
-//!   [`ChainBridge`] links of deeper daisy chains.
+//!   degradation; the pair is the chain `[a_p, a_s]`) and how deeper
+//!   daisy chains compose the two bridges.
 //! * [`testbed`] — the paper's Figure-1 topology (client, router,
 //!   shared segment, P, S, optional back-end T) as a one-call builder,
 //!   including the standard-TCP baseline and the switch ablation.
@@ -58,7 +60,7 @@ pub mod reprovision;
 pub mod secondary;
 pub mod testbed;
 
-pub use chain::{ChainBridge, ChainController, ChainStats, TakeoverState};
+pub use chain::{ChainBridge, ChainController, TakeoverState};
 pub use chain_testbed::{ChainConfig, ChainTestbed};
 pub use designation::{ConnKey, FailoverConfig};
 pub use detector::DetectorConfig;

@@ -97,8 +97,8 @@ impl Observers {
         self.trace.as_deref().and_then(|s| s.last_ctx())
     }
 
-    /// One segment through `run`, bracketed by the auditor when one is
-    /// attached: `observe` sees the segment before the datapath does,
+    /// One segment through `run` (whose result is handed back),
+    /// bracketed by the auditor when one is attached: `observe` sees the segment before the datapath does,
     /// `scan` sees what the datapath appended to the wire and to the
     /// TCP layer. The auditor is lifted out of `bridge` for the
     /// duration, so all three get the bridge itself; `seam` says where
@@ -106,16 +106,16 @@ impl Observers {
     /// and the segment is handed on untouched.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn audited<B>(
+    pub(crate) fn audited<B, R>(
         bridge: &mut B,
         seam: fn(&mut B) -> &mut Observers,
         seg: AddressedSegment,
         now_nanos: u64,
         out: &mut FilterOutput,
         observe: impl FnOnce(&B, &mut InvariantAuditor, &AddressedSegment),
-        run: impl FnOnce(&mut B, AddressedSegment, u64, &mut FilterOutput),
+        run: impl FnOnce(&mut B, AddressedSegment, u64, &mut FilterOutput) -> R,
         scan: impl FnOnce(&B, &mut InvariantAuditor, &[AddressedSegment], &[AddressedSegment]),
-    ) {
+    ) -> R {
         if seam(bridge).audit.is_none() {
             return run(bridge, seg, now_nanos, out);
         }
@@ -123,10 +123,11 @@ impl Observers {
         aud.begin_event(now_nanos);
         observe(bridge, &mut aud, &seg);
         let (w0, t0) = (out.to_wire.len(), out.to_tcp.len());
-        run(bridge, seg, now_nanos, out);
+        let result = run(bridge, seg, now_nanos, out);
         scan(bridge, &mut aud, &out.to_wire[w0..], &out.to_tcp[t0..]);
         aud.end_event(now_nanos);
         seam(bridge).audit = Some(aud);
+        result
     }
 
     /// The merge engine entered (`SecondaryFailed`) or left (`Normal`)

@@ -45,12 +45,14 @@ use tcpfo_tcp::filter::{
 use tcpfo_tcp::seq::{seq_gt, seq_le, seq_min};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::{
-    Counter, FlowClass, Gauge, HealthObservatory, InvariantAuditor, LatencyObservatory, Scope,
-    SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
+    Counter, FailoverPhase, FlowClass, Gauge, HealthObservatory, InvariantAuditor,
+    LatencyObservatory, Scope, SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
 };
+use tcpfo_wire::checksum::ChecksumDelta;
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{
     peek_orig_dest, peek_ports, HeaderTemplate, SegmentPatcher, TcpFlags, TcpSegment, TcpView,
+    OPT_KIND_ORIG_DEST, TCP_HEADER_LEN,
 };
 
 /// How often the timer-driven flow-table GC actually sweeps (the host
@@ -127,6 +129,15 @@ pub struct PrimaryStats {
     pub evicted_rsts: u64,
     /// Flow entries reaped by the timer-driven GC (TTL expiry).
     pub flows_reaped: u64,
+    /// Link: merged segments diverted one hop up, not to the client.
+    pub diverted_upstream: u64,
+    /// Link: client datagrams rewritten `vip → own` for the local stack.
+    pub ingress_rewrites: u64,
+    /// Link: segments with no header room for the orig-dest option,
+    /// forwarded undiverted (the merge emits at most 12 option bytes).
+    pub divert_fallbacks: u64,
+    /// Flows adopted from a reprovisioning handoff.
+    pub adopted_flows: u64,
 }
 
 impl PrimaryStats {
@@ -146,6 +157,10 @@ impl PrimaryStats {
         self.evicted_flows += o.evicted_flows;
         self.evicted_rsts += o.evicted_rsts;
         self.flows_reaped += o.flows_reaped;
+        self.diverted_upstream += o.diverted_upstream;
+        self.ingress_rewrites += o.ingress_rewrites;
+        self.divert_fallbacks += o.divert_fallbacks;
+        self.adopted_flows += o.adopted_flows;
     }
 }
 
@@ -319,7 +334,9 @@ fn state_of(conn: &Conn) -> FlowState {
 }
 
 /// The primary server bridge; install as the primary host's
-/// [`SegmentFilter`].
+/// [`SegmentFilter`]. Built by [`PrimaryBridge::link`] it is one link of
+/// a daisy chain (see [`crate::chain`]): the same merge, its output
+/// routed by the link's place in the chain.
 ///
 /// # Example
 ///
@@ -337,12 +354,15 @@ fn state_of(conn: &Conn) -> FlowState {
 /// assert!(flush.to_wire.is_empty()); // no connections were open
 /// ```
 pub struct PrimaryBridge {
+    /// The service address clients connect to (the VIP).
     a_p: Ipv4Addr,
+    /// The downstream replica whose diverted stream is merged.
     a_s: Ipv4Addr,
-    /// Address diverted downstream segments are addressed to (the VIP
-    /// `a_p` on the head of a chain; this node's own address on a
-    /// middle link of a daisy chain).
-    divert_dst: Ipv4Addr,
+    /// This host's own address: where the downstream diverts to and
+    /// where the local TCBs live. `a_p` on a head that owns the VIP.
+    own: Ipv4Addr,
+    /// Next replica toward the head; `None` on the head itself.
+    upstream: Option<Ipv4Addr>,
     config: FailoverConfig,
     mode: PrimaryMode,
     /// All per-connection state: live connections and §6/§8 residue,
@@ -367,6 +387,13 @@ pub struct PrimaryBridge {
     /// persist across batches instead of being reallocated per batch.
     /// Lazily grown to the shard count; reset on `set_flow_config`.
     shard_emit: Vec<BytesMut>,
+    /// Recycled buffer for segments diverted upstream (the option
+    /// grows the segment past the exact-capacity buffer it was emitted
+    /// into, which would force a [`SegmentPatcher`] to reallocate).
+    divert_buf: BytesMut,
+    /// Set on promotion: the next payload released to the client marks
+    /// [`FailoverPhase::FirstClientByte`].
+    watch_first_byte: bool,
     /// Everything that watches this bridge (DESIGN § Observer seam).
     observers: Observers,
     /// Last time the flow-table GC swept.
@@ -400,14 +427,29 @@ pub struct ConnRow {
 }
 
 impl PrimaryBridge {
-    /// Creates a bridge for primary `a_p` paired with secondary `a_s`,
-    /// with the default flow table (1 shard, 65 536 flows); resize it
-    /// with [`PrimaryBridge::set_flow_config`].
+    /// Creates a bridge for primary `a_p` paired with secondary `a_s`:
+    /// the head that owns the VIP, with the default flow table (1 shard,
+    /// 65 536 flows); resize it with [`PrimaryBridge::set_flow_config`].
     pub fn new(a_p: Ipv4Addr, a_s: Ipv4Addr, config: FailoverConfig) -> Self {
+        Self::link(a_p, a_p, None, a_s, config)
+    }
+
+    /// Creates the bridge for one link of a daisy chain serving `vip`:
+    /// the host at `own` merges its TCP output against the stream
+    /// `downstream` diverts to it, and the merged result goes one hop
+    /// up to `upstream` — or, on the head (`None`), to the client.
+    pub fn link(
+        vip: Ipv4Addr,
+        own: Ipv4Addr,
+        upstream: Option<Ipv4Addr>,
+        downstream: Ipv4Addr,
+        config: FailoverConfig,
+    ) -> Self {
         PrimaryBridge {
-            a_p,
-            a_s,
-            divert_dst: a_p,
+            a_p: vip,
+            a_s: downstream,
+            own,
+            upstream,
             config,
             mode: PrimaryMode::Normal,
             flows: FlowTable::new(FlowTableConfig::default()),
@@ -416,6 +458,8 @@ impl PrimaryBridge {
             telemetry: None,
             emit_buf: BytesMut::with_capacity(2048),
             shard_emit: Vec::new(),
+            divert_buf: BytesMut::with_capacity(2048),
+            watch_first_byte: false,
             observers: Observers::default(),
             last_gc: 0,
         }
@@ -518,6 +562,7 @@ impl PrimaryBridge {
     /// matches it, which is exactly the catch-up the lag ledger then
     /// proves drains to zero.
     pub fn adopt_flow(&mut self, h: &crate::reprovision::FlowHandoff, now_nanos: u64) {
+        self.stats.adopted_flows += 1;
         let key = ConnKey::new(h.server_port, h.client);
         let mut conn = Box::new(Conn::new(self.a_p, h.client, h.server_port));
         conn.delta = Some(h.delta);
@@ -635,10 +680,23 @@ impl PrimaryBridge {
         self.mode
     }
 
-    /// Sets the address diverted segments arrive addressed to (middle
-    /// links of a daisy chain receive them at their own address).
-    pub fn set_divert_dst(&mut self, addr: Ipv4Addr) {
-        self.divert_dst = addr;
+    /// Whether this link is currently the head.
+    pub fn is_head(&self) -> bool {
+        self.upstream.is_none()
+    }
+
+    /// Head promotion: stop diverting; merged output now goes straight
+    /// to the client (the controller performs the IP takeover) and the
+    /// next payload released stamps the §5 first-client-byte phase.
+    /// Ingress translation continues: the TCBs stay keyed to `own`.
+    pub fn promote_to_head(&mut self) {
+        self.upstream = None;
+        self.watch_first_byte = true;
+    }
+
+    /// Re-targets the upstream neighbour (the link above this one died).
+    pub fn set_upstream(&mut self, upstream: Ipv4Addr) {
+        self.upstream = Some(upstream);
     }
 
     /// Re-targets the expected downstream replica (daisy-chain healing:
@@ -689,8 +747,9 @@ impl PrimaryBridge {
 
     /// §6: the fault detector reports the secondary dead. Flushes every
     /// primary output queue to the client and degrades to Δ-adjusted
-    /// pass-through. The returned output must be dispatched by the
-    /// caller (the host controller).
+    /// pass-through. The returned output, already routed by this
+    /// link's place in the chain, must be dispatched by the caller (the
+    /// host controller).
     ///
     /// Connections are processed in shard + slab-slot order — a fixed,
     /// reproducible order (the old `HashMap` iteration here was the one
@@ -781,6 +840,9 @@ impl PrimaryBridge {
             shard.replace(slot, FlowState::Degraded, tomb, now_nanos);
         }
         self.sync_telemetry(now_nanos);
+        if self.is_link() {
+            self.route_as_link((0, 0), now_nanos, &mut out);
+        }
         out
     }
 
@@ -859,7 +921,7 @@ impl PrimaryBridge {
         let route = match dir {
             BatchDir::Outbound => Route::Outbound(ConnKey::of_egress(seg)),
             BatchDir::Inbound => {
-                let orig = if seg.src == self.a_s && seg.dst == self.divert_dst {
+                let orig = if seg.src == self.a_s && seg.dst == self.own {
                     peek_orig_dest(&seg.bytes).zip(peek_ports(&seg.bytes))
                 } else {
                     None
@@ -913,19 +975,40 @@ impl PrimaryBridge {
         }
     }
 
-    /// The datapath for one segment in either direction. The
-    /// [`SegmentFilter`] implementation wraps this with the (optional)
-    /// audit observation.
-    fn filter_inner(
+    /// One segment in either direction: the merge datapath under the
+    /// (optional) audit bracket, then — for a segment of a failover
+    /// connection, and after the auditor has seen the client-facing
+    /// addresses — the chain routing of what it appended to `out`.
+    /// Inlined into each direction's entry point, so `dir` is a constant.
+    #[inline(always)]
+    fn filter(
         &mut self,
         dir: BatchDir,
         seg: AddressedSegment,
         now_nanos: u64,
         out: &mut FilterOutput,
     ) {
-        self.stamp_now(now_nanos);
-        let (si, route) = self.route(dir, &seg);
-        self.engine(si, seg.trace, now_nanos).run(route, seg, out);
+        let from = (out.to_wire.len(), out.to_tcp.len());
+        let failover = Observers::audited(
+            self,
+            Self::observers_mut,
+            seg,
+            now_nanos,
+            out,
+            match dir {
+                BatchDir::Outbound => Self::audit_outbound_observe,
+                BatchDir::Inbound => Self::audit_inbound_observe,
+            },
+            |b, seg, now, out| {
+                b.stamp_now(now);
+                let (si, route) = b.route(dir, &seg);
+                b.engine(si, seg.trace, now).run(route, seg, out)
+            },
+            Self::audit_scan,
+        );
+        if failover && self.is_link() {
+            self.route_as_link(from, now_nanos, out);
+        }
     }
 
     /// Filters a whole batch, fanning items across flow-table shards on
@@ -1007,7 +1090,13 @@ impl PrimaryBridge {
         // back on its lane's last item; the fold below sums them.
         // All counters are sums and histogram merging is lossless, so
         // the merged total is independent of thread scheduling.
-        type Produced = (FilterOutput, Option<(PrimaryStats, Option<StageLatency>)>);
+        // The flag beside each output: its segment belonged to a
+        // failover connection (what a link routes, after the merge).
+        type Produced = (
+            FilterOutput,
+            bool,
+            Option<(PrimaryStats, Option<StageLatency>)>,
+        );
         let results: Vec<Produced> = exec.run_to_completion(
             &mut lanes,
             items,
@@ -1020,7 +1109,7 @@ impl PrimaryBridge {
                     .enumerate()
                     .map(|(i, (route, seg))| {
                         let mut out = FilterOutput::empty();
-                        Engine {
+                        let failover = Engine {
                             a_s,
                             mode,
                             unsafe_ack,
@@ -1043,7 +1132,7 @@ impl PrimaryBridge {
                         } else {
                             None
                         };
-                        (out, s)
+                        (out, failover, s)
                     })
                     .collect()
             },
@@ -1058,7 +1147,10 @@ impl PrimaryBridge {
         );
         drop(lanes);
         let mut outs = Vec::with_capacity(results.len());
-        for (out, s) in results {
+        for (mut out, failover, s) in results {
+            if failover && self.is_link() {
+                self.route_as_link((0, 0), now_nanos, &mut out);
+            }
             if let Some((s, l)) = s {
                 self.stats.add(&s);
                 if let (Some(obs), Some(l)) = (self.observers.latency.as_deref_mut(), l.as_ref()) {
@@ -1096,8 +1188,7 @@ impl PrimaryBridge {
     /// Pre-step audit observation for an inbound segment: diverted
     /// secondary output or (designated) client ingress.
     fn audit_inbound_observe(&self, aud: &mut InvariantAuditor, seg: &AddressedSegment) {
-        if seg.src == self.a_s && seg.dst == self.divert_dst && peek_orig_dest(&seg.bytes).is_some()
-        {
+        if seg.src == self.a_s && seg.dst == self.own && peek_orig_dest(&seg.bytes).is_some() {
             aud.note_secondary_diverted(seg.src, seg.dst, &seg.bytes, seg.trace);
             return;
         }
@@ -1134,6 +1225,104 @@ impl PrimaryBridge {
         for s in to_tcp {
             aud.check_deliver_up(s.src, s.dst, &s.bytes, s.trace);
         }
+    }
+
+    // ---------------------------------------------------------------
+    // Chain routing
+    // ---------------------------------------------------------------
+
+    /// Whether output is routed at all: not on a head that owns the VIP
+    /// (the pair's P), whose segments pay this one branch for the chain.
+    #[inline]
+    fn is_link(&self) -> bool {
+        self.upstream.is_some() || self.own != self.a_p || self.watch_first_byte
+    }
+
+    /// Routes what a failover segment's step appended to `out` (from
+    /// index `w0` of `to_wire`, `t0` of `to_tcp`) by this link's place
+    /// in the chain, in place: below the head, output not addressed to
+    /// the downstream climbs one hop up; off the host that owns the
+    /// VIP, client datagrams are re-addressed to the local TCBs. Kept
+    /// out of line: the head's per-segment path stays the size it was.
+    #[inline(never)]
+    fn route_as_link(&mut self, (w0, t0): (usize, usize), now_nanos: u64, out: &mut FilterOutput) {
+        let carries_payload =
+            |s: &AddressedSegment| TcpView::new(&s.bytes).is_ok_and(|v| !v.payload().is_empty());
+        let (vip, own, downstream) = (self.a_p, self.own, self.a_s);
+        for seg in out.to_wire[w0..].iter_mut().filter(|s| s.dst != downstream) {
+            if let Some(up) = self.upstream {
+                self.divert_up(seg, up);
+            } else if self.watch_first_byte && carries_payload(seg) {
+                self.watch_first_byte = false;
+                if let Some(timeline) = self.telemetry.as_ref().map(|t| &t.hub.timeline) {
+                    timeline.mark(FailoverPhase::FirstClientByte, now_nanos);
+                }
+            }
+        }
+        if own == vip {
+            return;
+        }
+        for seg in out.to_tcp[t0..].iter_mut().filter(|s| s.dst == vip) {
+            let mut p = SegmentPatcher::new(std::mem::take(&mut seg.bytes), seg.src, seg.dst);
+            p.set_pseudo_dst(own);
+            (seg.bytes, seg.src, seg.dst) = p.finish();
+            self.stats.ingress_rewrites += 1;
+        }
+    }
+
+    /// Diverts one merged segment to the upstream neighbour: append the
+    /// orig-dest option, patch data offset / pseudo length / addresses
+    /// with RFC 1624 deltas, and assemble into the recycled divert
+    /// buffer — spliced by hand because a [`SegmentPatcher`] would
+    /// reallocate to grow the segment.
+    fn divert_up(&mut self, seg: &mut AddressedSegment, up: Ipv4Addr) {
+        let bytes: &[u8] = &seg.bytes;
+        let len = bytes.len();
+        let header_len = bytes.get(12).map_or(0, |b| usize::from(b >> 4) * 4);
+        if header_len < TCP_HEADER_LEN || header_len > len || header_len + 8 > 60 {
+            self.stats.divert_fallbacks += 1;
+            return;
+        }
+
+        // The 8-byte orig-dest option: kind, len, client IP, client
+        // port (already big-endian on the wire).
+        let mut opt = [OPT_KIND_ORIG_DEST, 8, 0, 0, 0, 0, bytes[2], bytes[3]];
+        opt[2..6].copy_from_slice(&seg.dst.octets());
+
+        let mut delta = ChecksumDelta::new();
+        // New words: the option itself (inserted at header_len, an even
+        // offset, so parity of everything after it is preserved).
+        delta.append_bytes(&opt);
+        // Data offset grows by two words.
+        let old_word = u16::from_be_bytes([bytes[12], bytes[13]]);
+        let new_word = ((u16::from(bytes[12] >> 4) + 2) << 12) | (old_word & 0x0fff);
+        delta.replace_u16(old_word, new_word);
+        // Pseudo-header TCP length grows by the option.
+        delta.replace_u16(len as u16, (len + 8) as u16);
+        // Pseudo-header addresses: destination becomes the upstream
+        // replica; a VIP-stamped source is rewritten to our own address
+        // (the head re-stamps the VIP on final release).
+        if seg.src == self.a_p {
+            delta.replace_u32(u32::from(self.a_p), u32::from(self.own));
+            seg.src = self.own;
+        }
+        delta.replace_u32(u32::from(seg.dst), u32::from(up));
+        let new_ck = delta.apply(u16::from_be_bytes([bytes[16], bytes[17]]));
+
+        // The grown header is composed on the stack and appended once
+        // (every append to a `BytesMut` first proves it unshared).
+        let mut header = [0u8; 60];
+        header[..header_len].copy_from_slice(&bytes[..header_len]);
+        header[12..14].copy_from_slice(&new_word.to_be_bytes());
+        header[16..18].copy_from_slice(&new_ck.to_be_bytes());
+        header[header_len..header_len + 8].copy_from_slice(&opt);
+        let buf = &mut self.divert_buf;
+        buf.reserve(len + 8);
+        buf.extend_from_slice(&header[..header_len + 8]);
+        buf.extend_from_slice(&bytes[header_len..]);
+        seg.bytes = buf.split().freeze();
+        seg.dst = up;
+        self.stats.diverted_upstream += 1;
     }
 }
 
@@ -1947,11 +2136,18 @@ impl Engine<'_> {
     // ---------------------------------------------------------------
 
     /// One segment through the datapath, as [`PrimaryBridge::route`]
-    /// classified it.
-    fn run(&mut self, route: Route, seg: AddressedSegment, out: &mut FilterOutput) {
+    /// classified it. Returns whether it belonged to a failover
+    /// connection — a designated port or tuple, a tracked flow, the
+    /// downstream's diverted stream — rather than passing through
+    /// untouched: only then is what it appended to `out` a chain
+    /// link's to route.
+    fn run(&mut self, route: Route, seg: AddressedSegment, out: &mut FilterOutput) -> bool {
         match route {
             Route::Outbound(key) => self.outbound(seg, key, out),
-            Route::Diverted(key) => self.diverted(seg, key, out),
+            Route::Diverted(key) => {
+                self.diverted(seg, key, out);
+                true
+            }
             Route::Peer(key) => self.peer(seg, key, out),
         }
     }
@@ -1965,10 +2161,15 @@ impl Engine<'_> {
     }
 
     /// The outbound datapath body (our TCP layer → wire).
-    fn outbound(&mut self, seg: AddressedSegment, key: Option<ConnKey>, out: &mut FilterOutput) {
+    fn outbound(
+        &mut self,
+        seg: AddressedSegment,
+        key: Option<ConnKey>,
+        out: &mut FilterOutput,
+    ) -> bool {
         let (Some(parsed), Some(key)) = (self.decode(&seg.bytes), key) else {
             out.to_wire.push(seg);
-            return;
+            return false;
         };
         let slot = self.find(&key);
         let designated = slot.is_some()
@@ -1977,7 +2178,7 @@ impl Engine<'_> {
                 .matches(parsed.src_port, seg.dst, parsed.dst_port);
         if !designated || seg.dst == self.a_s {
             out.to_wire.push(seg);
-            return;
+            return false;
         }
         // §6-degraded connections pass through immediately with Δseq
         // subtracted and ack/window untouched — in *any* mode (they
@@ -1987,7 +2188,7 @@ impl Engine<'_> {
             drop(parsed);
             let patched = self.patch(seg, |p| p.set_seq(new_seq));
             out.to_wire.push(patched);
-            return;
+            return true;
         }
         match self.mode {
             PrimaryMode::SecondaryFailed => {
@@ -2014,6 +2215,7 @@ impl Engine<'_> {
                 self.on_replica_segment(key, slot, Replica::Primary, &parsed, out);
             }
         }
+        true
     }
 
     /// Diverted secondary output (the buffer stays uniquely owned up to
@@ -2042,10 +2244,15 @@ impl Engine<'_> {
     }
 
     /// Any other segment off the wire (wire → our TCP layer).
-    fn peer(&mut self, seg: AddressedSegment, key: Option<ConnKey>, out: &mut FilterOutput) {
+    fn peer(
+        &mut self,
+        seg: AddressedSegment,
+        key: Option<ConnKey>,
+        out: &mut FilterOutput,
+    ) -> bool {
         let (Some(parsed), Some(key)) = (self.decode(&seg.bytes), key) else {
             out.to_tcp.push(seg);
-            return;
+            return false;
         };
         // A segment from an unreplicated peer addressed to us?
         if seg.dst == self.emit.a_p {
@@ -2056,38 +2263,21 @@ impl Engine<'_> {
                     .matches(parsed.dst_port, seg.src, parsed.src_port);
             if designated {
                 self.on_client_segment(parsed, seg, key, slot, out);
-                return;
+                return true;
             }
         }
         out.to_tcp.push(seg);
+        false
     }
 }
 
 impl SegmentFilter for PrimaryBridge {
     fn on_outbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
-        Observers::audited(
-            self,
-            Self::observers_mut,
-            seg,
-            now_nanos,
-            out,
-            Self::audit_outbound_observe,
-            |b, seg, now, out| b.filter_inner(BatchDir::Outbound, seg, now, out),
-            Self::audit_scan,
-        );
+        self.filter(BatchDir::Outbound, seg, now_nanos, out);
     }
 
     fn on_inbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
-        Observers::audited(
-            self,
-            Self::observers_mut,
-            seg,
-            now_nanos,
-            out,
-            Self::audit_inbound_observe,
-            |b, seg, now, out| b.filter_inner(BatchDir::Inbound, seg, now, out),
-            Self::audit_scan,
-        );
+        self.filter(BatchDir::Inbound, seg, now_nanos, out);
     }
 
     fn on_tick(&mut self, now_nanos: u64) {
@@ -2120,6 +2310,8 @@ impl std::fmt::Debug for PrimaryBridge {
         f.debug_struct("PrimaryBridge")
             .field("a_p", &self.a_p)
             .field("a_s", &self.a_s)
+            .field("own", &self.own)
+            .field("upstream", &self.upstream)
             .field("mode", &self.mode)
             .field("flows", &self.flows.len())
             .finish()

@@ -343,25 +343,31 @@ pub(crate) fn new_hub(config: &TestbedConfig, observers: ObserverSwitches) -> Te
     hub
 }
 
-/// Gives a merge bridge (the pair's P, or the engine inside a chain
-/// link) the flow-table override and the observers that are switched
-/// on.
-pub(crate) fn equip_merge_bridge(
-    bridge: &mut PrimaryBridge,
+/// The merge bridge of the link at `own` (the pair's P, a chain's head
+/// or middle link), publishing into `telemetry`, with the flow-table
+/// override and the observers that are switched on.
+pub(crate) fn link_bridge(
+    own: Ipv4Addr,
+    upstream: Option<Ipv4Addr>,
+    downstream: Ipv4Addr,
     config: &TestbedConfig,
     observers: ObserverSwitches,
     telemetry: &Telemetry,
     audit_label: &str,
-) {
+) -> PrimaryBridge {
+    let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
+    let mut bridge = PrimaryBridge::link(addrs::A_P, own, upstream, downstream, fo);
     if let Some(fc) = flow_config_override(config) {
         bridge.set_flow_config(fc);
     }
+    bridge.set_telemetry(telemetry);
     *bridge.observers_mut() = Observers::attach(observers, telemetry, audit_label);
+    bridge
 }
 
 /// A tail bridge diverting to `upstream`, equipped like
-/// [`equip_merge_bridge`] — minus the span sampler: a tail has no
-/// batch entry to sample.
+/// [`link_bridge`] — minus the span sampler: a tail has no batch
+/// entry to sample.
 pub(crate) fn tail_bridge(
     own: Ipv4Addr,
     upstream: Ipv4Addr,
@@ -427,11 +433,15 @@ fn pair_replica(
     audit_label: &str,
 ) -> Host {
     let filter: Box<dyn SegmentFilter> = if index == 0 {
-        let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
-        let mut bridge = PrimaryBridge::new(addrs::A_P, addrs::A_S, fo);
-        bridge.set_telemetry(telemetry);
-        equip_merge_bridge(&mut bridge, config, observers, telemetry, audit_label);
-        Box::new(bridge)
+        Box::new(link_bridge(
+            addrs::A_P,
+            None,
+            addrs::A_S,
+            config,
+            observers,
+            telemetry,
+            audit_label,
+        ))
     } else {
         Box::new(tail_bridge(
             addrs::A_S,
@@ -698,15 +708,6 @@ impl Testbed {
         to_pcapng(&entries, |e| {
             e.node == client && matches!(e.kind, TraceKind::Rx { .. })
         })
-    }
-
-    /// A pcapng capture of every transmitted frame anywhere in the
-    /// simulation — including the diverted S→P leg, whose packets carry
-    /// an `orig-dest` annotation in their comment block. Requires
-    /// tracing (`tb.sim.set_trace_enabled(true)`) during the run.
-    pub fn full_capture_pcapng(&mut self) -> Vec<u8> {
-        let entries = self.sim.trace_tail(usize::MAX);
-        to_pcapng(&entries, |e| matches!(e.kind, TraceKind::Tx { .. }))
     }
 
     /// Runs `f` against the primary bridge's attached auditor, if any.

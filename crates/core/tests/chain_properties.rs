@@ -1,11 +1,12 @@
 //! Property test on the daisy chain's composition: a stream pushed
-//! through a tail-divert plus two stacked [`ChainBridge`]s (middle +
-//! head), each level with its own segmentation and ISN, reaches the
-//! client exactly once, in order, in the tail's sequence space.
+//! through a tail-divert plus two stacked [`PrimaryBridge`] links (a
+//! middle and the head), each level with its own segmentation and ISN,
+//! reaches the client exactly once, in order, in the tail's sequence
+//! space.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use tcpfo_core::{ChainBridge, FailoverConfig};
+use tcpfo_core::{FailoverConfig, PrimaryBridge};
 use tcpfo_tcp::filter::{AddressedSegment, SegmentFilter};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{verify_segment_checksum, SegmentPatcher, TcpFlags, TcpSegment};
@@ -35,15 +36,15 @@ fn tail_divert(seg: TcpSegment) -> AddressedSegment {
 }
 
 struct Chain {
-    middle: ChainBridge,
-    head: ChainBridge,
+    middle: PrimaryBridge,
+    head: PrimaryBridge,
 }
 
 impl Chain {
     fn established() -> Self {
         let cfg = FailoverConfig::from_ports([80]);
-        let mut middle = ChainBridge::new(VIP, B1, Some(VIP), B2, cfg.clone());
-        let mut head = ChainBridge::new(VIP, VIP, None, B1, cfg);
+        let mut middle = PrimaryBridge::link(VIP, B1, Some(VIP), B2, cfg.clone());
+        let mut head = PrimaryBridge::link(VIP, VIP, None, B1, cfg);
         // Client SYN reaches every replica.
         let syn = TcpSegment::builder(5555, 80)
             .seq(ISS_C)
@@ -220,8 +221,8 @@ proptest! {
             next = next.wrapping_add(data.len() as u32);
         }
         prop_assert_eq!(rebuilt, stream);
-        prop_assert_eq!(chain.head.inner().stats.mismatched_bytes, 0);
-        prop_assert_eq!(chain.middle.inner().stats.mismatched_bytes, 0);
+        prop_assert_eq!(chain.head.stats.mismatched_bytes, 0);
+        prop_assert_eq!(chain.middle.stats.mismatched_bytes, 0);
     }
 }
 
@@ -267,7 +268,7 @@ proptest! {
         let cfg = FailoverConfig::from_ports([80]);
         // The converted old tail: upstream toward the head, the fresh
         // standby downstream.
-        let mut mid = ChainBridge::new(VIP, B2, Some(B1), B3, cfg);
+        let mut mid = PrimaryBridge::link(VIP, B2, Some(B1), B3, cfg);
         mid.adopt_flow(
             &FlowHandoff {
                 client: SocketAddr::new(A_C, 5555),
@@ -340,7 +341,7 @@ proptest! {
             next = next.wrapping_add(data.len() as u32);
         }
         prop_assert_eq!(rebuilt, stream);
-        prop_assert_eq!(mid.inner().stats.mismatched_bytes, 0);
+        prop_assert_eq!(mid.stats.mismatched_bytes, 0);
         prop_assert_eq!(mid.stats.adopted_flows, 1);
     }
 }

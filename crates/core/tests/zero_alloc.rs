@@ -223,11 +223,9 @@ fn steady_state_release_path_with_health_attached_does_not_allocate() {
 // ---------------------------------------------------------------------
 // PR9: the same proof for a chain middle link. The divert-upstream
 // rewrite (orig-dest option splice + incremental checksum) runs out of
-// a recycled buffer, so a warm ChainBridge releases matched bytes and
+// a recycled buffer, so a warm middle link releases matched bytes and
 // climbs them up the chain without touching the allocator.
 // ---------------------------------------------------------------------
-
-use tcpfo_core::chain::ChainBridge;
 
 const B_OWN: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4); // the middle itself
 const B_DOWN: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 5); // its downstream
@@ -242,8 +240,8 @@ fn chain_diverted(seg: TcpSegment) -> AddressedSegment {
     AddressedSegment::new(src, dst, bytes)
 }
 
-fn established_middle() -> ChainBridge {
-    let mut b = ChainBridge::new(
+fn established_middle() -> PrimaryBridge {
+    let mut b = PrimaryBridge::link(
         A_P,
         B_OWN,
         Some(A_P),
@@ -321,7 +319,7 @@ fn chain_round_inputs(i: u32) -> (AddressedSegment, AddressedSegment, AddressedS
     (p, s, c)
 }
 
-fn measure_chain_rounds(bridge: &mut ChainBridge) -> u64 {
+fn measure_chain_rounds(bridge: &mut PrimaryBridge) -> u64 {
     let total = WARMUP + MEASURED;
     let mut inputs = Vec::with_capacity(total);
     for i in 0..total as u32 {
@@ -369,9 +367,7 @@ fn chain_middle_release_path_does_not_allocate() {
 #[test]
 fn chain_middle_release_path_with_health_attached_does_not_allocate() {
     let mut bridge = established_middle();
-    bridge
-        .inner_mut()
-        .set_health(Some(Box::new(HealthObservatory::new())));
+    bridge.set_health(Some(Box::new(HealthObservatory::new())));
     let delta = measure_chain_rounds(&mut bridge);
     let obs = bridge.observers().health.as_deref().expect("attached");
     assert!(

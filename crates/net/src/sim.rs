@@ -115,11 +115,6 @@ impl<'a> Ctx<'a> {
         self.core.now
     }
 
-    /// The id of the device being dispatched.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Arms a timer that fires on this device after `delay`.
     pub fn schedule(&mut self, delay: SimDuration, token: TimerToken) {
         let at = self.core.now + delay;

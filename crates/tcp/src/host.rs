@@ -22,7 +22,7 @@
 
 use crate::app::{SocketApi, SocketApp};
 use crate::config::TcpConfig;
-use crate::filter::{AddressedSegment, FailoverRule, FilterOutput, NoopFilter, SegmentFilter};
+use crate::filter::{AddressedSegment, FilterOutput, NoopFilter, SegmentFilter};
 use crate::stack::TcpStack;
 use bytes::Bytes;
 use std::any::Any;
@@ -548,15 +548,6 @@ impl Host {
         let r = f(&mut api);
         self.pump(ctx);
         r
-    }
-
-    /// Registers a failover designation with both the stack and the
-    /// filter (§7).
-    pub fn designate_failover(&mut self, rule: FailoverRule) {
-        if let FailoverRule::Port(p) = rule {
-            self.stack.add_failover_port(p);
-        }
-        self.filter.designate(rule);
     }
 
     // ---------------------------------------------------------------

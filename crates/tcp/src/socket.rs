@@ -337,12 +337,6 @@ impl Socket {
         }
     }
 
-    /// `true` when our FIN (if any) has been acknowledged and nothing
-    /// remains unacknowledged.
-    pub fn send_closed_and_acked(&self) -> bool {
-        self.fin_sent && self.send_buf.is_empty() && seq_ge(self.snd_una, self.snd_nxt)
-    }
-
     /// The advertised receive window right now.
     pub fn window(&self, cfg: &TcpConfig) -> u16 {
         cfg.clamp_window(self.rcv_buf.free())

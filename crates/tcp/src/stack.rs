@@ -232,11 +232,6 @@ impl TcpStack {
         self.failover_ports.insert(port);
     }
 
-    /// Whether `port` is in the failover port set.
-    pub fn is_failover_port(&self, port: u16) -> bool {
-        self.failover_ports.contains(&port)
-    }
-
     // ---------------------------------------------------------------
     // Socket API
     // ---------------------------------------------------------------
@@ -811,12 +806,6 @@ impl std::fmt::Debug for TcpStack {
             .field("outbox", &self.outbox.len())
             .finish()
     }
-}
-
-/// Convenience: is this segment (by ports) on a failover connection
-/// according to a port set? Used by bridges configured with method 2.
-pub fn port_set_matches(ports: &HashSet<u16>, src_port: u16, dst_port: u16) -> bool {
-    ports.contains(&src_port) || ports.contains(&dst_port)
 }
 
 #[cfg(test)]

@@ -972,12 +972,6 @@ impl InvariantAuditor {
         self.bundle.as_ref()
     }
 
-    /// The last `n` trace-ring entries.
-    pub fn ring_tail(&self, n: usize) -> Vec<AuditEvent> {
-        let skip = self.ring.len().saturating_sub(n);
-        self.ring.iter().skip(skip).cloned().collect()
-    }
-
     /// Human-readable auditor state: ledger, shadow connections, and
     /// any violations.
     pub fn report(&self) -> String {

@@ -837,28 +837,11 @@ impl SegmentPatcher {
         TcpView::new(&self.bytes).expect("patcher holds a valid segment")
     }
 
-    fn replace_u16_at(&mut self, offset: usize, new: u16) {
-        let field = &mut self.bytes[offset..offset + 2];
-        self.delta
-            .replace_u16(u16::from_be_bytes([field[0], field[1]]), new);
-        field.copy_from_slice(&new.to_be_bytes());
-    }
-
     fn replace_u32_at(&mut self, offset: usize, new: u32) {
         let field = &mut self.bytes[offset..offset + 4];
         let old = u32::from_be_bytes([field[0], field[1], field[2], field[3]]);
         self.delta.replace_u32(old, new);
         field.copy_from_slice(&new.to_be_bytes());
-    }
-
-    /// Rewrites the source port.
-    pub fn set_src_port(&mut self, port: u16) {
-        self.replace_u16_at(0, port);
-    }
-
-    /// Rewrites the destination port.
-    pub fn set_dst_port(&mut self, port: u16) {
-        self.replace_u16_at(2, port);
     }
 
     /// Rewrites the sequence number (primary bridge: `seq − Δseq`).
@@ -870,11 +853,6 @@ impl SegmentPatcher {
     /// `ack + Δseq`; egress: `min(ack_P, ack_S)`).
     pub fn set_ack(&mut self, ack: u32) {
         self.replace_u32_at(8, ack);
-    }
-
-    /// Rewrites the advertised window (`min(win_P, win_S)`).
-    pub fn set_window(&mut self, window: u16) {
-        self.replace_u16_at(14, window);
     }
 
     /// Changes the pseudo-header *source* address the checksum covers
@@ -1083,17 +1061,11 @@ mod tests {
         let mut p = SegmentPatcher::new(bytes, src, dst);
         p.set_seq(0x1111_2222);
         p.set_ack(0x3333_4444);
-        p.set_window(99);
-        p.set_src_port(8080);
-        p.set_dst_port(9090);
         let (out, s, d) = p.finish();
         assert!(verify_segment_checksum(s, d, &out));
         let back = TcpSegment::decode(&out).unwrap();
         assert_eq!(back.seq, 0x1111_2222);
         assert_eq!(back.ack, 0x3333_4444);
-        assert_eq!(back.window, 99);
-        assert_eq!(back.src_port, 8080);
-        assert_eq!(back.dst_port, 9090);
         assert_eq!(back.payload, sample().payload);
     }
 
@@ -1292,7 +1264,6 @@ mod proptests {
             ack in any::<u32>(),
             new_seq in any::<u32>(),
             new_ack in any::<u32>(),
-            new_win in any::<u16>(),
             payload in proptest::collection::vec(any::<u8>(), 0..256),
             swap_dst in any::<bool>(),
         ) {
@@ -1305,13 +1276,12 @@ mod proptests {
             let mut p = SegmentPatcher::new(seg.encode(a, b).to_vec(), a, b);
             p.set_seq(new_seq);
             p.set_ack(new_ack);
-            p.set_window(new_win);
             if swap_dst {
                 p.set_pseudo_dst(c);
             }
             let (out, s, d) = p.finish();
             let expected = TcpSegment::builder(1000, 2000)
-                .seq(new_seq).ack(new_ack).window(new_win)
+                .seq(new_seq).ack(new_ack).window(1)
                 .payload(Bytes::from(payload))
                 .build()
                 .encode(s, d);

@@ -11,8 +11,7 @@
 
 use bytes::Bytes;
 use tcp_failover::core::flow::FlowTableConfig;
-use tcp_failover::core::{ChainBridge, FailoverConfig, PrimaryBridge, PrimaryMode};
-use tcp_failover::net::time::{SimDuration, SimTime};
+use tcp_failover::core::{FailoverConfig, PrimaryBridge, PrimaryMode};
 use tcp_failover::net::ShardExecutor;
 use tcp_failover::tcp::filter::{AddressedSegment, BatchDir, FilterOutput};
 use tcp_failover::telemetry::{HealthObservatory, LatencyObservatory};
@@ -37,8 +36,8 @@ const GOLDEN_LAG: [u64; 4] = [2733, 3, 0, 36];
 /// Flow-table occupancy / evictions / reaps.
 const GOLDEN_TABLE: [u64; 3] = [4, 3, 1];
 /// The same script through a middle link (own address `A_L`, diverting
-/// up to the head at `A_P`), captured from the `ChainBridge` wrapper
-/// before the merge engine learned its chain role.
+/// up to the head at `A_P`), captured while a link was a wrapper type
+/// around the merge engine, before the engine learned its chain role.
 const GOLDEN_MIDDLE_DIGEST: u64 = 0x9d3e_3bdd_5dd3_3c53;
 /// Through that link after `promote_to_head`.
 const GOLDEN_PROMOTED_DIGEST: u64 = 0xacfa_e234_50b7_2bb4;
@@ -257,67 +256,24 @@ fn pattern(flow: u32, off: u32, len: usize) -> Bytes {
     Bytes::from(v)
 }
 
-/// What the script drives: the merge bridge itself, or the chain
-/// wrapper around one.
-trait Scripted {
-    fn merge(&mut self) -> &mut PrimaryBridge;
-    fn batch(&mut self, batch: Vec<Step>, now: u64, exec: &ShardExecutor) -> Vec<FilterOutput>;
-    /// §6; the returned output is routed as every other output is.
-    fn downstream_failed(&mut self, now: u64) -> FilterOutput;
-    /// Diverted upstream / ingress rewrites / divert fallbacks.
-    fn chain_counters(&self) -> [u64; 3];
-}
-
-impl Scripted for PrimaryBridge {
-    fn merge(&mut self) -> &mut PrimaryBridge {
-        self
-    }
-    fn batch(&mut self, batch: Vec<Step>, now: u64, exec: &ShardExecutor) -> Vec<FilterOutput> {
-        self.process_batch(batch, now, exec)
-    }
-    fn downstream_failed(&mut self, now: u64) -> FilterOutput {
-        self.secondary_failed(now)
-    }
-    fn chain_counters(&self) -> [u64; 3] {
-        [0; 3]
-    }
-}
-
-impl Scripted for ChainBridge {
-    fn merge(&mut self) -> &mut PrimaryBridge {
-        self.inner_mut()
-    }
-    fn batch(&mut self, batch: Vec<Step>, now: u64, exec: &ShardExecutor) -> Vec<FilterOutput> {
-        self.process_batch(batch, now, exec)
-    }
-    fn downstream_failed(&mut self, now: u64) -> FilterOutput {
-        ChainBridge::downstream_failed(self, SimTime::ZERO + SimDuration::from_nanos(now))
-    }
-    fn chain_counters(&self) -> [u64; 3] {
-        let s = &self.stats;
-        [s.diverted_upstream, s.ingress_rewrites, s.divert_fallbacks]
-    }
-}
-
 fn config() -> FailoverConfig {
     FailoverConfig::from_ports([80, 20])
 }
 
-struct Run<B> {
-    bridge: B,
+struct Run {
+    bridge: PrimaryBridge,
     exec: ShardExecutor,
     rng: SplitMix64,
     now: u64,
     digest: Digest,
 }
 
-impl<B: Scripted> Run<B> {
-    fn new(mut bridge: B, observed: bool) -> Run<B> {
-        bridge.merge().set_flow_config(FlowTableConfig::new(1, 4));
+impl Run {
+    fn new(mut bridge: PrimaryBridge, observed: bool) -> Run {
+        bridge.set_flow_config(FlowTableConfig::new(1, 4));
         if observed {
-            let merge = bridge.merge();
-            merge.set_health(Some(Box::new(HealthObservatory::new())));
-            merge.set_latency(Some(Box::new(LatencyObservatory::new())));
+            bridge.set_health(Some(Box::new(HealthObservatory::new())));
+            bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
         }
         Run {
             bridge,
@@ -332,7 +288,7 @@ impl<B: Scripted> Run<B> {
     /// many segments came out.
     fn feed(&mut self, batch: Vec<Step>) -> usize {
         self.now += 1_000_000;
-        let outs = self.bridge.batch(batch, self.now, &self.exec);
+        let outs = self.bridge.process_batch(batch, self.now, &self.exec);
         outs.iter().for_each(|o| self.digest.output(o));
         outs.iter().map(|o| o.to_wire.len() + o.to_tcp.len()).sum()
     }
@@ -382,7 +338,7 @@ impl<B: Scripted> Run<B> {
 
     /// §8: both replicas close, the peer closes, both acknowledge.
     fn close(&mut self, f: &mut Flow) {
-        let closed = self.bridge.merge().stats.conns_closed;
+        let closed = self.bridge.stats.conns_closed;
         self.feed(vec![
             f.p_bare(0, TcpFlags::FIN),
             f.s_bare(0, TcpFlags::FIN),
@@ -393,11 +349,7 @@ impl<B: Scripted> Run<B> {
             f.p_bare(1, TcpFlags::EMPTY),
             f.s_bare(1, TcpFlags::EMPTY),
         ]);
-        assert_eq!(
-            self.bridge.merge().stats.conns_closed,
-            closed + 1,
-            "§8 teardown"
-        );
+        assert_eq!(self.bridge.stats.conns_closed, closed + 1, "§8 teardown");
     }
 
     fn next_len(&mut self) -> u32 {
@@ -407,8 +359,8 @@ impl<B: Scripted> Run<B> {
 
 /// Runs the script through `bridge`, whose host sends from `own`;
 /// returns (digest, stats, lag ledger, table stats, chain counters).
-fn script<B: Scripted>(
-    bridge: B,
+fn script(
+    bridge: PrimaryBridge,
     own: Ipv4Addr,
     observed: bool,
 ) -> (u64, [u64; 13], [u64; 4], [u64; 3], [u64; 3]) {
@@ -449,27 +401,27 @@ fn script<B: Scripted>(
             s.1.bytes = Bytes::from(raw);
             r.feed(vec![f.p_data(f.sent, 64), s]);
             f.sent += 64;
-            assert_eq!(r.bridge.merge().stats.mismatched_bytes, 64);
+            assert_eq!(r.bridge.stats.mismatched_bytes, 64);
         }
     }
 
     // §4: both replicas retransmit bytes already released.
     let f = flows[0];
     assert_eq!(r.feed(vec![f.p_data(0, 200), f.s_data(100, 300)]), 2);
-    assert_eq!(r.bridge.merge().stats.retransmissions_forwarded, 3);
+    assert_eq!(r.bridge.stats.retransmissions_forwarded, 3);
 
     // Replica re-ACK: the peer sends data, both replicas acknowledge
     // it, then S repeats its acknowledgment.
     let f = &mut flows[1];
     r.feed(vec![f.peer_seg(f.sent, false, 700, TcpFlags::PSH)]);
-    let acks = r.bridge.merge().stats.empty_acks;
+    let acks = r.bridge.stats.empty_acks;
     let emitted = r.feed(vec![
         f.p_bare(0, TcpFlags::EMPTY),
         f.s_bare(0, TcpFlags::EMPTY),
         f.s_bare(0, TcpFlags::EMPTY),
     ]);
     assert_eq!(emitted, 2, "min(ack) advance, then the forwarded re-ACK");
-    assert_eq!(r.bridge.merge().stats.empty_acks, acks + 2);
+    assert_eq!(r.bridge.stats.empty_acks, acks + 2);
 
     // LRU eviction at capacity 4: flow 0 is the least recently used
     // once the others are touched; a fifth connection resets it.
@@ -483,25 +435,25 @@ fn script<B: Scripted>(
     flows.push(Flow::client(&mut rng, own, 6004));
     let f4 = flows[4];
     assert_eq!(r.feed(vec![f4.peer_syn()]), 2, "SYN up, RST to the evicted");
-    assert_eq!(r.bridge.merge().stats.evicted_rsts, 1);
+    assert_eq!(r.bridge.stats.evicted_rsts, 1);
     // The evicted flow's replica output now finds no state, and data
     // ahead of the merged handshake cannot be normalised.
-    let drops = r.bridge.merge().stats.drops;
+    let drops = r.bridge.stats.drops;
     r.feed(vec![
         flows[0].p_data(flows[0].sent, 10),
         f4.p_synack(),
         f4.p_data(0, 10),
     ]);
-    assert_eq!(r.bridge.merge().stats.drops, drops + 2);
+    assert_eq!(r.bridge.stats.drops, drops + 2);
     r.feed(vec![
         f4.s_synack(),
         flows[4].peer_seg(0, false, 0, TcpFlags::EMPTY),
     ]);
 
     // Replica RST: forwarded in client sequence space, state dropped.
-    let live = r.bridge.merge().conn_count();
+    let live = r.bridge.conn_count();
     assert_eq!(r.feed(vec![flows[1].p_bare(0, TcpFlags::RST)]), 1);
-    assert_eq!(r.bridge.merge().conn_count(), live - 1);
+    assert_eq!(r.bridge.conn_count(), live - 1);
 
     // §8 teardown, then late FINs from both sides and late data.
     let mut f2 = flows[2];
@@ -519,7 +471,7 @@ fn script<B: Scripted>(
         f2.p_data(0, 50),
     ]);
     assert_eq!(late, 2, "each late FIN is ACKed from the tombstone");
-    assert_eq!(r.bridge.merge().stats.late_fin_acks, 2);
+    assert_eq!(r.bridge.stats.late_fin_acks, 2);
 
     // Tuple reuse: a fresh SYN supersedes the tombstone in place.
     flows[2] = Flow::client(&mut rng, own, 6002);
@@ -536,7 +488,7 @@ fn script<B: Scripted>(
     r.now += 61_000_000_000;
     let sent = flows[4].sent;
     r.feed(vec![flows[4].peer_seg(sent, false, 0, TcpFlags::EMPTY)]);
-    assert_eq!(r.bridge.merge().stats.flows_reaped, 1);
+    assert_eq!(r.bridge.stats.flows_reaped, 1);
 
     // §7.2: both replicas open toward a back-end, S's SYN first.
     let mut ft = Flow {
@@ -586,19 +538,13 @@ fn script<B: Scripted>(
         f6.peer_syn(),
         f6.p_synack(),
     ]);
-    let held = r
-        .bridge
-        .merge()
-        .observers()
-        .health
-        .as_deref()
-        .map_or([0; 2], |h| {
-            [h.lag.unmatched_bytes(), h.lag.unmatched_segments()]
-        });
+    let held = r.bridge.observers().health.as_deref().map_or([0; 2], |h| {
+        [h.lag.unmatched_bytes(), h.lag.unmatched_segments()]
+    });
     r.now += 1_000_000;
-    let flush = r.bridge.downstream_failed(r.now);
+    let flush = r.bridge.secondary_failed(r.now);
     r.digest.output(&flush);
-    assert_eq!(r.bridge.merge().mode(), PrimaryMode::SecondaryFailed);
+    assert_eq!(r.bridge.mode(), PrimaryMode::SecondaryFailed);
     assert_eq!(
         flush.to_wire.len(),
         5,
@@ -610,7 +556,7 @@ fn script<B: Scripted>(
     // the table full and evicts its least recently used residue).
     let f7 = Flow::client(&mut rng, own, 6007);
     let sent = flows[2].sent;
-    let evicted = r.bridge.merge().stats.evicted_flows;
+    let evicted = r.bridge.stats.evicted_flows;
     r.feed(vec![
         flows[2].p_data(sent, 40),
         flows[2].peer_seg(sent + 40, false, 0, TcpFlags::EMPTY),
@@ -623,25 +569,24 @@ fn script<B: Scripted>(
                 .build(),
         ),
     ]);
-    assert_eq!(r.bridge.merge().stats.evicted_flows, evicted + 1);
+    assert_eq!(r.bridge.stats.evicted_flows, evicted + 1);
     assert_eq!(
-        r.bridge.merge().stats.evicted_rsts,
-        1,
+        r.bridge.stats.evicted_rsts, 1,
         "residue is evicted silently"
     );
 
     // Reintegration: new connections replicate again.
-    r.bridge.merge().reintegrate(r.now);
+    r.bridge.reintegrate(r.now);
     let f8 = Flow::client(&mut rng, own, 6008);
     r.establish(&f8, true);
 
-    for row in r.bridge.merge().connection_rows() {
+    for row in r.bridge.connection_rows() {
         r.digest.eat(&row.client.port.to_be_bytes());
         r.digest.eat(&row.send_next.to_be_bytes());
         r.digest.eat(&(row.pq_bytes as u32).to_be_bytes());
         r.digest.eat(&(row.sq_bytes as u32).to_be_bytes());
     }
-    let s = r.bridge.merge().stats.clone();
+    let s = &r.bridge.stats;
     let stats = [
         s.merged_segments,
         s.merged_bytes,
@@ -657,18 +602,13 @@ fn script<B: Scripted>(
         s.evicted_rsts,
         s.flows_reaped,
     ];
-    let lag = r
-        .bridge
-        .merge()
-        .observers()
-        .health
-        .as_deref()
-        .map_or([0; 4], |h| {
-            [held[0], held[1], h.lag.unmatched_bytes(), h.lag.releases()]
-        });
-    let t = r.bridge.merge().flow_stats();
+    let lag = r.bridge.observers().health.as_deref().map_or([0; 4], |h| {
+        [held[0], held[1], h.lag.unmatched_bytes(), h.lag.releases()]
+    });
+    let t = r.bridge.flow_stats();
     let table = [t.occupancy, t.evicted, t.reaped];
-    (r.digest.0, stats, lag, table, r.bridge.chain_counters())
+    let chain = [s.diverted_upstream, s.ingress_rewrites, s.divert_fallbacks];
+    (r.digest.0, stats, lag, table, chain)
 }
 
 fn pair_head() -> PrimaryBridge {
@@ -700,13 +640,13 @@ fn observers_do_not_move_it_and_the_lag_ledger_matches() {
 
 /// A middle link at `A_L`: merges against `A_S` below it, diverts up
 /// to the head, which owns the VIP `A_P`.
-fn middle() -> ChainBridge {
-    ChainBridge::new(A_P, A_L, Some(A_P), A_S, config())
+fn middle() -> PrimaryBridge {
+    PrimaryBridge::link(A_P, A_L, Some(A_P), A_S, config())
 }
 
 #[test]
 fn a_head_built_as_a_link_is_the_pair_head() {
-    let head = ChainBridge::new(A_P, A_P, None, A_S, config());
+    let head = PrimaryBridge::link(A_P, A_P, None, A_S, config());
     assert!(head.is_head());
     let (digest, stats, _, table, chain) = script(head, A_P, false);
     assert_eq!(stats, GOLDEN_STATS);

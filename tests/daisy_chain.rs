@@ -321,3 +321,56 @@ fn failure_during_reprovision_catchup_degrades_gracefully() {
     assert!(served > 0, "standby never served after the second failure");
     assert_eq!(tb.audit_violations(), 0);
 }
+
+#[test]
+fn traffic_that_is_not_failover_traffic_is_the_heads_alone() {
+    // While a port-80 download streams through the chain, the client
+    // completes an echo exchange on a port only the head serves and
+    // nobody designated. The links below the head snoop every segment
+    // of it; none of them may answer, divert or claim one.
+    use tcp_failover::apps::echo::EchoServer;
+    use tcp_failover::net::trace::TraceKind;
+    use tcp_failover::wire::eth::EthernetFrame;
+    use tcp_failover::wire::ipv4::{Ipv4Packet, PROTO_TCP};
+    use tcp_failover::wire::tcp::TcpView;
+
+    const TOTAL: u64 = 300_000;
+    const ECHO_PORT: u16 = 7;
+    let message: Vec<u8> = (0..5_000u32).map(|i| (i * 31 % 251) as u8).collect();
+
+    let mut tb = download_testbed_with(observed_config(3, 21), TOTAL);
+    tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
+        h.add_app(Box::new(EchoServer::new(ECHO_PORT)));
+    });
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        let len = message.len() as u64;
+        let mut echo = RequestReplyClient::new(vip(ECHO_PORT), message.clone(), len);
+        echo.verify = false;
+        h.add_app(Box::new(echo));
+    });
+    tb.sim.set_trace_enabled(true);
+    tb.sim.set_trace_capacity(1 << 20);
+    tb.run_for(SimDuration::from_secs(10));
+
+    assert_download_done(&mut tb, TOTAL);
+    assert_eq!(tb.sim.trace_dropped(), 0, "the trace holds the whole run");
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        let echo = h.app_mut::<RequestReplyClient>(1);
+        assert!(echo.is_done(), "echo stalled at {}", echo.received_len());
+        let echoed = (0..message.len()).map(|i| echo.received_byte(i));
+        assert!(echoed.eq(message.iter().copied()), "echo corrupted");
+    });
+    let below_head = &tb.replicas[1..];
+    let claimed = (tb.sim.trace_tail(usize::MAX).iter())
+        .filter(|e| below_head.contains(&e.node) && matches!(e.kind, TraceKind::Tx { .. }))
+        .filter_map(|e| EthernetFrame::decode_shared(e.frame.as_ref()?).ok())
+        .filter_map(|eth| Ipv4Packet::decode_shared(&eth.payload).ok())
+        .filter(|ip| ip.protocol == PROTO_TCP)
+        .filter(|ip| {
+            TcpView::new(&ip.payload)
+                .is_ok_and(|v| v.src_port() == ECHO_PORT || v.dst_port() == ECHO_PORT)
+        })
+        .count();
+    assert_eq!(claimed, 0, "a link below the head sent echo-port frames");
+    assert_eq!(tb.audit_violations(), 0);
+}

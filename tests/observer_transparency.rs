@@ -20,7 +20,7 @@ use tcp_failover::apps::driver::{BulkSendClient, RequestReplyClient};
 use tcp_failover::apps::stream::{SinkServer, SourceServer};
 use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::{ChainBridge, Observers, SecondaryBridge};
+use tcp_failover::core::{Observers, PrimaryBridge, SecondaryBridge};
 use tcp_failover::net::time::{SimDuration, SimTime};
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
@@ -236,7 +236,7 @@ fn chain_column(on: ObserverSwitches) -> ((SimTime, u64, u64), ChainTestbed) {
 fn on_link<R>(tb: &mut ChainTestbed, i: usize, f: impl FnOnce(&Observers) -> R) -> R {
     tb.sim.with::<Host, _>(tb.replicas[i], |h, _| {
         let filter = h.filter_mut().as_any_mut();
-        if let Some(link) = filter.downcast_mut::<ChainBridge>() {
+        if let Some(link) = filter.downcast_mut::<PrimaryBridge>() {
             assert!(i + 1 < LINKS, "the tail runs a secondary bridge");
             assert_eq!(link.is_head(), i == 0);
             f(link.observers())

@@ -7,16 +7,24 @@ use tcp_failover::core::flow::FlowTableConfig;
 use tcp_failover::core::{FailoverConfig, PrimaryBridge};
 use tcp_failover::net::ShardExecutor;
 use tcp_failover::tcp::filter::FilterOutput;
+use tcp_failover::wire::ipv4::Ipv4Addr;
 
-fn bridge(shards: usize) -> PrimaryBridge {
+/// The pair's head, or — given an upstream — a link below the head
+/// (the workload addresses the VIP, so the link answers to it).
+fn link(shards: usize, upstream: Option<Ipv4Addr>) -> PrimaryBridge {
     let net = ManyFlowNet::default();
-    let mut b = PrimaryBridge::new(net.a_p, net.a_s, FailoverConfig::from_ports([80]));
+    let ports = FailoverConfig::from_ports([80]);
+    let mut b = PrimaryBridge::link(net.a_p, net.a_p, upstream, net.a_s, ports);
     b.set_flow_config(FlowTableConfig::new(shards, 65_536));
     b
 }
 
 /// Runs the workload through `process_batch` and flattens the output.
 fn run(shards: usize, threads: usize, batch: usize) -> (Vec<FilterOutput>, u64) {
+    run_through(link(shards, None), threads, batch)
+}
+
+fn run_through(mut b: PrimaryBridge, threads: usize, batch: usize) -> (Vec<FilterOutput>, u64) {
     let cfg = ManyFlowConfig {
         flows: 60,
         offset: 0,
@@ -26,7 +34,6 @@ fn run(shards: usize, threads: usize, batch: usize) -> (Vec<FilterOutput>, u64) 
         seed: 0xD00D,
     };
     let workload = ManyFlowWorkload::generate(&cfg, ManyFlowNet::default());
-    let mut b = bridge(shards);
     let exec = ShardExecutor::new(threads);
     let mut outs = Vec::new();
     let mut now = 0u64;
@@ -79,6 +86,23 @@ fn output_is_identical_across_shard_counts() {
 }
 
 #[test]
+fn a_link_routes_its_output_the_same_on_every_lane() {
+    // The chain routing runs after the merge, outside the shard
+    // workers: what a link below the head diverts upstream must not
+    // depend on which path the batch took.
+    let net = ManyFlowNet::default();
+    let up = Ipv4Addr::new(10, 0, 0, 9);
+    let (base, merged) = run_through(link(1, Some(up)), 1, 16);
+    let wire: Vec<_> = base.iter().flat_map(|o| &o.to_wire).collect();
+    assert!(merged > 0 && !wire.is_empty());
+    assert!(wire.iter().all(|s| s.dst == up || s.dst == net.a_s));
+    assert_ne!(digest(&base), digest(&run(1, 1, 16).0), "the head's");
+    let (outs, m) = run_through(link(8, Some(up)), 4, 16);
+    assert_eq!(digest(&outs), digest(&base), "8 shards on 4 threads");
+    assert_eq!(m, merged);
+}
+
+#[test]
 fn batch_size_does_not_change_output() {
     let (base, _) = run(4, 4, 16);
     let reference = digest(&base);
@@ -100,7 +124,7 @@ fn workload_tears_down_every_flow() {
         seed: 3,
     };
     let workload = ManyFlowWorkload::generate(&cfg, ManyFlowNet::default());
-    let mut b = bridge(2);
+    let mut b = link(2, None);
     let exec = ShardExecutor::new(2);
     let mut now = 0;
     for chunk in workload.into_batches(64) {
