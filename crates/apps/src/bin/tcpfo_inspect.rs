@@ -28,7 +28,7 @@ use tcpfo_apps::driver::RequestReplyClient;
 use tcpfo_apps::stream::SourceServer;
 use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
 use tcpfo_core::{
-    ChainConfig, ChainController, ChainTestbed, PrimaryBridge, SecondaryBridge, TakeoverState,
+    ChainConfig, ChainController, ChainTestbed, PrimaryBridge, PrimaryMode, TakeoverState,
 };
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
@@ -309,8 +309,8 @@ fn render_watch_frame(
             || name.ends_with(".empty_acks")
             || name.ends_with(".retransmissions_forwarded")
             || name.ends_with(".acks_translated")
-            || name.ends_with(".ingress_translated")
-            || name.ends_with(".egress_diverted")
+            || name.ends_with(".ingress_rewrites")
+            || name.ends_with(".diverted_upstream")
             || name.ends_with(".drops");
         if headline {
             println!("{name:<44} {v:>12}");
@@ -547,8 +547,6 @@ fn chain(args: &[String]) -> i32 {
                 let f = h.filter_mut().as_any_mut();
                 if let Some(b) = f.downcast_mut::<PrimaryBridge>() {
                     b.sync_telemetry(now);
-                } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
-                    b.sync_telemetry(now);
                 }
             });
             println!("\n# replica {i} ({})", tb.replica_addrs[i]);
@@ -594,14 +592,16 @@ fn render_chain_frame(
         }
         let (role, lag) = tb.sim.with::<Host, _>(node, |h, _| {
             let f = h.filter_mut().as_any_mut();
-            let (role, observers) = if let Some(b) = f.downcast_mut::<PrimaryBridge>() {
-                let role = if b.is_head() { "head" } else { "middle" };
-                (role, b.observers())
-            } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
-                ("tail", b.observers())
-            } else {
+            let Some(b) = f.downcast_mut::<PrimaryBridge>() else {
                 return ("?", None);
             };
+            // Below the head, a link with nobody below it is the tail.
+            let role = match (b.is_head(), b.mode()) {
+                (true, _) => "head",
+                (false, PrimaryMode::SecondaryFailed) => "tail",
+                (false, PrimaryMode::Normal) => "middle",
+            };
+            let observers = b.observers();
             let lag = observers.health.as_deref().map(|o| {
                 (
                     o.lag.unmatched_bytes(),

@@ -2,20 +2,22 @@
 //! names but leaves out of scope: *"Higher degrees of replication can
 //! be achieved by daisy-chaining multiple backup servers."*
 //!
-//! The chain `head ← B1 ← B2 ← … ← tail` composes the paper's two
-//! bridges:
+//! The chain `head ← B1 ← B2 ← … ← tail` is one bridge at every
+//! position: a [`PrimaryBridge`] with a role ([`PrimaryBridge::link`]),
+//! the §3 merge of its own TCP output against the stream diverted from
+//! below. Position decides the rest:
 //!
-//! * the **tail** is exactly a [`SecondaryBridge`] diverting to its
-//!   upstream neighbour;
-//! * every other **link** is a [`PrimaryBridge`] with a role
-//!   ([`PrimaryBridge::link`]): the §3 merge of its own TCP output
-//!   against the stream diverted from below. A **middle** link diverts
-//!   the *merged* result one hop up (carrying the original destination
-//!   option) and, secondary-style, re-addresses client datagrams to its
-//!   own address; the **head** has no upstream — its merged output goes
-//!   to the client. Only segments of failover connections are routed
-//!   this way: a link's other traffic passes through untouched, as it
-//!   does through the pair's two bridges.
+//! * below the head, a link diverts its output one hop up (carrying the
+//!   original destination option), re-addresses client datagrams to its
+//!   own address, and drops a designated non-SYN segment of a flow it
+//!   never witnessed (§8);
+//! * the **tail** is a link with nobody below it: §6 from the start, its
+//!   every flow a pass-through entry at `Δseq = 0` — the pair's S;
+//! * the **head** has no upstream — its output goes to the client, from
+//!   the VIP.
+//!
+//! Only segments of failover connections are routed this way: a link's
+//! other traffic passes through untouched.
 //!
 //! The client-facing sequence space is the **tail's** space: each link
 //! normalises its own ISN against the merged stream from below, so the
@@ -27,8 +29,10 @@
 //! two-node system):
 //!
 //! * **head dies** → its neighbour promotes: stop diverting, take over
-//!   the VIP (gratuitous ARP). Ingress translation *continues* (its
-//!   TCBs stay keyed to its own address).
+//!   the VIP (gratuitous ARP). With a replica below it, ingress
+//!   translation *continues* (its TCBs stay keyed to its own address);
+//!   with nobody below, it re-keys its TCBs to the VIP, as the pair's S
+//!   does.
 //! * **middle dies** → its neighbours re-target each other; all
 //!   `Δseq`s and queue state stay valid because everything is in the
 //!   tail's space.
@@ -62,7 +66,6 @@ use crate::detector::{advance_expected_seq, health_config, DetectorConfig, HB_RI
 use crate::flow::FlowTableConfig;
 use crate::observers::Observers;
 use crate::primary::{PrimaryBridge, PrimaryMode};
-use crate::secondary::SecondaryBridge;
 use bytes::Bytes;
 use std::any::Any;
 use tcpfo_net::time::{SimDuration, SimTime};
@@ -98,7 +101,13 @@ impl ChainBridge {
         downstream: Ipv4Addr,
         config: FailoverConfig,
     ) -> Self {
-        ChainBridge(PrimaryBridge::link(vip, own, upstream, downstream, config))
+        ChainBridge(PrimaryBridge::link(
+            vip,
+            own,
+            upstream,
+            Some(downstream),
+            config,
+        ))
     }
     pub fn set_flow_config(&mut self, config: FlowTableConfig) {
         self.0.set_flow_config(config);
@@ -210,20 +219,14 @@ struct Instruments {
 /// data is the joiner's youth, not the peer's death.
 const FORCED_PROMOTION_GRACE: u32 = 3;
 
-/// The §3 merge engine this host runs, if it runs one: the head and
-/// every middle link do, a tail does not.
+/// The bridge this host runs, at whatever position.
 fn merge_bridge(filter: &mut dyn SegmentFilter) -> Option<&mut PrimaryBridge> {
     filter.as_any_mut().downcast_mut::<PrimaryBridge>()
 }
 
-/// What watches the bridge this host runs, whatever its role.
+/// What watches the bridge this host runs.
 pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observers> {
-    let any = filter.as_any_mut();
-    if any.is::<PrimaryBridge>() {
-        any.downcast_mut().map(PrimaryBridge::observers_mut)
-    } else {
-        any.downcast_mut().map(SecondaryBridge::observers_mut)
-    }
+    merge_bridge(filter).map(PrimaryBridge::observers_mut)
 }
 
 /// Fault detection and the §5/§6 procedures for one replica — the one
@@ -236,19 +239,18 @@ pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observ
 /// composite score has bottomed out (the liveness axis scales the
 /// total, and `miss_limit = timeout / interval`). A peer not heard from
 /// even once is given [`FORCED_PROMOTION_GRACE`] timeouts. What the survivor
-/// then does follows from the bridge it runs and from who is left:
+/// then does follows from who is left:
 ///
-/// * **nobody alive above me** and my bridge can take the VIP → §5:
-///   the promotion gate (own score against the threshold), the intent
-///   journaled and noted on the auditor *before* anything changes, then
-///   stop client-bound egress, leave promiscuous mode, disable both
-///   address translations (a [`SecondaryBridge`] tail) or stop
-///   diverting (a [`PrimaryBridge`] link), take over the VIP (gratuitous
-///   ARP + re-keying the failover TCBs), retransmit what those TCBs
-///   have in flight, resume as the head;
-/// * **nobody alive below me** and I run a merge engine → §6: flush the
-///   primary output queues, stop delaying output — but keep
-///   subtracting `Δseq` forever;
+/// * **nobody alive above me** → §5: the promotion gate (own score
+///   against the threshold), the intent journaled and noted on the
+///   auditor *before* anything changes, then
+///   [`PrimaryBridge::promote_to_head`] — stop diverting; with nobody
+///   below, also leave promiscuous mode and re-key the failover TCBs to
+///   the VIP — take over the VIP (gratuitous ARP), retransmit what the
+///   failover TCBs have in flight, resume as the head;
+/// * **nobody alive below me** and my bridge still merges → §6: flush
+///   the primary output queues, stop delaying output — but keep
+///   subtracting `Δseq`;
 /// * otherwise re-target the neighbours around the gap.
 ///
 /// A beat from a peer already declared dead is *late* — counted,
@@ -551,15 +553,12 @@ impl ChainController {
         let now_nanos = now.as_nanos();
 
         // Promotion pre-check: would the topology change make us head?
-        // Only the two roles that can actually take the VIP may answer
-        // yes — anything else would journal a `promote` decision that
-        // no commit ever follows.
+        // Only a bridge that is not the head yet may answer yes —
+        // anything else would journal a `promote` decision that no
+        // commit ever follows.
         let wants_promotion = up.is_none()
             && self.promoted_at.is_none()
-            // a tail (§5 takeover of the last survivor) or a link that
-            // is not the head yet
-            && (services.filter.as_any_mut().is::<SecondaryBridge>()
-                || merge_bridge(services.filter).is_some_and(|link| !link.is_head()));
+            && merge_bridge(services.filter).is_some_and(|link| !link.is_head());
         let mut promo_span = None;
         let promote = if wants_promotion {
             match self.promotion_gate(now) {
@@ -605,10 +604,10 @@ impl ChainController {
         // Phase 1: mutate the bridge, collecting host-side follow-ups.
         let mut flush: Option<FilterOutput> = None;
         let mut take_vip = false;
-        let mut rebind_own = false;
+        let mut rekey = None;
         if let Some(link) = merge_bridge(services.filter) {
-            // Merge role. Below: re-target around a gap, or §6 when
-            // nothing is left there.
+            // Below: re-target around a gap, or §6 when nothing is left
+            // there (a tail is in §6 from the start).
             match down {
                 Some(d) => link.set_downstream(d),
                 None if link.mode() == PrimaryMode::Normal => {
@@ -620,39 +619,17 @@ impl ChainController {
             match up {
                 Some(u) if !link.is_head() => link.set_upstream(u),
                 None if promote => {
-                    // A middle link has no egress to hold and no
-                    // ingress translation to disable — both steps are
-                    // degenerate and stamped at the decision.
+                    // Steps 1 and 3–4 take no time: the controller runs
+                    // them at one instant, so no segment meets a bridge
+                    // holding its egress.
                     self.takeover_step(FailoverPhase::EgressHold, "takeover.egress_hold", now);
                     self.takeover_step(
                         FailoverPhase::TranslationOff,
                         "takeover.translation_off",
                         now,
                     );
-                    link.promote_to_head();
+                    rekey = link.promote_to_head(now_nanos);
                     take_vip = true;
-                }
-                _ => {}
-            }
-        } else if let Some(tail) = (services.filter.as_any_mut()).downcast_mut::<SecondaryBridge>()
-        {
-            match up {
-                Some(u) if tail.upstream() != u => tail.set_upstream(u),
-                None if promote => {
-                    // Last replica standing: the classic §5 takeover.
-                    // Step 1: stop sending client-addressed segments.
-                    self.takeover_step(FailoverPhase::EgressHold, "takeover.egress_hold", now);
-                    tail.prepare_takeover();
-                    // Steps 3–4: disable both address translations
-                    // (step 2, leaving promiscuous mode, is host-side).
-                    tail.complete_takeover();
-                    self.takeover_step(
-                        FailoverPhase::TranslationOff,
-                        "takeover.translation_off",
-                        now,
-                    );
-                    take_vip = true;
-                    rebind_own = true;
                 }
                 _ => {}
             }
@@ -667,12 +644,11 @@ impl ChainController {
             services.dispatch(out);
         }
         if take_vip {
-            if rebind_own {
-                // Step 2, then the stack half of step 5: re-keying the
-                // failover TCBs from our own address to the VIP (see
-                // DESIGN.md §2 for why this is needed).
+            if let Some(own) = rekey {
+                // Nobody below: step 2, then the stack half of step 5 —
+                // re-keying the failover TCBs from our own address to
+                // the VIP (see DESIGN.md §2 for why this is needed).
                 services.net.promiscuous = false;
-                let own = self.chain[self.my_index];
                 services.stack.rebind_local_ip(own, vip);
             }
             if !services.net.local_ips.contains(&vip) {
@@ -746,15 +722,15 @@ impl ChainController {
     fn observe_self(&mut self, services: &mut HostServices<'_, '_>) {
         let replica = &mut self.self_monitor.replica;
         replica.set_misses(0);
-        let Some(obs) = observers_of(services.filter).and_then(|o| o.health.as_deref()) else {
+        let Some(bridge) = merge_bridge(services.filter) else {
+            return;
+        };
+        let Some(obs) = bridge.observers().health.as_deref() else {
             return;
         };
         let (bytes, segments) = (obs.lag.unmatched_bytes(), obs.lag.unmatched_segments());
-        // A tail has no merge engine, and its witness table says
-        // nothing about backlog.
-        let occupancy_ppm = merge_bridge(services.filter).map_or(0, |merge| {
-            merge.flow_stats().occupancy * 1_000_000 / merge.flow_capacity().max(1) as u64
-        });
+        let occupancy = bridge.flow_stats().occupancy * 1_000_000;
+        let occupancy_ppm = occupancy / bridge.flow_capacity().max(1) as u64;
         replica.observe_backlog(bytes, segments, occupancy_ppm);
     }
 
@@ -1048,7 +1024,13 @@ mod tests {
     }
 
     fn middle() -> PrimaryBridge {
-        PrimaryBridge::link(VIP, B1, Some(VIP), B2, FailoverConfig::from_ports([80]))
+        PrimaryBridge::link(
+            VIP,
+            B1,
+            Some(VIP),
+            Some(B2),
+            FailoverConfig::from_ports([80]),
+        )
     }
 
     #[test]
@@ -1147,7 +1129,7 @@ mod tests {
         );
         let _ = b.on_inbound(tail, 0);
         assert!(!b.is_head());
-        b.promote_to_head();
+        assert_eq!(b.promote_to_head(0), None, "a replica below: no re-key");
         assert!(b.is_head());
         // Matched data now goes straight to the client, stamped VIP.
         let own_data = raw(

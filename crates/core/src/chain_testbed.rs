@@ -29,17 +29,15 @@ use crate::chain::{observers_of, ChainController};
 use crate::detector::DetectorConfig;
 use crate::primary::PrimaryBridge;
 use crate::reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
-use crate::secondary::SecondaryBridge;
 use crate::testbed::{
     link_bridge, new_hub, prime_router_arp, prime_server_arp, replica_host, replica_mac,
-    spawn_router_and_client, tail_bridge, with_bridge, TestbedConfig,
+    spawn_router_and_client, with_bridge, TestbedConfig,
 };
 use tcpfo_net::hub::Hub;
 use tcpfo_net::link::LinkParams;
 use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::config::TcpConfig;
-use tcpfo_tcp::filter::SegmentFilter;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host};
 use tcpfo_tcp::types::SocketId;
 use tcpfo_telemetry::{FailoverPhase, ObserverSwitches, Telemetry};
@@ -77,8 +75,7 @@ pub struct ChainConfig {
     /// bridge (`None`: `TCPFO_HEALTH`).
     pub health: Option<bool>,
     /// Arm the failover span tracer on every replica hub and a
-    /// hot-path batch sampler on every non-tail bridge (`None`:
-    /// `TCPFO_TRACE`).
+    /// hot-path batch sampler on every bridge (`None`: `TCPFO_TRACE`).
     pub span_trace: Option<bool>,
 }
 
@@ -232,45 +229,34 @@ impl ChainTestbed {
             .collect()
     }
 
-    /// Spawns replica `i` (address already in `replica_addrs`): bridge
-    /// by position (tail = [`SecondaryBridge`] diverting to the nearest
-    /// living replica toward the head, everything else = a
-    /// [`PrimaryBridge`] link), observatories per the knobs, a fresh telemetry
-    /// hub, and a [`ChainController`] over the full chain that already
-    /// knows which members are dead. Wires the host to the next free
-    /// hub port. Founders and reprovisioned standbys are built alike.
+    /// Spawns replica `i` (address already in `replica_addrs`): a
+    /// [`PrimaryBridge`] placed by position (upstream the nearest living
+    /// replica toward the head, downstream the next one, none below the
+    /// tail), observatories per the knobs, a fresh telemetry hub, and a
+    /// [`ChainController`] over the full chain that already knows which
+    /// members are dead. Wires the host to the next free hub port.
+    /// Founders and reprovisioned standbys are built alike.
     fn spawn_replica(&mut self, i: usize) -> NodeId {
         let own = self.replica_addrs[i];
         let telemetry = new_hub(&self.base, self.observers);
         self.tracker.attach_timeline(telemetry.redundancy.clone());
         self.tracker.attach_tracer(telemetry.trace.clone());
-        let filter: Box<dyn SegmentFilter> = if i == self.replica_addrs.len() - 1 {
-            // The tail is a plain secondary, diverting to its
-            // neighbour toward the head.
-            let upstream = self.replica_addrs[self.last_living_before(i)];
-            Box::new(tail_bridge(
-                own,
-                upstream,
-                &self.base,
-                self.observers,
-                &telemetry,
-                "chain-tail",
-            ))
+        let upstream = (i != 0).then(|| self.replica_addrs[self.last_living_before(i)]);
+        let downstream = self.replica_addrs.get(i + 1).copied();
+        let label = if downstream.is_some() {
+            "chain"
         } else {
-            let upstream = (i != 0).then(|| self.replica_addrs[i - 1]);
-            let downstream = self.replica_addrs[i + 1];
-            let (base, on) = (&self.base, self.observers);
-            Box::new(link_bridge(
-                own, upstream, downstream, base, on, &telemetry, "chain",
-            ))
+            "chain-tail"
         };
+        let (base, on) = (&self.base, self.observers);
+        let bridge = link_bridge(own, upstream, downstream, base, on, &telemetry, label);
         let mut host = replica_host(
             &self.base,
             &telemetry,
             &format!("replica{i}"),
             &self.replica_addrs,
             i,
-            filter,
+            Box::new(bridge),
         );
         let controller = host.controller_mut::<ChainController>();
         for (j, &dead) in self.dead.iter().enumerate() {
@@ -383,7 +369,7 @@ impl ChainTestbed {
     }
 
     /// Spawns a fresh standby replica at the end of the chain
-    /// (phase 1): a [`SecondaryBridge`] diverting to the current tail,
+    /// (phase 1): a tail diverting to the current tail,
     /// its own telemetry hub and observatories, a controller that
     /// already knows which founders are dead, ARP pre-primed both
     /// ways. Starts the tracker's reprovision clock. Returns the new
@@ -404,9 +390,8 @@ impl ChainTestbed {
         self.tracker.begin(addr, now);
         self.replica_addrs.push(addr);
         self.dead.push(false);
-        // The standby mirrors a founding tail: a secondary bridge
-        // diverting to the current tail (which will convert to a
-        // middle as part of the handoff).
+        // The standby mirrors a founding tail, diverting to the current
+        // tail (which will convert to a middle as part of the handoff).
         let id = self.spawn_replica(k);
         self.replicas.push(id);
 
@@ -430,8 +415,8 @@ impl ChainTestbed {
 
     /// Rebuilds the handed-off TCBs on the standby (phase 2, stack
     /// half): `Stack::adopt` synthesises each socket `Established` at
-    /// the snapshot positions, and the witness gate is seeded so the
-    /// bridge translates the client's datagrams. Returns the new
+    /// the snapshot positions, and the bridge adopts each flow as a §6
+    /// entry so it translates the client's datagrams. Returns the new
     /// socket IDs, parallel to `handoffs`, for the application half.
     pub fn adopt_on_standby(&mut self, standby: usize, handoffs: &[FlowHandoff]) -> Vec<SocketId> {
         let node = self.replicas[standby];
@@ -441,12 +426,8 @@ impl ChainTestbed {
         self.sim.with::<Host, _>(node, move |h, _| {
             let mut ids = Vec::with_capacity(handoffs.len());
             for ho in &handoffs {
-                if let Some(b) = h
-                    .filter_mut()
-                    .as_any_mut()
-                    .downcast_mut::<SecondaryBridge>()
-                {
-                    b.witness_flow(ho.server_port, ho.client, now);
+                if let Some(b) = h.filter_mut().as_any_mut().downcast_mut::<PrimaryBridge>() {
+                    b.adopt_flow(ho, now);
                 }
                 let local = tcpfo_tcp::types::SocketAddr::new(addr, ho.server_port);
                 let id = h
@@ -470,10 +451,12 @@ impl ChainTestbed {
         let downstream = self.replica_addrs[standby];
         let now = self.sim.now().as_nanos();
         let flows = handoffs.len();
-        let upstream = with_bridge(&mut self.sim, node, |b: &mut SecondaryBridge| b.upstream())
-            .expect("converting tail runs a SecondaryBridge");
+        let upstream = with_bridge(&mut self.sim, node, |b: &mut PrimaryBridge| b.upstream())
+            .flatten()
+            .expect("the converting tail sits below the head");
         let (base, on, hub) = (&self.base, self.observers, &self.hubs[tail]);
-        let mut bridge = link_bridge(own, Some(upstream), downstream, base, on, hub, "chain");
+        let down = Some(downstream);
+        let mut bridge = link_bridge(own, Some(upstream), down, base, on, hub, "chain");
         for ho in handoffs {
             bridge.adopt_flow(ho, now);
         }

@@ -11,9 +11,9 @@
 //!      │ §6 secondary failure      │ §6                        │ §8 teardown
 //!      ▼                           ▼                           ▼
 //!   Degraded ◀──────────────────────                        TimeWait
-//!      │ (exempt from GC,                                      │ TTL
-//!      │  evictable under pressure)                            ▼
-//!      └────────────── capacity eviction ──────────────▶    Reaped
+//!      │ └──────────── FINs both ways ─────────────────▶       │ TTL
+//!      │ idle TTL, capacity eviction                           ▼
+//!      └───────────────────────────────────────────────▶    Reaped
 //! ```
 //!
 //! `Reaped` is terminal and virtual: a reaped flow's slot is freed, so
@@ -30,11 +30,11 @@ pub enum FlowState {
     Establishing,
     /// Fully replicated duplex operation (the §3 steady state).
     Replicated,
-    /// §6: the secondary failed while this flow was live; the bridge
-    /// passes segments through with `Δseq` still applied, forever.
-    /// Exempt from idle GC (the flow is live, just unreplicated) but
-    /// *not* from LRU eviction under capacity pressure — bounded
-    /// memory wins over degraded-flow retention.
+    /// §6: nobody is below to replicate this flow (the secondary
+    /// failed while it was live, or it was born on a tail); the bridge
+    /// passes segments through with `Δseq` still applied. Like any
+    /// flow it is touched by its peer's segments and reaped by the idle
+    /// TTL or LRU eviction; FINs both ways move it to `TimeWait`.
     Degraded,
     /// FIN progress observed in at least one direction.
     Closing,

@@ -29,10 +29,10 @@
 //!
 //! Expiry no longer sweeps the slab. Every slot is also threaded onto
 //! one of two intrusive **expiry lists**, one per TTL class: TimeWait
-//! residue (`timewait_ttl`) and live/idle flows (`idle_ttl`).
-//! §6-degraded flows are on no list — GC-exempt, though still subject
-//! to LRU eviction. Each `insert` / `replace` / `touch` / class-changing
-//! `set_state` moves the slot to the *back* of its class list with
+//! residue (`timewait_ttl`) and every other flow, §6 pass-through
+//! entries included (`idle_ttl`). Each `insert` / `replace` / `touch` /
+//! class-changing `set_state` moves the slot to the *back* of its class
+//! list with
 //! `last_activity = now`; because sim time is monotone, every class
 //! list is therefore ordered by non-decreasing deadline
 //! (`last_activity + ttl`). A GC tick pops expired slots off the list
@@ -57,12 +57,11 @@ const EXP_TIMEWAIT: usize = 0;
 /// Expiry class for live flows (idle-TTL leak backstop).
 const EXP_IDLE: usize = 1;
 
-/// The expiry class a state belongs to; `None` = GC-exempt.
-fn exp_class(state: FlowState) -> Option<usize> {
+/// The expiry class a state belongs to.
+fn exp_class(state: FlowState) -> usize {
     match state {
-        FlowState::TimeWait => Some(EXP_TIMEWAIT),
-        FlowState::Degraded => None,
-        _ => Some(EXP_IDLE),
+        FlowState::TimeWait => EXP_TIMEWAIT,
+        _ => EXP_IDLE,
     }
 }
 
@@ -73,9 +72,10 @@ pub struct GcPolicy {
     /// retransmissions still get re-ACKed (the paper keeps tombstones
     /// "for some time"; we use TCP's conventional 60 s).
     pub timewait_ttl: u64,
-    /// Idle TTL for live flows (Establishing / Replicated / Closing):
-    /// generous, because reaping a genuinely live flow breaks it. This
-    /// is a leak backstop, not a policy knob.
+    /// Idle TTL for every flow not in TimeWait (Establishing /
+    /// Replicated / Closing / Degraded): generous, because reaping a
+    /// genuinely live flow breaks it. This is a leak backstop, not a
+    /// policy knob.
     pub idle_ttl: u64,
     /// Whole-table reap budget per timer tick ([`FlowTable::gc_budgeted`]).
     /// Bounds the GC pause; backlog carries over via the table's shard
@@ -199,8 +199,7 @@ struct Slot<T> {
     /// Intrusive LRU links (slot indices; [`NONE`] terminates).
     prev: u32,
     next: u32,
-    /// Intrusive expiry-list links (per TTL class; [`NONE`] when the
-    /// slot is GC-exempt).
+    /// Intrusive expiry-list links (within its TTL class's list).
     exp_prev: u32,
     exp_next: u32,
     data: T,
@@ -318,10 +317,9 @@ impl<T> Shard<T> {
         let i = slot.0;
         self.unlink(i);
         self.link_front(i);
-        if let Some(class) = exp_class(self.slot(i).state) {
-            self.exp_unlink(i, class);
-            self.exp_push_back(i, class);
-        }
+        let class = exp_class(self.slot(i).state);
+        self.exp_unlink(i, class);
+        self.exp_push_back(i, class);
         let s = self.slot_mut(i);
         s.last_activity = now;
         &mut s.data
@@ -347,12 +345,8 @@ impl<T> Shard<T> {
         }
         let (old_class, new_class) = (exp_class(old), exp_class(state));
         if old_class != new_class {
-            if let Some(c) = old_class {
-                self.exp_unlink(i, c);
-            }
-            if let Some(c) = new_class {
-                self.exp_push_back(i, c);
-            }
+            self.exp_unlink(i, old_class);
+            self.exp_push_back(i, new_class);
         }
         let s = self.slot_mut(i);
         s.state = state;
@@ -367,18 +361,14 @@ impl<T> Shard<T> {
     /// residue taking a connection's place).
     pub fn replace(&mut self, slot: SlotId, state: FlowState, data: T, now: u64) -> T {
         let i = slot.0;
-        if let Some(c) = exp_class(self.slot(i).state) {
-            self.exp_unlink(i, c);
-        }
+        self.exp_unlink(i, exp_class(self.slot(i).state));
         let s = self.slot_mut(i);
         s.state = state;
         s.last_activity = now;
         let old = std::mem::replace(&mut s.data, data);
         self.unlink(i);
         self.link_front(i);
-        if let Some(c) = exp_class(state) {
-            self.exp_push_back(i, c);
-        }
+        self.exp_push_back(i, exp_class(state));
         old
     }
 
@@ -428,9 +418,7 @@ impl<T> Shard<T> {
         };
         self.index.insert(key, slot);
         self.link_front(slot);
-        if let Some(c) = exp_class(state) {
-            self.exp_push_back(slot, c);
-        }
+        self.exp_push_back(slot, exp_class(state));
         self.stats.inserted += 1;
         self.stats.occupancy = self.index.len() as u64;
         (SlotId(slot), evicted)
@@ -600,9 +588,7 @@ impl<T> Shard<T> {
     /// free.
     fn remove_slot(&mut self, i: u32) -> Option<Evicted<T>> {
         self.unlink(i);
-        if let Some(class) = exp_class(self.slot(i).state) {
-            self.exp_unlink(i, class);
-        }
+        self.exp_unlink(i, exp_class(self.slot(i).state));
         let s = self.slots[i as usize].take()?;
         self.index.remove(&s.key);
         self.free.push(i);
@@ -839,9 +825,15 @@ mod tests {
         assert!(reaped.is_empty(), "nothing expires before the TTL");
         t.gc(ttl, &mut |ev| reaped.push(ev.key));
         assert_eq!(reaped, vec![key(1)], "only the TimeWait entry reaps");
-        assert!(t.contains(&key(2)), "degraded flows are GC-exempt");
+        assert!(
+            t.contains(&key(2)),
+            "degraded flows outlast the TimeWait TTL"
+        );
         assert!(t.contains(&key(3)), "live flows outlast the TimeWait TTL");
         assert_eq!(t.stats_total().reaped, 1);
+        // The idle TTL is the backstop for both.
+        t.gc(t.config().gc.idle_ttl, &mut |_| {});
+        assert!(t.is_empty(), "degraded and live flows reap on the idle TTL");
     }
 
     #[test]

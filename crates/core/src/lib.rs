@@ -9,18 +9,20 @@
 //! connection's lifetime, transparently to an unmodified client and to
 //! the actively-replicated server application.
 //!
-//! * [`primary`] — the primary bridge: output-queue matching, `Δseq`
+//! * [`primary`] — the bridge: output-queue matching, `Δseq`
 //!   synchronisation, `min(ack)`/`min(win)` merging, the §3.4
 //!   empty-ACK rule, §4 retransmission recognition, §8 termination,
 //!   §6 secondary-failure degradation — and, as a role it carries, its
-//!   place in a daisy chain: a head or middle link is a
-//!   [`PrimaryBridge`] built by [`PrimaryBridge::link`].
-//! * [`secondary`] — the secondary bridge: promiscuous ingress
-//!   `a_p → a_s` rewriting and egress `a_c → a_p` diversion with the
-//!   original-destination option (incremental checksums throughout).
+//!   place in a daisy chain: head, middle link and tail are each a
+//!   [`PrimaryBridge`] built by [`PrimaryBridge::link`]. Below the head
+//!   it diverts egress one hop up with the original-destination option
+//!   and rewrites ingress `vip → own`; the tail — the paper's secondary
+//!   bridge — is a link with nobody below it, in §6 from the start.
+//! * [`secondary`] — the tail's old name, [`SecondaryBridge`], kept for
+//!   the standing benchmark.
 //! * [`queues`] — the primary/secondary output queues of Figure 2.
 //! * [`designation`] — §7's two ways of marking failover connections.
-//! * [`flow`] — the sharded flow table both bridges store per-flow
+//! * [`flow`] — the sharded flow table the bridge stores per-flow
 //!   state in: explicit lifecycle, capacity limits, LRU eviction,
 //!   timer-driven GC, per-shard stats.
 //! * [`observers`] — the observer seam: the one [`Observers`] value a
@@ -30,7 +32,7 @@
 //! * [`chain`] — the one control plane ([`ChainController`]: heartbeats,
 //!   the §5 takeover — gratuitous ARP + TCB re-keying — and the §6
 //!   degradation; the pair is the chain `[a_p, a_s]`) and how deeper
-//!   daisy chains compose the two bridges.
+//!   daisy chains place one bridge at every position.
 //! * [`testbed`] — the paper's Figure-1 topology (client, router,
 //!   shared segment, P, S, optional back-end T) as a one-call builder,
 //!   including the standard-TCP baseline and the switch ablation.
@@ -68,5 +70,5 @@ pub use flow::{FlowKey, FlowState, FlowTable, FlowTableConfig};
 pub use observers::Observers;
 pub use primary::{ConnRow, PrimaryBridge, PrimaryMode, PrimaryStats};
 pub use reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
-pub use secondary::{SecondaryBridge, SecondaryMode, SecondaryStats};
+pub use secondary::SecondaryBridge;
 pub use testbed::{SegmentKind, Testbed, TestbedConfig};

@@ -141,7 +141,7 @@ impl Observers {
         }
     }
 
-    /// A tail performed `step` of the §5 takeover at `now_nanos`.
+    /// A promoted link performed `step` of the §5 takeover at `now_nanos`.
     pub(crate) fn takeover_step(&mut self, step: TakeoverStep, now_nanos: u64) {
         if let Some(a) = self.audit.as_deref_mut() {
             a.note_takeover_step(step, now_nanos);

@@ -18,8 +18,7 @@ use crate::designation::FailoverConfig;
 use crate::detector::DetectorConfig;
 use crate::flow::FlowTableConfig;
 use crate::observers::Observers;
-use crate::primary::PrimaryBridge;
-use crate::secondary::SecondaryBridge;
+use crate::primary::{PrimaryBridge, PrimaryStats};
 use tcpfo_net::hub::Hub;
 use tcpfo_net::link::LinkParams;
 use tcpfo_net::router::{Interface, Router};
@@ -144,7 +143,7 @@ pub struct TestbedConfig {
     /// always on (`None`: `TCPFO_HEALTH`).
     pub health: Option<bool>,
     /// Arm the failover span tracer: attach the hub's span ring and a
-    /// hot-path batch sampler on the primary bridge (`None`:
+    /// hot-path batch sampler on both bridges (`None`:
     /// `TCPFO_TRACE`). Distinct from [`TestbedConfig::trace_capacity`],
     /// which sizes the *packet* trace ring.
     pub span_trace: Option<bool>,
@@ -343,13 +342,13 @@ pub(crate) fn new_hub(config: &TestbedConfig, observers: ObserverSwitches) -> Te
     hub
 }
 
-/// The merge bridge of the link at `own` (the pair's P, a chain's head
-/// or middle link), publishing into `telemetry`, with the flow-table
-/// override and the observers that are switched on.
+/// The bridge of the replica at `own` — the pair's P or S, a chain's
+/// head, middle link or tail — publishing into `telemetry`, with the
+/// flow-table override and the observers that are switched on.
 pub(crate) fn link_bridge(
     own: Ipv4Addr,
     upstream: Option<Ipv4Addr>,
-    downstream: Ipv4Addr,
+    downstream: Option<Ipv4Addr>,
     config: &TestbedConfig,
     observers: ObserverSwitches,
     telemetry: &Telemetry,
@@ -361,32 +360,6 @@ pub(crate) fn link_bridge(
         bridge.set_flow_config(fc);
     }
     bridge.set_telemetry(telemetry);
-    *bridge.observers_mut() = Observers::attach(observers, telemetry, audit_label);
-    bridge
-}
-
-/// A tail bridge diverting to `upstream`, equipped like
-/// [`link_bridge`] — minus the span sampler: a tail has no batch
-/// entry to sample.
-pub(crate) fn tail_bridge(
-    own: Ipv4Addr,
-    upstream: Ipv4Addr,
-    config: &TestbedConfig,
-    observers: ObserverSwitches,
-    telemetry: &Telemetry,
-    audit_label: &str,
-) -> SecondaryBridge {
-    let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
-    let mut bridge = SecondaryBridge::new(addrs::A_P, own, fo);
-    bridge.set_upstream(upstream);
-    if let Some(fc) = flow_config_override(config) {
-        bridge.set_flow_config(fc);
-    }
-    bridge.set_telemetry(telemetry);
-    let observers = ObserverSwitches {
-        span_trace: false,
-        ..observers
-    };
     *bridge.observers_mut() = Observers::attach(observers, telemetry, audit_label);
     bridge
 }
@@ -423,8 +396,8 @@ pub(crate) fn replica_host(
 }
 
 /// Replica `index` of the pair `[a_p, a_s]` with an empty bridge — P
-/// (0) runs a bare merge bridge, S (1) a tail: the hosts `Testbed::new`
-/// starts with and the one `revive_secondary` boots in S's place.
+/// (0) the head, S (1) the tail: the hosts `Testbed::new` starts with
+/// and the one `revive_secondary` boots in S's place.
 fn pair_replica(
     config: &TestbedConfig,
     telemetry: &Telemetry,
@@ -432,29 +405,14 @@ fn pair_replica(
     index: usize,
     audit_label: &str,
 ) -> Host {
-    let filter: Box<dyn SegmentFilter> = if index == 0 {
-        Box::new(link_bridge(
-            addrs::A_P,
-            None,
-            addrs::A_S,
-            config,
-            observers,
-            telemetry,
-            audit_label,
-        ))
-    } else {
-        Box::new(tail_bridge(
-            addrs::A_S,
-            addrs::A_P,
-            config,
-            observers,
-            telemetry,
-            audit_label,
-        ))
+    let (own, up, down) = match index {
+        0 => (addrs::A_P, None, Some(addrs::A_S)),
+        _ => (addrs::A_S, Some(addrs::A_P), None),
     };
+    let bridge = link_bridge(own, up, down, config, observers, telemetry, audit_label);
     let label = ["primary", "secondary"][index];
     let chain = [addrs::A_P, addrs::A_S];
-    let mut host = replica_host(config, telemetry, label, &chain, index, filter);
+    let mut host = replica_host(config, telemetry, label, &chain, index, Box::new(bridge));
     // The paper's §5 is unconditional: a pair whose only successor
     // vetoes itself is a service with no head.
     host.controller_mut::<ChainController>()
@@ -650,17 +608,17 @@ impl Testbed {
     }
 
     /// Snapshot of the primary bridge statistics.
-    pub fn primary_stats(&mut self) -> crate::primary::PrimaryStats {
+    pub fn primary_stats(&mut self) -> PrimaryStats {
         with_bridge(&mut self.sim, self.primary, |b: &mut PrimaryBridge| {
             b.stats.clone()
         })
         .expect("primary bridge installed")
     }
 
-    /// Snapshot of the secondary bridge statistics.
-    pub fn secondary_stats(&mut self) -> crate::secondary::SecondaryStats {
+    /// Snapshot of the secondary bridge (the tail) statistics.
+    pub fn secondary_stats(&mut self) -> PrimaryStats {
         let s = self.secondary.expect("replicated testbed");
-        with_bridge(&mut self.sim, s, |b: &mut SecondaryBridge| b.stats.clone())
+        with_bridge(&mut self.sim, s, |b: &mut PrimaryBridge| b.stats.clone())
             .expect("secondary bridge installed")
     }
 
@@ -676,11 +634,8 @@ impl Testbed {
     /// one (bridges otherwise publish lazily, on their next segment).
     fn sync_bridge_telemetry(&mut self) {
         let now = self.sim.now().as_nanos();
-        with_bridge(&mut self.sim, self.primary, |b: &mut PrimaryBridge| {
-            b.sync_telemetry(now);
-        });
-        if let Some(s) = self.secondary {
-            with_bridge(&mut self.sim, s, |b: &mut SecondaryBridge| {
+        for node in [Some(self.primary), self.secondary].into_iter().flatten() {
+            with_bridge(&mut self.sim, node, |b: &mut PrimaryBridge| {
                 b.sync_telemetry(now);
             });
         }
@@ -718,7 +673,7 @@ impl Testbed {
     /// Runs `f` against the secondary bridge's attached auditor, if
     /// any.
     pub fn with_secondary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
-        with_bridge(&mut self.sim, self.secondary?, |b: &mut SecondaryBridge| {
+        with_bridge(&mut self.sim, self.secondary?, |b: &mut PrimaryBridge| {
             b.observers().audit.as_deref().map(f)
         })?
     }

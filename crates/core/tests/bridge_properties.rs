@@ -254,14 +254,14 @@ proptest! {
         src_last in any::<u8>(),
         dst_last in any::<u8>(),
     ) {
-        use tcpfo_core::SecondaryBridge;
         let src = Ipv4Addr::new(10, 0, 0, src_last);
         let dst = Ipv4Addr::new(10, 0, 0, dst_last);
         let mut p = established();
         let seg = AddressedSegment::new(src, dst, bytes.clone());
         let _ = p.on_inbound(seg.clone(), 0);
         let _ = p.on_outbound(seg.clone(), 0);
-        let mut s = SecondaryBridge::new(A_P, A_S, tcpfo_core::FailoverConfig::from_ports([80]));
+        let fo = tcpfo_core::FailoverConfig::from_ports([80]);
+        let mut s = PrimaryBridge::link(A_P, A_S, Some(A_P), None, fo);
         let _ = s.on_inbound(seg.clone(), 0);
         let _ = s.on_outbound(seg, 0);
     }

@@ -25,7 +25,7 @@ fn raw(src: Ipv4Addr, dst: Ipv4Addr, seg: TcpSegment) -> AddressedSegment {
     AddressedSegment::new(src, dst, seg.encode(src, dst).to_vec())
 }
 
-/// What the tail's SecondaryBridge would emit for `seg`.
+/// What the tail (a link with nobody below) diverts up for `seg`.
 fn tail_divert(seg: TcpSegment) -> AddressedSegment {
     let bytes = seg.encode(B2, A_C).to_vec();
     let mut p = SegmentPatcher::new(bytes, B2, A_C);
@@ -43,8 +43,8 @@ struct Chain {
 impl Chain {
     fn established() -> Self {
         let cfg = FailoverConfig::from_ports([80]);
-        let mut middle = PrimaryBridge::link(VIP, B1, Some(VIP), B2, cfg.clone());
-        let mut head = PrimaryBridge::link(VIP, VIP, None, B1, cfg);
+        let mut middle = PrimaryBridge::link(VIP, B1, Some(VIP), Some(B2), cfg.clone());
+        let mut head = PrimaryBridge::link(VIP, VIP, None, Some(B1), cfg);
         // Client SYN reaches every replica.
         let syn = TcpSegment::builder(5555, 80)
             .seq(ISS_C)
@@ -235,7 +235,7 @@ const B3: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 5); // reprovisioned standby
 const CURSOR: u32 = 0x2000_0000;
 const ISS_C2: u32 = 9_000;
 
-/// What the standby's SecondaryBridge emits: its adopted socket talks
+/// What the standby (the new tail) diverts: its adopted socket talks
 /// in the tail's (client-facing) space already, diverted to the
 /// converted middle.
 fn standby_divert(seg: TcpSegment) -> AddressedSegment {
@@ -268,7 +268,7 @@ proptest! {
         let cfg = FailoverConfig::from_ports([80]);
         // The converted old tail: upstream toward the head, the fresh
         // standby downstream.
-        let mut mid = PrimaryBridge::link(VIP, B2, Some(B1), B3, cfg);
+        let mut mid = PrimaryBridge::link(VIP, B2, Some(B1), Some(B3), cfg);
         mid.adopt_flow(
             &FlowHandoff {
                 client: SocketAddr::new(A_C, 5555),

@@ -11,7 +11,7 @@
 //! own pre-step probes are its cost, not the datapath's).
 
 use tcpfo_core::flow::FlowTableConfig;
-use tcpfo_core::{FailoverConfig, Observers, PrimaryBridge, SecondaryBridge};
+use tcpfo_core::{FailoverConfig, Observers, PrimaryBridge};
 use tcpfo_tcp::filter::{AddressedSegment, SegmentFilter};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{SegmentPatcher, TcpFlags, TcpSegment, TcpSegmentBuilder};
@@ -96,7 +96,7 @@ fn each_steady_state_segment_probes_the_index_once() {
 
 #[test]
 fn the_secondary_resolves_a_client_segment_once() {
-    let mut s = SecondaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
+    let mut s = PrimaryBridge::link(A_P, A_S, Some(A_P), None, FailoverConfig::from_ports([80]));
     s.set_flow_config(FlowTableConfig::new(4, 1024));
     *s.observers_mut() = Observers::default();
     let _ = s.on_inbound(raw(A_C, A_P, client(TcpFlags::SYN).build()), 0);

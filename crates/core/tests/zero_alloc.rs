@@ -245,7 +245,7 @@ fn established_middle() -> PrimaryBridge {
         A_P,
         B_OWN,
         Some(A_P),
-        B_DOWN,
+        Some(B_DOWN),
         FailoverConfig::from_ports([80]),
     );
     let syn = raw(
@@ -472,7 +472,6 @@ fn span_sampler_batch_cycle_does_not_allocate() {
 // alone.
 // ---------------------------------------------------------------------
 
-use tcpfo_core::SecondaryBridge;
 use tcpfo_telemetry::{AuditConfig, InvariantAuditor, LatencyObservatory, Telemetry};
 
 const TICK_NS: u64 = 1_000_000;
@@ -506,7 +505,8 @@ fn idle_tick_with_every_observer_attached_does_not_allocate() {
         "primary allocated {delta} times in 1000 idle ticks"
     );
 
-    let mut secondary = SecondaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
+    let fo = FailoverConfig::from_ports([80]);
+    let mut secondary = PrimaryBridge::link(A_P, A_S, Some(A_P), None, fo);
     secondary.set_telemetry(&hub);
     secondary.set_audit(Some(auditor("tick-s")));
     secondary.observers_mut().latency = Some(Box::new(LatencyObservatory::new()));

@@ -1,4 +1,5 @@
-//! Anatomy of the bridges: drive the primary and secondary bridges
+//! Anatomy of the bridge: drive the primary's and the secondary's
+//! bridges — the head and the tail of a pair, one type at two places —
 //! directly with hand-built segments and print what they do at each
 //! step of §3 — diversion with the orig-dest option, Δseq
 //! normalisation, output-queue matching, min-ack/min-window merging,
@@ -8,7 +9,7 @@
 //! Run with: `cargo run --example bridge_anatomy`
 
 use bytes::Bytes;
-use tcp_failover::core::{FailoverConfig, PrimaryBridge, SecondaryBridge};
+use tcp_failover::core::{FailoverConfig, PrimaryBridge};
 use tcp_failover::tcp::filter::{AddressedSegment, SegmentFilter};
 use tcp_failover::wire::ipv4::Ipv4Addr;
 use tcp_failover::wire::tcp::{TcpFlags, TcpSegment};
@@ -58,7 +59,8 @@ fn show(prefix: &str, out: &tcp_failover::tcp::filter::FilterOutput) {
 fn main() {
     let cfg = FailoverConfig::from_ports([80]);
     let mut primary = PrimaryBridge::new(A_P, A_S, cfg.clone());
-    let mut secondary = SecondaryBridge::new(A_P, A_S, cfg);
+    // The secondary's bridge: a link at A_S below the head, nobody below it.
+    let mut secondary = PrimaryBridge::link(A_P, A_S, Some(A_P), None, cfg);
 
     println!("== handshake (§7.1): client SYN, ISNs P=5000 S=9000, Δseq=-4000 ==");
     let client_syn = seg(

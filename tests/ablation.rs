@@ -54,7 +54,7 @@ fn attempt_transfer(segment: SegmentKind, replicated: bool) -> (bool, u64) {
         h.app_mut::<RequestReplyClient>(0).is_done()
     });
     let snooped = if replicated {
-        tb.secondary_stats().ingress_translated
+        tb.secondary_stats().ingress_rewrites
     } else {
         0
     };

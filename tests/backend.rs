@@ -62,7 +62,7 @@ fn replicated_client_queries_unreplicated_backend() {
     });
     // The secondary really diverted its copy of the request stream.
     let sstats = tb.secondary_stats();
-    assert!(sstats.egress_diverted > 0);
+    assert!(sstats.diverted_upstream > 0);
 }
 
 #[test]

@@ -322,6 +322,58 @@ fn failure_during_reprovision_catchup_degrades_gracefully() {
     assert_eq!(tb.audit_violations(), 0);
 }
 
+/// A chain of three loses `first` at 150 ms and `second` at 400 ms of a
+/// 20 MB download (seed 6, auditor attached). The replica left serves the
+/// stream to the end, byte-exact, and from the moment of the second kill
+/// every frame the client receives from the servers comes from the VIP —
+/// never from a replica's own address — and no rule fires.
+fn a_chain_of_three_survives_losing(first: usize, second: usize) {
+    use tcp_failover::net::trace::TraceKind;
+    use tcp_failover::wire::eth::EthernetFrame;
+    use tcp_failover::wire::ipv4::{Ipv4Packet, PROTO_TCP};
+
+    const TOTAL: u64 = 20_000_000;
+    let mut tb = download_testbed_with(observed_config(3, 6), TOTAL);
+    tb.run_for(SimDuration::from_millis(150));
+    tb.kill_replica(first);
+    tb.run_for(SimDuration::from_millis(250));
+    tb.kill_replica(second);
+    tb.sim.set_trace_enabled(true);
+    let own = tb.replica_addrs[1..].to_vec();
+    let client = tb.client;
+    let mut from_own = 0;
+    let done = |tb: &mut ChainTestbed| {
+        tb.sim.with::<Host, _>(tb.client, |h, _| {
+            h.app_mut::<RequestReplyClient>(0).is_done()
+        })
+    };
+    for _ in 0..30 {
+        tb.run_for(SimDuration::from_secs(1));
+        from_own += (tb.sim.take_trace().iter())
+            .filter(|e| e.node == client && matches!(e.kind, TraceKind::Rx { .. }))
+            .filter_map(|e| EthernetFrame::decode_shared(e.frame.as_ref()?).ok())
+            .filter_map(|eth| Ipv4Packet::decode_shared(&eth.payload).ok())
+            .filter(|ip| ip.protocol == PROTO_TCP && own.contains(&ip.src))
+            .count();
+        if done(&mut tb) {
+            break;
+        }
+    }
+    assert_download_done(&mut tb, TOTAL);
+    assert_eq!(from_own, 0, "the client heard a replica's own address");
+    assert_eq!(tb.audit_violations(), 0);
+}
+
+#[test]
+fn a_chain_of_three_survives_losing_its_tail_then_its_head() {
+    a_chain_of_three_survives_losing(2, 0);
+}
+
+#[test]
+fn a_chain_of_three_survives_losing_its_head_then_its_tail() {
+    a_chain_of_three_survives_losing(0, 2);
+}
+
 #[test]
 fn traffic_that_is_not_failover_traffic_is_the_heads_alone() {
     // While a port-80 download streams through the chain, the client

@@ -52,8 +52,8 @@ fn client_to_server_stream_is_acked_by_both() {
     assert_eq!(s_received, 100_000, "secondary snooped the full stream");
     // The secondary's acks were diverted to the primary.
     let sstats = tb.secondary_stats();
-    assert!(sstats.ingress_translated > 0);
-    assert!(sstats.egress_diverted > 0);
+    assert!(sstats.ingress_rewrites > 0);
+    assert!(sstats.diverted_upstream > 0);
 }
 
 #[test]

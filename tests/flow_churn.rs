@@ -5,7 +5,8 @@
 //! occupancy must plateau at (TimeWait TTL ÷ churn period) and drain
 //! to zero once the churn stops.
 
-use tcp_failover::core::{FailoverConfig, PrimaryBridge, SecondaryBridge};
+use tcp_failover::core::flow::FlowTableConfig;
+use tcp_failover::core::{FailoverConfig, PrimaryBridge};
 use tcp_failover::tcp::filter::{AddressedSegment, SegmentFilter};
 use tcp_failover::telemetry::audit::{AuditConfig, InvariantAuditor};
 use tcp_failover::telemetry::ObserverSwitches;
@@ -191,10 +192,92 @@ fn primary_tombstones_do_not_accumulate_under_churn() {
     }
 }
 
-/// One open→close cycle as the secondary bridge sees it: client SYN
-/// and FIN inbound (addressed to the primary), its own server FIN
-/// diverted outbound.
-fn secondary_cycle(b: &mut SecondaryBridge, port: u16, now: u64) {
+#[test]
+fn degraded_entries_do_not_accumulate_under_churn() {
+    // The same churn through a primary whose secondary is gone (§6):
+    // every connection is born a pass-through entry, and FINs both ways
+    // walk it to TimeWait like any other.
+    let mut b = PrimaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
+    let _ = b.secondary_failed(0);
+    let mut peak = 0usize;
+    for i in 0..CYCLES {
+        let now = u64::from(i) * PERIOD;
+        primary_cycle(&mut b, 10_000 + i, now);
+        b.on_tick(now + PERIOD / 2);
+        peak = peak.max(b.flow_count());
+        assert!(
+            b.flow_count() <= BOUND,
+            "cycle {i}: {} §6 entries — degraded flows leaking",
+            b.flow_count()
+        );
+    }
+    assert!(peak >= 16, "churn must overlap TimeWait windows");
+    let end = u64::from(CYCLES) * PERIOD + 120 * SEC;
+    b.on_tick(end);
+    assert_eq!(b.flow_count(), 0, "table drains once churn stops");
+    assert_eq!(b.stats.flows_reaped, u64::from(CYCLES));
+}
+
+#[test]
+fn a_busy_degraded_flow_outlives_churn() {
+    // At capacity 64 a §6 flow with Δseq ≠ 0 keeps forwarding while 200
+    // short connections come and go: the least recently used entries are
+    // theirs, not the busy flow's, so its client's acknowledgments still
+    // reach the stack raised by Δseq.
+    let (iss_p, iss_s) = (5_000u32, 9_000u32);
+    let mut b = PrimaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
+    b.set_flow_config(FlowTableConfig::new(1, 64));
+    let syn = TcpSegment::builder(5555, 80)
+        .seq(999)
+        .flags(TcpFlags::SYN)
+        .window(60_000)
+        .build();
+    let synack = |iss: u32| {
+        TcpSegment::builder(80, 5555)
+            .seq(iss)
+            .ack(1000)
+            .flags(TcpFlags::SYN)
+            .window(40_000)
+            .build()
+    };
+    let _ = b.on_inbound(raw(A_C, A_P, syn), 0);
+    let _ = b.on_outbound(raw(A_P, A_C, synack(iss_p)), 0);
+    let merged = b.on_inbound(diverted(5555, synack(iss_s)), 0);
+    assert_eq!(merged.to_wire.len(), 1, "handshake merged");
+    let _ = b.secondary_failed(0);
+
+    let client_ack = |acked: u32| {
+        let ack = TcpSegment::builder(5555, 80)
+            .seq(1000)
+            .ack(iss_s + 1 + acked)
+            .window(60_000)
+            .build();
+        raw(A_C, A_P, ack)
+    };
+    for i in 0..200u16 {
+        let now = u64::from(i + 1) * 1_000_000;
+        primary_cycle(&mut b, 10_000 + i, now);
+        let sent = u32::from(i) * 10;
+        let data = TcpSegment::builder(80, 5555)
+            .seq(iss_p + 1 + sent)
+            .ack(1000)
+            .window(50_000)
+            .payload(vec![7; 10].into())
+            .build();
+        let out = b.on_outbound(raw(A_P, A_C, data), now);
+        assert_eq!(out.to_wire.len(), 1, "round {i}: passed through");
+        let _ = b.on_inbound(client_ack(sent + 10), now);
+    }
+    assert!(b.stats.evicted_flows > 0, "the churn filled the table");
+    let up = b.on_inbound(client_ack(2_000), 300_000_000);
+    let ack = TcpSegment::decode(&up.to_tcp[0].bytes).unwrap().ack;
+    assert_eq!(ack, iss_p + 1 + 2_000, "the busy flow's ack untranslated");
+}
+
+/// One open→close cycle as the secondary's bridge (the tail) sees it:
+/// client SYN and FIN inbound (addressed to the primary), its own server
+/// FIN diverted outbound.
+fn secondary_cycle(b: &mut PrimaryBridge, port: u16, now: u64) {
     let _ = b.on_inbound(
         raw(
             A_C,
@@ -238,7 +321,7 @@ fn secondary_cycle(b: &mut SecondaryBridge, port: u16, now: u64) {
 
 #[test]
 fn secondary_witness_entries_do_not_accumulate_under_churn() {
-    let mut b = SecondaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
+    let mut b = PrimaryBridge::link(A_P, A_S, Some(A_P), None, FailoverConfig::from_ports([80]));
     let mut peak = 0usize;
     for i in 0..CYCLES {
         let now = u64::from(i) * PERIOD;

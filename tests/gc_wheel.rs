@@ -7,8 +7,8 @@
 //! The oracle is a plain map of `key -> (state, last_activity)` with
 //! the table's documented activity semantics: insert and touch stamp
 //! `last_activity = now`; a state change that moves the flow between
-//! TTL classes (TimeWait vs live vs GC-exempt Degraded) also counts as
-//! activity; a same-class transition does not restamp.
+//! TTL classes (TimeWait vs everything else, §6's Degraded included)
+//! also counts as activity; a same-class transition does not restamp.
 
 use std::collections::{HashMap, HashSet};
 
@@ -47,12 +47,11 @@ fn state_of(sel: u8) -> FlowState {
     }
 }
 
-/// The TTL class GC cares about: TimeWait, live, or exempt.
-fn class_of(state: FlowState) -> Option<u64> {
+/// The TTL class GC cares about: TimeWait, or idle (every other state).
+fn class_of(state: FlowState) -> u64 {
     match state {
-        FlowState::TimeWait => Some(TIMEWAIT_TTL),
-        FlowState::Degraded => None,
-        _ => Some(IDLE_TTL),
+        FlowState::TimeWait => TIMEWAIT_TTL,
+        _ => IDLE_TTL,
     }
 }
 
@@ -66,9 +65,7 @@ struct ModelFlow {
 fn oracle_due(model: &HashMap<FlowKey, ModelFlow>, now: u64) -> HashSet<FlowKey> {
     model
         .iter()
-        .filter(|(_, f)| {
-            class_of(f.state).is_some_and(|ttl| now.saturating_sub(f.last_activity) >= ttl)
-        })
+        .filter(|(_, f)| now.saturating_sub(f.last_activity) >= class_of(f.state))
         .map(|(k, _)| *k)
         .collect()
 }
@@ -166,7 +163,7 @@ proptest! {
                 prop_assert_eq!(t.len(), model.len());
             }
         }
-        // Final distant tick drains everything but Degraded flows.
+        // A final distant tick drains everything.
         let end = now + IDLE_TTL + 1;
         let due = oracle_due(&model, end);
         let mut reaped = HashSet::new();
@@ -175,8 +172,7 @@ proptest! {
         });
         prop_assert_eq!(&reaped, &due);
         for k in &due { model.remove(k); }
-        prop_assert_eq!(t.len(), model.len());
-        prop_assert!(model.values().all(|f| f.state == FlowState::Degraded));
+        prop_assert!(t.is_empty() && model.is_empty());
     }
 
     /// Budgeted GC never reaps early — every reaped flow was due per
@@ -229,7 +225,6 @@ proptest! {
             prop_assert!(rounds <= 4 * KEYS as usize, "drain does not converge");
         }
         prop_assert!(oracle_due(&model, end).is_empty(), "backlog lost under budget");
-        prop_assert_eq!(t.len(), model.len());
-        prop_assert!(model.values().all(|f| f.state == FlowState::Degraded));
+        prop_assert!(t.is_empty() && model.is_empty());
     }
 }

@@ -20,7 +20,7 @@ use tcp_failover::apps::driver::{BulkSendClient, RequestReplyClient};
 use tcp_failover::apps::stream::{SinkServer, SourceServer};
 use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::{Observers, PrimaryBridge, SecondaryBridge};
+use tcp_failover::core::{Observers, PrimaryBridge, PrimaryMode};
 use tcp_failover::net::time::{SimDuration, SimTime};
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
@@ -232,19 +232,17 @@ fn chain_column(on: ObserverSwitches) -> ((SimTime, u64, u64), ChainTestbed) {
     (simulated, tb)
 }
 
-/// Reads the observers of link `i`, whatever bridge its role runs.
+/// Reads the observers of link `i`, checking the link's role.
 fn on_link<R>(tb: &mut ChainTestbed, i: usize, f: impl FnOnce(&Observers) -> R) -> R {
     tb.sim.with::<Host, _>(tb.replicas[i], |h, _| {
         let filter = h.filter_mut().as_any_mut();
-        if let Some(link) = filter.downcast_mut::<PrimaryBridge>() {
-            assert!(i + 1 < LINKS, "the tail runs a secondary bridge");
-            assert_eq!(link.is_head(), i == 0);
-            f(link.observers())
-        } else {
-            assert_eq!(i + 1, LINKS, "head and middle run chain links");
-            let tail = filter.downcast_mut::<SecondaryBridge>();
-            f(tail.expect("a bridge on every replica").observers())
-        }
+        let link = filter.downcast_mut::<PrimaryBridge>();
+        let link = link.expect("a bridge on every replica");
+        assert_eq!(link.is_head(), i == 0);
+        // The tail has nobody below it: §6 from the start.
+        let tail = link.mode() == PrimaryMode::SecondaryFailed;
+        assert_eq!(tail, i + 1 == LINKS);
+        f(link.observers())
     })
 }
 
@@ -347,10 +345,8 @@ fn a_reprovisioned_standby_boots_as_detached_as_the_founders() {
         assert_dormant(hub, &format!("hub of replica {i}"));
     }
     let detached = tb.sim.with::<Host, _>(tb.replicas[standby], |h, _| {
-        let tail = h
-            .filter_mut()
-            .as_any_mut()
-            .downcast_mut::<SecondaryBridge>();
+        let tail = h.filter_mut().as_any_mut().downcast_mut::<PrimaryBridge>();
+        let tail = tail.filter(|b| b.mode() == PrimaryMode::SecondaryFailed);
         let o = tail.expect("the standby is the new tail").observers();
         o.audit.is_none() && o.latency.is_none() && o.health.is_none() && o.trace.is_none()
     });

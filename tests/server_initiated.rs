@@ -63,7 +63,7 @@ fn ftp_get_via_replicated_server() {
     // The data connection was truly replicated: the secondary diverted
     // its own copy of the file to the primary.
     let sstats = tb.secondary_stats();
-    assert!(sstats.egress_diverted > 50, "stats: {sstats:?}");
+    assert!(sstats.diverted_upstream > 50, "stats: {sstats:?}");
 }
 
 #[test]

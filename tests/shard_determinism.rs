@@ -14,7 +14,7 @@ use tcp_failover::wire::ipv4::Ipv4Addr;
 fn link(shards: usize, upstream: Option<Ipv4Addr>) -> PrimaryBridge {
     let net = ManyFlowNet::default();
     let ports = FailoverConfig::from_ports([80]);
-    let mut b = PrimaryBridge::link(net.a_p, net.a_p, upstream, net.a_s, ports);
+    let mut b = PrimaryBridge::link(net.a_p, net.a_p, upstream, Some(net.a_s), ports);
     b.set_flow_config(FlowTableConfig::new(shards, 65_536));
     b
 }

@@ -274,7 +274,7 @@ fn failover_timeline_is_complete_and_monotone() {
     for key in [
         "core.primary.merged_bytes",
         "core.primary.pq_depth",
-        "core.secondary.egress_diverted",
+        "core.secondary.diverted_upstream",
         "core.control.r1.heartbeats_sent",
         "net.n", // per-link scopes
         "tcp.client.",
@@ -286,7 +286,7 @@ fn failover_timeline_is_complete_and_monotone() {
     let snap = tb.metrics_snapshot();
     assert!(snap.counter("core.primary.merged_bytes").unwrap() > 0);
     assert!(
-        snap.counter("core.secondary.egress_diverted").unwrap() > 0,
+        snap.counter("core.secondary.diverted_upstream").unwrap() > 0,
         "secondary diverted nothing"
     );
 

@@ -165,8 +165,8 @@ fn socket_option_designation_end_to_end() {
     });
     // The secondary really participated (designation reached it).
     let sstats = tb.secondary_stats();
-    assert!(sstats.ingress_translated > 0, "stats: {sstats:?}");
-    assert!(sstats.egress_diverted > 0);
+    assert!(sstats.ingress_rewrites > 0, "stats: {sstats:?}");
+    assert!(sstats.diverted_upstream > 0);
     let pstats = tb.primary_stats();
     assert!(pstats.merged_bytes >= 11);
 }
@@ -192,5 +192,5 @@ fn undesignated_traffic_bypasses_bridges() {
     let pstats = tb.primary_stats();
     assert_eq!(pstats.merged_segments, 0, "bridge must not touch plain TCP");
     let sstats = tb.secondary_stats();
-    assert_eq!(sstats.egress_diverted, 0);
+    assert_eq!(sstats.diverted_upstream, 0);
 }
