@@ -220,7 +220,7 @@ struct Instruments {
 const FORCED_PROMOTION_GRACE: u32 = 3;
 
 /// The bridge this host runs, at whatever position.
-fn merge_bridge(filter: &mut dyn SegmentFilter) -> Option<&mut PrimaryBridge> {
+pub(crate) fn merge_bridge(filter: &mut dyn SegmentFilter) -> Option<&mut PrimaryBridge> {
     filter.as_any_mut().downcast_mut::<PrimaryBridge>()
 }
 
@@ -254,11 +254,11 @@ pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observ
 /// * otherwise re-target the neighbours around the gap.
 ///
 /// A beat from a peer already declared dead is *late* — counted,
-/// journaled, never liveness — except at the VIP owner in §6 mode
-/// hearing from a replica below it: that is a rebooted backup, and it
-/// is reintegrated. Like the paper's two-node system, one failure is
-/// handled at a time; concurrent failures heal sequentially as they
-/// are detected.
+/// journaled, never liveness — until [`ChainController::append_replica`]
+/// re-admits it, when a rebooted peer has been handed the live flows
+/// ([`crate::reprovision`]). Like the paper's two-node system, one
+/// failure is handled at a time; concurrent failures heal sequentially
+/// as they are detected.
 pub struct ChainController {
     /// Replica addresses, head first. `chain[0]` owns the VIP at start.
     chain: Vec<Ipv4Addr>,
@@ -284,8 +284,7 @@ pub struct ChainController {
     state: TakeoverState,
     /// When the first veto of the pending promotion happened.
     vetoed_since: Option<SimTime>,
-    /// Re-run reconfigure on the next tick (vetoed promotion retry,
-    /// reintegrated peer).
+    /// Re-run reconfigure on the next tick (vetoed promotion retry).
     pending_reconfigure: bool,
     telemetry: Option<Instruments>,
     /// When this replica last declared a peer dead, if it ever did.
@@ -299,7 +298,7 @@ pub struct ChainController {
     /// Heartbeats from a peer already declared dead (counted and
     /// journaled, never trusted for liveness).
     pub late_heartbeats: u64,
-    /// Times a declared-dead peer came back and was reintegrated.
+    /// Times a declared-dead peer was re-admitted.
     pub rejoins: u64,
     /// Times a promotion was vetoed on self-health.
     pub promotions_vetoed: u64,
@@ -385,10 +384,31 @@ impl ChainController {
         self.promote_threshold = threshold;
     }
 
-    /// Registers a freshly reprovisioned replica appended to the
-    /// chain's tail end: it is tracked, heartbeated and scored like
-    /// any founding member.
-    pub fn append_replica(&mut self, addr: Ipv4Addr) {
+    /// Admits the replica at `addr` below the survivors: a fresh
+    /// standby is appended to the chain's tail end, tracked,
+    /// heartbeated and scored like any founding member. A peer already
+    /// in the chain and declared dead — rebooted, and handed the live
+    /// flows — is alive again from `now`: it numbers its beats from
+    /// zero, so its seq and echo tracking restart, and it counts as a
+    /// rejoin.
+    pub fn append_replica(&mut self, addr: Ipv4Addr, now: SimTime) {
+        if let Some(i) = self.chain.iter().position(|&a| a == addr) {
+            if !self.alive[i] {
+                self.alive[i] = true;
+                self.last_heard[i] = None;
+                self.traced_misses[i] = 0;
+                self.trackers[i].expected_seq = None;
+                self.trackers[i].echo = None;
+                self.rejoins += 1;
+                self.event(
+                    "rejoin",
+                    now,
+                    &[("peer", addr.to_string())],
+                    [Some(("peer", i as u64)), None],
+                );
+            }
+            return;
+        }
         if let Some(t) = &mut self.telemetry {
             t.peers.push(peer_scope(&t.hub, t.scope, self.chain.len()));
         }
@@ -733,42 +753,6 @@ impl ChainController {
         let occupancy_ppm = occupancy / bridge.flow_capacity().max(1) as u64;
         replica.observe_backlog(bytes, segments, occupancy_ppm);
     }
-
-    /// Partial reintegration (an extension; the paper leaves
-    /// reintegration out of scope). A beat from dead peer `i` is a
-    /// rebooted backup — not a stray — exactly when nobody above us is
-    /// alive (we answer the client), `i` sits below us, and our merge
-    /// engine is in §6 mode: the bridge replicates *new* connections
-    /// again (those degraded by §6 finish on their pass-through
-    /// tombstones), the peer is alive and heartbeated again, and the
-    /// next tick re-targets the bridge at it. Anywhere else the dead
-    /// peer's duties have a new owner (after §5 its very address is
-    /// ours) and recovery goes through reprovisioning. Returns whether
-    /// the peer was reintegrated.
-    fn reintegrate(&mut self, i: usize, services: &mut HostServices<'_, '_>) -> bool {
-        if i < self.my_index || self.nearest_alive_up().is_some() {
-            return false;
-        }
-        match merge_bridge(services.filter) {
-            Some(merge) if merge.mode() == PrimaryMode::SecondaryFailed => {
-                merge.reintegrate(services.now.as_nanos());
-            }
-            _ => return false,
-        }
-        self.alive[i] = true;
-        self.pending_reconfigure = true;
-        // A rebooted peer numbers its beats from zero again.
-        self.trackers[i].expected_seq = None;
-        self.trackers[i].echo = None;
-        self.rejoins += 1;
-        self.event(
-            "reintegration",
-            services.now,
-            &[("peer", self.chain[i].to_string())],
-            [Some(("peer", i as u64)), None],
-        );
-        true
-    }
 }
 
 /// The registry scope peer `i`'s scored view is published under.
@@ -935,11 +919,12 @@ impl HostController for ChainController {
             return;
         };
         let now = services.now;
-        if !self.alive[i] && !self.reintegrate(i, services) {
-            // Late: e.g. a frame that sat in a queue, or the old host
-            // rebooting after its successor took over. Trusting it
-            // would reset the miss count and let the score "recover"
-            // for a replica that has been replaced.
+        if !self.alive[i] {
+            // Late: e.g. a frame that sat in a queue, or a rebooted
+            // host that holds no flow yet (`append_replica` re-admits
+            // it once it does). Trusting it would reset the miss count
+            // and let the score "recover" for a replica that has been
+            // replaced.
             self.late_heartbeats += 1;
             self.trackers[i].monitor.replica.on_late_heartbeat();
             self.event(
@@ -1406,7 +1391,7 @@ mod tests {
     fn append_replica_and_set_peer_dead() {
         let b3 = Ipv4Addr::new(10, 0, 0, 5);
         let mut c = ChainController::new(vec![VIP, B1, B2], 2, DetectorConfig::default());
-        c.append_replica(b3);
+        c.append_replica(b3, SimTime::ZERO);
         assert!(c.peer_alive(3));
         assert!(c.peer_score(3).is_some());
         c.set_peer_dead(VIP);

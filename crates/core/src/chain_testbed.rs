@@ -16,19 +16,16 @@
 //!   testbed is built — turn on;
 //! * [`ChainTestbed::kill_replica`] stamps the §5 failure reference
 //!   point on every hub's timeline;
-//! * the reprovisioning primitives ([`ChainTestbed::spawn_standby`],
-//!   [`ChainTestbed::snapshot_handoffs`],
-//!   [`ChainTestbed::adopt_on_standby`],
-//!   [`ChainTestbed::convert_tail_to_middle`],
-//!   [`ChainTestbed::run_until_restored`]) implement the
-//!   [`crate::reprovision`] protocol; the application-level half
-//!   (resuming the deterministic stream) lives with the apps
-//!   (`tcpfo_apps::chain_ops`), which composes these primitives.
+//! * [`ChainTestbed::spawn_standby`], [`ChainTestbed::handoff_done`]
+//!   and [`ChainTestbed::run_until_restored`] put a
+//!   [`crate::reprovision`] round on the tracker; the handoff itself
+//!   (the node-level primitives plus resuming the deterministic stream)
+//!   lives with the apps (`tcpfo_apps::chain_ops`).
 
 use crate::chain::{observers_of, ChainController};
 use crate::detector::DetectorConfig;
 use crate::primary::PrimaryBridge;
-use crate::reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
+use crate::reprovision::{ReprovisionPhase, ReprovisionTracker};
 use crate::testbed::{
     link_bridge, new_hub, prime_router_arp, prime_server_arp, replica_host, replica_mac,
     spawn_router_and_client, with_bridge, TestbedConfig,
@@ -39,7 +36,6 @@ use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::config::TcpConfig;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host};
-use tcpfo_tcp::types::SocketId;
 use tcpfo_telemetry::{FailoverPhase, ObserverSwitches, Telemetry};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
@@ -303,9 +299,9 @@ impl ChainTestbed {
     }
 
     // -----------------------------------------------------------------
-    // Reprovisioning primitives (PR9) — composed by
-    // `tcpfo_apps::chain_ops::reprovision_tail`, which adds the
-    // application half (resuming the deterministic stream).
+    // Reprovisioning rounds — driven by
+    // `tcpfo_apps::chain_ops::reprovision_tail`, which performs the
+    // handoff itself.
     // -----------------------------------------------------------------
 
     /// Index of the current tail: the last living replica.
@@ -318,54 +314,6 @@ impl ChainTestbed {
             .rev()
             .find(|&i| !self.dead[i])
             .expect("at least one living replica")
-    }
-
-    /// Snapshots per-flow TCB handoffs from replica `from`'s TCP stack
-    /// (the tail being replaced — pass its index from *before*
-    /// [`ChainTestbed::spawn_standby`] appended the standby).
-    /// `progress` carries the application half — `(socket, offset,
-    /// remaining)` per live connection (e.g.
-    /// `SourceServer::conn_progress`). The cursor is the tail's
-    /// `snd_nxt`, i.e. the client-facing sequence space; `delta` is 0
-    /// under the adopt-in-tail-space scheme.
-    pub fn snapshot_handoffs(
-        &mut self,
-        from: usize,
-        progress: &[(SocketId, u64, u64)],
-    ) -> Vec<FlowHandoff> {
-        let tail = self.replicas[from];
-        let progress = progress.to_vec();
-        self.sim.with::<Host, _>(tail, move |h, _| {
-            let mut handoffs = Vec::new();
-            for &(sid, offset, remaining) in &progress {
-                let Some(sock) = h.stack().socket(sid) else {
-                    continue;
-                };
-                if !sock.is_established() {
-                    continue;
-                }
-                let t = sock.four_tuple();
-                // The application's progress counter runs ahead of
-                // SND.NXT by whatever sits unsent in the socket's send
-                // buffer; the adopting stack starts exactly at the
-                // cursor, so the resume point rewinds by that depth —
-                // otherwise the standby's stream is shifted and the
-                // merge releases diverging bytes.
-                let unsent = u64::from(sock.unsent_bytes());
-                handoffs.push(FlowHandoff {
-                    client: t.remote,
-                    server_port: t.local.port,
-                    cursor: sock.snd_nxt(),
-                    delta: 0,
-                    rcv_nxt: sock.rcv_nxt(),
-                    mss: sock.effective_mss(),
-                    win: sock.snd_wnd().min(u32::from(u16::MAX)) as u16,
-                    offset: offset.saturating_sub(unsent),
-                    remaining: remaining + unsent,
-                });
-            }
-            handoffs
-        })
     }
 
     /// Spawns a fresh standby replica at the end of the chain
@@ -391,7 +339,7 @@ impl ChainTestbed {
         self.replica_addrs.push(addr);
         self.dead.push(false);
         // The standby mirrors a founding tail, diverting to the current
-        // tail (which will convert to a middle as part of the handoff).
+        // tail (which takes it below as part of the handoff).
         let id = self.spawn_replica(k);
         self.replicas.push(id);
 
@@ -405,65 +353,23 @@ impl ChainTestbed {
             .collect();
         prime_server_arp(&mut self.sim, &survivors, &known[k..]);
         prime_router_arp(&mut self.sim, self.router, &known[k..]);
+        let now = self.sim.now();
         for node in survivors {
             self.sim.with::<Host, _>(node, |h, _| {
-                h.controller_mut::<ChainController>().append_replica(addr);
+                h.controller_mut::<ChainController>()
+                    .append_replica(addr, now);
             });
         }
         k
     }
 
-    /// Rebuilds the handed-off TCBs on the standby (phase 2, stack
-    /// half): `Stack::adopt` synthesises each socket `Established` at
-    /// the snapshot positions, and the bridge adopts each flow as a §6
-    /// entry so it translates the client's datagrams. Returns the new
-    /// socket IDs, parallel to `handoffs`, for the application half.
-    pub fn adopt_on_standby(&mut self, standby: usize, handoffs: &[FlowHandoff]) -> Vec<SocketId> {
-        let node = self.replicas[standby];
-        let addr = self.replica_addrs[standby];
-        let handoffs = handoffs.to_vec();
-        let now = self.sim.now().as_nanos();
-        self.sim.with::<Host, _>(node, move |h, _| {
-            let mut ids = Vec::with_capacity(handoffs.len());
-            for ho in &handoffs {
-                if let Some(b) = h.filter_mut().as_any_mut().downcast_mut::<PrimaryBridge>() {
-                    b.adopt_flow(ho, now);
-                }
-                let local = tcpfo_tcp::types::SocketAddr::new(addr, ho.server_port);
-                let id = h
-                    .stack_mut()
-                    .adopt(local, ho.client, ho.cursor, ho.rcv_nxt, ho.mss, ho.win)
-                    .expect("adopted tuple unique on a fresh standby");
-                ids.push(id);
-            }
-            ids
-        })
-    }
-
-    /// Converts the old tail into a middle link adopting the same
-    /// flows at `Δseq = 0` (phase 2, bridge half): its merge now
-    /// buffers its own stream until the standby's diverted stream
-    /// matches it. Ends the handoff phase on the tracker.
-    pub fn convert_tail_to_middle(&mut self, standby: usize, handoffs: &[FlowHandoff]) {
-        let tail = self.last_living_before(standby);
-        let node = self.replicas[tail];
-        let own = self.replica_addrs[tail];
-        let downstream = self.replica_addrs[standby];
-        let now = self.sim.now().as_nanos();
-        let flows = handoffs.len();
-        let upstream = with_bridge(&mut self.sim, node, |b: &mut PrimaryBridge| b.upstream())
-            .flatten()
-            .expect("the converting tail sits below the head");
-        let (base, on, hub) = (&self.base, self.observers, &self.hubs[tail]);
-        let down = Some(downstream);
-        let mut bridge = link_bridge(own, Some(upstream), down, base, on, hub, "chain");
-        for ho in handoffs {
-            bridge.adopt_flow(ho, now);
-        }
-        self.sim
-            .with::<Host, _>(node, move |h, _| h.set_filter(Box::new(bridge)));
-        self.catchup_link = Some(tail);
+    /// Ends the handoff phase of the round that `standby` joins: the
+    /// living replica above it took `flows` handed-off flows below it,
+    /// and its lag ledger now proves catch-up.
+    pub fn handoff_done(&mut self, standby: usize, flows: usize) {
+        self.catchup_link = Some(self.last_living_before(standby));
         let backlog = self.catchup_lag();
+        let now = self.sim.now().as_nanos();
         self.tracker.handoff_done(flows, backlog, now);
     }
 

@@ -136,7 +136,7 @@ impl Observers {
         if let Some(a) = self.audit.as_deref_mut() {
             match mode {
                 PrimaryMode::SecondaryFailed => a.note_degraded(now_nanos),
-                PrimaryMode::Normal => a.note_reintegrated(now_nanos),
+                PrimaryMode::Normal => a.note_joined(now_nanos),
             }
         }
     }

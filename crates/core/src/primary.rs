@@ -163,7 +163,7 @@ pub struct PrimaryStats {
     /// Flows adopted from a reprovisioning handoff.
     pub adopted_flows: u64,
     /// Below the head: designated non-SYN client segments of a flow the
-    /// table does not hold, dropped (§8 reintegration gate). The stack
+    /// table does not hold, dropped (§8 join gate). The stack
     /// never witnessed that connection's establishment and would answer
     /// a mid-stream segment with a RST — in the *live* sequence space,
     /// since the RST echoes the client's ACK.
@@ -597,20 +597,19 @@ impl PrimaryBridge {
             .collect()
     }
 
-    /// Adopts one reprovisioned flow (PR9 chain catch-up): a live
-    /// connection entry rebuilt from a [`FlowHandoff`] snapshot, its
-    /// merge already synchronised at the handoff's `Δseq` and cursor.
-    /// Both output queues start empty — the adopting link's own stream
-    /// buffers from the cursor until the fresh tail's diverted stream
-    /// matches it, which is exactly the catch-up the lag ledger then
-    /// proves drains to zero. With nobody below (the fresh tail itself)
-    /// the flow is a §6 entry at the handoff's `Δseq`: the handoff
-    /// vouches for an establishment this bridge never witnessed.
+    /// Adopts one handed-off flow (see [`crate::reprovision`]): a live
+    /// entry, in the slot of the §6 entry it re-states, its merge
+    /// synchronised at the handoff's `Δseq` and cursor. Both output
+    /// queues start empty — the adopting link's own stream buffers from
+    /// the cursor until the joiner's diverted stream matches it, the
+    /// catch-up the lag ledger proves drains to zero. With nobody below
+    /// (the joiner itself) the flow is a §6 entry at `Δseq = 0`: its TCB
+    /// was built in the client-facing space.
     pub fn adopt_flow(&mut self, h: &crate::reprovision::FlowHandoff, now_nanos: u64) {
         self.stats.adopted_flows += 1;
         let key = ConnKey::new(h.server_port, h.client);
         let (st, flow) = if self.mode == PrimaryMode::SecondaryFailed {
-            (FlowState::Degraded, PrimaryFlow::degraded(h.delta))
+            (FlowState::Degraded, PrimaryFlow::degraded(0))
         } else {
             let mut conn = Box::new(Conn::new(self.a_p, h.client, h.server_port));
             conn.delta = Some(h.delta);
@@ -737,6 +736,14 @@ impl PrimaryBridge {
     /// Current operating mode.
     pub fn mode(&self) -> PrimaryMode {
         self.mode
+    }
+
+    /// The `Δseq` flow `key` is translated by, if the table holds it.
+    pub fn flow_delta(&self, key: &ConnKey) -> Option<u32> {
+        match self.flows.peek(key)? {
+            PrimaryFlow::Live(c) => c.delta,
+            PrimaryFlow::Tomb(t) => Some(t.delta),
+        }
     }
 
     /// Whether this link is currently the head.
@@ -919,17 +926,16 @@ impl PrimaryBridge {
         out
     }
 
-    /// Partial reintegration (an extension; the paper leaves
-    /// reintegration out of scope): a restarted secondary has
-    /// announced itself, so *new* connections replicate again.
-    /// Connections degraded by §6 stay on their Δ-adjusted
-    /// pass-through tombstones for their remaining lifetime — the
-    /// restarted secondary never saw their establishment.
-    pub fn reintegrate(&mut self, now_nanos: u64) {
+    /// The way out of §6 (see [`crate::reprovision`]): the replica at
+    /// `down` joins below, new connections replicate again, and the
+    /// flows handed to it are re-stated with
+    /// [`PrimaryBridge::adopt_flow`]. Stamped at the caller's clock.
+    pub fn join_below(&mut self, down: Ipv4Addr, now_nanos: u64) {
+        self.a_s = Some(down);
         self.mode = PrimaryMode::Normal;
         self.stamp_now(now_nanos);
         self.observers.mode_changed(PrimaryMode::Normal, now_nanos);
-        self.journal("reintegrated", &[]);
+        self.journal("joined", &[("below", down.to_string())]);
     }
 
     /// Timer-driven flow GC: expires §8 TimeWait tombstones after their
@@ -1716,9 +1722,9 @@ impl Engine<'_> {
         slot
     }
 
-    /// Opens a connection born degraded: local-only for its whole
-    /// lifetime (Δseq = 0 pass-through), even if a secondary
-    /// reintegrates later. A tuple's residue makes way (closed, or at
+    /// Opens a connection born degraded: local-only (Δseq = 0
+    /// pass-through) unless it is handed to a replica that joins below
+    /// later. A tuple's residue makes way (closed, or at
     /// Δseq = 0 anyway: tuple reuse); a live entry's Δseq stays (the SYN
     /// is a retransmission).
     fn open_degraded(&mut self, key: ConnKey, slot: Option<SlotId>, out: &mut FilterOutput) {
@@ -2359,8 +2365,8 @@ impl Engine<'_> {
             return false;
         }
         // §6-degraded connections pass through immediately with Δseq
-        // subtracted and ack/window untouched — in *any* mode (they
-        // stay degraded even after a secondary reintegrates).
+        // subtracted and ack/window untouched — in *any* mode (a flow
+        // not handed to a replica that joined below stays degraded).
         let fin = parsed.flags.contains(TcpFlags::FIN);
         if let Some(delta) = self.forward_degraded(slot, OURS, fin) {
             if delta == 0 {

@@ -74,7 +74,7 @@ mod tests {
     fn bridge() -> PrimaryBridge {
         let mut b = tail(FailoverConfig::from_ports([80]));
         // Witness the connection's SYN so non-SYN ingress is claimed
-        // (the reintegration gate).
+        // (the join gate).
         let syn = TcpSegment::builder(51000, 80)
             .seq(99)
             .flags(TcpFlags::SYN)

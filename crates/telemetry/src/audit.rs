@@ -1285,14 +1285,14 @@ impl InvariantAuditor {
         );
     }
 
-    /// The secondary reintegrated: new connections replicate again.
-    pub fn note_reintegrated(&mut self, now_ns: u64) {
+    /// A replica joined below: new connections replicate again.
+    pub fn note_joined(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
         self.degraded = false;
         self.push_event(
             AuditEventKind::Phase,
             TraceId::NONE,
-            "reintegrated: new connections audited again",
+            "joined: a replica below again, new connections audited",
         );
     }
 

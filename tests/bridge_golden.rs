@@ -589,8 +589,8 @@ fn script(
         "residue is evicted silently"
     );
 
-    // Reintegration: new connections replicate again.
-    r.bridge.reintegrate(r.now);
+    // A replica joins below: new connections replicate again.
+    r.bridge.join_below(A_S, r.now);
     let f8 = Flow::client(&mut rng, own, 6008);
     r.establish(&f8, true);
 

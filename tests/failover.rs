@@ -713,3 +713,72 @@ fn loaded_scenes_repeat_to_the_event() {
     let (a, b) = (loaded_chain_scene(7, at), loaded_chain_scene(7, at));
     assert_eq!(a.events, b.events, "chain");
 }
+
+/// Churn through a reprovisioning round: the loaded chain of three
+/// loses its head 400 ms into eight 1 MB downloads, the tail is
+/// reprovisioned once the successor commits, and a new 2 000 B request
+/// opens every 5 ms (200 conn/s) from the start until well after the
+/// adopted downloads have finished. Every connection is answered,
+/// byte-exact, and no auditor rule fires.
+#[test]
+fn churn_through_a_chain_reprovision_is_answered() {
+    const CHURN_EVERY: SimDuration = SimDuration::from_millis(5);
+    const CHURN_UNTIL: SimDuration = SimDuration::from_millis(2_500);
+    let mut tb = ChainTestbed::new(ChainConfig {
+        seed: 0xF0,
+        cpu: loaded_cpu(),
+        tcp: loaded_tcp(),
+        audit: Some(true),
+        health: Some(true),
+        ..ChainConfig::default()
+    });
+    tb.install_servers(|| SourceServer::new(80));
+    add_downloads(&mut tb.sim, tb.client);
+    let kill_at = SimTime::ZERO + SimDuration::from_millis(400);
+    let (mut next_churn, mut churned) = (SimTime::ZERO, 0);
+    let mut standby = None;
+    while tb.sim.now() < SimTime::ZERO + CHURN_UNTIL + DEADLINE {
+        if tb.sim.now() >= next_churn && tb.sim.now() < SimTime::ZERO + CHURN_UNTIL {
+            tb.sim.with::<Host, _>(tb.client, |h, _| {
+                let request = b"SEND 2000\n".to_vec();
+                h.add_app(Box::new(RequestReplyClient::new(
+                    server_addr(80),
+                    request,
+                    2000,
+                )));
+            });
+            churned += 1;
+            next_churn += CHURN_EVERY;
+        }
+        if tb.sim.now() == kill_at {
+            assert!(!downloads_done(&mut tb.sim, tb.client), "kill mid-stream");
+            tb.kill_replica(0);
+        }
+        tb.run_for(MS);
+        let promoted = (tb.sim).with::<Host, _>(tb.replicas[1], |h, _| {
+            h.controller_mut::<ChainController>().promoted_at
+        });
+        match standby {
+            None if promoted.is_some() => standby = Some(chain_ops::reprovision_tail(&mut tb)),
+            None => {}
+            Some(_) => tb.poll_reprovision(),
+        }
+    }
+    assert!(standby.is_some(), "reprovisioned once promoted");
+    assert_eq!(tb.tracker.phase(), ReprovisionPhase::Restored);
+    assert!(downloads_done(&mut tb.sim, tb.client), "downloads stalled");
+    let unanswered: Vec<usize> = tb.sim.with::<Host, _>(tb.client, |h, _| {
+        (0..churned)
+            .filter(|&i| {
+                let c = h.app_mut::<RequestReplyClient>(FLOWS + i);
+                assert_eq!(c.mismatches, 0, "request {i} corrupted");
+                !c.is_done()
+            })
+            .collect()
+    });
+    assert!(
+        unanswered.is_empty(),
+        "of {churned}, unanswered: {unanswered:?}"
+    );
+    assert_eq!(tb.audit_violations(), 0, "the auditor fired");
+}

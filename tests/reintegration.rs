@@ -1,10 +1,11 @@
-//! Integration: partial reintegration (extension — the paper leaves
-//! reintegration out of scope, §1). After the secondary dies and the
-//! primary degrades (§6), a freshly rebooted secondary announces
-//! itself via heartbeats; from then on *new* connections replicate
-//! and can fail over again, while connections from the degraded epoch
-//! finish on their Δ-adjusted pass-through tombstones.
+//! Integration: a rebooted secondary rejoins (extension — the paper
+//! leaves reintegration out of scope, §1). After the secondary dies and
+//! the primary degrades (§6), a freshly booted secondary is handed every
+//! live stream the primary serves, in the client-facing sequence space,
+//! and joins below it: connections from before the rejoin regain their
+//! replica, new ones replicate, and all of them can fail over again.
 
+use tcp_failover::apps::chain_ops;
 use tcp_failover::apps::driver::RequestReplyClient;
 use tcp_failover::apps::stream::SourceServer;
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
@@ -41,16 +42,32 @@ fn primary_mode(tb: &mut Testbed) -> PrimaryMode {
     })
 }
 
+/// A pair whose replicas both serve the pattern source on port 80.
+fn serving_pair() -> Testbed {
+    let mut tb = Testbed::new(TestbedConfig::default());
+    for node in [tb.primary, tb.secondary.unwrap()] {
+        tb.sim.with::<Host, _>(node, |h, _| {
+            h.add_app(Box::new(SourceServer::new(80)));
+        });
+    }
+    tb
+}
+
+/// Boots a fresh S in place of the dead one and rejoins it below P.
+fn revive_and_rejoin(tb: &mut Testbed) {
+    tb.revive_secondary();
+    chain_ops::rejoin_secondary(tb);
+}
+
+fn secondary_served(tb: &mut Testbed) -> u64 {
+    let s = tb.secondary.unwrap();
+    tb.sim
+        .with::<Host, _>(s, |h, _| h.app_mut::<SourceServer>(0).served)
+}
+
 #[test]
 fn secondary_rejoins_and_new_connections_replicate() {
-    let mut tb = Testbed::new(TestbedConfig::default());
-    tb.sim.with::<Host, _>(tb.primary, |h, _| {
-        h.add_app(Box::new(SourceServer::new(80)));
-    });
-    let s = tb.secondary.unwrap();
-    tb.sim.with::<Host, _>(s, |h, _| {
-        h.add_app(Box::new(SourceServer::new(80)));
-    });
+    let mut tb = serving_pair();
 
     // Connection A starts replicated, then the secondary dies mid-way.
     add_download(&mut tb, 2_000_000); // app 0
@@ -62,29 +79,24 @@ fn secondary_rejoins_and_new_connections_replicate() {
     // Connection B is born during the degraded epoch.
     add_download(&mut tb, 600_000); // app 1
 
-    // The secondary reboots; the primary reintegrates on heartbeat.
+    // The secondary reboots and rejoins.
     tb.run_for(SimDuration::from_millis(200));
-    tb.revive_secondary();
-    tb.sim.with::<Host, _>(s, |h, _| {
-        h.add_app(Box::new(SourceServer::new(80)));
-    });
+    revive_and_rejoin(&mut tb);
     tb.run_for(SimDuration::from_millis(200));
-    assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal, "reintegrated");
+    assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal, "rejoined");
     tb.sim.with::<Host, _>(tb.primary, |h, _| {
         assert_eq!(h.controller_mut::<ChainController>().rejoins, 1);
     });
 
-    // Connection C is born after reintegration: replicated again.
+    // Connection C is born after the rejoin: replicated again.
     add_download(&mut tb, 800_000); // app 2
     tb.run_for(SimDuration::from_secs(20));
     for app in 0..3 {
         assert_done(&mut tb, app);
     }
-    // The revived secondary actually served connection C.
-    tb.sim.with::<Host, _>(s, |h, _| {
-        let srv = h.app_mut::<SourceServer>(0);
-        assert_eq!(srv.served, 800_000, "revived secondary served C only");
-    });
+    // The revived secondary served all of C, and whatever it was handed
+    // of A and B.
+    assert!(secondary_served(&mut tb) >= 800_000, "revived S served C");
     let pstats = tb.primary_stats();
     assert_eq!(pstats.mismatched_bytes, 0);
 }
@@ -93,20 +105,11 @@ fn secondary_rejoins_and_new_connections_replicate() {
 fn post_rejoin_connections_survive_primary_failure() {
     // The full circle: S dies, rejoins, then P dies — the connection
     // opened after the rejoin fails over to the revived secondary.
-    let mut tb = Testbed::new(TestbedConfig::default());
-    for node in [tb.primary, tb.secondary.unwrap()] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+    let mut tb = serving_pair();
     tb.run_for(SimDuration::from_millis(50));
     tb.kill_secondary();
     tb.run_for(SimDuration::from_millis(300));
-    tb.revive_secondary();
-    let s = tb.secondary.unwrap();
-    tb.sim.with::<Host, _>(s, |h, _| {
-        h.add_app(Box::new(SourceServer::new(80)));
-    });
+    revive_and_rejoin(&mut tb);
     tb.run_for(SimDuration::from_millis(200));
     assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal);
 
@@ -115,6 +118,7 @@ fn post_rejoin_connections_survive_primary_failure() {
     tb.kill_primary();
     tb.run_for(SimDuration::from_secs(25));
     assert_done(&mut tb, 0);
+    let s = tb.secondary.unwrap();
     tb.sim.with::<Host, _>(s, |h, _| {
         assert!(
             h.net_mut().local_ips.contains(&addrs::A_P),
@@ -124,34 +128,49 @@ fn post_rejoin_connections_survive_primary_failure() {
 }
 
 #[test]
-fn degraded_epoch_connection_unaffected_by_rejoin() {
-    // A connection born while degraded keeps working across the
-    // rejoin, served by the primary alone (zero-Δ tombstone).
-    let mut tb = Testbed::new(TestbedConfig::default());
-    for node in [tb.primary, tb.secondary.unwrap()] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+fn degraded_epoch_connection_is_handed_to_the_revived_secondary() {
+    // A connection born while degraded is handed to the revived
+    // secondary at the rejoin, which serves its remainder — and never
+    // resets it.
+    let mut tb = serving_pair();
     tb.run_for(SimDuration::from_millis(50));
     tb.kill_secondary();
     tb.run_for(SimDuration::from_millis(300));
     // Born degraded, long enough to straddle the rejoin.
     add_download(&mut tb, 3_000_000);
     tb.run_for(SimDuration::from_millis(150));
-    tb.revive_secondary();
-    let s = tb.secondary.unwrap();
-    tb.sim.with::<Host, _>(s, |h, _| {
-        h.add_app(Box::new(SourceServer::new(80)));
-    });
+    revive_and_rejoin(&mut tb);
     tb.run_for(SimDuration::from_secs(20));
     assert_done(&mut tb, 0);
-    // The revived secondary never participated in that connection —
-    // and critically, never reset it.
+    assert!(secondary_served(&mut tb) > 0, "the handoff reached S");
+    let s = tb.secondary.unwrap();
     tb.sim.with::<Host, _>(s, |h, _| {
         assert_eq!(h.stack().rst_sent, 0, "revived secondary RST a live conn");
-        assert_eq!(h.app_mut::<SourceServer>(0).served, 0);
     });
+}
+
+#[test]
+fn flows_degraded_before_a_rejoin_survive_the_primary_failing() {
+    // A is replicated when S dies and B is born degraded; both are
+    // handed to the revived S. When P dies afterwards, S carries both
+    // to the end, byte-exact.
+    const TOTAL: u64 = 8_000_000;
+    let mut tb = serving_pair();
+    add_download(&mut tb, TOTAL); // app 0
+    tb.run_for(SimDuration::from_millis(100));
+    tb.kill_secondary();
+    tb.run_for(SimDuration::from_millis(300));
+    add_download(&mut tb, TOTAL); // app 1
+    tb.run_for(SimDuration::from_millis(100));
+    revive_and_rejoin(&mut tb);
+    assert_eq!(tb.primary_stats().adopted_flows, 2, "both flows handed off");
+    tb.run_for(SimDuration::from_millis(300));
+    tb.kill_primary();
+    tb.run_for(SimDuration::from_secs(60));
+    for app in 0..2 {
+        assert_done(&mut tb, app);
+    }
+    assert!(secondary_served(&mut tb) > 0);
 }
 
 #[test]
@@ -159,12 +178,12 @@ fn bridge_and_controller_journal_the_rejoin_at_one_instant() {
     // No connection is open, so the degraded bridge filters nothing
     // between the kill and the rejoin: the mode change has to carry
     // the controller's clock, not the time of the last segment.
-    let mut tb = Testbed::new(TestbedConfig::default());
+    let mut tb = serving_pair();
     tb.run_for(SimDuration::from_millis(50));
     tb.kill_secondary();
     tb.run_for(SimDuration::from_millis(300));
     assert_eq!(primary_mode(&mut tb), PrimaryMode::SecondaryFailed);
-    tb.revive_secondary();
+    revive_and_rejoin(&mut tb);
     tb.run_for(SimDuration::from_millis(200));
     assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal);
 
@@ -175,8 +194,8 @@ fn bridge_and_controller_journal_the_rejoin_at_one_instant() {
         assert!(hits.next().is_none(), "{scope} {kind} journaled twice");
         at_ns.unwrap_or_else(|| panic!("{scope} {kind} not journaled"))
     };
-    let cause = at("core.control.r0", "reintegration");
-    let effect = at("core.primary", "reintegrated");
+    let cause = at("core.control.r0", "rejoin");
+    let effect = at("core.primary", "joined");
     assert_eq!(
         effect, cause,
         "the bridge stamped its mode change with a stale clock"
