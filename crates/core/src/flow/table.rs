@@ -358,7 +358,7 @@ impl<T> Shard<T> {
     /// Puts a fresh entry in an occupied slot — new state machine, same
     /// key, same slot — and returns the data it held. Counts as
     /// activity; the lifecycle is not consulted (tuple reuse, §6/§8
-    /// residue taking a connection's place).
+    /// residue taking a connection's place, a handed-off §6 entry live).
     pub fn replace(&mut self, slot: SlotId, state: FlowState, data: T, now: u64) -> T {
         let i = slot.0;
         self.exp_unlink(i, exp_class(self.slot(i).state));
