@@ -34,6 +34,7 @@ use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::table::render_snapshot;
+use tcpfo_telemetry::MttrBreakdown;
 use tcpfo_wire::eth::{EtherType, EthernetFrame};
 use tcpfo_wire::ipv4::Ipv4Packet;
 use tcpfo_wire::pcapng::read_packets;
@@ -722,16 +723,9 @@ fn trace(args: &[String]) -> i32 {
                 "\n── §5 failover waterfall (MTTR {:.3} ms) ──",
                 m.total_ns as f64 / 1e6
             );
-            const PHASES: [&str; 5] = [
-                "detection",
-                "egress_hold",
-                "translation_off",
-                "arp_takeover",
-                "first_client_byte",
-            ];
             let deltas = m.deltas();
             let widest = deltas.into_iter().max().unwrap_or(1).max(1);
-            for (name, dur) in PHASES.into_iter().zip(deltas) {
+            for (name, dur) in MttrBreakdown::PHASES.into_iter().zip(deltas) {
                 let bar = (dur * 40).div_ceil(widest) as usize;
                 println!(
                     "{name:<18} {:<40} {:>10.3} ms",
@@ -779,7 +773,7 @@ fn trace(args: &[String]) -> i32 {
         println!("{}", r.summary());
     }
 
-    let waterfall = tcpfo_telemetry::waterfall_records(&hub.timeline, &hub.redundancy);
+    let waterfall = tcpfo_telemetry::waterfall_records(&hub);
     let chrome = hub.trace.chrome_trace(&waterfall);
     match std::fs::write(&out, &chrome) {
         Ok(()) => println!(

@@ -73,8 +73,7 @@ use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::host::{HostController, HostServices};
 use tcpfo_telemetry::{
-    Counter, FailoverPhase, HealthConfig, HealthMonitor, HealthScore, Scope, SpanTrack,
-    StageLatency, Telemetry,
+    Counter, HealthConfig, HealthMonitor, HealthScore, Scope, SpanTrack, StageLatency, Telemetry,
 };
 use tcpfo_wire::heartbeat::{Heartbeat, PROTO_HEARTBEAT};
 use tcpfo_wire::ipv4::Ipv4Addr;
@@ -430,9 +429,9 @@ impl ChainController {
 
     /// Connects the controller to a telemetry hub: heartbeat, rejoin
     /// and promotion counters and every peer's scored view under
-    /// `core.control.r<position>`, journal entries for every
-    /// liveness/promotion event, §5 timeline marks and control-plane
-    /// span instants (the vocabulary is one table in DESIGN.md).
+    /// `core.control.r<position>`, and every liveness/promotion moment
+    /// as one [`Telemetry::event`] (the vocabulary is one table in
+    /// DESIGN.md).
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         let name = SCOPES[self.my_index.min(SCOPES.len() - 1)];
         let scope = telemetry.registry.scope(name);
@@ -451,35 +450,9 @@ impl ChainController {
         });
     }
 
-    fn journal(&self, now: SimTime, kind: &str, fields: &[(&str, String)]) {
-        if let Some(t) = &self.telemetry {
-            t.hub.journal.record(now.as_nanos(), t.scope, kind, fields);
-        }
-    }
-
-    fn mark(&self, phase: FailoverPhase, now: SimTime) {
-        if let Some(t) = &self.telemetry {
-            t.hub.timeline.mark(phase, now.as_nanos());
-        }
-    }
-
-    /// Point event on this replica's control-plane span lane. One
-    /// relaxed atomic load when the tracer is detached.
-    fn trace_instant(
-        &self,
-        name: &'static str,
-        now: SimTime,
-        args: [Option<(&'static str, u64)>; 2],
-    ) {
-        if let Some(t) = &self.telemetry {
-            t.hub
-                .trace
-                .instant_args(SpanTrack::Control, t.scope, name, now.as_nanos(), args);
-        }
-    }
-
-    /// One control-plane event: a journal entry (`fields`) and a span
-    /// instant (`args`) under the same name.
+    /// One control-plane moment ([`Telemetry::event`]): its journal
+    /// entry (`fields`), its span instant (`args`) and the §5 phase it
+    /// names, if any.
     fn event(
         &self,
         name: &'static str,
@@ -487,14 +460,19 @@ impl ChainController {
         fields: &[(&str, String)],
         args: [Option<(&'static str, u64)>; 2],
     ) {
-        self.journal(now, name, fields);
-        self.trace_instant(name, now, args);
+        if let Some(t) = &self.telemetry {
+            t.hub.event(now.as_nanos(), t.scope, name, fields, args);
+        }
     }
 
-    /// One §5 step: its timeline phase and its event.
-    fn takeover_step(&self, phase: FailoverPhase, name: &'static str, now: SimTime) {
-        self.mark(phase, now);
-        self.event(name, now, &[], [None, None]);
+    /// The heartbeat cadence (`hb.send`, `hb.miss`): a span instant
+    /// only, because a journal entry per beat would flood the ring. One
+    /// relaxed atomic load when the tracer is detached.
+    fn cadence(&self, name: &'static str, now: SimTime, args: [Option<(&'static str, u64)>; 2]) {
+        if let Some(t) = &self.telemetry {
+            let at = now.as_nanos();
+            (t.hub.trace).instant_args(SpanTrack::Control, t.scope, name, at, args);
+        }
     }
 
     /// What `now - last` of silence means: the whole heartbeat
@@ -639,15 +617,11 @@ impl ChainController {
             match up {
                 Some(u) if !link.is_head() => link.set_upstream(u),
                 None if promote => {
-                    // Steps 1 and 3–4 take no time: the controller runs
-                    // them at one instant, so no segment meets a bridge
-                    // holding its egress.
-                    self.takeover_step(FailoverPhase::EgressHold, "takeover.egress_hold", now);
-                    self.takeover_step(
-                        FailoverPhase::TranslationOff,
-                        "takeover.translation_off",
-                        now,
-                    );
+                    // §5 steps 1 and 3–4 are one moment: the controller
+                    // holds egress, switches the translations off and
+                    // claims the VIP at one instant, so no segment meets
+                    // a bridge holding its egress.
+                    self.event("takeover", now, &[], [None, None]);
                     rekey = link.promote_to_head(now_nanos);
                     take_vip = true;
                 }
@@ -692,7 +666,6 @@ impl ChainController {
                 [Some(("frames", frames)), Some(("freed_ns", freed))],
             );
             services.net.gratuitous_arp(vip, services.ctx);
-            self.mark(FailoverPhase::ArpTakeover, now);
             self.event(
                 "takeover.arp",
                 now,
@@ -795,7 +768,7 @@ impl HostController for ChainController {
             }
             // One instant per fan-out round, not per peer: the trace
             // shows the heartbeat cadence without N-way noise.
-            self.trace_instant("hb.send", now, [Some(("seq", seq)), None]);
+            self.cadence("hb.send", now, [Some(("seq", seq)), None]);
             self.next_send = now + self.config.interval;
         }
         if let Some(t) = &self.telemetry {
@@ -830,7 +803,7 @@ impl HostController for ChainController {
             // One `hb.miss` instant per whole silent interval, not per
             // tick.
             if misses > self.traced_misses[i] {
-                self.trace_instant(
+                self.cadence(
                     "hb.miss",
                     now,
                     [
@@ -848,23 +821,15 @@ impl HostController for ChainController {
                 tr.monitor.publish(&t.peers[i], now_ns);
             }
             if let Some((from, to)) = transition {
-                self.journal(
-                    now,
+                self.event(
                     "health.alert",
+                    now,
                     &[
                         ("peer", self.chain[i].to_string()),
                         ("from", from.name().to_string()),
                         ("to", to.name().to_string()),
                         ("score", score.to_string()),
                     ],
-                );
-                self.trace_instant(
-                    match to {
-                        tcpfo_telemetry::AlertState::Ok => "health.alert.ok",
-                        tcpfo_telemetry::AlertState::Warn => "health.alert.warn",
-                        tcpfo_telemetry::AlertState::Critical => "health.alert.critical",
-                    },
-                    now,
                     [Some(("peer", i as u64)), Some(("score", score))],
                 );
             }
@@ -872,7 +837,6 @@ impl HostController for ChainController {
                 self.alive[i] = false;
                 changed = true;
                 self.detected_at = Some(now);
-                self.mark(FailoverPhase::Detection, now);
                 self.event(
                     "peer_dead",
                     now,

@@ -14,8 +14,8 @@
 //!   under role names, so sharing a registry would collide), with the
 //!   observers the [`ChainConfig`] switches — resolved once, when the
 //!   testbed is built — turn on;
-//! * [`ChainTestbed::kill_replica`] stamps the §5 failure reference
-//!   point on every hub's timeline;
+//! * [`ChainTestbed::kill_replica`] opens a failure episode on every
+//!   hub;
 //! * [`ChainTestbed::spawn_standby`], [`ChainTestbed::handoff_done`]
 //!   and [`ChainTestbed::run_until_restored`] put a
 //!   [`crate::reprovision`] round on the tracker; the handoff itself
@@ -36,7 +36,7 @@ use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::config::TcpConfig;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host};
-use tcpfo_telemetry::{FailoverPhase, ObserverSwitches, Telemetry};
+use tcpfo_telemetry::{ObserverSwitches, Telemetry};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
 
@@ -143,8 +143,7 @@ pub struct ChainTestbed {
     pub config: ChainConfig,
     /// `config` as the builders shared with the pair testbed take it.
     base: TestbedConfig,
-    /// Reprovisioning bookkeeping (stamps every hub's redundancy
-    /// timeline).
+    /// Reprovisioning bookkeeping (its moments reach every hub).
     pub tracker: ReprovisionTracker,
     /// The replica index whose lag ledger proves catch-up (the old
     /// tail converted to a middle link), once a round started.
@@ -235,8 +234,7 @@ impl ChainTestbed {
     fn spawn_replica(&mut self, i: usize) -> NodeId {
         let own = self.replica_addrs[i];
         let telemetry = new_hub(&self.base, self.observers);
-        self.tracker.attach_timeline(telemetry.redundancy.clone());
-        self.tracker.attach_tracer(telemetry.trace.clone());
+        self.tracker.attach(&telemetry);
         let upstream = (i != 0).then(|| self.replica_addrs[self.last_living_before(i)]);
         let downstream = self.replica_addrs.get(i + 1).copied();
         let label = if downstream.is_some() {
@@ -271,14 +269,14 @@ impl ChainTestbed {
         id
     }
 
-    /// Kills replica `i` (0 = head) fail-stop, stamping the §5 failure
-    /// reference point on every replica's timeline.
+    /// Kills replica `i` (0 = head) fail-stop: the `kill` moment opens
+    /// a failure episode on every replica's hub.
     pub fn kill_replica(&mut self, i: usize) {
         let now = self.sim.now().as_nanos();
+        let fields = [("replica", i.to_string())];
+        let args = [Some(("replica", i as u64)), None];
         for hub in &self.hubs {
-            hub.timeline.mark(FailoverPhase::Failure, now);
-            hub.journal
-                .record(now, "chain_testbed", "kill", &[("replica", i.to_string())]);
+            hub.event(now, "chain_testbed", "kill", &fields, args);
         }
         self.dead[i] = true;
         self.sim.kill(self.replicas[i]);
@@ -320,8 +318,8 @@ impl ChainTestbed {
     /// (phase 1): a tail diverting to the current tail,
     /// its own telemetry hub and observatories, a controller that
     /// already knows which founders are dead, ARP pre-primed both
-    /// ways. Starts the tracker's reprovision clock. Returns the new
-    /// replica's index.
+    /// ways. Begins the tracker's round, on the standby's hub too.
+    /// Returns the new replica's index.
     ///
     /// # Panics
     ///
@@ -334,14 +332,13 @@ impl ChainTestbed {
             "no hub port left for another standby"
         );
         let addr = Ipv4Addr::new(10, 0, 0, 2 + k as u8);
-        let now = self.sim.now().as_nanos();
-        self.tracker.begin(addr, now);
         self.replica_addrs.push(addr);
         self.dead.push(false);
         // The standby mirrors a founding tail, diverting to the current
         // tail (which takes it below as part of the handoff).
         let id = self.spawn_replica(k);
         self.replicas.push(id);
+        self.tracker.begin(addr, self.sim.now().as_nanos());
 
         // ARP, both directions, plus the router for good measure; the
         // survivors' controllers learn about the new chain member.
@@ -423,8 +420,7 @@ impl ChainTestbed {
     }
 
     /// Checks the catch-up condition and, when the backlog has drained
-    /// to zero, stamps restoration on the tracker (and so on every
-    /// hub's redundancy timeline).
+    /// to zero, ends the tracker's round (on every hub).
     pub fn poll_reprovision(&mut self) {
         if self.tracker.phase() == ReprovisionPhase::CatchUp && self.catchup_lag() == 0 {
             let now = self.sim.now().as_nanos();

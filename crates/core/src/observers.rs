@@ -6,7 +6,7 @@
 //! and an attached one allocates nothing; what is written once, here,
 //! is what happens at each moment — a segment filtered (`audited`), a
 //! stage run (`StageClock`), held bytes changed, matched or gone with
-//! their flow (`Lag`), a mode change, a takeover step, a batch
+//! their flow (`Lag`), a mode change, a takeover, a batch
 //! bracket, the host tick's publish. DESIGN §8 *Observer seam* has the
 //! table of moments and who consumes each.
 //!
@@ -15,7 +15,6 @@
 
 use crate::primary::PrimaryMode;
 use tcpfo_tcp::filter::{AddressedSegment, FilterOutput};
-use tcpfo_telemetry::audit::TakeoverStep;
 use tcpfo_telemetry::{
     AuditConfig, FlowClass, HealthObservatory, HostClock, InvariantAuditor, LatencyObservatory,
     ObserverSwitches, Scope, SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
@@ -141,10 +140,10 @@ impl Observers {
         }
     }
 
-    /// A promoted link performed `step` of the §5 takeover at `now_nanos`.
-    pub(crate) fn takeover_step(&mut self, step: TakeoverStep, now_nanos: u64) {
+    /// The link was promoted: the §5 takeover at `now_nanos`.
+    pub(crate) fn takeover(&mut self, now_nanos: u64) {
         if let Some(a) = self.audit.as_deref_mut() {
-            a.note_takeover_step(step, now_nanos);
+            a.note_takeover(now_nanos);
         }
     }
 

@@ -48,10 +48,10 @@ use tcpfo_tcp::filter::{
 };
 use tcpfo_tcp::seq::{seq_gt, seq_le, seq_min};
 use tcpfo_tcp::types::SocketAddr;
-use tcpfo_telemetry::audit::{LinkPlace, TakeoverStep};
+use tcpfo_telemetry::audit::LinkPlace;
 use tcpfo_telemetry::{
-    Counter, FailoverPhase, FlowClass, Gauge, HealthObservatory, InvariantAuditor,
-    LatencyObservatory, Scope, SpanContext, SpanSampler, SpanTrack, Stage, StageLatency, Telemetry,
+    Counter, FlowClass, Gauge, HealthObservatory, InvariantAuditor, LatencyObservatory, Scope,
+    SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
 };
 use tcpfo_wire::checksum::ChecksumDelta;
 use tcpfo_wire::ipv4::Ipv4Addr;
@@ -428,8 +428,8 @@ pub struct PrimaryBridge {
     /// grows the segment past the exact-capacity buffer it was emitted
     /// into, which would force a [`SegmentPatcher`] to reallocate).
     divert_buf: BytesMut,
-    /// Set on promotion: the next payload released to the client marks
-    /// [`FailoverPhase::FirstClientByte`].
+    /// Set on promotion: the next payload released to the client is the
+    /// §5 `first_client_byte` moment.
     watch_first_byte: bool,
     /// Everything that watches this bridge (DESIGN § Observer seam).
     observers: Observers,
@@ -764,14 +764,10 @@ impl PrimaryBridge {
     /// nobody below (§6 mode: a tail, or a link whose downstream died)
     /// it takes the VIP outright, as the pair's S does: it returns
     /// `own`, whose failover TCBs the caller re-keys to the VIP, and
-    /// from then on it is the VIP owner's pass-through. Either way both
-    /// §5 steps (egress hold, translations off) are stamped on the
-    /// auditor.
+    /// from then on it is the VIP owner's pass-through. Either way the
+    /// auditor notes the takeover.
     pub fn promote_to_head(&mut self, now_nanos: u64) -> Option<Ipv4Addr> {
-        self.observers
-            .takeover_step(TakeoverStep::EgressHold, now_nanos);
-        self.observers
-            .takeover_step(TakeoverStep::TranslationOff, now_nanos);
+        self.observers.takeover(now_nanos);
         self.upstream = None;
         self.watch_first_byte = true;
         let rekey = self.mode == PrimaryMode::SecondaryFailed && self.own != self.a_p;
@@ -1400,19 +1396,9 @@ impl PrimaryBridge {
             return;
         };
         let len = view.payload().len();
-        t.hub
-            .timeline
-            .mark(FailoverPhase::FirstClientByte, now_nanos);
         let fields = [("seq", view.seq().to_string()), ("len", len.to_string())];
-        t.record(now_nanos, "first_client_byte", &fields);
         let args = [Some(("len", len as u64)), None];
-        (t.hub.trace).instant_args(
-            SpanTrack::Control,
-            t.name,
-            "first_client_byte",
-            now_nanos,
-            args,
-        );
+        (t.hub).event(now_nanos, t.name, "first_client_byte", &fields, args);
     }
 
     /// Diverts one merged segment to the upstream neighbour: append the

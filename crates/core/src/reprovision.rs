@@ -2,9 +2,10 @@
 //! the survivor alone). There is one way in, for a fresh standby behind
 //! a chain's tail and for the pair's rebooted S alike: the replica with
 //! nobody below hands every live flow to the joiner, in the
-//! client-facing sequence space. Three phases, stamped on the
-//! [`tcpfo_telemetry::RedundancyTimeline`] by a chain's
-//! [`ReprovisionTracker`]:
+//! client-facing sequence space. Three phases, each a moment a chain's
+//! [`ReprovisionTracker`] writes to every hub ([`Telemetry::event`]),
+//! which is what each hub's [`tcpfo_telemetry::RedundancyTimeline`]
+//! reads:
 //!
 //! 1. **Snapshot** ([`snapshot`]): per live flow, a [`FlowHandoff`] of
 //!    the survivor's TCB essentials plus the application-stream offset.
@@ -32,7 +33,7 @@ use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::{SocketAddr, SocketId};
 use tcpfo_telemetry::json::JsonObject;
-use tcpfo_telemetry::{RedundancyPhase, RedundancyTimeline, SpanTrack, Tracer};
+use tcpfo_telemetry::{RedundancyPhase, Telemetry};
 use tcpfo_wire::ipv4::Ipv4Addr;
 
 /// Everything a joiner needs to rebuild one live designated flow.
@@ -156,30 +157,21 @@ pub enum ReprovisionPhase {
     Restored,
 }
 
-/// Bookkeeping for one reprovisioning round, mirrored onto the
-/// telemetry hubs' [`RedundancyTimeline`]s so time to restored
-/// redundancy is reported next to the client-visible stall.
+/// Bookkeeping for one reprovisioning round. Its three moments —
+/// `reprovision.begin`, `reprovision.handoff_done`,
+/// `reprovision.restored` — go to every attached hub, whose redundancy
+/// view times the round next to the client-visible stall.
 #[derive(Debug)]
 pub struct ReprovisionTracker {
     phase: ReprovisionPhase,
     /// The replica address being provisioned.
     standby: Option<Ipv4Addr>,
-    started_ns: Option<u64>,
-    handoff_ns: Option<u64>,
-    restored_ns: Option<u64>,
     /// Flows handed off in this round.
     pub flows: usize,
     /// Unmatched backlog on the converted link when handoff finished.
     pub backlog_at_handoff: u64,
-    /// Hub timelines to stamp (one per replica that should see the
-    /// round).
-    timelines: Vec<RedundancyTimeline>,
-    /// Span tracers to record the round into (PR10). Spans are written
-    /// retroactively at [`ReprovisionTracker::restored`], when all
-    /// three phase stamps exist — the tracer's explicit-timestamp API
-    /// makes the handoff/catch-up spans exact even though they are
-    /// recorded after the fact.
-    tracers: Vec<Tracer>,
+    /// The hubs of the replicas that see the round.
+    hubs: Vec<Telemetry>,
 }
 
 impl Default for ReprovisionTracker {
@@ -189,29 +181,20 @@ impl Default for ReprovisionTracker {
 }
 
 impl ReprovisionTracker {
-    /// An idle tracker with no timelines attached.
+    /// An idle tracker with no hub attached.
     pub fn new() -> Self {
         ReprovisionTracker {
             phase: ReprovisionPhase::Idle,
             standby: None,
-            started_ns: None,
-            handoff_ns: None,
-            restored_ns: None,
             flows: 0,
             backlog_at_handoff: 0,
-            timelines: Vec::new(),
-            tracers: Vec::new(),
+            hubs: Vec::new(),
         }
     }
 
-    /// Attaches a hub timeline to stamp as phases complete.
-    pub fn attach_timeline(&mut self, t: RedundancyTimeline) {
-        self.timelines.push(t);
-    }
-
-    /// Attaches a hub span tracer to record the round into.
-    pub fn attach_tracer(&mut self, t: Tracer) {
-        self.tracers.push(t);
+    /// Attaches a hub that sees every later moment of a round.
+    pub fn attach(&mut self, hub: &Telemetry) {
+        self.hubs.push(hub.clone());
     }
 
     /// Current phase.
@@ -224,119 +207,76 @@ impl ReprovisionTracker {
         self.standby
     }
 
+    fn event(
+        &self,
+        kind: &'static str,
+        now_ns: u64,
+        fields: &[(&str, String)],
+        args: [Option<(&'static str, u64)>; 2],
+    ) {
+        for hub in &self.hubs {
+            hub.event(now_ns, "core.reprovision", kind, fields, args);
+        }
+    }
+
     /// Phase 1 begins: a standby is being spawned for the chain.
     pub fn begin(&mut self, standby: Ipv4Addr, now_ns: u64) {
         self.phase = ReprovisionPhase::Handoff;
         self.standby = Some(standby);
-        self.started_ns = Some(now_ns);
-        self.handoff_ns = None;
-        self.restored_ns = None;
         self.flows = 0;
         self.backlog_at_handoff = 0;
-        for t in &self.timelines {
-            t.mark(RedundancyPhase::ReprovisionStart, now_ns);
-        }
-        for t in &self.tracers {
-            t.instant_args(
-                SpanTrack::Control,
-                "core.reprovision",
-                "reprovision.begin",
-                now_ns,
-                [
-                    Some(("standby", u32::from_be_bytes(standby.octets()) as u64)),
-                    None,
-                ],
-            );
-        }
+        let fields = [("standby", standby.to_string())];
+        let args = [Some(("standby", u64::from(u32::from(standby)))), None];
+        self.event("reprovision.begin", now_ns, &fields, args);
     }
 
     /// Phase 2 complete: `flows` handoffs applied; the converted link
     /// reports `backlog` unmatched bytes still to catch up.
     pub fn handoff_done(&mut self, flows: usize, backlog: u64, now_ns: u64) {
         self.phase = ReprovisionPhase::CatchUp;
-        self.handoff_ns = Some(now_ns);
         self.flows = flows;
         self.backlog_at_handoff = backlog;
-        for t in &self.timelines {
-            t.mark(RedundancyPhase::HandoffDone, now_ns);
-        }
-        for t in &self.tracers {
-            t.instant_args(
-                SpanTrack::Control,
-                "core.reprovision",
-                "reprovision.handoff_done",
-                now_ns,
-                [Some(("flows", flows as u64)), Some(("backlog", backlog))],
-            );
-        }
+        let fields = [
+            ("flows", flows.to_string()),
+            ("backlog", backlog.to_string()),
+        ];
+        let args = [Some(("flows", flows as u64)), Some(("backlog", backlog))];
+        self.event("reprovision.handoff_done", now_ns, &fields, args);
     }
 
     /// Phase 3 complete: the lag ledger drained to zero.
     pub fn restored(&mut self, now_ns: u64) {
         self.phase = ReprovisionPhase::Restored;
-        self.restored_ns = Some(now_ns);
-        for t in &self.timelines {
-            t.mark(RedundancyPhase::CatchupDone, now_ns);
-        }
-        // All three stamps exist now; write the round into each tracer
-        // as a root span with exact handoff/catch-up children (the
-        // drain-to-zero proof). Explicit timestamps keep the spans
-        // truthful even though they are recorded after the fact.
-        let (Some(started), Some(handoff)) = (self.started_ns, self.handoff_ns) else {
-            return;
-        };
-        for t in &self.tracers {
-            let Some(root) = t.begin_root(
-                SpanTrack::Control,
-                "core.reprovision",
-                "reprovision",
-                started,
-            ) else {
-                continue;
-            };
-            if let Some(h) = t.begin_child(
-                root.ctx,
-                SpanTrack::Control,
-                "core.reprovision",
-                "reprovision.handoff",
-                started,
-            ) {
-                t.end_args(
-                    &h,
-                    handoff,
-                    [
-                        Some(("flows", self.flows as u64)),
-                        Some(("backlog", self.backlog_at_handoff)),
-                    ],
-                );
-            }
-            if let Some(c) = t.begin_child(
-                root.ctx,
-                SpanTrack::Control,
-                "core.reprovision",
-                "reprovision.catchup",
-                handoff,
-            ) {
-                t.end_args(&c, now_ns, [Some(("drained_to", 0)), None]);
-            }
-            t.end(&root, now_ns);
-        }
+        self.event("reprovision.restored", now_ns, &[], [None, None]);
+    }
+
+    /// `from` → `to` in the round as the hubs recorded it (every hub
+    /// sees all of it), when both happened.
+    fn between(&self, from: RedundancyPhase, to: RedundancyPhase) -> Option<u64> {
+        let round = &self.hubs.first()?.redundancy;
+        Some(round.at(to)?.saturating_sub(round.at(from)?))
     }
 
     /// Reprovision start → handoff done, when both happened.
     pub fn reprovision_ns(&self) -> Option<u64> {
-        Some(self.handoff_ns?.saturating_sub(self.started_ns?))
+        self.between(
+            RedundancyPhase::ReprovisionStart,
+            RedundancyPhase::HandoffDone,
+        )
     }
 
     /// Handoff done → lag drained, when both happened.
     pub fn catchup_ns(&self) -> Option<u64> {
-        Some(self.restored_ns?.saturating_sub(self.handoff_ns?))
+        self.between(RedundancyPhase::HandoffDone, RedundancyPhase::CatchupDone)
     }
 
     /// Reprovision start → lag drained: the time to restored
     /// redundancy.
     pub fn total_ns(&self) -> Option<u64> {
-        Some(self.restored_ns?.saturating_sub(self.started_ns?))
+        self.between(
+            RedundancyPhase::ReprovisionStart,
+            RedundancyPhase::CatchupDone,
+        )
     }
 
     /// Renders the round as a JSON object.
@@ -376,8 +316,8 @@ mod tests {
     #[test]
     fn tracker_walks_phases_and_stamps_timelines() {
         let mut tr = ReprovisionTracker::new();
-        let tl = RedundancyTimeline::new();
-        tr.attach_timeline(tl.clone());
+        let hub = Telemetry::new();
+        tr.attach(&hub);
         assert_eq!(tr.phase(), ReprovisionPhase::Idle);
         assert_eq!(tr.total_ns(), None);
 
@@ -393,10 +333,18 @@ mod tests {
         assert_eq!(tr.reprovision_ns(), Some(500));
         assert_eq!(tr.catchup_ns(), Some(700));
         assert_eq!(tr.total_ns(), Some(1_200));
-        let r = tl.restoration().expect("timeline stamped complete");
-        assert_eq!(r.reprovision_ns, 500);
-        assert_eq!(r.catchup_ns, 700);
-        assert_eq!(r.total_ns, 1_200);
+        let r = hub.redundancy.restoration().expect("view stamped complete");
+        assert_eq!(
+            (r.reprovision_ns, r.catchup_ns, r.total_ns),
+            (500, 700, 1_200)
+        );
+        let kinds: Vec<String> = hub.journal.events().into_iter().map(|e| e.kind).collect();
+        let want = [
+            "reprovision.begin",
+            "reprovision.handoff_done",
+            "reprovision.restored",
+        ];
+        assert_eq!(kinds, want);
         let json = tr.to_json();
         assert!(json.contains("\"phase\": \"restored\""), "{json}");
         assert!(json.contains("\"flows\": 3"), "{json}");
@@ -405,6 +353,8 @@ mod tests {
     #[test]
     fn begin_resets_previous_round() {
         let mut tr = ReprovisionTracker::new();
+        let hub = Telemetry::new();
+        tr.attach(&hub);
         let b3 = Ipv4Addr::new(10, 0, 0, 5);
         tr.begin(b3, 100);
         tr.handoff_done(2, 10, 200);
@@ -414,8 +364,13 @@ mod tests {
         assert_eq!(tr.phase(), ReprovisionPhase::Handoff);
         assert_eq!(tr.standby(), Some(b4));
         assert_eq!(tr.flows, 0);
-        assert_eq!(tr.total_ns(), None);
+        assert_eq!((tr.reprovision_ns(), tr.total_ns()), (None, None));
+        assert_eq!(
+            hub.redundancy.restoration(),
+            None,
+            "the hub's view is the new round"
+        );
         let json = tr.to_json();
-        assert!(json.contains("\"restored_ns\": null") || json.contains("\"total_ns\": null"));
+        assert!(json.contains("\"total_ns\": null"), "{json}");
     }
 }

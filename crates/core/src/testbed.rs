@@ -33,8 +33,8 @@ use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig};
 use tcpfo_telemetry::journal::DEFAULT_CAPACITY as DEFAULT_JOURNAL_CAPACITY;
 use tcpfo_telemetry::span::DEFAULT_SPAN_CAPACITY;
 use tcpfo_telemetry::{
-    FailoverPhase, HealthMonitor, HealthObservatory, InvariantAuditor, MetricsSnapshot,
-    ObserverSwitches, Telemetry,
+    HealthMonitor, HealthObservatory, InvariantAuditor, MetricsSnapshot, ObserverSwitches,
+    Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
@@ -561,27 +561,24 @@ impl Testbed {
     /// Kills the primary host (fail-stop). The secondary's fault
     /// detector will take over after its timeout.
     pub fn kill_primary(&mut self) {
-        self.mark_failure("primary");
-        self.sim.kill(self.primary);
+        self.kill(self.primary, "primary");
     }
 
     /// Kills the secondary host (fail-stop).
     pub fn kill_secondary(&mut self) {
         if let Some(s) = self.secondary {
-            self.mark_failure("secondary");
-            self.sim.kill(s);
+            self.kill(s, "secondary");
         }
     }
 
-    /// Stamps [`FailoverPhase::Failure`] on the shared timeline — the
-    /// injected fail-stop is the reference point every later phase is
+    /// Kills `node` fail-stop. The `kill` moment opens a failure episode
+    /// on the shared hub: the reference point every later §5 phase is
     /// measured against.
-    fn mark_failure(&self, which: &str) {
+    fn kill(&mut self, node: NodeId, which: &str) {
         let now = self.sim.now().as_nanos();
-        self.telemetry.timeline.mark(FailoverPhase::Failure, now);
-        self.telemetry
-            .journal
-            .record(now, "testbed", "kill", &[("node", which.to_string())]);
+        let fields = [("node", which.to_string())];
+        (self.telemetry).event(now, "testbed", "kill", &fields, [None, None]);
+        self.sim.kill(node);
     }
 
     /// Boots a fresh secondary in place of a killed one (empty state, no

@@ -6,8 +6,8 @@
 //! client-facing bytes live in S's sequence space, `ack = min(ack_P,
 //! ack_S)`, `win = min(win_P, win_S)`, `MSS = min(MSS_P, MSS_S)`, only
 //! replica-matched bytes are released, a bare ACK is synthesised when
-//! the minimum advances (§3.4), and takeover follows the §5 order
-//! (egress hold → translation off → ARP takeover). The
+//! the minimum advances (§3.4), and a promoted replica takes over
+//! before it serves the client (§5). The
 //! [`InvariantAuditor`] is an *independent* observer a bridge can
 //! carry: it re-derives all of that state from the segments it sees
 //! and checks each egress event against the catalogue of [`Rule`]s.
@@ -219,13 +219,9 @@ pub enum Rule {
     /// VIP's host client ingress is rewritten to the local replica, and
     /// client acks gain Δseq.
     Translate,
-    /// §5 step 1: while holding, no failover segment escapes toward
-    /// the client. The controller runs steps 1–4 at one simulated
-    /// instant, so no segment meets a holding bridge and nothing
-    /// reaches this check; the rule stays in the catalogue.
-    EgressHold,
-    /// §5: takeover runs egress hold → translation off → ARP takeover,
-    /// and the timeline phases are monotone.
+    /// §5: the first client byte a promoted link sends follows its
+    /// takeover and the VIP's claim (`takeover.arp`), and the hub's §5
+    /// view is in causal order.
     FailoverOrder,
     /// §1 daisy-chain generalisation of §5: a chain promotion commits
     /// only after the audit journal has recorded the decision
@@ -235,7 +231,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in ledger display order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 11] = [
         Rule::SeqSpace,
         Rule::AckMin,
         Rule::WinMin,
@@ -245,7 +241,6 @@ impl Rule {
         Rule::BareAck,
         Rule::Checksum,
         Rule::Translate,
-        Rule::EgressHold,
         Rule::FailoverOrder,
         Rule::PromotionOrder,
     ];
@@ -262,7 +257,6 @@ impl Rule {
             Rule::BareAck => "bare_ack",
             Rule::Checksum => "checksum",
             Rule::Translate => "translate",
-            Rule::EgressHold => "egress_hold",
             Rule::FailoverOrder => "failover_order",
             Rule::PromotionOrder => "promotion_order",
         }
@@ -280,7 +274,6 @@ impl Rule {
             Rule::BareAck => "§3.4",
             Rule::Checksum => "RFC 1624",
             Rule::Translate => "§3.1/§3.3",
-            Rule::EgressHold => "§5",
             Rule::FailoverOrder => "§5",
             Rule::PromotionOrder => "§1/§5",
         }
@@ -841,15 +834,6 @@ impl Violation {
     }
 }
 
-/// §5 takeover steps the auditor of a promoted link sequences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TakeoverStep {
-    /// Step 1: hold client-bound egress.
-    EgressHold,
-    /// Steps 3–4: both address translations disabled.
-    TranslationOff,
-}
-
 /// A chain link's place, against which the auditor judges where its
 /// failover output went (see [`InvariantAuditor::check_routed`]).
 #[derive(Debug, Clone, Copy)]
@@ -888,9 +872,9 @@ pub struct InvariantAuditor {
     releases_seen: u64,
     /// §6 degraded mode: per-connection checks are suspended.
     degraded: bool,
-    /// §5 takeover steps observed, in order.
-    steps: Vec<TakeoverStep>,
-    first_takeover_byte_checked: bool,
+    /// When this link's §5 takeover was noted, until the first client
+    /// byte after it is checked against it.
+    takeover_at: Option<u64>,
     now_ns: u64,
     /// Connection touched by the current event (for the §3.4 check).
     touched: Option<AuditKey>,
@@ -933,8 +917,7 @@ impl InvariantAuditor {
             bundle: None,
             releases_seen: 0,
             degraded: false,
-            steps: Vec::new(),
-            first_takeover_byte_checked: false,
+            takeover_at: None,
             now_ns: 0,
             touched: None,
             pending_ack: None,
@@ -1183,7 +1166,7 @@ impl InvariantAuditor {
             // trace with the exact MTTR waterfall merged in.
             if hub.trace.is_attached() {
                 std::fs::write(dir.join("spans.json"), hub.trace.to_json())?;
-                let waterfall = crate::span::waterfall_records(&hub.timeline, &hub.redundancy);
+                let waterfall = crate::span::waterfall_records(hub);
                 std::fs::write(
                     dir.join("trace.chrome.json"),
                     hub.trace.chrome_trace(&waterfall),
@@ -1785,27 +1768,16 @@ impl InvariantAuditor {
 // ---------------------------------------------------------------------
 
 impl InvariantAuditor {
-    /// §5: a promoted link stepped through its takeover sequence.
-    /// Steps must arrive in order (egress hold before translation off).
-    pub fn note_takeover_step(&mut self, step: TakeoverStep, now_ns: u64) {
+    /// §5: this link was promoted — egress held, translations off, the
+    /// VIP about to be claimed, all at `now_ns`.
+    pub fn note_takeover(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
         self.push_event(
             AuditEventKind::Phase,
             TraceId::NONE,
-            format!("takeover step {step:?}"),
+            format!("takeover at {now_ns}ns"),
         );
-        let ok = match step {
-            TakeoverStep::EgressHold => true,
-            TakeoverStep::TranslationOff => self.steps.contains(&TakeoverStep::EgressHold),
-        };
-        let steps = self.steps.clone();
-        self.check(Rule::FailoverOrder, ok, TraceId::NONE, || {
-            format!(
-                "takeover step {step:?} arrived out of order (steps so far: {steps:?}); \
-                 §5 requires egress hold → translation off → ARP takeover"
-            )
-        });
-        self.steps.push(step);
+        self.takeover_at = Some(now_ns);
     }
 
     /// Chain control plane: the controller decided to promote this
@@ -1884,9 +1856,8 @@ impl InvariantAuditor {
         });
         self.sample_checksum(src, dst, bytes, trace);
         let first_byte = !up && place.upstream.is_none() && !view.payload().is_empty();
-        if first_byte && !self.steps.is_empty() && !self.first_takeover_byte_checked {
-            self.first_takeover_byte_checked = true;
-            self.check_takeover_order(trace);
+        if let Some(at) = self.takeover_at.take_if(|_| first_byte) {
+            self.check_takeover_order(at, trace);
         }
     }
 
@@ -1906,37 +1877,28 @@ impl InvariantAuditor {
         }
     }
 
-    /// §5 ordering at the first post-takeover client byte: both local
-    /// steps happened (in order) and the shared timeline is monotone
-    /// with the ARP takeover marked.
-    fn check_takeover_order(&mut self, trace: TraceId) {
-        let steps_ok = self.steps == vec![TakeoverStep::EgressHold, TakeoverStep::TranslationOff]
-            || self.steps.windows(2).all(|w| w[0] <= w[1]);
-        let steps = self.steps.clone();
-        let have_both = steps.contains(&TakeoverStep::EgressHold)
-            && steps.contains(&TakeoverStep::TranslationOff);
-        self.check(Rule::FailoverOrder, steps_ok && have_both, trace, || {
-            format!(
-                "first post-takeover client byte sent, but the §5 step sequence was {steps:?} \
-                 (need egress hold, then translation off, before serving the client)"
+    /// §5 ordering at the first client byte after the takeover noted at
+    /// `takeover_at`: with a hub attached, its §5 view is monotone and
+    /// has the VIP claimed (`takeover.arp`) no earlier than the takeover
+    /// and no later than this byte.
+    fn check_takeover_order(&mut self, takeover_at: u64, trace: TraceId) {
+        let now = self.now_ns;
+        let view = (self.hub.as_ref()).map(|h| {
+            (
+                h.timeline.at(FailoverPhase::ArpTakeover),
+                h.timeline.is_monotone(),
             )
         });
-        if let Some(hub) = self.hub.clone() {
-            let hold = hub.timeline.at(FailoverPhase::EgressHold);
-            let arp = hub.timeline.at(FailoverPhase::ArpTakeover);
-            let monotone = hub.timeline.is_monotone();
-            let ok = monotone
-                && match (hold, arp) {
-                    (Some(h), Some(a)) => h <= a,
-                    _ => false,
-                };
-            self.check(Rule::FailoverOrder, ok, trace, || {
-                format!(
-                    "first post-takeover client byte sent with timeline egress_hold={hold:?} \
-                     arp_takeover={arp:?} monotone={monotone} — §5 order not respected"
-                )
-            });
-        }
+        let ok = view.is_none_or(|(arp, monotone)| {
+            monotone && arp.is_some_and(|a| takeover_at <= a && a <= now)
+        });
+        self.check(Rule::FailoverOrder, ok, trace, || {
+            format!(
+                "first post-takeover client byte at {now}ns, takeover noted at \
+                 {takeover_at}ns, hub's (VIP claimed, §5 view monotone): {view:?} \
+                 — out of order"
+            )
+        });
     }
 }
 
@@ -2006,23 +1968,56 @@ mod tests {
         }
     }
 
+    /// A promoted head noted its takeover at 1 µs over a hub that saw
+    /// `moments`, then sends the client two payloads at 2 µs: the first
+    /// is checked, once.
+    fn takeover_then_first_byte(moments: &[(&'static str, u64)]) -> InvariantAuditor {
+        let hub = Telemetry::new();
+        for &(kind, at) in moments {
+            hub.event(at, "test", kind, &[], [None, None]);
+        }
+        let cfg = AuditConfig::new("test").panic_on_violation(false);
+        let mut a = InvariantAuditor::new(cfg).with_hub(&hub);
+        let [vip, client] = [Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(192, 168, 0, 9)];
+        let place = LinkPlace {
+            vip,
+            own: Ipv4Addr::new(10, 0, 0, 3),
+            upstream: None,
+            downstream: None,
+        };
+        let seg = TcpSegment::builder(80, 5555)
+            .payload(Bytes::from_static(b"x"))
+            .build()
+            .encode(vip, client);
+        a.note_takeover(1_000);
+        a.now_ns = 2_000;
+        for _ in 0..2 {
+            a.check_routed(&place, false, vip, client, &seg, TraceId::NONE);
+        }
+        assert_eq!(a.ledger().stat(Rule::FailoverOrder).checks, 1);
+        a
+    }
+
     #[test]
     fn takeover_out_of_order_is_flagged() {
-        let cfg = AuditConfig::new("test").panic_on_violation(false);
-        let mut a = InvariantAuditor::new(cfg);
-        a.note_takeover_step(TakeoverStep::TranslationOff, 1_000);
+        let a =
+            takeover_then_first_byte(&[("kill", 100), ("peer_dead", 50), ("takeover.arp", 1_000)]);
         assert_eq!(a.ledger().stat(Rule::FailoverOrder).violations, 1);
-        assert!(!a.violations().is_empty());
         assert!(a.violations()[0].render().contains("out of order"));
     }
 
     #[test]
+    fn first_byte_before_the_vip_is_claimed_is_flagged() {
+        let a = takeover_then_first_byte(&[("kill", 50), ("peer_dead", 100)]);
+        assert_eq!(a.ledger().stat(Rule::FailoverOrder).violations, 1);
+        let b = takeover_then_first_byte(&[("kill", 50), ("takeover.arp", 3_000)]);
+        assert_eq!(b.ledger().stat(Rule::FailoverOrder).violations, 1);
+    }
+
+    #[test]
     fn takeover_in_order_is_clean() {
-        let cfg = AuditConfig::new("test").panic_on_violation(false);
-        let mut a = InvariantAuditor::new(cfg);
-        a.note_takeover_step(TakeoverStep::EgressHold, 1_000);
-        a.note_takeover_step(TakeoverStep::TranslationOff, 2_000);
+        let a =
+            takeover_then_first_byte(&[("kill", 50), ("peer_dead", 100), ("takeover.arp", 1_000)]);
         assert_eq!(a.ledger().stat(Rule::FailoverOrder).violations, 0);
-        assert_eq!(a.ledger().stat(Rule::FailoverOrder).checks, 2);
     }
 }

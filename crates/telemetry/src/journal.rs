@@ -5,12 +5,15 @@
 //! recognised retransmission), stamped with sim time and carrying
 //! free-form key/value fields. The buffer is a bounded ring — when
 //! full it drops the *oldest* entries and counts what it dropped, so
-//! a long run can never grow without bound.
+//! a long run can never grow without bound. An entry whose kind names
+//! a §5 or redundancy phase ([`crate::timeline`]) also stamps it beside
+//! the ring, where eviction never reaches it.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::json::{array, quote, JsonObject};
+use crate::timeline::Stamps;
 
 /// Default journal capacity (entries).
 pub const DEFAULT_CAPACITY: usize = 4096;
@@ -52,6 +55,9 @@ struct JournalInner {
     ring: VecDeque<Event>,
     capacity: usize,
     dropped: u64,
+    /// The phases [`Journal::record`] stamped, which outlive the
+    /// entries that stamped them.
+    stamps: Stamps,
 }
 
 /// A bounded, shared event journal.
@@ -79,13 +85,22 @@ impl Journal {
                 ring: VecDeque::with_capacity(capacity.min(DEFAULT_CAPACITY)),
                 capacity: capacity.max(1),
                 dropped: 0,
+                stamps: Stamps::default(),
             })),
         }
     }
 
-    /// Appends an event, evicting the oldest entry when full.
+    /// Appends an event, evicting the oldest entry when full, and
+    /// stamps the phase `kind` names, if it names one
+    /// ([`crate::timeline`]).
     pub fn record(&self, at_ns: u64, scope: &str, kind: &str, fields: &[(&str, String)]) {
-        self.push(Event {
+        let mut inner = self.inner.lock().unwrap();
+        inner.stamps.stamp(kind, at_ns);
+        if inner.ring.len() == inner.capacity {
+            inner.ring.pop_front();
+            inner.dropped += 1;
+        }
+        inner.ring.push_back(Event {
             at_ns,
             scope: scope.to_string(),
             kind: kind.to_string(),
@@ -96,14 +111,9 @@ impl Journal {
         });
     }
 
-    /// Appends a pre-built event, evicting the oldest when full.
-    pub fn push(&self, event: Event) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.ring.len() == inner.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(event);
+    /// What has been stamped.
+    pub(crate) fn stamps(&self) -> Stamps {
+        self.inner.lock().unwrap().stamps
     }
 
     /// Number of events currently held.

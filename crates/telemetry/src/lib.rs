@@ -15,8 +15,9 @@
 //!   since simulation start, i.e. `SimTime::as_nanos()`).
 //! * [`journal`] — a bounded structured event journal for discrete
 //!   occurrences (mode changes, Δseq sync, takeover steps).
-//! * [`timeline`] — the §5 failover timeline: one timestamp per phase
-//!   from failure to the first post-takeover client-bound byte.
+//! * [`timeline`] — the §5 failover timeline and the redundancy
+//!   clock: views of the phases the journal's entries stamped, from
+//!   failure to the first post-takeover client-bound byte.
 //!
 //! Exposition is JSON (machines) and an aligned text table (humans);
 //! both are derived from [`MetricsSnapshot`].
@@ -135,21 +136,27 @@ pub fn fmt_nanos(ns: u64) -> String {
 
 /// The bundle every layer threads around: registry + journal +
 /// timeline. Cloning is cheap (shared handles).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Telemetry {
     /// The metrics registry.
     pub registry: Registry,
     /// The structured event journal.
     pub journal: Journal,
-    /// The §5 failover timeline.
+    /// The latest failure episode's §5 phases, as stamped in `journal`.
     pub timeline: FailoverTimeline,
-    /// The PR9 redundancy-restoration timeline (tail reprovisioning
-    /// after a chain takeover).
+    /// The latest reprovisioning round's phases, as stamped in
+    /// `journal`.
     pub redundancy: RedundancyTimeline,
-    /// The PR10 failover span recorder. Dormant (one-branch no-op) by
+    /// The failover span recorder. Dormant (one-branch no-op) by
     /// default; `Tracer::attach` arms the shared ring so every layer
     /// of the replica records into one coherent trace.
     pub trace: Tracer,
+}
+
+impl Default for Telemetry {
+    fn default() -> Self {
+        Telemetry::with_journal_capacity(journal::DEFAULT_CAPACITY)
+    }
 }
 
 impl Telemetry {
@@ -160,10 +167,32 @@ impl Telemetry {
 
     /// A hub with an explicit journal ring capacity.
     pub fn with_journal_capacity(capacity: usize) -> Self {
+        let journal = Journal::with_capacity(capacity);
         Telemetry {
-            journal: Journal::with_capacity(capacity),
-            ..Telemetry::default()
+            registry: Registry::default(),
+            timeline: FailoverTimeline(journal.clone()),
+            redundancy: RedundancyTimeline(journal.clone()),
+            journal,
+            trace: Tracer::default(),
         }
+    }
+
+    /// One control-plane moment, written once: the journal entry
+    /// (`fields`) and, when the tracer is attached, a span instant of
+    /// the same name under the active span (`args`). The journal entry
+    /// stamps the §5 or redundancy phase `kind` names, if any
+    /// ([`timeline`]): `kill` opens a failure episode and
+    /// `reprovision.begin` a round.
+    pub fn event(
+        &self,
+        at_ns: u64,
+        scope: &'static str,
+        kind: &'static str,
+        fields: &[(&str, String)],
+        args: [Option<span::SpanArg>; 2],
+    ) {
+        self.journal.record(at_ns, scope, kind, fields);
+        (self.trace).instant_args(SpanTrack::Control, scope, kind, at_ns, args);
     }
 
     /// One JSON document combining the metrics snapshot (taken at
@@ -231,8 +260,9 @@ mod tests {
         t.registry.scope("core").counter("matched_bytes").add(512);
         t.journal
             .record(10, "core.primary", "sync", &[("delta_seq", "4000".into())]);
-        t.timeline.mark(FailoverPhase::Failure, 5);
+        t.event(5, "testbed", "kill", &[], [None, None]);
         let doc = t.export_json(100);
+        assert!(doc.contains("\"failure\": 5"), "{doc}");
         assert!(doc.contains("\"metrics\""), "{doc}");
         assert!(doc.contains("core.matched_bytes"), "{doc}");
         assert!(doc.contains("\"timeline\""), "{doc}");
@@ -243,12 +273,17 @@ mod tests {
     #[test]
     fn export_json_reports_journal_drops() {
         let t = Telemetry::with_journal_capacity(2);
-        for i in 0..5 {
+        t.event(0, "testbed", "kill", &[], [None, None]);
+        for i in 1..5 {
             t.journal.record(i, "core", "tick", &[]);
         }
         let doc = t.export_json(10);
         assert!(doc.contains("\"journal_dropped\": 3"), "{doc}");
         assert!(doc.contains("\"trace_dropped\": 0"), "{doc}");
+        assert!(
+            doc.contains("\"failure\": 0"),
+            "evicted, still stamped: {doc}"
+        );
     }
 
     #[test]

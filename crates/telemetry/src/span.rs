@@ -26,10 +26,10 @@
 //!   (loadable in `chrome://tracing` / Perfetto), with the control
 //!   plane and the datapath as separate processes because they run on
 //!   different timebases.
-//! * [`waterfall_records`] — synthetic contiguous spans derived from
-//!   the §5 MTTR decomposition and the PR 9 redundancy timeline, so
-//!   the exported waterfall's phase durations sum *exactly* to the
-//!   measured MTTR even when the live ring dropped events.
+//! * [`waterfall_records`] — synthetic contiguous spans derived from a
+//!   hub's §5 and redundancy views, so the exported waterfall's phase
+//!   durations sum *exactly* to the measured MTTR even when the live
+//!   ring dropped events.
 //!
 //! # Example
 //!
@@ -54,7 +54,8 @@ use std::sync::{Arc, Mutex};
 use crate::audit::TraceId;
 use crate::json::{array, JsonObject};
 use crate::latency::{Stage, StageLatency};
-use crate::timeline::{FailoverTimeline, RedundancyTimeline};
+use crate::timeline::{FailoverPhase, MttrBreakdown, RedundancyPhase};
+use crate::Telemetry;
 
 /// Default span ring capacity (records).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
@@ -674,96 +675,49 @@ pub fn chrome_trace_json(records: &[SpanRecord]) -> String {
     )
 }
 
-/// Synthetic waterfall spans derived from the §5 MTTR decomposition
-/// (and, when complete, the PR 9 redundancy timeline): one parent
-/// `failover` span whose five phase children are contiguous and sum
-/// exactly to the measured MTTR, plus a `redundancy_restore` span with
-/// `reprovision` / `catchup` children. Returns an empty vec until the
-/// failover timeline is complete. These ride the Control track next to
-/// the live-recorded spans, so the exported waterfall is exact even
-/// when the live ring dropped events.
-pub fn waterfall_records(
-    timeline: &FailoverTimeline,
-    redundancy: &RedundancyTimeline,
-) -> Vec<SpanRecord> {
-    let Some(mttr) = timeline.mttr() else {
+/// Synthetic waterfall spans derived from `hub`'s views: one parent
+/// `failover` span whose five [`MttrBreakdown::PHASES`] children are
+/// contiguous and sum exactly to the measured MTTR, plus, once the
+/// latest round restored redundancy, a `redundancy_restore` span with
+/// `reprovision` / `catchup` children. Empty until the §5 view is
+/// complete. These ride the Control track next to the live-recorded
+/// spans, so the exported waterfall is exact even when the live ring
+/// dropped events.
+pub fn waterfall_records(hub: &Telemetry) -> Vec<SpanRecord> {
+    let Some(mttr) = hub.timeline.mttr() else {
         return Vec::new();
     };
-    let failure_at = timeline
-        .at(crate::timeline::FailoverPhase::Failure)
-        .unwrap_or(0);
+    // (parent id, name, start, duration); a span's id is its position + 1.
+    let failure_at = hub.timeline.at(FailoverPhase::Failure).unwrap_or(0);
+    let mut spans = vec![(0, "failover", failure_at, mttr.total_ns)];
+    let mut cursor = failure_at;
+    for (name, dur) in MttrBreakdown::PHASES.into_iter().zip(mttr.deltas()) {
+        spans.push((1, name, cursor, dur));
+        cursor += dur;
+    }
+    let round = &hub.redundancy;
+    let start = round.at(RedundancyPhase::ReprovisionStart);
+    if let (Some(start), Some(red)) = (start, round.restoration()) {
+        let root = spans.len() as u64 + 1;
+        spans.push((0, "redundancy_restore", start, red.total_ns));
+        spans.push((root, "reprovision", start, red.reprovision_ns));
+        spans.push((root, "catchup", start + red.reprovision_ns, red.catchup_ns));
+    }
     let trace = TraceId::fresh();
-    let mut next = 1u64;
-    let mut fresh = || {
-        let id = SpanId(next);
-        next += 1;
-        id
-    };
-    let mk = |id, parent, lane, name, start_ns, dur_ns| SpanRecord {
-        id,
-        parent,
+    let record = |(id, (parent, name, start_ns, dur_ns))| SpanRecord {
+        id: SpanId(id),
+        parent: SpanId(parent),
         trace,
         track: SpanTrack::Control,
         kind: SpanKind::Span,
-        lane,
+        lane: "waterfall",
         name,
         start_ns,
         dur_ns,
         open: false,
         args: [None, None],
     };
-    let root = fresh();
-    let mut out = vec![mk(
-        root,
-        SpanId::NONE,
-        "waterfall",
-        "failover",
-        failure_at,
-        mttr.total_ns,
-    )];
-    const PHASES: [&str; 5] = [
-        "detection",
-        "egress_hold",
-        "translation_off",
-        "arp_takeover",
-        "first_client_byte",
-    ];
-    let mut cursor = failure_at;
-    for (name, dur) in PHASES.into_iter().zip(mttr.deltas()) {
-        out.push(mk(fresh(), root, "waterfall", name, cursor, dur));
-        cursor += dur;
-    }
-    if let (Some(start), Some(red)) = (
-        redundancy.at(crate::timeline::RedundancyPhase::ReprovisionStart),
-        redundancy.restoration(),
-    ) {
-        let r = fresh();
-        out.push(mk(
-            r,
-            SpanId::NONE,
-            "waterfall",
-            "redundancy_restore",
-            start,
-            red.total_ns,
-        ));
-        out.push(mk(
-            fresh(),
-            r,
-            "waterfall",
-            "reprovision",
-            start,
-            red.reprovision_ns,
-        ));
-        out.push(mk(
-            fresh(),
-            r,
-            "waterfall",
-            "catchup",
-            start + red.reprovision_ns,
-            red.catchup_ns,
-        ));
-    }
-    out
+    (1..).zip(spans).map(record).collect()
 }
 
 /// Default batches between sampled hot-path batch spans.
@@ -984,23 +938,20 @@ mod tests {
 
     #[test]
     fn waterfall_sums_to_mttr_and_redundancy() {
-        use crate::timeline::{FailoverPhase, RedundancyPhase};
-        let tl = FailoverTimeline::new();
-        for (phase, at) in FailoverPhase::ALL
-            .into_iter()
-            .zip([10, 30, 35, 40, 70, 100])
-        {
-            tl.mark(phase, at);
+        let hub = Telemetry::new();
+        let event = |kind, at| hub.event(at, "test", kind, &[], [None, None]);
+        for (kind, at) in [("kill", 10), ("peer_dead", 30), ("takeover.arp", 70)] {
+            event(kind, at);
         }
-        let red = RedundancyTimeline::new();
         assert!(
-            waterfall_records(&FailoverTimeline::new(), &red).is_empty(),
+            waterfall_records(&hub).is_empty(),
             "incomplete timeline yields nothing"
         );
-        red.mark(RedundancyPhase::ReprovisionStart, 110);
-        red.mark(RedundancyPhase::HandoffDone, 150);
-        red.mark(RedundancyPhase::CatchupDone, 230);
-        let recs = waterfall_records(&tl, &red);
+        event("first_client_byte", 100);
+        event("reprovision.begin", 110);
+        event("reprovision.handoff_done", 150);
+        event("reprovision.restored", 230);
+        let recs = waterfall_records(&hub);
         assert_eq!(recs.len(), 1 + 5 + 3);
         let root = &recs[0];
         assert_eq!(root.name, "failover");

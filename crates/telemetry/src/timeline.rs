@@ -1,208 +1,231 @@
-//! The §5 failover timeline.
+//! The §5 failover timeline and the redundancy-restoration clock, as
+//! views of the journal.
 //!
 //! The paper's Fig. 5 decomposes client-visible failover time into
-//! phases; this module captures one sim timestamp per
-//! [`FailoverPhase`], first mark wins. [`FailoverTimeline::breakdown`]
-//! renders the phase-to-phase deltas the experiments report.
+//! phases. Nothing here is written on its own: [`crate::Telemetry::event`]
+//! journals each control-plane moment, and a journal entry whose kind
+//! names a phase stamps it beside the journal's ring, where eviction
+//! never reaches it. A `kill` opens a failure episode and a `reprovision.begin`
+//! opens a round; within one, the first stamp of each phase wins.
+//! [`FailoverTimeline`] and [`RedundancyTimeline`] read the latest
+//! episode and the latest round back.
 
-use std::sync::{Arc, Mutex};
-
+use crate::journal::Journal;
 use crate::json::JsonObject;
 
-/// The phases of a §5 takeover, in causal order.
+/// The stamped phases of a §5 takeover, in causal order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FailoverPhase {
-    /// The primary stopped responding (injected failure).
+    /// A replica was killed (`kill`); opens an episode.
     Failure,
-    /// The secondary's heartbeat monitor declared the primary dead.
+    /// A survivor declared the dead peer so (`peer_dead`).
     Detection,
-    /// The secondary began holding egress while reconfiguring.
-    EgressHold,
-    /// Both address translations (ingress a_p→a_s, egress diversion)
-    /// were switched off — §5 steps 3–4.
-    TranslationOff,
-    /// The secondary claimed the primary's IP (gratuitous ARP, TCB
-    /// rekey) and resumed egress.
+    /// The successor claimed the VIP with a gratuitous ARP
+    /// (`takeover.arp`).
     ArpTakeover,
-    /// First client-bound payload byte sent by the promoted secondary.
+    /// The first client-bound payload the promoted head sent
+    /// (`first_client_byte`).
     FirstClientByte,
 }
 
-/// Number of [`FailoverPhase`]s.
-const PHASES: usize = 6;
-
 impl FailoverPhase {
     /// All phases in causal order.
-    pub const ALL: [FailoverPhase; PHASES] = [
+    pub const ALL: [FailoverPhase; 4] = [
         FailoverPhase::Failure,
         FailoverPhase::Detection,
-        FailoverPhase::EgressHold,
-        FailoverPhase::TranslationOff,
         FailoverPhase::ArpTakeover,
         FailoverPhase::FirstClientByte,
     ];
 
+    /// The journal kind that stamps each phase, parallel to `ALL`.
+    const KINDS: [&'static str; 4] = ["kill", "peer_dead", "takeover.arp", "first_client_byte"];
+
     /// Stable lowercase name used in JSON and tables.
     pub fn name(self) -> &'static str {
-        match self {
-            FailoverPhase::Failure => "failure",
-            FailoverPhase::Detection => "detection",
-            FailoverPhase::EgressHold => "egress_hold",
-            FailoverPhase::TranslationOff => "translation_off",
-            FailoverPhase::ArpTakeover => "arp_takeover",
-            FailoverPhase::FirstClientByte => "first_client_byte",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            FailoverPhase::Failure => 0,
-            FailoverPhase::Detection => 1,
-            FailoverPhase::EgressHold => 2,
-            FailoverPhase::TranslationOff => 3,
-            FailoverPhase::ArpTakeover => 4,
-            FailoverPhase::FirstClientByte => 5,
-        }
+        ["failure", "detection", "arp_takeover", "first_client_byte"][self as usize]
     }
 }
 
-/// Shared record of when each failover phase first occurred.
-#[derive(Debug, Clone, Default)]
-pub struct FailoverTimeline {
-    marks: Arc<Mutex<[Option<u64>; PHASES]>>,
+/// The phases of reprovisioning a replica below the survivors, in
+/// causal order. Kept apart from [`FailoverPhase`] so restored
+/// redundancy is timed independently of the client-visible stall.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum RedundancyPhase {
+    /// A standby is being provisioned (`reprovision.begin`); opens a
+    /// round.
+    ReprovisionStart,
+    /// The live flows were handed to it (`reprovision.handoff_done`).
+    HandoffDone,
+    /// The replication-lag ledger drained to zero
+    /// (`reprovision.restored`).
+    CatchupDone,
 }
+
+impl RedundancyPhase {
+    /// All phases in causal order.
+    pub const ALL: [RedundancyPhase; 3] = [
+        RedundancyPhase::ReprovisionStart,
+        RedundancyPhase::HandoffDone,
+        RedundancyPhase::CatchupDone,
+    ];
+
+    /// The journal kind that stamps each phase, parallel to `ALL`.
+    const KINDS: [&'static str; 3] = [
+        "reprovision.begin",
+        "reprovision.handoff_done",
+        "reprovision.restored",
+    ];
+
+    /// Stable lowercase name used in JSON.
+    pub fn name(self) -> &'static str {
+        ["reprovision_start", "handoff_done", "catchup_done"][self as usize]
+    }
+}
+
+/// What the journal's entries stamped: the latest failure episode's
+/// phases and the latest reprovisioning round's.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Stamps {
+    failover: [Option<u64>; 4],
+    redundancy: [Option<u64>; 3],
+}
+
+impl Stamps {
+    /// Stamps the phase `kind` names, if it names one.
+    pub(crate) fn stamp(&mut self, kind: &str, at_ns: u64) {
+        stamp(&mut self.failover, &FailoverPhase::KINDS, kind, at_ns);
+        stamp(&mut self.redundancy, &RedundancyPhase::KINDS, kind, at_ns);
+    }
+}
+
+/// The first kind of `kinds` opens a new sequence; any other stamps its
+/// slot unless the open sequence already has it.
+fn stamp<const N: usize>(slots: &mut [Option<u64>; N], kinds: &[&str; N], kind: &str, at: u64) {
+    match kinds.iter().position(|k| *k == kind) {
+        Some(0) => *slots = std::array::from_fn(|i| (i == 0).then_some(at)),
+        Some(i) => {
+            slots[i].get_or_insert(at);
+        }
+        None => {}
+    }
+}
+
+/// Whether the stamped slots are in causal order.
+fn is_monotone(slots: &[Option<u64>]) -> bool {
+    slots.iter().flatten().is_sorted()
+}
+
+/// Every slot, when all are stamped and in causal order.
+fn complete<const N: usize>(slots: [Option<u64>; N]) -> Option<[u64; N]> {
+    let complete = slots.iter().all(Option::is_some) && is_monotone(&slots);
+    complete.then(|| slots.map(Option::unwrap_or_default))
+}
+
+/// `value` rendered, or `null`.
+fn or_null(value: Option<impl ToString>) -> String {
+    value.map_or_else(|| "null".into(), |v| v.to_string())
+}
+
+/// The stamps as a JSON object keyed by phase name.
+fn stamps_json<const N: usize>(names: [&str; N], slots: [Option<u64>; N]) -> JsonObject {
+    let mut obj = JsonObject::new();
+    for (name, at) in names.into_iter().zip(slots) {
+        obj.raw(name, or_null(at));
+    }
+    obj
+}
+
+/// The latest failure episode's §5 phases, read from a journal.
+#[derive(Debug, Clone)]
+pub struct FailoverTimeline(pub(crate) Journal);
 
 impl FailoverTimeline {
-    /// Creates an empty timeline.
-    pub fn new() -> Self {
-        FailoverTimeline::default()
+    fn slots(&self) -> [Option<u64>; 4] {
+        self.0.stamps().failover
     }
 
-    /// Records `phase` at sim time `now_ns`. The first mark for a
-    /// phase wins; later marks are ignored, so "first client byte"
-    /// can be marked on every candidate send.
-    pub fn mark(&self, phase: FailoverPhase, now_ns: u64) {
-        let mut marks = self.marks.lock().unwrap();
-        if marks[phase.index()].is_none() {
-            marks[phase.index()] = Some(now_ns);
-        }
-    }
-
-    /// When `phase` first occurred, if it has.
+    /// When `phase` occurred in the latest episode, if it has.
     pub fn at(&self, phase: FailoverPhase) -> Option<u64> {
-        self.marks.lock().unwrap()[phase.index()]
+        self.slots()[phase as usize]
     }
 
-    /// Whether every phase has been marked.
-    pub fn is_complete(&self) -> bool {
-        self.marks.lock().unwrap().iter().all(Option::is_some)
-    }
-
-    /// Whether the marked phases are in causal order (each marked
-    /// phase's timestamp is ≥ every earlier marked phase's).
+    /// Whether the stamped phases are in causal order.
     pub fn is_monotone(&self) -> bool {
-        let marks = self.marks.lock().unwrap();
-        let mut last = 0u64;
-        for t in marks.iter().flatten() {
-            if *t < last {
-                return false;
-            }
-            last = *t;
-        }
-        true
+        is_monotone(&self.slots())
     }
 
     /// Client-visible failover time: first client byte − failure.
     pub fn total_ns(&self) -> Option<u64> {
-        let start = self.at(FailoverPhase::Failure)?;
-        let end = self.at(FailoverPhase::FirstClientByte)?;
-        end.checked_sub(start)
+        let [failure, .., first] = self.slots();
+        first?.checked_sub(failure?)
     }
 
-    /// Clears all marks (for reuse across repeated failovers).
-    pub fn reset(&self) {
-        *self.marks.lock().unwrap() = [None; PHASES];
-    }
-
-    /// The §5 MTTR decomposition, when the timeline is complete.
+    /// The §5 MTTR decomposition, when every phase is stamped in order.
     pub fn mttr(&self) -> Option<MttrBreakdown> {
-        MttrBreakdown::from_timeline(self)
+        let [failure, detection, arp, first] = complete(self.slots())?;
+        Some(MttrBreakdown {
+            // Steps 1 and 3–4 are the one `takeover` moment, at the
+            // instant of the ARP: their slots stay in the decomposition
+            // because the benchmark's `core.mttr.*` cells read it by
+            // position (`benchmark/src/adapter.rs`), and read 0.
+            parts: [detection - failure, 0, 0, arp - detection, first - arp],
+            total_ns: first - failure,
+        })
     }
 
     /// Human-readable per-phase breakdown with deltas, e.g.
     /// `detection          52ms  (+50ms)`.
     pub fn breakdown(&self) -> String {
         let mut out = String::from("failover timeline:\n");
-        let mut prev: Option<u64> = None;
-        for phase in FailoverPhase::ALL {
-            let line = match self.at(phase) {
-                Some(t) => {
-                    let delta = prev
-                        .map(|p| format!("  (+{})", crate::fmt_nanos(t.saturating_sub(p))))
-                        .unwrap_or_default();
-                    prev = Some(t);
-                    format!("  {:<18} {:>12}{delta}", phase.name(), crate::fmt_nanos(t))
-                }
-                None => format!("  {:<18} {:>12}", phase.name(), "-"),
-            };
-            out.push_str(&line);
-            out.push('\n');
+        let mut prev = None;
+        for (phase, at) in FailoverPhase::ALL.into_iter().zip(self.slots()) {
+            let stamp = at.map_or("-".into(), crate::fmt_nanos);
+            let delta = at
+                .zip(prev)
+                .map(|(t, p)| format!("  (+{})", crate::fmt_nanos(t.saturating_sub(p))));
+            prev = at.or(prev);
+            let delta = delta.unwrap_or_default();
+            out.push_str(&format!("  {:<18} {stamp:>12}{delta}\n", phase.name()));
         }
         if let Some(total) = self.total_ns() {
-            out.push_str(&format!(
-                "  {:<18} {:>12}\n",
-                "client_visible",
-                crate::fmt_nanos(total)
-            ));
+            let total = crate::fmt_nanos(total);
+            out.push_str(&format!("  {:<18} {total:>12}\n", "client_visible"));
         }
         out
     }
 
-    /// Renders the timeline as a JSON object (unmarked phases are
-    /// `null`); a complete timeline also carries the `mttr`
-    /// decomposition object.
+    /// Renders the view as a JSON object (unstamped phases are `null`),
+    /// with the client-visible total and the `mttr` decomposition.
     pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        for phase in FailoverPhase::ALL {
-            match self.at(phase) {
-                Some(t) => obj.u64(phase.name(), t),
-                None => obj.raw(phase.name(), "null"),
-            };
-        }
-        match self.total_ns() {
-            Some(t) => obj.u64("client_visible_ns", t),
-            None => obj.raw("client_visible_ns", "null"),
-        };
-        match self.mttr() {
-            Some(m) => obj.raw("mttr", m.to_json()),
-            None => obj.raw("mttr", "null"),
-        };
+        let mut obj = stamps_json(FailoverPhase::ALL.map(FailoverPhase::name), self.slots());
+        obj.raw("client_visible_ns", or_null(self.total_ns()))
+            .raw("mttr", or_null(self.mttr().map(|m| m.to_json())));
         obj.render()
     }
 }
 
-/// The §5 MTTR decomposition: phase-to-phase deltas (sim nanoseconds)
-/// of a complete [`FailoverTimeline`]. Each field is the time spent
-/// *in* that step, so the fields sum to `total_ns`.
+/// The §5 MTTR decomposition of one episode: the time spent in each
+/// step, in sim nanoseconds, summing to `total_ns`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MttrBreakdown {
-    /// Failure injected → heartbeat monitor declared the primary dead.
-    pub detection_ns: u64,
-    /// Detection → client-bound egress held.
-    pub hold_ns: u64,
-    /// Egress hold → both address translations disabled.
-    pub translation_ns: u64,
-    /// Translation off → gratuitous ARP sent (IP claimed).
-    pub arp_ns: u64,
-    /// ARP takeover → first client-visible payload byte from S.
-    pub first_byte_ns: u64,
+    parts: [u64; 5],
     /// Failure → first client-visible byte (the client-side MTTR).
     pub total_ns: u64,
 }
 
 impl MttrBreakdown {
-    /// Field names in phase order, matching the JSON keys.
-    pub const FIELDS: [&'static str; 5] = [
+    /// The name of each step, in order: the waterfall's span names.
+    pub const PHASES: [&'static str; 5] = [
+        "detection",
+        "egress_hold",
+        "translation_off",
+        "arp_takeover",
+        "first_client_byte",
+    ];
+
+    /// The JSON key of each step, parallel to [`MttrBreakdown::PHASES`]:
+    /// the export schema's names, kept until the slots are renamed.
+    const KEYS: [&'static str; 5] = [
         "detection_ns",
         "hold_ns",
         "translation_ns",
@@ -210,169 +233,66 @@ impl MttrBreakdown {
         "first_byte_ns",
     ];
 
-    /// Derives the decomposition from a complete, monotone timeline;
-    /// `None` if any phase is unmarked or out of order.
-    pub fn from_timeline(t: &FailoverTimeline) -> Option<MttrBreakdown> {
-        if !t.is_monotone() {
-            return None;
-        }
-        let mut stamps = [0u64; PHASES];
-        for (i, phase) in FailoverPhase::ALL.into_iter().enumerate() {
-            stamps[i] = t.at(phase)?;
-        }
-        Some(MttrBreakdown {
-            detection_ns: stamps[1] - stamps[0],
-            hold_ns: stamps[2] - stamps[1],
-            translation_ns: stamps[3] - stamps[2],
-            arp_ns: stamps[4] - stamps[3],
-            first_byte_ns: stamps[5] - stamps[4],
-            total_ns: stamps[5] - stamps[0],
-        })
-    }
-
-    /// The deltas in phase order (same order as [`MttrBreakdown::FIELDS`]).
+    /// The time spent in each step, in [`MttrBreakdown::PHASES`] order.
     pub fn deltas(&self) -> [u64; 5] {
-        [
-            self.detection_ns,
-            self.hold_ns,
-            self.translation_ns,
-            self.arp_ns,
-            self.first_byte_ns,
-        ]
+        self.parts
     }
 
     /// Renders the decomposition as a JSON object.
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
-        for (name, v) in Self::FIELDS.into_iter().zip(self.deltas()) {
-            obj.u64(name, v);
+        for (key, v) in Self::KEYS.into_iter().zip(self.parts) {
+            obj.u64(key, v);
         }
         obj.u64("total_ns", self.total_ns);
         obj.render()
     }
 }
 
-/// The phases of PR9 tail reprovisioning after a chain takeover, in
-/// causal order. Kept separate from [`FailoverPhase`] — the §5 MTTR
-/// decomposition is a closed six-phase contract — so redundancy
-/// restoration gates independently of client-visible MTTR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RedundancyPhase {
-    /// The control plane began provisioning a replacement tail.
-    ReprovisionStart,
-    /// Per-flow TCB + Δseq + cursor snapshots were handed to the new
-    /// tail (it can now participate in the chain).
-    HandoffDone,
-    /// The replication-lag ledger drained to zero backlog — full
-    /// redundancy restored.
-    CatchupDone,
-}
-
-/// Number of [`RedundancyPhase`]s.
-const REDUNDANCY_PHASES: usize = 3;
-
-impl RedundancyPhase {
-    /// All phases in causal order.
-    pub const ALL: [RedundancyPhase; REDUNDANCY_PHASES] = [
-        RedundancyPhase::ReprovisionStart,
-        RedundancyPhase::HandoffDone,
-        RedundancyPhase::CatchupDone,
-    ];
-
-    /// Stable lowercase name used in JSON and tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            RedundancyPhase::ReprovisionStart => "reprovision_start",
-            RedundancyPhase::HandoffDone => "handoff_done",
-            RedundancyPhase::CatchupDone => "catchup_done",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            RedundancyPhase::ReprovisionStart => 0,
-            RedundancyPhase::HandoffDone => 1,
-            RedundancyPhase::CatchupDone => 2,
-        }
-    }
-}
-
-/// Shared record of when each reprovisioning phase first occurred,
-/// same first-mark-wins discipline as [`FailoverTimeline`].
-#[derive(Debug, Clone, Default)]
-pub struct RedundancyTimeline {
-    marks: Arc<Mutex<[Option<u64>; REDUNDANCY_PHASES]>>,
-}
+/// The latest reprovisioning round's phases, read from a journal.
+#[derive(Debug, Clone)]
+pub struct RedundancyTimeline(pub(crate) Journal);
 
 impl RedundancyTimeline {
-    /// Creates an empty timeline.
-    pub fn new() -> Self {
-        RedundancyTimeline::default()
+    fn slots(&self) -> [Option<u64>; 3] {
+        self.0.stamps().redundancy
     }
 
-    /// Records `phase` at sim time `now_ns`; first mark wins.
-    pub fn mark(&self, phase: RedundancyPhase, now_ns: u64) {
-        let mut marks = self.marks.lock().unwrap();
-        if marks[phase.index()].is_none() {
-            marks[phase.index()] = Some(now_ns);
-        }
-    }
-
-    /// When `phase` first occurred, if it has.
+    /// When `phase` occurred in the latest round, if it has.
     pub fn at(&self, phase: RedundancyPhase) -> Option<u64> {
-        self.marks.lock().unwrap()[phase.index()]
+        self.slots()[phase as usize]
     }
 
-    /// Whether every phase has been marked.
-    pub fn is_complete(&self) -> bool {
-        self.marks.lock().unwrap().iter().all(Option::is_some)
-    }
-
-    /// Whether the marked phases are in causal order.
-    pub fn is_monotone(&self) -> bool {
-        let marks = self.marks.lock().unwrap();
-        let mut last = 0u64;
-        for t in marks.iter().flatten() {
-            if *t < last {
-                return false;
-            }
-            last = *t;
-        }
-        true
-    }
-
-    /// Clears all marks (for repeated reprovisioning rounds).
-    pub fn reset(&self) {
-        *self.marks.lock().unwrap() = [None; REDUNDANCY_PHASES];
-    }
-
-    /// The redundancy-restoration decomposition, when complete.
+    /// The redundancy-restoration decomposition, when every phase is
+    /// stamped in order.
     pub fn restoration(&self) -> Option<RedundancyBreakdown> {
-        RedundancyBreakdown::from_timeline(self)
+        let [start, handoff, done] = complete(self.slots())?;
+        Some(RedundancyBreakdown {
+            reprovision_ns: handoff - start,
+            catchup_ns: done - handoff,
+            total_ns: done - start,
+        })
     }
 
-    /// Renders the timeline as a JSON object (unmarked phases `null`);
-    /// a complete timeline also carries the `restoration` object.
+    /// Renders the view as a JSON object (unstamped phases `null`),
+    /// with the `restoration` decomposition.
     pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        for phase in RedundancyPhase::ALL {
-            match self.at(phase) {
-                Some(t) => obj.u64(phase.name(), t),
-                None => obj.raw(phase.name(), "null"),
-            };
-        }
-        match self.restoration() {
-            Some(r) => obj.raw("restoration", r.to_json()),
-            None => obj.raw("restoration", "null"),
-        };
+        let mut obj = stamps_json(
+            RedundancyPhase::ALL.map(RedundancyPhase::name),
+            self.slots(),
+        );
+        obj.raw(
+            "restoration",
+            or_null(self.restoration().map(|r| r.to_json())),
+        );
         obj.render()
     }
 }
 
-/// Phase-to-phase deltas (sim nanoseconds) of a complete
-/// [`RedundancyTimeline`]: how long reprovisioning spent spawning the
-/// standby versus catching it up, and their sum, the time to restored
-/// redundancy (`sim.restored_ms` in the benchmark's `failover` workload).
+/// Phase-to-phase deltas (sim nanoseconds) of one reprovisioning round:
+/// how long it spent provisioning the standby versus catching it up,
+/// and their sum, the time to restored redundancy (`sim.restored_ms` in
+/// the benchmark's `failover` workload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RedundancyBreakdown {
     /// Reprovision start → per-flow handoff complete.
@@ -384,24 +304,6 @@ pub struct RedundancyBreakdown {
 }
 
 impl RedundancyBreakdown {
-    /// Field names in phase order, matching the JSON keys.
-    pub const FIELDS: [&'static str; 2] = ["reprovision_ns", "catchup_ns"];
-
-    /// Derives the decomposition from a complete, monotone timeline.
-    pub fn from_timeline(t: &RedundancyTimeline) -> Option<RedundancyBreakdown> {
-        if !t.is_monotone() {
-            return None;
-        }
-        let start = t.at(RedundancyPhase::ReprovisionStart)?;
-        let handoff = t.at(RedundancyPhase::HandoffDone)?;
-        let done = t.at(RedundancyPhase::CatchupDone)?;
-        Some(RedundancyBreakdown {
-            reprovision_ns: handoff - start,
-            catchup_ns: done - handoff,
-            total_ns: done - start,
-        })
-    }
-
     /// Renders the decomposition as a JSON object.
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
@@ -415,98 +317,99 @@ impl RedundancyBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
+
+    fn at(t: &Telemetry, kind: &'static str, at_ns: u64) {
+        t.event(at_ns, "test", kind, &[], [None, None]);
+    }
 
     #[test]
     fn first_mark_wins() {
-        let t = FailoverTimeline::new();
-        t.mark(FailoverPhase::FirstClientByte, 100);
-        t.mark(FailoverPhase::FirstClientByte, 200);
-        assert_eq!(t.at(FailoverPhase::FirstClientByte), Some(100));
+        let t = Telemetry::new();
+        at(&t, "first_client_byte", 100);
+        at(&t, "first_client_byte", 200);
+        assert_eq!(t.timeline.at(FailoverPhase::FirstClientByte), Some(100));
     }
 
     #[test]
     fn completeness_monotonicity_total() {
-        let t = FailoverTimeline::new();
-        assert!(!t.is_complete());
-        assert!(t.is_monotone(), "vacuously monotone when empty");
-        t.mark(FailoverPhase::Failure, 10);
-        t.mark(FailoverPhase::Detection, 60);
-        t.mark(FailoverPhase::EgressHold, 60);
-        t.mark(FailoverPhase::TranslationOff, 60);
-        t.mark(FailoverPhase::ArpTakeover, 61);
-        t.mark(FailoverPhase::FirstClientByte, 90);
-        assert!(t.is_complete());
-        assert!(t.is_monotone());
-        assert_eq!(t.total_ns(), Some(80));
-        let m = t.mttr().expect("complete timeline decomposes");
-        assert_eq!(m.detection_ns, 50);
-        assert_eq!(m.hold_ns, 0);
-        assert_eq!(m.translation_ns, 0);
-        assert_eq!(m.arp_ns, 1);
-        assert_eq!(m.first_byte_ns, 29);
+        let t = Telemetry::new();
+        let tl = &t.timeline;
+        assert_eq!(tl.mttr(), None);
+        assert!(tl.is_monotone(), "vacuously monotone when empty");
+        for (kind, ns) in [
+            ("kill", 10),
+            ("peer_dead", 60),
+            ("takeover", 60),
+            ("takeover.arp", 61),
+            ("first_client_byte", 90),
+        ] {
+            at(&t, kind, ns);
+        }
+        assert!(tl.is_monotone());
+        assert_eq!(tl.total_ns(), Some(80));
+        let m = tl.mttr().expect("complete timeline decomposes");
+        assert_eq!(m.deltas(), [50, 0, 0, 1, 29]);
         assert_eq!(m.total_ns, 80);
         assert_eq!(m.deltas().iter().sum::<u64>(), m.total_ns);
-        assert!(
-            t.to_json().contains("\"translation_ns\": 0"),
-            "{}",
-            t.to_json()
-        );
-        t.reset();
-        assert!(!t.is_complete());
-        assert_eq!(t.mttr(), None);
+        let json = tl.to_json();
+        assert!(json.contains("\"translation_ns\": 0"), "{json}");
+        // The next kill opens a new episode.
+        at(&t, "kill", 1_000);
+        assert_eq!(tl.mttr(), None);
+        assert_eq!(tl.at(FailoverPhase::Failure), Some(1_000));
+        assert_eq!(tl.at(FailoverPhase::Detection), None);
     }
 
     #[test]
     fn out_of_order_detected() {
-        let t = FailoverTimeline::new();
-        t.mark(FailoverPhase::Failure, 100);
-        t.mark(FailoverPhase::Detection, 50);
-        assert!(!t.is_monotone());
+        let t = Telemetry::new();
+        at(&t, "kill", 100);
+        at(&t, "peer_dead", 50);
+        assert!(!t.timeline.is_monotone());
     }
 
     #[test]
     fn renders() {
-        let t = FailoverTimeline::new();
-        t.mark(FailoverPhase::Failure, 1_000_000);
-        let text = t.breakdown();
+        let t = Telemetry::new();
+        at(&t, "kill", 1_000_000);
+        let text = t.timeline.breakdown();
         assert!(text.contains("failure"), "{text}");
         assert!(text.contains("1ms"), "{text}");
-        let json = t.to_json();
+        let json = t.timeline.to_json();
         assert!(json.contains("\"failure\": 1000000"), "{json}");
         assert!(json.contains("\"detection\": null"), "{json}");
+        assert!(json.contains("\"mttr\": null"), "{json}");
     }
 
     #[test]
     fn redundancy_first_mark_wins_and_decomposes() {
-        let t = RedundancyTimeline::new();
-        assert!(!t.is_complete());
-        assert!(t.is_monotone());
-        t.mark(RedundancyPhase::ReprovisionStart, 100);
-        t.mark(RedundancyPhase::ReprovisionStart, 500);
-        assert_eq!(t.at(RedundancyPhase::ReprovisionStart), Some(100));
-        t.mark(RedundancyPhase::HandoffDone, 130);
-        t.mark(RedundancyPhase::CatchupDone, 190);
-        assert!(t.is_complete());
-        let r = t.restoration().expect("complete timeline decomposes");
-        assert_eq!(r.reprovision_ns, 30);
-        assert_eq!(r.catchup_ns, 60);
-        assert_eq!(r.total_ns, 90);
-        let json = t.to_json();
+        let t = Telemetry::new();
+        let red = &t.redundancy;
+        at(&t, "reprovision.begin", 100);
+        at(&t, "reprovision.handoff_done", 130);
+        at(&t, "reprovision.handoff_done", 150);
+        assert_eq!(red.at(RedundancyPhase::HandoffDone), Some(130));
+        at(&t, "reprovision.restored", 190);
+        let r = red.restoration().expect("complete round decomposes");
+        assert_eq!((r.reprovision_ns, r.catchup_ns, r.total_ns), (30, 60, 90));
+        let json = red.to_json();
         assert!(json.contains("\"handoff_done\": 130"), "{json}");
         assert!(json.contains("\"total_ns\": 90"), "{json}");
-        t.reset();
-        assert!(!t.is_complete());
-        assert_eq!(t.restoration(), None);
+        // The next begin opens a new round.
+        at(&t, "reprovision.begin", 500);
+        assert_eq!(red.restoration(), None);
+        assert_eq!(red.at(RedundancyPhase::ReprovisionStart), Some(500));
     }
 
     #[test]
     fn redundancy_out_of_order_detected() {
-        let t = RedundancyTimeline::new();
-        t.mark(RedundancyPhase::ReprovisionStart, 100);
-        t.mark(RedundancyPhase::HandoffDone, 50);
-        assert!(!t.is_monotone());
-        assert_eq!(t.restoration(), None);
-        let json = t.to_json();
-        assert!(json.contains("\"catchup_done\": null"), "{json}");
+        let t = Telemetry::new();
+        at(&t, "reprovision.begin", 100);
+        at(&t, "reprovision.handoff_done", 50);
+        at(&t, "reprovision.restored", 150);
+        assert_eq!(t.redundancy.restoration(), None, "out of order");
+        let json = t.redundancy.to_json();
+        assert!(json.contains("\"restoration\": null"), "{json}");
     }
 }

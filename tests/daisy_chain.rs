@@ -10,8 +10,8 @@ use tcp_failover::apps::stream::{SinkServer, SourceServer};
 use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
 use tcp_failover::core::reprovision::ReprovisionPhase;
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::PrimaryBridge;
-use tcp_failover::net::time::SimDuration;
+use tcp_failover::core::{ChainController, PrimaryBridge};
+use tcp_failover::net::time::{SimDuration, SimTime};
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
 
@@ -343,6 +343,80 @@ fn failure_during_reprovision_catchup_degrades_gracefully() {
         h.app_mut::<SourceServer>(0).served
     });
     assert!(served > 0, "standby never served after the second failure");
+    assert_eq!(tb.audit_violations(), 0);
+}
+
+/// Round one of a chain of three (seed 12, auditor and health on)
+/// serving a 20 MB download: the head killed at 200 ms, a standby
+/// reprovisioned at 500 ms and caught up.
+fn first_round() -> ChainTestbed {
+    let ms = SimDuration::from_millis;
+    let mut tb = download_testbed_with(observed_config(3, 12), 20_000_000);
+    tb.run_for(ms(200));
+    tb.kill_replica(0);
+    tb.run_for(ms(300));
+    chain_ops::reprovision_tail(&mut tb);
+    assert!(tb.run_until_restored(ms(10), SimDuration::from_secs(30)));
+    tb
+}
+
+/// Kills replica 1, the head since round one, at 5 300 ms; replica 2
+/// takes over.
+fn second_failure(tb: &mut ChainTestbed) {
+    let second = SimTime::ZERO + SimDuration::from_millis(5_300);
+    tb.run_for(second.duration_since(tb.sim.now()));
+    tb.kill_replica(1);
+    tb.run_for(SimDuration::from_millis(300));
+}
+
+/// Every hub's redundancy view times the latest round as the tracker
+/// does.
+fn assert_rounds_agree(tb: &ChainTestbed) {
+    let tracker = (tb.tracker.reprovision_ns(), tb.tracker.catchup_ns());
+    assert!(tracker.1.is_some(), "round not restored");
+    for (i, hub) in tb.hubs.iter().enumerate() {
+        let view = hub.redundancy.restoration();
+        let view = view.map(|r| (Some(r.reprovision_ns), Some(r.catchup_ns)));
+        assert_eq!(view, Some(tracker), "hub {i} disagrees with the tracker");
+    }
+}
+
+/// A hub that sees two failures reports the latest episode: replica 2
+/// detected the second kill and took over within one detector timeout,
+/// and its §5 view is that takeover, not a mix with the first kill.
+#[test]
+fn a_hub_that_sees_two_failures_reports_the_latest() {
+    let mut tb = first_round();
+    second_failure(&mut tb);
+    let (detected, promoted) = tb.sim.with::<Host, _>(tb.replicas[2], |h, _| {
+        let c = h.controller_mut::<ChainController>();
+        (
+            c.detected_at.unwrap().as_nanos(),
+            c.promoted_at.unwrap().as_nanos(),
+        )
+    });
+    let view = &tb.hubs[2].timeline;
+    let mttr = view.mttr().expect("replica 2 took over and served");
+    let kill = SimDuration::from_millis(5_300).as_nanos();
+    let [detection, hold, translation, arp, _] = mttr.deltas();
+    assert_eq!(detection, detected - kill, "{}", view.breakdown());
+    assert_eq!((hold, translation), (0, 0));
+    assert_eq!(kill + detection + arp, promoted, "{}", view.breakdown());
+    assert!(mttr.total_ns < SimDuration::from_millis(100).as_nanos());
+    assert_eq!(tb.audit_violations(), 0);
+}
+
+/// Each reprovisioning round is the one every hub reports: after the
+/// second, too — the standby's own hub included.
+#[test]
+fn every_hub_times_each_reprovisioning_round_as_the_tracker_does() {
+    let mut tb = first_round();
+    assert_rounds_agree(&tb);
+    second_failure(&mut tb);
+    chain_ops::reprovision_tail(&mut tb);
+    let ms = SimDuration::from_millis;
+    assert!(tb.run_until_restored(ms(10), SimDuration::from_secs(30)));
+    assert_rounds_agree(&tb);
     assert_eq!(tb.audit_violations(), 0);
 }
 

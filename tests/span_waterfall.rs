@@ -1,10 +1,11 @@
 //! A traced failover explains itself: with span tracing armed, the
-//! synthetic §5 waterfall sums *exactly* to the timeline's MTTR, every
-//! event on the flight path (heartbeat misses, the decision, the VIP
-//! takeover, the first client byte — and on a chain the reprovisioning
-//! and catch-up) is in the exported record set, and the Chrome-trace
-//! export is well-formed JSON. Ring ordering and loss accounting are
-//! property-tested in `crates/telemetry/tests/span_props.rs`.
+//! synthetic §5 waterfall sums *exactly* to the hub's MTTR, every
+//! moment on the flight path (the kill, heartbeat misses, the decision,
+//! the VIP takeover, the first client byte — and on a chain the three
+//! reprovisioning moments) is in the exported record set, reprovisioning
+//! is drawn once, and the Chrome-trace export is well-formed JSON. Ring
+//! ordering and loss accounting are property-tested in
+//! `crates/telemetry/tests/span_props.rs`.
 
 mod common;
 
@@ -39,7 +40,7 @@ fn assert_waterfall(hub: &Telemetry, must_see: &[&str]) {
     let mttr = hub.timeline.mttr().expect("complete §5 timeline");
     assert_eq!(mttr.deltas().iter().sum::<u64>(), mttr.total_ns);
 
-    let waterfall = waterfall_records(&hub.timeline, &hub.redundancy);
+    let waterfall = waterfall_records(hub);
     let root = waterfall
         .iter()
         .find(|r| r.name == "failover")
@@ -77,11 +78,13 @@ fn assert_waterfall(hub: &Telemetry, must_see: &[&str]) {
 
 /// What a head failure leaves on the successor's flight path, in the
 /// control plane's one vocabulary — the same at every depth.
-const TAKEOVER: [&str; 9] = [
+const TAKEOVER: [&str; 11] = [
+    "kill",
     "hb.miss",
     "peer_dead",
     "promote",
     "promotion",
+    "takeover",
     "takeover.withdraw",
     "takeover.arp",
     "takeover.retransmit",
@@ -170,12 +173,18 @@ fn chain_failover_waterfall_covers_reprovisioning() {
     // the control-plane spans of the takeover it performed.
     let mut must_see = TAKEOVER.to_vec();
     must_see.extend([
-        "reprovision.handoff",
-        "reprovision.catchup",
+        "reprovision.begin",
+        "reprovision.handoff_done",
+        "reprovision.restored",
         "redundancy_restore",
     ]);
     assert_waterfall(&tb.hubs[1], &must_see);
     assert_kicked(&tb.hubs[1]);
+    // The round is drawn once: as the waterfall's `redundancy_restore`,
+    // over instants in the live ring.
+    let live = tb.hubs[1].trace.records();
+    let mut drawn = live.iter().filter(|r| r.kind == SpanKind::Span);
+    assert!(drawn.all(|r| !r.name.starts_with("reprovision")));
 }
 
 #[test]
