@@ -312,6 +312,7 @@ fn render_watch_frame(
             || name.ends_with(".acks_translated")
             || name.ends_with(".ingress_rewrites")
             || name.ends_with(".diverted_upstream")
+            || name.ends_with(".unwitnessed_dropped")
             || name.ends_with(".drops");
         if headline {
             println!("{name:<44} {v:>12}");

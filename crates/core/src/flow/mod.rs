@@ -12,9 +12,7 @@
 //! * [`table::FlowTable`] — a sharded table (power-of-two shard count,
 //!   per-shard slab + hash index + intrusive LRU list) with O(1)
 //!   lookup, configurable capacity, LRU eviction, timer-driven GC and
-//!   per-shard statistics. Shards share nothing, so packet batches can
-//!   fan out across shards on scoped threads
-//!   (`tcpfo_net::exec::ShardExecutor`);
+//!   per-shard statistics;
 //! * [`gauges::FlowGauges`] — the per-shard registry gauges every
 //!   bridge publishes, whatever its table holds.
 //!

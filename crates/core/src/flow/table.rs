@@ -11,8 +11,7 @@
 //!
 //! Shard selection uses [`FlowKey::hash64`], a deterministic hash, so
 //! a fixed seed maps every flow to the same shard in every run and at
-//! every shard count. Shards share nothing: packet batches can fan out
-//! across shards on scoped threads.
+//! every shard count.
 //!
 //! A per-segment caller resolves its flow **once**: [`Shard::find`] is
 //! the only keyed probe, and everything after it — state, data, touch,
@@ -82,8 +81,8 @@ pub struct GcPolicy {
     /// cursor. Expiry maintenance is O(1) per op, so a tick's cost is
     /// O(min(due, budget)), never O(capacity).
     pub max_reaps_per_tick: usize,
-    /// Per-shard reap budget drained by each run-to-completion worker
-    /// at the end of a `process_batch` call (amortises expiry into the
+    /// Per-shard reap budget drained from every shard at the end of a
+    /// `process_batch` call (amortises expiry into the
     /// datapath instead of letting it pile up for the timer tick).
     pub max_reaps_per_batch: usize,
 }
@@ -487,6 +486,12 @@ impl<T> Shard<T> {
     /// mutations.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The flow in slab slot `i`, if occupied: a walk over every flow
+    /// that probes no key.
+    pub(crate) fn slot_at(&self, i: usize) -> Option<SlotId> {
+        self.slots.get(i)?.as_ref().map(|_| SlotId(i as u32))
     }
 
     /// Detaches and returns the flow in slab slot `i`, if occupied —

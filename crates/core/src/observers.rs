@@ -53,14 +53,6 @@ impl Observers {
         }
     }
 
-    /// Whether an attached observer reads cross-flow order, which only
-    /// the sequential batch path preserves. The latency observatory is
-    /// not one: parallel workers time stages into private copies that
-    /// merge losslessly.
-    pub fn order_sensitive(&self) -> bool {
-        self.audit.is_some() || self.health.is_some() || self.trace.is_some()
-    }
-
     /// The stage clock over the latency observatory's histograms.
     #[inline]
     pub(crate) fn clock(&mut self) -> StageClock<'_> {
@@ -203,8 +195,8 @@ impl std::fmt::Debug for Observers {
 pub(crate) struct BatchSample(Option<StageLatency>);
 
 /// The stage clock: host-time cost of one datapath stage, recorded
-/// into the latency observatory's histograms or a parallel worker's
-/// private copy. Over `None` — the default — a stage site is one branch
+/// into the latency observatory's histograms. Over `None` — the
+/// default — a stage site is one branch
 /// and the host clock is never read, which also keeps replay
 /// deterministic.
 pub(crate) struct StageClock<'a>(pub Option<&'a mut StageLatency>);
@@ -231,8 +223,7 @@ impl StageClock<'_> {
 
 /// The replication-lag ledger as the datapath feeds it: bytes held in a
 /// primary output queue that the downstream replica has not matched
-/// yet. Over `None` — the default, and always on a parallel worker
-/// (attachment forces the sequential path) — every site is one branch.
+/// yet. Over `None` — the default — every site is one branch.
 pub(crate) struct Lag<'a>(pub Option<&'a mut HealthObservatory>);
 
 impl Lag<'_> {

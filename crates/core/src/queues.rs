@@ -90,16 +90,6 @@ impl TakenBytes {
         }
     }
 
-    /// Flattens into one [`Bytes`]; free for single-part chains, copies
-    /// for multi-part ones.
-    pub fn into_contiguous(self) -> Bytes {
-        if self.rest.is_empty() {
-            self.first.unwrap_or_default()
-        } else {
-            Bytes::from(self.to_vec())
-        }
-    }
-
     /// Copies the chained bytes into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len);

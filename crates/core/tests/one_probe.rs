@@ -95,6 +95,26 @@ fn each_steady_state_segment_probes_the_index_once() {
 }
 
 #[test]
+fn degrading_walks_the_table_without_probing_it() {
+    // §6 visits every live flow where it sits: the established one, and
+    // a second whose handshake is still open.
+    let mut b = established();
+    let syn = TcpSegment::builder(5556, 80)
+        .seq(ISS_C)
+        .flags(TcpFlags::SYN)
+        .window(60_000);
+    let _ = b.on_inbound(raw(A_C, A_P, syn.build()), 0);
+    let held = server(ISS_P + 1).payload(PAYLOAD.to_vec().into());
+    let _ = b.on_outbound(raw(A_P, A_C, held.build()), 0);
+    assert_eq!(b.conn_count(), 2);
+    let before = b.flow_stats().lookups;
+    let out = b.secondary_failed(1_000);
+    assert_eq!(out.to_wire.len(), 1, "the held bytes are flushed");
+    assert_eq!(b.conn_count(), 0, "no flow is replicated any more");
+    assert_eq!(b.flow_stats().lookups, before);
+}
+
+#[test]
 fn the_secondary_resolves_a_client_segment_once() {
     let mut s = PrimaryBridge::link(A_P, A_S, Some(A_P), None, FailoverConfig::from_ports([80]));
     s.set_flow_config(FlowTableConfig::new(4, 1024));

@@ -1,336 +1,18 @@
-//! Scatter–gather executor for sharded datapaths.
+//! The batch executor's name, kept as a shim.
 //!
-//! The flow table in `tcpfo-core` splits per-connection state into
-//! shards that share nothing, which makes a packet batch embarrassingly
-//! parallel: every item is routed to exactly one shard, and items for
-//! different shards never touch the same state. [`ShardExecutor`] fans
-//! a batch out across shards on scoped threads and merges the results
-//! **in original input order**, which is the property that keeps
-//! fixed-seed runs byte-identical regardless of shard or thread count:
-//! the merged output is exactly what a single-threaded loop over the
-//! input would have produced, because per-item work is independent
-//! across shards and ordered within one.
-//!
-//! [`ShardExecutor::run_to_completion`] extends the model: a worker
-//! thread *finishes* each of its shards (items, then a per-shard
-//! `finish` hook for housekeeping such as budgeted GC) before the
-//! single end-of-batch merge — no cross-shard barrier between stages.
-//! The `finish` hook runs on **every** shard, items or not, so
-//! housekeeping progress is independent of where the batch happened to
-//! hash.
-//!
-//! # Example
-//!
-//! ```
-//! use tcpfo_net::exec::ShardExecutor;
-//!
-//! let mut shards = vec![0u64; 4];
-//! // Route each item to shard (item % 4), worker adds item into its
-//! // shard and echoes it back doubled.
-//! let items: Vec<(usize, u64)> = (0..100u64).map(|i| ((i % 4) as usize, i)).collect();
-//! let exec = ShardExecutor::new(4);
-//! let out = exec.run(&mut shards, items, &|_, shard, xs: Vec<u64>| {
-//!     xs.into_iter()
-//!         .map(|x| {
-//!             *shard += x;
-//!             x * 2
-//!         })
-//!         .collect()
-//! });
-//! // Outputs come back in input order no matter the thread count.
-//! assert_eq!(out[3], 6);
-//! assert_eq!(shards.iter().sum::<u64>(), (0..100u64).sum());
-//! ```
+//! `PrimaryBridge::process_batch` takes a [`ShardExecutor`], but a batch
+//! runs one way: each segment through the filter in input order, on the
+//! caller's thread. The type and its `new` stay because
+//! `benchmark/README.md` § What the benchmark calls pins them.
 
-/// Runs shard-partitioned batches, one worker per shard, merging
-/// outputs deterministically by original input index.
+/// What `process_batch` takes; carries nothing (see the module docs).
 #[derive(Debug, Clone, Copy)]
-pub struct ShardExecutor {
-    threads: usize,
-}
+pub struct ShardExecutor;
 
 impl ShardExecutor {
-    /// Creates an executor that uses at most `threads` worker threads
-    /// (clamped to at least 1). `1` means run inline on the caller's
+    /// The executor. `_threads` is ignored: a batch runs on the caller's
     /// thread.
-    pub fn new(threads: usize) -> Self {
-        ShardExecutor {
-            threads: threads.max(1),
-        }
-    }
-
-    /// An inline (single-threaded) executor.
-    pub fn inline() -> Self {
-        ShardExecutor::new(1)
-    }
-
-    /// The configured thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Fans `items` (each tagged with its target shard index) out over
-    /// `shards`, invoking `worker(shard_index, &mut shard, inputs)`
-    /// once per shard that received items. The worker must return
-    /// exactly one output per input, in input order; `run` returns all
-    /// outputs merged back into the original input order.
-    ///
-    /// When the thread budget is 1, or at most one shard received
-    /// items, everything runs inline on the caller's thread — the
-    /// result is identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an item's shard index is out of range, if a worker
-    /// returns the wrong number of outputs, or if a worker panics.
-    pub fn run<S, I, O, F>(&self, shards: &mut [S], items: Vec<(usize, I)>, worker: &F) -> Vec<O>
-    where
-        S: Send,
-        I: Send,
-        O: Send,
-        F: Fn(usize, &mut S, Vec<I>) -> Vec<O> + Sync,
-    {
-        self.dispatch(shards, items, worker, None::<&fn(usize, &mut S)>)
-    }
-
-    /// Like [`ShardExecutor::run`], but each shard is *run to
-    /// completion* by whichever thread owns it: its items first, then
-    /// `finish(shard_index, &mut shard)` — the hook for end-of-batch
-    /// per-shard housekeeping (budgeted GC, buffer trimming). `finish`
-    /// runs exactly once per shard **including shards with no items**,
-    /// so housekeeping never depends on the batch's hash spread; the
-    /// output merge (by original input index) happens once at the end.
-    pub fn run_to_completion<S, I, O, F, G>(
-        &self,
-        shards: &mut [S],
-        items: Vec<(usize, I)>,
-        worker: &F,
-        finish: &G,
-    ) -> Vec<O>
-    where
-        S: Send,
-        I: Send,
-        O: Send,
-        F: Fn(usize, &mut S, Vec<I>) -> Vec<O> + Sync,
-        G: Fn(usize, &mut S) + Sync,
-    {
-        self.dispatch(shards, items, worker, Some(finish))
-    }
-
-    fn dispatch<S, I, O, F, G>(
-        &self,
-        shards: &mut [S],
-        items: Vec<(usize, I)>,
-        worker: &F,
-        finish: Option<&G>,
-    ) -> Vec<O>
-    where
-        S: Send,
-        I: Send,
-        O: Send,
-        F: Fn(usize, &mut S, Vec<I>) -> Vec<O> + Sync,
-        G: Fn(usize, &mut S) + Sync,
-    {
-        let n = shards.len();
-        let total = items.len();
-        let mut buckets: Vec<Vec<(usize, I)>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, (s, item)) in items.into_iter().enumerate() {
-            assert!(s < n, "shard index {s} out of range ({n} shards)");
-            buckets[s].push((i, item));
-        }
-        let busy = buckets.iter().filter(|b| !b.is_empty()).count();
-        let mut slots: Vec<Option<O>> = (0..total).map(|_| None).collect();
-        if self.threads <= 1 || busy <= 1 {
-            for (s, bucket) in buckets.into_iter().enumerate() {
-                run_bucket(s, &mut shards[s], bucket, worker, &mut slots);
-                if let Some(f) = finish {
-                    f(s, &mut shards[s]);
-                }
-            }
-        } else {
-            // One chunk of consecutive shards per thread; `chunks_mut`
-            // hands each thread exclusive access to its shards.
-            let per = n.div_ceil(self.threads.min(n));
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                let mut bucket_iter = buckets.into_iter();
-                for (c, chunk) in shards.chunks_mut(per).enumerate() {
-                    let chunk_buckets: Vec<Vec<(usize, I)>> =
-                        bucket_iter.by_ref().take(chunk.len()).collect();
-                    if finish.is_none() && chunk_buckets.iter().all(|b| b.is_empty()) {
-                        continue;
-                    }
-                    let base = c * per;
-                    handles.push(scope.spawn(move || {
-                        let mut produced: Vec<(usize, O)> = Vec::new();
-                        for (off, (shard, bucket)) in
-                            chunk.iter_mut().zip(chunk_buckets).enumerate()
-                        {
-                            if !bucket.is_empty() {
-                                let idxs: Vec<usize> = bucket.iter().map(|(i, _)| *i).collect();
-                                let outs = run_bucket_owned(base + off, shard, bucket, worker);
-                                produced.extend(idxs.into_iter().zip(outs));
-                            }
-                            if let Some(f) = finish {
-                                f(base + off, shard);
-                            }
-                        }
-                        produced
-                    }));
-                }
-                for h in handles {
-                    for (i, o) in h.join().expect("shard worker panicked") {
-                        slots[i] = Some(o);
-                    }
-                }
-            });
-        }
-        slots
-            .into_iter()
-            .map(|o| o.expect("worker must produce one output per input"))
-            .collect()
-    }
-}
-
-/// Runs one shard's bucket inline, scattering outputs into `slots`.
-fn run_bucket<S, I, O, F>(
-    s: usize,
-    shard: &mut S,
-    bucket: Vec<(usize, I)>,
-    worker: &F,
-    slots: &mut [Option<O>],
-) where
-    F: Fn(usize, &mut S, Vec<I>) -> Vec<O>,
-{
-    if bucket.is_empty() {
-        return;
-    }
-    let idxs: Vec<usize> = bucket.iter().map(|(i, _)| *i).collect();
-    let outs = run_bucket_owned(s, shard, bucket, worker);
-    for (i, o) in idxs.into_iter().zip(outs) {
-        slots[i] = Some(o);
-    }
-}
-
-/// Invokes the worker on one shard's inputs, checking the one-output-
-/// per-input contract.
-fn run_bucket_owned<S, I, O, F>(
-    s: usize,
-    shard: &mut S,
-    bucket: Vec<(usize, I)>,
-    worker: &F,
-) -> Vec<O>
-where
-    F: Fn(usize, &mut S, Vec<I>) -> Vec<O>,
-{
-    let len = bucket.len();
-    let inputs: Vec<I> = bucket.into_iter().map(|(_, item)| item).collect();
-    let outs = worker(s, shard, inputs);
-    assert_eq!(
-        outs.len(),
-        len,
-        "shard {s} worker returned {} outputs for {len} inputs",
-        outs.len()
-    );
-    outs
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn route(i: u64, shards: usize) -> usize {
-        (i % shards as u64) as usize
-    }
-
-    fn double(_s: usize, shard: &mut u64, xs: Vec<u64>) -> Vec<u64> {
-        xs.into_iter()
-            .map(|x| {
-                *shard = shard.wrapping_add(x);
-                x * 2
-            })
-            .collect()
-    }
-
-    #[test]
-    fn output_order_matches_input_order_at_any_thread_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in [1, 2, 4, 8] {
-            for nshards in [1usize, 2, 8] {
-                let mut shards = vec![0u64; nshards];
-                let tagged: Vec<(usize, u64)> =
-                    items.iter().map(|&i| (route(i, nshards), i)).collect();
-                let out = ShardExecutor::new(threads).run(&mut shards, tagged, &double);
-                match &reference {
-                    None => reference = Some(out),
-                    Some(r) => assert_eq!(&out, r, "threads={threads} shards={nshards}"),
-                }
-            }
-        }
-        assert_eq!(reference.unwrap()[100], 200);
-    }
-
-    #[test]
-    fn shard_state_receives_all_items() {
-        let mut shards = vec![0u64; 4];
-        let tagged: Vec<(usize, u64)> = (0..100).map(|i| (route(i, 4), i)).collect();
-        let _ = ShardExecutor::new(4).run(&mut shards, tagged, &double);
-        assert_eq!(shards.iter().sum::<u64>(), (0..100).sum::<u64>());
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let mut shards = vec![0u64; 2];
-        let out = ShardExecutor::new(2).run(&mut shards, Vec::<(usize, u64)>::new(), &double);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn finish_runs_once_per_shard_even_without_items() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // Items hash only to shards 0 and 1; shards 2..8 still get
-        // their finish call, on every thread count.
-        for threads in [1, 2, 4] {
-            let mut shards = vec![0u64; 8];
-            let tagged: Vec<(usize, u64)> = (0..20).map(|i| (route(i, 2), i)).collect();
-            let finished = AtomicU64::new(0);
-            let out = ShardExecutor::new(threads).run_to_completion(
-                &mut shards,
-                tagged,
-                &double,
-                &|_s, shard: &mut u64| {
-                    finished.fetch_add(1, Ordering::Relaxed);
-                    *shard = shard.wrapping_add(1);
-                },
-            );
-            assert_eq!(out.len(), 20);
-            assert_eq!(finished.load(Ordering::Relaxed), 8, "threads={threads}");
-            // Every shard (busy or idle) was finished exactly once.
-            assert!(shards[2..].iter().all(|&s| s == 1));
-        }
-    }
-
-    #[test]
-    fn run_to_completion_output_order_matches_run() {
-        let items: Vec<u64> = (0..257).collect();
-        for threads in [1, 2, 4] {
-            for nshards in [1usize, 2, 8] {
-                let mut a = vec![0u64; nshards];
-                let mut b = vec![0u64; nshards];
-                let tagged = || -> Vec<(usize, u64)> {
-                    items.iter().map(|&i| (route(i, nshards), i)).collect()
-                };
-                let plain = ShardExecutor::new(threads).run(&mut a, tagged(), &double);
-                let rtc = ShardExecutor::new(threads).run_to_completion(
-                    &mut b,
-                    tagged(),
-                    &double,
-                    &|_, _: &mut u64| {},
-                );
-                assert_eq!(plain, rtc, "threads={threads} shards={nshards}");
-                assert_eq!(a, b);
-            }
-        }
+    pub fn new(_threads: usize) -> Self {
+        ShardExecutor
     }
 }

@@ -20,9 +20,8 @@
 //! * [`router`] — IPv4 forwarding + ARP, including the gratuitous-ARP
 //!   cache update that implements IP takeover (§5).
 //! * [`trace`] — packet traces with protocol-aware summaries.
-//! * [`exec`] — scatter–gather [`exec::ShardExecutor`] for sharded
-//!   datapaths: scoped-thread fan-out with a deterministic
-//!   input-order merge, so parallel runs stay byte-identical.
+//! * [`exec`] — [`exec::ShardExecutor`], the name the bridge's batch
+//!   entry takes (a shim: a batch runs on the caller's thread).
 //!
 //! Determinism: single-threaded, seeded RNG, ties in the event heap
 //! break by insertion order. Running the same scenario twice produces

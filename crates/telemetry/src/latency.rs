@@ -7,8 +7,8 @@
 //!
 //! * [`LogHistogram`] — a fixed-size, zero-allocation log2-bucket
 //!   histogram (HDR-style). Plain `u64` arrays, no atomics, no heap:
-//!   recording is an array increment, so shard workers keep private
-//!   copies and [`LogHistogram::merge`] combines them losslessly.
+//!   recording is an array increment, and [`LogHistogram::merge`]
+//!   combines two copies losslessly.
 //!   The const-generic bucket count picks the dynamic range;
 //!   [`HostHistogram`] (host nanoseconds, per-stage CPU cost) and
 //!   [`SimHistogram`] (simulated nanoseconds, e.g. MTTR samples) are
@@ -35,7 +35,7 @@
 //! let mut b = StageLatency::new();
 //! a.record(Stage::IngressParse, 120);
 //! b.record(Stage::IngressParse, 90);
-//! a.merge(&b); // shard-local copies merge losslessly
+//! a.merge(&b); // copies merge losslessly
 //! assert_eq!(a.stage(Stage::IngressParse).count(), 2);
 //! let mut h = HostHistogram::new();
 //! for v in 1..=1000u64 {
@@ -68,8 +68,8 @@ pub type SimHistogram = LogHistogram<SIM_LAT_BUCKETS>;
 /// value `v > 0` in bucket `64 - leading_zeros(v)` (i.e. values in
 /// `[2^(i-1), 2^i)` share bucket `i`), and everything at or above
 /// `2^(N-2)` saturates into the top bucket. No heap, no atomics:
-/// `record` is two array writes, so the struct is `Copy` and shard
-/// workers merge private copies with [`LogHistogram::merge`].
+/// `record` is two array writes, so the struct is `Copy` and copies
+/// merge with [`LogHistogram::merge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogHistogram<const N: usize> {
     buckets: [u64; N],
@@ -391,8 +391,7 @@ impl Stage {
 }
 
 /// One host-time histogram per [`Stage`]. `Copy` and heap-free like
-/// its histograms, so parallel shard workers record into private
-/// copies that merge back deterministically.
+/// its histograms, so a span can snapshot it on the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageLatency {
     stages: [HostHistogram; Stage::COUNT],
@@ -423,7 +422,7 @@ impl StageLatency {
         &self.stages[stage.index()]
     }
 
-    /// Merges another stage set (e.g. a shard worker's private copy).
+    /// Merges another stage set.
     pub fn merge(&mut self, other: &StageLatency) {
         for i in 0..Stage::COUNT {
             self.stages[i].merge(&other.stages[i]);
@@ -536,11 +535,6 @@ impl LatencyObservatory {
     /// engines) rather than the observatory handle itself.
     pub fn stages_mut(&mut self) -> &mut StageLatency {
         &mut self.stages
-    }
-
-    /// Merges a shard worker's private [`StageLatency`] copy.
-    pub fn merge_stages(&mut self, other: &StageLatency) {
-        self.stages.merge(other);
     }
 
     /// Mirrors the per-stage state into the registry under

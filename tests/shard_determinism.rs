@@ -20,11 +20,11 @@ fn link(shards: usize, upstream: Option<Ipv4Addr>) -> PrimaryBridge {
 }
 
 /// Runs the workload through `process_batch` and flattens the output.
-fn run(shards: usize, threads: usize, batch: usize) -> (Vec<FilterOutput>, u64) {
-    run_through(link(shards, None), threads, batch)
+fn run(shards: usize, batch: usize) -> (Vec<FilterOutput>, u64) {
+    run_through(link(shards, None), batch)
 }
 
-fn run_through(mut b: PrimaryBridge, threads: usize, batch: usize) -> (Vec<FilterOutput>, u64) {
+fn run_through(mut b: PrimaryBridge, batch: usize) -> (Vec<FilterOutput>, u64) {
     let cfg = ManyFlowConfig {
         flows: 60,
         offset: 0,
@@ -34,7 +34,7 @@ fn run_through(mut b: PrimaryBridge, threads: usize, batch: usize) -> (Vec<Filte
         seed: 0xD00D,
     };
     let workload = ManyFlowWorkload::generate(&cfg, ManyFlowNet::default());
-    let exec = ShardExecutor::new(threads);
+    let exec = ShardExecutor::new(1);
     let mut outs = Vec::new();
     let mut now = 0u64;
     for chunk in workload.into_batches(batch) {
@@ -69,52 +69,49 @@ fn digest(outs: &[FilterOutput]) -> u64 {
 
 #[test]
 fn output_is_identical_across_shard_counts() {
-    let (base, merged) = run(1, 1, 16);
+    let (base, merged) = run(1, 16);
     assert!(merged > 0, "workload must exercise the merge path");
     let reference = digest(&base);
     for shards in [2usize, 8] {
-        for threads in [1usize, 4] {
-            let (outs, m) = run(shards, threads, 16);
-            assert_eq!(
-                digest(&outs),
-                reference,
-                "shards={shards} threads={threads} diverged from the 1-shard run"
-            );
-            assert_eq!(m, merged, "stats totals must also be identical");
-        }
+        let (outs, m) = run(shards, 16);
+        assert_eq!(
+            digest(&outs),
+            reference,
+            "shards={shards} diverged from the 1-shard run"
+        );
+        assert_eq!(m, merged, "stats totals must also be identical");
     }
 }
 
 #[test]
 fn a_link_routes_its_output_the_same_on_every_lane() {
-    // The chain routing runs after the merge, outside the shard
-    // workers: what a link below the head diverts upstream must not
-    // depend on which path the batch took.
+    // The chain routing runs after the merge: what a link below the
+    // head diverts upstream must not depend on the shard count.
     let net = ManyFlowNet::default();
     let up = Ipv4Addr::new(10, 0, 0, 9);
-    let (base, merged) = run_through(link(1, Some(up)), 1, 16);
+    let (base, merged) = run_through(link(1, Some(up)), 16);
     let wire: Vec<_> = base.iter().flat_map(|o| &o.to_wire).collect();
     assert!(merged > 0 && !wire.is_empty());
     assert!(wire.iter().all(|s| s.dst == up || s.dst == net.a_s));
-    assert_ne!(digest(&base), digest(&run(1, 1, 16).0), "the head's");
-    let (outs, m) = run_through(link(8, Some(up)), 4, 16);
-    assert_eq!(digest(&outs), digest(&base), "8 shards on 4 threads");
+    assert_ne!(digest(&base), digest(&run(1, 16).0), "the head's");
+    let (outs, m) = run_through(link(8, Some(up)), 16);
+    assert_eq!(digest(&outs), digest(&base), "8 shards");
     assert_eq!(m, merged);
 }
 
 #[test]
 fn batch_size_does_not_change_output() {
-    let (base, _) = run(4, 4, 16);
+    let (base, _) = run(4, 16);
     let reference = digest(&base);
     for batch in [1usize, 7, 500] {
-        let (outs, _) = run(4, 4, batch);
+        let (outs, _) = run(4, batch);
         assert_eq!(digest(&outs), reference, "batch={batch} diverged");
     }
 }
 
 #[test]
 fn workload_tears_down_every_flow() {
-    let (_, _) = run(1, 1, 32);
+    let (_, _) = run(1, 32);
     let cfg = ManyFlowConfig {
         flows: 25,
         offset: 0,
@@ -125,7 +122,7 @@ fn workload_tears_down_every_flow() {
     };
     let workload = ManyFlowWorkload::generate(&cfg, ManyFlowNet::default());
     let mut b = link(2, None);
-    let exec = ShardExecutor::new(2);
+    let exec = ShardExecutor::new(1);
     let mut now = 0;
     for chunk in workload.into_batches(64) {
         now += 1_000_000;

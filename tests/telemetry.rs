@@ -230,6 +230,30 @@ fn retransmission_counter_tracks_paragraph4_recognition() {
     );
 }
 
+/// Every [`PrimaryStats`] counter reaches the registry: a tail's §8
+/// join gate drops a client segment of a flow it never witnessed, and
+/// `core.secondary.unwitnessed_dropped` says so.
+///
+/// [`PrimaryStats`]: tcp_failover::core::PrimaryStats
+#[test]
+fn a_tail_publishes_its_unwitnessed_drops() {
+    let hub = Telemetry::new();
+    let config = FailoverConfig::from_ports([80]);
+    let mut tail = PrimaryBridge::link(A_P, A_S, Some(A_P), None, config);
+    tail.set_telemetry(&hub);
+    let mid_stream = TcpSegment::builder(5555, 80)
+        .seq(ISS_C + 1)
+        .ack(ISS_S + 1)
+        .window(60_000)
+        .build();
+    let out = tail.on_inbound(raw(A_C, A_P, mid_stream), 1_000);
+    assert!(out.to_tcp.is_empty() && out.to_wire.is_empty(), "dropped");
+    assert_eq!(tail.stats.unwitnessed_dropped, 1);
+    tail.sync_telemetry(2_000);
+    let snap = hub.registry.snapshot(2_000);
+    assert_eq!(snap.counter("core.secondary.unwitnessed_dropped"), Some(1));
+}
+
 /// A §5 takeover run: every phase of the view present, in monotone order,
 /// and the exported artifacts (JSON snapshot, pcapng capture) carry the
 /// run.
