@@ -1,40 +1,32 @@
-//! `tcpfo-inspect`: operator's view of the bridge — connection state
-//! tables, invariant-auditor ledgers, failover timeline, Prometheus
-//! text export, and flight-recorder bundle pretty-printing.
+//! `tcpfo-inspect`: one view of a run, read from each telemetry hub's
+//! registry and journal; a traced failover's Chrome trace; bundles.
 //!
 //! ```text
-//! tcpfo-inspect run [--failover]   audited canned run, print state tables
-//! tcpfo-inspect prometheus         same run, Prometheus exposition only
-//! tcpfo-inspect watch [--failover] [--frames N] [--plain]
-//!                                  live one-screen refresher over the run
-//! tcpfo-inspect health [--frames N] [--plain] [--prom]
-//!                                  staged-degradation run, live health/lag/alert dashboard
-//! tcpfo-inspect chain [--replicas N] [--frames N] [--plain] [--prom]
-//!                                  depth-N chain run: head failure, promotion,
-//!                                  tail reprovisioning, per-link health and lag
-//! tcpfo-inspect trace [--replicas N] [--out FILE]
-//!                                  traced chain failover: render the §5 MTTR
-//!                                  waterfall + control-plane spans, export
-//!                                  Chrome trace-event JSON (Perfetto loadable)
-//! tcpfo-inspect bundle <dir>       pretty-print a flight-recorder bundle
+//! run [--failover] [--prom]   the canned audited download (primary killed
+//!                             mid-way with --failover): connection table,
+//!                             auditor reports, ring drops, then the view
+//! watch <pair|degrade|chain> [--failover] [--replicas N] [--frames N]
+//!       [--plain] [--prom]    the view after each 250 ms of a scene
+//! trace [--replicas N] [--out FILE]   traced chain failover, Chrome trace
+//! bundle <dir>                pretty-print a flight-recorder bundle
 //! ```
 //!
-//! The `run` subcommands drive the deterministic simulated testbed (no
-//! sockets, no privileges), so the output is reproducible and the tool
-//! doubles as a smoke test of the audited datapath.
+//! `--prom` prints each living hub's Prometheus exposition (alone for
+//! `run`); `--plain` stacks the frames. Every scene is deterministic.
+
+use std::collections::BTreeSet;
 
 use tcpfo_apps::chain_ops;
 use tcpfo_apps::driver::RequestReplyClient;
 use tcpfo_apps::stream::SourceServer;
 use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
-use tcpfo_core::{
-    ChainConfig, ChainController, ChainTestbed, PrimaryBridge, PrimaryMode, TakeoverState,
-};
+use tcpfo_core::{ChainConfig, ChainTestbed};
+use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
-use tcpfo_telemetry::table::render_snapshot;
-use tcpfo_telemetry::MttrBreakdown;
+use tcpfo_telemetry::table::two_columns;
+use tcpfo_telemetry::{Event, InvariantAuditor, MetricsSnapshot, MttrBreakdown, Telemetry};
 use tcpfo_wire::eth::{EtherType, EthernetFrame};
 use tcpfo_wire::ipv4::Ipv4Packet;
 use tcpfo_wire::pcapng::read_packets;
@@ -42,138 +34,30 @@ use tcpfo_wire::tcp::TcpView;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("run") => run(switch(&args, "--failover"), false),
-        Some("prometheus") => run(false, true),
-        Some("watch") => watch(&args[1..]),
-        Some("health") => health(&args[1..]),
-        Some("chain") => chain(&args[1..]),
-        Some("trace") => trace(&args[1..]),
-        Some("bundle") => match args.get(1) {
-            Some(dir) => bundle(dir),
-            None => usage(),
-        },
+    let code = match (args.first().map(String::as_str), args.get(1)) {
+        (Some("run"), _) => run(switch(&args, "--failover"), switch(&args, "--prom")),
+        (Some("watch"), _) => watch(&args[1..]),
+        (Some("trace"), _) => trace(&args[1..]),
+        (Some("bundle"), Some(dir)) => bundle(dir),
         _ => usage(),
     };
     std::process::exit(code);
 }
 
 fn usage() -> i32 {
-    eprintln!(
-        "tcpfo-inspect — bridge state tables and Prometheus export\n\n\
-         USAGE:\n  tcpfo-inspect run [--failover]   audited canned run, print state tables\n  \
-         tcpfo-inspect prometheus         same run, Prometheus exposition only\n  \
-         tcpfo-inspect watch [--failover] [--frames N] [--plain]\n                                   \
-         live one-screen refresher over the run\n  \
-         tcpfo-inspect health [--frames N] [--plain] [--prom]\n                                   \
-         staged-degradation run, live health/lag/alert dashboard\n  \
-         tcpfo-inspect chain [--replicas N] [--frames N] [--plain] [--prom]\n                                   \
-         chain failover + reprovisioning, per-link health/lag view\n  \
-         tcpfo-inspect trace [--replicas N] [--out FILE]\n                                   \
-         traced chain failover: MTTR waterfall + Chrome trace export\n  \
-         tcpfo-inspect bundle <dir>       pretty-print a flight-recorder bundle"
-    );
+    eprintln!("usage: tcpfo-inspect run | watch <pair|degrade|chain> | trace | bundle <dir>");
     2
 }
 
-/// Drives an audited canned transfer (optionally failing the primary
-/// mid-way) and prints the operator tables — or, with `prom_only`, just
-/// the Prometheus text exposition.
-fn run(failover: bool, prom_only: bool) -> i32 {
-    let mut tb = pair_scene(
-        TestbedConfig {
-            audit: Some(true),
-            latency: Some(true),
-            ..TestbedConfig::default()
-        },
-        2_000_000,
-    );
-    tb.run_for(SimDuration::from_millis(120));
-    // Snapshot the primary's connection table mid-transfer, while the
-    // bridge still holds live per-connection state.
-    let rows = tb.sim.with::<Host, _>(tb.primary, |h, _| {
-        h.filter_mut()
-            .as_any_mut()
-            .downcast_mut::<PrimaryBridge>()
-            .map(|b| b.connection_rows())
-            .unwrap_or_default()
-    });
-    if failover {
-        tb.kill_primary();
-    }
-    tb.run_for(SimDuration::from_secs(20));
-
-    let snap = tb.metrics_snapshot();
-    if prom_only {
-        print!("{}", snap.to_prometheus());
-        return exit_code(tb.audit_violations());
-    }
-
-    println!("=== connections (primary bridge, mid-transfer) ===");
-    println!(
-        "{:<22} {:>5} {:>10} {:>6} {:>10} {:>6} {:>6} {:>10} {:>7} {:>4}",
-        "client", "port", "delta", "mss", "send_next", "pq_B", "sq_B", "min_ack", "min_win", "fin"
-    );
-    for r in &rows {
-        println!(
-            "{:<22} {:>5} {:>10} {:>6} {:>10} {:>6} {:>6} {:>10} {:>7} {:>4}",
-            r.client.to_string(),
-            r.server_port,
-            r.delta.map_or("-".into(), |d| d.to_string()),
-            r.mss,
-            r.send_next,
-            r.pq_bytes,
-            r.sq_bytes,
-            r.min_ack.map_or("-".into(), |a| a.to_string()),
-            r.min_win,
-            if r.fin_sent { "yes" } else { "no" }
-        );
-    }
-
-    println!("\n=== invariant auditors ===");
-    if let Some(report) = tb.with_primary_audit(|a| a.report()) {
-        println!("{report}");
-    }
-    if let Some(report) = tb.with_secondary_audit(|a| a.report()) {
-        println!("{report}");
-    }
-
-    println!("=== failover timeline ===");
-    println!("{}", tb.telemetry.timeline.breakdown());
-
-    println!("=== metrics ===");
-    println!("{}", render_snapshot(&snap));
-    exit_code(tb.audit_violations())
+/// The argument after `--name` in `args`, if any.
+fn value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
+    args.get(args.iter().position(|a| a == name)? + 1)
 }
 
-/// The scene `run`, `prometheus`, `watch` and `health` drive: the pair
-/// testbed built from `cfg`, a `SourceServer` on port 80 of both
-/// replicas, and a client downloading `bytes` from the service address.
-fn pair_scene(cfg: TestbedConfig, bytes: u64) -> Testbed {
-    let mut tb = Testbed::new(cfg);
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
-    tb.sim.with::<Host, _>(tb.client, |h, _| {
-        h.add_app(Box::new(RequestReplyClient::new(
-            SocketAddr::new(addrs::A_P, 80),
-            format!("SEND {bytes}\n").into_bytes(),
-            bytes,
-        )));
-    });
-    tb
-}
-
-/// The value of `--name N` in `args`, or `default` when absent or
-/// unparsable.
+/// The number after `--name` in `args`, or `default`.
 fn flag(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    let parsed = value(args, name).and_then(|v| v.parse().ok());
+    parsed.unwrap_or(default)
 }
 
 /// Whether the bare switch `--name` is present in `args`.
@@ -181,527 +65,352 @@ fn switch(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// Live one-screen refresher: drives the canned transfer in fixed
-/// sim-time slices and redraws a compact dashboard — per-stage latency
-/// quantiles, flow-table shard occupancy, headline counters, and the
-/// failover timeline — after every slice. `--failover` kills the
-/// primary halfway through; `--plain` suppresses the ANSI
-/// clear-screen so the frames stack (useful for logs and CI).
-fn watch(args: &[String]) -> i32 {
-    let failover = switch(args, "--failover");
-    let plain = switch(args, "--plain");
-    let frames = flag(args, "--frames", 16).max(1);
-
-    let mut tb = pair_scene(
-        TestbedConfig {
-            audit: Some(true),
-            latency: Some(true),
-            ..TestbedConfig::default()
-        },
-        4_000_000,
-    );
-
-    let slice = SimDuration::from_millis(250);
-    for frame in 0..frames {
-        // Kill the primary after the first frame so the takeover lands
-        // mid-transfer and the remaining frames show the recovery.
-        if failover && frame == 1 {
-            tb.kill_primary();
-        }
-        tb.run_for(slice);
-        let snap = tb.metrics_snapshot();
-        if !plain {
-            // Clear screen and home the cursor so the frame redraws in
-            // place.
-            print!("\x1b[2J\x1b[H");
-        }
-        render_watch_frame(
-            &snap,
-            frame,
-            frames,
-            &tb.telemetry.timeline.breakdown(),
-            tb.sim.now(),
-        );
+/// The snapshot: the canned download with the auditors on (the primary
+/// killed at 120 ms with `failover`), 20 s later, as the connection
+/// table taken at 120 ms, the auditors' reports, the rings' drops and
+/// the view — or, with `prom`, the Prometheus exposition alone.
+fn run(failover: bool, prom: bool) -> i32 {
+    let mut tb = pair_scene(true, false, 2_000_000);
+    tb.run_for(SimDuration::from_millis(120));
+    let rows = tb.with_primary_bridge(|b| b.connection_rows());
+    if failover {
+        tb.kill_primary();
     }
-    exit_code(tb.audit_violations())
-}
-
-/// One dashboard frame: latency quantiles, shard gauges, counters, and
-/// the timeline so far.
-fn render_watch_frame(
-    snap: &tcpfo_telemetry::MetricsSnapshot,
-    frame: usize,
-    frames: usize,
-    timeline: &str,
-    now: tcpfo_net::time::SimTime,
-) {
-    println!(
-        "tcpfo-inspect watch — frame {}/{} — sim t = {} ms",
-        frame + 1,
-        frames,
-        now.as_nanos() / 1_000_000
-    );
-
-    println!("\n── per-stage latency (host ns) ──");
-    println!(
-        "{:<36} {:>9} {:>8} {:>8} {:>8} {:>8}",
-        "histogram", "count", "p50", "p99", "p999", "max"
-    );
-    let mut any = false;
-    for (name, h) in &snap.histograms {
-        if !name.contains(".lat.") {
-            continue;
-        }
-        any = true;
-        println!(
-            "{:<36} {:>9} {:>8} {:>8} {:>8} {:>8}",
-            name,
-            h.count,
-            h.p50(),
-            h.p99(),
-            h.p999(),
-            h.max
-        );
-    }
-    if !any {
-        println!("(no latency samples yet)");
-    }
-
-    println!("\n── flow-table shards ──");
-    println!(
-        "{:<30} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "shard", "occupancy", "inserted", "evicted", "reaped", "lru"
-    );
-    let shard_prefixes: std::collections::BTreeSet<String> = snap
-        .gauges
-        .keys()
-        .filter_map(|k| {
-            let (prefix, _) = k.rsplit_once('.')?;
-            prefix.contains(".shard").then(|| prefix.to_string())
-        })
-        .collect();
-    let gauge = |prefix: &str, field: &str| {
-        snap.gauges
-            .get(&format!("{prefix}.{field}"))
-            .map_or(0, |g| g.value)
-    };
-    for p in &shard_prefixes {
-        println!(
-            "{:<30} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            p,
-            gauge(p, "occupancy"),
-            gauge(p, "inserted"),
-            gauge(p, "evicted"),
-            gauge(p, "reaped"),
-            gauge(p, "lru_depth"),
-        );
-    }
-    if shard_prefixes.is_empty() {
-        println!("(no shard gauges yet)");
-    }
-
-    println!("\n── headline counters ──");
-    for (name, v) in &snap.counters {
-        if *v == 0 {
-            continue;
-        }
-        let headline = name.ends_with(".merged_segments")
-            || name.ends_with(".merged_bytes")
-            || name.ends_with(".empty_acks")
-            || name.ends_with(".retransmissions_forwarded")
-            || name.ends_with(".acks_translated")
-            || name.ends_with(".ingress_rewrites")
-            || name.ends_with(".diverted_upstream")
-            || name.ends_with(".unwitnessed_dropped")
-            || name.ends_with(".drops");
-        if headline {
-            println!("{name:<44} {v:>12}");
-        }
-    }
-
-    println!("\n── failover timeline ──");
-    print!("{timeline}");
-}
-
-/// Staged-degradation health dashboard: drives a replicated transfer
-/// with the health observatory attached, progressively degrades the
-/// primary's links (latency, jitter, loss), then fail-stops it — and
-/// redraws the secondary's view of the primary after every slice:
-/// score axes, raw signals, SLO burn rates, the replication-lag
-/// ledger, and the alert journal. The point of the exercise is visible
-/// live: the advisory score degrades and `Warn` fires while the binary
-/// heartbeat detector still considers the primary alive. `--prom`
-/// appends the Prometheus exposition (registry + labelled alert
-/// series) at the end.
-fn health(args: &[String]) -> i32 {
-    let plain = switch(args, "--plain");
-    let prom = switch(args, "--prom");
-    let frames = flag(args, "--frames", 12).max(4);
-
-    let mut tb = pair_scene(
-        TestbedConfig {
-            health: Some(true),
-            latency: Some(true),
-            ..TestbedConfig::default()
-        },
-        4_000_000,
-    );
-
-    // Degradation script over the frame timeline: healthy for the
-    // first quarter, then three escalating stages, then the kill at
-    // three quarters — the remaining frames show takeover + recovery.
-    let stage1 = frames / 4;
-    let stage2 = frames * 2 / 4;
-    let stage3 = frames * 5 / 8;
-    let kill = frames * 3 / 4;
-    let slice = SimDuration::from_millis(250);
-    for frame in 0..frames {
-        let p = tb.primary;
-        if frame == stage1 {
-            tb.reshape_links(p, |l| {
-                l.with_loss((l.loss + 0.05).min(1.0))
-                    .with_propagation(SimDuration::from_millis(2))
-            });
-        } else if frame == stage2 {
-            tb.reshape_links(p, |l| {
-                l.with_loss(0.15)
-                    .with_propagation(SimDuration::from_millis(8))
-                    .with_jitter(SimDuration::from_millis(4))
-            });
-        } else if frame == stage3 {
-            tb.reshape_links(p, |l| {
-                l.with_loss(0.30)
-                    .with_propagation(SimDuration::from_millis(12))
-                    .with_jitter(SimDuration::from_millis(8))
-            });
-        } else if frame == kill {
-            tb.kill_primary();
-        }
-        tb.run_for(slice);
-        if !plain {
-            print!("\x1b[2J\x1b[H");
-        }
-        render_health_frame(&mut tb, frame, frames, stage1, stage2, stage3, kill);
-    }
-
-    if prom {
-        let snap = tb.metrics_snapshot();
-        println!("\n{}", snap.to_prometheus());
-        let secondary = tb.secondary.expect("replicated testbed");
-        if let Some(alerts) =
-            tb.with_health_monitor(secondary, |m| m.alerts_prometheus("core.control.r1.peer0"))
-        {
-            print!("{alerts}");
-        }
-    }
-    exit_code(tb.audit_violations())
-}
-
-/// One health-dashboard frame: the secondary's scored view of the
-/// primary, the primary's lag ledger (while it is still alive), and
-/// the alert journal so far.
-fn render_health_frame(
-    tb: &mut Testbed,
-    frame: usize,
-    frames: usize,
-    stage1: usize,
-    stage2: usize,
-    stage3: usize,
-    kill: usize,
-) {
-    let phase = match frame {
-        f if f >= kill => "primary KILLED — takeover",
-        f if f >= stage3 => "degradation stage 3 (heavy loss + jitter)",
-        f if f >= stage2 => "degradation stage 2 (loss + latency)",
-        f if f >= stage1 => "degradation stage 1 (mild)",
-        _ => "healthy baseline",
-    };
-    println!(
-        "tcpfo-inspect health — frame {}/{} — sim t = {} ms — {phase}",
-        frame + 1,
-        frames,
-        tb.sim.now().as_nanos() / 1_000_000
-    );
-
-    let secondary = tb.secondary.expect("replicated testbed");
-    let view = tb.with_health_monitor(secondary, |m| {
-        (
-            m.score(),
-            m.state(),
-            m.first_warn_at(),
-            m.journal()
-                .events()
-                .map(|e| (e.at_ns, e.from, e.to, e.score, e.reason))
-                .collect::<Vec<_>>(),
-        )
-    });
-    match view {
-        Some((score, state, first_warn, journal)) => {
-            println!("\n── replica health (secondary's view of the primary) ──");
+    tb.run_for(SimDuration::from_secs(20));
+    if !prom {
+        println!("=== connections (primary bridge, mid-transfer) ===");
+        let head = "client                  port      delta    mss  send_next   pq_B   sq_B";
+        println!("{head}    min_ack min_win  fin");
+        for r in rows.unwrap_or_default() {
             println!(
-                "score {:>3}/100  [liveness {:>3}  rtt {:>3}  jitter {:>3}  loss {:>3}  backlog {:>3}]  alert: {}",
-                score.total,
-                score.liveness,
-                score.rtt,
-                score.jitter,
-                score.loss,
-                score.backlog,
-                state.name(),
+                "{:<22} {:>5} {:>10} {:>6} {:>10} {:>6} {:>6} {:>10} {:>7} {:>4}",
+                r.client.to_string(),
+                r.server_port,
+                r.delta.map_or("-".into(), |d| d.to_string()),
+                r.mss,
+                r.send_next,
+                r.pq_bytes,
+                r.sq_bytes,
+                r.min_ack.map_or("-".into(), |a| a.to_string()),
+                r.min_win,
+                if r.fin_sent { "yes" } else { "no" }
             );
-            println!(
-                "signals: rtt {:>9} ns  jitter {:>9} ns  misses {:>2}  loss {:>6} ppm  lag {:>8} B",
-                score.rtt_ns, score.jitter_ns, score.misses, score.loss_ppm, score.lag_bytes,
-            );
-            if let Some(at) = first_warn {
-                println!("first warn at sim t = {} ms", at / 1_000_000);
-            }
-            println!("\n── alert journal ──");
-            if journal.is_empty() {
-                println!("(no transitions yet)");
-            }
-            for (at_ns, from, to, score, reason) in &journal {
-                println!(
-                    "{:>8} ms  {:>8} → {:<8} score {:>3}  ({reason})",
-                    at_ns / 1_000_000,
-                    from.name(),
-                    to.name(),
-                    score,
-                );
-            }
         }
-        None => println!("\n(no health monitor on the secondary)"),
+        print_audits(&mut tb);
     }
-
-    println!("\n── replication lag (primary's ledger) ──");
-    let lag = tb.with_primary_health(|obs| {
-        (
-            obs.lag.unmatched_bytes(),
-            obs.lag.unmatched_segments(),
-            obs.lag.peak_bytes(),
-            obs.lag.releases(),
-        )
-    });
-    match lag {
-        Some((bytes, segments, peak, releases)) => println!(
-            "unmatched {bytes:>8} B / {segments:>5} segs  peak {peak:>8} B  releases {releases:>7}",
-        ),
-        None => println!("(primary gone — ledger died with it)"),
+    let mut scene = Scene::Pair(tb, failover);
+    match prom {
+        true => prometheus(&scene.hubs()),
+        false => render_frame("tcpfo-inspect run", &scene.hubs()),
     }
+    exit_code(scene.audit_violations())
 }
 
-/// Chain dashboard: drives a depth-N chain serving a live download,
-/// kills the head a quarter of the way in, re-provisions a standby
-/// tail at the halfway mark, and redraws the whole control plane after
-/// every slice — per-link role, takeover state and health score,
-/// replication lag per hop, the reprovisioning phase clock, and the
-/// recent chain journal (promotions, vetoes, kills, adoption). `--prom`
-/// appends each replica's Prometheus exposition at the end.
-fn chain(args: &[String]) -> i32 {
-    let plain = switch(args, "--plain");
-    let prom = switch(args, "--prom");
-    let replicas = flag(args, "--replicas", 3).clamp(2, 8);
-    let frames = flag(args, "--frames", 8).max(4);
+/// The auditors' reports, then one line of what every bounded ring of
+/// the run evicted: the journal, the span ring (with the ends whose
+/// begin it lost), the packet trace and each auditor's two rings.
+fn print_audits(tb: &mut Testbed) {
+    println!("\n=== invariant auditors ===");
+    let (journal, trace) = (&tb.telemetry.journal, &tb.telemetry.trace);
+    let (journal, spans, lost) = (journal.dropped(), trace.dropped(), trace.lost_ends());
+    let mut drops = format!("drops: journal {journal}, span ring {spans} ({lost} lost ends)");
+    drops += &format!(", packet trace {}", tb.sim.trace_dropped());
+    let audit = |a: &InvariantAuditor| (a.report(), a.dropped());
+    let audits = [tb.with_primary_audit(audit), tb.with_secondary_audit(audit)];
+    let audits = ["primary", "secondary"].into_iter().zip(audits);
+    for (who, (report, (ring, segments))) in audits.filter_map(|(w, a)| Some((w, a?))) {
+        println!("{report}");
+        drops += &format!(", {who} auditor ring {ring} / segments {segments}");
+    }
+    println!("{drops}\n");
+}
 
-    let mut tb = ChainTestbed::new(ChainConfig {
-        replicas,
-        seed: 0x1C,
-        audit: Some(true),
-        health: Some(true),
-        ..ChainConfig::default()
-    });
+/// The pair testbed (latency observatory on, the auditor and the health
+/// observatory on as asked) serving a `bytes` download from both
+/// replicas.
+fn pair_scene(audit: bool, health: bool, bytes: u64) -> Testbed {
+    let mut cfg = TestbedConfig::default();
+    (cfg.audit, cfg.health) = (audit.then_some(true), health.then_some(true));
+    cfg.latency = Some(true);
+    let mut tb = Testbed::new(cfg);
+    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
+        tb.sim
+            .with::<Host, _>(node, |h, _| h.add_app(Box::new(SourceServer::new(80))));
+    }
+    add_client(&mut tb.sim, tb.client, bytes);
+    tb
+}
+
+/// A depth-`replicas` chain (seed 0x1C, auditor and health observatory
+/// on, span tracing per `span_trace`) serving a 16 MB download.
+fn chain_scene(replicas: usize, span_trace: Option<bool>) -> ChainTestbed {
+    let mut cfg = ChainConfig::default();
+    (cfg.replicas, cfg.seed, cfg.span_trace) = (replicas, 0x1C, span_trace);
+    (cfg.audit, cfg.health) = (Some(true), Some(true));
+    let mut tb = ChainTestbed::new(cfg);
     tb.install_servers(|| SourceServer::new(80));
-    tb.sim.with::<Host, _>(tb.client, |h, _| {
-        h.add_app(Box::new(RequestReplyClient::new(
-            SocketAddr::new(addrs::A_P, 80),
-            b"SEND 16000000\n".to_vec(),
-            16_000_000,
-        )));
-    });
+    add_client(&mut tb.sim, tb.client, 16_000_000);
+    tb
+}
 
-    // Script over the frame timeline: healthy chain for the first
-    // quarter, head killed at a quarter, standby reprovisioned as the
-    // new tail at the halfway mark; the rest shows catch-up draining.
-    let kill = (frames / 4).max(1);
-    let reprovision = (frames / 2).max(kill + 1);
-    let slice = SimDuration::from_millis(250);
-    let mut standby = None;
-    for frame in 0..frames {
-        if frame == kill {
-            tb.kill_replica(0);
-        } else if frame == reprovision {
-            standby = Some(chain_ops::reprovision_tail(&mut tb));
+/// A client on `node` asking the service address for `bytes`.
+fn add_client(sim: &mut Simulator, node: NodeId, bytes: u64) {
+    let (vip, request) = (SocketAddr::new(addrs::A_P, 80), format!("SEND {bytes}\n"));
+    let client = RequestReplyClient::new(vip, request.into_bytes(), bytes);
+    sim.with::<Host, _>(node, |h, _| h.add_app(Box::new(client)));
+}
+
+/// The phases of the degradation script, by marks reached.
+const DEGRADE_PHASES: [&str; 5] = [
+    "healthy baseline",
+    "degradation stage 1 (mild)",
+    "degradation stage 2 (loss + latency)",
+    "degradation stage 3 (heavy loss + jitter)",
+    "primary KILLED — takeover",
+];
+
+/// The phases of the chain script, by marks reached.
+const CHAIN_PHASES: [&str; 3] = [
+    "healthy chain",
+    "head KILLED — takeover",
+    "standby reprovisioned — catch-up",
+];
+
+/// A scene the view reads, with its script: the pair (whose replicas
+/// share one hub) on the canned download, failing over or not; the pair
+/// degraded in stages; or a chain (one hub per replica).
+enum Scene {
+    Pair(Testbed, bool),
+    Degrade(Testbed),
+    Chain(Box<ChainTestbed>),
+}
+
+/// One hub as a frame shows it: its label, with dead replicas marked,
+/// and its registry's snapshot unless its replica is dead.
+struct HubView {
+    label: String,
+    hub: Telemetry,
+    snap: Option<MetricsSnapshot>,
+}
+
+impl Scene {
+    /// The scene `name` as `args` configure it, with its frame count.
+    fn new(name: &str, args: &[String]) -> Option<(Scene, usize)> {
+        let frames = |default| flag(args, "--frames", default);
+        Some(match name {
+            "pair" => {
+                let tb = pair_scene(true, false, 4_000_000);
+                let failover = switch(args, "--failover");
+                (Scene::Pair(tb, failover), frames(16).max(1))
+            }
+            "degrade" => {
+                let tb = pair_scene(false, true, 4_000_000);
+                (Scene::Degrade(tb), frames(12).max(4))
+            }
+            "chain" => {
+                let replicas = flag(args, "--replicas", 3).clamp(2, 8);
+                let tb = Box::new(chain_scene(replicas, None));
+                (Scene::Chain(tb), frames(8).max(4))
+            }
+            _ => return None,
+        })
+    }
+
+    /// Plays `frame` of `frames`: the script's action for it, then 250 ms
+    /// of sim time. Returns the phase the frame shows. The pair's primary
+    /// is killed after the first frame; the degraded primary's links
+    /// worsen at a quarter, a half and five eighths, and it is killed at
+    /// three quarters; the chain's head is killed at a quarter and a
+    /// standby reprovisioned at half.
+    fn play(&mut self, frame: usize, frames: usize) -> &'static str {
+        // The phase is the number of the script's marks `frame` reached.
+        let reached = |marks: &[usize]| marks.iter().filter(|&&m| m <= frame).count();
+        let ms = SimDuration::from_millis;
+        match self {
+            Scene::Pair(tb, failover) => {
+                if *failover && frame == 1 {
+                    tb.kill_primary();
+                }
+                tb.run_for(ms(250));
+                ["transfer", "primary KILLED — takeover"][usize::from(*failover && frame >= 1)]
+            }
+            Scene::Degrade(tb) => {
+                let marks = [frames / 4, frames * 2 / 4, frames * 5 / 8, frames * 3 / 4];
+                // Loss, propagation and jitter (ms) of each stage.
+                let stages = [(0.05, 2, 0), (0.15, 8, 4), (0.30, 12, 8)];
+                match marks.iter().position(|&m| m == frame) {
+                    Some(3) => tb.kill_primary(),
+                    Some(i) => {
+                        let (loss, propagation, jitter) = stages[i];
+                        tb.reshape_links(tb.primary, |l| {
+                            let l = l.with_loss(loss).with_propagation(ms(propagation));
+                            l.with_jitter(ms(jitter))
+                        })
+                    }
+                    None => {}
+                }
+                tb.run_for(ms(250));
+                DEGRADE_PHASES[reached(&marks)]
+            }
+            Scene::Chain(tb) => {
+                let kill = (frames / 4).max(1);
+                let marks = [kill, (frames / 2).max(kill + 1)];
+                if frame == marks[0] {
+                    tb.kill_replica(0);
+                } else if frame == marks[1] {
+                    chain_ops::reprovision_tail(tb);
+                }
+                tb.run_for(ms(250));
+                tb.poll_reprovision();
+                CHAIN_PHASES[reached(&marks)]
+            }
         }
-        tb.run_for(slice);
-        tb.poll_reprovision();
-        if !plain {
+    }
+
+    /// Every hub of the scene, each living bridge's latest state
+    /// published first.
+    fn hubs(&mut self) -> Vec<HubView> {
+        let mark = |dead: bool| if dead { " DEAD" } else { "" };
+        match self {
+            Scene::Pair(tb, _) | Scene::Degrade(tb) => {
+                let [p, s] =
+                    [tb.primary, tb.secondary.expect("replicated")].map(|n| tb.sim.is_dead(n));
+                let label = format!("pair hub: primary{}, secondary{}", mark(p), mark(s));
+                let (hub, snap) = (tb.telemetry.clone(), Some(tb.metrics_snapshot()));
+                vec![HubView { label, hub, snap }]
+            }
+            Scene::Chain(tb) => (0..tb.replicas.len())
+                .map(|i| {
+                    let (addr, dead, hub) = (tb.replica_addrs[i], tb.dead[i], tb.hubs[i].clone());
+                    let label = format!("replica {i} ({addr}){}", mark(dead));
+                    let snap = (!dead).then(|| tb.metrics_snapshot(i));
+                    HubView { label, hub, snap }
+                })
+                .collect(),
+        }
+    }
+
+    fn audit_violations(&mut self) -> u64 {
+        match self {
+            Scene::Pair(tb, _) | Scene::Degrade(tb) => tb.audit_violations(),
+            Scene::Chain(tb) => tb.audit_violations(),
+        }
+    }
+}
+
+/// The live view: plays the scene `args[0]` names, a frame at a time.
+fn watch(args: &[String]) -> i32 {
+    let name = args.first().map_or("", String::as_str);
+    let Some((mut scene, frames)) = Scene::new(name, args) else {
+        return usage();
+    };
+    for frame in 0..frames {
+        let phase = scene.play(frame, frames);
+        if !switch(args, "--plain") {
             print!("\x1b[2J\x1b[H");
         }
-        render_chain_frame(&mut tb, frame, frames, kill, reprovision, standby);
+        let n = frame + 1;
+        let title = format!("tcpfo-inspect watch {name} — {phase} — frame {n}/{frames}");
+        render_frame(&title, &scene.hubs());
     }
-
-    if prom {
-        let now = tb.sim.now().as_nanos();
-        for (i, &node) in tb.replicas.clone().iter().enumerate() {
-            if tb.dead[i] {
-                continue;
-            }
-            tb.sim.with::<Host, _>(node, |h, _| {
-                let f = h.filter_mut().as_any_mut();
-                if let Some(b) = f.downcast_mut::<PrimaryBridge>() {
-                    b.sync_telemetry(now);
-                }
-            });
-            println!("\n# replica {i} ({})", tb.replica_addrs[i]);
-            print!("{}", tb.hubs[i].registry.snapshot(now).to_prometheus());
-        }
+    if switch(args, "--prom") {
+        prometheus(&scene.hubs());
     }
-
-    exit_code(tb.audit_violations())
+    exit_code(scene.audit_violations())
 }
 
-/// One chain-dashboard frame: topology + per-link control-plane state,
-/// lag per hop, the reprovision clock, and the recent chain journal.
-fn render_chain_frame(
-    tb: &mut ChainTestbed,
-    frame: usize,
-    frames: usize,
-    kill: usize,
-    reprovision: usize,
-    standby: Option<usize>,
-) {
-    let phase = match frame {
-        f if f >= reprovision => "standby reprovisioned — catch-up",
-        f if f >= kill => "head KILLED — takeover",
-        _ => "healthy chain",
+/// The bridge counters a frame shows (when non-zero), by name.
+const HEADLINE: &str = "merged_segments merged_bytes empty_acks retransmissions_forwarded \
+    acks_translated ingress_rewrites diverted_upstream unwitnessed_dropped drops";
+
+/// One frame of the view. Per hub: the registry's stage histograms,
+/// flow-table shards, headline bridge counters, replication lag,
+/// control-plane counters and peer health, then the §5 and redundancy
+/// views. Then the control journal's last 12 entries, merged over every
+/// hub.
+fn render_frame(title: &str, views: &[HubView]) {
+    let at_ns = views.iter().find_map(|v| Some(v.snap.as_ref()?.at_ns));
+    println!("{title} — sim t = {} ms", at_ns.unwrap_or(0) / 1_000_000);
+    for v in views {
+        println!("\n══ {} ══", v.label);
+        let Some(snap) = &v.snap else { continue };
+        let row = |(name, v): (&String, &u64)| (name.clone(), v.to_string());
+        let lat = snap.histograms.iter().filter(|(n, _)| n.contains(".lat."));
+        let lat = lat.map(|(name, h)| {
+            let (n, p50, p99, p999, max) = (h.count(), h.p50(), h.p99(), h.p999(), h.max());
+            let quantiles = format!("p50 {p50}  p99 {p99}  p999 {p999}  max {max}");
+            (name.clone(), format!("n {n}  {quantiles}"))
+        });
+        section("stage latency (host ns)", lat);
+        let gauges = snap.gauges.iter().map(|(n, g)| (n, &g.value));
+        let shards = gauges.clone().filter(|(n, _)| n.contains(".shard"));
+        section("flow-table shards", shards.map(row));
+        let counters = snap.counters.iter().filter(|(_, v)| **v > 0);
+        let leaf = |n: &str| n.rsplit('.').next().unwrap_or_default().to_string();
+        let headline = |(n, _): &(&String, &u64)| HEADLINE.split(' ').any(|h| h == leaf(n));
+        let bridge = counters.clone().filter(headline).map(row);
+        section("bridge counters", bridge);
+        let lag = gauges.clone().chain(&snap.counters);
+        let lag = lag.filter(|(n, _)| n.contains(".health.lag."));
+        section("replication lag", lag.map(row));
+        let control = |(n, _): &(&String, &u64)| n.starts_with("core.control.");
+        let peer = |(n, _): &(&String, &u64)| matches!(leaf(n).as_str(), "score" | "state");
+        let peers = gauges.filter(control).filter(peer);
+        let title = "control plane (health state 0 ok, 1 warn, 2 critical)";
+        section(title, counters.filter(control).chain(peers).map(row));
+        print!("{}", v.hub.timeline.breakdown());
+        print!("{}", v.hub.redundancy.breakdown());
+    }
+
+    let control = |e: &Event| {
+        e.scope.starts_with("core.control.")
+            || e.scope == "testbed"
+            || e.scope == "chain_testbed"
+            || e.kind.starts_with("reprovision.")
     };
-    println!(
-        "tcpfo-inspect chain — frame {}/{} — sim t = {} ms — {phase}",
-        frame + 1,
-        frames,
-        tb.sim.now().as_nanos() / 1_000_000
-    );
-
-    println!("\n── chain links (client-facing stream climbs tail → head) ──");
-    println!(
-        "{:<4} {:<12} {:<8} {:<10} {:>6} {:>12} {:>12} {:>9} {:>9}",
-        "idx", "addr", "role", "state", "score", "promoted_ms", "lag_B", "releases", "peak_B"
-    );
-    for (i, &node) in tb.replicas.clone().iter().enumerate() {
-        let addr = tb.replica_addrs[i];
-        if tb.dead[i] {
-            println!("{i:<4} {addr:<12} {:<8} {:<10}", "-", "DEAD");
-            continue;
-        }
-        let (role, lag) = tb.sim.with::<Host, _>(node, |h, _| {
-            let f = h.filter_mut().as_any_mut();
-            let Some(b) = f.downcast_mut::<PrimaryBridge>() else {
-                return ("?", None);
-            };
-            // Below the head, a link with nobody below it is the tail.
-            let role = match (b.is_head(), b.mode()) {
-                (true, _) => "head",
-                (false, PrimaryMode::SecondaryFailed) => "tail",
-                (false, PrimaryMode::Normal) => "middle",
-            };
-            let observers = b.observers();
-            let lag = observers.health.as_deref().map(|o| {
-                (
-                    o.lag.unmatched_bytes(),
-                    o.lag.releases(),
-                    o.lag.peak_bytes(),
-                )
-            });
-            (role, lag)
-        });
-        let (state, score, promoted) = tb.sim.with::<Host, _>(node, |h, _| {
-            let c = h.controller_mut::<ChainController>();
-            (c.takeover_state(), c.self_score().total, c.promoted_at)
-        });
-        let state = match state {
-            TakeoverState::Following => "following",
-            TakeoverState::Vetoed => "VETOED",
-            TakeoverState::Promoted => "promoted",
-        };
-        let (lag_b, rel, peak) = lag.map_or(("-".into(), "-".into(), "-".into()), |(b, r, p)| {
-            (b.to_string(), r.to_string(), p.to_string())
-        });
-        let role = if Some(i) == standby {
-            format!("{role}+")
-        } else {
-            role.to_string()
-        };
-        println!(
-            "{i:<4} {addr:<12} {role:<8} {state:<10} {score:>6} {:>12} {lag_b:>12} {rel:>9} {peak:>9}",
-            promoted.map_or("-".to_string(), |t| (t.as_nanos() / 1_000_000).to_string()),
-        );
-    }
-    println!("(+ marks the reprovisioned standby; lag is each link's unmatched downstream bytes)");
-
-    println!("\n── redundancy restoration ──");
-    let lag_now = tb.catchup_lag();
-    println!(
-        "{}  catch-up backlog now: {lag_now} B",
-        tb.tracker.to_json()
-    );
-
-    println!("\n── recent chain events ──");
-    let mut events: Vec<_> = Vec::new();
-    for (i, hub) in tb.hubs.iter().enumerate() {
-        if tb.dead.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        for e in hub.journal.tail(16) {
-            if e.scope.starts_with("core.control") || e.scope == "chain_testbed" {
-                events.push((e.at_ns, i, e.kind.clone(), e.fields.clone()));
-            }
-        }
-    }
-    events.sort();
-    events.dedup();
-    if events.is_empty() {
-        println!("(none yet)");
-    }
-    for (at_ns, replica, kind, fields) in events.iter().rev().take(10).rev() {
-        let fields: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        println!(
-            "{:>8} ms  replica{replica}  {kind:<22} {}",
-            at_ns / 1_000_000,
-            fields.join(" ")
-        );
+    // Each hub's own order stands within an instant (the sort is stable).
+    let mut seen = BTreeSet::new();
+    let mut events: Vec<Event> = views.iter().flat_map(|v| v.hub.journal.events()).collect();
+    events.retain(|e| control(e) && seen.insert(e.clone()));
+    events.sort_by_key(|e| e.at_ns);
+    let (n, tail) = (events.len(), events.len().min(12));
+    println!("\n── control journal (last {tail} of {n}) ──");
+    for e in &events[n - tail..] {
+        println!("{}", e.summary());
     }
 }
 
-/// Drives the staged depth-N chain failover with span tracing armed on
-/// every replica hub, renders the promoted backup's forensic view —
-/// the §5 MTTR waterfall, the redundancy-restoration clock, and the
-/// control-plane spans the takeover recorded — and exports the merged
-/// Chrome trace-event JSON for Perfetto / `chrome://tracing`.
+/// Prints `rows` under `title` in two aligned columns, or `(none)`.
+fn section(title: &str, rows: impl Iterator<Item = (String, String)>) {
+    let rows: Vec<_> = rows.collect();
+    let header = format!("── {title} ──");
+    if rows.is_empty() {
+        println!("{header} (none)");
+    } else {
+        print!("{}", two_columns(&header, &rows));
+    }
+}
+
+/// Each living hub's Prometheus exposition, headed by its label when the
+/// scene has more than one hub.
+fn prometheus(views: &[HubView]) {
+    for v in views {
+        let Some(snap) = &v.snap else { continue };
+        if views.len() > 1 {
+            println!("# {}", v.label);
+        }
+        print!("{}", snap.to_prometheus());
+    }
+}
+
+/// A depth-N chain failover with span tracing armed: the promoted
+/// backup's §5 waterfall, restoration clock and control-plane spans,
+/// and the merged Chrome trace-event JSON written to `--out`.
 fn trace(args: &[String]) -> i32 {
     let replicas = flag(args, "--replicas", 3).clamp(2, 8);
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "FAILOVER_TRACE.json".to_string());
+    let out = value(args, "--out").map_or("FAILOVER_TRACE.json", String::as_str);
 
-    let mut tb = ChainTestbed::new(ChainConfig {
-        replicas,
-        seed: 0x1C,
-        audit: Some(true),
-        health: Some(true),
-        span_trace: Some(true),
-        ..ChainConfig::default()
-    });
-    tb.install_servers(|| SourceServer::new(80));
-    tb.sim.with::<Host, _>(tb.client, |h, _| {
-        h.add_app(Box::new(RequestReplyClient::new(
-            SocketAddr::new(addrs::A_P, 80),
-            b"SEND 16000000\n".to_vec(),
-            16_000_000,
-        )));
-    });
-
+    let mut tb = chain_scene(replicas, Some(true));
     // The rehearsal: healthy, head killed, takeover, tail
     // re-provisioned, catch-up drained.
     tb.run_for(SimDuration::from_millis(200));
@@ -714,152 +423,115 @@ fn trace(args: &[String]) -> i32 {
     // The promoted backup carries the complete timeline and the spans
     // of the takeover it performed.
     let hub = tb.hubs[1].clone();
-    println!(
-        "tcpfo-inspect trace — depth-{replicas} chain, head killed at 200 ms, sim t = {} ms",
-        tb.sim.now().as_nanos() / 1_000_000
-    );
+    let now = tb.sim.now().as_nanos() / 1_000_000;
+    let depth = format!("depth-{replicas} chain, head killed at 200 ms");
+    println!("tcpfo-inspect trace — {depth}, sim t = {now} ms");
     match hub.timeline.mttr() {
         Some(m) => {
-            println!(
-                "\n── §5 failover waterfall (MTTR {:.3} ms) ──",
-                m.total_ns as f64 / 1e6
-            );
-            let deltas = m.deltas();
-            let widest = deltas.into_iter().max().unwrap_or(1).max(1);
-            for (name, dur) in MttrBreakdown::PHASES.into_iter().zip(deltas) {
-                let bar = (dur * 40).div_ceil(widest) as usize;
-                println!(
-                    "{name:<18} {:<40} {:>10.3} ms",
-                    "█".repeat(bar),
-                    dur as f64 / 1e6
-                );
-            }
+            let mttr = m.total_ns as f64 / 1e6;
+            println!("\n── §5 failover waterfall (MTTR {mttr:.3} ms) ──");
+            let phases: Vec<_> = MttrBreakdown::PHASES.into_iter().zip(m.deltas()).collect();
+            bars(&phases);
         }
         None => println!("\n(timeline incomplete — no client byte crossed the new head yet)"),
     }
 
     println!("\n── redundancy restoration ──");
-    match (
-        tb.tracker.reprovision_ns(),
-        tb.tracker.catchup_ns(),
-        tb.tracker.total_ns(),
-    ) {
+    let tr = &tb.tracker;
+    match (tr.reprovision_ns(), tr.catchup_ns(), tr.total_ns()) {
         (Some(rep), Some(cat), Some(total)) => {
-            let widest = rep.max(cat).max(1);
-            for (name, dur) in [("reprovision", rep), ("catchup", cat)] {
-                let bar = (dur * 40).div_ceil(widest) as usize;
-                println!(
-                    "{name:<18} {:<40} {:>10.3} ms",
-                    "█".repeat(bar),
-                    dur as f64 / 1e6
-                );
-            }
-            println!(
-                "{:<18} {:<40} {:>10.3} ms",
-                "restored",
-                "",
-                total as f64 / 1e6
-            );
+            bars(&[("reprovision", rep), ("catchup", cat)]);
+            let total = total as f64 / 1e6;
+            println!("{:<18} {:<40} {total:>10.3} ms", "restored", "");
         }
         _ => println!("(not restored within the rehearsal window)"),
     }
 
     let records = hub.trace.records();
-    println!(
-        "\n── control-plane spans (replica 1, the promoted backup; {} retained, {} dropped) ──",
-        records.len(),
-        hub.trace.dropped()
-    );
+    let (kept, dropped) = (records.len(), hub.trace.dropped());
+    let whose = "replica 1, the promoted backup";
+    println!("\n── control-plane spans ({whose}; {kept} retained, {dropped} dropped) ──");
     for r in records.iter().rev().take(24).rev() {
         println!("{}", r.summary());
     }
 
     let waterfall = tcpfo_telemetry::waterfall_records(&hub);
     let chrome = hub.trace.chrome_trace(&waterfall);
-    match std::fs::write(&out, &chrome) {
-        Ok(()) => println!(
-            "\nwrote {out} ({} bytes, {} synthetic waterfall spans) — load in Perfetto or chrome://tracing",
-            chrome.len(),
-            waterfall.len()
-        ),
-        Err(e) => {
-            eprintln!("tcpfo-inspect: write to {out} failed: {e}");
-            return 1;
-        }
+    if let Err(e) = std::fs::write(out, &chrome) {
+        eprintln!("tcpfo-inspect: write to {out} failed: {e}");
+        return 1;
     }
-
+    let (bytes, spans) = (chrome.len(), waterfall.len());
+    let wrote = format!("wrote {out} ({bytes} bytes, {spans} synthetic waterfall spans)");
+    println!("\n{wrote} — load in Perfetto or chrome://tracing");
     exit_code(tb.audit_violations())
+}
+
+/// One bar per `(name, ns)`, scaled to the widest, with its length in
+/// milliseconds.
+fn bars(rows: &[(&str, u64)]) {
+    let widest = rows.iter().map(|r| r.1).max().unwrap_or(1).max(1);
+    for &(name, ns) in rows {
+        let bar = "█".repeat((ns * 40).div_ceil(widest) as usize);
+        println!("{name:<18} {bar:<40} {:>10.3} ms", ns as f64 / 1e6);
+    }
 }
 
 /// Exit status of a run whose auditors recorded `violations`.
 fn exit_code(violations: u64) -> i32 {
     if violations > 0 {
         eprintln!("tcpfo-inspect: {violations} invariant violation(s) recorded");
-        1
-    } else {
-        0
     }
+    i32::from(violations > 0)
 }
 
 /// Pretty-prints a flight-recorder bundle directory: the rule ledger
 /// and violations, the tail of the trace ring, a per-packet summary of
-/// the capture, and the timeline, if present.
+/// the capture, and the timeline and span dump, if present.
 fn bundle(dir: &str) -> i32 {
     let dir = std::path::Path::new(dir);
-    let ledger = dir.join("ledger.txt");
-    if !ledger.exists() {
-        eprintln!(
-            "tcpfo-inspect: {} does not look like a bundle (no ledger.txt)",
-            dir.display()
-        );
+    let read = |name: &str| std::fs::read_to_string(dir.join(name));
+    if !dir.join("ledger.txt").exists() {
+        let dir = dir.display();
+        eprintln!("tcpfo-inspect: {dir} does not look like a bundle (no ledger.txt)");
         return 2;
     }
     println!("=== rule ledger + violations ===");
-    match std::fs::read_to_string(&ledger) {
+    match read("ledger.txt") {
         Ok(s) => println!("{s}"),
         Err(e) => eprintln!("ledger.txt: {e}"),
     }
     println!("=== trace ring (last 40) ===");
-    match std::fs::read_to_string(dir.join("trace_ring.txt")) {
+    match read("trace_ring.txt") {
         Ok(s) => {
-            let lines: Vec<&str> = s.lines().collect();
-            for line in lines.iter().skip(lines.len().saturating_sub(40)) {
-                println!("{line}");
-            }
+            let skip = s.lines().count().saturating_sub(40);
+            s.lines().skip(skip).for_each(|line| println!("{line}"));
         }
         Err(e) => eprintln!("trace_ring.txt: {e}"),
     }
     println!("\n=== capture.pcapng ===");
-    match std::fs::read(dir.join("capture.pcapng")) {
-        Ok(bytes) => match read_packets(&bytes) {
-            Ok(pkts) => {
-                println!("{} packet(s)", pkts.len());
-                for p in &pkts {
-                    println!(
-                        "  {:>12} ns  {:>5} B  {}",
-                        p.ts_ns,
-                        p.frame.len(),
-                        tcp_line(&p.frame)
-                    );
-                }
+    match std::fs::read(dir.join("capture.pcapng")).map(|b| read_packets(&b)) {
+        Ok(Ok(pkts)) => {
+            println!("{} packet(s)", pkts.len());
+            for p in &pkts {
+                let (at, len, line) = (p.ts_ns, p.frame.len(), tcp_line(&p.frame));
+                println!("  {at:>12} ns  {len:>5} B  {line}");
             }
-            Err(e) => eprintln!("capture.pcapng does not parse: {e}"),
-        },
+        }
+        Ok(Err(e)) => eprintln!("capture.pcapng does not parse: {e}"),
         Err(e) => eprintln!("capture.pcapng: {e}"),
     }
-    let timeline = dir.join("timeline.json");
-    if let Ok(s) = std::fs::read_to_string(&timeline) {
+    if let Ok(s) = read("timeline.json") {
         println!("\n=== timeline.json ===\n{s}");
     }
-    // PR 10: the failover span dump, when the bundle's hub had tracing
-    // armed. The sibling trace.chrome.json loads in Perfetto as-is.
-    if let Ok(s) = std::fs::read_to_string(dir.join("spans.json")) {
+    // The failover span dump, when the bundle's hub had tracing armed.
+    // The sibling trace.chrome.json loads in Perfetto as-is.
+    if let Ok(s) = read("spans.json") {
         println!("\n=== spans.json ===\n{s}");
-        if dir.join("trace.chrome.json").exists() {
-            println!(
-                "(trace.chrome.json present — load {} in Perfetto or chrome://tracing)",
-                dir.join("trace.chrome.json").display()
-            );
+        let chrome = dir.join("trace.chrome.json");
+        if chrome.exists() {
+            let chrome = chrome.display();
+            println!("(trace.chrome.json present — load {chrome} in Perfetto or chrome://tracing)");
         }
     }
     0
@@ -876,18 +548,10 @@ fn tcp_line(frame: &[u8]) -> String {
     let Ok(ip) = Ipv4Packet::decode_shared(&eth.payload) else {
         return "bad ipv4".into();
     };
-    match TcpView::new(&ip.payload) {
-        Ok(v) => format!(
-            "{}:{} → {}:{} seq={} ack={} len={} [{}]",
-            ip.src,
-            v.src_port(),
-            ip.dst,
-            v.dst_port(),
-            v.seq(),
-            v.ack(),
-            v.payload().len(),
-            v.flags()
-        ),
-        Err(_) => format!("ip {} → {} proto={}", ip.src, ip.dst, ip.protocol),
-    }
+    let Ok(v) = TcpView::new(&ip.payload) else {
+        return format!("ip {} → {} proto={}", ip.src, ip.dst, ip.protocol);
+    };
+    let (src, sport, dst, dport) = (ip.src, v.src_port(), ip.dst, v.dst_port());
+    let (seq, ack, len, flags) = (v.seq(), v.ack(), v.payload().len(), v.flags());
+    format!("{src}:{sport} → {dst}:{dport} seq={seq} ack={ack} len={len} [{flags}]")
 }

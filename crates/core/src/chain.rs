@@ -360,7 +360,7 @@ impl ChainController {
     }
 
     /// The advisory monitor scoring peer `i` (RTT/jitter, misses, loss
-    /// gaps, alert journal), if `i` is a peer. It publishes alongside —
+    /// gaps, alert state), if `i` is a peer. It publishes alongside —
     /// never instead of — the binary §2 timeout decision.
     pub fn peer_monitor(&self, i: usize) -> Option<&HealthMonitor> {
         (i < self.trackers.len() && i != self.my_index).then(|| &*self.trackers[i].monitor)
@@ -820,7 +820,7 @@ impl HostController for ChainController {
             if let Some(t) = &self.telemetry {
                 tr.monitor.publish(&t.peers[i], now_ns);
             }
-            if let Some((from, to)) = transition {
+            if let Some((from, to, reason)) = transition {
                 self.event(
                     "health.alert",
                     now,
@@ -829,6 +829,7 @@ impl HostController for ChainController {
                         ("from", from.name().to_string()),
                         ("to", to.name().to_string()),
                         ("score", score.to_string()),
+                        ("reason", reason.to_string()),
                     ],
                     [Some(("peer", i as u64)), Some(("score", score))],
                 );

@@ -36,7 +36,7 @@ use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::config::TcpConfig;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host};
-use tcpfo_telemetry::{ObserverSwitches, Telemetry};
+use tcpfo_telemetry::{MetricsSnapshot, ObserverSwitches, Telemetry};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
 
@@ -399,6 +399,18 @@ impl ChainTestbed {
             }
         })
         .unwrap_or(0)
+    }
+
+    /// A fresh snapshot of replica `i`'s registry, its bridge's latest
+    /// stats published first (a dead replica's stay as it left them).
+    pub fn metrics_snapshot(&mut self, i: usize) -> MetricsSnapshot {
+        let now = self.sim.now().as_nanos();
+        if !self.dead[i] {
+            with_bridge(&mut self.sim, self.replicas[i], |b: &mut PrimaryBridge| {
+                b.sync_telemetry(now)
+            });
+        }
+        self.hubs[i].registry.snapshot(now)
     }
 
     /// Sum of invariant-auditor rule firings across every living

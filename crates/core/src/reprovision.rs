@@ -32,7 +32,6 @@ use crate::primary::PrimaryBridge;
 use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::{SocketAddr, SocketId};
-use tcpfo_telemetry::json::JsonObject;
 use tcpfo_telemetry::{RedundancyPhase, Telemetry};
 use tcpfo_wire::ipv4::Ipv4Addr;
 
@@ -278,35 +277,6 @@ impl ReprovisionTracker {
             RedundancyPhase::CatchupDone,
         )
     }
-
-    /// Renders the round as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        let phase = match self.phase {
-            ReprovisionPhase::Idle => "idle",
-            ReprovisionPhase::Handoff => "handoff",
-            ReprovisionPhase::CatchUp => "catch_up",
-            ReprovisionPhase::Restored => "restored",
-        };
-        obj.string("phase", phase);
-        match self.standby {
-            Some(a) => obj.string("standby", &a.to_string()),
-            None => obj.raw("standby", "null"),
-        };
-        obj.u64("flows", self.flows as u64);
-        obj.u64("backlog_at_handoff", self.backlog_at_handoff);
-        for (name, v) in [
-            ("reprovision_ns", self.reprovision_ns()),
-            ("catchup_ns", self.catchup_ns()),
-            ("total_ns", self.total_ns()),
-        ] {
-            match v {
-                Some(v) => obj.u64(name, v),
-                None => obj.raw(name, "null"),
-            };
-        }
-        obj.render()
-    }
 }
 
 #[cfg(test)]
@@ -345,9 +315,6 @@ mod tests {
             "reprovision.restored",
         ];
         assert_eq!(kinds, want);
-        let json = tr.to_json();
-        assert!(json.contains("\"phase\": \"restored\""), "{json}");
-        assert!(json.contains("\"flows\": 3"), "{json}");
     }
 
     #[test]
@@ -370,7 +337,5 @@ mod tests {
             None,
             "the hub's view is the new round"
         );
-        let json = tr.to_json();
-        assert!(json.contains("\"total_ns\": null"), "{json}");
     }
 }

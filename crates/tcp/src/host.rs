@@ -29,8 +29,8 @@ use std::any::Any;
 use std::collections::HashMap;
 use tcpfo_net::sim::{Ctx, Device, NodeId, Simulator, TimerToken};
 use tcpfo_net::time::{SimDuration, SimTime};
-use tcpfo_telemetry::registry::{bucket_index, HISTOGRAM_BUCKETS};
-use tcpfo_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use tcpfo_telemetry::registry::HISTOGRAM_BUCKETS;
+use tcpfo_telemetry::{Counter, Gauge, Histogram, LogHistogram, Telemetry};
 use tcpfo_wire::arp::{ArpOp, ArpPacket};
 use tcpfo_wire::eth::{EtherType, EthernetFrame};
 use tcpfo_wire::ipv4::{same_network, Ipv4Addr, Ipv4Packet, PROTO_TCP};
@@ -445,25 +445,12 @@ impl Host {
         t.checksum_drops.set_at_least(self.stack.checksum_drops);
         t.rst_sent.set_at_least(self.stack.rst_sent);
         let (wnd_sum, cwnds) = self.stack.established_windows();
-        let mut buckets = [(0usize, 0u64); HISTOGRAM_BUCKETS];
-        let (mut used, mut count, mut sum) = (0, 0u64, 0u64);
-        let (mut min, mut max) = (u64::MAX, 0u64);
-        for (cwnd, sockets) in cwnds {
-            let (v, n) = (u64::from(cwnd), u64::from(sockets));
-            // Ascending values: a bucket's samples are adjacent.
-            let b = bucket_index(v);
-            if used == 0 || buckets[used - 1].0 != b {
-                buckets[used] = (b, 0);
-                used += 1;
-            }
-            buckets[used - 1].1 += n;
-            count += n;
-            sum += v * n;
-            min = min.min(v);
-            max = v;
+        let mut cwnd = LogHistogram::<HISTOGRAM_BUCKETS>::new();
+        for (v, sockets) in cwnds {
+            cwnd.record_n(u64::from(v), u64::from(sockets));
         }
-        if count > 0 {
-            t.cwnd.absorb(&buckets[..used], count, sum, min, max);
+        if !cwnd.is_empty() {
+            t.cwnd.absorb(&cwnd);
             t.snd_wnd.set_at(wnd_sum, now.as_nanos());
         }
     }

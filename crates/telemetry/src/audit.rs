@@ -866,6 +866,7 @@ pub struct InvariantAuditor {
     ring: VecDeque<AuditEvent>,
     ring_dropped: u64,
     pcap: VecDeque<SegmentRecord>,
+    pcap_dropped: u64,
     conns: HashMap<AuditKey, AuditConn>,
     violations: Vec<Violation>,
     bundle: Option<PathBuf>,
@@ -912,6 +913,7 @@ impl InvariantAuditor {
             ring: VecDeque::new(),
             ring_dropped: 0,
             pcap: VecDeque::new(),
+            pcap_dropped: 0,
             conns: HashMap::new(),
             violations: Vec::new(),
             bundle: None,
@@ -956,17 +958,25 @@ impl InvariantAuditor {
         self.bundle.as_ref()
     }
 
+    /// Entries the causal trace ring and the recent-segment ring each
+    /// evicted to stay within their capacities.
+    pub fn dropped(&self) -> (u64, u64) {
+        (self.ring_dropped, self.pcap_dropped)
+    }
+
     /// Human-readable auditor state: ledger, shadow connections, and
     /// any violations.
     pub fn report(&self) -> String {
         let mut out = format!(
-            "auditor [{}]: {} checks, {} violations, {} shadow conns, ring {} (+{} dropped)\n",
+            "auditor [{}]: {} checks, {} violations, {} shadow conns, ring {} (+{} dropped), segments {} (+{} dropped)\n",
             self.cfg.label,
             self.ledger.total_checks(),
             self.ledger.total_violations(),
             self.conns.len(),
             self.ring.len(),
-            self.ring_dropped
+            self.ring_dropped,
+            self.pcap.len(),
+            self.pcap_dropped
         );
         out.push_str(&self.ledger.to_table());
         for (key, c) in &self.conns {
@@ -1017,6 +1027,7 @@ impl InvariantAuditor {
     ) {
         if self.pcap.len() >= self.cfg.pcap_capacity {
             self.pcap.pop_front();
+            self.pcap_dropped += 1;
         }
         self.pcap.push_back(SegmentRecord {
             at_ns: self.now_ns,
@@ -2012,6 +2023,21 @@ mod tests {
         assert_eq!(a.ledger().stat(Rule::FailoverOrder).violations, 1);
         let b = takeover_then_first_byte(&[("kill", 50), ("takeover.arp", 3_000)]);
         assert_eq!(b.ledger().stat(Rule::FailoverOrder).violations, 1);
+    }
+
+    #[test]
+    fn both_rings_count_what_they_evict() {
+        let mut cfg = AuditConfig::new("test");
+        (cfg.ring_capacity, cfg.pcap_capacity) = (3, 2);
+        let mut a = InvariantAuditor::new(cfg);
+        let [src, dst] = [Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(192, 168, 0, 9)];
+        for _ in 0..5 {
+            a.push_event(AuditEventKind::Note, TraceId::NONE, "x");
+            a.push_pcap(src, dst, &Bytes::new(), TraceId::NONE, "release");
+        }
+        assert_eq!(a.dropped(), (2, 3));
+        let report = a.report();
+        assert!(report.contains("ring 3 (+2 dropped), segments 2 (+3 dropped)"));
     }
 
     #[test]

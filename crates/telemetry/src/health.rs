@@ -22,8 +22,9 @@
 //!   release.
 //! * [`SloMonitor`] — multi-window burn-rate evaluation (5 s/60 s of
 //!   sim time by default) over the "replica is healthy" SLO, feeding a
-//!   hysteretic [`AlertMachine`] (`Ok → Warn → Critical`) whose
-//!   transitions land in a bounded [`AlertJournal`].
+//!   hysteretic [`AlertMachine`] (`Ok → Warn → Critical`). Each
+//!   transition, with the condition that moved it, is one `health.alert`
+//!   entry the control plane writes to the hub's journal.
 //! * [`HealthMonitor`] — the detector-side composite the control plane
 //!   (`tcpfo_core::ChainController`) keeps per peer: publishes the
 //!   score *alongside* the binary heartbeat decision, making the
@@ -35,10 +36,9 @@
 //! nothing, preserving the PR2 zero-alloc proof with the observatory
 //! attached.
 
-use crate::json::{array, JsonObject};
+use crate::json::JsonObject;
 use crate::latency::LogHistogram;
 use crate::registry::{Counter, Gauge, Scope};
-use std::collections::VecDeque;
 
 /// Buckets for lag/wait histograms: log2 over `u64` values up to
 /// 2⁴⁸ (≈ 281 TB of lag or ~78 h of waiting — saturation is a signal
@@ -156,9 +156,6 @@ pub struct HealthConfig {
     pub burn_warn_ppm: u64,
     /// Fast-window bad fraction (ppm) below which `Warn` may clear.
     pub burn_clear_ppm: u64,
-    /// Bounded alert-journal capacity; older events are dropped and
-    /// counted.
-    pub journal_cap: usize,
 }
 
 impl Default for HealthConfig {
@@ -178,7 +175,6 @@ impl Default for HealthConfig {
             slow_slot_ns: 7_500_000_000, // 8 slots → 60 s window
             burn_warn_ppm: 200_000,      // 20% bad observations
             burn_clear_ppm: 50_000,      // 5%
-            journal_cap: 64,
         }
     }
 }
@@ -520,7 +516,7 @@ impl SloMonitor {
 }
 
 // ---------------------------------------------------------------------
-// Alert state machine + journal
+// Alert state machine
 // ---------------------------------------------------------------------
 
 /// Hysteretic alert level.
@@ -537,7 +533,7 @@ pub enum AlertState {
 }
 
 impl AlertState {
-    /// Stable lower-case name (journal/JSON/Prometheus label).
+    /// Stable lower-case name (the `health.alert` journal fields).
     pub fn name(self) -> &'static str {
         match self {
             AlertState::Ok => "ok",
@@ -553,90 +549,6 @@ impl AlertState {
             AlertState::Warn => 1,
             AlertState::Critical => 2,
         }
-    }
-}
-
-/// One recorded transition.
-#[derive(Debug, Clone)]
-pub struct AlertEvent {
-    /// Sim time of the transition.
-    pub at_ns: u64,
-    /// State before.
-    pub from: AlertState,
-    /// State after.
-    pub to: AlertState,
-    /// Score total at the transition.
-    pub score: u64,
-    /// Which condition moved the machine.
-    pub reason: &'static str,
-}
-
-/// Bounded ring of alert transitions; overflow drops the oldest event
-/// and counts it.
-#[derive(Debug)]
-pub struct AlertJournal {
-    events: VecDeque<AlertEvent>,
-    cap: usize,
-    /// Events dropped to stay within `cap`.
-    pub dropped: u64,
-}
-
-impl AlertJournal {
-    /// A journal holding at most `cap` events.
-    pub fn new(cap: usize) -> Self {
-        AlertJournal {
-            events: VecDeque::with_capacity(cap.max(1)),
-            cap: cap.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn push(&mut self, ev: AlertEvent) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &AlertEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Sim time of the first transition *into* `state`, if any
-    /// retained event records one.
-    pub fn first_entered(&self, state: AlertState) -> Option<u64> {
-        self.events.iter().find(|e| e.to == state).map(|e| e.at_ns)
-    }
-
-    /// JSON array of the retained events.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .events
-            .iter()
-            .map(|e| {
-                let mut o = JsonObject::new();
-                o.u64("at_ns", e.at_ns)
-                    .string("from", e.from.name())
-                    .string("to", e.to.name())
-                    .u64("score", e.score)
-                    .string("reason", e.reason);
-                o.render()
-            })
-            .collect();
-        array(&rows)
     }
 }
 
@@ -961,9 +873,10 @@ struct HealthGauges {
 }
 
 /// The detector-side composite: per-replica estimators, SLO burn-rate
-/// windows, the alert machine and its journal. The control plane
-/// (`tcpfo_core::ChainController`) owns one per peer and publishes its
-/// score *alongside* the binary heartbeat decision.
+/// windows and the alert machine. The control plane
+/// (`tcpfo_core::ChainController`) owns one per peer, publishes its
+/// score *alongside* the binary heartbeat decision, and journals each
+/// transition [`HealthMonitor::tick`] returns.
 #[derive(Debug)]
 pub struct HealthMonitor {
     /// Scoring/alerting tunables.
@@ -972,7 +885,8 @@ pub struct HealthMonitor {
     pub replica: ReplicaHealth,
     slo: SloMonitor,
     machine: AlertMachine,
-    journal: AlertJournal,
+    /// When the machine first raised at least `Warn`, set once.
+    first_warn: Option<u64>,
     last_score: HealthScore,
     warns: u64,
     criticals: u64,
@@ -988,7 +902,7 @@ impl HealthMonitor {
             replica: ReplicaHealth::default(),
             slo: SloMonitor::new(&cfg),
             machine: AlertMachine::default(),
-            journal: AlertJournal::new(cfg.journal_cap),
+            first_warn: None,
             last_score: HealthScore {
                 total: 100,
                 liveness: 100,
@@ -1007,8 +921,8 @@ impl HealthMonitor {
 
     /// Re-evaluates the score, records the SLO observation in both
     /// burn windows, and steps the alert machine. Returns the alert
-    /// transition, if one fired.
-    pub fn tick(&mut self, now_ns: u64) -> Option<(AlertState, AlertState)> {
+    /// transition, if one fired, with the condition that moved it.
+    pub fn tick(&mut self, now_ns: u64) -> Option<(AlertState, AlertState, &'static str)> {
         let score = self.replica.score(&self.cfg);
         self.last_score = score;
         self.slo.record(now_ns, score.total >= self.cfg.warn_enter);
@@ -1021,14 +935,10 @@ impl HealthMonitor {
             AlertState::Ok => self.recoveries += 1,
             _ => {}
         }
-        self.journal.push(AlertEvent {
-            at_ns: now_ns,
-            from,
-            to,
-            score: score.total,
-            reason,
-        });
-        Some((from, to))
+        if to >= AlertState::Warn {
+            self.first_warn.get_or_insert(now_ns);
+        }
+        Some((from, to, reason))
     }
 
     /// The most recent composed score.
@@ -1041,17 +951,9 @@ impl HealthMonitor {
         self.machine.state()
     }
 
-    /// The bounded alert journal.
-    pub fn journal(&self) -> &AlertJournal {
-        &self.journal
-    }
-
     /// Sim time the machine first raised at least `Warn`, if it did.
     pub fn first_warn_at(&self) -> Option<u64> {
-        self.journal
-            .events()
-            .find(|e| e.to >= AlertState::Warn)
-            .map(|e| e.at_ns)
+        self.first_warn
     }
 
     /// Mirrors score/state/signals into the registry under
@@ -1091,105 +993,6 @@ impl HealthMonitor {
         g.warns.set_at_least(self.warns);
         g.criticals.set_at_least(self.criticals);
         g.recoveries.set_at_least(self.recoveries);
-    }
-
-    /// JSON snapshot: score breakdown, raw signals, burn windows,
-    /// alert state and journal.
-    pub fn to_json(&self, now_ns: u64) -> String {
-        let s = self.last_score;
-        let mut score = JsonObject::new();
-        score
-            .u64("total", s.total)
-            .u64("liveness", s.liveness)
-            .u64("rtt", s.rtt)
-            .u64("jitter", s.jitter)
-            .u64("loss", s.loss)
-            .u64("backlog", s.backlog);
-        let mut raw = JsonObject::new();
-        raw.u64("rtt_ns", s.rtt_ns)
-            .u64("jitter_ns", s.jitter_ns)
-            .u64("misses", u64::from(s.misses))
-            .u64("loss_ppm", s.loss_ppm)
-            .u64("lag_bytes", s.lag_bytes)
-            .u64("heartbeats", self.replica.heartbeats)
-            .u64("rtt_samples", self.replica.rtt_samples)
-            .u64("late_heartbeats", self.replica.late_heartbeats)
-            .u64("occupancy_ppm", self.replica.occupancy_ppm);
-        let fast = self.slo.fast.sliding(now_ns);
-        let slow = self.slo.slow.sliding(now_ns);
-        let mut slo = JsonObject::new();
-        slo.u64("fast_window_ns", self.slo.fast.horizon_ns())
-            .u64("fast_good", fast.good)
-            .u64("fast_bad", fast.bad)
-            .u64("fast_bad_ppm", fast.bad_ppm())
-            .u64("slow_window_ns", self.slo.slow.horizon_ns())
-            .u64("slow_good", slow.good)
-            .u64("slow_bad", slow.bad)
-            .u64("slow_bad_ppm", slow.bad_ppm());
-        let mut o = JsonObject::new();
-        o.u64("now_ns", now_ns)
-            .raw("score", score.render())
-            .raw("raw", raw.render())
-            .raw("slo", slo.render())
-            .string("alert_state", self.machine.state().name())
-            .u64("alerts_warn", self.warns)
-            .u64("alerts_critical", self.criticals)
-            .u64("alerts_recovered", self.recoveries)
-            .u64("alert_journal_dropped", self.journal.dropped)
-            .raw("alert_journal", self.journal.to_json());
-        o.render()
-    }
-
-    /// Prometheus exposition of the alert state and transition
-    /// counters, with `# HELP`/`# TYPE` lines and escaped labels
-    /// (labelled series are outside the registry's name-only model, so
-    /// the monitor emits them directly).
-    pub fn alerts_prometheus(&self, scope: &str) -> String {
-        use crate::registry::{prom_family, prom_sample};
-        let mut out = String::new();
-        prom_family(
-            &mut out,
-            "tcpfo_health_alert_state",
-            "current alert state (0=ok, 1=warn, 2=critical)",
-            "gauge",
-        );
-        prom_sample(
-            &mut out,
-            "tcpfo_health_alert_state",
-            &[("scope", scope)],
-            &self.machine.state().as_u64().to_string(),
-        );
-        prom_family(
-            &mut out,
-            "tcpfo_health_alert_transitions_total",
-            "alert state machine transitions by severity",
-            "counter",
-        );
-        for (to, n) in [
-            ("warn", self.warns),
-            ("critical", self.criticals),
-            ("ok", self.recoveries),
-        ] {
-            prom_sample(
-                &mut out,
-                "tcpfo_health_alert_transitions_total",
-                &[("scope", scope), ("to", to)],
-                &n.to_string(),
-            );
-        }
-        prom_family(
-            &mut out,
-            "tcpfo_health_alert_journal_dropped",
-            "alert journal events dropped at capacity",
-            "counter",
-        );
-        prom_sample(
-            &mut out,
-            "tcpfo_health_alert_journal_dropped",
-            &[("scope", scope)],
-            &self.journal.dropped.to_string(),
-        );
-        out
     }
 }
 
@@ -1312,23 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn alert_journal_bounds_and_counts_drops() {
-        let mut j = AlertJournal::new(2);
-        for i in 0..5u64 {
-            j.push(AlertEvent {
-                at_ns: i,
-                from: AlertState::Ok,
-                to: AlertState::Warn,
-                score: 60,
-                reason: "t",
-            });
-        }
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.dropped, 3);
-        assert_eq!(j.events().next().unwrap().at_ns, 3);
-    }
-
-    #[test]
     fn lag_ledger_update_and_drop_are_exact() {
         let mut lag = ReplicationLag::default();
         lag.update(0, 3000, 1460); // enqueue 3000 bytes
@@ -1367,7 +1153,7 @@ mod tests {
             } else {
                 m.replica.set_misses((tick - 50) as u32);
             }
-            if let Some((_, to)) = m.tick(now) {
+            if let Some((_, to, _)) = m.tick(now) {
                 if to >= AlertState::Warn && first_warn.is_none() {
                     first_warn = Some(now);
                 }
@@ -1391,22 +1177,28 @@ mod tests {
                 .map(|g| g.value),
             Some(98) // rtt axis 90 at 2 ms / 20 ms ceiling, rest 100
         );
-        let json = m.to_json(1_000_000);
-        assert!(json.contains("\"alert_state\": \"ok\""), "{json}");
-        assert!(json.contains("\"fast_window_ns\""), "{json}");
+        let state = snap.gauge("core.control.r0.peer1.health.state");
+        assert_eq!(state.map(|g| g.value), Some(AlertState::Ok.as_u64()));
+        let json = snap.to_json();
+        let warns = "\"core.control.r0.peer1.health.alerts_warn\": 0";
+        assert!(json.contains(warns), "{json}");
     }
 
     #[test]
-    fn alerts_prometheus_escapes_labels_and_has_help_type() {
+    fn first_warn_at_outlasts_many_transitions() {
+        // 60 cycles of one tick at the miss limit (Ok → Critical) and
+        // 400 clean ticks (→ Warn → Ok), 1 ms apart.
         let mut m = HealthMonitor::new(HealthConfig::default());
-        m.replica.set_misses(10);
-        m.tick(0);
-        let text = m.alerts_prometheus("weird\"scope\\with\nnewline");
-        assert!(text.contains("# HELP tcpfo_health_alert_state"));
-        assert!(text.contains("# TYPE tcpfo_health_alert_state gauge"));
-        assert!(text.contains("weird\\\"scope\\\\with\\nnewline"));
-        assert!(text.contains("tcpfo_health_alert_transitions_total{scope="));
-        assert!(text.contains(",to=\"critical\"} 1"));
+        let (mut now, mut transitions) = (0, 0);
+        for _ in 0..60 {
+            for tick in 0..401 {
+                now += 1_000_000;
+                m.replica.set_misses(if tick == 0 { 5 } else { 0 });
+                transitions += usize::from(m.tick(now).is_some());
+            }
+        }
+        assert_eq!(transitions, 180);
+        assert_eq!(m.first_warn_at(), Some(1_000_000));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::timeline::Stamps;
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// One journal entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Event {
     /// Sim time the event occurred.
     pub at_ns: u64,

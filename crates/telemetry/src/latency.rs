@@ -154,10 +154,13 @@ impl<const N: usize> LogHistogram<N> {
 
     /// Merges `other` into `self`. Loses nothing: bucket counts,
     /// count, sum, min and max all combine exactly, so merging is
-    /// associative and commutative across shard-local copies.
-    pub fn merge(&mut self, other: &Self) {
-        for i in 0..N {
-            self.buckets[i] += other.buckets[i];
+    /// associative and commutative across shard-local copies. Bucket
+    /// `i` of `other` lands in bucket `i` here (the top bucket when
+    /// `M > N`), so a narrower histogram merges into a wider one
+    /// exactly too.
+    pub fn merge<const M: usize>(&mut self, other: &LogHistogram<M>) {
+        for (i, &c) in other.buckets.iter().enumerate() {
+            self.buckets[i.min(N - 1)] += c;
         }
         self.count += other.count;
         self.sum = self.sum.wrapping_add(other.sum);
@@ -166,6 +169,20 @@ impl<const N: usize> LogHistogram<N> {
         }
         if other.max > self.max {
             self.max = other.max;
+        }
+    }
+
+    /// The observations recorded since `earlier`, a copy of this
+    /// histogram taken before them: bucket counts, count and sum by
+    /// difference. Min and max stay this histogram's — a difference
+    /// cannot recover the extremes of the later observations alone, and
+    /// the whole run's bound them.
+    pub fn since(&self, earlier: &Self) -> Self {
+        LogHistogram {
+            buckets: std::array::from_fn(|i| self.buckets[i] - earlier.buckets[i]),
+            count: self.count - earlier.count,
+            sum: self.sum.wrapping_sub(earlier.sum),
+            ..*self
         }
     }
 
@@ -540,7 +557,7 @@ impl LatencyObservatory {
     /// Mirrors the per-stage state into the registry under
     /// `scope.lat.<stage>.*`: quantile gauges (`p50_ns`, `p99_ns`,
     /// `p999_ns`, `max_ns`, `count`) plus a registry [`Histogram`]
-    /// fed incrementally (delta since the previous publish) so the
+    /// fed the observations since the previous publish, so the
     /// Prometheus exposition carries real bucket series.
     pub fn publish(&mut self, scope: &Scope, now_ns: u64) {
         let gauges = self.gauges.get_or_insert_with(|| {
@@ -568,23 +585,9 @@ impl LatencyObservatory {
             g.p999.set_at(h.p999(), now_ns);
             g.max.set_at(h.max(), now_ns);
             g.count.set_at(h.count(), now_ns);
-            let prev = self.published.stage(s);
-            if h.count() > prev.count() {
-                let delta_buckets: Vec<(usize, u64)> = h
-                    .buckets()
-                    .iter()
-                    .zip(prev.buckets().iter())
-                    .enumerate()
-                    .filter(|(_, (now, before))| *now > *before)
-                    .map(|(i, (now, before))| (i, now - before))
-                    .collect();
-                g.hist.absorb(
-                    &delta_buckets,
-                    h.count() - prev.count(),
-                    h.sum().wrapping_sub(prev.sum()),
-                    h.min(),
-                    h.max(),
-                );
+            let delta = h.since(self.published.stage(s));
+            if !delta.is_empty() {
+                g.hist.absorb(&delta);
             }
         }
         self.published = self.stages;
@@ -755,8 +758,8 @@ mod tests {
         let g = snap.gauge("core.primary.lat.flow_lookup.count").unwrap();
         assert_eq!(g.value, 2);
         let h = snap.histogram("core.primary.lat.flow_lookup").unwrap();
-        assert_eq!(h.count, 2, "delta publish must not double count");
-        assert_eq!(h.sum, 600);
+        assert_eq!(h.count(), 2, "delta publish must not double count");
+        assert_eq!(h.sum(), 600);
         let p50 = snap.gauge("core.primary.lat.flow_lookup.p50_ns").unwrap();
         assert_eq!(p50.value, 300, "quantile clamps to observed max");
     }

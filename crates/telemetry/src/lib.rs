@@ -10,9 +10,9 @@
 //!
 //! * [`registry`] — a sim-time-aware metrics registry: monotone
 //!   [`Counter`]s, [`Gauge`]s with high-water marks, and
-//!   [`Histogram`]s with fixed log2 buckets. No wall clock anywhere:
-//!   every instrument is keyed by the simulated clock (nanoseconds
-//!   since simulation start, i.e. `SimTime::as_nanos()`).
+//!   [`Histogram`]s, each a shared [`LogHistogram`]. No wall clock
+//!   anywhere: every instrument is keyed by the simulated clock
+//!   (nanoseconds since simulation start, i.e. `SimTime::as_nanos()`).
 //! * [`journal`] — a bounded structured event journal for discrete
 //!   occurrences (mode changes, Δseq sync, takeover steps).
 //! * [`timeline`] — the §5 failover timeline and the redundancy
@@ -48,19 +48,15 @@ pub mod timeline;
 
 pub use audit::{AuditConfig, InvariantAuditor, Rule, RuleLedger, TraceId, Violation};
 pub use health::{
-    AlertEvent, AlertJournal, AlertMachine, AlertState, BurnWindow, Ewma, FlowClass, HealthConfig,
-    HealthMonitor, HealthObservatory, HealthScore, ReplicaHealth, ReplicationLag, SloMonitor,
-    WindowCounts,
+    AlertMachine, AlertState, BurnWindow, Ewma, FlowClass, HealthConfig, HealthMonitor,
+    HealthObservatory, HealthScore, ReplicaHealth, ReplicationLag, SloMonitor, WindowCounts,
 };
 pub use journal::{Event, Journal};
 pub use latency::{
     HostClock, HostHistogram, LatencyObservatory, LogHistogram, Quantile, SimHistogram, Stage,
     StageLatency,
 };
-pub use registry::{
-    escape_help_text, escape_label_value, prom_family, prom_sample, Counter, Gauge, GaugeSnapshot,
-    Histogram, HistogramSnapshot, MetricsSnapshot, Registry, Scope,
-};
+pub use registry::{Counter, Gauge, GaugeSnapshot, Histogram, MetricsSnapshot, Registry, Scope};
 pub use span::{
     chrome_trace_json, waterfall_records, ActiveSpan, SpanContext, SpanId, SpanKind, SpanRecord,
     SpanSampler, SpanTrack, Tracer,

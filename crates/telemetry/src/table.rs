@@ -39,11 +39,8 @@ pub fn render_snapshot(snap: &MetricsSnapshot) -> String {
             .histograms
             .iter()
             .map(|(k, h)| {
-                let mean = h.sum.checked_div(h.count).unwrap_or(0);
-                (
-                    k.clone(),
-                    format!("n={} min={} mean={} max={}", h.count, h.min, mean, h.max),
-                )
+                let (n, min, mean, max) = (h.count(), h.min(), h.mean(), h.max());
+                (k.clone(), format!("n={n} min={min} mean={mean} max={max}"))
             })
             .collect();
         out.push_str(&two_columns("histograms:", &rows));

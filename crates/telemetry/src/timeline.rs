@@ -121,6 +121,32 @@ fn complete<const N: usize>(slots: [Option<u64>; N]) -> Option<[u64; N]> {
     complete.then(|| slots.map(Option::unwrap_or_default))
 }
 
+/// The stamped slots one per line, each with its delta from the
+/// previous stamp, then the named total, if any.
+fn breakdown<const N: usize>(
+    title: &str,
+    names: [&str; N],
+    slots: [Option<u64>; N],
+    total: Option<(&str, u64)>,
+) -> String {
+    let mut out = format!("{title}:\n");
+    let mut prev = None;
+    for (name, at) in names.into_iter().zip(slots) {
+        let stamp = at.map_or("-".into(), crate::fmt_nanos);
+        let delta = at
+            .zip(prev)
+            .map(|(t, p)| format!("  (+{})", crate::fmt_nanos(t.saturating_sub(p))));
+        prev = at.or(prev);
+        let delta = delta.unwrap_or_default();
+        out.push_str(&format!("  {name:<18} {stamp:>12}{delta}\n"));
+    }
+    if let Some((name, total)) = total {
+        let total = crate::fmt_nanos(total);
+        out.push_str(&format!("  {name:<18} {total:>12}\n"));
+    }
+    out
+}
+
 /// `value` rendered, or `null`.
 fn or_null(value: Option<impl ToString>) -> String {
     value.map_or_else(|| "null".into(), |v| v.to_string())
@@ -174,24 +200,11 @@ impl FailoverTimeline {
     }
 
     /// Human-readable per-phase breakdown with deltas, e.g.
-    /// `detection          52ms  (+50ms)`.
+    /// `detection          52ms  (+50ms)`, and the client-visible total.
     pub fn breakdown(&self) -> String {
-        let mut out = String::from("failover timeline:\n");
-        let mut prev = None;
-        for (phase, at) in FailoverPhase::ALL.into_iter().zip(self.slots()) {
-            let stamp = at.map_or("-".into(), crate::fmt_nanos);
-            let delta = at
-                .zip(prev)
-                .map(|(t, p)| format!("  (+{})", crate::fmt_nanos(t.saturating_sub(p))));
-            prev = at.or(prev);
-            let delta = delta.unwrap_or_default();
-            out.push_str(&format!("  {:<18} {stamp:>12}{delta}\n", phase.name()));
-        }
-        if let Some(total) = self.total_ns() {
-            let total = crate::fmt_nanos(total);
-            out.push_str(&format!("  {:<18} {total:>12}\n", "client_visible"));
-        }
-        out
+        let names = FailoverPhase::ALL.map(FailoverPhase::name);
+        let total = self.total_ns().map(|t| ("client_visible", t));
+        breakdown("failover timeline", names, self.slots(), total)
     }
 
     /// Renders the view as a JSON object (unstamped phases are `null`),
@@ -272,6 +285,14 @@ impl RedundancyTimeline {
             catchup_ns: done - handoff,
             total_ns: done - start,
         })
+    }
+
+    /// Human-readable per-phase breakdown with deltas, and the time to
+    /// restored redundancy once the round completed.
+    pub fn breakdown(&self) -> String {
+        let names = RedundancyPhase::ALL.map(RedundancyPhase::name);
+        let total = self.restoration().map(|r| ("restored", r.total_ns));
+        breakdown("redundancy timeline", names, self.slots(), total)
     }
 
     /// Renders the view as a JSON object (unstamped phases `null`),
@@ -395,6 +416,10 @@ mod tests {
         assert_eq!((r.reprovision_ns, r.catchup_ns, r.total_ns), (30, 60, 90));
         let json = red.to_json();
         assert!(json.contains("\"handoff_done\": 130"), "{json}");
+        let text = red.breakdown();
+        assert!(text.contains("catchup_done"), "{text}");
+        assert!(text.contains("(+60ns)"), "{text}");
+        assert!(text.contains("restored"), "{text}");
         assert!(json.contains("\"total_ns\": 90"), "{json}");
         // The next begin opens a new round.
         at(&t, "reprovision.begin", 500);
