@@ -20,7 +20,6 @@ use tcpfo_apps::chain_ops;
 use tcpfo_apps::driver::RequestReplyClient;
 use tcpfo_apps::stream::SourceServer;
 use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
-use tcpfo_core::{ChainConfig, ChainTestbed};
 use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
@@ -98,29 +97,30 @@ fn run(failover: bool, prom: bool) -> i32 {
         }
         print_audits(&mut tb);
     }
-    let mut scene = Scene::Pair(tb, failover);
     match prom {
-        true => prometheus(&scene.hubs()),
-        false => render_frame("tcpfo-inspect run", &scene.hubs()),
+        true => prometheus(&hub_views(&mut tb)),
+        false => render_frame("tcpfo-inspect run", &hub_views(&mut tb)),
     }
-    exit_code(scene.audit_violations())
+    exit_code(tb.audit_violations())
 }
 
-/// The auditors' reports, then one line of what every bounded ring of
-/// the run evicted: the journal, the span ring (with the ends whose
-/// begin it lost), the packet trace and each auditor's two rings.
+/// Every replica's auditor report, then one line of what every bounded
+/// ring of the run evicted: the hubs' journals and span rings (with the
+/// ends whose begin they lost), the packet trace and each auditor's two
+/// rings.
 fn print_audits(tb: &mut Testbed) {
     println!("\n=== invariant auditors ===");
-    let (journal, trace) = (&tb.telemetry.journal, &tb.telemetry.trace);
-    let (journal, spans, lost) = (journal.dropped(), trace.dropped(), trace.lost_ends());
+    let sum = |ring: fn(&Telemetry) -> u64| tb.hubs.iter().map(ring).sum::<u64>();
+    let journal = sum(|h| h.journal.dropped());
+    let (spans, lost) = (sum(|h| h.trace.dropped()), sum(|h| h.trace.lost_ends()));
     let mut drops = format!("drops: journal {journal}, span ring {spans} ({lost} lost ends)");
     drops += &format!(", packet trace {}", tb.sim.trace_dropped());
-    let audit = |a: &InvariantAuditor| (a.report(), a.dropped());
-    let audits = [tb.with_primary_audit(audit), tb.with_secondary_audit(audit)];
-    let audits = ["primary", "secondary"].into_iter().zip(audits);
-    for (who, (report, (ring, segments))) in audits.filter_map(|(w, a)| Some((w, a?))) {
-        println!("{report}");
-        drops += &format!(", {who} auditor ring {ring} / segments {segments}");
+    for i in 0..tb.replicas.len() {
+        let audit = |a: &InvariantAuditor| (a.report(), a.label().to_string(), a.dropped());
+        if let Some((report, who, (ring, segments))) = tb.with_audit(i, audit) {
+            println!("{report}");
+            drops += &format!(", {who} auditor ring {ring} / segments {segments}");
+        }
     }
     println!("{drops}\n");
 }
@@ -132,24 +132,24 @@ fn pair_scene(audit: bool, health: bool, bytes: u64) -> Testbed {
     let mut cfg = TestbedConfig::default();
     (cfg.audit, cfg.health) = (audit.then_some(true), health.then_some(true));
     cfg.latency = Some(true);
-    let mut tb = Testbed::new(cfg);
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim
-            .with::<Host, _>(node, |h, _| h.add_app(Box::new(SourceServer::new(80))));
-    }
-    add_client(&mut tb.sim, tb.client, bytes);
-    tb
+    serving(cfg, bytes)
 }
 
 /// A depth-`replicas` chain (seed 0x1C, auditor and health observatory
 /// on, span tracing per `span_trace`) serving a 16 MB download.
-fn chain_scene(replicas: usize, span_trace: Option<bool>) -> ChainTestbed {
-    let mut cfg = ChainConfig::default();
+fn chain_scene(replicas: usize, span_trace: Option<bool>) -> Testbed {
+    let mut cfg = TestbedConfig::default();
     (cfg.replicas, cfg.seed, cfg.span_trace) = (replicas, 0x1C, span_trace);
     (cfg.audit, cfg.health) = (Some(true), Some(true));
-    let mut tb = ChainTestbed::new(cfg);
+    serving(cfg, 16_000_000)
+}
+
+/// The testbed `cfg` builds, every replica serving the pattern source
+/// on port 80 and the client asking it for `bytes`.
+fn serving(cfg: TestbedConfig, bytes: u64) -> Testbed {
+    let mut tb = Testbed::new(cfg);
     tb.install_servers(|| SourceServer::new(80));
-    add_client(&mut tb.sim, tb.client, 16_000_000);
+    add_client(&mut tb.sim, tb.client, bytes);
     tb
 }
 
@@ -176,13 +176,19 @@ const CHAIN_PHASES: [&str; 3] = [
     "standby reprovisioned — catch-up",
 ];
 
-/// A scene the view reads, with its script: the pair (whose replicas
-/// share one hub) on the canned download, failing over or not; the pair
-/// degraded in stages; or a chain (one hub per replica).
-enum Scene {
-    Pair(Testbed, bool),
-    Degrade(Testbed),
-    Chain(Box<ChainTestbed>),
+/// A scene the view reads: a testbed (one hub per replica) and its
+/// script.
+struct Scene {
+    tb: Testbed,
+    script: Script,
+}
+
+/// The pair on the canned download, failing over or not; the pair
+/// degraded in stages; or a chain.
+enum Script {
+    Pair { failover: bool },
+    Degrade,
+    Chain,
 }
 
 /// One hub as a frame shows it: its label, with dead replicas marked,
@@ -197,23 +203,23 @@ impl Scene {
     /// The scene `name` as `args` configure it, with its frame count.
     fn new(name: &str, args: &[String]) -> Option<(Scene, usize)> {
         let frames = |default| flag(args, "--frames", default);
-        Some(match name {
+        let (tb, script, frames) = match name {
             "pair" => {
-                let tb = pair_scene(true, false, 4_000_000);
                 let failover = switch(args, "--failover");
-                (Scene::Pair(tb, failover), frames(16).max(1))
+                let tb = pair_scene(true, false, 4_000_000);
+                (tb, Script::Pair { failover }, frames(16).max(1))
             }
             "degrade" => {
                 let tb = pair_scene(false, true, 4_000_000);
-                (Scene::Degrade(tb), frames(12).max(4))
+                (tb, Script::Degrade, frames(12).max(4))
             }
             "chain" => {
                 let replicas = flag(args, "--replicas", 3).clamp(2, 8);
-                let tb = Box::new(chain_scene(replicas, None));
-                (Scene::Chain(tb), frames(8).max(4))
+                (chain_scene(replicas, None), Script::Chain, frames(8).max(4))
             }
             _ => return None,
-        })
+        };
+        Some((Scene { tb, script }, frames))
     }
 
     /// Plays `frame` of `frames`: the script's action for it, then 250 ms
@@ -226,15 +232,16 @@ impl Scene {
         // The phase is the number of the script's marks `frame` reached.
         let reached = |marks: &[usize]| marks.iter().filter(|&&m| m <= frame).count();
         let ms = SimDuration::from_millis;
-        match self {
-            Scene::Pair(tb, failover) => {
-                if *failover && frame == 1 {
+        let tb = &mut self.tb;
+        match self.script {
+            Script::Pair { failover } => {
+                if failover && frame == 1 {
                     tb.kill_primary();
                 }
                 tb.run_for(ms(250));
-                ["transfer", "primary KILLED — takeover"][usize::from(*failover && frame >= 1)]
+                ["transfer", "primary KILLED — takeover"][usize::from(failover && frame >= 1)]
             }
-            Scene::Degrade(tb) => {
+            Script::Degrade => {
                 let marks = [frames / 4, frames * 2 / 4, frames * 5 / 8, frames * 3 / 4];
                 // Loss, propagation and jitter (ms) of each stage.
                 let stages = [(0.05, 2, 0), (0.15, 8, 4), (0.30, 12, 8)];
@@ -252,7 +259,7 @@ impl Scene {
                 tb.run_for(ms(250));
                 DEGRADE_PHASES[reached(&marks)]
             }
-            Scene::Chain(tb) => {
+            Script::Chain => {
                 let kill = (frames / 4).max(1);
                 let marks = [kill, (frames / 2).max(kill + 1)];
                 if frame == marks[0] {
@@ -266,36 +273,19 @@ impl Scene {
             }
         }
     }
+}
 
-    /// Every hub of the scene, each living bridge's latest state
-    /// published first.
-    fn hubs(&mut self) -> Vec<HubView> {
-        let mark = |dead: bool| if dead { " DEAD" } else { "" };
-        match self {
-            Scene::Pair(tb, _) | Scene::Degrade(tb) => {
-                let [p, s] =
-                    [tb.primary, tb.secondary.expect("replicated")].map(|n| tb.sim.is_dead(n));
-                let label = format!("pair hub: primary{}, secondary{}", mark(p), mark(s));
-                let (hub, snap) = (tb.telemetry.clone(), Some(tb.metrics_snapshot()));
-                vec![HubView { label, hub, snap }]
-            }
-            Scene::Chain(tb) => (0..tb.replicas.len())
-                .map(|i| {
-                    let (addr, dead, hub) = (tb.replica_addrs[i], tb.dead[i], tb.hubs[i].clone());
-                    let label = format!("replica {i} ({addr}){}", mark(dead));
-                    let snap = (!dead).then(|| tb.metrics_snapshot(i));
-                    HubView { label, hub, snap }
-                })
-                .collect(),
-        }
-    }
-
-    fn audit_violations(&mut self) -> u64 {
-        match self {
-            Scene::Pair(tb, _) | Scene::Degrade(tb) => tb.audit_violations(),
-            Scene::Chain(tb) => tb.audit_violations(),
-        }
-    }
+/// Every replica's hub, each living bridge's latest state published
+/// first.
+fn hub_views(tb: &mut Testbed) -> Vec<HubView> {
+    (0..tb.replicas.len())
+        .map(|i| {
+            let (addr, dead, hub) = (tb.replica_addrs[i], tb.is_dead(i), tb.hubs[i].clone());
+            let label = format!("replica {i} ({addr}){}", if dead { " DEAD" } else { "" });
+            let snap = (!dead).then(|| tb.metrics_snapshot(i));
+            HubView { label, hub, snap }
+        })
+        .collect()
 }
 
 /// The live view: plays the scene `args[0]` names, a frame at a time.
@@ -311,12 +301,12 @@ fn watch(args: &[String]) -> i32 {
         }
         let n = frame + 1;
         let title = format!("tcpfo-inspect watch {name} — {phase} — frame {n}/{frames}");
-        render_frame(&title, &scene.hubs());
+        render_frame(&title, &hub_views(&mut scene.tb));
     }
     if switch(args, "--prom") {
-        prometheus(&scene.hubs());
+        prometheus(&hub_views(&mut scene.tb));
     }
-    exit_code(scene.audit_violations())
+    exit_code(scene.tb.audit_violations())
 }
 
 /// The bridge counters a frame shows (when non-zero), by name.
@@ -365,7 +355,6 @@ fn render_frame(title: &str, views: &[HubView]) {
     let control = |e: &Event| {
         e.scope.starts_with("core.control.")
             || e.scope == "testbed"
-            || e.scope == "chain_testbed"
             || e.kind.starts_with("reprovision.")
     };
     // Each hub's own order stands within an instant (the sort is stable).
@@ -391,15 +380,13 @@ fn section(title: &str, rows: impl Iterator<Item = (String, String)>) {
     }
 }
 
-/// Each living hub's Prometheus exposition, headed by its label when the
-/// scene has more than one hub.
+/// Each living hub's Prometheus exposition, closed by a comment naming
+/// its replica.
 fn prometheus(views: &[HubView]) {
     for v in views {
         let Some(snap) = &v.snap else { continue };
-        if views.len() > 1 {
-            println!("# {}", v.label);
-        }
         print!("{}", snap.to_prometheus());
+        println!("# end of {}", v.label);
     }
 }
 

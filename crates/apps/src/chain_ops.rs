@@ -13,7 +13,6 @@
 //! because the pattern is a pure function of the offset.
 
 use crate::stream::SourceServer;
-use tcpfo_core::chain_testbed::ChainTestbed;
 use tcpfo_core::reprovision;
 use tcpfo_core::testbed::{addrs, Testbed};
 use tcpfo_core::ChainController;
@@ -66,15 +65,15 @@ fn hand_off(sim: &mut Simulator, survivor: NodeId, joiner: NodeId) -> usize {
 /// index.
 ///
 /// On return the round is in its catch-up phase; drive it with
-/// [`ChainTestbed::run_until_restored`] (or poll
-/// [`ChainTestbed::catchup_lag`] yourself) until the old tail's backlog
+/// [`Testbed::run_until_restored`] (or poll
+/// [`Testbed::catchup_lag`] yourself) until the old tail's backlog
 /// drains to zero.
 ///
 /// # Panics
 ///
 /// Panics if the tail host's app 0 is not a [`SourceServer`], or if
-/// the testbed has no hub port left for another standby.
-pub fn reprovision_tail(tb: &mut ChainTestbed) -> usize {
+/// the testbed has a back-end (it holds the standby's address).
+pub fn reprovision_tail(tb: &mut Testbed) -> usize {
     let tail = tb.replicas[tb.tail_index()];
     let standby = tb.spawn_standby();
     let node = tb.replicas[standby];

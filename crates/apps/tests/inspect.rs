@@ -30,7 +30,7 @@ fn run_failover_reports_the_takeover_and_every_ring_drop() {
     let auditors = ["primary auditor ring", "secondary auditor ring", "segments"];
     assert!(line_of(&out, &drops).is_some(), "{out}");
     assert!(line_of(&out, &auditors).is_some(), "{out}");
-    assert!(out.contains("pair hub: primary DEAD, secondary"), "{out}");
+    assert!(out.contains("replica 0 (10.0.0.2) DEAD"), "{out}");
     assert!(
         line_of(&out, &["core.control.r1 promoted"]).is_some(),
         "{out}"

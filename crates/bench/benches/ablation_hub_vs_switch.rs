@@ -5,7 +5,7 @@
 
 use tcpfo_apps::driver::RequestReplyClient;
 use tcpfo_apps::stream::SourceServer;
-use tcpfo_bench::{header, install_servers, paper_testbed, row, run_until, Mode};
+use tcpfo_bench::{header, paper_testbed, row, run_until, Mode};
 use tcpfo_core::testbed::{addrs, SegmentKind, Testbed};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
@@ -15,7 +15,7 @@ fn attempt(mode: Mode, segment: SegmentKind) -> String {
     let mut cfg = paper_testbed(mode, 0xE8);
     cfg.segment = segment;
     let mut tb = Testbed::new(cfg);
-    install_servers(&mut tb, || SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),

@@ -72,18 +72,6 @@ pub fn paper_testbed(mode: Mode, seed: u64) -> TestbedConfig {
     cfg
 }
 
-/// Installs `mk()` on the primary (and the secondary when present).
-pub fn install_servers<A: tcpfo_tcp::SocketApp>(tb: &mut Testbed, mk: impl Fn() -> A) {
-    tb.sim.with::<Host, _>(tb.primary, |h, _| {
-        h.add_app(Box::new(mk()));
-    });
-    if let Some(s) = tb.secondary {
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new(mk()));
-        });
-    }
-}
-
 /// Runs `tb` until `done(tb)` or the deadline; returns whether it
 /// finished.
 pub fn run_until(
@@ -109,7 +97,7 @@ pub fn run_until(
 /// §9) and returns their statistics.
 pub fn measure_conn_setup(mode: Mode, n: u32, seed: u64) -> DurationStats {
     let mut tb = Testbed::new(paper_testbed(mode, seed));
-    install_servers(&mut tb, || SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(ConnectProbeClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -137,7 +125,7 @@ pub fn measure_conn_setup(mode: Mode, n: u32, seed: u64) -> DurationStats {
 /// semantics, §9) and the fully-acknowledged time for one message.
 pub fn measure_send_time(mode: Mode, bytes: u64, seed: u64) -> (SimDuration, SimDuration) {
     let mut tb = Testbed::new(paper_testbed(mode, seed));
-    install_servers(&mut tb, || SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -166,7 +154,7 @@ pub fn measure_send_time(mode: Mode, bytes: u64, seed: u64) -> (SimDuration, Sim
 /// One Fig. 4 measurement: request → last reply byte.
 pub fn measure_request_reply(mode: Mode, reply_bytes: u64, seed: u64) -> SimDuration {
     let mut tb = Testbed::new(paper_testbed(mode, seed));
-    install_servers(&mut tb, || SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -225,7 +213,7 @@ pub fn wan_testbed(mode: Mode, seed: u64) -> TestbedConfig {
 /// Runs one FTP session over the WAN and returns its records.
 pub fn run_ftp_wan(mode: Mode, ops: Vec<FtpOp>, seed: u64) -> Vec<FtpRecord> {
     let mut tb = Testbed::new(wan_testbed(mode, seed));
-    install_servers(&mut tb, FtpServer::new);
+    tb.install_servers(FtpServer::new);
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(FtpClient::new(
             SocketAddr::new(addrs::A_P, FTP_CTRL_PORT),
@@ -271,7 +259,7 @@ pub fn measure_failover_timing(timeout: SimDuration, seed: u64) -> FailoverTimin
         timeout,
     };
     let mut tb = Testbed::new(cfg);
-    install_servers(&mut tb, || SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     let total: u64 = 4_000_000;
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
@@ -338,7 +326,7 @@ pub fn measure_goodput_under_loss(mode: Mode, loss: f64, bytes: u64, seed: u64) 
     cfg.client_link = LinkParams::fast_ethernet().with_loss(loss);
     cfg.attachment_loss = loss / 2.0;
     let mut tb = Testbed::new(cfg);
-    install_servers(&mut tb, || SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),

@@ -35,7 +35,10 @@
 //!   daisy chains place one bridge at every position.
 //! * [`testbed`] — the paper's Figure-1 topology (client, router,
 //!   shared segment, P, S, optional back-end T) as a one-call builder,
-//!   including the standard-TCP baseline and the switch ablation.
+//!   including the standard-TCP baseline, the switch ablation and daisy
+//!   chains: a pair is a chain of two, one telemetry hub per replica.
+//! * [`chain_testbed`] — the chain testbed's names, kept for the
+//!   standing benchmark.
 //!
 //! # Example
 //!

@@ -1,17 +1,29 @@
-//! The paper's testbed (Figure 1) as a ready-made simulation:
+//! The paper's testbed (Figure 1) as a ready-made simulation, and the
+//! daisy chain (§1's extension) as the same picture with more replicas:
 //!
 //! ```text
 //!   client C ──(link)── router ──┐
 //!                                hub (shared 100 Mb/s segment)
-//!                        primary P ┤
-//!                      secondary S ┤   (promiscuous)
-//!                 back-end T (opt) ┘
+//!            replica 0: primary P ┤   (owns the VIP)
+//!          replica 1: secondary S ┤   (promiscuous)
+//!                    replica 2, … ┤   (promiscuous)
+//!                back-end T (opt) ┘
 //! ```
 //!
-//! The same builder produces the **standard TCP** baseline (no
-//! secondary, no bridges) used by every comparison in §9, the
-//! **failover** configuration, the switched-segment ablation, and the
-//! WAN variant for the FTP experiment (Fig. 6).
+//! A pair is a chain of two. One builder places every replica — a
+//! founder, a reprovisioned standby, a rebooted secondary — by its
+//! position, on a telemetry hub of its own; the pair's vocabulary
+//! (`kill_primary`, `primary_stats`, …) is a set of one-line methods
+//! over replicas 0 and 1. The same builder produces the **standard TCP**
+//! baseline (one server, no bridges) used by every comparison in §9,
+//! the switched-segment ablation, and the WAN variant for the FTP
+//! experiment (Fig. 6).
+//!
+//! [`Testbed::spawn_standby`], [`Testbed::handoff_done`] and
+//! [`Testbed::run_until_restored`] put a [`crate::reprovision`] round on
+//! the tracker; the handoff itself (the node-level primitives plus
+//! resuming the deterministic stream) lives with the apps
+//! (`tcpfo_apps::chain_ops`).
 
 use crate::chain::ChainController;
 use crate::designation::FailoverConfig;
@@ -19,17 +31,16 @@ use crate::detector::DetectorConfig;
 use crate::flow::FlowTableConfig;
 use crate::observers::Observers;
 use crate::primary::{PrimaryBridge, PrimaryStats};
+use crate::reprovision::{ReprovisionPhase, ReprovisionTracker};
 use tcpfo_net::hub::Hub;
 use tcpfo_net::link::LinkParams;
 use tcpfo_net::router::{Interface, Router};
-use tcpfo_net::sim::DEFAULT_TRACE_CAPACITY;
-use tcpfo_net::sim::{NodeId, Simulator};
+use tcpfo_net::sim::{NodeId, Simulator, DEFAULT_TRACE_CAPACITY};
 use tcpfo_net::switch::Switch;
-use tcpfo_net::time::SimDuration;
+use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_net::trace::{to_pcapng, TraceKind};
 use tcpfo_tcp::config::TcpConfig;
-use tcpfo_tcp::filter::SegmentFilter;
-use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig};
+use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig, TOKEN_TICK};
 use tcpfo_telemetry::journal::DEFAULT_CAPACITY as DEFAULT_JOURNAL_CAPACITY;
 use tcpfo_telemetry::span::DEFAULT_SPAN_CAPACITY;
 use tcpfo_telemetry::{
@@ -45,9 +56,9 @@ pub mod addrs {
 
     /// The unreplicated client C.
     pub const A_C: Ipv4Addr = Ipv4Addr::new(192, 168, 0, 9);
-    /// The primary server P.
+    /// The primary server P: replica 0, and the VIP.
     pub const A_P: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-    /// The secondary server S.
+    /// The secondary server S: replica 1. Replica `i` is `10.0.0.(2+i)`.
     pub const A_S: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
     /// The unreplicated back-end T (§7.2), on the server segment.
     pub const A_T: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
@@ -63,10 +74,8 @@ pub mod macs {
 
     /// Client NIC.
     pub const CLIENT: MacAddr = MacAddr::from_index(1);
-    /// Primary NIC.
+    /// Primary NIC. Replica `i`'s NIC is index `2 + i`.
     pub const PRIMARY: MacAddr = MacAddr::from_index(2);
-    /// Secondary NIC.
-    pub const SECONDARY: MacAddr = MacAddr::from_index(3);
     /// Back-end NIC.
     pub const BACKEND: MacAddr = MacAddr::from_index(4);
     /// Router, client side.
@@ -74,6 +83,10 @@ pub mod macs {
     /// Router, server side.
     pub const ROUTER_SERVER: MacAddr = MacAddr::from_index(101);
 }
+
+/// The back-end and replica 2 would share an address and a NIC.
+const BACKEND_CLASH: &str = "the back-end T holds 10.0.0.4 and NIC 4, replica 2's: \
+     a testbed with a back-end has two replicas and no standby";
 
 /// What kind of server segment to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,12 +104,16 @@ pub enum SegmentKind {
 pub struct TestbedConfig {
     /// Simulation seed (determinism).
     pub seed: u64,
-    /// Build the secondary + bridges (`false` = standard TCP baseline).
+    /// Build the replicas + bridges (`false` = standard TCP baseline:
+    /// one server, no bridges).
     pub replicated: bool,
+    /// Founding replicas, head first: 2 is the paper's pair, more a
+    /// daisy chain (at most 200). Ignored when `replicated` is false.
+    pub replicas: usize,
     /// Also attach the unreplicated back-end T to the server segment.
     pub with_backend: bool,
-    /// Failover port set (§7 method 2) configured identically on P
-    /// and S.
+    /// Failover port set (§7 method 2) configured identically on every
+    /// replica.
     pub failover_ports: Vec<u16>,
     /// Fault-detector parameters.
     pub detector: DetectorConfig,
@@ -130,31 +147,31 @@ pub struct TestbedConfig {
     /// "the primary server's segment is lost on its way to the
     /// client").
     pub loss_to_router: f64,
-    /// Attach the online invariant auditor to both bridges. This and
+    /// Attach the online invariant auditor to every bridge. This and
     /// the three switches below follow one rule: `Some(_)` always wins;
     /// `None` follows the environment (`TCPFO_AUDIT` here), which
     /// [`ObserverSwitches::resolve`] reads once per testbed.
     pub audit: Option<bool>,
-    /// Attach the per-stage latency observatory to both bridges
+    /// Attach the per-stage latency observatory to every bridge
     /// (`None`: `TCPFO_LATENCY`).
     pub latency: Option<bool>,
     /// Attach the replica health observatory (replication-lag ledger)
-    /// to both bridges; the controllers' advisory per-peer monitors are
+    /// to every bridge; the controllers' advisory per-peer monitors are
     /// always on (`None`: `TCPFO_HEALTH`).
     pub health: Option<bool>,
-    /// Arm the failover span tracer: attach the hub's span ring and a
-    /// hot-path batch sampler on both bridges (`None`:
-    /// `TCPFO_TRACE`). Distinct from [`TestbedConfig::trace_capacity`],
-    /// which sizes the *packet* trace ring.
+    /// Arm the failover span tracer: attach every hub's span ring and a
+    /// hot-path batch sampler on every bridge (`None`: `TCPFO_TRACE`).
+    /// Distinct from [`TestbedConfig::trace_capacity`], which sizes the
+    /// *packet* trace ring.
     pub span_trace: Option<bool>,
-    /// Event-journal ring capacity (`None`:
+    /// Event-journal ring capacity of every hub (`None`:
     /// [`tcpfo_telemetry::journal::DEFAULT_CAPACITY`]).
     pub journal_capacity: Option<usize>,
     /// Packet-trace ring capacity (`None`: [`DEFAULT_TRACE_CAPACITY`]).
     pub trace_capacity: Option<usize>,
-    /// Flow-table shard count for both bridges (`None`: 1).
+    /// Flow-table shard count for every bridge (`None`: 1).
     pub flow_shards: Option<usize>,
-    /// Total flow-table capacity for both bridges (`None`: 65 536).
+    /// Total flow-table capacity for every bridge (`None`: 65 536).
     pub flow_cap: Option<usize>,
 }
 
@@ -163,6 +180,7 @@ impl Default for TestbedConfig {
         TestbedConfig {
             seed: 42,
             replicated: true,
+            replicas: 2,
             with_backend: false,
             failover_ports: vec![80],
             detector: DetectorConfig::default(),
@@ -199,105 +217,63 @@ impl TestbedConfig {
             ..TestbedConfig::default()
         }
     }
-}
 
-/// The flow-table config the testbed's bridges should use, when either
-/// field overrides the defaults.
-fn flow_config_override(config: &TestbedConfig) -> Option<FlowTableConfig> {
-    if config.flow_shards.is_none() && config.flow_cap.is_none() {
-        return None;
+    /// The flow-table config every bridge should use, when either field
+    /// overrides the defaults.
+    fn flow_table(&self) -> Option<FlowTableConfig> {
+        if self.flow_shards.is_none() && self.flow_cap.is_none() {
+            return None;
+        }
+        let base = FlowTableConfig::default();
+        let shards = self.flow_shards.unwrap_or(base.shards);
+        Some(FlowTableConfig::new(
+            shards,
+            self.flow_cap.unwrap_or(base.capacity),
+        ))
     }
-    let base = FlowTableConfig::default();
-    Some(FlowTableConfig::new(
-        config.flow_shards.unwrap_or(base.shards),
-        config.flow_cap.unwrap_or(base.capacity),
-    ))
+
+    /// A server-segment host: `seed_off` separates the per-host ISN
+    /// streams derived from the testbed seed, above the bits the ISN
+    /// hash folds the local address into (at `<< 32` it cancelled it:
+    /// every flow had `Δseq = 0`).
+    fn server_host(&self, label: &str, mac: MacAddr, ip: Ipv4Addr, seed_off: u64) -> HostConfig {
+        let tcp = self.tcp.clone().with_isn_seed(self.seed ^ (seed_off << 40));
+        let mut h = HostConfig::new(label, mac, ip)
+            .with_gateway(addrs::GW_SERVER)
+            .with_tcp(tcp);
+        h.cpu = self.cpu;
+        h.tick = self.tick;
+        h
+    }
 }
 
-// ---------------------------------------------------------------------
-// The pieces both testbeds are built from (a pair is a chain of two)
-// ---------------------------------------------------------------------
-
-/// NIC address of the replica at chain position `index` (P and S are
-/// positions 0 and 1).
+/// NIC address of the replica at chain position `index`.
 pub(crate) fn replica_mac(index: usize) -> MacAddr {
     MacAddr::from_index(2 + index as u32)
 }
 
-/// Host configuration for a node on the server segment; `seed_off`
-/// separates the per-host ISN streams derived from the testbed seed,
-/// above the bits the ISN hash folds the local address into (at `<< 32`
-/// it cancelled it: every flow had `Δseq = 0`).
-fn server_host_config(
-    config: &TestbedConfig,
-    label: &str,
-    mac: MacAddr,
-    ip: Ipv4Addr,
-    seed_off: u64,
-) -> HostConfig {
-    let tcp = config
-        .tcp
-        .clone()
-        .with_isn_seed(config.seed ^ (seed_off << 40));
-    let mut h = HostConfig::new(label, mac, ip)
-        .with_gateway(addrs::GW_SERVER)
-        .with_tcp(tcp);
-    h.cpu = config.cpu;
-    h.tick = config.tick;
-    h
+/// Host and auditor label of replica `index`: the pair's names for the
+/// first two, a number for the rest.
+fn replica_label(index: usize) -> String {
+    let pair = ["primary", "secondary"].get(index);
+    pair.map_or_else(|| format!("replica{index}"), |l| l.to_string())
 }
 
-/// The router and the client host, linked and with each other's
-/// addresses in their ARP caches. Returns `(router, client)`.
-pub(crate) fn spawn_router_and_client(
-    sim: &mut Simulator,
-    config: &TestbedConfig,
-    client_hub: Option<&Telemetry>,
-) -> (NodeId, NodeId) {
-    let mut router = Router::new(
-        "router",
-        vec![
-            Interface {
-                mac: macs::ROUTER_CLIENT,
-                ip: addrs::GW_CLIENT,
-                prefix_len: 24,
-            },
-            Interface {
-                mac: macs::ROUTER_SERVER,
-                ip: addrs::GW_SERVER,
-                prefix_len: 24,
-            },
-        ],
-        config.router_delay,
-    );
-    router.prime_arp(addrs::A_C, 0, macs::CLIENT);
-    let router = sim.add_device(Box::new(router));
-    let mut client_cfg = HostConfig::new("client", macs::CLIENT, addrs::A_C)
-        .with_gateway(addrs::GW_CLIENT)
-        .with_tcp(config.tcp.clone().with_isn_seed(config.seed ^ (1 << 32)));
-    client_cfg.cpu = config.client_cpu;
-    client_cfg.tick = config.tick;
-    let mut client = Host::new(client_cfg);
-    if let Some(hub) = client_hub {
-        client.set_telemetry(hub);
+/// A replica's telemetry hub: the journal sized by `config`, the span
+/// ring armed iff the resolved switches say so.
+fn new_hub(config: &TestbedConfig, observers: ObserverSwitches) -> Telemetry {
+    let capacity = config.journal_capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY);
+    let hub = Telemetry::with_journal_capacity(capacity);
+    if observers.span_trace {
+        hub.trace.attach(DEFAULT_SPAN_CAPACITY);
     }
-    client
-        .net_mut()
-        .prime_arp(addrs::GW_CLIENT, macs::ROUTER_CLIENT);
-    let client = spawn_host(sim, client);
-    sim.connect((router, 0), (client, 0), config.client_link);
-    (router, client)
+    hub
 }
 
-/// Pre-populates ARP caches on the server segment ("we made sure that
-/// the MAC addresses of all nodes were present in the ARP caches",
-/// §9): every host of `nodes` learns the gateway and every entry of
-/// `known` but its own.
-pub(crate) fn prime_server_arp(
-    sim: &mut Simulator,
-    nodes: &[NodeId],
-    known: &[(Ipv4Addr, MacAddr)],
-) {
+/// Teaches every host of `nodes` the gateway and every entry of
+/// `known` but its own ("we made sure that the MAC addresses of all
+/// nodes were present in the ARP caches", §9).
+fn prime_server_arp(sim: &mut Simulator, nodes: &[NodeId], known: &[(Ipv4Addr, MacAddr)]) {
     for &node in nodes {
         sim.with::<Host, _>(node, |h, _| {
             let own = h.ip();
@@ -312,114 +288,12 @@ pub(crate) fn prime_server_arp(
 /// Teaches the router's server-side interface the entries of `known`.
 /// Not for addresses that may have moved: a takeover's gratuitous ARP
 /// is what the router must keep believing.
-pub(crate) fn prime_router_arp(sim: &mut Simulator, router: NodeId, known: &[(Ipv4Addr, MacAddr)]) {
+fn prime_router_arp(sim: &mut Simulator, router: NodeId, known: &[(Ipv4Addr, MacAddr)]) {
     sim.with::<Router, _>(router, |r, _| {
         for &(ip, mac) in known {
             r.prime_arp(ip, 1, mac);
         }
     });
-}
-
-/// Runs `f` on the bridge of type `B` that host `node` runs; `None`
-/// when it runs another kind of filter.
-pub(crate) fn with_bridge<B: 'static, R>(
-    sim: &mut Simulator,
-    node: NodeId,
-    f: impl FnOnce(&mut B) -> R,
-) -> Option<R> {
-    sim.with::<Host, _>(node, |h, _| {
-        h.filter_mut().as_any_mut().downcast_mut::<B>().map(f)
-    })
-}
-
-/// A telemetry hub as every testbed builds one: the journal sized by
-/// `config`, the span ring armed iff the resolved switches say so —
-/// nothing here looks at the environment.
-pub(crate) fn new_hub(config: &TestbedConfig, observers: ObserverSwitches) -> Telemetry {
-    let capacity = config.journal_capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY);
-    let hub = Telemetry::with_journal_capacity(capacity);
-    if observers.span_trace {
-        hub.trace.attach(DEFAULT_SPAN_CAPACITY);
-    }
-    hub
-}
-
-/// The bridge of the replica at `own` — the pair's P or S, a chain's
-/// head, middle link or tail — publishing into `telemetry`, with the
-/// flow-table override and the observers that are switched on.
-pub(crate) fn link_bridge(
-    own: Ipv4Addr,
-    upstream: Option<Ipv4Addr>,
-    downstream: Option<Ipv4Addr>,
-    config: &TestbedConfig,
-    observers: ObserverSwitches,
-    telemetry: &Telemetry,
-    audit_label: &str,
-) -> PrimaryBridge {
-    let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
-    let mut bridge = PrimaryBridge::link(addrs::A_P, own, upstream, downstream, fo);
-    if let Some(fc) = flow_config_override(config) {
-        bridge.set_flow_config(fc);
-    }
-    bridge.set_telemetry(telemetry);
-    *bridge.observers_mut() = Observers::attach(observers, telemetry, audit_label);
-    bridge
-}
-
-/// The host of the replica at position `index` of `chain`: `filter` as
-/// its bridge, a [`ChainController`] over the chain, the failover ports
-/// registered. Everyone but the head snoops.
-pub(crate) fn replica_host(
-    config: &TestbedConfig,
-    telemetry: &Telemetry,
-    label: &str,
-    chain: &[Ipv4Addr],
-    index: usize,
-    filter: Box<dyn SegmentFilter>,
-) -> Host {
-    let mut cfg = server_host_config(
-        config,
-        label,
-        replica_mac(index),
-        chain[index],
-        index as u64 + 2,
-    );
-    cfg.promiscuous = index != 0;
-    let mut host = Host::new(cfg);
-    host.set_telemetry(telemetry);
-    host.set_filter(filter);
-    let mut controller = ChainController::new(chain.to_vec(), index, config.detector);
-    controller.set_telemetry(telemetry);
-    host.set_controller(Box::new(controller));
-    for &p in &config.failover_ports {
-        host.stack_mut().add_failover_port(p);
-    }
-    host
-}
-
-/// Replica `index` of the pair `[a_p, a_s]` with an empty bridge — P
-/// (0) the head, S (1) the tail: the hosts `Testbed::new` starts with
-/// and the one `revive_secondary` boots in S's place.
-fn pair_replica(
-    config: &TestbedConfig,
-    telemetry: &Telemetry,
-    observers: ObserverSwitches,
-    index: usize,
-    audit_label: &str,
-) -> Host {
-    let (own, up, down) = match index {
-        0 => (addrs::A_P, None, Some(addrs::A_S)),
-        _ => (addrs::A_S, Some(addrs::A_P), None),
-    };
-    let bridge = link_bridge(own, up, down, config, observers, telemetry, audit_label);
-    let label = ["primary", "secondary"][index];
-    let chain = [addrs::A_P, addrs::A_S];
-    let mut host = replica_host(config, telemetry, label, &chain, index, Box::new(bridge));
-    // The paper's §5 is unconditional: a pair whose only successor
-    // vetoes itself is a service with no head.
-    host.controller_mut::<ChainController>()
-        .set_promote_threshold(0);
-    host
 }
 
 /// The assembled testbed.
@@ -428,10 +302,22 @@ pub struct Testbed {
     pub sim: Simulator,
     /// Client host node.
     pub client: NodeId,
-    /// Primary server node.
+    /// Server hosts, head first: the replicas (`replicas[0]` owns the
+    /// VIP at start), or the one server of the standard-TCP baseline.
+    /// Grows when a standby is reprovisioned.
+    pub replicas: Vec<NodeId>,
+    /// Their addresses, head first.
+    pub replica_addrs: Vec<Ipv4Addr>,
+    /// One telemetry hub per replica, parallel to `replicas`. The
+    /// simulator, the client and the back-end publish into `hubs[0]`.
+    pub hubs: Vec<Telemetry>,
+    /// `replicas[0]`, the primary P.
     pub primary: NodeId,
-    /// Secondary server node (when replicated).
+    /// `replicas[1]`, the secondary S (when replicated).
     pub secondary: Option<NodeId>,
+    /// The successor's hub (`hubs[1]`, or `hubs[0]` unreplicated): the
+    /// one whose §5 timeline a head's failure completes.
+    pub telemetry: Telemetry,
     /// Back-end host node (when configured).
     pub backend: Option<NodeId>,
     /// Router node.
@@ -440,166 +326,235 @@ pub struct Testbed {
     pub segment: NodeId,
     /// The configuration it was built from.
     pub config: TestbedConfig,
-    /// The telemetry hub shared by the simulator, every host stack, the
-    /// bridges and the fault detectors.
-    pub telemetry: Telemetry,
-    /// Which observers are attached, resolved once from `config` and
-    /// the environment when the testbed was built.
+    /// Reprovisioning bookkeeping (its moments reach every hub).
+    pub tracker: ReprovisionTracker,
+    /// The replica index whose lag ledger proves catch-up (the old
+    /// tail converted to a middle link), once a round started.
+    catchup_link: Option<usize>,
+    /// Which observers every replica gets, resolved once from `config`
+    /// and the environment when the testbed was built.
     observers: ObserverSwitches,
 }
 
 impl Testbed {
     /// Builds the testbed.
-    pub fn new(config: TestbedConfig) -> Self {
-        let observers = ObserverSwitches::resolve(
-            config.audit,
-            config.latency,
-            config.health,
-            config.span_trace,
+    ///
+    /// # Panics
+    ///
+    /// Panics if a replicated testbed has fewer than 2 or more than 200
+    /// replicas, or more than two with a back-end.
+    pub fn new(config: impl Into<TestbedConfig>) -> Self {
+        let cfg: TestbedConfig = config.into();
+        let n = if cfg.replicated { cfg.replicas } else { 1 };
+        assert!(
+            !cfg.replicated || (2..=200).contains(&n),
+            "2 to 200 replicas"
         );
-        let telemetry = new_hub(&config, observers);
-        let mut sim = Simulator::new(config.seed);
-        sim.set_telemetry(telemetry.clone());
-        sim.set_trace_capacity(config.trace_capacity.unwrap_or(DEFAULT_TRACE_CAPACITY));
-        let ports = if config.with_backend { 4 } else { 3 };
-        let segment: NodeId = match config.segment {
-            SegmentKind::Hub => sim.add_device(Box::new(Hub::new("segment", ports, 100_000_000))),
-            SegmentKind::Switch => sim.add_device(Box::new(Switch::new("segment", ports))),
+        assert!(!cfg.with_backend || n <= 2, "{BACKEND_CLASH}");
+        let observers =
+            ObserverSwitches::resolve(cfg.audit, cfg.latency, cfg.health, cfg.span_trace);
+        let mut sim = Simulator::new(cfg.seed);
+        sim.set_trace_capacity(cfg.trace_capacity.unwrap_or(DEFAULT_TRACE_CAPACITY));
+        // Ports are added as hosts are wired.
+        let segment: NodeId = match cfg.segment {
+            SegmentKind::Hub => sim.add_device(Box::new(Hub::new("segment", 0, 100_000_000))),
+            SegmentKind::Switch => sim.add_device(Box::new(Switch::new("segment", 0))),
         };
-        let (router, client) = spawn_router_and_client(&mut sim, &config, Some(&telemetry));
-
-        // Servers: P and S (the chain `[a_p, a_s]`), or one plain host.
-        let plain_server = |label, mac, ip, seed_off| {
-            let mut host = Host::new(server_host_config(&config, label, mac, ip, seed_off));
-            host.set_telemetry(&telemetry);
-            host
+        let gateway = |mac, ip| Interface {
+            mac,
+            ip,
+            prefix_len: 24,
         };
-        let primary = spawn_host(
-            &mut sim,
-            if config.replicated {
-                pair_replica(&config, &telemetry, observers, 0, "primary")
-            } else {
-                plain_server("primary", macs::PRIMARY, addrs::A_P, 2)
-            },
+        let mut router = Router::new(
+            "router",
+            vec![
+                gateway(macs::ROUTER_CLIENT, addrs::GW_CLIENT),
+                gateway(macs::ROUTER_SERVER, addrs::GW_SERVER),
+            ],
+            cfg.router_delay,
         );
-        let secondary = config.replicated.then(|| {
-            let host = pair_replica(&config, &telemetry, observers, 1, "secondary");
-            spawn_host(&mut sim, host)
-        });
-        let backend = config.with_backend.then(|| {
-            let host = plain_server("backend", macs::BACKEND, addrs::A_T, 4);
-            spawn_host(&mut sim, host)
-        });
+        router.prime_arp(addrs::A_C, 0, macs::CLIENT);
+        let router = sim.add_device(Box::new(router));
+        let mut client = HostConfig::new("client", macs::CLIENT, addrs::A_C)
+            .with_gateway(addrs::GW_CLIENT)
+            .with_tcp(cfg.tcp.clone().with_isn_seed(cfg.seed ^ (1 << 32)));
+        (client.cpu, client.tick) = (cfg.client_cpu, cfg.tick);
+        let mut client = Host::new(client);
+        let net = client.net_mut();
+        net.prime_arp(addrs::GW_CLIENT, macs::ROUTER_CLIENT);
+        let client = spawn_host(&mut sim, client);
+        sim.connect((router, 0), (client, 0), cfg.client_link);
 
-        // Wiring.
-        let attach = match config.segment {
-            SegmentKind::Hub => LinkParams::attachment().with_loss(config.attachment_loss),
-            SegmentKind::Switch => LinkParams::fast_ethernet().with_loss(config.attachment_loss),
-        };
-        // Per-direction loss overrides model the §4 cases: the first
-        // LinkParams governs frames transmitted by the *segment* side.
-        let with_extra =
-            |base: LinkParams, extra: f64| base.with_loss((base.loss + extra).min(1.0));
-        sim.connect_asym(
-            (segment, 0),
-            (router, 1),
-            with_extra(attach, config.loss_to_router),
-            attach,
-        );
-        sim.connect_asym(
-            (segment, 1),
-            (primary, 0),
-            with_extra(attach, config.loss_to_primary),
-            attach,
-        );
-        if let Some(s) = secondary {
-            sim.connect_asym(
-                (segment, 2),
-                (s, 0),
-                with_extra(attach, config.loss_to_secondary),
-                attach,
-            );
-        }
-        if let Some(t) = backend {
-            sim.connect((segment, 3), (t, 0), attach);
-        }
-
+        let replica_addrs = (0..n as u8).map(|i| Ipv4Addr::new(10, 0, 0, 2 + i));
+        let hubs: Vec<Telemetry> = (0..n).map(|_| new_hub(&cfg, observers)).collect();
+        let mut tracker = ReprovisionTracker::new();
+        hubs.iter().for_each(|hub| tracker.attach(hub));
         let mut tb = Testbed {
             sim,
             client,
-            primary,
-            secondary,
-            backend,
+            replicas: Vec::new(),
+            replica_addrs: replica_addrs.collect(),
+            telemetry: hubs[n.min(2) - 1].clone(),
+            hubs,
+            // Replicas 0 and 1, once spawned.
+            primary: client,
+            secondary: None,
+            backend: None,
             router,
             segment,
-            config,
-            telemetry,
+            config: cfg,
+            tracker,
+            catchup_link: None,
             observers,
         };
-        let servers: Vec<NodeId> = [Some(primary), secondary, backend]
-            .into_iter()
-            .flatten()
-            .collect();
-        let known = tb.server_addresses();
+        tb.wire(router, 1, tb.config.loss_to_router);
+        for i in 0..n {
+            tb.spawn_replica(i);
+        }
+        if tb.config.with_backend {
+            let cfg = &tb.config;
+            let mut host = Host::new(cfg.server_host("backend", macs::BACKEND, addrs::A_T, 4));
+            host.set_telemetry(&tb.hubs[0]);
+            let node = spawn_host(&mut tb.sim, host);
+            tb.wire(node, 0, 0.0);
+            tb.backend = Some(node);
+        }
+        let hub = tb.hubs[0].clone();
+        (tb.sim).with::<Host, _>(client, |h, _| h.set_telemetry(&hub));
+        tb.sim.set_telemetry(hub);
+        (tb.primary, tb.secondary) = (tb.replicas[0], tb.replicas.get(1).copied());
+
+        let known = tb.arp_entries();
+        let servers: Vec<NodeId> = tb.replicas.iter().chain(&tb.backend).copied().collect();
         prime_server_arp(&mut tb.sim, &servers, &known);
         prime_router_arp(&mut tb.sim, router, &known);
         tb
     }
 
-    /// Address and NIC of every server-segment host this testbed has.
-    fn server_addresses(&self) -> Vec<(Ipv4Addr, MacAddr)> {
-        [
-            Some((addrs::A_P, macs::PRIMARY)),
-            self.secondary.map(|_| (addrs::A_S, macs::SECONDARY)),
-            self.backend.map(|_| (addrs::A_T, macs::BACKEND)),
-        ]
-        .into_iter()
-        .flatten()
-        .collect()
+    /// Wires port `port` of `node` to a new port of the segment; frames
+    /// the segment sends it are lost with `extra_loss` more (§4's
+    /// per-direction cases).
+    fn wire(&mut self, node: NodeId, port: usize, extra_loss: f64) {
+        let (segment, loss) = (self.segment, self.config.attachment_loss);
+        let (at, base) = match self.config.segment {
+            SegmentKind::Hub => (
+                self.sim.with::<Hub, _>(segment, |h, _| h.add_port()),
+                LinkParams::attachment(),
+            ),
+            SegmentKind::Switch => (
+                self.sim.with::<Switch, _>(segment, |s, _| s.add_port()),
+                LinkParams::fast_ethernet(),
+            ),
+        };
+        let from_node = base.with_loss(loss);
+        let to_node = base.with_loss((loss + extra_loss).min(1.0));
+        self.sim
+            .connect_asym((segment, at), (node, port), to_node, from_node);
+    }
+
+    /// Builds replica `i` on its own telemetry hub: a [`PrimaryBridge`]
+    /// placed by position (upstream the nearest living replica toward
+    /// the head, downstream the next one, none below the tail) with the
+    /// observers switched on, and a [`ChainController`] over the whole
+    /// chain that knows which members are dead — or, unreplicated, a
+    /// plain server. A new index is spawned and wired to the segment; a
+    /// killed replica reboots in place, on its wiring and its hub.
+    fn spawn_replica(&mut self, i: usize) -> NodeId {
+        if i == self.hubs.len() {
+            let hub = new_hub(&self.config, self.observers);
+            self.tracker.attach(&hub);
+            self.hubs.push(hub);
+        }
+        let (hub, own, label) = (&self.hubs[i], self.replica_addrs[i], replica_label(i));
+        let mut cfg = (self.config).server_host(&label, replica_mac(i), own, i as u64 + 2);
+        cfg.promiscuous = i != 0;
+        let mut host = Host::new(cfg);
+        host.set_telemetry(hub);
+        if self.config.replicated {
+            let upstream = (i != 0).then(|| self.replica_addrs[self.last_living_before(i)]);
+            let downstream = self.replica_addrs.get(i + 1).copied();
+            let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
+            let mut bridge = PrimaryBridge::link(addrs::A_P, own, upstream, downstream, fo);
+            if let Some(fc) = self.config.flow_table() {
+                bridge.set_flow_config(fc);
+            }
+            bridge.set_telemetry(hub);
+            *bridge.observers_mut() = Observers::attach(self.observers, hub, &label);
+            host.set_filter(Box::new(bridge));
+            let chain = self.replica_addrs.clone();
+            let mut controller = ChainController::new(chain, i, self.config.detector);
+            controller.set_telemetry(hub);
+            // The paper's §5 is unconditional: a pair whose only
+            // successor vetoes itself is a service with no head.
+            if self.config.replicas == 2 {
+                controller.set_promote_threshold(0);
+            }
+            for j in (0..self.replicas.len()).filter(|&j| j != i && self.is_dead(j)) {
+                controller.set_peer_dead(self.replica_addrs[j]);
+            }
+            host.set_controller(Box::new(controller));
+            for &p in &self.config.failover_ports {
+                host.stack_mut().add_failover_port(p);
+            }
+        }
+        if let Some(&node) = self.replicas.get(i) {
+            self.sim.replace_device(node, Box::new(host));
+            self.sim.schedule_timer(node, SimDuration::ZERO, TOKEN_TICK);
+            return node;
+        }
+        let node = spawn_host(&mut self.sim, host);
+        let extra = [self.config.loss_to_primary, self.config.loss_to_secondary];
+        self.wire(node, 0, extra.get(i).copied().unwrap_or(0.0));
+        self.replicas.push(node);
+        node
+    }
+
+    /// Address and NIC of every replica, head first, then the back-end.
+    fn arp_entries(&self) -> Vec<(Ipv4Addr, MacAddr)> {
+        let replicas = self.replica_addrs.iter().enumerate();
+        let replicas = replicas.map(|(i, &a)| (a, replica_mac(i)));
+        let backend = self.backend.map(|_| (addrs::A_T, macs::BACKEND));
+        replicas.chain(backend).collect()
+    }
+
+    /// Whether the testbed has killed replica `i` (and not rebooted it).
+    pub fn is_dead(&self, i: usize) -> bool {
+        self.sim.is_dead(self.replicas[i])
+    }
+
+    /// Kills replica `i` (0 = head) fail-stop. The `kill` moment opens
+    /// a failure episode on every hub: the reference point every later
+    /// §5 phase is measured against.
+    pub fn kill_replica(&mut self, i: usize) {
+        let now = self.sim.now().as_nanos();
+        let fields = [("replica", i.to_string())];
+        let args = [Some(("replica", i as u64)), None];
+        for hub in &self.hubs {
+            hub.event(now, "testbed", "kill", &fields, args);
+        }
+        self.sim.kill(self.replicas[i]);
     }
 
     /// Kills the primary host (fail-stop). The secondary's fault
     /// detector will take over after its timeout.
     pub fn kill_primary(&mut self) {
-        self.kill(self.primary, "primary");
+        self.kill_replica(0);
     }
 
     /// Kills the secondary host (fail-stop).
     pub fn kill_secondary(&mut self) {
-        if let Some(s) = self.secondary {
-            self.kill(s, "secondary");
-        }
-    }
-
-    /// Kills `node` fail-stop. The `kill` moment opens a failure episode
-    /// on the shared hub: the reference point every later §5 phase is
-    /// measured against.
-    fn kill(&mut self, node: NodeId, which: &str) {
-        let now = self.sim.now().as_nanos();
-        let fields = [("node", which.to_string())];
-        (self.telemetry).event(now, "testbed", "kill", &fields, [None, None]);
-        self.sim.kill(node);
+        self.kill_replica(1);
     }
 
     /// Boots a fresh secondary in place of a killed one (empty state, no
-    /// apps, same address and wiring) and re-primes its ARP cache. Until
-    /// it is handed P's flows and re-admitted
+    /// apps, same address, wiring and hub) and re-primes its ARP cache.
+    /// Until it is handed P's flows and re-admitted
     /// (`tcpfo_apps::chain_ops::rejoin_secondary`), P counts its beats
     /// late.
     pub fn revive_secondary(&mut self) {
-        let s = self.secondary.expect("replicated testbed");
-        let host = pair_replica(
-            &self.config,
-            &self.telemetry,
-            self.observers,
-            1,
-            "secondary-revived",
-        );
-        self.sim.replace_device(s, Box::new(host));
-        self.sim
-            .schedule_timer(s, SimDuration::ZERO, tcpfo_tcp::host::TOKEN_TICK);
-        let known = self.server_addresses();
-        prime_server_arp(&mut self.sim, &[s], &known);
+        let node = self.spawn_replica(1);
+        let known = self.arp_entries();
+        prime_server_arp(&mut self.sim, &[node], &known);
     }
 
     /// Runs the simulation for `d`.
@@ -607,51 +562,117 @@ impl Testbed {
         self.sim.run_for(d);
     }
 
+    /// Installs `mk()` on every server (active replication).
+    pub fn install_servers<A: tcpfo_tcp::SocketApp>(&mut self, mk: impl Fn() -> A) {
+        for &node in &self.replicas {
+            self.sim
+                .with::<Host, _>(node, |h, _| h.add_app(Box::new(mk())));
+        }
+    }
+
+    /// Runs `f` against replica `i`'s bridge, if it runs one.
+    fn with_bridge<R>(&mut self, i: usize, f: impl FnOnce(&mut PrimaryBridge) -> R) -> Option<R> {
+        let node = *self.replicas.get(i)?;
+        self.sim.with::<Host, _>(node, |h, _| {
+            h.filter_mut().as_any_mut().downcast_mut().map(f)
+        })
+    }
+
+    /// Runs `f` against replica `i`'s attached auditor, if any.
+    pub fn with_audit<R>(&mut self, i: usize, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
+        self.with_bridge(i, |b| b.observers().audit.as_deref().map(f))?
+    }
+
     /// Snapshot of the primary bridge statistics.
     pub fn primary_stats(&mut self) -> PrimaryStats {
-        with_bridge(&mut self.sim, self.primary, |b: &mut PrimaryBridge| {
-            b.stats.clone()
-        })
-        .expect("primary bridge installed")
+        self.with_bridge(0, |b| b.stats.clone())
+            .expect("primary bridge installed")
     }
 
     /// Snapshot of the secondary bridge (the tail) statistics.
     pub fn secondary_stats(&mut self) -> PrimaryStats {
-        let s = self.secondary.expect("replicated testbed");
-        with_bridge(&mut self.sim, s, |b: &mut PrimaryBridge| b.stats.clone())
+        self.with_bridge(1, |b| b.stats.clone())
             .expect("secondary bridge installed")
     }
 
-    /// When the surviving replica detected the peer failure, if it has.
-    pub fn failover_detected_at(&mut self, node: NodeId) -> Option<tcpfo_net::time::SimTime> {
-        self.sim.with::<Host, _>(node, |h, _| {
+    /// When the surviving replica at `node` detected a peer failure, if
+    /// it has.
+    pub fn failover_detected_at(&mut self, node: NodeId) -> Option<SimTime> {
+        (self.sim).with::<Host, _>(node, |h, _| {
             h.controller_mut::<ChainController>().detected_at
         })
     }
 
-    /// Pushes each bridge's latest stats into the registry so a
-    /// snapshot taken now reflects segments filtered since the last
-    /// one (bridges otherwise publish lazily, on their next segment).
-    fn sync_bridge_telemetry(&mut self) {
-        let now = self.sim.now().as_nanos();
-        for node in [Some(self.primary), self.secondary].into_iter().flatten() {
-            with_bridge(&mut self.sim, node, |b: &mut PrimaryBridge| {
-                b.sync_telemetry(now);
-            });
-        }
+    /// Runs `f` against the primary bridge itself — for checks that
+    /// need more than one attached observatory at once (e.g. pairing
+    /// the replication-lag ledger with an oracle walk over
+    /// [`PrimaryBridge::connection_rows`]).
+    pub fn with_primary_bridge<R>(&mut self, f: impl FnOnce(&PrimaryBridge) -> R) -> Option<R> {
+        self.with_bridge(0, |b| f(b))
     }
 
-    /// A fresh snapshot of every registered metric, from all layers.
-    pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
-        self.sync_bridge_telemetry();
-        self.telemetry.registry.snapshot(self.sim.now().as_nanos())
+    /// Runs `f` against the primary bridge's attached auditor, if any.
+    pub fn with_primary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
+        self.with_audit(0, f)
+    }
+
+    /// Runs `f` against the secondary bridge's attached auditor, if
+    /// any.
+    pub fn with_secondary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
+        self.with_audit(1, f)
+    }
+
+    /// Runs `f` against the primary bridge's attached health
+    /// observatory (the replication-lag ledger), if any.
+    pub fn with_primary_health<R>(&mut self, f: impl FnOnce(&HealthObservatory) -> R) -> Option<R> {
+        self.with_bridge(0, |b| b.observers().health.as_deref().map(f))?
+    }
+
+    /// Runs `f` against the health monitor `node`'s fault detector
+    /// scores its pair peer with (P's view of S, or S's view of P).
+    pub fn with_health_monitor<R>(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&HealthMonitor) -> R,
+    ) -> Option<R> {
+        let peer = usize::from(node == self.primary);
+        self.sim.with::<Host, _>(node, |h, _| {
+            let monitor = h.controller_mut::<ChainController>().peer_monitor(peer)?;
+            Some(f(monitor))
+        })
+    }
+
+    /// Applies `f` to the link parameters of every wire touching
+    /// `node`, both directions — staged in-run degradation (rising
+    /// loss, latency, jitter before a crash) for health-observatory
+    /// experiments.
+    pub fn reshape_links(&mut self, node: NodeId, f: impl Fn(LinkParams) -> LinkParams) {
+        self.sim.reshape_links(node, f);
+    }
+
+    /// A fresh snapshot of replica `i`'s hub, its bridge's latest stats
+    /// published first (bridges otherwise publish lazily, on their next
+    /// tick; a dead replica's stay as it left them).
+    pub fn metrics_snapshot(&mut self, i: usize) -> MetricsSnapshot {
+        let now = self.sim.now().as_nanos();
+        if !self.is_dead(i) {
+            self.with_bridge(i, |b| b.sync_telemetry(now));
+        }
+        self.hubs[i].registry.snapshot(now)
     }
 
     /// The full telemetry export (metrics + failover timeline + event
-    /// journal) as a JSON document.
+    /// journal) of every hub, freshly published, as one JSON array in
+    /// replica order.
     pub fn export_telemetry_json(&mut self) -> String {
-        self.sync_bridge_telemetry();
-        self.telemetry.export_json(self.sim.now().as_nanos())
+        let now = self.sim.now().as_nanos();
+        let docs: Vec<String> = (0..self.hubs.len())
+            .map(|i| {
+                self.metrics_snapshot(i);
+                self.hubs[i].export_json(now)
+            })
+            .collect();
+        format!("[{}]\n", docs.join(","))
     }
 
     /// A pcapng capture of every traced frame the client host received,
@@ -665,96 +686,39 @@ impl Testbed {
         })
     }
 
-    /// Runs `f` against the primary bridge's attached auditor, if any.
-    pub fn with_primary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
-        self.with_primary_bridge(|b| b.observers().audit.as_deref().map(f))?
-    }
-
-    /// Runs `f` against the secondary bridge's attached auditor, if
-    /// any.
-    pub fn with_secondary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
-        with_bridge(&mut self.sim, self.secondary?, |b: &mut PrimaryBridge| {
-            b.observers().audit.as_deref().map(f)
-        })?
-    }
-
-    /// Runs `f` against the primary bridge itself — for checks that
-    /// need more than one attached observatory at once (e.g. pairing
-    /// the replication-lag ledger with an oracle walk over
-    /// [`PrimaryBridge::connection_rows`]).
-    pub fn with_primary_bridge<R>(&mut self, f: impl FnOnce(&PrimaryBridge) -> R) -> Option<R> {
-        with_bridge(&mut self.sim, self.primary, |b: &mut PrimaryBridge| f(b))
-    }
-
-    /// Runs `f` against the primary bridge's attached health
-    /// observatory (the replication-lag ledger), if any.
-    pub fn with_primary_health<R>(&mut self, f: impl FnOnce(&HealthObservatory) -> R) -> Option<R> {
-        self.with_primary_bridge(|b| b.observers().health.as_deref().map(f))?
-    }
-
-    /// Runs `f` against the health monitor `node`'s fault detector
-    /// scores its peer with (P's view of S, or S's view of P).
-    pub fn with_health_monitor<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&HealthMonitor) -> R,
-    ) -> Option<R> {
-        let peer = usize::from(node == self.primary);
-        self.sim.with::<Host, _>(node, move |h, _| {
-            let mon = h.controller_mut::<ChainController>().peer_monitor(peer)?;
-            Some(f(mon))
-        })
-    }
-
-    /// Applies `f` to the link parameters of every wire touching
-    /// `node`, both directions — staged in-run degradation (rising
-    /// loss, latency, jitter before a crash) for health-observatory
-    /// experiments.
-    pub fn reshape_links(&mut self, node: NodeId, f: impl Fn(LinkParams) -> LinkParams) {
-        self.sim.reshape_links(node, f);
-    }
-
-    /// Total invariant violations recorded by both bridges' auditors
-    /// (0 when detached).
+    /// Invariant violations recorded by every replica's auditor, dead or
+    /// alive (0 when detached): what a head's auditor saw before it was
+    /// killed still counts.
     pub fn audit_violations(&mut self) -> u64 {
-        self.with_primary_audit(|a| a.ledger().total_violations())
-            .unwrap_or(0)
-            + self
-                .with_secondary_audit(|a| a.ledger().total_violations())
-                .unwrap_or(0)
+        let count = |a: &InvariantAuditor| a.ledger().total_violations();
+        (0..self.replicas.len())
+            .filter_map(|i| self.with_audit(i, count))
+            .sum()
     }
 
     /// Everything needed to diagnose a failed run from the log alone:
-    /// the tail of the packet trace, the failover timeline, and a
-    /// metrics snapshot.
+    /// the tail of the packet trace, then per replica its §5 timeline,
+    /// journal tail, metrics and auditor report.
     pub fn dump_diagnostics(&mut self, trace_tail: usize) -> String {
-        let snap = self.metrics_snapshot();
-        let mut out = String::new();
-        out.push_str("--- trace tail ---\n");
+        let mut out = String::from("--- trace tail ---\n");
         let entries = self.sim.trace_tail(trace_tail);
         if entries.is_empty() {
             out.push_str("(no trace; enable with sim.set_trace_enabled(true))\n");
         }
-        for e in &entries {
-            out.push_str(&e.summary());
-            out.push('\n');
-        }
-        out.push_str("--- failover timeline ---\n");
-        out.push_str(&self.telemetry.timeline.breakdown());
-        out.push_str("--- journal tail ---\n");
-        for e in self.telemetry.journal.tail(20) {
-            out.push_str(&e.summary());
-            out.push('\n');
-        }
-        out.push_str("--- metrics ---\n");
-        out.push_str(&snap.to_table());
-        if let Some(report) = self.with_primary_audit(|a| a.report()) {
-            out.push_str("--- primary auditor ---\n");
-            out.push_str(&report);
-        }
-        if let Some(report) = self.with_secondary_audit(|a| a.report()) {
-            out.push_str("--- secondary auditor ---\n");
-            out.push_str(&report);
+        out.extend(entries.iter().map(|e| e.summary() + "\n"));
+        for i in 0..self.replicas.len() {
+            let snap = self.metrics_snapshot(i);
+            let hub = &self.hubs[i];
+            out.push_str(&format!("=== replica {i} ===\n"));
+            out.push_str(&hub.timeline.breakdown());
+            out.push_str("--- journal tail ---\n");
+            out.extend(hub.journal.tail(20).iter().map(|e| e.summary() + "\n"));
+            out.push_str("--- metrics ---\n");
+            out.push_str(&snap.to_table());
+            if let Some(report) = self.with_audit(i, |a| a.report()) {
+                out.push_str("--- auditor ---\n");
+                out.push_str(&report);
+            }
         }
         out
     }
@@ -768,13 +732,125 @@ impl Testbed {
             panic!("{msg}\n{}", self.dump_diagnostics(40));
         }
     }
-}
 
-impl std::fmt::Debug for Testbed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Testbed")
-            .field("replicated", &self.config.replicated)
-            .field("segment", &self.config.segment)
-            .finish()
+    // Reprovisioning rounds, driven by `tcpfo_apps::chain_ops::reprovision_tail`.
+
+    /// Index of the current tail: the last living replica.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every replica is dead.
+    pub fn tail_index(&self) -> usize {
+        (0..self.replicas.len())
+            .rev()
+            .find(|&i| !self.is_dead(i))
+            .expect("at least one living replica")
+    }
+
+    /// The last living replica before index `i`: a tail's upstream
+    /// neighbour, and the tail itself as seen from a standby appended
+    /// after it.
+    fn last_living_before(&self, i: usize) -> usize {
+        (0..i)
+            .rev()
+            .find(|&j| !self.is_dead(j))
+            .expect("a living replica toward the head")
+    }
+
+    /// Spawns a fresh standby replica at the end of the chain
+    /// (phase 1): a tail diverting to the current tail, its own
+    /// telemetry hub and observatories, a controller that already knows
+    /// which founders are dead, ARP pre-primed both ways. Begins the
+    /// tracker's round, on the standby's hub too. Returns the new
+    /// replica's index.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a testbed with a back-end, which holds the address the
+    /// first standby would take.
+    pub fn spawn_standby(&mut self) -> usize {
+        assert!(self.backend.is_none(), "{BACKEND_CLASH}");
+        let k = self.replica_addrs.len();
+        let addr = Ipv4Addr::new(10, 0, 0, u8::try_from(2 + k).expect("10.0.0.0/24"));
+        self.replica_addrs.push(addr);
+        // The standby mirrors a founding tail, diverting to the current
+        // tail (which takes it below as part of the handoff).
+        let id = self.spawn_replica(k);
+        self.tracker.begin(addr, self.sim.now().as_nanos());
+
+        // ARP, both directions, plus the router for good measure; the
+        // survivors' controllers learn about the new chain member.
+        let known = self.arp_entries();
+        prime_server_arp(&mut self.sim, &[id], &known);
+        let survivors: Vec<NodeId> = (0..k)
+            .filter(|&i| !self.is_dead(i))
+            .map(|i| self.replicas[i])
+            .collect();
+        prime_server_arp(&mut self.sim, &survivors, &known[k..]);
+        prime_router_arp(&mut self.sim, self.router, &known[k..]);
+        let now = self.sim.now();
+        for node in survivors {
+            self.sim.with::<Host, _>(node, |h, _| {
+                h.controller_mut::<ChainController>()
+                    .append_replica(addr, now);
+            });
+        }
+        k
+    }
+
+    /// Ends the handoff phase of the round that `standby` joins: the
+    /// living replica above it took `flows` handed-off flows below it,
+    /// and its lag ledger now proves catch-up.
+    pub fn handoff_done(&mut self, standby: usize, flows: usize) {
+        self.catchup_link = Some(self.last_living_before(standby));
+        let backlog = self.catchup_lag();
+        let now = self.sim.now().as_nanos();
+        self.tracker.handoff_done(flows, backlog, now);
+    }
+
+    /// Unmatched replication backlog on the converted link: the lag
+    /// ledger when the health observatory is attached, otherwise the
+    /// sum of primary-queue bytes across its connections. Zero means
+    /// the standby's stream has caught up with the converted link's.
+    pub fn catchup_lag(&mut self) -> u64 {
+        let Some(link) = self.catchup_link else {
+            return 0;
+        };
+        self.with_bridge(link, |b| match b.observers().health.as_deref() {
+            Some(obs) => obs.lag.unmatched_bytes(),
+            None => b.connection_rows().iter().map(|r| r.pq_bytes as u64).sum(),
+        })
+        .unwrap_or(0)
+    }
+
+    /// Checks the catch-up condition and, when the backlog has drained
+    /// to zero, ends the tracker's round (on every hub).
+    pub fn poll_reprovision(&mut self) {
+        if self.tracker.phase() == ReprovisionPhase::CatchUp && self.catchup_lag() == 0 {
+            let now = self.sim.now().as_nanos();
+            self.tracker.restored(now);
+        }
+    }
+
+    /// Runs the simulation in `step` increments until the
+    /// reprovisioning round reports restored redundancy, or `max` sim
+    /// time elapses. Returns whether redundancy was restored.
+    ///
+    /// Steps *before* the first poll: at the conversion instant the
+    /// backlog is trivially zero (the standby has not produced a byte
+    /// yet), so catch-up is only proven once the chain has run and the
+    /// lag observed after that still drains to nothing.
+    pub fn run_until_restored(&mut self, step: SimDuration, max: SimDuration) -> bool {
+        let deadline = self.sim.now() + max;
+        loop {
+            self.run_for(step);
+            self.poll_reprovision();
+            if self.tracker.phase() == ReprovisionPhase::Restored {
+                return true;
+            }
+            if self.sim.now() >= deadline {
+                return false;
+            }
+        }
     }
 }

@@ -57,6 +57,12 @@ impl Hub {
         }
     }
 
+    /// Adds an attachment point; returns its port number.
+    pub fn add_port(&mut self) -> usize {
+        self.ports += 1;
+        self.ports - 1
+    }
+
     /// Frames successfully repeated onto the medium.
     pub fn forwarded(&self) -> u64 {
         self.forwarded

@@ -39,6 +39,12 @@ impl Switch {
         }
     }
 
+    /// Adds a port; returns its number.
+    pub fn add_port(&mut self) -> usize {
+        self.ports += 1;
+        self.ports - 1
+    }
+
     /// Number of frames flooded (unknown destination or broadcast).
     pub fn flooded(&self) -> u64 {
         self.flooded

@@ -958,6 +958,11 @@ impl InvariantAuditor {
         self.bundle.as_ref()
     }
 
+    /// The label reports, journal scopes and bundle names carry.
+    pub fn label(&self) -> &str {
+        &self.cfg.label
+    }
+
     /// Entries the causal trace ring and the recent-segment ring each
     /// evicted to stay within their capacities.
     pub fn dropped(&self) -> (u64, u64) {

@@ -78,11 +78,13 @@ impl Journal {
         Journal::default()
     }
 
-    /// Creates a journal bounded to `capacity` entries.
+    /// Creates a journal bounded to `capacity` entries. The ring grows
+    /// as entries arrive: every replica has a hub, and most journal
+    /// little.
     pub fn with_capacity(capacity: usize) -> Self {
         Journal {
             inner: Arc::new(Mutex::new(JournalInner {
-                ring: VecDeque::with_capacity(capacity.min(DEFAULT_CAPACITY)),
+                ring: VecDeque::new(),
                 capacity: capacity.max(1),
                 dropped: 0,
                 stamps: Stamps::default(),

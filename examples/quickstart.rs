@@ -76,8 +76,8 @@ fn main() {
     println!("primary failure detected at t={detected}");
 
     // 7. The telemetry hub recorded the whole thing: the §5 phase
-    //    timeline plus per-layer counters (see `tb.metrics_snapshot()`
-    //    for the full table, `tb.export_telemetry_json()` for JSON).
+    //    timeline plus per-layer counters (see `tb.metrics_snapshot(i)`
+    //    for replica i's table, `tb.export_telemetry_json()` for JSON).
     println!("\n{}", tb.telemetry.timeline.breakdown());
     println!("done: the client's TCP connection survived the server failure.");
 }

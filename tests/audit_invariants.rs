@@ -16,7 +16,7 @@ use common::is_json;
 use tcp_failover::apps::driver::{BulkSendClient, RequestReplyClient};
 use tcp_failover::apps::stream::{SinkServer, SourceServer};
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::{FailoverConfig, PrimaryBridge};
+use tcp_failover::core::{ChainConfig, ChainTestbed, FailoverConfig, PrimaryBridge};
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::filter::{AddressedSegment, FilterOutput, SegmentFilter};
 use tcp_failover::tcp::host::Host;
@@ -288,6 +288,37 @@ fn broken_bridge_trips_auditor_and_dumps_bundle() {
     let pcap = std::fs::read(bundle.join("capture.pcapng")).expect("capture.pcapng");
     let pkts = read_packets(&pcap).expect("bundle capture parses");
     assert!(!pkts.is_empty(), "capture must hold the recent segments");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What a head's auditor recorded before the head was killed still
+/// counts: the broken bridge above runs as the head of a chain of three,
+/// which then loses it.
+#[test]
+fn a_killed_heads_violations_still_count() {
+    let dir = std::env::temp_dir().join(format!("tcpfo-audit-dead-head-{}", std::process::id()));
+    let audit = InvariantAuditor::new(
+        AuditConfig::new("head")
+            .panic_on_violation(false)
+            .bundle_dir(&dir),
+    );
+    let mut b = established(audit);
+    b.unsafe_ack_without_min = true;
+    b.on_inbound(client_data(0, b"hi"), 0);
+    b.on_outbound(p_seg(0, b"resp", ISS_C + 3), MS);
+    let mut tb = ChainTestbed::new(ChainConfig {
+        replicas: 3,
+        audit: Some(false),
+        ..ChainConfig::default()
+    });
+    let head = tb.replicas[0];
+    tb.sim
+        .with::<Host, _>(head, |h, _| h.set_filter(Box::new(b)));
+    tb.kill_replica(0);
+    assert!(
+        tb.audit_violations() >= 1,
+        "the dead head's ack_min vanished"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -91,3 +91,26 @@ fn backend_connection_survives_primary_failure() {
         assert_eq!(h.stack().rst_sent, 0, "backend reset a connection");
     });
 }
+
+/// The back-end holds replica 2's address and NIC (10.0.0.4, index 4):
+/// a testbed with a back-end founds no third replica…
+#[test]
+#[should_panic(expected = "the back-end T holds 10.0.0.4")]
+fn a_backend_and_a_third_replica_cannot_share_an_address() {
+    Testbed::new(TestbedConfig {
+        with_backend: true,
+        replicas: 3,
+        ..TestbedConfig::default()
+    });
+}
+
+/// …and spawns no standby, whose index would be 2.
+#[test]
+#[should_panic(expected = "the back-end T holds 10.0.0.4")]
+fn a_backend_and_a_standby_cannot_share_an_address() {
+    let mut tb = Testbed::new(TestbedConfig {
+        with_backend: true,
+        ..TestbedConfig::default()
+    });
+    tb.spawn_standby();
+}

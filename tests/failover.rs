@@ -558,7 +558,7 @@ fn loaded_pair_scene(seed: u64, kill_after: SimDuration) -> Scene {
     Scene {
         events: tb.sim.events_processed(),
         takeover: commit - kill,
-        recalled: [tb.primary, s].map(|n| frames_recalled(&tb.telemetry, &tb.sim, n)),
+        recalled: [tb.primary, s].map(|n| frames_recalled(&tb.hubs[0], &tb.sim, n)),
         stalls: stalls(&mut tb.sim, tb.client, kill, commit),
     }
 }

@@ -188,7 +188,7 @@ fn bridge_and_controller_journal_the_rejoin_at_one_instant() {
     assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal);
 
     let at = |scope: &str, kind: &str| {
-        let events = tb.telemetry.journal.events();
+        let events = tb.hubs[0].journal.events();
         let mut hits = events.iter().filter(|e| e.scope == scope && e.kind == kind);
         let at_ns = hits.next().map(|e| e.at_ns);
         assert!(hits.next().is_none(), "{scope} {kind} journaled twice");

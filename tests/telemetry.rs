@@ -308,10 +308,13 @@ fn failover_timeline_is_complete_and_monotone() {
     ] {
         assert!(json.contains(key), "export missing {key}:\n{json}");
     }
-    let snap = tb.metrics_snapshot();
+    let snap = tb.metrics_snapshot(0);
     assert!(snap.counter("core.primary.merged_bytes").unwrap() > 0);
     assert!(
-        snap.counter("core.secondary.diverted_upstream").unwrap() > 0,
+        tb.metrics_snapshot(1)
+            .counter("core.secondary.diverted_upstream")
+            .unwrap()
+            > 0,
         "secondary diverted nothing"
     );
 
@@ -346,7 +349,7 @@ fn degradation_journals_without_takeover_phases() {
     tb.run_for(SimDuration::from_millis(50));
     tb.kill_secondary();
     tb.run_for(SimDuration::from_millis(300));
-    let tl = &tb.telemetry.timeline;
+    let tl = &tb.hubs[0].timeline;
     assert!(tl.at(FailoverPhase::Failure).is_some());
     assert!(tl.at(FailoverPhase::Detection).is_some());
     assert!(tl.is_monotone());
@@ -354,7 +357,7 @@ fn degradation_journals_without_takeover_phases() {
         tl.at(FailoverPhase::ArpTakeover).is_none(),
         "§6 must not run the §5 takeover"
     );
-    let events = tb.telemetry.journal.events();
+    let events = tb.hubs[0].journal.events();
     assert!(
         events.iter().any(|e| e.kind == "degraded"),
         "journal missing degradation: {events:?}"
@@ -396,7 +399,8 @@ fn a_two_entry_journal_still_reports_the_takeover() {
     });
     let hub = &tb.telemetry;
     assert_eq!(hub.journal.len(), 2);
-    assert!(hub.journal.dropped() > 10, "the ring wrapped");
+    let dropped: u64 = tb.hubs.iter().map(|h| h.journal.dropped()).sum();
+    assert!(dropped > 10, "the ring wrapped");
     let tl = &hub.timeline;
     let m = tl.mttr().expect("complete §5 view");
     assert_eq!(tl.at(FailoverPhase::Failure), Some(60_000_000));
