@@ -225,9 +225,8 @@ impl TestbedConfig {
             return None;
         }
         let base = FlowTableConfig::default();
-        let shards = self.flow_shards.unwrap_or(base.shards);
         Some(FlowTableConfig::new(
-            shards,
+            self.flow_shards.unwrap_or(base.shards),
             self.flow_cap.unwrap_or(base.capacity),
         ))
     }
@@ -257,17 +256,6 @@ pub(crate) fn replica_mac(index: usize) -> MacAddr {
 fn replica_label(index: usize) -> String {
     let pair = ["primary", "secondary"].get(index);
     pair.map_or_else(|| format!("replica{index}"), |l| l.to_string())
-}
-
-/// A replica's telemetry hub: the journal sized by `config`, the span
-/// ring armed iff the resolved switches say so.
-fn new_hub(config: &TestbedConfig, observers: ObserverSwitches) -> Telemetry {
-    let capacity = config.journal_capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY);
-    let hub = Telemetry::with_journal_capacity(capacity);
-    if observers.span_trace {
-        hub.trace.attach(DEFAULT_SPAN_CAPACITY);
-    }
-    hub
 }
 
 /// Teaches every host of `nodes` the gateway and every entry of
@@ -380,30 +368,28 @@ impl Testbed {
             .with_tcp(cfg.tcp.clone().with_isn_seed(cfg.seed ^ (1 << 32)));
         (client.cpu, client.tick) = (cfg.client_cpu, cfg.tick);
         let mut client = Host::new(client);
-        let net = client.net_mut();
-        net.prime_arp(addrs::GW_CLIENT, macs::ROUTER_CLIENT);
+        client
+            .net_mut()
+            .prime_arp(addrs::GW_CLIENT, macs::ROUTER_CLIENT);
         let client = spawn_host(&mut sim, client);
         sim.connect((router, 0), (client, 0), cfg.client_link);
 
         let replica_addrs = (0..n as u8).map(|i| Ipv4Addr::new(10, 0, 0, 2 + i));
-        let hubs: Vec<Telemetry> = (0..n).map(|_| new_hub(&cfg, observers)).collect();
-        let mut tracker = ReprovisionTracker::new();
-        hubs.iter().for_each(|hub| tracker.attach(hub));
         let mut tb = Testbed {
             sim,
             client,
             replicas: Vec::new(),
             replica_addrs: replica_addrs.collect(),
-            telemetry: hubs[n.min(2) - 1].clone(),
-            hubs,
-            // Replicas 0 and 1, once spawned.
+            hubs: Vec::new(),
+            // The pair's names, set once the replicas exist.
             primary: client,
             secondary: None,
+            telemetry: Telemetry::default(),
             backend: None,
             router,
             segment,
             config: cfg,
-            tracker,
+            tracker: ReprovisionTracker::new(),
             catchup_link: None,
             observers,
         };
@@ -423,6 +409,7 @@ impl Testbed {
         (tb.sim).with::<Host, _>(client, |h, _| h.set_telemetry(&hub));
         tb.sim.set_telemetry(hub);
         (tb.primary, tb.secondary) = (tb.replicas[0], tb.replicas.get(1).copied());
+        tb.telemetry = tb.hubs[n.min(2) - 1].clone();
 
         let known = tb.arp_entries();
         let servers: Vec<NodeId> = tb.replicas.iter().chain(&tb.backend).copied().collect();
@@ -461,7 +448,12 @@ impl Testbed {
     /// killed replica reboots in place, on its wiring and its hub.
     fn spawn_replica(&mut self, i: usize) -> NodeId {
         if i == self.hubs.len() {
-            let hub = new_hub(&self.config, self.observers);
+            let capacity = self.config.journal_capacity;
+            let hub =
+                Telemetry::with_journal_capacity(capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY));
+            if self.observers.span_trace {
+                hub.trace.attach(DEFAULT_SPAN_CAPACITY);
+            }
             self.tracker.attach(&hub);
             self.hubs.push(hub);
         }
@@ -650,14 +642,20 @@ impl Testbed {
         self.sim.reshape_links(node, f);
     }
 
-    /// A fresh snapshot of replica `i`'s hub, its bridge's latest stats
-    /// published first (bridges otherwise publish lazily, on their next
-    /// tick; a dead replica's stay as it left them).
-    pub fn metrics_snapshot(&mut self, i: usize) -> MetricsSnapshot {
+    /// Publishes replica `i`'s bridge stats into its hub now (bridges
+    /// otherwise publish lazily, on their next tick; a dead replica's
+    /// stay as it left them). Returns the instant.
+    fn sync(&mut self, i: usize) -> u64 {
         let now = self.sim.now().as_nanos();
         if !self.is_dead(i) {
             self.with_bridge(i, |b| b.sync_telemetry(now));
         }
+        now
+    }
+
+    /// A fresh snapshot of replica `i`'s hub.
+    pub fn metrics_snapshot(&mut self, i: usize) -> MetricsSnapshot {
+        let now = self.sync(i);
         self.hubs[i].registry.snapshot(now)
     }
 
@@ -665,10 +663,9 @@ impl Testbed {
     /// journal) of every hub, freshly published, as one JSON array in
     /// replica order.
     pub fn export_telemetry_json(&mut self) -> String {
-        let now = self.sim.now().as_nanos();
         let docs: Vec<String> = (0..self.hubs.len())
             .map(|i| {
-                self.metrics_snapshot(i);
+                let now = self.sync(i);
                 self.hubs[i].export_json(now)
             })
             .collect();
