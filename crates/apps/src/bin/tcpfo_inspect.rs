@@ -11,7 +11,7 @@
 //! bundle <dir>                pretty-print a flight-recorder bundle
 //! ```
 //!
-//! `--prom` prints each living hub's Prometheus exposition (alone for
+//! `--prom` prints every hub's Prometheus exposition (alone for
 //! `run`); `--plain` stacks the frames. Every scene is deterministic.
 
 use std::collections::BTreeSet;
@@ -192,11 +192,12 @@ enum Script {
 }
 
 /// One hub as a frame shows it: its label, with dead replicas marked,
-/// and its registry's snapshot unless its replica is dead.
+/// and its registry's snapshot (a dead replica's counters frozen at the
+/// kill; the simulator's and the client's series, on `hubs[0]`, live).
 struct HubView {
     label: String,
     hub: Telemetry,
-    snap: Option<MetricsSnapshot>,
+    snap: MetricsSnapshot,
 }
 
 impl Scene {
@@ -282,7 +283,7 @@ fn hub_views(tb: &mut Testbed) -> Vec<HubView> {
         .map(|i| {
             let (addr, dead, hub) = (tb.replica_addrs[i], tb.is_dead(i), tb.hubs[i].clone());
             let label = format!("replica {i} ({addr}){}", if dead { " DEAD" } else { "" });
-            let snap = (!dead).then(|| tb.metrics_snapshot(i));
+            let snap = tb.metrics_snapshot(i);
             HubView { label, hub, snap }
         })
         .collect()
@@ -319,11 +320,11 @@ const HEADLINE: &str = "merged_segments merged_bytes empty_acks retransmissions_
 /// views. Then the control journal's last 12 entries, merged over every
 /// hub.
 fn render_frame(title: &str, views: &[HubView]) {
-    let at_ns = views.iter().find_map(|v| Some(v.snap.as_ref()?.at_ns));
-    println!("{title} — sim t = {} ms", at_ns.unwrap_or(0) / 1_000_000);
+    let at_ns = views.first().map_or(0, |v| v.snap.at_ns);
+    println!("{title} — sim t = {} ms", at_ns / 1_000_000);
     for v in views {
         println!("\n══ {} ══", v.label);
-        let Some(snap) = &v.snap else { continue };
+        let snap = &v.snap;
         let row = |(name, v): (&String, &u64)| (name.clone(), v.to_string());
         let lat = snap.histograms.iter().filter(|(n, _)| n.contains(".lat."));
         let lat = lat.map(|(name, h)| {
@@ -380,12 +381,11 @@ fn section(title: &str, rows: impl Iterator<Item = (String, String)>) {
     }
 }
 
-/// Each living hub's Prometheus exposition, closed by a comment naming
-/// its replica.
+/// Each hub's Prometheus exposition, closed by a comment naming its
+/// replica.
 fn prometheus(views: &[HubView]) {
     for v in views {
-        let Some(snap) = &v.snap else { continue };
-        print!("{}", snap.to_prometheus());
+        print!("{}", v.snap.to_prometheus());
         println!("# end of {}", v.label);
     }
 }

@@ -48,6 +48,15 @@ fn run_prom_prints_the_exposition_alone() {
     assert!(out.contains("# TYPE tcpfo_core_control_r1_peer0_health_state gauge"));
 }
 
+/// The killed head's hub stays in the exposition: its counters frozen at
+/// the kill, the simulator's `net.*` series still live.
+#[test]
+fn run_failover_prom_keeps_the_dead_heads_hub() {
+    let out = inspect(&["run", "--failover", "--prom"]);
+    assert!(out.contains("# end of replica 0 (10.0.0.2) DEAD"), "{out}");
+    assert!(out.lines().any(|l| l.starts_with("tcpfo_net_")), "{out}");
+}
+
 #[test]
 fn watch_pair_shows_the_failover() {
     let out = inspect(&["watch", "pair", "--failover", "--frames", "4", "--plain"]);

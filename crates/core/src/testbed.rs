@@ -244,6 +244,89 @@ impl TestbedConfig {
         h.tick = self.tick;
         h
     }
+
+    /// A new replica's telemetry hub: its journal sized, its span ring
+    /// armed as configured, and on the tracker's list.
+    fn hub(&self, observers: ObserverSwitches, tracker: &mut ReprovisionTracker) -> Telemetry {
+        let hub = Telemetry::with_journal_capacity(
+            self.journal_capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY),
+        );
+        if observers.span_trace {
+            hub.trace.attach(DEFAULT_SPAN_CAPACITY);
+        }
+        tracker.attach(&hub);
+        hub
+    }
+
+    /// Replica `i` of `chain`, the one builder of every replica: a
+    /// [`PrimaryBridge`] placed by position (upstream the nearest living
+    /// replica toward the head, downstream the next one, none below the
+    /// tail) and a [`ChainController`] that knows which members are
+    /// dead, or, unreplicated, a plain server. `dead` has an entry per
+    /// replica already built; one rebuilt in place is `-revived`.
+    fn replica(
+        &self,
+        observers: ObserverSwitches,
+        chain: &[Ipv4Addr],
+        dead: &[bool],
+        i: usize,
+        hub: &Telemetry,
+    ) -> Host {
+        let label = replica_label(i) + if i < dead.len() { "-revived" } else { "" };
+        let mut cfg = self.server_host(&label, replica_mac(i), chain[i], i as u64 + 2);
+        cfg.promiscuous = i != 0;
+        let mut host = Host::new(cfg);
+        host.set_telemetry(hub);
+        if !self.replicated {
+            return host;
+        }
+        let living = |j: &usize| !dead.get(*j).copied().unwrap_or(false);
+        let up = (0..i).rev().find(living).map(|j| chain[j]);
+        let upstream = (i != 0).then(|| up.expect("a living replica toward the head"));
+        let fo = FailoverConfig::from_ports(self.failover_ports.iter().copied());
+        let downstream = chain.get(i + 1).copied();
+        let mut bridge = PrimaryBridge::link(addrs::A_P, chain[i], upstream, downstream, fo);
+        if let Some(fc) = self.flow_table() {
+            bridge.set_flow_config(fc);
+        }
+        bridge.set_telemetry(hub);
+        *bridge.observers_mut() = Observers::attach(observers, hub, &label);
+        host.set_filter(Box::new(bridge));
+        let mut controller = ChainController::new(chain.to_vec(), i, self.detector);
+        controller.set_telemetry(hub);
+        // The paper's §5 is unconditional: a pair whose only successor
+        // vetoes itself is a service with no head.
+        if self.replicas == 2 {
+            controller.set_promote_threshold(0);
+        }
+        for j in (0..chain.len()).filter(|j| *j != i && !living(j)) {
+            controller.set_peer_dead(chain[j]);
+        }
+        host.set_controller(Box::new(controller));
+        for &p in &self.failover_ports {
+            host.stack_mut().add_failover_port(p);
+        }
+        host
+    }
+
+    /// Wires port `port` of `node` to a new port of the segment `seg`;
+    /// frames `seg` sends it are lost with `extra` more (§4's cases).
+    fn wire(&self, sim: &mut Simulator, seg: NodeId, node: NodeId, port: usize, extra: f64) {
+        let (at, base) = match self.segment {
+            SegmentKind::Hub => (
+                sim.with::<Hub, _>(seg, |h, _| h.add_port()),
+                LinkParams::attachment(),
+            ),
+            SegmentKind::Switch => (
+                sim.with::<Switch, _>(seg, |s, _| s.add_port()),
+                LinkParams::fast_ethernet(),
+            ),
+        };
+        let loss = self.attachment_loss;
+        let from_node = base.with_loss(loss);
+        let to_node = base.with_loss((loss + extra).min(1.0));
+        sim.connect_asym((seg, at), (node, port), to_node, from_node);
+    }
 }
 
 /// NIC address of the replica at chain position `index`.
@@ -325,7 +408,7 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Builds the testbed.
+    /// Builds the testbed, every founding replica on its own hub.
     ///
     /// # Panics
     ///
@@ -373,44 +456,48 @@ impl Testbed {
             .prime_arp(addrs::GW_CLIENT, macs::ROUTER_CLIENT);
         let client = spawn_host(&mut sim, client);
         sim.connect((router, 0), (client, 0), cfg.client_link);
+        cfg.wire(&mut sim, segment, router, 1, cfg.loss_to_router);
 
-        let replica_addrs = (0..n as u8).map(|i| Ipv4Addr::new(10, 0, 0, 2 + i));
+        let replica_addrs: Vec<_> = (2..2 + n as u8)
+            .map(|b| Ipv4Addr::new(10, 0, 0, b))
+            .collect();
+        let mut tracker = ReprovisionTracker::new();
+        let hubs: Vec<_> = (0..n).map(|_| cfg.hub(observers, &mut tracker)).collect();
+        let extra = [cfg.loss_to_primary, cfg.loss_to_secondary];
+        let replicas: Vec<_> = (hubs.iter().enumerate())
+            .map(|(i, hub)| {
+                let host = cfg.replica(observers, &replica_addrs, &[], i, hub);
+                let (node, loss) = (spawn_host(&mut sim, host), extra.get(i).copied());
+                cfg.wire(&mut sim, segment, node, 0, loss.unwrap_or(0.0));
+                node
+            })
+            .collect();
+        let backend = cfg.with_backend.then(|| {
+            let mut host = Host::new(cfg.server_host("backend", macs::BACKEND, addrs::A_T, 4));
+            host.set_telemetry(&hubs[0]);
+            let node = spawn_host(&mut sim, host);
+            cfg.wire(&mut sim, segment, node, 0, 0.0);
+            node
+        });
+        sim.with::<Host, _>(client, |h, _| h.set_telemetry(&hubs[0]));
+        sim.set_telemetry(hubs[0].clone());
         let mut tb = Testbed {
             sim,
             client,
-            replicas: Vec::new(),
-            replica_addrs: replica_addrs.collect(),
-            hubs: Vec::new(),
-            // The pair's names, set once the replicas exist.
-            primary: client,
-            secondary: None,
-            telemetry: Telemetry::default(),
-            backend: None,
+            primary: replicas[0],
+            secondary: replicas.get(1).copied(),
+            telemetry: hubs[n.min(2) - 1].clone(),
+            replicas,
+            replica_addrs,
+            hubs,
+            backend,
             router,
             segment,
             config: cfg,
-            tracker: ReprovisionTracker::new(),
+            tracker,
             catchup_link: None,
             observers,
         };
-        tb.wire(router, 1, tb.config.loss_to_router);
-        for i in 0..n {
-            tb.spawn_replica(i);
-        }
-        if tb.config.with_backend {
-            let cfg = &tb.config;
-            let mut host = Host::new(cfg.server_host("backend", macs::BACKEND, addrs::A_T, 4));
-            host.set_telemetry(&tb.hubs[0]);
-            let node = spawn_host(&mut tb.sim, host);
-            tb.wire(node, 0, 0.0);
-            tb.backend = Some(node);
-        }
-        let hub = tb.hubs[0].clone();
-        (tb.sim).with::<Host, _>(client, |h, _| h.set_telemetry(&hub));
-        tb.sim.set_telemetry(hub);
-        (tb.primary, tb.secondary) = (tb.replicas[0], tb.replicas.get(1).copied());
-        tb.telemetry = tb.hubs[n.min(2) - 1].clone();
-
         let known = tb.arp_entries();
         let servers: Vec<NodeId> = tb.replicas.iter().chain(&tb.backend).copied().collect();
         prime_server_arp(&mut tb.sim, &servers, &known);
@@ -418,85 +505,24 @@ impl Testbed {
         tb
     }
 
-    /// Wires port `port` of `node` to a new port of the segment; frames
-    /// the segment sends it are lost with `extra_loss` more (§4's
-    /// per-direction cases).
-    fn wire(&mut self, node: NodeId, port: usize, extra_loss: f64) {
-        let (segment, loss) = (self.segment, self.config.attachment_loss);
-        let (at, base) = match self.config.segment {
-            SegmentKind::Hub => (
-                self.sim.with::<Hub, _>(segment, |h, _| h.add_port()),
-                LinkParams::attachment(),
-            ),
-            SegmentKind::Switch => (
-                self.sim.with::<Switch, _>(segment, |s, _| s.add_port()),
-                LinkParams::fast_ethernet(),
-            ),
-        };
-        let from_node = base.with_loss(loss);
-        let to_node = base.with_loss((loss + extra_loss).min(1.0));
-        self.sim
-            .connect_asym((segment, at), (node, port), to_node, from_node);
-    }
-
-    /// Builds replica `i` on its own telemetry hub: a [`PrimaryBridge`]
-    /// placed by position (upstream the nearest living replica toward
-    /// the head, downstream the next one, none below the tail) with the
-    /// observers switched on, and a [`ChainController`] over the whole
-    /// chain that knows which members are dead — or, unreplicated, a
-    /// plain server. A new index is spawned and wired to the segment; a
-    /// killed replica reboots in place, on its wiring and its hub.
+    /// Builds replica `i` after the founders ([`TestbedConfig::replica`]):
+    /// a standby is spawned and wired on a hub of its own; a killed
+    /// replica reboots in place, on its wiring and its hub.
     fn spawn_replica(&mut self, i: usize) -> NodeId {
         if i == self.hubs.len() {
-            let capacity = self.config.journal_capacity;
-            let hub =
-                Telemetry::with_journal_capacity(capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY));
-            if self.observers.span_trace {
-                hub.trace.attach(DEFAULT_SPAN_CAPACITY);
-            }
-            self.tracker.attach(&hub);
+            let hub = self.config.hub(self.observers, &mut self.tracker);
             self.hubs.push(hub);
         }
-        let (hub, own, label) = (&self.hubs[i], self.replica_addrs[i], replica_label(i));
-        let mut cfg = (self.config).server_host(&label, replica_mac(i), own, i as u64 + 2);
-        cfg.promiscuous = i != 0;
-        let mut host = Host::new(cfg);
-        host.set_telemetry(hub);
-        if self.config.replicated {
-            let upstream = (i != 0).then(|| self.replica_addrs[self.last_living_before(i)]);
-            let downstream = self.replica_addrs.get(i + 1).copied();
-            let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-            let mut bridge = PrimaryBridge::link(addrs::A_P, own, upstream, downstream, fo);
-            if let Some(fc) = self.config.flow_table() {
-                bridge.set_flow_config(fc);
-            }
-            bridge.set_telemetry(hub);
-            *bridge.observers_mut() = Observers::attach(self.observers, hub, &label);
-            host.set_filter(Box::new(bridge));
-            let chain = self.replica_addrs.clone();
-            let mut controller = ChainController::new(chain, i, self.config.detector);
-            controller.set_telemetry(hub);
-            // The paper's §5 is unconditional: a pair whose only
-            // successor vetoes itself is a service with no head.
-            if self.config.replicas == 2 {
-                controller.set_promote_threshold(0);
-            }
-            for j in (0..self.replicas.len()).filter(|&j| j != i && self.is_dead(j)) {
-                controller.set_peer_dead(self.replica_addrs[j]);
-            }
-            host.set_controller(Box::new(controller));
-            for &p in &self.config.failover_ports {
-                host.stack_mut().add_failover_port(p);
-            }
-        }
+        let dead: Vec<bool> = (0..self.replicas.len()).map(|j| self.is_dead(j)).collect();
+        let (cfg, hub) = (&self.config, &self.hubs[i]);
+        let host = cfg.replica(self.observers, &self.replica_addrs, &dead, i, hub);
         if let Some(&node) = self.replicas.get(i) {
             self.sim.replace_device(node, Box::new(host));
             self.sim.schedule_timer(node, SimDuration::ZERO, TOKEN_TICK);
             return node;
         }
         let node = spawn_host(&mut self.sim, host);
-        let extra = [self.config.loss_to_primary, self.config.loss_to_secondary];
-        self.wire(node, 0, extra.get(i).copied().unwrap_or(0.0));
+        self.config.wire(&mut self.sim, self.segment, node, 0, 0.0);
         self.replicas.push(node);
         node
     }
@@ -744,16 +770,6 @@ impl Testbed {
             .expect("at least one living replica")
     }
 
-    /// The last living replica before index `i`: a tail's upstream
-    /// neighbour, and the tail itself as seen from a standby appended
-    /// after it.
-    fn last_living_before(&self, i: usize) -> usize {
-        (0..i)
-            .rev()
-            .find(|&j| !self.is_dead(j))
-            .expect("a living replica toward the head")
-    }
-
     /// Spawns a fresh standby replica at the end of the chain
     /// (phase 1): a tail diverting to the current tail, its own
     /// telemetry hub and observatories, a controller that already knows
@@ -799,7 +815,7 @@ impl Testbed {
     /// living replica above it took `flows` handed-off flows below it,
     /// and its lag ledger now proves catch-up.
     pub fn handoff_done(&mut self, standby: usize, flows: usize) {
-        self.catchup_link = Some(self.last_living_before(standby));
+        self.catchup_link = (0..standby).rev().find(|&j| !self.is_dead(j));
         let backlog = self.catchup_lag();
         let now = self.sim.now().as_nanos();
         self.tracker.handoff_done(flows, backlog, now);
