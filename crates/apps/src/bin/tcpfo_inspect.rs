@@ -26,7 +26,7 @@ use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::table::two_columns;
 use tcpfo_telemetry::{Event, InvariantAuditor, MetricsSnapshot, MttrBreakdown, Telemetry};
-use tcpfo_wire::eth::{EtherType, EthernetFrame};
+use tcpfo_wire::eth::{EtherType, EthernetFrame, ETH_HEADER_LEN};
 use tcpfo_wire::ipv4::Ipv4Packet;
 use tcpfo_wire::pcapng::read_packets;
 use tcpfo_wire::tcp::TcpView;
@@ -501,7 +501,12 @@ fn bundle(dir: &str) -> i32 {
         Ok(Ok(pkts)) => {
             println!("{} packet(s)", pkts.len());
             for p in &pkts {
-                let (at, len, line) = (p.ts_ns, p.frame.len(), tcp_line(&p.frame));
+                // The auditor snaps each packet after its headers; the
+                // zeros past the snap length only restore the lengths,
+                // up to the largest frame an IPv4 datagram makes.
+                let mut frame = p.frame.clone();
+                frame.resize(p.orig_len.min(ETH_HEADER_LEN + usize::from(u16::MAX)), 0);
+                let (at, len, line) = (p.ts_ns, p.orig_len, tcp_line(&frame));
                 println!("  {at:>12} ns  {len:>5} B  {line}");
             }
         }

@@ -517,3 +517,135 @@ fn idle_tick_with_every_observer_attached_does_not_allocate() {
         "secondary allocated {delta} times in 1000 idle ticks"
     );
 }
+
+// ---------------------------------------------------------------------
+// The auditor on its own, driven through its public API: behind a
+// bridge the count would include the bridge's own copies. Its shadow
+// streams hold views of the replica segments, its flight recorder keeps
+// headers, so a warm auditor checks a round without allocating.
+// ---------------------------------------------------------------------
+
+use bytes::Bytes;
+use tcpfo_telemetry::{Rule, TraceId};
+
+const MS: u64 = 1_000_000;
+
+/// One audited round of the echo cycle, as the bridge reports it: the
+/// client's ACK in and handed up Δseq-translated, P's copy out, S's copy
+/// diverted in, and the matched release.
+struct AuditedRound {
+    client_ack: Bytes,
+    delivered_up: Bytes,
+    p: Bytes,
+    s: Bytes,
+    released: Bytes,
+}
+
+fn audited_round(i: u32) -> AuditedRound {
+    let off = i * PAYLOAD.len() as u32;
+    let client_ack = |ack: u32| {
+        TcpSegment::builder(5555, 80)
+            .seq(ISS_C + 1)
+            .ack(ack)
+            .window(60_000)
+            .build()
+            .encode(A_C, A_P)
+    };
+    let data = |seq: u32, win: u16| {
+        TcpSegment::builder(80, 5555)
+            .seq(seq)
+            .ack(ISS_C + 1)
+            .window(win)
+            .payload(PAYLOAD.to_vec().into())
+            .build()
+    };
+    AuditedRound {
+        client_ack: client_ack(ISS_S + 1 + off),
+        delivered_up: client_ack(ISS_P + 1 + off),
+        p: data(ISS_P + 1 + off, 50_000).encode(A_P, A_C),
+        s: diverted(data(ISS_S + 1 + off, 40_000)).bytes,
+        released: data(ISS_S + 1 + off, 40_000).encode(A_P, A_C),
+    }
+}
+
+#[test]
+fn auditor_steady_state_does_not_allocate() {
+    let mut cfg = AuditConfig::new("zero-alloc");
+    // Small rings, so both are full and evicting by the end of warm-up.
+    (cfg.ring_capacity, cfg.pcap_capacity) = (16, 8);
+    let mut aud = InvariantAuditor::new(cfg);
+    let syn = |seq: u32, mss: u16, window: u16| {
+        TcpSegment::builder(80, 5555)
+            .seq(seq)
+            .ack(ISS_C + 1)
+            .flags(TcpFlags::SYN)
+            .mss(mss)
+            .window(window)
+            .build()
+    };
+    let client_syn = TcpSegment::builder(5555, 80)
+        .seq(ISS_C)
+        .flags(TcpFlags::SYN)
+        .window(60_000)
+        .build()
+        .encode(A_C, A_P);
+    let (t, tn) = (TraceId::NONE, TraceId(1));
+    aud.begin_event(0);
+    aud.note_client_ingress(A_C, A_P, &client_syn, t, true);
+    aud.end_event(0);
+    aud.begin_event(0);
+    let p_synack = syn(ISS_P, 1460, 50_000).encode(A_P, A_C);
+    aud.note_primary_out(A_P, A_C, &p_synack, t);
+    aud.end_event(0);
+    aud.begin_event(0);
+    let s_synack = diverted(syn(ISS_S, 1200, 40_000)).bytes;
+    aud.note_secondary_diverted(A_S, A_P, &s_synack, t);
+    let merged = syn(ISS_S, 1200, 40_000).encode(A_P, A_C);
+    aud.check_release(A_P, A_C, &merged, tn);
+    aud.end_event(0);
+
+    let total = WARMUP + MEASURED;
+    let rounds: Vec<AuditedRound> = (0..total as u32).map(audited_round).collect();
+    let mut measured_base = 0;
+    for (i, r) in rounds.iter().enumerate() {
+        if i == WARMUP {
+            measured_base = allocs();
+        }
+        let (now, trace) = (i as u64 * MS, TraceId(i as u64 + 2));
+        aud.begin_event(now);
+        aud.note_client_ingress(A_C, A_P, &r.client_ack, trace, true);
+        aud.check_deliver_up(A_C, A_P, &r.delivered_up, trace);
+        aud.end_event(now);
+        aud.begin_event(now);
+        aud.note_primary_out(A_P, A_C, &r.p, trace);
+        aud.end_event(now);
+        aud.begin_event(now);
+        aud.note_secondary_diverted(A_S, A_P, &r.s, trace);
+        aud.check_release(A_P, A_C, &r.released, trace);
+        aud.end_event(now);
+    }
+    let delta = allocs() - measured_base;
+    assert_eq!(aud.ledger().total_violations(), 0, "{}", aud.report());
+    for rule in [
+        Rule::MatchedOnly,
+        Rule::QueueAgree,
+        Rule::Translate,
+        Rule::BareAck,
+    ] {
+        assert!(
+            aud.ledger().stat(rule).checks >= total as u64,
+            "{} not checked every round:\n{}",
+            rule.id(),
+            aud.report()
+        );
+    }
+    assert_eq!(
+        aud.dropped().1,
+        (4 * total + 4 - 8) as u64,
+        "segment ring full"
+    );
+    assert_eq!(
+        delta, 0,
+        "the auditor allocated {delta} times in {MEASURED} rounds"
+    );
+}

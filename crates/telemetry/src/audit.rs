@@ -14,24 +14,27 @@
 //!
 //! On a violation the auditor freezes a [flight-recorder
 //! bundle](InvariantAuditor::bundle_path): the last-K causal trace
-//! ring entries, a pcapng slice of recent segments (with the diverted
-//! orig-dest option annotated per packet), the §5 failover timeline,
-//! and the rule ledger.
+//! ring entries, a truncated pcapng slice of recent segment headers
+//! (with the diverted orig-dest option annotated per packet), the §5
+//! failover timeline, and the rule ledger.
 //!
-//! Attachment is optional (`TCPFO_AUDIT=1` or a builder flag) and the
-//! bridges keep their zero-allocation steady-state path when detached.
+//! Attachment is optional (`TCPFO_AUDIT=1` or a config field). The
+//! bridges keep their zero-allocation steady-state path when detached,
+//! and so does the auditor when attached: its shadow streams hold views
+//! of the replica segments, each entry point looks its connection up
+//! once, and the flight recorder keeps headers, not segments.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use tcpfo_wire::eth::{EtherType, EthernetFrame};
-use tcpfo_wire::ipv4::{Ipv4Addr, Ipv4Packet, PROTO_TCP};
+use tcpfo_wire::eth::ETH_HEADER_LEN;
+use tcpfo_wire::ipv4::{Ipv4Addr, Ipv4Packet, IPV4_HEADER_LEN, PROTO_TCP};
 use tcpfo_wire::mac::MacAddr;
 use tcpfo_wire::pcapng::PcapngWriter;
-use tcpfo_wire::tcp::{verify_segment_checksum, TcpFlags, TcpSegment, TcpView};
+use tcpfo_wire::tcp::{peek_orig_dest, verify_segment_checksum, TcpFlags, TcpSegment, TcpView};
 
 use crate::health::ReplicationLag;
 use crate::{fmt_nanos, FailoverPhase, Telemetry};
@@ -127,8 +130,9 @@ pub struct AuditConfig {
     pub label: String,
     /// Capacity of the causal trace ring (default 1024).
     pub ring_capacity: usize,
-    /// Capacity of the recent-segment ring the pcapng slice is built
-    /// from (default 256).
+    /// Capacity, in records, of the recent-segment ring the pcapng
+    /// slice is built from (default 256). A record is one segment's
+    /// TCP header and length, not the segment.
     pub pcap_capacity: usize,
     /// Verify one in `checksum_sample` released checksums by full
     /// recomputation (default 16, `0` = off; RFC 1624 incremental
@@ -279,8 +283,10 @@ impl Rule {
         }
     }
 
+    /// Position in [`Rule::ALL`], which lists the rules in declaration
+    /// order.
     fn index(self) -> usize {
-        Rule::ALL.iter().position(|r| *r == self).expect("in ALL")
+        self as usize
     }
 }
 
@@ -517,144 +523,147 @@ impl AuditEvent {
     }
 }
 
-/// A recently-seen raw segment, kept so the flight recorder can dump a
-/// pcapng slice around the violation.
+/// Longest TCP header, options included.
+const MAX_TCP_HEADER: usize = 60;
+
+/// A recently seen segment's TCP header, options included, with the
+/// segment's length: what the flight recorder's pcapng slice needs to
+/// show the segment as a truncated packet. The segment itself is not
+/// held, so the bridge can reuse its buffer.
 #[derive(Debug, Clone)]
 struct SegmentRecord {
     at_ns: u64,
     src: Ipv4Addr,
     dst: Ipv4Addr,
-    bytes: Bytes,
+    header: [u8; MAX_TCP_HEADER],
+    header_len: u8,
+    seg_len: u32,
     trace: TraceId,
-    tag: &'static str,
+    kind: AuditEventKind,
 }
 
 // ---------------------------------------------------------------------
 // Shadow replica streams
 // ---------------------------------------------------------------------
 
-/// One interval of replica payload in the shadow stream, keyed by its
-/// offset relative to the stream base (S's ISN + 1).
+/// One run of replica payload in a shadow stream: a view of the segment
+/// that carried it, at its offset relative to the stream base (S's
+/// ISN + 1).
 #[derive(Debug, Clone)]
 struct ShadowSeg {
-    data: Vec<u8>,
+    at: u64,
+    data: Bytes,
     trace: TraceId,
+}
+
+impl ShadowSeg {
+    fn end(&self) -> u64 {
+        self.at + self.data.len() as u64
+    }
+
+    /// The run's bytes in `[from, to)`, both within the run.
+    fn bytes(&self, from: u64, to: u64) -> &[u8] {
+        &self.data[(from - self.at) as usize..(to - self.at) as usize]
+    }
 }
 
 /// An independent reassembly buffer for one replica's byte stream,
 /// normalised into S's sequence space. Mirrors the bridge's output
 /// queue semantics: inserts clip below the released watermark, and
-/// overlapping re-sends must carry identical bytes.
+/// overlapping re-sends must carry identical bytes. It holds views of
+/// the replica segments, never copies: disjoint runs ordered by offset,
+/// in-order data appended at the back, released bytes trimmed off the
+/// front.
 #[derive(Debug, Clone, Default)]
 struct ShadowStream {
-    segs: BTreeMap<u64, ShadowSeg>,
+    segs: VecDeque<ShadowSeg>,
     /// Everything below this relative offset was released and trimmed.
     trimmed: u64,
 }
 
 impl ShadowStream {
-    /// Inserts `data` at relative offset `at`. Returns the offset of
-    /// the first mismatching overlapped byte, if any.
-    fn insert(&mut self, at: u64, data: &[u8], trace: TraceId) -> Result<(), u64> {
-        let mut start = at;
-        let mut buf = data;
-        if start < self.trimmed {
-            let skip = (self.trimmed - start).min(buf.len() as u64) as usize;
-            buf = &buf[skip..];
-            start += skip as u64;
-        }
-        let mut pos = start;
-        let end = start + buf.len() as u64;
+    /// Index of the first run that ends after `pos`.
+    fn first_after(&self, pos: u64) -> usize {
+        self.segs.partition_point(|s| s.end() <= pos)
+    }
+
+    /// Inserts `data` at relative offset `at`: the parts that fill gaps
+    /// are kept as views of `data`. Returns the offset of the first
+    /// mismatching overlapped byte, if any; gaps before it are filled.
+    fn insert(&mut self, at: u64, data: &Bytes, trace: TraceId) -> Result<(), u64> {
+        let end = at + data.len() as u64;
+        let mut pos = at.max(self.trimmed).min(end);
+        let mut i = self.first_after(pos);
         while pos < end {
-            // An existing interval covering `pos`?
-            let covering = self
-                .segs
-                .range(..=pos)
-                .next_back()
-                .map(|(s, seg)| (*s, s + seg.data.len() as u64))
-                .filter(|(_, e)| *e > pos);
-            if let Some((estart, eend)) = covering {
-                let upto = eend.min(end);
-                let existing =
-                    &self.segs[&estart].data[(pos - estart) as usize..(upto - estart) as usize];
-                let fresh = &buf[(pos - start) as usize..(upto - start) as usize];
-                if existing != fresh {
-                    let off = existing
-                        .iter()
-                        .zip(fresh)
-                        .position(|(a, b)| a != b)
-                        .unwrap_or(0) as u64;
-                    return Err(pos + off);
+            let next = self.segs.get(i);
+            if let Some(seg) = next.filter(|s| s.at <= pos) {
+                let upto = seg.end().min(end);
+                let fresh = &data[(pos - at) as usize..(upto - at) as usize];
+                if let Some(off) = seg
+                    .bytes(pos, upto)
+                    .iter()
+                    .zip(fresh)
+                    .position(|(a, b)| a != b)
+                {
+                    return Err(pos + off as u64);
                 }
                 pos = upto;
-                continue;
+            } else {
+                let gap_end = next.map_or(end, |s| s.at.min(end));
+                let view = data.slice((pos - at) as usize..(gap_end - at) as usize);
+                self.segs.insert(
+                    i,
+                    ShadowSeg {
+                        at: pos,
+                        data: view,
+                        trace,
+                    },
+                );
+                pos = gap_end;
             }
-            // Gap: insert up to the next interval (or `end`).
-            let gap_end = self
-                .segs
-                .range(pos..)
-                .next()
-                .map(|(s, _)| *s)
-                .unwrap_or(end)
-                .min(end);
-            self.segs.insert(
-                pos,
-                ShadowSeg {
-                    data: buf[(pos - start) as usize..(gap_end - start) as usize].to_vec(),
-                    trace,
-                },
-            );
-            pos = gap_end;
+            i += 1;
         }
         Ok(())
     }
 
-    /// The bytes of `[at, at+len)` if fully present, else `None`.
-    fn get(&self, at: u64, len: usize) -> Option<Vec<u8>> {
-        let mut out = Vec::with_capacity(len);
-        let mut pos = at;
-        let end = at + len as u64;
-        while pos < end {
-            let (estart, seg) = self
-                .segs
-                .range(..=pos)
-                .next_back()
-                .filter(|(s, seg)| *s + (seg.data.len() as u64) > pos)?;
-            let eend = estart + seg.data.len() as u64;
-            let upto = eend.min(end);
-            out.extend_from_slice(&seg.data[(pos - estart) as usize..(upto - estart) as usize]);
-            pos = upto;
-        }
-        Some(out)
+    /// The held bytes of `[at, at+len)` from `at` on, as the runs hold
+    /// them, up to the first gap.
+    fn pieces(&self, at: u64, len: usize) -> impl Iterator<Item = &[u8]> {
+        let (mut pos, end) = (at, at + len as u64);
+        let runs = self.segs.range(self.first_after(at)..);
+        runs.map_while(move |seg| {
+            let from = std::mem::replace(&mut pos, seg.end().min(end));
+            (from < end && seg.at <= from).then(|| seg.bytes(from, pos))
+        })
+    }
+
+    /// The bytes present from `at` on, at most `max` of them, up to the
+    /// first gap.
+    fn run_at(&self, at: u64, max: usize) -> Vec<u8> {
+        self.pieces(at, max).flatten().copied().collect()
     }
 
     /// Whether `[at, at+data.len())` is fully present — and if so,
     /// whether it equals `data` — without copying.
     fn matches(&self, at: u64, data: &[u8]) -> Option<bool> {
-        let mut pos = at;
-        let end = at + data.len() as u64;
-        let mut eq = true;
-        while pos < end {
-            let (estart, seg) = self
-                .segs
-                .range(..=pos)
-                .next_back()
-                .filter(|(s, seg)| *s + (seg.data.len() as u64) > pos)?;
-            let eend = estart + seg.data.len() as u64;
-            let upto = eend.min(end);
-            eq &= seg.data[(pos - estart) as usize..(upto - estart) as usize]
-                == data[(pos - at) as usize..(upto - at) as usize];
-            pos = upto;
+        let (mut n, mut eq) = (0, true);
+        for piece in self.pieces(at, data.len()) {
+            eq &= piece == &data[n..n + piece.len()];
+            n += piece.len();
         }
-        Some(eq)
+        (n == data.len()).then_some(eq)
     }
 
     /// Trace ids contributing to `[at, at+len)`.
     fn traces(&self, at: u64, len: usize) -> Vec<TraceId> {
         let end = at + len as u64;
         let mut out = Vec::new();
-        for (s, seg) in self.segs.range(..end) {
-            if s + (seg.data.len() as u64) > at && !out.contains(&seg.trace) {
+        for seg in self
+            .segs
+            .range(self.first_after(at)..)
+            .take_while(|s| s.at < end)
+        {
+            if !out.contains(&seg.trace) {
                 out.push(seg.trace);
             }
         }
@@ -666,30 +675,19 @@ impl ShadowStream {
         if upto <= self.trimmed {
             return;
         }
-        let mut reinsert = None;
-        let keys: Vec<u64> = self.segs.range(..upto).map(|(s, _)| *s).collect();
-        for s in keys {
-            let seg = self.segs.remove(&s).expect("key present");
-            let eend = s + seg.data.len() as u64;
-            if eend > upto {
-                reinsert = Some((
-                    upto,
-                    ShadowSeg {
-                        data: seg.data[(upto - s) as usize..].to_vec(),
-                        trace: seg.trace,
-                    },
-                ));
-            }
+        while self.segs.front().is_some_and(|s| s.end() <= upto) {
+            self.segs.pop_front();
         }
-        if let Some((s, seg)) = reinsert {
-            self.segs.insert(s, seg);
+        if let Some(front) = self.segs.front_mut().filter(|s| s.at < upto) {
+            front.data = front.data.slice((upto - front.at) as usize..);
+            front.at = upto;
         }
         self.trimmed = upto;
     }
 
     /// Buffered byte count (diagnostics).
     fn buffered(&self) -> usize {
-        self.segs.values().map(|s| s.data.len()).sum()
+        self.segs.iter().map(|s| s.data.len()).sum()
     }
 }
 
@@ -699,7 +697,7 @@ impl ShadowStream {
 
 /// Connection key in the auditor's tables: the unreplicated peer plus
 /// the replicated server port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditKey {
     /// Peer (client) address.
     pub peer_ip: Ipv4Addr,
@@ -707,6 +705,24 @@ pub struct AuditKey {
     pub peer_port: u16,
     /// Server-side port of the replicated service.
     pub server_port: u16,
+}
+
+impl std::hash::Hash for AuditKey {
+    /// One `u64` write: a hasher fed three small writes costs more.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let peer = u64::from(u32::from(self.peer_ip)) << 32;
+        state.write_u64(peer | u64::from(self.peer_port) << 16 | u64::from(self.server_port));
+    }
+}
+
+impl AuditKey {
+    fn new(peer_ip: Ipv4Addr, peer_port: u16, server_port: u16) -> AuditKey {
+        AuditKey {
+            peer_ip,
+            peer_port,
+            server_port,
+        }
+    }
 }
 
 impl fmt::Display for AuditKey {
@@ -719,24 +735,24 @@ impl fmt::Display for AuditKey {
     }
 }
 
+/// One replica's side of a shadowed connection.
+#[derive(Debug, Clone, Default)]
+struct ReplicaShadow {
+    isn: Option<u32>,
+    mss: Option<u16>,
+    ack: Option<u32>,
+    win: u16,
+    /// SYN+ACK acknowledgment value (client-initiated handshakes).
+    syn_ack: Option<u32>,
+    /// Shadow stream in S-space relative offsets (base = s_isn + 1).
+    stream: ShadowStream,
+    fin: Option<u64>,
+}
+
 #[derive(Debug, Clone, Default)]
 struct AuditConn {
-    p_isn: Option<u32>,
-    s_isn: Option<u32>,
-    mss_p: Option<u16>,
-    mss_s: Option<u16>,
-    ack_p: Option<u32>,
-    ack_s: Option<u32>,
-    win_p: u16,
-    win_s: u16,
-    /// SYN+ACK acknowledgment values (client-initiated handshakes).
-    syn_ack_p: Option<u32>,
-    syn_ack_s: Option<u32>,
-    /// Shadow streams in S-space relative offsets (base = s_isn + 1).
-    p_stream: ShadowStream,
-    s_stream: ShadowStream,
-    p_fin: Option<u64>,
-    s_fin: Option<u64>,
+    p: ReplicaShadow,
+    s: ReplicaShadow,
     /// Next relative offset the bridge should release.
     send_next: u64,
     /// Merged SYN released — the connection is established.
@@ -752,11 +768,11 @@ struct AuditConn {
 
 impl AuditConn {
     fn delta(&self) -> Option<u32> {
-        Some(self.p_isn?.wrapping_sub(self.s_isn?))
+        Some(self.p.isn?.wrapping_sub(self.s.isn?))
     }
 
     fn base(&self) -> Option<u32> {
-        Some(self.s_isn?.wrapping_add(1))
+        Some(self.s.isn?.wrapping_add(1))
     }
 
     /// Relative offset of an absolute S-space sequence number.
@@ -765,14 +781,14 @@ impl AuditConn {
     }
 
     fn min_ack(&self) -> Option<u32> {
-        match (self.ack_p, self.ack_s) {
+        match (self.p.ack, self.s.ack) {
             (Some(p), Some(s)) => Some(seq_min(p, s)),
             _ => None,
         }
     }
 
     fn min_win(&self) -> u16 {
-        self.win_p.min(self.win_s)
+        self.p.win.min(self.s.win)
     }
 
     /// Mirror of the bridge's §8 teardown condition.
@@ -789,6 +805,265 @@ impl AuditConn {
             _ => false,
         };
         server_done && client_done
+    }
+
+    /// Where `released` (at stream offset `at`) first differs from
+    /// either replica stream, and the bytes there as released and as
+    /// each stream holds them (a gap ends a stream's run early): the
+    /// payload rules' diagnostics, computed only when one fails.
+    fn divergence(&self, at: u64, released: &[u8]) -> (usize, String) {
+        let (p, s) = (
+            self.p.stream.run_at(at, released.len()),
+            self.s.stream.run_at(at, released.len()),
+        );
+        let first = released
+            .iter()
+            .enumerate()
+            .position(|(i, b)| p.get(i) != Some(b) || s.get(i) != Some(b))
+            .unwrap_or(0);
+        let show = |v: &[u8]| format!("{:02x?}", &v[first.min(v.len())..(first + 8).min(v.len())]);
+        let (r, p, s) = (show(released), show(&p), show(&s));
+        (first, format!("released {r}, primary {p}, secondary {s}"))
+    }
+
+    /// Shadows one replica segment past the handshake: ack, window, FIN
+    /// position, and the shadow byte stream (queue-insert mirror).
+    fn observe(
+        &mut self,
+        rec: &mut Recorder,
+        key: AuditKey,
+        is_primary: bool,
+        bytes: &Bytes,
+        view: &TcpView<'_>,
+        trace: TraceId,
+    ) {
+        let flags = view.flags();
+        let (delta, base, watermark) = (self.delta(), self.base(), self.send_next);
+        let side = if is_primary { &mut self.p } else { &mut self.s };
+        if flags.contains(TcpFlags::ACK) {
+            side.ack = Some(view.ack());
+            side.win = view.window();
+        }
+        let (Some(delta), Some(base)) = (delta, base) else {
+            return;
+        };
+        if flags.contains(TcpFlags::RST) {
+            // The bridge forwards a translated RST and drops state.
+            self.closed = true;
+            return;
+        }
+        // Normalise into S (client-facing) space.
+        let seq = view.seq().wrapping_sub(if is_primary { delta } else { 0 });
+        let rel = u64::from(seq.wrapping_sub(base));
+        let payload = view.payload();
+        if flags.contains(TcpFlags::FIN) {
+            side.fin = Some(rel + payload.len() as u64);
+        }
+        if payload.is_empty() {
+            return;
+        }
+        side.stream.trim(watermark);
+        let res = side
+            .stream
+            .insert(rel, &bytes.slice(view.header_len()..), trace);
+        rec.push_event(
+            AuditEventKind::QueueInsert,
+            trace,
+            AuditDetail::QueueInsert {
+                key,
+                primary: is_primary,
+                rel,
+                len: payload.len() as u32,
+                watermark,
+            },
+        );
+        if let Err(off) = res {
+            let who = if is_primary { "primary" } else { "secondary" };
+            let resent = &payload[(off - rel) as usize..];
+            let resent = &resent[..resent.len().min(8)];
+            let recorded = side.stream.run_at(off, resent.len());
+            rec.check(Rule::QueueAgree, false, trace, || {
+                format!(
+                    "conn {key}: {who} replica re-sent different bytes at stream offset {off} \
+                     (overlapping retransmission diverged from the recorded stream): \
+                     recorded {recorded:02x?}, re-sent {resent:02x?}"
+                )
+            });
+        }
+    }
+
+    /// Rules on the merged SYN / SYN+ACK (§7): S's ISN, min window,
+    /// min MSS, min ack.
+    fn check_syn_release(
+        &mut self,
+        rec: &mut Recorder,
+        key: AuditKey,
+        bytes: &Bytes,
+        view: &TcpView<'_>,
+        trace: TraceId,
+    ) {
+        let (Some(p_isn), Some(s_isn)) = (self.p.isn, self.s.isn) else {
+            // A merged SYN released before the auditor saw both replica
+            // SYNs — it cannot have been merged from both.
+            let seen = (self.p.isn, self.s.isn);
+            rec.check(Rule::MatchedOnly, false, trace, || {
+                format!(
+                    "conn {key}: SYN released before both replica SYNs were observed \
+                     (p_isn, s_isn)={seen:?}"
+                )
+            });
+            return;
+        };
+        let seq = view.seq();
+        rec.check(Rule::SeqSpace, seq == s_isn, trace, || {
+            format!(
+                "conn {key}: merged SYN uses seq={seq}, expected the secondary's ISN {s_isn} \
+                 (primary ISN was {p_isn}; client-facing bytes must live in S's space)"
+            )
+        });
+        let (win, exp_win) = (view.window(), self.min_win());
+        rec.check(Rule::WinMin, win == exp_win, trace, || {
+            format!("conn {key}: merged SYN win={win}, expected min(win_P, win_S)={exp_win}")
+        });
+        // MSS needs the options: the datapath's full decode (cold path).
+        let mss = TcpSegment::decode_shared(bytes).ok().and_then(|s| s.mss());
+        let exp_mss = self.p.mss.unwrap_or(536).min(self.s.mss.unwrap_or(536));
+        rec.check(Rule::MssMin, mss == Some(exp_mss), trace, || {
+            format!("conn {key}: merged SYN advertises MSS {mss:?}, expected min(MSS_P, MSS_S)={exp_mss}")
+        });
+        let has_ack = view.flags().contains(TcpFlags::ACK);
+        if let (true, Some(ap), Some(as_)) = (has_ack, self.p.syn_ack, self.s.syn_ack) {
+            let (ack, exp) = (view.ack(), seq_min(ap, as_));
+            rec.check(Rule::AckMin, ack == exp, trace, || {
+                format!("conn {key}: merged SYN+ACK acks {ack}, expected min(ack_P, ack_S)={exp}")
+            });
+        }
+        self.syn_released = true;
+        self.send_next = 0;
+        if has_ack {
+            self.last_ack_released = Some(view.ack());
+        }
+    }
+
+    /// Rules on data / FIN / bare-ACK releases.
+    fn check_data_release(
+        &mut self,
+        rec: &mut Recorder,
+        key: AuditKey,
+        view: &TcpView<'_>,
+        trace: TraceId,
+    ) {
+        if !self.syn_released {
+            rec.check(Rule::MatchedOnly, false, trace, || {
+                format!("conn {key}: data released before the merged SYN")
+            });
+            return;
+        }
+        let Some(rel) = self.rel(view.seq()) else {
+            return;
+        };
+        let released = view.payload();
+        let len = released.len();
+        let has_fin = view.flags().contains(TcpFlags::FIN);
+        let sn = self.send_next;
+        let end = rel + len as u64 + u64::from(has_fin);
+        let pure_ack = len == 0 && !has_fin;
+        // --- SeqSpace (§3.2 / §4) ---
+        let seq_ok = if pure_ack {
+            rel <= sn
+        } else if end <= sn {
+            true // §4 retransmission: entirely below the watermark.
+        } else {
+            rel == sn
+        };
+        let seqv = view.seq();
+        rec.check(Rule::SeqSpace, seq_ok, trace, || {
+            format!(
+                "conn {key}: released seq={seqv} (stream offset {rel}, len {len}, fin {has_fin}) \
+                 is neither at the matched watermark ({sn}) nor a §4 retransmission below it"
+            )
+        });
+        let retransmission = !pure_ack && end <= sn;
+        // --- MatchedOnly + QueueAgree (§3.2) on fresh payload ---
+        if len > 0 && !retransmission && rel == sn {
+            // Non-copying presence + equality probes; the diagnostics
+            // (contributor traces, the bytes at the first divergence)
+            // are computed only when a rule is already failing.
+            let p_match = self.p.stream.matches(rel, released);
+            let s_match = self.s.stream.matches(rel, released);
+            let (p_has, s_has) = (p_match.is_some(), s_match.is_some());
+            let agree = p_match.unwrap_or(false) && s_match.unwrap_or(false);
+            let contributors = || {
+                let mut t = self.p.stream.traces(rel, len);
+                t.extend(self.s.stream.traces(rel, len));
+                t
+            };
+            rec.check(Rule::MatchedOnly, p_has && s_has, trace, || {
+                let (_, bytes) = self.divergence(rel, released);
+                format!(
+                    "conn {key}: released {len}B at offset {rel} not matched in both replica \
+                     streams (primary has it: {p_has}, secondary has it: {s_has}; \
+                     contributors {:?}): {bytes}",
+                    contributors()
+                )
+            });
+            if p_has && s_has {
+                rec.check(Rule::QueueAgree, agree, trace, || {
+                    let (first, bytes) = self.divergence(rel, released);
+                    format!(
+                        "conn {key}: released bytes diverge from the replica streams at \
+                         offset {rel}+{first} (stream offset {}): {bytes} (contributors {:?})",
+                        rel + first as u64,
+                        contributors()
+                    )
+                });
+            }
+        }
+        // --- FIN merge (§3.2/§8): both replicas closed here ---
+        if has_fin && !retransmission {
+            let fin_at = rel + len as u64;
+            let (pf, sf) = (self.p.fin, self.s.fin);
+            let both = pf == Some(fin_at) && sf == Some(fin_at);
+            rec.check(Rule::MatchedOnly, both, trace, || {
+                format!(
+                    "conn {key}: FIN released at stream offset {fin_at} but replica FINs are \
+                     p_fin={pf:?}, s_fin={sf:?} — a FIN may only be released once both \
+                     replicas closed at the same position"
+                )
+            });
+        }
+        // --- AckMin / WinMin (§3.2) ---
+        let has_ack = view.flags().contains(TcpFlags::ACK);
+        if let (true, Some(exp)) = (has_ack, self.min_ack()) {
+            let ack = view.ack();
+            let (ap, as_) = (self.p.ack, self.s.ack);
+            rec.check(Rule::AckMin, ack == exp, trace, || {
+                format!(
+                    "conn {key}: released ack={ack}, expected min(ack_P, ack_S)=\
+                     min({ap:?}, {as_:?})={exp}"
+                )
+            });
+        }
+        let (win, exp_win) = (view.window(), self.min_win());
+        rec.check(Rule::WinMin, win == exp_win, trace, || {
+            format!("conn {key}: released win={win}, expected min(win_P, win_S)={exp_win}")
+        });
+        // --- advance the shadow watermark ---
+        if !retransmission && rel == sn && (len > 0 || has_fin) {
+            self.send_next = end;
+            self.p.stream.trim(rel + len as u64);
+            self.s.stream.trim(rel + len as u64);
+            if has_fin {
+                self.fin_released = true;
+            }
+        }
+        if has_ack {
+            let ack = view.ack();
+            self.last_ack_released = Some(match self.last_ack_released {
+                Some(l) if seq_gt(l, ack) => l,
+                _ => ack,
+            });
+        }
     }
 }
 
@@ -851,15 +1126,15 @@ pub struct LinkPlace {
 static BUNDLE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 // ---------------------------------------------------------------------
-// The auditor
+// The flight recorder
 // ---------------------------------------------------------------------
 
-/// An independent online checker for the paper's bridge invariants.
-/// One instance is attached per bridge; the bridge reports every
-/// ingress/egress event and the auditor re-derives the connection
-/// state (Δseq, acks, windows, shadow byte streams) and checks each
-/// release against the [`Rule`] catalogue. See the module docs.
-pub struct InvariantAuditor {
+/// Everything an auditor keeps besides its connection table: the rule
+/// ledger, the causal trace ring, the recent-header ring, the
+/// violations, and what a bundle carries from the hub. Kept apart from
+/// the table so a rule check holds one connection's state and records
+/// against this at the same time.
+struct Recorder {
     cfg: AuditConfig,
     hub: Option<Telemetry>,
     ledger: RuleLedger,
@@ -867,24 +1142,10 @@ pub struct InvariantAuditor {
     ring_dropped: u64,
     pcap: VecDeque<SegmentRecord>,
     pcap_dropped: u64,
-    conns: HashMap<AuditKey, AuditConn>,
     violations: Vec<Violation>,
     bundle: Option<PathBuf>,
     releases_seen: u64,
-    /// §6 degraded mode: per-connection checks are suspended.
-    degraded: bool,
-    /// When this link's §5 takeover was noted, until the first client
-    /// byte after it is checked against it.
-    takeover_at: Option<u64>,
     now_ns: u64,
-    /// Connection touched by the current event (for the §3.4 check).
-    touched: Option<AuditKey>,
-    /// Client-ingress ack awaiting the Δseq-translated deliver-up.
-    pending_ack: Option<(AuditKey, u32)>,
-    /// Chain promotion decision stamp (log-before-act): set when the
-    /// controller journals the promotion decision, cleared when the
-    /// commit is checked against it.
-    promotion_decided_at: Option<u64>,
     /// Latest replication-lag ledger, stored by the bridge's telemetry
     /// sync when the health observatory is also attached; rendered into
     /// flight-recorder bundles as `health.json` so every invariant
@@ -892,123 +1153,7 @@ pub struct InvariantAuditor {
     health_snapshot: Option<ReplicationLag>,
 }
 
-impl fmt::Debug for InvariantAuditor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InvariantAuditor")
-            .field("label", &self.cfg.label)
-            .field("conns", &self.conns.len())
-            .field("checks", &self.ledger.total_checks())
-            .field("violations", &self.ledger.total_violations())
-            .finish()
-    }
-}
-
-impl InvariantAuditor {
-    /// Creates a detached-from-telemetry auditor.
-    pub fn new(cfg: AuditConfig) -> Self {
-        InvariantAuditor {
-            cfg,
-            hub: None,
-            ledger: RuleLedger::default(),
-            ring: VecDeque::new(),
-            ring_dropped: 0,
-            pcap: VecDeque::new(),
-            pcap_dropped: 0,
-            conns: HashMap::new(),
-            violations: Vec::new(),
-            bundle: None,
-            releases_seen: 0,
-            degraded: false,
-            takeover_at: None,
-            now_ns: 0,
-            touched: None,
-            pending_ack: None,
-            promotion_decided_at: None,
-            health_snapshot: None,
-        }
-    }
-
-    /// Stores the latest replication-lag ledger for inclusion in
-    /// flight-recorder bundles. Called from the bridge's host-tick
-    /// telemetry sync, so it is a plain copy: the JSON is rendered by
-    /// [`InvariantAuditor::write_bundle`], if a bundle is ever written.
-    pub fn set_health_snapshot(&mut self, lag: &ReplicationLag) {
-        self.health_snapshot = Some(*lag);
-    }
-
-    /// Connects the telemetry hub so violations reach the journal and
-    /// the flight recorder can bundle the timeline.
-    pub fn with_hub(mut self, hub: &Telemetry) -> Self {
-        self.hub = Some(hub.clone());
-        self
-    }
-
-    /// The rule ledger.
-    pub fn ledger(&self) -> &RuleLedger {
-        &self.ledger
-    }
-
-    /// Recorded violations.
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// The flight-recorder bundle directory, once one was written.
-    pub fn bundle_path(&self) -> Option<&PathBuf> {
-        self.bundle.as_ref()
-    }
-
-    /// The label reports, journal scopes and bundle names carry.
-    pub fn label(&self) -> &str {
-        &self.cfg.label
-    }
-
-    /// Entries the causal trace ring and the recent-segment ring each
-    /// evicted to stay within their capacities.
-    pub fn dropped(&self) -> (u64, u64) {
-        (self.ring_dropped, self.pcap_dropped)
-    }
-
-    /// Human-readable auditor state: ledger, shadow connections, and
-    /// any violations.
-    pub fn report(&self) -> String {
-        let mut out = format!(
-            "auditor [{}]: {} checks, {} violations, {} shadow conns, ring {} (+{} dropped), segments {} (+{} dropped)\n",
-            self.cfg.label,
-            self.ledger.total_checks(),
-            self.ledger.total_violations(),
-            self.conns.len(),
-            self.ring.len(),
-            self.ring_dropped,
-            self.pcap.len(),
-            self.pcap_dropped
-        );
-        out.push_str(&self.ledger.to_table());
-        for (key, c) in &self.conns {
-            out.push_str(&format!(
-                "conn {key}: delta={:?} established={} send_next={} pq={}B sq={}B ack_p={:?} ack_s={:?} win=({},{}) last_ack_released={:?}\n",
-                c.delta(),
-                c.syn_released,
-                c.send_next,
-                c.p_stream.buffered(),
-                c.s_stream.buffered(),
-                c.ack_p,
-                c.ack_s,
-                c.win_p,
-                c.win_s,
-                c.last_ack_released,
-            ));
-        }
-        for v in &self.violations {
-            out.push_str(&v.render());
-        }
-        out
-    }
-
-    // -----------------------------------------------------------------
-    // Ring + recording plumbing
-    // -----------------------------------------------------------------
-
+impl Recorder {
     fn push_event(&mut self, kind: AuditEventKind, trace: TraceId, detail: impl Into<AuditDetail>) {
         if self.ring.len() >= self.cfg.ring_capacity {
             self.ring.pop_front();
@@ -1022,30 +1167,18 @@ impl InvariantAuditor {
         });
     }
 
-    fn push_pcap(
+    /// A segment the bridge took in or put out: a trace-ring entry, and
+    /// a recent-header record unless it was only handed up or aside.
+    fn record(
         &mut self,
+        kind: AuditEventKind,
         src: Ipv4Addr,
         dst: Ipv4Addr,
-        bytes: &Bytes,
+        bytes: &[u8],
+        view: &TcpView<'_>,
         trace: TraceId,
-        tag: &'static str,
     ) {
-        if self.pcap.len() >= self.cfg.pcap_capacity {
-            self.pcap.pop_front();
-            self.pcap_dropped += 1;
-        }
-        self.pcap.push_back(SegmentRecord {
-            at_ns: self.now_ns,
-            src,
-            dst,
-            bytes: bytes.clone(),
-            trace,
-            tag,
-        });
-    }
-
-    fn seg_detail(src: Ipv4Addr, dst: Ipv4Addr, view: &TcpView<'_>) -> SegSummary {
-        SegSummary {
+        let summary = SegSummary {
             src,
             dst,
             src_port: view.src_port(),
@@ -1056,41 +1189,46 @@ impl InvariantAuditor {
             win: view.window(),
             len: view.payload().len() as u32,
             orig_dest: view.orig_dest(),
+        };
+        self.push_event(kind, trace, summary);
+        if matches!(kind, AuditEventKind::DeliverUp | AuditEventKind::Note) {
+            return;
         }
-    }
-
-    fn key_for_egress(dst: Ipv4Addr, view: &TcpView<'_>) -> AuditKey {
-        AuditKey {
-            peer_ip: dst,
-            peer_port: view.dst_port(),
-            server_port: view.src_port(),
+        if self.pcap.len() >= self.cfg.pcap_capacity {
+            self.pcap.pop_front();
+            self.pcap_dropped += 1;
         }
+        let header_len = view.header_len();
+        let mut header = [0; MAX_TCP_HEADER];
+        header[..header_len].copy_from_slice(&bytes[..header_len]);
+        self.pcap.push_back(SegmentRecord {
+            at_ns: self.now_ns,
+            src,
+            dst,
+            header,
+            header_len: header_len as u8,
+            seg_len: bytes.len() as u32,
+            trace,
+            kind,
+        });
     }
-
-    fn key_for_ingress(src: Ipv4Addr, view: &TcpView<'_>) -> AuditKey {
-        AuditKey {
-            peer_ip: src,
-            peer_port: view.src_port(),
-            server_port: view.dst_port(),
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Violation path
-    // -----------------------------------------------------------------
 
     fn check(&mut self, rule: Rule, ok: bool, trace: TraceId, detail: impl FnOnce() -> String) {
         self.ledger.note_check(rule);
-        if ok {
-            return;
+        if !ok {
+            self.violated(rule, trace, detail());
         }
+    }
+
+    #[cold]
+    fn violated(&mut self, rule: Rule, trace: TraceId, detail: String) {
         self.ledger.note_violation(rule);
         let chain = self.chain_for(trace);
         let v = Violation {
             rule,
             at_ns: self.now_ns,
             trace,
-            detail: detail(),
+            detail,
             chain,
         };
         if let Some(hub) = &self.hub {
@@ -1151,14 +1289,47 @@ impl InvariantAuditor {
         chain
     }
 
-    // -----------------------------------------------------------------
-    // Flight recorder
-    // -----------------------------------------------------------------
+    /// Every `checksum_sample`-th segment that left the bridge
+    /// rewritten: its checksum must equal a full recomputation.
+    fn sample_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr, bytes: &[u8], trace: TraceId) {
+        self.releases_seen += 1;
+        let n = self.cfg.checksum_sample;
+        if n > 0 && self.releases_seen.is_multiple_of(n) {
+            let ok = verify_segment_checksum(src, dst, bytes);
+            self.check(Rule::Checksum, ok, trace, || {
+                format!(
+                    "segment {src}→{dst} fails full checksum recomputation \
+                     (incremental RFC 1624 update drifted)"
+                )
+            });
+        }
+    }
 
-    /// Writes the flight-recorder bundle (rule ledger + violations,
-    /// trace ring, pcapng slice, timeline + journal) and returns its
-    /// directory.
-    pub fn write_bundle(&self) -> std::io::Result<PathBuf> {
+    /// §5 ordering at the first client byte after the takeover noted at
+    /// `takeover_at`: with a hub attached, its §5 view is monotone and
+    /// has the VIP claimed (`takeover.arp`) no earlier than the takeover
+    /// and no later than this byte.
+    fn check_takeover_order(&mut self, takeover_at: u64, trace: TraceId) {
+        let now = self.now_ns;
+        let view = (self.hub.as_ref()).map(|h| {
+            (
+                h.timeline.at(FailoverPhase::ArpTakeover),
+                h.timeline.is_monotone(),
+            )
+        });
+        let ok = view.is_none_or(|(arp, monotone)| {
+            monotone && arp.is_some_and(|a| takeover_at <= a && a <= now)
+        });
+        self.check(Rule::FailoverOrder, ok, trace, || {
+            format!(
+                "first post-takeover client byte at {now}ns, takeover noted at \
+                 {takeover_at}ns, hub's (VIP claimed, §5 view monotone): {view:?} \
+                 — out of order"
+            )
+        });
+    }
+
+    fn write_bundle(&self) -> std::io::Result<PathBuf> {
         let seq = BUNDLE_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir =
             self.cfg
@@ -1195,30 +1366,190 @@ impl InvariantAuditor {
         Ok(dir)
     }
 
-    /// The recent-segment ring as a pcapng capture. Every packet
-    /// carries a comment block with its trace id and direction; the
-    /// diverted S→P leg is annotated with the decoded orig-dest option
-    /// so captures are self-describing.
-    pub fn pcap_slice(&self) -> Vec<u8> {
+    fn pcap_slice(&self) -> Vec<u8> {
         let mut w = PcapngWriter::new(&format!("audit-{}", self.cfg.label));
         for rec in &self.pcap {
-            let ip = Ipv4Packet::new(rec.src, rec.dst, PROTO_TCP, rec.bytes.clone());
-            let frame = EthernetFrame::new(
+            let header = &rec.header[..usize::from(rec.header_len)];
+            // The payload was not kept: zeros stand in for it past the
+            // snap length, so the IPv4 header states the original length.
+            let mut seg = header.to_vec();
+            seg.resize(rec.seg_len as usize, 0);
+            let frame = Ipv4Packet::new(rec.src, rec.dst, PROTO_TCP, seg.into()).encode_framed(
                 MacAddr::from_index(u32::from(rec.dst.octets()[3])),
                 MacAddr::from_index(u32::from(rec.src.octets()[3])),
-                EtherType::Ipv4,
-                ip.encode(),
-            )
-            .encode();
-            let mut comment = format!("{} {}", rec.tag, rec.trace);
-            if let Ok(view) = TcpView::new(&rec.bytes) {
-                if let Some((oip, oport)) = view.orig_dest() {
-                    comment.push_str(&format!(" diverted S→P leg, orig-dest={oip}:{oport}"));
-                }
+            );
+            let snap = ETH_HEADER_LEN + IPV4_HEADER_LEN + header.len();
+            let mut comment = format!("{} {}", rec.kind, rec.trace);
+            if let Some((oip, oport)) = peek_orig_dest(header) {
+                comment.push_str(&format!(" diverted S→P leg, orig-dest={oip}:{oport}"));
             }
-            w.packet_with_comment(rec.at_ns, &frame, Some(&comment));
+            w.truncated_packet(rec.at_ns, &frame[..snap], frame.len(), Some(&comment));
         }
         w.finish()
+    }
+}
+
+// ---------------------------------------------------------------------
+// The auditor
+// ---------------------------------------------------------------------
+
+/// An independent online checker for the paper's bridge invariants.
+/// One instance is attached per bridge; the bridge reports every
+/// ingress/egress event and the auditor re-derives the connection
+/// state (Δseq, acks, windows, shadow byte streams) and checks each
+/// release against the [`Rule`] catalogue. See the module docs.
+pub struct InvariantAuditor {
+    rec: Recorder,
+    /// Shadow state per connection. std's keyed hasher, for the reason
+    /// flow keys use one: the client chooses the key.
+    conns: HashMap<AuditKey, AuditConn>,
+    /// §6 degraded mode: per-connection checks are suspended.
+    degraded: bool,
+    /// When this link's §5 takeover was noted, until the first client
+    /// byte after it is checked against it.
+    takeover_at: Option<u64>,
+    /// Connection touched by the current event (for the §3.4 check).
+    touched: Option<AuditKey>,
+    /// Client-ingress ack awaiting the Δseq-translated deliver-up.
+    pending_ack: Option<(AuditKey, u32)>,
+    /// Chain promotion decision stamp (log-before-act): set when the
+    /// controller journals the promotion decision, cleared when the
+    /// commit is checked against it.
+    promotion_decided_at: Option<u64>,
+}
+
+impl fmt::Debug for InvariantAuditor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InvariantAuditor")
+            .field("label", &self.rec.cfg.label)
+            .field("conns", &self.conns.len())
+            .field("checks", &self.rec.ledger.total_checks())
+            .field("violations", &self.rec.ledger.total_violations())
+            .finish()
+    }
+}
+
+impl InvariantAuditor {
+    /// Creates a detached-from-telemetry auditor.
+    pub fn new(cfg: AuditConfig) -> Self {
+        InvariantAuditor {
+            rec: Recorder {
+                cfg,
+                hub: None,
+                ledger: RuleLedger::default(),
+                ring: VecDeque::new(),
+                ring_dropped: 0,
+                pcap: VecDeque::new(),
+                pcap_dropped: 0,
+                violations: Vec::new(),
+                bundle: None,
+                releases_seen: 0,
+                now_ns: 0,
+                health_snapshot: None,
+            },
+            conns: HashMap::new(),
+            degraded: false,
+            takeover_at: None,
+            touched: None,
+            pending_ack: None,
+            promotion_decided_at: None,
+        }
+    }
+
+    /// Stores the latest replication-lag ledger for inclusion in
+    /// flight-recorder bundles. Called from the bridge's host-tick
+    /// telemetry sync, so it is a plain copy: the JSON is rendered by
+    /// [`InvariantAuditor::write_bundle`], if a bundle is ever written.
+    pub fn set_health_snapshot(&mut self, lag: &ReplicationLag) {
+        self.rec.health_snapshot = Some(*lag);
+    }
+
+    /// Connects the telemetry hub so violations reach the journal and
+    /// the flight recorder can bundle the timeline.
+    pub fn with_hub(mut self, hub: &Telemetry) -> Self {
+        self.rec.hub = Some(hub.clone());
+        self
+    }
+
+    /// The rule ledger.
+    pub fn ledger(&self) -> &RuleLedger {
+        &self.rec.ledger
+    }
+
+    /// Recorded violations.
+    pub fn violations(&self) -> &[Violation] {
+        &self.rec.violations
+    }
+
+    /// The flight-recorder bundle directory, once one was written.
+    pub fn bundle_path(&self) -> Option<&PathBuf> {
+        self.rec.bundle.as_ref()
+    }
+
+    /// The label reports, journal scopes and bundle names carry.
+    pub fn label(&self) -> &str {
+        &self.rec.cfg.label
+    }
+
+    /// Entries the causal trace ring and the recent-segment ring each
+    /// evicted to stay within their capacities.
+    pub fn dropped(&self) -> (u64, u64) {
+        (self.rec.ring_dropped, self.rec.pcap_dropped)
+    }
+
+    /// Human-readable auditor state: ledger, shadow connections, and
+    /// any violations.
+    pub fn report(&self) -> String {
+        let rec = &self.rec;
+        let mut out = format!(
+            "auditor [{}]: {} checks, {} violations, {} shadow conns, ring {} (+{} dropped), segments {} (+{} dropped)\n",
+            rec.cfg.label,
+            rec.ledger.total_checks(),
+            rec.ledger.total_violations(),
+            self.conns.len(),
+            rec.ring.len(),
+            rec.ring_dropped,
+            rec.pcap.len(),
+            rec.pcap_dropped
+        );
+        out.push_str(&rec.ledger.to_table());
+        for (key, c) in &self.conns {
+            out.push_str(&format!(
+                "conn {key}: delta={:?} established={} send_next={} pq={}B sq={}B ack_p={:?} ack_s={:?} win=({},{}) last_ack_released={:?}\n",
+                c.delta(),
+                c.syn_released,
+                c.send_next,
+                c.p.stream.buffered(),
+                c.s.stream.buffered(),
+                c.p.ack,
+                c.s.ack,
+                c.p.win,
+                c.s.win,
+                c.last_ack_released,
+            ));
+        }
+        for v in &rec.violations {
+            out.push_str(&v.render());
+        }
+        out
+    }
+
+    /// Writes the flight-recorder bundle (rule ledger + violations,
+    /// trace ring, pcapng slice, timeline + journal) and returns its
+    /// directory.
+    pub fn write_bundle(&self) -> std::io::Result<PathBuf> {
+        self.rec.write_bundle()
+    }
+
+    /// The recent-segment ring as a pcapng capture of truncated
+    /// packets: each holds the segment's Ethernet, IPv4 and TCP headers
+    /// (options included) and states the frame's full length, the way
+    /// `tcpdump -s` snaps. Every packet carries a comment block with
+    /// its trace id and direction; the diverted S→P leg is annotated
+    /// with the decoded orig-dest option so captures are
+    /// self-describing.
+    pub fn pcap_slice(&self) -> Vec<u8> {
+        self.rec.pcap_slice()
     }
 
     // -----------------------------------------------------------------
@@ -1227,7 +1558,7 @@ impl InvariantAuditor {
 
     /// Starts one filter event (one segment through the bridge).
     pub fn begin_event(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
+        self.rec.now_ns = now_ns;
         self.touched = None;
         self.pending_ack = None;
     }
@@ -1235,11 +1566,11 @@ impl InvariantAuditor {
     /// Ends the event: runs the deferred §3.4 bare-ACK rule for the
     /// touched connection.
     pub fn end_event(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
+        self.rec.now_ns = now_ns;
         let Some(key) = self.touched.take() else {
             return;
         };
-        let Some(conn) = self.conns.get(&key) else {
+        let Some(conn) = self.conns.get_mut(&key) else {
             return;
         };
         if self.degraded || !conn.syn_released || conn.closed {
@@ -1249,19 +1580,16 @@ impl InvariantAuditor {
             return;
         };
         let ok = last.is_some_and(|l| seq_ge(l, m));
-        let lastv = last;
-        self.check(Rule::BareAck, ok, TraceId::NONE, || {
+        self.rec.check(Rule::BareAck, ok, TraceId::NONE, || {
             format!(
-                "conn {key}: min(ack_P, ack_S)={m} advanced but last released ack is {lastv:?} — \
+                "conn {key}: min(ack_P, ack_S)={m} advanced but last released ack is {last:?} — \
                  no bare ACK was synthesised before the event ended"
             )
         });
         // Mirror the bridge's §8 teardown so late-FIN tombstone ACKs
         // are not misjudged against a dead connection's state.
-        if let Some(conn) = self.conns.get_mut(&key) {
-            if conn.teardown_reached() {
-                conn.closed = true;
-            }
+        if conn.teardown_reached() {
+            conn.closed = true;
         }
     }
 }
@@ -1274,10 +1602,10 @@ impl InvariantAuditor {
     /// §6: the bridge degraded to Δ-adjusted pass-through — suspend
     /// per-connection checking (the min/matched rules no longer apply).
     pub fn note_degraded(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
+        self.rec.now_ns = now_ns;
         self.degraded = true;
         self.conns.clear();
-        self.push_event(
+        self.rec.push_event(
             AuditEventKind::Phase,
             TraceId::NONE,
             "degraded: secondary failed, per-conn rules suspended (§6)",
@@ -1286,9 +1614,9 @@ impl InvariantAuditor {
 
     /// A replica joined below: new connections replicate again.
     pub fn note_joined(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
+        self.rec.now_ns = now_ns;
         self.degraded = false;
-        self.push_event(
+        self.rec.push_event(
             AuditEventKind::Phase,
             TraceId::NONE,
             "joined: a replica below again, new connections audited",
@@ -1307,23 +1635,22 @@ impl InvariantAuditor {
         let Ok(view) = TcpView::new(bytes) else {
             return;
         };
-        let detail = Self::seg_detail(src, dst, &view);
-        self.push_event(AuditEventKind::ClientIngress, trace, detail);
-        self.push_pcap(src, dst, bytes, trace, "client_in");
+        self.rec
+            .record(AuditEventKind::ClientIngress, src, dst, bytes, &view, trace);
         if !designated {
             return;
         }
-        let key = Self::key_for_ingress(src, &view);
+        let key = AuditKey::new(src, view.src_port(), view.dst_port());
         let flags = view.flags();
-        if flags.contains(TcpFlags::SYN) && !flags.contains(TcpFlags::ACK) && !self.degraded {
-            self.conns.entry(key).or_default();
-        }
-        let Some(conn) = self.conns.get_mut(&key) else {
+        let opens = flags.contains(TcpFlags::SYN) && !flags.contains(TcpFlags::ACK);
+        let conn = if opens && !self.degraded {
+            Some(self.conns.entry(key).or_default())
+        } else {
+            self.conns.get_mut(&key)
+        };
+        let Some(conn) = conn.filter(|c| !c.closed) else {
             return;
         };
-        if conn.closed {
-            return;
-        }
         self.touched = Some(key);
         if flags.contains(TcpFlags::ACK) {
             let ack = view.ack();
@@ -1348,17 +1675,7 @@ impl InvariantAuditor {
         bytes: &Bytes,
         trace: TraceId,
     ) {
-        let Ok(view) = TcpView::new(bytes) else {
-            return;
-        };
-        let detail = Self::seg_detail(src, dst, &view);
-        self.push_event(AuditEventKind::PrimaryOut, trace, detail);
-        self.push_pcap(src, dst, bytes, trace, "primary_out");
-        if self.degraded {
-            return;
-        }
-        let key = Self::key_for_egress(dst, &view);
-        self.observe_replica(key, true, bytes, trace);
+        self.observe_replica(true, src, dst, bytes, trace);
     }
 
     /// A diverted secondary segment (with orig-dest option) arrived.
@@ -1369,130 +1686,54 @@ impl InvariantAuditor {
         bytes: &Bytes,
         trace: TraceId,
     ) {
-        let Ok(view) = TcpView::new(bytes) else {
-            return;
-        };
-        let detail = Self::seg_detail(src, dst, &view);
-        self.push_event(AuditEventKind::SecondaryDiverted, trace, detail);
-        self.push_pcap(src, dst, bytes, trace, "diverted_in");
-        if self.degraded {
-            return;
-        }
-        let Some((orig_ip, orig_port)) = view.orig_dest() else {
-            return;
-        };
-        let key = AuditKey {
-            peer_ip: orig_ip,
-            peer_port: orig_port,
-            server_port: view.src_port(),
-        };
-        self.observe_replica(key, false, bytes, trace);
+        self.observe_replica(false, src, dst, bytes, trace);
     }
 
-    /// Shared replica-segment shadowing: ISNs, acks, windows, FIN
-    /// positions, and the shadow byte stream (queue-insert mirror).
-    fn observe_replica(&mut self, key: AuditKey, is_primary: bool, bytes: &Bytes, trace: TraceId) {
+    /// Shared replica-segment shadowing. P's output is addressed to the
+    /// client, S's names the client in its orig-dest option. A SYN
+    /// teaches the replica's ISN and handshake parameters; anything
+    /// later goes through [`AuditConn::observe`].
+    fn observe_replica(
+        &mut self,
+        is_primary: bool,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        bytes: &Bytes,
+        trace: TraceId,
+    ) {
         let Ok(view) = TcpView::new(bytes) else {
             return;
         };
-        let flags = view.flags();
-        if flags.contains(TcpFlags::SYN) {
-            // Learn the replica ISN and handshake parameters. MSS needs
-            // the options, so take the full decode (cold path).
-            let mss = TcpSegment::decode_shared(bytes).ok().and_then(|s| s.mss());
-            let conn = self.conns.entry(key).or_default();
-            if is_primary {
-                conn.p_isn = Some(view.seq());
-                conn.win_p = view.window();
-                conn.mss_p = mss;
-                if flags.contains(TcpFlags::ACK) {
-                    conn.syn_ack_p = Some(view.ack());
-                    conn.ack_p = Some(view.ack());
-                }
-            } else {
-                conn.s_isn = Some(view.seq());
-                conn.win_s = view.window();
-                conn.mss_s = mss;
-                if flags.contains(TcpFlags::ACK) {
-                    conn.syn_ack_s = Some(view.ack());
-                    conn.ack_s = Some(view.ack());
-                }
-            }
-            self.touched = Some(key);
-            return;
-        }
-        let Some(conn) = self.conns.get_mut(&key) else {
+        let (kind, peer) = if is_primary {
+            (AuditEventKind::PrimaryOut, Some((dst, view.dst_port())))
+        } else {
+            (AuditEventKind::SecondaryDiverted, view.orig_dest())
+        };
+        self.rec.record(kind, src, dst, bytes, &view, trace);
+        let Some((peer_ip, peer_port)) = peer.filter(|_| !self.degraded) else {
             return;
         };
-        if conn.closed {
+        let key = AuditKey::new(peer_ip, peer_port, view.src_port());
+        let flags = view.flags();
+        if !flags.contains(TcpFlags::SYN) {
+            let Some(conn) = self.conns.get_mut(&key).filter(|c| !c.closed) else {
+                return;
+            };
+            self.touched = Some(key);
+            conn.observe(&mut self.rec, key, is_primary, bytes, &view, trace);
             return;
+        }
+        let conn = self.conns.entry(key).or_default();
+        let side = if is_primary { &mut conn.p } else { &mut conn.s };
+        side.isn = Some(view.seq());
+        side.win = view.window();
+        // MSS needs the options: the datapath's full decode (cold path).
+        side.mss = TcpSegment::decode_shared(bytes).ok().and_then(|s| s.mss());
+        if flags.contains(TcpFlags::ACK) {
+            side.syn_ack = Some(view.ack());
+            side.ack = Some(view.ack());
         }
         self.touched = Some(key);
-        if flags.contains(TcpFlags::ACK) {
-            if is_primary {
-                conn.ack_p = Some(view.ack());
-                conn.win_p = view.window();
-            } else {
-                conn.ack_s = Some(view.ack());
-                conn.win_s = view.window();
-            }
-        }
-        let Some(delta) = conn.delta() else {
-            return;
-        };
-        // Normalise into S (client-facing) space.
-        let seq = if is_primary {
-            view.seq().wrapping_sub(delta)
-        } else {
-            view.seq()
-        };
-        if flags.contains(TcpFlags::RST) {
-            // The bridge forwards a translated RST and drops state.
-            conn.closed = true;
-            return;
-        }
-        let Some(rel) = conn.rel(seq) else { return };
-        let payload = view.payload();
-        if flags.contains(TcpFlags::FIN) {
-            let fin_rel = rel + payload.len() as u64;
-            if is_primary {
-                conn.p_fin = Some(fin_rel);
-            } else {
-                conn.s_fin = Some(fin_rel);
-            }
-        }
-        if !payload.is_empty() {
-            let stream = if is_primary {
-                &mut conn.p_stream
-            } else {
-                &mut conn.s_stream
-            };
-            let watermark = conn.send_next;
-            if stream.trimmed < watermark {
-                stream.trimmed = watermark;
-            }
-            let res = stream.insert(rel, payload, trace);
-            self.push_event(
-                AuditEventKind::QueueInsert,
-                trace,
-                AuditDetail::QueueInsert {
-                    key,
-                    primary: is_primary,
-                    rel,
-                    len: payload.len() as u32,
-                    watermark,
-                },
-            );
-            if let Err(off) = res {
-                let who = if is_primary { "primary" } else { "secondary" };
-                self.check(Rule::QueueAgree, false, trace, || {
-                    format!(
-                        "conn {key}: {who} replica re-sent different bytes at stream offset {off} \
-                         (overlapping retransmission diverged from the recorded stream)"
-                    )
-                });
-            }
-        }
     }
 
     /// A client-facing segment left the bridge: the main rule gate.
@@ -1500,229 +1741,28 @@ impl InvariantAuditor {
         let Ok(view) = TcpView::new(bytes) else {
             return;
         };
-        let detail = Self::seg_detail(src, dst, &view);
-        self.push_event(AuditEventKind::Release, trace, detail);
-        self.push_pcap(src, dst, bytes, trace, "release");
-        self.sample_checksum(src, dst, bytes, trace);
+        self.rec
+            .record(AuditEventKind::Release, src, dst, bytes, &view, trace);
+        self.rec.sample_checksum(src, dst, bytes, trace);
         if self.degraded {
             return;
         }
-        let key = Self::key_for_egress(dst, &view);
-        if !self.conns.contains_key(&key) {
+        let key = AuditKey::new(dst, view.dst_port(), view.src_port());
+        let Some(conn) = self.conns.get_mut(&key) else {
             return; // tombstone/late-FIN traffic: no shadow state left.
-        }
+        };
         let flags = view.flags();
         if flags.contains(TcpFlags::RST) {
-            if let Some(conn) = self.conns.get_mut(&key) {
-                conn.closed = true;
-            }
+            conn.closed = true;
             return;
         }
-        if self.conns[&key].closed {
+        if conn.closed {
             return;
         }
         if flags.contains(TcpFlags::SYN) {
-            self.check_syn_release(key, bytes, &view, trace);
-            return;
-        }
-        self.check_data_release(key, &view, trace);
-    }
-
-    /// Rules on the merged SYN / SYN+ACK (§7): S's ISN, min window,
-    /// min MSS, min ack.
-    fn check_syn_release(
-        &mut self,
-        key: AuditKey,
-        bytes: &Bytes,
-        view: &TcpView<'_>,
-        trace: TraceId,
-    ) {
-        let conn = &self.conns[&key];
-        let (Some(p_isn), Some(s_isn)) = (conn.p_isn, conn.s_isn) else {
-            // A merged SYN released before the auditor saw both replica
-            // SYNs — it cannot have been merged from both.
-            let seen = (conn.p_isn, conn.s_isn);
-            self.check(Rule::MatchedOnly, false, trace, || {
-                format!(
-                    "conn {key}: SYN released before both replica SYNs were observed \
-                     (p_isn, s_isn)={seen:?}"
-                )
-            });
-            return;
-        };
-        let seq = view.seq();
-        self.check(Rule::SeqSpace, seq == s_isn, trace, || {
-            format!(
-                "conn {key}: merged SYN uses seq={seq}, expected the secondary's ISN {s_isn} \
-                 (primary ISN was {p_isn}; client-facing bytes must live in S's space)"
-            )
-        });
-        let conn = &self.conns[&key];
-        let (win, exp_win) = (view.window(), conn.min_win());
-        self.check(Rule::WinMin, win == exp_win, trace, || {
-            format!("conn {key}: merged SYN win={win}, expected min(win_P, win_S)={exp_win}")
-        });
-        let conn = &self.conns[&key];
-        let mss = TcpSegment::decode_shared(bytes).ok().and_then(|s| s.mss());
-        let exp_mss = conn.mss_p.unwrap_or(536).min(conn.mss_s.unwrap_or(536));
-        self.check(Rule::MssMin, mss == Some(exp_mss), trace, || {
-            format!("conn {key}: merged SYN advertises MSS {mss:?}, expected min(MSS_P, MSS_S)={exp_mss}")
-        });
-        let conn = &self.conns[&key];
-        if view.flags().contains(TcpFlags::ACK) {
-            if let (Some(ap), Some(as_)) = (conn.syn_ack_p, conn.syn_ack_s) {
-                let (ack, exp) = (view.ack(), seq_min(ap, as_));
-                self.check(Rule::AckMin, ack == exp, trace, || {
-                    format!(
-                        "conn {key}: merged SYN+ACK acks {ack}, expected min(ack_P, ack_S)={exp}"
-                    )
-                });
-            }
-        }
-        let conn = self.conns.get_mut(&key).expect("conn present");
-        conn.syn_released = true;
-        conn.send_next = 0;
-        if view.flags().contains(TcpFlags::ACK) {
-            conn.last_ack_released = Some(view.ack());
-        }
-    }
-
-    /// Rules on data / FIN / bare-ACK releases.
-    fn check_data_release(&mut self, key: AuditKey, view: &TcpView<'_>, trace: TraceId) {
-        let conn = &self.conns[&key];
-        if !conn.syn_released {
-            self.check(Rule::MatchedOnly, false, trace, || {
-                format!("conn {key}: data released before the merged SYN")
-            });
-            return;
-        }
-        let Some(rel) = conn.rel(view.seq()) else {
-            return;
-        };
-        let len = view.payload().len();
-        let has_fin = view.flags().contains(TcpFlags::FIN);
-        let sn = conn.send_next;
-        let end = rel + len as u64 + u64::from(has_fin);
-        let pure_ack = len == 0 && !has_fin;
-        // --- SeqSpace (§3.2 / §4) ---
-        let seq_ok = if pure_ack {
-            rel <= sn
-        } else if end <= sn {
-            true // §4 retransmission: entirely below the watermark.
+            conn.check_syn_release(&mut self.rec, key, bytes, &view, trace);
         } else {
-            rel == sn
-        };
-        let seqv = view.seq();
-        self.check(Rule::SeqSpace, seq_ok, trace, || {
-            format!(
-                "conn {key}: released seq={seqv} (stream offset {rel}, len {len}, fin {has_fin}) \
-                 is neither at the matched watermark ({sn}) nor a §4 retransmission below it"
-            )
-        });
-        let retransmission = !pure_ack && end <= sn;
-        // --- MatchedOnly + QueueAgree (§3.2) on fresh payload ---
-        if len > 0 && !retransmission && rel == sn {
-            let conn = &self.conns[&key];
-            let released = view.payload();
-            // Non-copying presence + equality probes; the expensive
-            // diagnostics (contributor traces, first divergent byte)
-            // are computed only when a rule is about to fail.
-            let p_match = conn.p_stream.matches(rel, released);
-            let s_match = conn.s_stream.matches(rel, released);
-            let (p_has, s_has) = (p_match.is_some(), s_match.is_some());
-            let agree = p_match.unwrap_or(false) && s_match.unwrap_or(false);
-            let contributors: Vec<TraceId> = if p_has && s_has && agree {
-                Vec::new()
-            } else {
-                conn.p_stream
-                    .traces(rel, len)
-                    .into_iter()
-                    .chain(conn.s_stream.traces(rel, len))
-                    .collect()
-            };
-            let first_div = if p_has && s_has && !agree {
-                let p = conn.p_stream.get(rel, len).unwrap_or_default();
-                let s = conn.s_stream.get(rel, len).unwrap_or_default();
-                released
-                    .iter()
-                    .enumerate()
-                    .find(|(i, b)| p.get(*i) != Some(b) || s.get(*i) != Some(b))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            } else {
-                0
-            };
-            self.check(Rule::MatchedOnly, p_has && s_has, trace, || {
-                format!(
-                    "conn {key}: released {len}B at offset {rel} not matched in both replica \
-                     streams (primary has it: {p_has}, secondary has it: {s_has}; \
-                     contributors {contributors:?})"
-                )
-            });
-            if p_has && s_has {
-                self.check(Rule::QueueAgree, agree, trace, || {
-                    format!(
-                        "conn {key}: released bytes diverge from the replica streams at \
-                         offset {rel}+{first_div} (contributors {contributors:?})"
-                    )
-                });
-            }
-        }
-        // --- FIN merge (§3.2/§8): both replicas closed here ---
-        if has_fin && !retransmission {
-            let conn = &self.conns[&key];
-            let fin_at = rel + len as u64;
-            let (pf, sf) = (conn.p_fin, conn.s_fin);
-            self.check(
-                Rule::MatchedOnly,
-                pf == Some(fin_at) && sf == Some(fin_at),
-                trace,
-                || {
-                    format!(
-                        "conn {key}: FIN released at stream offset {fin_at} but replica FINs are \
-                         p_fin={pf:?}, s_fin={sf:?} — a FIN may only be released once both \
-                         replicas closed at the same position"
-                    )
-                },
-            );
-        }
-        // --- AckMin / WinMin (§3.2) ---
-        if view.flags().contains(TcpFlags::ACK) {
-            let conn = &self.conns[&key];
-            if let Some(exp) = conn.min_ack() {
-                let ack = view.ack();
-                let (ap, as_) = (conn.ack_p, conn.ack_s);
-                self.check(Rule::AckMin, ack == exp, trace, || {
-                    format!(
-                        "conn {key}: released ack={ack}, expected min(ack_P, ack_S)=\
-                         min({ap:?}, {as_:?})={exp}"
-                    )
-                });
-            }
-        }
-        {
-            let conn = &self.conns[&key];
-            let (win, exp_win) = (view.window(), conn.min_win());
-            self.check(Rule::WinMin, win == exp_win, trace, || {
-                format!("conn {key}: released win={win}, expected min(win_P, win_S)={exp_win}")
-            });
-        }
-        // --- advance the shadow watermark ---
-        let conn = self.conns.get_mut(&key).expect("conn present");
-        if !retransmission && rel == sn && (len > 0 || has_fin) {
-            conn.send_next = end;
-            conn.p_stream.trim(rel + len as u64);
-            conn.s_stream.trim(rel + len as u64);
-            if has_fin {
-                conn.fin_released = true;
-            }
-        }
-        if view.flags().contains(TcpFlags::ACK) {
-            let ack = view.ack();
-            conn.last_ack_released = Some(match conn.last_ack_released {
-                Some(l) if seq_gt(l, ack) => l,
-                _ => ack,
-            });
+            conn.check_data_release(&mut self.rec, key, &view, trace);
         }
     }
 
@@ -1738,24 +1778,23 @@ impl InvariantAuditor {
         let Ok(view) = TcpView::new(bytes) else {
             return;
         };
-        let detail = Self::seg_detail(src, dst, &view);
-        self.push_event(AuditEventKind::DeliverUp, trace, detail);
+        self.rec
+            .record(AuditEventKind::DeliverUp, src, dst, bytes, &view, trace);
         let Some((key, ingress_ack)) = self.pending_ack.take() else {
             return;
         };
         if self.degraded {
             return;
         }
-        let Some(conn) = self.conns.get(&key) else {
+        let Some(delta) = self.conns.get(&key).and_then(AuditConn::delta) else {
             return;
         };
-        let Some(delta) = conn.delta() else { return };
         if view.src_port() != key.peer_port || !view.flags().contains(TcpFlags::ACK) {
             return;
         }
         let exp = ingress_ack.wrapping_add(delta);
         let ack = view.ack();
-        self.check(Rule::Translate, ack == exp, trace, || {
+        self.rec.check(Rule::Translate, ack == exp, trace, || {
             format!(
                 "conn {key}: client ack {ingress_ack} delivered up as {ack}, expected \
                  {ingress_ack}+Δseq({delta})={exp}"
@@ -1773,8 +1812,8 @@ impl InvariantAuditor {
         trace: TraceId,
     ) {
         if let Ok(view) = TcpView::new(bytes) {
-            let detail = Self::seg_detail(src, dst, &view);
-            self.push_event(AuditEventKind::Note, trace, detail);
+            self.rec
+                .record(AuditEventKind::Note, src, dst, bytes, &view, trace);
         }
     }
 }
@@ -1787,8 +1826,8 @@ impl InvariantAuditor {
     /// §5: this link was promoted — egress held, translations off, the
     /// VIP about to be claimed, all at `now_ns`.
     pub fn note_takeover(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
-        self.push_event(
+        self.rec.now_ns = now_ns;
+        self.rec.push_event(
             AuditEventKind::Phase,
             TraceId::NONE,
             format!("takeover at {now_ns}ns"),
@@ -1800,8 +1839,8 @@ impl InvariantAuditor {
     /// replica and journaled the decision. Log-before-act: this must
     /// precede [`InvariantAuditor::note_promotion_committed`].
     pub fn note_promotion_decision(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
-        self.push_event(
+        self.rec.now_ns = now_ns;
+        self.rec.push_event(
             AuditEventKind::Phase,
             TraceId::NONE,
             format!("promotion decided at {now_ns}ns"),
@@ -1814,15 +1853,15 @@ impl InvariantAuditor {
     /// decision record must already exist and must not postdate the
     /// commit.
     pub fn note_promotion_committed(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
-        self.push_event(
+        self.rec.now_ns = now_ns;
+        self.rec.push_event(
             AuditEventKind::Phase,
             TraceId::NONE,
             format!("promotion committed at {now_ns}ns"),
         );
         let decided = self.promotion_decided_at;
         let ok = decided.is_some_and(|d| d <= now_ns);
-        self.check(Rule::PromotionOrder, ok, TraceId::NONE, || {
+        self.rec.check(Rule::PromotionOrder, ok, TraceId::NONE, || {
             format!(
                 "promotion committed at {now_ns}ns without a prior journaled \
                  decision (decided_at: {decided:?}); the chain rule requires \
@@ -1864,57 +1903,17 @@ impl InvariantAuditor {
             None => (src == place.vip, "sent from the VIP"),
         };
         let place = *place;
-        self.check(Rule::Translate, ok, trace, || {
+        self.rec.check(Rule::Translate, ok, trace, || {
             format!(
                 "failover segment {src}→{dst} (orig-dest: {diverted}) must be {want} \
                  at {place:?} (§3.1)"
             )
         });
-        self.sample_checksum(src, dst, bytes, trace);
+        self.rec.sample_checksum(src, dst, bytes, trace);
         let first_byte = !up && place.upstream.is_none() && !view.payload().is_empty();
         if let Some(at) = self.takeover_at.take_if(|_| first_byte) {
-            self.check_takeover_order(at, trace);
+            self.rec.check_takeover_order(at, trace);
         }
-    }
-
-    /// Every `checksum_sample`-th segment that left the bridge
-    /// rewritten: its checksum must equal a full recomputation.
-    fn sample_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr, bytes: &Bytes, trace: TraceId) {
-        self.releases_seen += 1;
-        let n = self.cfg.checksum_sample;
-        if n > 0 && self.releases_seen.is_multiple_of(n) {
-            let ok = verify_segment_checksum(src, dst, bytes);
-            self.check(Rule::Checksum, ok, trace, || {
-                format!(
-                    "segment {src}→{dst} fails full checksum recomputation \
-                     (incremental RFC 1624 update drifted)"
-                )
-            });
-        }
-    }
-
-    /// §5 ordering at the first client byte after the takeover noted at
-    /// `takeover_at`: with a hub attached, its §5 view is monotone and
-    /// has the VIP claimed (`takeover.arp`) no earlier than the takeover
-    /// and no later than this byte.
-    fn check_takeover_order(&mut self, takeover_at: u64, trace: TraceId) {
-        let now = self.now_ns;
-        let view = (self.hub.as_ref()).map(|h| {
-            (
-                h.timeline.at(FailoverPhase::ArpTakeover),
-                h.timeline.is_monotone(),
-            )
-        });
-        let ok = view.is_none_or(|(arp, monotone)| {
-            monotone && arp.is_some_and(|a| takeover_at <= a && a <= now)
-        });
-        self.check(Rule::FailoverOrder, ok, trace, || {
-            format!(
-                "first post-takeover client byte at {now}ns, takeover noted at \
-                 {takeover_at}ns, hub's (VIP claimed, §5 view monotone): {view:?} \
-                 — out of order"
-            )
-        });
     }
 }
 
@@ -1933,41 +1932,56 @@ mod tests {
         assert_eq!(TraceId(7).to_string(), "t7");
     }
 
+    impl ShadowStream {
+        /// The bytes of `[at, at+len)` if fully present, else `None`.
+        fn get(&self, at: u64, len: usize) -> Option<Vec<u8>> {
+            let run = self.run_at(at, len);
+            (run.len() == len).then_some(run)
+        }
+    }
+
+    fn b(data: &'static [u8]) -> Bytes {
+        Bytes::from_static(data)
+    }
+
     #[test]
     fn shadow_stream_inserts_and_matches() {
         let mut s = ShadowStream::default();
-        s.insert(0, b"hello", TraceId(1)).unwrap();
-        s.insert(5, b" world", TraceId(2)).unwrap();
+        s.insert(0, &b(b"hello"), TraceId(1)).unwrap();
+        s.insert(5, &b(b" world"), TraceId(2)).unwrap();
         assert_eq!(s.get(0, 11), Some(b"hello world".to_vec()));
         assert_eq!(s.get(3, 4), Some(b"lo w".to_vec()));
         assert_eq!(s.get(8, 10), None);
         // Identical overlap is fine; divergent overlap reports offset.
-        s.insert(0, b"hello", TraceId(3)).unwrap();
-        assert_eq!(s.insert(4, b"X", TraceId(4)), Err(4));
+        s.insert(0, &b(b"hello"), TraceId(3)).unwrap();
+        assert_eq!(s.insert(4, &b(b"X"), TraceId(4)), Err(4));
         let traces = s.traces(0, 11);
         assert!(traces.contains(&TraceId(1)) && traces.contains(&TraceId(2)));
         s.trim(5);
         assert_eq!(s.get(0, 5), None);
         assert_eq!(s.get(5, 6), Some(b" world".to_vec()));
         // Inserts below the trim watermark are clipped silently.
-        s.insert(0, b"XXXXX", TraceId(5)).unwrap();
+        s.insert(0, &b(b"XXXXX"), TraceId(5)).unwrap();
         assert_eq!(s.get(5, 6), Some(b" world".to_vec()));
     }
 
     #[test]
     fn shadow_stream_gap_then_fill() {
         let mut s = ShadowStream::default();
-        s.insert(10, b"cd", TraceId(1)).unwrap();
+        s.insert(10, &b(b"cd"), TraceId(1)).unwrap();
         assert_eq!(s.get(8, 4), None);
-        s.insert(8, b"ab", TraceId(2)).unwrap();
+        s.insert(8, &b(b"ab"), TraceId(2)).unwrap();
         assert_eq!(s.get(8, 4), Some(b"abcd".to_vec()));
         // Straddling insert verifies the overlapped middle.
-        s.insert(9, b"bcde", TraceId(3)).unwrap();
+        s.insert(9, &b(b"bcde"), TraceId(3)).unwrap();
         assert_eq!(s.get(8, 5), Some(b"abcde".to_vec()));
     }
 
     #[test]
     fn ledger_counts_and_rule_metadata() {
+        for (i, r) in Rule::ALL.iter().enumerate() {
+            assert_eq!(r.index(), i, "Rule::ALL is in declaration order");
+        }
         let mut l = RuleLedger::default();
         l.note_check(Rule::AckMin);
         l.note_check(Rule::AckMin);
@@ -2006,7 +2020,7 @@ mod tests {
             .build()
             .encode(vip, client);
         a.note_takeover(1_000);
-        a.now_ns = 2_000;
+        a.rec.now_ns = 2_000;
         for _ in 0..2 {
             a.check_routed(&place, false, vip, client, &seg, TraceId::NONE);
         }
@@ -2036,13 +2050,51 @@ mod tests {
         (cfg.ring_capacity, cfg.pcap_capacity) = (3, 2);
         let mut a = InvariantAuditor::new(cfg);
         let [src, dst] = [Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(192, 168, 0, 9)];
+        let seg = TcpSegment::builder(80, 5555).build().encode(src, dst);
+        let view = TcpView::new(&seg).expect("valid");
         for _ in 0..5 {
-            a.push_event(AuditEventKind::Note, TraceId::NONE, "x");
-            a.push_pcap(src, dst, &Bytes::new(), TraceId::NONE, "release");
+            a.rec.push_event(AuditEventKind::Note, TraceId::NONE, "x");
+            (a.rec).record(
+                AuditEventKind::Release,
+                src,
+                dst,
+                &seg,
+                &view,
+                TraceId::NONE,
+            );
         }
-        assert_eq!(a.dropped(), (2, 3));
+        assert_eq!(a.dropped(), (7, 3));
         let report = a.report();
-        assert!(report.contains("ring 3 (+2 dropped), segments 2 (+3 dropped)"));
+        assert!(report.contains("ring 3 (+7 dropped), segments 2 (+3 dropped)"));
+    }
+
+    /// The capture holds each recorded segment as a truncated packet:
+    /// Ethernet, IPv4 and TCP headers, options included, and the
+    /// frame's full length.
+    #[test]
+    fn the_capture_snaps_each_segment_after_its_headers() {
+        let mut a = InvariantAuditor::new(AuditConfig::new("test"));
+        let [src, dst] = [Ipv4Addr::new(10, 0, 0, 3), Ipv4Addr::new(10, 0, 0, 2)];
+        let seg = TcpSegment::builder(80, 5555)
+            .seq(9)
+            .orig_dest(Ipv4Addr::new(192, 168, 0, 9), 5555)
+            .payload(Bytes::from(vec![7; 1000]))
+            .build()
+            .encode(src, dst);
+        let view = TcpView::new(&seg).expect("valid");
+        (a.rec).record(
+            AuditEventKind::SecondaryDiverted,
+            src,
+            dst,
+            &seg,
+            &view,
+            TraceId(4),
+        );
+        let pkts = tcpfo_wire::pcapng::read_packets(&a.pcap_slice()).expect("parses");
+        assert_eq!(pkts.len(), 1);
+        assert_eq!(pkts[0].frame.len(), 14 + 20 + view.header_len());
+        assert_eq!(pkts[0].orig_len, 14 + 20 + seg.len());
+        assert_eq!(&pkts[0].frame[34..], &seg[..view.header_len()]);
     }
 
     #[test]
@@ -2050,5 +2102,115 @@ mod tests {
         let a =
             takeover_then_first_byte(&[("kill", 50), ("peer_dead", 100), ("takeover.arp", 1_000)]);
         assert_eq!(a.ledger().stat(Rule::FailoverOrder).violations, 0);
+    }
+
+    /// A flat byte map: what a shadow stream must behave as.
+    #[derive(Default)]
+    struct FlatStream {
+        bytes: Vec<Option<(u8, TraceId)>>,
+        trimmed: u64,
+    }
+
+    impl FlatStream {
+        fn at(&self, i: u64) -> Option<(u8, TraceId)> {
+            self.bytes.get(i as usize).copied().flatten()
+        }
+
+        fn insert(&mut self, at: u64, data: &[u8], trace: TraceId) -> Result<(), u64> {
+            for (i, &byte) in data.iter().enumerate() {
+                let pos = at + i as u64;
+                if pos < self.trimmed {
+                    continue;
+                }
+                match self.at(pos) {
+                    Some((held, _)) if held != byte => return Err(pos),
+                    Some(_) => {}
+                    None => {
+                        if self.bytes.len() <= pos as usize {
+                            self.bytes.resize(pos as usize + 1, None);
+                        }
+                        self.bytes[pos as usize] = Some((byte, trace));
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn get(&self, at: u64, len: usize) -> Option<Vec<u8>> {
+            (at..at + len as u64)
+                .map(|i| self.at(i).map(|(b, _)| b))
+                .collect()
+        }
+
+        fn traces(&self, at: u64, len: usize) -> Vec<TraceId> {
+            let mut out = Vec::new();
+            for (_, t) in (at..at + len as u64).filter_map(|i| self.at(i)) {
+                if !out.contains(&t) {
+                    out.push(t);
+                }
+            }
+            out
+        }
+
+        fn trim(&mut self, upto: u64) {
+            if upto > self.trimmed {
+                for i in 0..(upto as usize).min(self.bytes.len()) {
+                    self.bytes[i] = None;
+                }
+                self.trimmed = upto;
+            }
+        }
+    }
+
+    /// The byte the replicas agree on at stream offset `i`.
+    fn truth(i: u64) -> u8 {
+        (i * 7 + 3) as u8
+    }
+
+    proptest::proptest! {
+        /// Random inserts — in order, with gaps, with equal and with
+        /// different overlaps, below the trim watermark — and trims: the
+        /// view-holding stream answers `insert`, `get`, `matches`,
+        /// `traces` and `buffered` as a flat byte map does.
+        #[test]
+        fn shadow_stream_equals_a_flat_byte_map(
+            ops in proptest::collection::vec(
+                (0u8..5, 0u64..64, 1usize..16, 0usize..16, 0u64..80, 0usize..12),
+                1..60,
+            ),
+        ) {
+            let (mut s, mut m) = (ShadowStream::default(), FlatStream::default());
+            for (n, (kind, at, len, flip, probe, probe_len)) in ops.into_iter().enumerate() {
+                let trace = TraceId(n as u64 + 1);
+                let at = match kind {
+                    // In order: right after the highest byte held.
+                    2 => (m.bytes.len() as u64).max(m.trimmed),
+                    _ => at,
+                };
+                if kind == 4 {
+                    let upto = m.trimmed + at % 16;
+                    s.trim(upto);
+                    m.trim(upto);
+                } else {
+                    let mut data: Vec<u8> = (at..at + len as u64).map(truth).collect();
+                    if kind == 1 {
+                        data[flip % len] ^= 0x5a;
+                    }
+                    // A view into a larger buffer, as a payload is one.
+                    let mut framed = vec![0xee; 4];
+                    framed.extend_from_slice(&data);
+                    let view = Bytes::from(framed).slice(4..);
+                    proptest::prop_assert_eq!(s.insert(at, &view, trace), m.insert(at, &data, trace));
+                }
+                proptest::prop_assert_eq!(s.get(probe, probe_len), m.get(probe, probe_len));
+                let want: Vec<u8> = (probe..probe + probe_len as u64).map(truth).collect();
+                let matches = m.get(probe, probe_len).map(|held| held == want);
+                proptest::prop_assert_eq!(s.matches(probe, &want), matches);
+                let len = probe_len.max(1);
+                proptest::prop_assert_eq!(s.traces(probe, len), m.traces(probe, len));
+                let held = m.bytes.iter().flatten().count();
+                proptest::prop_assert_eq!(s.buffered(), held);
+            }
+        }
     }
 }

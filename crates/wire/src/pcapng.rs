@@ -97,14 +97,29 @@ impl PcapngWriter {
     /// Wireshark as a packet comment — handy for the trace's node and
     /// direction).
     pub fn packet_with_comment(&mut self, ts_ns: u64, frame: &[u8], comment: Option<&str>) {
-        let mut epb = Vec::with_capacity(20 + frame.len() + 8);
+        self.truncated_packet(ts_ns, frame, frame.len(), comment);
+    }
+
+    /// Appends the first bytes of a frame that was `orig_len` bytes on
+    /// the wire, the way `tcpdump -s` snaps a packet: the block's
+    /// captured length is `captured.len()`, its original length
+    /// `orig_len`.
+    pub fn truncated_packet(
+        &mut self,
+        ts_ns: u64,
+        captured: &[u8],
+        orig_len: usize,
+        comment: Option<&str>,
+    ) {
+        debug_assert!(captured.len() <= orig_len, "captured past the frame's end");
+        let mut epb = Vec::with_capacity(20 + captured.len() + 8);
         epb.extend_from_slice(&0u32.to_le_bytes()); // interface id
         epb.extend_from_slice(&((ts_ns >> 32) as u32).to_le_bytes());
         epb.extend_from_slice(&(ts_ns as u32).to_le_bytes());
-        epb.extend_from_slice(&(frame.len() as u32).to_le_bytes()); // captured
-        epb.extend_from_slice(&(frame.len() as u32).to_le_bytes()); // original
-        epb.extend_from_slice(frame);
-        epb.extend(std::iter::repeat_n(0u8, pad4(frame.len())));
+        epb.extend_from_slice(&(captured.len() as u32).to_le_bytes());
+        epb.extend_from_slice(&(orig_len as u32).to_le_bytes());
+        epb.extend_from_slice(captured);
+        epb.extend(std::iter::repeat_n(0u8, pad4(captured.len())));
         if let Some(c) = comment {
             push_option(&mut epb, OPT_COMMENT, c.as_bytes());
             push_end_of_options(&mut epb);
@@ -137,6 +152,9 @@ pub struct PcapngPacket {
     pub ts_ns: u64,
     /// Captured frame bytes.
     pub frame: Vec<u8>,
+    /// Length of the frame on the wire: more than `frame.len()` when
+    /// the capture was truncated ([`PcapngWriter::truncated_packet`]).
+    pub orig_len: usize,
 }
 
 /// Parses a little-endian pcapng file, returning its packets with
@@ -244,6 +262,13 @@ pub fn read_packets(bytes: &[u8]) -> Result<Vec<PcapngPacket>, WireError> {
                     what: "EPB captured length",
                 });
             }
+            let orig_len = u32_at(body, 16) as usize;
+            if orig_len < captured {
+                return Err(WireError::BadLength {
+                    layer: "pcapng",
+                    what: "EPB original length shorter than captured",
+                });
+            }
             let ts_ns = if tsresol_exp <= 9 {
                 ts.saturating_mul(10u64.pow(9 - tsresol_exp))
             } else {
@@ -252,6 +277,7 @@ pub fn read_packets(bytes: &[u8]) -> Result<Vec<PcapngPacket>, WireError> {
             packets.push(PcapngPacket {
                 ts_ns,
                 frame: body[20..20 + captured].to_vec(),
+                orig_len,
             });
         }
         offset += total_len;
@@ -285,7 +311,30 @@ mod tests {
         for (p, (ts, frame)) in back.iter().zip(&frames) {
             assert_eq!(p.ts_ns, *ts);
             assert_eq!(&p.frame, frame);
+            assert_eq!(p.orig_len, frame.len());
         }
+    }
+
+    #[test]
+    fn truncated_packets_keep_their_original_length() {
+        let mut w = PcapngWriter::new("snap");
+        w.truncated_packet(5, &[7; 54], 1514, Some("release t1"));
+        w.truncated_packet(6, &[8; 3], 3, None);
+        let back = read_packets(&w.finish()).expect("well-formed");
+        assert_eq!((back[0].frame.len(), back[0].orig_len), (54, 1514));
+        assert_eq!((back[1].frame.len(), back[1].orig_len), (3, 3));
+        // A block claiming less on the wire than it captured is refused.
+        let mut file = PcapngWriter::new("bad").finish();
+        let mut epb = Vec::new();
+        for field in [0u32, 0, 1, 4, 2] {
+            epb.extend_from_slice(&field.to_le_bytes());
+        }
+        epb.extend_from_slice(&[1, 2, 3, 4]);
+        push_block(&mut file, EPB_TYPE, &epb);
+        assert!(matches!(
+            read_packets(&file),
+            Err(WireError::BadLength { .. })
+        ));
     }
 
     #[test]

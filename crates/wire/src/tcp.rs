@@ -531,13 +531,9 @@ impl<'a> TcpView<'a> {
     }
 
     /// Returns the original-destination option, if present, without
-    /// allocating.
+    /// allocating: the datapath's reader, [`peek_orig_dest`].
     pub fn orig_dest(&self) -> Option<(Ipv4Addr, u16)> {
-        let opts = decode_options(&self.bytes[TCP_HEADER_LEN..self.header_len()]).ok()?;
-        opts.into_iter().find_map(|o| match o {
-            TcpOption::OrigDest { addr, port } => Some((addr, port)),
-            _ => None,
-        })
+        peek_orig_dest(self.bytes)
     }
 }
 

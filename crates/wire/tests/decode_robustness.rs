@@ -40,6 +40,10 @@ fn segment_with_raw_options(
     bytes
 }
 
+/// A valid orig-dest option, then an option whose length byte (1) is
+/// malformed: the datapath finds the orig-dest before the scan stops.
+const VALID_THEN_MALFORMED: [u8; 10] = [OPT_KIND_ORIG_DEST, 8, 192, 168, 0, 9, 0x15, 0xb3, 5, 1];
+
 /// Whether `inner` lies inside `outer`'s allocation.
 fn within(outer: &[u8], inner: &[u8]) -> bool {
     let (o, i) = (outer.as_ptr_range(), inner.as_ptr_range());
@@ -156,12 +160,16 @@ proptest! {
     }
 
     /// Arbitrary option bytes — truncated orig-dest options, wrong
-    /// length bytes, an option kind in the header's last byte — never
-    /// panic the peek or the in-place strip, the two agree on what
-    /// they found, and a strip keeps the checksum valid.
+    /// length bytes, an option kind in the header's last byte, a valid
+    /// orig-dest followed by a malformed option — never panic the view,
+    /// the peek or the in-place strip, the three agree on what they
+    /// found, and a strip keeps the checksum valid.
     #[test]
     fn orig_dest_peek_and_strip_survive_arbitrary_options(
-        options in proptest::collection::vec(any::<u8>(), 0..41),
+        options in prop_oneof![
+            1 => Just(VALID_THEN_MALFORMED.to_vec()),
+            7 => proptest::collection::vec(any::<u8>(), 0..41),
+        ],
         payload in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
         let src = Ipv4Addr::new(10, 0, 0, 3);
@@ -169,6 +177,10 @@ proptest! {
         let bytes = segment_with_raw_options(&options, &payload, src, dst);
         prop_assert!(verify_segment_checksum(src, dst, &bytes));
         let peeked = peek_orig_dest(&bytes);
+        prop_assert_eq!(TcpView::new(&bytes).expect("valid header").orig_dest(), peeked);
+        if options == VALID_THEN_MALFORMED {
+            prop_assert_eq!(peeked, Some((Ipv4Addr::new(192, 168, 0, 9), 5555)));
+        }
         let mut p = SegmentPatcher::new(bytes.clone(), src, dst);
         let stripped = p.strip_orig_dest_option();
         prop_assert_eq!(peeked, stripped);

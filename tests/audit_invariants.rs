@@ -1,13 +1,15 @@
 //! The online invariant auditor, end to end.
 //!
-//! Four angles: (a) a clean audited testbed run exercises the rule
+//! Five angles: (a) a clean audited testbed run exercises the rule
 //! catalogue with zero violations; (b) an intentionally broken bridge
 //! (primary-only acknowledgments instead of `min(ack_P, ack_S)`) trips
 //! the auditor and produces a complete flight-recorder bundle; (c) the
 //! §3.4 bare-ACK synthesis holds under mismatched replica segmentation
 //! and delayed client acknowledgment, with the auditor attached and
 //! armed to panic; (d) a §5 failover run is sequenced by the secondary
-//! auditor's takeover-ordering checks.
+//! auditor's takeover-ordering checks; (e) replicas whose bytes differ,
+//! in a released range or in an overlapping re-send, trip `queue_agree`
+//! with the divergent bytes in the violation.
 
 mod common;
 
@@ -477,5 +479,64 @@ fn failover_is_sequenced_by_secondary_auditor() {
         s_ledger.stat(Rule::FailoverOrder).checks >= 1,
         "takeover ordering never audited:\n{}",
         s_ledger.to_table()
+    );
+}
+
+// ---------------------------------------------------------------------
+// (e) queue_agree: the two replica streams disagree. The violation says
+//     where and carries the bytes there, and the bundle's capture (the
+//     recorded headers, snapped) still parses.
+// ---------------------------------------------------------------------
+
+/// Drives an established, recording bridge through `drive` and returns
+/// the detail of the one violation it must record, a `queue_agree`.
+fn one_queue_agree(label: &str, drive: impl FnOnce(&mut PrimaryBridge)) -> String {
+    let dir = std::env::temp_dir().join(format!("tcpfo-audit-{label}-{}", std::process::id()));
+    let audit = InvariantAuditor::new(
+        AuditConfig::new(label)
+            .panic_on_violation(false)
+            .bundle_dir(&dir),
+    );
+    let mut b = established(audit);
+    drive(&mut b);
+    let aud = b.observers().audit.as_deref().expect("auditor attached");
+    assert_eq!(aud.ledger().total_violations(), 1, "{}", aud.report());
+    let v = &aud.violations()[0];
+    assert_eq!(v.rule, Rule::QueueAgree, "{}", v.render());
+    let bundle = aud.bundle_path().expect("bundle written on violation");
+    let pcap = std::fs::read(bundle.join("capture.pcapng")).expect("capture.pcapng");
+    let pkts = read_packets(&pcap).expect("bundle capture parses");
+    assert!(
+        pkts.iter().any(|p| p.orig_len > p.frame.len()),
+        "a data segment is captured up to its headers"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    v.detail.clone()
+}
+
+#[test]
+fn replicas_disagreeing_in_a_released_range_trip_queue_agree() {
+    let detail = one_queue_agree("disagree", |b| {
+        b.on_outbound(p_seg(0, b"abcd", ISS_C + 1), MS);
+        let out = b.on_inbound(s_seg(0, b"abXd", ISS_C + 1), 2 * MS);
+        assert_eq!(out.to_wire.len(), 1, "the bridge releases S's bytes");
+    });
+    // 'X' (0x58) released and held by S where P holds 'c' (0x63).
+    assert!(detail.contains("(stream offset 2)"), "{detail}");
+    let bytes = "released [58, 64], primary [63, 64], secondary [58, 64]";
+    assert!(detail.contains(bytes), "{detail}");
+}
+
+#[test]
+fn a_resend_with_other_bytes_trips_queue_agree() {
+    let detail = one_queue_agree("resend", |b| {
+        b.on_outbound(p_seg(0, b"abcd", ISS_C + 1), MS);
+        b.on_outbound(p_seg(0, b"abXd", ISS_C + 1), 2 * MS);
+    });
+    assert!(detail.contains("primary replica re-sent"), "{detail}");
+    assert!(detail.contains("stream offset 2"), "{detail}");
+    assert!(
+        detail.contains("recorded [63, 64], re-sent [58, 64]"),
+        "{detail}"
     );
 }
