@@ -315,7 +315,7 @@ const HEADLINE: &str = "merged_segments merged_bytes empty_acks retransmissions_
     acks_translated ingress_rewrites diverted_upstream unwitnessed_dropped drops";
 
 /// One frame of the view. Per hub: the registry's stage histograms,
-/// flow-table shards, headline bridge counters, replication lag,
+/// flow table, headline bridge counters, replication lag,
 /// control-plane counters and peer health, then the §5 and redundancy
 /// views. Then the control journal's last 12 entries, merged over every
 /// hub.
@@ -334,8 +334,8 @@ fn render_frame(title: &str, views: &[HubView]) {
         });
         section("stage latency (host ns)", lat);
         let gauges = snap.gauges.iter().map(|(n, g)| (n, &g.value));
-        let shards = gauges.clone().filter(|(n, _)| n.contains(".shard"));
-        section("flow-table shards", shards.map(row));
+        let table = gauges.clone().filter(|(n, _)| n.contains(".flow."));
+        section("flow table", table.map(row));
         let counters = snap.counters.iter().filter(|(_, v)| **v > 0);
         let leaf = |n: &str| n.rsplit('.').next().unwrap_or_default().to_string();
         let headline = |(n, _): &(&String, &u64)| HEADLINE.split(' ').any(|h| h == leaf(n));

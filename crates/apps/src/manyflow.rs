@@ -1,5 +1,4 @@
-//! Deterministic many-flow workload generator for the sharded flow
-//! table (PR-4).
+//! Deterministic many-flow workload generator for the flow table.
 //!
 //! The paper's testbed measures one connection at a time; the flow
 //! table exists for the regime it does not measure — thousands of
@@ -9,12 +8,12 @@
 //! primary bridge would see — client SYN, held primary SYN+ACK,
 //! diverted secondary SYN+ACK, `rounds` of matching replica data with
 //! client ACKs, and a full §8 teardown — and interleaves the flows
-//! round-robin so every batch exercises many shards at once.
+//! round-robin so every batch touches many flows at once.
 //!
 //! Everything is derived from [`ManyFlowConfig::seed`] with a SplitMix
 //! generator: same config, same bytes, always. That property is what
 //! lets `tests/shard_determinism.rs` assert byte-identical bridge
-//! output across shard counts.
+//! output across batch sizes.
 
 use bytes::Bytes;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FlowKey};
@@ -146,8 +145,8 @@ impl ManyFlowWorkload {
         }
         let steps_per_flow = per_flow.first().map_or(0, Vec::len);
         // Round-robin interleave: step 0 of every flow, then step 1 of
-        // every flow, … — every batch touches many flows, so a sharded
-        // run exercises cross-shard merging on each call.
+        // every flow, … — every batch touches many flows, so every
+        // call merges many connections side by side.
         let mut steps = Vec::with_capacity(cfg.flows * steps_per_flow);
         for step in 0..steps_per_flow {
             for flow in &per_flow {

@@ -62,7 +62,7 @@
 //! [`crate::reprovision`].
 
 use crate::designation::FailoverConfig;
-use crate::detector::{advance_expected_seq, health_config, DetectorConfig, HB_RING};
+use crate::detector::{advance_expected_seq, miss_limit, DetectorConfig, HB_RING};
 use crate::flow::FlowTableConfig;
 use crate::observers::Observers;
 use crate::primary::{PrimaryBridge, PrimaryMode};
@@ -72,8 +72,9 @@ use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::host::{HostController, HostServices};
+use tcpfo_telemetry::health::CRIT_ENTER;
 use tcpfo_telemetry::{
-    Counter, HealthConfig, HealthMonitor, HealthScore, Scope, SpanTrack, StageLatency, Telemetry,
+    Counter, HealthMonitor, HealthScore, Scope, SpanTrack, StageLatency, Telemetry,
 };
 use tcpfo_wire::heartbeat::{Heartbeat, PROTO_HEARTBEAT};
 use tcpfo_wire::ipv4::Ipv4Addr;
@@ -173,9 +174,9 @@ struct PeerTracker {
 }
 
 impl PeerTracker {
-    fn new(cfg: HealthConfig) -> Self {
+    fn new(miss_limit: u32) -> Self {
         PeerTracker {
-            monitor: Box::new(HealthMonitor::new(cfg)),
+            monitor: Box::new(HealthMonitor::new(miss_limit)),
             expected_seq: None,
             echo: None,
         }
@@ -183,10 +184,10 @@ impl PeerTracker {
 }
 
 /// Registry scope, journal scope and span lane of the controller at
-/// each chain position. The position is in the name because the pair
-/// testbed shares one hub between P and S; span lanes are `&'static
-/// str`, hence a table — positions past it share its last entry (deep
-/// chains give every replica its own hub).
+/// each chain position. Every replica has its own hub, so the position
+/// no longer tells two controllers apart; the names stay because the
+/// journal goldens pin `core.control.r<i>`. Span lanes are `&'static
+/// str`, hence a table — positions past it share its last entry.
 const SCOPES: [&str; 4] = [
     "core.control.r0",
     "core.control.r1",
@@ -263,7 +264,6 @@ pub struct ChainController {
     chain: Vec<Ipv4Addr>,
     my_index: usize,
     config: DetectorConfig,
-    health_cfg: HealthConfig,
     /// Composite self-score below which promotion is vetoed.
     promote_threshold: u64,
     alive: Vec<bool>,
@@ -314,21 +314,20 @@ impl ChainController {
         assert!(chain.len() >= 2, "a chain needs at least two replicas");
         assert!(my_index < chain.len());
         let n = chain.len();
-        let health_cfg = health_config(&config);
+        let miss_limit = miss_limit(&config);
         ChainController {
             chain,
             my_index,
             config,
-            health_cfg,
-            promote_threshold: health_cfg.crit_enter,
+            promote_threshold: CRIT_ENTER,
             alive: vec![true; n],
             last_heard: vec![None; n],
             traced_misses: vec![0; n],
-            trackers: (0..n).map(|_| PeerTracker::new(health_cfg)).collect(),
+            trackers: (0..n).map(|_| PeerTracker::new(miss_limit)).collect(),
             next_send: SimTime::ZERO,
             send_seq: 0,
             hb_ring: [(u64::MAX, SimTime::ZERO); HB_RING],
-            self_monitor: Box::new(HealthMonitor::new(health_cfg)),
+            self_monitor: Box::new(HealthMonitor::new(miss_limit)),
             state: TakeoverState::Following,
             vetoed_since: None,
             pending_reconfigure: false,
@@ -415,7 +414,8 @@ impl ChainController {
         self.alive.push(true);
         self.last_heard.push(None);
         self.traced_misses.push(0);
-        self.trackers.push(PeerTracker::new(self.health_cfg));
+        self.trackers
+            .push(PeerTracker::new(miss_limit(&self.config)));
     }
 
     /// Pre-marks a peer as dead (a reprovisioned replica joining an

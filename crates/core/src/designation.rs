@@ -13,7 +13,7 @@ use tcpfo_wire::ipv4::Ipv4Addr;
 /// the unreplicated peer's endpoint. This is the canonical
 /// [`tcpfo_tcp::filter::FlowKey`] under its historical name — the key
 /// is parsed once at the filter boundary and used verbatim for
-/// designation, flow-table lookup and shard routing.
+/// designation and flow-table lookup.
 pub use tcpfo_tcp::filter::FlowKey as ConnKey;
 
 /// Which connections are TCP failover connections.

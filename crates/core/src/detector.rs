@@ -11,7 +11,6 @@
 //! detection edge cases run against every topology.
 
 use tcpfo_net::time::SimDuration;
-use tcpfo_telemetry::HealthConfig;
 
 /// Entries in the sent-heartbeat ring used to match RTT echoes; echoes
 /// older than this many intervals are dropped rather than mis-timed.
@@ -50,16 +49,12 @@ impl Default for DetectorConfig {
     }
 }
 
-/// The health-monitor tunables that go with a detector: the advisory
-/// miss limit is exactly the number of heartbeat intervals in the
-/// binary timeout, so a peer's score bottoms out at the instant the §2
-/// decision is about to fire.
-pub(crate) fn health_config(detector: &DetectorConfig) -> HealthConfig {
+/// The health monitors' miss limit that goes with a detector: exactly
+/// the number of heartbeat intervals in the binary timeout, so a peer's
+/// score bottoms out at the instant the §2 decision is about to fire.
+pub(crate) fn miss_limit(detector: &DetectorConfig) -> u32 {
     let interval = detector.interval.as_nanos().max(1);
-    HealthConfig {
-        miss_limit: (detector.timeout.as_nanos() / interval).max(1) as u32,
-        ..HealthConfig::default()
-    }
+    (detector.timeout.as_nanos() / interval).max(1) as u32
 }
 
 #[cfg(test)]

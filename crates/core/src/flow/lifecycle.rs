@@ -57,7 +57,7 @@ impl FlowState {
     }
 
     /// Whether the state may legally transition to `next`. The table
-    /// debug-asserts this on [`crate::flow::Shard::set_state`], so an
+    /// debug-asserts this on [`crate::flow::FlowTable::set_state`], so an
     /// impossible transition trips tests without costing the release
     /// hot path anything.
     pub fn can_transition(self, next: FlowState) -> bool {

@@ -1,4 +1,4 @@
-//! Sharded per-flow state for the bridges.
+//! Per-flow state for the bridges.
 //!
 //! The paper's bridges track one record per failover connection (§3).
 //! The original implementation kept those records in unbounded
@@ -9,17 +9,14 @@
 //! * [`lifecycle::FlowState`] — an explicit per-flow lifecycle
 //!   (Establishing → Replicated → Degraded/Closing → TimeWait →
 //!   Reaped) replacing the implicit conn/tombstone dichotomy;
-//! * [`table::FlowTable`] — a sharded table (power-of-two shard count,
-//!   per-shard slab + hash index + intrusive LRU list) with O(1)
-//!   lookup, configurable capacity, LRU eviction, timer-driven GC and
-//!   per-shard statistics;
-//! * [`gauges::FlowGauges`] — the per-shard registry gauges every
-//!   bridge publishes, whatever its table holds.
+//! * [`table::FlowTable`] — one table (slab + hash index + intrusive
+//!   LRU list) with O(1) lookup, a bounded capacity, LRU eviction,
+//!   timer-driven GC and statistics;
+//! * [`gauges::FlowGauges`] — the registry gauges every bridge
+//!   publishes, whatever its table holds.
 //!
 //! Keys are [`FlowKey`]s ([`crate::designation::ConnKey`] is the same
-//! type), parsed once at the filter boundary; the deterministic
-//! [`FlowKey::hash64`] picks the shard, so a fixed seed maps every
-//! flow to the same shard in every run.
+//! type), parsed once at the filter boundary.
 
 pub mod gauges;
 pub mod lifecycle;
@@ -27,5 +24,5 @@ pub mod table;
 
 pub use gauges::FlowGauges;
 pub use lifecycle::FlowState;
-pub use table::{Evicted, FlowTable, FlowTableConfig, GcPolicy, Shard, ShardStats, SlotId};
+pub use table::{Evicted, FlowStats, FlowTable, FlowTableConfig, GcPolicy, SlotId};
 pub use tcpfo_tcp::filter::FlowKey;

@@ -1,33 +1,33 @@
-//! The sharded flow table.
+//! The flow table.
 //!
-//! A [`FlowTable`] is a power-of-two number of [`Shard`]s. Each shard
-//! owns a slab of slots (index-stable, free-list recycled), a hash
-//! index from [`FlowKey`] to slot, and an intrusive LRU list threaded
-//! through the slots. All per-flow operations are O(1); iteration is
-//! in shard-index + slab-slot order, which is deterministic for a
+//! A [`FlowTable`] owns a slab of slots (index-stable, free-list
+//! recycled), a hash index from [`FlowKey`] to slot, and an intrusive
+//! LRU list threaded through the slots. All per-flow operations are
+//! O(1); iteration is in slab-slot order, which is deterministic for a
 //! fixed event sequence (unlike `HashMap` iteration, whose order
-//! changes run to run with `std`'s seeded hasher — the previous
-//! bridge code iterated such maps during §6 degradation).
+//! changes run to run with `std`'s seeded hasher — the previous bridge
+//! code iterated such maps during §6 degradation). The index keeps
+//! `std`'s keyed hasher: the client chooses the key, so a fixed hash
+//! would let it choose the collisions too.
 //!
-//! Shard selection uses [`FlowKey::hash64`], a deterministic hash, so
-//! a fixed seed maps every flow to the same shard in every run and at
-//! every shard count.
+//! A per-segment caller resolves its flow **once**: [`FlowTable::find`]
+//! is the only keyed probe, and everything after it — state, data,
+//! touch, lifecycle change, replacement, removal — takes the [`SlotId`]
+//! it returned and hashes nothing. The keyed helpers
+//! ([`FlowTable::get_mut`], [`FlowTable::peek`],
+//! [`FlowTable::contains`]) are `find` + the slot form.
 //!
-//! A per-segment caller resolves its flow **once**: [`Shard::find`] is
-//! the only keyed probe, and everything after it — state, data, touch,
-//! lifecycle change, replacement, removal — takes the [`SlotId`] it
-//! returned and hashes nothing. The keyed [`FlowTable`] methods are
-//! `find` + the slot form, so there is one implementation of each.
-//!
-//! Memory is bounded: each shard holds at most `capacity / shards`
-//! flows. Inserting into a full shard evicts the least-recently-used
-//! entry ([`Evicted`] is handed back to the caller, which owns the
-//! policy — the primary bridge resets evicted live clients).
+//! Memory is bounded: the table holds at most
+//! [`FlowTableConfig::capacity`] flows, and its slab and index are
+//! reserved for that many once, at construction. Inserting into a full
+//! table evicts the least-recently-used entry ([`Evicted`] is handed
+//! back to the caller, which owns the policy — the primary bridge
+//! resets evicted live clients).
 //!
 //! # Incremental GC (TTL-class expiry lists)
 //!
-//! Expiry no longer sweeps the slab. Every slot is also threaded onto
-//! one of two intrusive **expiry lists**, one per TTL class: TimeWait
+//! Expiry never sweeps the slab. Every slot is also threaded onto one
+//! of two intrusive **expiry lists**, one per TTL class: TimeWait
 //! residue (`timewait_ttl`) and every other flow, §6 pass-through
 //! entries included (`idle_ttl`). Each `insert` / `replace` / `touch` /
 //! class-changing `set_state` moves the slot to the *back* of its class
@@ -36,10 +36,10 @@
 //! list is therefore ordered by non-decreasing deadline
 //! (`last_activity + ttl`). A GC tick pops expired slots off the list
 //! fronts only — O(reaped), never O(capacity) — optionally bounded by
-//! a reap budget ([`GcPolicy::max_reaps_per_tick`]); the table keeps a
-//! round-robin shard cursor so backlog carried over a budget-exhausted
-//! tick drains first on the next one. Reaps are never early; under
-//! budget pressure they are delayed but never lost.
+//! a reap budget ([`GcPolicy::max_reaps_per_tick`]); backlog left by a
+//! budget-exhausted tick is still at the list fronts on the next one.
+//! Reaps are never early; under budget pressure they are delayed but
+//! never lost.
 
 use super::lifecycle::FlowState;
 use std::cell::Cell;
@@ -49,7 +49,7 @@ use tcpfo_tcp::filter::FlowKey;
 /// Sentinel for "no slot" in the intrusive LRU / expiry links.
 const NONE: u32 = u32::MAX;
 
-/// Number of TTL classes (expiry lists) per shard.
+/// Number of TTL classes (expiry lists).
 const EXP_CLASSES: usize = 2;
 /// Expiry class for §8 TimeWait residue.
 const EXP_TIMEWAIT: usize = 0;
@@ -64,7 +64,7 @@ fn exp_class(state: FlowState) -> usize {
     }
 }
 
-/// Time-to-live policy for [`Shard::gc`], all in sim nanoseconds.
+/// Time-to-live policy for [`FlowTable::gc`], all in sim nanoseconds.
 #[derive(Debug, Clone, Copy)]
 pub struct GcPolicy {
     /// How long §8 TimeWait residue is kept so late FIN
@@ -76,14 +76,14 @@ pub struct GcPolicy {
     /// genuinely live flow breaks it. This is a leak backstop, not a
     /// policy knob.
     pub idle_ttl: u64,
-    /// Whole-table reap budget per timer tick ([`FlowTable::gc_budgeted`]).
-    /// Bounds the GC pause; backlog carries over via the table's shard
-    /// cursor. Expiry maintenance is O(1) per op, so a tick's cost is
+    /// Reap budget per timer tick ([`FlowTable::gc_budgeted`]). Bounds
+    /// the GC pause; backlog stays at the expiry-list fronts for the
+    /// next tick. Expiry maintenance is O(1) per op, so a tick's cost is
     /// O(min(due, budget)), never O(capacity).
     pub max_reaps_per_tick: usize,
-    /// Per-shard reap budget drained from every shard at the end of a
-    /// `process_batch` call (amortises expiry into the
-    /// datapath instead of letting it pile up for the timer tick).
+    /// Reap budget drained at the end of every `process_batch` call
+    /// (amortises expiry into the datapath instead of letting it pile
+    /// up for the timer tick).
     pub max_reaps_per_batch: usize,
 }
 
@@ -111,10 +111,8 @@ impl GcPolicy {
 /// Construction parameters for a [`FlowTable`].
 #[derive(Debug, Clone, Copy)]
 pub struct FlowTableConfig {
-    /// Shard count; rounded up to a power of two, minimum 1.
-    pub shards: usize,
-    /// Total capacity across all shards (each shard gets
-    /// `capacity / shards`, minimum 1).
+    /// Most flows the table holds; inserting one more evicts the
+    /// least-recently-used.
     pub capacity: usize,
     /// GC policy.
     pub gc: GcPolicy,
@@ -123,7 +121,6 @@ pub struct FlowTableConfig {
 impl Default for FlowTableConfig {
     fn default() -> Self {
         FlowTableConfig {
-            shards: 1,
             capacity: 65_536,
             gc: GcPolicy::default(),
         }
@@ -131,19 +128,21 @@ impl Default for FlowTableConfig {
 }
 
 impl FlowTableConfig {
-    /// Config with explicit shard count and total capacity.
-    pub fn new(shards: usize, capacity: usize) -> Self {
+    /// Config with total capacity `capacity` (at least 1). `_shards` is
+    /// ignored: the table is one table, and the argument stays only
+    /// because the standing benchmark builds its configs with it
+    /// (ROADMAP 2(e)).
+    pub fn new(_shards: usize, capacity: usize) -> Self {
         FlowTableConfig {
-            shards: shards.max(1).next_power_of_two(),
             capacity: capacity.max(1),
             gc: GcPolicy::default(),
         }
     }
 }
 
-/// Per-shard statistics (backpressure counters included).
+/// Flow-table statistics (backpressure counters included).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
+pub struct FlowStats {
     /// Flows currently resident.
     pub occupancy: u64,
     /// Flows ever inserted (an entry replaced or mutated in its slot
@@ -153,20 +152,9 @@ pub struct ShardStats {
     pub evicted: u64,
     /// Flows reaped by GC (TTL expiry).
     pub reaped: u64,
-    /// Keyed probes of the hash index ([`Shard::find`], hits and
+    /// Keyed probes of the hash index ([`FlowTable::find`], hits and
     /// misses, whoever asked).
     pub lookups: u64,
-}
-
-impl ShardStats {
-    /// Folds another shard's counters into this one (aggregation).
-    pub fn merge(&mut self, other: &ShardStats) {
-        self.occupancy += other.occupancy;
-        self.inserted += other.inserted;
-        self.evicted += other.evicted;
-        self.reaped += other.reaped;
-        self.lookups += other.lookups;
-    }
 }
 
 /// A flow pushed out of the table, handed back to the caller.
@@ -180,11 +168,11 @@ pub struct Evicted<T> {
     pub data: T,
 }
 
-/// A resolved flow: the slab slot [`Shard::find`] (or [`Shard::insert`])
-/// found its entry in. Valid on that shard until the next `insert`,
-/// `remove`, GC or drain there — in the bridges, for the one segment
-/// that resolved it; a `SlotId` is passed down a call chain, never
-/// stored. A stale one panics or names another flow.
+/// A resolved flow: the slab slot [`FlowTable::find`] (or
+/// [`FlowTable::insert`]) found its entry in. Valid until the table's
+/// next `insert`, `remove`, GC or drain — in the bridges, for the one
+/// segment that resolved it; a `SlotId` is passed down a call chain,
+/// never stored. A stale one panics or names another flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotId(u32);
 
@@ -221,9 +209,9 @@ impl Default for ExpList {
     }
 }
 
-/// One shard: slab + hash index + LRU list + expiry lists + stats.
+/// The flow table: slab + hash index + LRU list + expiry lists + stats.
 #[derive(Debug)]
-pub struct Shard<T> {
+pub struct FlowTable<T> {
     slots: Vec<Option<Slot<T>>>,
     free: Vec<u32>,
     index: HashMap<FlowKey, u32>,
@@ -233,38 +221,43 @@ pub struct Shard<T> {
     tail: u32,
     /// One FIFO expiry list per TTL class.
     exp: [ExpList; EXP_CLASSES],
-    capacity: usize,
-    stats: ShardStats,
-    /// [`ShardStats::lookups`], counted behind `&self`.
+    config: FlowTableConfig,
+    stats: FlowStats,
+    /// [`FlowStats::lookups`], counted behind `&self`.
     lookups: Cell<u64>,
 }
 
-impl<T> Shard<T> {
-    fn new(capacity: usize) -> Self {
+impl<T> FlowTable<T> {
+    /// Builds a table per `config`.
+    pub fn new(config: FlowTableConfig) -> Self {
         // Reserve the slab and index up front: growth by doubling at
-        // scale is a latency storm, not a convenience — with uniform
-        // key hashing every shard crosses its doubling threshold in
-        // the same narrow window, so a 2²⁰-resident run pays all the
-        // slab memcpys and index rehashes back-to-back, stalling the
-        // injector for hundreds of ms. Reserved pages are faulted
-        // lazily by the OS, so this costs address space, not RSS.
-        let capacity = capacity.max(1);
-        Shard {
+        // scale is a latency storm, not a convenience — a 2²⁰-resident
+        // run would pay every slab memcpy and index rehash inside the
+        // measured stream, stalling the injector for hundreds of ms.
+        // Reserved pages are faulted lazily by the OS, so this costs
+        // address space, not RSS.
+        let capacity = config.capacity.max(1);
+        FlowTable {
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             index: HashMap::with_capacity(capacity),
             head: NONE,
             tail: NONE,
             exp: [ExpList::default(); EXP_CLASSES],
-            capacity,
-            stats: ShardStats::default(),
+            config: FlowTableConfig { capacity, ..config },
+            stats: FlowStats::default(),
             lookups: Cell::new(0),
         }
     }
 
+    /// The construction config.
+    pub fn config(&self) -> &FlowTableConfig {
+        &self.config
+    }
+
     /// Statistics (readable by telemetry exporters).
-    pub fn stats(&self) -> ShardStats {
-        ShardStats {
+    pub fn stats(&self) -> FlowStats {
+        FlowStats {
             lookups: self.lookups.get(),
             ..self.stats
         }
@@ -275,14 +268,9 @@ impl<T> Shard<T> {
         self.index.len()
     }
 
-    /// Whether the shard is empty.
+    /// Whether no flows are resident.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
-    }
-
-    /// The shard's capacity (flows).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Resolves `key` to its slot: the one keyed probe (one hash) a
@@ -297,6 +285,22 @@ impl<T> Shard<T> {
         self.slot(slot.0).state
     }
 
+    /// Whether `key` is resident (does not touch the LRU).
+    pub fn contains(&self, key: &FlowKey) -> bool {
+        self.find(key).is_some()
+    }
+
+    /// The data of `key`'s flow, without touching the LRU.
+    pub fn peek(&self, key: &FlowKey) -> Option<&T> {
+        self.find(key).map(|slot| self.get(slot))
+    }
+
+    /// [`FlowTable::touch`] by key.
+    pub fn get_mut(&mut self, key: &FlowKey, now: u64) -> Option<&mut T> {
+        let slot = self.find(key)?;
+        Some(self.touch(slot, now))
+    }
+
     /// Shared access without touching the LRU (diagnostics, designation
     /// checks).
     pub fn get(&self, slot: SlotId) -> &T {
@@ -304,8 +308,8 @@ impl<T> Shard<T> {
     }
 
     /// Mutable access that is not activity: for a caller that already
-    /// [`Shard::touch`]ed the slot for the segment in hand.
-    pub fn get_mut(&mut self, slot: SlotId) -> &mut T {
+    /// [`FlowTable::touch`]ed the slot for the segment in hand.
+    pub fn data_mut(&mut self, slot: SlotId) -> &mut T {
         &mut self.slot_mut(slot.0).data
     }
 
@@ -372,7 +376,7 @@ impl<T> Shard<T> {
     }
 
     /// Inserts a flow and returns the slot it landed in; over a
-    /// resident key this is [`Shard::replace`]. At capacity, the
+    /// resident key this is [`FlowTable::replace`]. At capacity, the
     /// least-recently-used entry is evicted first and returned — the
     /// caller owns the eviction policy (e.g. resetting the evicted
     /// flow's client).
@@ -387,9 +391,9 @@ impl<T> Shard<T> {
             self.replace(slot, state, data, now);
             return (slot, None);
         }
-        let evicted = if self.index.len() >= self.capacity {
+        let evicted = if self.index.len() >= self.config.capacity {
             let victim = self.tail;
-            debug_assert_ne!(victim, NONE, "full shard must have an LRU tail");
+            debug_assert_ne!(victim, NONE, "a full table has an LRU tail");
             self.stats.evicted += 1;
             self.remove_slot(victim)
         } else {
@@ -429,10 +433,10 @@ impl<T> Shard<T> {
         (ev.state, ev.data)
     }
 
-    /// Reaps every flow whose TTL (per `policy`) has expired, invoking
-    /// `reaped` for each with the state it held before reaping.
-    pub fn gc(&mut self, now: u64, policy: &GcPolicy, reaped: &mut dyn FnMut(Evicted<T>)) {
-        self.gc_budgeted(now, policy, usize::MAX, reaped);
+    /// Reaps every flow whose TTL has expired, invoking `reaped` for
+    /// each with the state it held before reaping.
+    pub fn gc(&mut self, now: u64, reaped: &mut dyn FnMut(Evicted<T>)) {
+        self.gc_budgeted(now, usize::MAX, reaped);
     }
 
     /// Reaps at most `budget` expired flows, popping each expiry list
@@ -442,13 +446,12 @@ impl<T> Shard<T> {
     pub fn gc_budgeted(
         &mut self,
         now: u64,
-        policy: &GcPolicy,
         budget: usize,
         reaped: &mut dyn FnMut(Evicted<T>),
     ) -> usize {
         let mut n = 0;
         for class in 0..EXP_CLASSES {
-            let ttl = policy.class_ttl(class);
+            let ttl = self.config.gc.class_ttl(class);
             loop {
                 if n >= budget {
                     return n;
@@ -481,7 +484,7 @@ impl<T> Shard<T> {
     }
 
     /// Number of slab slots (occupied or free): the cursor bound for
-    /// [`Shard::take_slot`] drain loops. Fixed while only removals
+    /// [`FlowTable::take_slot`] drain loops. Fixed while only removals
     /// happen, so `for i in 0..slot_count()` borrows nothing across
     /// mutations.
     pub fn slot_count(&self) -> usize {
@@ -606,178 +609,6 @@ impl<T> Shard<T> {
     }
 }
 
-/// The sharded flow table: shard routing plus whole-table helpers.
-/// Single-key operations delegate to the owning shard; batch callers
-/// take [`FlowTable::shards_mut`] and fan out.
-#[derive(Debug)]
-pub struct FlowTable<T> {
-    shards: Vec<Shard<T>>,
-    config: FlowTableConfig,
-    /// Next shard a budgeted GC tick starts at — carry-over so a
-    /// backlogged shard drains first after a budget-exhausted tick.
-    gc_cursor: usize,
-}
-
-impl<T> FlowTable<T> {
-    /// Builds a table per `config`.
-    pub fn new(config: FlowTableConfig) -> Self {
-        let shards = config.shards.max(1).next_power_of_two();
-        let per_shard = (config.capacity / shards).max(1);
-        FlowTable {
-            shards: (0..shards).map(|_| Shard::new(per_shard)).collect(),
-            config,
-            gc_cursor: 0,
-        }
-    }
-
-    /// The construction config (shard count normalised).
-    pub fn config(&self) -> &FlowTableConfig {
-        &self.config
-    }
-
-    /// Number of shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard index a key routes to (deterministic).
-    pub fn shard_of(&self, key: &FlowKey) -> usize {
-        key.shard_of(self.shards.len())
-    }
-
-    /// A shard by index.
-    pub fn shard(&self, i: usize) -> &Shard<T> {
-        &self.shards[i]
-    }
-
-    /// All shards, for scatter–gather executors.
-    pub fn shards_mut(&mut self) -> &mut [Shard<T>] {
-        &mut self.shards
-    }
-
-    /// The shard owning `key`.
-    pub fn for_key_mut(&mut self, key: &FlowKey) -> &mut Shard<T> {
-        let i = key.shard_of(self.shards.len());
-        &mut self.shards[i]
-    }
-
-    /// Total resident flows.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
-    }
-
-    /// Whether no flows are resident.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(Shard::is_empty)
-    }
-
-    /// Whether the key is resident anywhere (does not touch the LRU).
-    pub fn contains(&self, key: &FlowKey) -> bool {
-        self.shards[self.shard_of(key)].find(key).is_some()
-    }
-
-    /// [`Shard::get`] by key.
-    pub fn peek(&self, key: &FlowKey) -> Option<&T> {
-        let shard = &self.shards[self.shard_of(key)];
-        shard.find(key).map(|slot| shard.get(slot))
-    }
-
-    /// [`Shard::state`] by key.
-    pub fn state(&self, key: &FlowKey) -> Option<FlowState> {
-        let shard = &self.shards[self.shard_of(key)];
-        shard.find(key).map(|slot| shard.state(slot))
-    }
-
-    /// [`Shard::touch`] by key.
-    pub fn get_mut(&mut self, key: &FlowKey, now: u64) -> Option<&mut T> {
-        let shard = self.for_key_mut(key);
-        let slot = shard.find(key)?;
-        Some(shard.touch(slot, now))
-    }
-
-    /// See [`Shard::insert`].
-    pub fn insert(
-        &mut self,
-        key: FlowKey,
-        state: FlowState,
-        data: T,
-        now: u64,
-    ) -> Option<Evicted<T>> {
-        self.for_key_mut(&key).insert(key, state, data, now).1
-    }
-
-    /// [`Shard::remove`] by key.
-    pub fn remove(&mut self, key: &FlowKey) -> Option<(FlowState, T)> {
-        let shard = self.for_key_mut(key);
-        let slot = shard.find(key)?;
-        Some(shard.remove(slot))
-    }
-
-    /// [`Shard::set_state`] by key; no-op when the key is absent.
-    pub fn set_state(&mut self, key: &FlowKey, state: FlowState, now: u64) {
-        let shard = self.for_key_mut(key);
-        if let Some(slot) = shard.find(key) {
-            shard.set_state(slot, state, now);
-        }
-    }
-
-    /// Drains every expired flow (unbounded budget), in shard order.
-    pub fn gc(&mut self, now: u64, reaped: &mut dyn FnMut(Evicted<T>)) {
-        let policy = self.config.gc;
-        for shard in &mut self.shards {
-            shard.gc(now, &policy, reaped);
-        }
-    }
-
-    /// Reaps at most `budget` expired flows across shards, starting at
-    /// the carry-over cursor and round-robining so a budget-exhausted
-    /// tick resumes where pressure remains. Returns the number reaped.
-    pub fn gc_budgeted(
-        &mut self,
-        now: u64,
-        budget: usize,
-        reaped: &mut dyn FnMut(Evicted<T>),
-    ) -> usize {
-        let policy = self.config.gc;
-        let n = self.shards.len();
-        let start = self.gc_cursor % n;
-        let mut left = budget;
-        let mut total = 0;
-        for k in 0..n {
-            let i = (start + k) % n;
-            if left == 0 {
-                // Resume here next tick: shard `i` (and onwards) was
-                // not offered any budget this time.
-                self.gc_cursor = i;
-                return total;
-            }
-            let r = self.shards[i].gc_budgeted(now, &policy, left, reaped);
-            total += r;
-            left -= r;
-            if left == 0 {
-                self.gc_cursor = i;
-                return total;
-            }
-        }
-        total
-    }
-
-    /// Iterates all resident flows in shard-index + slab-slot order
-    /// (deterministic).
-    pub fn iter(&self) -> impl Iterator<Item = (FlowKey, FlowState, &T)> {
-        self.shards.iter().flat_map(Shard::iter)
-    }
-
-    /// Aggregated statistics across shards.
-    pub fn stats_total(&self) -> ShardStats {
-        let mut total = ShardStats::default();
-        for s in &self.shards {
-            total.merge(&s.stats());
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,30 +622,31 @@ mod tests {
     #[test]
     fn insert_lookup_remove() {
         let mut t = FlowTable::new(FlowTableConfig::new(4, 64));
-        assert!(t.insert(key(1), FlowState::Establishing, "a", 10).is_none());
+        let (slot, evicted) = t.insert(key(1), FlowState::Establishing, "a", 10);
+        assert!(evicted.is_none());
         assert_eq!(t.len(), 1);
-        assert_eq!(t.state(&key(1)), Some(FlowState::Establishing));
+        assert_eq!(t.find(&key(1)), Some(slot));
+        assert_eq!(t.state(slot), FlowState::Establishing);
         *t.get_mut(&key(1), 20).unwrap() = "b";
         assert_eq!(t.peek(&key(1)), Some(&"b"));
-        assert_eq!(t.remove(&key(1)), Some((FlowState::Establishing, "b")));
+        assert_eq!(t.remove(slot), (FlowState::Establishing, "b"));
         assert!(t.is_empty());
     }
 
     #[test]
     fn lru_eviction_at_capacity() {
-        // One shard so capacity pressure is easy to stage.
         let mut t = FlowTable::new(FlowTableConfig::new(1, 3));
         for n in 0..3 {
-            assert!(t.insert(key(n), FlowState::Replicated, n, 0).is_none());
+            assert!(t.insert(key(n), FlowState::Replicated, n, 0).1.is_none());
         }
         // Touch 0 so 1 becomes the LRU victim.
         t.get_mut(&key(0), 5);
-        let ev = t.insert(key(9), FlowState::Establishing, 9, 10).unwrap();
+        let ev = t.insert(key(9), FlowState::Establishing, 9, 10).1.unwrap();
         assert_eq!(ev.key, key(1));
         assert_eq!(ev.state, FlowState::Replicated);
         assert_eq!(ev.data, 1);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.stats_total().evicted, 1);
+        assert_eq!(t.stats().evicted, 1);
         assert!(t.contains(&key(0)) && t.contains(&key(2)) && t.contains(&key(9)));
     }
 
@@ -835,7 +667,7 @@ mod tests {
             "degraded flows outlast the TimeWait TTL"
         );
         assert!(t.contains(&key(3)), "live flows outlast the TimeWait TTL");
-        assert_eq!(t.stats_total().reaped, 1);
+        assert_eq!(t.stats().reaped, 1);
         // The idle TTL is the backstop for both.
         t.gc(t.config().gc.idle_ttl, &mut |_| {});
         assert!(t.is_empty(), "degraded and live flows reap on the idle TTL");
@@ -874,7 +706,7 @@ mod tests {
         let reaps = t.gc_budgeted(ttl, 16, &mut |_| count += 1);
         assert_eq!(reaps, 8, "backlog fully drains");
         assert!(t.is_empty());
-        assert_eq!(t.stats_total().reaped, 40);
+        assert_eq!(t.stats().reaped, 40);
     }
 
     #[test]
@@ -884,8 +716,9 @@ mod tests {
         t.insert(key(1), FlowState::Replicated, (), 0);
         t.insert(key(2), FlowState::Replicated, (), 0);
         // key(1) closes at t=100: enters the TimeWait class *at* 100.
-        t.set_state(&key(1), FlowState::Closing, 100);
-        t.set_state(&key(1), FlowState::TimeWait, 100);
+        let slot = t.find(&key(1)).unwrap();
+        t.set_state(slot, FlowState::Closing, 100);
+        t.set_state(slot, FlowState::TimeWait, 100);
         let mut reaped = Vec::new();
         t.gc(100 + tw - 1, &mut |ev| reaped.push(ev.key));
         assert!(reaped.is_empty(), "TimeWait TTL counts from the transition");
@@ -901,12 +734,10 @@ mod tests {
             t.insert(key(n), FlowState::Replicated, n, 0);
         }
         let mut drained = 0;
-        for shard in t.shards_mut() {
-            for i in 0..shard.slot_count() {
-                if let Some(ev) = shard.take_slot(i) {
-                    assert_eq!(ev.state, FlowState::Replicated);
-                    drained += 1;
-                }
+        for i in 0..t.slot_count() {
+            if let Some(ev) = t.take_slot(i) {
+                assert_eq!(ev.state, FlowState::Replicated);
+                drained += 1;
             }
         }
         assert_eq!(drained, 20);
@@ -917,28 +748,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_deterministic_and_stable() {
-        let t4 = FlowTable::<()>::new(FlowTableConfig::new(4, 64));
-        let u4 = FlowTable::<()>::new(FlowTableConfig::new(4, 64));
-        for n in 0..200 {
-            assert_eq!(t4.shard_of(&key(n)), u4.shard_of(&key(n)));
-            assert_eq!(t4.shard_of(&key(n)), key(n).shard_of(4));
-        }
-        // All shards get some traffic (hash spreads).
-        let mut seen = [false; 4];
-        for n in 0..200 {
-            seen[t4.shard_of(&key(n))] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "200 flows must hit all 4 shards");
-    }
-
-    #[test]
     fn slab_order_iteration_is_stable() {
         let mut t = FlowTable::new(FlowTableConfig::new(1, 16));
         for n in 0..5 {
             t.insert(key(n), FlowState::Replicated, n, 0);
         }
-        t.remove(&key(2));
+        t.remove(t.find(&key(2)).unwrap());
         t.insert(key(7), FlowState::Replicated, 7, 1); // reuses slot 2
         let order: Vec<u16> = t.iter().map(|(_, _, &d)| d).collect();
         assert_eq!(order, vec![0, 1, 7, 3, 4], "slab order, freed slot reused");
@@ -949,16 +764,8 @@ mod tests {
         let mut t = FlowTable::new(FlowTableConfig::new(1, 2));
         t.insert(key(1), FlowState::Establishing, 1, 0);
         t.insert(key(2), FlowState::Establishing, 2, 0);
-        assert!(t.insert(key(1), FlowState::Establishing, 10, 5).is_none());
+        assert!(t.insert(key(1), FlowState::Establishing, 10, 5).1.is_none());
         assert_eq!(t.len(), 2);
         assert_eq!(t.peek(&key(1)), Some(&10));
-    }
-
-    #[test]
-    fn config_normalises_shards_to_power_of_two() {
-        let t = FlowTable::<()>::new(FlowTableConfig::new(3, 64));
-        assert_eq!(t.shard_count(), 4);
-        let t = FlowTable::<()>::new(FlowTableConfig::new(0, 64));
-        assert_eq!(t.shard_count(), 1);
     }
 }

@@ -22,9 +22,9 @@
 //!   the standing benchmark.
 //! * [`queues`] — the primary/secondary output queues of Figure 2.
 //! * [`designation`] — §7's two ways of marking failover connections.
-//! * [`flow`] — the sharded flow table the bridge stores per-flow
-//!   state in: explicit lifecycle, capacity limits, LRU eviction,
-//!   timer-driven GC, per-shard stats.
+//! * [`flow`] — the flow table the bridge stores per-flow state in:
+//!   explicit lifecycle, a capacity limit, LRU eviction, timer-driven
+//!   GC, stats.
 //! * [`observers`] — the observer seam: the one [`Observers`] value a
 //!   bridge of any role holds, and the bridge's observable moments as
 //!   methods on it.

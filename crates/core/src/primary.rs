@@ -27,14 +27,14 @@
 //! daisy chain's tail, the pair's S among them, whose every flow is a
 //! pass-through entry with `Δseq = 0` (see [`PrimaryBridge::link`]).
 //!
-//! Per-connection state lives in a sharded [`FlowTable`] (see
+//! Per-connection state lives in one [`FlowTable`] (see
 //! [`crate::flow`]): bounded capacity with LRU eviction, an explicit
 //! lifecycle, and timer-driven GC that expires §8 tombstones. A batch
 //! is filtered one segment at a time, in input order.
 //!
 //! One module per seam of the paper: this one is the bridge's API, its
 //! telemetry and the batch entry; `datapath` resolves a segment's flow
-//! and runs it through the engine bound to its shard; `merge` is the
+//! and runs it through the engine bound to the table; `merge` is the
 //! §3/§4/§7 merge (`Conn`, the `Emitter`, release, SYN merge,
 //! retransmission); `residue` is §6 and §8 (tombstones, pass-through,
 //! degradation, joining, teardown, late FINs, eviction); `routing` is
@@ -48,7 +48,7 @@ mod routing;
 use self::merge::{BELOW, OURS};
 use self::residue::PrimaryFlow;
 use crate::designation::{ConnKey, FailoverConfig};
-use crate::flow::{FlowGauges, FlowState, FlowTable, FlowTableConfig, ShardStats};
+use crate::flow::{FlowGauges, FlowState, FlowStats, FlowTable, FlowTableConfig};
 use crate::observers::Observers;
 use bytes::BytesMut;
 use tcpfo_net::ShardExecutor;
@@ -150,7 +150,9 @@ type Count = fn(&PrimaryStats) -> u64;
 
 /// Registry handles mirroring [`PrimaryStats`] plus output-queue depth
 /// gauges, all under one scope: `core.primary`, or `core.secondary` on
-/// a bridge built with nobody below (the pair's P and S share a hub).
+/// a bridge built with nobody below. Every replica has its own hub, so
+/// the role no longer tells two bridges apart; the names stay because
+/// the journal goldens pin `core.primary` and `core.secondary`.
 struct PrimaryInstruments {
     hub: Telemetry,
     /// The scope's name, for journal entries.
@@ -162,7 +164,7 @@ struct PrimaryInstruments {
     counters: [Counter; COUNTERS.len()],
     pq_depth: Gauge,
     sq_depth: Gauge,
-    /// Per-shard flow-table gauges under `core.primary.flow`.
+    /// Flow-table gauges under `core.primary.flow`.
     flow_gauges: FlowGauges,
 }
 
@@ -207,8 +209,7 @@ pub struct PrimaryBridge {
     upstream: Option<Ipv4Addr>,
     config: FailoverConfig,
     mode: PrimaryMode,
-    /// All per-connection state: live connections and §6/§8 residue,
-    /// sharded by [`ConnKey::hash64`].
+    /// All per-connection state: live connections and §6/§8 residue.
     flows: FlowTable<PrimaryFlow>,
     /// ABLATION ONLY (defaults off): acknowledge with the primary's own
     /// ack instead of `min(ack_P, ack_S)`. Violates requirement 2 of
@@ -265,8 +266,8 @@ pub struct ConnRow {
 
 impl PrimaryBridge {
     /// Creates a bridge for primary `a_p` paired with secondary `a_s`:
-    /// the head that owns the VIP, with the default flow table (1 shard,
-    /// 65 536 flows); resize it with [`PrimaryBridge::set_flow_config`].
+    /// the head that owns the VIP, with the default flow table (65 536
+    /// flows); resize it with [`PrimaryBridge::set_flow_config`].
     pub fn new(a_p: Ipv4Addr, a_s: Ipv4Addr, config: FailoverConfig) -> Self {
         Self::link(a_p, a_p, None, Some(a_s), config)
     }
@@ -307,20 +308,18 @@ impl PrimaryBridge {
         }
     }
 
-    /// Rebuilds the flow table with a new shard count / capacity,
-    /// migrating every resident entry. Entries that no longer fit are
-    /// dropped and counted as evictions.
+    /// Rebuilds the flow table with a new capacity, migrating every
+    /// resident entry. Entries that no longer fit are dropped and
+    /// counted as evictions.
     pub fn set_flow_config(&mut self, config: FlowTableConfig) {
         let mut table = FlowTable::new(config);
-        for shard in self.flows.shards_mut() {
-            // Slot-cursor drain: slab order, no key collection — the
-            // slot count is fixed while we only remove.
-            for i in 0..shard.slot_count() {
-                if let Some(ev) = shard.take_slot(i) {
-                    if let Some(dropped) = table.insert(ev.key, ev.state, ev.data, 0) {
-                        self.stats.evicted_flows += 1;
-                        dropped.data.left(&mut self.observers.lag());
-                    }
+        // Slot-cursor drain: slab order, no key collection — the slot
+        // count is fixed while we only remove.
+        for i in 0..self.flows.slot_count() {
+            if let Some(ev) = self.flows.take_slot(i) {
+                if let (_, Some(dropped)) = table.insert(ev.key, ev.state, ev.data, 0) {
+                    self.stats.evicted_flows += 1;
+                    dropped.data.left(&mut self.observers.lag());
                 }
             }
         }
@@ -396,7 +395,7 @@ impl PrimaryBridge {
     /// Connects the bridge to a telemetry hub: mirrors
     /// [`PrimaryStats`] onto registry counters under `core.primary` —
     /// `core.secondary` with nobody below —, tracks output-queue depths
-    /// and per-shard flow-table gauges, and journals sync / empty-ACK /
+    /// and the flow-table gauges, and journals sync / empty-ACK /
     /// retransmission / degradation events.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         let name = match self.a_s {
@@ -416,7 +415,7 @@ impl PrimaryBridge {
     }
 
     /// Publishes [`PrimaryStats`], the summed output-queue depths and
-    /// the per-shard flow-table gauges to the registry. Runs on every
+    /// the flow-table gauges to the registry. Runs on every
     /// host tick; snapshotting code (the testbed) calls it once more so
     /// the registry is fresh even when the last event predates the
     /// snapshot.
@@ -483,20 +482,20 @@ impl PrimaryBridge {
         self.flows.len()
     }
 
-    /// Aggregated flow-table statistics across all shards.
-    pub fn flow_stats(&self) -> ShardStats {
-        self.flows.stats_total()
+    /// Flow-table statistics.
+    pub fn flow_stats(&self) -> FlowStats {
+        self.flows.stats()
     }
 
-    /// Total flow-table capacity across all shards (denominator for
-    /// occupancy ratios in the health observatory).
+    /// Flow-table capacity (denominator for occupancy ratios in the
+    /// health observatory).
     pub fn flow_capacity(&self) -> usize {
         self.flows.config().capacity
     }
 
     /// The lifecycle state of one flow, if resident (live or tombstone).
     pub fn flow_state(&self, key: &ConnKey) -> Option<FlowState> {
-        self.flows.state(key)
+        self.flows.find(key).map(|slot| self.flows.state(slot))
     }
 
     /// Whether the flow table holds any entry (live or tombstone) for
@@ -505,18 +504,13 @@ impl PrimaryBridge {
         self.flows.contains(key)
     }
 
-    /// Number of flow-table shards (a power of two).
-    pub fn flow_shard_count(&self) -> usize {
-        self.flows.shard_count()
-    }
-
     /// Timer-driven flow GC: expires §8 TimeWait tombstones after their
     /// TTL and reaps long-idle live flows (a leak backstop). Runs at
     /// most once per [`GC_INTERVAL_NANOS`] of sim time, and reaps at
     /// most `GcPolicy::max_reaps_per_tick` flows per tick — the pause
-    /// bound. Backlog carries over via the table's shard cursor (and
-    /// the per-batch drain in [`PrimaryBridge::process_batch`] keeps
-    /// eating at it between ticks).
+    /// bound. Backlog waits at the expiry-list fronts (and the
+    /// per-batch drain in [`PrimaryBridge::process_batch`] keeps eating
+    /// at it between ticks).
     fn gc_flows(&mut self, now_nanos: u64) {
         if now_nanos.saturating_sub(self.last_gc) < GC_INTERVAL_NANOS {
             return;
@@ -526,25 +520,22 @@ impl PrimaryBridge {
         let mut lag = self.observers.lag();
         self.flows
             .gc_budgeted(now_nanos, budget, &mut |ev| ev.data.left(&mut lag));
-        self.stats.flows_reaped = self.flows.stats_total().reaped;
+        self.stats.flows_reaped = self.flows.stats().reaped;
     }
 
-    /// Per-batch incremental GC: offers every shard a small reap
-    /// budget (`GcPolicy::max_reaps_per_batch`). O(1) per shard when
-    /// nothing is due (one list-head check per TTL class), so this
-    /// runs after *every* batch.
+    /// Per-batch incremental GC: a small reap budget
+    /// (`GcPolicy::max_reaps_per_batch`). O(1) when nothing is due (one
+    /// list-head check per TTL class), so this runs after *every*
+    /// batch.
     fn gc_batch(&mut self, now_nanos: u64) {
-        let policy = self.flows.config().gc;
-        if policy.max_reaps_per_batch == 0 {
+        let budget = self.flows.config().gc.max_reaps_per_batch;
+        if budget == 0 {
             return;
         }
         let mut lag = self.observers.lag();
-        for shard in self.flows.shards_mut() {
-            shard.gc_budgeted(now_nanos, &policy, policy.max_reaps_per_batch, &mut |ev| {
-                ev.data.left(&mut lag)
-            });
-        }
-        self.stats.flows_reaped = self.flows.stats_total().reaped;
+        self.flows
+            .gc_budgeted(now_nanos, budget, &mut |ev| ev.data.left(&mut lag));
+        self.stats.flows_reaped = self.flows.stats().reaped;
     }
 
     /// One segment in either direction: the merge datapath under the
@@ -572,8 +563,8 @@ impl PrimaryBridge {
                 BatchDir::Inbound => Self::audit_inbound_observe,
             },
             |b, seg, now, out| {
-                let (si, route) = b.route(dir, &seg);
-                b.engine(si, seg.trace, now).run(route, seg, out)
+                let route = b.route(dir, &seg);
+                b.engine(seg.trace, now).run(route, seg, out)
             },
             Self::audit_scan,
         );
@@ -583,8 +574,8 @@ impl PrimaryBridge {
     }
 
     /// Filters a whole batch, one segment at a time in input order, and
-    /// returns one [`FilterOutput`] per input; then every shard drains
-    /// its per-batch GC budget ([`PrimaryBridge::gc_batch`]). The span
+    /// returns one [`FilterOutput`] per input; then the table drains its
+    /// per-batch GC budget ([`PrimaryBridge::gc_batch`]). The span
     /// sampler brackets the whole. `_exec` is the shim
     /// `benchmark/README.md` § What the benchmark calls pins.
     pub fn process_batch(
@@ -866,7 +857,7 @@ mod tests {
 
     #[test]
     fn inserted_counts_flows_not_merges() {
-        // A merge mutates the connection where it sits: the shard's
+        // A merge mutates the connection where it sits: the table's
         // `inserted` gauge is the number of flows opened, however many
         // segments each carried.
         let mut b = established();

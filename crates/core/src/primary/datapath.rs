@@ -1,6 +1,6 @@
 //! The per-segment datapath: a segment's flow is read off its bytes
-//! ([`Route`]), resolved once in its shard, and run through an
-//! [`Engine`] bound to that shard — our TCP layer's output, the stream
+//! ([`Route`]), resolved once in the flow table, and run through an
+//! [`Engine`] bound to the table — our TCP layer's output, the stream
 //! diverted from below, or the client's segments and their
 //! acknowledgment translation.
 
@@ -8,7 +8,7 @@ use super::merge::{Conn, Emitter, BELOW, OURS};
 use super::residue::{PrimaryFlow, PEER};
 use super::{PrimaryBridge, PrimaryInstruments, PrimaryMode};
 use crate::designation::{ConnKey, FailoverConfig};
-use crate::flow::{FlowState, Shard, SlotId};
+use crate::flow::{FlowState, FlowTable, SlotId};
 use crate::observers::Lag;
 use bytes::Bytes;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FilterOutput, TraceId};
@@ -32,23 +32,12 @@ pub(super) enum Route {
     Peer(Option<ConnKey>),
 }
 
-impl Route {
-    fn key(self) -> Option<ConnKey> {
-        match self {
-            Route::Outbound(k) | Route::Peer(k) => k,
-            Route::Diverted(k) => Some(k),
-        }
-    }
-}
-
 impl PrimaryBridge {
-    /// Reads a segment's flow off its raw bytes — once: the shard index
-    /// comes from the same key the engine then resolves. Diverted
+    /// Reads a segment's flow off its raw bytes — once. Diverted
     /// secondary output is keyed by the original destination carried in
-    /// its option. Unparseable segments route to shard 0; they pass
-    /// through untouched, so the choice only needs to be deterministic.
-    pub(super) fn route(&self, dir: BatchDir, seg: &AddressedSegment) -> (usize, Route) {
-        let route = match dir {
+    /// its option.
+    pub(super) fn route(&self, dir: BatchDir, seg: &AddressedSegment) -> Route {
+        match dir {
             BatchDir::Outbound => Route::Outbound(ConnKey::of_egress(seg)),
             BatchDir::Inbound => {
                 let orig = if Some(seg.src) == self.a_s && seg.dst == self.own {
@@ -63,15 +52,13 @@ impl PrimaryBridge {
                     None => Route::Peer(ConnKey::of_ingress(seg)),
                 }
             }
-        };
-        let shard = route.key().map_or(0, |k| self.flows.shard_of(&k));
-        (shard, route)
+        }
     }
 
-    /// Builds the engine for one shard, borrowing this bridge's state.
-    /// The engine's shard reference is a *field-path* borrow of `flows`,
-    /// so `stats` / `emit_buf` stay independently borrowable inside it.
-    pub(super) fn engine(&mut self, shard: usize, trace: TraceId, now_nanos: u64) -> Engine<'_> {
+    /// Builds the engine, borrowing this bridge's state. The engine's
+    /// table reference is a *field-path* borrow of `flows`, so `stats` /
+    /// `emit_buf` stay independently borrowable inside it.
+    pub(super) fn engine(&mut self, trace: TraceId, now_nanos: u64) -> Engine<'_> {
         let PrimaryBridge {
             a_p,
             a_s,
@@ -94,7 +81,7 @@ impl PrimaryBridge {
             unsafe_ack: *unsafe_ack_without_min,
             now: now_nanos,
             config: &*config,
-            shard: &mut flows.shards_mut()[shard],
+            flows,
             emit: Emitter {
                 a_p: *a_p,
                 trace,
@@ -108,11 +95,11 @@ impl PrimaryBridge {
     }
 }
 
-/// The per-flow datapath, bound to one flow-table shard.
+/// The per-flow datapath, bound to the bridge's flow table.
 ///
 /// Scalars are copied out of the bridge and the mutable pieces are held
 /// as *separate* references, so the borrow checker can see that a flow
-/// borrowed out of `shard` never aliases the [`Emitter`]: a connection
+/// borrowed out of `flows` never aliases the [`Emitter`]: a connection
 /// is mutated where it sits in the table.
 ///
 /// A segment's flow is resolved **once**, by [`Engine::find`] on entry;
@@ -127,7 +114,7 @@ pub(super) struct Engine<'a> {
     /// Sim time of the segment being filtered.
     pub(super) now: u64,
     config: &'a FailoverConfig,
-    pub(super) shard: &'a mut Shard<PrimaryFlow>,
+    pub(super) flows: &'a mut FlowTable<PrimaryFlow>,
     pub(super) emit: Emitter<'a>,
     /// The journal's handles; `None` without telemetry.
     pub(super) instruments: Option<&'a PrimaryInstruments>,
@@ -139,14 +126,14 @@ impl Engine<'_> {
     /// Resolves the segment's flow: the one keyed probe it pays.
     fn find(&mut self, key: &ConnKey) -> Option<SlotId> {
         let t0 = self.emit.clock.start();
-        let slot = self.shard.find(key);
+        let slot = self.flows.find(key);
         self.emit.clock.end(Stage::FlowLookup, t0);
         slot
     }
 
     /// `slot` if it holds a live (queue-carrying) connection.
     pub(super) fn live(&self, slot: Option<SlotId>) -> Option<SlotId> {
-        slot.filter(|&s| self.shard.state(s).is_live())
+        slot.filter(|&s| self.flows.state(s).is_live())
     }
 
     /// Opens connection state for `key`: in the slot the tuple's residue
@@ -157,12 +144,12 @@ impl Engine<'_> {
         let conn = Box::new(Conn::new(self.emit.a_p, key.peer, key.server_port));
         let flow = PrimaryFlow::Live(conn);
         if let Some(slot) = slot {
-            self.shard
+            self.flows
                 .replace(slot, FlowState::Establishing, flow, self.now);
             return slot;
         }
         let (slot, evicted) = self
-            .shard
+            .flows
             .insert(key, FlowState::Establishing, flow, self.now);
         if let Some(ev) = evicted {
             self.on_evicted(ev, out);
@@ -172,9 +159,9 @@ impl Engine<'_> {
 
     /// Brings a connection's lifecycle state up to its merge progress.
     pub(super) fn settle(&mut self, slot: SlotId) {
-        if let PrimaryFlow::Live(conn) = self.shard.get(slot) {
+        if let PrimaryFlow::Live(conn) = self.flows.get(slot) {
             let st = conn.state();
-            self.shard.set_state(slot, st, self.now);
+            self.flows.set_state(slot, st, self.now);
         }
     }
 
@@ -402,7 +389,7 @@ impl Engine<'_> {
             }
             return;
         };
-        let PrimaryFlow::Live(conn) = self.shard.touch(slot, self.now) else {
+        let PrimaryFlow::Live(conn) = self.flows.touch(slot, self.now) else {
             unreachable!("live lifecycle state implies a live flow entry");
         };
         // Track teardown progress (in S/client-facing space).

@@ -149,8 +149,8 @@ impl Conn {
 
 /// What emitting a segment needs and nothing that borrows the flow
 /// table: the egress scratch, the counters, the stage clock, our
-/// address and the trace id. Kept apart from the engine's shard so a
-/// `&mut Conn` borrowed from the shard lives across an emit.
+/// address and the trace id. Kept apart from the engine's flow table
+/// so a `&mut Conn` borrowed from the table lives across an emit.
 pub(super) struct Emitter<'a> {
     pub(super) a_p: Ipv4Addr,
     /// Causal trace of the segment being filtered.
@@ -272,7 +272,7 @@ impl Engine<'_> {
     /// Releases everything both replicas agree on (§3.4 Figure 2), then
     /// the merged FIN, then a bare ACK if the minimum advanced.
     fn try_merge(&mut self, slot: SlotId, out: &mut FilterOutput) {
-        let PrimaryFlow::Live(conn) = self.shard.get_mut(slot) else {
+        let PrimaryFlow::Live(conn) = self.flows.data_mut(slot) else {
             return;
         };
         loop {
@@ -362,7 +362,7 @@ impl Engine<'_> {
     /// held (§7.1, §7.2), and builds it again when a replica
     /// retransmits its SYN after the merge.
     fn merge_syn(&mut self, key: ConnKey, slot: SlotId, out: &mut FilterOutput) {
-        let PrimaryFlow::Live(conn) = self.shard.get_mut(slot) else {
+        let PrimaryFlow::Live(conn) = self.flows.data_mut(slot) else {
             return;
         };
         let (Some(p), Some(s)) = (&conn.sides[OURS].syn, &conn.sides[BELOW].syn) else {
@@ -435,7 +435,7 @@ impl Engine<'_> {
             }
             return;
         };
-        let PrimaryFlow::Live(conn) = self.shard.touch(slot, self.now) else {
+        let PrimaryFlow::Live(conn) = self.flows.touch(slot, self.now) else {
             unreachable!("live lifecycle state implies a live flow entry");
         };
         // Handshake segments.
@@ -471,7 +471,7 @@ impl Engine<'_> {
         }
         // RST: forward with translated sequence number and drop state.
         if seg.flags.contains(TcpFlags::RST) {
-            let (_, PrimaryFlow::Live(mut conn)) = self.shard.remove(slot) else {
+            let (_, PrimaryFlow::Live(mut conn)) = self.flows.remove(slot) else {
                 unreachable!("live lifecycle state implies a live flow entry");
             };
             conn.left(&mut self.lag);
@@ -550,7 +550,7 @@ impl Engine<'_> {
         // retransmit, and the client retries forever. It also carries
         // window updates and feeds the client's fast retransmit.
         if pure_ack && out.to_wire.len() == emitted_before {
-            if let PrimaryFlow::Live(conn) = self.shard.get_mut(slot) {
+            if let PrimaryFlow::Live(conn) = self.flows.data_mut(slot) {
                 if let Some(m) = conn.client_ack(self.unsafe_ack) {
                     // Only a *repeated* ack from one replica counts as
                     // a re-ACK; the other replica merely catching up to

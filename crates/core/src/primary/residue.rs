@@ -75,7 +75,7 @@ impl PrimaryBridge {
     /// link's place in the chain, must be dispatched by the caller (the
     /// host controller).
     ///
-    /// Connections are processed in shard + slab-slot order — a fixed,
+    /// Connections are processed in slab-slot order — a fixed,
     /// reproducible order (the old `HashMap` iteration here was the one
     /// run-to-run nondeterminism in the bridge).
     pub fn secondary_failed(&mut self, now_nanos: u64) -> FilterOutput {
@@ -86,10 +86,7 @@ impl PrimaryBridge {
         self.journal(now_nanos, "degraded", &[("live_conns", live)]);
         let mut out = FilterOutput::empty();
         self.mode = PrimaryMode::SecondaryFailed;
-        for shard in 0..self.flows.shard_count() {
-            self.engine(shard, TraceId::NONE, now_nanos)
-                .degrade(&mut out);
-        }
+        self.engine(TraceId::NONE, now_nanos).degrade(&mut out);
         self.sync_telemetry(now_nanos);
         if self.is_link() {
             self.route_as_link((0, 0), now_nanos, &mut out);
@@ -133,7 +130,7 @@ impl PrimaryBridge {
             }
             (conn.state(), PrimaryFlow::Live(conn))
         };
-        if let Some(dropped) = self.flows.insert(key, st, flow, now_nanos) {
+        if let (_, Some(dropped)) = self.flows.insert(key, st, flow, now_nanos) {
             self.stats.evicted_flows += 1;
             dropped.data.left(&mut self.observers.lag());
         }
@@ -141,16 +138,16 @@ impl PrimaryBridge {
 }
 
 impl Engine<'_> {
-    /// §6 in this engine's shard, slot by slot in slab order: flush
+    /// §6 over the whole table, slot by slot in slab order: flush
     /// each live connection's own output queue to the client, then
     /// leave in its slot the pass-through entry that keeps subtracting
     /// `Δseq` for the rest of the connection's life.
     pub(super) fn degrade(&mut self, out: &mut FilterOutput) {
-        for i in 0..self.shard.slot_count() {
-            let Some(slot) = self.live(self.shard.slot_at(i)) else {
+        for i in 0..self.flows.slot_count() {
+            let Some(slot) = self.live(self.flows.slot_at(i)) else {
                 continue;
             };
-            let PrimaryFlow::Live(conn) = self.shard.get_mut(slot) else {
+            let PrimaryFlow::Live(conn) = self.flows.data_mut(slot) else {
                 continue;
             };
             // The flow leaves replicated operation here: whatever the
@@ -164,7 +161,7 @@ impl Engine<'_> {
                 if let Some(syn) = conn.sides[OURS].syn.take() {
                     self.emit.encoded(conn, syn, out);
                 }
-                self.shard.remove(slot);
+                self.flows.remove(slot);
                 continue;
             };
             // Step 1: remove all payload data from the primary output
@@ -196,7 +193,7 @@ impl Engine<'_> {
             }
             // Steps 2–3: the pass-through entry takes the slot.
             let tomb = PrimaryFlow::degraded(delta);
-            self.shard
+            self.flows
                 .replace(slot, FlowState::Degraded, tomb, self.now);
         }
     }
@@ -212,13 +209,13 @@ impl Engine<'_> {
         fin: bool,
     ) -> Option<u32> {
         let slot = slot?;
-        if !matches!(self.shard.get(slot), PrimaryFlow::Tomb(t) if t.degraded) {
+        if !matches!(self.flows.get(slot), PrimaryFlow::Tomb(t) if t.degraded) {
             return None;
         }
         let flow = if side == PEER || fin {
-            self.shard.touch(slot, self.now)
+            self.flows.touch(slot, self.now)
         } else {
-            self.shard.get_mut(slot)
+            self.flows.data_mut(slot)
         };
         let PrimaryFlow::Tomb(t) = flow else {
             unreachable!("checked above");
@@ -226,7 +223,7 @@ impl Engine<'_> {
         t.fins[side] |= fin;
         let (delta, closed) = (t.delta, t.fins == [true; 2]);
         if closed {
-            self.shard.set_state(slot, FlowState::TimeWait, self.now);
+            self.flows.set_state(slot, FlowState::TimeWait, self.now);
         }
         Some(delta)
     }
@@ -244,15 +241,15 @@ impl Engine<'_> {
     ) {
         let fresh = PrimaryFlow::degraded(0);
         let Some(slot) = slot else {
-            let (_, evicted) = self.shard.insert(key, FlowState::Degraded, fresh, self.now);
+            let (_, evicted) = self.flows.insert(key, FlowState::Degraded, fresh, self.now);
             if let Some(ev) = evicted {
                 self.on_evicted(ev, out);
             }
             return;
         };
-        let closed = self.shard.state(slot) == FlowState::TimeWait;
-        if closed || matches!(self.shard.get(slot), PrimaryFlow::Tomb(t) if t.delta == 0) {
-            self.shard
+        let closed = self.flows.state(slot) == FlowState::TimeWait;
+        if closed || matches!(self.flows.get(slot), PrimaryFlow::Tomb(t) if t.delta == 0) {
+            self.flows
                 .replace(slot, FlowState::Degraded, fresh, self.now);
         }
     }
@@ -307,7 +304,7 @@ impl Engine<'_> {
     /// connection state, leaving a TimeWait tombstone for late
     /// retransmissions (reaped by the flow GC after its TTL).
     pub(super) fn maybe_teardown(&mut self, slot: SlotId) {
-        let PrimaryFlow::Live(conn) = self.shard.get(slot) else {
+        let PrimaryFlow::Live(conn) = self.flows.get(slot) else {
             return;
         };
         let Some(delta) = conn.delta else { return };
@@ -333,7 +330,7 @@ impl Engine<'_> {
                 degraded: false,
                 fins: [true; 2],
             });
-            self.shard
+            self.flows
                 .replace(slot, FlowState::TimeWait, tomb, self.now);
             self.emit.stats.conns_closed += 1;
         }

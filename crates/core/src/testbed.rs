@@ -169,7 +169,8 @@ pub struct TestbedConfig {
     pub journal_capacity: Option<usize>,
     /// Packet-trace ring capacity (`None`: [`DEFAULT_TRACE_CAPACITY`]).
     pub trace_capacity: Option<usize>,
-    /// Flow-table shard count for every bridge (`None`: 1).
+    /// Read by nothing: the flow table is one table. The field stays
+    /// because the standing benchmark sets it (ROADMAP 2(e)).
     pub flow_shards: Option<usize>,
     /// Total flow-table capacity for every bridge (`None`: 65 536).
     pub flow_cap: Option<usize>,
@@ -216,19 +217,6 @@ impl TestbedConfig {
             failover_ports: Vec::new(),
             ..TestbedConfig::default()
         }
-    }
-
-    /// The flow-table config every bridge should use, when either field
-    /// overrides the defaults.
-    fn flow_table(&self) -> Option<FlowTableConfig> {
-        if self.flow_shards.is_none() && self.flow_cap.is_none() {
-            return None;
-        }
-        let base = FlowTableConfig::default();
-        Some(FlowTableConfig::new(
-            self.flow_shards.unwrap_or(base.shards),
-            self.flow_cap.unwrap_or(base.capacity),
-        ))
     }
 
     /// A server-segment host: `seed_off` separates the per-host ISN
@@ -286,8 +274,8 @@ impl TestbedConfig {
         let fo = FailoverConfig::from_ports(self.failover_ports.iter().copied());
         let downstream = chain.get(i + 1).copied();
         let mut bridge = PrimaryBridge::link(addrs::A_P, chain[i], upstream, downstream, fo);
-        if let Some(fc) = self.flow_table() {
-            bridge.set_flow_config(fc);
+        if let Some(cap) = self.flow_cap {
+            bridge.set_flow_config(FlowTableConfig::new(1, cap));
         }
         bridge.set_telemetry(hub);
         *bridge.observers_mut() = Observers::attach(observers, hub, &label);

@@ -1,8 +1,8 @@
 //! One flow resolution per segment, mechanically: on an established
 //! flow every steady-state segment — a primary data segment, a diverted
-//! secondary data segment, a client ACK — advances the shard's
-//! keyed-probe counter (`ShardStats::lookups`, which counts every
-//! `Shard::find` whoever asked) by exactly one. A keyed table call
+//! secondary data segment, a client ACK — advances the table's
+//! keyed-probe counter (`FlowStats::lookups`, which counts every
+//! `FlowTable::find` whoever asked) by exactly one. A keyed table call
 //! anywhere on the per-segment path other than the entry `find` shows
 //! up here as a two.
 //!

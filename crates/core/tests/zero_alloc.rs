@@ -477,7 +477,7 @@ use tcpfo_telemetry::{AuditConfig, InvariantAuditor, LatencyObservatory, Telemet
 const TICK_NS: u64 = 1_000_000;
 
 fn idle_ticks(bridge: &mut dyn SegmentFilter) -> u64 {
-    // The first tick creates the per-shard and per-observer gauges.
+    // The first tick creates the flow-table and per-observer gauges.
     bridge.on_tick(TICK_NS);
     let base = allocs();
     for i in 2..1_002 {

@@ -90,28 +90,6 @@ impl FlowKey {
         let (src_port, dst_port) = peek_ports(&seg.bytes)?;
         Some(FlowKey::from_segment_egress(seg.dst, src_port, dst_port))
     }
-
-    /// Deterministic 64-bit hash of the key (SplitMix64 finalisation
-    /// over the packed fields). Used for shard selection, so it must
-    /// not depend on process-random state the way `std`'s default
-    /// `HashMap` hasher does: a fixed seed must map every flow to the
-    /// same shard in every run.
-    pub fn hash64(&self) -> u64 {
-        let packed = (u64::from(self.peer.ip.to_bits()) << 32)
-            | (u64::from(self.peer.port) << 16)
-            | u64::from(self.server_port);
-        let mut z = packed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// The shard this flow belongs to in a table of `shards` shards
-    /// (must be a power of two).
-    pub fn shard_of(&self, shards: usize) -> usize {
-        debug_assert!(shards.is_power_of_two());
-        (self.hash64() & (shards as u64 - 1)) as usize
-    }
 }
 
 impl std::fmt::Display for FlowKey {

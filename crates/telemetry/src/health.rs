@@ -112,72 +112,46 @@ impl Ewma {
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Tunables for scoring, burn-rate windows and alert hysteresis.
-///
-/// The weights sum to 100 so axis subscores (each 0–100) compose into
-/// a 0–100 total. Threshold defaults reproduce the gf-health bands:
-/// Critical below 50, healthy/promotable at 70 and above.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// Heartbeat RTT at/above this scores 0 on the RTT axis.
-    pub rtt_ceiling_ns: u64,
-    /// Heartbeat jitter (mean deviation) at/above this scores 0 on
-    /// the jitter axis.
-    pub jitter_ceiling_ns: u64,
-    /// Consecutive missed heartbeat intervals at which the liveness
-    /// axis reaches 0 (aligned with `timeout / interval` of the
-    /// binary detector).
-    pub miss_limit: u32,
-    /// Loss/retransmit rate (parts per million of forwarded segments)
-    /// at/above which the loss axis scores 0.
-    pub loss_ceiling_ppm: u64,
-    /// Replication lag in bytes at/above which the backlog axis
-    /// scores 0.
-    pub backlog_ceiling_bytes: u64,
-    /// Axis weights (must sum to 100): liveness, RTT, jitter, loss,
-    /// backlog. Liveness additionally scales the weighted composite —
-    /// see [`ReplicaHealth::score`].
-    pub weights: [u32; 5],
-    /// Score below this (from `Ok`) raises `Warn`.
-    pub warn_enter: u64,
-    /// Score at/above this (plus a calm fast window) clears `Warn`.
-    pub warn_exit: u64,
-    /// Score below this raises `Critical`.
-    pub crit_enter: u64,
-    /// Score at/above this demotes `Critical` back to `Warn`.
-    pub crit_exit: u64,
-    /// Fast burn-rate window slot width; the window spans
-    /// [`SLO_SLOTS`] slots.
-    pub fast_slot_ns: u64,
-    /// Slow burn-rate window slot width.
-    pub slow_slot_ns: u64,
-    /// Fast-window bad-observation fraction (ppm) that raises `Warn`
-    /// even while the instantaneous score still looks fine.
-    pub burn_warn_ppm: u64,
-    /// Fast-window bad fraction (ppm) below which `Warn` may clear.
-    pub burn_clear_ppm: u64,
-}
+// Scoring, burn-rate windows and alert hysteresis. The weights sum to
+// 100 so axis subscores (each 0–100) compose into a 0–100 total. The
+// thresholds reproduce the gf-health bands: Critical below 50,
+// healthy/promotable at 70 and above. The one tunable, the miss limit,
+// is derived from the detector's timeout and passed in.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            rtt_ceiling_ns: 20_000_000,     // 20 ms — 2× detector interval
-            jitter_ceiling_ns: 5_000_000,   // 5 ms
-            miss_limit: 5,                  // timeout/interval default
-            loss_ceiling_ppm: 100_000,      // 10% retransmit rate
-            backlog_ceiling_bytes: 1 << 20, // 1 MiB unmatched
-            weights: [30, 20, 20, 15, 15],
-            warn_enter: 70,
-            warn_exit: 80,
-            crit_enter: 50,
-            crit_exit: 60,
-            fast_slot_ns: 625_000_000,   // 8 slots → 5 s window
-            slow_slot_ns: 7_500_000_000, // 8 slots → 60 s window
-            burn_warn_ppm: 200_000,      // 20% bad observations
-            burn_clear_ppm: 50_000,      // 5%
-        }
-    }
-}
+/// Heartbeat RTT at/above this scores 0 on the RTT axis (20 ms: 2× the
+/// detector interval).
+pub const RTT_CEILING_NS: u64 = 20_000_000;
+/// Heartbeat jitter (mean deviation) at/above this scores 0 on the
+/// jitter axis.
+pub const JITTER_CEILING_NS: u64 = 5_000_000;
+/// Loss/retransmit rate (parts per million of forwarded segments)
+/// at/above which the loss axis scores 0 (a 10 % retransmit rate).
+pub const LOSS_CEILING_PPM: u64 = 100_000;
+/// Replication lag in bytes at/above which the backlog axis scores 0
+/// (1 MiB unmatched).
+pub const BACKLOG_CEILING_BYTES: u64 = 1 << 20;
+/// Axis weights (summing to 100): liveness, RTT, jitter, loss, backlog.
+/// Liveness additionally scales the weighted composite — see
+/// [`ReplicaHealth::score`].
+pub const WEIGHTS: [u32; 5] = [30, 20, 20, 15, 15];
+/// Score below this (from `Ok`) raises `Warn`.
+pub const WARN_ENTER: u64 = 70;
+/// Score at/above this (plus a calm fast window) clears `Warn`.
+pub const WARN_EXIT: u64 = 80;
+/// Score below this raises `Critical`.
+pub const CRIT_ENTER: u64 = 50;
+/// Score at/above this demotes `Critical` back to `Warn`.
+pub const CRIT_EXIT: u64 = 60;
+/// Fast burn-rate window slot width; the window spans [`SLO_SLOTS`]
+/// slots (5 s).
+pub const FAST_SLOT_NS: u64 = 625_000_000;
+/// Slow burn-rate window slot width (a 60 s window).
+pub const SLOW_SLOT_NS: u64 = 7_500_000_000;
+/// Fast-window bad-observation fraction (ppm) that raises `Warn` even
+/// while the instantaneous score still looks fine (20 %).
+pub const BURN_WARN_PPM: u64 = 200_000;
+/// Fast-window bad fraction (ppm) below which `Warn` may clear (5 %).
+pub const BURN_CLEAR_PPM: u64 = 50_000;
 
 // ---------------------------------------------------------------------
 // Score
@@ -337,7 +311,9 @@ impl ReplicaHealth {
         self.loss.get()
     }
 
-    /// Composes the current [`HealthScore`] under `cfg`.
+    /// Composes the current [`HealthScore`]; the liveness axis reaches
+    /// 0 at `miss_limit` consecutive missed heartbeat intervals
+    /// (aligned with `timeout / interval` of the binary detector).
     ///
     /// The liveness axis is special: besides contributing its weight,
     /// it *scales* the weighted composite (`total = weighted ×
@@ -351,27 +327,27 @@ impl ReplicaHealth {
     /// Before the first heartbeat the replica is presumed healthy on
     /// the axes it has no data for (matching the binary detector's
     /// first-tick grace period).
-    pub fn score(&self, cfg: &HealthConfig) -> HealthScore {
-        let liveness = if cfg.miss_limit == 0 {
+    pub fn score(&self, miss_limit: u32) -> HealthScore {
+        let liveness = if miss_limit == 0 {
             100
         } else {
             100u64.saturating_sub(
-                u64::from(self.misses.min(cfg.miss_limit)) * 100 / u64::from(cfg.miss_limit),
+                u64::from(self.misses.min(miss_limit)) * 100 / u64::from(miss_limit),
             )
         };
         let rtt = if self.rtt.is_primed() {
-            axis(self.rtt.get(), cfg.rtt_ceiling_ns)
+            axis(self.rtt.get(), RTT_CEILING_NS)
         } else {
             100
         };
         let jitter = if self.jitter.is_primed() {
-            axis(self.jitter.get(), cfg.jitter_ceiling_ns)
+            axis(self.jitter.get(), JITTER_CEILING_NS)
         } else {
             100
         };
-        let loss = axis(self.loss.get(), cfg.loss_ceiling_ppm);
-        let backlog = axis(self.lag_bytes, cfg.backlog_ceiling_bytes);
-        let [wl, wr, wj, wo, wb] = cfg.weights;
+        let loss = axis(self.loss.get(), LOSS_CEILING_PPM);
+        let backlog = axis(self.lag_bytes, BACKLOG_CEILING_BYTES);
+        let [wl, wr, wj, wo, wb] = WEIGHTS;
         let weighted = (liveness * u64::from(wl)
             + rtt * u64::from(wr)
             + jitter * u64::from(wj)
@@ -499,15 +475,17 @@ pub struct SloMonitor {
     pub slow: BurnWindow,
 }
 
-impl SloMonitor {
-    /// A monitor with the config's fast/slow slot widths.
-    pub fn new(cfg: &HealthConfig) -> Self {
+impl Default for SloMonitor {
+    /// A monitor with the [`FAST_SLOT_NS`] / [`SLOW_SLOT_NS`] windows.
+    fn default() -> Self {
         SloMonitor {
-            fast: BurnWindow::new(cfg.fast_slot_ns),
-            slow: BurnWindow::new(cfg.slow_slot_ns),
+            fast: BurnWindow::new(FAST_SLOT_NS),
+            slow: BurnWindow::new(SLOW_SLOT_NS),
         }
     }
+}
 
+impl SloMonitor {
     /// Records one SLO observation into both windows.
     pub fn record(&mut self, now_ns: u64, good: bool) {
         self.fast.record(now_ns, good);
@@ -582,7 +560,6 @@ impl AlertMachine {
     /// moved, with the condition that moved it.
     pub fn step(
         &mut self,
-        cfg: &HealthConfig,
         score: u64,
         fast_bad_ppm: u64,
         slow_bad_ppm: u64,
@@ -590,27 +567,27 @@ impl AlertMachine {
         let from = self.state;
         let (to, reason) = match from {
             AlertState::Ok => {
-                if score < cfg.crit_enter {
+                if score < CRIT_ENTER {
                     (AlertState::Critical, "score_critical")
-                } else if score < cfg.warn_enter {
+                } else if score < WARN_ENTER {
                     (AlertState::Warn, "score_warn")
-                } else if fast_bad_ppm >= cfg.burn_warn_ppm && slow_bad_ppm > 0 {
+                } else if fast_bad_ppm >= BURN_WARN_PPM && slow_bad_ppm > 0 {
                     (AlertState::Warn, "burn_rate")
                 } else {
                     (from, "")
                 }
             }
             AlertState::Warn => {
-                if score < cfg.crit_enter {
+                if score < CRIT_ENTER {
                     (AlertState::Critical, "score_critical")
-                } else if score >= cfg.warn_exit && fast_bad_ppm < cfg.burn_clear_ppm {
+                } else if score >= WARN_EXIT && fast_bad_ppm < BURN_CLEAR_PPM {
                     (AlertState::Ok, "recovered")
                 } else {
                     (from, "")
                 }
             }
             AlertState::Critical => {
-                if score >= cfg.crit_exit {
+                if score >= CRIT_EXIT {
                     (AlertState::Warn, "improving")
                 } else {
                     (from, "")
@@ -879,8 +856,9 @@ struct HealthGauges {
 /// transition [`HealthMonitor::tick`] returns.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    /// Scoring/alerting tunables.
-    pub cfg: HealthConfig,
+    /// Consecutive missed heartbeat intervals at which the liveness
+    /// axis reaches 0.
+    pub miss_limit: u32,
     /// The monitored peer's signal estimators.
     pub replica: ReplicaHealth,
     slo: SloMonitor,
@@ -895,12 +873,13 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A monitor with the given tunables.
-    pub fn new(cfg: HealthConfig) -> Self {
+    /// A monitor whose liveness axis bottoms out at `miss_limit`
+    /// consecutive missed heartbeat intervals.
+    pub fn new(miss_limit: u32) -> Self {
         HealthMonitor {
-            cfg,
+            miss_limit,
             replica: ReplicaHealth::default(),
-            slo: SloMonitor::new(&cfg),
+            slo: SloMonitor::default(),
             machine: AlertMachine::default(),
             first_warn: None,
             last_score: HealthScore {
@@ -923,12 +902,12 @@ impl HealthMonitor {
     /// burn windows, and steps the alert machine. Returns the alert
     /// transition, if one fired, with the condition that moved it.
     pub fn tick(&mut self, now_ns: u64) -> Option<(AlertState, AlertState, &'static str)> {
-        let score = self.replica.score(&self.cfg);
+        let score = self.replica.score(self.miss_limit);
         self.last_score = score;
-        self.slo.record(now_ns, score.total >= self.cfg.warn_enter);
+        self.slo.record(now_ns, score.total >= WARN_ENTER);
         let fast = self.slo.fast.sliding(now_ns).bad_ppm();
         let slow = self.slo.slow.sliding(now_ns).bad_ppm();
-        let (from, to, reason) = self.machine.step(&self.cfg, score.total, fast, slow)?;
+        let (from, to, reason) = self.machine.step(score.total, fast, slow)?;
         match to {
             AlertState::Warn if from == AlertState::Ok => self.warns += 1,
             AlertState::Critical => self.criticals += 1,
@@ -1023,46 +1002,45 @@ mod tests {
     #[test]
     fn fresh_replica_scores_perfect() {
         let h = ReplicaHealth::default();
-        let s = h.score(&HealthConfig::default());
+        let s = h.score(5);
         assert_eq!(s.total, 100, "{s:?}");
     }
 
     #[test]
     fn misses_drive_liveness_to_zero_at_limit() {
-        let cfg = HealthConfig::default();
+        let miss_limit = 5;
         let mut h = ReplicaHealth::default();
-        h.set_misses(cfg.miss_limit - 1);
-        assert!(h.score(&cfg).liveness > 0);
-        h.set_misses(cfg.miss_limit);
-        assert_eq!(h.score(&cfg).liveness, 0);
+        h.set_misses(miss_limit - 1);
+        assert!(h.score(miss_limit).liveness > 0);
+        h.set_misses(miss_limit);
+        assert_eq!(h.score(miss_limit).liveness, 0);
         // Liveness multiplies the composite: at the limit the score is
         // exactly 0, unconditionally Critical.
-        assert_eq!(h.score(&cfg).total, 0);
+        assert_eq!(h.score(miss_limit).total, 0);
         // Two misses (20 ms of silence at defaults) already reach
         // Warn — well before the 50 ms binary timeout.
         h.set_misses(2);
-        let s = h.score(&cfg).total;
-        assert!(s < cfg.warn_enter && s >= cfg.crit_enter, "score {s}");
+        let s = h.score(miss_limit).total;
+        assert!((CRIT_ENTER..WARN_ENTER).contains(&s), "score {s}");
     }
 
     #[test]
     fn jitter_only_degradation_lowers_score_without_misses() {
-        let cfg = HealthConfig::default();
         let mut h = ReplicaHealth::default();
         // Steady 1 ms heartbeats first…
         for _ in 0..32 {
             h.on_heartbeat_rtt(1_000_000);
         }
-        let calm = h.score(&cfg).total;
+        let calm = h.score(5).total;
         // …then wildly alternating RTTs: misses stay 0 but jitter and
         // RTT axes collapse.
         for i in 0..64 {
             h.on_heartbeat_rtt(if i % 2 == 0 { 1_000_000 } else { 30_000_000 });
         }
-        let jittery = h.score(&cfg).total;
+        let jittery = h.score(5).total;
         assert_eq!(h.misses, 0);
         assert!(
-            jittery < calm && jittery < cfg.warn_enter,
+            jittery < calm && jittery < WARN_ENTER,
             "calm {calm} jittery {jittery}"
         );
     }
@@ -1082,36 +1060,34 @@ mod tests {
 
     #[test]
     fn alert_machine_hysteresis_bands() {
-        let cfg = HealthConfig::default();
         let mut m = AlertMachine::default();
-        assert!(m.step(&cfg, 90, 0, 0).is_none());
+        assert!(m.step(90, 0, 0).is_none());
         // Drop into Warn…
-        let (from, to, _) = m.step(&cfg, 65, 0, 0).unwrap();
+        let (from, to, _) = m.step(65, 0, 0).unwrap();
         assert_eq!((from, to), (AlertState::Ok, AlertState::Warn));
         // …recovery to 75 is inside the band: no transition.
-        assert!(m.step(&cfg, 75, 0, 0).is_none());
+        assert!(m.step(75, 0, 0).is_none());
         assert_eq!(m.state(), AlertState::Warn);
         // Clear needs warn_exit.
-        let (_, to, _) = m.step(&cfg, 85, 0, 0).unwrap();
+        let (_, to, _) = m.step(85, 0, 0).unwrap();
         assert_eq!(to, AlertState::Ok);
         // Critical path: straight down, then stepwise recovery.
-        let (_, to, _) = m.step(&cfg, 10, 0, 0).unwrap();
+        let (_, to, _) = m.step(10, 0, 0).unwrap();
         assert_eq!(to, AlertState::Critical);
-        assert!(m.step(&cfg, 55, 0, 0).is_none(), "inside the crit band");
-        let (_, to, _) = m.step(&cfg, 62, 0, 0).unwrap();
+        assert!(m.step(55, 0, 0).is_none(), "inside the crit band");
+        let (_, to, _) = m.step(62, 0, 0).unwrap();
         assert_eq!(to, AlertState::Warn, "recovery passes through Warn");
     }
 
     #[test]
     fn burn_rate_raises_warn_without_score_drop() {
-        let cfg = HealthConfig::default();
         let mut m = AlertMachine::default();
         // Score fine, but 30% of fast-window observations were bad.
-        let t = m.step(&cfg, 95, 300_000, 10_000);
+        let t = m.step(95, 300_000, 10_000);
         assert_eq!(t.unwrap().1, AlertState::Warn);
         // Doesn't clear until the fast window calms down.
-        assert!(m.step(&cfg, 95, 100_000, 10_000).is_none());
-        assert_eq!(m.step(&cfg, 95, 10_000, 10_000).unwrap().1, AlertState::Ok);
+        assert!(m.step(95, 100_000, 10_000).is_none());
+        assert_eq!(m.step(95, 10_000, 10_000).unwrap().1, AlertState::Ok);
     }
 
     #[test]
@@ -1143,8 +1119,7 @@ mod tests {
     #[test]
     fn monitor_tick_warn_precedes_detector_style_timeline() {
         // Staged degradation: rising misses long before total silence.
-        let cfg = HealthConfig::default();
-        let mut m = HealthMonitor::new(cfg);
+        let mut m = HealthMonitor::new(5);
         let mut first_warn = None;
         for tick in 0..100u64 {
             let now = tick * 10_000_000; // 10 ms cadence
@@ -1167,7 +1142,7 @@ mod tests {
     #[test]
     fn monitor_publishes_and_exports_json() {
         let reg = Registry::new();
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new(5);
         m.replica.on_heartbeat_rtt(2_000_000);
         m.tick(1_000_000);
         m.publish(&reg.scope("core.control.r0.peer1"), 1_000_000);
@@ -1188,7 +1163,7 @@ mod tests {
     fn first_warn_at_outlasts_many_transitions() {
         // 60 cycles of one tick at the miss limit (Ok → Critical) and
         // 400 clean ticks (→ Warn → Ok), 1 ms apart.
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new(5);
         let (mut now, mut transitions) = (0, 0);
         for _ in 0..60 {
             for tick in 0..401 {

@@ -154,7 +154,7 @@ impl<const N: usize> LogHistogram<N> {
 
     /// Merges `other` into `self`. Loses nothing: bucket counts,
     /// count, sum, min and max all combine exactly, so merging is
-    /// associative and commutative across shard-local copies. Bucket
+    /// associative and commutative across copies. Bucket
     /// `i` of `other` lands in bucket `i` here (the top bucket when
     /// `M > N`), so a narrower histogram merges into a wider one
     /// exactly too.
@@ -360,7 +360,7 @@ impl Quantile {
 pub enum Stage {
     /// Frame decode + TCP header parse on bridge entry.
     IngressParse,
-    /// Flow-table shard lookup (and LRU touch) for the segment's key.
+    /// Flow-table lookup (and LRU touch) for the segment's key.
     FlowLookup,
     /// §3.2 shadow-queue matching: P/S watermark merge and release
     /// decision.

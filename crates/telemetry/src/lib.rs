@@ -48,8 +48,8 @@ pub mod timeline;
 
 pub use audit::{AuditConfig, InvariantAuditor, Rule, RuleLedger, TraceId, Violation};
 pub use health::{
-    AlertMachine, AlertState, BurnWindow, Ewma, FlowClass, HealthConfig, HealthMonitor,
-    HealthObservatory, HealthScore, ReplicaHealth, ReplicationLag, SloMonitor, WindowCounts,
+    AlertMachine, AlertState, BurnWindow, Ewma, FlowClass, HealthMonitor, HealthObservatory,
+    HealthScore, ReplicaHealth, ReplicationLag, SloMonitor, WindowCounts,
 };
 pub use journal::{Event, Journal};
 pub use latency::{

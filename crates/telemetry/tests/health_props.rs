@@ -7,7 +7,8 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tcpfo_telemetry::{AlertMachine, AlertState, BurnWindow, Ewma, HealthConfig, WindowCounts};
+use tcpfo_telemetry::health::{CRIT_ENTER, CRIT_EXIT, WARN_ENTER, WARN_EXIT};
+use tcpfo_telemetry::{AlertMachine, AlertState, BurnWindow, Ewma, WindowCounts};
 
 /// Slots in a burn window (mirrors `health::SLO_SLOTS`).
 const SLOTS: u64 = 8;
@@ -124,14 +125,13 @@ proptest! {
         base in 0u64..100,
         offsets in vec(0u64..10, 1..100),
     ) {
-        let cfg = HealthConfig::default();
-        let band = (cfg.warn_exit - cfg.warn_enter).min(cfg.crit_exit - cfg.crit_enter);
+        let band = (WARN_EXIT - WARN_ENTER).min(CRIT_EXIT - CRIT_ENTER);
         let mut machine = AlertMachine::default();
         let mut transitions: Vec<(AlertState, AlertState)> = Vec::new();
         for &off in &offsets {
             // Swing stays strictly inside one band.
             let score = (base + off % band).min(100);
-            if let Some((from, to, _reason)) = machine.step(&cfg, score, 0, 0) {
+            if let Some((from, to, _reason)) = machine.step(score, 0, 0) {
                 transitions.push((from, to));
             }
         }

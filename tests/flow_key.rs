@@ -1,7 +1,7 @@
 //! Property tests for [`FlowKey`] canonicalisation: the two segment
 //! orientations of the same connection must always map to the same
-//! key, the byte-level parsers must agree with the field-level
-//! constructors, and the shard hash must be total and stable.
+//! key, and the byte-level parsers must agree with the field-level
+//! constructors.
 
 use proptest::prelude::*;
 use tcp_failover::core::FlowKey;
@@ -26,7 +26,6 @@ proptest! {
         prop_assert_eq!(up, down);
         prop_assert_eq!(up.server_port, server_port);
         prop_assert_eq!(up.peer, SocketAddr::new(peer_ip, peer_port));
-        prop_assert_eq!(up.hash64(), down.hash64());
     }
 
     /// The raw-bytes parsers (`of_ingress` / `of_egress`) agree with
@@ -65,30 +64,6 @@ proptest! {
             down_seg.encode(server_ip, peer_ip).to_vec(),
         );
         prop_assert_eq!(FlowKey::of_egress(&down), Some(expect));
-    }
-
-    /// `shard_of` is in range for every power-of-two shard count and
-    /// depends only on the key.
-    #[test]
-    fn prop_shard_of_total_and_stable(
-        ip in any::<u32>(),
-        peer_port in any::<u16>(),
-        server_port in any::<u16>(),
-        shards_log2 in 0u32..8,
-    ) {
-        let shards = 1usize << shards_log2;
-        let k = FlowKey::new(
-            server_port,
-            SocketAddr::new(Ipv4Addr::from_bits(ip), peer_port),
-        );
-        let s = k.shard_of(shards);
-        prop_assert!(s < shards);
-        prop_assert_eq!(s, k.shard_of(shards));
-        // Distinct server ports on the same peer must be able to land
-        // on distinct shards — i.e. the hash reads all fields. (Checked
-        // statistically by the spread test in tests/flow_table.rs; here
-        // we just pin the 1-shard degenerate case.)
-        prop_assert_eq!(k.shard_of(1), 0);
     }
 }
 

@@ -1,9 +1,10 @@
 //! Flow lifecycle edges at the primary bridge: TimeWait tombstones
 //! answering late FINs until — and not after — the GC reaps them, a
-//! fresh SYN superseding TimeWait residue (tuple reuse), and LRU
-//! eviction of an established flow resetting the client with an RST.
+//! fresh SYN superseding TimeWait residue (tuple reuse), LRU eviction
+//! of an established flow resetting the client with an RST, and no
+//! eviction while the table has room.
 
-use tcp_failover::core::flow::{FlowState, FlowTableConfig};
+use tcp_failover::core::flow::{FlowState, FlowTable, FlowTableConfig};
 use tcp_failover::core::{FailoverConfig, FlowKey, PrimaryBridge};
 use tcp_failover::tcp::filter::{AddressedSegment, SegmentFilter};
 use tcp_failover::tcp::types::SocketAddr;
@@ -198,7 +199,7 @@ fn fresh_syn_supersedes_timewait_tombstone() {
 #[test]
 fn capacity_eviction_resets_established_flow_with_rst() {
     let mut b = bridge();
-    // One shard, two slots: the third handshake must push one out.
+    // Two slots: the third handshake must push one out.
     b.set_flow_config(FlowTableConfig::new(1, 2));
     establish(&mut b, 6001, 0);
     establish(&mut b, 6002, 1);
@@ -233,4 +234,56 @@ fn capacity_eviction_resets_established_flow_with_rst() {
     assert_eq!(rst.seq, iss_s + 1, "RST in the client-facing (S) space");
     assert_eq!(b.stats.evicted_flows, 1);
     assert_eq!(b.stats.evicted_rsts, 1);
+}
+
+/// One data segment from each replica for `client_port`'s flow; returns
+/// what the bridge released to the client.
+fn merge_one(b: &mut PrimaryBridge, client_port: u16, now: u64) -> Vec<TcpSegment> {
+    let (iss_c, iss_p, iss_s) = isn(client_port);
+    let data = |iss: u32| {
+        TcpSegment::builder(80, client_port)
+            .seq(iss + 1)
+            .ack(iss_c + 1)
+            .window(50_000)
+            .payload(b"merged".to_vec().into())
+            .build()
+    };
+    let _ = b.on_outbound(raw(A_P, A_C, data(iss_p)), now);
+    let out = b.on_inbound(diverted(client_port, data(iss_s)), now);
+    out.to_wire
+        .iter()
+        .map(|seg| TcpSegment::decode(&seg.bytes).expect("decodes"))
+        .collect()
+}
+
+#[test]
+fn no_flow_is_evicted_below_capacity() {
+    // 7001, 7006 and 7008 are three keys a four-way split of the table
+    // would put in one quarter (capacity 8 / 4 = 2): there the third
+    // open evicted the first and reset its client while the table held
+    // two flows of eight. The capacity is the table's.
+    const PORTS: [u16; 3] = [7001, 7006, 7008];
+    let mut b = bridge();
+    b.set_flow_config(FlowTableConfig::new(4, 8));
+    for (i, &port) in PORTS.iter().enumerate() {
+        establish(&mut b, port, i as u64);
+    }
+    assert_eq!(b.stats.evicted_flows, 0, "no eviction below capacity");
+    assert_eq!(b.stats.evicted_rsts, 0, "no client reset below capacity");
+    assert_eq!(b.conn_count(), 3);
+    for &port in &PORTS {
+        let out = merge_one(&mut b, port, 10);
+        assert_eq!(out.len(), 1, "flow {port} still merges");
+        assert_eq!(&out[0].payload[..], b"merged");
+        assert_eq!(out[0].dst_port, port);
+    }
+
+    // A table of capacity 2 holds exactly two flows, whichever keys.
+    let mut t = FlowTable::new(FlowTableConfig::new(4, 2));
+    t.insert(key(7001), FlowState::Replicated, (), 0);
+    t.insert(key(7006), FlowState::Replicated, (), 1);
+    assert_eq!(t.len(), 2, "two flows fit in a table of two");
+    t.insert(key(7008), FlowState::Replicated, (), 2);
+    assert_eq!(t.len(), 2, "the third insert evicts");
+    assert!(!t.contains(&key(7001)), "the least-recently-used one");
 }

@@ -27,8 +27,8 @@ fn key(i: u32) -> FlowKey {
     FlowKey::new(80, SocketAddr::new(ip, 40_000 + i as u16))
 }
 
-fn table(shards: usize) -> FlowTable<u32> {
-    let mut cfg = FlowTableConfig::new(shards, 4 * KEYS as usize);
+fn table() -> FlowTable<u32> {
+    let mut cfg = FlowTableConfig::new(1, 4 * KEYS as usize);
     cfg.gc = GcPolicy {
         timewait_ttl: TIMEWAIT_TTL,
         idle_ttl: IDLE_TTL,
@@ -86,7 +86,7 @@ fn step(
             // table is sized so capacity eviction never fires here.
             let st = state_of(ss);
             assert!(
-                table.insert(k, st, 0, now).is_none(),
+                table.insert(k, st, 0, now).1.is_none(),
                 "no eviction expected"
             );
             model.insert(
@@ -113,7 +113,8 @@ fn step(
             if let Some(f) = model.get_mut(&k) {
                 let st = state_of(ss);
                 if f.state != st && f.state.can_transition(st) {
-                    table.set_state(&k, st, now);
+                    let slot = table.find(&k).expect("the model holds it");
+                    table.set_state(slot, st, now);
                     if class_of(f.state) != class_of(st) {
                         f.last_activity = now;
                     }
@@ -122,7 +123,7 @@ fn step(
             }
         }
         _ => {
-            let removed = table.remove(&k).is_some();
+            let removed = table.find(&k).map(|slot| table.remove(slot)).is_some();
             assert_eq!(removed, model.remove(&k).is_some());
         }
     }
@@ -131,16 +132,15 @@ fn step(
 
 proptest! {
     /// Unbudgeted incremental GC reaps the *identical* flow set as the
-    /// full-sweep oracle at every tick, on 1 and 4 shards.
+    /// full-sweep oracle at every tick.
     #[test]
     fn prop_incremental_gc_matches_full_sweep_oracle(
         ops in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
             1..120,
         ),
-        shards in prop_oneof![Just(1usize), Just(4usize)],
     ) {
-        let mut t = table(shards);
+        let mut t = table();
         let mut model: HashMap<FlowKey, ModelFlow> = HashMap::new();
         let mut now = 0u64;
         for (i, &op) in ops.iter().enumerate() {
@@ -185,9 +185,8 @@ proptest! {
             1..120,
         ),
         budget in 1usize..8,
-        shards in prop_oneof![Just(1usize), Just(4usize)],
     ) {
-        let mut t = table(shards);
+        let mut t = table();
         let mut model: HashMap<FlowKey, ModelFlow> = HashMap::new();
         let mut now = 0u64;
         for (i, &op) in ops.iter().enumerate() {
@@ -209,7 +208,7 @@ proptest! {
             }
         }
         // Drain: keep ticking at a fixed distant time until dry; the
-        // shard cursor must hand the carried backlog out in full.
+        // backlog carried over a budget must come out in full.
         let end = now + IDLE_TTL + 1;
         let mut rounds = 0usize;
         loop {

@@ -1,6 +1,8 @@
-//! The sharded datapath must be an implementation detail: the same
-//! scripted segment stream, run through `process_batch` at any shard
-//! count, must produce byte-identical output in identical order.
+//! Batching must be an implementation detail: the same scripted
+//! segment stream, run through `process_batch` at any batch size, must
+//! produce byte-identical output in identical order. The flow table is
+//! one table, so the `shards` argument `FlowTableConfig::new` keeps for
+//! its callers must not change a byte either.
 
 use tcp_failover::apps::manyflow::{ManyFlowConfig, ManyFlowNet, ManyFlowWorkload};
 use tcp_failover::core::flow::FlowTableConfig;
@@ -11,7 +13,12 @@ use tcp_failover::wire::ipv4::Ipv4Addr;
 
 /// The pair's head, or — given an upstream — a link below the head
 /// (the workload addresses the VIP, so the link answers to it).
-fn link(shards: usize, upstream: Option<Ipv4Addr>) -> PrimaryBridge {
+fn link(upstream: Option<Ipv4Addr>) -> PrimaryBridge {
+    configured(1, upstream)
+}
+
+/// As [`link`], with the flow table configured for `shards` shards.
+fn configured(shards: usize, upstream: Option<Ipv4Addr>) -> PrimaryBridge {
     let net = ManyFlowNet::default();
     let ports = FailoverConfig::from_ports([80]);
     let mut b = PrimaryBridge::link(net.a_p, net.a_p, upstream, Some(net.a_s), ports);
@@ -20,8 +27,8 @@ fn link(shards: usize, upstream: Option<Ipv4Addr>) -> PrimaryBridge {
 }
 
 /// Runs the workload through `process_batch` and flattens the output.
-fn run(shards: usize, batch: usize) -> (Vec<FilterOutput>, u64) {
-    run_through(link(shards, None), batch)
+fn run(batch: usize) -> (Vec<FilterOutput>, u64) {
+    run_through(link(None), batch)
 }
 
 fn run_through(mut b: PrimaryBridge, batch: usize) -> (Vec<FilterOutput>, u64) {
@@ -69,11 +76,11 @@ fn digest(outs: &[FilterOutput]) -> u64 {
 
 #[test]
 fn output_is_identical_across_shard_counts() {
-    let (base, merged) = run(1, 16);
+    let (base, merged) = run_through(configured(1, None), 16);
     assert!(merged > 0, "workload must exercise the merge path");
     let reference = digest(&base);
     for shards in [2usize, 8] {
-        let (outs, m) = run(shards, 16);
+        let (outs, m) = run_through(configured(shards, None), 16);
         assert_eq!(
             digest(&outs),
             reference,
@@ -86,32 +93,33 @@ fn output_is_identical_across_shard_counts() {
 #[test]
 fn a_link_routes_its_output_the_same_on_every_lane() {
     // The chain routing runs after the merge: what a link below the
-    // head diverts upstream must not depend on the shard count.
+    // head diverts upstream must not depend on the batch size.
     let net = ManyFlowNet::default();
     let up = Ipv4Addr::new(10, 0, 0, 9);
-    let (base, merged) = run_through(link(1, Some(up)), 16);
+    let (base, merged) = run_through(link(Some(up)), 16);
     let wire: Vec<_> = base.iter().flat_map(|o| &o.to_wire).collect();
     assert!(merged > 0 && !wire.is_empty());
     assert!(wire.iter().all(|s| s.dst == up || s.dst == net.a_s));
-    assert_ne!(digest(&base), digest(&run(1, 16).0), "the head's");
-    let (outs, m) = run_through(link(8, Some(up)), 16);
-    assert_eq!(digest(&outs), digest(&base), "8 shards");
+    assert_ne!(digest(&base), digest(&run(16).0), "the head's");
+    let (outs, m) = run_through(link(Some(up)), 7);
+    assert_eq!(digest(&outs), digest(&base), "batch=7");
     assert_eq!(m, merged);
 }
 
 #[test]
 fn batch_size_does_not_change_output() {
-    let (base, _) = run(4, 16);
+    let (base, merged) = run(16);
+    assert!(merged > 0, "workload must exercise the merge path");
     let reference = digest(&base);
     for batch in [1usize, 7, 500] {
-        let (outs, _) = run(4, batch);
+        let (outs, m) = run(batch);
         assert_eq!(digest(&outs), reference, "batch={batch} diverged");
+        assert_eq!(m, merged, "stats totals must also be identical");
     }
 }
 
 #[test]
 fn workload_tears_down_every_flow() {
-    let (_, _) = run(1, 32);
     let cfg = ManyFlowConfig {
         flows: 25,
         offset: 0,
@@ -121,7 +129,7 @@ fn workload_tears_down_every_flow() {
         seed: 3,
     };
     let workload = ManyFlowWorkload::generate(&cfg, ManyFlowNet::default());
-    let mut b = link(2, None);
+    let mut b = link(None);
     let exec = ShardExecutor::new(1);
     let mut now = 0;
     for chunk in workload.into_batches(64) {
