@@ -48,16 +48,15 @@
 //! echo, seq gaps → loss) and silence-derived miss counts; silence past
 //! the detector timeout declares it dead (a peer never heard from gets
 //! three timeouts: a replica joining a loaded chain hears its first
-//! beats late). Promotion is a small state
-//! machine with *audit-log-before-act* ordering — the decision is
-//! journaled and recorded on the invariant auditor **before** the
-//! topology mutates — and an *abort-if-standby-unhealthy* veto: a
-//! successor whose own composite score is below threshold refuses the
-//! VIP (journaled as an alert) until either its score recovers or a
-//! forced-promotion grace elapses (a chain with no head at all is worse
-//! than a shaky head). The commit ends by expiring the retransmission
-//! timers of the failover sockets: what they have in flight went to the
-//! dead replica, and the client should not wait out an RTO to learn it.
+//! beats late). As in the paper's §5, a replica takes over the moment
+//! it holds every replica above it dead, at every depth, with
+//! *audit-log-before-act* ordering: the decision is journaled and
+//! recorded on the invariant auditor **before** the topology mutates.
+//! The scores are advisory: they raise `health.alert` entries, and no
+//! promotion waits on one. The commit ends by expiring the
+//! retransmission timers of the failover sockets: what they have in
+//! flight went to the dead replica, and the client should not wait out
+//! an RTO to learn it.
 //! After any takeover the chain can be re-provisioned — see
 //! [`crate::reprovision`].
 
@@ -72,7 +71,6 @@ use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::host::{HostController, HostServices};
-use tcpfo_telemetry::health::CRIT_ENTER;
 use tcpfo_telemetry::{
     Counter, HealthMonitor, HealthScore, Scope, SpanTrack, StageLatency, Telemetry,
 };
@@ -150,19 +148,6 @@ impl SegmentFilter for ChainBridge {
 // The control plane
 // ---------------------------------------------------------------------
 
-/// Where the promotion state machine stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TakeoverState {
-    /// Following a live head.
-    Following,
-    /// This replica is next in line but its own health score is below
-    /// the promotion threshold; the takeover is on hold (retried every
-    /// tick, forced after the grace period).
-    Vetoed,
-    /// This replica promoted itself to head.
-    Promoted,
-}
-
 /// Per-peer heartbeat tracking: the PR8 monitor plus the v1 protocol
 /// state (seq expectations for loss, last seq for the RTT echo).
 struct PeerTracker {
@@ -207,17 +192,13 @@ struct Instruments {
     late_heartbeats: Counter,
     rejoins: Counter,
     promotions: Counter,
-    vetoes: Counter,
 }
 
-/// Multiples of the detector timeout the controller waits where one
-/// timeout proves too little. A vetoed promotion is forced after it: a
-/// headless chain serves nobody, so an unhealthy successor eventually
-/// takes the VIP anyway (journaled as forced). And a peer this
-/// controller has never heard from is declared dead only after it: the
+/// Detector timeouts of silence after which a peer this controller has
+/// never heard from is declared dead. One timeout proves too little: the
 /// silence of a peer whose first beat is still queued behind its bulk
 /// data is the joiner's youth, not the peer's death.
-const FORCED_PROMOTION_GRACE: u32 = 3;
+const UNHEARD_PEER_GRACE: u32 = 3;
 
 /// The bridge this host runs, at whatever position.
 pub(crate) fn merge_bridge(filter: &mut dyn SegmentFilter) -> Option<&mut PrimaryBridge> {
@@ -238,12 +219,12 @@ pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observ
 /// dead when silence exceeds the detector timeout — by which point its
 /// composite score has bottomed out (the liveness axis scales the
 /// total, and `miss_limit = timeout / interval`). A peer not heard from
-/// even once is given [`FORCED_PROMOTION_GRACE`] timeouts. What the survivor
-/// then does follows from who is left:
+/// even once is given `UNHEARD_PEER_GRACE` timeouts. The scores are
+/// advisory: no decision below reads one. What the survivor then does
+/// follows from who is left:
 ///
-/// * **nobody alive above me** → §5: the promotion gate (own score
-///   against the threshold), the intent journaled and noted on the
-///   auditor *before* anything changes, then
+/// * **nobody alive above me** → §5: the intent journaled and noted on
+///   the auditor *before* anything changes, then
 ///   [`PrimaryBridge::promote_to_head`] — stop diverting; with nobody
 ///   below, also leave promiscuous mode and re-key the failover TCBs to
 ///   the VIP — take over the VIP (gratuitous ARP), retransmit what the
@@ -264,8 +245,6 @@ pub struct ChainController {
     chain: Vec<Ipv4Addr>,
     my_index: usize,
     config: DetectorConfig,
-    /// Composite self-score below which promotion is vetoed.
-    promote_threshold: u64,
     alive: Vec<bool>,
     last_heard: Vec<Option<SimTime>>,
     /// Per-peer watermark of already-traced heartbeat misses, so a
@@ -277,14 +256,6 @@ pub struct ChainController {
     /// peers; the ring maps an echoed seq back to its send time).
     send_seq: u64,
     hb_ring: [(u64, SimTime); HB_RING],
-    /// This replica's own health (RTT samples from echoes, backlog
-    /// from the local bridge) — the abort-if-standby-unhealthy input.
-    self_monitor: Box<HealthMonitor>,
-    state: TakeoverState,
-    /// When the first veto of the pending promotion happened.
-    vetoed_since: Option<SimTime>,
-    /// Re-run reconfigure on the next tick (vetoed promotion retry).
-    pending_reconfigure: bool,
     telemetry: Option<Instruments>,
     /// When this replica last declared a peer dead, if it ever did.
     pub detected_at: Option<SimTime>,
@@ -299,7 +270,8 @@ pub struct ChainController {
     pub late_heartbeats: u64,
     /// Times a declared-dead peer was re-admitted.
     pub rejoins: u64,
-    /// Times a promotion was vetoed on self-health.
+    /// Always 0: no promotion waits on a score. Kept because the
+    /// standing benchmark reads it (ROADMAP 2(e)).
     pub promotions_vetoed: u64,
 }
 
@@ -319,7 +291,6 @@ impl ChainController {
             chain,
             my_index,
             config,
-            promote_threshold: CRIT_ENTER,
             alive: vec![true; n],
             last_heard: vec![None; n],
             traced_misses: vec![0; n],
@@ -327,10 +298,6 @@ impl ChainController {
             next_send: SimTime::ZERO,
             send_seq: 0,
             hb_ring: [(u64::MAX, SimTime::ZERO); HB_RING],
-            self_monitor: Box::new(HealthMonitor::new(miss_limit)),
-            state: TakeoverState::Following,
-            vetoed_since: None,
-            pending_reconfigure: false,
             telemetry: None,
             detected_at: None,
             promoted_at: None,
@@ -345,17 +312,6 @@ impl ChainController {
     /// The VIP this chain serves.
     pub fn vip(&self) -> Ipv4Addr {
         self.chain[0]
-    }
-
-    /// Current promotion state.
-    pub fn takeover_state(&self) -> TakeoverState {
-        self.state
-    }
-
-    /// This replica's own composite health score (the promotion gate's
-    /// input).
-    pub fn self_score(&self) -> HealthScore {
-        self.self_monitor.score()
     }
 
     /// The advisory monitor scoring peer `i` (RTT/jitter, misses, loss
@@ -373,13 +329,6 @@ impl ChainController {
     /// Whether peer `i` is currently considered alive.
     pub fn peer_alive(&self, i: usize) -> bool {
         self.alive.get(i).copied().unwrap_or(false)
-    }
-
-    /// Overrides the promotion veto threshold (composite score below
-    /// which this replica refuses the VIP). Default: the health
-    /// config's `crit_enter` band; 0 is the paper's unconditional §5.
-    pub fn set_promote_threshold(&mut self, threshold: u64) {
-        self.promote_threshold = threshold;
     }
 
     /// Admits the replica at `addr` below the survivors: a fresh
@@ -446,7 +395,6 @@ impl ChainController {
             late_heartbeats: scope.counter("late_heartbeats"),
             rejoins: scope.counter("rejoins"),
             promotions: scope.counter("promotions"),
-            vetoes: scope.counter("promotions_vetoed"),
         });
     }
 
@@ -488,11 +436,11 @@ impl ChainController {
         (misses, silence > self.config.timeout)
     }
 
-    /// [`FORCED_PROMOTION_GRACE`] detector timeouts.
+    /// [`UNHEARD_PEER_GRACE`] detector timeouts.
     fn grace(&self) -> SimDuration {
         self.config
             .timeout
-            .saturating_mul(u64::from(FORCED_PROMOTION_GRACE))
+            .saturating_mul(u64::from(UNHEARD_PEER_GRACE))
     }
 
     fn nearest_alive_up(&self) -> Option<usize> {
@@ -503,45 +451,6 @@ impl ChainController {
         (self.my_index + 1..self.chain.len()).find(|&i| self.alive[i])
     }
 
-    /// The abort-if-standby-unhealthy gate. `Some(forced)` allows the
-    /// promotion (`forced` when the grace expired with the score still
-    /// low); `None` vetoes it for now.
-    fn promotion_gate(&mut self, now: SimTime) -> Option<bool> {
-        let score = self.self_monitor.score().total;
-        let fields = [
-            ("score", score.to_string()),
-            ("threshold", self.promote_threshold.to_string()),
-        ];
-        let args = [
-            Some(("score", score)),
-            Some(("threshold", self.promote_threshold)),
-        ];
-        if score >= self.promote_threshold {
-            if self.vetoed_since.take().is_some() {
-                self.event("promotion_veto_cleared", now, &fields, args);
-            }
-            return Some(false);
-        }
-        let new_episode = self.vetoed_since.is_none();
-        let since = *self.vetoed_since.get_or_insert(now);
-        if now.duration_since(since) >= self.grace() {
-            self.event("promotion_forced", now, &fields, args);
-            return Some(true);
-        }
-        self.state = TakeoverState::Vetoed;
-        // Count veto *episodes*, not retry ticks: the vetoed promotion
-        // is re-evaluated every tick until recovery or forced grace,
-        // and per-tick counting would flood the journal.
-        if new_episode {
-            self.promotions_vetoed += 1;
-            if let Some(t) = &self.telemetry {
-                t.vetoes.inc();
-            }
-            self.event("promotion_vetoed", now, &fields, args);
-        }
-        None
-    }
-
     /// Applies the current liveness view to the bridge and the host.
     fn reconfigure(&mut self, services: &mut HostServices<'_, '_>) {
         let vip = self.vip();
@@ -550,54 +459,28 @@ impl ChainController {
         let now = services.now;
         let now_nanos = now.as_nanos();
 
-        // Promotion pre-check: would the topology change make us head?
-        // Only a bridge that is not the head yet may answer yes —
-        // anything else would journal a `promote` decision that no
-        // commit ever follows.
-        let wants_promotion = up.is_none()
+        // Would the topology change make us head? Only a bridge that is
+        // not the head yet may answer yes — anything else would journal
+        // a `promote` decision that no commit ever follows.
+        let promote = up.is_none()
             && self.promoted_at.is_none()
             && merge_bridge(services.filter).is_some_and(|link| !link.is_head());
         let mut promo_span = None;
-        let promote = if wants_promotion {
-            match self.promotion_gate(now) {
-                Some(forced) => {
-                    // The promotion span brackets decision → VIP commit;
-                    // the takeover-step instants below nest under it.
-                    promo_span = self.telemetry.as_ref().and_then(|t| {
-                        t.hub
-                            .trace
-                            .begin(SpanTrack::Control, t.scope, "promotion", now_nanos)
-                    });
-                    // Audit-log-before-act: the decision reaches the
-                    // journal and the auditor before any topology
-                    // mutation below.
-                    let score = self.self_monitor.score().total;
-                    self.event(
-                        "promote",
-                        now,
-                        &[
-                            ("vip", vip.to_string()),
-                            ("score", score.to_string()),
-                            ("forced", forced.to_string()),
-                        ],
-                        [Some(("score", score)), Some(("forced", u64::from(forced)))],
-                    );
-                    if let Some(aud) =
-                        observers_of(services.filter).and_then(|o| o.audit.as_deref_mut())
-                    {
-                        aud.note_promotion_decision(now_nanos);
-                    }
-                    true
-                }
-                None => {
-                    // Vetoed: retry every tick until recovery or grace.
-                    self.pending_reconfigure = true;
-                    false
-                }
+        if promote {
+            // The promotion span brackets decision → VIP commit; the
+            // takeover-step instants below nest under it.
+            promo_span = self.telemetry.as_ref().and_then(|t| {
+                t.hub
+                    .trace
+                    .begin(SpanTrack::Control, t.scope, "promotion", now_nanos)
+            });
+            // Audit-log-before-act: the decision reaches the journal and
+            // the auditor before any topology mutation below.
+            self.event("promote", now, &[("vip", vip.to_string())], [None, None]);
+            if let Some(aud) = observers_of(services.filter).and_then(|o| o.audit.as_deref_mut()) {
+                aud.note_promotion_decision(now_nanos);
             }
-        } else {
-            false
-        };
+        }
 
         // Phase 1: mutate the bridge, collecting host-side follow-ups.
         let mut flush: Option<FilterOutput> = None;
@@ -692,8 +575,6 @@ impl ChainController {
                 [Some(("flows", flows)), Some(("backlog_ns", backlog_ns))],
             );
             self.promoted_at = Some(now);
-            self.state = TakeoverState::Promoted;
-            self.vetoed_since = None;
             if let Some(t) = &self.telemetry {
                 t.promotions.inc();
             }
@@ -707,24 +588,6 @@ impl ChainController {
         if let (Some(t), Some(span)) = (&self.telemetry, promo_span) {
             t.hub.trace.end(&span, now_nanos);
         }
-    }
-
-    /// Feeds the self-monitor from the local bridge: replication
-    /// backlog (the lag ledger, when the health observatory is
-    /// attached) and flow-table occupancy.
-    fn observe_self(&mut self, services: &mut HostServices<'_, '_>) {
-        let replica = &mut self.self_monitor.replica;
-        replica.set_misses(0);
-        let Some(bridge) = merge_bridge(services.filter) else {
-            return;
-        };
-        let Some(obs) = bridge.observers().health.as_deref() else {
-            return;
-        };
-        let (bytes, segments) = (obs.lag.unmatched_bytes(), obs.lag.unmatched_segments());
-        let occupancy = bridge.flow_stats().occupancy * 1_000_000;
-        let occupancy_ppm = occupancy / bridge.flow_capacity().max(1) as u64;
-        replica.observe_backlog(bytes, segments, occupancy_ppm);
     }
 }
 
@@ -854,11 +717,7 @@ impl HostController for ChainController {
             }
         }
 
-        // Our own score: the promotion gate's input.
-        self.observe_self(services);
-        self.self_monitor.tick(now_ns);
-
-        if changed || std::mem::take(&mut self.pending_reconfigure) {
+        if changed {
             self.reconfigure(services);
         }
     }
@@ -891,7 +750,6 @@ impl HostController for ChainController {
             // and let the score "recover" for a replica that has been
             // replaced.
             self.late_heartbeats += 1;
-            self.trackers[i].monitor.replica.on_late_heartbeat();
             self.event(
                 "late_heartbeat",
                 now,
@@ -923,9 +781,6 @@ impl HostController for ChainController {
                         .as_nanos()
                         .saturating_sub(beat.hold_ns);
                     tr.monitor.replica.on_heartbeat_rtt(rtt);
-                    // Round trips we observe are also evidence about
-                    // our own links — the self-score's RTT axis.
-                    self.self_monitor.replica.on_heartbeat_rtt(rtt);
                 }
             }
         }
@@ -943,7 +798,7 @@ impl std::fmt::Debug for ChainController {
             .field("chain", &self.chain)
             .field("my_index", &self.my_index)
             .field("alive", &self.alive)
-            .field("state", &self.state)
+            .field("promoted_at", &self.promoted_at)
             .finish()
     }
 }
@@ -1266,31 +1121,14 @@ mod tests {
 
     #[test]
     fn controller_scores_and_promotes() {
-        let chain = vec![VIP, B1, B2];
-        let mut c = ChainController::new(chain, 1, DetectorConfig::default());
-        assert_eq!(c.takeover_state(), TakeoverState::Following);
+        let c = ChainController::new(vec![VIP, B1, B2], 1, DetectorConfig::default());
         assert_eq!(c.vip(), VIP);
         assert!(c.peer_alive(0));
-        // A fresh monitor presumes health: the gate allows promotion.
-        assert!(c.self_score().total >= c.promote_threshold);
-        assert_eq!(c.promotion_gate(SimTime::ZERO), Some(false));
-        // Raising the threshold above any possible score vetoes...
-        c.set_promote_threshold(101);
-        let t0 = SimTime::ZERO;
-        assert_eq!(c.promotion_gate(t0), None);
-        assert_eq!(c.takeover_state(), TakeoverState::Vetoed);
-        assert_eq!(c.promotions_vetoed, 1);
-        // Retry ticks within the same veto episode don't re-count.
-        let retry = t0 + tcpfo_net::time::SimDuration::from_millis(1);
-        assert_eq!(c.promotion_gate(retry), None);
-        assert_eq!(c.promotions_vetoed, 1, "one episode, not per tick");
-        // ...until the forced-promotion grace elapses.
-        let later = t0
-            + tcpfo_net::time::SimDuration::from_nanos(
-                DetectorConfig::default().timeout.as_nanos()
-                    * u64::from(FORCED_PROMOTION_GRACE + 1),
-            );
-        assert_eq!(c.promotion_gate(later), Some(true), "forced past grace");
+        // Every peer is scored, presumed healthy before its first beat;
+        // the controller's own position is no peer.
+        assert_eq!(c.peer_score(0).map(|s| s.total), Some(100));
+        assert!(c.peer_score(1).is_none());
+        assert!(c.promoted_at.is_none());
     }
 
     #[test]

@@ -315,8 +315,6 @@ mod tests {
                     !c.peer_alive(0),
                     "{name}: late beat revived a replaced peer"
                 );
-                let mon = c.peer_monitor(0).unwrap();
-                assert_eq!(mon.replica.late_heartbeats, 1, "{name}");
             });
             let journaled = rig.hub(1).journal.events().iter().any(|e| {
                 e.kind == "late_heartbeat"

@@ -65,7 +65,7 @@ pub mod reprovision;
 pub mod secondary;
 pub mod testbed;
 
-pub use chain::{ChainBridge, ChainController, TakeoverState};
+pub use chain::{ChainBridge, ChainController};
 pub use chain_testbed::{ChainConfig, ChainTestbed};
 pub use designation::{ConnKey, FailoverConfig};
 pub use detector::DetectorConfig;

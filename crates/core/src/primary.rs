@@ -487,12 +487,6 @@ impl PrimaryBridge {
         self.flows.stats()
     }
 
-    /// Flow-table capacity (denominator for occupancy ratios in the
-    /// health observatory).
-    pub fn flow_capacity(&self) -> usize {
-        self.flows.config().capacity
-    }
-
     /// The lifecycle state of one flow, if resident (live or tombstone).
     pub fn flow_state(&self, key: &ConnKey) -> Option<FlowState> {
         self.flows.find(key).map(|slot| self.flows.state(slot))

@@ -282,11 +282,6 @@ impl TestbedConfig {
         host.set_filter(Box::new(bridge));
         let mut controller = ChainController::new(chain.to_vec(), i, self.detector);
         controller.set_telemetry(hub);
-        // The paper's §5 is unconditional: a pair whose only successor
-        // vetoes itself is a service with no head.
-        if self.replicas == 2 {
-            controller.set_promote_threshold(0);
-        }
         for j in (0..chain.len()).filter(|j| *j != i && !living(j)) {
             controller.set_peer_dead(chain[j]);
         }

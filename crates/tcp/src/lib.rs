@@ -37,7 +37,7 @@ pub mod config;
 pub mod filter;
 pub mod host;
 pub mod rtt;
-pub mod seq;
+pub use tcpfo_wire::seq;
 pub mod socket;
 pub mod stack;
 pub mod types;

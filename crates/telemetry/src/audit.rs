@@ -34,39 +34,11 @@ use tcpfo_wire::eth::ETH_HEADER_LEN;
 use tcpfo_wire::ipv4::{Ipv4Addr, Ipv4Packet, IPV4_HEADER_LEN, PROTO_TCP};
 use tcpfo_wire::mac::MacAddr;
 use tcpfo_wire::pcapng::PcapngWriter;
+use tcpfo_wire::seq::{seq_ge, seq_gt, seq_min};
 use tcpfo_wire::tcp::{peek_orig_dest, verify_segment_checksum, TcpFlags, TcpSegment, TcpView};
 
 use crate::health::ReplicationLag;
 use crate::{fmt_nanos, FailoverPhase, Telemetry};
-
-// ---------------------------------------------------------------------
-// Wrapping sequence arithmetic (local copy: tcpfo-tcp depends on this
-// crate, so the auditor cannot borrow its `seq` module)
-// ---------------------------------------------------------------------
-
-/// `a < b` in RFC 1982 wrapping order.
-fn seq_lt(a: u32, b: u32) -> bool {
-    (a.wrapping_sub(b) as i32) < 0
-}
-
-/// `a > b` in wrapping order.
-fn seq_gt(a: u32, b: u32) -> bool {
-    seq_lt(b, a)
-}
-
-/// `a >= b` in wrapping order.
-fn seq_ge(a: u32, b: u32) -> bool {
-    !seq_lt(a, b)
-}
-
-/// Wrapping minimum.
-fn seq_min(a: u32, b: u32) -> u32 {
-    if seq_lt(a, b) {
-        a
-    } else {
-        b
-    }
-}
 
 // ---------------------------------------------------------------------
 // Trace ids
@@ -1920,6 +1892,15 @@ impl InvariantAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sequence_numbers_half_the_circle_apart_are_unordered() {
+        // The bridge's order: neither comes first, so the oracle's
+        // min(ack_P, ack_S) picks the ack the bridge's merge picks.
+        let half = 1u32 << 31;
+        assert!(!seq_gt(0, half), "0 > 2^31");
+        assert!(!seq_gt(half, 0), "2^31 > 0");
+    }
 
     #[test]
     fn trace_ids_unique_and_display() {

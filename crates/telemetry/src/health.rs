@@ -8,11 +8,10 @@
 //! This module supplies it:
 //!
 //! * [`ReplicaHealth`] — per-replica signal estimators: heartbeat RTT
-//!   and jitter EWMAs, consecutive-miss counts, ingress loss/
-//!   retransmit rates, and backlog/occupancy pressure — composed into
-//!   a 0–100 [`HealthScore`]. The score bands follow the gf-health
-//!   orchestration contract: **< 50 is Critical** (the failover
-//!   trigger condition), **≥ 70 is a healthy, promotable standby**.
+//!   and jitter EWMAs, consecutive-miss counts and the heartbeat loss
+//!   rate — composed into a 0–100 [`HealthScore`]. The score bands
+//!   follow the gf-health orchestration contract: **< 50 is Critical**,
+//!   **≥ 70 is healthy**.
 //! * [`ReplicationLag`] — a first-class replication-lag metric: bytes
 //!   and segments of Δseq-normalised primary output still unmatched by
 //!   the secondary witness, maintained *exactly* (event-driven, O(1)
@@ -27,8 +26,9 @@
 //!   entry the control plane writes to the hub's journal.
 //! * [`HealthMonitor`] — the detector-side composite the control plane
 //!   (`tcpfo_core::ChainController`) keeps per peer: publishes the
-//!   score *alongside* the binary heartbeat decision, making the
-//!   eventual policy swap a one-line change.
+//!   score *alongside* the binary heartbeat decision, which alone
+//!   declares a peer dead and so starts a takeover. The score is
+//!   advisory: what it moves is `health.alert`.
 //!
 //! Everything here is sim-time (`u64` nanoseconds); nothing reads a
 //! wall clock, so attached runs stay deterministic. All hot-path state
@@ -127,13 +127,14 @@ pub const JITTER_CEILING_NS: u64 = 5_000_000;
 /// Loss/retransmit rate (parts per million of forwarded segments)
 /// at/above which the loss axis scores 0 (a 10 % retransmit rate).
 pub const LOSS_CEILING_PPM: u64 = 100_000;
-/// Replication lag in bytes at/above which the backlog axis scores 0
-/// (1 MiB unmatched).
-pub const BACKLOG_CEILING_BYTES: u64 = 1 << 20;
-/// Axis weights (summing to 100): liveness, RTT, jitter, loss, backlog.
-/// Liveness additionally scales the weighted composite — see
-/// [`ReplicaHealth::score`].
-pub const WEIGHTS: [u32; 5] = [30, 20, 20, 15, 15];
+/// Axis weights: liveness, RTT, jitter, loss. With [`BASE_POINTS`] they
+/// sum to 100. Liveness additionally scales the weighted composite —
+/// see [`ReplicaHealth::score`].
+pub const WEIGHTS: [u32; 4] = [30, 20, 20, 15];
+/// Points of the composite that no signal takes away, so that a replica
+/// with no fault scores 100 and the alert bands keep the meaning they
+/// were calibrated with.
+pub const BASE_POINTS: u64 = 15;
 /// Score below this (from `Ok`) raises `Warn`.
 pub const WARN_ENTER: u64 = 70;
 /// Score at/above this (plus a calm fast window) clears `Warn`.
@@ -171,8 +172,6 @@ pub struct HealthScore {
     pub jitter: u64,
     /// Ingress loss/retransmit axis.
     pub loss: u64,
-    /// Replication backlog axis.
-    pub backlog: u64,
     /// Raw smoothed RTT (ns).
     pub rtt_ns: u64,
     /// Raw smoothed jitter (ns).
@@ -181,8 +180,6 @@ pub struct HealthScore {
     pub misses: u32,
     /// Raw smoothed loss rate (ppm).
     pub loss_ppm: u64,
-    /// Raw replication lag (bytes).
-    pub lag_bytes: u64,
 }
 
 /// Linear axis: full marks at 0, zero at/above `ceiling`.
@@ -198,7 +195,7 @@ fn axis(value: u64, ceiling: u64) -> u64 {
 // ---------------------------------------------------------------------
 
 /// Signal estimators for one monitored replica. Fed by the detector
-/// (heartbeats, misses) and the bridge (loss, backlog), read back as a
+/// (heartbeats, misses, gaps in the heartbeat sequence), read back as a
 /// [`HealthScore`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaHealth {
@@ -210,17 +207,6 @@ pub struct ReplicaHealth {
     pub misses: u32,
     /// Heartbeats seen (any form).
     pub heartbeats: u64,
-    /// Heartbeats that carried a measurable RTT echo.
-    pub rtt_samples: u64,
-    /// Heartbeats arriving after a committed failover (ignored for
-    /// liveness, counted for forensics).
-    pub late_heartbeats: u64,
-    /// Latest replication lag (bytes), as sampled from the bridge.
-    pub lag_bytes: u64,
-    /// Latest replication lag (segments).
-    pub lag_segments: u64,
-    /// Latest flow-table occupancy / capacity, in ppm.
-    pub occupancy_ppm: u64,
 }
 
 impl Default for ReplicaHealth {
@@ -233,11 +219,6 @@ impl Default for ReplicaHealth {
             loss: Ewma::new(1, 4),
             misses: 0,
             heartbeats: 0,
-            rtt_samples: 0,
-            late_heartbeats: 0,
-            lag_bytes: 0,
-            lag_segments: 0,
-            occupancy_ppm: 0,
         }
     }
 }
@@ -246,7 +227,6 @@ impl ReplicaHealth {
     /// A heartbeat arrived carrying a measurable round-trip time.
     pub fn on_heartbeat_rtt(&mut self, rtt_ns: u64) {
         self.heartbeats += 1;
-        self.rtt_samples += 1;
         self.misses = 0;
         let srtt = self.rtt.get();
         if self.rtt.is_primed() {
@@ -261,12 +241,6 @@ impl ReplicaHealth {
     pub fn on_heartbeat_seen(&mut self) {
         self.heartbeats += 1;
         self.misses = 0;
-    }
-
-    /// A heartbeat arrived after the local failover already committed;
-    /// it no longer affects liveness.
-    pub fn on_late_heartbeat(&mut self) {
-        self.late_heartbeats += 1;
     }
 
     /// The detector's current consecutive-miss count (elapsed silent
@@ -287,13 +261,6 @@ impl ReplicaHealth {
             .checked_div(u128::from(total))
             .unwrap_or(0);
         self.loss.observe(ppm as u64);
-    }
-
-    /// Updates the backlog pressure signals from the bridge.
-    pub fn observe_backlog(&mut self, lag_bytes: u64, lag_segments: u64, occupancy_ppm: u64) {
-        self.lag_bytes = lag_bytes;
-        self.lag_segments = lag_segments;
-        self.occupancy_ppm = occupancy_ppm;
     }
 
     /// Smoothed heartbeat RTT (ns).
@@ -346,13 +313,12 @@ impl ReplicaHealth {
             100
         };
         let loss = axis(self.loss.get(), LOSS_CEILING_PPM);
-        let backlog = axis(self.lag_bytes, BACKLOG_CEILING_BYTES);
-        let [wl, wr, wj, wo, wb] = WEIGHTS;
+        let [wl, wr, wj, wo] = WEIGHTS;
         let weighted = (liveness * u64::from(wl)
             + rtt * u64::from(wr)
             + jitter * u64::from(wj)
             + loss * u64::from(wo)
-            + backlog * u64::from(wb))
+            + 100 * BASE_POINTS)
             / 100;
         let total = weighted * liveness / 100;
         HealthScore {
@@ -361,12 +327,10 @@ impl ReplicaHealth {
             rtt,
             jitter,
             loss,
-            backlog,
             rtt_ns: self.rtt.get(),
             jitter_ns: self.jitter.get(),
             misses: self.misses,
             loss_ppm: self.loss.get(),
-            lag_bytes: self.lag_bytes,
         }
     }
 }
@@ -841,7 +805,6 @@ struct HealthGauges {
     jitter_ns: Gauge,
     misses: Gauge,
     loss_ppm: Gauge,
-    lag_bytes: Gauge,
     burn_fast_ppm: Gauge,
     burn_slow_ppm: Gauge,
     warns: Counter,
@@ -888,7 +851,6 @@ impl HealthMonitor {
                 rtt: 100,
                 jitter: 100,
                 loss: 100,
-                backlog: 100,
                 ..HealthScore::default()
             },
             warns: 0,
@@ -948,7 +910,6 @@ impl HealthMonitor {
                 jitter_ns: h.gauge("jitter_ns"),
                 misses: h.gauge("misses"),
                 loss_ppm: h.gauge("loss_ppm"),
-                lag_bytes: h.gauge("lag_bytes"),
                 burn_fast_ppm: h.gauge("burn_fast_ppm"),
                 burn_slow_ppm: h.gauge("burn_slow_ppm"),
                 warns: h.counter("alerts_warn"),
@@ -964,7 +925,6 @@ impl HealthMonitor {
         g.jitter_ns.set_at(s.jitter_ns, now_ns);
         g.misses.set_at(u64::from(s.misses), now_ns);
         g.loss_ppm.set_at(s.loss_ppm, now_ns);
-        g.lag_bytes.set_at(s.lag_bytes, now_ns);
         g.burn_fast_ppm
             .set_at(self.slo.fast.sliding(now_ns).bad_ppm(), now_ns);
         g.burn_slow_ppm

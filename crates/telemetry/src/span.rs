@@ -40,7 +40,7 @@
 //! let span = tracer
 //!     .begin(SpanTrack::Control, "chain", "promotion", 1_000)
 //!     .unwrap();
-//! tracer.instant(SpanTrack::Control, "chain", "veto_cleared", 1_500);
+//! tracer.instant(SpanTrack::Control, "chain", "takeover", 1_500);
 //! tracer.end(&span, 2_000);
 //! assert_eq!(tracer.len(), 2);
 //! let chrome = tracer.chrome_trace(&[]);
@@ -164,7 +164,7 @@ pub struct SpanRecord {
     pub kind: SpanKind,
     /// Emitting component lane (Chrome thread), e.g. `detector`.
     pub lane: &'static str,
-    /// Event name, e.g. `promotion_gate`.
+    /// Event name, e.g. `promotion`.
     pub name: &'static str,
     /// Start (or occurrence) time in the track's timebase.
     pub start_ns: u64,
@@ -178,7 +178,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// One-line rendering for text dumps:
-    /// `[1ms+2ms] control/chain promotion_gate T5/S3<-S2 vetoes=1`.
+    /// `[1ms+2ms] control/chain takeover.retransmit T5/S3<-S2 flows=8`.
     pub fn summary(&self) -> String {
         let mut out = format!(
             "[{}{}] {}/{} {} {}/{}",

@@ -24,6 +24,8 @@
 //!   *original destination* option the secondary bridge appends (§3.1)
 //! * [`checksum`] — RFC 1071 ones-complement sums and RFC 1624
 //!   incremental updates
+//! * [`seq`] — wrapping 32-bit sequence-number arithmetic, the one
+//!   order the bridge and the invariant auditor both compare by
 //! * [`pcapng`] — pcapng capture files, so simulator traces open in
 //!   Wireshark/tshark
 //!
@@ -54,6 +56,7 @@ pub mod heartbeat;
 pub mod ipv4;
 pub mod mac;
 pub mod pcapng;
+pub mod seq;
 pub mod tcp;
 
 pub use error::WireError;

@@ -308,9 +308,9 @@ fn survivor_stops_heartbeating_the_dead_primary() {
 }
 
 /// A pair is a chain of length two. Same seed, same 1 MB download,
-/// head killed at the same instant, promotion threshold 0 in both: the
-/// §5 phases are stamped in the same order within one tick, detection
-/// meets the same bound, and the client's stream is byte-exact.
+/// head killed at the same instant: the §5 phases are stamped in the
+/// same order within one tick, detection meets the same bound, and the
+/// client's stream is byte-exact.
 #[test]
 fn pair_and_chain_of_two_fail_over_alike() {
     const TOTAL: u64 = 1_000_000;
@@ -370,12 +370,6 @@ fn pair_and_chain_of_two_fail_over_alike() {
     });
     assert_eq!(chain.config.seed, pair.config.seed);
     chain.install_servers(|| SourceServer::new(80));
-    for &node in &chain.replicas.clone() {
-        chain.sim.with::<Host, _>(node, |h, _| {
-            h.controller_mut::<ChainController>()
-                .set_promote_threshold(0);
-        });
-    }
     chain.sim.with::<Host, _>(chain.client, |h, _| {
         h.add_app(Box::new(download()));
     });

@@ -5,7 +5,9 @@
 //! same simulated instants, after the same number of simulator events,
 //! with the same client byte stream. The pair covers the bare merge
 //! bridge and the tail; a 3-replica chain repeats the download over
-//! every role (head link, middle link, tail).
+//! every role (head link, middle link, tail). Under 48 downloads, the
+//! chain's takeover after a head kill lands at the same instant with
+//! the health observatory attached or not.
 //!
 //! "Nothing attached" means nothing: every switch here is an explicit
 //! `Some(_)`, which beats the environment, so the all-off column has a
@@ -20,7 +22,7 @@ use tcp_failover::apps::driver::{BulkSendClient, RequestReplyClient};
 use tcp_failover::apps::stream::{SinkServer, SourceServer};
 use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::{Observers, PrimaryBridge, PrimaryMode};
+use tcp_failover::core::{ChainController, Observers, PrimaryBridge, PrimaryMode};
 use tcp_failover::net::time::{SimDuration, SimTime};
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
@@ -327,6 +329,82 @@ fn no_observer_moves_a_simulated_event_on_any_role() {
         });
         assert_eq!(unmatched, 0, "link {i}: ledger not drained");
     }
+}
+
+// ---------------------------------------------------------------------
+// A takeover under load, with and without the health observatory
+// ---------------------------------------------------------------------
+
+/// When replica 1 took over, after how many events, and the bytes each
+/// client had received.
+#[derive(Debug, PartialEq, Eq)]
+struct Takeover {
+    promoted_at: Option<SimTime>,
+    events: u64,
+    client_received: Vec<u64>,
+}
+
+/// 48 clients download 4 MB each through a chain of three; the head
+/// dies at 900 ms, and the scene runs 200 ms past it. Every switch is
+/// explicit; `health` alone is the argument.
+fn takeover_under_load(health: bool) -> Takeover {
+    const CLIENTS: usize = 48;
+    const EACH: u64 = 4_000_000;
+    let mut tb = Testbed::new(TestbedConfig {
+        replicas: 3,
+        seed: 1,
+        audit: Some(false),
+        latency: Some(false),
+        health: Some(health),
+        span_trace: Some(false),
+        ..TestbedConfig::default()
+    });
+    tb.install_servers(|| SourceServer::new(80));
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        for _ in 0..CLIENTS {
+            h.add_app(Box::new(RequestReplyClient::new(
+                SocketAddr::new(addrs::A_P, 80),
+                format!("SEND {EACH}\n").into_bytes(),
+                EACH,
+            )));
+        }
+    });
+    tb.run_for(SimDuration::from_millis(900));
+    tb.kill_replica(0);
+    tb.run_for(SimDuration::from_millis(200));
+    let (promoted_at, vetoed) = tb.sim.with::<Host, _>(tb.replicas[1], |h, _| {
+        let c = h.controller_mut::<ChainController>();
+        (c.promoted_at, c.promotions_vetoed)
+    });
+    assert_eq!(vetoed, 0, "health {health}: a promotion was vetoed");
+    for (i, hub) in tb.hubs.iter().enumerate() {
+        let vetoes = hub
+            .journal
+            .events()
+            .iter()
+            .any(|e| e.kind == "promotion_vetoed");
+        assert!(!vetoes, "health {health}: hub {i} journals a veto");
+    }
+    let client_received = tb.sim.with::<Host, _>(tb.client, |h, _| {
+        (0..CLIENTS)
+            .map(|k| h.app_mut::<RequestReplyClient>(k).received_len())
+            .collect()
+    });
+    Takeover {
+        promoted_at,
+        events: tb.sim.events_processed(),
+        client_received,
+    }
+}
+
+/// The health observatory watches the bridge; it has no say in when a
+/// successor takes the VIP, however far the replication lag it reports
+/// has grown.
+#[test]
+fn no_observer_moves_a_promotion_under_load() {
+    let detached = takeover_under_load(false);
+    assert!(detached.promoted_at.is_some(), "replica 1 never took over");
+    assert_eq!(takeover_under_load(true), detached);
 }
 
 /// The switches are resolved once, when the testbed is built: the hub
