@@ -15,7 +15,7 @@
 //! lets `tests/shard_determinism.rs` assert byte-identical bridge
 //! output across batch sizes.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FlowKey};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_wire::ipv4::Ipv4Addr;
@@ -189,15 +189,14 @@ impl ManyFlowWorkload {
 }
 
 fn raw(src: Ipv4Addr, dst: Ipv4Addr, seg: TcpSegment) -> AddressedSegment {
-    AddressedSegment::new(src, dst, seg.encode(src, dst).to_vec())
+    AddressedSegment::new(src, dst, seg.encode(src, dst))
 }
 
 /// Builds a segment as the secondary bridge would divert it to the
 /// primary: source rewritten metadata via the ORIG_DEST option, the
 /// checksum patched for the primary's pseudo-header.
 fn diverted(net: ManyFlowNet, client: SocketAddr, seg: TcpSegment) -> AddressedSegment {
-    let bytes = seg.encode(net.a_s, client.ip).to_vec();
-    let mut p = SegmentPatcher::new(bytes, net.a_s, client.ip);
+    let mut p = SegmentPatcher::new(seg.encode(net.a_s, client.ip), net.a_s, client.ip);
     p.push_orig_dest_option(client.ip, client.port);
     p.set_pseudo_dst(net.a_p);
     let (bytes, src, dst) = p.finish();
@@ -213,12 +212,12 @@ fn round_payload(cfg: &ManyFlowConfig, flow: usize, round: usize) -> Bytes {
         .wrapping_mul(0x2545_f491_4f6c_dd1d)
         .wrapping_add((flow as u64) << 20)
         .wrapping_add(round as u64);
-    let mut bytes = Vec::with_capacity(cfg.payload);
+    let mut bytes = BytesMut::with_capacity(cfg.payload.next_multiple_of(8));
     while bytes.len() < cfg.payload {
-        bytes.extend_from_slice(&splitmix(&mut st).to_le_bytes());
+        bytes.put_slice(&splitmix(&mut st).to_le_bytes());
     }
     bytes.truncate(cfg.payload);
-    Bytes::from(bytes)
+    bytes.freeze()
 }
 
 /// One connection's script with **O(1) random access**: any step can

@@ -10,20 +10,17 @@
 use crate::seq::{seq_diff, seq_le, seq_lt};
 use std::collections::VecDeque;
 
-/// Copies `len` bytes starting `off` bytes into `ring`: at most two
-/// slice copies, since the ring's storage wraps at most once.
-fn copy_range(ring: &VecDeque<u8>, off: usize, len: usize) -> Vec<u8> {
+/// The `len` bytes starting `off` bytes into `ring`, as at most two
+/// slices, since the ring's storage wraps at most once.
+fn range_slices(ring: &VecDeque<u8>, off: usize, len: usize) -> (&[u8], &[u8]) {
     let (front, back) = ring.as_slices();
-    let mut out = Vec::with_capacity(len);
     if off < front.len() {
         let n = len.min(front.len() - off);
-        out.extend_from_slice(&front[off..off + n]);
-        out.extend_from_slice(&back[..len - n]);
+        (&front[off..off + n], &back[..len - n])
     } else {
         let off = off - front.len();
-        out.extend_from_slice(&back[off..off + len]);
+        (&back[off..off + len], &[])
     }
-    out
 }
 
 /// Ring of bytes awaiting acknowledgment, addressed by sequence number.
@@ -78,18 +75,19 @@ impl SendBuffer {
         n
     }
 
-    /// Copies `len` bytes starting at sequence number `seq` (for
-    /// transmission or retransmission).
+    /// The `len` bytes starting at sequence number `seq`, as the one or
+    /// two runs the ring holds them in (for transmission or
+    /// retransmission: the encoder copies them into the segment).
     ///
     /// # Panics
     ///
     /// Panics if the range is not fully buffered.
-    pub fn slice(&self, seq: u32, len: usize) -> Vec<u8> {
+    pub fn slices(&self, seq: u32, len: usize) -> (&[u8], &[u8]) {
         let off = seq_diff(seq, self.base);
         assert!(off >= 0, "slice before SND.UNA");
         let off = off as usize;
         assert!(off + len <= self.data.len(), "slice past buffered data");
-        copy_range(&self.data, off, len)
+        range_slices(&self.data, off, len)
     }
 
     /// Discards bytes acknowledged up to (not including) `ack`.
@@ -251,7 +249,8 @@ impl RecvBuffer {
     /// Reads up to `max` in-order bytes for the application.
     pub fn read(&mut self, max: usize) -> Vec<u8> {
         let n = max.min(self.ready.len());
-        let out = copy_range(&self.ready, 0, n);
+        let (head, tail) = range_slices(&self.ready, 0, n);
+        let out = [head, tail].concat();
         self.ready.drain(..n);
         out
     }
@@ -263,6 +262,14 @@ mod tests {
 
     mod send {
         use super::*;
+
+        impl SendBuffer {
+            /// The range `slices` names, joined.
+            pub(crate) fn slice(&self, seq: u32, len: usize) -> Vec<u8> {
+                let (a, b) = self.slices(seq, len);
+                [a, b].concat()
+            }
+        }
 
         #[test]
         fn write_respects_capacity() {
@@ -338,6 +345,15 @@ mod tests {
             assert_eq!(wrapped().slice(60, 10), (60..70).collect::<Vec<u8>>());
             assert_eq!(wrapped().slice(40, 64), (40..104).collect::<Vec<u8>>());
             assert_eq!(wrapped().slice(63, 2), [63, 64]);
+        }
+
+        #[test]
+        fn slices_split_only_at_the_seam() {
+            let b = wrapped();
+            assert_eq!(b.slices(60, 10).0, [60, 61, 62, 63]);
+            assert_eq!(b.slices(60, 10).1, (64..70).collect::<Vec<u8>>());
+            assert!(b.slices(45, 10).1.is_empty());
+            assert!(b.slices(70, 5).1.is_empty());
         }
 
         #[test]

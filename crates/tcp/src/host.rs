@@ -401,6 +401,9 @@ pub struct Host {
     /// these vectors and drains them, so the steady state never
     /// allocates output lists.
     fout: FilterOutput,
+    /// The stack's outbox trades storage with this one on every pump,
+    /// so neither list allocates again once both are warm.
+    outbox: Vec<AddressedSegment>,
 }
 
 impl Host {
@@ -417,6 +420,7 @@ impl Host {
             tick: cfg.tick,
             telemetry: None,
             fout: FilterOutput::empty(),
+            outbox: Vec::new(),
         }
     }
 
@@ -566,15 +570,17 @@ impl Host {
     /// Drains stack output through the filter until quiescent.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         for _ in 0..32 {
-            for rule in self.stack.take_designations() {
+            for rule in self.stack.drain_designations() {
                 self.filter.designate(rule);
             }
-            let out = self.stack.take_outbox();
+            let mut out = std::mem::take(&mut self.outbox);
+            self.stack.swap_outbox(&mut out);
             if out.is_empty() {
+                self.outbox = out;
                 return;
             }
             let mut fo = std::mem::take(&mut self.fout);
-            for mut seg in out {
+            for mut seg in out.drain(..) {
                 // Stack-originated segments enter the datapath here:
                 // give each a causal trace id.
                 seg.ensure_trace();
@@ -583,6 +589,7 @@ impl Host {
                 self.dispatch_filter_output(&mut fo, ctx);
             }
             self.fout = fo;
+            self.outbox = out;
         }
         debug_assert!(false, "host pump did not quiesce");
     }

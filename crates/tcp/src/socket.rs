@@ -803,20 +803,33 @@ impl Socket {
     // Output
     // ---------------------------------------------------------------
 
-    /// Builds every segment the connection currently owes the network:
-    /// SYN / SYN+ACK, in-window data, FIN, zero-window probes, pure
-    /// ACKs and window updates.
+    /// [`Socket::output_encoded`], each segment decoded again: the
+    /// structured view tests and tools read.
     pub fn output(&mut self, now: SimTime, cfg: &TcpConfig, out: &mut Vec<TcpSegment>) {
+        let mut encoded = Vec::new();
+        self.output_encoded(now, cfg, &mut encoded);
+        out.extend(
+            encoded
+                .iter()
+                .map(|b| TcpSegment::decode_shared(b).expect("own segment")),
+        );
+    }
+
+    /// Encodes every segment the connection currently owes the network:
+    /// SYN / SYN+ACK, in-window data, FIN, zero-window probes, pure
+    /// ACKs and window updates. Each is checksummed for the socket's
+    /// own addresses and written once, payload straight from the send
+    /// ring.
+    pub fn output_encoded(&mut self, now: SimTime, cfg: &TcpConfig, out: &mut Vec<Bytes>) {
         if self.state == TcpState::Closed {
             if self.error == Some(SocketError::Aborted) && !self.rst_sent {
                 self.rst_sent = true;
-                out.push(
-                    TcpSegment::builder(self.tuple.local.port, self.tuple.remote.port)
-                        .seq(self.snd_nxt)
-                        .ack(self.rcv_nxt())
-                        .flags(TcpFlags::RST)
-                        .build(),
-                );
+                let rst = TcpSegment::builder(self.tuple.local.port, self.tuple.remote.port)
+                    .seq(self.snd_nxt)
+                    .ack(self.rcv_nxt())
+                    .flags(TcpFlags::RST)
+                    .build();
+                out.push(rst.encode(self.tuple.local.ip, self.tuple.remote.ip));
             }
             return;
         }
@@ -827,7 +840,7 @@ impl Socket {
         self.output_probe(now, cfg, out);
         // Pure ACK if nothing else carried it.
         if out.len() == before && self.ack_now && self.state != TcpState::SynSent {
-            out.push(self.make_segment(TcpFlags::ACK, self.snd_nxt, Bytes::new(), cfg));
+            self.push_segment(TcpFlags::ACK, self.snd_nxt, 0, cfg, out);
         }
         if out.len() > before {
             self.ack_now = false;
@@ -840,27 +853,35 @@ impl Socket {
         }
     }
 
-    fn make_segment(
+    /// Encodes one segment at `seq` whose payload is the `len` bytes of
+    /// the send ring from `seq` on, advertising the current window.
+    fn push_segment(
         &mut self,
         flags: TcpFlags,
         seq: u32,
-        payload: Bytes,
+        len: usize,
         cfg: &TcpConfig,
-    ) -> TcpSegment {
+        out: &mut Vec<Bytes>,
+    ) {
         let wnd = self.window(cfg);
         self.last_wnd_advertised = wnd;
         let mut b = TcpSegment::builder(self.tuple.local.port, self.tuple.remote.port)
             .seq(seq)
             .flags(flags)
-            .window(wnd)
-            .payload(payload);
+            .window(wnd);
         if flags.contains(TcpFlags::ACK) {
             b = b.ack(self.rcv_nxt());
         }
-        b.build()
+        let (head, tail) = if len == 0 {
+            (&[][..], &[][..])
+        } else {
+            self.send_buf.slices(seq, len)
+        };
+        let (src, dst) = (self.tuple.local.ip, self.tuple.remote.ip);
+        out.push(b.build().encode_with_payload(src, dst, &[head, tail]));
     }
 
-    fn output_handshake(&mut self, now: SimTime, cfg: &TcpConfig, out: &mut Vec<TcpSegment>) {
+    fn output_handshake(&mut self, now: SimTime, cfg: &TcpConfig, out: &mut Vec<Bytes>) {
         let needs_syn =
             self.snd_nxt == self.iss && matches!(self.state, TcpState::SynSent | TcpState::SynRcvd);
         if !needs_syn {
@@ -881,7 +902,7 @@ impl Socket {
         if flags.contains(TcpFlags::ACK) {
             b = b.ack(self.rcv_nxt());
         }
-        out.push(b.build());
+        out.push(b.build().encode(self.tuple.local.ip, self.tuple.remote.ip));
         self.snd_nxt = self.iss.wrapping_add(1);
         self.snd_max = crate::seq::seq_max(self.snd_max, self.snd_nxt);
         if self.rtt_sample.is_none() {
@@ -889,7 +910,7 @@ impl Socket {
         }
     }
 
-    fn output_data(&mut self, now: SimTime, cfg: &TcpConfig, out: &mut Vec<TcpSegment>) {
+    fn output_data(&mut self, now: SimTime, cfg: &TcpConfig, out: &mut Vec<Bytes>) {
         if !matches!(
             self.state,
             TcpState::Established
@@ -934,20 +955,18 @@ impl Socket {
             if cfg.nagle && len < mss && is_tail && in_flight > 0 && !self.fin_wanted {
                 break;
             }
-            let payload = Bytes::from(self.send_buf.slice(self.snd_nxt, len as usize));
             let is_tail = self.snd_nxt.wrapping_add(len) == data_end;
             let mut flags = TcpFlags::ACK;
             if is_tail {
                 flags |= TcpFlags::PSH;
             }
             let seq = self.snd_nxt;
-            let seg = self.make_segment(flags, seq, payload, cfg);
+            self.push_segment(flags, seq, len as usize, cfg, out);
             self.snd_nxt = self.snd_nxt.wrapping_add(len);
             self.snd_max = crate::seq::seq_max(self.snd_max, self.snd_nxt);
             if self.rtt_sample.is_none() {
                 self.rtt_sample = Some((self.snd_nxt, now));
             }
-            out.push(seg);
         }
         // Fast retransmit: resend the first unacknowledged segment once.
         if self.fast_retransmit_pending {
@@ -956,19 +975,14 @@ impl Socket {
             let avail = seq_diff(data_end, self.snd_una).max(0) as u32;
             let len = avail.min(mss);
             if len > 0 {
-                let payload = Bytes::from(self.send_buf.slice(self.snd_una, len as usize));
-                let seq = self.snd_una;
-                let seg = self.make_segment(TcpFlags::ACK, seq, payload, cfg);
-                out.push(seg);
+                self.push_segment(TcpFlags::ACK, self.snd_una, len as usize, cfg, out);
             } else if self.fin_sent {
-                let seq = self.snd_una;
-                let seg = self.make_segment(TcpFlags::FIN | TcpFlags::ACK, seq, Bytes::new(), cfg);
-                out.push(seg);
+                self.push_segment(TcpFlags::FIN | TcpFlags::ACK, self.snd_una, 0, cfg, out);
             }
         }
     }
 
-    fn output_fin(&mut self, _now: SimTime, cfg: &TcpConfig, out: &mut Vec<TcpSegment>) {
+    fn output_fin(&mut self, _now: SimTime, cfg: &TcpConfig, out: &mut Vec<Bytes>) {
         if !self.fin_wanted {
             return;
         }
@@ -991,9 +1005,7 @@ impl Socket {
         if !sendable_state {
             return;
         }
-        let seq = self.snd_nxt;
-        let seg = self.make_segment(TcpFlags::FIN | TcpFlags::ACK, seq, Bytes::new(), cfg);
-        out.push(seg);
+        self.push_segment(TcpFlags::FIN | TcpFlags::ACK, self.snd_nxt, 0, cfg, out);
         self.snd_nxt = self.snd_nxt.wrapping_add(1);
         self.snd_max = crate::seq::seq_max(self.snd_max, self.snd_nxt);
         if !self.fin_sent {
@@ -1015,7 +1027,7 @@ impl Socket {
         }
     }
 
-    fn output_probe(&mut self, _now: SimTime, cfg: &TcpConfig, out: &mut Vec<TcpSegment>) {
+    fn output_probe(&mut self, _now: SimTime, cfg: &TcpConfig, out: &mut Vec<Bytes>) {
         if !self.zero_window_probe_pending {
             return;
         }
@@ -1035,12 +1047,9 @@ impl Socket {
         let len = avail
             .min(usable.max(1))
             .min(u32::from(self.effective_mss()));
-        let payload = Bytes::from(self.send_buf.slice(self.snd_nxt, len as usize));
-        let seq = self.snd_nxt;
-        let seg = self.make_segment(TcpFlags::ACK, seq, payload, cfg);
+        self.push_segment(TcpFlags::ACK, self.snd_nxt, len as usize, cfg, out);
         self.snd_nxt = self.snd_nxt.wrapping_add(len);
         self.snd_max = crate::seq::seq_max(self.snd_max, self.snd_nxt);
-        out.push(seg);
     }
 
     /// Earliest pending timer deadline (lets the stack sleep precisely).

@@ -2,7 +2,7 @@
 //! allocation, and the outbox feeding the TCP/IP-boundary filter.
 //!
 //! The stack is deliberately I/O-free: segments arrive through
-//! [`TcpStack::on_segment`] and leave through [`TcpStack::take_outbox`];
+//! [`TcpStack::on_segment`] and leave through [`TcpStack::swap_outbox`];
 //! the [`crate::host::Host`] device moves them through the
 //! [`crate::filter::SegmentFilter`] and the IP layer.
 //!
@@ -14,6 +14,7 @@ use crate::config::TcpConfig;
 use crate::filter::{AddressedSegment, FailoverRule};
 use crate::socket::{Socket, TcpState};
 use crate::types::{FourTuple, ListenerId, SocketAddr, SocketId};
+use bytes::Bytes;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use tcpfo_net::time::SimTime;
@@ -170,7 +171,7 @@ pub struct TcpStack {
     /// Scratch: the slots due in the current tick.
     due: Vec<usize>,
     /// Scratch: the segments of one `Socket::output` call.
-    segs: Vec<TcpSegment>,
+    segs: Vec<Bytes>,
     windows: Windows,
     next_ephemeral: u16,
     outbox: Vec<AddressedSegment>,
@@ -581,9 +582,18 @@ impl TcpStack {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Takes newly made designations (socket-option method).
-    pub fn take_designations(&mut self) -> Vec<FailoverRule> {
-        std::mem::take(&mut self.pending_designations)
+    /// Moves every segment the stack wants transmitted into `into`,
+    /// which must be empty: the two vectors trade storage, so a caller
+    /// that keeps `into` between calls keeps both allocations warm.
+    pub fn swap_outbox(&mut self, into: &mut Vec<AddressedSegment>) {
+        debug_assert!(into.is_empty(), "swap_outbox into a non-empty vector");
+        std::mem::swap(&mut self.outbox, into);
+    }
+
+    /// Drains newly made designations (socket-option method), keeping
+    /// the list's allocation.
+    pub fn drain_designations(&mut self) -> std::vec::Drain<'_, FailoverRule> {
+        self.pending_designations.drain(..)
     }
 
     /// Re-keys every *failover* socket bound to `old` onto `new`.
@@ -680,11 +690,10 @@ impl TcpStack {
         };
         let sock = &mut slot.sock;
         let before = sock.retransmits;
-        sock.output(now, &self.cfg, &mut self.segs);
+        sock.output_encoded(now, &self.cfg, &mut self.segs);
         self.retransmits += sock.retransmits - before;
         let (src, dst) = (sock.tuple.local.ip, sock.tuple.remote.ip);
-        for seg in self.segs.drain(..) {
-            let bytes = seg.encode(src, dst);
+        for bytes in self.segs.drain(..) {
             self.outbox.push(AddressedSegment::new(src, dst, bytes));
         }
         if let Some(deadline) = sock.next_deadline() {
@@ -951,7 +960,7 @@ mod tests {
             .connect(A, SocketAddr::new(B_IP, 80), false, now)
             .unwrap();
         exchange(&mut client, &mut server, now);
-        let des = server.take_designations();
+        let des: Vec<_> = server.drain_designations().collect();
         assert_eq!(des.len(), 1);
         assert!(matches!(des[0], FailoverRule::Tuple(t) if t.local.port == 80));
     }
@@ -965,11 +974,11 @@ mod tests {
         let cs = client
             .connect(A, SocketAddr::new(B_IP, 443), true, now) // client opts in
             .unwrap();
-        assert_eq!(client.take_designations().len(), 1);
+        assert_eq!(client.drain_designations().count(), 1);
         exchange(&mut client, &mut server, now);
         // The listener designated its port at listen() time, and the
         // accepted connection adds its tuple.
-        let des = server.take_designations();
+        let des: Vec<_> = server.drain_designations().collect();
         assert_eq!(des.len(), 2, "{des:?}");
         assert!(matches!(des[0], FailoverRule::Port(443)));
         assert!(matches!(des[1], FailoverRule::Tuple(_)));

@@ -15,6 +15,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::json::{array, JsonObject};
 use crate::latency::LogHistogram;
 
+/// Raises `cell` to `v` if it is below it. The plain load first keeps
+/// the common case — a timestamp or high-water mark that does not move —
+/// off the locked read-modify-write `fetch_max` compiles to.
+fn raise(cell: &AtomicU64, v: u64) {
+    if v > cell.load(Ordering::Relaxed) {
+        cell.fetch_max(v, Ordering::Relaxed);
+    }
+}
+
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
@@ -41,9 +50,7 @@ impl Counter {
     /// Adds `n`, recording the sim time of the update.
     pub fn add_at(&self, n: u64, now_ns: u64) {
         self.inner.value.fetch_add(n, Ordering::Relaxed);
-        self.inner
-            .last_update_ns
-            .fetch_max(now_ns, Ordering::Relaxed);
+        raise(&self.inner.last_update_ns, now_ns);
     }
 
     /// Increments by one, recording the sim time of the update.
@@ -55,7 +62,7 @@ impl Counter {
     /// mirror externally maintained totals (e.g. the bridges' stats
     /// structs) into the registry without double counting.
     pub fn set_at_least(&self, n: u64) {
-        self.inner.value.fetch_max(n, Ordering::Relaxed);
+        raise(&self.inner.value, n);
     }
 
     /// Current value.
@@ -86,15 +93,13 @@ impl Gauge {
     /// Sets the current value (updating the high-water mark).
     pub fn set(&self, v: u64) {
         self.inner.value.store(v, Ordering::Relaxed);
-        self.inner.high_water.fetch_max(v, Ordering::Relaxed);
+        raise(&self.inner.high_water, v);
     }
 
     /// Sets the current value, recording the sim time of the update.
     pub fn set_at(&self, v: u64, now_ns: u64) {
         self.set(v);
-        self.inner
-            .last_update_ns
-            .fetch_max(now_ns, Ordering::Relaxed);
+        raise(&self.inner.last_update_ns, now_ns);
     }
 
     /// Current value.
@@ -530,6 +535,31 @@ mod tests {
         assert_eq!(g.get(), 3);
         assert_eq!(g.high_water(), 10);
         assert_eq!(g.last_update_ns(), 2);
+    }
+
+    /// `raise` skips the locked update when nothing would move; values,
+    /// high-water marks and timestamps read exactly as a bare
+    /// `fetch_max` would leave them, for lower, equal and higher inputs.
+    #[test]
+    fn raise_matches_fetch_max() {
+        let g = Registry::new().gauge("g");
+        let c = Registry::new().counter("c");
+        let (mut high, mut stamp, mut total) = (0u64, 0u64, 0u64);
+        for (v, at) in [(5, 10), (5, 10), (2, 9), (7, 10), (0, 0), (7, 11), (3, 11)] {
+            g.set_at(v, at);
+            c.add_at(v, at);
+            c.set_at_least(v * 4);
+            high = high.max(v);
+            stamp = stamp.max(at);
+            total = (total + v).max(v * 4);
+            assert_eq!(
+                (g.get(), g.high_water(), g.last_update_ns()),
+                (v, high, stamp)
+            );
+            assert_eq!((c.get(), c.last_update_ns()), (total, stamp));
+        }
+        g.set(1);
+        assert_eq!((g.get(), g.high_water(), g.last_update_ns()), (1, 7, 11));
     }
 
     #[test]

@@ -37,14 +37,41 @@ impl Checksum {
     }
 
     /// Adds a byte slice; an odd final byte is padded with zero.
+    ///
+    /// Eight bytes at a step, as RFC 1071 §2 allows: the native-order
+    /// 32-bit halves of each 8-byte word go into a 64-bit accumulator
+    /// whose carries are deferred, the total folds once to 16 bits, and
+    /// one byte swap turns the native-order sum into the big-endian one
+    /// (§2(B): the sum is byte-order independent up to that swap).
     pub fn add_bytes(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(2);
-        for chunk in &mut chunks {
-            self.add_u16(u16::from_be_bytes([chunk[0], chunk[1]]));
+        let mut acc = 0u64;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let v = u64::from_ne_bytes(w.try_into().expect("8-byte chunk"));
+            acc += (v & 0xffff_ffff) + (v >> 32);
         }
-        if let [last] = chunks.remainder() {
-            self.add_u16(u16::from_be_bytes([*last, 0]));
+        // The tail starts at an even offset, so its 4- and 2-byte steps
+        // and the odd last byte, zero-padded, keep every byte at its
+        // weight.
+        let mut rest = words.remainder();
+        if let Some((w, more)) = rest.split_first_chunk::<4>() {
+            acc += u64::from(u32::from_ne_bytes(*w));
+            rest = more;
         }
+        if let Some((w, more)) = rest.split_first_chunk::<2>() {
+            acc += u64::from(u16::from_ne_bytes(*w));
+            rest = more;
+        }
+        if let [last] = rest {
+            acc += u64::from(u16::from_ne_bytes([*last, 0]));
+        }
+        // Each step added less than 2^33, so `acc` cannot overflow below
+        // 2^31 words. 2^16 ≡ 1 (mod 0xffff): the fold keeps the residue
+        // and a nonzero sum stays nonzero, as the 16-bit loop's would.
+        while acc >> 16 != 0 {
+            acc = (acc & 0xffff) + (acc >> 16);
+        }
+        self.sum += u32::from(u16::from_be(acc as u16));
     }
 
     /// Adds a raw unfolded accumulator (as returned by [`raw_sum`] or
@@ -250,6 +277,32 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The 16-bit loop `add_bytes` replaced: the reference its wide
+    /// words are checked against.
+    fn reference_sum(bytes: &[u8]) -> u32 {
+        let mut c = Checksum::new();
+        let mut chunks = bytes.chunks_exact(2);
+        for chunk in &mut chunks {
+            c.add_u16(u16::from_be_bytes([chunk[0], chunk[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            c.add_u16(u16::from_be_bytes([*last, 0]));
+        }
+        c.raw()
+    }
+
+    #[test]
+    fn wide_sum_keeps_an_all_ones_word_nonzero() {
+        // 0 and 0xffff are both ones-complement zero, but a sum of
+        // nonzero bytes folds to 0xffff in the 16-bit loop; so must the
+        // wide one, or a checksum over it would read 0xffff instead of 0.
+        for len in [2usize, 7, 8, 9, 16, 64] {
+            let ones = vec![0xffu8; len];
+            assert_eq!(fold_sum(raw_sum(&ones)), fold_sum(reference_sum(&ones)));
+            assert_eq!(fold_sum(raw_sum(&vec![0u8; len])), 0);
+        }
+    }
+
     #[test]
     fn rfc1071_example() {
         // Example sequence from RFC 1071 §3: 00 01 f2 03 f4 f5 f6 f7.
@@ -349,6 +402,46 @@ mod tests {
     }
 
     proptest! {
+        /// Eight bytes at a step sums to the 16-bit loop's folded sum:
+        /// for any length, odd ones included; fed in pieces split at
+        /// even offsets; and through the cached-sum algebra the output
+        /// queues use (`raw_sum` of the parts combined with `sub_sum`
+        /// and `swap_sum`).
+        #[test]
+        fn prop_wide_sum_equals_16_bit_loop(
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+            cuts in proptest::collection::vec(any::<u16>(), 0..4),
+            odd_cut in any::<u16>(),
+        ) {
+            let want = fold_sum(reference_sum(&data));
+            prop_assert_eq!(fold_sum(raw_sum(&data)), want);
+
+            let mut at: Vec<usize> = cuts
+                .iter()
+                .map(|&c| (usize::from(c) % (data.len() + 1)) & !1)
+                .collect();
+            at.sort_unstable();
+            let mut pieces = Checksum::new();
+            let mut from = 0;
+            for &to in at.iter().chain(std::iter::once(&data.len())) {
+                pieces.add_bytes(&data[from..to]);
+                from = to;
+            }
+            prop_assert_eq!(fold_sum(pieces.raw()), want);
+
+            let k = usize::from(odd_cut) % (data.len() + 1);
+            let (a, b) = data.split_at(k);
+            let b_contrib = if k % 2 == 0 { raw_sum(b) } else { swap_sum(raw_sum(b)) };
+            let mut rest = sub_sum(raw_sum(&data), raw_sum(a));
+            if k % 2 == 1 {
+                rest = swap_sum(rest);
+            }
+            let base = 0x1234u32;
+            let folded = |raw: u32| fold_sum(base + u32::from(fold_sum(raw)));
+            prop_assert_eq!(folded(raw_sum(a) + b_contrib), folded(u32::from(want)));
+            prop_assert_eq!(folded(rest), folded(reference_sum(b)));
+        }
+
         /// Incremental update must equal full recomputation for
         /// arbitrary data and arbitrary 16-bit field rewrites at even
         /// offsets — this is the §3.1 bridge fast path.

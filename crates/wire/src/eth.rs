@@ -2,7 +2,7 @@
 
 use crate::error::WireError;
 use crate::mac::MacAddr;
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Length of destination + source + ethertype.
 pub const ETH_HEADER_LEN: usize = 14;
@@ -95,11 +95,11 @@ impl EthernetFrame {
     /// Encodes the frame (with minimum-size zero padding).
     pub fn encode(&self) -> Bytes {
         let total = self.wire_len();
-        let mut buf = Vec::with_capacity(total);
-        buf.extend_from_slice(&header(self.dst, self.src, self.ethertype));
-        buf.extend_from_slice(&self.payload);
+        let mut buf = BytesMut::with_capacity(total);
+        buf.put_slice(&header(self.dst, self.src, self.ethertype));
+        buf.put_slice(&self.payload);
         buf.resize(total, 0);
-        Bytes::from(buf)
+        buf.freeze()
     }
 
     /// Decodes a frame, copying `bytes` first; for callers that do not

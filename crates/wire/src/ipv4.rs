@@ -8,7 +8,7 @@ use crate::checksum::{checksum, Checksum};
 use crate::error::WireError;
 use crate::eth::{self, EtherType, ETH_HEADER_LEN};
 use crate::mac::MacAddr;
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 pub use std::net::Ipv4Addr;
 
@@ -99,10 +99,10 @@ impl Ipv4Packet {
 
     /// Encodes the datagram, computing the header checksum.
     pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(self.wire_len());
-        buf.extend_from_slice(&self.header());
-        buf.extend_from_slice(&self.payload);
-        Bytes::from(buf)
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        buf.put_slice(&self.header());
+        buf.put_slice(&self.payload);
+        buf.freeze()
     }
 
     /// Encodes the datagram inside its Ethernet II frame, as one buffer
@@ -115,11 +115,11 @@ impl Ipv4Packet {
         header[..ETH_HEADER_LEN].copy_from_slice(&eth::header(dst, src, EtherType::Ipv4));
         header[ETH_HEADER_LEN..].copy_from_slice(&self.header());
         let total = eth::frame_len(self.wire_len());
-        let mut buf = Vec::with_capacity(total);
-        buf.extend_from_slice(&header);
-        buf.extend_from_slice(&self.payload);
+        let mut buf = BytesMut::with_capacity(total);
+        buf.put_slice(&header);
+        buf.put_slice(&self.payload);
         buf.resize(total, 0);
-        Bytes::from(buf)
+        buf.freeze()
     }
 
     /// Decodes a datagram, copying `bytes` first; for callers that do

@@ -278,10 +278,23 @@ impl TcpSegment {
     /// Encodes the segment, computing the checksum over the pseudo
     /// header for `src`/`dst`.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
+        self.encode_parts(src, dst, &[&self.payload])
+    }
+
+    /// Encodes the segment's header with `parts`, written back to back,
+    /// as its payload: how a sender writes payload bytes from its send
+    /// ring straight into the one buffer the segment travels in. The
+    /// segment's own payload must be empty.
+    pub fn encode_with_payload(&self, src: Ipv4Addr, dst: Ipv4Addr, parts: &[&[u8]]) -> Bytes {
+        debug_assert!(self.payload.is_empty(), "payload given twice");
+        self.encode_parts(src, dst, parts)
+    }
+
+    fn encode_parts(&self, src: Ipv4Addr, dst: Ipv4Addr, parts: &[&[u8]]) -> Bytes {
         let opts = encode_options(&self.options);
         let header_len = TCP_HEADER_LEN + opts.len();
         debug_assert!(header_len <= 60, "tcp options too long");
-        let total = header_len + self.payload.len();
+        let total = header_len + parts.iter().map(|p| p.len()).sum::<usize>();
         // Checksum and urgent pointer (bytes 16..20) stay zero while
         // the sum is taken.
         let mut header = [0u8; TCP_HEADER_LEN];
@@ -292,18 +305,20 @@ impl TcpSegment {
         header[12] = ((header_len / 4) as u8) << 4;
         header[13] = self.flags.0;
         header[14..16].copy_from_slice(&self.window.to_be_bytes());
-        // Header and option block have even lengths, so the three
-        // parts sum as one stream.
+        // Header and option block have even lengths, so the payload
+        // starts at an even offset.
         let mut ck = pseudo_header_sum(src, dst, PROTO_TCP, total);
         ck.add_bytes(&header);
         ck.add_bytes(&opts);
-        ck.add_bytes(&self.payload);
+        add_parts(&mut ck, parts.iter().copied());
         header[16..18].copy_from_slice(&ck.finish().to_be_bytes());
-        let mut buf = Vec::with_capacity(total);
-        buf.extend_from_slice(&header);
-        buf.extend_from_slice(&opts);
-        buf.extend_from_slice(&self.payload);
-        Bytes::from(buf)
+        let mut buf = BytesMut::with_capacity(total);
+        buf.put_slice(&header);
+        buf.put_slice(&opts);
+        for p in parts {
+            buf.put_slice(p);
+        }
+        buf.freeze()
     }
 
     /// Decodes a segment, copying `bytes` first; for callers that do
@@ -669,17 +684,7 @@ impl HeaderTemplate {
         ck.add_u16(window);
         match payload_sum {
             Some(sum) => ck.add_raw(sum),
-            None => {
-                let mut at_odd = false;
-                for p in parts.clone() {
-                    if at_odd {
-                        ck.add_raw(swap_sum(raw_sum(p)));
-                    } else {
-                        ck.add_bytes(p);
-                    }
-                    at_odd ^= p.len() % 2 == 1;
-                }
-            }
+            None => add_parts(&mut ck, parts.clone()),
         }
         let mut header = [0u8; TCP_HEADER_LEN];
         header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
@@ -701,6 +706,20 @@ impl HeaderTemplate {
         }
         debug_assert_eq!(written, payload_len, "payload_len must match parts");
         buf.split().freeze()
+    }
+}
+
+/// Adds payload parts written back to back from an even offset: a part
+/// that starts at an odd offset has its sum byte-swapped.
+fn add_parts<'a>(ck: &mut Checksum, parts: impl Iterator<Item = &'a [u8]>) {
+    let mut at_odd = false;
+    for p in parts {
+        if at_odd {
+            ck.add_raw(swap_sum(raw_sum(p)));
+        } else {
+            ck.add_bytes(p);
+        }
+        at_odd ^= p.len() % 2 == 1;
     }
 }
 
