@@ -415,7 +415,7 @@ impl ChainController {
 
     /// The heartbeat cadence (`hb.send`, `hb.miss`): a span instant
     /// only, because a journal entry per beat would flood the ring. One
-    /// relaxed atomic load when the tracer is detached.
+    /// check for the span ring when the tracer is detached.
     fn cadence(&self, name: &'static str, now: SimTime, args: [Option<(&'static str, u64)>; 2]) {
         if let Some(t) = &self.telemetry {
             let at = now.as_nanos();

@@ -395,8 +395,9 @@ impl PrimaryBridge {
     /// Connects the bridge to a telemetry hub: mirrors
     /// [`PrimaryStats`] onto registry counters under `core.primary` —
     /// `core.secondary` with nobody below —, tracks output-queue depths
-    /// and the flow-table gauges, and journals sync / empty-ACK /
-    /// retransmission / degradation events.
+    /// and the flow-table gauges, and journals its control moments
+    /// (sync, flow eviction, degradation); bare ACKs and forwarded
+    /// retransmissions are counted only.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         let name = match self.a_s {
             Some(_) => "core.primary",

@@ -347,9 +347,6 @@ impl Engine<'_> {
             };
             if advanced {
                 self.emit.stats.empty_acks += 1;
-                if let Some(t) = self.instruments {
-                    t.record(self.now, "empty_ack", &[("ack", m.to_string())]);
-                }
                 let (seq, win) = (conn.send_next, conn.min_win());
                 self.emit
                     .empty(conn, seq, Some(m), TcpFlags::EMPTY, win, out);
@@ -394,9 +391,6 @@ impl Engine<'_> {
             }
         } else {
             self.emit.stats.retransmissions_forwarded += 1;
-            if let Some(t) = self.instruments {
-                t.record(self.now, "retransmission", &[("kind", "syn".to_string())]);
-            }
         }
         let mut b = TcpSegment::builder(key.server_port, key.peer.port)
             .seq(iss)
@@ -497,16 +491,6 @@ impl Engine<'_> {
                 flags |= TcpFlags::FIN;
             }
             self.emit.stats.retransmissions_forwarded += 1;
-            if let Some(t) = self.instruments {
-                t.record(
-                    self.now,
-                    "retransmission",
-                    &[
-                        ("seq", seq.to_string()),
-                        ("len", seg.payload.len().to_string()),
-                    ],
-                );
-            }
             let win = conn.min_win();
             self.emit.hot(
                 conn,
@@ -558,13 +542,6 @@ impl Engine<'_> {
                     // it would double the merged ACK cadence.
                     if conn.last_ack_sent == Some(m) && re_ack {
                         self.emit.stats.empty_acks += 1;
-                        if let Some(t) = self.instruments {
-                            t.record(
-                                self.now,
-                                "empty_ack",
-                                &[("ack", m.to_string()), ("kind", "re_ack".to_string())],
-                            );
-                        }
                         let (seq, win) = (conn.send_next, conn.min_win());
                         self.emit
                             .empty(conn, seq, Some(m), TcpFlags::EMPTY, win, out);

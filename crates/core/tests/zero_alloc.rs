@@ -519,6 +519,90 @@ fn idle_tick_with_every_observer_attached_does_not_allocate() {
 }
 
 // ---------------------------------------------------------------------
+// The journal narrates control only. With a hub attached, a warm bridge
+// that synthesises a §3.4 bare ACK and forwards a §4 retransmission in
+// every round counts both and leaves the allocator alone.
+// ---------------------------------------------------------------------
+
+/// One round: the client's data (handed up), P's ack of it (held), S's
+/// ack of it (min(ack_P, ack_S) advances: a bare ACK), and P resending
+/// the bytes released before the first round (forwarded at once).
+fn bare_ack_round_inputs(i: u32) -> [AddressedSegment; 4] {
+    let len = PAYLOAD.len() as u32;
+    let acked = ISS_C + 1 + (i + 1) * len;
+    let client = raw(
+        A_C,
+        A_P,
+        TcpSegment::builder(5555, 80)
+            .seq(ISS_C + 1 + i * len)
+            .ack(ISS_S + 1 + len)
+            .window(60_000)
+            .payload(PAYLOAD.to_vec().into())
+            .build(),
+    );
+    let server_ack = |seq: u32, window: u16| {
+        TcpSegment::builder(80, 5555)
+            .seq(seq)
+            .ack(acked)
+            .window(window)
+    };
+    let p_ack = raw(A_P, A_C, server_ack(ISS_P + 1 + len, 50_000).build());
+    let s_ack = diverted(server_ack(ISS_S + 1 + len, 40_000).build());
+    let p_resent = server_ack(ISS_P + 1, 50_000)
+        .payload(PAYLOAD.to_vec().into())
+        .build();
+    [client, p_ack, s_ack, raw(A_P, A_C, p_resent)]
+}
+
+#[test]
+fn bare_ack_and_retransmission_with_hub_attached_do_not_allocate() {
+    let hub = Telemetry::new();
+    let mut bridge = established();
+    bridge.set_telemetry(&hub);
+    let (p, s, _) = round_inputs(0);
+    let mut out = FilterOutput::empty();
+    bridge.on_outbound_into(p, 0, &mut out);
+    bridge.on_inbound_into(s, 0, &mut out);
+    assert_eq!(out.to_wire.len(), 1, "the bytes to resend are released");
+    out.clear();
+
+    let total = WARMUP + MEASURED;
+    let rounds: Vec<_> = (0..total as u32).map(bare_ack_round_inputs).collect();
+    let (acks, retransmissions) = (
+        bridge.stats.empty_acks,
+        bridge.stats.retransmissions_forwarded,
+    );
+    let mut measured_base = 0;
+    for (i, [client, p_ack, s_ack, p_resent]) in rounds.into_iter().enumerate() {
+        if i == WARMUP {
+            measured_base = allocs();
+        }
+        bridge.on_inbound_into(client, 0, &mut out);
+        assert_eq!(out.to_tcp.len(), 1, "client data passes up");
+        bridge.on_outbound_into(p_ack, 0, &mut out);
+        assert!(out.to_wire.is_empty(), "P-only ack advance is held");
+        bridge.on_inbound_into(s_ack, 0, &mut out);
+        assert_eq!(out.to_wire.len(), 1, "min(ack) advanced: a bare ACK");
+        // Each frame leaves before the next is built, as in the other
+        // rounds here: the egress scratch is reclaimed, not regrown.
+        out.clear();
+        bridge.on_outbound_into(p_resent, 0, &mut out);
+        assert_eq!(out.to_wire.len(), 1, "the retransmission is forwarded");
+        out.clear();
+    }
+    let delta = allocs() - measured_base;
+    assert_eq!(bridge.stats.empty_acks - acks, total as u64);
+    assert_eq!(
+        bridge.stats.retransmissions_forwarded - retransmissions,
+        total as u64
+    );
+    assert_eq!(
+        delta, 0,
+        "bare ACK and retransmission rounds allocated {delta} times in {MEASURED} rounds"
+    );
+}
+
+// ---------------------------------------------------------------------
 // The auditor on its own, driven through its public API: behind a
 // bridge the count would include the bridge's own copies. Its shadow
 // streams hold views of the replica segments, its flight recorder keeps

@@ -17,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use tcpfo_telemetry::{Counter, Gauge, Telemetry};
+use std::collections::BinaryHeap;
+use tcpfo_telemetry::{Counter, Gauge, Ring, Telemetry};
 
 /// Default bound on retained trace entries (drop-oldest beyond this).
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
@@ -199,9 +199,7 @@ struct SimCore {
     dead: Vec<bool>,
     rng: StdRng,
     trace_enabled: bool,
-    trace: VecDeque<TraceEntry>,
-    trace_capacity: usize,
-    trace_dropped: u64,
+    trace: Ring<TraceEntry>,
     events_processed: u64,
     telemetry: Option<Telemetry>,
     /// Dense like `port_table` (`link_instruments[node][port]`), grown
@@ -218,11 +216,7 @@ impl SimCore {
 
     fn trace(&mut self, at: SimTime, node: NodeId, kind: TraceKind, frame: Option<&Bytes>) {
         if self.trace_enabled {
-            if self.trace.len() == self.trace_capacity {
-                self.trace.pop_front();
-                self.trace_dropped += 1;
-            }
-            self.trace.push_back(TraceEntry {
+            self.trace.push(TraceEntry {
                 at,
                 node,
                 kind,
@@ -404,9 +398,7 @@ impl Simulator {
                 dead: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
                 trace_enabled: false,
-                trace: VecDeque::new(),
-                trace_capacity: DEFAULT_TRACE_CAPACITY,
-                trace_dropped: 0,
+                trace: Ring::new(DEFAULT_TRACE_CAPACITY),
                 events_processed: 0,
                 telemetry: None,
                 link_instruments: Vec::new(),
@@ -639,34 +631,23 @@ impl Simulator {
     /// covers the most recent activity. Defaults to
     /// [`DEFAULT_TRACE_CAPACITY`].
     pub fn set_trace_capacity(&mut self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.core.trace_capacity = capacity;
-        while self.core.trace.len() > capacity {
-            self.core.trace.pop_front();
-            self.core.trace_dropped += 1;
-        }
+        self.core.trace.set_capacity(capacity);
     }
 
     /// Number of trace entries evicted because the ring was full.
     pub fn trace_dropped(&self) -> u64 {
-        self.core.trace_dropped
+        self.core.trace.dropped()
     }
 
     /// Takes the accumulated trace, leaving it empty.
     pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        std::mem::take(&mut self.core.trace).into_iter().collect()
+        self.core.trace.take()
     }
 
     /// Copies the most recent `n` trace entries, oldest first, without
     /// draining the buffer.
     pub fn trace_tail(&self, n: usize) -> Vec<TraceEntry> {
-        let len = self.core.trace.len();
-        self.core
-            .trace
-            .iter()
-            .skip(len.saturating_sub(n))
-            .cloned()
-            .collect()
+        self.core.trace.tail(n).cloned().collect()
     }
 
     /// Installs a telemetry hub. The simulator then maintains

@@ -38,6 +38,7 @@ use tcpfo_wire::seq::{seq_ge, seq_gt, seq_min};
 use tcpfo_wire::tcp::{peek_orig_dest, verify_segment_checksum, TcpFlags, TcpSegment, TcpView};
 
 use crate::health::ReplicationLag;
+use crate::ring::Ring;
 use crate::{fmt_nanos, FailoverPhase, Telemetry};
 
 // ---------------------------------------------------------------------
@@ -51,6 +52,9 @@ use crate::{fmt_nanos, FailoverPhase, Telemetry};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TraceId(pub u64);
 
+/// Process-wide, not per hub: every host stamps its segments with
+/// [`TraceId::fresh`] and the auditors link them across replicas, so
+/// two hubs must never hand out the same id.
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 
 impl TraceId {
@@ -1095,6 +1099,9 @@ pub struct LinkPlace {
     pub downstream: Option<Ipv4Addr>,
 }
 
+/// Process-wide, not per hub: tests run on parallel threads of one
+/// process, and only a process-wide sequence keeps two auditors'
+/// bundle directories (`<label>-<pid>-<seq>`) apart.
 static BUNDLE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 // ---------------------------------------------------------------------
@@ -1110,10 +1117,8 @@ struct Recorder {
     cfg: AuditConfig,
     hub: Option<Telemetry>,
     ledger: RuleLedger,
-    ring: VecDeque<AuditEvent>,
-    ring_dropped: u64,
-    pcap: VecDeque<SegmentRecord>,
-    pcap_dropped: u64,
+    ring: Ring<AuditEvent>,
+    pcap: Ring<SegmentRecord>,
     violations: Vec<Violation>,
     bundle: Option<PathBuf>,
     releases_seen: u64,
@@ -1127,11 +1132,7 @@ struct Recorder {
 
 impl Recorder {
     fn push_event(&mut self, kind: AuditEventKind, trace: TraceId, detail: impl Into<AuditDetail>) {
-        if self.ring.len() >= self.cfg.ring_capacity {
-            self.ring.pop_front();
-            self.ring_dropped += 1;
-        }
-        self.ring.push_back(AuditEvent {
+        self.ring.push(AuditEvent {
             at_ns: self.now_ns,
             trace,
             kind,
@@ -1166,14 +1167,10 @@ impl Recorder {
         if matches!(kind, AuditEventKind::DeliverUp | AuditEventKind::Note) {
             return;
         }
-        if self.pcap.len() >= self.cfg.pcap_capacity {
-            self.pcap.pop_front();
-            self.pcap_dropped += 1;
-        }
         let header_len = view.header_len();
         let mut header = [0; MAX_TCP_HEADER];
         header[..header_len].copy_from_slice(&bytes[..header_len]);
-        self.pcap.push_back(SegmentRecord {
+        self.pcap.push(SegmentRecord {
             at_ns: self.now_ns,
             src,
             dst,
@@ -1251,8 +1248,7 @@ impl Recorder {
             .filter(|e| trace.is_some() && e.trace == trace)
             .map(|e| e.summary())
             .collect();
-        let tail_from = self.ring.len().saturating_sub(12);
-        for e in self.ring.iter().skip(tail_from) {
+        for e in self.ring.tail(12) {
             let line = e.summary();
             if !chain.contains(&line) {
                 chain.push(line);
@@ -1340,7 +1336,7 @@ impl Recorder {
 
     fn pcap_slice(&self) -> Vec<u8> {
         let mut w = PcapngWriter::new(&format!("audit-{}", self.cfg.label));
-        for rec in &self.pcap {
+        for rec in self.pcap.iter() {
             let header = &rec.header[..usize::from(rec.header_len)];
             // The payload was not kept: zeros stand in for it past the
             // snap length, so the IPv4 header states the original length.
@@ -1406,13 +1402,11 @@ impl InvariantAuditor {
     pub fn new(cfg: AuditConfig) -> Self {
         InvariantAuditor {
             rec: Recorder {
+                ring: Ring::new(cfg.ring_capacity),
+                pcap: Ring::new(cfg.pcap_capacity),
                 cfg,
                 hub: None,
                 ledger: RuleLedger::default(),
-                ring: VecDeque::new(),
-                ring_dropped: 0,
-                pcap: VecDeque::new(),
-                pcap_dropped: 0,
                 violations: Vec::new(),
                 bundle: None,
                 releases_seen: 0,
@@ -1466,7 +1460,7 @@ impl InvariantAuditor {
     /// Entries the causal trace ring and the recent-segment ring each
     /// evicted to stay within their capacities.
     pub fn dropped(&self) -> (u64, u64) {
-        (self.rec.ring_dropped, self.rec.pcap_dropped)
+        (self.rec.ring.dropped(), self.rec.pcap.dropped())
     }
 
     /// Human-readable auditor state: ledger, shadow connections, and
@@ -1480,9 +1474,9 @@ impl InvariantAuditor {
             rec.ledger.total_violations(),
             self.conns.len(),
             rec.ring.len(),
-            rec.ring_dropped,
+            rec.ring.dropped(),
             rec.pcap.len(),
-            rec.pcap_dropped
+            rec.pcap.dropped()
         );
         out.push_str(&rec.ledger.to_table());
         for (key, c) in &self.conns {
@@ -2025,28 +2019,44 @@ mod tests {
         assert_eq!(b.ledger().stat(Rule::FailoverOrder).violations, 1);
     }
 
+    /// A capacity of 0 holds one entry, as the journal's and the span
+    /// ring's do, and counts only what it evicted.
     #[test]
     fn both_rings_count_what_they_evict() {
-        let mut cfg = AuditConfig::new("test");
-        (cfg.ring_capacity, cfg.pcap_capacity) = (3, 2);
-        let mut a = InvariantAuditor::new(cfg);
-        let [src, dst] = [Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(192, 168, 0, 9)];
-        let seg = TcpSegment::builder(80, 5555).build().encode(src, dst);
-        let view = TcpView::new(&seg).expect("valid");
-        for _ in 0..5 {
-            a.rec.push_event(AuditEventKind::Note, TraceId::NONE, "x");
-            (a.rec).record(
-                AuditEventKind::Release,
-                src,
-                dst,
-                &seg,
-                &view,
-                TraceId::NONE,
-            );
+        let cases = [
+            (
+                (3, 2),
+                (7, 3),
+                "ring 3 (+7 dropped), segments 2 (+3 dropped)",
+            ),
+            (
+                (0, 0),
+                (9, 4),
+                "ring 1 (+9 dropped), segments 1 (+4 dropped)",
+            ),
+        ];
+        for ((ring, pcap), dropped, want) in cases {
+            let mut cfg = AuditConfig::new("test");
+            (cfg.ring_capacity, cfg.pcap_capacity) = (ring, pcap);
+            let mut a = InvariantAuditor::new(cfg);
+            let [src, dst] = [Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(192, 168, 0, 9)];
+            let seg = TcpSegment::builder(80, 5555).build().encode(src, dst);
+            let view = TcpView::new(&seg).expect("valid");
+            for _ in 0..5 {
+                a.rec.push_event(AuditEventKind::Note, TraceId::NONE, "x");
+                (a.rec).record(
+                    AuditEventKind::Release,
+                    src,
+                    dst,
+                    &seg,
+                    &view,
+                    TraceId::NONE,
+                );
+            }
+            assert_eq!(a.dropped(), dropped);
+            let report = a.report();
+            assert!(report.contains(want), "{report}");
         }
-        assert_eq!(a.dropped(), (7, 3));
-        let report = a.report();
-        assert!(report.contains("ring 3 (+7 dropped), segments 2 (+3 dropped)"));
     }
 
     /// The capture holds each recorded segment as a truncated packet:

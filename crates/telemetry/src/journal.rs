@@ -1,18 +1,21 @@
 //! The structured event journal.
 //!
-//! Where the registry aggregates, the journal narrates: one
-//! [`Event`] per discrete occurrence (a takeover step, a Δseq sync, a
-//! recognised retransmission), stamped with sim time and carrying
-//! free-form key/value fields. The buffer is a bounded ring — when
-//! full it drops the *oldest* entries and counts what it dropped, so
-//! a long run can never grow without bound. An entry whose kind names
-//! a §5 or redundancy phase ([`crate::timeline`]) also stamps it beside
-//! the ring, where eviction never reaches it.
+//! Where the registry aggregates, the journal narrates control: one
+//! [`Event`] per control moment (a takeover step, a Δseq sync, a flow
+//! evicted, a health alert), stamped with sim time and carrying
+//! free-form key/value fields. Per-segment occurrences — bare ACKs,
+//! forwarded retransmissions — are registry counters, not entries. The
+//! buffer is a [`Ring`]: when full it drops the *oldest* entries and
+//! counts what it dropped, so a long run can never grow without bound.
+//! An entry whose kind names a §5 or redundancy phase
+//! ([`crate::timeline`]) also stamps it beside the ring, where eviction
+//! never reaches it.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::json::{array, quote, JsonObject};
+use crate::ring::Ring;
 use crate::timeline::Stamps;
 
 /// Default journal capacity (entries).
@@ -25,7 +28,7 @@ pub struct Event {
     pub at_ns: u64,
     /// Emitting component, e.g. `core.primary` or `net.sim`.
     pub scope: String,
-    /// Event kind, e.g. `takeover.arp` or `seg.empty_ack`.
+    /// Event kind, e.g. `takeover.arp` or `sync`.
     pub kind: String,
     /// Free-form key/value details.
     pub fields: Vec<(String, String)>,
@@ -52,18 +55,16 @@ impl Event {
 
 #[derive(Debug)]
 struct JournalInner {
-    ring: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
+    ring: Ring<Event>,
     /// The phases [`Journal::record`] stamped, which outlive the
     /// entries that stamped them.
     stamps: Stamps,
 }
 
-/// A bounded, shared event journal.
+/// A bounded event journal, shared by the clones of one hub.
 #[derive(Debug, Clone)]
 pub struct Journal {
-    inner: Arc<Mutex<JournalInner>>,
+    inner: Rc<RefCell<JournalInner>>,
 }
 
 impl Default for Journal {
@@ -83,10 +84,8 @@ impl Journal {
     /// little.
     pub fn with_capacity(capacity: usize) -> Self {
         Journal {
-            inner: Arc::new(Mutex::new(JournalInner {
-                ring: VecDeque::new(),
-                capacity: capacity.max(1),
-                dropped: 0,
+            inner: Rc::new(RefCell::new(JournalInner {
+                ring: Ring::new(capacity),
                 stamps: Stamps::default(),
             })),
         }
@@ -96,13 +95,9 @@ impl Journal {
     /// stamps the phase `kind` names, if it names one
     /// ([`crate::timeline`]).
     pub fn record(&self, at_ns: u64, scope: &str, kind: &str, fields: &[(&str, String)]) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.borrow_mut();
         inner.stamps.stamp(kind, at_ns);
-        if inner.ring.len() == inner.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(Event {
+        inner.ring.push(Event {
             at_ns,
             scope: scope.to_string(),
             kind: kind.to_string(),
@@ -115,12 +110,12 @@ impl Journal {
 
     /// What has been stamped.
     pub(crate) fn stamps(&self) -> Stamps {
-        self.inner.lock().unwrap().stamps
+        self.inner.borrow().stamps
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().ring.len()
+        self.inner.borrow().ring.len()
     }
 
     /// Whether the journal holds no events.
@@ -130,23 +125,17 @@ impl Journal {
 
     /// Number of events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        self.inner.borrow().ring.dropped()
     }
 
     /// Copies out all retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().unwrap().ring.iter().cloned().collect()
+        self.inner.borrow().ring.iter().cloned().collect()
     }
 
     /// Copies out the most recent `n` events, oldest first.
     pub fn tail(&self, n: usize) -> Vec<Event> {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .ring
-            .iter()
-            .skip(inner.ring.len().saturating_sub(n))
-            .cloned()
-            .collect()
+        self.inner.borrow().ring.tail(n).cloned().collect()
     }
 
     /// Renders the retained events as a JSON array of objects.

@@ -487,6 +487,9 @@ impl StageLatency {
     }
 }
 
+/// Process-wide, not per hub: the clock is read where no hub is at hand
+/// (the observatories, the span sampler), and the host-time spans of
+/// every hub must share one timebase to merge into one trace.
 static HOST_ANCHOR: OnceLock<Instant> = OnceLock::new();
 
 /// Monotonic host-time source for per-stage cost measurement, anchored

@@ -42,6 +42,7 @@ pub mod journal;
 pub mod json;
 pub mod latency;
 pub mod registry;
+pub mod ring;
 pub mod span;
 pub mod table;
 pub mod timeline;
@@ -57,6 +58,7 @@ pub use latency::{
     StageLatency,
 };
 pub use registry::{Counter, Gauge, GaugeSnapshot, Histogram, MetricsSnapshot, Registry, Scope};
+pub use ring::Ring;
 pub use span::{
     chrome_trace_json, waterfall_records, ActiveSpan, SpanContext, SpanId, SpanKind, SpanRecord,
     SpanSampler, SpanTrack, Tracer,

@@ -1,45 +1,44 @@
 //! The sim-time metrics registry.
 //!
-//! Instruments are cheap shared handles: [`Counter`] and [`Gauge`]
-//! are atomics, [`Histogram`] a locked [`LogHistogram`]. The
-//! [`Registry`] owns the name → instrument map and produces immutable
-//! [`MetricsSnapshot`]s for exposition. All timestamps are
+//! Instruments are cheap handles shared within one hub, which has one
+//! owner (a replica, and nothing in it runs on a second thread):
+//! [`Counter`] and [`Gauge`] are plain cells, [`Histogram`] a
+//! [`LogHistogram`] behind a `RefCell`. The [`Registry`] owns the
+//! name → instrument map and produces immutable [`MetricsSnapshot`]s
+//! for exposition. All timestamps are
 //! **simulated** nanoseconds (the `*_at` methods take
 //! `now_ns = SimTime::as_nanos()`); nothing in this module reads a wall
 //! clock, so runs stay deterministic.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 use crate::json::{array, JsonObject};
 use crate::latency::LogHistogram;
 
-/// Raises `cell` to `v` if it is below it. The plain load first keeps
-/// the common case — a timestamp or high-water mark that does not move —
-/// off the locked read-modify-write `fetch_max` compiles to.
-fn raise(cell: &AtomicU64, v: u64) {
-    if v > cell.load(Ordering::Relaxed) {
-        cell.fetch_max(v, Ordering::Relaxed);
-    }
+/// Raises `cell` to `v` if it is below it.
+fn raise(cell: &Cell<u64>, v: u64) {
+    cell.set(cell.get().max(v));
 }
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    inner: Arc<CounterInner>,
+    inner: Rc<CounterInner>,
 }
 
 #[derive(Debug, Default)]
 struct CounterInner {
-    value: AtomicU64,
-    last_update_ns: AtomicU64,
+    value: Cell<u64>,
+    last_update_ns: Cell<u64>,
 }
 
 impl Counter {
     /// Adds `n` without touching the last-update timestamp.
     pub fn add(&self, n: u64) {
-        self.inner.value.fetch_add(n, Ordering::Relaxed);
+        let value = &self.inner.value;
+        value.set(value.get().wrapping_add(n));
     }
 
     /// Increments by one.
@@ -49,7 +48,7 @@ impl Counter {
 
     /// Adds `n`, recording the sim time of the update.
     pub fn add_at(&self, n: u64, now_ns: u64) {
-        self.inner.value.fetch_add(n, Ordering::Relaxed);
+        self.add(n);
         raise(&self.inner.last_update_ns, now_ns);
     }
 
@@ -67,32 +66,32 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.inner.value.load(Ordering::Relaxed)
+        self.inner.value.get()
     }
 
     /// Sim time of the most recent timestamped update.
     pub fn last_update_ns(&self) -> u64 {
-        self.inner.last_update_ns.load(Ordering::Relaxed)
+        self.inner.last_update_ns.get()
     }
 }
 
 /// A gauge: a settable value that also tracks its high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
-    inner: Arc<GaugeInner>,
+    inner: Rc<GaugeInner>,
 }
 
 #[derive(Debug, Default)]
 struct GaugeInner {
-    value: AtomicU64,
-    high_water: AtomicU64,
-    last_update_ns: AtomicU64,
+    value: Cell<u64>,
+    high_water: Cell<u64>,
+    last_update_ns: Cell<u64>,
 }
 
 impl Gauge {
     /// Sets the current value (updating the high-water mark).
     pub fn set(&self, v: u64) {
-        self.inner.value.store(v, Ordering::Relaxed);
+        self.inner.value.set(v);
         raise(&self.inner.high_water, v);
     }
 
@@ -104,17 +103,17 @@ impl Gauge {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.inner.value.load(Ordering::Relaxed)
+        self.inner.value.get()
     }
 
     /// Highest value ever set.
     pub fn high_water(&self) -> u64 {
-        self.inner.high_water.load(Ordering::Relaxed)
+        self.inner.high_water.get()
     }
 
     /// Sim time of the most recent timestamped update.
     pub fn last_update_ns(&self) -> u64 {
-        self.inner.last_update_ns.load(Ordering::Relaxed)
+        self.inner.last_update_ns.get()
     }
 }
 
@@ -127,34 +126,30 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// [`LogHistogram`] over the whole `u64` range.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    inner: Arc<Mutex<LogHistogram<HISTOGRAM_BUCKETS>>>,
+    inner: Rc<RefCell<LogHistogram<HISTOGRAM_BUCKETS>>>,
 }
 
 impl Histogram {
-    fn locked(&self) -> MutexGuard<'_, LogHistogram<HISTOGRAM_BUCKETS>> {
-        self.inner.lock().expect("no recorder panicked mid-update")
-    }
-
     /// Records one observation.
     pub fn record(&self, v: u64) {
-        self.locked().record(v);
+        self.inner.borrow_mut().record(v);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.locked().count()
+        self.inner.borrow().count()
     }
 
     /// Adds every observation of `batch` ([`LogHistogram::merge`]):
     /// how the latency observatory and the hosts mirror the histograms
     /// they keep into the registry without replaying each observation.
     pub fn absorb<const M: usize>(&self, batch: &LogHistogram<M>) {
-        self.locked().merge(batch);
+        self.inner.borrow_mut().merge(batch);
     }
 
     /// Immutable copy of the current state.
     pub fn snapshot(&self) -> LogHistogram<HISTOGRAM_BUCKETS> {
-        *self.locked()
+        *self.inner.borrow()
     }
 }
 
@@ -234,15 +229,15 @@ fn prom_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: &st
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    counters: RefCell<BTreeMap<String, Counter>>,
+    gauges: RefCell<BTreeMap<String, Gauge>>,
+    histograms: RefCell<BTreeMap<String, Histogram>>,
 }
 
 /// The instrument registry. Cloning shares the underlying maps.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    inner: Arc<RegistryInner>,
+    inner: Rc<RegistryInner>,
 }
 
 impl Registry {
@@ -265,8 +260,7 @@ impl Registry {
     pub fn counter(&self, name: &str) -> Counter {
         self.inner
             .counters
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -276,8 +270,7 @@ impl Registry {
     pub fn gauge(&self, name: &str) -> Gauge {
         self.inner
             .gauges
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -287,8 +280,7 @@ impl Registry {
     pub fn histogram(&self, name: &str) -> Histogram {
         self.inner
             .histograms
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -301,16 +293,14 @@ impl Registry {
             counters: self
                 .inner
                 .counters
-                .lock()
-                .unwrap()
+                .borrow()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
             gauges: self
                 .inner
                 .gauges
-                .lock()
-                .unwrap()
+                .borrow()
                 .iter()
                 .map(|(k, v)| {
                     (
@@ -325,8 +315,7 @@ impl Registry {
             histograms: self
                 .inner
                 .histograms
-                .lock()
-                .unwrap()
+                .borrow()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),

@@ -7,18 +7,18 @@
 //! sequence of detector, controller, bridge and reprovision events
 //! that produced it.
 //!
-//! * [`Tracer`] — a shared, cheaply-cloned recorder handle. Detached
-//!   (the default) it is *dormant*: recording is one relaxed atomic
-//!   load and a branch, no allocation, no clock read — the same
-//!   discipline as the auditor/latency/health observatories, and the
-//!   zero-alloc proof covers it. Attaching pre-allocates a fixed
-//!   capacity ring; recording after attach is lock + array moves, no
-//!   heap (names and arg keys are `&'static str`, args are `u64`).
+//! * [`Tracer`] — a cheaply-cloned recorder handle, shared within one
+//!   hub. Detached (the default) it is *dormant*: recording finds no
+//!   ring and returns — a branch, no allocation, no clock read — the
+//!   same discipline as the auditor/latency/health observatories, and
+//!   the zero-alloc proof covers it. Attaching pre-allocates a fixed
+//!   capacity ring; recording after attach is array moves, no heap
+//!   (names and arg keys are `&'static str`, args are `u64`).
 //! * [`SpanRecord`] — one completed span or instant: id, parent link,
 //!   trace id, track (control plane on sim time vs. datapath on host
 //!   time), start, duration, and up to two numeric args.
-//! * Ring semantics — bounded, drop-oldest, with **exact** drop
-//!   accounting ([`Tracer::dropped`]), mirroring the journal: a long
+//! * Ring semantics — the one [`Ring`]: bounded, drop-oldest,
+//!   with **exact** drop accounting ([`Tracer::dropped`]): a long
 //!   run can never grow without bound, and saturation is visible, not
 //!   silent. Because parents begin before their children, retained
 //!   spans always keep parent-before-child order.
@@ -47,13 +47,13 @@
 //! assert!(chrome.contains("\"traceEvents\""));
 //! ```
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::audit::TraceId;
 use crate::json::{array, JsonObject};
 use crate::latency::{Stage, StageLatency};
+use crate::ring::Ring;
 use crate::timeline::{FailoverPhase, MttrBreakdown, RedundancyPhase};
 use crate::Telemetry;
 
@@ -250,13 +250,12 @@ impl ActiveSpan {
     }
 }
 
-/// Pre-allocated ring state behind the tracer mutex.
+/// The armed ring and what recording keeps beside it.
 #[derive(Debug)]
 struct RingState {
-    ring: VecDeque<SpanRecord>,
-    capacity: usize,
-    /// Records evicted because the ring was full (exact).
-    dropped: u64,
+    ring: Ring<SpanRecord>,
+    /// The id the next span or instant gets.
+    next_span: u64,
     /// `end` calls whose begin record had already been evicted: the
     /// duration is lost but the loss is counted.
     lost_ends: u64,
@@ -264,31 +263,21 @@ struct RingState {
     current: Option<SpanContext>,
 }
 
-#[derive(Debug)]
-struct TracerInner {
-    attached: AtomicBool,
-    next_span: AtomicU64,
-    state: Mutex<Option<RingState>>,
+impl RingState {
+    fn fresh_span(&mut self) -> SpanId {
+        self.next_span += 1;
+        SpanId(self.next_span - 1)
+    }
 }
 
-/// The shared span recorder. Cloning shares the ring, so every layer
-/// of one replica (detector, controller, bridges, reprovisioner)
-/// records into a single coherent trace. Dormant by default: all
-/// recording entry points check one relaxed atomic and return — no
-/// lock, no allocation — until [`Tracer::attach`] arms the ring.
+/// The span recorder of one hub. Cloning shares the ring, so every
+/// layer of one replica (detector, controller, bridges, reprovisioner)
+/// records into a single coherent trace. Dormant by default: every
+/// recording entry point finds no ring and returns — no allocation —
+/// until [`Tracer::attach`] arms it.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    inner: Arc<TracerInner>,
-}
-
-impl Default for TracerInner {
-    fn default() -> Self {
-        TracerInner {
-            attached: AtomicBool::new(false),
-            next_span: AtomicU64::new(1),
-            state: Mutex::new(None),
-        }
-    }
+    state: Rc<RefCell<Option<RingState>>>,
 }
 
 impl Tracer {
@@ -308,36 +297,28 @@ impl Tracer {
     /// buffer is allocated *here*, so recording afterwards never
     /// allocates.
     pub fn attach(&self, capacity: usize) {
-        let mut state = self.inner.state.lock().unwrap();
-        if state.is_none() {
-            *state = Some(RingState {
-                ring: VecDeque::with_capacity(capacity.max(1)),
-                capacity: capacity.max(1),
-                dropped: 0,
-                lost_ends: 0,
-                current: None,
-            });
-        }
-        self.inner.attached.store(true, Ordering::Release);
+        self.state.borrow_mut().get_or_insert_with(|| RingState {
+            ring: Ring::preallocated(capacity),
+            next_span: 1,
+            lost_ends: 0,
+            current: None,
+        });
     }
 
-    /// Whether recording is armed. One relaxed load: this is the only
-    /// cost the detached hot path pays.
+    /// Whether recording is armed: whether the ring exists.
     #[inline]
     pub fn is_attached(&self) -> bool {
-        self.inner.attached.load(Ordering::Relaxed)
+        self.state.borrow().is_some()
     }
 
-    fn fresh_span(&self) -> SpanId {
-        SpanId(self.inner.next_span.fetch_add(1, Ordering::Relaxed))
+    /// Runs `f` on the armed ring; `None` when detached.
+    fn with_ring<R>(&self, f: impl FnOnce(&mut RingState) -> R) -> Option<R> {
+        self.state.borrow_mut().as_mut().map(f)
     }
 
-    fn push(state: &mut RingState, rec: SpanRecord) {
-        if state.ring.len() == state.capacity {
-            state.ring.pop_front();
-            state.dropped += 1;
-        }
-        state.ring.push_back(rec);
+    /// Reads the armed ring; `R::default()` when detached.
+    fn read<R: Default>(&self, f: impl FnOnce(&RingState) -> R) -> R {
+        self.state.borrow().as_ref().map_or_else(R::default, f)
     }
 
     /// Begins a span as a child of the innermost live span (a fresh
@@ -349,10 +330,7 @@ impl Tracer {
         name: &'static str,
         start_ns: u64,
     ) -> Option<ActiveSpan> {
-        if !self.is_attached() {
-            return None;
-        }
-        let current = self.inner.state.lock().unwrap().as_ref()?.current;
+        let current = self.state.borrow().as_ref()?.current;
         match current {
             Some(parent) => self.begin_child(parent, track, lane, name, start_ns),
             None => self.begin_root(track, lane, name, start_ns),
@@ -384,9 +362,6 @@ impl Tracer {
         name: &'static str,
         start_ns: u64,
     ) -> Option<ActiveSpan> {
-        if !self.is_attached() {
-            return None;
-        }
         self.begin_with(parent.trace, parent.span, track, lane, name, start_ns)
     }
 
@@ -399,17 +374,14 @@ impl Tracer {
         name: &'static str,
         start_ns: u64,
     ) -> Option<ActiveSpan> {
-        let id = self.fresh_span();
-        let ctx = SpanContext { trace, span: id };
-        let mut guard = self.inner.state.lock().unwrap();
-        let state = guard.as_mut()?;
-        // The begin record enters the ring immediately (duration
-        // patched at end): parents therefore always precede their
-        // children, and drop-oldest eviction preserves that order
-        // among retained spans.
-        Self::push(
-            state,
-            SpanRecord {
+        self.with_ring(|state| {
+            let id = state.fresh_span();
+            let ctx = SpanContext { trace, span: id };
+            // The begin record enters the ring immediately (duration
+            // patched at end): parents therefore always precede their
+            // children, and drop-oldest eviction preserves that order
+            // among retained spans.
+            state.ring.push(SpanRecord {
                 id,
                 parent,
                 trace,
@@ -421,10 +393,10 @@ impl Tracer {
                 dur_ns: 0,
                 open: true,
                 args: [None, None],
-            },
-        );
-        state.current = Some(ctx);
-        Some(ActiveSpan { ctx, parent })
+            });
+            state.current = Some(ctx);
+            ActiveSpan { ctx, parent }
+        })
     }
 
     /// Ends a span begun with one of the `begin*` entry points.
@@ -434,31 +406,26 @@ impl Tracer {
 
     /// Ends a span, attaching up to two numeric args.
     pub fn end_args(&self, span: &ActiveSpan, end_ns: u64, args: [Option<SpanArg>; 2]) {
-        if !self.is_attached() {
-            return;
-        }
-        let mut guard = self.inner.state.lock().unwrap();
-        let Some(state) = guard.as_mut() else {
-            return;
-        };
-        // Spans end shortly after they begin, so the open record is
-        // near the back of the ring; scan from the back.
-        match state.ring.iter_mut().rev().find(|r| r.id == span.ctx.span) {
-            Some(rec) => {
-                rec.dur_ns = end_ns.saturating_sub(rec.start_ns);
-                rec.open = false;
-                rec.args = args;
+        self.with_ring(|state| {
+            // Spans end shortly after they begin, so the open record is
+            // near the back of the ring; scan from the back.
+            match state.ring.iter_mut().rev().find(|r| r.id == span.ctx.span) {
+                Some(rec) => {
+                    rec.dur_ns = end_ns.saturating_sub(rec.start_ns);
+                    rec.open = false;
+                    rec.args = args;
+                }
+                // The begin record was evicted before the span ended: the
+                // duration is lost, but the loss is counted.
+                None => state.lost_ends += 1,
             }
-            // The begin record was evicted before the span ended: the
-            // duration is lost, but the loss is counted.
-            None => state.lost_ends += 1,
-        }
-        if state.current == Some(span.ctx) {
-            state.current = (!span.parent.is_none()).then_some(SpanContext {
-                trace: span.ctx.trace,
-                span: span.parent,
-            });
-        }
+            if state.current == Some(span.ctx) {
+                state.current = (!span.parent.is_none()).then_some(SpanContext {
+                    trace: span.ctx.trace,
+                    span: span.parent,
+                });
+            }
+        });
     }
 
     /// Records a point event under the innermost live span (fresh root
@@ -476,21 +443,13 @@ impl Tracer {
         at_ns: u64,
         args: [Option<SpanArg>; 2],
     ) {
-        if !self.is_attached() {
-            return;
-        }
-        let id = self.fresh_span();
-        let mut guard = self.inner.state.lock().unwrap();
-        let Some(state) = guard.as_mut() else {
-            return;
-        };
-        let (trace, parent) = match state.current {
-            Some(ctx) => (ctx.trace, ctx.span),
-            None => (TraceId::fresh(), SpanId::NONE),
-        };
-        Self::push(
-            state,
-            SpanRecord {
+        self.with_ring(|state| {
+            let id = state.fresh_span();
+            let (trace, parent) = match state.current {
+                Some(ctx) => (ctx.trace, ctx.span),
+                None => (TraceId::fresh(), SpanId::NONE),
+            };
+            state.ring.push(SpanRecord {
                 id,
                 parent,
                 trace,
@@ -502,39 +461,25 @@ impl Tracer {
                 dur_ns: 0,
                 open: false,
                 args,
-            },
-        );
+            });
+        });
     }
 
     /// The innermost live span context, for threading into children
     /// recorded elsewhere. `None` when
     /// detached or when no span is live.
     pub fn current(&self) -> Option<SpanContext> {
-        if !self.is_attached() {
-            return None;
-        }
-        self.inner.state.lock().unwrap().as_ref()?.current
+        self.state.borrow().as_ref()?.current
     }
 
     /// Records retained (oldest first).
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|s| s.ring.iter().copied().collect())
-            .unwrap_or_default()
+        self.read(|s| s.ring.iter().copied().collect())
     }
 
     /// Number of records currently retained.
     pub fn len(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map_or(0, |s| s.ring.len())
+        self.read(|s| s.ring.len())
     }
 
     /// Whether the ring holds no records.
@@ -544,32 +489,17 @@ impl Tracer {
 
     /// Records evicted because the ring was full (exact count).
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map_or(0, |s| s.dropped)
+        self.read(|s| s.ring.dropped())
     }
 
     /// `end` calls whose begin record had already been evicted.
     pub fn lost_ends(&self) -> u64 {
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map_or(0, |s| s.lost_ends)
+        self.read(|s| s.lost_ends)
     }
 
     /// The configured ring capacity (0 when never attached).
     pub fn capacity(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map_or(0, |s| s.capacity)
+        self.read(|s| s.ring.capacity())
     }
 
     /// JSON dump of the retained records plus drop accounting, for
@@ -728,8 +658,8 @@ pub const DEFAULT_SAMPLE_PERIOD: u64 = 64;
 /// one child span per PR5 pipeline stage sized from the stage-latency
 /// deltas the batch produced. Attached to a bridge as
 /// `Option<Box<SpanSampler>>` — detached costs nothing, attached but
-/// with the tracer detached costs one counter increment and one
-/// relaxed atomic load per batch, and sampled batches record into the
+/// with the tracer detached costs one counter increment and one check
+/// for the ring per batch, and sampled batches record into the
 /// tracer's pre-allocated ring (no allocation on the hot path).
 #[derive(Debug)]
 pub struct SpanSampler {

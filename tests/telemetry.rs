@@ -132,16 +132,16 @@ fn empty_ack_counter_tracks_min_ack_advance() {
     assert_eq!(seg.ack, ISS_C + 50);
     assert_eq!(b.stats.empty_acks, base + 1);
     // S repeats the same ack: a genuine replica re-ACK, forwarded as
-    // the degenerate §4 retransmission (an empty segment) and counted
-    // with a distinguishing journal kind.
+    // the degenerate §4 retransmission (an empty segment) and counted.
+    // A bare ACK is a per-segment occurrence: the journal, which
+    // narrates control, holds no entry of it.
     let out = b.on_inbound(s_ack(ISS_C + 50), 3_000);
     assert_eq!(out.to_wire.len(), 1, "re-ACK forwarded");
     assert_eq!(b.stats.empty_acks, base + 2);
+    let events = hub.journal.events();
     assert!(
-        hub.journal.events().iter().any(|e| e.kind == "empty_ack"
-            && e.at_ns == 3_000
-            && e.fields.iter().any(|(k, v)| k == "kind" && v == "re_ack")),
-        "re-ACK journal event missing"
+        events.iter().all(|e| e.kind != "empty_ack"),
+        "a bare ACK was journaled: {events:?}"
     );
     // Now matched payload carries the next advance: no *empty* ACK.
     let p_data = raw(
@@ -220,13 +220,11 @@ fn retransmission_counter_tracks_paragraph4_recognition() {
         snap.counter("core.primary.retransmissions_forwarded"),
         Some(1)
     );
-    // The journal recorded the event at the stamped segment time.
+    // A forwarded retransmission is counted, not journaled.
     let events = hub.journal.events();
     assert!(
-        events
-            .iter()
-            .any(|e| e.kind == "retransmission" && e.at_ns == 3_000),
-        "journal missing the retransmission event: {events:?}"
+        events.iter().all(|e| e.kind != "retransmission"),
+        "a retransmission was journaled: {events:?}"
     );
 }
 

@@ -45,7 +45,7 @@ const FAULT_FREE: Golden = Golden {
     events: 36_115,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [546_797_060, 350_275_350],
-    journal: (10, 223_276_556_441_947_029),
+    journal: (8, 8_713_194_560_495_700_142),
 };
 const KILL_PRIMARY: Golden = Golden {
     events: 35_534,
@@ -63,19 +63,19 @@ const REJOIN: Golden = Golden {
     events: 53_441,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [413_797_060, 281_272_028],
-    journal: (23, 9_124_817_111_091_479_808),
+    journal: (22, 7_464_278_489_695_867_007),
 };
 const LOSS_TO_PRIMARY: Golden = Golden {
     events: 137_293,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [7_218_797_060, 4_274_699_080],
-    journal: (522, 9_298_897_991_473_222_420),
+    journal: (46, 11_365_492_050_485_697_551),
 };
 const BACKEND: Golden = Golden {
     events: 46_268,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [560_801_772, 363_643_974],
-    journal: (47, 5_310_355_934_156_210_335),
+    journal: (9, 13_829_615_432_543_547_124),
 };
 /// Unicast client traffic never reaches the secondary's NIC through a
 /// learning switch: neither download completes (the E8 ablation).
@@ -83,13 +83,13 @@ const SWITCH: Golden = Golden {
     events: 13_710,
     bytes: 763_862_646_787_557_219,
     done_ns: [u64::MAX, u64::MAX],
-    journal: (14, 6_888_379_474_031_308_497),
+    journal: (1, 6_956_427_207_257_564_175),
 };
 const CHAIN_HEAD_KILL_REPROVISION: Golden = Golden {
     events: 117_892,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [753_771_788, 363_467_964],
-    journal: (190, 14_555_869_458_357_665_180),
+    journal: (100, 1_259_894_914_560_841_067),
 };
 
 const SEED: u64 = 0x07E5_7BED;
