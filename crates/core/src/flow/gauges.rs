@@ -5,8 +5,8 @@ use super::table::FlowTable;
 use tcpfo_telemetry::{Gauge, Scope};
 
 /// Registry gauges mirroring the table's [`super::FlowStats`]
-/// (occupancy, inserts, LRU evictions, GC reaps, lookups, LRU chain
-/// depth), as `<scope>.flow.*`. Handles are created on the first
+/// (occupancy, inserts, capacity evictions, GC reaps, lookups, and the
+/// resident count under its old name `lru_depth`), as `<scope>.flow.*`. Handles are created on the first
 /// publish, so a publish on the host tick formats no name.
 #[derive(Default)]
 pub struct FlowGauges {

@@ -34,14 +34,14 @@ pub enum FlowState {
     /// failed while it was live, or it was born on a tail); the bridge
     /// passes segments through with `Δseq` still applied. Like any
     /// flow it is touched by its peer's segments and reaped by the idle
-    /// TTL or LRU eviction; FINs both ways move it to `TimeWait`.
+    /// TTL or capacity eviction; FINs both ways move it to `TimeWait`.
     Degraded,
     /// FIN progress observed in at least one direction.
     Closing,
     /// §8 teardown complete: queue state dropped, only enough retained
     /// to re-ACK late FIN retransmissions. Reaped after a TTL.
     TimeWait,
-    /// Terminal: the slot has been freed (GC reap or LRU eviction).
+    /// Terminal: the slot has been freed (GC reap or capacity eviction).
     /// Never stored in the table — only reported.
     Reaped,
 }

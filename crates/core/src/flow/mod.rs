@@ -9,9 +9,10 @@
 //! * [`lifecycle::FlowState`] — an explicit per-flow lifecycle
 //!   (Establishing → Replicated → Degraded/Closing → TimeWait →
 //!   Reaped) replacing the implicit conn/tombstone dichotomy;
-//! * [`table::FlowTable`] — one table (slab + hash index + intrusive
-//!   LRU list) with O(1) lookup, a bounded capacity, LRU eviction,
-//!   timer-driven GC and statistics;
+//! * [`table::FlowTable`] — one table (slab + hash index + one
+//!   intrusive expiry list per TTL class, which is also the eviction
+//!   order) with O(1) lookup, a bounded capacity, least-recently-active
+//!   eviction, timer-driven GC and statistics;
 //! * [`gauges::FlowGauges`] — the registry gauges every bridge
 //!   publishes, whatever its table holds.
 //!

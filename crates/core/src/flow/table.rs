@@ -1,14 +1,15 @@
 //! The flow table.
 //!
 //! A [`FlowTable`] owns a slab of slots (index-stable, free-list
-//! recycled), a hash index from [`FlowKey`] to slot, and an intrusive
-//! LRU list threaded through the slots. All per-flow operations are
-//! O(1); iteration is in slab-slot order, which is deterministic for a
-//! fixed event sequence (unlike `HashMap` iteration, whose order
-//! changes run to run with `std`'s seeded hasher — the previous bridge
-//! code iterated such maps during §6 degradation). The index keeps
-//! `std`'s keyed hasher: the client chooses the key, so a fixed hash
-//! would let it choose the collisions too.
+//! recycled), a hash index from [`FlowKey`] to slot, and one intrusive
+//! expiry list per TTL class threaded through the slots. All per-flow
+//! operations are O(1); iteration is in slab-slot order, which is
+//! deterministic for a fixed event sequence (unlike `HashMap`
+//! iteration, whose order changes run to run with `std`'s seeded hasher
+//! — the previous bridge code iterated such maps during §6
+//! degradation). The index keeps `std`'s keyed hasher: the client
+//! chooses the key, so a fixed hash would let it choose the collisions
+//! too.
 //!
 //! A per-segment caller resolves its flow **once**: [`FlowTable::find`]
 //! is the only keyed probe, and everything after it — state, data,
@@ -17,36 +18,38 @@
 //! ([`FlowTable::get_mut`], [`FlowTable::peek`],
 //! [`FlowTable::contains`]) are `find` + the slot form.
 //!
+//! # Activity order (TTL-class expiry lists)
+//!
+//! Every slot is threaded onto one of two intrusive **expiry lists**,
+//! one per TTL class: TimeWait residue (`timewait_ttl`) and every other
+//! flow, §6 pass-through entries included (`idle_ttl`). Each `insert` /
+//! `replace` / `touch` / class-changing `set_state` is *activity*: it
+//! moves the slot to the *back* of its class list with
+//! `last_activity = now`. Because sim time is monotone, each list is
+//! ordered by `last_activity`, so it is at once the class's LRU order
+//! and its deadline order (`last_activity + ttl`).
+//!
+//! Expiry never sweeps the slab. A GC tick pops expired slots off the
+//! list fronts only — O(reaped), never O(capacity) — optionally bounded
+//! by a reap budget ([`GcPolicy::max_reaps_per_tick`]); backlog left by
+//! a budget-exhausted tick is still at the list fronts on the next one.
+//! Reaps are never early; under budget pressure they are delayed but
+//! never lost.
+//!
 //! Memory is bounded: the table holds at most
 //! [`FlowTableConfig::capacity`] flows, and its slab and index are
 //! reserved for that many once, at construction. Inserting into a full
-//! table evicts the least-recently-used entry ([`Evicted`] is handed
-//! back to the caller, which owns the policy — the primary bridge
-//! resets evicted live clients).
-//!
-//! # Incremental GC (TTL-class expiry lists)
-//!
-//! Expiry never sweeps the slab. Every slot is also threaded onto one
-//! of two intrusive **expiry lists**, one per TTL class: TimeWait
-//! residue (`timewait_ttl`) and every other flow, §6 pass-through
-//! entries included (`idle_ttl`). Each `insert` / `replace` / `touch` /
-//! class-changing `set_state` moves the slot to the *back* of its class
-//! list with
-//! `last_activity = now`; because sim time is monotone, every class
-//! list is therefore ordered by non-decreasing deadline
-//! (`last_activity + ttl`). A GC tick pops expired slots off the list
-//! fronts only — O(reaped), never O(capacity) — optionally bounded by
-//! a reap budget ([`GcPolicy::max_reaps_per_tick`]); backlog left by a
-//! budget-exhausted tick is still at the list fronts on the next one.
-//! Reaps are never early; under budget pressure they are delayed but
-//! never lost.
+//! table evicts the least-recently-active entry: the older of the two
+//! list fronts by `last_activity`, TimeWait residue first on a tie
+//! ([`Evicted`] is handed back to the caller, which owns the policy —
+//! the primary bridge resets evicted live clients).
 
 use super::lifecycle::FlowState;
 use std::cell::Cell;
 use std::collections::HashMap;
 use tcpfo_tcp::filter::FlowKey;
 
-/// Sentinel for "no slot" in the intrusive LRU / expiry links.
+/// Sentinel for "no slot" in the intrusive expiry links.
 const NONE: u32 = u32::MAX;
 
 /// Number of TTL classes (expiry lists).
@@ -112,7 +115,7 @@ impl GcPolicy {
 #[derive(Debug, Clone, Copy)]
 pub struct FlowTableConfig {
     /// Most flows the table holds; inserting one more evicts the
-    /// least-recently-used.
+    /// least-recently-active.
     pub capacity: usize,
     /// GC policy.
     pub gc: GcPolicy,
@@ -148,7 +151,7 @@ pub struct FlowStats {
     /// Flows ever inserted (an entry replaced or mutated in its slot
     /// is not a new flow).
     pub inserted: u64,
-    /// Flows evicted by LRU under capacity pressure.
+    /// Flows evicted under capacity pressure.
     pub evicted: u64,
     /// Flows reaped by GC (TTL expiry).
     pub reaped: u64,
@@ -183,17 +186,16 @@ struct Slot<T> {
     state: FlowState,
     /// Last touch (insert / replace / touch / class change), sim ns.
     last_activity: u64,
-    /// Intrusive LRU links (slot indices; [`NONE`] terminates).
-    prev: u32,
-    next: u32,
-    /// Intrusive expiry-list links (within its TTL class's list).
+    /// Intrusive expiry-list links within its TTL class's list (slot
+    /// indices; [`NONE`] terminates).
     exp_prev: u32,
     exp_next: u32,
     data: T,
 }
 
 /// Head/tail of one intrusive expiry list (FIFO: push at the tail,
-/// reap from the head — deadline order, given monotone `now`).
+/// reap and evict from the head — activity order, given monotone
+/// `now`).
 #[derive(Debug, Clone, Copy)]
 struct ExpList {
     head: u32,
@@ -209,16 +211,12 @@ impl Default for ExpList {
     }
 }
 
-/// The flow table: slab + hash index + LRU list + expiry lists + stats.
+/// The flow table: slab + hash index + expiry lists + stats.
 #[derive(Debug)]
 pub struct FlowTable<T> {
     slots: Vec<Option<Slot<T>>>,
     free: Vec<u32>,
     index: HashMap<FlowKey, u32>,
-    /// Most-recently-used slot.
-    head: u32,
-    /// Least-recently-used slot (eviction candidate).
-    tail: u32,
     /// One FIFO expiry list per TTL class.
     exp: [ExpList; EXP_CLASSES],
     config: FlowTableConfig,
@@ -241,8 +239,6 @@ impl<T> FlowTable<T> {
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             index: HashMap::with_capacity(capacity),
-            head: NONE,
-            tail: NONE,
             exp: [ExpList::default(); EXP_CLASSES],
             config: FlowTableConfig { capacity, ..config },
             stats: FlowStats::default(),
@@ -274,23 +270,28 @@ impl<T> FlowTable<T> {
     }
 
     /// Resolves `key` to its slot: the one keyed probe (one hash) a
-    /// segment pays. Does not touch the LRU.
+    /// segment pays. Not activity.
     pub fn find(&self, key: &FlowKey) -> Option<SlotId> {
         self.lookups.set(self.lookups.get() + 1);
         self.index.get(key).map(|&i| SlotId(i))
     }
 
-    /// The flow's state (does not touch the LRU).
+    /// The flow's key.
+    pub fn key(&self, slot: SlotId) -> FlowKey {
+        self.slot(slot.0).key
+    }
+
+    /// The flow's state (not activity).
     pub fn state(&self, slot: SlotId) -> FlowState {
         self.slot(slot.0).state
     }
 
-    /// Whether `key` is resident (does not touch the LRU).
+    /// Whether `key` is resident (not activity).
     pub fn contains(&self, key: &FlowKey) -> bool {
         self.find(key).is_some()
     }
 
-    /// The data of `key`'s flow, without touching the LRU.
+    /// The data of `key`'s flow (not activity).
     pub fn peek(&self, key: &FlowKey) -> Option<&T> {
         self.find(key).map(|slot| self.get(slot))
     }
@@ -301,7 +302,7 @@ impl<T> FlowTable<T> {
         Some(self.touch(slot, now))
     }
 
-    /// Shared access without touching the LRU (diagnostics, designation
+    /// Shared access that is not activity (diagnostics, designation
     /// checks).
     pub fn get(&self, slot: SlotId) -> &T {
         &self.slot(slot.0).data
@@ -313,13 +314,11 @@ impl<T> FlowTable<T> {
         &mut self.slot_mut(slot.0).data
     }
 
-    /// Mutable access as activity: LRU front, `last_activity = now`,
-    /// and the slot re-queued at the back of its expiry list (its
-    /// deadline just moved out).
+    /// Mutable access as activity: `last_activity = now`, and the slot
+    /// re-queued at the back of its expiry list (its deadline just moved
+    /// out, and it is the class's most recently active).
     pub fn touch(&mut self, slot: SlotId, now: u64) -> &mut T {
         let i = slot.0;
-        self.unlink(i);
-        self.link_front(i);
         let class = exp_class(self.slot(i).state);
         self.exp_unlink(i, class);
         self.exp_push_back(i, class);
@@ -369,17 +368,15 @@ impl<T> FlowTable<T> {
         s.state = state;
         s.last_activity = now;
         let old = std::mem::replace(&mut s.data, data);
-        self.unlink(i);
-        self.link_front(i);
         self.exp_push_back(i, exp_class(state));
         old
     }
 
     /// Inserts a flow and returns the slot it landed in; over a
     /// resident key this is [`FlowTable::replace`]. At capacity, the
-    /// least-recently-used entry is evicted first and returned — the
-    /// caller owns the eviction policy (e.g. resetting the evicted
-    /// flow's client).
+    /// least-recently-active entry (see the module docs) is evicted
+    /// first and returned — the caller owns the eviction policy (e.g.
+    /// resetting the evicted flow's client).
     pub fn insert(
         &mut self,
         key: FlowKey,
@@ -392,8 +389,7 @@ impl<T> FlowTable<T> {
             return (slot, None);
         }
         let evicted = if self.index.len() >= self.config.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NONE, "a full table has an LRU tail");
+            let victim = self.victim();
             self.stats.evicted += 1;
             self.remove_slot(victim)
         } else {
@@ -403,8 +399,6 @@ impl<T> FlowTable<T> {
             key,
             state,
             last_activity: now,
-            prev: NONE,
-            next: NONE,
             exp_prev: NONE,
             exp_next: NONE,
             data,
@@ -420,7 +414,6 @@ impl<T> FlowTable<T> {
             }
         };
         self.index.insert(key, slot);
-        self.link_front(slot);
         self.exp_push_back(slot, exp_class(state));
         self.stats.inserted += 1;
         self.stats.occupancy = self.index.len() as u64;
@@ -515,41 +508,17 @@ impl<T> FlowTable<T> {
         self.slots[i as usize].as_mut().expect("live slot")
     }
 
-    /// Detaches a slot from the LRU list (slot stays in the slab).
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let s = self.slot(i);
-            (s.prev, s.next)
-        };
-        if prev != NONE {
-            self.slot_mut(prev).next = next;
-        } else if self.head == i {
-            self.head = next;
-        }
-        if next != NONE {
-            self.slot_mut(next).prev = prev;
-        } else if self.tail == i {
-            self.tail = prev;
-        }
-        let s = self.slot_mut(i);
-        s.prev = NONE;
-        s.next = NONE;
-    }
-
-    /// Pushes a detached slot to the most-recently-used end.
-    fn link_front(&mut self, i: u32) {
-        let old = self.head;
-        {
-            let s = self.slot_mut(i);
-            s.prev = NONE;
-            s.next = old;
-        }
-        if old != NONE {
-            self.slot_mut(old).prev = i;
-        }
-        self.head = i;
-        if self.tail == NONE {
-            self.tail = i;
+    /// The least-recently-active flow: the older of the two expiry
+    /// list fronts by `last_activity`, TimeWait residue first on a tie.
+    /// Each list is in activity order, so its front is its class's
+    /// oldest.
+    fn victim(&self) -> u32 {
+        let (tw, idle) = (self.exp[EXP_TIMEWAIT].head, self.exp[EXP_IDLE].head);
+        let older = |a: u32, b: u32| self.slot(a).last_activity < self.slot(b).last_activity;
+        if tw == NONE || (idle != NONE && older(idle, tw)) {
+            idle
+        } else {
+            tw
         }
     }
 
@@ -592,10 +561,8 @@ impl<T> FlowTable<T> {
         }
     }
 
-    /// Frees a slot entirely: LRU + expiry unlink, index removal, slab
-    /// free.
+    /// Frees a slot entirely: expiry unlink, index removal, slab free.
     fn remove_slot(&mut self, i: u32) -> Option<Evicted<T>> {
-        self.unlink(i);
         self.exp_unlink(i, exp_class(self.slot(i).state));
         let s = self.slots[i as usize].take()?;
         self.index.remove(&s.key);

@@ -23,8 +23,8 @@
 //! * [`queues`] — the primary/secondary output queues of Figure 2.
 //! * [`designation`] — §7's two ways of marking failover connections.
 //! * [`flow`] — the flow table the bridge stores per-flow state in:
-//!   explicit lifecycle, a capacity limit, LRU eviction, timer-driven
-//!   GC, stats.
+//!   explicit lifecycle, a capacity limit, least-recently-active
+//!   eviction, timer-driven GC, stats.
 //! * [`observers`] — the observer seam: the one [`Observers`] value a
 //!   bridge of any role holds, and the bridge's observable moments as
 //!   methods on it.

@@ -28,7 +28,8 @@
 //! pass-through entry with `Δseq = 0` (see [`PrimaryBridge::link`]).
 //!
 //! Per-connection state lives in one [`FlowTable`] (see
-//! [`crate::flow`]): bounded capacity with LRU eviction, an explicit
+//! [`crate::flow`]): bounded capacity with least-recently-active
+//! eviction, an explicit
 //! lifecycle, and timer-driven GC that expires §8 tombstones. A batch
 //! is filtered one segment at a time, in input order.
 //!
@@ -98,7 +99,7 @@ pub struct PrimaryStats {
     pub fins_sent: u64,
     /// Connections fully torn down.
     pub conns_closed: u64,
-    /// Flows pushed out of the table by LRU under capacity pressure.
+    /// Flows pushed out of the table under capacity pressure.
     pub evicted_flows: u64,
     /// RST segments synthesised to reset evicted live connections.
     pub evicted_rsts: u64,
@@ -753,6 +754,39 @@ mod tests {
     /// Runs the whole client-initiated handshake through the bridge and
     /// returns it established.
     fn established() -> PrimaryBridge {
+        established_with_syn_ack().0
+    }
+
+    /// P's SYN+ACK as its stack sends it (`iss` its ISN).
+    fn p_synack(iss: u32) -> AddressedSegment {
+        raw(
+            A_P,
+            A_C,
+            TcpSegment::builder(80, 5555)
+                .seq(iss)
+                .ack(ISS_C + 1)
+                .flags(TcpFlags::SYN)
+                .mss(1460)
+                .window(50_000)
+                .build(),
+        )
+    }
+
+    /// S's SYN+ACK as the secondary bridge diverts it (`iss` its ISN).
+    fn s_synack(iss: u32) -> AddressedSegment {
+        diverted(
+            TcpSegment::builder(80, 5555)
+                .seq(iss)
+                .ack(ISS_C + 1)
+                .flags(TcpFlags::SYN)
+                .mss(1200)
+                .window(40_000)
+                .build(),
+        )
+    }
+
+    /// [`established`], with the merged SYN+ACK's wire bytes.
+    fn established_with_syn_ack() -> (PrimaryBridge, Bytes) {
         let mut b = bridge();
         let syn = raw(
             A_C,
@@ -766,29 +800,9 @@ mod tests {
         );
         let out = b.on_inbound(syn, 0);
         assert_eq!(out.to_tcp.len(), 1, "client SYN passes up");
-        let p_synack = raw(
-            A_P,
-            A_C,
-            TcpSegment::builder(80, 5555)
-                .seq(ISS_P)
-                .ack(ISS_C + 1)
-                .flags(TcpFlags::SYN)
-                .mss(1460)
-                .window(50_000)
-                .build(),
-        );
-        let held = b.on_outbound(p_synack, 0);
+        let held = b.on_outbound(p_synack(ISS_P), 0);
         assert!(held.to_wire.is_empty(), "P's SYN+ACK is held");
-        let s_synack = diverted(
-            TcpSegment::builder(80, 5555)
-                .seq(ISS_S)
-                .ack(ISS_C + 1)
-                .flags(TcpFlags::SYN)
-                .mss(1200)
-                .window(40_000)
-                .build(),
-        );
-        let merged = b.on_inbound(s_synack, 0);
+        let merged = b.on_inbound(s_synack(ISS_S), 0);
         assert_eq!(merged.to_wire.len(), 1);
         let syn_ack = decode_wire(&merged, 0);
         assert!(syn_ack.flags.contains(TcpFlags::SYN | TcpFlags::ACK));
@@ -801,7 +815,7 @@ mod tests {
             merged.to_wire[0].dst,
             &merged.to_wire[0].bytes
         ));
-        b
+        (b, merged.to_wire[0].bytes.clone())
     }
 
     fn p_data(seq_off: u32, payload: &'static [u8], ack: u32) -> AddressedSegment {
@@ -1263,25 +1277,55 @@ mod tests {
 
     #[test]
     fn syn_retransmission_resends_merged_syn_ack() {
-        let mut b = established();
-        // P's TCP retransmits its SYN+ACK (the client ACK was slow).
-        let p_synack = raw(
-            A_P,
+        let (mut b, first) = established_with_syn_ack();
+        // Either replica's TCP retransmits its SYN+ACK (the client ACK
+        // was slow): the merged SYN+ACK goes out again, byte for byte.
+        for (i, out) in [
+            b.on_outbound(p_synack(ISS_P), 0),
+            b.on_inbound(s_synack(ISS_S), 0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_eq!(out.to_wire.len(), 1, "merged SYN+ACK re-sent ({i})");
+            assert_eq!(out.to_wire[0].bytes, first, "the first merged bytes ({i})");
+        }
+        assert_eq!(b.stats.retransmissions_forwarded, 2);
+        // A SYN carrying another ISN after the merge still gets the
+        // merged SYN+ACK: Δseq and the client-facing ISN stay.
+        for out in [
+            b.on_outbound(p_synack(ISS_P + 77), 0),
+            b.on_inbound(s_synack(ISS_S + 77), 0),
+        ] {
+            assert_eq!(out.to_wire.len(), 1);
+            assert_eq!(out.to_wire[0].bytes, first);
+        }
+    }
+
+    #[test]
+    fn secondary_failed_before_merge_releases_held_syn_ack_as_sent() {
+        let mut b = bridge();
+        let syn = raw(
             A_C,
-            TcpSegment::builder(80, 5555)
-                .seq(ISS_P)
-                .ack(ISS_C + 1)
+            A_P,
+            TcpSegment::builder(5555, 80)
+                .seq(ISS_C)
                 .flags(TcpFlags::SYN)
                 .mss(1460)
-                .window(50_000)
+                .window(60_000)
                 .build(),
         );
-        let out = b.on_outbound(p_synack, 0);
-        assert_eq!(out.to_wire.len(), 1, "merged SYN+ACK re-sent");
-        let seg = decode_wire(&out, 0);
-        assert!(seg.flags.contains(TcpFlags::SYN | TcpFlags::ACK));
-        assert_eq!(seg.seq, ISS_S);
-        assert!(b.stats.retransmissions_forwarded >= 1);
+        b.on_inbound(syn, 0);
+        let sent = p_synack(ISS_P);
+        let bytes = sent.bytes.clone();
+        assert!(b.on_outbound(sent, 0).to_wire.is_empty(), "held");
+        // §6 before the secondary's SYN+ACK arrives: the primary's is
+        // released exactly as its stack sent it.
+        let out = b.secondary_failed(1_000);
+        assert_eq!(out.to_wire.len(), 1);
+        assert_eq!((out.to_wire[0].src, out.to_wire[0].dst), (A_P, A_C));
+        assert_eq!(out.to_wire[0].bytes, bytes);
+        assert_eq!(b.conn_count(), 0, "the connection continues unbridged");
     }
 
     #[test]

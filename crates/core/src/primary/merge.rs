@@ -3,6 +3,10 @@
 //! through the [`Emitter`], the one way a connection's client-facing
 //! segments leave. The handshake merges into one SYN (§7), and a
 //! retransmission is forwarded at once (§4).
+//!
+//! A connection keeps only what the merge still reads: each replica's
+//! SYN is held as a [`HeldSyn`] record until both are in, and after
+//! the merge only the merged SYN's ISN and acknowledgment remain.
 
 use super::datapath::Engine;
 use super::residue::PrimaryFlow;
@@ -11,13 +15,13 @@ use crate::designation::ConnKey;
 use crate::flow::{FlowState, SlotId};
 use crate::observers::{Lag, StageClock};
 use crate::queues::{ByteQueue, TakenBytes};
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use tcpfo_tcp::filter::{AddressedSegment, FilterOutput, TraceId};
 use tcpfo_tcp::seq::{seq_gt, seq_le, seq_min};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::{FlowClass, Stage};
 use tcpfo_wire::ipv4::Ipv4Addr;
-use tcpfo_wire::tcp::{HeaderTemplate, TcpFlags, TcpSegment};
+use tcpfo_wire::tcp::{HeaderTemplate, TcpFlags, TcpOption, TcpSegment};
 
 /// Index of our own TCP layer's [`Side`] in [`Conn::sides`] (and of
 /// its FIN in a §6 entry's `fins`).
@@ -25,12 +29,61 @@ pub(super) const OURS: usize = 1;
 /// Index of the [`Side`] diverted from below.
 pub(super) const BELOW: usize = 0;
 
+/// A replica's held handshake segment (client-initiated: SYN+ACK;
+/// server-initiated: SYN), reduced to its header fields and MSS — all
+/// our stack's SYN carries, so [`HeldSyn::segment`] rebuilds it byte
+/// for byte.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct HeldSyn {
+    seq: u32,
+    ack: u32,
+    flags: TcpFlags,
+    window: u16,
+    mss: Option<u16>,
+}
+
+impl HeldSyn {
+    fn of(seg: &TcpSegment) -> Self {
+        HeldSyn {
+            seq: seg.seq,
+            ack: seg.ack,
+            flags: seg.flags,
+            window: seg.window,
+            mss: seg.mss(),
+        }
+    }
+
+    /// The segment as the replica's stack sent it on `key`.
+    pub(super) fn segment(&self, key: ConnKey) -> TcpSegment {
+        TcpSegment {
+            src_port: key.server_port,
+            dst_port: key.peer.port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: self.flags,
+            window: self.window,
+            options: self.mss.map(TcpOption::Mss).into_iter().collect(),
+            payload: Bytes::new(),
+        }
+    }
+}
+
+/// Where a connection's handshake stands.
+#[derive(Debug)]
+pub(super) enum Handshake {
+    /// Each replica's SYN as far as it arrived, indexed by [`OURS`]
+    /// and [`BELOW`].
+    Held([Option<HeldSyn>; 2]),
+    /// Merged: the client-facing ISN and acknowledgment of the merged
+    /// SYN, re-sent when a replica retransmits its SYN.
+    Merged { iss: u32, ack: Option<u32> },
+    /// Adopted from a handoff: merged upstream, nothing to re-send.
+    Adopted,
+}
+
 /// One replica's side of a connection, in client stream space.
 #[derive(Debug, Default)]
 pub(super) struct Side {
-    /// Its held handshake segment (client-initiated: SYN+ACK;
-    /// server-initiated: SYN).
-    pub(super) syn: Option<TcpSegment>,
     /// Its output queue: the normalised send stream.
     pub(super) queue: ByteQueue,
     /// Its FIN position, once produced.
@@ -50,6 +103,8 @@ pub(super) struct Conn {
     tmpl: HeaderTemplate,
     /// Each replica's side, indexed by [`OURS`] and [`BELOW`].
     pub(super) sides: [Side; 2],
+    /// The held SYN records until the merge, then what re-sends it.
+    pub(super) handshake: Handshake,
     /// `seq_P,init − seq_S,init`, known once both SYNs are seen.
     pub(super) delta: Option<u32>,
     /// Effective MSS for merged segments: `min(MSS_P, MSS_S)`.
@@ -79,6 +134,7 @@ impl Conn {
         Conn {
             tmpl: HeaderTemplate::new(a_p, client.ip, server_port, client.port),
             sides: Default::default(),
+            handshake: Handshake::Held([None; 2]),
             delta: None,
             mss: 536,
             send_next: 0,
@@ -356,42 +412,51 @@ impl Engine<'_> {
     }
 
     /// Builds the merged SYN / SYN+ACK once both replicas' SYNs are
-    /// held (§7.1, §7.2), and builds it again when a replica
-    /// retransmits its SYN after the merge.
+    /// held (§7.1, §7.2), dropping both records, and sends the same
+    /// SYN again when a replica retransmits its SYN after the merge.
     fn merge_syn(&mut self, key: ConnKey, slot: SlotId, out: &mut FilterOutput) {
         let PrimaryFlow::Live(conn) = self.flows.data_mut(slot) else {
             return;
         };
-        let (Some(p), Some(s)) = (&conn.sides[OURS].syn, &conn.sides[BELOW].syn) else {
-            return;
-        };
-        let (delta, iss) = (p.seq.wrapping_sub(s.seq), s.seq);
-        let mss = p.mss().unwrap_or(536).min(s.mss().unwrap_or(536));
-        // Client-initiated: both SYN+ACKs acknowledge the same client ISN.
-        let ack = p.flags.contains(TcpFlags::ACK).then_some(p.ack);
-        debug_assert!(ack.is_none() || p.ack == s.ack);
-        if conn.delta.is_none() {
-            conn.delta = Some(delta);
-            conn.mss = mss;
-            conn.send_next = iss.wrapping_add(1);
-            if ack.is_some() {
-                for side in &mut conn.sides {
-                    side.ack = side.syn.as_ref().map(|syn| syn.ack);
+        let (iss, ack) = match conn.handshake {
+            Handshake::Held(held) => {
+                let (Some(p), Some(s)) = (held[OURS], held[BELOW]) else {
+                    return;
+                };
+                let (delta, iss) = (p.seq.wrapping_sub(s.seq), s.seq);
+                // Client-initiated: both SYN+ACKs acknowledge the same
+                // client ISN.
+                let ack = p.flags.contains(TcpFlags::ACK).then_some(p.ack);
+                debug_assert!(ack.is_none() || p.ack == s.ack);
+                conn.delta = Some(delta);
+                conn.mss = p.mss.unwrap_or(536).min(s.mss.unwrap_or(536));
+                conn.send_next = iss.wrapping_add(1);
+                if ack.is_some() {
+                    conn.sides[OURS].ack = Some(p.ack);
+                    conn.sides[BELOW].ack = Some(s.ack);
                 }
+                conn.handshake = Handshake::Merged { iss, ack };
+                if let Some(t) = self.instruments {
+                    t.record(
+                        self.now,
+                        "sync",
+                        &[
+                            ("client", format!("{}:{}", key.peer.ip, key.peer.port)),
+                            ("delta_seq", delta.to_string()),
+                        ],
+                    );
+                }
+                (iss, ack)
             }
-            if let Some(t) = self.instruments {
-                t.record(
-                    self.now,
-                    "sync",
-                    &[
-                        ("client", format!("{}:{}", key.peer.ip, key.peer.port)),
-                        ("delta_seq", delta.to_string()),
-                    ],
-                );
+            Handshake::Merged { iss, ack } => {
+                self.emit.stats.retransmissions_forwarded += 1;
+                (iss, ack)
             }
-        } else {
-            self.emit.stats.retransmissions_forwarded += 1;
-        }
+            Handshake::Adopted => {
+                self.emit.stats.drops += 1;
+                return;
+            }
+        };
         let mut b = TcpSegment::builder(key.server_port, key.peer.port)
             .seq(iss)
             .flags(TcpFlags::SYN)
@@ -435,7 +500,9 @@ impl Engine<'_> {
         // Handshake segments.
         if seg.flags.contains(TcpFlags::SYN) {
             conn.sides[side].win = seg.window;
-            conn.sides[side].syn = Some(seg.clone());
+            if let Handshake::Held(held) = &mut conn.handshake {
+                held[side] = Some(HeldSyn::of(seg));
+            }
             self.merge_syn(key, slot, out);
             return;
         }
@@ -550,5 +617,18 @@ impl Engine<'_> {
             }
         }
         self.maybe_teardown(slot);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connection is what the merge reads: no held segment outlives
+    /// the handshake, and a queue's first chunk sits inline.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_connection_is_pinned_at_its_size() {
+        assert_eq!(std::mem::size_of::<Conn>(), 264);
     }
 }

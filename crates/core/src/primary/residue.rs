@@ -6,7 +6,7 @@
 //! under capacity pressure is reset.
 
 use super::datapath::Engine;
-use super::merge::{Conn, OURS};
+use super::merge::{Conn, Handshake, OURS};
 use super::{PrimaryBridge, PrimaryMode};
 use crate::designation::ConnKey;
 use crate::flow::{Evicted, FlowState, SlotId};
@@ -120,6 +120,7 @@ impl PrimaryBridge {
             (FlowState::Degraded, PrimaryFlow::degraded(0))
         } else {
             let mut conn = Box::new(Conn::new(self.a_p, h.client, h.server_port));
+            conn.handshake = Handshake::Adopted;
             conn.delta = Some(h.delta);
             conn.mss = h.mss;
             conn.send_next = h.cursor;
@@ -147,6 +148,7 @@ impl Engine<'_> {
             let Some(slot) = self.live(self.flows.slot_at(i)) else {
                 continue;
             };
+            let key = self.flows.key(slot);
             let PrimaryFlow::Live(conn) = self.flows.data_mut(slot) else {
                 continue;
             };
@@ -156,10 +158,11 @@ impl Engine<'_> {
             conn.left(&mut self.lag);
             let Some(delta) = conn.delta else {
                 // Handshake never completed against the secondary:
-                // release the held SYN unmodified; the connection
-                // continues as a plain TCP connection.
-                if let Some(syn) = conn.sides[OURS].syn.take() {
-                    self.emit.encoded(conn, syn, out);
+                // release the held SYN as our stack sent it; the
+                // connection continues as a plain TCP connection.
+                if let Handshake::Held([_, Some(syn)]) = conn.handshake {
+                    let seg = syn.segment(key);
+                    self.emit.encoded(conn, seg, out);
                 }
                 self.flows.remove(slot);
                 continue;
@@ -254,8 +257,8 @@ impl Engine<'_> {
         }
     }
 
-    /// Capacity-pressure eviction: the table pushed out its LRU entry
-    /// to make room. An established live connection cannot silently
+    /// Capacity-pressure eviction: the table pushed out its
+    /// least-recently-active entry to make room. An established live connection cannot silently
     /// vanish — its client would retransmit into a black hole forever —
     /// so it is reset with an RST in the client-facing sequence space.
     pub(super) fn on_evicted(&mut self, ev: Evicted<PrimaryFlow>, out: &mut FilterOutput) {

@@ -6,15 +6,21 @@
 //! before insertion). The bridge releases to the client exactly the
 //! bytes present in **both** queues, in order.
 //!
-//! The queue is a *rope*: a sorted vector of refcounted [`Bytes`]
-//! chunks, each a sub-slice of the parsed segment payload it arrived
-//! in. Inserting buffers a slice (no copy), releasing hands the same
-//! slice back out ([`TakenBytes`]), and each chunk carries its Internet
+//! The queue is a *rope*: a sorted run of refcounted [`Bytes`] chunks,
+//! each a sub-slice of the parsed segment payload it arrived in.
+//! Inserting buffers a slice (no copy), releasing hands the same slice
+//! back out ([`TakenBytes`]), and each chunk carries its Internet
 //! checksum contribution, computed once at insert time, so the egress
 //! path never rescans payload bytes. Adjacent chunks stay separate;
 //! contiguity is implied by `prev.end() == next.start`.
+//!
+//! A queue holds its first chunk inline and allocates a vector only
+//! once it holds two or more: a connection whose replicas stay in step
+//! never has more than one segment's payload waiting on either side,
+//! so its queues never touch the allocator.
 
 use bytes::Bytes;
+use std::ops::Range;
 use tcpfo_tcp::seq::{seq_diff, seq_le, seq_lt};
 use tcpfo_wire::checksum::{fold_sum, raw_sum, sub_sum, swap_sum};
 
@@ -32,6 +38,58 @@ struct Chunk {
 impl Chunk {
     fn end(&self) -> u32 {
         self.start.wrapping_add(self.data.len() as u32)
+    }
+}
+
+/// A rope's chunks, in order: none, one held inline, or a vector once
+/// a second arrives (kept, capacity and all, for the queue's life).
+#[derive(Debug, Clone, Default)]
+enum Chunks {
+    #[default]
+    Empty,
+    One(Chunk),
+    Many(Vec<Chunk>),
+}
+
+impl Chunks {
+    fn as_slice(&self) -> &[Chunk] {
+        match self {
+            Chunks::Empty => &[],
+            Chunks::One(c) => std::slice::from_ref(c),
+            Chunks::Many(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Chunk] {
+        match self {
+            Chunks::Empty => &mut [],
+            Chunks::One(c) => std::slice::from_mut(c),
+            Chunks::Many(v) => v,
+        }
+    }
+
+    fn push(&mut self, c: Chunk) {
+        *self = match std::mem::take(self) {
+            Chunks::Empty => Chunks::One(c),
+            Chunks::One(first) => Chunks::Many(vec![first, c]),
+            Chunks::Many(mut v) => {
+                v.push(c);
+                Chunks::Many(v)
+            }
+        };
+    }
+
+    /// Removes the chunks in `range`, handing each to `f` in order.
+    fn remove(&mut self, range: Range<usize>, mut f: impl FnMut(Chunk)) {
+        match self {
+            Chunks::Many(v) => v.drain(range).for_each(f),
+            Chunks::One(_) if !range.is_empty() => {
+                if let Chunks::One(c) = std::mem::take(self) {
+                    f(c);
+                }
+            }
+            _ => {}
+        }
     }
 }
 
@@ -181,7 +239,7 @@ pub struct ByteQueue {
     /// Sorted, non-overlapping chunks. Adjacent chunks are *not*
     /// physically merged — a contiguous run is a maximal series of
     /// chunks with `prev.end() == next.start`.
-    chunks: Vec<Chunk>,
+    chunks: Chunks,
     /// Maintained byte total, so [`ByteQueue::len`] is O(1).
     total: usize,
     /// Bytes that arrived twice with *different* contents — evidence of
@@ -203,12 +261,16 @@ impl ByteQueue {
 
     /// Whether the queue holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.chunks().is_empty()
+    }
+
+    fn chunks(&self) -> &[Chunk] {
+        self.chunks.as_slice()
     }
 
     /// Index of the first chunk whose end lies beyond `seq`.
     fn search(&self, seq: u32) -> usize {
-        self.chunks.partition_point(|c| seq_le(c.end(), seq))
+        self.chunks().partition_point(|c| seq_le(c.end(), seq))
     }
 
     /// Inserts `data` at `seq`, discarding any portion below `floor`
@@ -233,7 +295,7 @@ impl ByteQueue {
         // Fast path (in-order arrival): strictly beyond everything
         // buffered. No clipping, no sort, no allocation beyond vector
         // growth.
-        let fits_at_tail = match self.chunks.last() {
+        let fits_at_tail = match self.chunks().last() {
             None => true,
             Some(c) => seq_le(c.end(), seq),
         };
@@ -250,7 +312,7 @@ impl ByteQueue {
         // Slow path: clip against each existing chunk, inserting only
         // fresh spans (still slices of `data`, never copies).
         let mut spans: Vec<(u32, Bytes)> = vec![(seq, data)];
-        for c in &self.chunks {
+        for c in self.chunks.as_slice() {
             let rstart = c.start;
             let rend = c.end();
             let mut next = Vec::new();
@@ -297,7 +359,7 @@ impl ByteQueue {
                 sum,
             });
         }
-        self.chunks.sort_by(|a, b| {
+        self.chunks.as_mut_slice().sort_by(|a, b| {
             if a.start == b.start {
                 std::cmp::Ordering::Equal
             } else if seq_lt(a.start, b.start) {
@@ -312,7 +374,7 @@ impl ByteQueue {
     /// queue does not contain that byte).
     pub fn contiguous_from(&self, seq: u32) -> usize {
         let idx = self.search(seq);
-        let Some(c) = self.chunks.get(idx) else {
+        let Some(c) = self.chunks().get(idx) else {
             return 0;
         };
         if !seq_le(c.start, seq) {
@@ -320,7 +382,7 @@ impl ByteQueue {
         }
         let mut n = seq_diff(c.end(), seq) as usize;
         let mut end = c.end();
-        for c in &self.chunks[idx + 1..] {
+        for c in &self.chunks()[idx + 1..] {
             if c.start != end {
                 break;
             }
@@ -344,15 +406,16 @@ impl ByteQueue {
             "take of absent bytes"
         );
         let idx = self.search(seq);
+        let chunks = self.chunks.as_mut_slice();
         debug_assert_eq!(
-            self.chunks[idx].start, seq,
+            chunks[idx].start, seq,
             "take must start at a chunk head after floor discipline"
         );
         // Count whole chunks consumed; pre-split a trailing partial one.
         let mut whole = 0usize;
         let mut acc = 0usize;
         while acc < n {
-            let clen = self.chunks[idx + whole].data.len();
+            let clen = chunks[idx + whole].data.len();
             if acc + clen > n {
                 break;
             }
@@ -362,7 +425,7 @@ impl ByteQueue {
         let mut split: Option<(Bytes, u32)> = None;
         if acc < n {
             let need = n - acc;
-            let c = &mut self.chunks[idx + whole];
+            let c = &mut chunks[idx + whole];
             let part = c.data.slice(..need);
             let part_sum = raw_sum(&part);
             // Derive the remainder's sum from the cached whole-chunk
@@ -380,9 +443,8 @@ impl ByteQueue {
             split = Some((part, part_sum));
         }
         let mut out = TakenBytes::empty();
-        for c in self.chunks.drain(idx..idx + whole) {
-            out.push_part(c.data, c.sum);
-        }
+        self.chunks
+            .remove(idx..idx + whole, |c| out.push_part(c.data, c.sum));
         if let Some((part, part_sum)) = split {
             out.push_part(part, part_sum);
         }
@@ -394,10 +456,10 @@ impl ByteQueue {
     /// retransmission proves the client has the data).
     pub fn discard_below(&mut self, floor: u32) {
         let cut = self.search(floor);
-        for c in self.chunks.drain(..cut) {
-            self.total -= c.data.len();
-        }
-        if let Some(c) = self.chunks.first_mut() {
+        let mut dropped = 0;
+        self.chunks.remove(0..cut, |c| dropped += c.data.len());
+        self.total -= dropped;
+        if let Some(c) = self.chunks.as_mut_slice().first_mut() {
             if seq_lt(c.start, floor) {
                 let skip = seq_diff(floor, c.start) as usize;
                 c.data = c.data.slice(skip..);

@@ -29,24 +29,44 @@ struct CountingAlloc;
 // `try_with` covers the TLS-teardown edge.
 std::thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_SMALL: Cell<i64> = const { Cell::new(0) };
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Below a frame's size: per-flow state, never a recycled frame
+/// storage (those go to `bytes`' free list instead of back to us).
+const SMALL: usize = 1024;
+
+/// Live allocations smaller than [`SMALL`] bytes.
+fn live_small() -> i64 {
+    LIVE_SMALL.with(Cell::get)
+}
+
+fn count_live(size: usize, by: i64) {
+    if size < SMALL {
+        let _ = LIVE_SMALL.try_with(|c| c.set(c.get() + by));
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_live(layout.size(), 1);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_live(layout.size(), -1);
+        count_live(new_size, 1);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(layout.size(), -1);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -731,5 +751,86 @@ fn auditor_steady_state_does_not_allocate() {
     assert_eq!(
         delta, 0,
         "the auditor allocated {delta} times in {MEASURED} rounds"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Per-flow state: one allocation a connection
+// ---------------------------------------------------------------------
+
+/// Opens the flow of client port `port` (client SYN, P's SYN+ACK held,
+/// S's diverted SYN+ACK merging them), then runs one matched data
+/// round on it and the client's ACK of it.
+fn open_and_echo(bridge: &mut PrimaryBridge, port: u16, out: &mut FilterOutput) {
+    let to_client = |src: Ipv4Addr, seg: TcpSegment| {
+        if src == A_P {
+            return raw(A_P, A_C, seg);
+        }
+        let mut p = SegmentPatcher::new(seg.encode(A_S, A_C).to_vec(), A_S, A_C);
+        p.push_orig_dest_option(A_C, port);
+        p.set_pseudo_dst(A_P);
+        let (bytes, src, dst) = p.finish();
+        AddressedSegment::new(src, dst, bytes)
+    };
+    let syn_ack = |src, iss, mss| {
+        let seg = TcpSegment::builder(80, port)
+            .seq(iss)
+            .ack(ISS_C + 1)
+            .flags(TcpFlags::SYN)
+            .mss(mss)
+            .window(50_000)
+            .build();
+        to_client(src, seg)
+    };
+    let data = |src, iss: u32| {
+        let seg = TcpSegment::builder(80, port)
+            .seq(iss + 1)
+            .ack(ISS_C + 1)
+            .window(50_000)
+            .payload(PAYLOAD.to_vec().into())
+            .build();
+        to_client(src, seg)
+    };
+    let from_client = |seg: TcpSegment| raw(A_C, A_P, seg);
+    let syn = TcpSegment::builder(port, 80)
+        .seq(ISS_C)
+        .flags(TcpFlags::SYN)
+        .mss(1460)
+        .window(60_000)
+        .build();
+    bridge.on_inbound_into(from_client(syn), 0, out);
+    bridge.on_outbound_into(syn_ack(A_P, ISS_P, 1460), 0, out);
+    bridge.on_inbound_into(syn_ack(A_S, ISS_S, 1200), 0, out);
+    bridge.on_outbound_into(data(A_P, ISS_P), 0, out);
+    bridge.on_inbound_into(data(A_S, ISS_S), 0, out);
+    let ack = TcpSegment::builder(port, 80)
+        .seq(ISS_C + 1)
+        .ack(ISS_S + 1 + PAYLOAD.len() as u32)
+        .window(60_000)
+        .build();
+    bridge.on_inbound_into(from_client(ack), 0, out);
+    assert_eq!(out.to_wire.len(), 2, "merged SYN+ACK and matched bytes");
+    out.clear();
+}
+
+/// A resident flow costs the bridge one allocation, its `Box<Conn>`:
+/// a held SYN is a record, and an output queue holding one chunk holds
+/// it inline.
+#[test]
+fn a_resident_flow_is_one_allocation() {
+    const FLOWS: u16 = 256;
+    let mut bridge = PrimaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
+    let mut out = FilterOutput::empty();
+    // Warm the scratch buffers on a first flow.
+    open_and_echo(&mut bridge, 1_000, &mut out);
+    let base = live_small();
+    for i in 1..=FLOWS {
+        open_and_echo(&mut bridge, 1_000 + i, &mut out);
+    }
+    let grown = live_small() - base;
+    assert_eq!(bridge.conn_count(), usize::from(FLOWS) + 1);
+    assert!(
+        grown <= i64::from(FLOWS),
+        "{FLOWS} resident flows hold {grown} allocations"
     );
 }

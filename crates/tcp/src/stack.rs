@@ -393,10 +393,16 @@ impl TcpStack {
         Ok(n)
     }
 
-    /// Reads up to `max` bytes of in-order data.
+    /// Reads up to `max` bytes of in-order data. A read that finds
+    /// nothing changes nothing, so it runs no output pass (every socket
+    /// mutation already ended in one).
     pub fn recv(&mut self, id: SocketId, max: usize, now: SimTime) -> Result<Vec<u8>, StackError> {
         let slot = self.sockets.get_mut(id.0).and_then(|s| s.as_mut());
-        let data = slot.ok_or(StackError::BadSocket)?.sock.recv(max, &self.cfg);
+        let sock = &mut slot.ok_or(StackError::BadSocket)?.sock;
+        if max == 0 || sock.recv_available() == 0 {
+            return Ok(Vec::new());
+        }
+        let data = sock.recv(max, &self.cfg);
         self.run_output(id, now); // may emit a window update
         Ok(data)
     }

@@ -360,7 +360,7 @@ impl Quantile {
 pub enum Stage {
     /// Frame decode + TCP header parse on bridge entry.
     IngressParse,
-    /// Flow-table lookup (and LRU touch) for the segment's key.
+    /// Flow-table lookup (and touch) for the segment's key.
     FlowLookup,
     /// §3.2 shadow-queue matching: P/S watermark merge and release
     /// decision.

@@ -1,5 +1,5 @@
 //! Cross-crate exercises of the `tcpfo-core` flow-table subsystem:
-//! LRU eviction order, capacity limits, GC TTLs, iteration order and
+//! eviction order, capacity limits, GC TTLs, iteration order and
 //! stat accounting — through the public API only.
 
 use proptest::prelude::*;
@@ -49,6 +49,36 @@ fn lru_evicts_least_recently_used() {
     assert!(t.contains(&key(0)));
     assert!(t.contains(&key(99)));
     assert_eq!(t.stats().evicted, 1);
+}
+
+#[test]
+fn entering_timewait_is_activity_for_eviction() {
+    let mut t = table(2);
+    let a = t.insert(key(0), FlowState::Replicated, 0, 1).0;
+    t.set_state(a, FlowState::Closing, 2);
+    t.insert(key(1), FlowState::Replicated, 1, 3);
+    // Flow 0 moves Closing -> TimeWait at t = 5: a class change, so it
+    // is now more recently active than flow 1, last touched at t = 3.
+    t.set_state(a, FlowState::TimeWait, 5);
+    let ev = t.insert(key(2), FlowState::Establishing, 2, 6).1.unwrap();
+    assert_eq!(ev.key, key(1), "the flow last active at t = 3 goes");
+    assert!(t.contains(&key(0)));
+}
+
+#[test]
+fn eviction_tie_takes_timewait_residue_first() {
+    let tw = (key(0), FlowState::TimeWait);
+    let live = (key(1), FlowState::Replicated);
+    for order in [[tw, live], [live, tw]] {
+        let mut t = table(2);
+        for (k, st) in order {
+            t.insert(k, st, 0, 7);
+        }
+        let ev = t.insert(key(2), FlowState::Establishing, 2, 8).1.unwrap();
+        assert_eq!(ev.key, key(0), "tie at t = 7: residue before a live flow");
+        assert_eq!(ev.state, FlowState::TimeWait);
+        assert!(t.contains(&key(1)));
+    }
 }
 
 #[test]
@@ -229,7 +259,7 @@ proptest! {
     /// resets, GC at an advancing clock — leaves a table driven through
     /// the slot API and one driven through keyed detach + re-insert
     /// indistinguishable: same `iter()` order (so same slot indices),
-    /// same eviction victims (same LRU order), same GC reap order (same
+    /// same eviction victims (same activity order), same GC reap order (same
     /// expiry-list order and `last_activity`).
     #[test]
     fn prop_slot_api_equals_detach_and_reinsert(
@@ -276,7 +306,7 @@ proptest! {
             prop_assert_eq!(slot.entries(), keyed.entries(), "after op {}", i);
         }
         // Drain: first everything GC may take, in its order, then the
-        // GC-exempt rest by eviction, in LRU order.
+        // GC-exempt rest by eviction, in activity order.
         let end = now + 1_000;
         prop_assert_eq!(slot.gc(end), keyed.gc(end));
         for n in 0..16 {
