@@ -424,14 +424,13 @@ fn trace(args: &[String]) -> i32 {
     }
 
     println!("\n── redundancy restoration ──");
-    let tr = &tb.tracker;
-    match (tr.reprovision_ns(), tr.catchup_ns(), tr.total_ns()) {
-        (Some(rep), Some(cat), Some(total)) => {
-            bars(&[("reprovision", rep), ("catchup", cat)]);
-            let total = total as f64 / 1e6;
+    match hub.redundancy.restoration() {
+        Some(r) => {
+            bars(&[("reprovision", r.reprovision_ns), ("catchup", r.catchup_ns)]);
+            let total = r.total_ns as f64 / 1e6;
             println!("{:<18} {:<40} {total:>10.3} ms", "restored", "");
         }
-        _ => println!("(not restored within the rehearsal window)"),
+        None => println!("(not restored within the rehearsal window)"),
     }
 
     let records = hub.trace.records();

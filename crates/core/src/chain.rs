@@ -477,8 +477,8 @@ impl ChainController {
             // Audit-log-before-act: the decision reaches the journal and
             // the auditor before any topology mutation below.
             self.event("promote", now, &[("vip", vip.to_string())], [None, None]);
-            if let Some(aud) = observers_of(services.filter).and_then(|o| o.audit.as_deref_mut()) {
-                aud.note_promotion_decision(now_nanos);
+            if let Some(o) = observers_of(services.filter) {
+                o.promotion_decided(now_nanos);
             }
         }
 
@@ -581,8 +581,8 @@ impl ChainController {
             // Commit record: checked against the decision stamp by the
             // auditor's promotion-order rule.
             self.event("promoted", now, &[("vip", vip.to_string())], [None, None]);
-            if let Some(aud) = observers_of(services.filter).and_then(|o| o.audit.as_deref_mut()) {
-                aud.note_promotion_committed(now_nanos);
+            if let Some(o) = observers_of(services.filter) {
+                o.promotion_committed(now_nanos);
             }
         }
         if let (Some(t), Some(span)) = (&self.telemetry, promo_span) {

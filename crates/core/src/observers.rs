@@ -4,17 +4,18 @@
 //! A bridge of any role owns exactly one [`Observers`]. Each observer
 //! is still its own `Option<Box<_>>`, so a detached site is one branch
 //! and an attached one allocates nothing; what is written once, here,
-//! is what happens at each moment — a segment filtered (`audited`), a
-//! stage run (`StageClock`), held bytes changed, matched or gone with
-//! their flow (`Lag`), a mode change, a takeover, a batch
-//! bracket, the host tick's publish. DESIGN §8 *Observer seam* has the
-//! table of moments and who consumes each.
+//! is what happens at each moment — a stage run (`StageClock`), held
+//! bytes changed, matched or gone with their flow (`Lag`), a mode
+//! change, a takeover, a promotion, a batch bracket, the host tick's
+//! publish. The auditor is handed each segment by the merge engine,
+//! with the role the engine gave it, and what the segment's step put
+//! out. DESIGN §8 *Observer seam* has the table of moments and who
+//! consumes each.
 //!
 //! A new observer is a field here and a consumer of one of these
 //! moments, never a new field on a bridge.
 
 use crate::primary::PrimaryMode;
-use tcpfo_tcp::filter::{AddressedSegment, FilterOutput};
 use tcpfo_telemetry::{
     AuditConfig, FlowClass, HealthObservatory, HostClock, InvariantAuditor, LatencyObservatory,
     ObserverSwitches, Scope, SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
@@ -65,9 +66,11 @@ impl Observers {
         self.datapath().1
     }
 
-    /// The two pieces per-segment code consumes, borrowed side by side.
+    /// The pieces per-segment code consumes, borrowed side by side: the
+    /// stage clock, the lag ledger, and the auditor the merge engine
+    /// hands each segment's role.
     #[inline]
-    pub(crate) fn datapath(&mut self) -> (StageClock<'_>, Lag<'_>) {
+    pub(crate) fn datapath(&mut self) -> (StageClock<'_>, Lag<'_>, Option<&mut InvariantAuditor>) {
         (
             StageClock(
                 self.latency
@@ -75,7 +78,22 @@ impl Observers {
                     .map(LatencyObservatory::stages_mut),
             ),
             Lag(self.health.as_deref_mut()),
+            self.audit.as_deref_mut(),
         )
+    }
+
+    /// The chain controller decided to promote this replica.
+    pub(crate) fn promotion_decided(&mut self, now_nanos: u64) {
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.note_promotion_decision(now_nanos);
+        }
+    }
+
+    /// The chain controller committed this replica's promotion.
+    pub(crate) fn promotion_committed(&mut self, now_nanos: u64) {
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.note_promotion_committed(now_nanos);
+        }
     }
 
     /// The latency observatory's stage histograms, when attached.
@@ -86,39 +104,6 @@ impl Observers {
     /// Span context of the most recent sampled hot-path batch.
     pub fn trace_context(&self) -> Option<SpanContext> {
         self.trace.as_deref().and_then(|s| s.last_ctx())
-    }
-
-    /// One segment through `run` (whose result is handed back),
-    /// bracketed by the auditor when one is attached: `observe` sees the segment before the datapath does,
-    /// `scan` sees what the datapath appended to the wire and to the
-    /// TCP layer. The auditor is lifted out of `bridge` for the
-    /// duration, so all three get the bridge itself; `seam` says where
-    /// the bridge keeps its observers. Detached, this is one branch
-    /// and the segment is handed on untouched.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn audited<B, R>(
-        bridge: &mut B,
-        seam: fn(&mut B) -> &mut Observers,
-        seg: AddressedSegment,
-        now_nanos: u64,
-        out: &mut FilterOutput,
-        observe: impl FnOnce(&B, &mut InvariantAuditor, &AddressedSegment),
-        run: impl FnOnce(&mut B, AddressedSegment, u64, &mut FilterOutput) -> R,
-        scan: impl FnOnce(&B, &mut InvariantAuditor, &[AddressedSegment], &[AddressedSegment]),
-    ) -> R {
-        if seam(bridge).audit.is_none() {
-            return run(bridge, seg, now_nanos, out);
-        }
-        let mut aud = seam(bridge).audit.take().expect("audit attached");
-        aud.begin_event(now_nanos);
-        observe(bridge, &mut aud, &seg);
-        let (w0, t0) = (out.to_wire.len(), out.to_tcp.len());
-        let result = run(bridge, seg, now_nanos, out);
-        scan(bridge, &mut aud, &out.to_wire[w0..], &out.to_tcp[t0..]);
-        aud.end_event(now_nanos);
-        seam(bridge).audit = Some(aud);
-        result
     }
 
     /// The merge engine entered (`SecondaryFailed`) or left (`Normal`)

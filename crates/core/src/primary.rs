@@ -60,7 +60,6 @@ use tcpfo_telemetry::{
     SpanSampler, StageLatency, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
-use tcpfo_wire::tcp::{peek_orig_dest, TcpView};
 
 /// How often the timer-driven flow-table GC actually sweeps (the host
 /// tick fires far more often), in sim nanoseconds.
@@ -534,10 +533,10 @@ impl PrimaryBridge {
         self.stats.flows_reaped = self.flows.stats().reaped;
     }
 
-    /// One segment in either direction: the merge datapath under the
-    /// (optional) audit bracket, then — for a segment of a failover
-    /// connection, and after the auditor has seen the client-facing
-    /// addresses — the chain routing of what it appended to `out`.
+    /// One segment in either direction: the merge datapath, then — for a
+    /// segment of a failover connection — the chain routing of what it
+    /// appended to `out`. The engine hands an attached auditor each
+    /// segment's role; what the step put out goes to it afterwards.
     /// Inlined into each direction's entry point, so `dir` is a constant.
     #[inline(always)]
     fn filter(
@@ -548,24 +547,43 @@ impl PrimaryBridge {
         out: &mut FilterOutput,
     ) {
         let from = (out.to_wire.len(), out.to_tcp.len());
-        let failover = Observers::audited(
-            self,
-            Self::observers_mut,
-            seg,
-            now_nanos,
-            out,
-            match dir {
-                BatchDir::Outbound => Self::audit_outbound_observe,
-                BatchDir::Inbound => Self::audit_inbound_observe,
-            },
-            |b, seg, now, out| {
-                let route = b.route(dir, &seg);
-                b.engine(seg.trace, now).run(route, seg, out)
-            },
-            Self::audit_scan,
-        );
-        if failover && self.is_link() {
+        let route = self.route(dir, &seg);
+        let failover = self.engine(seg.trace, now_nanos).run(route, seg, out);
+        if self.observers.audit.is_some() {
+            self.audited_egress(failover, from, now_nanos, out);
+        } else if failover && self.is_link() {
             self.route_as_link(from, now_nanos, out);
+        }
+    }
+
+    /// [`PrimaryBridge::filter`]'s tail with the auditor attached: routes
+    /// as it does, and hands the auditor what the step appended (from
+    /// index `w0` of `to_wire`, `t0` of `to_tcp`) as the engine left it
+    /// and, on a link, as routed. The routing rewrites in place, so on a
+    /// link the auditor reads the unrouted output from a copy.
+    #[inline(never)]
+    fn audited_egress(
+        &mut self,
+        failover: bool,
+        (w0, t0): (usize, usize),
+        now_nanos: u64,
+        out: &mut FilterOutput,
+    ) {
+        let unrouted = (failover && self.is_link()).then(|| {
+            let mut step = out.to_wire[w0..].to_vec();
+            step.extend_from_slice(&out.to_tcp[t0..]);
+            (step, self.route_as_link((w0, t0), now_nanos, out))
+        });
+        let routed = [&out.to_wire[w0..], &out.to_tcp[t0..]];
+        let (step, routed) = match &unrouted {
+            Some((step, place)) => {
+                let (wire, tcp) = step.split_at(routed[0].len());
+                ([wire, tcp], Some((*place, routed)))
+            }
+            None => (routed, None),
+        };
+        if let Some(aud) = self.observers.audit.as_deref_mut() {
+            aud.egress(now_nanos, self.a_s, step, routed);
         }
     }
 
@@ -596,76 +614,6 @@ impl PrimaryBridge {
         self.gc_batch(now_nanos);
         self.observers.batch_end(&sample, segments);
         outs
-    }
-
-    // ---------------------------------------------------------------
-    // Audit shadowing
-    // ---------------------------------------------------------------
-
-    /// Pre-step audit observation for an outbound segment: mirrors the
-    /// inner designation check so only segments the bridge will treat
-    /// as primary replica output are shadowed.
-    fn audit_outbound_observe(&self, aud: &mut InvariantAuditor, seg: &AddressedSegment) {
-        // In §6 nothing is merged, so nothing is shadowed.
-        if self.mode != PrimaryMode::Normal {
-            return;
-        }
-        let Ok(parsed) = TcpView::new(&seg.bytes) else {
-            return;
-        };
-        let (src_port, dst_port) = (parsed.src_port(), parsed.dst_port());
-        let key = ConnKey::new(src_port, SocketAddr::new(seg.dst, dst_port));
-        let designated =
-            self.config.matches(src_port, seg.dst, dst_port) || self.flows.contains(&key);
-        let degraded_tomb =
-            matches!(self.flows.peek(&key), Some(PrimaryFlow::Tomb(t)) if t.degraded);
-        if designated && Some(seg.dst) != self.a_s && !degraded_tomb {
-            aud.note_primary_out(seg.src, seg.dst, &seg.bytes, seg.trace);
-        }
-    }
-
-    /// Pre-step audit observation for an inbound segment: diverted
-    /// secondary output or client ingress — designated only where the
-    /// merge rules apply (not in §6, where nothing is merged).
-    fn audit_inbound_observe(&self, aud: &mut InvariantAuditor, seg: &AddressedSegment) {
-        let diverted = Some(seg.src) == self.a_s && seg.dst == self.own;
-        if diverted && peek_orig_dest(&seg.bytes).is_some() {
-            aud.note_secondary_diverted(seg.src, seg.dst, &seg.bytes, seg.trace);
-            return;
-        }
-        if seg.dst != self.a_p {
-            return;
-        }
-        let Ok(parsed) = TcpView::new(&seg.bytes) else {
-            return;
-        };
-        let (src_port, dst_port) = (parsed.src_port(), parsed.dst_port());
-        let key = ConnKey::new(dst_port, SocketAddr::new(seg.src, src_port));
-        let merged = self.mode == PrimaryMode::Normal
-            && (self.config.matches(dst_port, seg.src, src_port) || self.flows.contains(&key));
-        aud.note_client_ingress(seg.src, seg.dst, &seg.bytes, seg.trace, merged);
-    }
-
-    /// Post-step audit scan of everything the inner datapath appended:
-    /// client-bound wire segments are releases, segments back toward
-    /// the secondary are noted, deliver-ups are checked for the `+Δseq`
-    /// ack translation.
-    fn audit_scan(
-        &self,
-        aud: &mut InvariantAuditor,
-        to_wire: &[AddressedSegment],
-        to_tcp: &[AddressedSegment],
-    ) {
-        for s in to_wire {
-            if Some(s.dst) == self.a_s {
-                aud.note_other_egress(s.src, s.dst, &s.bytes, s.trace);
-            } else {
-                aud.check_release(s.src, s.dst, &s.bytes, s.trace);
-            }
-        }
-        for s in to_tcp {
-            aud.check_deliver_up(s.src, s.dst, &s.bytes, s.trace);
-        }
     }
 }
 

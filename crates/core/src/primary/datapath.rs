@@ -14,7 +14,8 @@ use bytes::Bytes;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FilterOutput, TraceId};
 use tcpfo_tcp::seq::seq_gt;
 use tcpfo_tcp::types::SocketAddr;
-use tcpfo_telemetry::Stage;
+use tcpfo_telemetry::audit::SegmentRole;
+use tcpfo_telemetry::{InvariantAuditor, Stage};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{peek_orig_dest, peek_ports, SegmentPatcher, TcpFlags, TcpSegment};
 
@@ -73,7 +74,7 @@ impl PrimaryBridge {
             observers,
             ..
         } = self;
-        let (clock, lag) = observers.datapath();
+        let (clock, lag, audit) = observers.datapath();
         Engine {
             a_s: *a_s,
             gate: upstream.is_some(),
@@ -91,6 +92,7 @@ impl PrimaryBridge {
             },
             instruments: telemetry.as_ref(),
             lag,
+            audit,
         }
     }
 }
@@ -120,6 +122,9 @@ pub(super) struct Engine<'a> {
     pub(super) instruments: Option<&'a PrimaryInstruments>,
     /// Replication-lag ledger (the health observatory's).
     pub(super) lag: Lag<'a>,
+    /// The invariant auditor, handed each segment's role by
+    /// [`Engine::shadow`].
+    audit: Option<&'a mut InvariantAuditor>,
 }
 
 impl Engine<'_> {
@@ -178,6 +183,15 @@ impl Engine<'_> {
         let (bytes, src, dst) = patcher.finish();
         self.emit.clock.end(Stage::ChecksumFixup, t0);
         AddressedSegment::new(src, dst, bytes).traced(self.emit.trace)
+    }
+
+    /// Hands the auditor, when one is attached, the segment and the
+    /// role this engine gave it, before the step patches or queues it.
+    #[inline]
+    fn shadow(&mut self, role: SegmentRole, seg: &AddressedSegment) {
+        if let Some(aud) = self.audit.as_deref_mut() {
+            aud.ingress(self.now, role, seg);
+        }
     }
 
     /// Decodes a segment under the ingress-parse stage clock.
@@ -258,6 +272,7 @@ impl Engine<'_> {
                 out.to_wire.push(seg);
             }
             PrimaryMode::Normal => {
+                self.shadow(SegmentRole::Ours, &seg);
                 // Any SYN from our own TCP layer opens bridge state: a
                 // SYN+ACK answers a client SYN that passed through
                 // before the designation was registered (§7 method 1),
@@ -276,6 +291,7 @@ impl Engine<'_> {
     /// Diverted secondary output (the buffer stays uniquely owned up to
     /// here — the router only peeked — so the strip is in place).
     fn diverted(&mut self, seg: AddressedSegment, key: ConnKey, out: &mut FilterOutput) {
+        self.shadow(SegmentRole::Diverted, &seg);
         if self.mode == PrimaryMode::SecondaryFailed {
             return; // §6 step 2
         }
@@ -316,6 +332,8 @@ impl Engine<'_> {
                 || self
                     .config
                     .matches(parsed.dst_port, seg.src, parsed.src_port);
+            let merged = designated && self.mode == PrimaryMode::Normal;
+            self.shadow(SegmentRole::Client { merged }, &seg);
             if designated {
                 self.on_client_segment(parsed, seg, key, slot, out);
                 return true;

@@ -67,15 +67,16 @@ impl PrimaryBridge {
     /// VIP (the merge template's source already; a §6 pass-through sent
     /// from a link's own address is re-stamped); off the host that owns
     /// the VIP, client datagrams are re-addressed to the local TCBs.
-    /// Then the auditor checks where each segment went. Kept out of
-    /// line: the head's per-segment path stays the size it was.
+    /// Returns the place it routed by, against which an attached auditor
+    /// judges the result. Kept out of line: the head's per-segment path
+    /// stays the size it was.
     #[inline(never)]
     pub(super) fn route_as_link(
         &mut self,
         (w0, t0): (usize, usize),
         now_nanos: u64,
         out: &mut FilterOutput,
-    ) {
+    ) -> LinkPlace {
         let (vip, own, downstream) = (self.a_p, self.own, self.a_s);
         for seg in out.to_wire[w0..]
             .iter_mut()
@@ -98,19 +99,11 @@ impl PrimaryBridge {
                 self.stats.ingress_rewrites += 1;
             }
         }
-        if let Some(aud) = self.observers.audit.as_deref_mut() {
-            let place = LinkPlace {
-                vip,
-                own,
-                upstream: self.upstream,
-                downstream,
-            };
-            for s in &out.to_wire[w0..] {
-                aud.check_routed(&place, false, s.src, s.dst, &s.bytes, s.trace);
-            }
-            for s in &out.to_tcp[t0..] {
-                aud.check_routed(&place, true, s.src, s.dst, &s.bytes, s.trace);
-            }
+        LinkPlace {
+            vip,
+            own,
+            upstream: self.upstream,
+            downstream,
         }
     }
 

@@ -629,7 +629,7 @@ fn bare_ack_and_retransmission_with_hub_attached_do_not_allocate() {
 // headers, so a warm auditor checks a round without allocating.
 // ---------------------------------------------------------------------
 
-use bytes::Bytes;
+use tcpfo_telemetry::audit::SegmentRole;
 use tcpfo_telemetry::{Rule, TraceId};
 
 const MS: u64 = 1_000_000;
@@ -638,22 +638,23 @@ const MS: u64 = 1_000_000;
 /// client's ACK in and handed up Δseq-translated, P's copy out, S's copy
 /// diverted in, and the matched release.
 struct AuditedRound {
-    client_ack: Bytes,
-    delivered_up: Bytes,
-    p: Bytes,
-    s: Bytes,
-    released: Bytes,
+    client_ack: AddressedSegment,
+    delivered_up: AddressedSegment,
+    p: AddressedSegment,
+    s: AddressedSegment,
+    released: AddressedSegment,
 }
 
 fn audited_round(i: u32) -> AuditedRound {
     let off = i * PAYLOAD.len() as u32;
+    let trace = TraceId(u64::from(i) + 2);
     let client_ack = |ack: u32| {
-        TcpSegment::builder(5555, 80)
+        let seg = TcpSegment::builder(5555, 80)
             .seq(ISS_C + 1)
             .ack(ack)
             .window(60_000)
-            .build()
-            .encode(A_C, A_P)
+            .build();
+        raw(A_C, A_P, seg).traced(trace)
     };
     let data = |seq: u32, win: u16| {
         TcpSegment::builder(80, 5555)
@@ -666,10 +667,20 @@ fn audited_round(i: u32) -> AuditedRound {
     AuditedRound {
         client_ack: client_ack(ISS_S + 1 + off),
         delivered_up: client_ack(ISS_P + 1 + off),
-        p: data(ISS_P + 1 + off, 50_000).encode(A_P, A_C),
-        s: diverted(data(ISS_S + 1 + off, 40_000)).bytes,
-        released: data(ISS_S + 1 + off, 40_000).encode(A_P, A_C),
+        p: raw(A_P, A_C, data(ISS_P + 1 + off, 50_000)).traced(trace),
+        s: diverted(data(ISS_S + 1 + off, 40_000)).traced(trace),
+        released: raw(A_P, A_C, data(ISS_S + 1 + off, 40_000)).traced(trace),
     }
+}
+
+/// What a pair's head put out for one segment: `wire`, then `tcp`.
+fn egress(
+    aud: &mut InvariantAuditor,
+    now: u64,
+    wire: &[AddressedSegment],
+    tcp: &[AddressedSegment],
+) {
+    aud.egress(now, Some(A_S), [wire, tcp], None);
 }
 
 #[test]
@@ -691,22 +702,20 @@ fn auditor_steady_state_does_not_allocate() {
         .seq(ISS_C)
         .flags(TcpFlags::SYN)
         .window(60_000)
-        .build()
-        .encode(A_C, A_P);
-    let (t, tn) = (TraceId::NONE, TraceId(1));
-    aud.begin_event(0);
-    aud.note_client_ingress(A_C, A_P, &client_syn, t, true);
-    aud.end_event(0);
-    aud.begin_event(0);
-    let p_synack = syn(ISS_P, 1460, 50_000).encode(A_P, A_C);
-    aud.note_primary_out(A_P, A_C, &p_synack, t);
-    aud.end_event(0);
-    aud.begin_event(0);
-    let s_synack = diverted(syn(ISS_S, 1200, 40_000)).bytes;
-    aud.note_secondary_diverted(A_S, A_P, &s_synack, t);
-    let merged = syn(ISS_S, 1200, 40_000).encode(A_P, A_C);
-    aud.check_release(A_P, A_C, &merged, tn);
-    aud.end_event(0);
+        .build();
+    let client = SegmentRole::Client { merged: true };
+    aud.ingress(0, client, &raw(A_C, A_P, client_syn));
+    egress(&mut aud, 0, &[], &[]);
+    aud.ingress(
+        0,
+        SegmentRole::Ours,
+        &raw(A_P, A_C, syn(ISS_P, 1460, 50_000)),
+    );
+    egress(&mut aud, 0, &[], &[]);
+    let s_synack = diverted(syn(ISS_S, 1200, 40_000));
+    aud.ingress(0, SegmentRole::Diverted, &s_synack);
+    let merged = raw(A_P, A_C, syn(ISS_S, 1200, 40_000)).traced(TraceId(1));
+    egress(&mut aud, 0, &[merged], &[]);
 
     let total = WARMUP + MEASURED;
     let rounds: Vec<AuditedRound> = (0..total as u32).map(audited_round).collect();
@@ -715,18 +724,13 @@ fn auditor_steady_state_does_not_allocate() {
         if i == WARMUP {
             measured_base = allocs();
         }
-        let (now, trace) = (i as u64 * MS, TraceId(i as u64 + 2));
-        aud.begin_event(now);
-        aud.note_client_ingress(A_C, A_P, &r.client_ack, trace, true);
-        aud.check_deliver_up(A_C, A_P, &r.delivered_up, trace);
-        aud.end_event(now);
-        aud.begin_event(now);
-        aud.note_primary_out(A_P, A_C, &r.p, trace);
-        aud.end_event(now);
-        aud.begin_event(now);
-        aud.note_secondary_diverted(A_S, A_P, &r.s, trace);
-        aud.check_release(A_P, A_C, &r.released, trace);
-        aud.end_event(now);
+        let now = i as u64 * MS;
+        aud.ingress(now, client, &r.client_ack);
+        egress(&mut aud, now, &[], std::slice::from_ref(&r.delivered_up));
+        aud.ingress(now, SegmentRole::Ours, &r.p);
+        egress(&mut aud, now, &[], &[]);
+        aud.ingress(now, SegmentRole::Diverted, &r.s);
+        egress(&mut aud, now, std::slice::from_ref(&r.released), &[]);
     }
     let delta = allocs() - measured_base;
     assert_eq!(aud.ledger().total_violations(), 0, "{}", aud.report());

@@ -10,7 +10,7 @@
 
 use crate::types::{FourTuple, SocketAddr};
 use bytes::Bytes;
-use tcpfo_telemetry::audit::AuditKey;
+use tcpfo_telemetry::audit::{AuditKey, Audited, SegParts};
 use tcpfo_telemetry::{SpanContext, StageLatency};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::peek_ports;
@@ -160,6 +160,12 @@ impl AddressedSegment {
         if self.trace.is_none() {
             self.trace = TraceId::fresh();
         }
+    }
+}
+
+impl Audited for AddressedSegment {
+    fn parts(&self) -> SegParts<'_> {
+        (self.src, self.dst, &self.bytes, self.trace)
     }
 }
 

@@ -455,24 +455,6 @@ impl fmt::Display for AuditDetail {
     }
 }
 
-impl From<String> for AuditDetail {
-    fn from(s: String) -> Self {
-        AuditDetail::Text(s)
-    }
-}
-
-impl From<&str> for AuditDetail {
-    fn from(s: &str) -> Self {
-        AuditDetail::Text(s.to_string())
-    }
-}
-
-impl From<SegSummary> for AuditDetail {
-    fn from(s: SegSummary) -> Self {
-        AuditDetail::Seg(s)
-    }
-}
-
 /// One entry of the causal trace ring.
 #[derive(Debug, Clone)]
 pub struct AuditEvent {
@@ -739,7 +721,6 @@ struct AuditConn {
     /// Client teardown mirror (absolute, S space).
     client_acked: Option<u32>,
     client_fin: Option<u32>,
-    closed: bool,
 }
 
 impl AuditConn {
@@ -804,6 +785,7 @@ impl AuditConn {
 
     /// Shadows one replica segment past the handshake: ack, window, FIN
     /// position, and the shadow byte stream (queue-insert mirror).
+    /// Returns whether it was an RST, which closes the connection.
     fn observe(
         &mut self,
         rec: &mut Recorder,
@@ -812,7 +794,7 @@ impl AuditConn {
         bytes: &Bytes,
         view: &TcpView<'_>,
         trace: TraceId,
-    ) {
+    ) -> bool {
         let flags = view.flags();
         let (delta, base, watermark) = (self.delta(), self.base(), self.send_next);
         let side = if is_primary { &mut self.p } else { &mut self.s };
@@ -821,12 +803,11 @@ impl AuditConn {
             side.win = view.window();
         }
         let (Some(delta), Some(base)) = (delta, base) else {
-            return;
+            return false;
         };
         if flags.contains(TcpFlags::RST) {
             // The bridge forwards a translated RST and drops state.
-            self.closed = true;
-            return;
+            return true;
         }
         // Normalise into S (client-facing) space.
         let seq = view.seq().wrapping_sub(if is_primary { delta } else { 0 });
@@ -836,7 +817,7 @@ impl AuditConn {
             side.fin = Some(rel + payload.len() as u64);
         }
         if payload.is_empty() {
-            return;
+            return false;
         }
         side.stream.trim(watermark);
         let res = side
@@ -866,6 +847,7 @@ impl AuditConn {
                 )
             });
         }
+        false
     }
 
     /// Rules on the merged SYN / SYN+ACK (§7): S's ISN, min window,
@@ -1086,7 +1068,7 @@ impl Violation {
 }
 
 /// A chain link's place, against which the auditor judges where its
-/// failover output went (see [`InvariantAuditor::check_routed`]).
+/// failover output went (see [`InvariantAuditor::egress`]).
 #[derive(Debug, Clone, Copy)]
 pub struct LinkPlace {
     /// The service address clients connect to.
@@ -1097,6 +1079,34 @@ pub struct LinkPlace {
     pub upstream: Option<Ipv4Addr>,
     /// The replica below, if the link was built with one.
     pub downstream: Option<Ipv4Addr>,
+}
+
+/// What a bridge's merge engine made of a segment it took in: its one
+/// designation decision, which the auditor takes instead of
+/// re-deriving it (see [`InvariantAuditor::ingress`]). A segment the
+/// engine gives no role is not shadowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentRole {
+    /// This replica's own output, which the bridge merges.
+    Ours,
+    /// The downstream replica's diverted output.
+    Diverted,
+    /// A segment from the unreplicated peer to the service address;
+    /// `merged` when its flow is one the bridge merges.
+    Client {
+        /// The bridge merges this segment's flow.
+        merged: bool,
+    },
+}
+
+/// A segment as the auditor reads it: source, destination, the TCP
+/// bytes, and the trace id.
+pub type SegParts<'a> = (Ipv4Addr, Ipv4Addr, &'a Bytes, TraceId);
+
+/// A segment as a bridge holds it, as the auditor reads it.
+pub trait Audited {
+    /// The segment's parts.
+    fn parts(&self) -> SegParts<'_>;
 }
 
 /// Process-wide, not per hub: tests run on parallel threads of one
@@ -1131,26 +1141,26 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn push_event(&mut self, kind: AuditEventKind, trace: TraceId, detail: impl Into<AuditDetail>) {
+    /// A mode or control-plane moment at `now_ns`.
+    fn phase(&mut self, now_ns: u64, detail: impl Into<String>) {
+        self.now_ns = now_ns;
+        let detail = AuditDetail::Text(detail.into());
+        self.push_event(AuditEventKind::Phase, TraceId::NONE, detail);
+    }
+
+    fn push_event(&mut self, kind: AuditEventKind, trace: TraceId, detail: AuditDetail) {
         self.ring.push(AuditEvent {
             at_ns: self.now_ns,
             trace,
             kind,
-            detail: detail.into(),
+            detail,
         });
     }
 
     /// A segment the bridge took in or put out: a trace-ring entry, and
     /// a recent-header record unless it was only handed up or aside.
-    fn record(
-        &mut self,
-        kind: AuditEventKind,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &[u8],
-        view: &TcpView<'_>,
-        trace: TraceId,
-    ) {
+    fn record(&mut self, kind: AuditEventKind, seg: SegParts<'_>, view: &TcpView<'_>) {
+        let (src, dst, bytes, trace) = seg;
         let summary = SegSummary {
             src,
             dst,
@@ -1163,7 +1173,7 @@ impl Recorder {
             len: view.payload().len() as u32,
             orig_dest: view.orig_dest(),
         };
-        self.push_event(kind, trace, summary);
+        self.push_event(kind, trace, AuditDetail::Seg(summary));
         if matches!(kind, AuditEventKind::DeliverUp | AuditEventKind::Note) {
             return;
         }
@@ -1334,6 +1344,13 @@ impl Recorder {
         Ok(dir)
     }
 
+    /// The recent-segment ring as a pcapng capture of truncated
+    /// packets: each holds the segment's Ethernet, IPv4 and TCP headers
+    /// (options included) and states the frame's full length, the way
+    /// `tcpdump -s` snaps. Every packet carries a comment block with
+    /// its trace id and direction; the diverted S→P leg is annotated
+    /// with the decoded orig-dest option so captures are
+    /// self-describing.
     fn pcap_slice(&self) -> Vec<u8> {
         let mut w = PcapngWriter::new(&format!("audit-{}", self.cfg.label));
         for rec in self.pcap.iter() {
@@ -1500,48 +1517,80 @@ impl InvariantAuditor {
         out
     }
 
-    /// Writes the flight-recorder bundle (rule ledger + violations,
-    /// trace ring, pcapng slice, timeline + journal) and returns its
-    /// directory.
-    pub fn write_bundle(&self) -> std::io::Result<PathBuf> {
-        self.rec.write_bundle()
-    }
-
-    /// The recent-segment ring as a pcapng capture of truncated
-    /// packets: each holds the segment's Ethernet, IPv4 and TCP headers
-    /// (options included) and states the frame's full length, the way
-    /// `tcpdump -s` snaps. Every packet carries a comment block with
-    /// its trace id and direction; the diverted S→P leg is annotated
-    /// with the decoded orig-dest option so captures are
-    /// self-describing.
-    pub fn pcap_slice(&self) -> Vec<u8> {
-        self.rec.pcap_slice()
-    }
-
     // -----------------------------------------------------------------
-    // Event lifecycle (called by the bridges)
+    // The two per-segment entry points (called by the bridges)
     // -----------------------------------------------------------------
 
-    /// Starts one filter event (one segment through the bridge).
-    pub fn begin_event(&mut self, now_ns: u64) {
+    /// A segment entered the bridge at `now_ns`, and the bridge's
+    /// engine gave it `role`: recorded, and shadowed as the role says.
+    /// Called before the step acts on it, for a segment the engine
+    /// gives a role; [`InvariantAuditor::egress`] closes the event.
+    pub fn ingress(&mut self, now_ns: u64, role: SegmentRole, seg: &impl Audited) {
         self.rec.now_ns = now_ns;
-        self.touched = None;
+        let seg = seg.parts();
+        let Ok(view) = TcpView::new(seg.2) else {
+            return;
+        };
+        match role {
+            SegmentRole::Client { merged } => self.client_ingress(seg, &view, merged),
+            SegmentRole::Ours => self.observe_replica(true, seg, &view),
+            SegmentRole::Diverted => self.observe_replica(false, seg, &view),
+        }
+    }
+
+    /// The step on one segment put out `step` at `now_ns` — to the
+    /// wire, then to the local stack — and, on a chain link at `place`,
+    /// its routing left it as `routed`. Client-facing wire output is
+    /// checked as a release and wire output to the `downstream` replica
+    /// is noted; what reaches the stack is checked for the `+Δseq` ack
+    /// translation; the deferred §3.4 bare-ACK rule runs for the
+    /// connection the event touched; then where the routing sent each
+    /// segment. Called once per segment, shadowed or not.
+    pub fn egress<S: Audited>(
+        &mut self,
+        now_ns: u64,
+        downstream: Option<Ipv4Addr>,
+        [wire, tcp]: [&[S]; 2],
+        routed: Option<(LinkPlace, [&[S]; 2])>,
+    ) {
+        self.rec.now_ns = now_ns;
+        for seg in wire.iter().map(Audited::parts) {
+            let Ok(view) = TcpView::new(seg.2) else {
+                continue;
+            };
+            if Some(seg.1) == downstream {
+                self.rec.record(AuditEventKind::Note, seg, &view);
+            } else {
+                self.check_release(seg, &view);
+            }
+        }
+        for seg in tcp.iter().map(Audited::parts) {
+            if let Ok(view) = TcpView::new(seg.2) {
+                self.check_deliver_up(seg, &view);
+            }
+        }
+        self.close_event();
+        let Some((place, [wire, tcp])) = routed else {
+            return;
+        };
+        let sent = wire.iter().map(|s| (false, s));
+        for (up, seg) in sent.chain(tcp.iter().map(|s| (true, s))) {
+            self.check_routed(&place, up, seg.parts());
+        }
+    }
+
+    /// Ends the event: the deferred §3.4 bare-ACK rule for the touched
+    /// connection, which is forgotten once the auditor's own model has
+    /// it torn down (§8).
+    fn close_event(&mut self) {
         self.pending_ack = None;
-    }
-
-    /// Ends the event: runs the deferred §3.4 bare-ACK rule for the
-    /// touched connection.
-    pub fn end_event(&mut self, now_ns: u64) {
-        self.rec.now_ns = now_ns;
         let Some(key) = self.touched.take() else {
             return;
         };
-        let Some(conn) = self.conns.get_mut(&key) else {
+        let degraded = self.degraded;
+        let Some(conn) = (self.conns.get_mut(&key)).filter(|c| c.syn_released && !degraded) else {
             return;
         };
-        if self.degraded || !conn.syn_released || conn.closed {
-            return;
-        }
         let (Some(m), last) = (conn.min_ack(), conn.last_ack_released) else {
             return;
         };
@@ -1552,10 +1601,8 @@ impl InvariantAuditor {
                  no bare ACK was synthesised before the event ended"
             )
         });
-        // Mirror the bridge's §8 teardown so late-FIN tombstone ACKs
-        // are not misjudged against a dead connection's state.
         if conn.teardown_reached() {
-            conn.closed = true;
+            self.conns.remove(&key);
         }
     }
 }
@@ -1568,53 +1615,39 @@ impl InvariantAuditor {
     /// §6: the bridge degraded to Δ-adjusted pass-through — suspend
     /// per-connection checking (the min/matched rules no longer apply).
     pub fn note_degraded(&mut self, now_ns: u64) {
-        self.rec.now_ns = now_ns;
         self.degraded = true;
         self.conns.clear();
-        self.rec.push_event(
-            AuditEventKind::Phase,
-            TraceId::NONE,
+        self.rec.phase(
+            now_ns,
             "degraded: secondary failed, per-conn rules suspended (§6)",
         );
     }
 
     /// A replica joined below: new connections replicate again.
     pub fn note_joined(&mut self, now_ns: u64) {
-        self.rec.now_ns = now_ns;
         self.degraded = false;
-        self.rec.push_event(
-            AuditEventKind::Phase,
-            TraceId::NONE,
+        self.rec.phase(
+            now_ns,
             "joined: a replica below again, new connections audited",
         );
     }
 
-    /// A segment from the unreplicated peer entered the bridge.
-    pub fn note_client_ingress(
-        &mut self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &Bytes,
-        trace: TraceId,
-        designated: bool,
-    ) {
-        let Ok(view) = TcpView::new(bytes) else {
-            return;
-        };
-        self.rec
-            .record(AuditEventKind::ClientIngress, src, dst, bytes, &view, trace);
-        if !designated {
+    /// A segment from the unreplicated peer entered the bridge; the
+    /// auditor shadows it when the bridge merges its flow. Only a SYN
+    /// opens shadow state.
+    fn client_ingress(&mut self, seg: SegParts<'_>, view: &TcpView<'_>, merged: bool) {
+        self.rec.record(AuditEventKind::ClientIngress, seg, view);
+        if !merged {
             return;
         }
-        let key = AuditKey::new(src, view.src_port(), view.dst_port());
+        let key = AuditKey::new(seg.0, view.src_port(), view.dst_port());
         let flags = view.flags();
         let opens = flags.contains(TcpFlags::SYN) && !flags.contains(TcpFlags::ACK);
-        let conn = if opens && !self.degraded {
-            Some(self.conns.entry(key).or_default())
-        } else {
-            self.conns.get_mut(&key)
+        let conn = match opens && !self.degraded {
+            true => Some(self.conns.entry(key).or_default()),
+            false => self.conns.get_mut(&key),
         };
-        let Some(conn) = conn.filter(|c| !c.closed) else {
+        let Some(conn) = conn else {
             return;
         };
         self.touched = Some(key);
@@ -1633,63 +1666,41 @@ impl InvariantAuditor {
         }
     }
 
-    /// The primary replica's stack emitted a designated segment.
-    pub fn note_primary_out(
-        &mut self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &Bytes,
-        trace: TraceId,
-    ) {
-        self.observe_replica(true, src, dst, bytes, trace);
-    }
-
-    /// A diverted secondary segment (with orig-dest option) arrived.
-    pub fn note_secondary_diverted(
-        &mut self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &Bytes,
-        trace: TraceId,
-    ) {
-        self.observe_replica(false, src, dst, bytes, trace);
-    }
-
-    /// Shared replica-segment shadowing. P's output is addressed to the
-    /// client, S's names the client in its orig-dest option. A SYN
-    /// teaches the replica's ISN and handshake parameters; anything
-    /// later goes through [`AuditConn::observe`].
-    fn observe_replica(
-        &mut self,
-        is_primary: bool,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &Bytes,
-        trace: TraceId,
-    ) {
-        let Ok(view) = TcpView::new(bytes) else {
-            return;
-        };
+    /// A replica segment the bridge merges: this replica's own output
+    /// (`is_primary`), addressed to the client, or the downstream's
+    /// diverted output, which names the client in its orig-dest option.
+    /// A SYN teaches the replica's ISN and handshake parameters; only a
+    /// bare SYN (a server-initiated open) opens shadow state, so a
+    /// SYN+ACK re-sent after the connection closed opens none. Anything
+    /// later goes through [`AuditConn::observe`], and a replica's RST
+    /// forgets the connection.
+    fn observe_replica(&mut self, is_primary: bool, seg: SegParts<'_>, view: &TcpView<'_>) {
+        let (_, dst, bytes, trace) = seg;
         let (kind, peer) = if is_primary {
             (AuditEventKind::PrimaryOut, Some((dst, view.dst_port())))
         } else {
             (AuditEventKind::SecondaryDiverted, view.orig_dest())
         };
-        self.rec.record(kind, src, dst, bytes, &view, trace);
+        self.rec.record(kind, seg, view);
         let Some((peer_ip, peer_port)) = peer.filter(|_| !self.degraded) else {
             return;
         };
         let key = AuditKey::new(peer_ip, peer_port, view.src_port());
         let flags = view.flags();
+        let conn = match flags.contains(TcpFlags::SYN) && !flags.contains(TcpFlags::ACK) {
+            true => Some(self.conns.entry(key).or_default()),
+            false => self.conns.get_mut(&key),
+        };
+        let Some(conn) = conn else {
+            return;
+        };
+        self.touched = Some(key);
         if !flags.contains(TcpFlags::SYN) {
-            let Some(conn) = self.conns.get_mut(&key).filter(|c| !c.closed) else {
-                return;
-            };
-            self.touched = Some(key);
-            conn.observe(&mut self.rec, key, is_primary, bytes, &view, trace);
+            if conn.observe(&mut self.rec, key, is_primary, bytes, view, trace) {
+                self.conns.remove(&key);
+            }
             return;
         }
-        let conn = self.conns.entry(key).or_default();
         let side = if is_primary { &mut conn.p } else { &mut conn.s };
         side.isn = Some(view.seq());
         side.win = view.window();
@@ -1699,16 +1710,13 @@ impl InvariantAuditor {
             side.syn_ack = Some(view.ack());
             side.ack = Some(view.ack());
         }
-        self.touched = Some(key);
     }
 
-    /// A client-facing segment left the bridge: the main rule gate.
-    pub fn check_release(&mut self, src: Ipv4Addr, dst: Ipv4Addr, bytes: &Bytes, trace: TraceId) {
-        let Ok(view) = TcpView::new(bytes) else {
-            return;
-        };
-        self.rec
-            .record(AuditEventKind::Release, src, dst, bytes, &view, trace);
+    /// A client-facing segment left the bridge: the main rule gate. A
+    /// released RST forgets the connection.
+    fn check_release(&mut self, seg: SegParts<'_>, view: &TcpView<'_>) {
+        let (src, dst, bytes, trace) = seg;
+        self.rec.record(AuditEventKind::Release, seg, view);
         self.rec.sample_checksum(src, dst, bytes, trace);
         if self.degraded {
             return;
@@ -1719,33 +1727,19 @@ impl InvariantAuditor {
         };
         let flags = view.flags();
         if flags.contains(TcpFlags::RST) {
-            conn.closed = true;
-            return;
-        }
-        if conn.closed {
-            return;
-        }
-        if flags.contains(TcpFlags::SYN) {
-            conn.check_syn_release(&mut self.rec, key, bytes, &view, trace);
+            self.conns.remove(&key);
+        } else if flags.contains(TcpFlags::SYN) {
+            conn.check_syn_release(&mut self.rec, key, bytes, view, trace);
         } else {
-            conn.check_data_release(&mut self.rec, key, &view, trace);
+            conn.check_data_release(&mut self.rec, key, view, trace);
         }
     }
 
     /// A segment was handed up to the local stack (Δseq ack
     /// translation on the primary, §3.3).
-    pub fn check_deliver_up(
-        &mut self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &Bytes,
-        trace: TraceId,
-    ) {
-        let Ok(view) = TcpView::new(bytes) else {
-            return;
-        };
-        self.rec
-            .record(AuditEventKind::DeliverUp, src, dst, bytes, &view, trace);
+    fn check_deliver_up(&mut self, seg: SegParts<'_>, view: &TcpView<'_>) {
+        let trace = seg.3;
+        self.rec.record(AuditEventKind::DeliverUp, seg, view);
         let Some((key, ingress_ack)) = self.pending_ack.take() else {
             return;
         };
@@ -1767,21 +1761,6 @@ impl InvariantAuditor {
             )
         });
     }
-
-    /// A non-release segment left the bridge (e.g. a late-FIN ACK back
-    /// to the secondary): ring entry only.
-    pub fn note_other_egress(
-        &mut self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &Bytes,
-        trace: TraceId,
-    ) {
-        if let Ok(view) = TcpView::new(bytes) {
-            self.rec
-                .record(AuditEventKind::Note, src, dst, bytes, &view, trace);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1792,12 +1771,7 @@ impl InvariantAuditor {
     /// §5: this link was promoted — egress held, translations off, the
     /// VIP about to be claimed, all at `now_ns`.
     pub fn note_takeover(&mut self, now_ns: u64) {
-        self.rec.now_ns = now_ns;
-        self.rec.push_event(
-            AuditEventKind::Phase,
-            TraceId::NONE,
-            format!("takeover at {now_ns}ns"),
-        );
+        self.rec.phase(now_ns, format!("takeover at {now_ns}ns"));
         self.takeover_at = Some(now_ns);
     }
 
@@ -1805,12 +1779,8 @@ impl InvariantAuditor {
     /// replica and journaled the decision. Log-before-act: this must
     /// precede [`InvariantAuditor::note_promotion_committed`].
     pub fn note_promotion_decision(&mut self, now_ns: u64) {
-        self.rec.now_ns = now_ns;
-        self.rec.push_event(
-            AuditEventKind::Phase,
-            TraceId::NONE,
-            format!("promotion decided at {now_ns}ns"),
-        );
+        self.rec
+            .phase(now_ns, format!("promotion decided at {now_ns}ns"));
         self.promotion_decided_at = Some(now_ns);
     }
 
@@ -1819,12 +1789,8 @@ impl InvariantAuditor {
     /// decision record must already exist and must not postdate the
     /// commit.
     pub fn note_promotion_committed(&mut self, now_ns: u64) {
-        self.rec.now_ns = now_ns;
-        self.rec.push_event(
-            AuditEventKind::Phase,
-            TraceId::NONE,
-            format!("promotion committed at {now_ns}ns"),
-        );
+        self.rec
+            .phase(now_ns, format!("promotion committed at {now_ns}ns"));
         let decided = self.promotion_decided_at;
         let ok = decided.is_some_and(|d| d <= now_ns);
         self.rec.check(Rule::PromotionOrder, ok, TraceId::NONE, || {
@@ -1844,15 +1810,8 @@ impl InvariantAuditor {
     /// VIP's host, what reaches the stack must be addressed to the
     /// link's own address. The first payload a promoted link sends the
     /// client also checks the §5 order.
-    pub fn check_routed(
-        &mut self,
-        place: &LinkPlace,
-        up: bool,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        bytes: &Bytes,
-        trace: TraceId,
-    ) {
+    fn check_routed(&mut self, place: &LinkPlace, up: bool, seg: SegParts<'_>) {
+        let (src, dst, bytes, trace) = seg;
         let Ok(view) = TcpView::new(bytes) else {
             return;
         };
@@ -1997,7 +1956,7 @@ mod tests {
         a.note_takeover(1_000);
         a.rec.now_ns = 2_000;
         for _ in 0..2 {
-            a.check_routed(&place, false, vip, client, &seg, TraceId::NONE);
+            a.check_routed(&place, false, (vip, client, &seg, TraceId::NONE));
         }
         assert_eq!(a.ledger().stat(Rule::FailoverOrder).checks, 1);
         a
@@ -2043,14 +2002,12 @@ mod tests {
             let seg = TcpSegment::builder(80, 5555).build().encode(src, dst);
             let view = TcpView::new(&seg).expect("valid");
             for _ in 0..5 {
-                a.rec.push_event(AuditEventKind::Note, TraceId::NONE, "x");
+                let x = AuditDetail::Text("x".into());
+                a.rec.push_event(AuditEventKind::Note, TraceId::NONE, x);
                 (a.rec).record(
                     AuditEventKind::Release,
-                    src,
-                    dst,
-                    &seg,
+                    (src, dst, &seg, TraceId::NONE),
                     &view,
-                    TraceId::NONE,
                 );
             }
             assert_eq!(a.dropped(), dropped);
@@ -2073,15 +2030,9 @@ mod tests {
             .build()
             .encode(src, dst);
         let view = TcpView::new(&seg).expect("valid");
-        (a.rec).record(
-            AuditEventKind::SecondaryDiverted,
-            src,
-            dst,
-            &seg,
-            &view,
-            TraceId(4),
-        );
-        let pkts = tcpfo_wire::pcapng::read_packets(&a.pcap_slice()).expect("parses");
+        let diverted = AuditEventKind::SecondaryDiverted;
+        (a.rec).record(diverted, (src, dst, &seg, TraceId(4)), &view);
+        let pkts = tcpfo_wire::pcapng::read_packets(&a.rec.pcap_slice()).expect("parses");
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].frame.len(), 14 + 20 + view.header_len());
         assert_eq!(pkts[0].orig_len, 14 + 20 + seg.len());

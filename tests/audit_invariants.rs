@@ -9,7 +9,9 @@
 //! armed to panic; (d) a §5 failover run is sequenced by the secondary
 //! auditor's takeover-ordering checks; (e) replicas whose bytes differ,
 //! in a released range or in an overlapping re-send, trip `queue_agree`
-//! with the divergent bytes in the violation.
+//! with the divergent bytes in the violation; (f) the auditor forgets a
+//! connection its own model closed, so a reused tuple is audited afresh
+//! and closed connections leave no shadow state.
 
 mod common;
 
@@ -46,9 +48,10 @@ fn raw(src: Ipv4Addr, dst: Ipv4Addr, seg: TcpSegment) -> AddressedSegment {
 
 /// Builds a segment as the secondary bridge would divert it.
 fn diverted(seg: TcpSegment) -> AddressedSegment {
+    let port = seg.dst_port;
     let bytes = seg.encode(A_S, A_C).to_vec();
     let mut p = SegmentPatcher::new(bytes, A_S, A_C);
-    p.push_orig_dest_option(A_C, 5555);
+    p.push_orig_dest_option(A_C, port);
     p.set_pseudo_dst(A_P);
     let (bytes, src, dst) = p.finish();
     AddressedSegment::new(src, dst, bytes)
@@ -63,21 +66,28 @@ fn decode_wire(out: &FilterOutput, i: usize) -> TcpSegment {
 fn established(audit: InvariantAuditor) -> PrimaryBridge {
     let mut b = PrimaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
     b.set_audit(Some(Box::new(audit)));
+    handshake(&mut b, 5555, 0);
+    b
+}
+
+/// The client-initiated handshake from client port `port` at `now`,
+/// through `b`.
+fn handshake(b: &mut PrimaryBridge, port: u16, now: u64) {
     let syn = raw(
         A_C,
         A_P,
-        TcpSegment::builder(5555, 80)
+        TcpSegment::builder(port, 80)
             .seq(ISS_C)
             .flags(TcpFlags::SYN)
             .mss(1460)
             .window(60_000)
             .build(),
     );
-    b.on_inbound(syn, 0);
+    b.on_inbound(syn, now);
     let p_synack = raw(
         A_P,
         A_C,
-        TcpSegment::builder(80, 5555)
+        TcpSegment::builder(80, port)
             .seq(ISS_P)
             .ack(ISS_C + 1)
             .flags(TcpFlags::SYN)
@@ -85,10 +95,10 @@ fn established(audit: InvariantAuditor) -> PrimaryBridge {
             .window(50_000)
             .build(),
     );
-    let held = b.on_outbound(p_synack, 0);
+    let held = b.on_outbound(p_synack, now);
     assert!(held.to_wire.is_empty(), "P's SYN+ACK is held");
     let s_synack = diverted(
-        TcpSegment::builder(80, 5555)
+        TcpSegment::builder(80, port)
             .seq(ISS_S)
             .ack(ISS_C + 1)
             .flags(TcpFlags::SYN)
@@ -96,9 +106,8 @@ fn established(audit: InvariantAuditor) -> PrimaryBridge {
             .window(40_000)
             .build(),
     );
-    let merged = b.on_inbound(s_synack, 0);
+    let merged = b.on_inbound(s_synack, now);
     assert_eq!(merged.to_wire.len(), 1, "merged SYN+ACK released");
-    b
 }
 
 fn client_data(seq_off: u32, payload: &'static [u8]) -> AddressedSegment {
@@ -539,4 +548,68 @@ fn a_resend_with_other_bytes_trips_queue_agree() {
         detail.contains("recorded [63, 64], re-sent [58, 64]"),
         "{detail}"
     );
+}
+
+// ---------------------------------------------------------------------
+// (f) A closed connection is forgotten: a reused tuple is audited
+//     afresh, and churn leaves no shadow state behind.
+// ---------------------------------------------------------------------
+
+/// P resets the connection from client port `port` at `now`: the bridge
+/// forwards the RST and drops the flow.
+fn primary_resets(b: &mut PrimaryBridge, port: u16, now: u64) {
+    let rst = TcpSegment::builder(80, port)
+        .seq(ISS_P + 1)
+        .ack(ISS_C + 1)
+        .flags(TcpFlags::RST | TcpFlags::ACK)
+        .build();
+    let out = b.on_outbound(raw(A_P, A_C, rst), now);
+    assert_eq!(out.to_wire.len(), 1, "the translated RST is forwarded");
+}
+
+/// The broken bridge's leak of (b), on a tuple that was reset and
+/// opened again: the auditor shadows the new connection, not the old.
+#[test]
+fn a_reused_tuple_is_audited_afresh() {
+    let dir = std::env::temp_dir().join(format!("tcpfo-audit-reuse-{}", std::process::id()));
+    let audit = InvariantAuditor::new(
+        AuditConfig::new("reuse")
+            .panic_on_violation(false)
+            .bundle_dir(&dir),
+    );
+    let mut b = established(audit);
+    primary_resets(&mut b, 5555, MS);
+    assert_eq!(b.flow_count(), 0, "the reset flow is gone");
+    handshake(&mut b, 5555, 2 * MS);
+    b.unsafe_ack_without_min = true;
+    b.on_inbound(client_data(0, b"hi"), 3 * MS);
+    b.on_outbound(p_seg(0, b"resp", ISS_C + 3), 4 * MS);
+    b.on_inbound(s_seg(0, b"resp", ISS_C + 1), 5 * MS);
+    let aud = b.observers().audit.as_deref().expect("auditor attached");
+    assert!(
+        aud.ledger().stat(Rule::AckMin).violations >= 1,
+        "the leak on the reused tuple went unseen:\n{}",
+        aud.report()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two hundred connections opened and reset: the bridge holds none of
+/// them, and neither does its auditor.
+#[test]
+fn closed_connections_leave_no_shadow_state() {
+    let mut b = PrimaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
+    b.set_audit(Some(Box::new(InvariantAuditor::new(AuditConfig::new(
+        "churn",
+    )))));
+    for (i, port) in (20_000..20_200).enumerate() {
+        let now = i as u64 * MS;
+        handshake(&mut b, port, now);
+        primary_resets(&mut b, port, now);
+    }
+    assert_eq!(b.flow_count(), 0);
+    let aud = b.observers().audit.as_deref().expect("auditor attached");
+    assert_eq!(aud.ledger().total_violations(), 0, "{}", aud.report());
+    let shown = format!("{aud:?}");
+    assert!(shown.contains("conns: 0,"), "{shown}");
 }

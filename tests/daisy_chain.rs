@@ -283,7 +283,7 @@ fn reprovision_restores_redundancy_after_losing(victim: usize, seed: u64) {
     assert!(tb.tracker.reprovision_ns().unwrap() > 0);
     assert!(tb.tracker.catchup_ns().unwrap() > 0);
     assert_eq!(
-        tb.tracker.total_ns().unwrap(),
+        tb.hubs[0].redundancy.restoration().unwrap().total_ns,
         tb.tracker.reprovision_ns().unwrap() + tb.tracker.catchup_ns().unwrap()
     );
 
