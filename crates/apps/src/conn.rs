@@ -7,9 +7,12 @@
 //! helpers here make that property easy to uphold: [`LineBuf`]
 //! reassembles requests independent of segment boundaries, and
 //! [`OutBuf`] guarantees no reply byte is dropped on a partial send.
+//! [`PatternSender`] drip-feeds a generated body the same way, with
+//! nothing staged but a count.
 //! [`Conns`] is the one accept → serve → release loop every server
 //! runs, serving only the connections that have something to do.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use tcpfo_tcp::app::SocketApi;
 use tcpfo_tcp::socket::TcpState;
@@ -244,26 +247,33 @@ const PATTERN_PERIOD: usize = 251;
 /// no longer periodic.
 const PATTERN_WRAPS_AT: u64 = (u64::MAX - 7) / 31 + 1;
 
-/// Two periods, so the run from any phase to the table's end is at
-/// least one period long.
-static PATTERN_TABLE: [u8; 2 * PATTERN_PERIOD] = {
-    let mut table = [0u8; 2 * PATTERN_PERIOD];
+/// Longest run [`pattern_run`] lends out of [`PATTERN_SPAN`].
+const PATTERN_RUN_MAX: usize = 64 * 1024;
+
+/// One periodic run of the pattern, a period longer than the longest
+/// run lent from it, so that such a run from any phase is one slice.
+static PATTERN_SPAN: [u8; PATTERN_RUN_MAX + PATTERN_PERIOD] = {
+    let mut span = [0u8; PATTERN_RUN_MAX + PATTERN_PERIOD];
     let mut i = 0;
-    while i < table.len() {
-        table[i] = pattern_byte(i as u64);
+    while i < span.len() {
+        span[i] = pattern_byte(i as u64);
         i += 1;
     }
-    table
+    span
 };
+
+/// Whether `[start, start + len)` lies below [`PATTERN_WRAPS_AT`].
+fn is_periodic(start: u64, len: usize) -> bool {
+    start
+        .checked_add(len as u64)
+        .is_some_and(|end| end <= PATTERN_WRAPS_AT)
+}
 
 /// Generates `len` pattern bytes starting at stream offset `start`:
 /// `pattern_byte(start)`, `pattern_byte(start + 1)`, … copied a run at a
-/// time out of the period table.
+/// time out of the static span.
 pub fn pattern(start: u64, len: usize) -> Vec<u8> {
-    let periodic = start
-        .checked_add(len as u64)
-        .is_some_and(|end| end <= PATTERN_WRAPS_AT);
-    if !periodic {
+    if !is_periodic(start, len) {
         return (0..len as u64)
             .map(|i| pattern_byte(start.wrapping_add(i)))
             .collect();
@@ -271,21 +281,97 @@ pub fn pattern(start: u64, len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     let mut phase = (start % PATTERN_PERIOD as u64) as usize;
     while out.len() < len {
-        let run = (len - out.len()).min(PATTERN_TABLE.len() - phase);
-        out.extend_from_slice(&PATTERN_TABLE[phase..phase + run]);
+        let run = (len - out.len()).min(PATTERN_SPAN.len() - phase);
+        out.extend_from_slice(&PATTERN_SPAN[phase..phase + run]);
         phase = (phase + run) % PATTERN_PERIOD;
     }
     out
 }
 
+/// The same bytes as [`pattern`], lent from the static span when the
+/// run is periodic and at most 64 KiB, and generated only otherwise.
+pub fn pattern_run(start: u64, len: usize) -> Cow<'static, [u8]> {
+    if len > PATTERN_RUN_MAX || !is_periodic(start, len) {
+        return Cow::Owned(pattern(start, len));
+    }
+    let phase = (start % PATTERN_PERIOD as u64) as usize;
+    Cow::Borrowed(&PATTERN_SPAN[phase..phase + len])
+}
+
 /// Number of positions at which `data`, received at stream offset
 /// `start`, differs from the pattern.
 pub fn pattern_mismatches(start: u64, data: &[u8]) -> u64 {
-    let want = pattern(start, data.len());
-    data.iter()
-        .zip(&want)
-        .filter(|(got, want)| got != want)
-        .count() as u64
+    let mut at = start;
+    let mut n = 0;
+    for got in data.chunks(PATTERN_RUN_MAX) {
+        let want = pattern_run(at, got.len());
+        n += got.iter().zip(want.iter()).filter(|(g, w)| g != w).count() as u64;
+        at = at.wrapping_add(got.len() as u64);
+    }
+    n
+}
+
+/// One pattern transfer in flight, drip-fed to TCP: the bytes
+/// `[offset - staged, offset)` are staged and `remaining` more are owed
+/// after them. Staging is a count, not a buffer: a flush lends TCP a
+/// slice of the static span.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PatternSender {
+    offset: u64,
+    remaining: u64,
+    staged: usize,
+}
+
+impl PatternSender {
+    /// Owes `remaining` pattern bytes from stream offset `offset`.
+    pub fn new(offset: u64, remaining: u64) -> Self {
+        PatternSender {
+            offset,
+            remaining,
+            staged: 0,
+        }
+    }
+
+    /// Hands TCP as much of the staged run as it accepts, in one `send`
+    /// (as [`OutBuf::flush`]).
+    pub fn flush(&mut self, api: &mut SocketApi<'_>, conn: SocketId) {
+        if self.staged == 0 {
+            return;
+        }
+        let run = pattern_run(self.offset - self.staged as u64, self.staged);
+        self.staged -= api.send(conn, &run).unwrap_or(0);
+    }
+
+    /// Flushes, then stages 16 KiB at a time while less than 32 KiB is
+    /// staged, flushing after each, until the send buffer is full or
+    /// nothing more is owed. Returns the bytes newly staged.
+    pub fn drip(&mut self, api: &mut SocketApi<'_>, conn: SocketId) -> u64 {
+        self.flush(api, conn);
+        let start = self.offset;
+        while self.remaining > 0 && self.staged < 32 * 1024 {
+            let chunk = self.remaining.min(16 * 1024);
+            self.offset += chunk;
+            self.remaining -= chunk;
+            self.staged += chunk as usize;
+            self.flush(api, conn);
+            if api.send_space(conn) == 0 {
+                break;
+            }
+        }
+        self.offset - start
+    }
+
+    /// Whether every byte has been handed to TCP.
+    pub fn is_done(&self) -> bool {
+        self.remaining == 0 && self.staged == 0
+    }
+
+    /// `(offset, remaining)` as TCP has it: staged bytes have not
+    /// reached the socket, so they count as remaining, not progress.
+    pub fn progress(&self) -> (u64, u64) {
+        let staged = self.staged as u64;
+        (self.offset - staged, self.remaining + staged)
+    }
 }
 
 #[cfg(test)]
@@ -294,7 +380,6 @@ mod tests {
     use crate::echo::EchoServer;
     use crate::stream::SinkServer;
     use crate::testutil::{Duplex, CLIENT_IP, SERVER_IP};
-    use tcpfo_net::time::SimTime;
     use tcpfo_tcp::app::SocketApp;
     use tcpfo_tcp::config::TcpConfig;
     use tcpfo_tcp::stack::TcpStack;
@@ -355,7 +440,7 @@ mod tests {
         }
         assert_ne!(
             pattern_byte(PATTERN_WRAPS_AT),
-            PATTERN_TABLE[(PATTERN_WRAPS_AT % 251) as usize],
+            PATTERN_SPAN[(PATTERN_WRAPS_AT % 251) as usize],
             "the fallback is needed: the wrapped sequence leaves the period"
         );
     }
@@ -370,6 +455,40 @@ mod tests {
             // Small offsets are the ones every run uses.
             let near = start % 1_000_000;
             proptest::prop_assert_eq!(pattern(near, len), by_definition(near, len));
+        }
+    }
+
+    #[test]
+    fn pattern_run_lends_what_pattern_generates() {
+        // Every phase, with lengths up to, at and past the longest loan.
+        let max = PATTERN_RUN_MAX;
+        for start in 0..PATTERN_PERIOD as u64 {
+            for len in [0, 1, 250, max - 1, max, max + 1, max + PATTERN_PERIOD + 1] {
+                let run = pattern_run(start, len);
+                assert_eq!(*run, pattern(start, len)[..], "{start}+{len}");
+                assert_eq!(matches!(run, Cow::Borrowed(_)), len <= max, "{start}+{len}");
+            }
+        }
+        // A run that reaches or crosses the wrap is generated, not lent.
+        for back in 0..600u64 {
+            let start = PATTERN_WRAPS_AT - 300 + back;
+            let run = pattern_run(start, 300);
+            assert_eq!(*run, by_definition(start, 300), "{start}");
+            assert_eq!(matches!(run, Cow::Borrowed(_)), back == 0, "{start}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_pattern_run_equals_pattern(
+            start in proptest::prelude::any::<u64>(),
+            len in 0usize..PATTERN_RUN_MAX + 2 * PATTERN_PERIOD,
+        ) {
+            proptest::prop_assert_eq!(&*pattern_run(start, len), &pattern(start, len)[..]);
+            let near = start % 1_000_000;
+            proptest::prop_assert_eq!(&*pattern_run(near, len), &pattern(near, len)[..]);
+            let wrap = PATTERN_WRAPS_AT - (start % 4096);
+            proptest::prop_assert_eq!(&*pattern_run(wrap, len), &by_definition(wrap, len)[..]);
         }
     }
 
@@ -418,7 +537,7 @@ mod tests {
         let mut net = Duplex {
             a: TcpStack::new(cfg.clone().with_isn_seed(11)),
             b: TcpStack::new(cfg.with_isn_seed(22)),
-            now: SimTime::ZERO,
+            ..Duplex::new()
         };
         let l = net.b.listen(7, false).unwrap();
         let to = SocketAddr::new(SERVER_IP, 7);
@@ -432,7 +551,7 @@ mod tests {
         ob.flush(&mut SocketApi::new(&mut net.a, net.now, CLIENT_IP), c);
         let (mut staged, mut got) = (0, Vec::new());
         while got.len() < TOTAL {
-            // Staged the way `SourceServer` does it.
+            // Staged in 16 KiB slabs, up to two ahead.
             while staged < TOTAL && ob.len() < 2 * SLAB {
                 let n = SLAB.min(TOTAL - staged);
                 ob.push(&pattern(staged as u64, n));
@@ -474,7 +593,7 @@ mod tests {
         let mut net = Duplex {
             a: TcpStack::new(cfg.with_isn_seed(11)),
             b: TcpStack::new(roomy.with_isn_seed(22)),
-            now: SimTime::ZERO,
+            ..Duplex::new()
         };
         let poll = |net: &mut Duplex, server: &mut dyn SocketApp| {
             server.poll(&mut SocketApi::new(&mut net.b, net.now, SERVER_IP));

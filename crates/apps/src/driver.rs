@@ -4,7 +4,7 @@
 //! the timestamps the paper's figures are computed from. All times are
 //! simulated time taken from [`SocketApi::now`].
 
-use crate::conn::{pattern, pattern_mismatches};
+use crate::conn::{pattern_mismatches, pattern_run};
 use std::any::Any;
 use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_tcp::app::{SocketApi, SocketApp};
@@ -79,7 +79,7 @@ impl SocketApp for BulkSendClient {
         }
         while self.sent < self.total {
             let chunk = (self.total - self.sent).min(32 * 1024) as usize;
-            let data = pattern(self.sent, chunk);
+            let data = pattern_run(self.sent, chunk);
             let n = api.send(c, &data).unwrap_or(0) as u64;
             self.sent += n;
             if self.sent == self.total {

@@ -15,7 +15,7 @@
 //! Command subset: `USER`, `PASS`, `PORT <port>`, `RETR <bytes>`,
 //! `STOR <bytes>`, `QUIT`.
 
-use crate::conn::{pattern, pattern_mismatches, Conns, LineBuf, OutBuf};
+use crate::conn::{pattern_mismatches, Conns, LineBuf, OutBuf, PatternSender};
 use std::any::Any;
 use tcpfo_net::time::SimTime;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
@@ -35,29 +35,12 @@ pub const FTP_DATA_PORT: u16 = 20;
 #[derive(Debug)]
 enum Transfer {
     Idle,
-    RetrConnecting {
-        size: u64,
-        data: SocketId,
-    },
-    RetrSending {
-        remaining: u64,
-        offset: u64,
-        data: SocketId,
-        out: OutBuf,
-    },
-    RetrClosing {
-        data: SocketId,
-    },
-    StorConnecting {
-        data: SocketId,
-    },
-    StorReceiving {
-        data: SocketId,
-        received: u64,
-    },
-    StorClosing {
-        data: SocketId,
-    },
+    RetrConnecting { size: u64, data: SocketId },
+    RetrSending { data: SocketId, file: PatternSender },
+    RetrClosing { data: SocketId },
+    StorConnecting { data: SocketId },
+    StorReceiving { data: SocketId, received: u64 },
+    StorClosing { data: SocketId },
 }
 
 struct CtrlConn {
@@ -152,10 +135,8 @@ impl FtpServer {
                 let (size, data) = (*size, *data);
                 if api.is_established(data) {
                     conn.transfer = Transfer::RetrSending {
-                        remaining: size,
-                        offset: 0,
                         data,
-                        out: OutBuf::new(),
+                        file: PatternSender::new(0, size),
                     };
                 } else if api.state(data).is_none_or(|s| s == TcpState::Closed) {
                     api.release(data);
@@ -164,25 +145,10 @@ impl FtpServer {
                 }
                 None
             }
-            Transfer::RetrSending {
-                remaining,
-                offset,
-                data,
-                out,
-            } => {
+            Transfer::RetrSending { data, file } => {
                 let data = *data;
-                out.flush(api, data);
-                while *remaining > 0 && out.len() < 32 * 1024 {
-                    let chunk = (*remaining).min(16 * 1024) as usize;
-                    out.push(&pattern(*offset, chunk));
-                    *offset += chunk as u64;
-                    *remaining -= chunk as u64;
-                    out.flush(api, data);
-                    if api.send_space(data) == 0 {
-                        break;
-                    }
-                }
-                if *remaining == 0 && out.is_empty() && api.unacked(data) == 0 {
+                file.drip(api, data);
+                if file.is_done() && api.unacked(data) == 0 {
                     let _ = api.close(data);
                     conn.transfer = Transfer::RetrClosing { data };
                 }
@@ -388,9 +354,8 @@ pub struct FtpClient {
     data_conn: Option<SocketId>,
     /// Data sockets mid-FIN-handshake, released once fully closed.
     draining: Vec<SocketId>,
-    data_out: OutBuf,
-    put_remaining: u64,
-    put_offset: u64,
+    /// The file being uploaded.
+    put: PatternSender,
     got_bytes: u64,
     op_cmd_start: Option<SimTime>,
     op_start: Option<SimTime>,
@@ -415,9 +380,7 @@ impl FtpClient {
             data_listener: None,
             data_conn: None,
             draining: Vec::new(),
-            data_out: OutBuf::new(),
-            put_remaining: 0,
-            put_offset: 0,
+            put: PatternSender::default(),
             got_bytes: 0,
             op_cmd_start: None,
             op_start: None,
@@ -486,19 +449,9 @@ impl FtpClient {
                 if !api.is_established(d) {
                     return false;
                 }
-                self.data_out.flush(api, d);
-                while self.put_remaining > 0 && self.data_out.len() < 32 * 1024 {
-                    let chunk = self.put_remaining.min(16 * 1024) as usize;
-                    self.data_out.push(&pattern(self.put_offset, chunk));
-                    self.put_offset += chunk as u64;
-                    self.put_remaining -= chunk as u64;
-                    self.data_out.flush(api, d);
-                    if api.send_space(d) == 0 {
-                        break;
-                    }
-                }
-                self.data_out.flush(api, d);
-                if self.put_remaining == 0 && self.data_out.is_empty() {
+                self.put.drip(api, d);
+                self.put.flush(api, d);
+                if self.put.is_done() {
                     // A real client's write+close returns here — the
                     // data sits in the send buffer; the delivery and
                     // FIN handshake finish in the background.
@@ -586,8 +539,7 @@ impl SocketApp for FtpClient {
                 let cmd = match self.script[self.op_index] {
                     FtpOp::Get(n) => format!("RETR {n}"),
                     FtpOp::Put(n) => {
-                        self.put_remaining = n;
-                        self.put_offset = 0;
+                        self.put = PatternSender::new(0, n);
                         format!("STOR {n}")
                     }
                 };
@@ -678,7 +630,10 @@ mod tests {
     use crate::testutil::{Duplex, SERVER_IP};
 
     fn run_script(script: Vec<FtpOp>) -> (FtpClient, FtpServer) {
-        let mut net = Duplex::new();
+        run_on(&mut Duplex::new(), script)
+    }
+
+    fn run_on(net: &mut Duplex, script: Vec<FtpOp>) -> (FtpClient, FtpServer) {
         let mut server = FtpServer::new();
         let mut client = FtpClient::new(SocketAddr::new(SERVER_IP, FTP_CTRL_PORT), script);
         for _ in 0..20_000 {
@@ -727,5 +682,22 @@ mod tests {
         assert!(client.is_done());
         assert_eq!(server.transfers, 0);
         assert!(client.records.is_empty());
+    }
+
+    /// A RETR and a STOR of a few megabytes each, drip-fed from the
+    /// pattern: the digest of every step's `send` call counts and every
+    /// segment was recorded when each 16 KiB slab was staged in a heap
+    /// buffer, and must not move.
+    #[test]
+    fn retr_and_stor_put_the_recorded_calls_and_bytes_on_the_wire() {
+        let mut net = Duplex::new();
+        let (client, server) = run_on(&mut net, vec![FtpOp::Get(3_000_000), FtpOp::Put(2_000_001)]);
+        assert!(client.is_done());
+        assert_eq!(client.mismatches, 0);
+        assert_eq!(server.bytes_moved, 2_000_001);
+        assert_eq!(
+            (net.a.send_calls, net.b.send_calls, net.wire),
+            (260, 289, 0x5fda_c22f_0476_1bc1)
+        );
     }
 }

@@ -7,7 +7,7 @@
 //!   the Fig. 5 receive rate). Deterministic on the byte stream, so it
 //!   replicates actively.
 
-use crate::conn::{pattern, Conns, LineBuf, OutBuf};
+use crate::conn::{Conns, LineBuf, PatternSender};
 use std::any::Any;
 use tcpfo_tcp::app::{SocketApi, SocketApp};
 use tcpfo_tcp::types::SocketId;
@@ -74,11 +74,8 @@ impl SocketApp for SinkServer {
 #[derive(Default)]
 struct SourceConn {
     lines: LineBuf,
-    out: OutBuf,
-    /// Remaining bytes of the current response (drip-fed to bound
-    /// memory), and the stream offset for pattern generation.
-    remaining: u64,
-    offset: u64,
+    /// The current response, drip-fed to bound memory.
+    reply: PatternSender,
 }
 
 /// Replies to `SEND <n>` requests with `n` pattern bytes.
@@ -117,15 +114,15 @@ impl SourceServer {
 
     /// Snapshot of every live connection's response progress:
     /// `(socket, offset, remaining)` — the handoff inputs for PR9
-    /// reprovisioning. Bytes still staged in the app-side out-buffer
-    /// have not reached the socket, so they count as *remaining*, not
-    /// progress: the adopting replica regenerates them.
+    /// reprovisioning. Bytes still staged app-side have not reached the
+    /// socket, so they count as *remaining*, not progress: the adopting
+    /// replica regenerates them.
     pub fn conn_progress(&self) -> Vec<(SocketId, u64, u64)> {
         self.conns
             .iter()
             .map(|(c, st)| {
-                let staged = st.out.len() as u64;
-                (c, st.offset - staged, st.remaining + staged)
+                let (offset, remaining) = st.reply.progress();
+                (c, offset, remaining)
             })
             .collect()
     }
@@ -139,8 +136,7 @@ impl SourceServer {
         self.conns.adopt(
             c,
             SourceConn {
-                remaining,
-                offset,
+                reply: PatternSender::new(offset, remaining),
                 ..SourceConn::default()
             },
         );
@@ -156,7 +152,9 @@ impl SocketApp for SourceServer {
                 self.services += 1;
                 let data = api.recv(c, usize::MAX).unwrap_or_default();
                 st.lines.push(&data);
-                while st.remaining == 0 {
+                // One request at a time: the next is parsed once the
+                // reply before it is all TCP's.
+                while st.reply.is_done() {
                     let Some(line) = st.lines.pop_line() else {
                         break;
                     };
@@ -164,32 +162,19 @@ impl SocketApp for SourceServer {
                         .strip_prefix("SEND ")
                         .and_then(|v| v.parse::<u64>().ok())
                     {
-                        st.remaining = n;
-                        st.offset = 0;
+                        st.reply = PatternSender::new(0, n);
                         self.requests += 1;
                     }
                 }
-                // Drip the response: refill the out-buffer in bounded slabs.
-                st.out.flush(api, c);
-                while st.remaining > 0 && st.out.len() < 32 * 1024 {
-                    let chunk = st.remaining.min(16 * 1024) as usize;
-                    st.out.push(&pattern(st.offset, chunk));
-                    st.offset += chunk as u64;
-                    st.remaining -= chunk as u64;
-                    self.served += chunk as u64;
-                    st.out.flush(api, c);
-                    if api.send_space(c) == 0 {
-                        break;
-                    }
-                }
-                st.out.flush(api, c);
-                if api.peer_closed(c) && st.remaining == 0 && st.out.is_empty() {
+                self.served += st.reply.drip(api, c);
+                st.reply.flush(api, c);
+                if api.peer_closed(c) && st.reply.is_done() {
                     let _ = api.close(c);
                 }
                 // The next request is parsed a poll after the previous
-                // reply was staged; everything else waits for an ACK.
-                if st.remaining == 0 {
-                    st.lines.has_line() || st.out.can_flush(api, c)
+                // reply was handed over; everything else waits for an ACK.
+                if st.reply.is_done() {
+                    st.lines.has_line()
                 } else {
                     api.send_space(c) > 0
                 }
@@ -269,5 +254,31 @@ mod tests {
         }
         assert!(client.is_done());
         assert_eq!(server.requests, 2);
+    }
+
+    /// A multi-megabyte reply, drip-fed from the pattern: the digest of
+    /// every step's `send` call counts and every segment was recorded
+    /// when each 16 KiB slab was staged in a heap buffer, and must not
+    /// move.
+    #[test]
+    fn a_long_reply_puts_the_recorded_calls_and_bytes_on_the_wire() {
+        const TOTAL: u64 = 5_000_003;
+        let mut net = Duplex::new();
+        let mut server = SourceServer::new(9);
+        let mut client = RequestReplyClient::new(
+            SocketAddr::new(SERVER_IP, 9),
+            format!("SEND {TOTAL}\n").into_bytes(),
+            TOTAL,
+        );
+        for _ in 0..20_000 {
+            net.step(&mut client, &mut server);
+            if client.is_done() {
+                break;
+            }
+        }
+        assert!(client.is_done());
+        assert_eq!(client.mismatches, 0);
+        assert_eq!(server.served, TOTAL);
+        assert_eq!((net.b.send_calls, net.wire), (458, 0x95e4_d2d1_8f2d_6465));
     }
 }

@@ -4,6 +4,7 @@
 use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_tcp::app::{SocketApi, SocketApp};
 use tcpfo_tcp::config::TcpConfig;
+use tcpfo_tcp::filter::AddressedSegment;
 use tcpfo_tcp::stack::TcpStack;
 use tcpfo_wire::ipv4::Ipv4Addr;
 
@@ -20,6 +21,10 @@ pub struct Duplex {
     pub b: TcpStack,
     /// Simulated clock, advanced 1 ms per step.
     pub now: SimTime,
+    /// FNV-1a over every segment exchanged, in delivery order, and each
+    /// step's `send` call counts: equal digests mean the same calls and
+    /// the same bytes on the wire.
+    pub wire: u64,
 }
 
 impl Duplex {
@@ -34,6 +39,24 @@ impl Duplex {
             a: TcpStack::new(cfg.clone().with_isn_seed(11)),
             b: TcpStack::new(cfg.with_isn_seed(22)),
             now: SimTime::ZERO,
+            wire: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn record(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.wire = (self.wire ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn deliver(&mut self, from_a: Vec<AddressedSegment>, from_b: Vec<AddressedSegment>) {
+        for seg in from_a {
+            self.record(&seg.bytes);
+            self.b.on_segment(&seg, self.now);
+        }
+        for seg in from_b {
+            self.record(&seg.bytes);
+            self.a.on_segment(&seg, self.now);
         }
     }
 
@@ -59,23 +82,16 @@ impl Duplex {
             if from_a.is_empty() && from_b.is_empty() {
                 break;
             }
-            for seg in from_a {
-                self.b.on_segment(&seg, self.now);
-            }
-            for seg in from_b {
-                self.a.on_segment(&seg, self.now);
-            }
+            self.deliver(from_a, from_b);
         }
         self.now += SimDuration::from_millis(1);
         self.a.on_tick(self.now);
         self.b.on_tick(self.now);
         // Deliver anything the timers produced.
-        for seg in self.a.take_outbox() {
-            self.b.on_segment(&seg, self.now);
-        }
-        for seg in self.b.take_outbox() {
-            self.a.on_segment(&seg, self.now);
-        }
+        let (from_a, from_b) = (self.a.take_outbox(), self.b.take_outbox());
+        self.deliver(from_a, from_b);
+        let calls = [self.a.send_calls, self.b.send_calls];
+        self.record(&calls.map(u64::to_le_bytes).concat());
     }
 }
 

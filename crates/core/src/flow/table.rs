@@ -36,10 +36,10 @@
 //! Reaps are never early; under budget pressure they are delayed but
 //! never lost.
 //!
-//! Memory is bounded: the table holds at most
-//! [`FlowTableConfig::capacity`] flows, and its slab and index are
-//! reserved for that many once, at construction. Inserting into a full
-//! table evicts the least-recently-active entry: the older of the two
+//! Memory is bounded and follows occupancy: the table holds at most
+//! [`FlowTableConfig::capacity`] flows, and its slab and index grow by
+//! doubling with the flows resident, not with the capacity (DESIGN §14,
+//! *Slab growth*). Inserting into a full table evicts the least-recently-active entry: the older of the two
 //! list fronts by `last_activity`, TimeWait residue first on a tie
 //! ([`Evicted`] is handed back to the caller, which owns the policy —
 //! the primary bridge resets evicted live clients).
@@ -228,17 +228,17 @@ pub struct FlowTable<T> {
 impl<T> FlowTable<T> {
     /// Builds a table per `config`.
     pub fn new(config: FlowTableConfig) -> Self {
-        // Reserve the slab and index up front: growth by doubling at
-        // scale is a latency storm, not a convenience — a 2²⁰-resident
-        // run would pay every slab memcpy and index rehash inside the
-        // measured stream, stalling the injector for hundreds of ms.
-        // Reserved pages are faulted lazily by the OS, so this costs
-        // address space, not RSS.
+        // Nothing is reserved: a reserved index is resident at once (its
+        // control bytes are written here, and a hash spreads even a few
+        // keys over every page of its buckets), so a table sized for its
+        // limit costs the limit. The slab and index double as flows
+        // arrive; the doublings up to a population happen while it is
+        // being established, not after.
         let capacity = config.capacity.max(1);
         FlowTable {
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::with_capacity(capacity),
+            index: HashMap::new(),
             exp: [ExpList::default(); EXP_CLASSES],
             config: FlowTableConfig { capacity, ..config },
             stats: FlowStats::default(),

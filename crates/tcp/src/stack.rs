@@ -54,9 +54,22 @@ const SCRATCH_CAPACITY: usize = 64;
 #[derive(Debug)]
 struct Listener {
     backlog: VecDeque<SocketId>,
+    /// Backlog entries by where they stand ([`Queued`] as index):
+    /// `accept` scans only for an entry there is one of.
+    queued: [usize; 3],
     failover: bool,
     /// Accepted sockets with an event their owner has not taken yet.
     ready: Vec<SocketId>,
+}
+
+/// Where a socket in its listener's backlog stands, as the listener's
+/// counts have it. One that closed there is reaped by the next `accept`:
+/// nothing else would release it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Queued {
+    Handshake,
+    Established,
+    Closed,
 }
 
 /// A live socket and what the stack tracks about it between events.
@@ -67,6 +80,9 @@ struct Slot {
     owner: Option<ListenerId>,
     /// Already on the owner's ready list.
     ready: bool,
+    /// Where it stands in its listener's backlog; `None` once accepted
+    /// (or if it never was in one).
+    queued: Option<Queued>,
     /// Earliest deadline this socket has a live entry for in
     /// [`TcpStack::timers`]; never later than its `next_deadline()`.
     armed: Option<SimTime>,
@@ -189,6 +205,9 @@ pub struct TcpStack {
     pub rst_sent: u64,
     /// Sockets [`TcpStack::on_tick`] has visited because a timer was due.
     pub timer_visits: u64,
+    /// [`TcpStack::send`] calls: each runs the output routine, so how an
+    /// application splits its writes shows on the wire.
+    pub send_calls: u64,
     /// Segments retransmitted by every socket this stack ever held.
     retransmits: u64,
     /// Retransmission-timer expiries, likewise.
@@ -217,6 +236,7 @@ impl TcpStack {
             checksum_drops: 0,
             rst_sent: 0,
             timer_visits: 0,
+            send_calls: 0,
             retransmits: 0,
             rto_expiries: 0,
         }
@@ -258,6 +278,7 @@ impl TcpStack {
         let id = ListenerId(self.listeners.len());
         self.listeners.push(Listener {
             backlog: VecDeque::new(),
+            queued: [0; 3],
             failover,
             ready: Vec::with_capacity(SCRATCH_CAPACITY),
         });
@@ -265,17 +286,29 @@ impl TcpStack {
         Ok(id)
     }
 
-    /// Dequeues an established connection from a listener's backlog.
+    /// Dequeues the oldest established connection from a listener's
+    /// backlog, after reaping the entries that closed unaccepted.
     pub fn accept(&mut self, listener: ListenerId) -> Option<SocketId> {
-        let l = self.listeners.get_mut(listener.0)?;
-        // Only hand out connections that completed the handshake.
-        let pos = l.backlog.iter().position(|sid| {
-            self.sockets
-                .get(sid.0)
-                .and_then(|s| s.as_ref())
-                .is_some_and(|s| s.sock.is_established())
-        })?;
-        l.backlog.remove(pos)
+        let first = |stack: &Self, q| {
+            let mut backlog = stack.listeners[listener.0].backlog.iter().copied();
+            backlog.find(|id| {
+                stack.sockets[id.0]
+                    .as_ref()
+                    .is_some_and(|s| s.queued == Some(q))
+            })
+        };
+        while self.listeners.get(listener.0)?.queued[Queued::Closed as usize] > 0 {
+            self.reap(first(self, Queued::Closed)?);
+        }
+        if self.listeners[listener.0].queued[Queued::Established as usize] == 0 {
+            return None;
+        }
+        let id = first(self, Queued::Established)?;
+        let l = &mut self.listeners[listener.0];
+        l.backlog.retain(|&q| q != id);
+        l.queued[Queued::Established as usize] -= 1;
+        self.sockets[id.0].as_mut()?.queued = None;
+        Some(id)
     }
 
     /// Appends to `out` every connection of `listener` that had a stack
@@ -388,6 +421,7 @@ impl TcpStack {
     /// Writes bytes; returns how many were accepted into the send
     /// buffer (the paper's §9 send-call semantics).
     pub fn send(&mut self, id: SocketId, data: &[u8], now: SimTime) -> Result<usize, StackError> {
+        self.send_calls += 1;
         let n = self.socket_mut(id)?.send(data);
         self.run_output(id, now);
         Ok(n)
@@ -499,7 +533,12 @@ impl TcpStack {
                     self.pending_designations.push(FailoverRule::Tuple(tuple));
                 }
                 let id = self.insert_socket(sock, Some(listener));
-                self.listeners[listener.0].backlog.push_back(id);
+                if let Some(slot) = self.sockets[id.0].as_mut() {
+                    slot.queued = Some(Queued::Handshake);
+                }
+                let l = &mut self.listeners[listener.0];
+                l.backlog.push_back(id);
+                l.queued[Queued::Handshake as usize] += 1;
                 self.run_output(id, now);
                 return;
             }
@@ -680,6 +719,7 @@ impl TcpStack {
             sock,
             owner,
             ready: false,
+            queued: None,
             armed: None,
             window,
         });
@@ -713,6 +753,17 @@ impl TcpStack {
             self.windows.replace(slot.window, window);
             slot.window = window;
         }
+        if let (Some(was), Some(owner)) = (slot.queued, slot.owner) {
+            let now = match sock.state {
+                _ if sock.is_established() => Queued::Established,
+                TcpState::Closed => Queued::Closed,
+                _ => Queued::Handshake,
+            };
+            let counts = &mut self.listeners[owner.0].queued;
+            counts[was as usize] -= 1;
+            counts[now as usize] += 1;
+            slot.queued = Some(now);
+        }
     }
 
     /// Queues an accepted socket for its listener's owner.
@@ -742,6 +793,11 @@ impl TcpStack {
 
     fn reap(&mut self, id: SocketId) {
         if let Some(slot) = self.sockets.get_mut(id.0).and_then(|s| s.take()) {
+            if let (Some(was), Some(owner)) = (slot.queued, slot.owner) {
+                let l = &mut self.listeners[owner.0];
+                l.queued[was as usize] -= 1;
+                l.backlog.retain(|&q| q != id);
+            }
             self.demux.remove(&slot.sock.tuple);
             self.windows.replace(slot.window, None);
             self.free.push(Reverse(id.0));
@@ -1243,5 +1299,93 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].2.flags.contains(TcpFlags::SYN | TcpFlags::ACK));
         assert_eq!(out[0].2.ack, 10);
+    }
+
+    /// A SYN whose client never answers the SYN+ACK: the server's
+    /// socket gives up after its retransmissions and must not outlive
+    /// them in the backlog.
+    #[test]
+    fn a_handshake_that_dies_in_the_backlog_is_reaped() {
+        let mut now = SimTime::ZERO;
+        let mut server = TcpStack::new(cfg(7));
+        let listener = server.listen(80, false).unwrap();
+        let mut client = TcpStack::new(cfg(3));
+        client
+            .connect(A, SocketAddr::new(B_IP, 80), false, now)
+            .unwrap();
+        for seg in client.take_outbox() {
+            server.on_segment(&seg, now);
+        }
+        assert_eq!(server.socket_ids(), vec![SocketId(0)]);
+        // The client vanished: everything the server sends is lost.
+        for _ in 0..5_000 {
+            now += SimDuration::from_millis(1_000);
+            server.on_tick(now);
+            server.take_outbox();
+        }
+        assert_eq!(server.listeners[listener.0].queued, [0, 0, 1]);
+        // The listener's owner polls: its accept reaps the entry.
+        assert_eq!(server.accept(listener), None);
+        assert!(
+            server.socket_ids().is_empty(),
+            "the dead handshake is reaped"
+        );
+        assert!(server.listeners[listener.0].backlog.is_empty());
+        // Its slot is free again.
+        client
+            .connect(A, SocketAddr::new(B_IP, 80), false, now)
+            .unwrap();
+        for seg in client.take_outbox() {
+            server.on_segment(&seg, now);
+        }
+        assert_eq!(server.socket_ids(), vec![SocketId(0)]);
+    }
+
+    #[test]
+    fn a_connection_reset_before_accept_is_reaped() {
+        let now = SimTime::ZERO;
+        let mut server = TcpStack::new(cfg(7));
+        let listener = server.listen(80, false).unwrap();
+        let mut client = TcpStack::new(cfg(3));
+        let first = client
+            .connect(A, SocketAddr::new(B_IP, 80), false, now)
+            .unwrap();
+        let second = client
+            .connect(A, SocketAddr::new(B_IP, 80), false, now)
+            .unwrap();
+        exchange(&mut client, &mut server, now);
+        // The first connection is reset while still in the backlog.
+        client.abort(first, now).unwrap();
+        exchange(&mut client, &mut server, now);
+        let accepted = server.accept(listener).expect("the live one");
+        assert_eq!(accepted, SocketId(1));
+        assert_eq!(server.socket_ids(), vec![SocketId(1)]);
+        assert!(client.socket(second).unwrap().is_established());
+        assert_eq!(server.accept(listener), None);
+        assert!(server.listeners[listener.0].backlog.is_empty());
+    }
+
+    #[test]
+    fn accept_hands_out_the_oldest_established_entry() {
+        let now = SimTime::ZERO;
+        let mut server = TcpStack::new(cfg(7));
+        let listener = server.listen(80, false).unwrap();
+        let mut client = TcpStack::new(cfg(3));
+        let to = SocketAddr::new(B_IP, 80);
+        // The first handshake stalls: its final ACK is lost.
+        client.connect(A, to, false, now).unwrap();
+        for seg in client.take_outbox() {
+            server.on_segment(&seg, now);
+        }
+        server.take_outbox();
+        assert_eq!(server.accept(listener), None, "nothing established yet");
+        // Two more complete.
+        client.connect(A, to, false, now).unwrap();
+        client.connect(A, to, false, now).unwrap();
+        exchange(&mut client, &mut server, now);
+        assert_eq!(server.accept(listener), Some(SocketId(1)));
+        assert_eq!(server.accept(listener), Some(SocketId(2)));
+        assert_eq!(server.accept(listener), None);
+        assert_eq!(server.listeners[listener.0].backlog.len(), 1);
     }
 }
