@@ -314,16 +314,6 @@ impl FtpRecord {
         let secs = d.as_secs_f64().max(overhead);
         self.bytes as f64 / 1000.0 / secs
     }
-
-    /// Rate computed over the full exchange including the `226`
-    /// acknowledgment (a conservative end-to-end measure).
-    pub fn rate_kbps_acked(&self) -> f64 {
-        let secs = self.end.duration_since(self.cmd_start).as_secs_f64();
-        if secs == 0.0 {
-            return f64::INFINITY;
-        }
-        self.bytes as f64 / 1000.0 / secs
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

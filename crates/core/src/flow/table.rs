@@ -31,7 +31,7 @@
 //!
 //! Expiry never sweeps the slab. A GC tick pops expired slots off the
 //! list fronts only — O(reaped), never O(capacity) — optionally bounded
-//! by a reap budget ([`GcPolicy::max_reaps_per_tick`]); backlog left by
+//! by a reap budget ([`FlowTable::gc_budgeted`]); backlog left by
 //! a budget-exhausted tick is still at the list fronts on the next one.
 //! Reaps are never early; under budget pressure they are delayed but
 //! never lost.
@@ -79,15 +79,6 @@ pub struct GcPolicy {
     /// genuinely live flow breaks it. This is a leak backstop, not a
     /// policy knob.
     pub idle_ttl: u64,
-    /// Reap budget per timer tick ([`FlowTable::gc_budgeted`]). Bounds
-    /// the GC pause; backlog stays at the expiry-list fronts for the
-    /// next tick. Expiry maintenance is O(1) per op, so a tick's cost is
-    /// O(min(due, budget)), never O(capacity).
-    pub max_reaps_per_tick: usize,
-    /// Reap budget drained at the end of every `process_batch` call
-    /// (amortises expiry into the datapath instead of letting it pile
-    /// up for the timer tick).
-    pub max_reaps_per_batch: usize,
 }
 
 impl Default for GcPolicy {
@@ -95,8 +86,6 @@ impl Default for GcPolicy {
         GcPolicy {
             timewait_ttl: 60_000_000_000, // 60 s sim
             idle_ttl: 3_600_000_000_000,  // 1 h sim
-            max_reaps_per_tick: 4_096,
-            max_reaps_per_batch: 64,
         }
     }
 }

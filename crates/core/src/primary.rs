@@ -65,6 +65,14 @@ use tcpfo_wire::ipv4::Ipv4Addr;
 /// tick fires far more often), in sim nanoseconds.
 const GC_INTERVAL_NANOS: u64 = 1_000_000_000;
 
+/// Flows one GC tick may reap: the pause bound. A tick costs
+/// O(min(due, budget)), never O(capacity).
+const MAX_REAPS_PER_TICK: usize = 4_096;
+
+/// Flows reaped after every batch: amortises expiry into the datapath
+/// instead of letting it pile up for the tick.
+const MAX_REAPS_PER_BATCH: usize = 64;
+
 /// Operating mode of the primary bridge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrimaryMode {
@@ -499,34 +507,11 @@ impl PrimaryBridge {
         self.flows.contains(key)
     }
 
-    /// Timer-driven flow GC: expires §8 TimeWait tombstones after their
-    /// TTL and reaps long-idle live flows (a leak backstop). Runs at
-    /// most once per [`GC_INTERVAL_NANOS`] of sim time, and reaps at
-    /// most `GcPolicy::max_reaps_per_tick` flows per tick — the pause
-    /// bound. Backlog waits at the expiry-list fronts (and the
-    /// per-batch drain in [`PrimaryBridge::process_batch`] keeps eating
-    /// at it between ticks).
-    fn gc_flows(&mut self, now_nanos: u64) {
-        if now_nanos.saturating_sub(self.last_gc) < GC_INTERVAL_NANOS {
-            return;
-        }
-        self.last_gc = now_nanos;
-        let budget = self.flows.config().gc.max_reaps_per_tick;
-        let mut lag = self.observers.lag();
-        self.flows
-            .gc_budgeted(now_nanos, budget, &mut |ev| ev.data.left(&mut lag));
-        self.stats.flows_reaped = self.flows.stats().reaped;
-    }
-
-    /// Per-batch incremental GC: a small reap budget
-    /// (`GcPolicy::max_reaps_per_batch`). O(1) when nothing is due (one
-    /// list-head check per TTL class), so this runs after *every*
-    /// batch.
-    fn gc_batch(&mut self, now_nanos: u64) {
-        let budget = self.flows.config().gc.max_reaps_per_batch;
-        if budget == 0 {
-            return;
-        }
+    /// Flow GC: reaps at most `budget` flows whose TTL ran out, §8
+    /// TimeWait tombstones and long-idle live flows (a leak backstop).
+    /// Backlog waits at the expiry-list fronts. O(1) when nothing is due
+    /// (one list-head check per TTL class), so every batch ends with it.
+    fn gc_flows(&mut self, now_nanos: u64, budget: usize) {
         let mut lag = self.observers.lag();
         self.flows
             .gc_budgeted(now_nanos, budget, &mut |ev| ev.data.left(&mut lag));
@@ -589,7 +574,7 @@ impl PrimaryBridge {
 
     /// Filters a whole batch, one segment at a time in input order, and
     /// returns one [`FilterOutput`] per input; then the table drains its
-    /// per-batch GC budget ([`PrimaryBridge::gc_batch`]). The span
+    /// per-batch GC budget (`MAX_REAPS_PER_BATCH`). The span
     /// sampler brackets the whole. `_exec` is the shim
     /// `benchmark/README.md` § What the benchmark calls pins.
     pub fn process_batch(
@@ -611,7 +596,7 @@ impl PrimaryBridge {
                 out
             })
             .collect();
-        self.gc_batch(now_nanos);
+        self.gc_flows(now_nanos, MAX_REAPS_PER_BATCH);
         self.observers.batch_end(&sample, segments);
         outs
     }
@@ -627,7 +612,10 @@ impl SegmentFilter for PrimaryBridge {
     }
 
     fn on_tick(&mut self, now_nanos: u64) {
-        self.gc_flows(now_nanos);
+        if now_nanos.saturating_sub(self.last_gc) >= GC_INTERVAL_NANOS {
+            self.last_gc = now_nanos;
+            self.gc_flows(now_nanos, MAX_REAPS_PER_TICK);
+        }
         self.sync_telemetry(now_nanos);
     }
 

@@ -139,15 +139,6 @@ impl TakenBytes {
             .chain(self.rest.iter().map(|b| b.as_ref()))
     }
 
-    /// The single backing slice, when the chain has exactly one part.
-    pub fn as_contiguous(&self) -> Option<&Bytes> {
-        if self.rest.is_empty() {
-            self.first.as_ref()
-        } else {
-            None
-        }
-    }
-
     /// Copies the chained bytes into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len);
@@ -451,35 +442,6 @@ impl ByteQueue {
         self.total -= n;
         out
     }
-
-    /// Drops every byte below `floor` (used when the other replica's
-    /// retransmission proves the client has the data).
-    pub fn discard_below(&mut self, floor: u32) {
-        let cut = self.search(floor);
-        let mut dropped = 0;
-        self.chunks.remove(0..cut, |c| dropped += c.data.len());
-        self.total -= dropped;
-        if let Some(c) = self.chunks.as_mut_slice().first_mut() {
-            if seq_lt(c.start, floor) {
-                let skip = seq_diff(floor, c.start) as usize;
-                c.data = c.data.slice(skip..);
-                c.sum = raw_sum(&c.data);
-                c.start = floor;
-                self.total -= skip;
-            }
-        }
-    }
-
-    /// Removes and returns the contiguous bytes starting at `seq`
-    /// (everything transmittable in one flush — the §6 procedure's
-    /// step 1).
-    pub fn drain_contiguous(&mut self, seq: u32) -> TakenBytes {
-        let n = self.contiguous_from(seq);
-        if n == 0 {
-            return TakenBytes::empty();
-        }
-        self.take(seq, n)
-    }
 }
 
 #[cfg(test)]
@@ -556,25 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn discard_below_trims() {
-        let mut q = ByteQueue::new();
-        q.insert(10, b"abcdef", 10);
-        q.discard_below(13);
-        assert_eq!(q.contiguous_from(13), 3);
-        assert_eq!(q.take(13, 3), b"def");
-    }
-
-    #[test]
-    fn drain_contiguous_flushes_front_only() {
-        let mut q = ByteQueue::new();
-        q.insert(10, b"abc", 10);
-        q.insert(20, b"xyz", 10);
-        assert_eq!(q.drain_contiguous(10), b"abc");
-        assert_eq!(q.len(), 3, "the gapped run stays");
-        assert!(q.drain_contiguous(13).is_empty());
-    }
-
-    #[test]
     fn wrapping_sequence_space() {
         let start = u32::MAX - 2;
         let mut q = ByteQueue::new();
@@ -591,9 +534,10 @@ mod tests {
         let mut q = ByteQueue::new();
         q.insert(100, payload, 100);
         let taken = q.take(100, 6);
-        let got = taken.as_contiguous().expect("single chunk");
+        let parts: Vec<&[u8]> = taken.parts().collect();
         // Same backing storage: the slice views the original segment.
-        assert_eq!(&got[..], b"456789");
+        assert_eq!(parts, [&seg[4..]]);
+        assert_eq!(parts[0].as_ptr(), seg[4..].as_ptr());
     }
 
     #[test]
@@ -618,8 +562,6 @@ mod tests {
         assert_eq!(q.len(), 6);
         q.take(10, 2);
         assert_eq!(q.len(), 4);
-        q.discard_below(21);
-        assert_eq!(q.len(), 2);
     }
 
     /// The chain `take` hands out when `bytes` arrived cut at `cuts`.
@@ -712,13 +654,6 @@ mod tests {
                 .collect()
         }
 
-        fn discard_below(&mut self, floor: u32) {
-            let o = self.off(floor).min(self.cells.len());
-            for c in &mut self.cells[..o] {
-                *c = None;
-            }
-        }
-
         fn len(&self) -> usize {
             self.cells.iter().filter(|c| c.is_some()).count()
         }
@@ -794,14 +729,14 @@ mod tests {
         }
 
         /// The rope agrees with a naive cell-per-byte reference model
-        /// under random insert / take / discard interleavings, including
+        /// under random insert / take interleavings, including
         /// wrap-around sequence numbers, and every take's cached sum is
         /// congruent to its content's checksum sum.
         #[test]
         fn prop_rope_matches_reference_model(
             base in any::<u32>(),
             ops in proptest::collection::vec(
-                (0u8..3, 0usize..200, 1usize..40),
+                (0u8..2, 0usize..200, 1usize..40),
                 1..60,
             ),
         ) {
@@ -819,7 +754,7 @@ mod tests {
                         m.insert(seq, &data, floor);
                     }
                     // Take part of what is contiguous at the floor.
-                    1 => {
+                    _ => {
                         let avail = q.contiguous_from(floor);
                         prop_assert_eq!(avail, m.contiguous_from(floor));
                         if avail > 0 {
@@ -834,14 +769,6 @@ mod tests {
                             );
                             floor = floor.wrapping_add(k as u32);
                         }
-                    }
-                    // Discard ahead of the floor.
-                    _ => {
-                        let ahead = (arg % 17) as u32;
-                        let new_floor = floor.wrapping_add(ahead);
-                        q.discard_below(new_floor);
-                        m.discard_below(new_floor);
-                        floor = new_floor;
                     }
                 }
                 prop_assert_eq!(q.len(), m.len());

@@ -84,6 +84,9 @@ pub mod macs {
     pub const ROUTER_SERVER: MacAddr = MacAddr::from_index(101);
 }
 
+/// The router's store-and-forward delay.
+const ROUTER_DELAY: SimDuration = SimDuration::from_micros(15);
+
 /// The back-end and replica 2 would share an address and a NIC.
 const BACKEND_CLASH: &str = "the back-end T holds 10.0.0.4 and NIC 4, replica 2's: \
      a testbed with a back-end has two replicas and no standby";
@@ -129,8 +132,6 @@ pub struct TestbedConfig {
     pub client_cpu: CpuModel,
     /// Host stack tick.
     pub tick: SimDuration,
-    /// Router store-and-forward delay.
-    pub router_delay: SimDuration,
     /// Base TCP configuration applied to every host (per-host ISN
     /// seeds are derived from `seed`).
     pub tcp: TcpConfig,
@@ -190,7 +191,6 @@ impl Default for TestbedConfig {
             cpu: CpuModel::server_2003(),
             client_cpu: CpuModel::server_2003().scaled(0.6),
             tick: SimDuration::from_millis(1),
-            router_delay: SimDuration::from_micros(15),
             tcp: TcpConfig::default(),
             attachment_loss: 0.0,
             loss_to_primary: 0.0,
@@ -425,7 +425,7 @@ impl Testbed {
                 gateway(macs::ROUTER_CLIENT, addrs::GW_CLIENT),
                 gateway(macs::ROUTER_SERVER, addrs::GW_SERVER),
             ],
-            cfg.router_delay,
+            ROUTER_DELAY,
         );
         router.prime_arp(addrs::A_C, 0, macs::CLIENT);
         let router = sim.add_device(Box::new(router));

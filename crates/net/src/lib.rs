@@ -19,6 +19,8 @@
 //!   fails on switched segments).
 //! * [`router`] — IPv4 forwarding + ARP, including the gratuitous-ARP
 //!   cache update that implements IP takeover (§5).
+//! * [`neighbour`] — the ARP neighbour table the router and every host
+//!   resolve next hops with: cache, parked datagrams, one bound.
 //! * [`trace`] — packet traces with protocol-aware summaries.
 //! * [`exec`] — [`exec::ShardExecutor`], the name the bridge's batch
 //!   entry takes (a shim: a batch runs on the caller's thread).
@@ -46,6 +48,7 @@
 pub mod exec;
 pub mod hub;
 pub mod link;
+pub mod neighbour;
 pub mod router;
 pub mod sim;
 pub mod switch;

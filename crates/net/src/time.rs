@@ -84,11 +84,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Constructs a span from fractional seconds (saturating at zero).
-    pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration((secs.max(0.0) * 1e9) as u64)
-    }
-
     /// Length in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -225,8 +220,6 @@ mod tests {
     fn conversions() {
         assert_eq!(SimDuration::from_secs(1).as_millis(), 1000);
         assert!((SimDuration::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
-        assert_eq!(SimDuration::from_secs_f64(0.000001).as_micros(), 1);
-        assert_eq!(SimDuration::from_secs_f64(-5.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -2,12 +2,22 @@
 
 use tcpfo_net::time::SimDuration;
 
+/// Minimum retransmission timeout.
+pub const RTO_MIN: SimDuration = SimDuration::from_millis(200);
+/// Maximum retransmission timeout.
+pub const RTO_MAX: SimDuration = SimDuration::from_secs(60);
+/// Initial RTO before any RTT sample.
+pub const RTO_INITIAL: SimDuration = SimDuration::from_millis(1000);
+/// How long a closed connection lingers in TIME-WAIT.
+pub const TIME_WAIT: SimDuration = SimDuration::from_millis(1000);
+
 /// Tunables of one host's TCP stack.
 ///
 /// Defaults approximate the paper's testbed software (FreeBSD 4.4-era
 /// BSD TCP on 100 Mb/s Ethernet): 1460-byte MSS, 64 KB send buffer
 /// (whose effect is visible below ~32 KB messages in Fig. 3), 64 KB
-/// receive window, 200 ms minimum RTO, 40 ms delayed-ACK.
+/// receive window, 40 ms delayed-ACK. The RTO bounds and TIME-WAIT are
+/// the constants above, and Reno congestion control is always on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpConfig {
     /// Maximum segment size advertised in our SYN.
@@ -19,12 +29,6 @@ pub struct TcpConfig {
     /// Receive buffer capacity; bounds the advertised window (capped at
     /// 65535 — no window scaling, as in the paper's era).
     pub recv_buffer: usize,
-    /// Minimum retransmission timeout.
-    pub rto_min: SimDuration,
-    /// Maximum retransmission timeout.
-    pub rto_max: SimDuration,
-    /// Initial RTO before any RTT sample.
-    pub rto_initial: SimDuration,
     /// Delayed-ACK timeout; `None` disables delayed ACKs.
     pub delayed_ack: Option<SimDuration>,
     /// Nagle's algorithm (coalesce sub-MSS writes while data is in
@@ -38,11 +42,6 @@ pub struct TcpConfig {
     /// server-initiated failover connections (§7.2) pick identical
     /// local ports on P and S.
     pub ephemeral_start: u16,
-    /// How long a closed connection lingers in TIME-WAIT.
-    pub time_wait: SimDuration,
-    /// Enable Reno congestion control; disabling fixes cwnd wide open
-    /// (useful for LAN microbenchmarks).
-    pub congestion_control: bool,
 }
 
 impl Default for TcpConfig {
@@ -51,15 +50,10 @@ impl Default for TcpConfig {
             mss: 1460,
             send_buffer: 64 * 1024,
             recv_buffer: 64 * 1024 - 1,
-            rto_min: SimDuration::from_millis(200),
-            rto_max: SimDuration::from_secs(60),
-            rto_initial: SimDuration::from_millis(1000),
             delayed_ack: Some(SimDuration::from_millis(40)),
             nagle: true,
             isn_seed: 0,
             ephemeral_start: 49152,
-            time_wait: SimDuration::from_millis(1000),
-            congestion_control: true,
         }
     }
 }
@@ -68,13 +62,6 @@ impl TcpConfig {
     /// Returns a copy with the given ISN seed.
     pub fn with_isn_seed(mut self, seed: u64) -> Self {
         self.isn_seed = seed;
-        self
-    }
-
-    /// Returns a copy with Nagle disabled (small-message latency
-    /// benchmarks).
-    pub fn without_nagle(mut self) -> Self {
-        self.nagle = false;
         self
     }
 
@@ -94,7 +81,10 @@ mod tests {
         assert_eq!(c.mss, 1460);
         assert_eq!(c.send_buffer, 65536);
         assert!(c.nagle);
-        assert_eq!(c.rto_min, SimDuration::from_millis(200));
+        assert_eq!(RTO_MIN, SimDuration::from_millis(200));
+        assert_eq!(RTO_MAX, SimDuration::from_secs(60));
+        assert_eq!(RTO_INITIAL, SimDuration::from_millis(1000));
+        assert_eq!(TIME_WAIT, SimDuration::from_millis(1000));
     }
 
     #[test]
@@ -107,8 +97,7 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let c = TcpConfig::default().with_isn_seed(9).without_nagle();
+        let c = TcpConfig::default().with_isn_seed(9);
         assert_eq!(c.isn_seed, 9);
-        assert!(!c.nagle);
     }
 }

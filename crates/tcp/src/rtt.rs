@@ -1,6 +1,7 @@
 //! Retransmission-timeout estimation (Jacobson/Karels, with Karn's
 //! rule applied by the caller: no samples from retransmitted data).
 
+use crate::config::{RTO_INITIAL, RTO_MAX, RTO_MIN};
 use tcpfo_net::time::SimDuration;
 
 /// Smoothed RTT state and RTO computation.
@@ -11,26 +12,24 @@ pub struct RttEstimator {
     /// RTT variance estimate.
     rttvar: SimDuration,
     rto: SimDuration,
-    rto_min: SimDuration,
-    rto_max: SimDuration,
     /// Exponential back-off multiplier (power of two), reset on a new
     /// sample.
     backoff: u32,
 }
 
-impl RttEstimator {
-    /// Creates an estimator with the given bounds and initial RTO.
-    pub fn new(initial: SimDuration, rto_min: SimDuration, rto_max: SimDuration) -> Self {
+impl Default for RttEstimator {
+    /// An estimator at [`RTO_INITIAL`], before any sample.
+    fn default() -> Self {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
-            rto: initial,
-            rto_min,
-            rto_max,
+            rto: RTO_INITIAL,
             backoff: 0,
         }
     }
+}
 
+impl RttEstimator {
     /// Feeds a round-trip sample from a *non-retransmitted* segment.
     pub fn sample(&mut self, rtt: SimDuration) {
         match self.srtt {
@@ -58,7 +57,7 @@ impl RttEstimator {
         let srtt = self.srtt.unwrap_or(self.rto);
         let base = srtt + self.rttvar.saturating_mul(4);
         let backed = base.saturating_mul(1 << self.backoff.min(16));
-        self.rto = backed.max(self.rto_min).min(self.rto_max);
+        self.rto = backed.max(RTO_MIN).min(RTO_MAX);
     }
 
     /// Doubles the RTO after a retransmission timeout (Karn).
@@ -83,11 +82,7 @@ mod tests {
     use super::*;
 
     fn est() -> RttEstimator {
-        RttEstimator::new(
-            SimDuration::from_millis(1000),
-            SimDuration::from_millis(200),
-            SimDuration::from_secs(60),
-        )
+        RttEstimator::default()
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! sockets against each other without a network.
 
 use crate::buffer::{RecvBuffer, SendBuffer};
-use crate::config::TcpConfig;
+use crate::config::{TcpConfig, TIME_WAIT};
 use crate::rtt::RttEstimator;
 use crate::seq::{seq_diff, seq_ge, seq_gt, seq_le, seq_lt};
 use crate::types::FourTuple;
@@ -261,7 +261,7 @@ impl Socket {
             dup_acks: 0,
             in_fast_recovery: false,
             recover: iss,
-            rtt: RttEstimator::new(cfg.rto_initial, cfg.rto_min, cfg.rto_max),
+            rtt: RttEstimator::default(),
             rtt_sample: None,
             rtx_deadline: None,
             consecutive_rtx: 0,
@@ -284,12 +284,6 @@ impl Socket {
     // ---------------------------------------------------------------
     // Introspection
     // ---------------------------------------------------------------
-
-    /// Initial send sequence number (the bridge reads this to compute
-    /// `Δseq`).
-    pub fn initial_seq(&self) -> u32 {
-        self.iss
-    }
 
     /// Next sequence number we will ACK (covers data, SYN and FIN).
     pub fn rcv_nxt(&self) -> u32 {
@@ -439,7 +433,7 @@ impl Socket {
                 // Absorb retransmissions, re-ACK, restart 2MSL.
                 if seg.flags.contains(TcpFlags::FIN) || seg.seq_len() > 0 {
                     self.ack_now = true;
-                    self.timewait_deadline = Some(now + cfg.time_wait);
+                    self.timewait_deadline = Some(now + TIME_WAIT);
                 }
             }
             TcpState::Closed => {}
@@ -466,7 +460,7 @@ impl Socket {
         self.rcv_buf = RecvBuffer::new(seg.seq.wrapping_add(1), cfg.recv_buffer);
         self.mss_peer = seg.mss();
         if seg.flags.contains(TcpFlags::ACK) {
-            self.accept_ack(seg, now, cfg);
+            self.accept_ack(seg, now);
             self.state = TcpState::Established;
             self.consecutive_rtx = 0;
             self.ack_now = true;
@@ -539,12 +533,12 @@ impl Socket {
             self.snd_wl1 = seg.seq;
             self.snd_wl2 = seg.ack;
         }
-        self.accept_ack(seg, now, cfg);
+        self.accept_ack(seg, now);
         self.process_payload_and_fin(seg, now, cfg);
     }
 
     /// Handles the acknowledgment and window fields of `seg`.
-    fn accept_ack(&mut self, seg: &TcpSegment, now: SimTime, cfg: &TcpConfig) {
+    fn accept_ack(&mut self, seg: &TcpSegment, now: SimTime) {
         let ack = seg.ack;
         if seq_gt(ack, self.snd_max) {
             // Ack of data never sent: re-ACK and ignore.
@@ -590,9 +584,6 @@ impl Socket {
                 }
                 self.dup_acks = 0;
             }
-            if !cfg.congestion_control {
-                self.cwnd = u32::MAX / 4;
-            }
             // Retransmission timer: restart while data outstanding.
             if seq_lt(self.snd_una, self.snd_nxt) {
                 self.rtx_deadline = Some(now + self.rtt.rto());
@@ -605,7 +596,7 @@ impl Socket {
                     TcpState::FinWait1 => self.state = TcpState::FinWait2,
                     TcpState::Closing => {
                         self.state = TcpState::TimeWait;
-                        self.timewait_deadline = Some(now + cfg.time_wait);
+                        self.timewait_deadline = Some(now + TIME_WAIT);
                     }
                     TcpState::LastAck => self.enter_closed_clean(),
                     _ => {}
@@ -620,7 +611,7 @@ impl Socket {
             // Duplicate ACK.
             self.dup_acks += 1;
             let mss = u32::from(self.effective_mss());
-            if self.dup_acks == 3 && cfg.congestion_control && !self.in_fast_recovery {
+            if self.dup_acks == 3 && !self.in_fast_recovery {
                 // Fast retransmit + fast recovery entry.
                 let flight = seq_diff(self.snd_nxt, self.snd_una) as u32;
                 self.ssthresh = (flight / 2).max(2 * mss);
@@ -630,9 +621,6 @@ impl Socket {
                 self.fast_retransmit_pending = true;
             } else if self.in_fast_recovery {
                 self.cwnd = self.cwnd.saturating_add(mss);
-            } else if self.dup_acks >= 3 && !cfg.congestion_control {
-                // Still fast-retransmit without Reno accounting.
-                self.fast_retransmit_pending = true;
             }
         }
         // Window update (RFC 793 p.72).
@@ -688,7 +676,7 @@ impl Socket {
                     }
                     TcpState::FinWait2 => {
                         self.state = TcpState::TimeWait;
-                        self.timewait_deadline = Some(now + cfg.time_wait);
+                        self.timewait_deadline = Some(now + TIME_WAIT);
                     }
                     _ => {}
                 }
@@ -702,7 +690,7 @@ impl Socket {
                     TcpState::FinWait1 => self.state = TcpState::Closing,
                     TcpState::FinWait2 => {
                         self.state = TcpState::TimeWait;
-                        self.timewait_deadline = Some(now + cfg.time_wait);
+                        self.timewait_deadline = Some(now + TIME_WAIT);
                     }
                     _ => {}
                 }
@@ -731,7 +719,7 @@ impl Socket {
 
     /// Advances time: fires retransmission, persist, delayed-ACK and
     /// TIME-WAIT timers that are due.
-    pub fn on_tick(&mut self, now: SimTime, cfg: &TcpConfig) {
+    pub fn on_tick(&mut self, now: SimTime) {
         if let Some(deadline) = self.timewait_deadline {
             if now >= deadline && self.state == TcpState::TimeWait {
                 self.enter_closed_clean();
@@ -740,7 +728,7 @@ impl Socket {
         }
         if let Some(deadline) = self.rtx_deadline {
             if now >= deadline {
-                self.on_retransmission_timeout(now, cfg);
+                self.on_retransmission_timeout(now);
             }
         }
         if let Some(deadline) = self.persist_deadline {
@@ -770,7 +758,7 @@ impl Socket {
         armed
     }
 
-    fn on_retransmission_timeout(&mut self, now: SimTime, cfg: &TcpConfig) {
+    fn on_retransmission_timeout(&mut self, now: SimTime) {
         // A peer that *closed* its window is alive (it keeps ACKing
         // our probes); persist-style retries never give up (RFC 1122).
         // A peer that never offered one (handshake) still times out.
@@ -785,11 +773,9 @@ impl Socket {
         self.rtt.back_off();
         self.rtt_sample = None; // Karn's rule
         let mss = u32::from(self.effective_mss());
-        if cfg.congestion_control {
-            let flight = seq_diff(self.snd_nxt, self.snd_una).max(0) as u32;
-            self.ssthresh = (flight / 2).max(2 * mss);
-            self.cwnd = mss;
-        }
+        let flight = seq_diff(self.snd_nxt, self.snd_una).max(0) as u32;
+        self.ssthresh = (flight / 2).max(2 * mss);
+        self.cwnd = mss;
         self.dup_acks = 0;
         self.in_fast_recovery = false;
         // Go-back-N: rewind and let output() resend.
@@ -1193,8 +1179,8 @@ mod tests {
         assert_eq!(server.state, TcpState::Closed);
         assert_eq!(client.state, TcpState::TimeWait);
         // TIME-WAIT expires.
-        let later = now + cfg.time_wait + SimDuration::from_millis(1);
-        client.on_tick(later, &cfg);
+        let later = now + TIME_WAIT + SimDuration::from_millis(1);
+        client.on_tick(later);
         assert_eq!(client.state, TcpState::Closed);
         assert!(client.error.is_none());
     }
@@ -1251,7 +1237,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         // Segment lost. Fire the retransmission timer.
         let deadline = client.rtx_deadline.expect("rtx armed");
-        client.on_tick(deadline, &cfg);
+        client.on_tick(deadline);
         let mut out2 = Vec::new();
         client.output(deadline, &cfg, &mut out2);
         assert_eq!(out2.len(), 1);
@@ -1325,8 +1311,8 @@ mod tests {
         for _ in 0..16 {
             pump(&mut client, &mut server, now, &cfg);
             now += SimDuration::from_millis(1500);
-            client.on_tick(now, &cfg);
-            server.on_tick(now, &cfg);
+            client.on_tick(now);
+            server.on_tick(now);
         }
         pump(&mut client, &mut server, now, &cfg);
         assert_eq!(server.recv_available(), 2000, "window filled");
@@ -1338,8 +1324,8 @@ mod tests {
         for _ in 0..16 {
             pump(&mut client, &mut server, now, &cfg);
             now += SimDuration::from_millis(1500);
-            client.on_tick(now, &cfg);
-            server.on_tick(now, &cfg);
+            client.on_tick(now);
+            server.on_tick(now);
         }
         assert_eq!(server.recv_available(), 2000, "transfer resumed");
         assert_eq!(client.unacked(), 0);
@@ -1369,7 +1355,7 @@ mod tests {
         client.output(now, &cfg, &mut out);
         assert!(out[0].flags.contains(TcpFlags::SYN));
         let deadline = client.rtx_deadline.unwrap();
-        client.on_tick(deadline, &cfg);
+        client.on_tick(deadline);
         let mut out2 = Vec::new();
         client.output(deadline, &cfg, &mut out2);
         assert_eq!(out2.len(), 1);
@@ -1391,7 +1377,7 @@ mod tests {
                 None => break,
             };
             now = deadline;
-            client.on_tick(now, &cfg);
+            client.on_tick(now);
             let mut o = Vec::new();
             client.output(now, &cfg, &mut o);
         }
@@ -1460,7 +1446,7 @@ mod tests {
         assert!(acks.is_empty(), "ack should be delayed");
         // …but the delayed-ack timer produces one.
         let fire = now + SimDuration::from_millis(40);
-        server.on_tick(fire, &cfg);
+        server.on_tick(fire);
         server.output(fire, &cfg, &mut acks);
         assert_eq!(acks.len(), 1);
         assert!(acks[0].payload.is_empty());
@@ -1508,7 +1494,7 @@ mod tests {
         assert_eq!(server.next_deadline(), None);
         assert_eq!(client.state, TcpState::TimeWait);
         let expiry = client.next_deadline().expect("2MSL armed");
-        client.on_tick(expiry, &cfg);
+        client.on_tick(expiry);
         assert_eq!(client.state, TcpState::Closed);
         assert_eq!(client.next_deadline(), None);
         // Reset by the peer with data (and so the rtx timer) in flight.
@@ -1527,7 +1513,7 @@ mod tests {
         let mut lonely = Socket::client(ta, 42, &cfg);
         lonely.output(now, &cfg, &mut Vec::new());
         while let Some(deadline) = lonely.next_deadline() {
-            lonely.on_tick(deadline, &cfg);
+            lonely.on_tick(deadline);
             lonely.output(deadline, &cfg, &mut Vec::new());
         }
         assert_eq!(lonely.error, Some(SocketError::TimedOut));
@@ -1542,7 +1528,7 @@ mod tests {
         let rtx = client.next_deadline().expect("rtx armed");
         client.abort();
         assert_eq!(client.next_deadline(), None);
-        client.on_tick(rtx + SimDuration::from_secs(60), &cfg);
+        client.on_tick(rtx + SimDuration::from_secs(60));
         assert_eq!((client.retransmits, client.rto_expiries), (0, 0));
         assert_eq!(client.error, Some(SocketError::Aborted));
     }

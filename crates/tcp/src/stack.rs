@@ -608,7 +608,7 @@ impl TcpStack {
             self.timer_visits += 1;
             let sock = &mut slot.sock;
             let before = (sock.retransmits, sock.rto_expiries);
-            sock.on_tick(now, &self.cfg);
+            sock.on_tick(now);
             self.retransmits += sock.retransmits - before.0;
             self.rto_expiries += sock.rto_expiries - before.1;
             let id = SocketId(idx);
@@ -1058,7 +1058,7 @@ mod tests {
         assert_eq!(server.socket(ss).unwrap().state, TcpState::Closed);
         assert_eq!(client.socket(cs).unwrap().state, TcpState::TimeWait);
         // TIME-WAIT expiry frees the tuple.
-        let later = now + client.config().time_wait + tcpfo_net::time::SimDuration::from_millis(2);
+        let later = now + crate::config::TIME_WAIT + tcpfo_net::time::SimDuration::from_millis(2);
         client.on_tick(later);
         assert_eq!(client.socket(cs).unwrap().state, TcpState::Closed);
         assert!(client.demux.is_empty());
@@ -1231,7 +1231,7 @@ mod tests {
             })
             .collect();
         s.take_outbox();
-        let rto = s.config().rto_initial;
+        let rto = crate::config::RTO_INITIAL;
         s.on_tick(SimTime::ZERO + (rto - step));
         assert_eq!(s.timer_visits, 0, "nothing is due yet");
         s.on_tick(SimTime::ZERO + rto + step);

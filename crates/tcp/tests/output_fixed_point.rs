@@ -94,7 +94,7 @@ fn run(ops: &[Op], cfg: &TcpConfig) {
             Op::Tick(ms) => {
                 now += SimDuration::from_millis(ms);
                 for end in ends.iter_mut() {
-                    end.sock.on_tick(now, cfg);
+                    end.sock.on_tick(now);
                 }
             }
             Op::Deliver(s, n) => {

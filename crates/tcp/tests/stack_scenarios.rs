@@ -3,7 +3,7 @@
 //! backlogs, TIME-WAIT tuple retirement, and mid-stream RST.
 
 use tcpfo_net::time::{SimDuration, SimTime};
-use tcpfo_tcp::config::TcpConfig;
+use tcpfo_tcp::config::{TcpConfig, TIME_WAIT};
 use tcpfo_tcp::socket::{SocketError, TcpState};
 use tcpfo_tcp::stack::TcpStack;
 use tcpfo_tcp::types::SocketAddr;
@@ -160,7 +160,7 @@ fn time_wait_blocks_then_frees_tuple() {
     let retry = client.connect_from(A, Some(tuple_port), SocketAddr::new(B, 80), false, now);
     assert!(retry.is_err(), "tuple reuse during TIME-WAIT");
     // ...but after expiry it can.
-    let later = now + client.config().time_wait + SimDuration::from_millis(5);
+    let later = now + TIME_WAIT + SimDuration::from_millis(5);
     tick_both(&mut client, &mut server, later);
     let retry = client.connect_from(A, Some(tuple_port), SocketAddr::new(B, 80), false, later);
     assert!(retry.is_ok(), "tuple must be free after TIME-WAIT");

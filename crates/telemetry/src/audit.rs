@@ -35,7 +35,7 @@ use tcpfo_wire::ipv4::{Ipv4Addr, Ipv4Packet, IPV4_HEADER_LEN, PROTO_TCP};
 use tcpfo_wire::mac::MacAddr;
 use tcpfo_wire::pcapng::PcapngWriter;
 use tcpfo_wire::seq::{seq_ge, seq_gt, seq_min};
-use tcpfo_wire::tcp::{peek_orig_dest, verify_segment_checksum, TcpFlags, TcpSegment, TcpView};
+use tcpfo_wire::tcp::{peek_orig_dest, verify_segment_checksum, TcpFlags, TcpView};
 
 use crate::health::ReplicationLag;
 use crate::ring::Ring;
@@ -98,6 +98,11 @@ impl fmt::Debug for TraceId {
 // Configuration
 // ---------------------------------------------------------------------
 
+/// One in this many released segments has its checksum verified by
+/// full recomputation: RFC 1624 incremental updates must agree with
+/// the ground truth.
+const CHECKSUM_SAMPLE: u64 = 16;
+
 /// Tuning knobs for one [`InvariantAuditor`].
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
@@ -110,10 +115,6 @@ pub struct AuditConfig {
     /// slice is built from (default 256). A record is one segment's
     /// TCP header and length, not the segment.
     pub pcap_capacity: usize,
-    /// Verify one in `checksum_sample` released checksums by full
-    /// recomputation (default 16, `0` = off; RFC 1624 incremental
-    /// updates must agree with the ground truth).
-    pub checksum_sample: u64,
     /// Directory flight-recorder bundles are written under (default
     /// `target/audit-bundles`; `TCPFO_AUDIT_BUNDLE_DIR` through
     /// [`AuditConfig::from_env`]).
@@ -130,7 +131,6 @@ impl AuditConfig {
             label: label.to_string(),
             ring_capacity: 1024,
             pcap_capacity: 256,
-            checksum_sample: 16,
             bundle_dir: PathBuf::from("target/audit-bundles"),
             panic_on_violation: true,
         }
@@ -139,7 +139,7 @@ impl AuditConfig {
     /// Defaults, with the bundle directory taken from
     /// `TCPFO_AUDIT_BUNDLE_DIR` when that is set — a deployment path,
     /// and the only thing about an auditor the environment decides.
-    /// Capacities and the sampling rate are the fields above.
+    /// Capacities are the fields above.
     pub fn from_env(label: &str) -> Self {
         let mut c = AuditConfig::new(label);
         if let Some(dir) = std::env::var_os("TCPFO_AUDIT_BUNDLE_DIR") {
@@ -856,7 +856,6 @@ impl AuditConn {
         &mut self,
         rec: &mut Recorder,
         key: AuditKey,
-        bytes: &Bytes,
         view: &TcpView<'_>,
         trace: TraceId,
     ) {
@@ -883,8 +882,7 @@ impl AuditConn {
         rec.check(Rule::WinMin, win == exp_win, trace, || {
             format!("conn {key}: merged SYN win={win}, expected min(win_P, win_S)={exp_win}")
         });
-        // MSS needs the options: the datapath's full decode (cold path).
-        let mss = TcpSegment::decode_shared(bytes).ok().and_then(|s| s.mss());
+        let mss = view.mss();
         let exp_mss = self.p.mss.unwrap_or(536).min(self.s.mss.unwrap_or(536));
         rec.check(Rule::MssMin, mss == Some(exp_mss), trace, || {
             format!("conn {key}: merged SYN advertises MSS {mss:?}, expected min(MSS_P, MSS_S)={exp_mss}")
@@ -1267,12 +1265,11 @@ impl Recorder {
         chain
     }
 
-    /// Every `checksum_sample`-th segment that left the bridge
+    /// Every [`CHECKSUM_SAMPLE`]-th segment that left the bridge
     /// rewritten: its checksum must equal a full recomputation.
     fn sample_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr, bytes: &[u8], trace: TraceId) {
         self.releases_seen += 1;
-        let n = self.cfg.checksum_sample;
-        if n > 0 && self.releases_seen.is_multiple_of(n) {
+        if self.releases_seen.is_multiple_of(CHECKSUM_SAMPLE) {
             let ok = verify_segment_checksum(src, dst, bytes);
             self.check(Rule::Checksum, ok, trace, || {
                 format!(
@@ -1704,8 +1701,7 @@ impl InvariantAuditor {
         let side = if is_primary { &mut conn.p } else { &mut conn.s };
         side.isn = Some(view.seq());
         side.win = view.window();
-        // MSS needs the options: the datapath's full decode (cold path).
-        side.mss = TcpSegment::decode_shared(bytes).ok().and_then(|s| s.mss());
+        side.mss = view.mss();
         if flags.contains(TcpFlags::ACK) {
             side.syn_ack = Some(view.ack());
             side.ack = Some(view.ack());
@@ -1729,7 +1725,7 @@ impl InvariantAuditor {
         if flags.contains(TcpFlags::RST) {
             self.conns.remove(&key);
         } else if flags.contains(TcpFlags::SYN) {
-            conn.check_syn_release(&mut self.rec, key, bytes, view, trace);
+            conn.check_syn_release(&mut self.rec, key, view, trace);
         } else {
             conn.check_data_release(&mut self.rec, key, view, trace);
         }
@@ -1845,6 +1841,7 @@ impl InvariantAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcpfo_wire::tcp::TcpSegment;
 
     #[test]
     fn sequence_numbers_half_the_circle_apart_are_unordered() {

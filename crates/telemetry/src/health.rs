@@ -422,11 +422,6 @@ impl BurnWindow {
         }
         total
     }
-
-    /// The window's full horizon in sim nanoseconds.
-    pub fn horizon_ns(&self) -> u64 {
-        self.slot_ns * SLO_SLOTS as u64
-    }
 }
 
 /// The two-window burn-rate evaluator over the "replica is healthy"

@@ -8,6 +8,7 @@
 //! update is the paper's takeover window `T`.
 
 use crate::error::WireError;
+use crate::eth::{EtherType, EthernetFrame};
 use crate::mac::MacAddr;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
@@ -104,6 +105,12 @@ impl ArpPacket {
         buf.put_slice(&self.target_mac.octets());
         buf.put_slice(&self.target_ip.octets());
         buf.freeze()
+    }
+
+    /// Encodes the packet as the payload of an Ethernet frame from
+    /// `src` to `dst`, the way a device transmits it.
+    pub fn encode_framed(&self, dst: MacAddr, src: MacAddr) -> Bytes {
+        EthernetFrame::new(dst, src, EtherType::Arp, self.encode()).encode()
     }
 
     /// Decodes a packet.

@@ -161,40 +161,87 @@ pub fn encode_options(options: &[TcpOption]) -> Vec<u8> {
     buf
 }
 
+/// Walks a TCP option block without allocating: yields `(offset, kind,
+/// body)` for each option, NOPs skipped, and stops at end-of-list or the
+/// block's end. A malformed entry (no length byte, a length under 2 or
+/// past the block) yields one [`WireError::BadOption`] and ends the walk.
+/// Every reader of the block is built on this one walk.
+fn walk_options(block: &[u8]) -> impl Iterator<Item = Result<(usize, u8, &[u8]), WireError>> {
+    let mut off = 0;
+    std::iter::from_fn(move || loop {
+        let kind = *block.get(off)?;
+        match kind {
+            0 => return None,
+            1 => off += 1,
+            _ => {
+                let at = off;
+                let len = block.get(at + 1).map_or(0, |&len| usize::from(len));
+                if len < 2 || at + len > block.len() {
+                    off = block.len();
+                    return Some(Err(WireError::BadOption { kind }));
+                }
+                off = at + len;
+                return Some(Ok((at, kind, &block[at + 2..off])));
+            }
+        }
+    })
+}
+
+/// The MSS an option carries, if it is a well-formed MSS option.
+fn mss_of(kind: u8, body: &[u8]) -> Option<u16> {
+    match (kind, body) {
+        (2, &[hi, lo]) => Some(u16::from_be_bytes([hi, lo])),
+        _ => None,
+    }
+}
+
+/// The address and port an option carries, if it is a well-formed
+/// original-destination option.
+fn orig_dest_of(kind: u8, body: &[u8]) -> Option<(Ipv4Addr, u16)> {
+    match (kind, body) {
+        (OPT_KIND_ORIG_DEST, &[a, b, c, d, hi, lo]) => {
+            Some((Ipv4Addr::new(a, b, c, d), u16::from_be_bytes([hi, lo])))
+        }
+        _ => None,
+    }
+}
+
+/// The first well-formed original-destination option in `block` before
+/// any malformed entry, with its offset: the datapath's lenient rule.
+fn find_orig_dest(block: &[u8]) -> Option<(usize, (Ipv4Addr, u16))> {
+    walk_options(block)
+        .map_while(Result::ok)
+        .find_map(|(at, kind, body)| orig_dest_of(kind, body).map(|dest| (at, dest)))
+}
+
 /// Decodes the option block of a TCP header.
 ///
 /// # Errors
 ///
 /// Returns [`WireError::BadOption`] if a length byte is shorter than 2
 /// or runs past the block.
-pub fn decode_options(mut bytes: &[u8]) -> Result<Vec<TcpOption>, WireError> {
-    let mut options = Vec::new();
-    while let Some(&kind) = bytes.first() {
-        match kind {
-            0 => break,               // end of list
-            1 => bytes = &bytes[1..], // NOP
-            _ => {
-                if bytes.len() < 2 {
-                    return Err(WireError::BadOption { kind });
+pub fn decode_options(bytes: &[u8]) -> Result<Vec<TcpOption>, WireError> {
+    walk_options(bytes)
+        .map(|opt| {
+            opt.map(|(_, kind, body)| {
+                if let Some(mss) = mss_of(kind, body) {
+                    TcpOption::Mss(mss)
+                } else if let Some((addr, port)) = orig_dest_of(kind, body) {
+                    TcpOption::OrigDest { addr, port }
+                } else {
+                    TcpOption::Unknown(kind, body.to_vec())
                 }
-                let len = usize::from(bytes[1]);
-                if len < 2 || len > bytes.len() {
-                    return Err(WireError::BadOption { kind });
-                }
-                let body = &bytes[2..len];
-                options.push(match (kind, body.len()) {
-                    (2, 2) => TcpOption::Mss(u16::from_be_bytes([body[0], body[1]])),
-                    (OPT_KIND_ORIG_DEST, 6) => TcpOption::OrigDest {
-                        addr: Ipv4Addr::new(body[0], body[1], body[2], body[3]),
-                        port: u16::from_be_bytes([body[4], body[5]]),
-                    },
-                    _ => TcpOption::Unknown(kind, body.to_vec()),
-                });
-                bytes = &bytes[len..];
-            }
-        }
-    }
-    Ok(options)
+            })
+        })
+        .collect()
+}
+
+/// Sequence-space length of a segment: payload bytes plus one for SYN
+/// and one for FIN ("SYN and FIN each occupy one sequence number").
+fn seq_space(payload_len: usize, flags: TcpFlags) -> u32 {
+    payload_len as u32
+        + u32::from(flags.contains(TcpFlags::SYN))
+        + u32::from(flags.contains(TcpFlags::FIN))
 }
 
 /// A parsed TCP segment.
@@ -238,14 +285,7 @@ impl TcpSegment {
     /// Sequence-space length: payload bytes plus one for SYN and one for
     /// FIN ("SYN and FIN each occupy one sequence number").
     pub fn seq_len(&self) -> u32 {
-        let mut len = self.payload.len() as u32;
-        if self.flags.contains(TcpFlags::SYN) {
-            len += 1;
-        }
-        if self.flags.contains(TcpFlags::FIN) {
-            len += 1;
-        }
-        len
+        seq_space(self.payload.len(), self.flags)
     }
 
     /// Returns the MSS option value, if present.
@@ -345,40 +385,20 @@ impl TcpSegment {
     /// smaller than 5 or past the end of the buffer, or malformed
     /// options.
     pub fn decode_shared(bytes: &Bytes) -> Result<Self, WireError> {
-        let b: &[u8] = bytes;
-        if b.len() < TCP_HEADER_LEN {
-            return Err(WireError::Truncated {
-                layer: "tcp",
-                needed: TCP_HEADER_LEN,
-                available: b.len(),
-            });
-        }
-        let data_offset = usize::from(b[12] >> 4) * 4;
-        if data_offset < TCP_HEADER_LEN {
-            return Err(WireError::BadField {
-                layer: "tcp",
-                field: "data_offset",
-                value: (data_offset / 4) as u32,
-            });
-        }
-        if data_offset > b.len() {
-            return Err(WireError::BadLength {
-                layer: "tcp",
-                what: "data offset past end of segment",
-            });
-        }
+        let view = TcpView::new(bytes)?;
+        let data_offset = view.header_len();
         Ok(TcpSegment {
-            src_port: u16::from_be_bytes([b[0], b[1]]),
-            dst_port: u16::from_be_bytes([b[2], b[3]]),
-            seq: u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
-            ack: u32::from_be_bytes([b[8], b[9], b[10], b[11]]),
-            flags: TcpFlags(b[13] & 0x3f),
-            window: u16::from_be_bytes([b[14], b[15]]),
-            options: decode_options(&b[TCP_HEADER_LEN..data_offset])?,
+            src_port: view.src_port(),
+            dst_port: view.dst_port(),
+            seq: view.seq(),
+            ack: view.ack(),
+            flags: view.flags(),
+            window: view.window(),
+            options: decode_options(view.option_block())?,
             // Empty payloads get a detached empty `Bytes` so pure ACKs
             // never pin the arriving buffer's refcount (the inbound hot
             // path wants to take the buffer over in place).
-            payload: if data_offset < b.len() {
+            payload: if data_offset < bytes.len() {
                 bytes.slice(data_offset..)
             } else {
                 Bytes::new()
@@ -472,8 +492,8 @@ impl<'a> TcpView<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError`] when the fixed header or data offset is
-    /// inconsistent with the buffer.
+    /// Returns [`WireError`] for a buffer shorter than the fixed header
+    /// or a data offset smaller than 5 or past the end of the buffer.
     pub fn new(bytes: &'a [u8]) -> Result<Self, WireError> {
         if bytes.len() < TCP_HEADER_LEN {
             return Err(WireError::Truncated {
@@ -483,7 +503,14 @@ impl<'a> TcpView<'a> {
             });
         }
         let off = usize::from(bytes[12] >> 4) * 4;
-        if off < TCP_HEADER_LEN || off > bytes.len() {
+        if off < TCP_HEADER_LEN {
+            return Err(WireError::BadField {
+                layer: "tcp",
+                field: "data_offset",
+                value: (off / 4) as u32,
+            });
+        }
+        if off > bytes.len() {
             return Err(WireError::BadLength {
                 layer: "tcp",
                 what: "data offset past end of segment",
@@ -527,6 +554,11 @@ impl<'a> TcpView<'a> {
         usize::from(self.bytes[12] >> 4) * 4
     }
 
+    /// The option block: the header after its fixed 20 bytes.
+    fn option_block(&self) -> &'a [u8] {
+        &self.bytes[TCP_HEADER_LEN..self.header_len()]
+    }
+
     /// Payload bytes.
     pub fn payload(&self) -> &'a [u8] {
         &self.bytes[self.header_len()..]
@@ -534,21 +566,25 @@ impl<'a> TcpView<'a> {
 
     /// Sequence-space length (payload + SYN + FIN).
     pub fn seq_len(&self) -> u32 {
-        let mut len = self.payload().len() as u32;
-        let f = self.flags();
-        if f.contains(TcpFlags::SYN) {
-            len += 1;
-        }
-        if f.contains(TcpFlags::FIN) {
-            len += 1;
-        }
-        len
+        seq_space(self.payload().len(), self.flags())
     }
 
     /// Returns the original-destination option, if present, without
     /// allocating: the datapath's reader, [`peek_orig_dest`].
     pub fn orig_dest(&self) -> Option<(Ipv4Addr, u16)> {
-        peek_orig_dest(self.bytes)
+        find_orig_dest(self.option_block()).map(|(_, dest)| dest)
+    }
+
+    /// Returns the MSS option value, without allocating. As strict as
+    /// [`TcpSegment::decode_shared`]: `None` when the option block is
+    /// malformed anywhere.
+    pub fn mss(&self) -> Option<u16> {
+        walk_options(self.option_block())
+            .try_fold(None, |mss, opt| {
+                let (_, kind, body) = opt.ok()?;
+                Some(mss.or(mss_of(kind, body)))
+            })
+            .flatten()
     }
 }
 
@@ -743,41 +779,7 @@ pub fn peek_ports(bytes: &[u8]) -> Option<(u16, u16)> {
 /// uses this to classify diverted secondary segments before deciding
 /// whether the buffer needs patching.
 pub fn peek_orig_dest(bytes: &[u8]) -> Option<(Ipv4Addr, u16)> {
-    if bytes.len() < TCP_HEADER_LEN {
-        return None;
-    }
-    let header_len = usize::from(bytes[12] >> 4) * 4;
-    if header_len <= TCP_HEADER_LEN || header_len > bytes.len() {
-        return None;
-    }
-    let mut off = TCP_HEADER_LEN;
-    while off < header_len {
-        match bytes[off] {
-            0 => break,
-            1 => off += 1,
-            kind => {
-                if off + 1 >= header_len {
-                    break;
-                }
-                let len = usize::from(bytes[off + 1]);
-                if len < 2 || off + len > header_len {
-                    break;
-                }
-                if kind == OPT_KIND_ORIG_DEST && len == 8 {
-                    let addr = Ipv4Addr::new(
-                        bytes[off + 2],
-                        bytes[off + 3],
-                        bytes[off + 4],
-                        bytes[off + 5],
-                    );
-                    let port = u16::from_be_bytes([bytes[off + 6], bytes[off + 7]]);
-                    return Some((addr, port));
-                }
-                off += len;
-            }
-        }
-    }
-    None
+    TcpView::new(bytes).ok()?.orig_dest()
 }
 
 /// In-place editor for raw TCP segment bytes that keeps the checksum
@@ -899,36 +901,9 @@ impl SegmentPatcher {
     ///
     /// Returns the option's value when one was removed.
     pub fn strip_orig_dest_option(&mut self) -> Option<(Ipv4Addr, u16)> {
-        let header_len = self.view().header_len();
-        let mut off = TCP_HEADER_LEN;
-        while off < header_len {
-            match self.bytes[off] {
-                0 => break,
-                1 => off += 1,
-                kind => {
-                    if off + 1 >= header_len {
-                        break;
-                    }
-                    let len = usize::from(self.bytes[off + 1]);
-                    if len < 2 || off + len > header_len {
-                        break;
-                    }
-                    if kind == OPT_KIND_ORIG_DEST && len == 8 {
-                        let addr = Ipv4Addr::new(
-                            self.bytes[off + 2],
-                            self.bytes[off + 3],
-                            self.bytes[off + 4],
-                            self.bytes[off + 5],
-                        );
-                        let port = u16::from_be_bytes([self.bytes[off + 6], self.bytes[off + 7]]);
-                        self.remove_option_bytes(off, len);
-                        return Some((addr, port));
-                    }
-                    off += len;
-                }
-            }
-        }
-        None
+        let (at, dest) = find_orig_dest(self.view().option_block())?;
+        self.remove_option_bytes(TCP_HEADER_LEN + at, 8);
+        Some(dest)
     }
 
     /// Inserts raw option bytes (length a multiple of 4) at the end of

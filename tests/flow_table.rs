@@ -181,7 +181,6 @@ impl Driver {
         cfg.gc = GcPolicy {
             timewait_ttl: 50,
             idle_ttl: 200,
-            ..GcPolicy::default()
         };
         Driver {
             table: FlowTable::new(cfg),

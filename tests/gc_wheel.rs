@@ -32,7 +32,6 @@ fn table() -> FlowTable<u32> {
     cfg.gc = GcPolicy {
         timewait_ttl: TIMEWAIT_TTL,
         idle_ttl: IDLE_TTL,
-        ..GcPolicy::default()
     };
     FlowTable::new(cfg)
 }
