@@ -536,7 +536,7 @@ fn tcp_line(frame: &[u8]) -> String {
     if eth.ethertype != EtherType::Ipv4 {
         return format!("{:?}", eth.ethertype);
     }
-    let Ok(ip) = Ipv4Packet::decode_shared(&eth.payload) else {
+    let Ok(ip) = Ipv4Packet::decode_shared(eth.payload) else {
         return "bad ipv4".into();
     };
     let Ok(v) = TcpView::new(&ip.payload) else {

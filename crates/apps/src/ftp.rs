@@ -287,17 +287,12 @@ pub struct FtpRecord {
     /// When the client's data stopwatch started (data connection
     /// accepted — what a real FTP client times).
     pub start: SimTime,
-    /// When the transfer command was issued (includes the §7.2
-    /// server-initiated handshake).
-    pub cmd_start: SimTime,
     /// When the client's data activity finished (all bytes received,
     /// or all bytes handed to TCP and the socket closed) — the instant
     /// a real FTP client stops its transfer stopwatch. For uploads
     /// this is why the paper's put rates for tiny files look enormous
     /// (Fig. 6): the data never left the send buffer yet.
     pub data_done: SimTime,
-    /// When the `226` completion arrived.
-    pub end: SimTime,
 }
 
 impl FtpRecord {
@@ -603,9 +598,7 @@ impl FtpClient {
             op,
             bytes,
             start,
-            cmd_start,
             data_done: self.op_data_done.unwrap_or_else(|| api.now()),
-            end: api.now(),
         });
         self.op_data_done = None;
         self.op_cmd_start = None;

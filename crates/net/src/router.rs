@@ -154,7 +154,7 @@ impl Device for Router {
     }
 
     fn handle_frame(&mut self, port: usize, frame: Bytes, ctx: &mut Ctx<'_>) {
-        let Ok(eth) = EthernetFrame::decode_shared(&frame) else {
+        let Ok(eth) = EthernetFrame::decode_shared(frame) else {
             return;
         };
         let iface_mac = self.interfaces[port].mac;
@@ -175,7 +175,7 @@ impl Device for Router {
                 }
             }
             EtherType::Ipv4 => {
-                if let Ok(packet) = Ipv4Packet::decode_shared(&eth.payload) {
+                if let Ok(packet) = Ipv4Packet::decode_shared(eth.payload) {
                     if self.interfaces.iter().any(|i| i.ip == packet.dst) {
                         // Locally addressed datagrams have no consumer
                         // in this reproduction; drop.

@@ -67,7 +67,7 @@ impl Device for Switch {
     }
 
     fn handle_frame(&mut self, port: usize, frame: Bytes, ctx: &mut Ctx<'_>) {
-        let Ok(eth) = EthernetFrame::decode_shared(&frame) else {
+        let Ok(eth) = EthernetFrame::decode_shared(frame.clone()) else {
             return; // unparseable frames are dropped
         };
         if !eth.src.is_multicast() {

@@ -66,10 +66,10 @@ impl TraceEntry {
         let Some(frame) = &self.frame else {
             return head;
         };
-        match EthernetFrame::decode_shared(frame) {
+        match EthernetFrame::decode_shared(frame.clone()) {
             Ok(eth) => {
                 let detail = match eth.ethertype {
-                    EtherType::Ipv4 => match Ipv4Packet::decode_shared(&eth.payload) {
+                    EtherType::Ipv4 => match Ipv4Packet::decode_shared(eth.payload) {
                         Ok(ip) => {
                             let tcp = TcpView::new(&ip.payload)
                                 .map(|v| {
@@ -127,11 +127,11 @@ pub fn to_pcapng(entries: &[TraceEntry], filter: impl Fn(&TraceEntry) -> bool) -
 /// The original-destination option of the TCP segment inside `frame`,
 /// if the frame is Ethernet/IPv4/TCP and the option is present.
 fn orig_dest_of(frame: &Bytes) -> Option<(tcpfo_wire::ipv4::Ipv4Addr, u16)> {
-    let eth = EthernetFrame::decode_shared(frame).ok()?;
+    let eth = EthernetFrame::decode_shared(frame.clone()).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    let ip = Ipv4Packet::decode_shared(&eth.payload).ok()?;
+    let ip = Ipv4Packet::decode_shared(eth.payload).ok()?;
     tcpfo_wire::tcp::peek_orig_dest(&ip.payload)
 }
 

@@ -109,19 +109,20 @@ impl EthernetFrame {
     ///
     /// Same conditions as [`EthernetFrame::decode_shared`].
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        Self::decode_shared(&Bytes::copy_from_slice(bytes))
+        Self::decode_shared(Bytes::copy_from_slice(bytes))
     }
 
-    /// Decodes a frame whose bytes are already refcounted: the payload
-    /// is a slice of `bytes`, so a device that drops the frame after
-    /// looking at the destination address has copied nothing.
+    /// Decodes a frame whose bytes are already refcounted. The handle
+    /// is narrowed in place to become the payload, so decoding makes no
+    /// second view of the frame and copies nothing; a caller that keeps
+    /// the frame passes a clone.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Truncated`] if the buffer is shorter than
     /// the Ethernet header.
-    pub fn decode_shared(bytes: &Bytes) -> Result<Self, WireError> {
-        let b: &[u8] = bytes;
+    pub fn decode_shared(mut bytes: Bytes) -> Result<Self, WireError> {
+        let b: &[u8] = &bytes;
         if b.len() < ETH_HEADER_LEN {
             return Err(WireError::Truncated {
                 layer: "ethernet",
@@ -133,11 +134,13 @@ impl EthernetFrame {
         dst.copy_from_slice(&b[0..6]);
         let mut src = [0u8; 6];
         src.copy_from_slice(&b[6..12]);
+        let ethertype = u16::from_be_bytes([b[12], b[13]]).into();
+        bytes.advance(ETH_HEADER_LEN);
         Ok(EthernetFrame {
             dst: MacAddr(dst),
             src: MacAddr(src),
-            ethertype: u16::from_be_bytes([b[12], b[13]]).into(),
-            payload: bytes.slice(ETH_HEADER_LEN..),
+            ethertype,
+            payload: bytes,
         })
     }
 }

@@ -129,20 +129,21 @@ impl Ipv4Packet {
     ///
     /// Same conditions as [`Ipv4Packet::decode_shared`].
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        Self::decode_shared(&Bytes::copy_from_slice(bytes))
+        Self::decode_shared(Bytes::copy_from_slice(bytes))
     }
 
     /// Decodes a datagram whose bytes are already refcounted,
-    /// validating version, lengths and the header checksum. The payload
-    /// is a slice of `bytes` cut at the header's total length.
+    /// validating version, lengths and the header checksum. The handle
+    /// is narrowed in place to become the payload, cut at the header's
+    /// total length; a caller that keeps the datagram passes a clone.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] if the buffer is truncated, the version or
     /// IHL is unsupported, the total length is inconsistent, or the
     /// header checksum does not verify.
-    pub fn decode_shared(bytes: &Bytes) -> Result<Self, WireError> {
-        let b: &[u8] = bytes;
+    pub fn decode_shared(mut bytes: Bytes) -> Result<Self, WireError> {
+        let b: &[u8] = &bytes;
         if b.len() < IPV4_HEADER_LEN {
             return Err(WireError::Truncated {
                 layer: "ipv4",
@@ -180,13 +181,21 @@ impl Ipv4Packet {
                 value: u32::from(u16::from_be_bytes([b[10], b[11]])),
             });
         }
+        let (src, dst) = (
+            Ipv4Addr::new(b[12], b[13], b[14], b[15]),
+            Ipv4Addr::new(b[16], b[17], b[18], b[19]),
+        );
+        let (protocol, ttl) = (b[9], b[8]);
+        let identification = u16::from_be_bytes([b[4], b[5]]);
+        bytes.truncate(total);
+        bytes.advance(IPV4_HEADER_LEN);
         Ok(Ipv4Packet {
-            src: Ipv4Addr::new(b[12], b[13], b[14], b[15]),
-            dst: Ipv4Addr::new(b[16], b[17], b[18], b[19]),
-            protocol: b[9],
-            ttl: b[8],
-            identification: u16::from_be_bytes([b[4], b[5]]),
-            payload: bytes.slice(IPV4_HEADER_LEN..total),
+            src,
+            dst,
+            protocol,
+            ttl,
+            identification,
+            payload: bytes,
         })
     }
 }

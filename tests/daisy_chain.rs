@@ -449,8 +449,8 @@ fn a_chain_of_three_survives_losing(first: usize, second: usize) {
         tb.run_for(SimDuration::from_secs(1));
         from_own += (tb.sim.take_trace().iter())
             .filter(|e| e.node == client && matches!(e.kind, TraceKind::Rx { .. }))
-            .filter_map(|e| EthernetFrame::decode_shared(e.frame.as_ref()?).ok())
-            .filter_map(|eth| Ipv4Packet::decode_shared(&eth.payload).ok())
+            .filter_map(|e| EthernetFrame::decode_shared(e.frame.clone()?).ok())
+            .filter_map(|eth| Ipv4Packet::decode_shared(eth.payload).ok())
             .filter(|ip| ip.protocol == PROTO_TCP && own.contains(&ip.src))
             .count();
         if done(&mut tb) {
@@ -571,8 +571,8 @@ fn traffic_that_is_not_failover_traffic_is_the_heads_alone() {
     let below_head = &tb.replicas[1..];
     let claimed = (tb.sim.trace_tail(usize::MAX).iter())
         .filter(|e| below_head.contains(&e.node) && matches!(e.kind, TraceKind::Tx { .. }))
-        .filter_map(|e| EthernetFrame::decode_shared(e.frame.as_ref()?).ok())
-        .filter_map(|eth| Ipv4Packet::decode_shared(&eth.payload).ok())
+        .filter_map(|e| EthernetFrame::decode_shared(e.frame.clone()?).ok())
+        .filter_map(|eth| Ipv4Packet::decode_shared(eth.payload).ok())
         .filter(|ip| ip.protocol == PROTO_TCP)
         .filter(|ip| {
             TcpView::new(&ip.payload)
