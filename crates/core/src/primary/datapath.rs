@@ -74,7 +74,8 @@ impl PrimaryBridge {
             observers,
             ..
         } = self;
-        let (clock, lag, audit) = observers.datapath();
+        let queued = telemetry.as_ref().map(|t| &t.queued);
+        let (clock, lag, audit) = observers.datapath(queued);
         Engine {
             a_s: *a_s,
             gate: upstream.is_some(),
@@ -120,7 +121,8 @@ pub(super) struct Engine<'a> {
     pub(super) emit: Emitter<'a>,
     /// The journal's handles; `None` without telemetry.
     pub(super) instruments: Option<&'a PrimaryInstruments>,
-    /// Replication-lag ledger (the health observatory's).
+    /// Replication-lag ledger (the health observatory's) and the
+    /// running queue totals (the telemetry's).
     pub(super) lag: Lag<'a>,
     /// The invariant auditor, handed each segment's role by
     /// [`Engine::shadow`].

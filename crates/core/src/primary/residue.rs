@@ -133,7 +133,8 @@ impl PrimaryBridge {
         };
         if let (_, Some(dropped)) = self.flows.insert(key, st, flow, now_nanos) {
             self.stats.evicted_flows += 1;
-            dropped.data.left(&mut self.observers.lag());
+            let queued = self.telemetry.as_ref().map(|t| &t.queued);
+            dropped.data.left(&mut self.observers.lag(queued));
         }
     }
 }
