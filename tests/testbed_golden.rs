@@ -47,11 +47,14 @@ const FAULT_FREE: Golden = Golden {
     done_ns: [546_797_060, 350_275_350],
     journal: (8, 8_713_194_560_495_700_142),
 };
+/// Past the takeover's own story: its repeated announcement, 2 s after
+/// the commit, is one more journal entry (`takeover.announce`), and its
+/// frame's way across the segment three more events.
 const KILL_PRIMARY: Golden = Golden {
-    events: 35_534,
+    events: 35_537,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [441_473_020, 333_693_460],
-    journal: (14, 1_840_896_534_409_984_988),
+    journal: (15, 1_425_358_619_301_745_772),
 };
 const KILL_SECONDARY: Golden = Golden {
     events: 23_374,
@@ -86,10 +89,10 @@ const SWITCH: Golden = Golden {
     journal: (1, 6_956_427_207_257_564_175),
 };
 const CHAIN_HEAD_KILL_REPROVISION: Golden = Golden {
-    events: 117_892,
+    events: 117_897,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [753_771_788, 363_467_964],
-    journal: (100, 1_259_894_914_560_841_067),
+    journal: (101, 12_656_707_960_611_364_258),
 };
 
 const SEED: u64 = 0x07E5_7BED;
