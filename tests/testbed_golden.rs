@@ -14,6 +14,9 @@
 //! is then the same whether the replicas publish into one shared hub or
 //! into one hub each; a pair's hubs are reached as `tb.telemetry` and
 //! the simulator's hub, which between them are every hub a pair has.
+//! Its `health.alert` entries are pinned apart from the rest, the
+//! control plane proper, so that a change to the alert alone leaves
+//! the control pair standing.
 
 use tcp_failover::apps::chain_ops;
 use tcp_failover::apps::driver::RequestReplyClient;
@@ -37,15 +40,19 @@ struct Golden {
     bytes: u64,
     /// Each client connection's completion instant (ns).
     done_ns: [u64; 2],
-    /// Entries of the merged journal projection, and their digest.
-    journal: (usize, u64),
+    /// Entries of the merged journal projection without the
+    /// `health.alert` entries, and their digest: the control plane.
+    control: (usize, u64),
+    /// The projection's `health.alert` entries, and their digest.
+    alerts: (usize, u64),
 }
 
 const FAULT_FREE: Golden = Golden {
     events: 36_115,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [546_797_060, 350_275_350],
-    journal: (8, 8_713_194_560_495_700_142),
+    control: (2, 7_386_709_195_769_214_869),
+    alerts: (6, 12_728_524_939_969_038_142),
 };
 /// Past the takeover's own story: its repeated announcement, 2 s after
 /// the commit, is one more journal entry (`takeover.announce`), and its
@@ -54,31 +61,36 @@ const KILL_PRIMARY: Golden = Golden {
     events: 35_537,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [441_473_020, 333_693_460],
-    journal: (15, 1_425_358_619_301_745_772),
+    control: (12, 6_268_416_217_438_953_577),
+    alerts: (3, 4_990_568_361_244_910_140),
 };
 const KILL_SECONDARY: Golden = Golden {
     events: 23_374,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [395_473_020, 249_804_212],
-    journal: (9, 3_507_065_325_291_768_613),
+    control: (6, 9_064_720_007_812_713_247),
+    alerts: (3, 4_843_381_685_156_065_539),
 };
 const REJOIN: Golden = Golden {
     events: 53_441,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [413_797_060, 281_272_028],
-    journal: (22, 7_464_278_489_695_867_007),
+    control: (13, 10_974_755_085_307_288_641),
+    alerts: (9, 725_839_792_368_931_853),
 };
 const LOSS_TO_PRIMARY: Golden = Golden {
     events: 137_293,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [7_218_797_060, 4_274_699_080],
-    journal: (46, 11_365_492_050_485_697_551),
+    control: (2, 7_386_709_195_769_214_869),
+    alerts: (44, 11_337_872_566_236_650_751),
 };
 const BACKEND: Golden = Golden {
     events: 46_268,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [560_801_772, 363_643_974],
-    journal: (9, 13_829_615_432_543_547_124),
+    control: (3, 11_373_941_173_832_498_288),
+    alerts: (6, 7_991_476_651_669_943_621),
 };
 /// Unicast client traffic never reaches the secondary's NIC through a
 /// learning switch: neither download completes (the E8 ablation).
@@ -86,13 +98,15 @@ const SWITCH: Golden = Golden {
     events: 13_710,
     bytes: 763_862_646_787_557_219,
     done_ns: [u64::MAX, u64::MAX],
-    journal: (1, 6_956_427_207_257_564_175),
+    control: (1, 6_956_427_207_257_564_175),
+    alerts: (0, 14_695_981_039_346_656_037),
 };
 const CHAIN_HEAD_KILL_REPROVISION: Golden = Golden {
     events: 117_897,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [753_771_788, 363_467_964],
-    journal: (101, 12_656_707_960_611_364_258),
+    control: (19, 3_198_821_254_684_077_165),
+    alerts: (82, 9_038_785_371_029_980_820),
 };
 
 const SEED: u64 = 0x07E5_7BED;
@@ -186,21 +200,29 @@ fn golden(sim: &mut Simulator, client: NodeId, hubs: &[Telemetry]) -> Golden {
         });
         (digest.0, done)
     });
-    let projection = projection(hubs);
+    let (alerts, control): (Vec<_>, Vec<_>) = projection(hubs)
+        .into_iter()
+        .partition(|(_, _, kind)| kind == "health.alert");
+    Golden {
+        events: sim.events_processed(),
+        bytes,
+        done_ns,
+        control: digest(&control),
+        alerts: digest(&alerts),
+    }
+}
+
+/// How many `entries`, and their digest.
+fn digest(entries: &[(u64, String, String)]) -> (usize, u64) {
     let mut digest = Fnv::new();
-    for (at, scope, kind) in &projection {
+    for (at, scope, kind) in entries {
         digest.bytes(&at.to_le_bytes());
         digest.bytes(scope.as_bytes());
         digest.bytes(&[0]);
         digest.bytes(kind.as_bytes());
         digest.bytes(&[0]);
     }
-    Golden {
-        events: sim.events_processed(),
-        bytes,
-        done_ns,
-        journal: (projection.len(), digest.0),
-    }
+    (entries.len(), digest.0)
 }
 
 /// The pair's scene as [`golden`] reads it.
