@@ -345,9 +345,9 @@ fn render_frame(title: &str, views: &[HubView]) {
         let lag = lag.filter(|(n, _)| n.contains(".health.lag."));
         section("replication lag", lag.map(row));
         let control = |(n, _): &(&String, &u64)| n.starts_with("core.control.");
-        let peer = |(n, _): &(&String, &u64)| matches!(leaf(n).as_str(), "score" | "state");
+        let peer = |(n, _): &(&String, &u64)| matches!(leaf(n).as_str(), "state" | "misses");
         let peers = gauges.filter(control).filter(peer);
-        let title = "control plane (health state 0 ok, 1 warn, 2 critical)";
+        let title = "control plane (peer health state 0 ok, 1 warn; misses)";
         section(title, counters.filter(control).chain(peers).map(row));
         print!("{}", v.hub.timeline.breakdown());
         print!("{}", v.hub.redundancy.breakdown());

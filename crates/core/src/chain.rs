@@ -44,16 +44,17 @@
 //!
 //! [`ChainController`] is the fault detector and the §5/§6 procedures
 //! at every depth — the paper's two-node system is the chain of length
-//! two. Every peer gets a [`HealthMonitor`] fed from v1 heartbeats (RTT
-//! echo, seq gaps → loss) and silence-derived miss counts; silence past
-//! the detector timeout declares it dead (a peer never heard from gets
+//! two. Every replica heartbeats every living peer; silence past the
+//! detector timeout declares a peer dead (a peer never heard from gets
 //! three timeouts: a replica joining a loaded chain hears its first
 //! beats late). As in the paper's §5, a replica takes over the moment
 //! it holds every replica above it dead, at every depth, with
 //! *audit-log-before-act* ordering: the decision is journaled and
 //! recorded on the invariant auditor **before** the topology mutates.
-//! The scores are advisory: they raise `health.alert` entries, and no
-//! promotion waits on one. The commit ends by expiring the
+//! Besides that verdict the controller raises one alert: a peer silent
+//! for `WARN_MISSES` heartbeat intervals is journaled as a
+//! `health.alert` to `warn`, and back to `ok` once it beats again; no
+//! decision reads it. The commit ends by expiring the
 //! retransmission timers of the failover sockets: what they have in
 //! flight went to the dead replica, and the client should not wait out
 //! an RTO to learn it.
@@ -61,7 +62,7 @@
 //! [`crate::reprovision`].
 
 use crate::designation::FailoverConfig;
-use crate::detector::{advance_expected_seq, miss_limit, DetectorConfig, HB_RING};
+use crate::detector::DetectorConfig;
 use crate::flow::FlowTableConfig;
 use crate::observers::Observers;
 use crate::primary::{PrimaryBridge, PrimaryMode};
@@ -71,9 +72,7 @@ use tcpfo_net::time::{SimDuration, SimTime};
 use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::host::{HostController, HostServices};
-use tcpfo_telemetry::{
-    Counter, HealthMonitor, HealthScore, Scope, SpanTrack, StageLatency, Telemetry,
-};
+use tcpfo_telemetry::{Counter, Gauge, SpanTrack, StageLatency, Telemetry};
 use tcpfo_wire::heartbeat::{Heartbeat, PROTO_HEARTBEAT};
 use tcpfo_wire::ipv4::Ipv4Addr;
 
@@ -148,25 +147,23 @@ impl SegmentFilter for ChainBridge {
 // The control plane
 // ---------------------------------------------------------------------
 
-/// Per-peer heartbeat tracking: the PR8 monitor plus the v1 protocol
-/// state (seq expectations for loss, last seq for the RTT echo).
+/// What the detector knows of one peer beside its silence.
+#[derive(Clone, Copy, Default)]
 struct PeerTracker {
-    monitor: Box<HealthMonitor>,
-    /// Next seq expected from this peer; gaps feed the loss signal.
-    expected_seq: Option<u64>,
-    /// Latest seq received and when, echoed back on our next send.
-    echo: Option<(u64, SimTime)>,
+    /// A beat from it has counted as liveness: its silence is a verdict
+    /// after one timeout, not after `UNHEARD_PEER_GRACE`.
+    heard: bool,
+    /// Its `health.alert` stands at `warn`.
+    warned: bool,
 }
 
-impl PeerTracker {
-    fn new(miss_limit: u32) -> Self {
-        PeerTracker {
-            monitor: Box::new(HealthMonitor::new(miss_limit)),
-            expected_seq: None,
-            echo: None,
-        }
-    }
-}
+/// Heartbeat intervals of silence at which a live peer is journaled as
+/// a `health.alert` to `warn`. At the default detector (10 ms beats,
+/// 50 ms timeout) 2 misses is where the 0–100 score this alert replaced
+/// first read `Warn` on a silent peer; under staged degradation the
+/// first such silence still comes 603 ms before the takeover (the
+/// score's first `Warn` came 613 ms before it).
+pub(crate) const WARN_MISSES: u32 = 2;
 
 /// Registry scope, journal scope and span lane of the controller at
 /// each chain position. Every replica has its own hub, so the position
@@ -184,9 +181,9 @@ const SCOPES: [&str; 4] = [
 struct Instruments {
     hub: Telemetry,
     scope: &'static str,
-    /// Where each peer's scored view is published
-    /// (`<scope>.peer<i>.health.*`), parallel to the chain.
-    peers: Vec<Scope>,
+    /// Each peer's `<scope>.peer<i>.health.{state, misses}`, parallel
+    /// to the chain, made when the peer is first published.
+    peers: Vec<Option<[Gauge; 2]>>,
     heartbeats_sent: Counter,
     heartbeats_received: Counter,
     late_heartbeats: Counter,
@@ -221,14 +218,11 @@ pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observ
 /// control plane at every replication depth. The paper's P/S pair is
 /// the chain `[a_p, a_s]`: P is the head, S is the tail.
 ///
-/// Every replica heartbeats every living peer with the v1 payload (seq
-/// and RTT echo); each peer is scored by a [`HealthMonitor`] and declared
-/// dead when silence exceeds the detector timeout — by which point its
-/// composite score has bottomed out (the liveness axis scales the
-/// total, and `miss_limit = timeout / interval`). A peer not heard from
-/// even once is given `UNHEARD_PEER_GRACE` timeouts. The scores are
-/// advisory: no decision below reads one. What the survivor then does
-/// follows from who is left:
+/// Every replica heartbeats every living peer, and declares a peer dead
+/// when its silence exceeds the detector timeout; a peer not heard from
+/// even once is given `UNHEARD_PEER_GRACE` timeouts. `WARN_MISSES`
+/// intervals of silence raise a `health.alert` first, which no decision
+/// below reads. What the survivor then does follows from who is left:
 ///
 /// * **nobody alive above me** → §5: the intent journaled and noted on
 ///   the auditor *before* anything changes, then
@@ -260,9 +254,8 @@ pub struct ChainController {
     trackers: Vec<PeerTracker>,
     next_send: SimTime,
     /// Global heartbeat sequence (one per send round, shared across
-    /// peers; the ring maps an echoed seq back to its send time).
+    /// peers).
     send_seq: u64,
-    hb_ring: [(u64, SimTime); HB_RING],
     telemetry: Option<Instruments>,
     /// When this replica last declared a peer dead, if it ever did.
     pub detected_at: Option<SimTime>,
@@ -279,8 +272,8 @@ pub struct ChainController {
     pub late_heartbeats: u64,
     /// Times a declared-dead peer was re-admitted.
     pub rejoins: u64,
-    /// Always 0: no promotion waits on a score. Kept because the
-    /// standing benchmark reads it (ROADMAP 2(e)).
+    /// Always 0: no promotion waits on anything but the detector. Kept
+    /// because the standing benchmark reads it (ROADMAP 8).
     pub promotions_vetoed: u64,
 }
 
@@ -295,7 +288,6 @@ impl ChainController {
         assert!(chain.len() >= 2, "a chain needs at least two replicas");
         assert!(my_index < chain.len());
         let n = chain.len();
-        let miss_limit = miss_limit(&config);
         ChainController {
             chain,
             my_index,
@@ -303,10 +295,9 @@ impl ChainController {
             alive: vec![true; n],
             last_heard: vec![None; n],
             traced_misses: vec![0; n],
-            trackers: (0..n).map(|_| PeerTracker::new(miss_limit)).collect(),
+            trackers: vec![PeerTracker::default(); n],
             next_send: SimTime::ZERO,
             send_seq: 0,
-            hb_ring: [(u64::MAX, SimTime::ZERO); HB_RING],
             telemetry: None,
             detected_at: None,
             promoted_at: None,
@@ -324,38 +315,22 @@ impl ChainController {
         self.chain[0]
     }
 
-    /// The advisory monitor scoring peer `i` (RTT/jitter, misses, loss
-    /// gaps, alert state), if `i` is a peer. It publishes alongside —
-    /// never instead of — the binary §2 timeout decision.
-    pub fn peer_monitor(&self, i: usize) -> Option<&HealthMonitor> {
-        (i < self.trackers.len() && i != self.my_index).then(|| &*self.trackers[i].monitor)
-    }
-
-    /// The health score of peer `i`, if tracked.
-    pub fn peer_score(&self, i: usize) -> Option<HealthScore> {
-        self.peer_monitor(i).map(HealthMonitor::score)
-    }
-
     /// Whether peer `i` is currently considered alive.
     pub fn peer_alive(&self, i: usize) -> bool {
         self.alive.get(i).copied().unwrap_or(false)
     }
 
     /// Admits the replica at `addr` below the survivors: a fresh
-    /// standby is appended to the chain's tail end, tracked,
-    /// heartbeated and scored like any founding member. A peer already
-    /// in the chain and declared dead — rebooted, and handed the live
-    /// flows — is alive again from `now`: it numbers its beats from
-    /// zero, so its seq and echo tracking restart, and it counts as a
-    /// rejoin.
+    /// standby is appended to the chain's tail end, tracked and
+    /// heartbeated like any founding member. A peer already in the
+    /// chain and declared dead — rebooted, and handed the live flows —
+    /// is alive again from `now`, and counts as a rejoin.
     pub fn append_replica(&mut self, addr: Ipv4Addr, now: SimTime) {
         if let Some(i) = self.chain.iter().position(|&a| a == addr) {
             if !self.alive[i] {
                 self.alive[i] = true;
                 self.last_heard[i] = None;
                 self.traced_misses[i] = 0;
-                self.trackers[i].expected_seq = None;
-                self.trackers[i].echo = None;
                 self.rejoins += 1;
                 self.event(
                     "rejoin",
@@ -367,14 +342,13 @@ impl ChainController {
             return;
         }
         if let Some(t) = &mut self.telemetry {
-            t.peers.push(peer_scope(&t.hub, t.scope, self.chain.len()));
+            t.peers.push(None);
         }
         self.chain.push(addr);
         self.alive.push(true);
         self.last_heard.push(None);
         self.traced_misses.push(0);
-        self.trackers
-            .push(PeerTracker::new(miss_limit(&self.config)));
+        self.trackers.push(PeerTracker::default());
     }
 
     /// Pre-marks a peer as dead (a reprovisioned replica joining an
@@ -387,7 +361,7 @@ impl ChainController {
     }
 
     /// Connects the controller to a telemetry hub: heartbeat, rejoin
-    /// and promotion counters and every peer's scored view under
+    /// and promotion counters and every peer's alert state under
     /// `core.control.r<position>`, and every liveness/promotion moment
     /// as one [`Telemetry::event`] (the vocabulary is one table in
     /// DESIGN.md).
@@ -397,9 +371,7 @@ impl ChainController {
         self.telemetry = Some(Instruments {
             hub: telemetry.clone(),
             scope: name,
-            peers: (0..self.chain.len())
-                .map(|i| peer_scope(telemetry, name, i))
-                .collect(),
+            peers: vec![None; self.chain.len()],
             heartbeats_sent: scope.counter("heartbeats_sent"),
             heartbeats_received: scope.counter("heartbeats_received"),
             late_heartbeats: scope.counter("late_heartbeats"),
@@ -434,11 +406,10 @@ impl ChainController {
     }
 
     /// What `now - last` of silence means: the whole heartbeat
-    /// intervals missed (the advisory count fed to the peer's monitor)
-    /// and whether the §2 boundary is crossed. Silence *strictly
-    /// longer* than the timeout declares the peer dead: at exactly
-    /// `timeout = miss_limit × interval` the score has bottomed out
-    /// while the binary decision still waits one nanosecond.
+    /// intervals missed (what the alert reads) and whether the §2
+    /// boundary is crossed. Silence *strictly longer* than the timeout
+    /// declares the peer dead: at exactly `timeout` the decision still
+    /// waits one nanosecond.
     pub(crate) fn silence(&self, last: SimTime, now: SimTime) -> (u32, bool) {
         let silence = now.duration_since(last);
         let interval = self.config.interval.as_nanos().max(1);
@@ -616,21 +587,56 @@ impl ChainController {
             [Some(("vip", u64::from(u32::from(vip)))), None],
         );
     }
-}
 
-/// The registry scope peer `i`'s scored view is published under.
-fn peer_scope(hub: &Telemetry, scope: &str, i: usize) -> Scope {
-    hub.registry.scope(scope).scope(&format!("peer{i}"))
+    /// The miss-count alert on live peer `i`: one `health.alert` to
+    /// `warn` when its silence reaches [`WARN_MISSES`] intervals, and
+    /// one back to `ok` at the first tick below that; then its
+    /// `health.state` (0 ok, 1 warn) and `health.misses` gauges.
+    fn alert(&mut self, i: usize, misses: u32, now: SimTime) {
+        let warn = misses >= WARN_MISSES;
+        if warn != self.trackers[i].warned {
+            self.trackers[i].warned = warn;
+            let (from, to, reason) = match warn {
+                true => ("ok", "warn", "misses"),
+                false => ("warn", "ok", "recovered"),
+            };
+            self.event(
+                "health.alert",
+                now,
+                &[
+                    ("peer", self.chain[i].to_string()),
+                    ("from", from.to_string()),
+                    ("to", to.to_string()),
+                    ("misses", misses.to_string()),
+                    ("reason", reason.to_string()),
+                ],
+                [
+                    Some(("peer", i as u64)),
+                    Some(("misses", u64::from(misses))),
+                ],
+            );
+        }
+        if let Some(t) = &mut self.telemetry {
+            let [state, missed] = t.peers[i].get_or_insert_with(|| {
+                let h = t
+                    .hub
+                    .registry
+                    .scope(t.scope)
+                    .scope(&format!("peer{i}.health"));
+                [h.gauge("state"), h.gauge("misses")]
+            });
+            state.set_at(u64::from(warn), now.as_nanos());
+            missed.set_at(u64::from(misses), now.as_nanos());
+        }
+    }
 }
 
 impl HostController for ChainController {
     fn on_tick(&mut self, services: &mut HostServices<'_, '_>) {
         let now = services.now;
-        let now_ns = now.as_nanos();
         if now >= self.next_send {
             let seq = self.send_seq;
             self.send_seq += 1;
-            self.hb_ring[(seq % HB_RING as u64) as usize] = (seq, now);
             // Living peers only: a beat to a peer declared dead would
             // occupy the shared segment for nobody — after §5 its
             // address is our own.
@@ -638,17 +644,7 @@ impl HostController for ChainController {
                 if i == self.my_index || !self.alive[i] {
                     continue;
                 }
-                // Echo the latest peer seq plus how long we held it, so
-                // the peer's RTT sample excludes our heartbeat interval.
-                let (echo_seq, hold_ns) = match self.trackers[i].echo {
-                    Some((pseq, rx_at)) => (pseq, now.duration_since(rx_at).as_nanos()),
-                    None => (Heartbeat::NO_ECHO, 0),
-                };
-                let beat = Heartbeat {
-                    seq,
-                    echo_seq,
-                    hold_ns,
-                };
+                let beat = Heartbeat { seq };
                 services.send_raw(
                     PROTO_HEARTBEAT,
                     self.chain[i],
@@ -672,10 +668,9 @@ impl HostController for ChainController {
             t.rejoins.set_at_least(self.rejoins);
         }
 
-        // Score every live peer: misses from silence, then one monitor
-        // tick — before the binary check, so a Warn/Critical alert on a
-        // degrading peer is journaled no later than (in practice
-        // strictly before) the timeout decision, which alone declares
+        // Every live peer: misses from silence, then the alert — before
+        // the binary check, so a `warn` on a silent peer is journaled
+        // strictly before the timeout decision, which alone declares
         // death.
         let mut changed = false;
         for i in 0..self.chain.len() {
@@ -692,7 +687,7 @@ impl HostController for ChainController {
             // VIP from under the head it was provisioned to back up.
             let last = *self.last_heard[i].get_or_insert(now);
             let (misses, silent) = self.silence(last, now);
-            let heard = self.trackers[i].monitor.replica.heartbeats > 0;
+            let heard = self.trackers[i].heard;
             let expired = silent && (heard || now.duration_since(last) > self.grace());
             // One `hb.miss` instant per whole silent interval, not per
             // tick.
@@ -707,27 +702,7 @@ impl HostController for ChainController {
                 );
             }
             self.traced_misses[i] = misses;
-            let tr = &mut self.trackers[i];
-            tr.monitor.replica.set_misses(misses);
-            let transition = tr.monitor.tick(now_ns);
-            let score = tr.monitor.score().total;
-            if let Some(t) = &self.telemetry {
-                tr.monitor.publish(&t.peers[i], now_ns);
-            }
-            if let Some((from, to, reason)) = transition {
-                self.event(
-                    "health.alert",
-                    now,
-                    &[
-                        ("peer", self.chain[i].to_string()),
-                        ("from", from.name().to_string()),
-                        ("to", to.name().to_string()),
-                        ("score", score.to_string()),
-                        ("reason", reason.to_string()),
-                    ],
-                    [Some(("peer", i as u64)), Some(("score", score))],
-                );
-            }
+            self.alert(i, misses, now);
             if expired {
                 self.alive[i] = false;
                 changed = true;
@@ -737,7 +712,6 @@ impl HostController for ChainController {
                     now,
                     &[
                         ("peer", self.chain[i].to_string()),
-                        ("score", score.to_string()),
                         ("misses", misses.to_string()),
                     ],
                     [
@@ -757,7 +731,7 @@ impl HostController for ChainController {
         &mut self,
         proto: u8,
         src: Ipv4Addr,
-        payload: &[u8],
+        _payload: &[u8],
         services: &mut HostServices<'_, '_>,
     ) {
         if proto != PROTO_HEARTBEAT {
@@ -778,8 +752,7 @@ impl HostController for ChainController {
             // Late: e.g. a frame that sat in a queue, or a rebooted
             // host that holds no flow yet (`append_replica` re-admits
             // it once it does). Trusting it would reset the miss count
-            // and let the score "recover" for a replica that has been
-            // replaced.
+            // for a replica that has been replaced.
             self.late_heartbeats += 1;
             self.event(
                 "late_heartbeat",
@@ -792,30 +765,8 @@ impl HostController for ChainController {
         self.heartbeats_received += 1;
         self.last_heard[i] = Some(now);
         self.traced_misses[i] = 0;
-        // v1 payload: seq + RTT echo. Legacy (short) payloads are
-        // liveness-only.
-        if let Some(beat) = Heartbeat::decode(payload) {
-            let tr = &mut self.trackers[i];
-            // A gap in the peer's seq stream is heartbeats lost on the
-            // way here.
-            if let Some(lost) = advance_expected_seq(&mut tr.expected_seq, beat.seq) {
-                tr.monitor
-                    .replica
-                    .observe_loss(lost, lost.saturating_add(1));
-            }
-            tr.echo = Some((beat.seq, now));
-            if beat.echo_seq != Heartbeat::NO_ECHO {
-                let (ring_seq, sent_at) = self.hb_ring[(beat.echo_seq % HB_RING as u64) as usize];
-                if ring_seq == beat.echo_seq {
-                    let rtt = now
-                        .duration_since(sent_at)
-                        .as_nanos()
-                        .saturating_sub(beat.hold_ns);
-                    tr.monitor.replica.on_heartbeat_rtt(rtt);
-                }
-            }
-        }
-        self.trackers[i].monitor.replica.on_heartbeat_seen();
+        // Any beat is liveness (§2): the payload says nothing more.
+        self.trackers[i].heard = true;
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -1154,11 +1105,8 @@ mod tests {
     fn controller_scores_and_promotes() {
         let c = ChainController::new(vec![VIP, B1, B2], 1, DetectorConfig::default());
         assert_eq!(c.vip(), VIP);
-        assert!(c.peer_alive(0));
-        // Every peer is scored, presumed healthy before its first beat;
-        // the controller's own position is no peer.
-        assert_eq!(c.peer_score(0).map(|s| s.total), Some(100));
-        assert!(c.peer_score(1).is_none());
+        // Every peer is tracked, presumed alive before its first beat.
+        assert!(c.peer_alive(0) && c.peer_alive(2));
         assert!(c.promoted_at.is_none());
     }
 
@@ -1227,7 +1175,6 @@ mod tests {
         let mut c = ChainController::new(vec![VIP, B1, B2], 2, DetectorConfig::default());
         c.append_replica(b3, SimTime::ZERO);
         assert!(c.peer_alive(3));
-        assert!(c.peer_score(3).is_some());
         c.set_peer_dead(VIP);
         assert!(!c.peer_alive(0));
         // nearest_alive_up skips the dead head.

@@ -44,8 +44,7 @@ use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig, TOKEN_TICK};
 use tcpfo_telemetry::journal::DEFAULT_CAPACITY as DEFAULT_JOURNAL_CAPACITY;
 use tcpfo_telemetry::span::DEFAULT_SPAN_CAPACITY;
 use tcpfo_telemetry::{
-    HealthMonitor, HealthObservatory, InvariantAuditor, MetricsSnapshot, ObserverSwitches,
-    Telemetry,
+    HealthObservatory, InvariantAuditor, MetricsSnapshot, ObserverSwitches, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
@@ -157,8 +156,8 @@ pub struct TestbedConfig {
     /// (`None`: `TCPFO_LATENCY`).
     pub latency: Option<bool>,
     /// Attach the replica health observatory (replication-lag ledger)
-    /// to every bridge; the controllers' advisory per-peer monitors are
-    /// always on (`None`: `TCPFO_HEALTH`).
+    /// to every bridge (`None`: `TCPFO_HEALTH`). The controllers'
+    /// miss-count alert does not depend on it.
     pub health: Option<bool>,
     /// Arm the failover span tracer: attach every hub's span ring and a
     /// hot-path batch sampler on every bridge (`None`: `TCPFO_TRACE`).
@@ -627,20 +626,6 @@ impl Testbed {
     /// observatory (the replication-lag ledger), if any.
     pub fn with_primary_health<R>(&mut self, f: impl FnOnce(&HealthObservatory) -> R) -> Option<R> {
         self.with_bridge(0, |b| b.observers().health.as_deref().map(f))?
-    }
-
-    /// Runs `f` against the health monitor `node`'s fault detector
-    /// scores its pair peer with (P's view of S, or S's view of P).
-    pub fn with_health_monitor<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&HealthMonitor) -> R,
-    ) -> Option<R> {
-        let peer = usize::from(node == self.primary);
-        self.sim.with::<Host, _>(node, |h, _| {
-            let monitor = h.controller_mut::<ChainController>().peer_monitor(peer)?;
-            Some(f(monitor))
-        })
     }
 
     /// Applies `f` to the link parameters of every wire touching

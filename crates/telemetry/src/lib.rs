@@ -48,10 +48,7 @@ pub mod table;
 pub mod timeline;
 
 pub use audit::{AuditConfig, InvariantAuditor, Rule, RuleLedger, TraceId, Violation};
-pub use health::{
-    AlertMachine, AlertState, BurnWindow, Ewma, FlowClass, HealthMonitor, HealthObservatory,
-    HealthScore, ReplicaHealth, ReplicationLag, SloMonitor, WindowCounts,
-};
+pub use health::{FlowClass, HealthObservatory, ReplicationLag};
 pub use journal::{Event, Journal};
 pub use latency::{
     HostClock, HostHistogram, LatencyObservatory, LogHistogram, Quantile, SimHistogram, Stage,

@@ -1,7 +1,7 @@
 //! Cross-layer failover span tracing (PR 10).
 //!
 //! The PR 5 timeline and PR 8 health observatory reduce a takeover to
-//! aggregate phase deltas and scores; this module records the *causal
+//! aggregate phase deltas and lag figures; this module records the *causal
 //! story* — Dapper-style spans layered on the PR 3 [`TraceId`] chains,
 //! so a specific slow sample or promotion links back to the concrete
 //! sequence of detector, controller, bridge and reprovision events

@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 use tcpfo_wire::arp::ArpPacket;
 use tcpfo_wire::eth::EthernetFrame;
-use tcpfo_wire::heartbeat::{Heartbeat, HEARTBEAT_V1_LEN};
 use tcpfo_wire::ipv4::{pseudo_header_sum, Ipv4Addr, Ipv4Packet, PROTO_TCP};
 use tcpfo_wire::tcp::{
     decode_options, peek_orig_dest, verify_segment_checksum, SegmentPatcher, TcpOption, TcpSegment,
@@ -174,29 +173,6 @@ proptest! {
         let _ = TcpView::new(&bytes);
         let _ = decode_options(&bytes);
         let _ = peek_orig_dest(&bytes);
-        let _ = Heartbeat::decode(&bytes);
-    }
-
-    /// `Heartbeat::decode` accepts exactly the payloads that start
-    /// with an encoded v1 heartbeat, and returns its fields unchanged
-    /// whatever follows — every `u64` value included.
-    #[test]
-    fn heartbeat_decode_is_total_and_round_trips(
-        seq in any::<u64>(),
-        echo_seq in any::<u64>(),
-        hold_ns in any::<u64>(),
-        trailing in proptest::collection::vec(any::<u8>(), 0..8),
-        cut in 0usize..HEARTBEAT_V1_LEN,
-        noise in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let hb = Heartbeat { seq, echo_seq, hold_ns };
-        let mut bytes = hb.encode().to_vec();
-        prop_assert_eq!(Heartbeat::decode(&bytes[..cut]), None);
-        bytes.extend_from_slice(&trailing);
-        prop_assert_eq!(Heartbeat::decode(&bytes), Some(hb));
-        if let Some(got) = Heartbeat::decode(&noise) {
-            prop_assert_eq!(&got.encode()[..], &noise[..HEARTBEAT_V1_LEN]);
-        }
     }
 
     /// Arbitrary option bytes — truncated orig-dest options, wrong

@@ -1,9 +1,8 @@
-//! The two claims of the health observatory that only a whole testbed
-//! can check: the replication-lag ledger is *exact* while bytes are
-//! actually held, and under staged degradation the advisory monitor
-//! journals `Warn` strictly before the binary detector fires.
-//! (EWMA, burn-window and hysteresis arithmetic is property-tested in
-//! `crates/telemetry/tests/health_props.rs`.)
+//! The two claims about replica health that only a whole testbed can
+//! check: the replication-lag ledger is *exact* while bytes are
+//! actually held, and under staged degradation the controller's
+//! miss-count alert journals `warn` strictly before the binary detector
+//! fires.
 
 use tcp_failover::apps::driver::RequestReplyClient;
 use tcp_failover::apps::stream::SourceServer;
@@ -75,15 +74,15 @@ fn lag_ledger_equals_queue_walk_at_a_held_backlog() {
 
 /// Three escalating stages of loss, latency and jitter on the
 /// primary's attachment, then the fail-stop they foreshadow: the
-/// secondary's monitor must have journalled `Warn` before its binary
-/// detector declares the primary dead.
+/// secondary must have journalled a `health.alert` to `warn` before its
+/// binary detector declares the primary dead.
 #[test]
 fn warn_is_journalled_before_the_binary_detector_fires() {
     let mut tb = Testbed::new(TestbedConfig {
         health: Some(true),
         ..TestbedConfig::default()
     });
-    // Clean baseline: scores settle near 100, SLO windows fill good.
+    // Clean baseline.
     tb.run_for(SimDuration::from_millis(500));
     let p = tb.primary;
     // Stage 1: mild — a little extra latency, a trickle of loss.
@@ -92,7 +91,7 @@ fn warn_is_journalled_before_the_binary_detector_fires() {
             .with_propagation(SimDuration::from_millis(2))
     });
     tb.run_for(SimDuration::from_millis(300));
-    // Stage 2: degraded — RTT past the scoring ceiling, visible loss.
+    // Stage 2: degraded — 8 ms each way, visible loss.
     tb.reshape_links(p, |l| {
         l.with_loss(0.15)
             .with_propagation(SimDuration::from_millis(8))
@@ -111,10 +110,10 @@ fn warn_is_journalled_before_the_binary_detector_fires() {
     tb.run_for(SimDuration::from_millis(500));
 
     let s = tb.secondary.unwrap();
-    let warn = tb
-        .with_health_monitor(s, |m| m.first_warn_at())
-        .expect("monitor attached")
-        .expect("no Warn journalled");
+    let warn = (tb.telemetry.journal.events().into_iter())
+        .find(|e| e.kind == "health.alert" && e.fields.contains(&("to".into(), "warn".into())))
+        .expect("no warn journalled")
+        .at_ns;
     let detected = tb
         .failover_detected_at(s)
         .expect("detector never fired")

@@ -52,7 +52,7 @@ const FAULT_FREE: Golden = Golden {
     bytes: 17_622_872_390_946_642_133,
     done_ns: [546_797_060, 350_275_350],
     control: (2, 7_386_709_195_769_214_869),
-    alerts: (6, 12_728_524_939_969_038_142),
+    alerts: (0, 14_695_981_039_346_656_037),
 };
 /// Past the takeover's own story: its repeated announcement, 2 s after
 /// the commit, is one more journal entry (`takeover.announce`), and its
@@ -62,35 +62,35 @@ const KILL_PRIMARY: Golden = Golden {
     bytes: 17_622_872_390_946_642_133,
     done_ns: [441_473_020, 333_693_460],
     control: (12, 6_268_416_217_438_953_577),
-    alerts: (3, 4_990_568_361_244_910_140),
+    alerts: (1, 9_443_223_636_843_350_901),
 };
 const KILL_SECONDARY: Golden = Golden {
     events: 23_374,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [395_473_020, 249_804_212],
     control: (6, 9_064_720_007_812_713_247),
-    alerts: (3, 4_843_381_685_156_065_539),
+    alerts: (1, 11_215_819_966_632_964_142),
 };
 const REJOIN: Golden = Golden {
     events: 53_441,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [413_797_060, 281_272_028],
     control: (13, 10_974_755_085_307_288_641),
-    alerts: (9, 725_839_792_368_931_853),
+    alerts: (4, 1_284_904_597_878_808_622),
 };
 const LOSS_TO_PRIMARY: Golden = Golden {
     events: 137_293,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [7_218_797_060, 4_274_699_080],
     control: (2, 7_386_709_195_769_214_869),
-    alerts: (44, 11_337_872_566_236_650_751),
+    alerts: (8, 1_506_780_068_452_341_425),
 };
 const BACKEND: Golden = Golden {
     events: 46_268,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [560_801_772, 363_643_974],
     control: (3, 11_373_941_173_832_498_288),
-    alerts: (6, 7_991_476_651_669_943_621),
+    alerts: (0, 14_695_981_039_346_656_037),
 };
 /// Unicast client traffic never reaches the secondary's NIC through a
 /// learning switch: neither download completes (the E8 ablation).
@@ -106,7 +106,7 @@ const CHAIN_HEAD_KILL_REPROVISION: Golden = Golden {
     bytes: 17_622_872_390_946_642_133,
     done_ns: [753_771_788, 363_467_964],
     control: (19, 3_198_821_254_684_077_165),
-    alerts: (82, 9_038_785_371_029_980_820),
+    alerts: (2, 2_067_288_085_881_904_126),
 };
 
 const SEED: u64 = 0x07E5_7BED;
