@@ -3,7 +3,10 @@
 //! each living replica's bridge publishes (`sync_telemetry`), and its
 //! `pq_depth` / `sq_depth` gauges must equal the sums of
 //! `connection_rows()`' `pq_bytes` / `sq_bytes` while it merges
-//! (`Normal`), and read 0 in §6.
+//! (`Normal`), and read 0 in §6. Its `health.lag.bytes` must equal the
+//! same walk of `pq_bytes`, and during a reprovisioning round
+//! `Testbed::catchup_lag` must equal the walk on the converted link,
+//! with the health observatory attached or not.
 //!
 //! The scenes cover every way queued bytes arrive and leave: a plain
 //! pair download, loss towards the primary (the two queues drift
@@ -30,15 +33,16 @@ use tcp_failover::tcp::types::{ListenerId, SocketAddr, SocketId};
 
 const MS: SimDuration = SimDuration::from_millis(1);
 
-/// A pair (or chain of `replicas`) with its observers pinned off, so
-/// the environment's switches cannot change what a scene does.
+/// A pair (or chain of `replicas`) with the health observatory pinned
+/// on and the other observers off, so the environment's switches cannot
+/// change what a scene does.
 fn config(replicas: usize) -> TestbedConfig {
     TestbedConfig {
         seed: 0x07E5_7BED,
         replicas,
         audit: Some(false),
         latency: Some(false),
-        health: Some(false),
+        health: Some(true),
         span_trace: Some(false),
         ..TestbedConfig::default()
     }
@@ -72,6 +76,16 @@ fn with_bridge<R>(tb: &mut Testbed, i: usize, f: impl FnOnce(&mut PrimaryBridge)
     })
 }
 
+/// The bytes replica `i`'s connection table holds on each side, walked.
+fn walk(tb: &mut Testbed, i: usize) -> (u64, u64) {
+    with_bridge(tb, i, |b| {
+        let rows = b.connection_rows();
+        let pq: usize = rows.iter().map(|r| r.pq_bytes).sum();
+        let sq: usize = rows.iter().map(|r| r.sq_bytes).sum();
+        (pq as u64, sq as u64)
+    })
+}
+
 /// The check, on every living replica: publish now, then compare the
 /// gauges with the table walk. Returns the bytes the walk found queued
 /// across the replicas, so a scene can show it queued some.
@@ -82,13 +96,11 @@ fn check(tb: &mut Testbed) -> u64 {
         if tb.is_dead(i) {
             continue;
         }
-        let (mode, pq, sq) = with_bridge(tb, i, |b| {
+        let (mode, health) = with_bridge(tb, i, |b| {
             b.sync_telemetry(now);
-            let rows = b.connection_rows();
-            let pq: usize = rows.iter().map(|r| r.pq_bytes).sum();
-            let sq: usize = rows.iter().map(|r| r.sq_bytes).sum();
-            (b.mode(), pq as u64, sq as u64)
+            (b.mode(), b.observers().health.is_some())
         });
+        let (pq, sq) = walk(tb, i);
         seen += pq + sq;
         let want = match mode {
             PrimaryMode::Normal => (pq, sq),
@@ -107,6 +119,13 @@ fn check(tb: &mut Testbed) -> u64 {
             got, want,
             "replica {i} at {now} ns ({mode:?}): published (pq, sq) against the walk"
         );
+        if health {
+            assert_eq!(
+                gauge("health.lag.bytes"),
+                pq,
+                "replica {i} at {now} ns ({mode:?}): health.lag.bytes against the walk"
+            );
+        }
     }
     seen
 }
@@ -174,10 +193,10 @@ fn secondary_killed_then_rejoined() {
 }
 
 /// A chain of three loses its head; once the successor has taken over,
-/// the tail is reprovisioned, handed the flows and caught up.
-#[test]
-fn chain_head_killed_then_tail_reprovisioned() {
-    let mut tb = serving(config(3), &[2_000_000, 800_000]);
+/// the tail is reprovisioned, handed the flows and caught up. Through
+/// the catch-up, `catchup_lag` equals the walk on the converted link.
+fn head_killed_then_tail_reprovisioned(config: TestbedConfig) {
+    let mut tb = serving(config, &[2_000_000, 800_000]);
     run_checked(&mut tb, 80);
     tb.kill_replica(0);
     let promoted = |tb: &mut Testbed| {
@@ -189,15 +208,36 @@ fn chain_head_killed_then_tail_reprovisioned() {
     while promoted(&mut tb).is_none() {
         run_checked(&mut tb, 1);
     }
-    chain_ops::reprovision_tail(&mut tb);
-    let mut waited = 0;
+    let standby = chain_ops::reprovision_tail(&mut tb);
+    let link = (0..standby).rev().find(|&j| !tb.is_dead(j));
+    let link = link.expect("a living replica above the standby");
+    let (mut waited, mut most) = (0, 0);
     while tb.tracker.phase() != ReprovisionPhase::Restored {
-        run_checked(&mut tb, 10);
+        run_checked(&mut tb, 1);
+        let (pq, _) = walk(&mut tb, link);
+        assert_eq!(tb.catchup_lag(), pq, "catchup_lag against the walk");
+        most = most.max(pq);
         tb.poll_reprovision();
-        waited += 10;
+        waited += 1;
         assert!(waited < 10_000, "reprovisioning never restored redundancy");
     }
+    assert!(most > 0, "the catch-up must hold bytes");
     run_checked(&mut tb, 300);
+}
+
+#[test]
+fn chain_head_killed_then_tail_reprovisioned() {
+    head_killed_then_tail_reprovisioned(config(3));
+}
+
+/// The same round with the health observatory detached: the catch-up
+/// is read off the bridge alone.
+#[test]
+fn chain_catch_up_with_health_detached() {
+    head_killed_then_tail_reprovisioned(TestbedConfig {
+        health: Some(false),
+        ..config(3)
+    });
 }
 
 /// A table of two flows under four downloads: opening a flow evicts a
