@@ -106,8 +106,8 @@ fn run(failover: bool, prom: bool) -> i32 {
 
 /// Every replica's auditor report, then one line of what every bounded
 /// ring of the run evicted: the hubs' journals and span rings (with the
-/// ends whose begin they lost), the packet trace and each auditor's two
-/// rings.
+/// ends whose begin they lost), the packet trace and each auditor's
+/// trace ring.
 fn print_audits(tb: &mut Testbed) {
     println!("\n=== invariant auditors ===");
     let sum = |ring: fn(&Telemetry) -> u64| tb.hubs.iter().map(ring).sum::<u64>();
@@ -117,9 +117,9 @@ fn print_audits(tb: &mut Testbed) {
     drops += &format!(", packet trace {}", tb.sim.trace_dropped());
     for i in 0..tb.replicas.len() {
         let audit = |a: &InvariantAuditor| (a.report(), a.label().to_string(), a.dropped());
-        if let Some((report, who, (ring, segments))) = tb.with_audit(i, audit) {
+        if let Some((report, who, ring)) = tb.with_audit(i, audit) {
             println!("{report}");
-            drops += &format!(", {who} auditor ring {ring} / segments {segments}");
+            drops += &format!(", {who} auditor ring {ring}");
         }
     }
     println!("{drops}\n");

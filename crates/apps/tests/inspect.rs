@@ -27,7 +27,7 @@ fn run_failover_reports_the_takeover_and_every_ring_drop() {
     assert!(out.contains("=== connections (primary bridge, mid-transfer) ==="));
     assert!(out.contains("auditor [primary]") && out.contains("auditor [secondary]"));
     let drops = ["drops: journal", "span ring", "lost ends", "packet trace"];
-    let auditors = ["primary auditor ring", "secondary auditor ring", "segments"];
+    let auditors = ["primary auditor ring", "secondary auditor ring"];
     assert!(line_of(&out, &drops).is_some(), "{out}");
     assert!(line_of(&out, &auditors).is_some(), "{out}");
     assert!(out.contains("replica 0 (10.0.0.2) DEAD"), "{out}");

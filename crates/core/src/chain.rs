@@ -54,7 +54,8 @@
 //! Besides that verdict the controller raises one alert: a peer silent
 //! for `WARN_MISSES` heartbeat intervals is journaled as a
 //! `health.alert` to `warn`, and back to `ok` once it beats again; no
-//! decision reads it. The commit ends by expiring the
+//! decision reads it. A peer never heard from is not warned about
+//! until a timeout before its verdict. The commit ends by expiring the
 //! retransmission timers of the failover sockets: what they have in
 //! flight went to the dead replica, and the client should not wait out
 //! an RTO to learn it.
@@ -221,8 +222,9 @@ pub(crate) fn observers_of(filter: &mut dyn SegmentFilter) -> Option<&mut Observ
 /// Every replica heartbeats every living peer, and declares a peer dead
 /// when its silence exceeds the detector timeout; a peer not heard from
 /// even once is given `UNHEARD_PEER_GRACE` timeouts. `WARN_MISSES`
-/// intervals of silence raise a `health.alert` first, which no decision
-/// below reads. What the survivor then does follows from who is left:
+/// intervals of silence raise a `health.alert` first (for a peer not
+/// heard from, no earlier than a timeout before its verdict), which no
+/// decision below reads. What the survivor then does follows from who is left:
 ///
 /// * **nobody alive above me** → §5: the intent journaled and noted on
 ///   the auditor *before* anything changes, then
@@ -589,11 +591,12 @@ impl ChainController {
     }
 
     /// The miss-count alert on live peer `i`: one `health.alert` to
-    /// `warn` when its silence reaches [`WARN_MISSES`] intervals, and
-    /// one back to `ok` at the first tick below that; then its
-    /// `health.state` (0 ok, 1 warn) and `health.misses` gauges.
-    fn alert(&mut self, i: usize, misses: u32, now: SimTime) {
-        let warn = misses >= WARN_MISSES;
+    /// `warn` when its silence reaches [`WARN_MISSES`] intervals, unless
+    /// it is `graced`, and one back to `ok` at the first tick below
+    /// that; then its `health.state` (0 ok, 1 warn) and `health.misses`
+    /// gauges.
+    fn alert(&mut self, i: usize, misses: u32, graced: bool, now: SimTime) {
+        let warn = misses >= WARN_MISSES && !graced;
         if warn != self.trackers[i].warned {
             self.trackers[i].warned = warn;
             let (from, to, reason) = match warn {
@@ -702,7 +705,12 @@ impl HostController for ChainController {
                 );
             }
             self.traced_misses[i] = misses;
-            self.alert(i, misses, now);
+            // The alert gives a peer never heard from the same grace,
+            // which still ends a timeout before the verdict: a rebooted
+            // replica waits out the silence of a head that beats no
+            // peer it holds dead until it re-admits it.
+            let graced = !heard && now.duration_since(last) <= self.grace() - self.config.timeout;
+            self.alert(i, misses, graced, now);
             if expired {
                 self.alive[i] = false;
                 changed = true;

@@ -8,19 +8,21 @@
 //! bytes changed, matched or gone with their flow (`Lag`), a mode
 //! change, a takeover, a promotion, a batch bracket, the host tick's
 //! publish. The same `Lag` seam keeps the bridge's running totals of
-//! queued bytes, which the host tick publishes without a walk. The
-//! auditor is handed each segment by the merge engine, with the role
-//! the engine gave it, and what the segment's step put out. DESIGN §8
-//! *Observer seam* has the table of moments and who consumes each.
+//! queued bytes, whatever is attached: the one count of held bytes the
+//! host tick, the lag ledger and reprovisioning all read, without a
+//! walk. The auditor is handed each segment by the merge engine, with
+//! the role the engine gave it, and what the segment's step put out.
+//! DESIGN §8 *Observer seam* has the table of moments and who consumes
+//! each.
 //!
 //! A new observer is a field here and a consumer of one of these
 //! moments, never a new field on a bridge.
 
 use crate::primary::PrimaryMode;
-use std::cell::Cell;
 use tcpfo_telemetry::{
     AuditConfig, FlowClass, HealthObservatory, HostClock, InvariantAuditor, LatencyObservatory,
-    ObserverSwitches, Scope, SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
+    ObserverSwitches, QueueTotals, Scope, SpanContext, SpanSampler, Stage, StageLatency,
+    StageTotals, Telemetry,
 };
 
 /// The observers attached to one bridge. All detached by default.
@@ -32,59 +34,68 @@ pub struct Observers {
     /// Per-stage latency observatory (host time; the detached hot path
     /// never reads the host clock).
     pub latency: Option<Box<LatencyObservatory>>,
-    /// Replica health observatory: the exact unmatched-bytes/segments
-    /// replication-lag ledger, O(1) per queue mutation, flat state.
+    /// Replica health observatory: the exact unmatched-segments
+    /// replication-lag ledger, O(1) per queue mutation, flat state; its
+    /// held bytes are the bridge's queue totals, which
+    /// [`Observers::set_health`] (or the bridge's `set_health`) hands it.
     pub health: Option<Box<HealthObservatory>>,
     /// Hot-path span sampler over the batch entry point.
     pub trace: Option<Box<SpanSampler>>,
+    /// Bytes queued on each side of the bridge, summed over its flows
+    /// and indexed like a connection's sides: kept at each queue change
+    /// whatever is attached.
+    pub(crate) queued: QueueTotals,
 }
 
 impl Observers {
-    /// The observers `on` switches on, publishing into `hub`; the
-    /// auditor is labelled `audit_label` in reports and bundle names.
-    pub fn attach(on: ObserverSwitches, hub: &Telemetry, audit_label: &str) -> Self {
-        Observers {
-            audit: on.audit.then(|| {
-                let config = AuditConfig::from_env(audit_label);
-                Box::new(InvariantAuditor::new(config).with_hub(hub))
-            }),
-            latency: on.latency.then(|| Box::new(LatencyObservatory::new())),
-            health: on.health.then(|| Box::new(HealthObservatory::new())),
-            trace: on
-                .span_trace
-                .then(|| Box::new(SpanSampler::with_default_period(hub.trace.clone()))),
+    /// Attaches the observers `on` switches on, publishing into `hub`;
+    /// the auditor is labelled `audit_label` in reports and bundle
+    /// names. Span tracing arms the hub's span ring, not a sampler
+    /// here: only [`crate::PrimaryBridge::process_batch`] brackets a
+    /// batch, and a simulated bridge is driven segment by segment.
+    pub fn attach(&mut self, on: ObserverSwitches, hub: &Telemetry, audit_label: &str) {
+        self.audit = on.audit.then(|| {
+            let config = AuditConfig::from_env(audit_label);
+            Box::new(InvariantAuditor::new(config).with_hub(hub))
+        });
+        self.latency = on.latency.then(|| Box::new(LatencyObservatory::new()));
+        self.set_health(on.health.then(|| Box::new(HealthObservatory::new())));
+    }
+
+    /// Attaches (or detaches) the health observatory, its ledger reading
+    /// held bytes from this bridge's totals.
+    pub fn set_health(&mut self, mut health: Option<Box<HealthObservatory>>) {
+        if let Some(h) = health.as_deref_mut() {
+            h.lag.follow(&self.queued);
         }
+        self.health = health;
     }
 
     /// The stage clock over the latency observatory's histograms.
     #[inline]
     pub(crate) fn clock(&mut self) -> StageClock<'_> {
-        self.datapath(None).0
+        self.datapath().0
     }
 
-    /// The replication-lag ledger of the health observatory, beside the
-    /// bridge's running queue totals when telemetry is attached.
+    /// The bridge's queue totals, beside the health observatory's
+    /// replication-lag ledger.
     #[inline]
-    pub(crate) fn lag<'a>(&'a mut self, queued: Option<&'a Queued>) -> Lag<'a> {
-        Lag(self.health.as_deref_mut(), queued)
+    pub(crate) fn lag(&mut self) -> Lag<'_> {
+        Lag(self.health.as_deref_mut(), &self.queued)
     }
 
     /// The pieces per-segment code consumes, borrowed side by side: the
-    /// stage clock, the lag ledger (with `queued`, the running queue
-    /// totals), and the auditor the merge engine hands each segment's
-    /// role.
+    /// stage clock, the lag seam (queue totals and ledger), and the
+    /// auditor the merge engine hands each segment's role.
     #[inline]
-    pub(crate) fn datapath<'a>(
-        &'a mut self,
-        queued: Option<&'a Queued>,
-    ) -> (StageClock<'a>, Lag<'a>, Option<&'a mut InvariantAuditor>) {
+    pub(crate) fn datapath(&mut self) -> (StageClock<'_>, Lag<'_>, Option<&mut InvariantAuditor>) {
         (
             StageClock(
                 self.latency
                     .as_deref_mut()
                     .map(LatencyObservatory::stages_mut),
             ),
-            Lag(self.health.as_deref_mut(), queued),
+            Lag(self.health.as_deref_mut(), &self.queued),
             self.audit.as_deref_mut(),
         )
     }
@@ -132,12 +143,12 @@ impl Observers {
     }
 
     /// Opens the span sampler's bracket around a batch. `Some` when
-    /// this batch is sampled: the stage histograms as they stand (a
-    /// stack copy, taken on sampled batches only).
+    /// this batch is sampled: each stage's sum and count as they stand
+    /// (taken on sampled batches only).
     #[inline]
     pub(crate) fn batch_start(&mut self) -> Option<BatchSample> {
         let sampled = self.trace.as_deref_mut().is_some_and(|s| s.start_batch());
-        sampled.then(|| BatchSample(self.stages().copied()))
+        sampled.then(|| BatchSample(self.stages().map(StageLatency::totals)))
     }
 
     /// Closes the bracket [`Observers::batch_start`] opened: a `batch`
@@ -148,7 +159,7 @@ impl Observers {
         let Some(BatchSample(before)) = sample else {
             return;
         };
-        let after = self.stages().copied();
+        let after = self.stages().map(StageLatency::totals);
         if let Some(s) = self.trace.as_deref_mut() {
             s.finish_batch(segments, before.as_ref(), after.as_ref());
         }
@@ -183,8 +194,8 @@ impl std::fmt::Debug for Observers {
     }
 }
 
-/// The stage histograms as [`Observers::batch_start`] found them.
-pub(crate) struct BatchSample(Option<StageLatency>);
+/// The stage totals as [`Observers::batch_start`] found them.
+pub(crate) struct BatchSample(Option<StageTotals>);
 
 /// The stage clock: host-time cost of one datapath stage, recorded
 /// into the latency observatory's histograms. Over `None` — the
@@ -213,20 +224,11 @@ impl StageClock<'_> {
     }
 }
 
-/// Bytes queued on each side of a bridge, summed over its flows and
-/// indexed like a connection's sides: the output-queue depths the host
-/// tick publishes, kept current at each queue change instead of walked.
-pub(crate) type Queued = [Cell<u64>; 2];
-
-/// The replication-lag ledger as the datapath feeds it: bytes held in a
-/// primary output queue that the downstream replica has not matched
-/// yet; and, while telemetry is attached, the running totals of both
-/// sides' queued bytes. Over `None` — the default — every site is one
-/// branch.
-pub(crate) struct Lag<'a>(
-    pub Option<&'a mut HealthObservatory>,
-    pub Option<&'a Queued>,
-);
+/// The lag seam as the datapath feeds it: the bridge's running totals
+/// of both sides' queued bytes, always kept; and the replication-lag
+/// ledger's segment count and release samples, over `None` — the
+/// default — one branch per site.
+pub(crate) struct Lag<'a>(pub Option<&'a mut HealthObservatory>, pub &'a QueueTotals);
 
 impl Lag<'_> {
     /// Whether a ledger is attached (gates bookkeeping only it reads).
@@ -235,31 +237,20 @@ impl Lag<'_> {
         self.0.is_some()
     }
 
-    /// One side's queue grew by `bytes`.
+    /// An insert took one side's queue from `before` to `after` bytes;
+    /// on our own side the ledger recounts the flow's segments at `mss`.
     #[inline]
-    pub fn enqueued(&self, side: usize, bytes: usize) {
-        if let Some(q) = self.1 {
-            q[side].set(q[side].get() + bytes as u64);
-        }
-    }
-
-    /// `bytes[side]` left each side's queue: matched, or gone with their
-    /// flow.
-    #[inline]
-    pub fn dequeued(&self, bytes: [usize; 2]) {
-        if let Some(q) = self.1 {
-            for (total, n) in q.iter().zip(bytes) {
-                total.set(total.get() - n as u64);
-            }
-        }
-    }
-
-    /// A flow's held bytes went from `before` to `after`.
-    #[inline]
-    pub fn queue_changed(&mut self, before: usize, after: usize, mss: u16) {
-        if let Some(h) = self.0.as_deref_mut() {
+    pub fn inserted(&mut self, side: usize, (before, after): (usize, usize), mss: u16) {
+        self.1.add(side, after - before);
+        if let Some(h) = self.0.as_deref_mut().filter(|_| side == QueueTotals::OWN) {
             h.lag.update(before, after, mss);
         }
+    }
+
+    /// A match took `n` bytes off each side's queue.
+    #[inline]
+    pub fn matched(&self, n: usize) {
+        self.1.sub([n; 2]);
     }
 
     /// A match released held bytes (`before` → `after`): samples how far
@@ -280,11 +271,13 @@ impl Lag<'_> {
     }
 
     /// A flow left replicated operation (teardown, RST, eviction, GC,
-    /// §6) still holding `held` bytes: they stop being replication lag.
+    /// §6) still holding `bytes[side]` on each side: they leave the
+    /// totals, and our own stop being replication lag.
     #[inline]
-    pub fn flow_left(&mut self, held: usize, mss: u16) {
+    pub fn left(&mut self, bytes: [usize; 2], mss: u16) {
+        self.1.sub(bytes);
         if let Some(h) = self.0.as_deref_mut() {
-            h.lag.drop_flow(held, mss);
+            h.lag.drop_flow(bytes[QueueTotals::OWN], mss);
         }
     }
 }

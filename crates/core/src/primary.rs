@@ -50,7 +50,7 @@ use self::merge::{BELOW, OURS};
 use self::residue::PrimaryFlow;
 use crate::designation::{ConnKey, FailoverConfig};
 use crate::flow::{FlowGauges, FlowState, FlowStats, FlowTable, FlowTableConfig};
-use crate::observers::{Observers, Queued};
+use crate::observers::Observers;
 use bytes::BytesMut;
 use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FailoverRule, FilterOutput, SegmentFilter};
@@ -172,11 +172,6 @@ struct PrimaryInstruments {
     counters: [Counter; COUNTERS.len()],
     pq_depth: Gauge,
     sq_depth: Gauge,
-    /// Bytes queued on each side across the flows, indexed by [`OURS`]
-    /// and [`BELOW`]: kept current through [`crate::observers::Lag`] at
-    /// every insert, match and flow departure, so the tick publishes
-    /// `pq_depth` / `sq_depth` without walking the table.
-    queued: Queued,
     /// Flow-table gauges under `core.primary.flow`.
     flow_gauges: FlowGauges,
 }
@@ -332,8 +327,7 @@ impl PrimaryBridge {
             if let Some(ev) = self.flows.take_slot(i) {
                 if let (_, Some(dropped)) = table.insert(ev.key, ev.state, ev.data, 0) {
                     self.stats.evicted_flows += 1;
-                    let queued = self.telemetry.as_ref().map(|t| &t.queued);
-                    dropped.data.left(&mut self.observers.lag(queued));
+                    dropped.data.left(&mut self.observers.lag());
                 }
             }
         }
@@ -366,14 +360,17 @@ impl PrimaryBridge {
     }
 
     /// Attaches (or detaches) the replica health & replication-lag
-    /// observatory. Attaching mid-run seeds the lag ledger from the
-    /// current queues so the gauge stays exact.
+    /// observatory. Its held bytes are the bridge's queue totals;
+    /// attaching mid-run seeds its segment count from the current
+    /// queues so the gauge stays exact.
     pub fn set_health(&mut self, health: Option<Box<HealthObservatory>>) {
-        self.observers.health = health;
-        let mut lag = self.observers.lag(None);
+        self.observers.set_health(health);
+        let Some(h) = self.observers.health.as_deref_mut() else {
+            return;
+        };
         for (_, _, f) in self.flows.iter() {
             if let PrimaryFlow::Live(c) = f {
-                lag.queue_changed(0, c.held(), c.mss);
+                h.lag.update(0, c.held(), c.mss);
             }
         }
     }
@@ -381,6 +378,12 @@ impl PrimaryBridge {
     /// Attaches (or detaches) the hot-path span sampler.
     pub fn set_trace(&mut self, trace: Option<Box<SpanSampler>>) {
         self.observers.trace = trace;
+    }
+
+    /// Bytes the bridge's own output queues hold that the replica below
+    /// has not matched yet: its replication lag, summed over its flows.
+    pub fn held_bytes(&self) -> u64 {
+        self.observers.queued.get(OURS)
     }
 
     /// Diagnostic rows for every tracked connection, in no particular
@@ -411,24 +414,14 @@ impl PrimaryBridge {
     /// `core.secondary` with nobody below —, tracks output-queue depths
     /// and the flow-table gauges, and journals its control moments
     /// (sync, flow eviction, degradation); bare ACKs and forwarded
-    /// retransmissions are counted only. Attaching mid-run seeds the
-    /// queue totals from the current queues, once.
+    /// retransmissions are counted only.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         let name = match self.a_s {
             Some(_) => "core.primary",
             None => "core.secondary",
         };
         let scope = telemetry.registry.scope(name);
-        let queued = Queued::default();
-        for (_, _, f) in self.flows.iter() {
-            if let PrimaryFlow::Live(c) = f {
-                for (total, side) in queued.iter().zip(&c.sides) {
-                    total.set(total.get() + side.queue.len() as u64);
-                }
-            }
-        }
         self.telemetry = Some(PrimaryInstruments {
-            queued,
             hub: telemetry.clone(),
             name,
             counters: COUNTERS.map(|(counter, _)| scope.counter(counter)),
@@ -452,22 +445,17 @@ impl PrimaryBridge {
             stats,
             telemetry,
             observers,
-            mode,
             ..
         } = self;
         let Some(t) = telemetry else {
             return;
         };
-        // In §6 mode no connection holds queues.
-        let (pq, sq) = match mode {
-            PrimaryMode::Normal => (t.queued[OURS].get(), t.queued[BELOW].get()),
-            PrimaryMode::SecondaryFailed => (0, 0),
-        };
         for ((_, count), counter) in COUNTERS.into_iter().zip(&t.counters) {
             counter.set_at_least(count(stats));
         }
-        t.pq_depth.set_at(pq, now_nanos);
-        t.sq_depth.set_at(sq, now_nanos);
+        // In §6 mode no connection holds queues: both totals read 0.
+        t.pq_depth.set_at(observers.queued.get(OURS), now_nanos);
+        t.sq_depth.set_at(observers.queued.get(BELOW), now_nanos);
         t.flow_gauges.publish(&t.scope, flows, now_nanos);
         observers.publish(&t.scope, now_nanos);
     }
@@ -524,8 +512,7 @@ impl PrimaryBridge {
     /// Backlog waits at the expiry-list fronts. O(1) when nothing is due
     /// (one list-head check per TTL class), so every batch ends with it.
     fn gc_flows(&mut self, now_nanos: u64, budget: usize) {
-        let queued = self.telemetry.as_ref().map(|t| &t.queued);
-        let mut lag = self.observers.lag(queued);
+        let mut lag = self.observers.lag();
         self.flows
             .gc_budgeted(now_nanos, budget, &mut |ev| ev.data.left(&mut lag));
         self.stats.flows_reaped = self.flows.stats().reaped;

@@ -74,8 +74,7 @@ impl PrimaryBridge {
             observers,
             ..
         } = self;
-        let queued = telemetry.as_ref().map(|t| &t.queued);
-        let (clock, lag, audit) = observers.datapath(queued);
+        let (clock, lag, audit) = observers.datapath();
         Engine {
             a_s: *a_s,
             gate: upstream.is_some(),
@@ -121,8 +120,8 @@ pub(super) struct Engine<'a> {
     pub(super) emit: Emitter<'a>,
     /// The journal's handles; `None` without telemetry.
     pub(super) instruments: Option<&'a PrimaryInstruments>,
-    /// Replication-lag ledger (the health observatory's) and the
-    /// running queue totals (the telemetry's).
+    /// The bridge's running queue totals and the health observatory's
+    /// replication-lag ledger.
     pub(super) lag: Lag<'a>,
     /// The invariant auditor, handed each segment's role by
     /// [`Engine::shadow`].

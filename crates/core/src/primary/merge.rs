@@ -24,8 +24,10 @@ use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{HeaderTemplate, TcpFlags, TcpOption, TcpSegment};
 
 /// Index of our own TCP layer's [`Side`] in [`Conn::sides`] (and of
-/// its FIN in a §6 entry's `fins`).
+/// its FIN in a §6 entry's `fins`); the bridge's queue totals index
+/// their sides the same way.
 pub(super) const OURS: usize = 1;
+const _: () = assert!(OURS == tcpfo_telemetry::QueueTotals::OWN);
 /// Index of the [`Side`] diverted from below.
 pub(super) const BELOW: usize = 0;
 
@@ -157,8 +159,7 @@ impl Conn {
     /// eviction, GC, §6): its held bytes stop being replication lag, and
     /// both sides' bytes leave the queue totals.
     pub(super) fn left(&self, lag: &mut Lag) {
-        lag.flow_left(self.held(), self.mss);
-        lag.dequeued(self.sides.each_ref().map(|s| s.queue.len()));
+        lag.left(self.sides.each_ref().map(|s| s.queue.len()), self.mss);
     }
 
     pub(super) fn min_ack(&self) -> Option<u32> {
@@ -344,7 +345,7 @@ impl Engine<'_> {
                 let pq_before = conn.held();
                 let from_s = conn.sides[BELOW].queue.take(conn.send_next, n);
                 let from_p = conn.sides[OURS].queue.take(conn.send_next, n);
-                self.lag.dequeued([n; 2]);
+                self.lag.matched(n);
                 if from_p != from_s {
                     self.emit.stats.mismatched_bytes += n as u64;
                 }
@@ -584,12 +585,9 @@ impl Engine<'_> {
             let before = queue.len();
             queue.insert(seq, seg.payload.clone(), conn.send_next);
             let after = queue.len();
-            self.lag.enqueued(side, after - before);
-            if side == OURS && self.lag.attached() {
-                if before == 0 && after > 0 {
-                    conn.pq_head_since = self.now;
-                }
-                self.lag.queue_changed(before, after, conn.mss);
+            self.lag.inserted(side, (before, after), conn.mss);
+            if side == OURS && before == 0 && after > 0 && self.lag.attached() {
+                conn.pq_head_since = self.now;
             }
         }
         let pure_ack = seg.payload.is_empty() && !has_fin && seg.flags.contains(TcpFlags::ACK);

@@ -133,8 +133,7 @@ impl PrimaryBridge {
         };
         if let (_, Some(dropped)) = self.flows.insert(key, st, flow, now_nanos) {
             self.stats.evicted_flows += 1;
-            let queued = self.telemetry.as_ref().map(|t| &t.queued);
-            dropped.data.left(&mut self.observers.lag(queued));
+            dropped.data.left(&mut self.observers.lag());
         }
     }
 }

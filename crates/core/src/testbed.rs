@@ -29,7 +29,6 @@ use crate::chain::ChainController;
 use crate::designation::FailoverConfig;
 use crate::detector::DetectorConfig;
 use crate::flow::FlowTableConfig;
-use crate::observers::Observers;
 use crate::primary::{PrimaryBridge, PrimaryStats};
 use crate::reprovision::{ReprovisionPhase, ReprovisionTracker};
 use tcpfo_net::hub::Hub;
@@ -159,8 +158,9 @@ pub struct TestbedConfig {
     /// to every bridge (`None`: `TCPFO_HEALTH`). The controllers'
     /// miss-count alert does not depend on it.
     pub health: Option<bool>,
-    /// Arm the failover span tracer: attach every hub's span ring and a
-    /// hot-path batch sampler on every bridge (`None`: `TCPFO_TRACE`).
+    /// Arm the failover span tracer: attach every hub's span ring
+    /// (`None`: `TCPFO_TRACE`). A testbed's bridges take their segments
+    /// one at a time, so no hot-path batch sampler is attached.
     /// Distinct from [`TestbedConfig::trace_capacity`], which sizes the
     /// *packet* trace ring.
     pub span_trace: Option<bool>,
@@ -277,7 +277,7 @@ impl TestbedConfig {
             bridge.set_flow_config(FlowTableConfig::new(1, cap));
         }
         bridge.set_telemetry(hub);
-        *bridge.observers_mut() = Observers::attach(observers, hub, &label);
+        bridge.observers_mut().attach(observers, hub, &label);
         host.set_filter(Box::new(bridge));
         let mut controller = ChainController::new(chain.to_vec(), i, self.detector);
         controller.set_telemetry(hub);
@@ -789,19 +789,15 @@ impl Testbed {
         self.tracker.handoff_done(flows, backlog, now);
     }
 
-    /// Unmatched replication backlog on the converted link: the lag
-    /// ledger when the health observatory is attached, otherwise the
-    /// sum of primary-queue bytes across its connections. Zero means
-    /// the standby's stream has caught up with the converted link's.
+    /// Unmatched replication backlog on the converted link: the bytes
+    /// its own output queues hold ([`PrimaryBridge::held_bytes`]). Zero
+    /// means the standby's stream has caught up with the converted
+    /// link's.
     pub fn catchup_lag(&mut self) -> u64 {
         let Some(link) = self.catchup_link else {
             return 0;
         };
-        self.with_bridge(link, |b| match b.observers().health.as_deref() {
-            Some(obs) => obs.lag.unmatched_bytes(),
-            None => b.connection_rows().iter().map(|r| r.pq_bytes as u64).sum(),
-        })
-        .unwrap_or(0)
+        self.with_bridge(link, |b| b.held_bytes()).unwrap_or(0)
     }
 
     /// Checks the catch-up condition and, when the backlog has drained

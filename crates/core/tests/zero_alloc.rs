@@ -456,20 +456,20 @@ fn span_sampler_batch_cycle_does_not_allocate() {
     for _ in 0..4 {
         // Warm-up: first cycles may fault in clock plumbing.
         let sampled = sampler.start_batch();
-        let before = stages;
+        let before = stages.totals();
         stages.record(tcpfo_telemetry::Stage::QueueMatch, 500);
         if sampled {
-            sampler.finish_batch(8, Some(&before), Some(&stages));
+            sampler.finish_batch(8, Some(&before), Some(&stages.totals()));
         }
     }
     let base = allocs();
     for _ in 0..64 {
         let sampled = sampler.start_batch();
-        let before = stages;
+        let before = stages.totals();
         stages.record(tcpfo_telemetry::Stage::QueueMatch, 500);
         stages.record(tcpfo_telemetry::Stage::EgressEmit, 300);
         if sampled {
-            sampler.finish_batch(8, Some(&before), Some(&stages));
+            sampler.finish_batch(8, Some(&before), Some(&stages.totals()));
         }
     }
     let delta = allocs() - base;
@@ -685,10 +685,7 @@ fn egress(
 
 #[test]
 fn auditor_steady_state_does_not_allocate() {
-    let mut cfg = AuditConfig::new("zero-alloc");
-    // Small rings, so both are full and evicting by the end of warm-up.
-    (cfg.ring_capacity, cfg.pcap_capacity) = (16, 8);
-    let mut aud = InvariantAuditor::new(cfg);
+    let mut aud = InvariantAuditor::new(AuditConfig::new("zero-alloc"));
     let syn = |seq: u32, mss: u16, window: u16| {
         TcpSegment::builder(80, 5555)
             .seq(seq)
@@ -717,11 +714,14 @@ fn auditor_steady_state_does_not_allocate() {
     let merged = raw(A_P, A_C, syn(ISS_S, 1200, 40_000)).traced(TraceId(1));
     egress(&mut aud, 0, &[merged], &[]);
 
-    let total = WARMUP + MEASURED;
+    // Seven ring entries a round: a warm-up long enough that the trace
+    // ring (1 024 entries) is full and evicting before the measurement.
+    let warmup = 150;
+    let total = warmup + MEASURED;
     let rounds: Vec<AuditedRound> = (0..total as u32).map(audited_round).collect();
     let mut measured_base = 0;
     for (i, r) in rounds.iter().enumerate() {
-        if i == WARMUP {
+        if i == warmup {
             measured_base = allocs();
         }
         let now = i as u64 * MS;
@@ -748,9 +748,9 @@ fn auditor_steady_state_does_not_allocate() {
         );
     }
     assert_eq!(
-        aud.dropped().1,
-        (4 * total + 4 - 8) as u64,
-        "segment ring full"
+        aud.dropped(),
+        (7 * total + 4 - 1024) as u64,
+        "trace ring full"
     );
     assert_eq!(
         delta, 0,

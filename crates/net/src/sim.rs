@@ -185,12 +185,10 @@ impl<'a> Ctx<'a> {
 
 /// Cached per-`(node, port)` instrument handles, created on a port's
 /// first transmit, so the transmit hot path never looks a name up in
-/// the registry.
+/// the registry: the drop counters [`SimCore::dropped`] indexes, and
+/// the queue delay.
 struct LinkInstruments {
-    drops_loss: Counter,
-    drops_queue_full: Counter,
-    drops_no_wire: Counter,
-    drops_withdrawn: Counter,
+    drops: [Counter; 4],
     queue_delay_ns: Gauge,
 }
 
@@ -267,13 +265,27 @@ impl SimCore {
         Some(row[port].get_or_insert_with(|| {
             let scope = telemetry.registry.scope(&format!("net.n{node}.p{port}"));
             LinkInstruments {
-                drops_loss: scope.counter("drops.loss"),
-                drops_queue_full: scope.counter("drops.queue_full"),
-                drops_no_wire: scope.counter("drops.no_wire"),
-                drops_withdrawn: scope.counter("drops.withdrawn"),
+                drops: ["loss", "queue_full", "no_wire", "withdrawn"]
+                    .map(|kind| scope.counter(&format!("drops.{kind}"))),
                 queue_delay_ns: scope.gauge("queue_delay_ns"),
             }
         }))
+    }
+
+    /// A frame `node` put on a port that never crossed the wire: the
+    /// port's drop counter `kind` names, then the trace entry.
+    fn dropped(&mut self, at: SimTime, node: NodeId, kind: TraceKind, frame: &Bytes) {
+        let (port, counter) = match kind {
+            TraceKind::DropLoss { port } => (port, 0),
+            TraceKind::DropQueueFull { port } => (port, 1),
+            TraceKind::DropNoWire { port } => (port, 2),
+            TraceKind::Withdrawn { port } => (port, 3),
+            _ => unreachable!("{kind:?} drops no frame"),
+        };
+        if let Some(i) = self.link_instruments(node, port) {
+            i.drops[counter].inc_at(at.as_nanos());
+        }
+        self.trace(at, node, kind, Some(frame));
     }
 
     fn wire_end(&self, node: NodeId, port: usize) -> Option<WireEnd> {
@@ -282,11 +294,7 @@ impl SimCore {
 
     fn transmit(&mut self, node: NodeId, port: usize, frame: Bytes, delay: SimDuration) {
         let Some(WireEnd { wire, side }) = self.wire_end(node, port) else {
-            let now = self.now;
-            if let Some(i) = self.link_instruments(node, port) {
-                i.drops_no_wire.inc_at(now.as_nanos());
-            }
-            self.trace(now, node, TraceKind::DropNoWire { port }, Some(&frame));
+            self.dropped(self.now, node, TraceKind::DropNoWire { port }, &frame);
             return;
         };
         let now = self.now + delay;
@@ -295,10 +303,7 @@ impl SimCore {
         let start = w.busy_until[side].max(now);
         let queue_delay = start.duration_since(now);
         if queue_delay > params.max_queue {
-            if let Some(i) = self.link_instruments(node, port) {
-                i.drops_queue_full.inc_at(now.as_nanos());
-            }
-            self.trace(now, node, TraceKind::DropQueueFull { port }, Some(&frame));
+            self.dropped(now, node, TraceKind::DropQueueFull { port }, &frame);
             return;
         }
         if let Some(i) = self.link_instruments(node, port) {
@@ -311,10 +316,7 @@ impl SimCore {
         let lost = params.loss > 0.0 && self.rng.gen::<f64>() < params.loss;
         let (peer_node, peer_port) = w.ends[1 - side];
         if lost {
-            if let Some(i) = self.link_instruments(node, port) {
-                i.drops_loss.inc_at(now.as_nanos());
-            }
-            self.trace(now, node, TraceKind::DropLoss { port }, Some(&frame));
+            self.dropped(now, node, TraceKind::DropLoss { port }, &frame);
             return;
         }
         let mut arrival = start + ser + params.propagation;
@@ -386,10 +388,7 @@ impl SimCore {
             if discard(&frame) {
                 discarded += 1;
                 self.free.push(slot as u32);
-                if let Some(i) = self.link_instruments(node, port) {
-                    i.drops_withdrawn.inc_at(now.as_nanos());
-                }
-                self.trace(now, node, TraceKind::Withdrawn { port }, Some(&frame));
+                self.dropped(now, node, TraceKind::Withdrawn { port }, &frame);
                 continue;
             }
             free_at += service;

@@ -14,9 +14,9 @@
 //!
 //! On a violation the auditor freezes a [flight-recorder
 //! bundle](InvariantAuditor::bundle_path): the last-K causal trace
-//! ring entries, a truncated pcapng slice of recent segment headers
-//! (with the diverted orig-dest option annotated per packet), the §5
-//! failover timeline, and the rule ledger.
+//! ring entries, a truncated pcapng slice of the segment headers among
+//! them (with the diverted orig-dest option annotated per packet), the
+//! §5 failover timeline, and the rule ledger.
 //!
 //! Attachment is optional (`TCPFO_AUDIT=1` or a config field). The
 //! bridges keep their zero-allocation steady-state path when detached,
@@ -103,18 +103,19 @@ impl fmt::Debug for TraceId {
 /// the ground truth.
 const CHECKSUM_SAMPLE: u64 = 16;
 
+/// Entries the causal trace ring holds.
+const RING_CAPACITY: usize = 1024;
+
+/// Segments a bundle's capture holds: the newest of the ring's segment
+/// entries that went to the wire or into a shadow stream.
+const CAPTURE_SEGMENTS: usize = 256;
+
 /// Tuning knobs for one [`InvariantAuditor`].
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
     /// Label used in reports, journal scopes and bundle names
     /// (e.g. `"primary"`).
     pub label: String,
-    /// Capacity of the causal trace ring (default 1024).
-    pub ring_capacity: usize,
-    /// Capacity, in records, of the recent-segment ring the pcapng
-    /// slice is built from (default 256). A record is one segment's
-    /// TCP header and length, not the segment.
-    pub pcap_capacity: usize,
     /// Directory flight-recorder bundles are written under (default
     /// `target/audit-bundles`; `TCPFO_AUDIT_BUNDLE_DIR` through
     /// [`AuditConfig::from_env`]).
@@ -129,8 +130,6 @@ impl AuditConfig {
     pub fn new(label: &str) -> Self {
         AuditConfig {
             label: label.to_string(),
-            ring_capacity: 1024,
-            pcap_capacity: 256,
             bundle_dir: PathBuf::from("target/audit-bundles"),
             panic_on_violation: true,
         }
@@ -139,7 +138,6 @@ impl AuditConfig {
     /// Defaults, with the bundle directory taken from
     /// `TCPFO_AUDIT_BUNDLE_DIR` when that is set — a deployment path,
     /// and the only thing about an auditor the environment decides.
-    /// Capacities are the fields above.
     pub fn from_env(label: &str) -> Self {
         let mut c = AuditConfig::new(label);
         if let Some(dir) = std::env::var_os("TCPFO_AUDIT_BUNDLE_DIR") {
@@ -225,38 +223,30 @@ impl Rule {
         Rule::PromotionOrder,
     ];
 
+    /// Each rule's stable short identifier and the paper section it
+    /// encodes, in [`Rule::ALL`] order.
+    const META: [(&'static str, &'static str); 11] = [
+        ("seq_space", "§3.2"),
+        ("ack_min", "§3.2"),
+        ("win_min", "§3.2"),
+        ("mss_min", "§7"),
+        ("matched_only", "§3.2"),
+        ("queue_agree", "§3.2"),
+        ("bare_ack", "§3.4"),
+        ("checksum", "RFC 1624"),
+        ("translate", "§3.1/§3.3"),
+        ("failover_order", "§5"),
+        ("promotion_order", "§1/§5"),
+    ];
+
     /// Stable short identifier.
     pub fn id(self) -> &'static str {
-        match self {
-            Rule::SeqSpace => "seq_space",
-            Rule::AckMin => "ack_min",
-            Rule::WinMin => "win_min",
-            Rule::MssMin => "mss_min",
-            Rule::MatchedOnly => "matched_only",
-            Rule::QueueAgree => "queue_agree",
-            Rule::BareAck => "bare_ack",
-            Rule::Checksum => "checksum",
-            Rule::Translate => "translate",
-            Rule::FailoverOrder => "failover_order",
-            Rule::PromotionOrder => "promotion_order",
-        }
+        Self::META[self.index()].0
     }
 
     /// Paper section the rule encodes.
     pub fn paper_ref(self) -> &'static str {
-        match self {
-            Rule::SeqSpace => "§3.2",
-            Rule::AckMin => "§3.2",
-            Rule::WinMin => "§3.2",
-            Rule::MssMin => "§7",
-            Rule::MatchedOnly => "§3.2",
-            Rule::QueueAgree => "§3.2",
-            Rule::BareAck => "§3.4",
-            Rule::Checksum => "RFC 1624",
-            Rule::Translate => "§3.1/§3.3",
-            Rule::FailoverOrder => "§5",
-            Rule::PromotionOrder => "§1/§5",
-        }
+        Self::META[self.index()].1
     }
 
     /// Position in [`Rule::ALL`], which lists the rules in declaration
@@ -323,7 +313,7 @@ impl RuleLedger {
 }
 
 // ---------------------------------------------------------------------
-// Trace ring + recent-segment ring
+// The causal trace ring
 // ---------------------------------------------------------------------
 
 /// What a trace-ring entry records.
@@ -363,63 +353,62 @@ impl fmt::Display for AuditEventKind {
     }
 }
 
-/// Decoded header scalars of a ring-entry segment. Kept unformatted so
-/// a steady-state ring push is a field copy; rendering happens only
-/// when a human (or a violation) asks for the ring.
+/// Longest TCP header, options included.
+const MAX_TCP_HEADER: usize = 60;
+
+/// A segment as a ring entry keeps it: its addresses, its TCP header
+/// (options included) and its length. A ring push is a header copy; the
+/// trace-ring line and the capture packet are rendered from it only
+/// when a report or a bundle asks. The segment itself is not held, so
+/// the bridge can reuse its buffer.
 #[derive(Debug, Clone, Copy)]
-pub struct SegSummary {
-    /// Source address.
-    pub src: Ipv4Addr,
-    /// Destination address.
-    pub dst: Ipv4Addr,
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// TCP flags.
-    pub flags: TcpFlags,
-    /// Sequence number.
-    pub seq: u32,
-    /// Acknowledgment number.
-    pub ack: u32,
-    /// Advertised window.
-    pub win: u16,
-    /// Payload length.
-    pub len: u32,
-    /// Original-destination option, when the segment carries one.
-    pub orig_dest: Option<(Ipv4Addr, u16)>,
+pub struct SegHeader {
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    header: [u8; MAX_TCP_HEADER],
+    header_len: u8,
+    seg_len: u32,
 }
 
-impl fmt::Display for SegSummary {
+impl SegHeader {
+    fn header(&self) -> &[u8] {
+        &self.header[..usize::from(self.header_len)]
+    }
+}
+
+impl fmt::Display for SegHeader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let view = TcpView::new(self.header()).expect("a header the view accepted");
+        let (src, dst, len) = (
+            self.src,
+            self.dst,
+            self.seg_len as usize - self.header().len(),
+        );
         write!(
             f,
-            "{}:{}→{}:{} {} seq={} ack={} win={} len={}",
-            self.src,
-            self.src_port,
-            self.dst,
-            self.dst_port,
-            self.flags,
-            self.seq,
-            self.ack,
-            self.win,
-            self.len
+            "{src}:{}→{dst}:{} {} seq={} ack={} win={} len={len}",
+            view.src_port(),
+            view.dst_port(),
+            view.flags(),
+            view.seq(),
+            view.ack(),
+            view.window(),
         )?;
-        if let Some((oip, oport)) = self.orig_dest {
+        if let Some((oip, oport)) = view.orig_dest() {
             write!(f, " orig-dest={oip}:{oport}")?;
         }
         Ok(())
     }
 }
 
-/// A ring entry's payload: raw segment or queue-insert scalars on the
-/// hot path, pre-rendered text for cold phase notes.
+/// A ring entry's payload: a segment's header or queue-insert scalars
+/// on the hot path, pre-rendered text for cold phase notes.
 #[derive(Debug, Clone)]
 pub enum AuditDetail {
     /// Pre-rendered text (phase transitions, takeover steps).
     Text(String),
-    /// Segment header scalars, rendered lazily.
-    Seg(SegSummary),
+    /// A segment's header and length, rendered lazily.
+    Header(SegHeader),
     /// A shadow-stream (queue) insert, rendered lazily.
     QueueInsert {
         /// Connection the bytes belong to.
@@ -439,7 +428,7 @@ impl fmt::Display for AuditDetail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AuditDetail::Text(s) => f.write_str(s),
-            AuditDetail::Seg(s) => s.fmt(f),
+            AuditDetail::Header(h) => h.fmt(f),
             AuditDetail::QueueInsert {
                 key,
                 primary,
@@ -479,25 +468,6 @@ impl AuditEvent {
             self.detail
         )
     }
-}
-
-/// Longest TCP header, options included.
-const MAX_TCP_HEADER: usize = 60;
-
-/// A recently seen segment's TCP header, options included, with the
-/// segment's length: what the flight recorder's pcapng slice needs to
-/// show the segment as a truncated packet. The segment itself is not
-/// held, so the bridge can reuse its buffer.
-#[derive(Debug, Clone)]
-struct SegmentRecord {
-    at_ns: u64,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    header: [u8; MAX_TCP_HEADER],
-    header_len: u8,
-    seg_len: u32,
-    trace: TraceId,
-    kind: AuditEventKind,
 }
 
 // ---------------------------------------------------------------------
@@ -1117,8 +1087,8 @@ static BUNDLE_SEQ: AtomicU64 = AtomicU64::new(0);
 // ---------------------------------------------------------------------
 
 /// Everything an auditor keeps besides its connection table: the rule
-/// ledger, the causal trace ring, the recent-header ring, the
-/// violations, and what a bundle carries from the hub. Kept apart from
+/// ledger, the causal trace ring, the violations, and what a bundle
+/// carries from the hub. Kept apart from
 /// the table so a rule check holds one connection's state and records
 /// against this at the same time.
 struct Recorder {
@@ -1126,16 +1096,16 @@ struct Recorder {
     hub: Option<Telemetry>,
     ledger: RuleLedger,
     ring: Ring<AuditEvent>,
-    pcap: Ring<SegmentRecord>,
     violations: Vec<Violation>,
     bundle: Option<PathBuf>,
     releases_seen: u64,
     now_ns: u64,
-    /// Latest replication-lag ledger, stored by the bridge's telemetry
-    /// sync when the health observatory is also attached; rendered into
-    /// flight-recorder bundles as `health.json` so every invariant
-    /// violation captures replica health at fault time.
-    health_snapshot: Option<ReplicationLag>,
+    /// Latest replication-lag ledger with its held and peak bytes as
+    /// they stood, stored by the bridge's telemetry sync when the health
+    /// observatory is also attached; rendered into flight-recorder
+    /// bundles as `health.json` so every invariant violation captures
+    /// replica health at fault time.
+    health_snapshot: Option<(ReplicationLag, [u64; 2])>,
 }
 
 impl Recorder {
@@ -1155,39 +1125,21 @@ impl Recorder {
         });
     }
 
-    /// A segment the bridge took in or put out: a trace-ring entry, and
-    /// a recent-header record unless it was only handed up or aside.
+    /// A segment the bridge took in or put out: a trace-ring entry
+    /// holding its header.
     fn record(&mut self, kind: AuditEventKind, seg: SegParts<'_>, view: &TcpView<'_>) {
         let (src, dst, bytes, trace) = seg;
-        let summary = SegSummary {
-            src,
-            dst,
-            src_port: view.src_port(),
-            dst_port: view.dst_port(),
-            flags: view.flags(),
-            seq: view.seq(),
-            ack: view.ack(),
-            win: view.window(),
-            len: view.payload().len() as u32,
-            orig_dest: view.orig_dest(),
-        };
-        self.push_event(kind, trace, AuditDetail::Seg(summary));
-        if matches!(kind, AuditEventKind::DeliverUp | AuditEventKind::Note) {
-            return;
-        }
         let header_len = view.header_len();
         let mut header = [0; MAX_TCP_HEADER];
         header[..header_len].copy_from_slice(&bytes[..header_len]);
-        self.pcap.push(SegmentRecord {
-            at_ns: self.now_ns,
+        let h = SegHeader {
             src,
             dst,
             header,
             header_len: header_len as u8,
             seg_len: bytes.len() as u32,
-            trace,
-            kind,
-        });
+        };
+        self.push_event(kind, trace, AuditDetail::Header(h));
     }
 
     fn check(&mut self, rule: Rule, ok: bool, trace: TraceId, detail: impl FnOnce() -> String) {
@@ -1335,37 +1287,49 @@ impl Recorder {
                 )?;
             }
         }
-        if let Some(lag) = &self.health_snapshot {
-            std::fs::write(dir.join("health.json"), lag.to_json())?;
+        if let Some((lag, held)) = &self.health_snapshot {
+            std::fs::write(dir.join("health.json"), lag.json_with(*held))?;
         }
         Ok(dir)
     }
 
-    /// The recent-segment ring as a pcapng capture of truncated
-    /// packets: each holds the segment's Ethernet, IPv4 and TCP headers
-    /// (options included) and states the frame's full length, the way
-    /// `tcpdump -s` snaps. Every packet carries a comment block with
-    /// its trace id and direction; the diverted S→P leg is annotated
-    /// with the decoded orig-dest option so captures are
-    /// self-describing.
+    /// The newest [`CAPTURE_SEGMENTS`] segment entries of the ring that
+    /// went to the wire or into a shadow stream (not those handed up or
+    /// aside), as a pcapng capture of truncated packets: each holds the
+    /// segment's Ethernet, IPv4 and TCP headers (options included) and
+    /// states the frame's full length, the way `tcpdump -s` snaps. Every
+    /// packet carries a comment block with its trace id and direction;
+    /// the diverted S→P leg is annotated with the decoded orig-dest
+    /// option so captures are self-describing.
     fn pcap_slice(&self) -> Vec<u8> {
+        let captured: Vec<(&AuditEvent, &SegHeader)> = (self.ring.iter())
+            .filter_map(|e| match &e.detail {
+                AuditDetail::Header(h)
+                    if !matches!(e.kind, AuditEventKind::DeliverUp | AuditEventKind::Note) =>
+                {
+                    Some((e, h))
+                }
+                _ => None,
+            })
+            .collect();
+        let skip = captured.len().saturating_sub(CAPTURE_SEGMENTS);
         let mut w = PcapngWriter::new(&format!("audit-{}", self.cfg.label));
-        for rec in self.pcap.iter() {
-            let header = &rec.header[..usize::from(rec.header_len)];
+        for (e, h) in &captured[skip..] {
+            let header = h.header();
             // The payload was not kept: zeros stand in for it past the
             // snap length, so the IPv4 header states the original length.
             let mut seg = header.to_vec();
-            seg.resize(rec.seg_len as usize, 0);
-            let frame = Ipv4Packet::new(rec.src, rec.dst, PROTO_TCP, seg.into()).encode_framed(
-                MacAddr::from_index(u32::from(rec.dst.octets()[3])),
-                MacAddr::from_index(u32::from(rec.src.octets()[3])),
+            seg.resize(h.seg_len as usize, 0);
+            let frame = Ipv4Packet::new(h.src, h.dst, PROTO_TCP, seg.into()).encode_framed(
+                MacAddr::from_index(u32::from(h.dst.octets()[3])),
+                MacAddr::from_index(u32::from(h.src.octets()[3])),
             );
             let snap = ETH_HEADER_LEN + IPV4_HEADER_LEN + header.len();
-            let mut comment = format!("{} {}", rec.kind, rec.trace);
+            let mut comment = format!("{} {}", e.kind, e.trace);
             if let Some((oip, oport)) = peek_orig_dest(header) {
                 comment.push_str(&format!(" diverted S→P leg, orig-dest={oip}:{oport}"));
             }
-            w.truncated_packet(rec.at_ns, &frame[..snap], frame.len(), Some(&comment));
+            w.truncated_packet(e.at_ns, &frame[..snap], frame.len(), Some(&comment));
         }
         w.finish()
     }
@@ -1416,8 +1380,7 @@ impl InvariantAuditor {
     pub fn new(cfg: AuditConfig) -> Self {
         InvariantAuditor {
             rec: Recorder {
-                ring: Ring::new(cfg.ring_capacity),
-                pcap: Ring::new(cfg.pcap_capacity),
+                ring: Ring::new(RING_CAPACITY),
                 cfg,
                 hub: None,
                 ledger: RuleLedger::default(),
@@ -1436,12 +1399,14 @@ impl InvariantAuditor {
         }
     }
 
-    /// Stores the latest replication-lag ledger for inclusion in
-    /// flight-recorder bundles. Called from the bridge's host-tick
-    /// telemetry sync, so it is a plain copy: the JSON is rendered by
-    /// [`InvariantAuditor::write_bundle`], if a bundle is ever written.
+    /// Stores the latest replication-lag ledger, its held and peak
+    /// bytes as they stand, for inclusion in flight-recorder bundles.
+    /// Called from the bridge's host-tick telemetry sync, so it is a
+    /// plain copy: the JSON is rendered into the bundle's `health.json`,
+    /// if a bundle is ever written.
     pub fn set_health_snapshot(&mut self, lag: &ReplicationLag) {
-        self.rec.health_snapshot = Some(*lag);
+        let held = [lag.unmatched_bytes(), lag.peak_bytes()];
+        self.rec.health_snapshot = Some((lag.clone(), held));
     }
 
     /// Connects the telemetry hub so violations reach the journal and
@@ -1471,10 +1436,10 @@ impl InvariantAuditor {
         &self.rec.cfg.label
     }
 
-    /// Entries the causal trace ring and the recent-segment ring each
-    /// evicted to stay within their capacities.
-    pub fn dropped(&self) -> (u64, u64) {
-        (self.rec.ring.dropped(), self.rec.pcap.dropped())
+    /// Entries the causal trace ring evicted to stay within its
+    /// capacity.
+    pub fn dropped(&self) -> u64 {
+        self.rec.ring.dropped()
     }
 
     /// Human-readable auditor state: ledger, shadow connections, and
@@ -1482,15 +1447,13 @@ impl InvariantAuditor {
     pub fn report(&self) -> String {
         let rec = &self.rec;
         let mut out = format!(
-            "auditor [{}]: {} checks, {} violations, {} shadow conns, ring {} (+{} dropped), segments {} (+{} dropped)\n",
+            "auditor [{}]: {} checks, {} violations, {} shadow conns, ring {} (+{} dropped)\n",
             rec.cfg.label,
             rec.ledger.total_checks(),
             rec.ledger.total_violations(),
             self.conns.len(),
             rec.ring.len(),
             rec.ring.dropped(),
-            rec.pcap.len(),
-            rec.pcap.dropped()
         );
         out.push_str(&rec.ledger.to_table());
         for (key, c) in &self.conns {
@@ -1975,42 +1938,34 @@ mod tests {
         assert_eq!(b.ledger().stat(Rule::FailoverOrder).violations, 1);
     }
 
-    /// A capacity of 0 holds one entry, as the journal's and the span
-    /// ring's do, and counts only what it evicted.
+    /// The trace ring holds its newest entries and counts what it
+    /// evicted; the capture is the newest of its segment entries that
+    /// went to the wire or into a shadow stream.
     #[test]
-    fn both_rings_count_what_they_evict() {
-        let cases = [
-            (
-                (3, 2),
-                (7, 3),
-                "ring 3 (+7 dropped), segments 2 (+3 dropped)",
-            ),
-            (
-                (0, 0),
-                (9, 4),
-                "ring 1 (+9 dropped), segments 1 (+4 dropped)",
-            ),
-        ];
-        for ((ring, pcap), dropped, want) in cases {
-            let mut cfg = AuditConfig::new("test");
-            (cfg.ring_capacity, cfg.pcap_capacity) = (ring, pcap);
-            let mut a = InvariantAuditor::new(cfg);
-            let [src, dst] = [Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(192, 168, 0, 9)];
-            let seg = TcpSegment::builder(80, 5555).build().encode(src, dst);
+    fn the_ring_counts_what_it_evicts() {
+        let mut a = InvariantAuditor::new(AuditConfig::new("test"));
+        let [src, dst] = [Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(192, 168, 0, 9)];
+        for seq in 0..(RING_CAPACITY as u32 / 2 + 5) {
+            let seg = TcpSegment::builder(80, 5555)
+                .seq(seq)
+                .build()
+                .encode(src, dst);
             let view = TcpView::new(&seg).expect("valid");
-            for _ in 0..5 {
-                let x = AuditDetail::Text("x".into());
-                a.rec.push_event(AuditEventKind::Note, TraceId::NONE, x);
-                (a.rec).record(
-                    AuditEventKind::Release,
-                    (src, dst, &seg, TraceId::NONE),
-                    &view,
-                );
-            }
-            assert_eq!(a.dropped(), dropped);
-            let report = a.report();
-            assert!(report.contains(want), "{report}");
+            (a.rec).record(
+                AuditEventKind::Release,
+                (src, dst, &seg, TraceId::NONE),
+                &view,
+            );
+            let x = AuditDetail::Text("x".into());
+            a.rec.push_event(AuditEventKind::Note, TraceId::NONE, x);
         }
+        assert_eq!(a.dropped(), 10);
+        let report = a.report();
+        assert!(report.contains("ring 1024 (+10 dropped)"), "{report}");
+        let pkts = tcpfo_wire::pcapng::read_packets(&a.rec.pcap_slice()).expect("parses");
+        assert_eq!(pkts.len(), CAPTURE_SEGMENTS);
+        let seq = |i: usize| TcpView::new(&pkts[i].frame[34..]).expect("tcp").seq();
+        assert_eq!([seq(0), seq(255)], [261, 516], "the newest 256 releases");
     }
 
     /// The capture holds each recorded segment as a truncated packet:

@@ -4,20 +4,26 @@
 //! §2 rule, in `tcpfo_core::ChainController`; what this module keeps is
 //! the bridge-side measure of how far the replicas lag one another:
 //!
-//! * [`ReplicationLag`] — bytes and segments of Δseq-normalised primary
-//!   output still unmatched by the secondary witness, maintained
-//!   *exactly* (event-driven, O(1) per queue mutation) so it can be read
-//!   every tick without sweeping a million-flow table; plus
-//!   per-flow-class log2 histograms of lag and time-at-head-of-queue
-//!   sampled at each release.
+//! * [`QueueTotals`] — the bytes a bridge's output queues hold, summed
+//!   over its flows, one total per side, and the high-water mark of its
+//!   own side. The bridge keeps them at every queue change, attached
+//!   observers or not; everything that reports held bytes reads them.
+//! * [`ReplicationLag`] — what a total cannot give: unmatched segments
+//!   at each flow's MSS, maintained *exactly* (event-driven, O(1) per
+//!   queue mutation) so it can be read every tick without sweeping a
+//!   million-flow table; plus per-flow-class log2 histograms of lag and
+//!   time-at-head-of-queue sampled at each release. Its held bytes are
+//!   read through the bridge's [`QueueTotals`].
 //! * [`HealthObservatory`] — that ledger plus its registry mirror
-//!   (`health.lag.*`), attached to a bridge; reprovisioning reads it to
-//!   tell when a new replica has caught up.
+//!   (`health.lag.*`), attached to a bridge.
 //!
 //! Everything here is sim-time (`u64` nanoseconds); nothing reads a
 //! wall clock, so attached runs stay deterministic. Recording allocates
 //! nothing, preserving the zero-alloc proof with the observatory
 //! attached.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::json::JsonObject;
 use crate::latency::LogHistogram;
@@ -57,28 +63,64 @@ impl FlowClass {
     }
 
     fn index(self) -> usize {
-        match self {
-            FlowClass::Short => 0,
-            FlowClass::Bulk => 1,
-        }
+        self as usize
     }
 
     /// Both classes, in index order.
     pub const ALL: [FlowClass; 2] = [FlowClass::Short, FlowClass::Bulk];
 }
 
-/// The exact replication-lag ledger: bytes and segments of
-/// Δseq-normalised primary output not yet matched by the secondary
-/// witness, maintained incrementally at every primary-output-queue
-/// mutation (the bench oracle re-derives both from the queues and
-/// requires equality), plus per-class log2 histograms sampled at each
-/// release.
-#[derive(Debug, Clone, Copy, Default)]
+/// The bytes a bridge's output queues hold, summed over its flows: one
+/// total per side, indexed like a connection's sides ([`QueueTotals::OWN`]
+/// is the bridge's own output), and the high-water mark of its own
+/// side. The bridge keeps them at every insert, match and flow
+/// departure; a clone is a handle to the same totals, which is how the
+/// health observatory reads them. Single-owner, like a hub.
+#[derive(Debug, Clone, Default)]
+pub struct QueueTotals(Rc<[Cell<u64>; 3]>);
+
+impl QueueTotals {
+    /// Index of the bridge's own output queue: the bytes the replica
+    /// below has not matched yet, its replication lag.
+    pub const OWN: usize = 1;
+    /// Index of the own side's high-water mark.
+    pub const PEAK: usize = 2;
+
+    /// `bytes` entered one side's queue.
+    #[inline]
+    pub fn add(&self, side: usize, bytes: usize) {
+        let total = self.get(side) + bytes as u64;
+        self.0[side].set(total);
+        if side == Self::OWN {
+            self.0[Self::PEAK].set(self.get(Self::PEAK).max(total));
+        }
+    }
+
+    /// `bytes[side]` left each side's queue.
+    #[inline]
+    pub fn sub(&self, bytes: [usize; 2]) {
+        for (total, n) in self.0.iter().zip(bytes) {
+            total.set(total.get() - n as u64);
+        }
+    }
+
+    /// Bytes one side's queues hold, or the own side's [`Self::PEAK`].
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        self.0[i].get()
+    }
+}
+
+/// The replication-lag ledger: segments of Δseq-normalised primary
+/// output not yet matched by the secondary witness, maintained
+/// incrementally at every primary-output-queue mutation, plus
+/// per-class log2 histograms sampled at each release. Its bytes are the
+/// bridge's [`QueueTotals`], read through the handle
+/// [`ReplicationLag::follow`] gives it, never summed here.
+#[derive(Debug, Clone, Default)]
 pub struct ReplicationLag {
-    unmatched_bytes: u64,
+    held: QueueTotals,
     unmatched_segments: u64,
-    peak_bytes: u64,
-    releases: u64,
     hist_bytes: [LogHistogram<HEALTH_BUCKETS>; 2],
     hist_segments: [LogHistogram<HEALTH_BUCKETS>; 2],
     hist_head_wait: [LogHistogram<HEALTH_BUCKETS>; 2],
@@ -91,22 +133,21 @@ fn segments_of(bytes: u64, mss: u16) -> u64 {
 }
 
 impl ReplicationLag {
-    /// Accounts a primary-output-queue length change on one flow:
-    /// `before`/`after` are the queue's buffered byte counts around
-    /// the mutation, `mss` the flow's effective MSS (for the segment
-    /// ledger).
+    /// Reads held bytes from `held`, the totals of the bridge this
+    /// ledger is attached to.
+    pub fn follow(&mut self, held: &QueueTotals) {
+        self.held = held.clone();
+    }
+
+    /// Accounts a primary-output-queue length change on one flow in
+    /// segments: `before`/`after` are the queue's buffered byte counts
+    /// around the mutation, `mss` the flow's effective MSS.
     #[inline]
     pub fn update(&mut self, before: usize, after: usize, mss: u16) {
-        let (before, after) = (before as u64, after as u64);
-        self.unmatched_bytes = self.unmatched_bytes + after - before.min(self.unmatched_bytes);
-        // The subtraction above can't underflow when accounting is
-        // complete (after ≥ 0, before ≤ total); the min is a safety
-        // net that keeps a missed site from wrapping the gauge.
         self.unmatched_segments = self
             .unmatched_segments
-            .saturating_sub(segments_of(before, mss))
-            + segments_of(after, mss);
-        self.peak_bytes = self.peak_bytes.max(self.unmatched_bytes);
+            .saturating_sub(segments_of(before as u64, mss))
+            + segments_of(after as u64, mss);
     }
 
     /// Accounts a flow dropped with `bytes` still unmatched (teardown,
@@ -128,15 +169,15 @@ impl ReplicationLag {
         head_wait_ns: u64,
     ) {
         let i = class.index();
-        self.releases += 1;
         self.hist_bytes[i].record(lag_bytes);
         self.hist_segments[i].record(segments_of(lag_bytes, mss));
         self.hist_head_wait[i].record(head_wait_ns);
     }
 
-    /// Current unmatched bytes (the first-class lag gauge).
+    /// Current unmatched bytes (the first-class lag gauge): the bridge's
+    /// own queue total.
     pub fn unmatched_bytes(&self) -> u64 {
-        self.unmatched_bytes
+        self.held.get(QueueTotals::OWN)
     }
 
     /// Current unmatched segments.
@@ -146,12 +187,12 @@ impl ReplicationLag {
 
     /// High-water unmatched bytes.
     pub fn peak_bytes(&self) -> u64 {
-        self.peak_bytes
+        self.held.get(QueueTotals::PEAK)
     }
 
     /// Release events sampled.
     pub fn releases(&self) -> u64 {
-        self.releases
+        self.hist_bytes.iter().map(LogHistogram::count).sum()
     }
 
     /// Per-class lag-in-bytes histogram.
@@ -172,10 +213,16 @@ impl ReplicationLag {
     /// JSON snapshot of the lag state. Renders six histograms: for
     /// bundles and exports, never for the host tick.
     pub fn to_json(&self) -> String {
+        self.json_with([self.unmatched_bytes(), self.peak_bytes()])
+    }
+
+    /// [`ReplicationLag::to_json`] with the held and peak bytes as a
+    /// snapshot took them.
+    pub(crate) fn json_with(&self, [held, peak]: [u64; 2]) -> String {
         let mut o = JsonObject::new();
-        o.u64("unmatched_bytes", self.unmatched_bytes())
+        o.u64("unmatched_bytes", held)
             .u64("unmatched_segments", self.unmatched_segments())
-            .u64("peak_bytes", self.peak_bytes())
+            .u64("peak_bytes", peak)
             .u64("releases", self.releases());
         for class in FlowClass::ALL {
             let mut c = JsonObject::new();
@@ -256,13 +303,18 @@ mod tests {
 
     #[test]
     fn lag_ledger_update_and_drop_are_exact() {
-        let mut lag = ReplicationLag::default();
-        lag.update(0, 3000, 1460); // enqueue 3000 bytes
+        let (held, mut lag) = (QueueTotals::default(), ReplicationLag::default());
+        lag.follow(&held);
+        held.add(QueueTotals::OWN, 3000); // enqueue 3000 bytes
+        lag.update(0, 3000, 1460);
+        held.add(0, 500); // the side below is not lag
         assert_eq!(lag.unmatched_bytes(), 3000);
         assert_eq!(lag.unmatched_segments(), 3); // ceil(3000/1460)
-        lag.update(3000, 1540, 1460); // release 1460
+        held.sub([0, 1460]); // release 1460
+        lag.update(3000, 1540, 1460);
         assert_eq!(lag.unmatched_bytes(), 1540);
         assert_eq!(lag.unmatched_segments(), 2);
+        held.sub([500, 1540]);
         lag.drop_flow(1540, 1460);
         assert_eq!(lag.unmatched_bytes(), 0);
         assert_eq!(lag.unmatched_segments(), 0);
@@ -283,7 +335,9 @@ mod tests {
     #[test]
     fn observatory_publish_mirrors_lag_gauges() {
         let reg = Registry::new();
-        let mut obs = HealthObservatory::new();
+        let (held, mut obs) = (QueueTotals::default(), HealthObservatory::new());
+        obs.lag.follow(&held);
+        held.add(QueueTotals::OWN, 4096);
         obs.lag.update(0, 4096, 1460);
         obs.lag
             .record_release(FlowClass::Short, 4096, 1460, 1_000_000);

@@ -225,11 +225,6 @@ impl<const N: usize> LogHistogram<N> {
         &self.buckets
     }
 
-    /// Clears every bucket.
-    pub fn reset(&mut self) {
-        *self = LogHistogram::new();
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) as the inclusive upper bound
     /// of the bucket holding the rank-`⌈q·count⌉` observation, clamped
     /// to the recorded maximum. For any observation set this brackets
@@ -407,6 +402,10 @@ impl Stage {
     }
 }
 
+/// Each stage's `(sum, count)` of recorded host time, in [`Stage::ALL`]
+/// order: what a batch span reads of the stage histograms.
+pub type StageTotals = [(u64, u64); Stage::COUNT];
+
 /// One host-time histogram per [`Stage`]. `Copy` and heap-free like
 /// its histograms, so a span can snapshot it on the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,6 +438,11 @@ impl StageLatency {
         &self.stages[stage.index()]
     }
 
+    /// Each stage's recorded sum and count, without its buckets.
+    pub fn totals(&self) -> StageTotals {
+        self.stages.each_ref().map(|h| (h.sum(), h.count()))
+    }
+
     /// Merges another stage set.
     pub fn merge(&mut self, other: &StageLatency) {
         for i in 0..Stage::COUNT {
@@ -449,11 +453,6 @@ impl StageLatency {
     /// Total observations across all stages.
     pub fn total_count(&self) -> u64 {
         self.stages.iter().map(|h| h.count()).sum()
-    }
-
-    /// Clears every stage histogram.
-    pub fn reset(&mut self) {
-        *self = StageLatency::new();
     }
 
     /// Renders all stages as one JSON object keyed by stage name.

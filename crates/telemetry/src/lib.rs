@@ -48,11 +48,11 @@ pub mod table;
 pub mod timeline;
 
 pub use audit::{AuditConfig, InvariantAuditor, Rule, RuleLedger, TraceId, Violation};
-pub use health::{FlowClass, HealthObservatory, ReplicationLag};
+pub use health::{FlowClass, HealthObservatory, QueueTotals, ReplicationLag};
 pub use journal::{Event, Journal};
 pub use latency::{
     HostClock, HostHistogram, LatencyObservatory, LogHistogram, Quantile, SimHistogram, Stage,
-    StageLatency,
+    StageLatency, StageTotals,
 };
 pub use registry::{Counter, Gauge, GaugeSnapshot, Histogram, MetricsSnapshot, Registry, Scope};
 pub use ring::Ring;
@@ -85,7 +85,7 @@ pub struct ObserverSwitches {
     /// The replica health observatory (replication-lag ledger) on every
     /// bridge.
     pub health: bool,
-    /// The failover span tracer and the hot-path batch sampler.
+    /// The failover span tracer: each hub's span ring.
     pub span_trace: bool,
 }
 

@@ -436,8 +436,8 @@ impl MetricsSnapshot {
     /// histograms expose cumulative `_bucket{le=...}` series plus
     /// `_sum`/`_count`. Every family carries `# HELP` (the original
     /// dotted instrument name, escaped) and `# TYPE` lines, and label
-    /// values go through [`escape_label_value`], so scrapes parse under
-    /// a spec-strict client.
+    /// values are escaped (backslash, quote, newline), so scrapes parse
+    /// under a spec-strict client.
     pub fn to_prometheus(&self) -> String {
         fn sanitize(name: &str) -> String {
             let mut out = String::with_capacity(name.len() + 6);

@@ -52,7 +52,7 @@ use std::rc::Rc;
 
 use crate::audit::TraceId;
 use crate::json::{array, JsonObject};
-use crate::latency::{Stage, StageLatency};
+use crate::latency::{Stage, StageTotals};
 use crate::ring::Ring;
 use crate::timeline::{FailoverPhase, MttrBreakdown, RedundancyPhase};
 use crate::Telemetry;
@@ -653,8 +653,9 @@ pub fn waterfall_records(hub: &Telemetry) -> Vec<SpanRecord> {
 /// Default batches between sampled hot-path batch spans.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 64;
 
-/// The datapath's hot-path span recorder: samples one batch in
-/// [`SpanSampler::period`] onto the [`SpanTrack::Hotpath`] track, with
+/// The datapath's hot-path span recorder: samples one batch in every
+/// `period` ([`DEFAULT_SAMPLE_PERIOD`] by default) onto the
+/// [`SpanTrack::Hotpath`] track, with
 /// one child span per PR5 pipeline stage sized from the stage-latency
 /// deltas the batch produced. Attached to a bridge as
 /// `Option<Box<SpanSampler>>` — detached costs nothing, attached but
@@ -718,14 +719,14 @@ impl SpanSampler {
 
     /// Called after a sampled batch (one where [`SpanSampler::start_batch`]
     /// returned true) finished processing. Records the batch span on
-    /// the hot-path track and, when stage histograms were snapshotted
-    /// around the batch, one contiguous child span per pipeline stage
-    /// sized by that stage's latency-sum delta.
+    /// the hot-path track and, when the stage totals were taken around
+    /// the batch, one contiguous child span per pipeline stage sized by
+    /// that stage's latency-sum delta.
     pub fn finish_batch(
         &mut self,
         segments: u64,
-        before: Option<&StageLatency>,
-        after: Option<&StageLatency>,
+        before: Option<&StageTotals>,
+        after: Option<&StageTotals>,
     ) {
         let Some(t0) = self.open_at.take() else {
             return;
@@ -745,15 +746,11 @@ impl SpanSampler {
             // stage consumed across the whole batch. Placement within
             // the batch is therefore schematic, the widths are exact.
             let mut cursor = t0;
-            for stage in Stage::ALL {
-                let d = after
-                    .stage(stage)
-                    .sum()
-                    .saturating_sub(before.stage(stage).sum());
-                let hits = after
-                    .stage(stage)
-                    .count()
-                    .saturating_sub(before.stage(stage).count());
+            for (stage, ((sum0, n0), (sum1, n1))) in
+                Stage::ALL.into_iter().zip(before.iter().zip(after))
+            {
+                let d = sum1.saturating_sub(*sum0);
+                let hits = n1.saturating_sub(*n0);
                 if hits == 0 {
                     continue;
                 }

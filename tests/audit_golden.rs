@@ -3,9 +3,8 @@
 //! the pair losing segments towards the primary (§4), and a chain of
 //! three losing its head and reprovisioning its tail — each pinned by
 //! what every replica's auditor concluded: per rule, how often it was
-//! checked and how often it fired, and how full each of its two rings
-//! (the causal trace ring, the recent-segment capture) ended and how
-//! much each evicted. A change to how the bridge hands the auditor its
+//! checked and how often it fired, and how full its causal trace ring
+//! ended and how much it evicted. A change to how the bridge hands the auditor its
 //! segments must leave every figure where it is.
 
 use tcp_failover::apps::chain_ops;
@@ -22,32 +21,21 @@ const SEED: u64 = 0x07E5_7BED;
 const DOWNLOADS: [u64; 2] = [2_000_000, 800_000];
 
 /// One auditor's verdicts: `(checks, violations)` per rule in
-/// [`Rule::ALL`] order, then `(len, dropped)` of the trace ring and of
-/// the capture ring.
-type Verdicts = ([(u64, u64); 11], [(u64, u64); 2]);
+/// [`Rule::ALL`] order, then `(len, dropped)` of the trace ring.
+type Verdicts = ([(u64, u64); 11], (u64, u64));
 
 fn verdicts(a: &InvariantAuditor) -> Verdicts {
     let rules = Rule::ALL.map(|r| {
         let s = a.ledger().stat(r);
         (s.checks, s.violations)
     });
-    // The report's first line states each ring as `<len> (+<dropped>
+    // The report's first line states the ring as `<len> (+<dropped>
     // dropped)`; `dropped()` cross-checks the second figure.
     let report = a.report();
-    let ring = |name: &str| -> u64 {
-        let line = report.lines().next().expect("report line");
-        let at = line.find(name).expect("ring in report") + name.len();
-        let len = line[at..].split_whitespace().next().expect("len");
-        len.trim_end_matches(',').parse().expect("ring length")
-    };
-    let (ring_dropped, pcap_dropped) = a.dropped();
-    (
-        rules,
-        [
-            (ring(", ring "), ring_dropped),
-            (ring(", segments "), pcap_dropped),
-        ],
-    )
+    let line = report.lines().next().expect("report line");
+    let at = line.find(", ring ").expect("ring in report") + ", ring ".len();
+    let len = line[at..].split_whitespace().next().expect("len");
+    (rules, (len.parse().expect("ring length"), a.dropped()))
 }
 
 /// Every replica audited, no other observer, the journal large enough
@@ -102,11 +90,11 @@ const KILL_PRIMARY: [Verdicts; 2] = [
     ([
         (342, 0), (342, 0), (342, 0), (2, 0), (340, 0), (340, 0),
         (870, 0), (21, 0), (150, 0), (0, 0), (0, 0),
-    ], [(1024, 1062), (256, 960)]),
+    ], (1024, 1062)),
     ([
         (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
         (0, 0), (160, 0), (554, 0), (1, 0), (1, 0),
-    ], [(1024, 3239), (256, 2727)]),
+    ], (1024, 3239)),
 ];
 
 /// P, then S.
@@ -115,11 +103,11 @@ const LOSS_TO_PRIMARY: [Verdicts; 2] = [
     ([
         (2398, 0), (2398, 0), (2398, 0), (2, 0), (1920, 0), (1918, 0),
         (5769, 0), (149, 0), (1380, 0), (0, 0), (0, 0),
-    ], [(1024, 12908), (256, 7915)]),
+    ], (1024, 12908)),
     ([
         (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
         (0, 0), (368, 0), (3660, 0), (0, 0), (0, 0),
-    ], [(1024, 6456), (256, 3404)]),
+    ], (1024, 6456)),
 ];
 
 /// The killed head, the successor that takes over, the old tail, and
@@ -129,19 +117,19 @@ const CHAIN_HEAD_KILL_REPROVISION: [Verdicts; 4] = [
     ([
         (208, 0), (208, 0), (208, 0), (2, 0), (206, 0), (206, 0),
         (570, 0), (13, 0), (95, 0), (0, 0), (0, 0),
-    ], [(1024, 328), (256, 526)]),
+    ], (1024, 328)),
     ([
         (2010, 0), (2010, 0), (2010, 0), (2, 0), (1920, 0), (1918, 0),
         (4899, 0), (311, 0), (3946, 0), (1, 0), (1, 0),
-    ], [(1024, 12420), (256, 6657)]),
+    ], (1024, 12420)),
     ([
         (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
         (0, 0), (301, 0), (2893, 0), (0, 0), (0, 0),
-    ], [(1024, 8208), (256, 5789)]),
+    ], (1024, 8208)),
     ([
         (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
         (0, 0), (226, 0), (2189, 0), (0, 0), (0, 0),
-    ], [(1024, 5376), (256, 2035)]),
+    ], (1024, 5376)),
 ];
 
 #[test]

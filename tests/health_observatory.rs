@@ -1,9 +1,10 @@
-//! The two claims about replica health that only a whole testbed can
+//! The claims about replica health that only a whole testbed can
 //! check: the replication-lag ledger is *exact* while bytes are
-//! actually held, and under staged degradation the controller's
-//! miss-count alert journals `warn` strictly before the binary detector
-//! fires.
+//! actually held, under staged degradation the controller's miss-count
+//! alert journals `warn` strictly before the binary detector fires, and
+//! a rebooted replica rejoining raises no alert against a live head.
 
+use tcp_failover::apps::chain_ops;
 use tcp_failover::apps::driver::RequestReplyClient;
 use tcp_failover::apps::stream::SourceServer;
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
@@ -121,5 +122,46 @@ fn warn_is_journalled_before_the_binary_detector_fires() {
     assert!(
         warn < detected,
         "Warn at {warn} ns did not precede detection at {detected} ns"
+    );
+}
+
+/// A rebooted secondary has never heard the primary, and the primary
+/// beats no peer it holds dead until it re-admits it: the secondary's
+/// alert waits out the grace its verdict does, so the rejoin journals no
+/// `health.alert` against the primary, which never stopped serving.
+#[test]
+fn a_revived_secondary_raises_no_alert_against_a_live_primary() {
+    let mut tb = Testbed::new(TestbedConfig {
+        seed: 0x07E5_7BED,
+        ..TestbedConfig::default()
+    });
+    tb.install_servers(|| SourceServer::new(80));
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        for bytes in [2_000_000, 800_000] {
+            h.add_app(Box::new(RequestReplyClient::new(
+                SocketAddr::new(addrs::A_P, 80),
+                format!("SEND {bytes}\n").into_bytes(),
+                bytes,
+            )));
+        }
+    });
+    tb.run_for(SimDuration::from_millis(60));
+    tb.kill_secondary();
+    tb.run_for(SimDuration::from_millis(200));
+    let revived_at = tb.sim.now().as_nanos();
+    tb.revive_secondary();
+    chain_ops::rejoin_secondary(&mut tb);
+    tb.run_for(SimDuration::from_secs(1));
+
+    let primary = ("peer".to_string(), addrs::A_P.to_string());
+    let alerts: Vec<_> = (tb.hubs.iter())
+        .flat_map(|hub| hub.journal.events())
+        .filter(|e| {
+            e.kind == "health.alert" && e.at_ns >= revived_at && e.fields.contains(&primary)
+        })
+        .collect();
+    assert!(
+        alerts.is_empty(),
+        "alerts against the live primary: {alerts:?}"
     );
 }

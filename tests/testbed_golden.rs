@@ -71,12 +71,15 @@ const KILL_SECONDARY: Golden = Golden {
     control: (6, 9_064_720_007_812_713_247),
     alerts: (1, 11_215_819_966_632_964_142),
 };
+/// The rebooted secondary has never heard the primary, which beats it
+/// only once it re-admits it: its alert waits out the never-heard grace,
+/// so the two alerts left are the primary's about the killed secondary.
 const REJOIN: Golden = Golden {
     events: 53_441,
     bytes: 17_622_872_390_946_642_133,
     done_ns: [413_797_060, 281_272_028],
     control: (13, 10_974_755_085_307_288_641),
-    alerts: (4, 1_284_904_597_878_808_622),
+    alerts: (2, 487_846_452_617_196_187),
 };
 const LOSS_TO_PRIMARY: Golden = Golden {
     events: 137_293,
