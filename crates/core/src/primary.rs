@@ -380,12 +380,6 @@ impl PrimaryBridge {
         self.observers.trace = trace;
     }
 
-    /// Bytes the bridge's own output queues hold that the replica below
-    /// has not matched yet: its replication lag, summed over its flows.
-    pub fn held_bytes(&self) -> u64 {
-        self.observers.queued.get(OURS)
-    }
-
     /// Diagnostic rows for every tracked connection, in no particular
     /// order (inspection tools sort).
     pub fn connection_rows(&self) -> Vec<ConnRow> {

@@ -43,7 +43,7 @@ use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig, TOKEN_TICK};
 use tcpfo_telemetry::journal::DEFAULT_CAPACITY as DEFAULT_JOURNAL_CAPACITY;
 use tcpfo_telemetry::span::DEFAULT_SPAN_CAPACITY;
 use tcpfo_telemetry::{
-    HealthObservatory, InvariantAuditor, MetricsSnapshot, ObserverSwitches, Telemetry,
+    HealthObservatory, InvariantAuditor, MetricsSnapshot, ObserverSwitches, QueueTotals, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
@@ -790,14 +790,15 @@ impl Testbed {
     }
 
     /// Unmatched replication backlog on the converted link: the bytes
-    /// its own output queues hold ([`PrimaryBridge::held_bytes`]). Zero
+    /// its own output queues hold, the bridge's running total. Zero
     /// means the standby's stream has caught up with the converted
     /// link's.
     pub fn catchup_lag(&mut self) -> u64 {
         let Some(link) = self.catchup_link else {
             return 0;
         };
-        self.with_bridge(link, |b| b.held_bytes()).unwrap_or(0)
+        let held = |b: &mut PrimaryBridge| b.observers().queued.get(QueueTotals::OWN);
+        self.with_bridge(link, held).unwrap_or(0)
     }
 
     /// Checks the catch-up condition and, when the backlog has drained

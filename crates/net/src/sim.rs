@@ -265,8 +265,13 @@ impl SimCore {
         Some(row[port].get_or_insert_with(|| {
             let scope = telemetry.registry.scope(&format!("net.n{node}.p{port}"));
             LinkInstruments {
-                drops: ["loss", "queue_full", "no_wire", "withdrawn"]
-                    .map(|kind| scope.counter(&format!("drops.{kind}"))),
+                drops: [
+                    "drops.loss",
+                    "drops.queue_full",
+                    "drops.no_wire",
+                    "drops.withdrawn",
+                ]
+                .map(|name| scope.counter(name)),
                 queue_delay_ns: scope.gauge("queue_delay_ns"),
             }
         }))

@@ -223,30 +223,38 @@ impl Rule {
         Rule::PromotionOrder,
     ];
 
-    /// Each rule's stable short identifier and the paper section it
-    /// encodes, in [`Rule::ALL`] order.
-    const META: [(&'static str, &'static str); 11] = [
-        ("seq_space", "§3.2"),
-        ("ack_min", "§3.2"),
-        ("win_min", "§3.2"),
-        ("mss_min", "§7"),
-        ("matched_only", "§3.2"),
-        ("queue_agree", "§3.2"),
-        ("bare_ack", "§3.4"),
-        ("checksum", "RFC 1624"),
-        ("translate", "§3.1/§3.3"),
-        ("failover_order", "§5"),
-        ("promotion_order", "§1/§5"),
-    ];
-
     /// Stable short identifier.
     pub fn id(self) -> &'static str {
-        Self::META[self.index()].0
+        match self {
+            Rule::SeqSpace => "seq_space",
+            Rule::AckMin => "ack_min",
+            Rule::WinMin => "win_min",
+            Rule::MssMin => "mss_min",
+            Rule::MatchedOnly => "matched_only",
+            Rule::QueueAgree => "queue_agree",
+            Rule::BareAck => "bare_ack",
+            Rule::Checksum => "checksum",
+            Rule::Translate => "translate",
+            Rule::FailoverOrder => "failover_order",
+            Rule::PromotionOrder => "promotion_order",
+        }
     }
 
     /// Paper section the rule encodes.
     pub fn paper_ref(self) -> &'static str {
-        Self::META[self.index()].1
+        match self {
+            Rule::SeqSpace => "§3.2",
+            Rule::AckMin => "§3.2",
+            Rule::WinMin => "§3.2",
+            Rule::MssMin => "§7",
+            Rule::MatchedOnly => "§3.2",
+            Rule::QueueAgree => "§3.2",
+            Rule::BareAck => "§3.4",
+            Rule::Checksum => "RFC 1624",
+            Rule::Translate => "§3.1/§3.3",
+            Rule::FailoverOrder => "§5",
+            Rule::PromotionOrder => "§1/§5",
+        }
     }
 
     /// Position in [`Rule::ALL`], which lists the rules in declaration

@@ -5,9 +5,9 @@
 //! the bridge-side measure of how far the replicas lag one another:
 //!
 //! * [`QueueTotals`] — the bytes a bridge's output queues hold, summed
-//!   over its flows, one total per side, and the high-water mark of its
-//!   own side. The bridge keeps them at every queue change, attached
-//!   observers or not; everything that reports held bytes reads them.
+//!   over its flows, one total per side. The bridge keeps them at every
+//!   queue change, attached observers or not; everything that reports
+//!   held bytes reads them.
 //! * [`ReplicationLag`] — what a total cannot give: unmatched segments
 //!   at each flow's MSS, maintained *exactly* (event-driven, O(1) per
 //!   queue mutation) so it can be read every tick without sweeping a
@@ -63,7 +63,10 @@ impl FlowClass {
     }
 
     fn index(self) -> usize {
-        self as usize
+        match self {
+            FlowClass::Short => 0,
+            FlowClass::Bulk => 1,
+        }
     }
 
     /// Both classes, in index order.
@@ -72,10 +75,11 @@ impl FlowClass {
 
 /// The bytes a bridge's output queues hold, summed over its flows: one
 /// total per side, indexed like a connection's sides ([`QueueTotals::OWN`]
-/// is the bridge's own output), and the high-water mark of its own
-/// side. The bridge keeps them at every insert, match and flow
-/// departure; a clone is a handle to the same totals, which is how the
-/// health observatory reads them. Single-owner, like a hub.
+/// is the bridge's own output). The bridge keeps them at every insert,
+/// match and flow departure; a clone is a handle to the same totals,
+/// which is how the health observatory reads them, and raises the own
+/// side's high-water mark beside them while it is attached.
+/// Single-owner, like a hub.
 #[derive(Debug, Clone, Default)]
 pub struct QueueTotals(Rc<[Cell<u64>; 3]>);
 
@@ -89,11 +93,7 @@ impl QueueTotals {
     /// `bytes` entered one side's queue.
     #[inline]
     pub fn add(&self, side: usize, bytes: usize) {
-        let total = self.get(side) + bytes as u64;
-        self.0[side].set(total);
-        if side == Self::OWN {
-            self.0[Self::PEAK].set(self.get(Self::PEAK).max(total));
-        }
+        self.0[side].set(self.get(side) + bytes as u64);
     }
 
     /// `bytes[side]` left each side's queue.
@@ -108,6 +108,10 @@ impl QueueTotals {
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         self.0[i].get()
+    }
+
+    fn raise_peak(&self) {
+        self.0[Self::PEAK].set(self.get(Self::PEAK).max(self.get(Self::OWN)));
     }
 }
 
@@ -134,20 +138,23 @@ fn segments_of(bytes: u64, mss: u16) -> u64 {
 
 impl ReplicationLag {
     /// Reads held bytes from `held`, the totals of the bridge this
-    /// ledger is attached to.
+    /// ledger is attached to, whose peak it keeps from now on.
     pub fn follow(&mut self, held: &QueueTotals) {
         self.held = held.clone();
+        self.held.raise_peak();
     }
 
     /// Accounts a primary-output-queue length change on one flow in
     /// segments: `before`/`after` are the queue's buffered byte counts
-    /// around the mutation, `mss` the flow's effective MSS.
+    /// around the mutation (already in the totals), `mss` the flow's
+    /// effective MSS. Raises the totals' peak.
     #[inline]
     pub fn update(&mut self, before: usize, after: usize, mss: u16) {
         self.unmatched_segments = self
             .unmatched_segments
             .saturating_sub(segments_of(before as u64, mss))
             + segments_of(after as u64, mss);
+        self.held.raise_peak();
     }
 
     /// Accounts a flow dropped with `bytes` still unmatched (teardown,

@@ -225,6 +225,11 @@ impl<const N: usize> LogHistogram<N> {
         &self.buckets
     }
 
+    /// Clears every bucket.
+    pub fn reset(&mut self) {
+        *self = LogHistogram::new();
+    }
+
     /// The `q`-quantile (`0.0 ..= 1.0`) as the inclusive upper bound
     /// of the bucket holding the rank-`⌈q·count⌉` observation, clamped
     /// to the recorded maximum. For any observation set this brackets
@@ -407,7 +412,7 @@ impl Stage {
 pub type StageTotals = [(u64, u64); Stage::COUNT];
 
 /// One host-time histogram per [`Stage`]. `Copy` and heap-free like
-/// its histograms, so a span can snapshot it on the stack.
+/// its histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageLatency {
     stages: [HostHistogram; Stage::COUNT],
@@ -453,6 +458,11 @@ impl StageLatency {
     /// Total observations across all stages.
     pub fn total_count(&self) -> u64 {
         self.stages.iter().map(|h| h.count()).sum()
+    }
+
+    /// Clears every stage histogram.
+    pub fn reset(&mut self) {
+        *self = StageLatency::new();
     }
 
     /// Renders all stages as one JSON object keyed by stage name.
