@@ -5,8 +5,8 @@
 //! (method 2). "The user must specify the same set of ports on the
 //! primary server host and the secondary server host."
 
-use std::collections::HashSet;
 use tcpfo_tcp::types::SocketAddr;
+use tcpfo_wire::hash::FastSet;
 use tcpfo_wire::ipv4::Ipv4Addr;
 
 /// A connection as the bridges key it: the replicated server's port and
@@ -37,9 +37,9 @@ pub use tcpfo_tcp::filter::FlowKey as ConnKey;
 #[derive(Debug, Clone, Default)]
 pub struct FailoverConfig {
     /// Method 2: server ports whose connections always fail over.
-    ports: HashSet<u16>,
+    ports: FastSet<u16>,
     /// Method 1: individually designated connections.
-    conns: HashSet<ConnKey>,
+    conns: FastSet<ConnKey>,
 }
 
 impl FailoverConfig {
@@ -52,7 +52,7 @@ impl FailoverConfig {
     pub fn from_ports(ports: impl IntoIterator<Item = u16>) -> Self {
         FailoverConfig {
             ports: ports.into_iter().collect(),
-            conns: HashSet::new(),
+            conns: FastSet::default(),
         }
     }
 

@@ -5,9 +5,9 @@
 //! expiry list per TTL class threaded through the slots. All per-flow
 //! operations are O(1); iteration is in slab-slot order, which is
 //! deterministic for a fixed event sequence (unlike `HashMap`
-//! iteration, whose order changes run to run with `std`'s seeded hasher
-//! — the previous bridge code iterated such maps during §6
-//! degradation). The index keeps `std`'s keyed hasher: the client
+//! iteration, whose order changes run to run with a seeded hasher —
+//! the previous bridge code iterated such maps during §6 degradation).
+//! The index keeps a seeded hasher ([`tcpfo_wire::hash`]): the client
 //! chooses the key, so a fixed hash would let it choose the collisions
 //! too.
 //!
@@ -46,8 +46,8 @@
 
 use super::lifecycle::FlowState;
 use std::cell::Cell;
-use std::collections::HashMap;
 use tcpfo_tcp::filter::FlowKey;
+use tcpfo_wire::hash::FastMap;
 
 /// Sentinel for "no slot" in the intrusive expiry links.
 const NONE: u32 = u32::MAX;
@@ -205,7 +205,7 @@ impl Default for ExpList {
 pub struct FlowTable<T> {
     slots: Vec<Option<Slot<T>>>,
     free: Vec<u32>,
-    index: HashMap<FlowKey, u32>,
+    index: FastMap<FlowKey, u32>,
     /// One FIFO expiry list per TTL class.
     exp: [ExpList; EXP_CLASSES],
     config: FlowTableConfig,
@@ -227,7 +227,7 @@ impl<T> FlowTable<T> {
         FlowTable {
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: FastMap::default(),
             exp: [ExpList::default(); EXP_CLASSES],
             config: FlowTableConfig { capacity, ..config },
             stats: FlowStats::default(),

@@ -21,7 +21,7 @@ use tcpfo_tcp::seq::{seq_gt, seq_le, seq_min};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::{FlowClass, Stage};
 use tcpfo_wire::ipv4::Ipv4Addr;
-use tcpfo_wire::tcp::{HeaderTemplate, TcpFlags, TcpOption, TcpSegment};
+use tcpfo_wire::tcp::{HeaderTemplate, TcpFlags, TcpOption, TcpOptions, TcpSegment};
 
 /// Index of our own TCP layer's [`Side`] in [`Conn::sides`] (and of
 /// its FIN in a §6 entry's `fins`); the bridge's queue totals index
@@ -57,6 +57,10 @@ impl HeldSyn {
 
     /// The segment as the replica's stack sent it on `key`.
     pub(super) fn segment(&self, key: ConnKey) -> TcpSegment {
+        let mut options = TcpOptions::default();
+        if let Some(mss) = self.mss {
+            options.push(TcpOption::Mss(mss));
+        }
         TcpSegment {
             src_port: key.server_port,
             dst_port: key.peer.port,
@@ -64,7 +68,7 @@ impl HeldSyn {
             ack: self.ack,
             flags: self.flags,
             window: self.window,
-            options: self.mss.map(TcpOption::Mss).into_iter().collect(),
+            options,
             payload: Bytes::new(),
         }
     }

@@ -7,8 +7,9 @@
 //! datagram stay the device's own.
 
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use tcpfo_wire::arp::{ArpOp, ArpPacket};
+use tcpfo_wire::hash::FastMap;
 use tcpfo_wire::ipv4::{Ipv4Addr, Ipv4Packet};
 use tcpfo_wire::mac::MacAddr;
 
@@ -19,8 +20,8 @@ const PARK_LIMIT: usize = 16;
 /// An ARP cache with the datagrams parked on its unresolved entries.
 #[derive(Debug, Default)]
 pub struct NeighbourTable {
-    macs: HashMap<Ipv4Addr, MacAddr>,
-    parked: HashMap<Ipv4Addr, VecDeque<Ipv4Packet>>,
+    macs: FastMap<Ipv4Addr, MacAddr>,
+    parked: FastMap<Ipv4Addr, VecDeque<Ipv4Packet>>,
     dropped: u64,
 }
 

@@ -14,15 +14,15 @@
 use crate::sim::{Ctx, Device, TimerToken};
 use bytes::Bytes;
 use std::any::Any;
-use std::collections::HashMap;
 use tcpfo_wire::eth::EthernetFrame;
+use tcpfo_wire::hash::FastMap;
 use tcpfo_wire::mac::MacAddr;
 
 /// A store-and-forward learning switch.
 pub struct Switch {
     label: String,
     ports: usize,
-    table: HashMap<MacAddr, usize>,
+    table: FastMap<MacAddr, usize>,
     flooded: u64,
     forwarded: u64,
 }
@@ -33,7 +33,7 @@ impl Switch {
         Switch {
             label: label.to_string(),
             ports,
-            table: HashMap::new(),
+            table: FastMap::default(),
             flooded: 0,
             forwarded: 0,
         }
@@ -56,7 +56,7 @@ impl Switch {
     }
 
     /// The learned MAC table (for tests).
-    pub fn mac_table(&self) -> &HashMap<MacAddr, usize> {
+    pub fn mac_table(&self) -> &FastMap<MacAddr, usize> {
         &self.table
     }
 }

@@ -16,8 +16,9 @@ use crate::socket::{Socket, TcpState};
 use crate::types::{FourTuple, ListenerId, SocketAddr, SocketId};
 use bytes::Bytes;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use tcpfo_net::time::SimTime;
+use tcpfo_wire::hash::{FastMap, FastSet};
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{verify_segment_checksum, TcpFlags, TcpSegment};
 
@@ -53,10 +54,7 @@ const SCRATCH_CAPACITY: usize = 64;
 /// A passive-open endpoint with its accept backlog.
 #[derive(Debug)]
 struct Listener {
-    backlog: VecDeque<SocketId>,
-    /// Backlog entries by where they stand ([`Queued`] as index):
-    /// `accept` scans only for an entry there is one of.
-    queued: [usize; 3],
+    backlog: Backlog,
     failover: bool,
     /// Accepted sockets with an event their owner has not taken yet.
     ready: Vec<SocketId>,
@@ -65,11 +63,76 @@ struct Listener {
 /// Where a socket in its listener's backlog stands, as the listener's
 /// counts have it. One that closed there is reaped by the next `accept`:
 /// nothing else would release it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Queued {
     Handshake,
     Established,
     Closed,
+}
+
+/// A backlog entry's key: where it stands, then its SYN's arrival
+/// number on the listener.
+type BacklogKey = (Queued, u64);
+
+/// A listener's unaccepted connections. A handshake is only counted:
+/// `accept` wants the first *established* entry by SYN arrival and the
+/// closed ones, so only those are kept in order, and the handshakes
+/// before them (178 per accept on average on `conn_churn`) are never
+/// walked.
+#[derive(Debug, Default)]
+struct Backlog {
+    /// The entries past their handshake, by [`BacklogKey`].
+    settled: BTreeMap<BacklogKey, SocketId>,
+    /// Entries by where they stand ([`Queued`] as index).
+    queued: [usize; 3],
+    /// SYNs queued so far: the next one's arrival number.
+    arrivals: u64,
+}
+
+impl Backlog {
+    /// Entries in any state, handshakes included.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.queued.iter().sum()
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Queues a SYN's socket in the handshake.
+    fn push(&mut self) -> BacklogKey {
+        let key = (Queued::Handshake, self.arrivals);
+        self.arrivals += 1;
+        self.queued[Queued::Handshake as usize] += 1;
+        key
+    }
+
+    /// The entry standing at `q` (not a handshake) whose SYN arrived
+    /// first.
+    fn first(&self, q: Queued) -> Option<(BacklogKey, SocketId)> {
+        let (&key, &id) = self.settled.range((q, 0)..=(q, u64::MAX)).next()?;
+        Some((key, id))
+    }
+
+    /// Moves `id`'s entry from `key` to `now`; returns its new key.
+    fn moved(&mut self, key: BacklogKey, now: Queued, id: SocketId) -> BacklogKey {
+        self.remove(key);
+        let to = (now, key.1);
+        self.queued[now as usize] += 1;
+        if now != Queued::Handshake {
+            self.settled.insert(to, id);
+        }
+        to
+    }
+
+    fn remove(&mut self, key: BacklogKey) {
+        self.queued[key.0 as usize] -= 1;
+        if key.0 != Queued::Handshake {
+            self.settled.remove(&key);
+        }
+    }
 }
 
 /// A live socket and what the stack tracks about it between events.
@@ -80,9 +143,9 @@ struct Slot {
     owner: Option<ListenerId>,
     /// Already on the owner's ready list.
     ready: bool,
-    /// Where it stands in its listener's backlog; `None` once accepted
-    /// (or if it never was in one).
-    queued: Option<Queued>,
+    /// Its key in its listener's backlog; `None` once accepted (or if
+    /// it never was in one).
+    queued: Option<BacklogKey>,
     /// Earliest deadline this socket has a live entry for in
     /// [`TcpStack::timers`]; never later than its `next_deadline()`.
     armed: Option<SimTime>,
@@ -175,9 +238,9 @@ pub struct TcpStack {
     /// Vacated slots; a new socket takes the lowest, because `SocketId`
     /// order decides which of two replies reaches the wire first.
     free: BinaryHeap<Reverse<usize>>,
-    demux: HashMap<FourTuple, usize>,
+    demux: FastMap<FourTuple, usize>,
     listeners: Vec<Listener>,
-    listener_by_port: HashMap<u16, ListenerId>,
+    listener_by_port: FastMap<u16, ListenerId>,
     /// The deadline index: `(deadline, slot)`, earliest first. Lazy: an
     /// entry is added only when a socket's deadline moves *earlier*
     /// than its [`Slot::armed`] one and re-validated when it comes due,
@@ -192,7 +255,7 @@ pub struct TcpStack {
     next_ephemeral: u16,
     outbox: Vec<AddressedSegment>,
     /// Ports designated for failover by configuration (§7 method 2).
-    failover_ports: HashSet<u16>,
+    failover_ports: FastSet<u16>,
     /// Designations newly made via the socket option (§7 method 1),
     /// drained by the host into the filter. A failover *listener*
     /// designates its port (the bridges must recognise SYNs before any
@@ -222,16 +285,16 @@ impl TcpStack {
             cfg,
             sockets: Vec::new(),
             free: BinaryHeap::with_capacity(SCRATCH_CAPACITY),
-            demux: HashMap::new(),
+            demux: FastMap::default(),
             listeners: Vec::new(),
-            listener_by_port: HashMap::new(),
+            listener_by_port: FastMap::default(),
             timers: BinaryHeap::with_capacity(SCRATCH_CAPACITY),
             due: Vec::with_capacity(SCRATCH_CAPACITY),
             segs: Vec::with_capacity(SCRATCH_CAPACITY),
             windows: Windows::default(),
             next_ephemeral,
             outbox: Vec::new(),
-            failover_ports: HashSet::new(),
+            failover_ports: FastSet::default(),
             pending_designations: Vec::new(),
             checksum_drops: 0,
             rst_sent: 0,
@@ -277,8 +340,7 @@ impl TcpStack {
         }
         let id = ListenerId(self.listeners.len());
         self.listeners.push(Listener {
-            backlog: VecDeque::new(),
-            queued: [0; 3],
+            backlog: Backlog::default(),
             failover,
             ready: Vec::with_capacity(SCRATCH_CAPACITY),
         });
@@ -289,24 +351,13 @@ impl TcpStack {
     /// Dequeues the oldest established connection from a listener's
     /// backlog, after reaping the entries that closed unaccepted.
     pub fn accept(&mut self, listener: ListenerId) -> Option<SocketId> {
-        let first = |stack: &Self, q| {
-            let mut backlog = stack.listeners[listener.0].backlog.iter().copied();
-            backlog.find(|id| {
-                stack.sockets[id.0]
-                    .as_ref()
-                    .is_some_and(|s| s.queued == Some(q))
-            })
-        };
-        while self.listeners.get(listener.0)?.queued[Queued::Closed as usize] > 0 {
-            self.reap(first(self, Queued::Closed)?);
+        while self.listeners.get(listener.0)?.backlog.queued[Queued::Closed as usize] > 0 {
+            let (_, id) = self.listeners[listener.0].backlog.first(Queued::Closed)?;
+            self.reap(id);
         }
-        if self.listeners[listener.0].queued[Queued::Established as usize] == 0 {
-            return None;
-        }
-        let id = first(self, Queued::Established)?;
-        let l = &mut self.listeners[listener.0];
-        l.backlog.retain(|&q| q != id);
-        l.queued[Queued::Established as usize] -= 1;
+        let backlog = &mut self.listeners[listener.0].backlog;
+        let (key, id) = backlog.first(Queued::Established)?;
+        backlog.remove(key);
         self.sockets[id.0].as_mut()?.queued = None;
         Some(id)
     }
@@ -533,12 +584,10 @@ impl TcpStack {
                     self.pending_designations.push(FailoverRule::Tuple(tuple));
                 }
                 let id = self.insert_socket(sock, Some(listener));
+                let key = self.listeners[listener.0].backlog.push();
                 if let Some(slot) = self.sockets[id.0].as_mut() {
-                    slot.queued = Some(Queued::Handshake);
+                    slot.queued = Some(key);
                 }
-                let l = &mut self.listeners[listener.0];
-                l.backlog.push_back(id);
-                l.queued[Queued::Handshake as usize] += 1;
                 self.run_output(id, now);
                 return;
             }
@@ -753,16 +802,15 @@ impl TcpStack {
             self.windows.replace(slot.window, window);
             slot.window = window;
         }
-        if let (Some(was), Some(owner)) = (slot.queued, slot.owner) {
+        if let (Some(key), Some(owner)) = (slot.queued, slot.owner) {
             let now = match sock.state {
                 _ if sock.is_established() => Queued::Established,
                 TcpState::Closed => Queued::Closed,
                 _ => Queued::Handshake,
             };
-            let counts = &mut self.listeners[owner.0].queued;
-            counts[was as usize] -= 1;
-            counts[now as usize] += 1;
-            slot.queued = Some(now);
+            if now != key.0 {
+                slot.queued = Some(self.listeners[owner.0].backlog.moved(key, now, id));
+            }
         }
     }
 
@@ -793,10 +841,8 @@ impl TcpStack {
 
     fn reap(&mut self, id: SocketId) {
         if let Some(slot) = self.sockets.get_mut(id.0).and_then(|s| s.take()) {
-            if let (Some(was), Some(owner)) = (slot.queued, slot.owner) {
-                let l = &mut self.listeners[owner.0];
-                l.queued[was as usize] -= 1;
-                l.backlog.retain(|&q| q != id);
+            if let (Some(key), Some(owner)) = (slot.queued, slot.owner) {
+                self.listeners[owner.0].backlog.remove(key);
             }
             self.demux.remove(&slot.sock.tuple);
             self.windows.replace(slot.window, None);
@@ -1323,7 +1369,7 @@ mod tests {
             server.on_tick(now);
             server.take_outbox();
         }
-        assert_eq!(server.listeners[listener.0].queued, [0, 0, 1]);
+        assert_eq!(server.listeners[listener.0].backlog.queued, [0, 0, 1]);
         // The listener's owner polls: its accept reaps the entry.
         assert_eq!(server.accept(listener), None);
         assert!(
@@ -1387,5 +1433,51 @@ mod tests {
         assert_eq!(server.accept(listener), Some(SocketId(2)));
         assert_eq!(server.accept(listener), None);
         assert_eq!(server.listeners[listener.0].backlog.len(), 1);
+    }
+
+    /// Handshakes that complete in the reverse of their SYNs' order, on
+    /// slots that are not in SYN order either: `accept` still hands out
+    /// the established entry whose SYN arrived first.
+    #[test]
+    fn accept_follows_syn_order_when_handshakes_complete_out_of_it() {
+        let now = SimTime::ZERO;
+        let mut server = TcpStack::new(cfg(7));
+        let listener = server.listen(80, false).unwrap();
+        let mut client = TcpStack::new(cfg(3));
+        let to = SocketAddr::new(B_IP, 80);
+        client.connect(A, to, false, now).unwrap();
+        exchange(&mut client, &mut server, now);
+        let early = server.accept(listener).expect("established");
+        // Three SYNs arrive; the first takes slot 1, and the second the
+        // slot 0 `early` leaves.
+        let mut ports = Vec::new();
+        let mut syn_acks = Vec::new();
+        for i in 0..3 {
+            let c = client.connect(A, to, false, now).unwrap();
+            ports.push(client.socket(c).unwrap().tuple.local.port);
+            for seg in client.take_outbox() {
+                server.on_segment(&seg, now);
+            }
+            syn_acks.extend(server.take_outbox());
+            if i == 0 {
+                server.release(early, now);
+                server.take_outbox();
+            }
+        }
+        for seg in syn_acks {
+            client.on_segment(&seg, now);
+        }
+        let acks = client.take_outbox();
+        // The final ACKs arrive last SYN first.
+        for port in ports.iter().rev() {
+            let ack = acks
+                .iter()
+                .find(|seg| TcpSegment::decode(&seg.bytes).unwrap().src_port == *port)
+                .expect("one final ACK per connection");
+            server.on_segment(ack, now);
+        }
+        let accepted: Vec<_> = std::iter::from_fn(|| server.accept(listener)).collect();
+        assert_eq!(accepted, [SocketId(1), SocketId(0), SocketId(2)]);
+        assert!(server.listeners[listener.0].backlog.is_empty());
     }
 }

@@ -24,13 +24,14 @@
 //! of the replica segments, each entry point looks its connection up
 //! once, and the flight recorder keeps headers, not segments.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use tcpfo_wire::eth::ETH_HEADER_LEN;
+use tcpfo_wire::hash::FastMap;
 use tcpfo_wire::ipv4::{Ipv4Addr, Ipv4Packet, IPV4_HEADER_LEN, PROTO_TCP};
 use tcpfo_wire::mac::MacAddr;
 use tcpfo_wire::pcapng::PcapngWriter;
@@ -1354,9 +1355,9 @@ impl Recorder {
 /// release against the [`Rule`] catalogue. See the module docs.
 pub struct InvariantAuditor {
     rec: Recorder,
-    /// Shadow state per connection. std's keyed hasher, for the reason
+    /// Shadow state per connection. A seeded hasher, for the reason
     /// flow keys use one: the client chooses the key.
-    conns: HashMap<AuditKey, AuditConn>,
+    conns: FastMap<AuditKey, AuditConn>,
     /// §6 degraded mode: per-connection checks are suspended.
     degraded: bool,
     /// When this link's §5 takeover was noted, until the first client
@@ -1398,7 +1399,7 @@ impl InvariantAuditor {
                 now_ns: 0,
                 health_snapshot: None,
             },
-            conns: HashMap::new(),
+            conns: FastMap::default(),
             degraded: false,
             takeover_at: None,
             touched: None,

@@ -172,20 +172,6 @@ impl<const N: usize> LogHistogram<N> {
         }
     }
 
-    /// The observations recorded since `earlier`, a copy of this
-    /// histogram taken before them: bucket counts, count and sum by
-    /// difference. Min and max stay this histogram's — a difference
-    /// cannot recover the extremes of the later observations alone, and
-    /// the whole run's bound them.
-    pub fn since(&self, earlier: &Self) -> Self {
-        LogHistogram {
-            buckets: std::array::from_fn(|i| self.buckets[i] - earlier.buckets[i]),
-            count: self.count - earlier.count,
-            sum: self.sum.wrapping_sub(earlier.sum),
-            ..*self
-        }
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -535,10 +521,6 @@ struct StageGauges {
 #[derive(Debug, Default)]
 pub struct LatencyObservatory {
     stages: StageLatency,
-    /// High-water copy already mirrored into the registry; `publish`
-    /// absorbs only the delta so registry histograms never double
-    /// count.
-    published: StageLatency,
     gauges: Option<Vec<StageGauges>>,
 }
 
@@ -569,8 +551,9 @@ impl LatencyObservatory {
     /// Mirrors the per-stage state into the registry under
     /// `scope.lat.<stage>.*`: quantile gauges (`p50_ns`, `p99_ns`,
     /// `p999_ns`, `max_ns`, `count`) plus a registry [`Histogram`]
-    /// fed the observations since the previous publish, so the
-    /// Prometheus exposition carries real bucket series.
+    /// that holds the stage's observations, so the Prometheus
+    /// exposition carries real bucket series. A stage's histogram is
+    /// written only when its count moved since the previous publish.
     pub fn publish(&mut self, scope: &Scope, now_ns: u64) {
         let gauges = self.gauges.get_or_insert_with(|| {
             let lat = scope.scope("lat");
@@ -597,12 +580,10 @@ impl LatencyObservatory {
             g.p999.set_at(h.p999(), now_ns);
             g.max.set_at(h.max(), now_ns);
             g.count.set_at(h.count(), now_ns);
-            let delta = h.since(self.published.stage(s));
-            if !delta.is_empty() {
-                g.hist.absorb(&delta);
+            if g.hist.count() != h.count() {
+                g.hist.set(h);
             }
         }
-        self.published = self.stages;
     }
 
     /// Human-readable per-stage table.

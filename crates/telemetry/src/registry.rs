@@ -141,10 +141,18 @@ impl Histogram {
     }
 
     /// Adds every observation of `batch` ([`LogHistogram::merge`]):
-    /// how the latency observatory and the hosts mirror the histograms
-    /// they keep into the registry without replaying each observation.
+    /// how the hosts mirror the histograms they keep into the registry
+    /// without replaying each observation.
     pub fn absorb<const M: usize>(&self, batch: &LogHistogram<M>) {
         self.inner.borrow_mut().merge(batch);
+    }
+
+    /// Replaces the state with `h`'s observations: how the latency
+    /// observatory mirrors the stage histograms it keeps.
+    pub fn set<const M: usize>(&self, h: &LogHistogram<M>) {
+        let mut inner = self.inner.borrow_mut();
+        *inner = LogHistogram::new();
+        inner.merge(h);
     }
 
     /// Immutable copy of the current state.

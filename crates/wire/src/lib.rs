@@ -22,6 +22,7 @@
 //! * [`heartbeat`] — the fault detector's heartbeat payload
 //! * [`tcp`] — TCP segments with options, including the experimental
 //!   *original destination* option the secondary bridge appends (§3.1)
+//! * [`hash`] — the one seeded fast hasher of the per-segment maps
 //! * [`checksum`] — RFC 1071 ones-complement sums and RFC 1624
 //!   incremental updates
 //! * [`seq`] — wrapping 32-bit sequence-number arithmetic, the one
@@ -52,6 +53,7 @@ pub mod arp;
 pub mod checksum;
 pub mod error;
 pub mod eth;
+pub mod hash;
 pub mod heartbeat;
 pub mod ipv4;
 pub mod mac;

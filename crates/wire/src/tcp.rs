@@ -20,6 +20,10 @@ use std::fmt;
 /// Minimum TCP header length (no options).
 pub const TCP_HEADER_LEN: usize = 20;
 
+/// Most option bytes a header carries: its data offset counts at most
+/// 15 words, 60 bytes, of which 20 are fixed.
+pub const MAX_OPTIONS_LEN: usize = 40;
+
 /// Option kind for the *original destination* option the secondary
 /// bridge appends to diverted segments (§3.1: "The original destination
 /// address of the segment is included in the segment as a TCP header
@@ -129,36 +133,161 @@ impl TcpOption {
         }
     }
 
-    fn encode_into(&self, buf: &mut Vec<u8>) {
+    /// Writes the option's [`TcpOption::wire_len`] bytes to the front
+    /// of `out`.
+    fn write(&self, out: &mut [u8]) {
         match self {
             TcpOption::Mss(mss) => {
-                buf.extend_from_slice(&[2, 4]);
-                buf.extend_from_slice(&mss.to_be_bytes());
+                out[..2].copy_from_slice(&[2, 4]);
+                out[2..4].copy_from_slice(&mss.to_be_bytes());
             }
             TcpOption::OrigDest { addr, port } => {
-                buf.extend_from_slice(&[OPT_KIND_ORIG_DEST, 8]);
-                buf.extend_from_slice(&addr.octets());
-                buf.extend_from_slice(&port.to_be_bytes());
+                out[..2].copy_from_slice(&[OPT_KIND_ORIG_DEST, 8]);
+                out[2..6].copy_from_slice(&addr.octets());
+                out[6..8].copy_from_slice(&port.to_be_bytes());
             }
             TcpOption::Unknown(kind, data) => {
-                buf.extend_from_slice(&[*kind, (2 + data.len()) as u8]);
-                buf.extend_from_slice(data);
+                out[..2].copy_from_slice(&[*kind, (2 + data.len()) as u8]);
+                out[2..2 + data.len()].copy_from_slice(data);
             }
+        }
+    }
+
+    /// The parsed view of one well-formed option.
+    fn parse(kind: u8, body: &[u8]) -> TcpOption {
+        if let Some(mss) = mss_of(kind, body) {
+            TcpOption::Mss(mss)
+        } else if let Some((addr, port)) = orig_dest_of(kind, body) {
+            TcpOption::OrigDest { addr, port }
+        } else {
+            TcpOption::Unknown(kind, body.to_vec())
         }
     }
 }
 
-/// Encodes `options` into the padded option block of a TCP header. An
-/// empty list yields an empty `Vec`, which owns no allocation.
+/// Encodes `options` into the padded option block of a TCP header: the
+/// `Vec` twin of [`TcpOptions`], for tests and tooling. An empty list
+/// yields an empty `Vec`, which owns no allocation.
 pub fn encode_options(options: &[TcpOption]) -> Vec<u8> {
     let mut buf = Vec::new();
     for opt in options {
-        opt.encode_into(&mut buf);
+        let at = buf.len();
+        buf.resize(at + opt.wire_len(), 0);
+        opt.write(&mut buf[at..]);
     }
     // Pad to a 4-byte boundary with NOPs (kind 1) — unlike end-of-list
     // padding, this keeps the block parseable if options are appended.
     buf.resize(buf.len().next_multiple_of(4), 1);
     buf
+}
+
+/// A segment's options as they travel: each option's kind, length and
+/// body, back to back, held inline in at most [`MAX_OPTIONS_LEN`]
+/// bytes. NOP padding is not held: decoding drops it, and encoding pads
+/// the block to a 4-byte boundary with NOPs. An option this
+/// implementation does not interpret keeps its bytes exactly.
+///
+/// A push that would take the block past [`MAX_OPTIONS_LEN`] bytes is
+/// refused by a panic, in release builds too: no data offset could
+/// describe the header, so the segment could not be sent.
+///
+/// ```
+/// use tcpfo_wire::tcp::{TcpOption, TcpOptions};
+///
+/// let mut opts = TcpOptions::default();
+/// opts.push(TcpOption::Mss(1460));
+/// opts.push(TcpOption::Unknown(99, vec![1, 2, 3]));
+/// assert_eq!(opts.as_bytes(), [2, 4, 0x05, 0xb4, 99, 5, 1, 2, 3]);
+/// assert_eq!(opts.wire_len(), 12);
+/// assert_eq!(opts.mss(), Some(1460));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct TcpOptions {
+    len: u8,
+    /// The options in `..len`; the bytes past it stay zero, so two
+    /// blocks are equal when their options are.
+    bytes: [u8; MAX_OPTIONS_LEN],
+}
+
+impl Default for TcpOptions {
+    fn default() -> Self {
+        TcpOptions {
+            len: 0,
+            bytes: [0; MAX_OPTIONS_LEN],
+        }
+    }
+}
+
+impl TcpOptions {
+    /// Appends `opt`.
+    ///
+    /// # Panics
+    ///
+    /// If the block would pass [`MAX_OPTIONS_LEN`] bytes.
+    pub fn push(&mut self, opt: TcpOption) {
+        let at = usize::from(self.len);
+        let end = at + opt.wire_len();
+        assert!(
+            end <= MAX_OPTIONS_LEN,
+            "TCP options past {MAX_OPTIONS_LEN} bytes: {end}"
+        );
+        opt.write(&mut self.bytes[at..end]);
+        self.len = end as u8;
+    }
+
+    /// Copies the well-formed options of a received block, its NOPs
+    /// dropped, stopping at end-of-list.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadOption`] as [`decode_options`].
+    fn decode(block: &[u8]) -> Result<Self, WireError> {
+        let mut opts = TcpOptions::default();
+        for opt in walk_options(block) {
+            let (at, _, body) = opt?;
+            let (from, len) = (usize::from(opts.len), 2 + body.len());
+            // The block is at most `MAX_OPTIONS_LEN` bytes, and what is
+            // copied out of it is no longer.
+            opts.bytes[from..from + len].copy_from_slice(&block[at..at + len]);
+            opts.len += len as u8;
+        }
+        Ok(opts)
+    }
+
+    /// The options' bytes, without padding.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+
+    /// Bytes the block takes in a header: padded to a 4-byte boundary.
+    pub fn wire_len(&self) -> usize {
+        usize::from(self.len).next_multiple_of(4)
+    }
+
+    /// The options, parsed.
+    pub fn iter(&self) -> impl Iterator<Item = TcpOption> + '_ {
+        walk_options(self.as_bytes())
+            .map_while(Result::ok)
+            .map(|(_, kind, body)| TcpOption::parse(kind, body))
+    }
+
+    /// The first MSS option's value, if one is present.
+    pub fn mss(&self) -> Option<u16> {
+        walk_options(self.as_bytes())
+            .map_while(Result::ok)
+            .find_map(|(_, kind, body)| mss_of(kind, body))
+    }
+
+    /// The first original-destination option, if one is present.
+    pub fn orig_dest(&self) -> Option<(Ipv4Addr, u16)> {
+        find_orig_dest(self.as_bytes()).map(|(_, dest)| dest)
+    }
+}
+
+impl fmt::Debug for TcpOptions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Walks a TCP option block without allocating: yields `(offset, kind,
@@ -214,7 +343,8 @@ fn find_orig_dest(block: &[u8]) -> Option<(usize, (Ipv4Addr, u16))> {
         .find_map(|(at, kind, body)| orig_dest_of(kind, body).map(|dest| (at, dest)))
 }
 
-/// Decodes the option block of a TCP header.
+/// Decodes the option block of a TCP header: the `Vec` twin of
+/// [`TcpOptions`], for tests and tooling.
 ///
 /// # Errors
 ///
@@ -222,17 +352,7 @@ fn find_orig_dest(block: &[u8]) -> Option<(usize, (Ipv4Addr, u16))> {
 /// or runs past the block.
 pub fn decode_options(bytes: &[u8]) -> Result<Vec<TcpOption>, WireError> {
     walk_options(bytes)
-        .map(|opt| {
-            opt.map(|(_, kind, body)| {
-                if let Some(mss) = mss_of(kind, body) {
-                    TcpOption::Mss(mss)
-                } else if let Some((addr, port)) = orig_dest_of(kind, body) {
-                    TcpOption::OrigDest { addr, port }
-                } else {
-                    TcpOption::Unknown(kind, body.to_vec())
-                }
-            })
-        })
+        .map(|opt| opt.map(|(_, kind, body)| TcpOption::parse(kind, body)))
         .collect()
 }
 
@@ -260,7 +380,7 @@ pub struct TcpSegment {
     /// Advertised receive window.
     pub window: u16,
     /// Options carried in the header.
-    pub options: Vec<TcpOption>,
+    pub options: TcpOptions,
     /// Payload bytes.
     pub payload: Bytes,
 }
@@ -276,7 +396,7 @@ impl TcpSegment {
                 ack: 0,
                 flags: TcpFlags::EMPTY,
                 window: 0,
-                options: Vec::new(),
+                options: TcpOptions::default(),
                 payload: Bytes::new(),
             },
         }
@@ -290,24 +410,17 @@ impl TcpSegment {
 
     /// Returns the MSS option value, if present.
     pub fn mss(&self) -> Option<u16> {
-        self.options.iter().find_map(|o| match o {
-            TcpOption::Mss(v) => Some(*v),
-            _ => None,
-        })
+        self.options.mss()
     }
 
     /// Returns the original-destination option, if present.
     pub fn orig_dest(&self) -> Option<(Ipv4Addr, u16)> {
-        self.options.iter().find_map(|o| match o {
-            TcpOption::OrigDest { addr, port } => Some((*addr, *port)),
-            _ => None,
-        })
+        self.options.orig_dest()
     }
 
     /// Header length including options, in bytes.
     pub fn header_len(&self) -> usize {
-        let opt = encode_options(&self.options).len();
-        TCP_HEADER_LEN + opt
+        TCP_HEADER_LEN + self.options.wire_len()
     }
 
     /// Total encoded length.
@@ -331,13 +444,11 @@ impl TcpSegment {
     }
 
     fn encode_parts(&self, src: Ipv4Addr, dst: Ipv4Addr, parts: &[&[u8]]) -> Bytes {
-        let opts = encode_options(&self.options);
-        let header_len = TCP_HEADER_LEN + opts.len();
-        debug_assert!(header_len <= 60, "tcp options too long");
+        let header_len = self.header_len();
         let total = header_len + parts.iter().map(|p| p.len()).sum::<usize>();
         // Checksum and urgent pointer (bytes 16..20) stay zero while
         // the sum is taken.
-        let mut header = [0u8; TCP_HEADER_LEN];
+        let mut header = [0u8; TCP_HEADER_LEN + MAX_OPTIONS_LEN];
         header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         header[4..8].copy_from_slice(&self.seq.to_be_bytes());
@@ -345,16 +456,21 @@ impl TcpSegment {
         header[12] = ((header_len / 4) as u8) << 4;
         header[13] = self.flags.0;
         header[14..16].copy_from_slice(&self.window.to_be_bytes());
-        // Header and option block have even lengths, so the payload
-        // starts at an even offset.
+        let opts = self.options.as_bytes();
+        if !opts.is_empty() {
+            let end = TCP_HEADER_LEN + opts.len();
+            header[TCP_HEADER_LEN..end].copy_from_slice(opts);
+            header[end..header_len].fill(1);
+        }
+        let header = &mut header[..header_len];
+        // The header has an even length, so the payload starts at an
+        // even offset.
         let mut ck = pseudo_header_sum(src, dst, PROTO_TCP, total);
-        ck.add_bytes(&header);
-        ck.add_bytes(&opts);
+        ck.add_bytes(header);
         add_parts(&mut ck, parts.iter().copied());
         header[16..18].copy_from_slice(&ck.finish().to_be_bytes());
         let mut buf = BytesMut::with_capacity(total);
-        buf.put_slice(&header);
-        buf.put_slice(&opts);
+        buf.put_slice(header);
         for p in parts {
             buf.put_slice(p);
         }
@@ -394,7 +510,7 @@ impl TcpSegment {
             ack: view.ack(),
             flags: view.flags(),
             window: view.window(),
-            options: decode_options(view.option_block())?,
+            options: TcpOptions::decode(view.option_block())?,
             // Empty payloads get a detached empty `Bytes` so pure ACKs
             // never pin the arriving buffer's refcount (the inbound hot
             // path wants to take the buffer over in place).
@@ -456,12 +572,20 @@ impl TcpSegmentBuilder {
     }
 
     /// Appends an MSS option.
+    ///
+    /// # Panics
+    ///
+    /// As [`TcpOptions::push`], past [`MAX_OPTIONS_LEN`] option bytes.
     pub fn mss(mut self, mss: u16) -> Self {
         self.segment.options.push(TcpOption::Mss(mss));
         self
     }
 
     /// Appends an original-destination option.
+    ///
+    /// # Panics
+    ///
+    /// As [`TcpOptions::push`], past [`MAX_OPTIONS_LEN`] option bytes.
     pub fn orig_dest(mut self, addr: Ipv4Addr, port: u16) -> Self {
         self.segment
             .options
@@ -1194,6 +1318,21 @@ mod tests {
     fn flags_display() {
         assert_eq!((TcpFlags::SYN | TcpFlags::ACK).to_string(), "SYN|ACK");
         assert_eq!(TcpFlags::EMPTY.to_string(), "(none)");
+    }
+
+    /// Ten MSS options fill the 40 bytes a header has for options; an
+    /// eleventh is refused where it is pushed, rather than encoded
+    /// under a data offset of 0 that no receiver decodes.
+    #[test]
+    #[should_panic(expected = "TCP options past 40 bytes")]
+    fn an_option_block_past_40_bytes_is_refused() {
+        let (src, dst) = addrs();
+        let full = (0..10).fold(TcpSegment::builder(1, 2), |b, i| b.mss(536 + i));
+        let seg = full.clone().build();
+        let bytes = seg.encode(src, dst);
+        assert_eq!((bytes.len(), bytes[12]), (60, 0xf0));
+        assert_eq!(TcpSegment::decode(&bytes).unwrap(), seg);
+        full.mss(1460);
     }
 
     #[test]
